@@ -1,0 +1,629 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"avr/internal/obs"
+	"avr/internal/server"
+	"avr/internal/store"
+)
+
+// postJSON posts body and decodes a JSON reply into out (nil skips).
+func postJSON(t testing.TB, url string, body []byte, out any) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("post %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("post %s: reading reply: %v", url, err)
+	}
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("post %s: reply %q does not parse: %v", url, raw, err)
+		}
+	}
+	return resp
+}
+
+func mputBody(items ...server.BatchPutItem) []byte {
+	b, _ := json.Marshal(server.BatchPutRequest{Items: items})
+	return b
+}
+
+func mgetBody(keys ...string) []byte {
+	b, _ := json.Marshal(server.BatchGetRequest{Keys: keys})
+	return b
+}
+
+// TestOversizeBodyIs413 holds every body-reading endpoint of both tiers
+// to one answer for a body over the cap — 413, whether the length was
+// declared or the body arrived chunked. (avrd reads bodies on five
+// endpoints; the router has no encode/decode to proxy.)
+func TestOversizeBodyIs413(t *testing.T) {
+	const limit = 1024
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	avrd := httptest.NewServer(server.New(server.Config{Store: st, MaxBodyBytes: limit}).Handler())
+	defer avrd.Close()
+	tc := newTestCluster(t, 2, Config{MaxBodyBytes: limit})
+
+	big := bytes.Repeat([]byte("AAAA"), limit) // 4x the cap
+	cases := []struct {
+		tier, method, path string
+	}{
+		{"avrd", http.MethodPost, "/v1/encode"},
+		{"avrd", http.MethodPost, "/v1/decode"},
+		{"avrd", http.MethodPut, "/v1/store/put?key=k"},
+		{"avrd", http.MethodPost, "/v1/store/mput"},
+		{"avrd", http.MethodPost, "/v1/store/mget"},
+		{"router", http.MethodPut, "/v1/store/put?key=k"},
+		{"router", http.MethodPost, "/v1/store/mput"},
+		{"router", http.MethodPost, "/v1/store/mget"},
+	}
+	for _, c := range cases {
+		base := avrd.URL
+		if c.tier == "router" {
+			base = tc.router.URL
+		}
+		for _, chunked := range []bool{false, true} {
+			var body io.Reader = bytes.NewReader(big)
+			if chunked {
+				body = struct{ io.Reader }{body} // hides the length
+			}
+			req, err := http.NewRequest(c.method, base+c.path, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s chunked=%v: %v", c.tier, c.path, chunked, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s %s chunked=%v: status %d, want 413",
+					c.tier, c.method, c.path, chunked, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// TestRouterBatchPartialFailureInPlace interleaves bad items with good
+// ones: every result sits at its request position, failures carry their
+// own error and successes are untouched by their neighbours.
+func TestRouterBatchPartialFailureInPlace(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+	const vn = 40
+	items := []server.BatchPutItem{
+		{Key: "p-0", Data: f32le(testVals(0, vn)...)},
+		{Key: "p-odd", Data: []byte{1, 2, 3}},
+		{Key: "p-2", Data: f32le(testVals(2, vn)...)},
+		{Key: "p-width", Width: 48, Data: f32le(testVals(3, vn)...)},
+		{Key: "p-4", Width: 32, Data: f32le(testVals(4, vn)...)},
+		{Key: "p-empty"},
+	}
+	var pres server.BatchPutResult
+	if resp := postJSON(t, tc.router.URL+"/v1/store/mput", mputBody(items...), &pres); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mput status %d", resp.StatusCode)
+	}
+	if len(pres.Results) != len(items) {
+		t.Fatalf("mput: %d results for %d items", len(pres.Results), len(items))
+	}
+	for i, r := range pres.Results {
+		wantOK := i%2 == 0
+		if r.Key != items[i].Key || r.OK != wantOK || (r.Error == "") == !wantOK {
+			t.Errorf("mput result %d = %+v, want key %q ok=%v", i, r, items[i].Key, wantOK)
+		}
+		if wantOK && (r.Replicas != 2 || r.Values != vn) {
+			t.Errorf("mput result %d = %+v, want %d values on 2 replicas", i, r, vn)
+		}
+	}
+
+	keys := []string{"p-4", "absent-a", "p-0", "p-odd", "p-2", "absent-b"}
+	var gres server.BatchGetResult
+	if resp := postJSON(t, tc.router.URL+"/v1/store/mget", mgetBody(keys...), &gres); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mget status %d", resp.StatusCode)
+	}
+	if len(gres.Results) != len(keys) {
+		t.Fatalf("mget: %d results for %d keys", len(gres.Results), len(keys))
+	}
+	for i, r := range gres.Results {
+		if r.Key != keys[i] {
+			t.Fatalf("mget result %d is %q, want %q: order not preserved", i, r.Key, keys[i])
+		}
+		if i%2 == 0 {
+			if !r.OK || !r.Complete || r.Width != 32 {
+				t.Fatalf("mget %s: %+v", r.Key, r)
+			}
+			var k int
+			fmt.Sscanf(r.Key, "p-%d", &k)
+			tc.checkVals(t, r.Key, leF32(r.Data), testVals(k, vn))
+		} else if r.OK || !r.NotFound || r.Error == "" || len(r.Data) != 0 {
+			t.Errorf("mget %s: %+v, want a not-found failure", r.Key, r)
+		}
+	}
+}
+
+// TestRouterMgetSecondRound removes keys from their preferred owner
+// behind the router's back: the first round misses them, the second
+// finds each on its other owner, and the reply is whole and in order.
+func TestRouterMgetSecondRound(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+	const keys, vn = 12, 24
+	var items []server.BatchPutItem
+	var names []string
+	for k := 0; k < keys; k++ {
+		names = append(names, fmt.Sprintf("sr-%d", k))
+		items = append(items, server.BatchPutItem{Key: names[k], Data: f32le(testVals(k, vn)...)})
+	}
+	if resp := postJSON(t, tc.router.URL+"/v1/store/mput", mputBody(items...), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mput status %d", resp.StatusCode)
+	}
+	dropped := 0
+	for k := 0; k < keys; k += 2 {
+		first, _ := tc.ro.legs(names[k])
+		if err := tc.stores[first].Delete(names[k]); err != nil {
+			t.Fatalf("dropping %s from node %d: %v", names[k], first, err)
+		}
+		dropped++
+	}
+	before := obs.RouterFailovers.Value()
+	var gres server.BatchGetResult
+	if resp := postJSON(t, tc.router.URL+"/v1/store/mget", mgetBody(names...), &gres); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mget status %d", resp.StatusCode)
+	}
+	if len(gres.Results) != keys {
+		t.Fatalf("mget: %d results for %d keys", len(gres.Results), keys)
+	}
+	for i, r := range gres.Results {
+		if r.Key != names[i] || !r.OK || r.NotFound || r.Error != "" {
+			t.Fatalf("mget result %d = {key %q ok %v not_found %v error %q}, want %q served by the other owner",
+				i, r.Key, r.OK, r.NotFound, r.Error, names[i])
+		}
+		tc.checkVals(t, r.Key, leF32(r.Data), testVals(i, vn))
+	}
+	if got := obs.RouterFailovers.Value() - before; got != int64(dropped) {
+		t.Errorf("failovers moved by %d, want one per dropped key (%d)", got, dropped)
+	}
+}
+
+// fakeFleet is a router over scripted shards.
+func fakeFleet(t *testing.T, replication int, shards ...http.HandlerFunc) *httptest.Server {
+	t.Helper()
+	topo := Topology{VNodes: 16, Replication: replication}
+	for i, h := range shards {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		topo.Nodes = append(topo.Nodes, Node{Name: fmt.Sprintf("fake-%d", i), Addr: strings.TrimPrefix(ts.URL, "http://")})
+	}
+	ro, err := New(Config{Topology: topo, ProbeInterval: -1, Retries: 1, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ro.Close)
+	ts := httptest.NewServer(ro.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRouterBatchAllLegsShed: when every leg sheds, the batch is a 429
+// carrying the largest Retry-After the fleet asked for.
+func TestRouterBatchAllLegsShed(t *testing.T) {
+	shedWith := func(secs string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Retry-After", secs)
+			http.Error(w, "shedding", http.StatusTooManyRequests)
+		}
+	}
+	ts := fakeFleet(t, 2, shedWith("4"), shedWith("9"))
+	var items []server.BatchPutItem
+	var names []string
+	for k := 0; k < 16; k++ { // enough keys to touch both nodes as first leg
+		names = append(names, fmt.Sprintf("shed-%d", k))
+		items = append(items, server.BatchPutItem{Key: names[k], Data: f32le(1, 2)})
+	}
+	for path, body := range map[string][]byte{
+		"/v1/store/mput": mputBody(items...),
+		"/v1/store/mget": mgetBody(names...),
+	} {
+		resp := postJSON(t, ts.URL+path, body, nil)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Errorf("%s: status %d, want 429", path, resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "9" {
+			t.Errorf("%s: Retry-After %q, want the fleet's max 9", path, ra)
+		}
+	}
+}
+
+// TestRouterBatchBadLegResponse: a leg that echoes the wrong key fails
+// that key alone, a leg that answers with the wrong count fails every
+// key it carried — "bad response" either way, per key, in place.
+func TestRouterBatchBadLegResponse(t *testing.T) {
+	var wrongCount atomic.Bool
+	shard := func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s leg Content-Type %q, want application/json", r.URL.Path, ct)
+		}
+		var reply any
+		switch r.URL.Path {
+		case "/v1/store/mget":
+			var req server.BatchGetRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Errorf("mget leg body %q: %v", body, err)
+			}
+			var res server.BatchGetResult
+			for _, k := range req.Keys {
+				out := server.BatchGetItemResult{Key: k, OK: true, Width: 32, Complete: true, Data: f32le(7)}
+				if k == "liar" {
+					out.Key = "someone-else"
+				}
+				res.Results = append(res.Results, out)
+			}
+			if wrongCount.Load() {
+				res.Results = res.Results[1:]
+			}
+			reply = res
+		case "/v1/store/mput":
+			var req server.BatchPutRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Errorf("mput leg body %q: %v", body, err)
+			}
+			var res server.BatchPutResult
+			for _, it := range req.Items {
+				if !bytes.Equal(it.Data, f32le(1, 2)) {
+					t.Errorf("mput leg item %q carries %x, want the payload as sent", it.Key, it.Data)
+				}
+				out := server.BatchPutItemResult{Key: it.Key, OK: true, Values: 2, Blocks: 1}
+				if it.Key == "liar" {
+					out.Key = "someone-else"
+				}
+				res.Results = append(res.Results, out)
+			}
+			if wrongCount.Load() {
+				res.Results = res.Results[1:]
+			}
+			reply = res
+		}
+		json.NewEncoder(w).Encode(reply)
+	}
+	ts := fakeFleet(t, 1, shard) // one owner per key: no second round to mask the verdict
+
+	names := []string{"a", "liar", "b"}
+	var items []server.BatchPutItem
+	for _, k := range names {
+		items = append(items, server.BatchPutItem{Key: k, Data: f32le(1, 2)})
+	}
+	for _, all := range []bool{false, true} {
+		wrongCount.Store(all)
+		var gres server.BatchGetResult
+		postJSON(t, ts.URL+"/v1/store/mget", mgetBody(names...), &gres)
+		var pres server.BatchPutResult
+		postJSON(t, ts.URL+"/v1/store/mput", mputBody(items...), &pres)
+		if len(gres.Results) != len(names) || len(pres.Results) != len(names) {
+			t.Fatalf("wrongCount=%v: %d mget and %d mput results for %d keys",
+				all, len(gres.Results), len(pres.Results), len(names))
+		}
+		for i, k := range names {
+			bad := all || k == "liar"
+			g, p := gres.Results[i], pres.Results[i]
+			if g.Key != k || p.Key != k {
+				t.Errorf("wrongCount=%v result %d: keys %q/%q, want %q", all, i, g.Key, p.Key, k)
+			}
+			if g.OK == bad || strings.Contains(g.Error, "bad mget response") != bad {
+				t.Errorf("wrongCount=%v mget %q: ok=%v error=%q, want bad=%v", all, k, g.OK, g.Error, bad)
+			}
+			if p.OK == bad || strings.Contains(p.Error, "bad mput response") != bad {
+				t.Errorf("wrongCount=%v mput %q: ok=%v error=%q, want bad=%v", all, k, p.OK, p.Error, bad)
+			}
+			if !bad && !bytes.Equal(g.Data, f32le(7)) {
+				t.Errorf("wrongCount=%v mget %q: data %x, want the shard's payload", all, k, g.Data)
+			}
+		}
+	}
+}
+
+// TestRouterPooledBufferHammer is the -race load beside the two
+// deterministic lifetime tests below: puts, gets, batched puts and
+// batched gets at overlapping keys through a router with its GET cache
+// on, while one node answers every third write with an immediate 503,
+// before reading the body, so legs are retried from the same pooled
+// buffer. Every value read back must be a version some writer gave that
+// very key: bytes of another request showing up in a body, a leg or a
+// cached reply mean a buffer went back to the pool while still
+// referenced.
+func TestRouterPooledBufferHammer(t *testing.T) {
+	var posts atomic.Int64
+	flaky := func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet && posts.Add(1)%3 == 0 {
+				http.Error(w, "injected", http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	tc := newTestCluster(t, 3, Config{
+		CacheBytes:   4 << 20,
+		RetryBackoff: time.Millisecond,
+	}, flaky)
+
+	const (
+		keys, vn = 12, 4096 // 16 KiB a key: bodies span many socket writes
+		versions = 1 << 10
+		writers  = 4
+		rounds   = 30
+	)
+	name := func(k int) string { return fmt.Sprintf("hammer-%02d", k) }
+	// A key's values start at 2^20*(k+1) + version: the vector names its
+	// key and version, and neighbouring keys cannot be confused within t1.
+	vals := func(k, ver int) []float32 {
+		out := make([]float32, vn)
+		for i := range out {
+			out[i] = float32((k+1)<<20 + ver)
+		}
+		return out
+	}
+	check := func(k int, raw []byte, from string) {
+		got := leF32(raw)
+		if len(got) != vn {
+			t.Errorf("%s %s: %d values, want %d", from, name(k), len(got), vn)
+			return
+		}
+		lo, hi := float64((k+1)<<20), float64((k+1)<<20+versions)
+		for i, v := range got {
+			if f := float64(v); f < lo*(1-tc.t1) || f > hi*(1+tc.t1) {
+				t.Errorf("%s %s value %d = %g: not a version of this key", from, name(k), i, v)
+				return
+			}
+		}
+	}
+	for k := 0; k < keys; k++ {
+		tc.put(t, name(k), vals(k, 0))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				ver := 1 + (g*rounds+round)%(versions-1)
+				switch (g + round) % 4 {
+				case 0: // batched put of four neighbours
+					var items []server.BatchPutItem
+					for j := 0; j < 4; j++ {
+						k := (g*3 + round + j) % keys
+						items = append(items, server.BatchPutItem{Key: name(k), Data: f32le(vals(k, ver)...)})
+					}
+					var res server.BatchPutResult
+					resp := postJSON(t, tc.router.URL+"/v1/store/mput", mputBody(items...), &res)
+					if resp.StatusCode != http.StatusOK || len(res.Results) != len(items) {
+						t.Errorf("mput: status %d, %d results", resp.StatusCode, len(res.Results))
+						continue
+					}
+					for j, r := range res.Results {
+						if r.Key != items[j].Key || !r.OK {
+							t.Errorf("mput %s: %+v", items[j].Key, r)
+						}
+					}
+				case 1: // single put
+					k := (g + round) % keys
+					if resp := tc.put(t, name(k), vals(k, ver)); resp.StatusCode != http.StatusOK {
+						t.Errorf("put %s: status %d", name(k), resp.StatusCode)
+					}
+				case 2: // batched get of everything
+					var names []string
+					for k := 0; k < keys; k++ {
+						names = append(names, name(k))
+					}
+					var res server.BatchGetResult
+					resp := postJSON(t, tc.router.URL+"/v1/store/mget", mgetBody(names...), &res)
+					if resp.StatusCode != http.StatusOK || len(res.Results) != keys {
+						t.Errorf("mget: status %d, %d results", resp.StatusCode, len(res.Results))
+						continue
+					}
+					for k, r := range res.Results {
+						if r.Key != name(k) || !r.OK {
+							t.Errorf("mget %s: key %q ok=%v error=%q", name(k), r.Key, r.OK, r.Error)
+							continue
+						}
+						check(k, r.Data, "mget")
+					}
+				case 3: // single gets, twice over so the router cache fills and hits
+					for pass := 0; pass < 2; pass++ {
+						for k := g % 3; k < keys; k += 3 {
+							resp, err := http.Get(tc.router.URL + "/v1/store/get?key=" + name(k))
+							if err != nil {
+								t.Errorf("get %s: %v", name(k), err)
+								continue
+							}
+							raw, _ := io.ReadAll(resp.Body)
+							resp.Body.Close()
+							if resp.StatusCode != http.StatusOK {
+								t.Errorf("get %s: status %d", name(k), resp.StatusCode)
+								continue
+							}
+							check(k, raw, "get/"+resp.Header.Get("X-AVR-Cache"))
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if posts.Load() < 3 {
+		t.Fatalf("only %d writes reached the flaky node: nothing was injected", posts.Load())
+	}
+}
+
+// heldBody is a leg request body a stragglerTransport has not finished
+// with.
+type heldBody struct {
+	trace, path string
+	body        io.ReadCloser
+}
+
+// stragglerTransport is the transport at its legal worst: every round
+// trip answers 503 at once and keeps the request body, unread and
+// unclosed, until the test asks for it — what net/http's transport does
+// for a moment whenever a node answers before reading, or a leg's
+// deadline passes mid-write.
+type stragglerTransport struct {
+	mu   sync.Mutex
+	held []heldBody
+}
+
+func (st *stragglerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		st.mu.Lock()
+		st.held = append(st.held, heldBody{req.Header.Get("X-AVR-Trace"), req.URL.Path, req.Body})
+		st.mu.Unlock()
+	}
+	return &http.Response{
+		StatusCode: http.StatusServiceUnavailable, Header: http.Header{},
+		Body: io.NopCloser(strings.NewReader("busy")), ContentLength: 4, Request: req,
+	}, nil
+}
+
+// keyPayload is 4 KiB only key's body could hold.
+func keyPayload(key string) []byte {
+	out := make([]byte, 4096)
+	for i := range out {
+		out[i] = key[i%len(key)] + byte(i/len(key))
+	}
+	return out
+}
+
+// TestLegBodiesOutliveTheRoundTrip: a request body or leg body the
+// transport still holds must keep its bytes however many later requests
+// have gone through the buffer pool since — the pooled buffer may only
+// be recycled once the transport has closed the body.
+func TestLegBodiesOutliveTheRoundTrip(t *testing.T) {
+	topo := Topology{VNodes: 16, Replication: 2, Nodes: []Node{
+		{Name: "a", Addr: "127.0.0.1:1"}, {Name: "b", Addr: "127.0.0.1:2"}}}
+	ro, err := New(Config{Topology: topo, ProbeInterval: -1, Retries: 1, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	st := &stragglerTransport{}
+	ro.client.Transport = st
+	ts := httptest.NewServer(ro.Handler())
+	defer ts.Close()
+
+	send := func(method, path, trace string, body []byte) {
+		req, _ := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		req.Header.Set("X-AVR-Trace", trace)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	const requests = 24
+	for id := 0; id < requests; id++ {
+		trace := fmt.Sprintf("r%02d", id)
+		send(http.MethodPut, "/v1/store/put?key="+trace+"-put", trace, keyPayload(trace+"-put"))
+		var items []server.BatchPutItem
+		for j := 0; j < 4; j++ {
+			key := fmt.Sprintf("%s-k%d", trace, j)
+			items = append(items, server.BatchPutItem{Key: key, Data: keyPayload(key)})
+		}
+		send(http.MethodPost, "/v1/store/mput", trace, mputBody(items...))
+	}
+
+	// Every handler has returned; only now does the transport read.
+	if len(st.held) < 4*requests {
+		t.Fatalf("transport holds %d bodies, want at least two legs each for %d puts and mputs", len(st.held), requests)
+	}
+	for _, h := range st.held {
+		raw, err := io.ReadAll(h.body)
+		h.body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: reading the held body: %v", h.trace, h.path, err)
+		}
+		switch h.path {
+		case "/v1/store/put":
+			if !bytes.Equal(raw, keyPayload(h.trace+"-put")) {
+				t.Fatalf("%s put leg: the held body is no longer this request's payload", h.trace)
+			}
+		case "/v1/store/mput":
+			var req server.BatchPutRequest
+			if err := json.Unmarshal(raw, &req); err != nil || len(req.Items) == 0 {
+				t.Fatalf("%s mput leg: held body does not parse (%v): %.80q", h.trace, err, raw)
+			}
+			for _, it := range req.Items {
+				if !strings.HasPrefix(it.Key, h.trace+"-") || !bytes.Equal(it.Data, keyPayload(it.Key)) {
+					t.Fatalf("%s mput leg: held body carries item %q of another request or payload", h.trace, it.Key)
+				}
+			}
+		}
+	}
+}
+
+// TestRouterCacheKeepsItsOwnBytes: a cached GET reply must not change
+// under later traffic — the cache keeps a copy, not the pooled buffer
+// the reply was read into.
+func TestRouterCacheKeepsItsOwnBytes(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{CacheBytes: 16 << 20})
+	const vn = 512
+	get := func(key string) (string, []byte) {
+		t.Helper()
+		resp, err := http.Get(tc.router.URL + "/v1/store/get?key=" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("get %s: status %d", key, resp.StatusCode)
+		}
+		return resp.Header.Get("X-AVR-Cache"), raw
+	}
+	var names []string
+	for k := 0; k < 8; k++ {
+		names = append(names, fmt.Sprintf("ck-%d", k))
+		tc.put(t, names[k], testVals(100*k, vn))
+	}
+	_, cold := get(names[0])
+	deadline := time.Now().Add(5 * time.Second)
+	for src := ""; src != "hit"; src, _ = get(names[0]) {
+		if time.Now().After(deadline) {
+			t.Fatal("the router cache never filled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Other keys' replies now go through the pool the fill read into.
+	for round := 0; round < 8; round++ {
+		postJSON(t, tc.router.URL+"/v1/store/mget", mgetBody(names[1:]...), nil)
+		for _, k := range names[1:] {
+			get(k)
+		}
+	}
+	src, again := get(names[0])
+	if src != "hit" || !bytes.Equal(again, cold) {
+		t.Fatalf("cached reply (%s) changed under later traffic", src)
+	}
+}

@@ -1,8 +1,16 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/base64"
 	"fmt"
+	"io"
+	"net/http"
+	"runtime"
 	"testing"
+
+	"avr/internal/server"
+	"avr/internal/workloads"
 )
 
 // BenchmarkRingOwners is the route hot path: one consistent-hash lookup
@@ -45,6 +53,71 @@ func BenchmarkRouterPlanMget(b *testing.B) {
 		benchSink += len(pl.touched)
 		putPlan(pl)
 	}
+}
+
+// batch8 frames an mput of 8 keys x 64 KiB of heat-map values, as a
+// client does, and the matching mget.
+func batch8(tb testing.TB) (mput, mget []byte, rawBytes int64) {
+	mput, mget = []byte(server.PutRequestOpen), []byte(`{"keys":[`)
+	for k := 0; k < 8; k++ {
+		if k > 0 {
+			mput, mget = append(mput, ','), append(mget, ',')
+		}
+		vals, err := workloads.GenFloat32("heat", 16384, uint64(k+1))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		raw := f32le(vals...)
+		rawBytes += int64(len(raw))
+		mput = append(mput, fmt.Sprintf(`{"key":"bench-%04d","data":"`, k)...)
+		mput = base64.StdEncoding.AppendEncode(mput, raw)
+		mput = append(mput, `"}`...)
+		mget = append(mget, fmt.Sprintf(`"bench-%04d"`, k)...)
+	}
+	return append(mput, server.BatchClose...), append(mget, server.BatchClose...), rawBytes
+}
+
+// benchPost times b.N posts of body over the loopback listener; MB/s is
+// raw value bytes moved, and the core count the tiers shared with the
+// client rides along.
+func benchPost(b *testing.B, url string, body []byte, rawBytes int64) {
+	b.SetBytes(rawBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || n < 64 {
+			b.Fatalf("status %d, %d bytes, %v", resp.StatusCode, n, err)
+		}
+	}
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+}
+
+// BenchmarkRouterMput8 / Mget8 drive the router's batch endpoints end to
+// end — router and 3 shards, replication 2, every hop a real loopback
+// listener (ROADMAP item 1(a)).
+func BenchmarkRouterMput8(b *testing.B) {
+	tc := newTestCluster(b, 3, Config{})
+	mput, _, raw := batch8(b)
+	benchPost(b, tc.router.URL+"/v1/store/mput", mput, raw)
+}
+
+func BenchmarkRouterMget8(b *testing.B) {
+	tc := newTestCluster(b, 3, Config{})
+	mput, mget, raw := batch8(b)
+	resp, err := http.Post(tc.router.URL+"/v1/store/mput", "application/json", bytes.NewReader(mput))
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b.Fatalf("seeding: status %d", resp.StatusCode)
+	}
+	benchPost(b, tc.router.URL+"/v1/store/mget", mget, raw)
 }
 
 // benchSink defeats dead-code elimination.

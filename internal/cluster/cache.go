@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 
 	"avr/internal/obs"
@@ -76,6 +78,7 @@ func (ro *Router) loadCachedGet(key string, prefetch bool) {
 	if !lr.ok2xx() && second >= 0 {
 		lr = ro.doLeg(ctx, http.MethodGet, second, path, "", nil)
 	}
+	defer lr.release()
 	if lr.err != nil || lr.status != http.StatusOK ||
 		lr.header.Get("X-AVR-Complete") != "true" {
 		return
@@ -84,7 +87,7 @@ func (ro *Router) loadCachedGet(key string, prefetch bool) {
 		return // a write landed while we fetched: the bytes may be stale
 	}
 	resp := &cachedResp{
-		body:   lr.body,
+		body:   bytes.Clone(lr.body), // the reply's buffer goes back to the pool
 		width:  lr.header.Get("X-AVR-Width"),
 		values: lr.header.Get("X-AVR-Values"),
 	}
@@ -127,6 +130,7 @@ func (ro *Router) serveCached(w http.ResponseWriter, key string) bool {
 	h.Set("X-AVR-Values", resp.values)
 	h.Set("X-AVR-Complete", "true")
 	h.Set("X-AVR-Cache", src)
+	h.Set("Content-Length", strconv.Itoa(len(resp.body)))
 	w.Write(resp.body)
 	return true
 }

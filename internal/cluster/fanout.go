@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,9 +85,11 @@ type batchLeg struct {
 }
 
 // runLegs issues one downstream batch request per touched node
-// concurrently and waits for all of them.
+// concurrently and waits for all of them. body builds a leg's request
+// in a pooled buffer, which runLegs releases once the leg is over; the
+// caller releases each leg's reply.
 func (ro *Router) runLegs(ctx context.Context, pl *batchPlan, path, traceID string,
-	body func(items []int32) []byte) []batchLeg {
+	body func(items []int32) *server.Buf) []batchLeg {
 	legs := make([]batchLeg, len(pl.touched))
 	var wg sync.WaitGroup
 	for li, n := range pl.touched {
@@ -93,33 +97,47 @@ func (ro *Router) runLegs(ctx context.Context, pl *batchPlan, path, traceID stri
 		wg.Add(1)
 		go func(lg *batchLeg) {
 			defer wg.Done()
-			lg.lr = ro.doLegRetry(ctx, http.MethodPost, lg.node, path, traceID, body(lg.items))
+			b := body(lg.items)
+			lg.lr = ro.doLegRetry(ctx, http.MethodPost, lg.node, path, traceID, b)
+			b.Release()
 		}(&legs[li])
 	}
 	wg.Wait()
 	return legs
 }
 
+// releaseLegs returns the legs' replies to the pool.
+func releaseLegs(legs []batchLeg) {
+	for i := range legs {
+		legs[i].lr.release()
+	}
+}
+
 // handleMput serves POST /v1/store/mput on the router: the batch is
 // split by owning shard, each key written to both its replicas, and the
 // per-key results merged back in request order. A key succeeds when at
 // least one replica took the write; Replicas reports how many did.
+//
+// The payloads pass through undecoded: one scan of the body finds each
+// item's key and its span, and a leg's body is its items' spans,
+// concatenated as sent.
 func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 	sp := ro.tracer.Start()
 	defer ro.tracer.Finish("mput", sp)
 	sp.WriteID(w.Header())
 
-	body, err := readBody(w, r, ro.cfg.MaxBodyBytes)
-	if err != nil {
-		httpErrf(w, http.StatusBadRequest, "reading body: %v", err)
+	body := ro.readBody(w, r)
+	if body == nil {
 		return
 	}
-	var req server.BatchPutRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	defer body.Release()
+	sc := server.NewBatchScanner()
+	defer sc.Release()
+	if err := sc.ScanPutRequest(body.B); err != nil {
 		httpErrf(w, http.StatusBadRequest, "bad mput body: %v", err)
 		return
 	}
-	if len(req.Items) == 0 {
+	if len(sc.Items) == 0 {
 		httpErrf(w, http.StatusBadRequest, "mput body has no items")
 		return
 	}
@@ -129,56 +147,67 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 	defer ro.release()
 	traceID := inboundTraceID(r, sp)
 
+	res := server.BatchPutResult{Results: make([]server.BatchPutItemResult, len(sc.Items))}
+	for i := range res.Results {
+		res.Results[i].Key = string(sc.Items[i].Key)
+	}
+
 	rt := sp.Begin()
 	pl := getPlan(len(ro.nodes))
-	ro.planWrite(pl, len(req.Items), func(i int) string { return req.Items[i].Key })
+	ro.planWrite(pl, len(sc.Items), func(i int) string { return res.Results[i].Key })
 	sp.End(trace.StageRoute, rt)
 
 	ft := sp.Begin()
-	legs := ro.runLegs(r.Context(), pl, "/v1/store/mput", traceID, func(items []int32) []byte {
-		sub := server.BatchPutRequest{Items: make([]server.BatchPutItem, len(items))}
-		for j, idx := range items {
-			sub.Items[j] = req.Items[idx]
+	legs := ro.runLegs(r.Context(), pl, "/v1/store/mput", traceID, func(items []int32) *server.Buf {
+		size := len(server.PutRequestOpen) + len(items) + len(server.BatchClose)
+		for _, idx := range items {
+			size += len(sc.Items[idx].Raw)
 		}
-		b, _ := json.Marshal(sub)
+		b := server.GetBuf()
+		b.B = append(slices.Grow(b.B, size), server.PutRequestOpen...)
+		for j, idx := range items {
+			if j > 0 {
+				b.B = append(b.B, ',')
+			}
+			b.B = append(b.B, sc.Items[idx].Raw...)
+		}
+		b.B = append(b.B, server.BatchClose...)
 		return b
 	})
 	sp.End(trace.StageFanout, ft)
-	for i := range req.Items {
-		ro.invalidateKey(req.Items[i].Key)
+	for i := range res.Results {
+		ro.invalidateKey(res.Results[i].Key)
 	}
 
-	res := server.BatchPutResult{Results: make([]server.BatchPutItemResult, len(req.Items))}
-	for i := range res.Results {
-		res.Results[i].Key = req.Items[i].Key
-	}
 	anyShed, anyLegOK := false, false
 	for _, lg := range legs {
-		if !lg.lr.ok2xx() {
-			if lg.lr.status == http.StatusTooManyRequests {
-				anyShed = true
-			}
-			msg := legErrString(lg.lr, ro.nodes[lg.node].name)
+		// failKeys reports msg on every key of the leg no other leg has
+		// answered for.
+		failKeys := func(msg string) {
 			for _, idx := range lg.items {
 				if out := &res.Results[idx]; !out.OK && out.Error == "" {
 					out.Error = msg
 				}
 			}
+		}
+		if !lg.lr.ok2xx() {
+			if lg.lr.status == http.StatusTooManyRequests {
+				anyShed = true
+			}
+			failKeys(legErrString(lg.lr, ro.nodes[lg.node].name))
 			continue
 		}
 		anyLegOK = true
 		var sub server.BatchPutResult
 		if err := json.Unmarshal(lg.lr.body, &sub); err != nil || len(sub.Results) != len(lg.items) {
-			msg := ro.nodes[lg.node].name + ": bad mput response"
-			for _, idx := range lg.items {
-				if out := &res.Results[idx]; !out.OK && out.Error == "" {
-					out.Error = msg
-				}
-			}
+			failKeys(ro.nodes[lg.node].name + ": bad mput response")
 			continue
 		}
 		for j, idx := range lg.items {
 			out, in := &res.Results[idx], sub.Results[j]
+			if in.Key != out.Key {
+				in = server.BatchPutItemResult{Error: ro.nodes[lg.node].name + ": bad mput response"}
+			}
 			if !in.OK {
 				if !out.OK && out.Error == "" {
 					out.Error = in.Error
@@ -193,8 +222,9 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	releaseLegs(legs)
 	putPlan(pl)
-	obs.RouterBatchKeys.Add(int64(len(req.Items)))
+	obs.RouterBatchKeys.Add(int64(len(res.Results)))
 
 	if !anyLegOK && anyShed {
 		ro.shedMerged(w, legs)
@@ -203,22 +233,37 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, sp, res)
 }
 
+// mgetOut is one key's standing in a batched get: the owning shard's
+// result element, forwarded as sent, or the router's own account of why
+// there is none.
+type mgetOut struct {
+	span     []byte // aliases a leg reply; nil until a shard answered for the key
+	ok       bool
+	err      string // reported when span is nil
+	notFound bool
+}
+
 // handleMget serves POST /v1/store/mget on the router: keys are grouped
 // by their preferred (healthy-first) owner, fetched in one leg per
 // node, and any key that leg could not serve retries on its other
 // replica in a second round — the batched form of read-any failover.
+//
+// Values pass through undecoded: each leg reply is scanned for its
+// elements' verdicts and spans, and the response is those spans put in
+// request order.
 func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 	sp := ro.tracer.Start()
 	defer ro.tracer.Finish("mget", sp)
 	sp.WriteID(w.Header())
 
-	body, err := readBody(w, r, ro.cfg.MaxBodyBytes)
-	if err != nil {
-		httpErrf(w, http.StatusBadRequest, "reading body: %v", err)
+	body := ro.readBody(w, r)
+	if body == nil {
 		return
 	}
 	var req server.BatchGetRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err := json.Unmarshal(body.B, &req)
+	body.Release()
+	if err != nil {
 		httpErrf(w, http.StatusBadRequest, "bad mget body: %v", err)
 		return
 	}
@@ -243,60 +288,58 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 	}
 	sp.End(trace.StageRoute, rt)
 
-	res := server.BatchGetResult{Results: make([]server.BatchGetItemResult, len(req.Keys))}
-	for i := range res.Results {
-		res.Results[i].Key = req.Keys[i]
-	}
+	outs := make([]mgetOut, len(req.Keys))
+	sc := server.NewBatchScanner()
+	defer sc.Release()
 
-	mgetBody := func(items []int32) []byte {
+	mgetBody := func(items []int32) *server.Buf {
 		sub := server.BatchGetRequest{Keys: make([]string, len(items))}
 		for j, idx := range items {
 			sub.Keys[j] = req.Keys[idx]
 		}
-		b, _ := json.Marshal(sub)
+		enc, _ := json.Marshal(sub) // a list of strings cannot fail
+		b := server.GetBuf()
+		b.B = append(b.B, enc...)
 		return b
 	}
-	// merge folds one round of legs into res and returns the item
+	// merge folds one round of legs into outs and returns the item
 	// indexes still unresolved (leg failed, per-key read error, or
 	// not-found — read-any means a miss on one replica is not final).
 	merge := func(legs []batchLeg) (retry []int32, anyShed, anyOK bool) {
 		for _, lg := range legs {
+			failKeys := func(msg string) {
+				for _, idx := range lg.items {
+					if out := &outs[idx]; !out.ok {
+						out.span, out.err = nil, msg
+						retry = append(retry, idx)
+					}
+				}
+			}
 			if !lg.lr.ok2xx() {
 				if lg.lr.status == http.StatusTooManyRequests {
 					anyShed = true
 				}
-				msg := legErrString(lg.lr, ro.nodes[lg.node].name)
-				for _, idx := range lg.items {
-					if out := &res.Results[idx]; !out.OK {
-						out.Error = msg
-						retry = append(retry, idx)
-					}
-				}
+				failKeys(legErrString(lg.lr, ro.nodes[lg.node].name))
 				continue
 			}
 			anyOK = true
-			var sub server.BatchGetResult
-			if err := json.Unmarshal(lg.lr.body, &sub); err != nil || len(sub.Results) != len(lg.items) {
-				msg := ro.nodes[lg.node].name + ": bad mget response"
-				for _, idx := range lg.items {
-					if out := &res.Results[idx]; !out.OK {
-						out.Error = msg
-						retry = append(retry, idx)
-					}
-				}
+			badResponse := ro.nodes[lg.node].name + ": bad mget response"
+			if err := sc.ScanGetResult(lg.lr.body); err != nil || len(sc.Items) != len(lg.items) {
+				failKeys(badResponse)
 				continue
 			}
 			for j, idx := range lg.items {
-				out, in := &res.Results[idx], sub.Results[j]
-				if out.OK {
-					continue
-				}
-				if in.OK {
-					*out = in
-					out.Key = req.Keys[idx]
-				} else {
-					out.Error, out.NotFound = in.Error, in.NotFound
+				out, in := &outs[idx], &sc.Items[j]
+				switch {
+				case out.ok:
+				case string(in.Key) != req.Keys[idx]:
+					out.span, out.err = nil, badResponse
 					retry = append(retry, idx)
+				default:
+					out.span, out.ok, out.notFound = in.Raw, in.OK, in.NotFound
+					if !in.OK {
+						retry = append(retry, idx)
+					}
 				}
 			}
 		}
@@ -305,6 +348,8 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 
 	ft := sp.Begin()
 	legs := ro.runLegs(r.Context(), pl, "/v1/store/mget", traceID, mgetBody)
+	// The spans in outs alias the legs' replies until the response is out.
+	defer func() { releaseLegs(legs) }()
 	retry, shed1, ok1 := merge(legs)
 	putPlan(pl)
 
@@ -322,13 +367,11 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 			pl2.add(other, int(idx))
 		}
 		legs2 := ro.runLegs(r.Context(), pl2, "/v1/store/mget", traceID, mgetBody)
+		legs = append(legs, legs2...)
 		_, shed2, ok2 := merge(legs2)
 		anyShed = anyShed || shed2
 		anyOK = anyOK || ok2
 		putPlan(pl2)
-		for i := range legs2 {
-			legs = append(legs, legs2[i])
-		}
 	}
 	sp.End(trace.StageFanout, ft)
 	obs.RouterBatchKeys.Add(int64(len(req.Keys)))
@@ -337,7 +380,25 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 		ro.shedMerged(w, legs)
 		return
 	}
-	writeJSON(w, sp, res)
+	size := len(server.GetResultOpen) + len(outs) + len(server.BatchClose) + 1
+	for i := range outs {
+		size += len(outs[i].span)
+	}
+	res := server.GetBuf()
+	defer res.Release()
+	res.B = append(slices.Grow(res.B, size), server.GetResultOpen...)
+	for i := range outs {
+		if i > 0 {
+			res.B = append(res.B, ',')
+		}
+		if out := &outs[i]; out.span != nil {
+			res.B = append(res.B, out.span...)
+		} else {
+			res.B = server.AppendGetFailure(res.B, req.Keys[i], out.err, out.notFound)
+		}
+	}
+	res.B = append(res.B, server.BatchClose+"\n"...)
+	writeBody(w, sp, res.B)
 }
 
 // shedMerged answers a batch every leg of which shed: 429 carrying the
@@ -392,8 +453,10 @@ func (ro *Router) fanKeys(ctx context.Context, traceID string) (keys []string, n
 		var body struct {
 			Keys []string `json:"keys"`
 		}
-		if err := json.Unmarshal(lr.body, &body); err != nil {
-			failed = append(failed, lr)
+		err := json.Unmarshal(lr.body, &body)
+		lr.release()
+		if err != nil {
+			failed = append(failed, legResult{err: fmt.Errorf("bad key listing: %w", err)})
 			continue
 		}
 		for _, k := range body.Keys {

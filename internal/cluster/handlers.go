@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -11,14 +10,23 @@ import (
 	"time"
 
 	"avr/internal/obs"
+	"avr/internal/server"
 	"avr/internal/store"
 	"avr/internal/trace"
 )
 
-// readBody slurps a request body under the router's size cap.
-func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, max)
-	return io.ReadAll(r.Body)
+// readBody reads a request body under the router's size cap into a
+// pooled buffer for the caller to release. On failure it has answered
+// the request — 413 for a body over the cap, as avrd does — and returns
+// nil.
+func (ro *Router) readBody(w http.ResponseWriter, r *http.Request) *server.Buf {
+	body, err := server.ReadRequestBody(w, r, ro.cfg.MaxBodyBytes)
+	if err != nil {
+		code, msg := server.BodyFailure(err)
+		http.Error(w, msg, code)
+		return nil
+	}
+	return body
 }
 
 // httpErrf writes a plain-text error response.
@@ -33,8 +41,14 @@ func writeJSON(w http.ResponseWriter, sp *trace.Span, res any) {
 		httpErrf(w, http.StatusInternalServerError, "encoding result: %v", err)
 		return
 	}
-	body = append(body, '\n')
+	writeBody(w, sp, append(body, '\n'))
+}
+
+// writeBody writes an encoded JSON response, its length declared so the
+// reader can size for it.
+func writeBody(w http.ResponseWriter, sp *trace.Span, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	sp.WriteHeaders(w.Header())
 	w.Write(body)
 }
@@ -62,11 +76,11 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 		httpErrf(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	body, err := readBody(w, r, ro.cfg.MaxBodyBytes)
-	if err != nil {
-		httpErrf(w, http.StatusBadRequest, "reading body: %v", err)
+	body := ro.readBody(w, r)
+	if body == nil {
 		return
 	}
+	defer body.Release()
 	if !ro.admit(w, r, sp) {
 		return
 	}
@@ -80,6 +94,7 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 
 	ft := sp.Begin()
 	var prLR, repLR legResult
+	defer func() { prLR.release(); repLR.release() }()
 	if rep >= 0 {
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -123,6 +138,7 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 	passthroughHeaders(w.Header(), best.header)
 	sp.WriteHeaders(w.Header())
 	w.Header().Set("X-AVR-Replicas", strconv.Itoa(replicas))
+	w.Header().Set("Content-Length", strconv.Itoa(len(best.body)))
 	w.WriteHeader(best.status)
 	w.Write(best.body)
 }
@@ -153,6 +169,7 @@ func (ro *Router) proxyRead(w http.ResponseWriter, r *http.Request, sp *trace.Sp
 		lr = ro.doLegRetry(r.Context(), http.MethodGet, second, path, traceID, nil)
 		results = append(results, lr)
 	}
+	defer lr.release()
 	sp.End(trace.StageFanout, ft)
 
 	if !lr.ok2xx() {
@@ -164,6 +181,7 @@ func (ro *Router) proxyRead(w http.ResponseWriter, r *http.Request, sp *trace.Sp
 		w.Header().Set("X-AVR-Cache", "miss")
 	}
 	sp.WriteHeaders(w.Header())
+	w.Header().Set("Content-Length", strconv.Itoa(len(lr.body)))
 	w.WriteHeader(lr.status)
 	w.Write(lr.body)
 }
@@ -224,6 +242,7 @@ func (ro *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 	acked, all404 := 0, true
 	for _, lr := range results {
+		lr.release()
 		if lr.ok2xx() {
 			acked++
 		}
@@ -319,6 +338,7 @@ func (ro *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if !lr.ok2xx() {
 				return
 			}
+			defer lr.release()
 			if err := json.Unmarshal(lr.body, &outs[i].agg); err != nil {
 				return
 			}
@@ -429,6 +449,7 @@ func (ro *Router) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 
 	out := make(map[string]json.RawMessage, len(ro.nodes))
 	for i, lr := range results {
+		defer lr.release() // out aliases the replies until it is written
 		if lr.ok2xx() && json.Valid(lr.body) {
 			out[ro.nodes[i].name] = json.RawMessage(lr.body)
 		} else {

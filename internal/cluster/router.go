@@ -16,6 +16,7 @@ import (
 
 	"avr/internal/obs"
 	"avr/internal/readcache"
+	"avr/internal/server"
 	"avr/internal/trace"
 )
 
@@ -421,11 +422,15 @@ func (ro *Router) legs(key string) (first, second int) {
 	return p, rep
 }
 
-// legResult is one downstream attempt's outcome.
+// legResult is one downstream attempt's outcome. A 2xx reply's body
+// sits in a pooled buffer the caller gives back with release; any other
+// reply is a short error text that failure reports quote long after the
+// leg, so it is copied out and there is nothing to release.
 type legResult struct {
 	status int
 	header http.Header
 	body   []byte
+	reply  *server.Buf // owns body on a 2xx reply
 	err    error
 }
 
@@ -435,24 +440,61 @@ func (lr legResult) ok2xx() bool {
 	return lr.err == nil && lr.status >= 200 && lr.status < 300
 }
 
-// doLeg issues one downstream request and slurps the response.
-func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAndQuery, traceID string, body []byte) legResult {
+// release returns the reply's buffer to the pool; body is dead after it.
+func (lr legResult) release() { lr.reply.Release() }
+
+// legBody reads a leg's request body out of a shared pooled buffer. The
+// transport may still be writing the body after the round trip has
+// returned — the node answered early, or the leg's deadline passed —
+// and promises only to Close it when done, so each reader holds its own
+// reference on the buffer until that Close.
+type legBody struct {
+	bytes.Reader
+	buf    *server.Buf
+	closed atomic.Bool
+}
+
+func newLegBody(buf *server.Buf) *legBody {
+	buf.Retain()
+	lb := &legBody{buf: buf}
+	lb.Reset(buf.B)
+	return lb
+}
+
+func (lb *legBody) Close() error {
+	if lb.closed.CompareAndSwap(false, true) {
+		lb.buf.Release()
+	}
+	return nil
+}
+
+// doLeg issues one downstream request and reads the whole response.
+// body stays the caller's: doLeg takes its own references for as long
+// as the transport needs the bytes.
+func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAndQuery, traceID string, body *server.Buf) legResult {
 	nd := ro.nodes[nodeIdx]
 	nd.requests.Add(1)
 	obs.RouterFanouts.Add(1)
 	lctx, cancel := context.WithTimeout(ctx, ro.cfg.LegTimeout)
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(lctx, method, nd.base+pathAndQuery, rd)
+	req, err := http.NewRequestWithContext(lctx, method, nd.base+pathAndQuery, nil)
 	if err != nil {
 		nd.failures.Add(1)
 		return legResult{err: err}
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
+		// A PUT leg carries one key's raw values; the POST legs are the
+		// JSON batches.
+		if method == http.MethodPut {
+			req.Header.Set("Content-Type", "application/octet-stream")
+		} else {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		if len(body.B) > 0 {
+			req.ContentLength = int64(len(body.B))
+			req.GetBody = func() (io.ReadCloser, error) { return newLegBody(body), nil }
+			req.Body = newLegBody(body)
+		}
 	}
 	if traceID != "" {
 		req.Header[trace.TraceHeader] = []string{traceID}
@@ -463,7 +505,7 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 		return legResult{err: fmt.Errorf("%s: %w", nd.name, err)}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	reply, err := server.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		nd.failures.Add(1)
 		return legResult{err: fmt.Errorf("%s: reading response: %w", nd.name, err)}
@@ -471,14 +513,19 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 	if resp.StatusCode >= 500 {
 		nd.failures.Add(1)
 	}
-	return legResult{status: resp.StatusCode, header: resp.Header, body: b}
+	lr := legResult{status: resp.StatusCode, header: resp.Header, body: reply.B, reply: reply}
+	if !lr.ok2xx() {
+		lr.body, lr.reply = bytes.Clone(reply.B), nil
+		reply.Release()
+	}
+	return lr
 }
 
 // doLegRetry is doLeg with retry-with-backoff for transport errors and
 // 5xx responses — the replica leg's contract. 4xx (including 404 and
 // 429) returns immediately: the node answered; retrying won't change
 // its mind.
-func (ro *Router) doLegRetry(ctx context.Context, method string, nodeIdx int, pathAndQuery, traceID string, body []byte) legResult {
+func (ro *Router) doLegRetry(ctx context.Context, method string, nodeIdx int, pathAndQuery, traceID string, body *server.Buf) legResult {
 	lr := ro.doLeg(ctx, method, nodeIdx, pathAndQuery, traceID, body)
 	backoff := ro.cfg.RetryBackoff
 	for try := 0; try < ro.cfg.Retries; try++ {

@@ -32,8 +32,9 @@ type testCluster struct {
 
 // newTestCluster boots n avrd nodes and a router over them. The prober
 // is disabled unless probeInterval > 0 — most tests drive health
-// directly and must not race it.
-func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
+// directly and must not race it. wrap, when given, stands between the
+// router and node i's handler (fault injection).
+func newTestCluster(t testing.TB, n int, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	topo := Topology{VNodes: 64, Replication: 2}
@@ -45,7 +46,11 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 		tc.stores = append(tc.stores, st)
 		tc.t1 = st.T1()
 		srv := server.New(server.Config{Store: st, T1: st.T1()})
-		ts := httptest.NewServer(srv.Handler())
+		h := srv.Handler()
+		for _, w := range wrap {
+			h = w(i, h)
+		}
+		ts := httptest.NewServer(h)
 		tc.nodes = append(tc.nodes, ts)
 		topo.Nodes = append(topo.Nodes, Node{
 			Name: fmt.Sprintf("node-%02d", i),

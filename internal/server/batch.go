@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"avr/internal/obs"
 	"avr/internal/store"
@@ -15,14 +16,23 @@ import (
 // Batched store endpoints: one HTTP round-trip moves many keys, so a
 // router tier (internal/cluster) amortizes its per-node fan-out and a
 // client amortizes connection overhead. The wire format is JSON with
-// base64 value payloads (encoding/json's native []byte form) — the
-// batch paths trade the raw-octet efficiency of put/get for
-// per-key success/error reporting, which is what a partial-failure-
-// tolerant batch API needs.
+// base64 value payloads — what the Batch* types below marshal to with
+// encoding/json, which is how clients are free to produce and parse it
+// — because a partial-failure-tolerant batch needs per-key results, and
+// one self-describing text format is the only one there is.
 //
 //	POST /v1/store/mput   BatchPutRequest in, BatchPutResult out
 //	POST /v1/store/mget   BatchGetRequest in, BatchGetResult out
 //	GET  /v1/store/key    {"keys":[...]} — every live key, sorted
+//
+// The serving tiers themselves run the two payload-bearing messages,
+// BatchPutRequest and BatchGetResult, through the single-pass scanner
+// and emitter of batchwire.go instead: a payload is base64-decoded once,
+// straight into pooled value scratch, where it is stored (avrd's mput),
+// encoded once, straight into the pooled response buffer, where it is
+// read (avrd's mget), and not touched at all where it is only routed —
+// the router forwards each item's span of the body as it arrived. The
+// two small payload-free messages stay on encoding/json.
 //
 // A batch holds one admission slot for its whole run: admission bounds
 // concurrent work, and a batch is one unit of work whose cost scales
@@ -116,6 +126,18 @@ func (s *Server) acquireOr(w http.ResponseWriter, r *http.Request, sp *trace.Spa
 	return false
 }
 
+// valScratch is the pooled per-request value scratch of the batch
+// handlers: one key's payload as wire bytes and as floats. The store
+// copies what it keeps (encoded blocks on put) and fills what it is
+// handed (get), so one set serves every key of a batch in turn.
+type valScratch struct {
+	raw []byte
+	f32 []float32
+	f64 []float64
+}
+
+var valScratchPool = sync.Pool{New: func() any { return new(valScratch) }}
+
 // handleStoreMput serves POST /v1/store/mput: many keys per round-trip,
 // per-key success/error reporting.
 func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
@@ -125,23 +147,18 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 	obs.ServerInFlight.Add(1)
 	defer obs.ServerInFlight.Add(-1)
 
-	body, err := s.readBody(w, r)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			fail(w, http.StatusRequestEntityTooLarge,
-				"body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		} else {
-			fail(w, http.StatusBadRequest, "reading body: %v", err)
-		}
+	body := s.readBody(w, r)
+	if body == nil {
 		return
 	}
-	var req BatchPutRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	defer body.Release()
+	sc := NewBatchScanner()
+	defer sc.Release()
+	if err := sc.ScanPutRequest(body.B); err != nil {
 		fail(w, http.StatusBadRequest, "bad mput body: %v", err)
 		return
 	}
-	if len(req.Items) == 0 {
+	if len(sc.Items) == 0 {
 		fail(w, http.StatusBadRequest, "mput body has no items")
 		return
 	}
@@ -152,11 +169,13 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	obs.ServerRequests.Add(1)
 
-	res := BatchPutResult{Results: make([]BatchPutItemResult, len(req.Items))}
+	vs := valScratchPool.Get().(*valScratch)
+	defer valScratchPool.Put(vs)
+	res := BatchPutResult{Results: make([]BatchPutItemResult, len(sc.Items))}
 	var bytesIn int64
-	for i, it := range req.Items {
-		out := &res.Results[i]
-		out.Key = it.Key
+	for i := range sc.Items {
+		it, out := &sc.Items[i], &res.Results[i]
+		out.Key = string(it.Key)
 		width := it.Width
 		if width == 0 {
 			width = 32
@@ -165,16 +184,22 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 			out.Error = "bad width: want 32 or 64"
 			continue
 		}
-		if len(it.Data) == 0 || len(it.Data)%(width/8) != 0 {
+		if n := it.DecodedLen(); n == 0 || n%(width/8) != 0 {
 			out.Error = "data length not a positive multiple of the value width"
 			continue
 		}
 		var pr store.PutResult
 		var perr error
+		if vs.raw, perr = it.AppendData(vs.raw[:0]); perr != nil {
+			out.Error = perr.Error() // unreachable: the scanner checked the text
+			continue
+		}
 		if width == 32 {
-			pr, perr = s.cfg.Store.Put32Traced(it.Key, bytesToF32(it.Data), sp)
+			vs.f32 = bytesToF32(vs.f32[:0], vs.raw)
+			pr, perr = s.cfg.Store.Put32Traced(out.Key, vs.f32, sp)
 		} else {
-			pr, perr = s.cfg.Store.Put64Traced(it.Key, bytesToF64(it.Data), sp)
+			vs.f64 = bytesToF64(vs.f64[:0], vs.raw)
+			pr, perr = s.cfg.Store.Put64Traced(out.Key, vs.f64, sp)
 		}
 		if perr != nil {
 			out.Error = perr.Error()
@@ -184,15 +209,22 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 		out.Values = pr.Values
 		out.Blocks = pr.Blocks
 		out.Ratio = pr.Ratio
-		bytesIn += int64(len(it.Data))
+		bytesIn += int64(len(vs.raw))
 	}
 	obs.ServerBytesIn.Add(bytesIn)
 
-	writeBatchJSON(w, sp, res)
+	out, err := json.Marshal(res)
+	if err != nil {
+		fail(w, http.StatusInternalServerError, "encoding result: %v", err)
+		return
+	}
+	writeBatchJSON(w, sp, append(out, '\n'))
 }
 
 // handleStoreMget serves POST /v1/store/mget: many keys per round-trip,
-// per-key values or errors.
+// per-key values or errors. Reads take store.GetIntoTraced, the disk
+// path, not the read cache: a batch read attributes to segread+decode
+// like any uncached get.
 func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 	sp := s.tracer.Start()
 	defer s.tracer.Finish("mget", sp)
@@ -200,13 +232,14 @@ func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 	obs.ServerInFlight.Add(1)
 	defer obs.ServerInFlight.Add(-1)
 
-	body, err := s.readBody(w, r)
-	if err != nil {
-		fail(w, http.StatusBadRequest, "reading body: %v", err)
+	body := s.readBody(w, r)
+	if body == nil {
 		return
 	}
 	var req BatchGetRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err := json.Unmarshal(body.B, &req)
+	body.Release()
+	if err != nil {
 		fail(w, http.StatusBadRequest, "bad mget body: %v", err)
 		return
 	}
@@ -221,31 +254,36 @@ func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	obs.ServerRequests.Add(1)
 
-	res := BatchGetResult{Results: make([]BatchGetItemResult, len(req.Keys))}
+	vs := valScratchPool.Get().(*valScratch)
+	defer valScratchPool.Put(vs)
+	out := GetBuf()
+	defer out.Release()
+	out.B = append(out.B, GetResultOpen...)
 	var bytesOut int64
 	for i, key := range req.Keys {
-		out := &res.Results[i]
-		out.Key = key
-		v32, v64, width, gerr := s.cfg.Store.GetTraced(key, sp)
+		if i > 0 {
+			out.B = append(out.B, ',')
+		}
+		var width int
+		var gerr error
+		vs.f32, vs.f64, width, gerr = s.cfg.Store.GetIntoTraced(vs.f32[:0], vs.f64[:0], key, sp)
 		incomplete := errors.Is(gerr, store.ErrIncomplete)
 		if gerr != nil && !incomplete {
-			out.Error = gerr.Error()
-			out.NotFound = errors.Is(gerr, store.ErrNotFound)
+			out.B = AppendGetFailure(out.B, key, gerr.Error(), errors.Is(gerr, store.ErrNotFound))
 			continue
 		}
-		out.OK = true
-		out.Width = width
-		out.Complete = !incomplete
 		if width == 32 {
-			out.Data = appendF32(make([]byte, 0, 4*len(v32)), v32)
+			vs.raw = appendF32(vs.raw[:0], vs.f32)
 		} else {
-			out.Data = appendF64(make([]byte, 0, 8*len(v64)), v64)
+			vs.raw = appendF64(vs.raw[:0], vs.f64)
 		}
-		bytesOut += int64(len(out.Data))
+		out.B = AppendGetResult(out.B, key, width, !incomplete, vs.raw)
+		bytesOut += int64(len(vs.raw))
 	}
+	out.B = append(out.B, BatchClose+"\n"...)
 	obs.ServerBytesOut.Add(bytesOut)
 
-	writeBatchJSON(w, sp, res)
+	writeBatchJSON(w, sp, out.B)
 }
 
 // handleStoreKeys serves GET /v1/store/key: every live key, sorted —
@@ -261,15 +299,11 @@ func (s *Server) handleStoreKeys(w http.ResponseWriter, r *http.Request) {
 	}{Keys: keys})
 }
 
-// writeBatchJSON writes one batch response with trace headers.
-func writeBatchJSON(w http.ResponseWriter, sp *trace.Span, res any) {
-	body, err := json.Marshal(res)
-	if err != nil {
-		fail(w, http.StatusInternalServerError, "encoding result: %v", err)
-		return
-	}
-	body = append(body, '\n')
+// writeBatchJSON writes one batch response with trace headers, its
+// length declared so the reader can size for it.
+func writeBatchJSON(w http.ResponseWriter, sp *trace.Span, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	sp.WriteHeaders(w.Header())
 	if _, err := w.Write(body); err != nil {
 		obs.ServerErrors.Add(1)

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"testing"
 )
 
@@ -202,4 +205,59 @@ func TestReadyzReflectsStoreHealth(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with a closed store: %d %s, want 503", resp.StatusCode, body)
 	}
+}
+
+// batch8 frames an mput of 8 keys x 64 KiB of heat-map values, as a
+// client does, and the matching mget.
+func batch8(tb testing.TB) (mput, mget []byte, rawBytes int64) {
+	mput, mget = []byte(PutRequestOpen), []byte(`{"keys":[`)
+	for k := 0; k < 8; k++ {
+		if k > 0 {
+			mput, mget = append(mput, ','), append(mget, ',')
+		}
+		_, raw := f32Payload(tb, "heat", 16384, uint64(k+1))
+		rawBytes += int64(len(raw))
+		mput = append(mput, fmt.Sprintf(`{"key":"bench-%04d","data":"`, k)...)
+		mput = base64.StdEncoding.AppendEncode(mput, raw)
+		mput = append(mput, `"}`...)
+		mget = append(mget, fmt.Sprintf(`"bench-%04d"`, k)...)
+	}
+	return append(mput, BatchClose...), append(mget, BatchClose...), rawBytes
+}
+
+// benchPost times b.N posts of body over the loopback listener; MB/s is
+// raw value bytes moved, and the core count the tiers shared with the
+// client rides along.
+func benchPost(b *testing.B, url string, body []byte, rawBytes int64) {
+	b.SetBytes(rawBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || n < 64 {
+			b.Fatalf("status %d, %d bytes, %v", resp.StatusCode, n, err)
+		}
+	}
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+}
+
+// BenchmarkServerMput8 / Mget8 drive avrd's batch endpoints end to end
+// over a real loopback listener (ROADMAP item 1(a)).
+func BenchmarkServerMput8(b *testing.B) {
+	_, ts := storeServer(b, Config{})
+	mput, _, raw := batch8(b)
+	benchPost(b, ts.URL+"/v1/store/mput", mput, raw)
+}
+
+func BenchmarkServerMget8(b *testing.B) {
+	_, ts := storeServer(b, Config{})
+	mput, mget, raw := batch8(b)
+	if resp, body := doReq(b, http.MethodPost, ts.URL+"/v1/store/mput", mput); resp.StatusCode != http.StatusOK {
+		b.Fatalf("seeding: %d %s", resp.StatusCode, body)
+	}
+	benchPost(b, ts.URL+"/v1/store/mget", mget, raw)
 }

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -240,14 +241,6 @@ func (s *Server) parseT1(r *http.Request) (float64, error) {
 	return t1, nil
 }
 
-// readBody slurps the size-capped request body. A limit overrun
-// surfaces as *http.MaxBytesError.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	defer body.Close()
-	return io.ReadAll(body)
-}
-
 // handleEncode serves POST /v1/encode: raw little-endian values in, AVR
 // stream out.
 func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
@@ -271,17 +264,12 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, err := s.readBody(w, r)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			fail(w, http.StatusRequestEntityTooLarge,
-				"body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		} else {
-			fail(w, http.StatusBadRequest, "reading body: %v", err)
-		}
+	buf := s.readBody(w, r)
+	if buf == nil {
 		return
 	}
+	defer buf.Release()
+	body := buf.B
 	if len(body)%(width/8) != 0 {
 		fail(w, http.StatusBadRequest,
 			"body length %d not a multiple of %d-bit values", len(body), width)
@@ -313,11 +301,11 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	var enc []byte
 	var nvals int
 	if width == 32 {
-		vals := bytesToF32(body)
+		vals := bytesToF32(nil, body)
 		nvals = len(vals)
 		enc, err = codec.Encode(vals)
 	} else {
-		vals := bytesToF64(body)
+		vals := bytesToF64(nil, body)
 		nvals = len(vals)
 		enc, err = codec.Encode64(vals)
 	}
@@ -352,22 +340,17 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	obs.ServerInFlight.Add(1)
 	defer obs.ServerInFlight.Add(-1)
 
-	body, err := s.readBody(w, r)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			fail(w, http.StatusRequestEntityTooLarge,
-				"body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		} else {
-			fail(w, http.StatusBadRequest, "reading body: %v", err)
-		}
+	buf := s.readBody(w, r)
+	if buf == nil {
 		return
 	}
+	defer buf.Release()
+	body := buf.B
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
 	defer cancel()
 	qt := sp.Begin()
-	err = s.acquire(ctx)
+	err := s.acquire(ctx)
 	sp.End(trace.StageQueue, qt)
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
@@ -455,8 +438,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // Wire conversions: the HTTP body formats are raw little-endian values,
 // matching the codec's internal layout.
 
-func bytesToF32(b []byte) []float32 {
-	vals := make([]float32, len(b)/4)
+// bytesToF32 decodes b into dst's storage, reallocating only when it
+// is too small (nil allocates).
+func bytesToF32(dst []float32, b []byte) []float32 {
+	vals := slices.Grow(dst[:0], len(b)/4)[:len(b)/4]
 	for i := range vals {
 		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
@@ -471,8 +456,8 @@ func f32ToBytes(vals []float32) []byte {
 	return b
 }
 
-func bytesToF64(b []byte) []float64 {
-	vals := make([]float64, len(b)/8)
+func bytesToF64(dst []float64, b []byte) []float64 {
+	vals := slices.Grow(dst[:0], len(b)/8)[:len(b)/8]
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}

@@ -21,7 +21,7 @@ import (
 // testServer wires a Server into httptest. The returned Server is the
 // same instance behind the test listener, so white-box tests can reach
 // the admission internals.
-func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func testServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -29,7 +29,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func f32Payload(t *testing.T, dist string, n int, seed uint64) ([]float32, []byte) {
+func f32Payload(t testing.TB, dist string, n int, seed uint64) ([]float32, []byte) {
 	t.Helper()
 	vals, err := workloads.GenFloat32(dist, n, seed)
 	if err != nil {

@@ -91,17 +91,12 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, err := s.readBody(w, r)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			fail(w, http.StatusRequestEntityTooLarge,
-				"body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		} else {
-			fail(w, http.StatusBadRequest, "reading body: %v", err)
-		}
+	buf := s.readBody(w, r)
+	if buf == nil {
 		return
 	}
+	defer buf.Release()
+	body := buf.B
 	if len(body) == 0 || len(body)%(width/8) != 0 {
 		fail(w, http.StatusBadRequest,
 			"body length %d not a positive multiple of %d-bit values", len(body), width)
@@ -111,7 +106,7 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
 	defer cancel()
 	qt := sp.Begin()
-	err = s.acquire(ctx)
+	err := s.acquire(ctx)
 	sp.End(trace.StageQueue, qt)
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
@@ -128,9 +123,9 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 
 	var res store.PutResult
 	if width == 32 {
-		res, err = s.cfg.Store.Put32Traced(key, bytesToF32(body), sp)
+		res, err = s.cfg.Store.Put32Traced(key, bytesToF32(nil, body), sp)
 	} else {
-		res, err = s.cfg.Store.Put64Traced(key, bytesToF64(body), sp)
+		res, err = s.cfg.Store.Put64Traced(key, bytesToF64(nil, body), sp)
 	}
 	if err != nil {
 		if errors.Is(err, store.ErrClosed) {
@@ -219,6 +214,7 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-AVR-Width", strconv.Itoa(width))
 	w.Header().Set("X-AVR-Values", strconv.Itoa(nvals))
 	w.Header().Set("X-AVR-Complete", strconv.FormatBool(!incomplete))
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	sp.WriteHeaders(w.Header())
 	if incomplete {
 		obs.ServerStorePartial.Add(1)

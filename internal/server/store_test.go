@@ -15,7 +15,7 @@ import (
 )
 
 // storeServer wires a Server over a fresh on-disk store.
-func storeServer(t *testing.T, cfg Config) (*store.Store, *httptest.Server) {
+func storeServer(t testing.TB, cfg Config) (*store.Store, *httptest.Server) {
 	t.Helper()
 	st, err := store.Open(store.Config{Dir: t.TempDir()})
 	if err != nil {
@@ -27,7 +27,7 @@ func storeServer(t *testing.T, cfg Config) (*store.Store, *httptest.Server) {
 	return st, ts
 }
 
-func doReq(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
+func doReq(t testing.TB, method, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {

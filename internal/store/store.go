@@ -809,29 +809,38 @@ func (s *Store) Get(key string) (vals32 []float32, vals64 []float64, width int, 
 // wait (StageLock), segment reads (StageSegRead), and block decodes
 // (StageDecode). A nil span traces nothing at no cost.
 func (s *Store) GetTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, err error) {
+	return s.GetIntoTraced(nil, nil, key, sp)
+}
+
+// GetIntoTraced is GetTraced into retained buffers, for a caller that
+// reads keys of either width in turn: the vector is appended to dst32
+// or dst64, whichever matches the stored width, and both are returned —
+// the other one, and both on failure, as passed.
+func (s *Store) GetIntoTraced(dst32 []float32, dst64 []float64, key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, err error) {
 	t0 := time.Now()
 	lt := sp.Begin()
 	s.mu.RLock()
 	sp.End(trace.StageLock, lt)
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, nil, 0, ErrClosed
+		return dst32, dst64, 0, ErrClosed
 	}
 	e, ok := s.index[key]
 	if !ok {
-		return nil, nil, 0, ErrNotFound
+		return dst32, dst64, 0, ErrNotFound
 	}
+	vals32, vals64 = dst32, dst64
 	var complete bool
 	var nvals int
 	if e.width == 32 {
-		vals32, complete, err = s.read32Locked(nil, key, e, sp)
-		nvals = len(vals32)
+		vals32, complete, err = s.read32Locked(dst32, key, e, sp)
+		nvals = len(vals32) - len(dst32)
 	} else {
-		vals64, complete, err = s.read64Locked(nil, key, e, sp)
-		nvals = len(vals64)
+		vals64, complete, err = s.read64Locked(dst64, key, e, sp)
+		nvals = len(vals64) - len(dst64)
 	}
 	if err != nil {
-		return nil, nil, 0, err
+		return dst32, dst64, 0, err
 	}
 	obs.StoreGets.Add(1)
 	obs.StoreGetBytes.Add(int64(nvals) * int64(e.width/8))
