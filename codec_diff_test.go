@@ -11,7 +11,7 @@ import (
 
 // Differential harness: the fast codec paths (EncodeTo/DecodeTo and the
 // 64-bit twins) must be byte-identical to the retained reference scalar
-// codec in codec_reference.go across every workload distribution and
+// codec in codec_reference_test.go across every workload distribution and
 // across lengths that cross every lane/padding boundary.
 
 // diffSizes crosses the structural boundaries of the wire format: empty,

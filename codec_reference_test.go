@@ -10,13 +10,15 @@ import (
 	"avr/internal/compress"
 )
 
-// Reference scalar codec: the original Encode/Decode implementations,
-// retained verbatim as the oracle for the differential test harness. The
-// fast paths in codec.go/codec64.go restructure the same datapath into
-// flat allocation-free passes; every stream they produce must be
-// byte-identical to these, and every stream they decode must decode to
-// the same values. Kept out of the hot path on purpose — clarity over
-// speed — and exercised only by tests and fuzz targets.
+// Reference codec framing: the original allocating Encode/Decode loops,
+// retained verbatim as the oracle for the differential test harness
+// (codec_diff_test.go, fuzz_test.go). Block compression itself is the
+// one shipped datapath on both sides — Compressor.Compress is an adapter
+// over CompressFast, and its block-level oracle lives in
+// internal/compress/reference_test.go — so what these pin is the wire
+// framing, padding and the per-value decode path: every stream the
+// append-style codec produces must be byte-identical to these, and every
+// stream it decodes must decode to the same values.
 
 // referenceEncode is the scalar twin of EncodeTo's fast path.
 func (c *Codec) referenceEncode(vals []float32) ([]byte, error) {

@@ -144,7 +144,7 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 	if !ro.admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	res := server.BatchPutResult{Results: make([]server.BatchPutItemResult, len(sc.Items))}
@@ -274,7 +274,7 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 	if !ro.admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	rt := sp.Begin()
@@ -481,7 +481,7 @@ func (ro *Router) handleKeys(w http.ResponseWriter, r *http.Request) {
 	if !ro.admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 
 	ft := sp.Begin()
 	keys, asked, failed := ro.fanKeys(r.Context(), inboundTraceID(r, sp))

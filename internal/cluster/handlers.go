@@ -84,7 +84,7 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 	if !ro.admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	rt := sp.Begin()
@@ -199,7 +199,7 @@ func (ro *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ro.admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	ct := sp.Begin()
 	if ro.serveCached(w, key) {
 		sp.End(trace.StageCacheHit, ct)
@@ -224,7 +224,7 @@ func (ro *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !ro.admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	rt := sp.Begin()
@@ -287,7 +287,7 @@ func (ro *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if !ro.admit(w, r, sp) {
 			return
 		}
-		defer ro.release()
+		defer ro.gate.Release()
 		ro.proxyRead(w, r, sp, key, "/v1/store/query?"+r.URL.RawQuery, false)
 		return
 	}
@@ -300,7 +300,7 @@ func (ro *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ro.admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	ft := sp.Begin()
@@ -433,7 +433,7 @@ func (ro *Router) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 	if !ro.admit(w, r, sp) {
 		return
 	}
-	defer ro.release()
+	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
 	results := make([]legResult, len(ro.nodes))
@@ -497,7 +497,7 @@ func (ro *Router) Stats() RouterStats {
 		UptimeSeconds: time.Since(ro.start).Seconds(),
 		Workers:       ro.cfg.Workers,
 		QueueDepth:    ro.cfg.QueueDepth,
-		Queued:        ro.queued.Load(),
+		Queued:        ro.gate.Queued(),
 		Requests:      obs.RouterRequests.Value(),
 		Shed:          obs.RouterShed.Value(),
 		Errors:        obs.RouterErrors.Value(),

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -14,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"avr/internal/admit"
 	"avr/internal/obs"
 	"avr/internal/readcache"
 	"avr/internal/server"
@@ -127,9 +127,9 @@ type node struct {
 // Router shards store traffic across avrd nodes: consistent-hash
 // routing, replication-2 writes, read-any reads with replica fallback,
 // batched multi-key fan-out, and cluster-wide query scatter/merge. It
-// reuses the avrd admission pattern (bounded worker slots + queue,
-// 429/503 shedding) so a router in front of a slow fleet sheds instead
-// of queueing unboundedly.
+// sits behind the same admission controller as avrd (internal/admit:
+// bounded worker slots + queue, 429/503 shedding) so a router in front
+// of a slow fleet sheds instead of queueing unboundedly.
 type Router struct {
 	cfg    Config
 	ring   *Ring
@@ -138,8 +138,7 @@ type Router struct {
 	http   *http.Server
 	client *http.Client
 
-	slots    chan struct{}
-	queued   atomic.Int64
+	gate     *admit.Gate
 	draining atomic.Bool
 	start    time.Time
 
@@ -165,7 +164,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:   cfg,
 		ring:  NewRing(cfg.Topology),
 		mux:   http.NewServeMux(),
-		slots: make(chan struct{}, cfg.Workers),
+		gate:  admit.NewGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
 		start: time.Now(),
 		client: &http.Client{
 			// Per-leg deadlines come from request contexts; the client
@@ -258,82 +257,28 @@ func (ro *Router) stopProber() {
 	}
 }
 
-// errQueueFull mirrors the avrd admission signal.
-var errQueueFull = errors.New("cluster: admission queue full")
-
-// acquire claims a worker slot (see internal/server: same bounded
-// worker/queue shedding pattern).
-func (ro *Router) acquire(ctx context.Context) error {
-	select {
-	case ro.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	if ro.queued.Add(1) > int64(ro.cfg.QueueDepth) {
-		ro.queued.Add(-1)
-		return errQueueFull
-	}
-	defer ro.queued.Add(-1)
-	select {
-	case ro.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (ro *Router) release() { <-ro.slots }
-
 // admit runs the admission handshake; true means the caller holds a
-// slot and must ro.release().
+// slot and must ro.gate.Release(). A full queue sheds with 429 and the
+// gate's own queue-derived Retry-After; downstream-caused 429s do NOT
+// use that hint — they surface the max Retry-After the fleet itself
+// asked for (see mergeRetryAfter).
 func (ro *Router) admit(w http.ResponseWriter, r *http.Request, sp *trace.Span) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), ro.cfg.QueueTimeout)
-	defer cancel()
 	qt := sp.Begin()
-	err := ro.acquire(ctx)
+	err := ro.gate.Acquire(r.Context())
 	sp.End(trace.StageQueue, qt)
 	if err == nil {
 		obs.RouterRequests.Add(1)
 		return true
 	}
 	obs.RouterShed.Add(1)
-	if errors.Is(err, errQueueFull) {
-		secs := ownRetryAfter(ro.queued.Load(), int64(ro.cfg.QueueDepth), ro.cfg.QueueTimeout)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	if errors.Is(err, admit.ErrQueueFull) {
+		w.Header().Set("Retry-After", strconv.Itoa(ro.gate.RetryAfter()))
 		http.Error(w, "router queue full, retry later", http.StatusTooManyRequests)
 	} else {
 		http.Error(w, "timed out waiting for a router worker",
 			http.StatusServiceUnavailable)
 	}
 	return false
-}
-
-// ownRetryAfter sizes the router's own 429 hint from queue occupancy,
-// the same linear 1s→ceil(timeout) ramp avrd uses. Downstream-caused
-// 429s do NOT use this — they surface the max Retry-After the fleet
-// itself asked for (see mergeRetryAfter).
-func ownRetryAfter(queued, depth int64, timeout time.Duration) int {
-	maxSecs := int(math.Ceil(timeout.Seconds()))
-	if maxSecs < 1 {
-		maxSecs = 1
-	}
-	if depth <= 0 {
-		return maxSecs
-	}
-	if queued < 0 {
-		queued = 0
-	}
-	if queued > depth {
-		queued = depth
-	}
-	secs := int(math.Ceil(timeout.Seconds() * float64(queued) / float64(depth)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > maxSecs {
-		secs = maxSecs
-	}
-	return secs
 }
 
 // mergeRetryAfter folds one downstream 429's Retry-After into the max

@@ -39,102 +39,3 @@ func BenchmarkCMTLookupMiss(b *testing.B) {
 		t.Lookup(uint64(i*4&(blocks-1)) << 10)
 	}
 }
-
-// BenchmarkCMTLookupMapBacked is the reference: the pre-refactor
-// map[uint64]*Entry backing (plus the map-indexed page cache), preserved
-// here so benchstat can track the slab speedup claim (≥2×).
-func BenchmarkCMTLookupMapBacked(b *testing.B) {
-	t := newMapTable(1024, 1024)
-	const blocks = 2048
-	for a := uint64(0); a < blocks*1024; a += 1024 {
-		t.Lookup(a)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := t.Lookup(uint64(i&(blocks-1)) << 10)
-		if e == nil {
-			b.Fatal("nil entry")
-		}
-	}
-}
-
-// mapTable reimplements the original map-backed Table lookup path,
-// benchmark-only, as the comparison baseline.
-type mapTable struct {
-	blockBytes uint64
-	entries    map[uint64]*Entry
-	capacity   int
-	cached     map[uint64]*mapNode
-	head, tail *mapNode
-}
-
-type mapNode struct {
-	page       uint64
-	dirty      bool
-	prev, next *mapNode
-}
-
-func newMapTable(blockBytes, cachePages int) *mapTable {
-	return &mapTable{
-		blockBytes: uint64(blockBytes),
-		entries:    make(map[uint64]*Entry),
-		capacity:   cachePages,
-		cached:     make(map[uint64]*mapNode),
-	}
-}
-
-func (t *mapTable) Lookup(addr uint64) *Entry {
-	bn := addr / t.blockBytes
-	t.touchPage(bn / BlocksPerPage)
-	e, ok := t.entries[bn]
-	if !ok {
-		e = &Entry{}
-		t.entries[bn] = e
-	}
-	return e
-}
-
-func (t *mapTable) touchPage(page uint64) {
-	if n, ok := t.cached[page]; ok {
-		if t.head != n {
-			t.unlink(n)
-			t.pushFront(n)
-		}
-		return
-	}
-	n := &mapNode{page: page}
-	t.cached[page] = n
-	t.pushFront(n)
-	if len(t.cached) > t.capacity {
-		v := t.tail
-		t.unlink(v)
-		delete(t.cached, v.page)
-	}
-}
-
-func (t *mapTable) pushFront(n *mapNode) {
-	n.prev = nil
-	n.next = t.head
-	if t.head != nil {
-		t.head.prev = n
-	}
-	t.head = n
-	if t.tail == nil {
-		t.tail = n
-	}
-}
-
-func (t *mapTable) unlink(n *mapNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		t.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		t.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}

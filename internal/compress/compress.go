@@ -23,7 +23,6 @@ package compress
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"avr/internal/fixed"
 	"avr/internal/simd"
@@ -210,18 +209,14 @@ type Compressor struct {
 	mbN, mb64N   int
 	mbOK, mb64OK bool
 
-	// scratch buffers reused across calls to avoid per-block allocation.
-	// outA/outB ping-pong between the current attempt and the best one so
-	// far; CompressWith copies the winner out, so a returned Result never
-	// aliases compressor state.
-	fx    [BlockValues]int32
-	recon [BlockValues]int32
-	outA  [BlockValues]uint32
-	outB  [BlockValues]uint32
-
-	// fast-path scratch (fast32.go / fast64.go). The summary/bitmap pairs
-	// ping-pong between attempts like outA/outB; CompressFast returns a
-	// FastResult that aliases the winner, valid until the next call.
+	// scratch buffers reused across calls to avoid per-block allocation
+	// (fast32.go / fast64.go). The summary/bitmap/outlier sets ping-pong
+	// between the current attempt and the best one so far; CompressFast
+	// returns a FastResult that aliases the winner, valid until the next
+	// call.
+	fx         [BlockValues]int32
+	recon      [BlockValues]int32
+	outA, outB [BlockValues]uint32
 	sumA, sumB [SummaryValues]int32
 	bmA, bmB   [BitmapBytes]byte
 
@@ -275,169 +270,21 @@ func (c *Compressor) Compress(vals *[BlockValues]uint32, dt DataType) Result {
 
 // CompressWith is Compress with explicit error thresholds, supporting the
 // paper's per-region threshold extension (§3.1: a threshold field per
-// allocated memory region in the page table).
+// allocated memory region in the page table). It runs the flat-pass
+// datapath (CompressFastWith) and copies the winner out of compressor
+// scratch, so a returned Result never aliases compressor state.
 func (c *Compressor) CompressWith(vals *[BlockValues]uint32, dt DataType, th Thresholds) Result {
-	var bias int8
-	if dt == Float32 {
-		bias, _ = fixed.ChooseBias(vals[:])
+	f := c.CompressFastWith(vals, dt, th)
+	r := Result{
+		OK: f.OK, Method: f.Method, Type: dt, Bias: f.Bias,
+		Summary: *f.Summary, Bitmap: *f.Bitmap,
+		SizeLines: f.SizeLines, AvgError: f.AvgError,
 	}
-
-	// Convert the block to fixed point once; both variants share it.
-	for i, b := range vals {
-		if dt == Float32 {
-			c.fx[i] = fixed.FloatToFixed(fixed.ApplyBias(b, bias))
-		} else {
-			c.fx[i] = int32(b)
-		}
+	if len(f.Outliers) > 0 {
+		r.Outliers = append([]uint32(nil), f.Outliers...)
 	}
-
-	var best Result
-	bestValid := false
-	buf := &c.outA
-	for _, m := range []Method{Method1D, Method2D} {
-		if m == Method1D && c.variants&Variant1D == 0 {
-			continue
-		}
-		if m == Method2D && c.variants&Variant2D == 0 {
-			continue
-		}
-		r := c.attempt(vals, dt, bias, m, th, buf)
-		if !bestValid || better(&r, &best) {
-			best = r
-			bestValid = true
-			// The winner owns buf; aim the next attempt at the other one.
-			if buf == &c.outA {
-				buf = &c.outB
-			} else {
-				buf = &c.outA
-			}
-		}
-	}
-	if len(best.Outliers) > 0 {
-		best.Outliers = append([]uint32(nil), best.Outliers...)
-	}
-	return best
-}
-
-// better reports whether attempt a beats attempt b: success first, then
-// smaller compressed size, then fewer outliers, then lower average error.
-func better(a, b *Result) bool {
-	if a.OK != b.OK {
-		return a.OK
-	}
-	if a.SizeLines != b.SizeLines {
-		return a.SizeLines < b.SizeLines
-	}
-	if len(a.Outliers) != len(b.Outliers) {
-		return len(a.Outliers) < len(b.Outliers)
-	}
-	return a.AvgError < b.AvgError
-}
-
-// attempt runs one placement variant end to end: downsample, reconstruct,
-// error-check, select outliers. Outliers are collected into out (scratch
-// owned by the caller); the returned Result's Outliers slice aliases it.
-func (c *Compressor) attempt(vals *[BlockValues]uint32, dt DataType, bias int8, m Method, th Thresholds, out *[BlockValues]uint32) Result {
-	r := Result{Method: m, Type: dt, Bias: bias}
-	nOut := 0
-
-	downsample(&c.fx, &r.Summary, m)
-	interpolate(&r.Summary, &c.recon, m)
-
-	// Convert the reconstruction to output bit patterns and run the error
-	// check against the originals.
-	n := th.MantissaBits()
-	var errSum float64
-	var nonOutliers int
-	for i := 0; i < BlockValues; i++ {
-		var approx uint32
-		if dt == Float32 {
-			approx = fixed.RemoveBias(fixed.FixedToFloat(c.recon[i]), bias)
-		} else {
-			approx = uint32(c.recon[i])
-		}
-		relErr, outlier := valueError(vals[i], approx, dt, n, th.T1)
-		if outlier {
-			r.Bitmap[i>>3] |= 1 << (i & 7)
-			out[nOut] = vals[i]
-			nOut++
-			r.Reconstructed[i] = vals[i] // outliers are stored exactly
-		} else {
-			errSum += relErr
-			nonOutliers++
-			r.Reconstructed[i] = approx
-		}
-	}
-	if nonOutliers > 0 {
-		r.AvgError = errSum / float64(nonOutliers)
-	}
-	if nOut > 0 {
-		r.Outliers = out[:nOut]
-	}
-	r.SizeLines = CompressedLines(len(r.Outliers))
-	r.OK = r.SizeLines <= MaxCompressedLines && r.AvgError <= th.T2
-	if !r.OK && r.SizeLines > MaxCompressedLines {
-		r.SizeLines = BlockLines // stored uncompressed
-	}
+	r.Reconstructed = Decompress(&r.Summary, &r.Bitmap, r.Outliers, r.Method, r.Bias, dt)
 	return r
-}
-
-// valueError classifies one value against its reconstruction. It returns
-// the relative error contribution (only meaningful for non-outliers) and
-// whether the value is an outlier.
-//
-// For floats this follows the paper's hardware comparator: an outlier has
-// a sign or exponent mismatch, or a mantissa difference at or above the
-// Nth most significant mantissa bit. The returned error for non-outliers
-// is mantissaDiff/2^23, the quantity the averaging tree accumulates.
-func valueError(orig, approx uint32, dt DataType, n int, t1 float64) (relErr float64, outlier bool) {
-	if dt == Fixed32 {
-		o, a := int64(int32(orig)), int64(int32(approx))
-		d := o - a
-		if d < 0 {
-			d = -d
-		}
-		if o == 0 {
-			return 0, d != 0
-		}
-		ao := o
-		if ao < 0 {
-			ao = -ao
-		}
-		re := float64(d) / float64(ao)
-		return re, re > t1
-	}
-
-	if fixed.IsSpecial(orig) {
-		// NaN/Inf can never be reconstructed from an average.
-		return 0, orig != approx
-	}
-	if fixed.IsDenormalOrZero(orig) {
-		// ±0/denormal: match iff the approximation is also (flushed) zero.
-		return 0, !fixed.IsDenormalOrZero(approx)
-	}
-	if fixed.IsDenormalOrZero(approx) || fixed.IsSpecial(approx) {
-		return 0, true
-	}
-	if orig>>31 != approx>>31 { // sign mismatch
-		return 0, true
-	}
-	if (orig>>23)&0xFF != (approx>>23)&0xFF { // exponent mismatch
-		return 0, true
-	}
-	mo, ma := orig&0x7FFFFF, approx&0x7FFFFF
-	var d uint32
-	if mo > ma {
-		d = mo - ma
-	} else {
-		d = ma - mo
-	}
-	// Outlier when the difference reaches the Nth MSbit of the mantissa,
-	// i.e. d >= 2^(23-n).
-	if bits.Len32(d) > 23-n {
-		return 0, true
-	}
-	return float64(d) / (1 << 23), false
 }
 
 // downsample computes the 16 sub-block averages for the given placement.

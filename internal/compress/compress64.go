@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"math/bits"
-
-	"avr/internal/fixed"
-)
+import "avr/internal/fixed"
 
 // 64-bit block geometry: one 1 KiB memory block holds 128 doubles; the
 // 64 B summary then holds 8 sub-block averages (still a 16:1 ratio).
@@ -46,46 +42,19 @@ func (c *Compressor) Compress64(vals *[BlockValues64]uint64) Result64 {
 	return c.Compress64With(vals, c.thresholds)
 }
 
-// Compress64With is Compress64 with explicit thresholds.
+// Compress64With is Compress64 with explicit thresholds: the flat-pass
+// datapath (CompressFast64With) with the result copied out of
+// compressor scratch.
 func (c *Compressor) Compress64With(vals *[BlockValues64]uint64, th Thresholds) Result64 {
-	var r Result64
-	bias, _ := fixed.ChooseBias64(vals[:])
-	r.Bias = bias
-
-	var fx [BlockValues64]int64
-	for i, b := range vals {
-		fx[i] = fixed.FloatToFixed64(fixed.ApplyBias64(b, bias))
+	f := c.CompressFast64With(vals, th)
+	r := Result64{
+		OK: f.OK, Bias: f.Bias, Summary: *f.Summary, Bitmap: *f.Bitmap,
+		SizeLines: f.SizeLines, AvgError: f.AvgError,
 	}
-	for s := 0; s < SummaryValues64; s++ {
-		r.Summary[s] = fixed.Average16x64(fx[s*SubBlockSize64 : (s+1)*SubBlockSize64])
+	if len(f.Outliers) > 0 {
+		r.Outliers = append([]uint64(nil), f.Outliers...)
 	}
-	var rec [BlockValues64]int64
-	interpolate64(&r.Summary, &rec)
-
-	n := th.MantissaBits64()
-	var errSum float64
-	var nonOutliers int
-	for i := 0; i < BlockValues64; i++ {
-		approx := fixed.RemoveBias64(fixed.FixedToFloat64(rec[i]), bias)
-		relErr, outlier := valueError64(vals[i], approx, n)
-		if outlier {
-			r.Bitmap[i>>3] |= 1 << (i & 7)
-			r.Outliers = append(r.Outliers, vals[i])
-			r.Reconstructed[i] = vals[i]
-		} else {
-			errSum += relErr
-			nonOutliers++
-			r.Reconstructed[i] = approx
-		}
-	}
-	if nonOutliers > 0 {
-		r.AvgError = errSum / float64(nonOutliers)
-	}
-	r.SizeLines = CompressedLines64(len(r.Outliers))
-	r.OK = r.SizeLines <= MaxCompressedLines && r.AvgError <= th.T2
-	if !r.OK && r.SizeLines > MaxCompressedLines {
-		r.SizeLines = BlockLines
-	}
+	r.Reconstructed = Decompress64(&r.Summary, &r.Bitmap, r.Outliers, r.Bias)
 	return r
 }
 
@@ -119,37 +88,6 @@ func (t Thresholds) MantissaBits64() int {
 		n = 52
 	}
 	return n
-}
-
-// valueError64 is the 64-bit outlier comparator: sign and exponent must
-// match exactly; the mantissa difference must stay below the Nth MSbit.
-func valueError64(orig, approx uint64, n int) (relErr float64, outlier bool) {
-	if fixed.IsSpecial64(orig) {
-		return 0, orig != approx
-	}
-	if fixed.IsDenormalOrZero64(orig) {
-		return 0, !fixed.IsDenormalOrZero64(approx)
-	}
-	if fixed.IsDenormalOrZero64(approx) || fixed.IsSpecial64(approx) {
-		return 0, true
-	}
-	if orig>>63 != approx>>63 {
-		return 0, true
-	}
-	if (orig>>52)&0x7FF != (approx>>52)&0x7FF {
-		return 0, true
-	}
-	mo, ma := orig&((1<<52)-1), approx&((1<<52)-1)
-	var d uint64
-	if mo > ma {
-		d = mo - ma
-	} else {
-		d = ma - mo
-	}
-	if bits.Len64(d) > 52-n {
-		return 0, true
-	}
-	return float64(d) / (1 << 52), false
 }
 
 // interpolate64 reconstructs 128 values from 8 run averages by linear

@@ -9,14 +9,16 @@ import (
 	"avr/internal/simd"
 )
 
-// Fast-path compression: the same datapath as CompressWith restructured
-// into flat slice passes — one fixed-point convert sweep, the strided
-// 16→1 downsample, one reconstruction convert sweep and one branch-light
-// error/outlier select — with every intermediate held in compressor
-// scratch. No Result struct is filled in (no 1 KiB Reconstructed image,
-// no outlier copy), so the codec encode loop runs allocation-free. The
-// output is bit-identical to the scalar reference path; the differential
-// tests in the avr package pin that equivalence.
+// The compressor datapath, as flat slice passes: one fixed-point convert
+// sweep, the strided 16→1 downsample, one reconstruction convert sweep
+// and one branch-light error/outlier select, with every intermediate
+// held in compressor scratch. No Result struct is filled in (no 1 KiB
+// Reconstructed image, no outlier copy), so the codec encode loop runs
+// allocation-free; Compress/CompressWith are adapters over this path
+// that copy the winner into a Result for the simulator. The scalar
+// per-value formulation it was derived from is the test oracle
+// (reference_test.go); TestCompressDifferential pins every output field
+// bit-identical to it.
 
 // FastResult describes one fast-path block compression. Summary, Bitmap
 // and Outliers alias compressor scratch and are valid only until the
@@ -40,9 +42,8 @@ func (c *Compressor) CompressFast(vals *[BlockValues]uint32, dt DataType) FastRe
 }
 
 // CompressFastWith is CompressFast with explicit thresholds. It attempts
-// the same placement variants as CompressWith in the same order and
-// applies the same better() selection, so the winning (method, bias,
-// summary, bitmap, outliers) tuple is identical.
+// the enabled placement variants in order (1D, then 2D) and keeps the
+// better one.
 func (c *Compressor) CompressFastWith(vals *[BlockValues]uint32, dt DataType, th Thresholds) FastResult {
 	var bias int8
 	if dt == Float32 {
@@ -79,9 +80,9 @@ func (c *Compressor) CompressFastWith(vals *[BlockValues]uint32, dt DataType, th
 	return best
 }
 
-// fastBetter mirrors better() on FastResults: success, then size, then
-// outlier count, then average error. Strict improvement only, so ties
-// keep the first attempt (1D), exactly like the reference.
+// fastBetter reports whether attempt a beats attempt b: success first,
+// then smaller compressed size, then fewer outliers, then lower average
+// error. Strict improvement only, so ties keep the first attempt (1D).
 func fastBetter(a, b *FastResult) bool {
 	if a.OK != b.OK {
 		return a.OK
@@ -126,8 +127,8 @@ func (c *Compressor) fastAttempt(vals *[BlockValues]uint32, dt DataType, bias in
 }
 
 // errCheckRecon32 fuses the reconstruction convert sweep
-// (fixed.FixedToFloats) with valueError's Float32 branch over the whole
-// block: each reconstructed fixed-point value becomes a float bit
+// (fixed.FixedToFloats) with the reference comparator's Float32 branch
+// (valueError in reference_test.go) over the whole block: each reconstructed fixed-point value becomes a float bit
 // pattern in a register and is classified immediately, with no approx
 // array round-trip. Bitmap bits are set, outliers compacted and the
 // relative error of non-outliers accumulated in index order (the float64
@@ -212,7 +213,8 @@ func errCheckRecon32(vals *[BlockValues]uint32, recon *[BlockValues]int32, bias 
 	return nOut, nonOutliers, float64(dSum) / (1 << 23)
 }
 
-// errCheckFixed32 is valueError's Fixed32 branch over the whole block.
+// errCheckFixed32 is the reference comparator's Fixed32 branch over the
+// whole block.
 func errCheckFixed32(vals *[BlockValues]uint32, recon *[BlockValues]int32, t1 float64, bm *[BitmapBytes]byte, out *[BlockValues]uint32) (nOut, nonOutliers int, errSum float64) {
 	for i := 0; i < BlockValues; i++ {
 		o, a := int64(int32(vals[i])), int64(recon[i])

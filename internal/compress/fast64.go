@@ -21,8 +21,9 @@ type FastResult64 struct {
 	Outliers  []uint64
 }
 
-// CompressFast64 is the flat-pass form of Compress64 (1D only, like the
-// reference), bit-identical in every output field.
+// CompressFast64 compresses a 128-double block through the flat passes
+// (1D downsampling; the 2D variant does not apply to the non-square
+// 64-bit geometry).
 func (c *Compressor) CompressFast64(vals *[BlockValues64]uint64) FastResult64 {
 	return c.CompressFast64With(vals, c.thresholds)
 }
@@ -55,8 +56,8 @@ func (c *Compressor) CompressFast64With(vals *[BlockValues64]uint64, th Threshol
 }
 
 // errCheckRecon64 fuses the reconstruction convert sweep
-// (fixed.FixedToFloats64) with valueError64 over the whole block,
-// accumulating non-outlier error in index order like the reference. The
+// (fixed.FixedToFloats64) with the reference comparator (valueError64 in
+// reference_test.go) over the whole block, accumulating non-outlier error in index order like the reference. The
 // branch structure mirrors errCheckRecon32: see the discussion there for
 // why it decides identically to the reference switch.
 func errCheckRecon64(vals *[BlockValues64]uint64, recon *[BlockValues64]int64, bias int16, n int, bm *[BitmapBytes64]byte, out *[BlockValues64]uint64) (nOut, nonOutliers int, errSum float64) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"avr/internal/obs"
 	"avr/internal/store"
 	"avr/internal/trace"
+	"avr/internal/vec"
 )
 
 // Batched store endpoints: one HTTP round-trip moves many keys, so a
@@ -105,35 +105,14 @@ func (s *Server) registerBatch() {
 	s.mux.HandleFunc("GET /v1/store/key", s.handleStoreKeys)
 }
 
-// acquireOr runs the admission handshake shared by the batch handlers:
-// true means the caller holds a worker slot and must s.release().
-func (s *Server) acquireOr(w http.ResponseWriter, r *http.Request, sp *trace.Span) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err := s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err == nil {
-		return true
-	}
-	if errors.Is(err, errQueueFull) {
-		s.shed(w)
-	} else {
-		obs.ServerShed.Add(1)
-		http.Error(w, "timed out waiting for a worker",
-			http.StatusServiceUnavailable)
-	}
-	return false
-}
-
 // valScratch is the pooled per-request value scratch of the batch
-// handlers: one key's payload as wire bytes and as floats. The store
-// copies what it keeps (encoded blocks on put) and fills what it is
-// handed (get), so one set serves every key of a batch in turn.
+// handlers: one key's payload as wire bytes and as floats of either
+// width. The store copies what it keeps (encoded blocks on put) and
+// fills what it is handed (get), so one set serves every key of a batch
+// in turn.
 type valScratch struct {
-	raw []byte
-	f32 []float32
-	f64 []float64
+	raw  []byte
+	vals vec.Vec
 }
 
 var valScratchPool = sync.Pool{New: func() any { return new(valScratch) }}
@@ -163,11 +142,10 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !s.acquireOr(w, r, sp) {
+	if !s.acquireOr(w, r, sp, "a worker") {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	vs := valScratchPool.Get().(*valScratch)
 	defer valScratchPool.Put(vs)
@@ -188,19 +166,13 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 			out.Error = "data length not a positive multiple of the value width"
 			continue
 		}
-		var pr store.PutResult
 		var perr error
 		if vs.raw, perr = it.AppendData(vs.raw[:0]); perr != nil {
 			out.Error = perr.Error() // unreachable: the scanner checked the text
 			continue
 		}
-		if width == 32 {
-			vs.f32 = bytesToF32(vs.f32[:0], vs.raw)
-			pr, perr = s.cfg.Store.Put32Traced(out.Key, vs.f32, sp)
-		} else {
-			vs.f64 = bytesToF64(vs.f64[:0], vs.raw)
-			pr, perr = s.cfg.Store.Put64Traced(out.Key, vs.f64, sp)
-		}
+		vs.vals = vs.vals.Reset(width).FromLE(vs.raw)
+		pr, perr := s.cfg.Store.PutVec(out.Key, vs.vals, sp)
 		if perr != nil {
 			out.Error = perr.Error()
 			continue
@@ -222,8 +194,8 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStoreMget serves POST /v1/store/mget: many keys per round-trip,
-// per-key values or errors. Reads take store.GetIntoTraced, the disk
-// path, not the read cache: a batch read attributes to segread+decode
+// per-key values or errors. Reads take the disk path (GetVec without
+// the read cache): a batch read attributes to segread+decode
 // like any uncached get.
 func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 	sp := s.tracer.Start()
@@ -248,11 +220,10 @@ func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !s.acquireOr(w, r, sp) {
+	if !s.acquireOr(w, r, sp, "a worker") {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	vs := valScratchPool.Get().(*valScratch)
 	defer valScratchPool.Put(vs)
@@ -264,20 +235,15 @@ func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			out.B = append(out.B, ',')
 		}
-		var width int
 		var gerr error
-		vs.f32, vs.f64, width, gerr = s.cfg.Store.GetIntoTraced(vs.f32[:0], vs.f64[:0], key, sp)
+		vs.vals, _, gerr = s.cfg.Store.GetVec(vs.vals.Reset(0), key, false, sp)
 		incomplete := errors.Is(gerr, store.ErrIncomplete)
 		if gerr != nil && !incomplete {
 			out.B = AppendGetFailure(out.B, key, gerr.Error(), errors.Is(gerr, store.ErrNotFound))
 			continue
 		}
-		if width == 32 {
-			vs.raw = appendF32(vs.raw[:0], vs.f32)
-		} else {
-			vs.raw = appendF64(vs.raw[:0], vs.f64)
-		}
-		out.B = AppendGetResult(out.B, key, width, !incomplete, vs.raw)
+		vs.raw = vs.vals.AppendLE(vs.raw[:0])
+		out.B = AppendGetResult(out.B, key, vs.vals.Width, !incomplete, vs.raw)
 		bytesOut += int64(len(vs.raw))
 	}
 	out.B = append(out.B, BatchClose+"\n"...)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,14 +10,15 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
 
+	"avr/internal/admit"
 	"avr/internal/obs"
 	"avr/internal/store"
 	"avr/internal/trace"
+	"avr/internal/vec"
 )
 
 // Config tunes the codec service. The zero value of any field selects
@@ -91,10 +91,8 @@ type Server struct {
 	mux  *http.ServeMux
 	http *http.Server
 
-	// slots is the worker semaphore: holding a token = executing.
-	slots chan struct{}
-	// queued counts requests waiting for a token; bounded by QueueDepth.
-	queued   atomic.Int64
+	// gate is the bounded worker/queue admission layer.
+	gate     *admit.Gate
 	draining atomic.Bool
 	start    time.Time
 
@@ -109,7 +107,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		pool:  NewCodecPool(),
 		mux:   http.NewServeMux(),
-		slots: make(chan struct{}, cfg.Workers),
+		gate:  admit.NewGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
 		start: time.Now(),
 	}
 	tcfg := trace.Config{SampleEvery: cfg.TraceSampleEvery}
@@ -153,78 +151,34 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // draining).
 func (s *Server) Ready() bool { return !s.draining.Load() }
 
-// errQueueFull is sent as 429: the admission queue is at capacity.
-var errQueueFull = errors.New("server: admission queue full")
-
-// acquire claims a worker slot, waiting in the bounded admission queue
-// if none is free. It returns errQueueFull when the queue is at
-// capacity (shed immediately — this is the backpressure signal) and
-// ctx.Err() when the wait outlives the request. On nil return the
-// caller must release().
-func (s *Server) acquire(ctx context.Context) error {
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		return errQueueFull
-	}
-	defer s.queued.Add(-1)
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *Server) release() { <-s.slots }
-
 // fail records and writes one error response.
 func fail(w http.ResponseWriter, code int, format string, args ...any) {
 	obs.ServerErrors.Add(1)
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
-// retryAfter sizes the 429 Retry-After hint from queue occupancy: the
-// hint scales linearly from 1s at an empty queue up to the configured
-// queue timeout (rounded up to whole seconds) at a full one, so a
-// lightly loaded server invites a fast retry while a saturated one
-// pushes the herd back the full wait it would have spent queueing
-// anyway.
-func retryAfter(queued, depth int64, timeout time.Duration) int {
-	maxSecs := int(math.Ceil(timeout.Seconds()))
-	if maxSecs < 1 {
-		maxSecs = 1
+// acquireOr runs the admission handshake every handler that does codec
+// or store work shares: true means the caller holds a worker slot and
+// must s.gate.Release(). Otherwise the shed response has been written —
+// 429 plus the queue-derived Retry-After hint when the queue is full
+// (the backpressure signal), 503 when the wait for a slot outlived the
+// queue timeout or the client. worker names what was waited for.
+func (s *Server) acquireOr(w http.ResponseWriter, r *http.Request, sp *trace.Span, worker string) bool {
+	qt := sp.Begin()
+	err := s.gate.Acquire(r.Context())
+	sp.End(trace.StageQueue, qt)
+	if err == nil {
+		obs.ServerRequests.Add(1)
+		return true
 	}
-	if depth <= 0 {
-		return maxSecs
-	}
-	if queued < 0 {
-		queued = 0
-	}
-	if queued > depth {
-		queued = depth
-	}
-	secs := int(math.Ceil(timeout.Seconds() * float64(queued) / float64(depth)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > maxSecs {
-		secs = maxSecs
-	}
-	return secs
-}
-
-// shed writes the backpressure response: 429 plus the queue-derived
-// Retry-After hint.
-func (s *Server) shed(w http.ResponseWriter) {
 	obs.ServerShed.Add(1)
-	secs := retryAfter(s.queued.Load(), int64(s.cfg.QueueDepth), s.cfg.QueueTimeout)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	http.Error(w, "codec queue full, retry later", http.StatusTooManyRequests)
+	if errors.Is(err, admit.ErrQueueFull) {
+		w.Header().Set("Retry-After", strconv.Itoa(s.gate.RetryAfter()))
+		http.Error(w, "codec queue full, retry later", http.StatusTooManyRequests)
+	} else {
+		http.Error(w, "timed out waiting for "+worker, http.StatusServiceUnavailable)
+	}
+	return false
 }
 
 // parseT1 resolves the per-request error threshold: ?t1= in (0,1), or
@@ -276,39 +230,17 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err = s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a codec worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.acquireOr(w, r, sp, "a codec worker") {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	pt := sp.Begin()
 	codec := s.pool.Get(t1)
 	sp.End(trace.StagePool, pt)
 	et := sp.Begin()
-	var enc []byte
-	var nvals int
-	if width == 32 {
-		vals := bytesToF32(nil, body)
-		nvals = len(vals)
-		enc, err = codec.Encode(vals)
-	} else {
-		vals := bytesToF64(nil, body)
-		nvals = len(vals)
-		enc, err = codec.Encode64(vals)
-	}
+	vals := vec.Vec{Width: width}.FromLE(body)
+	enc, err := vals.EncodeTo(codec, make([]byte, 0, 8+len(body)/4))
 	sp.End(trace.StageEncode, et)
 	s.pool.Put(t1, codec)
 	if err != nil {
@@ -323,7 +255,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	obs.ServerBytesOut.Add(int64(len(enc)))
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-AVR-Values", strconv.Itoa(nvals))
+	w.Header().Set("X-AVR-Values", strconv.Itoa(vals.Len()))
 	w.Header().Set("X-AVR-Ratio", strconv.FormatFloat(ratio, 'f', 3, 64))
 	sp.WriteHeaders(w.Header())
 	w.Write(enc)
@@ -347,46 +279,27 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	defer buf.Release()
 	body := buf.B
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err := s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a codec worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.acquireOr(w, r, sp, "a codec worker") {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	// Decoding is threshold-independent; any pooled codec serves.
 	pt := sp.Begin()
 	codec := s.pool.Get(s.cfg.T1)
 	sp.End(trace.StagePool, pt)
 	dt := sp.Begin()
-	var out []byte
+	var vals vec.Vec
+	var err error
 	switch {
 	case len(body) >= 4 && string(body[:4]) == "AVR1":
-		vals, derr := codec.Decode(body)
-		err = derr
-		if err == nil {
-			out = f32ToBytes(vals)
-		}
+		vals, err = vec.Vec{Width: 32}.DecodeAppend(codec, body)
 	case len(body) >= 4 && string(body[:4]) == "AVR8":
-		vals, derr := codec.Decode64(body)
-		err = derr
-		if err == nil {
-			out = f64ToBytes(vals)
-		}
+		vals, err = vec.Vec{Width: 64}.DecodeAppend(codec, body)
 	default:
 		err = errors.New("unrecognised stream magic (want AVR1 or AVR8)")
 	}
+	out := vals.AppendLE(make([]byte, 0, vals.Len()*vals.Width/8))
 	sp.End(trace.StageDecode, dt)
 	s.pool.Put(s.cfg.T1, codec)
 	if err != nil {
@@ -433,41 +346,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ready")
-}
-
-// Wire conversions: the HTTP body formats are raw little-endian values,
-// matching the codec's internal layout.
-
-// bytesToF32 decodes b into dst's storage, reallocating only when it
-// is too small (nil allocates).
-func bytesToF32(dst []float32, b []byte) []float32 {
-	vals := slices.Grow(dst[:0], len(b)/4)[:len(b)/4]
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return vals
-}
-
-func f32ToBytes(vals []float32) []byte {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
-	}
-	return b
-}
-
-func bytesToF64(dst []float64, b []byte) []float64 {
-	vals := slices.Grow(dst[:0], len(b)/8)[:len(b)/8]
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return vals
-}
-
-func f64ToBytes(vals []float64) []byte {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
 }

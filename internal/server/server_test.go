@@ -184,8 +184,8 @@ func TestQueueFullSheds429(t *testing.T) {
 	_, payload := f32Payload(t, "heat", 256, 1)
 
 	// Occupy the only worker slot so requests queue.
-	s.slots <- struct{}{}
-	defer func() { <-s.slots }()
+	s.gate.Acquire(context.Background())
+	defer s.gate.Release()
 
 	// Fill the queue's single seat.
 	queuedDone := make(chan struct{})
@@ -196,7 +196,7 @@ func TestQueueFullSheds429(t *testing.T) {
 			t.Errorf("queued request finished with %d, want 200", resp.StatusCode)
 		}
 	}()
-	waitFor(t, func() bool { return s.queued.Load() == 1 })
+	waitFor(t, func() bool { return s.gate.Queued() == 1 })
 
 	// Queue at capacity: the next arrival must shed with 429+Retry-After.
 	resp, _ := post(t, ts.URL+"/v1/encode", payload)
@@ -208,20 +208,20 @@ func TestQueueFullSheds429(t *testing.T) {
 	}
 
 	// Free the slot; the queued request must complete.
-	<-s.slots
+	s.gate.Release()
 	select {
 	case <-queuedDone:
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued request never completed after slot release")
 	}
-	s.slots <- struct{}{} // restore for the deferred release
+	s.gate.Acquire(context.Background()) // restore for the deferred release
 }
 
 func TestQueueTimeoutSheds503(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 4, QueueTimeout: 50 * time.Millisecond})
 	_, payload := f32Payload(t, "heat", 256, 1)
-	s.slots <- struct{}{}
-	defer func() { <-s.slots }()
+	s.gate.Acquire(context.Background())
+	defer s.gate.Release()
 	resp, _ := post(t, ts.URL+"/v1/encode", payload)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
@@ -265,7 +265,7 @@ func TestHealthzReadyzAndDrain(t *testing.T) {
 	// must flip, the in-flight request must complete, and Shutdown must
 	// return only after it has.
 	_, payload := f32Payload(t, "heat", 256, 1)
-	s.slots <- struct{}{}
+	s.gate.Acquire(context.Background())
 	inflight := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(base+"/v1/encode", "application/octet-stream", bytes.NewReader(payload))
@@ -277,7 +277,7 @@ func TestHealthzReadyzAndDrain(t *testing.T) {
 		resp.Body.Close()
 		inflight <- resp.StatusCode
 	}()
-	waitFor(t, func() bool { return s.queued.Load() == 1 })
+	waitFor(t, func() bool { return s.gate.Queued() == 1 })
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -293,7 +293,7 @@ func TestHealthzReadyzAndDrain(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	<-s.slots // free the worker: the parked request now runs
+	s.gate.Release() // free the worker: the parked request now runs
 	if code := <-inflight; code != http.StatusOK {
 		t.Fatalf("in-flight request finished with %d during drain, want 200", code)
 	}

@@ -1,11 +1,8 @@
 package server
 
 import (
-	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,7 +10,7 @@ import (
 
 	"avr/internal/obs"
 	"avr/internal/store"
-	"avr/internal/trace"
+	"avr/internal/vec"
 )
 
 // Store endpoints, registered only when Config.Store is set (avrd
@@ -103,30 +100,12 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	err := s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.acquireOr(w, r, sp, "a worker") {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
-	var res store.PutResult
-	if width == 32 {
-		res, err = s.cfg.Store.Put32Traced(key, bytesToF32(nil, body), sp)
-	} else {
-		res, err = s.cfg.Store.Put64Traced(key, bytesToF64(nil, body), sp)
-	}
+	res, err := s.cfg.Store.PutVec(key, vec.Vec{Width: width}.FromLE(body), sp)
 	if err != nil {
 		if errors.Is(err, store.ErrClosed) {
 			storeFail(w, err)
@@ -168,25 +147,12 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	aerr := s.acquire(ctx)
-	sp.End(trace.StageQueue, qt)
-	if aerr != nil {
-		if errors.Is(aerr, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.acquireOr(w, r, sp, "a worker") {
 		return
 	}
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
-	v32, v64, width, src, err := s.cfg.Store.GetCachedTraced(key, sp)
+	vals, src, err := s.cfg.Store.GetVec(vec.Vec{}, key, true, sp)
 	incomplete := errors.Is(err, store.ErrIncomplete)
 	if err != nil && !incomplete {
 		storeFail(w, err)
@@ -199,20 +165,12 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	}
 	bufp := getBufPool.Get().(*[]byte)
 	defer getBufPool.Put(bufp)
-	var out []byte
-	var nvals int
-	if width == 32 {
-		out = appendF32((*bufp)[:0], v32)
-		nvals = len(v32)
-	} else {
-		out = appendF64((*bufp)[:0], v64)
-		nvals = len(v64)
-	}
+	out := vals.AppendLE((*bufp)[:0])
 	*bufp = out
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-AVR-Width", strconv.Itoa(width))
-	w.Header().Set("X-AVR-Values", strconv.Itoa(nvals))
+	w.Header().Set("X-AVR-Width", strconv.Itoa(vals.Width))
+	w.Header().Set("X-AVR-Values", strconv.Itoa(vals.Len()))
 	w.Header().Set("X-AVR-Complete", strconv.FormatBool(!incomplete))
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	sp.WriteHeaders(w.Header())
@@ -228,21 +186,6 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.ServerBytesOut.Add(int64(len(out)))
 	observeLatency(time.Since(t0))
-}
-
-// appendF32/appendF64 serialize values onto a (pooled) byte buffer.
-func appendF32(dst []byte, vals []float32) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-	}
-	return dst
-}
-
-func appendF64(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
 }
 
 // handleStoreQuery serves GET /v1/store/query: compressed-domain
@@ -291,23 +234,10 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueueTimeout)
-	defer cancel()
-	qt := sp.Begin()
-	if err := s.acquire(ctx); err != nil {
-		sp.End(trace.StageQueue, qt)
-		if errors.Is(err, errQueueFull) {
-			s.shed(w)
-		} else {
-			obs.ServerShed.Add(1)
-			http.Error(w, "timed out waiting for a worker",
-				http.StatusServiceUnavailable)
-		}
+	if !s.acquireOr(w, r, sp, "a worker") {
 		return
 	}
-	sp.End(trace.StageQueue, qt)
-	defer s.release()
-	obs.ServerRequests.Add(1)
+	defer s.gate.Release()
 
 	var (
 		res      any

@@ -39,8 +39,8 @@ func TestStorePutAllocFree(t *testing.T) {
 	}
 }
 
-// TestStoreGetIntoAllocFree pins the read-path analog: Get32Into and
-// Get64Into with a reused destination allocate nothing once warm.
+// TestStoreGetIntoAllocFree pins the read-path analog: Get32IntoCached and
+// Get64IntoCached with a reused destination allocate nothing once warm.
 func TestStoreGetIntoAllocFree(t *testing.T) {
 	s := openTest(t, Config{})
 	v32 := genF32(t, "heat", 4*BlockValues, 42)
@@ -54,21 +54,21 @@ func TestStoreGetIntoAllocFree(t *testing.T) {
 	d32 := make([]float32, 0, len(v32))
 	d64 := make([]float64, 0, len(v64))
 	if avg := testing.AllocsPerRun(50, func() {
-		out, err := s.Get32Into(d32, "k32")
+		out, _, err := s.Get32IntoCached(d32, "k32", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d32 = out[:0]
 	}); avg > 0 {
-		t.Errorf("Get32Into allocates %v per op, want 0", avg)
+		t.Errorf("Get32IntoCached allocates %v per op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		out, err := s.Get64Into(d64, "k64")
+		out, _, err := s.Get64IntoCached(d64, "k64", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d64 = out[:0]
 	}); avg > 0 {
-		t.Errorf("Get64Into allocates %v per op, want 0", avg)
+		t.Errorf("Get64IntoCached allocates %v per op, want 0", avg)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"avr/internal/vec"
 	"avr/internal/workloads"
 )
 
@@ -83,7 +84,7 @@ func BenchmarkStorePut64(b *testing.B) {
 }
 
 // BenchmarkStoreGet32 measures the read path — pread, CRC verify,
-// decode — through Get32Into with a reused destination, so the steady
+// decode — through Get32IntoCached (cache off) with a reused destination, so the steady
 // state is allocation-free (Get32 itself allocates only the result).
 func BenchmarkStoreGet32(b *testing.B) {
 	s := benchStore(b, Config{})
@@ -95,7 +96,7 @@ func BenchmarkStoreGet32(b *testing.B) {
 	b.SetBytes(int64(4 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := s.Get32Into(dst, "bench")
+		out, _, err := s.Get32IntoCached(dst, "bench", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,7 +193,7 @@ func BenchmarkStoreGet64(b *testing.B) {
 	b.SetBytes(int64(8 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := s.Get64Into(dst, "bench")
+		out, _, err := s.Get64IntoCached(dst, "bench", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,12 +206,12 @@ func BenchmarkStoreGet64(b *testing.B) {
 func BenchmarkStoreScan(b *testing.B) {
 	img := segmentHeader()
 	data := benchVals32(b, "heat", BlockValues)
-	raw := f32ToRaw(data)
+	ll := appendLossless(nil, vec.Of32(data))
 	for i := 0; i < 64; i++ {
 		img = appendFrame(img, &record{
 			Kind: recordBlock, Seq: uint64(i + 1), Key: fmt.Sprintf("k%02d", i),
 			BlockIdx: 0, TotalVals: BlockValues, Width: 32, Enc: encLossless,
-			ValCount: BlockValues, T1: 1.0 / 32, Data: encodeLossless(raw),
+			ValCount: BlockValues, T1: 1.0 / 32, Data: ll,
 		})
 	}
 	b.SetBytes(int64(len(img)))

@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -14,6 +13,7 @@ import (
 	"avr/internal/compress"
 	"avr/internal/obs"
 	"avr/internal/trace"
+	"avr/internal/vec"
 )
 
 // Read cache: the store-side mount of internal/readcache. The unit of
@@ -180,31 +180,22 @@ func (s *Store) buildLineLocked(key string, e *entry) (*cachedLine, error) {
 // is no summary form, so residency costs full size (the LRU budget
 // accounts for it honestly).
 func (ln *cachedLine) addLossless(data []byte, valCount int) error {
-	if ln.width == 32 {
-		vals, err := decodeLossless32To(nil, data, valCount)
-		if err != nil {
-			return err
-		}
-		for _, v := range vals {
-			ln.raws32 = append(ln.raws32, math.Float32bits(v))
-		}
-		ln.recs = append(ln.recs, lineRec{
-			kind: lineRaw32, take: int32(valCount),
-			rawOff: int32(len(ln.raws32) - valCount),
-		})
-		return nil
-	}
-	vals, err := decodeLossless64To(nil, data, valCount)
+	vals, err := decodeLosslessTo(vec.Vec{Width: int(ln.width)}, data, valCount)
 	if err != nil {
 		return err
 	}
-	for _, v := range vals {
+	rec := lineRec{kind: lineRaw32, take: int32(valCount), rawOff: int32(len(ln.raws32))}
+	if ln.width == 64 {
+		rec.kind, rec.rawOff = lineRaw64, int32(len(ln.raws64))
+	}
+	// Only the live side of vals holds anything.
+	for _, v := range vals.F32 {
+		ln.raws32 = append(ln.raws32, math.Float32bits(v))
+	}
+	for _, v := range vals.F64 {
 		ln.raws64 = append(ln.raws64, math.Float64bits(v))
 	}
-	ln.recs = append(ln.recs, lineRec{
-		kind: lineRaw64, take: int32(valCount),
-		rawOff: int32(len(ln.raws64) - valCount),
-	})
+	ln.recs = append(ln.recs, rec)
 	return nil
 }
 
@@ -429,26 +420,35 @@ func (s *Store) serve64FromLine(dst []float64, ln *cachedLine) []float64 {
 	return dst
 }
 
-// tryCacheHit32 serves key from a seq-validated resident line. Caller
-// holds the read lock and has resolved e for key. Returns ok=false on a
-// miss (after requesting an async fill) or when the cache is off; on a
-// hit err is ErrIncomplete when the line covers only a torn-put prefix.
-func (s *Store) tryCacheHit32(dst []float32, key string, e *entry, sp *trace.Span, t0 time.Time) (out []float32, src CacheSource, err error, ok bool) {
-	if s.cache == nil {
-		return dst, CacheNone, nil, false
+// serveFromLine reconstructs the line's values, appending to the side of
+// dst matching the line's width.
+func (s *Store) serveFromLine(dst vec.Vec, ln *cachedLine) vec.Vec {
+	if ln.width == 64 {
+		dst.F64 = s.serve64FromLine(dst.F64, ln)
+	} else {
+		dst.F32 = s.serve32FromLine(dst.F32, ln)
 	}
+	return dst
+}
+
+// tryCacheHit serves key from a seq-validated resident line. Caller
+// holds the read lock, has resolved e for key, set dst.Width to e's and
+// checked the cache is on. Returns ok=false on a miss (after requesting
+// an async fill); on a hit err is ErrIncomplete when the line covers
+// only a torn-put prefix.
+func (s *Store) tryCacheHit(dst vec.Vec, key string, e *entry, sp *trace.Span, t0 time.Time) (out vec.Vec, src CacheSource, err error, ok bool) {
 	s.cache.Observe(key)
 	if ent, hit := s.cache.Get(key); hit {
-		if ln, lok := ent.Meta.(*cachedLine); lok && ln.seq == e.seq && ln.width == 32 {
+		if ln, lok := ent.Meta.(*cachedLine); lok && ln.seq == e.seq && ln.width == e.width {
 			ct := sp.Begin()
-			dst = s.serve32FromLine(dst, ln)
+			dst = s.serveFromLine(dst, ln)
 			sp.End(trace.StageCacheHit, ct)
 			src = CacheHit
 			if ent.ConsumePrefetched() {
 				obs.PrefetchUseful.Add(1)
 				src = CachePrefetch
 			}
-			s.finishCacheHit(t0, 4*int64(ln.nvals))
+			s.finishCacheHit(t0, int64(ln.nvals)*int64(ln.width/8))
 			if !ln.complete {
 				err = ErrIncomplete
 			}
@@ -460,148 +460,6 @@ func (s *Store) tryCacheHit32(dst []float32, key string, e *entry, sp *trace.Spa
 	obs.CacheMisses.Add(1)
 	s.cache.RequestFill(key)
 	return dst, CacheMiss, nil, false
-}
-
-// tryCacheHit64 is tryCacheHit32 for fp64 reads.
-func (s *Store) tryCacheHit64(dst []float64, key string, e *entry, sp *trace.Span, t0 time.Time) (out []float64, src CacheSource, err error, ok bool) {
-	if s.cache == nil {
-		return dst, CacheNone, nil, false
-	}
-	s.cache.Observe(key)
-	if ent, hit := s.cache.Get(key); hit {
-		if ln, lok := ent.Meta.(*cachedLine); lok && ln.seq == e.seq && ln.width == 64 {
-			ct := sp.Begin()
-			dst = s.serve64FromLine(dst, ln)
-			sp.End(trace.StageCacheHit, ct)
-			src = CacheHit
-			if ent.ConsumePrefetched() {
-				obs.PrefetchUseful.Add(1)
-				src = CachePrefetch
-			}
-			s.finishCacheHit(t0, 8*int64(ln.nvals))
-			if !ln.complete {
-				err = ErrIncomplete
-			}
-			return dst, src, err, true
-		}
-		s.cache.Invalidate(key)
-	}
-	obs.CacheMisses.Add(1)
-	s.cache.RequestFill(key)
-	return dst, CacheMiss, nil, false
-}
-
-// Get32IntoCached is Get32IntoTraced, reporting how the read was served
-// (for the X-AVR-Cache header). On a cache hit the vector reconstructs
-// from the resident summary line — SIMD interpolate plus the vectorized
-// fixed→float sweep straight into dst — with no segment read; on a miss
-// it takes the disk path and an async fill is queued for next time.
-func (s *Store) Get32IntoCached(dst []float32, key string, sp *trace.Span) ([]float32, CacheSource, error) {
-	t0 := time.Now()
-	lt := sp.Begin()
-	s.mu.RLock()
-	sp.End(trace.StageLock, lt)
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, CacheNone, ErrClosed
-	}
-	e, ok := s.index[key]
-	if !ok {
-		return nil, CacheNone, ErrNotFound
-	}
-	if e.width != 32 {
-		return nil, CacheNone, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, e.width)
-	}
-	if out, src, err, hit := s.tryCacheHit32(dst, key, e, sp, t0); hit {
-		return out, src, err
-	} else {
-		src32 := src
-		base := len(dst)
-		dst, complete, derr := s.read32Locked(dst, key, e, sp)
-		if derr != nil {
-			return nil, src32, derr
-		}
-		obs.StoreGets.Add(1)
-		obs.StoreGetBytes.Add(4 * int64(len(dst)-base))
-		lat := float64(time.Since(t0).Microseconds())
-		getLatencyHist.Observe(lat)
-		if src32 == CacheMiss {
-			cacheMissHist.Observe(lat)
-		}
-		if !complete {
-			return dst, src32, ErrIncomplete
-		}
-		return dst, src32, nil
-	}
-}
-
-// Get64IntoCached is Get32IntoCached for fp64 vectors.
-func (s *Store) Get64IntoCached(dst []float64, key string, sp *trace.Span) ([]float64, CacheSource, error) {
-	t0 := time.Now()
-	lt := sp.Begin()
-	s.mu.RLock()
-	sp.End(trace.StageLock, lt)
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, CacheNone, ErrClosed
-	}
-	e, ok := s.index[key]
-	if !ok {
-		return nil, CacheNone, ErrNotFound
-	}
-	if e.width != 64 {
-		return nil, CacheNone, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, e.width)
-	}
-	if out, src, err, hit := s.tryCacheHit64(dst, key, e, sp, t0); hit {
-		return out, src, err
-	} else {
-		src64 := src
-		base := len(dst)
-		dst, complete, derr := s.read64Locked(dst, key, e, sp)
-		if derr != nil {
-			return nil, src64, derr
-		}
-		obs.StoreGets.Add(1)
-		obs.StoreGetBytes.Add(8 * int64(len(dst)-base))
-		lat := float64(time.Since(t0).Microseconds())
-		getLatencyHist.Observe(lat)
-		if src64 == CacheMiss {
-			cacheMissHist.Observe(lat)
-		}
-		if !complete {
-			return dst, src64, ErrIncomplete
-		}
-		return dst, src64, nil
-	}
-}
-
-// GetCachedTraced is GetTraced through the read cache: exactly one of
-// the two returned slices is non-nil, src reports how the read was
-// served. The width peek and the typed read take the lock separately; a
-// concurrent rewrite to the other width between them surfaces as
-// ErrWidth, the same answer a freshly-typed caller would get.
-func (s *Store) GetCachedTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, src CacheSource, err error) {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, nil, 0, CacheNone, ErrClosed
-	}
-	e, ok := s.index[key]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, nil, 0, CacheNone, ErrNotFound
-	}
-	w := int(e.width)
-	s.mu.RUnlock()
-	if w == 32 {
-		vals32, src, err = s.Get32IntoCached(nil, key, sp)
-	} else {
-		vals64, src, err = s.Get64IntoCached(nil, key, sp)
-	}
-	if err != nil && !errors.Is(err, ErrIncomplete) {
-		return nil, nil, 0, src, err
-	}
-	return vals32, vals64, w, src, err
 }
 
 // finishCacheHit does the shared hit accounting.

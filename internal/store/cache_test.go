@@ -416,3 +416,120 @@ func TestCacheWriteReadHammer(t *testing.T) {
 		}
 	}
 }
+
+// TestGetCachedTracedWidthFlip: an untyped read resolves the key's width
+// and reads its value under one acquisition of the read lock, so while a
+// writer flips a key between an fp32 and an fp64 vector a reader sees
+// one or the other — never ErrWidth (which the serving tier would turn
+// into a 409 for a key that held a value at every instant). Run under
+// -race in CI.
+func TestGetCachedTracedWidthFlip(t *testing.T) {
+	v32 := genF32(t, "heat", 2*BlockValues+100, 1)
+	v64 := genF64(t, "wave", BlockValues+50, 2)
+	for _, cacheBytes := range []int64{0, 4 << 20} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			s := openTest(t, Config{CacheBytes: cacheBytes})
+			if _, err := s.Put32("flip", v32); err != nil {
+				t.Fatal(err)
+			}
+			var writer, readers sync.WaitGroup
+			stop := make(chan struct{})
+			writer.Add(1)
+			go func() {
+				defer writer.Done()
+				for i := 0; i < 400; i++ {
+					var err error
+					if i%2 == 0 {
+						_, err = s.Put64("flip", v64)
+					} else {
+						_, err = s.Put32("flip", v32)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for r := 0; r < 4; r++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						g32, g64, width, _, err := s.GetCachedTraced("flip", nil)
+						if err != nil {
+							t.Errorf("read while the key flips width: %v", err)
+							return
+						}
+						switch {
+						case width == 32 && g64 == nil && len(g32) == len(v32):
+							for i, g := range g32 {
+								if !withinT1(float64(g), float64(v32[i]), s.T1()) {
+									t.Errorf("fp32[%d] = %v, want %v within t1", i, g, v32[i])
+									return
+								}
+							}
+						case width == 64 && g32 == nil && len(g64) == len(v64):
+							for i, g := range g64 {
+								if !withinT1(g, v64[i], s.T1()) {
+									t.Errorf("fp64[%d] = %v, want %v within t1", i, g, v64[i])
+									return
+								}
+							}
+						default:
+							t.Errorf("width %d with %d fp32 and %d fp64 values matches neither vector",
+								width, len(g32), len(g64))
+							return
+						}
+					}
+				}()
+			}
+			writer.Wait()
+			close(stop)
+			readers.Wait()
+		})
+	}
+}
+
+// TestReadFailureReturnsDst: every read entry point hands a failed
+// read's destination back as passed — avrd's mget reuses one scratch
+// across the keys of a batch and must not lose it to a missing key.
+func TestReadFailureReturnsDst(t *testing.T) {
+	for _, cacheBytes := range []int64{0, 4 << 20} {
+		s := openTest(t, Config{CacheBytes: cacheBytes})
+		if _, err := s.Put64("k64", genF64(t, "wave", 100, 1)); err != nil {
+			t.Fatal(err)
+		}
+		d32, d64 := make([]float32, 3, 64), make([]float64, 2, 64)
+		same := func(what string, g32 []float32, g64 []float64, err, want error) {
+			t.Helper()
+			if !errors.Is(err, want) {
+				t.Errorf("cache=%d %s: err = %v, want %v", cacheBytes, what, err, want)
+			}
+			if len(g32) != len(d32) || cap(g32) != cap(d32) || len(g64) != len(d64) || cap(g64) != cap(d64) {
+				t.Errorf("cache=%d %s: destination came back as %d/%d fp32 and %d/%d fp64 values",
+					cacheBytes, what, len(g32), cap(g32), len(g64), cap(g64))
+			}
+		}
+		g32, _, err := s.Get32IntoCached(d32, "missing", nil)
+		same("Get32IntoCached(missing)", g32, d64, err, ErrNotFound)
+		g32, _, err = s.Get32IntoCached(d32, "k64", nil)
+		same("Get32IntoCached(fp64 key)", g32, d64, err, ErrWidth)
+		g64, _, err := s.Get64IntoCached(d64, "missing", nil)
+		same("Get64IntoCached(missing)", d32, g64, err, ErrNotFound)
+		g32, g64, width, err := s.GetIntoTraced(d32, d64, "missing", nil)
+		same("GetIntoTraced(missing)", g32, g64, err, ErrNotFound)
+		if width != 0 {
+			t.Errorf("GetIntoTraced(missing) width = %d, want 0", width)
+		}
+		// And on success only the matching side grows.
+		g32, g64, width, err = s.GetIntoTraced(d32, d64, "k64", nil)
+		if err != nil || width != 64 || len(g32) != len(d32) || len(g64) != len(d64)+100 {
+			t.Errorf("GetIntoTraced(k64) = %d fp32, %d fp64, width %d, err %v", len(g32), len(g64), width, err)
+		}
+	}
+}

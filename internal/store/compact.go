@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"avr/internal/obs"
+	"avr/internal/vec"
 )
 
 // Background compaction and recompression. Overwrites and deletes leave
@@ -370,23 +371,18 @@ func (s *Store) frameLive(victim uint32, rec record, off int64) (live, isTomb bo
 // threshold. It returns the converted record when the ratio floor is
 // met.
 func (s *Store) retryCompress(rec record) (won bool, out record, err error) {
-	rawLen := int(rec.ValCount) * int(rec.Width/8)
-	raw, err := decodeLossless(rec.Data, rawLen)
+	vals, err := decodeLosslessTo(vec.Vec{Width: int(rec.Width)}, rec.Data, int(rec.ValCount))
 	if err != nil {
 		return false, out, err
 	}
 	c := s.borrowCodec()
 	defer s.returnCodec(c)
-	var enc []byte
-	if rec.Width == 32 {
-		enc, err = c.Encode(rawToF32(raw))
-	} else {
-		enc, err = c.Encode64(rawToF64(raw))
-	}
+	enc, err := vals.EncodeTo(c, nil)
 	if err != nil {
 		return false, out, err
 	}
-	if float64(len(raw))/float64(len(enc)) < s.cfg.RatioFloor {
+	rawLen := int(rec.ValCount) * int(rec.Width/8)
+	if float64(rawLen)/float64(len(enc)) < s.cfg.RatioFloor {
 		return false, out, nil
 	}
 	out = rec

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"avr/internal/vec"
 )
 
 // buildSegment assembles an in-memory segment image from records, for
@@ -27,7 +29,7 @@ func seedRecords() []*record {
 		{
 			Kind: recordBlock, Seq: 1, Key: "temps", BlockIdx: 1,
 			TotalVals: 6000, Width: 32, Enc: encLossless, ValCount: 6000 - BlockValues,
-			T1: 1.0 / 32, Data: encodeLossless(make([]byte, 256)),
+			T1: 1.0 / 32, Data: appendLossless(nil, vec.Of32(make([]float32, 64))),
 		},
 		{Kind: recordTombstone, Seq: 2, Key: "temps"},
 		{

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"avr"
+	"avr/internal/vec"
 )
 
 // Parallel block encoding for the Put path. A put's blocks are encoded
@@ -24,8 +25,7 @@ import (
 type encJob struct {
 	s        *Store
 	key      string
-	vals32   []float32 // exactly one of vals32/vals64 is non-nil
-	vals64   []float64
+	vals     vec.Vec
 	ps       *putScratch
 	next     atomic.Int64
 	helpers  sync.WaitGroup
@@ -43,18 +43,8 @@ func (j *encJob) run(c *avr.Codec) {
 			return
 		}
 		off := int(i) * BlockValues
-		var (
-			eb  encodedBlock
-			buf []byte
-			err error
-		)
-		if j.vals32 != nil {
-			end := min(off+BlockValues, len(j.vals32))
-			eb, buf, err = j.s.appendBlock32(c, j.key, uint32(i), j.vals32[off:end], j.ps.bufs[i])
-		} else {
-			end := min(off+BlockValues, len(j.vals64))
-			eb, buf, err = j.s.appendBlock64(c, j.key, uint32(i), j.vals64[off:end], j.ps.bufs[i])
-		}
+		end := min(off+BlockValues, j.vals.Len())
+		eb, buf, err := j.s.appendBlock(c, j.key, uint32(i), j.vals.Slice(off, end), j.ps.bufs[i])
 		j.ps.bufs[i] = buf
 		if err != nil {
 			e := err // heap-boxed only on the error path
@@ -69,9 +59,9 @@ func (j *encJob) run(c *avr.Codec) {
 // encodeBlocks fills ps.blocks, serially on the caller's goroutine when
 // the store has no worker pool (the allocation-free default) and
 // cooperatively with the pool otherwise.
-func (s *Store) encodeBlocks(key string, vals32 []float32, vals64 []float64, ps *putScratch) error {
+func (s *Store) encodeBlocks(key string, vals vec.Vec, ps *putScratch) error {
 	j := &ps.job
-	j.s, j.key, j.vals32, j.vals64, j.ps = s, key, vals32, vals64, ps
+	j.s, j.key, j.vals, j.ps = s, key, vals, ps
 	j.next.Store(0)
 	j.firstErr.Store(nil)
 	posted := 0
@@ -106,7 +96,7 @@ func (s *Store) encodeBlocks(key string, vals32 []float32, vals64 []float64, ps 
 		j.helpers.Wait()
 	}
 	// Drop caller references so the pooled scratch does not pin them.
-	j.key, j.vals32, j.vals64 = "", nil, nil
+	j.key, j.vals = "", vec.Vec{}
 	if ep := j.firstErr.Load(); ep != nil {
 		return *ep
 	}
@@ -124,12 +114,4 @@ func (s *Store) encWorker() {
 		s.returnCodec(c)
 		j.helpers.Done()
 	}
-}
-
-func (s *Store) encodeBlocks32(key string, vals []float32, ps *putScratch) error {
-	return s.encodeBlocks(key, vals, nil, ps)
-}
-
-func (s *Store) encodeBlocks64(key string, vals []float64, ps *putScratch) error {
-	return s.encodeBlocks(key, nil, vals, ps)
 }

@@ -14,6 +14,7 @@ import (
 	"avr/internal/fixed"
 	"avr/internal/obs"
 	"avr/internal/trace"
+	"avr/internal/vec"
 )
 
 // Compressed-domain query executor. The AVR block format is itself a
@@ -128,8 +129,7 @@ type queryScratch struct {
 	rec32   [compress.BlockValues]uint32
 	rec64   [compress.BlockValues64]uint64
 	sum64   [compress.SummaryValues64]int64
-	v32     []float32
-	v64     []float64
+	v       vec.Vec   // lossless-block decode buffer
 	ff      fileFrame // reused frameBytes instance (no per-block boxing)
 }
 
@@ -505,28 +505,26 @@ func (s *Store) queryLossless(qs *queryScratch, q *queryRun, ref blockRef, width
 	}
 	q.stats.BytesTouched += ref.frameLen
 	q.stats.BlocksLossless++
-	if width == 32 {
-		qs.v32, err = decodeLossless32To(qs.v32[:0], data, int(ref.valCount))
-		if err != nil {
-			return err
-		}
-		for _, v := range qs.v32 {
-			q.visitExact(float64(v))
-		}
-		if q.op == qopDownsample && len(qs.v32) > 0 {
-			q.padGroup(float64(qs.v32[len(qs.v32)-1]), true)
-		}
-		return nil
-	}
-	qs.v64, err = decodeLossless64To(qs.v64[:0], data, int(ref.valCount))
+	qs.v, err = decodeLosslessTo(qs.v.Reset(width), data, int(ref.valCount))
 	if err != nil {
 		return err
 	}
-	for _, v := range qs.v64 {
-		q.visitExact(v)
+	// Only the live side of qs.v holds anything.
+	var last float64
+	if n := len(qs.v.F32); n > 0 {
+		for _, v := range qs.v.F32 {
+			q.visitExact(float64(v))
+		}
+		last = float64(qs.v.F32[n-1])
 	}
-	if q.op == qopDownsample && len(qs.v64) > 0 {
-		q.padGroup(qs.v64[len(qs.v64)-1], true)
+	if n := len(qs.v.F64); n > 0 {
+		for _, v := range qs.v.F64 {
+			q.visitExact(v)
+		}
+		last = qs.v.F64[n-1]
+	}
+	if q.op == qopDownsample && qs.v.Len() > 0 {
+		q.padGroup(last, true)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 // Segment wire format. A segment file is a 12-byte header followed by
@@ -96,7 +97,7 @@ func appendRecord(buf []byte, rec *record) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, rec.TotalVals)
 		buf = append(buf, rec.Width, rec.Enc)
 		buf = binary.LittleEndian.AppendUint32(buf, rec.ValCount)
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(rec.T1))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.T1))
 		buf = append(buf, rec.Data...)
 	}
 	return buf
@@ -136,7 +137,7 @@ func parseRecord(payload []byte) (record, error) {
 	rec.Width = payload[12]
 	rec.Enc = payload[13]
 	rec.ValCount = binary.LittleEndian.Uint32(payload[14:])
-	rec.T1 = floatFromBits(binary.LittleEndian.Uint64(payload[18:]))
+	rec.T1 = math.Float64frombits(binary.LittleEndian.Uint64(payload[18:]))
 	rec.Data = payload[26:]
 	if rec.Width != 32 && rec.Width != 64 {
 		return rec, fmt.Errorf("%w: width %d", ErrCorrupt, rec.Width)

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,6 +34,7 @@ import (
 	"avr/internal/obs"
 	"avr/internal/readcache"
 	"avr/internal/trace"
+	"avr/internal/vec"
 )
 
 // BlockValues is the store's fixed block size in values. Each block is
@@ -584,53 +584,30 @@ func (ps *putScratch) ensure(nb int) {
 	ps.refs = ps.refs[:nb]
 }
 
-// appendBlock32 encodes one fp32 block into buf (reused across puts),
+// appendBlock encodes one block into buf (reused across puts),
 // honouring the flag table and the ratio floor. It returns the block
 // descriptor and the grown buffer; the descriptor's data aliases buf.
-func (s *Store) appendBlock32(c *avr.Codec, key string, idx uint32, vals []float32, buf []byte) (encodedBlock, []byte, error) {
-	rawLen := 4 * len(vals)
+func (s *Store) appendBlock(c *avr.Codec, key string, idx uint32, vals vec.Vec, buf []byte) (encodedBlock, []byte, error) {
+	rawLen := vals.Len() * vals.Width / 8
 	if s.flagged(key, idx) {
 		obs.StoreCompressSkips.Add(1)
-		buf = appendLossless32(buf[:0], vals)
-		return encodedBlock{enc: encLossless, valCount: uint32(len(vals)),
+		buf = appendLossless(buf[:0], vals)
+		return encodedBlock{enc: encLossless, valCount: uint32(vals.Len()),
 			data: buf, ratio: 1, skipped: true}, buf, nil
 	}
-	buf, err := c.EncodeTo(buf[:0], vals)
+	buf, err := vals.EncodeTo(c, buf[:0])
 	if err != nil {
 		return encodedBlock{}, buf, err
 	}
 	if ratio := float64(rawLen) / float64(len(buf)); ratio >= s.cfg.RatioFloor {
-		return encodedBlock{enc: encAVR, valCount: uint32(len(vals)), data: buf, ratio: ratio}, buf, nil
+		return encodedBlock{enc: encAVR, valCount: uint32(vals.Len()), data: buf, ratio: ratio}, buf, nil
 	}
 	// Below the floor: append the lossless fallback after the (discarded)
 	// AVR stream so both share one grown buffer.
 	llStart := len(buf)
-	buf = appendLossless32(buf, vals)
+	buf = appendLossless(buf, vals)
 	ll := buf[llStart:]
-	return encodedBlock{enc: encLossless, valCount: uint32(len(vals)),
-		data: ll, ratio: float64(rawLen) / float64(len(ll))}, buf, nil
-}
-
-// appendBlock64 is appendBlock32 for fp64 blocks.
-func (s *Store) appendBlock64(c *avr.Codec, key string, idx uint32, vals []float64, buf []byte) (encodedBlock, []byte, error) {
-	rawLen := 8 * len(vals)
-	if s.flagged(key, idx) {
-		obs.StoreCompressSkips.Add(1)
-		buf = appendLossless64(buf[:0], vals)
-		return encodedBlock{enc: encLossless, valCount: uint32(len(vals)),
-			data: buf, ratio: 1, skipped: true}, buf, nil
-	}
-	buf, err := c.Encode64To(buf[:0], vals)
-	if err != nil {
-		return encodedBlock{}, buf, err
-	}
-	if ratio := float64(rawLen) / float64(len(buf)); ratio >= s.cfg.RatioFloor {
-		return encodedBlock{enc: encAVR, valCount: uint32(len(vals)), data: buf, ratio: ratio}, buf, nil
-	}
-	llStart := len(buf)
-	buf = appendLossless64(buf, vals)
-	ll := buf[llStart:]
-	return encodedBlock{enc: encLossless, valCount: uint32(len(vals)),
+	return encodedBlock{enc: encLossless, valCount: uint32(vals.Len()),
 		data: ll, ratio: float64(rawLen) / float64(len(ll))}, buf, nil
 }
 
@@ -645,55 +622,49 @@ func (s *Store) flagged(key string, idx uint32) bool {
 
 // Put32 stores an fp32 vector under key, replacing any previous value.
 func (s *Store) Put32(key string, vals []float32) (PutResult, error) {
-	return s.Put32Traced(key, vals, nil)
-}
-
-// Put32Traced is Put32 with per-stage attribution onto sp: block
-// encoding (StageEncode), store mutex wait (StageLock), and segment
-// appends (StageSegWrite). A nil span traces nothing at no cost, which
-// is how Put32 calls it.
-func (s *Store) Put32Traced(key string, vals []float32, sp *trace.Span) (PutResult, error) {
-	if err := checkKey(key); err != nil {
-		return PutResult{}, err
-	}
-	if len(vals) == 0 {
-		return PutResult{}, errors.New("store: empty vector")
-	}
-	t0 := time.Now()
-	ps := s.puts.Get().(*putScratch)
-	defer s.puts.Put(ps)
-	ps.ensure((len(vals) + BlockValues - 1) / BlockValues)
-	et := sp.Begin()
-	if err := s.encodeBlocks32(key, vals, ps); err != nil {
-		return PutResult{}, err
-	}
-	sp.End(trace.StageEncode, et)
-	return s.commitPut(key, 32, uint64(len(vals)), 4*len(vals), ps, t0, sp)
+	return s.PutVec(key, vec.Of32(vals), nil)
 }
 
 // Put64 stores an fp64 vector under key, replacing any previous value.
 func (s *Store) Put64(key string, vals []float64) (PutResult, error) {
-	return s.Put64Traced(key, vals, nil)
+	return s.PutVec(key, vec.Of64(vals), nil)
 }
 
-// Put64Traced is Put32Traced for fp64 vectors.
+// Put32Traced is Put32 with PutVec's per-stage attribution onto sp.
+func (s *Store) Put32Traced(key string, vals []float32, sp *trace.Span) (PutResult, error) {
+	return s.PutVec(key, vec.Of32(vals), sp)
+}
+
+// Put64Traced is Put64 with PutVec's per-stage attribution onto sp.
 func (s *Store) Put64Traced(key string, vals []float64, sp *trace.Span) (PutResult, error) {
+	return s.PutVec(key, vec.Of64(vals), sp)
+}
+
+// PutVec is the one write path: it stores vals, of either width, under
+// key, replacing any previous value, with per-stage attribution onto
+// sp: block encoding (StageEncode), store mutex wait (StageLock), and
+// segment appends (StageSegWrite). A nil span traces nothing at no cost.
+func (s *Store) PutVec(key string, vals vec.Vec, sp *trace.Span) (PutResult, error) {
 	if err := checkKey(key); err != nil {
 		return PutResult{}, err
 	}
-	if len(vals) == 0 {
+	if vals.Width != 32 && vals.Width != 64 {
+		return PutResult{}, fmt.Errorf("store: value width %d, want 32 or 64", vals.Width)
+	}
+	n := vals.Len()
+	if n == 0 {
 		return PutResult{}, errors.New("store: empty vector")
 	}
 	t0 := time.Now()
 	ps := s.puts.Get().(*putScratch)
 	defer s.puts.Put(ps)
-	ps.ensure((len(vals) + BlockValues - 1) / BlockValues)
+	ps.ensure((n + BlockValues - 1) / BlockValues)
 	et := sp.Begin()
-	if err := s.encodeBlocks64(key, vals, ps); err != nil {
+	if err := s.encodeBlocks(key, vals, ps); err != nil {
 		return PutResult{}, err
 	}
 	sp.End(trace.StageEncode, et)
-	return s.commitPut(key, 64, uint64(len(vals)), 8*len(vals), ps, t0, sp)
+	return s.commitPut(key, uint8(vals.Width), uint64(n), n*vals.Width/8, ps, t0, sp)
 }
 
 // commitPut appends the encoded blocks as frames and installs the new
@@ -802,12 +773,10 @@ type PutResult struct {
 // 64); exactly one of the two slices is non-nil. A vector whose tail was
 // lost to a crash returns its recovered prefix plus ErrIncomplete.
 func (s *Store) Get(key string) (vals32 []float32, vals64 []float64, width int, err error) {
-	return s.GetTraced(key, nil)
+	return s.GetIntoTraced(nil, nil, key, nil)
 }
 
-// GetTraced is Get with per-stage attribution onto sp: store mutex
-// wait (StageLock), segment reads (StageSegRead), and block decodes
-// (StageDecode). A nil span traces nothing at no cost.
+// GetTraced is Get with GetVec's per-stage attribution onto sp.
 func (s *Store) GetTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, err error) {
 	return s.GetIntoTraced(nil, nil, key, sp)
 }
@@ -815,91 +784,105 @@ func (s *Store) GetTraced(key string, sp *trace.Span) (vals32 []float32, vals64 
 // GetIntoTraced is GetTraced into retained buffers, for a caller that
 // reads keys of either width in turn: the vector is appended to dst32
 // or dst64, whichever matches the stored width, and both are returned —
-// the other one, and both on failure, as passed.
+// the other one, and both on failure, as passed. It reads from disk,
+// bypassing the read cache.
 func (s *Store) GetIntoTraced(dst32 []float32, dst64 []float64, key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, err error) {
+	v, _, err := s.GetVec(vec.Vec{F32: dst32, F64: dst64}, key, false, sp)
+	return v.F32, v.F64, v.Width, err
+}
+
+// GetCachedTraced is GetTraced through the read cache: exactly one of
+// the two returned slices is non-nil, src reports how the read was
+// served.
+func (s *Store) GetCachedTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, src CacheSource, err error) {
+	v, src, err := s.GetVec(vec.Vec{}, key, true, sp)
+	return v.F32, v.F64, v.Width, src, err
+}
+
+// Get32 returns the fp32 vector stored under key (ErrWidth if it holds
+// fp64).
+func (s *Store) Get32(key string) ([]float32, error) {
+	v, _, err := s.GetVec(vec.Of32(nil), key, false, nil)
+	return v.F32, err
+}
+
+// Get64 returns the fp64 vector stored under key (ErrWidth if it holds
+// fp32).
+func (s *Store) Get64(key string) ([]float64, error) {
+	v, _, err := s.GetVec(vec.Of64(nil), key, false, nil)
+	return v.F64, err
+}
+
+// Get32IntoCached appends the fp32 vector stored under key to dst,
+// through the read cache, and reports how the read was served (for the
+// X-AVR-Cache header). With a retained buffer (dst[:0]) the read path
+// is allocation-free.
+func (s *Store) Get32IntoCached(dst []float32, key string, sp *trace.Span) ([]float32, CacheSource, error) {
+	v, src, err := s.GetVec(vec.Of32(dst), key, true, sp)
+	return v.F32, src, err
+}
+
+// Get64IntoCached is Get32IntoCached for fp64 vectors.
+func (s *Store) Get64IntoCached(dst []float64, key string, sp *trace.Span) ([]float64, CacheSource, error) {
+	v, src, err := s.GetVec(vec.Of64(dst), key, true, sp)
+	return v.F64, src, err
+}
+
+// GetVec is the one read path: it resolves key, and appends its vector
+// to the side of dst matching the stored width, under a single
+// acquisition of the read lock. A dst with Width set demands that width
+// (ErrWidth otherwise); Width 0 accepts either and the result's Width
+// reports what was found. With useCache (and a cache configured) a
+// resident summary line serves the read — SIMD interpolate plus the
+// vectorized fixed→float sweep straight into dst, no segment read — and
+// a miss takes the disk path and queues an async fill for next time;
+// without it the read goes to disk and leaves the cache alone. An
+// incomplete vector (torn tail) appends its recovered prefix and returns
+// ErrIncomplete alongside it; on any other error dst is returned as
+// passed. Stages onto sp: store mutex wait (StageLock), then either
+// StageCacheHit or segment reads (StageSegRead) and block decodes
+// (StageDecode). A nil span traces nothing at no cost.
+func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (vec.Vec, CacheSource, error) {
 	t0 := time.Now()
 	lt := sp.Begin()
 	s.mu.RLock()
 	sp.End(trace.StageLock, lt)
 	defer s.mu.RUnlock()
 	if s.closed {
-		return dst32, dst64, 0, ErrClosed
+		return dst, CacheNone, ErrClosed
 	}
 	e, ok := s.index[key]
 	if !ok {
-		return dst32, dst64, 0, ErrNotFound
+		return dst, CacheNone, ErrNotFound
 	}
-	vals32, vals64 = dst32, dst64
-	var complete bool
-	var nvals int
-	if e.width == 32 {
-		vals32, complete, err = s.read32Locked(dst32, key, e, sp)
-		nvals = len(vals32) - len(dst32)
-	} else {
-		vals64, complete, err = s.read64Locked(dst64, key, e, sp)
-		nvals = len(vals64) - len(dst64)
+	if dst.Width != 0 && dst.Width != int(e.width) {
+		return dst, CacheNone, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, e.width)
 	}
+	out := dst
+	out.Width = int(e.width)
+	src := CacheNone
+	if useCache && s.cache != nil {
+		if hit, hsrc, herr, ok := s.tryCacheHit(out, key, e, sp, t0); ok {
+			return hit, hsrc, herr
+		}
+		src = CacheMiss
+	}
+	base := out.Len()
+	out, complete, err := s.readLocked(out, key, e, sp)
 	if err != nil {
-		return dst32, dst64, 0, err
+		return dst, src, err
 	}
 	obs.StoreGets.Add(1)
-	obs.StoreGetBytes.Add(int64(nvals) * int64(e.width/8))
-	getLatencyHist.Observe(float64(time.Since(t0).Microseconds()))
+	obs.StoreGetBytes.Add(int64(out.Len()-base) * int64(e.width/8))
+	lat := float64(time.Since(t0).Microseconds())
+	getLatencyHist.Observe(lat)
+	if src == CacheMiss {
+		cacheMissHist.Observe(lat)
+	}
 	if !complete {
 		err = ErrIncomplete
 	}
-	return vals32, vals64, int(e.width), err
-}
-
-// Get32 returns the fp32 vector stored under key.
-func (s *Store) Get32(key string) ([]float32, error) {
-	v32, _, w, err := s.Get(key)
-	if err != nil && !errors.Is(err, ErrIncomplete) {
-		return nil, err
-	}
-	if w != 32 {
-		return nil, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, w)
-	}
-	return v32, err
-}
-
-// Get64 returns the fp64 vector stored under key.
-func (s *Store) Get64(key string) ([]float64, error) {
-	_, v64, w, err := s.Get(key)
-	if err != nil && !errors.Is(err, ErrIncomplete) {
-		return nil, err
-	}
-	if w != 64 {
-		return nil, fmt.Errorf("%w: key %q holds fp%d", ErrWidth, key, w)
-	}
-	return v64, err
-}
-
-// Get32Into appends the fp32 vector stored under key to dst and returns
-// the extended slice. With a retained buffer (dst[:0]) the read path is
-// allocation-free. An incomplete vector appends its recovered prefix
-// and returns ErrIncomplete alongside it.
-func (s *Store) Get32Into(dst []float32, key string) ([]float32, error) {
-	return s.Get32IntoTraced(dst, key, nil)
-}
-
-// Get32IntoTraced is Get32Into with GetTraced's per-stage attribution.
-// Reads go through the summary-line cache when one is configured (the
-// CacheSource-reporting variant is Get32IntoCached).
-func (s *Store) Get32IntoTraced(dst []float32, key string, sp *trace.Span) ([]float32, error) {
-	dst, _, err := s.Get32IntoCached(dst, key, sp)
-	return dst, err
-}
-
-// Get64Into is Get32Into for fp64 vectors.
-func (s *Store) Get64Into(dst []float64, key string) ([]float64, error) {
-	return s.Get64IntoTraced(dst, key, nil)
-}
-
-// Get64IntoTraced is Get32IntoTraced for fp64 vectors.
-func (s *Store) Get64IntoTraced(dst []float64, key string, sp *trace.Span) ([]float64, error) {
-	dst, _, err := s.Get64IntoCached(dst, key, sp)
-	return dst, err
+	return out, src, err
 }
 
 // getScratch is the pooled read-path state: the frame read-back buffer.
@@ -907,17 +890,15 @@ type getScratch struct {
 	frame []byte
 }
 
-// read32Locked appends e's decoded fp32 blocks to dst in vector order,
-// stopping at the first hole (torn put). Caller holds at least the read
-// lock.
-func (s *Store) read32Locked(dst []float32, key string, e *entry, sp *trace.Span) ([]float32, bool, error) {
+// readLocked appends e's decoded blocks to dst (whose Width is e's) in
+// vector order, stopping at the first hole (torn put). Caller holds at
+// least the read lock.
+func (s *Store) readLocked(dst vec.Vec, key string, e *entry, sp *trace.Span) (vec.Vec, bool, error) {
 	gs := s.gets.Get().(*getScratch)
 	defer s.gets.Put(gs)
 	c := s.borrowCodec()
 	defer s.returnCodec(c)
-	if n := int(e.totalVals); cap(dst)-len(dst) < n {
-		dst = slices.Grow(dst, n)
-	}
+	dst = dst.Grow(int(e.totalVals))
 	for i := range e.refs {
 		ref := e.refs[i]
 		if ref.seg == 0 {
@@ -927,61 +908,22 @@ func (s *Store) read32Locked(dst []float32, key string, e *entry, sp *trace.Span
 		data, err := s.readFrameLocked(ref, gs)
 		sp.End(trace.StageSegRead, rt)
 		if err != nil {
-			return nil, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
+			return dst, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
 		}
-		n := len(dst)
+		n := dst.Len()
 		dt := sp.Begin()
 		if ref.enc == encLossless {
-			dst, err = decodeLossless32To(dst, data, int(ref.valCount))
+			dst, err = decodeLosslessTo(dst, data, int(ref.valCount))
 		} else {
-			dst, err = c.DecodeTo(dst, data)
-			if err == nil && len(dst)-n != int(ref.valCount) {
+			dst, err = dst.DecodeAppend(c, data)
+			if err == nil && dst.Len()-n != int(ref.valCount) {
 				err = fmt.Errorf("%w: AVR stream holds %d values, record says %d",
-					ErrCorrupt, len(dst)-n, ref.valCount)
+					ErrCorrupt, dst.Len()-n, ref.valCount)
 			}
 		}
 		sp.End(trace.StageDecode, dt)
 		if err != nil {
-			return nil, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
-		}
-	}
-	return dst, len(e.refs) == e.blocks(), nil
-}
-
-// read64Locked is read32Locked for fp64 entries.
-func (s *Store) read64Locked(dst []float64, key string, e *entry, sp *trace.Span) ([]float64, bool, error) {
-	gs := s.gets.Get().(*getScratch)
-	defer s.gets.Put(gs)
-	c := s.borrowCodec()
-	defer s.returnCodec(c)
-	if n := int(e.totalVals); cap(dst)-len(dst) < n {
-		dst = slices.Grow(dst, n)
-	}
-	for i := range e.refs {
-		ref := e.refs[i]
-		if ref.seg == 0 {
-			return dst, false, nil
-		}
-		rt := sp.Begin()
-		data, err := s.readFrameLocked(ref, gs)
-		sp.End(trace.StageSegRead, rt)
-		if err != nil {
-			return nil, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
-		}
-		n := len(dst)
-		dt := sp.Begin()
-		if ref.enc == encLossless {
-			dst, err = decodeLossless64To(dst, data, int(ref.valCount))
-		} else {
-			dst, err = c.Decode64To(dst, data)
-			if err == nil && len(dst)-n != int(ref.valCount) {
-				err = fmt.Errorf("%w: AVR stream holds %d values, record says %d",
-					ErrCorrupt, len(dst)-n, ref.valCount)
-			}
-		}
-		sp.End(trace.StageDecode, dt)
-		if err != nil {
-			return nil, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
+			return dst, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
 		}
 	}
 	return dst, len(e.refs) == e.blocks(), nil

@@ -47,7 +47,7 @@ func BenchmarkTracedGet32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start()
-		out, err := s.Get32IntoTraced(dst, "bench", sp)
+		out, _, err := s.Get32IntoCached(dst, "bench", sp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestTracedPathsPopulateStages(t *testing.T) {
 	tr.Finish("put", sp)
 
 	sp = tr.Start()
-	if _, err := s.Get32IntoTraced(nil, "k", sp); err != nil {
+	if _, _, err := s.Get32IntoCached(nil, "k", sp); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range []trace.Stage{trace.StageSegRead, trace.StageDecode} {

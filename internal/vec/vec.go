@@ -1,0 +1,134 @@
+// Package vec names the (fp32 slice, fp64 slice) pair the store and the
+// serving tier pass around, so that value width is a field to dispatch
+// on once — at the codec call and at the little-endian wire conversion —
+// instead of a second copy of every function that moves values.
+package vec
+
+import (
+	"encoding/binary"
+	"math"
+	"slices"
+
+	"avr"
+)
+
+// Vec is a vector of fp32 or fp64 values. Width (32 or 64) says which of
+// F32 and F64 is live; every method reads and extends only that side
+// and carries the other along untouched, so one Vec can also be a
+// two-buffer destination whose Width the producer sets (the store's
+// read path: a key's width is known only once it is looked up).
+type Vec struct {
+	Width int
+	F32   []float32
+	F64   []float64
+}
+
+// Of32 wraps an fp32 slice.
+func Of32(v []float32) Vec { return Vec{Width: 32, F32: v} }
+
+// Of64 wraps an fp64 slice.
+func Of64(v []float64) Vec { return Vec{Width: 64, F64: v} }
+
+// Len returns the number of live values.
+func (v Vec) Len() int {
+	if v.Width == 64 {
+		return len(v.F64)
+	}
+	return len(v.F32)
+}
+
+// Slice returns the live values [lo, hi) as a Vec of the same width.
+func (v Vec) Slice(lo, hi int) Vec {
+	if v.Width == 64 {
+		return Of64(v.F64[lo:hi])
+	}
+	return Of32(v.F32[lo:hi])
+}
+
+// Reset empties both sides, keeping their storage, and sets the width
+// (0 leaves it for a producer to set).
+func (v Vec) Reset(width int) Vec {
+	return Vec{Width: width, F32: v.F32[:0], F64: v.F64[:0]}
+}
+
+// Grow ensures room for n more live values.
+func (v Vec) Grow(n int) Vec {
+	if v.Width == 64 {
+		v.F64 = slices.Grow(v.F64, n)
+	} else {
+		v.F32 = slices.Grow(v.F32, n)
+	}
+	return v
+}
+
+// AppendLE appends the live values to dst as raw little-endian bytes —
+// the HTTP body format and the layout the lossless fallback compresses.
+func (v Vec) AppendLE(dst []byte) []byte {
+	if v.Width == 64 {
+		for _, x := range v.F64 {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+		}
+		return dst
+	}
+	for _, x := range v.F32 {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
+	}
+	return dst
+}
+
+// FromLE appends the values held in b as raw little-endian bytes (a
+// trailing partial value is ignored). The plain append loops here and in
+// AppendLE are what the compiler handles best: indexed stores, and
+// presizing through slices.Grow, both measured 1.3–2.4x slower on a
+// 16 Ki-value vector — 20 us on every served get.
+func (v Vec) FromLE(b []byte) Vec {
+	if v.Width == 64 {
+		f := v.F64
+		if n := len(b) / 8; cap(f)-len(f) < n {
+			f = append(make([]float64, 0, len(f)+n), f...)
+		}
+		for ; len(b) >= 8; b = b[8:] {
+			f = append(f, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		}
+		v.F64 = f
+		return v
+	}
+	f := v.F32
+	if n := len(b) / 4; cap(f)-len(f) < n {
+		f = append(make([]float32, 0, len(f)+n), f...)
+	}
+	for ; len(b) >= 4; b = b[4:] {
+		f = append(f, math.Float32frombits(binary.LittleEndian.Uint32(b)))
+	}
+	v.F32 = f
+	return v
+}
+
+// EncodeTo appends the AVR codec stream of the live values to dst
+// (Codec.EncodeTo or Codec.Encode64To).
+func (v Vec) EncodeTo(c *avr.Codec, dst []byte) ([]byte, error) {
+	if v.Width == 64 {
+		return c.Encode64To(dst, v.F64)
+	}
+	return c.EncodeTo(dst, v.F32)
+}
+
+// DecodeAppend appends the values of an AVR codec stream of v's width
+// (Codec.DecodeTo or Codec.Decode64To). On error v is returned as
+// passed.
+func (v Vec) DecodeAppend(c *avr.Codec, data []byte) (Vec, error) {
+	if v.Width == 64 {
+		out, err := c.Decode64To(v.F64, data)
+		if err != nil {
+			return v, err
+		}
+		v.F64 = out
+		return v, nil
+	}
+	out, err := c.DecodeTo(v.F32, data)
+	if err != nil {
+		return v, err
+	}
+	v.F32 = out
+	return v, nil
+}

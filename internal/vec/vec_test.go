@@ -1,0 +1,134 @@
+package vec
+
+import (
+	"bytes"
+	"math"
+	"slices"
+	"testing"
+
+	"avr"
+)
+
+func TestLERoundTrip(t *testing.T) {
+	f32 := []float32{0, 1.5, -2.25, float32(math.Inf(1)), math.MaxFloat32, math.SmallestNonzeroFloat32}
+	f64 := []float64{0, 1.5, -2.25, math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	cases := []struct {
+		name string
+		v    Vec
+		want []byte // spot check of the layout: first non-zero value
+	}{
+		{"fp32", Of32(f32), []byte{0, 0, 0xC0, 0x3F}},             // 1.5f
+		{"fp64", Of64(f64), []byte{0, 0, 0, 0, 0, 0, 0xF8, 0x3F}}, // 1.5
+		{"empty fp32", Of32(nil), nil},
+		{"empty fp64", Of64(nil), nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			size := tc.v.Width / 8
+			prefix := []byte{0xAA}
+			b := tc.v.AppendLE(prefix)
+			if len(b) != 1+size*tc.v.Len() || b[0] != 0xAA {
+				t.Fatalf("AppendLE wrote %d bytes after the prefix, want %d", len(b)-1, size*tc.v.Len())
+			}
+			if tc.want != nil && !bytes.Equal(b[1+size:1+2*size], tc.want) {
+				t.Fatalf("value 1 on the wire = % x, want % x", b[1+size:1+2*size], tc.want)
+			}
+			back := Vec{Width: tc.v.Width}.FromLE(b[1:])
+			if back.Width != tc.v.Width || back.Len() != tc.v.Len() {
+				t.Fatalf("round trip: width %d len %d, want width %d len %d",
+					back.Width, back.Len(), tc.v.Width, tc.v.Len())
+			}
+			if !bytes.Equal(back.AppendLE(nil), b[1:]) {
+				t.Fatal("round trip changed bits")
+			}
+			// FromLE appends: a second call doubles the vector.
+			if twice := back.FromLE(b[1:]); twice.Len() != 2*tc.v.Len() {
+				t.Fatalf("FromLE onto %d values gave %d, want %d", back.Len(), twice.Len(), 2*tc.v.Len())
+			}
+		})
+	}
+	// A trailing partial value is not a value.
+	if got := (Vec{Width: 32}).FromLE(make([]byte, 7)).Len(); got != 1 {
+		t.Errorf("7 bytes hold %d fp32 values, want 1", got)
+	}
+	if got := (Vec{Width: 64}).FromLE(make([]byte, 7)).Len(); got != 0 {
+		t.Errorf("7 bytes hold %d fp64 values, want 0", got)
+	}
+}
+
+func TestSliceLenReset(t *testing.T) {
+	v32 := Of32([]float32{1, 2, 3, 4, 5})
+	if s := v32.Slice(1, 3); s.Width != 32 || !slices.Equal(s.F32, []float32{2, 3}) || s.F64 != nil {
+		t.Errorf("fp32 Slice(1,3) = %+v", s)
+	}
+	v64 := Of64([]float64{1, 2, 3, 4, 5})
+	if s := v64.Slice(4, 5); s.Width != 64 || !slices.Equal(s.F64, []float64{5}) || s.F32 != nil {
+		t.Errorf("fp64 Slice(4,5) = %+v", s)
+	}
+	if s := v64.Slice(2, 2); s.Len() != 0 || s.Width != 64 {
+		t.Errorf("empty Slice = %+v", s)
+	}
+	if (Vec{}).Len() != 0 {
+		t.Error("zero Vec is not empty")
+	}
+	r := Vec{Width: 32, F32: make([]float32, 3, 8), F64: make([]float64, 2, 4)}.Reset(0)
+	if r.Width != 0 || len(r.F32) != 0 || len(r.F64) != 0 || cap(r.F32) != 8 || cap(r.F64) != 4 {
+		t.Errorf("Reset(0) = width %d, %d/%d and %d/%d values", r.Width, len(r.F32), cap(r.F32), len(r.F64), cap(r.F64))
+	}
+}
+
+// TestBothSetDestination: a Vec holding two buffers is a destination of
+// either width; Width alone picks the side that is read and extended,
+// and the other side rides along untouched.
+func TestBothSetDestination(t *testing.T) {
+	dst := Vec{F32: make([]float32, 1, 16), F64: make([]float64, 2, 16)}
+	for _, width := range []int{32, 64} {
+		d := dst
+		d.Width = width
+		wantLen := map[int]int{32: 1, 64: 2}[width]
+		if d.Len() != wantLen {
+			t.Fatalf("width %d: Len = %d, want %d", width, d.Len(), wantLen)
+		}
+		d = d.FromLE(make([]byte, 16)).Grow(100)
+		if d.Len() != wantLen+16/(width/8) {
+			t.Errorf("width %d: Len after FromLE = %d", width, d.Len())
+		}
+		if width == 32 && (len(d.F64) != 2 || cap(d.F64) != 16) || width == 64 && (len(d.F32) != 1 || cap(d.F32) != 16) {
+			t.Errorf("width %d: the other side changed: %d/%d fp32, %d/%d fp64",
+				width, len(d.F32), cap(d.F32), len(d.F64), cap(d.F64))
+		}
+	}
+}
+
+// TestCodecDispatch: EncodeTo/DecodeAppend are Codec.EncodeTo/DecodeTo
+// or the 64-bit pair, by Width, and a failed decode returns the
+// destination as passed.
+func TestCodecDispatch(t *testing.T) {
+	c := avr.NewCodec(0)
+	f32 := make([]float32, 300)
+	f64 := make([]float64, 300)
+	for i := range f32 {
+		f32[i] = 100 + float32(i)/50
+		f64[i] = 100 + float64(i)/50
+	}
+	want32, _ := c.Encode(f32)
+	want64, _ := c.Encode64(f64)
+	for _, tc := range []struct {
+		v    Vec
+		want []byte
+	}{{Of32(f32), want32}, {Of64(f64), want64}} {
+		enc, err := tc.v.EncodeTo(c, []byte{7})
+		if err != nil || !bytes.Equal(enc[1:], tc.want) {
+			t.Fatalf("fp%d EncodeTo differs from the codec's own encode (err %v)", tc.v.Width, err)
+		}
+		head := Vec{Width: tc.v.Width}.FromLE(make([]byte, 8))
+		dec, err := head.DecodeAppend(c, tc.want)
+		if err != nil || dec.Len() != head.Len()+300 {
+			t.Fatalf("fp%d DecodeAppend: %d values, err %v", tc.v.Width, dec.Len(), err)
+		}
+		other := Vec{Width: 96 - tc.v.Width, F32: head.F32, F64: head.F64}
+		if got, err := other.DecodeAppend(c, tc.want); err == nil || got.Len() != other.Len() {
+			t.Fatalf("fp%d stream decoded into an fp%d destination (err %v)", tc.v.Width, other.Width, err)
+		}
+	}
+}

@@ -39,7 +39,7 @@ STORE_PKGS="./internal/store ./internal/server ./internal/trace ./internal/clust
 GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLookupMiss BenchmarkDRAMAccess BenchmarkDRAMAccessRandom BenchmarkSystemAccess BenchmarkSystemAccessAVR BenchmarkRecorderDisabled BenchmarkRecorderRecord BenchmarkHistogramDisabled BenchmarkHistogramObserve"
 # Serving-path gate: the codec-pool handoff sits on every request, and
 # the store put/get hot paths are allocation-free by contract — pooled
-# scratch on the write side, caller-supplied destinations (Get*Into) on
+# scratch on the write side, caller-supplied destinations (Get*IntoCached) on
 # the read side. Compressed-domain aggregate/filter queries share the
 # bar (pooled scratch, targeted preads); downsample is exempt — its
 # result slices are the query's output. The Traced* twins hold the
@@ -85,16 +85,11 @@ render_json() {
         if (extra != "") line = line ", " extra
         line = line "}"
         bench[n++] = line
-        nsof[name] = ns
     }
     END {
         printf "{\n  \"benchmarks\": [\n"
         for (i = 0; i < n; i++) printf "%s%s\n", bench[i], (i < n - 1 ? "," : "")
-        printf "  ],\n"
-        printf "  \"derived\": {"
-        if (("BenchmarkCMTLookup" in nsof) && ("BenchmarkCMTLookupMapBacked" in nsof) && nsof["BenchmarkCMTLookup"] + 0 > 0)
-            printf "\"cmt_lookup_speedup_vs_map\": %.2f", nsof["BenchmarkCMTLookupMapBacked"] / nsof["BenchmarkCMTLookup"]
-        printf "}\n}\n"
+        printf "  ]\n}\n"
     }' "$1"
 }
 
