@@ -272,6 +272,66 @@ func BenchmarkCodecEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkCodecDecode measures DecodeTo into a retained buffer — the
+// store's Get decode — over a stream mixing outlier-free, outlier-carrying
+// and raw records. Allocation-free by contract (scripts/bench.sh gates it).
+func BenchmarkCodecDecode(b *testing.B) {
+	c := NewCodec(0)
+	vals := make([]float32, 64*1024)
+	for i, v := range decodeBenchSignal(len(vals)) {
+		vals[i] = float32(v)
+	}
+	enc, err := c.Encode(vals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float32, 0, len(vals))
+	b.SetBytes(int64(4 * len(vals)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.DecodeTo(dst[:0], enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCodecDecode64 is BenchmarkCodecDecode for the fp64 stream.
+func BenchmarkCodecDecode64(b *testing.B) {
+	c := NewCodec(0)
+	vals := decodeBenchSignal(64 * 1024)
+	enc, err := c.Encode64(vals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, 0, len(vals))
+	b.SetBytes(int64(8 * len(vals)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Decode64To(dst[:0], enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// decodeBenchSignal is a smooth wave with one stretch of bit noise in
+// every 4096 values (raw records) and, in every other 512-value stretch,
+// a 1.5x spike each 97 values (records with outliers).
+func decodeBenchSignal(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 50 + 10*math.Sin(float64(i)/80)
+		switch {
+		case i%4096 < 256:
+			out[i] = math.Float64frombits(0x9E3779B97F4A7C15 * uint64(i+1))
+		case i%1024 < 512 && i%97 == 0:
+			out[i] *= 1.5
+		}
+	}
+	return out
+}
+
 // BenchmarkSimulatorHeatAVR measures full-system simulation speed
 // (simulated instructions per second).
 func BenchmarkSimulatorHeatAVR(b *testing.B) {

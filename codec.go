@@ -2,8 +2,6 @@ package avr
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 	"slices"
 
@@ -16,12 +14,9 @@ import (
 // is downsampled to a 16-value summary plus outliers when it meets the
 // error thresholds, and stored raw otherwise.
 //
-// Wire format:
-//
-//	magic "AVR1" | uint32 value count | per-block records
-//	record: 1 header byte (bit 7 = compressed, bit 6 = method,
-//	        bits 0..3 = size in 64 B lines) | 1 bias byte |
-//	        payload (compressed lines, or 1024 B raw)
+// The wire format — the "AVR1" stream for float32, "AVR8" for float64 —
+// is specified in DESIGN.md §5.6 and implemented by internal/block; this
+// file only cuts values into blocks and runs the compressor over them.
 //
 // The decoded output is the approximate reconstruction — the same values
 // an AVR memory system would deliver to the processor.
@@ -60,11 +55,6 @@ func NewCodec(t1 float64) *Codec {
 	return &Codec{comp: compress.NewCompressor(th)}
 }
 
-var codecMagic = [4]byte{'A', 'V', 'R', '1'}
-
-// errTruncated reports malformed input to Decode.
-var errTruncated = errors.New("avr: truncated codec stream")
-
 // Encode compresses vals. The trailing partial block, if any, is padded
 // internally with its last value (padding never decodes back).
 func (c *Codec) Encode(vals []float32) ([]byte, error) {
@@ -76,8 +66,7 @@ func (c *Codec) Encode(vals []float32) ([]byte, error) {
 // makes the encode path allocation-free; pass nil to let it allocate.
 // The output is byte-identical to Encode's.
 func (c *Codec) EncodeTo(dst []byte, vals []float32) ([]byte, error) {
-	dst = append(dst, codecMagic[:]...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vals)))
+	dst = block.Layout32.AppendHeader(dst, len(vals))
 
 	for off := 0; off < len(vals); off += compress.BlockValues {
 		chunk := vals[off:]
@@ -93,17 +82,13 @@ func (c *Codec) EncodeTo(dst []byte, vals []float32) ([]byte, error) {
 			c.blk[i] = last
 		}
 		res := c.comp.CompressFast(&c.blk, compress.Float32)
-		if res.OK {
-			hdr := byte(0x80) | byte(res.Method)<<6 | byte(res.SizeLines)
-			dst = append(dst, hdr, byte(res.Bias))
-			var err error
-			dst, err = block.AppendEncode(dst, res.Summary, res.Bitmap, res.Outliers, res.SizeLines)
-			if err != nil {
-				return dst, err
-			}
-		} else {
-			dst = append(dst, 0, 0)
-			dst = block.AppendRaw(dst, &c.blk)
+		if !res.OK {
+			dst = block.AppendRaw32(dst, &c.blk)
+			continue
+		}
+		var err error
+		if dst, err = block.AppendCompressed32(dst, &res); err != nil {
+			return dst, err
 		}
 	}
 	return dst, nil
@@ -111,15 +96,6 @@ func (c *Codec) EncodeTo(dst []byte, vals []float32) ([]byte, error) {
 
 // Decode reconstructs the approximate values from an encoded stream.
 func (c *Codec) Decode(data []byte) ([]float32, error) {
-	// Size the output exactly when the headers pass the same validation
-	// DecodeTo applies (magic, then the allocation-bomb guard).
-	if len(data) >= 8 && [4]byte(data[:4]) == codecMagic {
-		count := int(binary.LittleEndian.Uint32(data[4:]))
-		blocks := (count + compress.BlockValues - 1) / compress.BlockValues
-		if len(data)-8 >= blocks*(2+compress.LineBytes) {
-			return c.DecodeTo(make([]float32, 0, count), data)
-		}
-	}
 	return c.DecodeTo(nil, data)
 }
 
@@ -128,63 +104,30 @@ func (c *Codec) Decode(data []byte) ([]float32, error) {
 // allocation-free. On error the returned slice is nil and dst's backing
 // array holds unspecified partial output.
 func (c *Codec) DecodeTo(dst []float32, data []byte) ([]float32, error) {
-	if len(data) < 8 || [4]byte(data[:4]) != codecMagic {
-		return nil, errors.New("avr: bad codec magic")
+	cur, err := block.Open(&block.Layout32, data, -1)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	data = data[8:]
-	// Guard the length header against allocation bombs: every block
-	// record covering 256 values is at least 2 header bytes plus one
-	// cacheline of payload, so a stream claiming count values has a hard
-	// minimum length. Checking it up front keeps the output allocation
-	// proportional to the input size for untrusted streams.
-	minRecord := 2 + compress.LineBytes
-	blocks := (count + compress.BlockValues - 1) / compress.BlockValues
-	if len(data) < blocks*minRecord {
-		return nil, errTruncated
-	}
-	base := len(dst)
-	if cap(dst)-base < count {
-		dst = slices.Grow(dst, count)
-	}
-	for len(dst)-base < count {
-		if len(data) < 2 {
-			return nil, errTruncated
-		}
-		hdr, bias := data[0], int8(data[1])
-		data = data[2:]
-		take := count - (len(dst) - base)
-		if take > compress.BlockValues {
-			take = compress.BlockValues
+	dst = slices.Grow(dst, cur.Count())
+	var sum [compress.SummaryValues]int32
+	for cur.More() {
+		rec, err := cur.Next()
+		if err != nil {
+			return nil, err
 		}
 		n := len(dst)
-		dst = dst[:n+take]
-		if hdr&0x80 != 0 {
-			size := int(hdr & 0x0F)
-			if size < 1 || size > compress.MaxCompressedLines {
-				return nil, fmt.Errorf("avr: bad block size %d", size)
+		dst = dst[:n+rec.Values]
+		out := dst[n:]
+		if rec.Raw != nil {
+			for i := range out {
+				out[i] = math.Float32frombits(binary.LittleEndian.Uint32(rec.Raw[4*i:]))
 			}
-			if len(data) < size*compress.LineBytes {
-				return nil, errTruncated
-			}
-			view, err := block.DecodeView(data[:size*compress.LineBytes])
-			if err != nil {
-				return nil, err
-			}
-			data = data[size*compress.LineBytes:]
-			method := compress.Method(hdr >> 6 & 1)
-			c.comp.DecompressInto(&c.rec, &view.Summary, view.Bitmap, view.OutlierBytes, method, bias, compress.Float32)
-			for i := 0; i < take; i++ {
-				dst[n+i] = math.Float32frombits(c.rec[i])
-			}
-		} else {
-			if len(data) < compress.BlockBytes {
-				return nil, errTruncated
-			}
-			for i := 0; i < take; i++ {
-				dst[n+i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-			}
-			data = data[compress.BlockBytes:]
+			continue
+		}
+		block.ReadSummary32(&sum, rec.Summary)
+		c.comp.DecompressInto(&c.rec, &sum, rec.Bitmap, rec.Outliers, rec.Method, int8(rec.Bias), compress.Float32)
+		for i := range out {
+			out[i] = math.Float32frombits(c.rec[i])
 		}
 	}
 	return dst, nil

@@ -2,10 +2,7 @@ package avr
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"avr/internal/block"
@@ -14,13 +11,7 @@ import (
 
 // Encode64 compresses float64 data with the 64-bit extension of the AVR
 // scheme (128 doubles per block, 8-value summaries, 1D reconstruction).
-//
-// Wire format:
-//
-//	magic "AVR8" | uint32 value count | per-block records
-//	record: 1 header byte (bit 7 = compressed, bits 0..3 = lines) |
-//	        2 bias bytes (little-endian int16) |
-//	        payload (summary [+ bitmap + outliers], or 1024 B raw)
+// The stream ("AVR8") is specified in DESIGN.md §5.6.
 func (c *Codec) Encode64(vals []float64) ([]byte, error) {
 	return c.Encode64To(make([]byte, 0, 8+len(vals)*2), vals)
 }
@@ -29,8 +20,7 @@ func (c *Codec) Encode64(vals []float64) ([]byte, error) {
 // extended slice; with a retained buffer the encode path is
 // allocation-free. The output is byte-identical to Encode64's.
 func (c *Codec) Encode64To(dst []byte, vals []float64) ([]byte, error) {
-	dst = append(dst, codec64Magic[:]...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vals)))
+	dst = block.Layout64.AppendHeader(dst, len(vals))
 
 	for off := 0; off < len(vals); off += compress.BlockValues64 {
 		chunk := vals[off:]
@@ -44,51 +34,17 @@ func (c *Codec) Encode64To(dst []byte, vals []float64) ([]byte, error) {
 		for i := len(chunk); i < compress.BlockValues64; i++ {
 			c.blk64[i] = last
 		}
-		res := c.comp.CompressFast64(&c.blk64)
-		if res.OK {
-			hdr := byte(0x80) | byte(res.SizeLines)
-			dst = append(dst, hdr)
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(res.Bias))
-			base := len(dst)
-			dst = block.AppendZeros(dst, res.SizeLines*compress.LineBytes)
-			payload := dst[base:]
-			for i, v := range res.Summary {
-				binary.LittleEndian.PutUint64(payload[8*i:], uint64(v))
-			}
-			if len(res.Outliers) > 0 {
-				copy(payload[compress.LineBytes:], res.Bitmap[:])
-				p := compress.LineBytes + compress.BitmapBytes64
-				for _, o := range res.Outliers {
-					binary.LittleEndian.PutUint64(payload[p:], o)
-					p += 8
-				}
-			}
+		if res := c.comp.CompressFast64(&c.blk64); res.OK {
+			dst = block.AppendCompressed64(dst, &res)
 		} else {
-			dst = append(dst, 0, 0, 0)
-			base := len(dst)
-			dst = block.AppendZeros(dst, compress.BlockBytes)
-			raw := dst[base:]
-			for i, v := range c.blk64 {
-				binary.LittleEndian.PutUint64(raw[8*i:], v)
-			}
+			dst = block.AppendRaw64(dst, &c.blk64)
 		}
 	}
 	return dst, nil
 }
 
-var codec64Magic = [4]byte{'A', 'V', 'R', '8'}
-
-var err64BitmapSize = errors.New("avr: codec64 bitmap inconsistent with size")
-
 // Decode64 reconstructs the approximate doubles from an Encode64 stream.
 func (c *Codec) Decode64(data []byte) ([]float64, error) {
-	if len(data) >= 8 && [4]byte(data[:4]) == codec64Magic {
-		count := int(binary.LittleEndian.Uint32(data[4:]))
-		blocks := (count + compress.BlockValues64 - 1) / compress.BlockValues64
-		if len(data)-8 >= blocks*(3+compress.LineBytes) {
-			return c.Decode64To(make([]float64, 0, count), data)
-		}
-	}
 	return c.Decode64To(nil, data)
 }
 
@@ -97,75 +53,30 @@ func (c *Codec) Decode64(data []byte) ([]float64, error) {
 // error the returned slice is nil and dst's backing array holds
 // unspecified partial output.
 func (c *Codec) Decode64To(dst []float64, data []byte) ([]float64, error) {
-	if len(data) < 8 || [4]byte(data[:4]) != codec64Magic {
-		return nil, errors.New("avr: bad codec64 magic")
+	cur, err := block.Open(&block.Layout64, data, -1)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	data = data[8:]
-	// Length-header allocation-bomb guard, mirroring Decode: a block
-	// record covering 128 doubles is at least 3 header bytes plus one
-	// cacheline of payload.
-	minRecord := 3 + compress.LineBytes
-	blocks := (count + compress.BlockValues64 - 1) / compress.BlockValues64
-	if len(data) < blocks*minRecord {
-		return nil, errTruncated
-	}
-	base := len(dst)
-	if cap(dst)-base < count {
-		dst = slices.Grow(dst, count)
-	}
-	for len(dst)-base < count {
-		if len(data) < 3 {
-			return nil, errTruncated
-		}
-		hdr := data[0]
-		bias := int16(binary.LittleEndian.Uint16(data[1:]))
-		data = data[3:]
-		take := count - (len(dst) - base)
-		if take > compress.BlockValues64 {
-			take = compress.BlockValues64
+	dst = slices.Grow(dst, cur.Count())
+	var sum [compress.SummaryValues64]int64
+	for cur.More() {
+		rec, err := cur.Next()
+		if err != nil {
+			return nil, err
 		}
 		n := len(dst)
-		dst = dst[:n+take]
-		if hdr&0x80 != 0 {
-			size := int(hdr & 0x0F)
-			if size < 1 || size > compress.MaxCompressedLines {
-				return nil, fmt.Errorf("avr: bad block size %d", size)
+		dst = dst[:n+rec.Values]
+		out := dst[n:]
+		if rec.Raw != nil {
+			for i := range out {
+				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Raw[8*i:]))
 			}
-			if len(data) < size*compress.LineBytes {
-				return nil, errTruncated
-			}
-			payload := data[:size*compress.LineBytes]
-			data = data[size*compress.LineBytes:]
-			var summary [compress.SummaryValues64]int64
-			for i := range summary {
-				summary[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
-			}
-			var bitmap, outlierBytes []byte
-			if size > 1 {
-				bitmap = payload[compress.LineBytes : compress.LineBytes+compress.BitmapBytes64]
-				k := 0
-				for _, x := range bitmap {
-					k += bits.OnesCount8(x)
-				}
-				if compress.CompressedLines64(k) != size {
-					return nil, err64BitmapSize
-				}
-				p := compress.LineBytes + compress.BitmapBytes64
-				outlierBytes = payload[p : p+8*k]
-			}
-			c.comp.DecompressInto64(&c.rec64, &summary, bitmap, outlierBytes, bias)
-			for i := 0; i < take; i++ {
-				dst[n+i] = math.Float64frombits(c.rec64[i])
-			}
-		} else {
-			if len(data) < compress.BlockBytes {
-				return nil, errTruncated
-			}
-			for i := 0; i < take; i++ {
-				dst[n+i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-			}
-			data = data[compress.BlockBytes:]
+			continue
+		}
+		block.ReadSummary64(&sum, rec.Summary)
+		c.comp.DecompressInto64(&c.rec64, &sum, rec.Bitmap, rec.Outliers, rec.Bias)
+		for i := range out {
+			out[i] = math.Float64frombits(c.rec64[i])
 		}
 	}
 	return dst, nil

@@ -20,6 +20,16 @@ import (
 // append-style codec produces must be byte-identical to these, and every
 // stream it decodes must decode to the same values.
 
+// The oracle's own copy of the format constants and error values: it
+// shares no parsing code with internal/block.
+var (
+	codecMagic   = [4]byte{'A', 'V', 'R', '1'}
+	codec64Magic = [4]byte{'A', 'V', 'R', '8'}
+
+	errTruncated    = errors.New("avr: truncated codec stream")
+	err64BitmapSize = errors.New("avr: codec64 bitmap inconsistent with size")
+)
+
 // referenceEncode is the scalar twin of EncodeTo's fast path.
 func (c *Codec) referenceEncode(vals []float32) ([]byte, error) {
 	out := make([]byte, 0, len(vals)/2)

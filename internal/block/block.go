@@ -55,89 +55,6 @@ func Encode(r *compress.Result) ([]byte, error) {
 	return buf, nil
 }
 
-// zeroBlock backs AppendZeros: the largest zero run ever appended is one
-// full uncompressed block.
-var zeroBlock [compress.BlockBytes]byte
-
-// AppendZeros appends n zero bytes (n ≤ BlockBytes) to dst.
-func AppendZeros(dst []byte, n int) []byte {
-	return append(dst, zeroBlock[:n]...)
-}
-
-// AppendEncode appends the wire payload of a successful compression —
-// summary line, then bitmap and packed outliers when present, zero
-// padding to sizeLines whole cachelines — to dst. It is the append-style
-// twin of Encode (byte-identical payload, no allocation beyond dst's
-// growth) used by the codec fast path with compress.FastResult parts.
-func AppendEncode(dst []byte, summary *[compress.SummaryValues]int32, bitmap *[compress.BitmapBytes]byte, outliers []uint32, sizeLines int) ([]byte, error) {
-	if sizeLines > compress.MaxCompressedLines {
-		return dst, ErrTooLarge
-	}
-	base := len(dst)
-	dst = AppendZeros(dst, sizeLines*compress.LineBytes)
-	buf := dst[base:]
-	for i, v := range summary {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	if len(outliers) == 0 {
-		return dst, nil
-	}
-	copy(buf[compress.LineBytes:], bitmap[:])
-	off := compress.LineBytes + compress.BitmapBytes
-	for _, o := range outliers {
-		binary.LittleEndian.PutUint32(buf[off:], o)
-		off += 4
-	}
-	return dst, nil
-}
-
-// AppendRaw appends the 1 KiB uncompressed block image (Fig. 2b) to dst.
-func AppendRaw(dst []byte, vals *[compress.BlockValues]uint32) []byte {
-	base := len(dst)
-	dst = AppendZeros(dst, compress.BlockBytes)
-	ValuesToBytes(vals, dst[base:])
-	return dst
-}
-
-// View is a zero-copy parse of a compressed block buffer: the summary is
-// decoded by value, Bitmap and OutlierBytes alias the input (nil/empty
-// for an outlier-free block). It carries the same structural validation
-// as Decode — without it the outlier overlay in
-// compress.(*Compressor).DecompressInto could read out of bounds.
-type View struct {
-	Summary      [compress.SummaryValues]int32
-	Bitmap       []byte
-	OutlierBytes []byte
-}
-
-// DecodeView parses a compressed block buffer without allocating. It
-// applies exactly Decode's validation: whole cachelines, ≤ 8 lines, and
-// a bitmap population consistent with the line count (ErrBadSize).
-func DecodeView(buf []byte) (View, error) {
-	var v View
-	if len(buf)%compress.LineBytes != 0 || len(buf) == 0 || len(buf) > compress.MaxCompressedLines*compress.LineBytes {
-		return v, fmt.Errorf("block: bad buffer length %d", len(buf))
-	}
-	for i := range v.Summary {
-		v.Summary[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	if len(buf) == compress.LineBytes {
-		return v, nil
-	}
-	bm := buf[compress.LineBytes : compress.LineBytes+compress.BitmapBytes]
-	n := 0
-	for _, b := range bm {
-		n += bits.OnesCount8(b)
-	}
-	if compress.CompressedLines(n) != len(buf)/compress.LineBytes {
-		return v, ErrBadSize
-	}
-	off := compress.LineBytes + compress.BitmapBytes
-	v.Bitmap = bm
-	v.OutlierBytes = buf[off : off+4*n]
-	return v, nil
-}
-
 // Decode parses a compressed block buffer (length must be a whole number
 // of cachelines, as recorded in the CMT size field) back into summary,
 // bitmap and outliers. A single-line buffer has no outliers.
@@ -167,15 +84,6 @@ func Decode(buf []byte) (summary [compress.SummaryValues]int32, bitmap *[compres
 		off += 4
 	}
 	return summary, &bm, outliers, nil
-}
-
-// FreeLines returns how many lines of a block's 16-line memory slot remain
-// available for lazy evictions given its compressed size.
-func FreeLines(sizeLines int) int {
-	if sizeLines >= compress.BlockLines {
-		return 0
-	}
-	return compress.BlockLines - sizeLines
 }
 
 // ValuesToBytes serialises 256 raw 32-bit values into the 1 KiB

@@ -141,17 +141,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestFreeLines(t *testing.T) {
-	cases := []struct{ size, want int }{
-		{1, 15}, {8, 8}, {16, 0}, {17, 0},
-	}
-	for _, c := range cases {
-		if got := FreeLines(c.size); got != c.want {
-			t.Errorf("FreeLines(%d) = %d, want %d", c.size, got, c.want)
-		}
-	}
-}
-
 func TestValuesBytesRoundTrip(t *testing.T) {
 	var vals, back [compress.BlockValues]uint32
 	for i := range vals {

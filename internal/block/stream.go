@@ -1,0 +1,336 @@
+package block
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math/bits"
+
+	"avr/internal/compress"
+)
+
+// The AVR record stream — what the codec writes, the store frames and
+// every read path (decode, cache fill, compressed-domain query) walks.
+// DESIGN.md §5.6 has the byte-level table; this file is the format's one
+// owner: the writers below and the Cursor are the only code that knows
+// the magics, the record header and the payload offsets.
+
+// Layout holds the constants by which the fp32 and fp64 streams differ.
+// Both keep one 64-byte summary line per compressed record (16 × int32
+// or 8 × int64, see ReadSummary32/64).
+type Layout struct {
+	Magic        [4]byte
+	Width        int // value width in bits
+	HeaderBytes  int // record header: flags byte + little-endian bias
+	BlockValues  int // values per record
+	BitmapBytes  int // outlier bitmap, one bit per value
+	OutlierBytes int // one packed outlier
+}
+
+var (
+	Layout32 = Layout{
+		Magic: [4]byte{'A', 'V', 'R', '1'}, Width: 32, HeaderBytes: headerBytes32,
+		BlockValues: compress.BlockValues, BitmapBytes: compress.BitmapBytes, OutlierBytes: 4,
+	}
+	Layout64 = Layout{
+		Magic: [4]byte{'A', 'V', 'R', '8'}, Width: 64, HeaderBytes: headerBytes64,
+		BlockValues: compress.BlockValues64, BitmapBytes: compress.BitmapBytes64, OutlierBytes: 8,
+	}
+)
+
+const (
+	streamHeaderBytes = 8 // magic + uint32 value count
+	headerBytes32     = 2 // record header: flags + int8 bias
+	headerBytes64     = 3 // record header: flags + int16 bias
+
+	flagCompressed = 0x80 // record flags: payload is summary [+ bitmap + outliers]
+	flagMethodBit  = 6    // record flags: placement method (fp32 streams)
+	flagSizeMask   = 0x0F // record flags: payload size in cachelines
+)
+
+// lines is the payload size in cachelines of a record with k outliers.
+func (l *Layout) lines(k int) int {
+	if l.Width == 64 {
+		return compress.CompressedLines64(k)
+	}
+	return compress.CompressedLines(k)
+}
+
+// StreamWidth reports the value width (32 or 64) announced by a stream's
+// magic, 0 when data starts with neither.
+func StreamWidth(data []byte) int {
+	for _, l := range [...]*Layout{&Layout32, &Layout64} {
+		if len(data) >= 4 && [4]byte(data[:4]) == l.Magic {
+			return l.Width
+		}
+	}
+	return 0
+}
+
+// AppendHeader appends the stream header for count values.
+func (l *Layout) AppendHeader(dst []byte, count int) []byte {
+	dst = append(dst, l.Magic[:]...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(count))
+}
+
+// zeroBlock backs appendZeros: the largest zero run ever appended is one
+// full uncompressed block.
+var zeroBlock [compress.BlockBytes]byte
+
+// appendZeros appends n zero bytes (n ≤ BlockBytes) to dst.
+func appendZeros(dst []byte, n int) []byte {
+	return append(dst, zeroBlock[:n]...)
+}
+
+// AppendCompressed32 appends one compressed fp32 record: header, summary
+// line, then bitmap and packed outliers when present, zero-padded to
+// SizeLines whole cachelines.
+func AppendCompressed32(dst []byte, r *compress.FastResult) ([]byte, error) {
+	if r.SizeLines > compress.MaxCompressedLines {
+		return dst, ErrTooLarge
+	}
+	dst = append(dst, flagCompressed|byte(r.Method)<<flagMethodBit|byte(r.SizeLines), byte(r.Bias))
+	base := len(dst)
+	dst = appendZeros(dst, r.SizeLines*compress.LineBytes)
+	buf := dst[base:]
+	for i, v := range r.Summary {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+	}
+	if len(r.Outliers) > 0 {
+		copy(buf[compress.LineBytes:], r.Bitmap[:])
+		off := compress.LineBytes + compress.BitmapBytes
+		for _, o := range r.Outliers {
+			binary.LittleEndian.PutUint32(buf[off:], o)
+			off += 4
+		}
+	}
+	return dst, nil
+}
+
+// AppendRaw32 appends one raw fp32 record: a zero header and the 1 KiB
+// uncompressed block image (Fig. 2b).
+func AppendRaw32(dst []byte, vals *[compress.BlockValues]uint32) []byte {
+	dst = append(dst, 0, 0)
+	base := len(dst)
+	dst = appendZeros(dst, compress.BlockBytes)
+	ValuesToBytes(vals, dst[base:])
+	return dst
+}
+
+// AppendCompressed64 is AppendCompressed32 for an fp64 record (int16
+// bias, 8 × int64 summary, 16-byte bitmap, 8-byte outliers).
+func AppendCompressed64(dst []byte, r *compress.FastResult64) []byte {
+	dst = append(dst, flagCompressed|byte(r.SizeLines))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Bias))
+	base := len(dst)
+	dst = appendZeros(dst, r.SizeLines*compress.LineBytes)
+	buf := dst[base:]
+	for i, v := range r.Summary {
+		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+	}
+	if len(r.Outliers) > 0 {
+		copy(buf[compress.LineBytes:], r.Bitmap[:])
+		off := compress.LineBytes + compress.BitmapBytes64
+		for _, o := range r.Outliers {
+			binary.LittleEndian.PutUint64(buf[off:], o)
+			off += 8
+		}
+	}
+	return dst
+}
+
+// AppendRaw64 is AppendRaw32 for 128 raw doubles.
+func AppendRaw64(dst []byte, vals *[compress.BlockValues64]uint64) []byte {
+	dst = append(dst, 0, 0, 0)
+	base := len(dst)
+	dst = appendZeros(dst, compress.BlockBytes)
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(dst[base+8*i:], v)
+	}
+	return dst
+}
+
+// ReadSummary32 decodes an fp32 record's summary line.
+func ReadSummary32(dst *[compress.SummaryValues]int32, line []byte) {
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(line[4*i:]))
+	}
+}
+
+// ReadSummary64 decodes an fp64 record's summary line.
+func ReadSummary64(dst *[compress.SummaryValues64]int64, line []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(line[8*i:]))
+	}
+}
+
+// ErrMalformed is wrapped by every structural rejection of a stream, so
+// callers can tell damaged bytes from an I/O error of the source.
+var ErrMalformed = errors.New("malformed AVR stream")
+
+var errTruncated = fmt.Errorf("%w: truncated", ErrMalformed)
+
+// Record is one validated record of a stream. A raw record sets only Raw
+// (its 1 KiB block image) and Values. A compressed record has Raw nil,
+// its summary line in Summary, and — both nil when the record is
+// outlier-free — the bitmap and exactly the packed outlier bytes, never
+// the record's zero padding. The slices alias the stream (Open) or the
+// cursor's RecordBuf (OpenAt) and are valid until the next call to Next.
+type Record struct {
+	Raw      []byte
+	Method   compress.Method // meaningful in fp32 streams only
+	Bias     int16           // int8 range in fp32 streams
+	Summary  []byte
+	Bitmap   []byte
+	Outliers []byte
+	Values   int // BlockValues, or fewer for the stream's last record
+}
+
+// RecordBuf holds the image of the record an OpenAt cursor is on.
+type RecordBuf [headerBytes64 + compress.BlockBytes]byte
+
+// Cursor reads a stream one validated record at a time, from a slice
+// (zero-copy) or through preads that fetch only what a consumer of the
+// compressed form needs: record header and summary line always, bitmap
+// and outliers when present, the whole payload only for a raw record.
+// Bytes after the last record are ignored.
+type Cursor struct {
+	lay  *Layout
+	data []byte      // the stream (Open)
+	src  io.ReaderAt // the stream's source (OpenAt) …
+	base int64       // … where it starts in src …
+	buf  *RecordBuf  // … and where its current record is assembled
+	size int64       // stream length
+	off  int64       // next record
+	left int         // values not yet yielded
+
+	count   int
+	fetched int64
+}
+
+// Open starts a cursor over an in-memory stream, validating its header:
+// the magic, the value count against want (negative accepts any), and
+// that the stream is long enough for count values at the minimum record
+// size — so a hostile count cannot size an allocation the bytes do not
+// justify.
+func Open(lay *Layout, data []byte, want int) (Cursor, error) {
+	c := Cursor{lay: lay, data: data, size: int64(len(data))}
+	err := c.open(want)
+	return c, err
+}
+
+// OpenAt is Open over the size-byte stream starting at base in src. buf
+// must outlive the cursor's records.
+func OpenAt(lay *Layout, src io.ReaderAt, base, size int64, buf *RecordBuf, want int) (Cursor, error) {
+	c := Cursor{lay: lay, src: src, base: base, buf: buf, size: size}
+	err := c.open(want)
+	return c, err
+}
+
+func (c *Cursor) open(want int) error {
+	if c.size < streamHeaderBytes {
+		return fmt.Errorf("%w: shorter than its header", ErrMalformed)
+	}
+	img, err := c.load(0, streamHeaderBytes)
+	if err != nil {
+		return err
+	}
+	if [4]byte(img[:4]) != c.lay.Magic {
+		return fmt.Errorf("%w: bad magic", ErrMalformed)
+	}
+	count := int(binary.LittleEndian.Uint32(img[4:]))
+	if want >= 0 && count != want {
+		return fmt.Errorf("%w: holds %d values, want %d", ErrMalformed, count, want)
+	}
+	blocks := int64(count+c.lay.BlockValues-1) / int64(c.lay.BlockValues)
+	if c.size-streamHeaderBytes < blocks*int64(c.lay.HeaderBytes+compress.LineBytes) {
+		return errTruncated
+	}
+	c.count, c.left, c.off = count, count, streamHeaderBytes
+	return nil
+}
+
+// Count is the number of values the stream holds.
+func (c *Cursor) Count() int { return c.count }
+
+// More reports whether records remain.
+func (c *Cursor) More() bool { return c.left > 0 }
+
+// Fetched is the number of bytes read from an OpenAt cursor's source.
+func (c *Cursor) Fetched() int64 { return c.fetched }
+
+// load makes bytes [lo, hi) of the record at c.off readable and returns
+// the record's image. The caller has checked they lie inside the stream.
+func (c *Cursor) load(lo, hi int) ([]byte, error) {
+	if c.src == nil {
+		return c.data[c.off:], nil
+	}
+	b := c.buf[lo:hi]
+	if n, err := c.src.ReadAt(b, c.base+c.off+int64(lo)); n < len(b) {
+		return nil, err
+	}
+	c.fetched += int64(len(b))
+	return c.buf[:], nil
+}
+
+// Next yields the next record. Call it only while More reports true;
+// after an error the cursor is spent.
+func (c *Cursor) Next() (Record, error) {
+	l := c.lay
+	h := l.HeaderBytes
+	if c.off+int64(h+compress.LineBytes) > c.size {
+		return Record{}, errTruncated
+	}
+	img, err := c.load(0, h+compress.LineBytes)
+	if err != nil {
+		return Record{}, err
+	}
+	rec := Record{Values: min(c.left, l.BlockValues)}
+	c.left -= rec.Values
+	flags := img[0]
+	if flags&flagCompressed == 0 {
+		if c.off+int64(h+compress.BlockBytes) > c.size {
+			return Record{}, errTruncated
+		}
+		if img, err = c.load(h+compress.LineBytes, h+compress.BlockBytes); err != nil {
+			return Record{}, err
+		}
+		rec.Raw = img[h : h+compress.BlockBytes]
+		c.off += int64(h + compress.BlockBytes)
+		return rec, nil
+	}
+	lines := int(flags & flagSizeMask)
+	if lines < 1 || lines > compress.MaxCompressedLines {
+		return Record{}, fmt.Errorf("%w: record size %d", ErrMalformed, lines)
+	}
+	if c.off+int64(h+lines*compress.LineBytes) > c.size {
+		return Record{}, errTruncated
+	}
+	rec.Method = compress.Method(flags >> flagMethodBit & 1)
+	if l.Width == 64 {
+		rec.Bias = int16(binary.LittleEndian.Uint16(img[1:]))
+	} else {
+		rec.Bias = int16(int8(img[1]))
+	}
+	rec.Summary = img[h : h+compress.LineBytes]
+	if lines > 1 {
+		bm, out := h+compress.LineBytes, h+compress.LineBytes+l.BitmapBytes
+		if img, err = c.load(bm, out); err != nil {
+			return Record{}, err
+		}
+		k := 0
+		for _, b := range img[bm:out] {
+			k += bits.OnesCount8(b)
+		}
+		if l.lines(k) != lines {
+			return Record{}, fmt.Errorf("%w: %d outliers in a record of size %d", ErrMalformed, k, lines)
+		}
+		if img, err = c.load(out, out+k*l.OutlierBytes); err != nil {
+			return Record{}, err
+		}
+		rec.Bitmap, rec.Outliers = img[bm:out], img[out:out+k*l.OutlierBytes]
+	}
+	c.off += int64(h + lines*compress.LineBytes)
+	return rec, nil
+}

@@ -23,7 +23,7 @@ import (
 // FastResult describes one fast-path block compression. Summary, Bitmap
 // and Outliers alias compressor scratch and are valid only until the
 // next compression call on the same Compressor; callers serialise them
-// immediately (block.AppendEncode).
+// immediately (block.AppendCompressed32).
 type FastResult struct {
 	OK        bool
 	Method    Method
@@ -254,7 +254,7 @@ func errCheckFixed32(vals *[BlockValues]uint32, recon *[BlockValues]int32, t1 fl
 // overlay the exact outliers driven by the bitmap's set bits. bitmap and
 // outlierBytes may be nil/empty for an outlier-free block; outlierBytes
 // holds the packed little-endian outlier values and must cover every set
-// bitmap bit (callers validate via block.DecodeView).
+// bitmap bit (callers validate via block.Cursor).
 func (c *Compressor) DecompressInto(out *[BlockValues]uint32, summary *[SummaryValues]int32, bitmap, outlierBytes []byte, m Method, bias int8, dt DataType) {
 	interpolate(summary, &c.recon, m)
 	if dt == Float32 {

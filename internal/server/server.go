@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"avr/internal/admit"
+	"avr/internal/block"
 	"avr/internal/obs"
 	"avr/internal/store"
 	"avr/internal/trace"
@@ -291,12 +292,9 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	dt := sp.Begin()
 	var vals vec.Vec
 	var err error
-	switch {
-	case len(body) >= 4 && string(body[:4]) == "AVR1":
-		vals, err = vec.Vec{Width: 32}.DecodeAppend(codec, body)
-	case len(body) >= 4 && string(body[:4]) == "AVR8":
-		vals, err = vec.Vec{Width: 64}.DecodeAppend(codec, body)
-	default:
+	if width := block.StreamWidth(body); width != 0 {
+		vals, err = vec.Vec{Width: width}.DecodeAppend(codec, body)
+	} else {
 		err = errors.New("unrecognised stream magic (want AVR1 or AVR8)")
 	}
 	out := vals.AppendLE(make([]byte, 0, vals.Len()*vals.Width/8))

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 	"unsafe"
@@ -199,145 +198,65 @@ func (ln *cachedLine) addLossless(data []byte, valCount int) error {
 	return nil
 }
 
-// addAVR32 pre-parses one fp32 AVR codec stream into the line's slabs,
-// applying DecodeTo's exact validation so anything the disk path would
-// reject is never cached.
+// addAVR32 files one fp32 AVR codec stream into the line's slabs. The
+// cursor is the one DecodeTo reads through, so anything the disk path
+// would reject is never cached.
 func (ln *cachedLine) addAVR32(data []byte, valCount int) error {
-	if len(data) < 8 || string(data[:4]) != "AVR1" {
-		return fmt.Errorf("%w: bad codec magic in frame", ErrCorrupt)
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	if count != valCount {
-		return fmt.Errorf("%w: AVR stream holds %d values, record says %d", ErrCorrupt, count, valCount)
-	}
-	data = data[8:]
-	for done := 0; done < count; {
-		if len(data) < 2 {
-			return fmt.Errorf("%w: truncated AVR record", ErrCorrupt)
+	cur, err := block.Open(&block.Layout32, data, valCount)
+	var sum [compress.SummaryValues]int32
+	for err == nil && cur.More() {
+		var rec block.Record
+		if rec, err = cur.Next(); err != nil {
+			break
 		}
-		hdr, bias := data[0], int8(data[1])
-		data = data[2:]
-		take := count - done
-		if take > compress.BlockValues {
-			take = compress.BlockValues
+		if rec.Raw != nil {
+			ln.recs = append(ln.recs, lineRec{kind: lineRaw32, take: int32(rec.Values), rawOff: int32(len(ln.raws32))})
+			for i := 0; i < rec.Values; i++ {
+				ln.raws32 = append(ln.raws32, binary.LittleEndian.Uint32(rec.Raw[4*i:]))
+			}
+			continue
 		}
-		if hdr&0x80 != 0 {
-			size := int(hdr & 0x0F)
-			if size < 1 || size > compress.MaxCompressedLines {
-				return fmt.Errorf("%w: bad block size %d", ErrCorrupt, size)
-			}
-			if len(data) < size*compress.LineBytes {
-				return fmt.Errorf("%w: truncated AVR block", ErrCorrupt)
-			}
-			view, err := block.DecodeView(data[:size*compress.LineBytes])
-			if err != nil {
-				return err
-			}
-			data = data[size*compress.LineBytes:]
-			rec := lineRec{
-				kind:   lineSummary32,
-				method: compress.Method(hdr >> 6 & 1),
-				bias:   int16(bias),
-				take:   int32(take),
-				sumOff: int32(len(ln.sums32)),
-				bmOff:  -1,
-			}
-			ln.sums32 = append(ln.sums32, view.Summary[:]...)
-			if view.Bitmap != nil {
-				rec.bmOff = int32(len(ln.bms))
-				rec.outOff = int32(len(ln.outs))
-				ln.bms = append(ln.bms, view.Bitmap...)
-				ln.outs = append(ln.outs, view.OutlierBytes...)
-			}
-			ln.recs = append(ln.recs, rec)
-		} else {
-			if len(data) < compress.BlockBytes {
-				return fmt.Errorf("%w: truncated raw block", ErrCorrupt)
-			}
-			off := len(ln.raws32)
-			for i := 0; i < take; i++ {
-				ln.raws32 = append(ln.raws32, binary.LittleEndian.Uint32(data[4*i:]))
-			}
-			data = data[compress.BlockBytes:]
-			ln.recs = append(ln.recs, lineRec{kind: lineRaw32, take: int32(take), rawOff: int32(off)})
-		}
-		done += take
+		ln.addSummary(lineSummary32, &rec, len(ln.sums32))
+		block.ReadSummary32(&sum, rec.Summary)
+		ln.sums32 = append(ln.sums32, sum[:]...)
 	}
-	return nil
+	return streamErr(err)
 }
 
 // addAVR64 is addAVR32 for fp64 streams (128-double blocks, 8-value
 // summaries, int16 bias).
 func (ln *cachedLine) addAVR64(data []byte, valCount int) error {
-	if len(data) < 8 || string(data[:4]) != "AVR8" {
-		return fmt.Errorf("%w: bad codec64 magic in frame", ErrCorrupt)
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	if count != valCount {
-		return fmt.Errorf("%w: AVR stream holds %d values, record says %d", ErrCorrupt, count, valCount)
-	}
-	data = data[8:]
-	for done := 0; done < count; {
-		if len(data) < 3 {
-			return fmt.Errorf("%w: truncated AVR record", ErrCorrupt)
+	cur, err := block.Open(&block.Layout64, data, valCount)
+	var sum [compress.SummaryValues64]int64
+	for err == nil && cur.More() {
+		var rec block.Record
+		if rec, err = cur.Next(); err != nil {
+			break
 		}
-		hdr := data[0]
-		bias := int16(binary.LittleEndian.Uint16(data[1:]))
-		data = data[3:]
-		take := count - done
-		if take > compress.BlockValues64 {
-			take = compress.BlockValues64
+		if rec.Raw != nil {
+			ln.recs = append(ln.recs, lineRec{kind: lineRaw64, take: int32(rec.Values), rawOff: int32(len(ln.raws64))})
+			for i := 0; i < rec.Values; i++ {
+				ln.raws64 = append(ln.raws64, binary.LittleEndian.Uint64(rec.Raw[8*i:]))
+			}
+			continue
 		}
-		if hdr&0x80 != 0 {
-			size := int(hdr & 0x0F)
-			if size < 1 || size > compress.MaxCompressedLines {
-				return fmt.Errorf("%w: bad block size %d", ErrCorrupt, size)
-			}
-			if len(data) < size*compress.LineBytes {
-				return fmt.Errorf("%w: truncated AVR block", ErrCorrupt)
-			}
-			payload := data[:size*compress.LineBytes]
-			data = data[size*compress.LineBytes:]
-			rec := lineRec{
-				kind:   lineSummary64,
-				bias:   bias,
-				take:   int32(take),
-				sumOff: int32(len(ln.sums64)),
-				bmOff:  -1,
-			}
-			for i := 0; i < compress.SummaryValues64; i++ {
-				ln.sums64 = append(ln.sums64, int64(binary.LittleEndian.Uint64(payload[8*i:])))
-			}
-			if size > 1 {
-				bm := payload[compress.LineBytes : compress.LineBytes+compress.BitmapBytes64]
-				k := 0
-				for _, x := range bm {
-					k += bits.OnesCount8(x)
-				}
-				if compress.CompressedLines64(k) != size {
-					return fmt.Errorf("%w: codec64 bitmap inconsistent with size", ErrCorrupt)
-				}
-				rec.bmOff = int32(len(ln.bms))
-				rec.outOff = int32(len(ln.outs))
-				ln.bms = append(ln.bms, bm...)
-				p := compress.LineBytes + compress.BitmapBytes64
-				ln.outs = append(ln.outs, payload[p:p+8*k]...)
-			}
-			ln.recs = append(ln.recs, rec)
-		} else {
-			if len(data) < compress.BlockBytes {
-				return fmt.Errorf("%w: truncated raw block", ErrCorrupt)
-			}
-			off := len(ln.raws64)
-			for i := 0; i < take; i++ {
-				ln.raws64 = append(ln.raws64, binary.LittleEndian.Uint64(data[8*i:]))
-			}
-			data = data[compress.BlockBytes:]
-			ln.recs = append(ln.recs, lineRec{kind: lineRaw64, take: int32(take), rawOff: int32(off)})
-		}
-		done += take
+		ln.addSummary(lineSummary64, &rec, len(ln.sums64))
+		block.ReadSummary64(&sum, rec.Summary)
+		ln.sums64 = append(ln.sums64, sum[:]...)
 	}
-	return nil
+	return streamErr(err)
+}
+
+// addSummary files a compressed record whose summary values the caller
+// appends at sumOff, copying its bitmap and outliers into the slabs.
+func (ln *cachedLine) addSummary(kind uint8, rec *block.Record, sumOff int) {
+	lr := lineRec{kind: kind, method: rec.Method, bias: rec.Bias, take: int32(rec.Values), sumOff: int32(sumOff), bmOff: -1}
+	if rec.Bitmap != nil {
+		lr.bmOff, lr.outOff = int32(len(ln.bms)), int32(len(ln.outs))
+		ln.bms = append(ln.bms, rec.Bitmap...)
+		ln.outs = append(ln.outs, rec.Outliers...)
+	}
+	ln.recs = append(ln.recs, lr)
 }
 
 // serve32FromLine reconstructs the line's fp32 values, appending to dst.

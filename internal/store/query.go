@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"os"
 	"time"
 
 	"avr/internal/block"
@@ -106,12 +105,6 @@ type DownsampleResult struct {
 	QueryStats
 }
 
-// Record header sizes inside a codec stream (see codec.go / codec64.go).
-const (
-	recHdr32 = 2 // flags byte + int8 bias
-	recHdr64 = 3 // flags byte + int16 LE bias
-)
-
 // sumSlack bounds the relative float64 accumulation error of plain
 // summation (ours and the verifier's) over vectors up to ~2^30 values;
 // it is orders of magnitude below any configurable t1.
@@ -121,45 +114,14 @@ const sumSlack = 1e-9
 // allocation-free in steady state (the result slices of a downsample
 // are the only per-call allocation).
 type queryScratch struct {
-	hdr     [recHdr64 + compress.LineBytes]byte // record header + summary line
-	payload [compress.MaxCompressedLines * compress.LineBytes]byte
-	raw     [compress.BlockBytes]byte // raw-record payload
-	frame   getScratch                // lossless whole-frame reads
-	comp    *compress.Compressor
-	rec32   [compress.BlockValues]uint32
-	rec64   [compress.BlockValues64]uint64
-	sum64   [compress.SummaryValues64]int64
-	v       vec.Vec   // lossless-block decode buffer
-	ff      fileFrame // reused frameBytes instance (no per-block boxing)
-}
-
-// frameBytes is the random-access byte source a query walks: a segment
-// region on the serving path, an in-memory image under test and fuzz.
-type frameBytes interface {
-	readAt(dst []byte, off int64) error
-}
-
-// fileFrame uses a pointer receiver so the serving path can hand the
-// pooled scratch's instance to walkCodecStream without boxing a fresh
-// value into the interface per block.
-type fileFrame struct {
-	f    *os.File
-	base int64
-}
-
-func (ff *fileFrame) readAt(dst []byte, off int64) error {
-	_, err := ff.f.ReadAt(dst, ff.base+off)
-	return err
-}
-
-type memFrame []byte
-
-func (mf memFrame) readAt(dst []byte, off int64) error {
-	if off < 0 || off > int64(len(mf)) || int64(len(dst)) > int64(len(mf))-off {
-		return io.ErrUnexpectedEOF
-	}
-	copy(dst, mf[off:])
-	return nil
+	rbuf  block.RecordBuf // the walked record's image
+	frame getScratch      // lossless whole-frame reads
+	comp  *compress.Compressor
+	rec32 [compress.BlockValues]uint32
+	rec64 [compress.BlockValues64]uint64
+	sum32 [compress.SummaryValues]int32
+	sum64 [compress.SummaryValues64]int64
+	v     vec.Vec // lossless-block decode buffer
 }
 
 // qop selects which accumulators a frame walk feeds.
@@ -545,127 +507,49 @@ func (s *Store) queryAVRFrame(qs *queryScratch, q *queryRun, ref blockRef, width
 	if ref.frameLen <= envelope {
 		return fmt.Errorf("%w: frame too short for a block record", ErrCorrupt)
 	}
-	qs.ff = fileFrame{f: m.f, base: ref.off + envelope}
-	return walkCodecStream(qs, q, &qs.ff, ref.frameLen-envelope, width, int(ref.valCount))
+	return walkCodecStream(qs, q, m.f, ref.off+envelope, ref.frameLen-envelope, width, int(ref.valCount))
 }
 
-// walkCodecStream executes q over one codec stream of size bytes read
-// through src. It is the shared core of the serving path and the fuzz
-// harness; every read is bounds-checked against size first.
-func walkCodecStream(qs *queryScratch, q *queryRun, src frameBytes, size int64, width, valCount int) error {
-	if size < 8 {
-		return fmt.Errorf("%w: codec stream shorter than its header", ErrCorrupt)
-	}
-	hdr := qs.hdr[:8]
-	if err := src.readAt(hdr, 0); err != nil {
-		return err
-	}
-	wantMagic := codecMagic32
+// walkCodecStream executes q over the size-byte codec stream at base in
+// src — a segment file on the serving path, an in-memory reader under
+// test and fuzz. The cursor does the targeted preads and all validation;
+// structural damage comes back as ErrCorrupt.
+func walkCodecStream(qs *queryScratch, q *queryRun, src io.ReaderAt, base, size int64, width, valCount int) error {
+	lay := &block.Layout32
 	if width == 64 {
-		wantMagic = codecMagic64
+		lay = &block.Layout64
 	}
-	if [4]byte(hdr[:4]) != wantMagic {
-		return fmt.Errorf("%w: bad codec magic", ErrCorrupt)
-	}
-	if n := int(binary.LittleEndian.Uint32(hdr[4:])); n != valCount {
-		return fmt.Errorf("%w: stream holds %d values, record says %d", ErrCorrupt, n, valCount)
-	}
-	q.stats.BytesTouched += 8
-
-	off := int64(8)
-	remaining := valCount
-	for remaining > 0 {
-		var err error
-		if width == 32 {
-			off, remaining, err = walkRecord32(qs, q, src, size, off, remaining)
+	cur, err := block.OpenAt(lay, src, base, size, &qs.rbuf, valCount)
+	for err == nil && cur.More() {
+		var rec block.Record
+		if rec, err = cur.Next(); err != nil {
+			break
+		}
+		if width == 64 {
+			walkRecord64(qs, q, &rec)
 		} else {
-			off, remaining, err = walkRecord64(qs, q, src, size, off, remaining)
-		}
-		if err != nil {
-			return err
+			walkRecord32(qs, q, &rec)
 		}
 	}
-	return nil
+	q.stats.BytesTouched += cur.Fetched()
+	return streamErr(err)
 }
 
-var (
-	codecMagic32 = [4]byte{'A', 'V', 'R', '1'}
-	codecMagic64 = [4]byte{'A', 'V', 'R', '8'}
-)
-
-// walkRecord32 consumes one fp32 codec record at off.
-func walkRecord32(qs *queryScratch, q *queryRun, src frameBytes, size, off int64, remaining int) (int64, int, error) {
-	take := remaining
-	if take > compress.BlockValues {
-		take = compress.BlockValues
-	}
-	if off+recHdr32+compress.LineBytes > size {
-		return 0, 0, fmt.Errorf("%w: truncated block record", ErrCorrupt)
-	}
-	hb := qs.hdr[:recHdr32+compress.LineBytes]
-	if err := src.readAt(hb, off); err != nil {
-		return 0, 0, err
-	}
-	flags, bias := hb[0], int8(hb[1])
-	if flags&0x80 == 0 {
-		// Raw record: 1 KiB of original bit patterns, exact.
-		if off+recHdr32+compress.BlockBytes > size {
-			return 0, 0, fmt.Errorf("%w: truncated raw record", ErrCorrupt)
-		}
-		if err := src.readAt(qs.raw[:], off+recHdr32); err != nil {
-			return 0, 0, err
-		}
-		q.stats.BytesTouched += recHdr32 + compress.BlockBytes
+// walkRecord32 feeds one fp32 codec record to q.
+func walkRecord32(qs *queryScratch, q *queryRun, rec *block.Record) {
+	take := rec.Values
+	if rec.Raw != nil {
 		q.stats.BlocksRaw++
-		visitRaw32(q, qs.raw[:], take)
-		return off + recHdr32 + compress.BlockBytes, remaining - take, nil
+		visitRaw32(q, rec.Raw, take)
+		return
 	}
-	lines := int(flags & 0x0F)
-	if lines < 1 || lines > compress.MaxCompressedLines {
-		return 0, 0, fmt.Errorf("%w: bad block size %d", ErrCorrupt, lines)
-	}
-	if off+recHdr32+int64(lines)*compress.LineBytes > size {
-		return 0, 0, fmt.Errorf("%w: truncated compressed record", ErrCorrupt)
-	}
-	// Assemble the payload image for block.DecodeView: summary line from
-	// the header read, bitmap and exactly the packed outlier bytes via
-	// targeted preads (never the padded tail of the outlier lines).
-	payload := qs.payload[:lines*compress.LineBytes]
-	copy(payload, hb[recHdr32:])
-	touched := recHdr32 + compress.LineBytes
-	if lines > 1 {
-		bm := payload[compress.LineBytes : compress.LineBytes+compress.BitmapBytes]
-		if err := src.readAt(bm, off+recHdr32+compress.LineBytes); err != nil {
-			return 0, 0, err
-		}
-		k := 0
-		for _, b := range bm {
-			k += bits.OnesCount8(b)
-		}
-		if compress.CompressedLines(k) != lines {
-			return 0, 0, fmt.Errorf("%w: bitmap inconsistent with block size", ErrCorrupt)
-		}
-		ob := payload[compress.LineBytes+compress.BitmapBytes : compress.LineBytes+compress.BitmapBytes+4*k]
-		if err := src.readAt(ob, off+recHdr32+compress.LineBytes+compress.BitmapBytes); err != nil {
-			return 0, 0, err
-		}
-		for i := compress.LineBytes + compress.BitmapBytes + 4*k; i < len(payload); i++ {
-			payload[i] = 0
-		}
-		touched += compress.BitmapBytes + 4*k
-	}
-	view, err := block.DecodeView(payload)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	q.stats.BytesTouched += int64(touched)
 	q.stats.BlocksAVR++
-	method := compress.Method(flags >> 6 & 1)
-
-	if q.op == qopFilter && pruneFilter32(qs, q, view, method, bias, take) {
-		return off + recHdr32 + int64(lines)*compress.LineBytes, remaining - take, nil
+	block.ReadSummary32(&qs.sum32, rec.Summary)
+	bias := int8(rec.Bias)
+	if q.op == qopFilter && pruneFilter32(qs, q, rec.Bitmap, rec.Outliers, rec.Method, bias, take) {
+		return
 	}
-	qs.comp.DecompressInto(&qs.rec32, &view.Summary, view.Bitmap, view.OutlierBytes, method, bias, compress.Float32)
+	qs.comp.DecompressInto(&qs.rec32, &qs.sum32, rec.Bitmap, rec.Outliers, rec.Method, bias, compress.Float32)
 	n := take
 	if q.op == qopDownsample {
 		// Include the encoder's padding so every point covers 16 positions.
@@ -673,92 +557,40 @@ func walkRecord32(qs *queryScratch, q *queryRun, src frameBytes, size, off int64
 	}
 	for i := 0; i < n; i++ {
 		v := float64(math.Float32frombits(qs.rec32[i]))
-		if bitSet(view.Bitmap, i) {
+		if bitSet(rec.Bitmap, i) {
 			q.visitExact(v)
 		} else {
 			q.visitApprox(v)
 		}
 	}
-	return off + recHdr32 + int64(lines)*compress.LineBytes, remaining - take, nil
 }
 
-// walkRecord64 consumes one fp64 codec record at off.
-func walkRecord64(qs *queryScratch, q *queryRun, src frameBytes, size, off int64, remaining int) (int64, int, error) {
-	take := remaining
-	if take > compress.BlockValues64 {
-		take = compress.BlockValues64
-	}
-	if off+recHdr64+compress.LineBytes > size {
-		return 0, 0, fmt.Errorf("%w: truncated block record", ErrCorrupt)
-	}
-	hb := qs.hdr[:recHdr64+compress.LineBytes]
-	if err := src.readAt(hb, off); err != nil {
-		return 0, 0, err
-	}
-	flags := hb[0]
-	bias := int16(binary.LittleEndian.Uint16(hb[1:]))
-	if flags&0x80 == 0 {
-		if off+recHdr64+compress.BlockBytes > size {
-			return 0, 0, fmt.Errorf("%w: truncated raw record", ErrCorrupt)
-		}
-		if err := src.readAt(qs.raw[:], off+recHdr64); err != nil {
-			return 0, 0, err
-		}
-		q.stats.BytesTouched += recHdr64 + compress.BlockBytes
+// walkRecord64 feeds one fp64 codec record to q.
+func walkRecord64(qs *queryScratch, q *queryRun, rec *block.Record) {
+	take := rec.Values
+	if rec.Raw != nil {
 		q.stats.BlocksRaw++
-		visitRaw64(q, qs.raw[:], take)
-		return off + recHdr64 + compress.BlockBytes, remaining - take, nil
+		visitRaw64(q, rec.Raw, take)
+		return
 	}
-	lines := int(flags & 0x0F)
-	if lines < 1 || lines > compress.MaxCompressedLines {
-		return 0, 0, fmt.Errorf("%w: bad block size %d", ErrCorrupt, lines)
-	}
-	if off+recHdr64+int64(lines)*compress.LineBytes > size {
-		return 0, 0, fmt.Errorf("%w: truncated compressed record", ErrCorrupt)
-	}
-	for i := range qs.sum64 {
-		qs.sum64[i] = int64(binary.LittleEndian.Uint64(hb[recHdr64+8*i:]))
-	}
-	touched := recHdr64 + compress.LineBytes
-	var bitmap, outl []byte
-	if lines > 1 {
-		bitmap = qs.payload[:compress.BitmapBytes64]
-		if err := src.readAt(bitmap, off+recHdr64+compress.LineBytes); err != nil {
-			return 0, 0, err
-		}
-		k := 0
-		for _, b := range bitmap {
-			k += bits.OnesCount8(b)
-		}
-		if compress.CompressedLines64(k) != lines {
-			return 0, 0, fmt.Errorf("%w: bitmap inconsistent with block size", ErrCorrupt)
-		}
-		outl = qs.payload[compress.BitmapBytes64 : compress.BitmapBytes64+8*k]
-		if err := src.readAt(outl, off+recHdr64+compress.LineBytes+compress.BitmapBytes64); err != nil {
-			return 0, 0, err
-		}
-		touched += compress.BitmapBytes64 + 8*k
-	}
-	q.stats.BytesTouched += int64(touched)
 	q.stats.BlocksAVR++
-
-	if q.op == qopFilter && pruneFilter64(qs, q, bitmap, bias, take) {
-		return off + recHdr64 + int64(lines)*compress.LineBytes, remaining - take, nil
+	block.ReadSummary64(&qs.sum64, rec.Summary)
+	if q.op == qopFilter && pruneFilter64(qs, q, rec.Bitmap, rec.Bias, take) {
+		return
 	}
-	qs.comp.DecompressInto64(&qs.rec64, &qs.sum64, bitmap, outl, bias)
+	qs.comp.DecompressInto64(&qs.rec64, &qs.sum64, rec.Bitmap, rec.Outliers, rec.Bias)
 	n := take
 	if q.op == qopDownsample {
 		n = (take + compress.SubBlockSize64 - 1) / compress.SubBlockSize64 * compress.SubBlockSize64
 	}
 	for i := 0; i < n; i++ {
 		v := math.Float64frombits(qs.rec64[i])
-		if bitSet(bitmap, i) {
+		if bitSet(rec.Bitmap, i) {
 			q.visitExact(v)
 		} else {
 			q.visitApprox(v)
 		}
 	}
-	return off + recHdr64 + int64(lines)*compress.LineBytes, remaining - take, nil
 }
 
 // visitRaw32 feeds a raw fp32 payload (exact original bit patterns).
@@ -794,21 +626,21 @@ func bitSet(bm []byte, i int) bool {
 // summary range brackets every non-outlier; outliers are classified
 // exactly from their stored values. Returns true when the block was
 // fully classified without interpolating.
-func pruneFilter32(qs *queryScratch, q *queryRun, view block.View, method compress.Method, bias int8, take int) bool {
-	smin, smax := summaryRange32(&view.Summary, bias)
+func pruneFilter32(qs *queryScratch, q *queryRun, bitmap, outliers []byte, method compress.Method, bias int8, take int) bool {
+	smin, smax := summaryRange32(&qs.sum32, bias)
 	in, out := rangeVerdict(q, smin, smax)
 	if !in && !out {
 		// The block straddles the predicate. For the 1D layout, prune
 		// run by run: run s interpolates between summary values s−1..s+1.
-		if method == compress.Method1D && len(view.Bitmap) == 0 {
-			return pruneRuns32(qs, q, &view.Summary, bias, take)
+		if method == compress.Method1D && len(bitmap) == 0 {
+			return pruneRuns32(qs, q, &qs.sum32, bias, take)
 		}
 		return false
 	}
 	nOut := 0
 	oi := 0
 	for i := 0; i < take; i++ {
-		if bitSet(view.Bitmap, i) {
+		if bitSet(bitmap, i) {
 			nOut++
 		}
 	}
@@ -818,13 +650,13 @@ func pruneFilter32(qs *queryScratch, q *queryRun, view block.View, method compre
 	// Outlier values are arbitrary — classify each exactly. Outlier
 	// bytes are packed in bit order over the whole block, so walk all
 	// 256 bits and skip those beyond take.
-	for bi, b := range view.Bitmap {
+	for bi, b := range bitmap {
 		for b != 0 {
 			i := bi<<3 + bits.TrailingZeros8(b)
 			b &= b - 1
 			if i < take {
 				q.visitExact(float64(math.Float32frombits(
-					binary.LittleEndian.Uint32(view.OutlierBytes[oi:]))))
+					binary.LittleEndian.Uint32(outliers[oi:]))))
 			}
 			oi += 4
 		}

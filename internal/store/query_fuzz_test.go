@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"avr"
 	"avr/internal/compress"
+	"avr/internal/vec"
 	"avr/internal/workloads"
 )
 
@@ -44,6 +47,11 @@ func fuzzStream64(tb testing.TB, dist string, n int, t1 float64) []byte {
 // damage surfaces as ErrCorrupt (never an unclassified error); it never
 // touches more bytes than the input holds; and a clean walk feeds the
 // query exactly the declared number of values.
+//
+// The same bytes also go through the other two consumers of the stream
+// reader — the Get decode (DecodeTo/Decode64To) and the cache fill
+// (addAVR32/64): all three must reach one verdict, and on a clean
+// stream the cache-hit reconstruction must equal the decode bit for bit.
 func FuzzQueryFrame(f *testing.F) {
 	s32 := fuzzStream32(f, "heat", 2*compress.BlockValues+17, 1.0/32)
 	s64 := fuzzStream64(f, "wave", compress.BlockValues64+9, 1.0/32)
@@ -64,6 +72,11 @@ func FuzzQueryFrame(f *testing.F) {
 	f.Add(flip, uint16(2*compress.BlockValues+17), false, uint8(2))
 	f.Add([]byte{}, uint16(1), false, uint8(0))
 
+	codec := avr.NewCodec(0)
+	var hits Store // just the cache-hit scratch pool serveFromLine draws on
+	hits.hits.New = func() any {
+		return &hitScratch{comp: compress.NewCompressor(compress.DefaultThresholds())}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, vc uint16, is64 bool, op8 uint8) {
 		width := 32
 		if is64 {
@@ -81,10 +94,11 @@ func FuzzQueryFrame(f *testing.F) {
 		q.setRef(1.0/32, width)
 		qs := &queryScratch{comp: compress.NewCompressor(compress.DefaultThresholds())}
 
-		err := walkCodecStream(qs, q, memFrame(data), int64(len(data)), width, valCount)
+		err := walkCodecStream(qs, q, bytes.NewReader(data), 0, int64(len(data)), width, valCount)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("unclassified walk error: %v", err)
 		}
+		assertOneVerdict(t, codec, &hits, data, width, valCount, err)
 		if q.stats.BytesTouched > int64(len(data)) {
 			t.Fatalf("touched %d bytes of a %d-byte stream", q.stats.BytesTouched, len(data))
 		}
@@ -109,4 +123,46 @@ func FuzzQueryFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// assertOneVerdict runs data through the Get decode and the cache fill
+// and holds them to the walker's verdict walkErr. The decode does not
+// know the frame's value count, so its verdict is "decodes, and to
+// valCount values" — exactly what readLocked checks.
+func assertOneVerdict(t *testing.T, codec *avr.Codec, s *Store, data []byte, width, valCount int, walkErr error) {
+	t.Helper()
+	dec, decErr := vec.Vec{Width: width}.DecodeAppend(codec, data)
+	if decErr = streamErr(decErr); decErr != nil && !errors.Is(decErr, ErrCorrupt) {
+		t.Fatalf("unclassified decode error: %v", decErr)
+	}
+	decOK := decErr == nil && dec.Len() == valCount
+
+	ln := &cachedLine{width: uint8(width)}
+	var fillErr error
+	if width == 64 {
+		fillErr = ln.addAVR64(data, valCount)
+	} else {
+		fillErr = ln.addAVR32(data, valCount)
+	}
+	if fillErr != nil && !errors.Is(fillErr, ErrCorrupt) {
+		t.Fatalf("unclassified cache-fill error: %v", fillErr)
+	}
+	if walkOK := walkErr == nil; decOK != walkOK || (fillErr == nil) != walkOK {
+		t.Fatalf("verdicts differ: walk %v, decode %v (%d of %d values), cache fill %v",
+			walkErr, decErr, dec.Len(), valCount, fillErr)
+	}
+	if walkErr != nil {
+		return
+	}
+	ln.nvals = valCount
+	hit := s.serveFromLine(vec.Vec{Width: width}, ln)
+	// Compare bit patterns: NaNs must match too.
+	same := slices.EqualFunc(hit.F32, dec.F32, func(a, b float32) bool {
+		return math.Float32bits(a) == math.Float32bits(b)
+	}) && slices.EqualFunc(hit.F64, dec.F64, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	})
+	if !same {
+		t.Fatalf("cache-hit reconstruction differs from the decode (%d vs %d values)", hit.Len(), dec.Len())
+	}
 }

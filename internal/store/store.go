@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"avr"
+	"avr/internal/block"
 	"avr/internal/compress"
 	"avr/internal/obs"
 	"avr/internal/readcache"
@@ -916,7 +917,7 @@ func (s *Store) readLocked(dst vec.Vec, key string, e *entry, sp *trace.Span) (v
 			dst, err = decodeLosslessTo(dst, data, int(ref.valCount))
 		} else {
 			dst, err = dst.DecodeAppend(c, data)
-			if err == nil && dst.Len()-n != int(ref.valCount) {
+			if err = streamErr(err); err == nil && dst.Len()-n != int(ref.valCount) {
 				err = fmt.Errorf("%w: AVR stream holds %d values, record says %d",
 					ErrCorrupt, dst.Len()-n, ref.valCount)
 			}
@@ -954,6 +955,16 @@ func (s *Store) readFrameLocked(ref blockRef, gs *getScratch) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame CRC mismatch on read", ErrCorrupt)
 	}
 	return blockRecordData(payload)
+}
+
+// streamErr classes a rejection by the codec-stream reader (internal/block)
+// as ErrCorrupt: a frame that passed its CRC but does not parse is
+// damaged all the same. Anything else is the segment's I/O error.
+func streamErr(err error) error {
+	if errors.Is(err, block.ErrMalformed) {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return err
 }
 
 // Delete removes key, appending a tombstone so the removal survives

@@ -26,10 +26,10 @@ OUT="${1:-BENCH_sim.json}"
 STORE_OUT="${2:-BENCH_store.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Recorder|Histogram}"
-STOREFILTER="${STOREFILTER:-StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheLookup|BatchScanPut8|BatchEmitGet8|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
+STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheLookup|BatchScanPut8|BatchEmitGet8|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
 
 PKGS="./internal/cache ./internal/cmt ./internal/compress ./internal/dram ./internal/obs ./internal/sim ./internal/workloads"
-STORE_PKGS="./internal/store ./internal/server ./internal/trace ./internal/cluster"
+STORE_PKGS=". ./internal/store ./internal/server ./internal/trace ./internal/cluster"
 
 # Hot-path benchmarks that must report 0 allocs/op: every demand access
 # in the simulator goes through these paths, and a single allocation per
@@ -40,7 +40,9 @@ GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLo
 # Serving-path gate: the codec-pool handoff sits on every request, and
 # the store put/get hot paths are allocation-free by contract — pooled
 # scratch on the write side, caller-supplied destinations (Get*IntoCached) on
-# the read side. Compressed-domain aggregate/filter queries share the
+# the read side, with the codec decode underneath them (DecodeTo /
+# Decode64To into a retained buffer, root package) held to the bar on
+# its own. Compressed-domain aggregate/filter queries share the
 # bar (pooled scratch, targeted preads); downsample is exempt — its
 # result slices are the query's output. The Traced* twins hold the
 # same paths to the same bar with a live span, tracer and JSONL sink
@@ -49,15 +51,15 @@ GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLo
 # itself). The router hot path — ring owner lookup plus batch fan-out
 # planning — is held to the same bar: both sit on every proxied
 # request, so the router adds network hops but no allocator pressure.
-# The read-cache hit path and the bare cache lookup join the gate: a
-# cache hit that allocates would trade the disk read it saves for GC
+# The read-cache hit path (both widths) and the bare cache lookup join
+# the gate: a cache hit that allocates would trade the disk read it saves for GC
 # pressure on every hot read. The batch wire codec — the scan the router
 # and avrd run over every mput body and mget reply, and the emit avrd
 # runs for every mget — is gated too: it exists to take the per-payload
 # copies out of the batch path. (The loopback Server*/Router* Mput8 and
 # Mget8 benchmarks run whole requests over real listeners and are
 # recorded, with the core count they ran on, not gated.)
-STORE_GATED="BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchEmitGet8"
+STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchEmitGet8"
 
 RAW="$(mktemp)"
 RAW_STORE="$(mktemp)"
