@@ -238,9 +238,9 @@ func TestFlushAll(t *testing.T) {
 func TestAddrOfTagRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 64; trial++ {
-		lineBytes := 16 << rng.Intn(4)           // 16..128 B
-		ways := 1 + rng.Intn(8)                  // 1..8
-		sets := 1 << (1 + rng.Intn(10))          // 2..1024
+		lineBytes := 16 << rng.Intn(4)  // 16..128 B
+		ways := 1 + rng.Intn(8)         // 1..8
+		sets := 1 << (1 + rng.Intn(10)) // 2..1024
 		c := New(sets*ways*lineBytes, ways, lineBytes)
 		if c.Sets() != sets {
 			t.Fatalf("geometry: got %d sets, want %d", c.Sets(), sets)

@@ -16,6 +16,7 @@ import (
 	"avr/internal/obs"
 	"avr/internal/server"
 	"avr/internal/store"
+	"avr/internal/vec"
 )
 
 // postJSON posts body and decodes a JSON reply into out (nil skips).
@@ -203,6 +204,25 @@ func TestRouterMgetSecondRound(t *testing.T) {
 	}
 }
 
+// fakeStats is the /v1/store/stats a scripted shard answers the router's
+// encoder with: the store defaults.
+const fakeStats = `{"t1":0.03125,"ratio_floor":1.2}`
+
+// testEncoding is the encoding a router learns from fakeStats.
+func testEncoding() *putEncoding {
+	return &putEncoding{enc: store.NewEncoder(1.0/32, 1.2), node: "test"}
+}
+
+// containerOf is the container the router ships for a raw fp32 payload.
+func containerOf(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	c, err := testEncoding().enc.AppendPut(nil, vec.Of32(nil).FromLE(raw))
+	if err != nil {
+		t.Fatalf("encoding %d bytes: %v", len(raw), err)
+	}
+	return c
+}
+
 // fakeFleet is a router over scripted shards.
 func fakeFleet(t *testing.T, replication int, shards ...http.HandlerFunc) *httptest.Server {
 	t.Helper()
@@ -258,6 +278,10 @@ func TestRouterBatchAllLegsShed(t *testing.T) {
 func TestRouterBatchBadLegResponse(t *testing.T) {
 	var wrongCount atomic.Bool
 	shard := func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/store/stats" {
+			io.WriteString(w, fakeStats)
+			return
+		}
 		body, _ := io.ReadAll(r.Body)
 		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s leg Content-Type %q, want application/json", r.URL.Path, ct)
@@ -288,8 +312,8 @@ func TestRouterBatchBadLegResponse(t *testing.T) {
 			}
 			var res server.BatchPutResult
 			for _, it := range req.Items {
-				if !bytes.Equal(it.Data, f32le(1, 2)) {
-					t.Errorf("mput leg item %q carries %x, want the payload as sent", it.Key, it.Data)
+				if !it.Encoded || !bytes.Equal(it.Data, containerOf(t, f32le(1, 2))) {
+					t.Errorf("mput leg item %q carries encoded=%v %x, want the payload's container", it.Key, it.Encoded, it.Data)
 				}
 				out := server.BatchPutItemResult{Key: it.Key, OK: true, Values: 2, Blocks: 1}
 				if it.Key == "liar" {
@@ -515,10 +539,11 @@ func keyPayload(key string) []byte {
 	return out
 }
 
-// TestLegBodiesOutliveTheRoundTrip: a request body or leg body the
-// transport still holds must keep its bytes however many later requests
-// have gone through the buffer pool since — the pooled buffer may only
-// be recycled once the transport has closed the body.
+// TestLegBodiesOutliveTheRoundTrip: a leg body the transport still holds
+// — a put's container, shared by its two legs, or an mput leg's batch of
+// containers — must keep its bytes however many later requests have gone
+// through the buffer pool since: the pooled buffer may only be recycled
+// once the transport has closed every body reading it.
 func TestLegBodiesOutliveTheRoundTrip(t *testing.T) {
 	topo := Topology{VNodes: 16, Replication: 2, Nodes: []Node{
 		{Name: "a", Addr: "127.0.0.1:1"}, {Name: "b", Addr: "127.0.0.1:2"}}}
@@ -527,6 +552,7 @@ func TestLegBodiesOutliveTheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
+	ro.encoding.Store(testEncoding()) // no node will ever answer /v1/store/stats
 	st := &stragglerTransport{}
 	ro.client.Transport = st
 	ts := httptest.NewServer(ro.Handler())
@@ -566,8 +592,9 @@ func TestLegBodiesOutliveTheRoundTrip(t *testing.T) {
 		}
 		switch h.path {
 		case "/v1/store/put":
-			if !bytes.Equal(raw, keyPayload(h.trace+"-put")) {
-				t.Fatalf("%s put leg: the held body is no longer this request's payload", h.trace)
+			// Both legs of a put read the one container buffer.
+			if !bytes.Equal(raw, containerOf(t, keyPayload(h.trace+"-put"))) {
+				t.Fatalf("%s put leg: the held body is no longer this request's container", h.trace)
 			}
 		case "/v1/store/mput":
 			var req server.BatchPutRequest
@@ -575,7 +602,7 @@ func TestLegBodiesOutliveTheRoundTrip(t *testing.T) {
 				t.Fatalf("%s mput leg: held body does not parse (%v): %.80q", h.trace, err, raw)
 			}
 			for _, it := range req.Items {
-				if !strings.HasPrefix(it.Key, h.trace+"-") || !bytes.Equal(it.Data, keyPayload(it.Key)) {
+				if !strings.HasPrefix(it.Key, h.trace+"-") || !it.Encoded || !bytes.Equal(it.Data, containerOf(t, keyPayload(it.Key))) {
 					t.Fatalf("%s mput leg: held body carries item %q of another request or payload", h.trace, it.Key)
 				}
 			}

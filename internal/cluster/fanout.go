@@ -64,11 +64,16 @@ func (ro *Router) planRead(pl *batchPlan, n int, key func(int) string) {
 	}
 }
 
-// planWrite groups n keys by every owner: replication-2 writes go to
-// both the primary and the replica.
-func (ro *Router) planWrite(pl *batchPlan, n int, key func(int) string) {
+// planWrite groups the keys, of n, that key reports as going out by
+// every owner: replication-2 writes go to both the primary and the
+// replica.
+func (ro *Router) planWrite(pl *batchPlan, n int, key func(int) (string, bool)) {
 	for i := 0; i < n; i++ {
-		p, rep := ro.ring.Owners(key(i))
+		k, ok := key(i)
+		if !ok {
+			continue
+		}
+		p, rep := ro.ring.Owners(k)
 		pl.add(p, i)
 		if rep >= 0 {
 			pl.add(rep, i)
@@ -113,14 +118,13 @@ func releaseLegs(legs []batchLeg) {
 	}
 }
 
-// handleMput serves POST /v1/store/mput on the router: the batch is
-// split by owning shard, each key written to both its replicas, and the
-// per-key results merged back in request order. A key succeeds when at
-// least one replica took the write; Replicas reports how many did.
-//
-// The payloads pass through undecoded: one scan of the body finds each
-// item's key and its span, and a leg's body is its items' spans,
-// concatenated as sent.
+// handleMput serves POST /v1/store/mput on the router: every item is
+// encoded once (encodeItems), the batch is split by owning shard, each
+// key's container written to both its replicas, and the per-key results
+// merged back in request order. A key succeeds when at least one replica
+// took the write; Replicas reports how many did. An item the router
+// itself refuses — a width or length avrd would refuse too — fails in
+// place and goes nowhere.
 func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 	sp := ro.tracer.Start()
 	defer ro.tracer.Finish("mput", sp)
@@ -147,21 +151,29 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
 
+	pe, failed := ro.putEncoder(r.Context(), traceID)
+	if pe == nil {
+		ro.failAll(w, failed)
+		return
+	}
 	res := server.BatchPutResult{Results: make([]server.BatchPutItemResult, len(sc.Items))}
 	for i := range res.Results {
 		res.Results[i].Key = string(sc.Items[i].Key)
 	}
+	et := sp.Begin()
+	elems := encodeItems(pe.enc, sc.Items, res.Results)
+	sp.End(trace.StageEncode, et)
 
 	rt := sp.Begin()
 	pl := getPlan(len(ro.nodes))
-	ro.planWrite(pl, len(sc.Items), func(i int) string { return res.Results[i].Key })
+	ro.planWrite(pl, len(elems), func(i int) (string, bool) { return res.Results[i].Key, elems[i] != nil })
 	sp.End(trace.StageRoute, rt)
 
 	ft := sp.Begin()
 	legs := ro.runLegs(r.Context(), pl, "/v1/store/mput", traceID, func(items []int32) *server.Buf {
 		size := len(server.PutRequestOpen) + len(items) + len(server.BatchClose)
 		for _, idx := range items {
-			size += len(sc.Items[idx].Raw)
+			size += len(elems[idx].B)
 		}
 		b := server.GetBuf()
 		b.B = append(slices.Grow(b.B, size), server.PutRequestOpen...)
@@ -169,12 +181,15 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 			if j > 0 {
 				b.B = append(b.B, ',')
 			}
-			b.B = append(b.B, sc.Items[idx].Raw...)
+			b.B = append(b.B, elems[idx].B...)
 		}
 		b.B = append(b.B, server.BatchClose...)
 		return b
 	})
 	sp.End(trace.StageFanout, ft)
+	for _, e := range elems {
+		e.Release() // the leg bodies were copies
+	}
 	for i := range res.Results {
 		ro.invalidateKey(res.Results[i].Key)
 	}

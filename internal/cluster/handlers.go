@@ -61,8 +61,9 @@ func legErrString(lr legResult, nodeName string) string {
 	return fmt.Sprintf("%s: downstream %d", nodeName, lr.status)
 }
 
-// handlePut proxies a single-key put to BOTH of the key's replicas
-// concurrently. The put succeeds when at least one replica took the
+// handlePut serves a single-key put: the values are encoded once and
+// the container goes to BOTH of the key's replicas concurrently, out of
+// one shared buffer. The put succeeds when at least one replica took the
 // write — the read path's bound check tolerates a stale or missing
 // second copy — and X-AVR-Replicas reports how many did, so callers
 // (and the smoke test) can see degraded writes.
@@ -76,6 +77,10 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 		httpErrf(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
+	if r.Header.Get("Content-Type") == server.EncodedPutType {
+		httpErrf(w, http.StatusUnsupportedMediaType, "%v", errEncodedItem)
+		return
+	}
 	body := ro.readBody(w, r)
 	if body == nil {
 		return
@@ -86,6 +91,26 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 	}
 	defer ro.gate.Release()
 	traceID := inboundTraceID(r, sp)
+
+	pe, failed := ro.putEncoder(r.Context(), traceID)
+	if pe == nil {
+		ro.failAll(w, failed)
+		return
+	}
+	et := sp.Begin()
+	es := encScratchPool.Get().(*encScratch)
+	defer encScratchPool.Put(es)
+	container := server.GetBuf()
+	defer container.Release()
+	var err error
+	if es.vals, err = server.RawPutValues(es.vals, r.URL.Query().Get("width"), body.B); err == nil {
+		container.B, err = pe.enc.AppendPut(container.B, es.vals)
+	}
+	sp.End(trace.StageEncode, et)
+	if err != nil {
+		httpErrf(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 
 	rt := sp.Begin()
 	p, rep := ro.ring.Owners(key)
@@ -100,15 +125,15 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			prLR = ro.doLeg(r.Context(), http.MethodPut, p, path, traceID, body)
+			prLR = ro.doLeg(r.Context(), http.MethodPut, p, path, traceID, container)
 		}()
 		go func() {
 			defer wg.Done()
-			repLR = ro.doLegRetry(r.Context(), http.MethodPut, rep, path, traceID, body)
+			repLR = ro.doLegRetry(r.Context(), http.MethodPut, rep, path, traceID, container)
 		}()
 		wg.Wait()
 	} else {
-		prLR = ro.doLegRetry(r.Context(), http.MethodPut, p, path, traceID, body)
+		prLR = ro.doLegRetry(r.Context(), http.MethodPut, p, path, traceID, container)
 	}
 	sp.End(trace.StageFanout, ft)
 	// Write-through invalidation: even a failed leg may have mutated one
@@ -487,6 +512,7 @@ type RouterStats struct {
 	BatchKeys     int64             `json:"batch_keys"`
 	NodeEjects    int64             `json:"node_ejects"`
 	NodeReadmits  int64             `json:"node_readmits"`
+	Encoding      RouterEncoding    `json:"encoding"`
 	Cache         CacheStats        `json:"cache"`
 	Nodes         []RouterNodeStats `json:"nodes"`
 }
@@ -507,6 +533,7 @@ func (ro *Router) Stats() RouterStats {
 		BatchKeys:     obs.RouterBatchKeys.Value(),
 		NodeEjects:    obs.RouterNodeEjects.Value(),
 		NodeReadmits:  obs.RouterNodeReadmits.Value(),
+		Encoding:      ro.encodingStats(),
 		Cache:         ro.cacheStats(),
 	}
 	now := time.Now().UnixNano()

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,7 +32,7 @@ type Config struct {
 	// beyond it shed with 429 (default 4×Workers).
 	QueueDepth int
 	// MaxBodyBytes caps request bodies; larger bodies get 413 (default
-	// 8 MiB — matching avrd, since put bodies pass through).
+	// 8 MiB — matching avrd, so what one tier takes the other does).
 	MaxBodyBytes int64
 	// QueueTimeout bounds the admission wait before 503 (default 2s).
 	QueueTimeout time.Duration
@@ -150,6 +151,12 @@ type Router struct {
 	// 0); writeGen guards its fills against proxied writes (cache.go).
 	cache    *readcache.Cache
 	writeGen genTable
+
+	// encoding is what puts are encoded at, learned from the shards
+	// (nil until the first write); encMu serialises learning it
+	// (encode.go).
+	encoding atomic.Pointer[putEncoding]
+	encMu    sync.Mutex
 }
 
 // New creates a Router for the topology and starts its health prober
@@ -342,6 +349,8 @@ func (ro *Router) probeNode(nd *node) {
 		if !nd.up.Load() && nd.consecOKs >= ro.cfg.ReadmitAfter {
 			nd.up.Store(true)
 			obs.RouterNodeReadmits.Add(1)
+			// It may have come back configured differently.
+			ro.forgetEncoding()
 		}
 		return
 	}
@@ -428,10 +437,10 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 		return legResult{err: err}
 	}
 	if body != nil {
-		// A PUT leg carries one key's raw values; the POST legs are the
-		// JSON batches.
+		// A PUT leg carries one key's encoded-put container; the POST legs
+		// are the JSON batches.
 		if method == http.MethodPut {
-			req.Header.Set("Content-Type", "application/octet-stream")
+			req.Header.Set("Content-Type", server.EncodedPutType)
 		} else {
 			req.Header.Set("Content-Type", "application/json")
 		}

@@ -36,15 +36,24 @@ type testCluster struct {
 // router and node i's handler (fault injection).
 func newTestCluster(t testing.TB, n int, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
+	return newTestClusterAt(t, make([]float64, n), cfg, wrap...)
+}
+
+// newTestClusterAt is newTestCluster with node i's store opened at
+// threshold t1s[i] (0 is the default): a fleet can be misconfigured.
+func newTestClusterAt(t testing.TB, t1s []float64, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	topo := Topology{VNodes: 64, Replication: 2}
-	for i := 0; i < n; i++ {
-		st, err := store.Open(store.Config{Dir: t.TempDir()})
+	for i := range t1s {
+		st, err := store.Open(store.Config{Dir: t.TempDir(), T1: t1s[i]})
 		if err != nil {
 			t.Fatalf("store %d: %v", i, err)
 		}
 		tc.stores = append(tc.stores, st)
-		tc.t1 = st.T1()
+		if i == 0 {
+			tc.t1 = st.T1()
+		}
 		srv := server.New(server.Config{Store: st, T1: st.T1()})
 		h := srv.Handler()
 		for _, w := range wrap {
@@ -526,15 +535,23 @@ func TestProberEjectReadmit(t *testing.T) {
 	}
 
 	waitUp(true)
+	ro.encoding.Store(testEncoding())
 	ready.Store(false)
 	waitUp(false)
 	if obs.RouterNodeEjects.Value() <= ejectsBefore {
 		t.Fatalf("eject counter did not move")
 	}
+	if ro.encoding.Load() == nil {
+		t.Fatalf("an eject alone dropped the write encoding")
+	}
 	ready.Store(true)
 	waitUp(true)
 	if obs.RouterNodeReadmits.Value() <= readmitsBefore {
 		t.Fatalf("readmit counter did not move")
+	}
+	// A node that comes back may run at another t1: the next write asks.
+	if ro.encoding.Load() != nil {
+		t.Fatalf("the readmit kept the write encoding learned before the node left")
 	}
 }
 

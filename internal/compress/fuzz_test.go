@@ -39,7 +39,7 @@ func FuzzCompressDecompress(f *testing.F) {
 	f.Add(smooth, false, uint8(2))
 	f.Add([]byte{0, 0, 0, 0}, false, uint8(0))
 	f.Add([]byte{0xFF, 0xFF, 0x80, 0x7F, 1, 2, 3, 4}, false, uint8(3)) // NaN mixed in
-	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0}, true, uint8(5))       // small integers
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0}, true, uint8(5))        // small integers
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01, 0x80, 0xFE}, true, uint8(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, fixedPoint bool, t1Shift uint8) {

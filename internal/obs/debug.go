@@ -66,6 +66,11 @@ var (
 	StorePuts    = expvar.NewInt("avr.store_puts")
 	StoreGets    = expvar.NewInt("avr.store_gets")
 	StoreDeletes = expvar.NewInt("avr.store_deletes")
+	// StoreEncodes counts vectors run through the store's block encoder:
+	// by a store's PutVec, or by an Encoder on its own (the cluster
+	// router). A put that arrived encoded counts in StorePuts only, so
+	// puts minus encodes, fleet-wide, is the re-encoding avoided.
+	StoreEncodes = expvar.NewInt("avr.store_encodes")
 	// StorePutBytes/StoreGetBytes count raw (uncompressed) value bytes
 	// moved through Put and Get.
 	StorePutBytes = expvar.NewInt("avr.store_put_bytes")

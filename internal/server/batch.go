@@ -27,24 +27,29 @@ import (
 //
 // The serving tiers themselves run the two payload-bearing messages,
 // BatchPutRequest and BatchGetResult, through the single-pass scanner
-// and emitter of batchwire.go instead: a payload is base64-decoded once,
-// straight into pooled value scratch, where it is stored (avrd's mput),
-// encoded once, straight into the pooled response buffer, where it is
-// read (avrd's mget), and not touched at all where it is only routed —
-// the router forwards each item's span of the body as it arrived. The
-// two small payload-free messages stay on encoding/json.
+// and emitter of batchwire.go instead: a put payload is base64-decoded
+// once, straight into pooled scratch, where its bytes are needed (to
+// store them on avrd, to encode them on the router) — one pass that is
+// also the text's only check; a get payload is encoded once, straight
+// into the pooled response buffer, where it is read (avrd's mget), and
+// not touched at all where it is only routed — the router forwards each
+// result's span of a shard's reply as it arrived. The two small
+// payload-free messages stay on encoding/json.
 //
 // A batch holds one admission slot for its whole run: admission bounds
 // concurrent work, and a batch is one unit of work whose cost scales
 // with its item count (cap batches client-side; the body cap bounds
 // the worst case).
 
-// BatchPutItem is one key's payload in a batched put: raw little-endian
-// values, base64-encoded on the wire. Width 0 defaults to 32.
+// BatchPutItem is one key's payload in a batched put, base64-encoded on
+// the wire: raw little-endian values (Width 0 defaults to 32), or — with
+// Encoded set, which is how the router writes to avrd — an encoded-put
+// container (store.Encoder), which names its own width.
 type BatchPutItem struct {
-	Key   string `json:"key"`
-	Width int    `json:"width,omitempty"`
-	Data  []byte `json:"data"`
+	Key     string `json:"key"`
+	Width   int    `json:"width,omitempty"`
+	Encoded bool   `json:"encoded,omitempty"`
+	Data    []byte `json:"data"`
 }
 
 // BatchPutRequest is the /v1/store/mput body.
@@ -117,8 +122,38 @@ type valScratch struct {
 
 var valScratchPool = sync.Pool{New: func() any { return new(valScratch) }}
 
+// What is wrong with a raw put item, as its per-key error reads on both
+// tiers (errNotBase64 is the third).
+var (
+	errItemWidth  = errors.New("bad width: want 32 or 64")
+	errItemLength = errors.New("data length not a positive multiple of the value width")
+)
+
+// Values decodes a raw put item: its payload onto raw[:0], and that into
+// floats of the item's width replacing vals' contents. Both come back
+// for reuse, whatever the outcome.
+func (it *WireItem) Values(raw []byte, vals vec.Vec) ([]byte, vec.Vec, error) {
+	width := it.Width
+	if width == 0 {
+		width = 32
+	}
+	if width != 32 && width != 64 {
+		return raw, vals, errItemWidth
+	}
+	raw, err := it.AppendData(raw[:0])
+	if err != nil {
+		return raw, vals, err
+	}
+	if n := len(raw); n == 0 || n%(width/8) != 0 {
+		return raw, vals, errItemLength
+	}
+	return raw, vals.Reset(width).FromLE(raw), nil
+}
+
 // handleStoreMput serves POST /v1/store/mput: many keys per round-trip,
-// per-key success/error reporting.
+// per-key success/error reporting. An item is stored through PutVec, or,
+// marked encoded, through PutEncoded; a payload that is not base64, or a
+// container the store refuses, is that key's error, like any other.
 func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 	sp := s.tracer.Start()
 	defer s.tracer.Finish("mput", sp)
@@ -154,25 +189,15 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 	for i := range sc.Items {
 		it, out := &sc.Items[i], &res.Results[i]
 		out.Key = string(it.Key)
-		width := it.Width
-		if width == 0 {
-			width = 32
-		}
-		if width != 32 && width != 64 {
-			out.Error = "bad width: want 32 or 64"
-			continue
-		}
-		if n := it.DecodedLen(); n == 0 || n%(width/8) != 0 {
-			out.Error = "data length not a positive multiple of the value width"
-			continue
-		}
+		var pr store.PutResult
 		var perr error
-		if vs.raw, perr = it.AppendData(vs.raw[:0]); perr != nil {
-			out.Error = perr.Error() // unreachable: the scanner checked the text
-			continue
+		if it.Encoded {
+			if vs.raw, perr = it.AppendData(vs.raw[:0]); perr == nil {
+				pr, perr = s.cfg.Store.PutEncoded(out.Key, vs.raw, sp)
+			}
+		} else if vs.raw, vs.vals, perr = it.Values(vs.raw, vs.vals); perr == nil {
+			pr, perr = s.cfg.Store.PutVec(out.Key, vs.vals, sp)
 		}
-		vs.vals = vs.vals.Reset(width).FromLE(vs.raw)
-		pr, perr := s.cfg.Store.PutVec(out.Key, vs.vals, sp)
 		if perr != nil {
 			out.Error = perr.Error()
 			continue

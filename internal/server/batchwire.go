@@ -21,9 +21,14 @@ import (
 // and the item's span in the body, to forward as sent. So the scanner
 // walks the body once and hands out, per item, the key and scalar
 // fields, the payload as still-encoded base64 text, and the raw span —
-// all aliasing the body, nothing copied. avrd decodes the text straight
-// into value scratch; the router never decodes it. The emitter is the
-// inverse: it base64-encodes values straight into the response buffer.
+// all aliasing the body, nothing copied. Whoever needs a payload's bytes
+// decodes the text straight into its own scratch — avrd to store them,
+// the router to encode them, several items at a time — and that decode
+// is also the only check a put payload gets: the scanner reads the text
+// of one no further than to find its end. A get result the router only
+// forwards, so there the scanner checks the text itself, in one table
+// pass. The emitter is the inverse: it base64-encodes straight into the
+// buffer.
 //
 // The scanner accepts what json.Unmarshal into the message type accepts
 // and yields the same field values (any field order, whitespace, unknown
@@ -53,32 +58,45 @@ const (
 type WireItem struct {
 	Key   []byte // unescaped
 	Error []byte // unescaped
-	// Data is the payload as well-formed standard base64 text, still
-	// encoded; empty when the field is absent, null or "".
+	// Data is the payload as standard base64 text, still encoded; empty
+	// when the field is absent, null or "". A get result's is well-formed;
+	// a put item's is whatever the string held, until AppendData says.
 	Data []byte
 	// Raw is the element exactly as it appears in the body.
-	Raw      []byte
-	Width    int
+	Raw   []byte
+	Width int
+	// Encoded marks a put item's payload as an encoded-put container, not
+	// raw values.
+	Encoded  bool
 	OK       bool
 	NotFound bool
 	Complete bool
 }
 
-// DecodedLen is the payload's length in bytes once decoded.
-func (it *WireItem) DecodedLen() int {
-	n := len(it.Data) / 4 * 3
-	for i := len(it.Data); i > 0 && it.Data[i-1] == '='; i-- {
-		n--
-	}
-	return n
-}
+// errNotBase64 reports a payload AppendData could not decode.
+var errNotBase64 = errors.New("data is not valid base64")
 
-// AppendData decodes the payload onto dst.
+// AppendData decodes the payload onto dst — one pass over the text, which
+// for a put item is also its check: text that is not whole quanta of the
+// standard alphabet, the last one padded with at most two '=', is
+// errNotBase64, as encoding/json would have refused the message.
 func (it *WireItem) AppendData(dst []byte) ([]byte, error) {
+	text := it.Data
+	if len(text)%4 != 0 {
+		return dst, errNotBase64
+	}
+	want := len(text) / 4 * 3
+	for pad := 0; pad < 2 && pad < len(text) && text[len(text)-1-pad] == '='; pad++ {
+		want--
+	}
 	at := len(dst)
-	dst = growBytes(dst, it.DecodedLen())
-	_, err := base64.StdEncoding.Decode(dst[at:], it.Data)
-	return dst, err
+	dst = growBytes(dst, len(text)/4*3)
+	// The decoder drops CR and LF, which JSON does not allow in a string
+	// unescaped; a text holding any decodes short of want.
+	if n, err := base64.StdEncoding.Decode(dst[at:], text); err != nil || n != want {
+		return dst[:at], errNotBase64
+	}
+	return dst[:at+want], nil
 }
 
 // growBytes extends b by n bytes, reallocating — to at least double —
@@ -102,9 +120,10 @@ const (
 	fieldError
 	fieldNotFound
 	fieldComplete
+	fieldEncoded
 
-	putItemFields   = fieldKey | fieldWidth | fieldData
-	getResultFields = putItemFields | fieldOK | fieldError | fieldNotFound | fieldComplete
+	putItemFields   = fieldKey | fieldWidth | fieldData | fieldEncoded
+	getResultFields = fieldKey | fieldWidth | fieldData | fieldOK | fieldError | fieldNotFound | fieldComplete
 )
 
 // fieldNames pairs each field with its JSON name as encoding/json folds
@@ -115,6 +134,7 @@ var fieldNames = [...]struct {
 }{
 	{fieldKey, "KEY"}, {fieldWidth, "WIDTH"}, {fieldData, "DATA"}, {fieldOK, "OK"},
 	{fieldError, "ERROR"}, {fieldNotFound, "NOT_FOUND"}, {fieldComplete, "COMPLETE"},
+	{fieldEncoded, "ENCODED"},
 }
 
 var (
@@ -239,6 +259,11 @@ func (p *BatchScanner) field(it *WireItem, name []byte, fields wireFields) error
 	if f == 0 {
 		return p.skipValue()
 	}
+	// A put payload is left for its decode to check, and one about to be
+	// replaced by a duplicate field will never be decoded.
+	if f == fieldData && fields&fieldEncoded != 0 && !validBase64(it.Data) {
+		return p.errf("data is not valid base64")
+	}
 	// null leaves a scalar as it is and empties a payload.
 	if p.peek() == 'n' {
 		if f == fieldData {
@@ -253,7 +278,10 @@ func (p *BatchScanner) field(it *WireItem, name []byte, fields wireFields) error
 	case fieldError:
 		it.Error, err = p.stringValue()
 	case fieldData:
-		it.Data, err = p.dataValue()
+		// A put item's payload is checked where it is decoded.
+		it.Data, err = p.dataValue(fields&fieldEncoded == 0)
+	case fieldEncoded:
+		it.Encoded, err = p.boolValue()
 	case fieldWidth:
 		it.Width, err = p.intValue()
 	case fieldOK:
@@ -630,10 +658,11 @@ func (p *BatchScanner) unescape(s []byte) []byte {
 	return out[at:len(out):len(out)]
 }
 
-// dataValue scans a payload string and returns its base64 text, checked
-// but not decoded. The common case — no escapes in the text — touches
-// each byte once and copies none.
-func (p *BatchScanner) dataValue() ([]byte, error) {
+// dataValue scans a payload string and returns its base64 text, not
+// decoded, and checked only if check says so. The common case — no
+// escapes in the text — copies nothing, and unchecked reads the text only
+// to find its end.
+func (p *BatchScanner) dataValue(check bool) ([]byte, error) {
 	switch p.peek() {
 	case '"':
 	case '[':
@@ -642,9 +671,13 @@ func (p *BatchScanner) dataValue() ([]byte, error) {
 		return nil, p.errf("data is not a string")
 	}
 	rest := p.body[p.pos+1:]
-	if q := bytes.IndexByte(rest, '"'); q >= 0 && validBase64(rest[:q]) {
-		p.pos += q + 2
-		return rest[:q:q], nil
+	if q := bytes.IndexByte(rest, '"'); q >= 0 {
+		// Unchecked, the text must at least be known to end at that quote:
+		// no escape before it.
+		if check && validBase64(rest[:q]) || !check && bytes.IndexByte(rest[:q], '\\') < 0 {
+			p.pos += q + 2
+			return rest[:q:q], nil
+		}
 	}
 	// Escapes, or not base64: take the string apart properly.
 	at := p.pos
@@ -661,7 +694,7 @@ func (p *BatchScanner) dataValue() ([]byte, error) {
 				inner = append(inner, c)
 			}
 		}
-		if validBase64(inner) {
+		if !check || validBase64(inner) {
 			return inner, nil
 		}
 	}
@@ -723,6 +756,18 @@ func AppendGetResult(dst []byte, key string, width int, complete bool, raw []byt
 		dst = append(dst, '"')
 	}
 	return append(dst, '}')
+}
+
+// AppendEncodedPutItem appends one BatchPutItem carrying an encoded-put
+// container, base64-encoded in place onto dst.
+func AppendEncodedPutItem(dst []byte, key string, container []byte) []byte {
+	dst = append(dst, `{"key":`...)
+	dst = appendJSONString(dst, key)
+	dst = append(dst, `,"encoded":true,"data":"`...)
+	at := len(dst)
+	dst = growBytes(dst, base64.StdEncoding.EncodedLen(len(container)))
+	base64.StdEncoding.Encode(dst[at:], container)
+	return append(dst, '"', '}')
 }
 
 // AppendGetFailure appends one failed BatchGetItemResult.

@@ -40,8 +40,9 @@ func rejoin(open string, items []WireItem) []byte {
 }
 
 // checkPutRequest holds the scanner to encoding/json on one body: same
-// verdict, same items, and the raw spans reassemble into a message that
-// means the same.
+// verdict — the scan's and every payload's decode together, since a put
+// payload is checked where it is decoded — same items, and the raw spans
+// reassemble into a message that means the same.
 func checkPutRequest(t *testing.T, body []byte) {
 	t.Helper()
 	var ref BatchPutRequest
@@ -51,6 +52,16 @@ func checkPutRequest(t *testing.T, body []byte) {
 	err := sc.ScanPutRequest(body)
 	if lenient(err) {
 		return
+	}
+	payloads := make([][]byte, len(sc.Items))
+	for i := range sc.Items {
+		var derr error
+		if payloads[i], derr = sc.Items[i].AppendData([]byte("kept")); err == nil {
+			err = derr
+		}
+		if derr != nil && string(payloads[i]) != "kept" {
+			t.Fatalf("put request %q item %d: a failed decode left %q of dst", body, i, payloads[i])
+		}
 	}
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("put request %q: scanner says %v, encoding/json says %v", body, err, refErr)
@@ -63,20 +74,23 @@ func checkPutRequest(t *testing.T, body []byte) {
 	}
 	for i := range sc.Items {
 		it, want := &sc.Items[i], ref.Items[i]
-		if string(it.Key) != want.Key || it.Width != want.Width {
-			t.Fatalf("put request %q item %d: key %q width %d, want %q %d",
-				body, i, it.Key, it.Width, want.Key, want.Width)
+		if string(it.Key) != want.Key || it.Width != want.Width || it.Encoded != want.Encoded {
+			t.Fatalf("put request %q item %d: key %q width %d encoded %v, want %q %d %v",
+				body, i, it.Key, it.Width, it.Encoded, want.Key, want.Width, want.Encoded)
 		}
-		if it.DecodedLen() != len(want.Data) {
-			t.Fatalf("put request %q item %d: DecodedLen %d, want %d", body, i, it.DecodedLen(), len(want.Data))
-		}
-		got, derr := it.AppendData(nil)
-		if derr != nil || !bytes.Equal(got, want.Data) {
-			t.Fatalf("put request %q item %d: data %x (%v), want %x", body, i, got, derr, want.Data)
+		if got := payloads[i][len("kept"):]; !bytes.Equal(got, want.Data) {
+			t.Fatalf("put request %q item %d: data %x, want %x", body, i, got, want.Data)
 		}
 		if !inside(body, it.Raw) {
 			t.Fatalf("put request %q item %d: raw span %q is not in the body", body, i, it.Raw)
 		}
+	}
+	// The emitter's rendering of an encoded item is one more span that
+	// must mean the item (a container is any bytes to it).
+	if n := len(sc.Items); n > 0 && sc.Items[n-1].Encoded {
+		it := &sc.Items[n-1]
+		it.Raw = AppendEncodedPutItem(nil, string(it.Key), ref.Items[n-1].Data)
+		ref.Items[n-1].Width = 0
 	}
 	var again BatchPutRequest
 	if err := json.Unmarshal(rejoin(PutRequestOpen, sc.Items), &again); err != nil {
@@ -84,7 +98,7 @@ func checkPutRequest(t *testing.T, body []byte) {
 	}
 	for i := range again.Items {
 		if w := ref.Items[i]; again.Items[i].Key != w.Key || again.Items[i].Width != w.Width ||
-			!bytes.Equal(again.Items[i].Data, w.Data) {
+			again.Items[i].Encoded != w.Encoded || !bytes.Equal(again.Items[i].Data, w.Data) {
 			t.Fatalf("put request %q item %d: forwarded span means %+v, want %+v", body, i, again.Items[i], w)
 		}
 	}
@@ -178,6 +192,11 @@ var wireSeeds = []string{
 	`{"itemſ":[{"Key":"kelvin","data":"AAAA"}]}`,
 	`{"results":[{"Key":"a","OK":true,"Not_Found":true,"COMPLETE":true,"Error":"e","ok":false}]}`,
 	`{"items":[{"ok":5,"error":[],"complete":"x","not_found":{},"key":"put items ignore result fields"}]}`,
+	// encoded items
+	`{"items":[{"key":"a","encoded":true,"data":"QVZSUA=="},{"key":"b","encoded":false,"width":64,"data":"AAAA"}]}`,
+	`{"items":[{"key":"a","ENCODED":true,"encoded":null,"data":"AAAA"}]}`,
+	`{"items":[{"key":"a","encoded":1}]}`, `{"items":[{"key":"a","encoded":"true"}]}`,
+	`{"results":[{"key":"get results ignore encoded","ok":true,"encoded":5}]}`,
 	// duplicates and nulls
 	`{"items":[{"key":"a","key":"b","width":64,"width":32,"data":"AAAA","data":"AAECAw=="}]}`,
 	`{"items":[{"key":"a","key":null,"width":64,"width":null,"data":"AAAA","data":null}]}`,
@@ -198,6 +217,10 @@ var wireSeeds = []string{
 	`{"items":[{"key":"a","data":"AA=A"}]}`, `{"items":[{"key":"a","data":"AA-_"}]}`,
 	`{"items":[{"key":"a","data":"AAAA "}]}`, `{"items":[{"key":"a","data":"AAAA===="}]}`,
 	"{\"items\":[{\"key\":\"a\",\"data\":\"AAAA\nAAAA\"}]}",
+	"{\"items\":[{\"key\":\"a\",\"data\":\"AA\r\n\r\nAA\"}]}", "{\"items\":[{\"key\":\"a\",\"data\":\"\n\n\n\n\"}]}",
+	"{\"items\":[{\"key\":\"a\",\"data\":\"AA\tA\"}]}", "{\"items\":[{\"key\":\"a\",\"data\":\"AA\xc3\xa9\"}]}",
+	`{"items":[{"key":"a","data":"=AAA"}]}`, `{"items":[{"key":"a","data":"===="}]}`, `{"items":[{"key":"a","data":"AAAAAA=A"}]}`,
+	`{"items":[{"key":"a","data":"AAA\\"}]}`, `{"items":[{"key":"a","data":"AAA\""}]}`, `{"items":[{"key":"a","data":"AA\u0041A"}]}`,
 	// truncated and malformed bodies
 	``, `{`, `{"items"`, `{"items":`, `{"items":[`, `{"items":[{`, `{"items":[{"key"`, `{"items":[{"key":"a`,
 	`{"items":[{"key":"a","data":"AAAA`, `{"items":[{"key":"a","data":"AAAA"}`, `{"items":[{"key":"a"}]`,

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -20,7 +21,13 @@ import (
 // instead of starving the stateless codec service.
 //
 //	PUT  /v1/store/put?key=K[&width=64]  raw little-endian values in,
-//	                                     PutResult JSON out
+//	                                     PutResult JSON out; with
+//	                                     Content-Type: application/x-avr
+//	                                     the body is an encoded-put
+//	                                     container (store.Encoder) and
+//	                                     is committed as it is: 400 if
+//	                                     malformed, 409 if encoded at
+//	                                     another t1
 //	GET  /v1/store/get?key=K             raw little-endian values out;
 //	                                     a torn vector returns its
 //	                                     recovered prefix as 206 with
@@ -65,8 +72,31 @@ func storeFail(w http.ResponseWriter, err error) {
 	}
 }
 
+// EncodedPutType is the Content-Type of a put whose body is an
+// encoded-put container instead of raw values.
+const EncodedPutType = "application/x-avr"
+
+// RawPutValues turns a raw single-key put — its width parameter and its
+// little-endian body — into floats, replacing dst's contents. The error
+// is the 400 both tiers answer with.
+func RawPutValues(dst vec.Vec, widthParam string, body []byte) (vec.Vec, error) {
+	width := 32
+	if widthParam != "" {
+		var err error
+		width, err = strconv.Atoi(widthParam)
+		if err != nil || (width != 32 && width != 64) {
+			return dst, fmt.Errorf("bad width %q: want 32 or 64", widthParam)
+		}
+	}
+	if len(body) == 0 || len(body)%(width/8) != 0 {
+		return dst, fmt.Errorf("body length %d not a positive multiple of %d-bit values", len(body), width)
+	}
+	return dst.Reset(width).FromLE(body), nil
+}
+
 // handleStorePut serves PUT /v1/store/put: raw little-endian values in,
-// persisted approximate blocks out.
+// or a container of blocks encoded elsewhere; persisted approximate
+// blocks out.
 func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	sp := s.tracer.Start()
 	defer s.tracer.Finish("put", sp)
@@ -79,25 +109,22 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	width := 32
-	if q := r.URL.Query().Get("width"); q != "" {
-		var err error
-		width, err = strconv.Atoi(q)
-		if err != nil || (width != 32 && width != 64) {
-			fail(w, http.StatusBadRequest, "bad width %q: want 32 or 64", q)
-			return
-		}
-	}
 	buf := s.readBody(w, r)
 	if buf == nil {
 		return
 	}
 	defer buf.Release()
-	body := buf.B
-	if len(body) == 0 || len(body)%(width/8) != 0 {
-		fail(w, http.StatusBadRequest,
-			"body length %d not a positive multiple of %d-bit values", len(body), width)
-		return
+	encoded := r.Header.Get("Content-Type") == EncodedPutType
+	var vals vec.Vec
+	if !encoded {
+		vs := valScratchPool.Get().(*valScratch)
+		defer valScratchPool.Put(vs)
+		var err error
+		if vs.vals, err = RawPutValues(vs.vals, r.URL.Query().Get("width"), buf.B); err != nil {
+			fail(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		vals = vs.vals
 	}
 
 	if !s.acquireOr(w, r, sp, "a worker") {
@@ -105,16 +132,26 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Release()
 
-	res, err := s.cfg.Store.PutVec(key, vec.Vec{Width: width}.FromLE(body), sp)
-	if err != nil {
-		if errors.Is(err, store.ErrClosed) {
-			storeFail(w, err)
-		} else {
-			fail(w, http.StatusBadRequest, "put: %v", err)
-		}
+	var res store.PutResult
+	var err error
+	if encoded {
+		res, err = s.cfg.Store.PutEncoded(key, buf.B, sp)
+	} else {
+		res, err = s.cfg.Store.PutVec(key, vals, sp)
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, store.ErrClosed):
+		storeFail(w, err)
+		return
+	case errors.Is(err, store.ErrT1Mismatch):
+		fail(w, http.StatusConflict, "put: %v", err)
+		return
+	default:
+		fail(w, http.StatusBadRequest, "put: %v", err)
 		return
 	}
-	obs.ServerBytesIn.Add(int64(len(body)))
+	obs.ServerBytesIn.Add(int64(len(buf.B)))
 
 	w.Header().Set("Content-Type", "application/json")
 	sp.WriteHeaders(w.Header())

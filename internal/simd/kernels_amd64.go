@@ -99,7 +99,6 @@ func fixedToFloatsAVX512(dst *[256]uint32, recon *[256]int32, nb int32)
 // exponent, or a biased exponent leaving the normal range — it returns
 // false and dst is undefined; the caller redoes the whole block with the
 // scalar loop. Call only when Enabled() is true.
-//
 func FloatsToFixedScaled(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool {
 	if hasAVX512 {
 		return floatsToFixedAVX512(dst, src, bias, scale)

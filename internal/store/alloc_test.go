@@ -37,6 +37,32 @@ func TestStorePutAllocFree(t *testing.T) {
 	}); avg > 0 {
 		t.Errorf("Put64 allocates %v per op, want 0", avg)
 	}
+	// The encoded put shares the contract — a container with a lossless
+	// block too, whose check decodes into pooled scratch — and so does
+	// the encoder writing into a retained buffer.
+	mixed := genVec(t, "mixed", 32, 4*BlockValues, 42)
+	enc := NewEncoder(s.T1(), s.Stats().RatioFloor)
+	container, err := enc.AppendPut(nil, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutEncoded("enc", container, nil); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := s.PutEncoded("enc", container, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 0 {
+		t.Errorf("PutEncoded allocates %v per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if container, err = enc.AppendPut(container[:0], mixed); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 0 {
+		t.Errorf("Encoder.AppendPut allocates %v per op, want 0", avg)
+	}
 }
 
 // TestStoreGetIntoAllocFree pins the read-path analog: Get32IntoCached and

@@ -313,7 +313,7 @@ func (s *Store) moveFrame(victim uint32, rec record, off, frameLen int64, pre *r
 	// retried and lost at the current t1 — either way the threshold it
 	// is known to fail at is the current one.
 	newRec.T1 = s.cfg.T1
-	segID, newOff, newLen, err := s.appendFrameLocked(&newRec, nil)
+	segID, newOff, newLen, err := s.appendFrameLocked(&newRec)
 	if err != nil {
 		return err
 	}

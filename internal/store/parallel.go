@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"avr"
+	"avr/internal/obs"
 	"avr/internal/vec"
 )
 
@@ -43,8 +44,14 @@ func (j *encJob) run(c *avr.Codec) {
 			return
 		}
 		off := int(i) * BlockValues
-		end := min(off+BlockValues, j.vals.Len())
-		eb, buf, err := j.s.appendBlock(c, j.key, uint32(i), j.vals.Slice(off, end), j.ps.bufs[i])
+		vals := j.vals.Slice(off, min(off+BlockValues, j.vals.Len()))
+		// A block flagged at the current threshold skips the AVR attempt:
+		// it is known to miss the floor.
+		skip := j.s.flagged(j.key, uint32(i))
+		if skip {
+			obs.StoreCompressSkips.Add(1)
+		}
+		buf, enc, err := j.s.enc.appendBlock(c, j.ps.bufs[i][:0], vals, skip)
 		j.ps.bufs[i] = buf
 		if err != nil {
 			e := err // heap-boxed only on the error path
@@ -52,7 +59,7 @@ func (j *encJob) run(c *avr.Codec) {
 			j.next.Store(nb)
 			return
 		}
-		j.ps.blocks[i] = eb
+		j.ps.blocks[i] = encodedBlock{enc: enc, valCount: uint32(vals.Len()), data: buf}
 	}
 }
 
@@ -100,6 +107,7 @@ func (s *Store) encodeBlocks(key string, vals vec.Vec, ps *putScratch) error {
 	if ep := j.firstErr.Load(); ep != nil {
 		return *ep
 	}
+	obs.StoreEncodes.Add(1)
 	return nil
 }
 

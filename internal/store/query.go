@@ -503,7 +503,7 @@ func (s *Store) queryAVRFrame(qs *queryScratch, q *queryRun, ref blockRef, width
 	if m == nil {
 		return fmt.Errorf("%w: segment %d vanished", ErrCorrupt, ref.seg)
 	}
-	envelope := int64(frameHeaderLen + 11 + keyLen + 26)
+	envelope := int64(frameHeaderLen + blockRecordOverhead(keyLen))
 	if ref.frameLen <= envelope {
 		return fmt.Errorf("%w: frame too short for a block record", ErrCorrupt)
 	}
@@ -515,11 +515,7 @@ func (s *Store) queryAVRFrame(qs *queryScratch, q *queryRun, ref blockRef, width
 // test and fuzz. The cursor does the targeted preads and all validation;
 // structural damage comes back as ErrCorrupt.
 func walkCodecStream(qs *queryScratch, q *queryRun, src io.ReaderAt, base, size int64, width, valCount int) error {
-	lay := &block.Layout32
-	if width == 64 {
-		lay = &block.Layout64
-	}
-	cur, err := block.OpenAt(lay, src, base, size, &qs.rbuf, valCount)
+	cur, err := block.OpenAt(streamLayout(width), src, base, size, &qs.rbuf, valCount)
 	for err == nil && cur.More() {
 		var rec block.Record
 		if rec, err = cur.Next(); err != nil {

@@ -155,6 +155,11 @@ func parseRecord(payload []byte) (record, error) {
 	return rec, nil
 }
 
+// blockRecordOverhead is what a block record's payload holds besides its
+// data: the fields common to every record (kind, seq, key length), the
+// key, and the block fields.
+func blockRecordOverhead(keyLen int) int { return 1 + 8 + 2 + keyLen + 4 + 8 + 1 + 1 + 4 + 8 }
+
 // blockRecordData validates the structure of a block-record frame
 // payload and returns its encoded data bytes (aliasing payload). It is
 // the read path's allocation-free subset of parseRecord: the fields the

@@ -209,9 +209,9 @@ type Store struct {
 	closed   bool
 	rawBytes int64 // raw value bytes represented by live blocks
 
-	// codecs pools *avr.Codec instances at the store threshold (a Codec
-	// is not concurrency-safe; see the avr.Codec doc).
-	codecs sync.Pool
+	// enc is the block encoder PutVec runs; its codec pool also serves
+	// the read path and the compactor's recompression retries.
+	enc *Encoder
 	// puts, gets and queries pool the scratch state that keeps the hot
 	// paths allocation-free across calls; hits pools the cache-hit
 	// reconstruction scratch (see cache.go).
@@ -257,8 +257,8 @@ func Open(cfg Config) (*Store, error) {
 		index: make(map[string]*entry),
 		tombs: make(map[string]tombRef),
 		flags: make(map[blockKey]flagEntry),
+		enc:   NewEncoder(cfg.T1, cfg.RatioFloor),
 	}
-	s.codecs.New = func() any { return avr.NewCodec(cfg.T1) }
 	s.puts.New = func() any { return &putScratch{} }
 	s.gets.New = func() any { return &getScratch{} }
 	// The query scratch carries its own Compressor: decompression never
@@ -513,57 +513,61 @@ func (s *Store) rollActive() error {
 	return nil
 }
 
-// appendFrameLocked writes one frame to the active segment, rolling
-// first if the target size is exceeded, and returns its ref location.
-// scratch, when non-nil, is a reusable serialisation buffer that keeps
-// its growth across calls. Caller holds the write lock.
-func (s *Store) appendFrameLocked(rec *record, scratch *[]byte) (segID uint32, off, frameLen int64, err error) {
+// appendLocked writes frames — one serialised frame, or a put's frames
+// back to back — at the end of the active segment in a single write,
+// rolling first if the target size is exceeded, and returns where they
+// start. The bytes count as live — unless their fsync fails, which leaves
+// them dead weight for compaction. Caller holds the write lock.
+func (s *Store) appendLocked(frames []byte) (segID uint32, off int64, err error) {
 	if s.active.size >= s.cfg.SegmentTargetBytes {
 		if err := s.rollActive(); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
-	}
-	var frame []byte
-	if scratch != nil {
-		*scratch = appendFrame((*scratch)[:0], rec)
-		frame = *scratch
-	} else {
-		frame = appendFrame(nil, rec)
 	}
 	off = s.active.size
-	if _, err := s.active.f.WriteAt(frame, off); err != nil {
-		return 0, 0, 0, err
+	if _, err := s.active.f.WriteAt(frames, off); err != nil {
+		return 0, 0, err
 	}
-	s.active.size += int64(len(frame))
-	s.active.liveBytes += int64(len(frame))
+	s.active.size += int64(len(frames))
+	s.active.liveBytes += int64(len(frames))
 	if s.cfg.SyncEveryPut {
 		if err := s.active.f.Sync(); err != nil {
-			return 0, 0, 0, err
+			s.markDead(s.active.id, int64(len(frames))) // written, never acknowledged
+			return 0, 0, err
 		}
 	}
-	return s.active.id, off, int64(len(frame)), nil
+	return s.active.id, off, nil
 }
 
-// encodedBlock is one block prepared outside the lock by the Put path.
+// appendFrameLocked writes one frame to the active segment and returns
+// its ref location. Caller holds the write lock.
+func (s *Store) appendFrameLocked(rec *record) (segID uint32, off, frameLen int64, err error) {
+	frame := appendFrame(nil, rec)
+	segID, off, err = s.appendLocked(frame)
+	return segID, off, int64(len(frame)), err
+}
+
+// encodedBlock is one block ready to commit: encoded outside the lock by
+// PutVec, or lifted out of a container by PutEncoded.
 type encodedBlock struct {
 	enc      uint8
 	valCount uint32
 	data     []byte
-	ratio    float64
-	skipped  bool // compression attempt elided by the flag table
 }
 
 // borrowCodec/returnCodec manage the store's codec pool.
-func (s *Store) borrowCodec() *avr.Codec  { return s.codecs.Get().(*avr.Codec) }
-func (s *Store) returnCodec(c *avr.Codec) { s.codecs.Put(c) }
+func (s *Store) borrowCodec() *avr.Codec  { return s.enc.borrowCodec() }
+func (s *Store) returnCodec(c *avr.Codec) { s.enc.returnCodec(c) }
 
-// putScratch is the reusable per-Put state: one encode buffer per block
-// slot (each block's bytes must stay alive until commit), the staged
-// refs, and the frame serialisation buffer. Pooled so steady-state Puts
-// allocate nothing.
+// putScratch is the reusable per-put state: the blocks to commit, one
+// encode buffer per block slot for PutVec (each block's bytes must stay
+// alive until commit), the lossless-check scratch of PutEncoded, the
+// staged refs, and the frame serialisation buffer. Pooled so steady-state
+// puts allocate nothing.
 type putScratch struct {
 	blocks []encodedBlock
 	bufs   [][]byte
+	vals   vec.Vec
 	refs   []blockRef
 	frame  []byte
 	rec    record
@@ -583,33 +587,6 @@ func (ps *putScratch) ensure(nb int) {
 		ps.refs = make([]blockRef, nb)
 	}
 	ps.refs = ps.refs[:nb]
-}
-
-// appendBlock encodes one block into buf (reused across puts),
-// honouring the flag table and the ratio floor. It returns the block
-// descriptor and the grown buffer; the descriptor's data aliases buf.
-func (s *Store) appendBlock(c *avr.Codec, key string, idx uint32, vals vec.Vec, buf []byte) (encodedBlock, []byte, error) {
-	rawLen := vals.Len() * vals.Width / 8
-	if s.flagged(key, idx) {
-		obs.StoreCompressSkips.Add(1)
-		buf = appendLossless(buf[:0], vals)
-		return encodedBlock{enc: encLossless, valCount: uint32(vals.Len()),
-			data: buf, ratio: 1, skipped: true}, buf, nil
-	}
-	buf, err := vals.EncodeTo(c, buf[:0])
-	if err != nil {
-		return encodedBlock{}, buf, err
-	}
-	if ratio := float64(rawLen) / float64(len(buf)); ratio >= s.cfg.RatioFloor {
-		return encodedBlock{enc: encAVR, valCount: uint32(vals.Len()), data: buf, ratio: ratio}, buf, nil
-	}
-	// Below the floor: append the lossless fallback after the (discarded)
-	// AVR stream so both share one grown buffer.
-	llStart := len(buf)
-	buf = appendLossless(buf, vals)
-	ll := buf[llStart:]
-	return encodedBlock{enc: encLossless, valCount: uint32(vals.Len()),
-		data: ll, ratio: float64(rawLen) / float64(len(ll))}, buf, nil
 }
 
 // flagged reports whether the block is flagged at the store's current
@@ -641,21 +618,21 @@ func (s *Store) Put64Traced(key string, vals []float64, sp *trace.Span) (PutResu
 	return s.PutVec(key, vec.Of64(vals), sp)
 }
 
-// PutVec is the one write path: it stores vals, of either width, under
-// key, replacing any previous value, with per-stage attribution onto
-// sp: block encoding (StageEncode), store mutex wait (StageLock), and
-// segment appends (StageSegWrite). A nil span traces nothing at no cost.
+// PutVec stores vals, of either width, under key, replacing any previous
+// value: encode the blocks (encodeBlocks, the Encoder's work plus the
+// badly-compressing-block table), then commit them (commitPut) — the one
+// write path, which PutEncoded joins at the commit with blocks encoded
+// elsewhere. Per-stage attribution onto sp: block encoding
+// (StageEncode), store mutex wait (StageLock), and the segment append
+// (StageSegWrite). A nil span traces nothing at no cost.
 func (s *Store) PutVec(key string, vals vec.Vec, sp *trace.Span) (PutResult, error) {
 	if err := checkKey(key); err != nil {
 		return PutResult{}, err
 	}
-	if vals.Width != 32 && vals.Width != 64 {
-		return PutResult{}, fmt.Errorf("store: value width %d, want 32 or 64", vals.Width)
+	if err := checkVec(vals); err != nil {
+		return PutResult{}, err
 	}
 	n := vals.Len()
-	if n == 0 {
-		return PutResult{}, errors.New("store: empty vector")
-	}
 	t0 := time.Now()
 	ps := s.puts.Get().(*putScratch)
 	defer s.puts.Put(ps)
@@ -668,10 +645,10 @@ func (s *Store) PutVec(key string, vals vec.Vec, sp *trace.Span) (PutResult, err
 	return s.commitPut(key, uint8(vals.Width), uint64(n), n*vals.Width/8, ps, t0, sp)
 }
 
-// commitPut appends the encoded blocks as frames and installs the new
-// index entry atomically with respect to readers. On append failure the
-// index keeps the old value; frames appended so far are dead weight for
-// compaction to reclaim.
+// commitPut appends ps.blocks as frames — serialised back to back and
+// written with one write, so a put lands whole in one segment — and
+// installs the new index entry atomically with respect to readers. On
+// append failure the index keeps the old value.
 func (s *Store) commitPut(key string, width uint8, totalVals uint64, rawBytes int, ps *putScratch, t0 time.Time, sp *trace.Span) (PutResult, error) {
 	blocks := ps.blocks
 	lt := sp.Begin()
@@ -686,6 +663,7 @@ func (s *Store) commitPut(key string, width uint8, totalVals uint64, rawBytes in
 	refs := ps.refs
 	res := PutResult{Key: key, Values: int(totalVals), Blocks: len(blocks)}
 	wt := sp.Begin()
+	ps.frame = ps.frame[:0]
 	for i := range blocks {
 		eb := &blocks[i]
 		ps.rec = record{
@@ -694,19 +672,24 @@ func (s *Store) commitPut(key string, width uint8, totalVals uint64, rawBytes in
 			Width: width, Enc: eb.enc, ValCount: eb.valCount,
 			T1: s.cfg.T1, Data: eb.data,
 		}
-		segID, off, frameLen, err := s.appendFrameLocked(&ps.rec, &ps.frame)
-		if err != nil {
-			sp.End(trace.StageSegWrite, wt)
-			for _, ref := range refs[:i] {
-				s.markDead(ref.seg, ref.frameLen)
-			}
-			return PutResult{}, err
-		}
-		refs[i] = blockRef{seg: segID, off: off, frameLen: frameLen,
+		at := len(ps.frame)
+		ps.frame = appendFrame(ps.frame, &ps.rec)
+		// off is relative to the put's first frame until the write says
+		// where that landed.
+		refs[i] = blockRef{off: int64(at), frameLen: int64(len(ps.frame) - at),
 			enc: eb.enc, valCount: eb.valCount, t1: s.cfg.T1}
-		res.StoredBytes += int64(frameLen)
+	}
+	segID, base, err := s.appendLocked(ps.frame)
+	sp.End(trace.StageSegWrite, wt)
+	if err != nil {
+		return PutResult{}, err
+	}
+	res.StoredBytes = int64(len(ps.frame))
+	for i := range refs {
+		refs[i].seg = segID
+		refs[i].off += base
 		bk := blockKey{key, uint32(i)}
-		if eb.enc == encLossless {
+		if refs[i].enc == encLossless {
 			res.LosslessBlocks++
 			obs.StoreBlocksLossless.Add(1)
 			fe := s.flags[bk]
@@ -717,9 +700,8 @@ func (s *Store) commitPut(key string, width uint8, totalVals uint64, rawBytes in
 			obs.StoreBlocksAVR.Add(1)
 			delete(s.flags, bk)
 		}
-		blockRatioHist.Observe(eb.ratio)
+		blockRatioHist.Observe(float64(int(refs[i].valCount)*int(width/8)) / float64(len(blocks[i].data)))
 	}
-	sp.End(trace.StageSegWrite, wt)
 	// Install the new entry, recycling the superseded one (same effect as
 	// dropEntry, without discarding its refs capacity).
 	var e *entry
@@ -957,6 +939,15 @@ func (s *Store) readFrameLocked(ref blockRef, gs *getScratch) ([]byte, error) {
 	return blockRecordData(payload)
 }
 
+// streamLayout is the record-stream layout of an AVR block of the given
+// value width.
+func streamLayout(width int) *block.Layout {
+	if width == 64 {
+		return &block.Layout64
+	}
+	return &block.Layout32
+}
+
 // streamErr classes a rejection by the codec-stream reader (internal/block)
 // as ErrCorrupt: a frame that passed its CRC but does not parse is
 // damaged all the same. Anything else is the segment's I/O error.
@@ -984,7 +975,7 @@ func (s *Store) Delete(key string) error {
 	}
 	s.seq++
 	rec := record{Kind: recordTombstone, Seq: s.seq, Key: key}
-	segID, off, frameLen, err := s.appendFrameLocked(&rec, nil)
+	segID, off, frameLen, err := s.appendFrameLocked(&rec)
 	if err != nil {
 		return err
 	}

@@ -241,18 +241,28 @@ func TestReopenRebuildsIndex(t *testing.T) {
 }
 
 func TestSegmentRollAndStats(t *testing.T) {
-	// A tiny segment target forces rolls mid-put; blocks of one vector
-	// legitimately span segments.
+	// The roll is decided once per put: a put lands whole in one segment,
+	// however far it overshoots a tiny target, and the next put rolls.
 	s := openTest(t, Config{SegmentTargetBytes: 8 << 10})
 	vals := genF32(t, "normal", 4*BlockValues, 4) // incompressible → big frames
-	if _, err := s.Put32("k", vals); err != nil {
-		t.Fatal(err)
+	for _, k := range []string{"k0", "k1", "k2"} {
+		if _, err := s.Put32(k, vals); err != nil {
+			t.Fatal(err)
+		}
+		infos, err := s.BlockInfos(k)
+		if err != nil || len(infos) != 4 {
+			t.Fatalf("%s: %d block infos (%v), want 4", k, len(infos), err)
+		}
+		for _, bi := range infos {
+			if bi.Segment != infos[0].Segment {
+				t.Fatalf("%s: block %d in segment %d, block 0 in %d", k, bi.Index, bi.Segment, infos[0].Segment)
+			}
+		}
 	}
-	st := s.Stats()
-	if st.Segments < 2 {
-		t.Fatalf("expected multiple segments, got %d", st.Segments)
+	if st := s.Stats(); st.Segments != 3 {
+		t.Fatalf("3 puts over the target each: %d segments, want 3", st.Segments)
 	}
-	got, err := s.Get32("k")
+	got, err := s.Get32("k0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,13 @@ const (
 	// StagePool is the codec-pool checkout (and threshold quantization).
 	StagePool
 	// StageEncode is codec encode kernel time (HTTP encode requests and
-	// the store put path's block encoding).
+	// the store put path's block encoding) — on the router, which encodes
+	// a replicated put once for all its owners, with the decode of the
+	// values it arrived as.
 	StageEncode
 	// StageDecode is codec decode kernel time (HTTP decode requests and
-	// the store get path's block decoding).
+	// the store get path's block decoding), and the check of a put that
+	// arrived encoded: the same walk over the stream, nothing rebuilt.
 	StageDecode
 	// StageSegRead is store segment read time: pread + CRC verification.
 	StageSegRead

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # scripts/bench.sh — run the benchmark suites and emit JSON results
 # (ns/op, B/op, allocs/op and custom metrics per benchmark), then
-# enforce the zero-allocation gates and the store throughput gates
+# enforce the allocation gates and the store throughput gates
 # (absolute Put32 floor + -20% regression bar vs the committed
 # BENCH_store.json; PERFGATE=0 skips the throughput bars).
 #
@@ -56,10 +56,18 @@ GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLo
 # pressure on every hot read. The batch wire codec — the scan the router
 # and avrd run over every mput body and mget reply, and the emit avrd
 # runs for every mget — is gated too: it exists to take the per-payload
-# copies out of the batch path. (The loopback Server*/Router* Mput8 and
-# Mget8 benchmarks run whole requests over real listeners and are
-# recorded, with the core count they ran on, not gated.)
-STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchEmitGet8"
+# copies out of the batch path. The encoded put — a container checked,
+# framed and written, what a replica does for a put the router encoded —
+# shares the put contract.
+STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePutEncoded32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchEmitGet8"
+
+# The loopback Mput8 benchmarks run whole batched puts over real
+# listeners — net/http, the client and JSON replies included — so they
+# cannot be held to zero; they are held to where the encode-once write
+# path landed them (607 and 127 allocs/op at -benchtime 100x, warm-up
+# included), with about 5 % of headroom for the runtime's own drift. The
+# Mget8 pair is recorded, with the core count it ran on, not gated.
+STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140"
 
 RAW="$(mktemp)"
 RAW_STORE="$(mktemp)"
@@ -156,13 +164,15 @@ perf_gate() {
     return $fail
 }
 
-# alloc_gate RAWFILE FILTER BENCH... — every named benchmark must have
-# run and reported 0 allocs/op.
+# alloc_gate RAWFILE FILTER BENCH[:MAX]... — every named benchmark must
+# have run and reported at most MAX allocs/op (0 when not given).
 alloc_gate() {
     local raw="$1" filter="$2"
     shift 2
-    local fail=0 b line allocs
-    for b in "$@"; do
+    local fail=0 pair b max line allocs
+    for pair in "$@"; do
+        b="${pair%%:*}" max=0
+        [ "$b" = "$pair" ] || max="${pair##*:}"
         line="$(grep -E "^$b(-[0-9]+)? " "$raw" | head -1 || true)"
         if [ -z "$line" ]; then
             echo "ALLOC GATE: $b did not run (filter '$filter')" >&2
@@ -170,11 +180,11 @@ alloc_gate() {
             continue
         fi
         allocs="$(echo "$line" | awk '{for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") print $i}')"
-        if [ "$allocs" != "0" ]; then
-            echo "ALLOC GATE: $b reports $allocs allocs/op, want 0" >&2
+        if [ -z "$allocs" ] || [ "$allocs" -gt "$max" ]; then
+            echo "ALLOC GATE: $b reports ${allocs:-no} allocs/op, want at most $max" >&2
             fail=1
         else
-            echo "alloc gate ok: $b (0 allocs/op)"
+            echo "alloc gate ok: $b ($allocs allocs/op, cap $max)"
         fi
     done
     return $fail
@@ -198,6 +208,7 @@ echo "wrote $STORE_OUT"
 fail=0
 alloc_gate "$RAW" "$BENCHFILTER" $GATED || fail=1
 alloc_gate "$RAW_STORE" "$STOREFILTER" $STORE_GATED || fail=1
+alloc_gate "$RAW_STORE" "$STOREFILTER" $STORE_CAPPED || fail=1
 if [ "${PERFGATE:-1}" != "0" ]; then
     perf_gate "$RAW_STORE" "$BASELINE" || fail=1
 fi
