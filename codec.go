@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"unsafe"
 
 	"avr/internal/block"
 	"avr/internal/compress"
@@ -36,12 +37,9 @@ import (
 type Codec struct {
 	comp *compress.Compressor
 
-	// Per-call staging blocks. Encode stages the (padded) input block
-	// here; Decode reconstructs into rec before appending to the output.
+	// Where Encode stages the (padded) input block.
 	blk   [compress.BlockValues]uint32
 	blk64 [compress.BlockValues64]uint64
-	rec   [compress.BlockValues]uint32
-	rec64 [compress.BlockValues64]uint64
 }
 
 // NewCodec creates a codec with per-value relative error bound t1 (the
@@ -101,34 +99,36 @@ func (c *Codec) Decode(data []byte) ([]float32, error) {
 
 // DecodeTo appends the decoded values to dst and returns the extended
 // slice. With a retained buffer (dst[:0]) the decode path is
-// allocation-free. On error the returned slice is nil and dst's backing
-// array holds unspecified partial output.
+// allocation-free. Every record is reconstructed by the vectorised
+// kernel straight into dst — no staging block, no per-value copy. On
+// error the returned slice is nil and dst's backing array holds
+// unspecified partial output.
 func (c *Codec) DecodeTo(dst []float32, data []byte) ([]float32, error) {
 	cur, err := block.Open(&block.Layout32, data, -1)
 	if err != nil {
 		return nil, err
 	}
-	dst = slices.Grow(dst, cur.Count())
+	p := len(dst)
+	dst = slices.Grow(dst, cur.Count())[:p+cur.Count()]
+	// The destination's bit view: float32 and uint32 share size and
+	// alignment, so the kernel writes IEEE bit patterns in place.
+	bits := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))
 	var sum [compress.SummaryValues]int32
 	for cur.More() {
 		rec, err := cur.Next()
 		if err != nil {
 			return nil, err
 		}
-		n := len(dst)
-		dst = dst[:n+rec.Values]
-		out := dst[n:]
+		out := bits[p : p+rec.Values]
+		p += rec.Values
 		if rec.Raw != nil {
 			for i := range out {
-				out[i] = math.Float32frombits(binary.LittleEndian.Uint32(rec.Raw[4*i:]))
+				out[i] = binary.LittleEndian.Uint32(rec.Raw[4*i:])
 			}
 			continue
 		}
 		block.ReadSummary32(&sum, rec.Summary)
-		c.comp.DecompressInto(&c.rec, &sum, rec.Bitmap, rec.Outliers, rec.Method, int8(rec.Bias), compress.Float32)
-		for i := range out {
-			out[i] = math.Float32frombits(c.rec[i])
-		}
+		c.comp.DecompressBits32(out, &sum, rec.Bitmap, rec.Outliers, rec.Method, int8(rec.Bias))
 	}
 	return dst, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"unsafe"
 
 	"avr/internal/block"
 	"avr/internal/compress"
@@ -49,35 +50,34 @@ func (c *Codec) Decode64(data []byte) ([]float64, error) {
 }
 
 // Decode64To appends the decoded doubles to dst and returns the extended
-// slice; with a retained buffer the decode path is allocation-free. On
-// error the returned slice is nil and dst's backing array holds
-// unspecified partial output.
+// slice; with a retained buffer the decode path is allocation-free. Like
+// DecodeTo it reconstructs every record straight into dst. On error the
+// returned slice is nil and dst's backing array holds unspecified
+// partial output.
 func (c *Codec) Decode64To(dst []float64, data []byte) ([]float64, error) {
 	cur, err := block.Open(&block.Layout64, data, -1)
 	if err != nil {
 		return nil, err
 	}
-	dst = slices.Grow(dst, cur.Count())
+	p := len(dst)
+	dst = slices.Grow(dst, cur.Count())[:p+cur.Count()]
+	bits := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))
 	var sum [compress.SummaryValues64]int64
 	for cur.More() {
 		rec, err := cur.Next()
 		if err != nil {
 			return nil, err
 		}
-		n := len(dst)
-		dst = dst[:n+rec.Values]
-		out := dst[n:]
+		out := bits[p : p+rec.Values]
+		p += rec.Values
 		if rec.Raw != nil {
 			for i := range out {
-				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Raw[8*i:]))
+				out[i] = binary.LittleEndian.Uint64(rec.Raw[8*i:])
 			}
 			continue
 		}
 		block.ReadSummary64(&sum, rec.Summary)
-		c.comp.DecompressInto64(&c.rec64, &sum, rec.Bitmap, rec.Outliers, rec.Bias)
-		for i := range out {
-			out[i] = math.Float64frombits(c.rec64[i])
-		}
+		c.comp.DecompressInto64(out, &sum, rec.Bitmap, rec.Outliers, rec.Bias)
 	}
 	return dst, nil
 }

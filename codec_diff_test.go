@@ -18,6 +18,11 @@ import (
 // sub-block (16) edges, block (256 / 128) edges, and multi-block tails.
 var diffSizes = []int{0, 1, 2, 15, 16, 17, 31, 32, 33, 127, 128, 129, 255, 256, 257, 300, 511, 512, 513, 4096, 4097}
 
+// diffHeads are the lengths DecodeTo's destination starts at: odd counts
+// of values, so the appended region begins 4, 12 and 28 bytes (fp32) off
+// a 64-byte boundary whatever the allocator returned.
+var diffHeads = []int{1, 3, 7}
+
 func TestCodecDifferentialWorkloads32(t *testing.T) {
 	for _, dist := range workloads.Distributions() {
 		for _, n := range diffSizes {
@@ -257,6 +262,35 @@ func assertCodecDifferential32(t *testing.T, vals []float32) {
 			t.Fatalf("decode mismatch at %d: reference %x, fast %x", i, math.Float32bits(refDec[i]), math.Float32bits(fastDec[i]))
 		}
 	}
+	// DecodeTo reconstructs in place: a destination that already holds
+	// values puts every kernel store off its natural vector alignment,
+	// and a stream ending in a partial record must stop at dst's end.
+	for _, head := range diffHeads {
+		for _, spare := range []int{0, len(vals)} {
+			dst := make([]float32, head, head+spare)
+			for i := range dst {
+				dst[i] = float32(-1 - i)
+			}
+			got, err := c.DecodeTo(dst, fast)
+			if err != nil {
+				t.Fatalf("DecodeTo(head %d, spare %d): %v", head, spare, err)
+			}
+			if len(got) != head+len(refDec) {
+				t.Fatalf("DecodeTo(head %d, spare %d) length = %d, want %d", head, spare, len(got), head+len(refDec))
+			}
+			for i := 0; i < head; i++ {
+				if got[i] != float32(-1-i) {
+					t.Fatalf("DecodeTo(head %d, spare %d) clobbered dst[%d]", head, spare, i)
+				}
+			}
+			for i := range refDec {
+				if math.Float32bits(refDec[i]) != math.Float32bits(got[head+i]) {
+					t.Fatalf("DecodeTo(head %d, spare %d) mismatch at %d: reference %x, fast %x",
+						head, spare, i, math.Float32bits(refDec[i]), math.Float32bits(got[head+i]))
+				}
+			}
+		}
+	}
 }
 
 func assertCodecDifferential64(t *testing.T, vals []float64) {
@@ -295,6 +329,32 @@ func assertCodecDifferential64(t *testing.T, vals []float64) {
 	for i := range refDec {
 		if math.Float64bits(refDec[i]) != math.Float64bits(fastDec[i]) {
 			t.Fatalf("decode64 mismatch at %d: reference %x, fast %x", i, math.Float64bits(refDec[i]), math.Float64bits(fastDec[i]))
+		}
+	}
+	for _, head := range diffHeads {
+		for _, spare := range []int{0, len(vals)} {
+			dst := make([]float64, head, head+spare)
+			for i := range dst {
+				dst[i] = float64(-1 - i)
+			}
+			got, err := c.Decode64To(dst, fast)
+			if err != nil {
+				t.Fatalf("Decode64To(head %d, spare %d): %v", head, spare, err)
+			}
+			if len(got) != head+len(refDec) {
+				t.Fatalf("Decode64To(head %d, spare %d) length = %d, want %d", head, spare, len(got), head+len(refDec))
+			}
+			for i := 0; i < head; i++ {
+				if got[i] != float64(-1-i) {
+					t.Fatalf("Decode64To(head %d, spare %d) clobbered dst[%d]", head, spare, i)
+				}
+			}
+			for i := range refDec {
+				if math.Float64bits(refDec[i]) != math.Float64bits(got[head+i]) {
+					t.Fatalf("Decode64To(head %d, spare %d) mismatch at %d: reference %x, fast %x",
+						head, spare, i, math.Float64bits(refDec[i]), math.Float64bits(got[head+i]))
+				}
+			}
 		}
 	}
 }

@@ -225,6 +225,11 @@ type Compressor struct {
 	sum64   [SummaryValues64]int64
 	bm64    [BitmapBytes64]byte
 	out64   [BlockValues64]uint64
+
+	// Where DecompressBits32/DecompressInto64 reconstruct a partial last
+	// record before copying its leading values out.
+	tail   [BlockValues]uint32
+	tail64 [BlockValues64]uint64
 }
 
 // NewCompressor returns a compressor with the given error thresholds

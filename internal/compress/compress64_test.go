@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +97,20 @@ func TestDecompress64MatchesReconstructed(t *testing.T) {
 		dec := Decompress64(&r.Summary, bm, r.Outliers, r.Bias)
 		if dec != r.Reconstructed {
 			t.Fatalf("trial %d: decompress mismatch", trial)
+		}
+		var bmBytes, outBytes []byte
+		if bm != nil {
+			bmBytes = bm[:]
+			for _, o := range r.Outliers {
+				outBytes = binary.LittleEndian.AppendUint64(outBytes, o)
+			}
+		}
+		for _, n := range []int{BlockValues64, 1 + rng.Intn(BlockValues64-1)} {
+			got := make([]uint64, n)
+			c.DecompressInto64(got, &r.Summary, bmBytes, outBytes, r.Bias)
+			if !slices.Equal(got, dec[:n]) {
+				t.Fatalf("trial %d: DecompressInto64 of %d values disagrees with Decompress64", trial, n)
+			}
 		}
 	}
 }

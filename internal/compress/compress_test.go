@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -275,6 +277,22 @@ func TestDecompressMatchesReconstructed(t *testing.T) {
 		dec := Decompress(&r.Summary, bm, r.Outliers, r.Method, r.Bias, Float32)
 		if dec != r.Reconstructed {
 			t.Fatalf("trial %d: Decompress disagrees with Reconstructed", trial)
+		}
+		// The kernel every read path runs, over the wire form of the same
+		// parts: a full block in place, and a partial last record.
+		var bmBytes, outBytes []byte
+		if bm != nil {
+			bmBytes = bm[:]
+			for _, o := range r.Outliers {
+				outBytes = binary.LittleEndian.AppendUint32(outBytes, o)
+			}
+		}
+		for _, n := range []int{BlockValues, 1 + rng.Intn(BlockValues-1)} {
+			got := make([]uint32, n)
+			c.DecompressBits32(got, &r.Summary, bmBytes, outBytes, r.Method, r.Bias)
+			if !slices.Equal(got, dec[:n]) {
+				t.Fatalf("trial %d: DecompressBits32 of %d values disagrees with Decompress", trial, n)
+			}
 		}
 	}
 }

@@ -249,55 +249,42 @@ func errCheckFixed32(vals *[BlockValues]uint32, recon *[BlockValues]int32, t1 fl
 	return nOut, nonOutliers, errSum
 }
 
-// DecompressInto reconstructs a block from its parsed wire parts without
-// allocating: interpolate into scratch, one flat convert pass, then
-// overlay the exact outliers driven by the bitmap's set bits. bitmap and
-// outlierBytes may be nil/empty for an outlier-free block; outlierBytes
-// holds the packed little-endian outlier values and must cover every set
-// bitmap bit (callers validate via block.Cursor).
-func (c *Compressor) DecompressInto(out *[BlockValues]uint32, summary *[SummaryValues]int32, bitmap, outlierBytes []byte, m Method, bias int8, dt DataType) {
-	interpolate(summary, &c.recon, m)
-	if dt == Float32 {
-		fixed.FixedToFloats(out[:], c.recon[:], bias)
-	} else {
-		for i, v := range c.recon {
-			out[i] = uint32(v)
-		}
+// DecompressBits32 reconstructs the leading len(out) ≤ BlockValues
+// values of a Float32 block from its parsed wire parts without
+// allocating: interpolate into scratch (SIMD when available), one
+// fixed→float-bits pass (simd.FixedToFloatsBits, or the scalar
+// fixed.FixedToFloats it replicates lane for lane where the kernels do
+// not exist), then overlay the exact outliers driven by the bitmap's set
+// bits. bitmap and outlierBytes may be nil/empty for an outlier-free
+// block; outlierBytes holds the packed little-endian outlier values and
+// must cover every set bitmap bit (callers validate via block.Cursor).
+//
+// A full block is written straight into out, which callers alias over
+// their []float32 destination; only a stream's partial last record goes
+// through compressor scratch and is copied. This is the one reconstruct
+// kernel behind the codec's decode, the store's disk and cache-hit reads
+// and the query engine's exact visits.
+func (c *Compressor) DecompressBits32(out []uint32, summary *[SummaryValues]int32, bitmap, outlierBytes []byte, m Method, bias int8) {
+	blk := &c.tail
+	if len(out) == BlockValues {
+		blk = (*[BlockValues]uint32)(out)
 	}
-	oi := 0
-	for bi, b := range bitmap {
-		for b != 0 {
-			i := bi<<3 + bits.TrailingZeros8(b)
-			b &= b - 1
-			out[i] = binary.LittleEndian.Uint32(outlierBytes[oi:])
-			oi += 4
-		}
-	}
-}
-
-// DecompressBits32 is DecompressInto for Float32 data with the convert
-// sweep vectorized: interpolate (SIMD when available), one
-// fixed→float-bits pass through simd.FixedToFloatsBits, then the
-// bitmap-driven outlier overlay. Bit-identical to DecompressInto — the
-// kernel replicates fixed.FixedToFloats lane for lane (the property test
-// in internal/simd pins it) — but writing float bit patterns straight
-// into out, which callers may alias over a []float32 destination. This
-// is the read-cache hit path: reconstruction from a resident summary
-// line at memory speed.
-func (c *Compressor) DecompressBits32(out *[BlockValues]uint32, summary *[SummaryValues]int32, bitmap, outlierBytes []byte, m Method, bias int8) {
 	interpolate(summary, &c.recon, m)
 	if simd.Enabled() {
-		simd.FixedToFloatsBits(out, &c.recon, int32(-int(bias)))
+		simd.FixedToFloatsBits(blk, &c.recon, int32(-int(bias)))
 	} else {
-		fixed.FixedToFloats(out[:], c.recon[:], bias)
+		fixed.FixedToFloats(blk[:], c.recon[:], bias)
 	}
 	oi := 0
 	for bi, b := range bitmap {
 		for b != 0 {
 			i := bi<<3 + bits.TrailingZeros8(b)
 			b &= b - 1
-			out[i] = binary.LittleEndian.Uint32(outlierBytes[oi:])
+			blk[i] = binary.LittleEndian.Uint32(outlierBytes[oi:])
 			oi += 4
 		}
+	}
+	if blk == &c.tail {
+		copy(out, blk[:])
 	}
 }

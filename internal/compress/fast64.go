@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"avr/internal/fixed"
+	"avr/internal/simd"
 )
 
 // FastResult64 describes one fast-path 64-bit block compression.
@@ -107,20 +108,36 @@ func errCheckRecon64(vals *[BlockValues64]uint64, recon *[BlockValues64]int64, b
 	return nOut, nonOutliers, errSum
 }
 
-// DecompressInto64 reconstructs a 128-double block from its parsed wire
-// parts without allocating. bitmap and outlierBytes may be nil/empty;
-// outlierBytes holds packed little-endian doubles covering every set
-// bitmap bit.
-func (c *Compressor) DecompressInto64(out *[BlockValues64]uint64, summary *[SummaryValues64]int64, bitmap, outlierBytes []byte, bias int16) {
+// DecompressInto64 is DecompressBits32 for 128-double blocks: scalar
+// interpolate, then the fixed→float-bits pass through
+// simd.FixedToFloatsBits64 (AVX-512; fixed.FixedToFloats64, which it
+// replicates lane for lane, elsewhere), then the outlier overlay.
+// bitmap and outlierBytes may be nil/empty; outlierBytes holds packed
+// little-endian doubles covering every set bitmap bit. A full block is
+// written straight into out (callers alias it over a []float64
+// destination); a partial last record, len(out) < BlockValues64, goes
+// through scratch.
+func (c *Compressor) DecompressInto64(out []uint64, summary *[SummaryValues64]int64, bitmap, outlierBytes []byte, bias int16) {
+	blk := &c.tail64
+	if len(out) == BlockValues64 {
+		blk = (*[BlockValues64]uint64)(out)
+	}
 	interpolate64(summary, &c.recon64)
-	fixed.FixedToFloats64(out[:], c.recon64[:], bias)
+	if simd.Enabled512() {
+		simd.FixedToFloatsBits64(blk, &c.recon64, int64(-int(bias)))
+	} else {
+		fixed.FixedToFloats64(blk[:], c.recon64[:], bias)
+	}
 	oi := 0
 	for bi, b := range bitmap {
 		for b != 0 {
 			i := bi<<3 + bits.TrailingZeros8(b)
 			b &= b - 1
-			out[i] = binary.LittleEndian.Uint64(outlierBytes[oi:])
+			blk[i] = binary.LittleEndian.Uint64(outlierBytes[oi:])
 			oi += 8
 		}
+	}
+	if blk == &c.tail64 {
+		copy(out, blk[:])
 	}
 }

@@ -9,13 +9,18 @@
 // (internal/store keeps pre-parsed summary slabs, internal/cluster keeps
 // whole proxied responses).
 //
-// Population is asynchronous: a miss calls RequestFill, which
-// singleflights the key onto a bounded worker queue (a thundering herd
-// fills once; a full queue drops the request silently — the next miss
-// retries). A confidence-gated stride prefetcher (prefetch.go) watches
-// the key stream and pulls predicted next keys through the same queue
-// ahead of the request, falling through silently when wrong — the
-// paper's PFE, with the LVA-style confidence gate.
+// Demand population is the owner's: whoever misses has the data in hand
+// a moment later and Puts the entry itself (the store builds the line
+// from the frames its disk read just verified; it never reads them a
+// second time). The fill queue is the prefetcher's: a confidence-gated
+// stride prefetcher (prefetch.go) watches the key stream and pulls
+// predicted next keys in ahead of the request through a bounded worker
+// queue, falling through silently when wrong — the paper's PFE, with the
+// LVA-style confidence gate. RequestFill puts a key on the same queue
+// for an owner whose miss path does not end with the entry in hand (the
+// router, which proxies the miss and fills from a second fetch); the
+// queue singleflights per key, and when full drops the request silently
+// — the next miss asks again.
 //
 // Staleness is the owner's problem by design: entries are immutable
 // after Put, and owners validate a version captured in Meta against

@@ -110,11 +110,11 @@ func (s *Server) registerBatch() {
 	s.mux.HandleFunc("GET /v1/store/key", s.handleStoreKeys)
 }
 
-// valScratch is the pooled per-request value scratch of the batch
-// handlers: one key's payload as wire bytes and as floats of either
-// width. The store copies what it keeps (encoded blocks on put) and
-// fills what it is handed (get), so one set serves every key of a batch
-// in turn.
+// valScratch is the pooled per-request value scratch of every handler
+// that moves values: one key's payload as wire bytes and as floats of
+// either width. The store copies what it keeps (encoded blocks on put)
+// and fills what it is handed (get), so one set serves a single-key
+// request, or every key of a batch in turn.
 type valScratch struct {
 	raw  []byte
 	vals vec.Vec

@@ -225,14 +225,19 @@ func batch8(tb testing.TB) (mput, mget []byte, rawBytes int64) {
 	return append(mput, BatchClose...), append(mget, BatchClose...), rawBytes
 }
 
-// benchPost times b.N posts of body over the loopback listener; MB/s is
-// raw value bytes moved, and the core count the tiers shared with the
-// client rides along.
-func benchPost(b *testing.B, url string, body []byte, rawBytes int64) {
+// benchDo times b.N requests over the loopback listener; MB/s is raw
+// value bytes moved, and the core count the tiers shared with the client
+// rides along.
+func benchDo(b *testing.B, method, url string, body []byte, rawBytes int64) {
 	b.SetBytes(rawBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,7 +255,7 @@ func benchPost(b *testing.B, url string, body []byte, rawBytes int64) {
 func BenchmarkServerMput8(b *testing.B) {
 	_, ts := storeServer(b, Config{})
 	mput, _, raw := batch8(b)
-	benchPost(b, ts.URL+"/v1/store/mput", mput, raw)
+	benchDo(b, http.MethodPost, ts.URL+"/v1/store/mput", mput, raw)
 }
 
 func BenchmarkServerMget8(b *testing.B) {
@@ -259,5 +264,24 @@ func BenchmarkServerMget8(b *testing.B) {
 	if resp, body := doReq(b, http.MethodPost, ts.URL+"/v1/store/mput", mput); resp.StatusCode != http.StatusOK {
 		b.Fatalf("seeding: %d %s", resp.StatusCode, body)
 	}
-	benchPost(b, ts.URL+"/v1/store/mget", mget, raw)
+	benchDo(b, http.MethodPost, ts.URL+"/v1/store/mget", mget, raw)
+}
+
+// BenchmarkServerPut / Get are their single-key twins: one 64 KiB
+// heat-map key per request, the get from disk (storeServer runs no read
+// cache). scripts/bench.sh caps the get's allocs/op where it landed, so
+// a per-request copy of the vector cannot come back unnoticed.
+func BenchmarkServerPut(b *testing.B) {
+	_, ts := storeServer(b, Config{})
+	_, raw := f32Payload(b, "heat", 16384, 1)
+	benchDo(b, http.MethodPut, ts.URL+"/v1/store/put?key=bench", raw, int64(len(raw)))
+}
+
+func BenchmarkServerGet(b *testing.B) {
+	_, ts := storeServer(b, Config{})
+	_, raw := f32Payload(b, "heat", 16384, 1)
+	if resp, body := doReq(b, http.MethodPut, ts.URL+"/v1/store/put?key=bench", raw); resp.StatusCode != http.StatusOK {
+		b.Fatalf("seeding: %d %s", resp.StatusCode, body)
+	}
+	benchDo(b, http.MethodGet, ts.URL+"/v1/store/get?key=bench", nil, int64(len(raw)))
 }

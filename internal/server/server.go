@@ -290,14 +290,15 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	codec := s.pool.Get(s.cfg.T1)
 	sp.End(trace.StagePool, pt)
 	dt := sp.Begin()
-	var vals vec.Vec
+	vs := valScratchPool.Get().(*valScratch)
+	defer valScratchPool.Put(vs)
 	var err error
-	if width := block.StreamWidth(body); width != 0 {
-		vals, err = vec.Vec{Width: width}.DecodeAppend(codec, body)
-	} else {
+	if width := block.StreamWidth(body); width == 0 {
 		err = errors.New("unrecognised stream magic (want AVR1 or AVR8)")
+	} else if vs.vals, err = vs.vals.Reset(width).DecodeAppend(codec, body); err == nil {
+		vs.raw = vs.vals.AppendLE(vs.raw[:0])
 	}
-	out := vals.AppendLE(make([]byte, 0, vals.Len()*vals.Width/8))
+	out := vs.raw // stale on error, and then not sent
 	sp.End(trace.StageDecode, dt)
 	s.pool.Put(s.cfg.T1, codec)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"avr/internal/obs"
@@ -160,11 +159,6 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(res)
 }
 
-// getBufPool recycles get-response byte buffers: a hot read path
-// otherwise allocates the full raw vector per request just to serialize
-// it onto the wire.
-var getBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // handleStoreGet serves GET /v1/store/get: raw little-endian values
 // out. A vector whose tail was lost to a crash is served as 206 Partial
 // Content with X-AVR-Complete: false — the recovered prefix is still
@@ -189,7 +183,13 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Release()
 
-	vals, src, err := s.cfg.Store.GetVec(vec.Vec{}, key, true, sp)
+	// Values and wire bytes both land in pooled scratch: a get allocates
+	// neither the vector nor its serialisation.
+	vs := valScratchPool.Get().(*valScratch)
+	defer valScratchPool.Put(vs)
+	var src store.CacheSource
+	var err error
+	vs.vals, src, err = s.cfg.Store.GetVec(vs.vals.Reset(0), key, true, sp)
 	incomplete := errors.Is(err, store.ErrIncomplete)
 	if err != nil && !incomplete {
 		storeFail(w, err)
@@ -200,14 +200,12 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	if cs := src.String(); cs != "" {
 		w.Header().Set("X-AVR-Cache", cs)
 	}
-	bufp := getBufPool.Get().(*[]byte)
-	defer getBufPool.Put(bufp)
-	out := vals.AppendLE((*bufp)[:0])
-	*bufp = out
+	vs.raw = vs.vals.AppendLE(vs.raw[:0])
+	out := vs.raw
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-AVR-Width", strconv.Itoa(vals.Width))
-	w.Header().Set("X-AVR-Values", strconv.Itoa(vals.Len()))
+	w.Header().Set("X-AVR-Width", strconv.Itoa(vs.vals.Width))
+	w.Header().Set("X-AVR-Values", strconv.Itoa(vs.vals.Len()))
 	w.Header().Set("X-AVR-Complete", strconv.FormatBool(!incomplete))
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	sp.WriteHeaders(w.Header())

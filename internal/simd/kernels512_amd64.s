@@ -63,6 +63,52 @@ f2f512:
 	VZEROUPPER
 	RET
 
+// Constants for FixedToFloatsBits64 (64-bit lanes).
+DATA f64const512<>+0(SB)/8, $0x3DF0000000000000  // 2^-32 as float64
+DATA f64const512<>+8(SB)/8, $0x7FF0000000000000  // exponent mask
+DATA f64const512<>+16(SB)/8, $0x800FFFFFFFFFFFFF // sign+mantissa (clear exponent)
+GLOBL f64const512<>(SB), RODATA|NOPTR, $24
+
+// func FixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64)
+//
+// fixedToFloatsAVX512 in 64-bit lanes: per 8-lane group, a =
+// bits(float64(recon) * 2^-32) (VCVTQQ2PD, AVX-512DQ); lanes whose
+// exponent is outside {0, 0x7FF} get a&0x800FFFFFFFFFFFFF |
+// uint64(e(a)+nb)<<52; dst[g] = a.
+TEXT ·FixedToFloatsBits64(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ recon+8(FP), SI
+	VPBROADCASTQ f64const512<>+0(SB), Z15 // 2^-32
+	VPBROADCASTQ f64const512<>+8(SB), Z14 // expmask
+	VPBROADCASTQ f64const512<>+16(SB), Z8 // clear-exp
+	MOVQ nb+16(FP), AX
+	VPBROADCASTQ AX, Z11
+	MOVQ $16, CX
+
+f2f64:
+	VMOVDQU64 (SI), Z0
+	VCVTQQ2PD Z0, Z0
+	VMULPD Z15, Z0, Z0
+	VPANDQ Z14, Z0, Z1
+	VPTESTNMQ Z1, Z1, K1 // e == 0
+	VPCMPEQQ Z14, Z1, K2 // e == 0x7FF
+	KORW K1, K2, K3
+	KNOTW K3, K3 // surgery lanes (low 8 bits count)
+	VPSRLQ $52, Z1, Z1
+	VPADDQ Z11, Z1, Z1
+	VPSLLQ $52, Z1, Z1
+	VPANDQ Z8, Z0, Z2
+	VPORQ Z1, Z2, Z2
+	VMOVDQU64 Z2, K3, Z0 // merge rebiased bits into surgery lanes
+	VMOVDQU64 Z0, (DI)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ f2f64
+	VZEROUPPER
+	RET
+
 // func errCheckAVX512(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64
 TEXT ·errCheckAVX512(SB), NOSPLIT, $0-40
 	MOVQ vals+0(FP), DI

@@ -1,9 +1,24 @@
 package simd
 
 // Enabled512 reports whether the AVX-512-only kernels (ChooseBiasScan,
-// Interpolate1D/2D, Downsample1D/2D) are available. Callers must check
-// it before calling them; there is no AVX2 tier for these.
+// Interpolate1D/2D, Downsample1D/2D, FixedToFloatsBits64) are available.
+// Callers must check it before calling them; there is no AVX2 tier for
+// these.
 func Enabled512() bool { return hasAVX512 }
+
+// FixedToFloatsBits64 is FixedToFloatsBits for the fp64 pipeline, the
+// conversion sweep of fixed.FixedToFloats64 over one 128-double block:
+// dst[i] = bits(float64(recon[i]) * 2^-32) with the exponent un-bias nb
+// re-applied (uint64(e+nb)<<52 reinserted, lanes with e∈{0,0x7FF} left
+// untouched). VCVTQQ2PD rounds int64→float64 to nearest-even exactly as
+// the scalar conversion does, and the product with the exact power of
+// two 2^-32 is the scalar's division by 1<<32 bit for bit (no result is
+// subnormal: a non-zero int64 has magnitude ≥ 1). AVX2 has no packed
+// int64→float64 conversion, so this is a 512-bit-only kernel (it needs
+// the DQ subset detectAVX512 already requires).
+//
+//go:noescape
+func FixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64)
 
 // ChooseBiasScan runs the exponent scan of fixed.ChooseBias over one
 // block: the return value packs the running minimum of lo (the raw

@@ -10,8 +10,9 @@
 // codec differential tests in the avr package (SIMD-accelerated fast
 // path vs retained scalar reference codec), and the codec fuzz targets.
 //
-// Kernels operate on whole 256-value AVR blocks ([256]uint32 bit
-// patterns), the unit the compressor hands around; callers fall back to
+// Kernels operate on whole AVR blocks — 256 values as [256]uint32 bit
+// patterns, or 128 doubles for the one fp64 kernel (FixedToFloatsBits64)
+// — the unit the compressor hands around; callers fall back to
 // the scalar loops when Enabled returns false or a block needs a slow
 // path the kernels do not implement (reported via their return values).
 package simd

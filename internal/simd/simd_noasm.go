@@ -32,6 +32,10 @@ func Enabled512() bool { return false }
 // check Enabled512() first.
 func ChooseBiasScan(bits *[256]uint32) uint32 { panic("simd: ChooseBiasScan called without AVX-512") }
 
+func FixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64) {
+	panic("simd: FixedToFloatsBits64 called without AVX-512")
+}
+
 func Interpolate1D(sum *[16]int32, out *[256]int32) {
 	panic("simd: Interpolate1D called without AVX-512")
 }

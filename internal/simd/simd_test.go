@@ -211,6 +211,90 @@ func TestFixedToFloatsBitsMatchesScalar(t *testing.T) {
 	}
 }
 
+// scalarFixedToFloatsBits64 is fixed.FixedToFloats64, restated here
+// because internal/fixed imports this package.
+func scalarFixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64) {
+	for i, v := range recon {
+		b := math.Float64bits(float64(v) / (1 << 32))
+		if nb != 0 {
+			if e := int(b>>52) & 0x7FF; e != 0 && e != 0x7FF {
+				b = b&^(uint64(0x7FF)<<52) | uint64(e+int(nb))<<52
+			}
+		}
+		dst[i] = b
+	}
+}
+
+// randInt64 mixes full-range, small, and boundary values, including
+// magnitudes past 2^53 where the int64→float64 conversion rounds.
+func randInt64(rng *rand.Rand) int64 {
+	switch rng.Intn(5) {
+	case 0:
+		return int64(rng.Uint64())
+	case 1:
+		return rng.Int63n(1<<40) - 1<<39
+	case 2:
+		return [...]int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1<<53 + 1, -(1<<53 + 1)}[rng.Intn(7)]
+	case 3:
+		// Round-to-even ties just above 2^53.
+		return (1<<53 + int64(rng.Intn(8))) << uint(rng.Intn(10))
+	default:
+		return int64(rng.Intn(65536) - 32768)
+	}
+}
+
+func TestFixedToFloatsBits64MatchesScalar(t *testing.T) {
+	if !Enabled512() {
+		t.Skip("AVX-512 not available")
+	}
+	rng := rand.New(rand.NewSource(8))
+	var recon [128]int64
+	var want, got [128]uint64
+	check := func(label string, nb int64) {
+		t.Helper()
+		scalarFixedToFloatsBits64(&want, &recon, nb)
+		FixedToFloatsBits64(&got, &recon, nb)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s (nb=%d): dst[%d] = %#x, want %#x (recon=%d)",
+					label, nb, i, got[i], want[i], recon[i])
+			}
+		}
+	}
+	for round := 0; round < 2000; round++ {
+		nb := int64(rng.Intn(2048) - 1024)
+		if round == 0 {
+			nb = 0 // the no-surgery fast case must still agree
+		}
+		for i := range recon {
+			recon[i] = randInt64(rng)
+		}
+		check("random", nb)
+	}
+	// All zeros (exponent 0: every lane passes through) and ±max.
+	recon = [128]int64{}
+	check("zeros", 17)
+	for i := range recon {
+		recon[i] = [...]int64{math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}[i%4]
+	}
+	check("extremes", -300)
+	// A Q31.32 value converts to an exponent in [1023-32, 1023+31]; sweep
+	// every un-bias that carries one of those onto 0 or 0x7FF, or past
+	// either end of the field (the reinsertion then wraps exactly like
+	// the scalar shift does).
+	for i := range recon {
+		recon[i] = int64(1) << uint(i%63)
+		if i >= 64 {
+			recon[i] = -recon[i]
+		}
+	}
+	for e := 1023 - 32; e <= 1023+31; e++ {
+		for _, target := range []int{-1, 0, 1, 0x7FE, 0x7FF, 0x800} {
+			check("edge", int64(target-e))
+		}
+	}
+}
+
 func TestFloatsToFixedScaledMatchesScalar(t *testing.T) {
 	if !Enabled() {
 		t.Skip("AVX2 not available")

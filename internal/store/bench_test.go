@@ -123,6 +123,29 @@ func BenchmarkStoreGet32(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreGet32Noise is StoreGet32 on a vector stored through the
+// lossless fallback: pread, CRC, BDI line decode and the little-endian
+// conversion into the destination — none of the AVR decode. No other
+// benchmark reads a lossless block, which is how a +40 % regression on
+// this path once went unseen.
+func BenchmarkStoreGet32Noise(b *testing.B) {
+	s := benchStore(b, Config{})
+	vals := benchVals32(b, "normal", 4*BlockValues)
+	if res, err := s.Put32("bench", vals); err != nil || res.LosslessBlocks != res.Blocks {
+		b.Fatalf("seeding: %d of %d blocks lossless, err %v", res.LosslessBlocks, res.Blocks, err)
+	}
+	dst := make([]float32, 0, len(vals))
+	b.SetBytes(int64(4 * len(vals)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, err := s.Get32IntoCached(dst, "bench", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = out[:0]
+	}
+}
+
 // BenchmarkCacheHitGet32 measures the summary-line cache hit path on
 // the same vector as BenchmarkStoreGet32: seq validation, SIMD
 // interpolate, the vectorized fixed→float sweep straight into the
@@ -154,8 +177,37 @@ func BenchmarkCacheHitGet32(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheHitGet64 is the fp64 hit path (scalar interpolate — the
-// fp64 pipeline has no SIMD tier — but still segment-read-free).
+// BenchmarkCacheMissGet32 is the other side of the cache on the same
+// vector: every read finds the line gone, takes the disk path and leaves
+// the line resident again, built from the frames it decoded. Its
+// distance from BenchmarkStoreGet32 is what filling costs a miss.
+func BenchmarkCacheMissGet32(b *testing.B) {
+	s := benchStore(b, Config{CacheBytes: 64 << 20})
+	vals := benchVals32(b, "heat", 4*BlockValues)
+	if _, err := s.Put32("bench", vals); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float32, 0, len(vals))
+	b.SetBytes(int64(4 * len(vals)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.cache.Invalidate("bench")
+		out, src, err := s.Get32IntoCached(dst, "bench", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if src != CacheMiss {
+			b.Fatalf("served as %q, want miss", src)
+		}
+		dst = out[:0]
+	}
+	if !s.cache.Contains("bench") {
+		b.Fatal("the miss did not leave the line resident")
+	}
+}
+
+// BenchmarkCacheHitGet64 is the fp64 hit path: scalar interpolate, the
+// AVX-512 fixed→float sweep where the host has it, no segment read.
 func BenchmarkCacheHitGet64(b *testing.B) {
 	s := benchStore(b, Config{CacheBytes: 64 << 20})
 	vals := benchVals64(b, "wave", 2*BlockValues)
@@ -264,6 +316,31 @@ func BenchmarkStoreQueryAggregate32(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(res.BytesTouched)/float64(res.BytesTotal), "touched/total")
+}
+
+// BenchmarkStoreQueryAggregate32Noise is the aggregate over lossless
+// blocks: nothing to prune, every frame read whole, decoded exactly and
+// visited value by value (touched/total is the stored over the raw size).
+func BenchmarkStoreQueryAggregate32Noise(b *testing.B) {
+	s := benchStore(b, Config{})
+	vals := benchVals32(b, "normal", 4*BlockValues)
+	if _, err := s.Put32("bench", vals); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4 * len(vals)))
+	b.ResetTimer()
+	var res AggregateResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = s.QueryAggregate("bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if res.BlocksLossless == 0 {
+		b.Fatal("no lossless block was scanned")
+	}
 	b.ReportMetric(float64(res.BytesTouched)/float64(res.BytesTotal), "touched/total")
 }
 

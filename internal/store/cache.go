@@ -1,9 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"slices"
 	"time"
 	"unsafe"
@@ -27,9 +24,12 @@ import (
 //
 // Consistency: a cached line captures the index entry's seq, and every
 // hit re-validates it against the live index under the same read lock
-// as the lookup — a stale line can exist but can never serve. Fills run
-// entirely under the store read lock (read frames, parse, insert), so a
-// writer's invalidation (commitPut, Delete, recompression) cannot
+// as the lookup — a stale line can exist but can never serve. A demand
+// miss builds the line from the frames its own disk read fetches and
+// inserts it before releasing the read lock; the stride prefetcher's
+// fills, the only ones still queued to the background workers, run
+// entirely under the read lock too (read frames, parse, insert). Either
+// way a writer's invalidation (commitPut, Delete, recompression) cannot
 // interleave between a fill's snapshot and its insert: either the fill
 // sees the new refs, or the invalidation sees the inserted line.
 
@@ -40,7 +40,7 @@ type CacheSource uint8
 const (
 	// CacheNone: the cache is disabled (no header).
 	CacheNone CacheSource = iota
-	// CacheMiss: served from disk; an async fill was requested.
+	// CacheMiss: served from disk; the read left the key's line resident.
 	CacheMiss
 	// CacheHit: served from a resident, seq-validated summary line.
 	CacheHit
@@ -65,14 +65,13 @@ func (cs CacheSource) String() string {
 // lineRec kinds: how one codec-block record of a cached line is
 // reconstructed.
 const (
-	lineSummary32 = iota // fp32 AVR record: sums32/bms/outs slabs
-	lineSummary64        // fp64 AVR record: sums64/bms/outs slabs
-	lineRaw32            // exact fp32 bits in raws32 (raw record or lossless block)
-	lineRaw64            // exact fp64 bits in raws64
+	lineSummary = iota // AVR record: sums32 or sums64, bms and outs slabs
+	lineRaw            // exact values in raws32 or raws64 (raw record or lossless block)
 )
 
 // lineRec is one codec-block record of a cached line. Offsets index the
-// line's slabs; a bmOff of -1 marks an outlier-free summary record.
+// line's slabs (the 32 or 64 ones, by the line's width); a bmOff of -1
+// marks an outlier-free summary record.
 type lineRec struct {
 	kind   uint8
 	method compress.Method
@@ -85,8 +84,8 @@ type lineRec struct {
 }
 
 // cachedLine is the resident form of one key: pre-parsed summary lines
-// plus exact bits for records that have no summary form. Immutable
-// after construction.
+// plus exact values for records that have no summary form. Immutable
+// once resident.
 type cachedLine struct {
 	seq      uint64
 	width    uint8
@@ -97,9 +96,37 @@ type cachedLine struct {
 	sums64   []int64
 	bms      []byte
 	outs     []byte
-	raws32   []uint32
-	raws64   []uint64
+	raws32   []float32
+	raws64   []float64
 }
+
+// reset empties the line for e's current value, keeping the slabs'
+// storage: readLocked files frames into a pooled line.
+func (ln *cachedLine) reset(e *entry) {
+	*ln = cachedLine{
+		seq: e.seq, width: e.width,
+		recs: ln.recs[:0], sums32: ln.sums32[:0], sums64: ln.sums64[:0],
+		bms: ln.bms[:0], outs: ln.outs[:0], raws32: ln.raws32[:0], raws64: ln.raws64[:0],
+	}
+}
+
+// clone returns a copy with slabs of exactly the size filled, the form
+// that goes resident: what size accounts for is what the line holds.
+func (ln *cachedLine) clone() *cachedLine {
+	c := *ln
+	c.recs, c.sums32, c.sums64 = slices.Clone(ln.recs), slices.Clone(ln.sums32), slices.Clone(ln.sums64)
+	c.bms, c.outs = slices.Clone(ln.bms), slices.Clone(ln.outs)
+	c.raws32, c.raws64 = slices.Clone(ln.raws32), slices.Clone(ln.raws64)
+	return &c
+}
+
+// raws is the exact-value slab of the line's width as a Vec to append
+// to; setRaws stores it back.
+func (ln *cachedLine) raws() vec.Vec {
+	return vec.Vec{Width: int(ln.width), F32: ln.raws32, F64: ln.raws64}
+}
+
+func (ln *cachedLine) setRaws(v vec.Vec) { ln.raws32, ln.raws64 = v.F32, v.F64 }
 
 // size is the accounted resident footprint in bytes.
 func (ln *cachedLine) size(key string) int64 {
@@ -111,17 +138,16 @@ func (ln *cachedLine) size(key string) int64 {
 }
 
 // hitScratch is the pooled cache-hit reconstruction state: a
-// decompressor (interpolation scratch) plus bounce buffers for partial
-// tail records that cannot be written straight into the destination.
+// decompressor, which owns the interpolation scratch and the block a
+// partial tail record bounces through.
 type hitScratch struct {
-	comp  *compress.Compressor
-	out32 [compress.BlockValues]uint32
-	out64 [compress.BlockValues64]uint64
+	comp *compress.Compressor
 }
 
-// loadCacheLine is the readcache fill callback: build the key's summary
-// line and insert it. Runs on a background fill worker, entirely under
-// the store read lock (see the consistency note above).
+// loadCacheLine is the readcache fill callback, which the stride
+// prefetcher's predictions arrive through: build the key's summary line
+// and insert it. Runs on a background fill worker, entirely under the
+// store read lock (see the consistency note above).
 func (s *Store) loadCacheLine(key string, prefetch bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -141,60 +167,42 @@ func (s *Store) loadCacheLine(key string, prefetch bool) {
 }
 
 // buildLineLocked extracts the summary line of every resident frame of
-// e, stopping at the first hole (torn put): the line then covers only
-// the recovered prefix and is never marked complete. Caller holds at
-// least the read lock.
+// e: readLocked's walk with the line as its only consumer. Caller holds
+// at least the read lock.
 func (s *Store) buildLineLocked(key string, e *entry) (*cachedLine, error) {
-	gs := s.gets.Get().(*getScratch)
-	defer s.gets.Put(gs)
-	ln := &cachedLine{seq: e.seq, width: e.width}
-	torn := false
-	for i := range e.refs {
-		ref := e.refs[i]
-		if ref.seg == 0 {
-			torn = true
-			break
-		}
-		data, err := s.readFrameLocked(ref, gs)
-		if err != nil {
-			return nil, err
-		}
-		if ref.enc == encLossless {
-			err = ln.addLossless(data, int(ref.valCount))
-		} else if e.width == 32 {
-			err = ln.addAVR32(data, int(ref.valCount))
-		} else {
-			err = ln.addAVR64(data, int(ref.valCount))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("store: key %q block %d: %w", key, i, err)
-		}
-		ln.nvals += int(ref.valCount)
-	}
-	ln.complete = !torn && len(e.refs) == e.blocks()
-	return ln, nil
+	ln, _, err := s.readLocked(nil, true, key, e, nil)
+	return ln, err
 }
 
-// addLossless decodes a lossless frame and keeps its exact bits: there
+// addFrame files one verified frame's data — the line builder every
+// fill goes through, demand miss or prefetch.
+func (ln *cachedLine) addFrame(ref blockRef, data []byte) error {
+	var err error
+	switch {
+	case ref.enc == encLossless:
+		err = ln.addLossless(data, int(ref.valCount))
+	case ln.width == 32:
+		err = ln.addAVR32(data, int(ref.valCount))
+	default:
+		err = ln.addAVR64(data, int(ref.valCount))
+	}
+	if err == nil {
+		ln.nvals += int(ref.valCount)
+	}
+	return err
+}
+
+// addLossless decodes a lossless frame and keeps its exact values: there
 // is no summary form, so residency costs full size (the LRU budget
 // accounts for it honestly).
 func (ln *cachedLine) addLossless(data []byte, valCount int) error {
-	vals, err := decodeLosslessTo(vec.Vec{Width: int(ln.width)}, data, valCount)
+	at := ln.raws().Len()
+	vals, err := decodeLosslessTo(ln.raws(), data, valCount)
 	if err != nil {
 		return err
 	}
-	rec := lineRec{kind: lineRaw32, take: int32(valCount), rawOff: int32(len(ln.raws32))}
-	if ln.width == 64 {
-		rec.kind, rec.rawOff = lineRaw64, int32(len(ln.raws64))
-	}
-	// Only the live side of vals holds anything.
-	for _, v := range vals.F32 {
-		ln.raws32 = append(ln.raws32, math.Float32bits(v))
-	}
-	for _, v := range vals.F64 {
-		ln.raws64 = append(ln.raws64, math.Float64bits(v))
-	}
-	ln.recs = append(ln.recs, rec)
+	ln.setRaws(vals)
+	ln.recs = append(ln.recs, lineRec{kind: lineRaw, take: int32(valCount), rawOff: int32(at)})
 	return nil
 }
 
@@ -210,13 +218,10 @@ func (ln *cachedLine) addAVR32(data []byte, valCount int) error {
 			break
 		}
 		if rec.Raw != nil {
-			ln.recs = append(ln.recs, lineRec{kind: lineRaw32, take: int32(rec.Values), rawOff: int32(len(ln.raws32))})
-			for i := 0; i < rec.Values; i++ {
-				ln.raws32 = append(ln.raws32, binary.LittleEndian.Uint32(rec.Raw[4*i:]))
-			}
+			ln.addRaw(rec.Raw[:4*rec.Values], rec.Values)
 			continue
 		}
-		ln.addSummary(lineSummary32, &rec, len(ln.sums32))
+		ln.addSummary(&rec, len(ln.sums32))
 		block.ReadSummary32(&sum, rec.Summary)
 		ln.sums32 = append(ln.sums32, sum[:]...)
 	}
@@ -234,23 +239,27 @@ func (ln *cachedLine) addAVR64(data []byte, valCount int) error {
 			break
 		}
 		if rec.Raw != nil {
-			ln.recs = append(ln.recs, lineRec{kind: lineRaw64, take: int32(rec.Values), rawOff: int32(len(ln.raws64))})
-			for i := 0; i < rec.Values; i++ {
-				ln.raws64 = append(ln.raws64, binary.LittleEndian.Uint64(rec.Raw[8*i:]))
-			}
+			ln.addRaw(rec.Raw[:8*rec.Values], rec.Values)
 			continue
 		}
-		ln.addSummary(lineSummary64, &rec, len(ln.sums64))
+		ln.addSummary(&rec, len(ln.sums64))
 		block.ReadSummary64(&sum, rec.Summary)
 		ln.sums64 = append(ln.sums64, sum[:]...)
 	}
 	return streamErr(err)
 }
 
+// addRaw files a raw record: its little-endian value bytes, exact.
+func (ln *cachedLine) addRaw(le []byte, values int) {
+	raws := ln.raws()
+	ln.recs = append(ln.recs, lineRec{kind: lineRaw, take: int32(values), rawOff: int32(raws.Len())})
+	ln.setRaws(raws.FromLE(le))
+}
+
 // addSummary files a compressed record whose summary values the caller
 // appends at sumOff, copying its bitmap and outliers into the slabs.
-func (ln *cachedLine) addSummary(kind uint8, rec *block.Record, sumOff int) {
-	lr := lineRec{kind: kind, method: rec.Method, bias: rec.Bias, take: int32(rec.Values), sumOff: int32(sumOff), bmOff: -1}
+func (ln *cachedLine) addSummary(rec *block.Record, sumOff int) {
+	lr := lineRec{kind: lineSummary, method: rec.Method, bias: rec.Bias, take: int32(rec.Values), sumOff: int32(sumOff), bmOff: -1}
 	if rec.Bitmap != nil {
 		lr.bmOff, lr.outOff = int32(len(ln.bms)), int32(len(ln.outs))
 		ln.bms = append(ln.bms, rec.Bitmap...)
@@ -260,81 +269,59 @@ func (ln *cachedLine) addSummary(kind uint8, rec *block.Record, sumOff int) {
 }
 
 // serve32FromLine reconstructs the line's fp32 values, appending to dst.
-// Full summary records decompress straight into dst's bit view (the
-// SIMD interpolate + fixed→float sweep); partial tails bounce through
-// scratch; raw runs are flat copies. Allocation-free with a grown dst.
+// Summary records decompress straight into dst's bit view (the SIMD
+// interpolate + fixed→float sweep — the kernel Codec.DecodeTo runs on
+// the disk path); raw runs are flat copies. Allocation-free with a
+// grown dst.
 func (s *Store) serve32FromLine(dst []float32, ln *cachedLine) []float32 {
 	hs := s.hits.Get().(*hitScratch)
 	defer s.hits.Put(hs)
-	base := len(dst)
-	if cap(dst)-base < ln.nvals {
-		dst = slices.Grow(dst, ln.nvals)
-	}
-	dst = dst[:base+ln.nvals]
-	out := dst[base:]
+	p := len(dst)
+	dst = slices.Grow(dst, ln.nvals)[:p+ln.nvals]
 	// The destination's bit view: float32 and uint32 share size and
 	// alignment, so the kernels write IEEE bit patterns in place.
-	bits32 := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(out))), len(out))
-	p := 0
+	bits32 := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))
 	for _, rec := range ln.recs {
-		take := int(rec.take)
+		out := bits32[p : p+int(rec.take)]
 		switch rec.kind {
-		case lineRaw32:
-			copy(bits32[p:p+take], ln.raws32[rec.rawOff:int(rec.rawOff)+take])
-		case lineSummary32:
+		case lineRaw:
+			copy(dst[p:p+len(out)], ln.raws32[rec.rawOff:])
+		case lineSummary:
 			sum := (*[compress.SummaryValues]int32)(ln.sums32[rec.sumOff:])
 			var bm, outliers []byte
 			if rec.bmOff >= 0 {
 				bm = ln.bms[rec.bmOff : rec.bmOff+compress.BitmapBytes]
 				outliers = ln.outs[rec.outOff:]
 			}
-			if take == compress.BlockValues {
-				hs.comp.DecompressBits32((*[compress.BlockValues]uint32)(bits32[p:]),
-					sum, bm, outliers, rec.method, int8(rec.bias))
-			} else {
-				hs.comp.DecompressBits32(&hs.out32, sum, bm, outliers, rec.method, int8(rec.bias))
-				copy(bits32[p:p+take], hs.out32[:take])
-			}
+			hs.comp.DecompressBits32(out, sum, bm, outliers, rec.method, int8(rec.bias))
 		}
-		p += take
+		p += len(out)
 	}
 	return dst
 }
 
-// serve64FromLine is serve32FromLine for fp64 lines (scalar interpolate
-// — the fp64 pipeline has no SIMD tier — but still segment-read-free).
+// serve64FromLine is serve32FromLine for fp64 lines.
 func (s *Store) serve64FromLine(dst []float64, ln *cachedLine) []float64 {
 	hs := s.hits.Get().(*hitScratch)
 	defer s.hits.Put(hs)
-	base := len(dst)
-	if cap(dst)-base < ln.nvals {
-		dst = slices.Grow(dst, ln.nvals)
-	}
-	dst = dst[:base+ln.nvals]
-	out := dst[base:]
-	bits64 := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(out))), len(out))
-	p := 0
+	p := len(dst)
+	dst = slices.Grow(dst, ln.nvals)[:p+ln.nvals]
+	bits64 := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))
 	for _, rec := range ln.recs {
-		take := int(rec.take)
+		out := bits64[p : p+int(rec.take)]
 		switch rec.kind {
-		case lineRaw64:
-			copy(bits64[p:p+take], ln.raws64[rec.rawOff:int(rec.rawOff)+take])
-		case lineSummary64:
+		case lineRaw:
+			copy(dst[p:p+len(out)], ln.raws64[rec.rawOff:])
+		case lineSummary:
 			sum := (*[compress.SummaryValues64]int64)(ln.sums64[rec.sumOff:])
 			var bm, outliers []byte
 			if rec.bmOff >= 0 {
 				bm = ln.bms[rec.bmOff : rec.bmOff+compress.BitmapBytes64]
 				outliers = ln.outs[rec.outOff:]
 			}
-			if take == compress.BlockValues64 {
-				hs.comp.DecompressInto64((*[compress.BlockValues64]uint64)(bits64[p:]),
-					sum, bm, outliers, rec.bias)
-			} else {
-				hs.comp.DecompressInto64(&hs.out64, sum, bm, outliers, rec.bias)
-				copy(bits64[p:p+take], hs.out64[:take])
-			}
+			hs.comp.DecompressInto64(out, sum, bm, outliers, rec.bias)
 		}
-		p += take
+		p += len(out)
 	}
 	return dst
 }
@@ -352,9 +339,9 @@ func (s *Store) serveFromLine(dst vec.Vec, ln *cachedLine) vec.Vec {
 
 // tryCacheHit serves key from a seq-validated resident line. Caller
 // holds the read lock, has resolved e for key, set dst.Width to e's and
-// checked the cache is on. Returns ok=false on a miss (after requesting
-// an async fill); on a hit err is ErrIncomplete when the line covers
-// only a torn-put prefix.
+// checked the cache is on. Returns ok=false on a miss (the caller's
+// disk read fills the line); on a hit err is ErrIncomplete when the line
+// covers only a torn-put prefix.
 func (s *Store) tryCacheHit(dst vec.Vec, key string, e *entry, sp *trace.Span, t0 time.Time) (out vec.Vec, src CacheSource, err error, ok bool) {
 	s.cache.Observe(key)
 	if ent, hit := s.cache.Get(key); hit {
@@ -377,7 +364,6 @@ func (s *Store) tryCacheHit(dst vec.Vec, key string, e *entry, sp *trace.Span, t
 		s.cache.Invalidate(key)
 	}
 	obs.CacheMisses.Add(1)
-	s.cache.RequestFill(key)
 	return dst, CacheMiss, nil, false
 }
 

@@ -1,14 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
+	"avr/internal/readcache"
+	"avr/internal/vec"
 	"avr/internal/workloads"
 )
 
@@ -101,41 +104,60 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheMissThenAsyncHit exercises the production fill path end to
-// end: a cold read reports miss and queues a background fill, and once
-// the worker lands the line a re-read reports hit with the same bytes.
-func TestCacheMissThenAsyncHit(t *testing.T) {
+// TestCacheMissFillsInline exercises the production fill path end to
+// end, both widths: a cold read reports miss and, by the time it
+// returns, has left the key resident — built from the frames it read for
+// its own answer, the background fill workers never asked (they serve
+// only the prefetcher, which is off here). The re-read is a hit with the
+// same bytes.
+func TestCacheMissFillsInline(t *testing.T) {
 	s := openTest(t, Config{CacheBytes: 8 << 20})
-	vals := genF32(t, "heat", 2*BlockValues+99, 3)
-	if _, err := s.Put32("async", vals); err != nil {
+	// Stand a counter in front of the fill callback.
+	var loads atomic.Int64
+	s.cache.Close()
+	s.cache = readcache.New(readcache.Config{MaxBytes: 8 << 20, Load: func(key string, prefetch bool) {
+		loads.Add(1)
+		s.loadCacheLine(key, prefetch)
+	}})
+	if _, err := s.Put32("k32", genF32(t, "heat", 2*BlockValues+99, 3)); err != nil {
 		t.Fatal(err)
 	}
-	cold, src, err := s.Get32IntoCached(nil, "async", nil)
-	if err != nil {
+	if _, err := s.Put64("k64", genF64(t, "wave", BlockValues+33, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if src != CacheMiss {
-		t.Fatalf("cold read served as %q, want miss", src)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.cache.Contains("async") {
-		if time.Now().After(deadline) {
-			t.Fatal("async fill never landed")
+	for _, key := range []string{"k32", "k64"} {
+		cold, src, err := s.GetVec(vec.Vec{}, key, true, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		if src != CacheMiss {
+			t.Fatalf("%s: cold read served as %q, want miss", key, src)
+		}
+		if !s.cache.Contains(key) {
+			t.Fatalf("%s: not resident when the missing read returned", key)
+		}
+		warm, src, err := s.GetVec(vec.Vec{}, key, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src != CacheHit {
+			t.Fatalf("%s: read after the miss served as %q, want hit", key, src)
+		}
+		if warm.Width != cold.Width || !bytes.Equal(warm.AppendLE(nil), cold.AppendLE(nil)) {
+			t.Fatalf("%s: the hit is not byte-identical to the miss that filled it", key)
+		}
 	}
-	warm, src, err := s.Get32IntoCached(nil, "async", nil)
-	if err != nil {
+	// A read that bypasses the cache leaves it alone.
+	s.cache.Invalidate("k32")
+	if _, _, err := s.GetVec(vec.Vec{}, "k32", false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if src != CacheHit {
-		t.Fatalf("warmed read served as %q, want hit", src)
+	if s.cache.Contains("k32") {
+		t.Fatal("an uncached read filled the cache")
 	}
-	for i := range warm {
-		if math.Float32bits(warm[i]) != math.Float32bits(cold[i]) {
-			t.Fatalf("value %d changed across fill: %x vs %x", i,
-				math.Float32bits(warm[i]), math.Float32bits(cold[i]))
-		}
+	s.cache.Close() // waits for the workers: a queued fill would have run by now
+	if n := loads.Load(); n != 0 {
+		t.Fatalf("demand misses went through the fill queue %d times", n)
 	}
 }
 
@@ -199,7 +221,12 @@ func TestTornTailCachePrefix(t *testing.T) {
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("disk read of torn vector: err %v", err)
 	}
-	warmCache(t, s, "torn")
+	// The miss that fills the line reads the same prefix…
+	cold, src, err := s.Get32IntoCached(nil, "torn", nil)
+	if !errors.Is(err, ErrIncomplete) || src != CacheMiss || len(cold) != len(want) {
+		t.Fatalf("cold cached read of torn vector: %d values, src %q, err %v", len(cold), src, err)
+	}
+	// …and caches no more than that.
 	ent, ok := s.cache.Get("torn")
 	if !ok {
 		t.Fatal("torn line not resident")

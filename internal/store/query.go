@@ -545,7 +545,7 @@ func walkRecord32(qs *queryScratch, q *queryRun, rec *block.Record) {
 	if q.op == qopFilter && pruneFilter32(qs, q, rec.Bitmap, rec.Outliers, rec.Method, bias, take) {
 		return
 	}
-	qs.comp.DecompressInto(&qs.rec32, &qs.sum32, rec.Bitmap, rec.Outliers, rec.Method, bias, compress.Float32)
+	qs.comp.DecompressBits32(qs.rec32[:], &qs.sum32, rec.Bitmap, rec.Outliers, rec.Method, bias)
 	n := take
 	if q.op == qopDownsample {
 		// Include the encoder's padding so every point covers 16 positions.
@@ -574,7 +574,7 @@ func walkRecord64(qs *queryScratch, q *queryRun, rec *block.Record) {
 	if q.op == qopFilter && pruneFilter64(qs, q, rec.Bitmap, rec.Bias, take) {
 		return
 	}
-	qs.comp.DecompressInto64(&qs.rec64, &qs.sum64, rec.Bitmap, rec.Outliers, rec.Bias)
+	qs.comp.DecompressInto64(qs.rec64[:], &qs.sum64, rec.Bitmap, rec.Outliers, rec.Bias)
 	n := take
 	if q.op == qopDownsample {
 		n = (take + compress.SubBlockSize64 - 1) / compress.SubBlockSize64 * compress.SubBlockSize64
@@ -678,7 +678,7 @@ func pruneRuns32(qs *queryScratch, q *queryRun, summary *[compress.SummaryValues
 		case out:
 		default:
 			if !interpolated {
-				qs.comp.DecompressInto(&qs.rec32, summary, nil, nil, compress.Method1D, bias, compress.Float32)
+				qs.comp.DecompressBits32(qs.rec32[:], summary, nil, nil, compress.Method1D, bias)
 				interpolated = true
 			}
 			for i := first; i < first+n; i++ {
@@ -728,7 +728,7 @@ func pruneRuns64(qs *queryScratch, q *queryRun, bias int16, take int) bool {
 		case out:
 		default:
 			if !interpolated {
-				qs.comp.DecompressInto64(&qs.rec64, &qs.sum64, nil, nil, bias)
+				qs.comp.DecompressInto64(qs.rec64[:], &qs.sum64, nil, nil, bias)
 				interpolated = true
 			}
 			for i := first; i < first+n; i++ {

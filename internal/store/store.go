@@ -818,8 +818,9 @@ func (s *Store) Get64IntoCached(dst []float64, key string, sp *trace.Span) ([]fl
 // reports what was found. With useCache (and a cache configured) a
 // resident summary line serves the read — SIMD interpolate plus the
 // vectorized fixed→float sweep straight into dst, no segment read — and
-// a miss takes the disk path and queues an async fill for next time;
-// without it the read goes to disk and leaves the cache alone. An
+// a miss takes the disk path, files the summary line of each frame it
+// decodes and leaves the key resident when it returns; without it the
+// read goes to disk and leaves the cache alone. An
 // incomplete vector (torn tail) appends its recovered prefix and returns
 // ErrIncomplete alongside it; on any other error dst is returned as
 // passed. Stages onto sp: store mutex wait (StageLock), then either
@@ -851,9 +852,14 @@ func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (
 		src = CacheMiss
 	}
 	base := out.Len()
-	out, complete, err := s.readLocked(out, key, e, sp)
+	ln, complete, err := s.readLocked(&out, src == CacheMiss, key, e, sp)
 	if err != nil {
 		return dst, src, err
+	}
+	if ln != nil {
+		// Still under the read lock the frames were walked under, so no
+		// writer's invalidation can fall between the walk and the insert.
+		s.cache.Put(key, ln.size(key), ln, false)
 	}
 	obs.StoreGets.Add(1)
 	obs.StoreGetBytes.Add(int64(out.Len()-base) * int64(e.width/8))
@@ -868,75 +874,156 @@ func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (
 	return out, src, err
 }
 
-// getScratch is the pooled read-path state: the frame read-back buffer.
+// getScratch is the pooled read-path state: the frame read-back buffer,
+// and the line a cache-filling read files summary lines into as it
+// walks. What goes resident is an exact-size copy of that line, so its
+// slabs keep their capacity from one read to the next.
 type getScratch struct {
 	frame []byte
+	line  cachedLine
 }
 
-// readLocked appends e's decoded blocks to dst (whose Width is e's) in
-// vector order, stopping at the first hole (torn put). Caller holds at
-// least the read lock.
-func (s *Store) readLocked(dst vec.Vec, key string, e *entry, sp *trace.Span) (vec.Vec, bool, error) {
+// maxRunBytes bounds how many adjacent frames readLocked fetches with one
+// read, and with it what a pooled getScratch grows to on a long vector.
+const maxRunBytes = 1 << 20
+
+// readLocked walks e's frames in vector order, stopping at the first hole
+// (torn put), and hands each verified frame to the consumers asked for:
+// dst (its Width e's) has the decoded values appended, and with fill the
+// frame's summary line is filed into the cache line that comes back — so
+// a demand miss that fills the cache reads, checks and parses its frames
+// once for both, and a prefetch fill is the same walk with no dst. A line
+// that stops at a hole covers the recovered prefix and is not marked
+// complete. A put lands as back-to-back frames of one segment, and such a
+// run is fetched with a single read; frames that compaction moved apart
+// are read one by one. It reports whether every block of the vector was
+// there. Caller holds at least the read lock.
+func (s *Store) readLocked(dst *vec.Vec, fill bool, key string, e *entry, sp *trace.Span) (*cachedLine, bool, error) {
 	gs := s.gets.Get().(*getScratch)
 	defer s.gets.Put(gs)
-	c := s.borrowCodec()
-	defer s.returnCodec(c)
-	dst = dst.Grow(int(e.totalVals))
-	for i := range e.refs {
-		ref := e.refs[i]
-		if ref.seg == 0 {
-			return dst, false, nil
+	var ln *cachedLine
+	if fill {
+		ln = &gs.line
+		ln.reset(e)
+	}
+	var c *avr.Codec
+	if dst != nil {
+		c = s.borrowCodec()
+		defer s.returnCodec(c)
+		*dst = dst.Grow(int(e.totalVals))
+	}
+	refs := e.refs
+	for i := 0; i < len(refs); {
+		first := refs[i]
+		if first.seg == 0 {
+			break
+		}
+		run, j := first.frameLen, i+1
+		for ; j < len(refs) && refs[j].seg == first.seg && refs[j].off == first.off+run &&
+			run+refs[j].frameLen <= maxRunBytes; j++ {
+			run += refs[j].frameLen
 		}
 		rt := sp.Begin()
-		data, err := s.readFrameLocked(ref, gs)
+		buf, err := s.readSegmentLocked(first.seg, first.off, run, gs)
 		sp.End(trace.StageSegRead, rt)
-		if err != nil {
-			return dst, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
-		}
-		n := dst.Len()
-		dt := sp.Begin()
-		if ref.enc == encLossless {
-			dst, err = decodeLosslessTo(dst, data, int(ref.valCount))
-		} else {
-			dst, err = dst.DecodeAppend(c, data)
-			if err = streamErr(err); err == nil && dst.Len()-n != int(ref.valCount) {
-				err = fmt.Errorf("%w: AVR stream holds %d values, record says %d",
-					ErrCorrupt, dst.Len()-n, ref.valCount)
+		// i stops on the block that failed, for the error to name.
+		for err == nil && i < j {
+			n := refs[i].frameLen
+			if err = consumeFrame(dst, c, ln, refs[i], buf[:n], sp); err == nil {
+				buf, i = buf[n:], i+1
 			}
 		}
-		sp.End(trace.StageDecode, dt)
 		if err != nil {
-			return dst, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
+			return nil, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
 		}
 	}
-	return dst, len(e.refs) == e.blocks(), nil
+	if !fill {
+		return nil, e.complete(), nil
+	}
+	ln.complete = e.complete()
+	return ln.clone(), ln.complete, nil
 }
 
-// readFrameLocked reads one frame back from its segment into the
-// scratch buffer, re-verifying length and CRC exactly like recovery
-// scans, and returns the block record's data bytes (aliasing gs.frame,
-// valid until the next readFrameLocked on the same scratch).
-func (s *Store) readFrameLocked(ref blockRef, gs *getScratch) ([]byte, error) {
-	m := s.segs[ref.seg]
+// consumeFrame verifies one frame read back from its segment and feeds
+// its data to readLocked's consumers, those that are set.
+func consumeFrame(dst *vec.Vec, c *avr.Codec, ln *cachedLine, ref blockRef, frame []byte, sp *trace.Span) error {
+	rt := sp.Begin()
+	data, err := frameData(frame)
+	sp.End(trace.StageSegRead, rt)
+	if err != nil {
+		return err
+	}
+	dt := sp.Begin()
+	if dst != nil {
+		err = decodeFrame(dst, c, ref, data)
+	}
+	if err == nil && ln != nil {
+		err = ln.addFrame(ref, data)
+	}
+	sp.End(trace.StageDecode, dt)
+	return err
+}
+
+// decodeFrame appends the values of one frame's data to dst.
+func decodeFrame(dst *vec.Vec, c *avr.Codec, ref blockRef, data []byte) error {
+	if ref.enc == encLossless {
+		out, err := decodeLosslessTo(*dst, data, int(ref.valCount))
+		*dst = out
+		return err
+	}
+	n := dst.Len()
+	out, err := dst.DecodeAppend(c, data)
+	if err = streamErr(err); err != nil {
+		return err
+	}
+	if out.Len()-n != int(ref.valCount) {
+		return fmt.Errorf("%w: AVR stream holds %d values, record says %d",
+			ErrCorrupt, out.Len()-n, ref.valCount)
+	}
+	*dst = out
+	return nil
+}
+
+// readSegmentLocked reads n bytes at off of segment seg into the scratch
+// buffer (valid until the next read through the same scratch).
+func (s *Store) readSegmentLocked(seg uint32, off, n int64, gs *getScratch) ([]byte, error) {
+	m := s.segs[seg]
 	if m == nil {
-		return nil, fmt.Errorf("%w: segment %d vanished", ErrCorrupt, ref.seg)
+		return nil, fmt.Errorf("%w: segment %d vanished", ErrCorrupt, seg)
 	}
-	if cap(gs.frame) < int(ref.frameLen) {
-		gs.frame = make([]byte, ref.frameLen)
+	if int64(cap(gs.frame)) < n {
+		gs.frame = make([]byte, n)
 	}
-	buf := gs.frame[:ref.frameLen]
-	if _, err := m.f.ReadAt(buf, ref.off); err != nil {
+	buf := gs.frame[:n]
+	if _, err := m.f.ReadAt(buf, off); err != nil {
 		return nil, err
 	}
-	n := int64(readUint32(buf))
-	if n+frameHeaderLen != ref.frameLen {
+	return buf, nil
+}
+
+// frameData re-verifies one frame read back from its segment — the
+// length word against the ref's, and the CRC, exactly like recovery
+// scans — and returns the block record's data bytes (aliasing frame).
+func frameData(frame []byte) ([]byte, error) {
+	if int64(readUint32(frame))+frameHeaderLen != int64(len(frame)) {
 		return nil, fmt.Errorf("%w: frame length changed underfoot", ErrCorrupt)
 	}
-	payload := buf[frameHeaderLen:]
-	if crc32Of(payload) != readUint32(buf[4:]) {
+	payload := frame[frameHeaderLen:]
+	if crc32Of(payload) != readUint32(frame[4:]) {
 		return nil, fmt.Errorf("%w: frame CRC mismatch on read", ErrCorrupt)
 	}
 	return blockRecordData(payload)
+}
+
+// readFrameLocked reads and verifies the one frame at ref and returns
+// its block record's data bytes (aliasing gs.frame, valid until the next
+// read through the same scratch).
+func (s *Store) readFrameLocked(ref blockRef, gs *getScratch) ([]byte, error) {
+	frame, err := s.readSegmentLocked(ref.seg, ref.off, ref.frameLen, gs)
+	if err != nil {
+		return nil, err
+	}
+	return frameData(frame)
 }
 
 // streamLayout is the record-stream layout of an AVR block of the given

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"unsafe"
 
 	"avr"
 )
@@ -61,9 +62,30 @@ func (v Vec) Grow(n int) Vec {
 	return v
 }
 
+// littleEndian reports whether the host lays values out in memory the
+// way the wire does, so that AppendLE and FromLE are one copy.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// bytes is the live values' memory image.
+func (v Vec) bytes() []byte {
+	if v.Width == 64 {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v.F64))), 8*len(v.F64))
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v.F32))), 4*len(v.F32))
+}
+
 // AppendLE appends the live values to dst as raw little-endian bytes —
 // the HTTP body format and the layout the lossless fallback compresses.
 func (v Vec) AppendLE(dst []byte) []byte {
+	if littleEndian {
+		return append(dst, v.bytes()...)
+	}
+	return v.appendLEPortable(dst)
+}
+
+// appendLEPortable is AppendLE value by value: the big-endian hosts'
+// path, and what the tests hold the copy to.
+func (v Vec) appendLEPortable(dst []byte) []byte {
 	if v.Width == 64 {
 		for _, x := range v.F64 {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
@@ -77,30 +99,34 @@ func (v Vec) AppendLE(dst []byte) []byte {
 }
 
 // FromLE appends the values held in b as raw little-endian bytes (a
-// trailing partial value is ignored). The plain append loops here and in
-// AppendLE are what the compiler handles best: indexed stores, and
-// presizing through slices.Grow, both measured 1.3–2.4x slower on a
-// 16 Ki-value vector — 20 us on every served get.
+// trailing partial value is ignored).
 func (v Vec) FromLE(b []byte) Vec {
+	if !littleEndian {
+		return v.fromLEPortable(b)
+	}
+	at := v.Len()
 	if v.Width == 64 {
-		f := v.F64
-		if n := len(b) / 8; cap(f)-len(f) < n {
-			f = append(make([]float64, 0, len(f)+n), f...)
-		}
+		n := len(b) / 8
+		v.F64 = slices.Grow(v.F64, n)[:at+n]
+	} else {
+		n := len(b) / 4
+		v.F32 = slices.Grow(v.F32, n)[:at+n]
+	}
+	copy(v.Slice(at, v.Len()).bytes(), b)
+	return v
+}
+
+// fromLEPortable is FromLE value by value, for big-endian hosts.
+func (v Vec) fromLEPortable(b []byte) Vec {
+	if v.Width == 64 {
 		for ; len(b) >= 8; b = b[8:] {
-			f = append(f, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			v.F64 = append(v.F64, math.Float64frombits(binary.LittleEndian.Uint64(b)))
 		}
-		v.F64 = f
 		return v
 	}
-	f := v.F32
-	if n := len(b) / 4; cap(f)-len(f) < n {
-		f = append(make([]float32, 0, len(f)+n), f...)
-	}
 	for ; len(b) >= 4; b = b[4:] {
-		f = append(f, math.Float32frombits(binary.LittleEndian.Uint32(b)))
+		v.F32 = append(v.F32, math.Float32frombits(binary.LittleEndian.Uint32(b)))
 	}
-	v.F32 = f
 	return v
 }
 

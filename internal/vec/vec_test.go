@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"strconv"
 	"testing"
 
 	"avr"
@@ -130,5 +131,71 @@ func TestCodecDispatch(t *testing.T) {
 		if got, err := other.DecodeAppend(c, tc.want); err == nil || got.Len() != other.Len() {
 			t.Fatalf("fp%d stream decoded into an fp%d destination (err %v)", tc.v.Width, other.Width, err)
 		}
+	}
+}
+
+// TestCopyMatchesPortable holds the one-copy AppendLE/FromLE of
+// little-endian hosts to the value-by-value loops, bit for bit — NaN
+// payloads and signalling NaNs included, which a float conversion on the
+// way would quiet.
+func TestCopyMatchesPortable(t *testing.T) {
+	bits32 := []uint32{0, 0x80000000, 0x3FC00000, 0x7F800000, 0xFF800000,
+		0x7FC00000, 0x7FC12345, 0xFFC00001, 0x7F800001, 0xFFBFFFFF, 1, 0x807FFFFF}
+	bits64 := []uint64{0, 1 << 63, 0x3FF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+		0x7FF8000000000000, 0x7FF8000012345678, 0xFFF8000000000001, 0x7FF0000000000001, 0xFFF7FFFFFFFFFFFF, 1}
+	f32 := make([]float32, len(bits32))
+	for i, b := range bits32 {
+		f32[i] = math.Float32frombits(b)
+	}
+	f64 := make([]float64, len(bits64))
+	for i, b := range bits64 {
+		f64[i] = math.Float64frombits(b)
+	}
+	for _, v := range []Vec{Of32(f32), Of64(f64), Of32(nil), Of64(nil)} {
+		prefix := []byte{0xAA, 0xBB, 0xCC} // an odd offset into dst
+		want := v.appendLEPortable(slices.Clone(prefix))
+		if got := v.AppendLE(slices.Clone(prefix)); !bytes.Equal(got, want) {
+			t.Fatalf("fp%d AppendLE = % x, portable loop % x", v.Width, got, want)
+		}
+		wire := append(want[len(prefix):], 0xEE) // plus a trailing partial value
+		// FromLE appends after what is there (a clone: v must not lend its
+		// spare capacity).
+		head := v.Slice(0, v.Len()/2)
+		head.F32, head.F64 = slices.Clone(head.F32), slices.Clone(head.F64)
+		back, ref := head.FromLE(wire), head.fromLEPortable(wire)
+		if back.Len() != head.Len()+v.Len() || !bytes.Equal(back.appendLEPortable(nil), ref.appendLEPortable(nil)) {
+			t.Fatalf("fp%d FromLE: %d values % x, portable loop %d values % x",
+				v.Width, back.Len(), back.appendLEPortable(nil), ref.Len(), ref.appendLEPortable(nil))
+		}
+	}
+}
+
+// The wire conversion of a 16 Ki-value vector, one direction each: what
+// every served get and put pays once. Both reuse their destination, so
+// neither may allocate.
+func BenchmarkVecAppendLE(b *testing.B) {
+	for _, v := range []Vec{Of32(make([]float32, 16<<10)), Of64(make([]float64, 16<<10))} {
+		b.Run("fp"+strconv.Itoa(v.Width), func(b *testing.B) {
+			dst := make([]byte, 0, v.Len()*v.Width/8)
+			b.SetBytes(int64(cap(dst)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = v.AppendLE(dst[:0])
+			}
+		})
+	}
+}
+
+func BenchmarkVecFromLE(b *testing.B) {
+	for _, width := range []int{32, 64} {
+		b.Run("fp"+strconv.Itoa(width), func(b *testing.B) {
+			wire := make([]byte, (16<<10)*width/8)
+			dst := Vec{Width: width}.Grow(16 << 10)
+			b.SetBytes(int64(len(wire)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = dst.Reset(width).FromLE(wire)
+			}
+		})
 	}
 }
