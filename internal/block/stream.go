@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 
 	"avr/internal/compress"
@@ -165,8 +164,7 @@ func ReadSummary64(dst *[compress.SummaryValues64]int64, line []byte) {
 	}
 }
 
-// ErrMalformed is wrapped by every structural rejection of a stream, so
-// callers can tell damaged bytes from an I/O error of the source.
+// ErrMalformed is wrapped by every structural rejection of a stream.
 var ErrMalformed = errors.New("malformed AVR stream")
 
 var errTruncated = fmt.Errorf("%w: truncated", ErrMalformed)
@@ -175,8 +173,7 @@ var errTruncated = fmt.Errorf("%w: truncated", ErrMalformed)
 // (its 1 KiB block image) and Values. A compressed record has Raw nil,
 // its summary line in Summary, and — both nil when the record is
 // outlier-free — the bitmap and exactly the packed outlier bytes, never
-// the record's zero padding. The slices alias the stream (Open) or the
-// cursor's RecordBuf (OpenAt) and are valid until the next call to Next.
+// the record's zero padding. The slices alias the stream.
 type Record struct {
 	Raw      []byte
 	Method   compress.Method // meaningful in fp32 streams only
@@ -187,68 +184,38 @@ type Record struct {
 	Values   int // BlockValues, or fewer for the stream's last record
 }
 
-// RecordBuf holds the image of the record an OpenAt cursor is on.
-type RecordBuf [headerBytes64 + compress.BlockBytes]byte
-
-// Cursor reads a stream one validated record at a time, from a slice
-// (zero-copy) or through preads that fetch only what a consumer of the
-// compressed form needs: record header and summary line always, bitmap
-// and outliers when present, the whole payload only for a raw record.
-// Bytes after the last record are ignored.
+// Cursor reads an in-memory stream one validated record at a time,
+// zero-copy. Bytes after the last record are ignored.
 type Cursor struct {
-	lay  *Layout
-	data []byte      // the stream (Open)
-	src  io.ReaderAt // the stream's source (OpenAt) …
-	base int64       // … where it starts in src …
-	buf  *RecordBuf  // … and where its current record is assembled
-	size int64       // stream length
-	off  int64       // next record
-	left int         // values not yet yielded
-
-	count   int
-	fetched int64
+	lay   *Layout
+	data  []byte // the stream
+	off   int    // next record
+	left  int    // values not yet yielded
+	count int
 }
 
-// Open starts a cursor over an in-memory stream, validating its header:
-// the magic, the value count against want (negative accepts any), and
-// that the stream is long enough for count values at the minimum record
-// size — so a hostile count cannot size an allocation the bytes do not
-// justify.
+// Open starts a cursor over a stream, validating its header: the magic,
+// the value count against want (negative accepts any), and that the
+// stream is long enough for count values at the minimum record size — so
+// a hostile count cannot size an allocation the bytes do not justify.
 func Open(lay *Layout, data []byte, want int) (Cursor, error) {
-	c := Cursor{lay: lay, data: data, size: int64(len(data))}
-	err := c.open(want)
-	return c, err
-}
-
-// OpenAt is Open over the size-byte stream starting at base in src. buf
-// must outlive the cursor's records.
-func OpenAt(lay *Layout, src io.ReaderAt, base, size int64, buf *RecordBuf, want int) (Cursor, error) {
-	c := Cursor{lay: lay, src: src, base: base, buf: buf, size: size}
-	err := c.open(want)
-	return c, err
-}
-
-func (c *Cursor) open(want int) error {
-	if c.size < streamHeaderBytes {
-		return fmt.Errorf("%w: shorter than its header", ErrMalformed)
+	c := Cursor{lay: lay, data: data}
+	if len(data) < streamHeaderBytes {
+		return c, fmt.Errorf("%w: shorter than its header", ErrMalformed)
 	}
-	img, err := c.load(0, streamHeaderBytes)
-	if err != nil {
-		return err
+	if [4]byte(data[:4]) != lay.Magic {
+		return c, fmt.Errorf("%w: bad magic", ErrMalformed)
 	}
-	if [4]byte(img[:4]) != c.lay.Magic {
-		return fmt.Errorf("%w: bad magic", ErrMalformed)
-	}
-	count := int(binary.LittleEndian.Uint32(img[4:]))
+	count := int(binary.LittleEndian.Uint32(data[4:]))
 	if want >= 0 && count != want {
-		return fmt.Errorf("%w: holds %d values, want %d", ErrMalformed, count, want)
+		return c, fmt.Errorf("%w: holds %d values, want %d", ErrMalformed, count, want)
 	}
-	blocks := int64(count+c.lay.BlockValues-1) / int64(c.lay.BlockValues)
-	if c.size-streamHeaderBytes < blocks*int64(c.lay.HeaderBytes+compress.LineBytes) {
-		return errTruncated
+	blocks := int64(count+lay.BlockValues-1) / int64(lay.BlockValues)
+	if int64(len(data)-streamHeaderBytes) < blocks*int64(lay.HeaderBytes+compress.LineBytes) {
+		return c, errTruncated
 	}
 	c.count, c.left, c.off = count, count, streamHeaderBytes
-	return nil
+	return c, nil
 }
 
 // Count is the number of values the stream holds.
@@ -257,54 +224,31 @@ func (c *Cursor) Count() int { return c.count }
 // More reports whether records remain.
 func (c *Cursor) More() bool { return c.left > 0 }
 
-// Fetched is the number of bytes read from an OpenAt cursor's source.
-func (c *Cursor) Fetched() int64 { return c.fetched }
-
-// load makes bytes [lo, hi) of the record at c.off readable and returns
-// the record's image. The caller has checked they lie inside the stream.
-func (c *Cursor) load(lo, hi int) ([]byte, error) {
-	if c.src == nil {
-		return c.data[c.off:], nil
-	}
-	b := c.buf[lo:hi]
-	if n, err := c.src.ReadAt(b, c.base+c.off+int64(lo)); n < len(b) {
-		return nil, err
-	}
-	c.fetched += int64(len(b))
-	return c.buf[:], nil
-}
-
 // Next yields the next record. Call it only while More reports true;
 // after an error the cursor is spent.
 func (c *Cursor) Next() (Record, error) {
 	l := c.lay
 	h := l.HeaderBytes
-	if c.off+int64(h+compress.LineBytes) > c.size {
+	img := c.data[c.off:]
+	if len(img) < h+compress.LineBytes {
 		return Record{}, errTruncated
-	}
-	img, err := c.load(0, h+compress.LineBytes)
-	if err != nil {
-		return Record{}, err
 	}
 	rec := Record{Values: min(c.left, l.BlockValues)}
 	c.left -= rec.Values
 	flags := img[0]
 	if flags&flagCompressed == 0 {
-		if c.off+int64(h+compress.BlockBytes) > c.size {
+		if len(img) < h+compress.BlockBytes {
 			return Record{}, errTruncated
 		}
-		if img, err = c.load(h+compress.LineBytes, h+compress.BlockBytes); err != nil {
-			return Record{}, err
-		}
 		rec.Raw = img[h : h+compress.BlockBytes]
-		c.off += int64(h + compress.BlockBytes)
+		c.off += h + compress.BlockBytes
 		return rec, nil
 	}
 	lines := int(flags & flagSizeMask)
 	if lines < 1 || lines > compress.MaxCompressedLines {
 		return Record{}, fmt.Errorf("%w: record size %d", ErrMalformed, lines)
 	}
-	if c.off+int64(h+lines*compress.LineBytes) > c.size {
+	if len(img) < h+lines*compress.LineBytes {
 		return Record{}, errTruncated
 	}
 	rec.Method = compress.Method(flags >> flagMethodBit & 1)
@@ -316,9 +260,6 @@ func (c *Cursor) Next() (Record, error) {
 	rec.Summary = img[h : h+compress.LineBytes]
 	if lines > 1 {
 		bm, out := h+compress.LineBytes, h+compress.LineBytes+l.BitmapBytes
-		if img, err = c.load(bm, out); err != nil {
-			return Record{}, err
-		}
 		k := 0
 		for _, b := range img[bm:out] {
 			k += bits.OnesCount8(b)
@@ -326,11 +267,8 @@ func (c *Cursor) Next() (Record, error) {
 		if l.lines(k) != lines {
 			return Record{}, fmt.Errorf("%w: %d outliers in a record of size %d", ErrMalformed, k, lines)
 		}
-		if img, err = c.load(out, out+k*l.OutlierBytes); err != nil {
-			return Record{}, err
-		}
 		rec.Bitmap, rec.Outliers = img[bm:out], img[out:out+k*l.OutlierBytes]
 	}
-	c.off += int64(h + lines*compress.LineBytes)
+	c.off += h + lines*compress.LineBytes
 	return rec, nil
 }

@@ -1,7 +1,6 @@
 package block
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -80,18 +79,11 @@ func testStream(t *testing.T, lay *Layout, count int, recs ...testRec) []byte {
 	return out
 }
 
-// openBoth runs fn over data once through Open and once through OpenAt.
-func openBoth(t *testing.T, lay *Layout, data []byte, want int, fn func(t *testing.T, c *Cursor, err error, pread bool)) {
+// openSlice runs fn over a cursor on data, in a "slice" sub-test.
+func openSlice(t *testing.T, lay *Layout, data []byte, want int, fn func(t *testing.T, c *Cursor, err error)) {
 	t.Run("slice", func(t *testing.T) {
 		c, err := Open(lay, data, want)
-		fn(t, &c, err, false)
-	})
-	t.Run("pread", func(t *testing.T) {
-		// The stream sits at an offset inside a larger source, as in a segment.
-		src := append([]byte("segment-envelope"), data...)
-		var buf RecordBuf
-		c, err := OpenAt(lay, bytes.NewReader(src), 16, int64(len(data)), &buf, want)
-		fn(t, &c, err, true)
+		fn(t, &c, err)
 	})
 }
 
@@ -127,37 +119,14 @@ func TestCursorYieldsWhatTheWritersWrote(t *testing.T) {
 		// Bytes after the last record are not the cursor's business.
 		data = append(data, 0xFF, 0x80, 0x00)
 
-		// What a pread consumer must fetch: stream header, then per record
-		// its header + summary line, bitmap + exact outliers when present,
-		// the whole image for a raw record — never the padding.
-		wantFetched := int64(streamHeaderBytes)
-		for _, r := range recs {
-			wantFetched += int64(lay.HeaderBytes)
-			switch {
-			case r.raw:
-				wantFetched += compress.BlockBytes
-			case len(r.outliers) == 0:
-				wantFetched += compress.LineBytes
-			default:
-				wantFetched += int64(compress.LineBytes + lay.BitmapBytes + len(r.outliers)*lay.OutlierBytes)
-			}
-		}
-
 		t.Run(string(lay.Magic[:]), func(t *testing.T) {
-			openBoth(t, lay, data, count, func(t *testing.T, c *Cursor, err error, pread bool) {
+			openSlice(t, lay, data, count, func(t *testing.T, c *Cursor, err error) {
 				got, err := drain(c, err)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if c.Count() != count || len(got) != len(recs) {
 					t.Fatalf("count %d, %d records; want %d, %d", c.Count(), len(got), count, len(recs))
-				}
-				want := wantFetched
-				if !pread {
-					want = 0
-				}
-				if c.Fetched() != want {
-					t.Errorf("fetched %d bytes, want %d", c.Fetched(), want)
 				}
 				for i, r := range got {
 					seed := i + 1
@@ -223,9 +192,8 @@ func seq(lo, hi int) []int {
 	return out
 }
 
-// TestCursorRejections: every structural defect is ErrMalformed, from
-// both sources and for both widths, and is found no later than the
-// record that carries it.
+// TestCursorRejections: every structural defect is ErrMalformed, for
+// both widths, and is found no later than the record that carries it.
 func TestCursorRejections(t *testing.T) {
 	for _, lay := range []*Layout{&Layout32, &Layout64} {
 		bv, h := lay.BlockValues, lay.HeaderBytes
@@ -283,7 +251,7 @@ func TestCursorRejections(t *testing.T) {
 		}
 		for _, tc := range cases {
 			t.Run(string(lay.Magic[:])+"/"+tc.name, func(t *testing.T) {
-				openBoth(t, lay, tc.data, tc.want, func(t *testing.T, c *Cursor, err error, pread bool) {
+				openSlice(t, lay, tc.data, tc.want, func(t *testing.T, c *Cursor, err error) {
 					recs, err := drain(c, err)
 					if !errors.Is(err, ErrMalformed) {
 						t.Fatalf("err = %v, want ErrMalformed", err)
@@ -291,43 +259,8 @@ func TestCursorRejections(t *testing.T) {
 					if len(recs) != tc.goodRecs {
 						t.Errorf("%d records before the error, want %d", len(recs), tc.goodRecs)
 					}
-					if c.Fetched() > int64(len(tc.data)) {
-						t.Errorf("fetched %d of %d bytes", c.Fetched(), len(tc.data))
-					}
 				})
 			})
-		}
-	}
-}
-
-// failingSource errors every read past a limit, like a segment file
-// hitting an I/O error.
-type failingSource struct {
-	data  []byte
-	limit int64
-}
-
-var errDisk = errors.New("disk on fire")
-
-func (f failingSource) ReadAt(p []byte, off int64) (int, error) {
-	if off+int64(len(p)) > f.limit {
-		return 0, errDisk
-	}
-	return copy(p, f.data[off:]), nil
-}
-
-// A source's own read error is passed through as is: it is not a verdict
-// on the bytes, and must not be classed with the structural rejections.
-func TestCursorPassesSourceErrorsThrough(t *testing.T) {
-	data := testStream(t, &Layout32, compress.BlockValues, testRec{outliers: []int{4}})
-	// One limit inside each of the cursor's four reads: stream header,
-	// record header + summary line, bitmap, outliers.
-	for _, limit := range []int64{4, 18, 82, 108} {
-		var buf RecordBuf
-		c, err := OpenAt(&Layout32, failingSource{data, limit}, 0, int64(len(data)), &buf, -1)
-		_, err = drain(&c, err)
-		if !errors.Is(err, errDisk) || errors.Is(err, ErrMalformed) {
-			t.Errorf("limit %d: err = %v, want the source's error", limit, err)
 		}
 	}
 }

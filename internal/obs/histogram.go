@@ -191,7 +191,7 @@ func StoreBlockRatioHistogram() *Histogram {
 }
 
 // StoreQueryLatencyHistogram bins compressed-domain query latency in
-// microseconds (targeted preads + summary math, no block decode).
+// microseconds (frame reads + summary math, no block decode).
 func StoreQueryLatencyHistogram() *Histogram {
 	return NewHistogram("store_query_latency", "µs",
 		[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000,

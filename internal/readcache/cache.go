@@ -36,22 +36,12 @@ import (
 	"avr/internal/obs"
 )
 
-// Config tunes a cache. The zero value of any field selects its
-// default.
+// Config sets up a cache.
 type Config struct {
 	// MaxBytes is the resident-byte budget across all shards
 	// (required; New returns nil when it is non-positive, and a nil
 	// *Cache is a valid no-op cache).
 	MaxBytes int64
-	// Shards is the number of independently locked LRU shards
-	// (default 16, rounded up to a power of two).
-	Shards int
-	// FillWorkers is the number of background fill goroutines
-	// (default 2).
-	FillWorkers int
-	// FillQueue bounds the pending fill/prefetch requests (default
-	// 256); requests beyond it are dropped, not queued.
-	FillQueue int
 	// Load fills one key: read the backing source and Put the entry
 	// (or not, on error). Called from fill workers only, never from
 	// the request path. Required for RequestFill/prefetch to do
@@ -59,13 +49,17 @@ type Config struct {
 	Load func(key string, prefetch bool)
 	// Prefetch enables the stride prefetcher.
 	Prefetch bool
-	// PrefetchDepth is how many predicted keys past the last observed
-	// one to pull in (default 2).
-	PrefetchDepth int
-	// PrefetchMinConfidence is how many consecutive same-stride
-	// observations arm the prefetcher (default 2).
-	PrefetchMinConfidence int
 }
+
+const (
+	// numShards is the number of independently locked LRU shards.
+	numShards = 16
+	// fillWorkers is the number of background fill goroutines.
+	fillWorkers = 2
+	// fillQueue bounds the pending fill/prefetch requests; requests
+	// beyond it are dropped, not queued.
+	fillQueue = 256
+)
 
 // Entry is one resident line. Meta is immutable after Put; readers may
 // hold the pointer past eviction (the LRU links are owned by the shard
@@ -103,8 +97,7 @@ type shard struct {
 // disabled cache: every method is a no-op and Get always misses.
 type Cache struct {
 	cfg    Config
-	shards []shard
-	mask   uint32
+	shards [numShards]shard
 
 	fills   chan fillReq
 	pending map[string]struct{} // singleflight: keys queued or filling
@@ -126,30 +119,9 @@ func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		return nil
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	nsh := 1
-	for nsh < cfg.Shards {
-		nsh <<= 1
-	}
-	if cfg.FillWorkers <= 0 {
-		cfg.FillWorkers = 2
-	}
-	if cfg.FillQueue <= 0 {
-		cfg.FillQueue = 256
-	}
-	if cfg.PrefetchDepth <= 0 {
-		cfg.PrefetchDepth = 2
-	}
-	if cfg.PrefetchMinConfidence <= 0 {
-		cfg.PrefetchMinConfidence = 2
-	}
 	c := &Cache{
 		cfg:     cfg,
-		shards:  make([]shard, nsh),
-		mask:    uint32(nsh - 1),
-		fills:   make(chan fillReq, cfg.FillQueue),
+		fills:   make(chan fillReq, fillQueue),
 		pending: make(map[string]struct{}),
 	}
 	for i := range c.shards {
@@ -157,13 +129,13 @@ func New(cfg Config) *Cache {
 		// Budget split evenly: per-shard budgets avoid a global byte
 		// counter on the hit path, at the cost of slightly earlier
 		// eviction for keys that happen to collide on a shard.
-		c.shards[i].max = cfg.MaxBytes / int64(nsh)
+		c.shards[i].max = cfg.MaxBytes / numShards
 	}
 	if cfg.Prefetch {
-		c.pf = newStrideTracker(cfg.PrefetchDepth, cfg.PrefetchMinConfidence)
+		c.pf = newStrideTracker()
 	}
 	if cfg.Load != nil {
-		for w := 0; w < cfg.FillWorkers; w++ {
+		for w := 0; w < fillWorkers; w++ {
 			c.wg.Add(1)
 			go c.fillWorker()
 		}
@@ -191,7 +163,7 @@ func fnv1a(key string) uint32 {
 }
 
 func (c *Cache) shardFor(key string) *shard {
-	return &c.shards[fnv1a(key)&c.mask]
+	return &c.shards[fnv1a(key)%numShards]
 }
 
 // Get returns the resident entry for key, bumping its recency. The
@@ -224,10 +196,20 @@ func (c *Cache) Contains(key string) bool {
 	return ok
 }
 
+// MaxEntryBytes is the largest size Put admits (0 on a nil cache): an
+// owner building an entry piece by piece can stop once it has outgrown
+// it.
+func (c *Cache) MaxEntryBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.shards[0].max
+}
+
 // Put inserts (or replaces) the entry for key and evicts from the
 // shard's LRU tail until the shard is back under budget. A line larger
-// than the whole shard budget is not admitted — it would evict the
-// entire shard to hold one key.
+// than the whole shard budget (MaxEntryBytes) is not admitted — it would
+// evict the entire shard to hold one key.
 func (c *Cache) Put(key string, size int64, meta any, prefetched bool) {
 	if c == nil {
 		return
@@ -286,25 +268,6 @@ func (c *Cache) Invalidate(key string) {
 		obs.CacheResidentBytes.Add(-e.Size)
 		obs.CacheLines.Add(-1)
 	}
-}
-
-// InvalidateAll empties the cache.
-func (c *Cache) InvalidateAll() {
-	if c == nil {
-		return
-	}
-	var bytes, lines int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		bytes += sh.bytes
-		lines += int64(len(sh.items))
-		sh.items = make(map[string]*Entry)
-		sh.head, sh.tail, sh.bytes = nil, nil, 0
-		sh.mu.Unlock()
-	}
-	obs.CacheResidentBytes.Add(-bytes)
-	obs.CacheLines.Add(-lines)
 }
 
 // Bytes returns the resident byte total.

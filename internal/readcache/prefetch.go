@@ -11,14 +11,11 @@ import (
 // last/stride/confidence state machine — the same predict-when-confident,
 // fall-through-when-not gate as the paper's PFE (and the LVA load-value
 // approximator): two consecutive observations with the same non-zero
-// stride arm it (at the default MinConfidence), after which the next
-// depth keys along the stride are pulled in. A wrong guess costs one
+// stride arm it (prefetchMinConfidence), after which the next
+// prefetchDepth keys along the stride are pulled in. A wrong guess costs one
 // wasted fill; it never serves wrong data, because prefetched lines go
 // through the same validated-hit path as demand fills.
 type strideTracker struct {
-	depth   int
-	minConf int
-
 	mu      sync.Mutex
 	streams map[string]*stream
 }
@@ -30,12 +27,20 @@ type stream struct {
 	conf   int
 }
 
-// maxStreams bounds the tracker's memory against unbounded key-prefix
-// cardinality; over it, an arbitrary stream is recycled.
-const maxStreams = 512
+const (
+	// maxStreams bounds the tracker's memory against unbounded key-prefix
+	// cardinality; over it, an arbitrary stream is recycled.
+	maxStreams = 512
+	// prefetchDepth is how many predicted keys past the last observed one
+	// are pulled in.
+	prefetchDepth = 2
+	// prefetchMinConfidence is how many consecutive same-stride
+	// observations arm the prefetcher.
+	prefetchMinConfidence = 2
+)
 
-func newStrideTracker(depth, minConf int) *strideTracker {
-	return &strideTracker{depth: depth, minConf: minConf, streams: make(map[string]*stream)}
+func newStrideTracker() *strideTracker {
+	return &strideTracker{streams: make(map[string]*stream)}
 }
 
 // splitKey separates a trailing decimal integer from its prefix without
@@ -58,7 +63,7 @@ func splitKey(key string) (prefix string, n int64, ok bool) {
 }
 
 // observe advances the prefix's predictor and, when armed, queues
-// prefetch fills for the next depth keys along the stride.
+// prefetch fills for the next prefetchDepth keys along the stride.
 func (t *strideTracker) observe(c *Cache, key string) {
 	prefix, n, ok := splitKey(key)
 	if !ok {
@@ -93,7 +98,7 @@ func (t *strideTracker) observe(c *Cache, key string) {
 	}
 	stride, conf := s.stride, s.conf
 	t.mu.Unlock()
-	if conf < t.minConf {
+	if conf < prefetchMinConfidence {
 		return
 	}
 	// The number is re-rendered with the observed key's digit count so
@@ -101,7 +106,7 @@ func (t *strideTracker) observe(c *Cache, key string) {
 	// overflow past the padding falls out of the namespace and simply
 	// never hits.
 	width := len(key) - len(prefix)
-	for k := 1; k <= t.depth; k++ {
+	for k := 1; k <= prefetchDepth; k++ {
 		next := n + stride*int64(k)
 		if next < 0 {
 			break

@@ -14,9 +14,11 @@ func TestNilCacheIsNoop(t *testing.T) {
 	if e, ok := c.Get("k"); e != nil || ok {
 		t.Fatalf("nil cache Get = %v, %v", e, ok)
 	}
+	if c.MaxEntryBytes() != 0 {
+		t.Fatal("nil cache admits entries")
+	}
 	c.Put("k", 10, nil, false)
 	c.Invalidate("k")
-	c.InvalidateAll()
 	c.RequestFill("k")
 	c.Observe("k")
 	c.Close()
@@ -54,9 +56,9 @@ func TestPutGetInvalidate(t *testing.T) {
 	if got := c.Bytes(); got != 50 {
 		t.Fatalf("Bytes = %d, want 50", got)
 	}
-	c.InvalidateAll()
+	c.Invalidate("p")
 	if c.Bytes() != 0 || c.Len() != 0 {
-		t.Fatalf("after InvalidateAll: %d bytes, %d lines", c.Bytes(), c.Len())
+		t.Fatalf("after invalidating both: %d bytes, %d lines", c.Bytes(), c.Len())
 	}
 }
 
@@ -66,7 +68,7 @@ func TestPutGetInvalidate(t *testing.T) {
 // eviction longer than cold ones.
 func TestBudgetInvariant(t *testing.T) {
 	const budget = 64 << 10
-	c := New(Config{MaxBytes: budget, Shards: 4})
+	c := New(Config{MaxBytes: budget})
 	defer c.Close()
 	rng := rand.New(rand.NewSource(7))
 	for op := 0; op < 20000; op++ {
@@ -89,18 +91,26 @@ func TestBudgetInvariant(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	// One shard so recency is globally ordered.
-	c := New(Config{MaxBytes: 300, Shards: 1})
+	// 300 bytes a shard, and four keys of one shard so that their recency
+	// is one order.
+	c := New(Config{MaxBytes: 300 * numShards})
 	defer c.Close()
-	c.Put("a", 100, nil, false)
-	c.Put("b", 100, nil, false)
-	c.Put("c", 100, nil, false)
-	c.Get("a") // bump a over b
-	c.Put("d", 100, nil, false)
-	if _, ok := c.Get("b"); ok {
+	var keys []string
+	for i := 0; len(keys) < 4; i++ {
+		if k := fmt.Sprintf("k%d", i); c.shardFor(k) == &c.shards[0] {
+			keys = append(keys, k)
+		}
+	}
+	a, b, cc, d := keys[0], keys[1], keys[2], keys[3]
+	c.Put(a, 100, nil, false)
+	c.Put(b, 100, nil, false)
+	c.Put(cc, 100, nil, false)
+	c.Get(a) // bump a over b
+	c.Put(d, 100, nil, false)
+	if _, ok := c.Get(b); ok {
 		t.Fatal("b (LRU) survived eviction")
 	}
-	for _, k := range []string{"a", "c", "d"} {
+	for _, k := range []string{a, cc, d} {
 		if _, ok := c.Get(k); !ok {
 			t.Fatalf("%s evicted out of order", k)
 		}
@@ -108,11 +118,18 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestOversizedLineNotAdmitted(t *testing.T) {
-	c := New(Config{MaxBytes: 1024, Shards: 1})
+	c := New(Config{MaxBytes: 1024 * numShards})
 	defer c.Close()
-	c.Put("big", 2048, nil, false)
+	if got := c.MaxEntryBytes(); got != 1024 {
+		t.Fatalf("MaxEntryBytes = %d, want the 1024-byte shard budget", got)
+	}
+	c.Put("big", 1025, nil, false)
 	if _, ok := c.Get("big"); ok {
 		t.Fatal("over-budget line admitted")
+	}
+	c.Put("fits", 1024, nil, false)
+	if _, ok := c.Get("fits"); !ok {
+		t.Fatal("a line of exactly MaxEntryBytes refused")
 	}
 }
 
@@ -122,8 +139,7 @@ func TestFillSingleflight(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	c := New(Config{
-		MaxBytes:    1 << 20,
-		FillWorkers: 1,
+		MaxBytes: 1 << 20,
 		Load: func(key string, prefetch bool) {
 			mu.Lock()
 			loads[key]++

@@ -227,8 +227,10 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 // aggregates, range filters and downsampled fetches answered from block
 // summaries without decoding full blocks. Responses carry the derived
 // error bound next to every estimate plus the bytes_touched/bytes_total
-// pair that proves the traffic saving. Like get, a torn vector answers
-// over its recovered prefix as 206 Partial Content.
+// pair that proves the traffic saving: stored frame bytes read and
+// CRC-verified against raw value bytes covered. Like get, a torn vector
+// answers over its recovered prefix as 206 Partial Content, and a
+// damaged frame is a 500, never a silently wrong number.
 func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	sp := s.tracer.Start()

@@ -98,3 +98,50 @@ func TestStoreGetIntoAllocFree(t *testing.T) {
 		t.Errorf("Get64IntoCached allocates %v per op, want 0", avg)
 	}
 }
+
+// TestCacheRefusedLineIsNotBuilt: a key whose line the cache would refuse
+// (64 KiB of lossless values against a 1 MiB cache's 64 KiB shards) is
+// served by its miss all the same, with the values of the uncached read,
+// and the walk stops filing the line once it has outgrown the limit:
+// nothing is cloned for Put to drop, so the miss allocates nothing.
+func TestCacheRefusedLineIsNotBuilt(t *testing.T) {
+	s := openTest(t, Config{CacheBytes: 1 << 20})
+	vals := genF32(t, "normal", 4*BlockValues, 8)
+	if _, err := s.Put32("noise", vals); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Get32("noise")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := s.cache.MaxEntryBytes(); int64(4*len(vals)) < max {
+		t.Fatalf("a %d-byte line fits the cache's %d-byte limit: the test needs a larger key", 4*len(vals), max)
+	}
+	dst := make([]float32, 0, len(vals))
+	miss := func() {
+		out, src, err := s.Get32IntoCached(dst, "noise", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src != CacheMiss {
+			t.Fatalf("served as %q, want miss", src)
+		}
+		if !equalBits32(out, want) {
+			t.Fatal("the miss read other values than the uncached read")
+		}
+		dst = out[:0]
+	}
+	miss()
+	if s.cache.Contains("noise") {
+		t.Fatal("a line over the admission limit went resident")
+	}
+	if avg := testing.AllocsPerRun(20, miss); avg > 0 {
+		t.Errorf("a miss whose line the cache refuses allocates %v per op, want 0", avg)
+	}
+	s.mu.RLock()
+	ln, err := s.buildLineLocked("noise", s.index["noise"])
+	s.mu.RUnlock()
+	if ln != nil || err != nil {
+		t.Errorf("prefetch build of a refused line = %v, %v; want nil, nil", ln, err)
+	}
+}

@@ -159,18 +159,21 @@ func (s *Store) loadCacheLine(key string, prefetch bool) {
 		return
 	}
 	ln, err := s.buildLineLocked(key, e)
-	if err != nil {
-		return // unreadable or corrupt: the demand path will report it
+	if err != nil || ln == nil {
+		// Unreadable or corrupt (the demand path will report it), or a
+		// line larger than the cache admits.
+		return
 	}
 	// Put does the occupancy accounting (resident bytes/lines/evictions).
 	s.cache.Put(key, ln.size(key), ln, prefetch)
 }
 
 // buildLineLocked extracts the summary line of every resident frame of
-// e: readLocked's walk with the line as its only consumer. Caller holds
-// at least the read lock.
+// e: readLocked's walk with the line as its only consumer (nil when the
+// line outgrows what the cache admits). Caller holds at least the read
+// lock.
 func (s *Store) buildLineLocked(key string, e *entry) (*cachedLine, error) {
-	ln, _, err := s.readLocked(nil, true, key, e, nil)
+	ln, _, err := s.readLocked(nil, true, nil, key, e, nil)
 	return ln, err
 }
 

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"time"
@@ -19,14 +18,14 @@ import (
 // Compressed-domain query executor. The AVR block format is itself a
 // query accelerator: the summary line holds 16→1 sub-block averages
 // with per-value error bounded by t1, so sums, means, min/max bounds,
-// range filters and downsampled scans can be answered from a fraction
-// of the stored bytes without decoding the blocks. The executor walks a
-// key's live block refs and issues targeted preads inside each frame —
-// record header + summary line always, bitmap + packed outliers only
-// when the record has them, the full 1 KiB payload only for raw
-// (incompressible) records — instead of the whole-frame CRC-verified
-// read the Get path does. Lossless-fallback blocks have no summary and
-// are decoded exactly through the ordinary frame read.
+// range filters and downsampled scans can be answered from the stored
+// form — a fraction of the raw bytes — without reconstructing the
+// blocks. A query is a consumer of readLocked's frame walk, like the
+// Get decode and the cache fill: it is handed each of the key's frames
+// whole, length- and CRC-verified, and reads the records in place —
+// summary line always, bitmap + packed outliers when the record has
+// them, the full 1 KiB payload only for raw (incompressible) records.
+// Lossless-fallback blocks have no summary and are decoded exactly.
 //
 // Every approximate answer carries a rigorous error bound derived from
 // the per-ref threshold: a non-outlier value v reconstructs to r with
@@ -36,14 +35,15 @@ import (
 // term for float64 accumulation and denormal flushes).
 
 // Query byte accounting: BytesTotal is the raw (uncompressed) size of
-// the values the query covered; BytesTouched is the encoded bytes the
-// executor actually read. Their ratio is the traffic reduction the
-// compressed-domain path achieves over fetching the values.
+// the values the query covered; BytesTouched is the stored bytes the
+// executor read and verified, the frames it walked. Their ratio is the
+// traffic reduction the compressed-domain path achieves over fetching
+// the values.
 type QueryStats struct {
 	BytesTouched int64 `json:"bytes_touched"`
 	BytesTotal   int64 `json:"bytes_total"`
-	// Codec-block mix: AVR summary blocks answered from partial reads,
-	// raw records inside AVR frames (exact, full payload read), and
+	// Codec-block mix: AVR summary blocks answered from their summaries,
+	// raw records inside AVR frames (exact, full payload visited), and
 	// lossless-fallback store blocks (exact, whole-frame decode).
 	BlocksAVR      int `json:"blocks_avr"`
 	BlocksRaw      int `json:"blocks_raw"`
@@ -111,11 +111,10 @@ type DownsampleResult struct {
 const sumSlack = 1e-9
 
 // queryScratch pools the per-query state so the read path stays
-// allocation-free in steady state (the result slices of a downsample
-// are the only per-call allocation).
+// allocation-free in steady state (the two result slices of a
+// downsample, sized once before the walk, are the only per-call
+// allocations).
 type queryScratch struct {
-	rbuf  block.RecordBuf // the walked record's image
-	frame getScratch      // lossless whole-frame reads
 	comp  *compress.Compressor
 	rec32 [compress.BlockValues]uint32
 	rec64 [compress.BlockValues64]uint64
@@ -136,6 +135,10 @@ const (
 // queryRun accumulates one query across frames.
 type queryRun struct {
 	op qop
+	// qs is the pooled scratch and width the key's value width, both set
+	// by runQuery before the walk.
+	qs    *queryScratch
+	width int
 	// f is the relative bound factor for the ref being walked
 	// (t1/(1−t1)); eps the additive term covering denormal flushes.
 	f   float64
@@ -157,21 +160,21 @@ type queryRun struct {
 	groupSum, groupW, groupAbs float64
 	groupN                     int
 
-	// sp receives per-stage attribution (lock wait, query walk); nil
-	// outside the traced entry points.
+	// sp receives per-stage attribution (lock wait, frame reads, query
+	// walk); nil outside the traced entry points.
 	sp *trace.Span
 
 	stats QueryStats
 }
 
 // setRef arms the per-ref bound parameters.
-func (q *queryRun) setRef(t1 float64, width int) {
+func (q *queryRun) setRef(t1 float64) {
 	f := t1 / (1 - t1)
 	if !(f >= 0) || math.IsInf(f, 0) { // corrupt or absurd threshold
 		f = 1
 	}
 	q.f = f
-	if width == 32 {
+	if q.width == 32 {
 		q.eps = minNormal32
 	} else {
 		q.eps = minNormal64
@@ -307,9 +310,9 @@ func (s *Store) QueryAggregate(key string) (AggregateResult, error) {
 }
 
 // QueryAggregateTraced is QueryAggregate with per-stage attribution
-// onto sp: store mutex wait (StageLock) and the compressed-domain walk
-// including its targeted preads (StageQuery). A nil span traces nothing
-// at no cost.
+// onto sp: store mutex wait (StageLock), the frame reads and their CRC
+// checks (StageSegRead) and the compressed-domain walk over the verified
+// frames (StageQuery). A nil span traces nothing at no cost.
 func (s *Store) QueryAggregateTraced(key string, sp *trace.Span) (AggregateResult, error) {
 	t0 := time.Now()
 	q := queryRun{
@@ -405,9 +408,9 @@ func finishQuery(q *queryRun, t0 time.Time) {
 	}
 }
 
-// runQuery walks key's live refs under the read lock, feeding q. It
-// stops at the first hole (torn put), marking the result incomplete,
-// exactly like the Get path serves a recovered prefix.
+// runQuery runs q over key under the read lock: readLocked's frame walk
+// with q as its consumer. Like the Get path it stops at the first hole
+// (torn put) and answers over the recovered prefix, marked incomplete.
 func (s *Store) runQuery(key string, q *queryRun) (int, error) {
 	lt := q.sp.Begin()
 	s.mu.RLock()
@@ -420,54 +423,60 @@ func (s *Store) runQuery(key string, q *queryRun) (int, error) {
 	if !ok {
 		return 0, ErrNotFound
 	}
-	qs := s.queries.Get().(*queryScratch)
-	defer s.queries.Put(qs)
-	// The walk itself — targeted preads plus summary math — is one
-	// stage; its frame reads are deliberately not split into StageSegRead
-	// so a span's stages stay disjoint.
-	wt := q.sp.Begin()
-	defer func() { q.sp.End(trace.StageQuery, wt) }()
-
-	q.stats.Complete = true
-	for i := range e.refs {
-		ref := e.refs[i]
-		if ref.seg == 0 {
-			q.stats.Complete = false
-			break
-		}
-		q.setRef(ref.t1, int(e.width))
-		q.stats.BytesTotal += int64(ref.valCount) * int64(e.width/8)
-		var err error
-		if ref.enc == encLossless {
-			err = s.queryLossless(qs, q, ref, int(e.width))
-		} else {
-			err = s.queryAVRFrame(qs, q, ref, int(e.width), len(key))
-		}
-		if err != nil {
-			return 0, fmt.Errorf("store: key %q block %d: %w", key, i, err)
-		}
+	q.qs = s.queries.Get().(*queryScratch)
+	defer s.queries.Put(q.qs)
+	q.width = int(e.width)
+	if q.op == qopDownsample {
+		groups := (int(e.totalVals) + compress.SubBlockSize - 1) / compress.SubBlockSize
+		q.points, q.bounds = make([]float64, 0, groups), make([]float64, 0, groups)
 	}
-	if len(e.refs) != e.blocks() {
-		q.stats.Complete = false
+	_, complete, err := s.readLocked(nil, false, q, key, e, q.sp)
+	if err != nil {
+		return 0, err
 	}
+	q.stats.Complete = complete
 	if q.op == qopDownsample && q.groupN != 0 {
 		// Trailing partial group of a lossless tail: close it with the
 		// codec's padding convention.
 		q.flushGroup()
 	}
-	return int(e.width), nil
+	return q.width, nil
 }
 
-// queryLossless answers over a lossless-fallback block: whole-frame
-// CRC-verified read and exact decode, every value exact.
-func (s *Store) queryLossless(qs *queryScratch, q *queryRun, ref blockRef, width int) error {
-	data, err := s.readFrameLocked(ref, &qs.frame)
-	if err != nil {
-		return err
-	}
+// frame runs the query over one verified frame's data — what readLocked
+// feeds its query consumer. A lossless frame is decoded and every value
+// visited exactly; an AVR frame is walked record by record through the
+// cursor the decode and the cache fill read with, so structural damage
+// comes back as ErrCorrupt, never a panic.
+func (q *queryRun) frame(ref blockRef, data []byte) error {
+	q.setRef(ref.t1)
 	q.stats.BytesTouched += ref.frameLen
+	q.stats.BytesTotal += int64(ref.valCount) * int64(q.width/8)
+	if ref.enc == encLossless {
+		return q.lossless(data, int(ref.valCount))
+	}
+	cur, err := block.Open(streamLayout(q.width), data, int(ref.valCount))
+	for err == nil && cur.More() {
+		var rec block.Record
+		if rec, err = cur.Next(); err != nil {
+			break
+		}
+		if q.width == 64 {
+			q.walkRecord64(&rec)
+		} else {
+			q.walkRecord32(&rec)
+		}
+	}
+	return streamErr(err)
+}
+
+// lossless answers over a lossless-fallback block: exact decode, every
+// value exact.
+func (q *queryRun) lossless(data []byte, valCount int) error {
+	qs := q.qs
 	q.stats.BlocksLossless++
-	qs.v, err = decodeLosslessTo(qs.v.Reset(width), data, int(ref.valCount))
+	var err error
+	qs.v, err = decodeLosslessTo(qs.v.Reset(q.width), data, valCount)
 	if err != nil {
 		return err
 	}
@@ -491,48 +500,9 @@ func (s *Store) queryLossless(qs *queryScratch, q *queryRun, ref blockRef, width
 	return nil
 }
 
-// queryAVRFrame walks one AVR-encoded frame with targeted preads. The
-// frame's codec stream starts at a computable offset (frame header +
-// record envelope + key), so no envelope bytes are read; structural
-// damage surfaces as ErrCorrupt, never a panic. Unlike the Get path
-// this trades the whole-frame CRC check for ~16× less traffic — the
-// stream's own structure (magic, count, per-record size validation) is
-// still enforced.
-func (s *Store) queryAVRFrame(qs *queryScratch, q *queryRun, ref blockRef, width, keyLen int) error {
-	m := s.segs[ref.seg]
-	if m == nil {
-		return fmt.Errorf("%w: segment %d vanished", ErrCorrupt, ref.seg)
-	}
-	envelope := int64(frameHeaderLen + blockRecordOverhead(keyLen))
-	if ref.frameLen <= envelope {
-		return fmt.Errorf("%w: frame too short for a block record", ErrCorrupt)
-	}
-	return walkCodecStream(qs, q, m.f, ref.off+envelope, ref.frameLen-envelope, width, int(ref.valCount))
-}
-
-// walkCodecStream executes q over the size-byte codec stream at base in
-// src — a segment file on the serving path, an in-memory reader under
-// test and fuzz. The cursor does the targeted preads and all validation;
-// structural damage comes back as ErrCorrupt.
-func walkCodecStream(qs *queryScratch, q *queryRun, src io.ReaderAt, base, size int64, width, valCount int) error {
-	cur, err := block.OpenAt(streamLayout(width), src, base, size, &qs.rbuf, valCount)
-	for err == nil && cur.More() {
-		var rec block.Record
-		if rec, err = cur.Next(); err != nil {
-			break
-		}
-		if width == 64 {
-			walkRecord64(qs, q, &rec)
-		} else {
-			walkRecord32(qs, q, &rec)
-		}
-	}
-	q.stats.BytesTouched += cur.Fetched()
-	return streamErr(err)
-}
-
 // walkRecord32 feeds one fp32 codec record to q.
-func walkRecord32(qs *queryScratch, q *queryRun, rec *block.Record) {
+func (q *queryRun) walkRecord32(rec *block.Record) {
+	qs := q.qs
 	take := rec.Values
 	if rec.Raw != nil {
 		q.stats.BlocksRaw++
@@ -542,7 +512,7 @@ func walkRecord32(qs *queryScratch, q *queryRun, rec *block.Record) {
 	q.stats.BlocksAVR++
 	block.ReadSummary32(&qs.sum32, rec.Summary)
 	bias := int8(rec.Bias)
-	if q.op == qopFilter && pruneFilter32(qs, q, rec.Bitmap, rec.Outliers, rec.Method, bias, take) {
+	if q.op == qopFilter && q.pruneFilter32(rec.Bitmap, rec.Outliers, rec.Method, bias, take) {
 		return
 	}
 	qs.comp.DecompressBits32(qs.rec32[:], &qs.sum32, rec.Bitmap, rec.Outliers, rec.Method, bias)
@@ -562,7 +532,8 @@ func walkRecord32(qs *queryScratch, q *queryRun, rec *block.Record) {
 }
 
 // walkRecord64 feeds one fp64 codec record to q.
-func walkRecord64(qs *queryScratch, q *queryRun, rec *block.Record) {
+func (q *queryRun) walkRecord64(rec *block.Record) {
+	qs := q.qs
 	take := rec.Values
 	if rec.Raw != nil {
 		q.stats.BlocksRaw++
@@ -571,7 +542,7 @@ func walkRecord64(qs *queryScratch, q *queryRun, rec *block.Record) {
 	}
 	q.stats.BlocksAVR++
 	block.ReadSummary64(&qs.sum64, rec.Summary)
-	if q.op == qopFilter && pruneFilter64(qs, q, rec.Bitmap, rec.Bias, take) {
+	if q.op == qopFilter && q.pruneFilter64(rec.Bitmap, rec.Bias, take) {
 		return
 	}
 	qs.comp.DecompressInto64(qs.rec64[:], &qs.sum64, rec.Bitmap, rec.Outliers, rec.Bias)
@@ -622,14 +593,15 @@ func bitSet(bm []byte, i int) bool {
 // summary range brackets every non-outlier; outliers are classified
 // exactly from their stored values. Returns true when the block was
 // fully classified without interpolating.
-func pruneFilter32(qs *queryScratch, q *queryRun, bitmap, outliers []byte, method compress.Method, bias int8, take int) bool {
+func (q *queryRun) pruneFilter32(bitmap, outliers []byte, method compress.Method, bias int8, take int) bool {
+	qs := q.qs
 	smin, smax := summaryRange32(&qs.sum32, bias)
 	in, out := rangeVerdict(q, smin, smax)
 	if !in && !out {
 		// The block straddles the predicate. For the 1D layout, prune
 		// run by run: run s interpolates between summary values s−1..s+1.
 		if method == compress.Method1D && len(bitmap) == 0 {
-			return pruneRuns32(qs, q, &qs.sum32, bias, take)
+			return q.pruneRuns32(bias, take)
 		}
 		return false
 	}
@@ -662,7 +634,8 @@ func pruneFilter32(qs *queryScratch, q *queryRun, bitmap, outliers []byte, metho
 
 // pruneRuns32 classifies an outlier-free straddling 1D block run by
 // run, interpolating only the runs whose own bounds still straddle.
-func pruneRuns32(qs *queryScratch, q *queryRun, summary *[compress.SummaryValues]int32, bias int8, take int) bool {
+func (q *queryRun) pruneRuns32(bias int8, take int) bool {
+	qs, summary := q.qs, &q.qs.sum32
 	interpolated := false
 	for s := 0; s*compress.SubBlockSize < take; s++ {
 		lo, hi := runRange32(summary, s, bias)
@@ -690,12 +663,13 @@ func pruneRuns32(qs *queryScratch, q *queryRun, summary *[compress.SummaryValues
 }
 
 // pruneFilter64 is pruneFilter32 for fp64 blocks (always 1D layout).
-func pruneFilter64(qs *queryScratch, q *queryRun, bitmap []byte, bias int16, take int) bool {
+func (q *queryRun) pruneFilter64(bitmap []byte, bias int16, take int) bool {
+	qs := q.qs
 	smin, smax := summaryRange64(&qs.sum64, bias)
 	in, out := rangeVerdict(q, smin, smax)
 	if !in && !out {
 		if len(bitmap) == 0 {
-			return pruneRuns64(qs, q, bias, take)
+			return q.pruneRuns64(bias, take)
 		}
 		return false
 	}
@@ -712,7 +686,8 @@ func pruneFilter64(qs *queryScratch, q *queryRun, bitmap []byte, bias int16, tak
 
 // pruneRuns64 classifies an outlier-free straddling fp64 block run by
 // run.
-func pruneRuns64(qs *queryScratch, q *queryRun, bias int16, take int) bool {
+func (q *queryRun) pruneRuns64(bias int16, take int) bool {
+	qs := q.qs
 	interpolated := false
 	for s := 0; s*compress.SubBlockSize64 < take; s++ {
 		lo, hi := runRange64(&qs.sum64, s, bias)

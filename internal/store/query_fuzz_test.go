@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"slices"
@@ -41,12 +40,11 @@ func fuzzStream64(tb testing.TB, dist string, n int, t1 float64) []byte {
 }
 
 // FuzzQueryFrame feeds arbitrary bytes to the compressed-domain frame
-// walker — the core the serving path shares with this harness. The
-// contract: walkCodecStream never panics; because every read is
-// bounds-checked against the declared size before it happens, any
-// damage surfaces as ErrCorrupt (never an unclassified error); it never
-// touches more bytes than the input holds; and a clean walk feeds the
-// query exactly the declared number of values.
+// walker — queryRun.frame, the consumer readLocked hands each verified
+// frame's data on the serving path. The contract: it never panics; every
+// access is bounds-checked against the data first, so any damage
+// surfaces as ErrCorrupt (never an unclassified error); and a clean walk
+// feeds the query exactly the declared number of values.
 //
 // The same bytes also go through the other two consumers of the stream
 // reader — the Get decode (DecodeTo/Decode64To) and the cache fill
@@ -61,6 +59,10 @@ func FuzzQueryFrame(f *testing.F) {
 	for op := uint8(0); op < 3; op++ {
 		f.Add(s32, uint16(2*compress.BlockValues+17), false, op)
 		f.Add(s64, uint16(compress.BlockValues64+9), true, op)
+		// The target counts from 1 (valCount = vc mod BlockValues + 1):
+		// these are the seeds whose count matches, the clean walks.
+		f.Add(s32, uint16(2*compress.BlockValues+16), false, op)
+		f.Add(s64, uint16(compress.BlockValues64+8), true, op)
 	}
 	f.Add(sMix, uint16(compress.BlockValues), false, uint8(1))
 	f.Add(sRaw, uint16(compress.BlockValues), false, uint8(0))
@@ -87,21 +89,19 @@ func FuzzQueryFrame(f *testing.F) {
 		valCount := int(vc)%BlockValues + 1
 		q := &queryRun{
 			op:    qop(op8 % 3),
+			qs:    &queryScratch{comp: compress.NewCompressor(compress.DefaultThresholds())},
+			width: width,
 			minLo: math.Inf(1), minHi: math.Inf(1),
 			maxLo: math.Inf(-1), maxHi: math.Inf(-1),
 			lo: -1, hi: 1,
 		}
-		q.setRef(1.0/32, width)
-		qs := &queryScratch{comp: compress.NewCompressor(compress.DefaultThresholds())}
+		ref := blockRef{seg: 1, frameLen: int64(len(data)), enc: encAVR, valCount: uint32(valCount), t1: 1.0 / 32}
 
-		err := walkCodecStream(qs, q, bytes.NewReader(data), 0, int64(len(data)), width, valCount)
+		err := q.frame(ref, data)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("unclassified walk error: %v", err)
 		}
 		assertOneVerdict(t, codec, &hits, data, width, valCount, err)
-		if q.stats.BytesTouched > int64(len(data)) {
-			t.Fatalf("touched %d bytes of a %d-byte stream", q.stats.BytesTouched, len(data))
-		}
 		if err == nil {
 			switch q.op {
 			case qopAggregate:
@@ -114,7 +114,9 @@ func FuzzQueryFrame(f *testing.F) {
 						q.defIn, q.est, q.pos, valCount)
 				}
 			case qopDownsample:
-				q.flushGroup()
+				if q.groupN != 0 { // as runQuery closes a trailing group
+					q.flushGroup()
+				}
 				want := (valCount + compress.SubBlockSize - 1) / compress.SubBlockSize
 				if len(q.points) != want {
 					t.Fatalf("clean walk produced %d points for %d values, want %d",

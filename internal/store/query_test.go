@@ -183,11 +183,28 @@ func TestPropertyQueryAllWorkloads(t *testing.T) {
 					}
 					gt := groundTruth(vals)
 
+					// Every query reads the key's frames whole, whatever the op.
+					infos, err := s.BlockInfos(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var stored int64
+					for _, bi := range infos {
+						stored += bi.Bytes
+					}
+					checkTouched := func(op string, qs QueryStats) {
+						t.Helper()
+						if qs.BytesTouched != stored {
+							t.Fatalf("%s: %s touched %d bytes, the key's frames hold %d", key, op, qs.BytesTouched, stored)
+						}
+					}
+
 					agg, err := s.QueryAggregate(key)
 					if err != nil {
 						t.Fatal(err)
 					}
 					checkAggregate(t, key, agg, gt)
+					checkTouched("aggregate", agg.QueryStats)
 					if agg.BlocksAVR == 0 && agg.BlocksRaw == 0 {
 						// Pure lossless vector: the answer must be exact up
 						// to accumulation slack.
@@ -211,6 +228,7 @@ func TestPropertyQueryAllWorkloads(t *testing.T) {
 							t.Fatal(err)
 						}
 						checkFilter(t, key, fr, exactMatches(vals, band[0], band[1]))
+						checkTouched("filter", fr.QueryStats)
 					}
 
 					ds, err := s.QueryDownsample(key)
@@ -218,6 +236,7 @@ func TestPropertyQueryAllWorkloads(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkDownsample(t, key, ds, gt)
+					checkTouched("downsample", ds.QueryStats)
 				}
 			})
 		}
@@ -227,9 +246,10 @@ func TestPropertyQueryAllWorkloads(t *testing.T) {
 // TestQueryBytesTouched pins the headline traffic property: an
 // aggregate over AVR-encoded (non-lossless, non-raw) blocks reads at
 // most 1/8 of the covered raw bytes — near 1/16 when records are
-// outlier-free, with the outlier bitmap and exact outlier preads
-// costing the rest. Outlier-heavy data needs a matching t1 (heat at
-// 1/8) to stay inside the budget; smooth data holds it at the default.
+// outlier-free, with the outlier bitmaps, the exact outliers and their
+// cacheline padding costing the rest. Outlier-heavy data needs a
+// matching t1 (heat at 1/8) to stay inside the budget; smooth data holds
+// it at the default.
 func TestQueryBytesTouched(t *testing.T) {
 	for _, tc := range []struct {
 		dist  string

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"slices"
@@ -19,7 +20,8 @@ import (
 // both: block 0 alone, blocks 1-2 as a run, block 3 alone. The same
 // values, the same errors naming the same block, and the same recovered
 // prefix must come back from either — through the disk path, the
-// cache-filling miss, the hit after it, and the prefetcher's line build.
+// cache-filling miss, the hit after it, the prefetcher's line build, and
+// the three queries, which must also answer identically.
 func TestGetSameOnAdjacentAndScatteredFrames(t *testing.T) {
 	const total = 3*BlockValues + 1000
 	vals := genF32(t, "heat", total, 5)
@@ -85,11 +87,16 @@ func TestGetSameOnAdjacentAndScatteredFrames(t *testing.T) {
 		}
 		return s
 	}
-	// outcome is everything a reader can observe of one key on one path.
+	// outcome is everything a reader can observe of one key on one path:
+	// the values read back, or for a query its whole answer.
 	type outcome struct {
-		path string
-		vals []float32
-		err  string
+		path     string
+		vals     []float32
+		query    bool
+		answer   string
+		count    int64 // values covered (downsample: points, one per 16)
+		complete bool
+		err      string
 	}
 	observe := func(t *testing.T, s *Store) []outcome {
 		t.Helper()
@@ -132,6 +139,21 @@ func TestGetSameOnAdjacentAndScatteredFrames(t *testing.T) {
 		} else if s.cache.Contains("k") {
 			t.Errorf("a failed miss left a line resident")
 		}
+		addQuery := func(path string, answer any, qs QueryStats, count int64, err error) {
+			o := outcome{path: path, query: true, count: count}
+			if err != nil {
+				o.err = err.Error()
+			} else {
+				o.answer, o.complete = fmt.Sprintf("%+v", answer), qs.Complete
+			}
+			out = append(out, o)
+		}
+		agg, err := s.QueryAggregate("k")
+		addQuery("aggregate", agg, agg.QueryStats, agg.Count, err)
+		fil, err := s.QueryFilter("k", -math.MaxFloat64, math.MaxFloat64)
+		addQuery("filter", fil, fil.QueryStats, fil.MatchesMax, err)
+		ds, err := s.QueryDownsample("k")
+		addQuery("downsample", ds, ds.QueryStats, int64(len(ds.Points)), err)
 		return out
 	}
 
@@ -157,21 +179,10 @@ func TestGetSameOnAdjacentAndScatteredFrames(t *testing.T) {
 		},
 		{
 			name: "bit flip under an open store in block 2",
+			// Lands in the first record's summary line: a different value,
+			// nothing a stream parser can object to. Only the CRC sees it.
 			after: func(path string, kOff []int) {
-				f, err := os.OpenFile(path, os.O_RDWR, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer f.Close()
-				at := int64(kOff[2] + frameHeaderLen + 100)
-				var b [1]byte
-				if _, err := f.ReadAt(b[:], at); err != nil {
-					t.Fatal(err)
-				}
-				b[0] ^= 0x40
-				if _, err := f.WriteAt(b[:], at); err != nil {
-					t.Fatal(err)
-				}
+				flipFileBit(t, path, int64(kOff[2]+frameHeaderLen+100), 0x40)
 			},
 			wantErr: ErrCorrupt, names: "block 2",
 		},
@@ -196,6 +207,28 @@ func TestGetSameOnAdjacentAndScatteredFrames(t *testing.T) {
 				b := sca[i]
 				if a.err != b.err {
 					t.Errorf("%s: adjacent err %q, scattered err %q", a.path, a.err, b.err)
+				}
+				if a.query {
+					// A query answers over a torn vector's prefix without an
+					// error, marked incomplete; everything else fails like Get.
+					switch {
+					case a.answer != b.answer:
+						t.Errorf("%s: the two layouts answer differently:\n%s\n%s", a.path, a.answer, b.answer)
+					case sc.wantErr == nil || sc.wantErr == ErrIncomplete:
+						want := int64(sc.wantLen) // what Get read
+						if a.path == "downsample" {
+							want = (want + 15) / 16
+						}
+						if a.err != "" {
+							t.Errorf("%s: %s", a.path, a.err)
+						} else if a.complete != (sc.wantErr == nil) || a.count != want {
+							t.Errorf("%s: complete=%v, covers %d, want %v and %d",
+								a.path, a.complete, a.count, sc.wantErr == nil, want)
+						}
+					case a.err != adj[0].err:
+						t.Errorf("%s: err %q, Get's is %q", a.path, a.err, adj[0].err)
+					}
+					continue
 				}
 				if !equalBits32(a.vals, b.vals) {
 					t.Errorf("%s: the two layouts read different values (%d vs %d)", a.path, len(a.vals), len(b.vals))
@@ -230,6 +263,25 @@ func TestGetSameOnAdjacentAndScatteredFrames(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// flipFileBit XORs mask into the byte at off of the file at path — damage
+// done behind the back of a store that has the file open.
+func flipFileBit(t *testing.T, path string, off int64, mask byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= mask
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
 	}
 }
 

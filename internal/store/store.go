@@ -852,7 +852,7 @@ func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (
 		src = CacheMiss
 	}
 	base := out.Len()
-	ln, complete, err := s.readLocked(&out, src == CacheMiss, key, e, sp)
+	ln, complete, err := s.readLocked(&out, src == CacheMiss, nil, key, e, sp)
 	if err != nil {
 		return dst, src, err
 	}
@@ -889,21 +889,25 @@ const maxRunBytes = 1 << 20
 
 // readLocked walks e's frames in vector order, stopping at the first hole
 // (torn put), and hands each verified frame to the consumers asked for:
-// dst (its Width e's) has the decoded values appended, and with fill the
-// frame's summary line is filed into the cache line that comes back — so
-// a demand miss that fills the cache reads, checks and parses its frames
-// once for both, and a prefetch fill is the same walk with no dst. A line
-// that stops at a hole covers the recovered prefix and is not marked
-// complete. A put lands as back-to-back frames of one segment, and such a
-// run is fetched with a single read; frames that compaction moved apart
-// are read one by one. It reports whether every block of the vector was
-// there. Caller holds at least the read lock.
-func (s *Store) readLocked(dst *vec.Vec, fill bool, key string, e *entry, sp *trace.Span) (*cachedLine, bool, error) {
+// dst (its Width e's) has the decoded values appended, with fill the
+// frame's summary line is filed into the cache line that comes back, and
+// q runs its compressed-domain query over the frame — so a demand miss
+// that fills the cache reads, checks and parses its frames once for both,
+// a prefetch fill is the same walk with no dst, and a query reads exactly
+// what a Get reads. A line that stops at a hole covers the recovered
+// prefix and is not marked complete; one that outgrows what the cache
+// admits is given up mid-walk and comes back nil. A put lands as
+// back-to-back frames of one segment, and such a run is fetched with a
+// single read; frames that compaction moved apart are read one by one. It
+// reports whether every block of the vector was there. Caller holds at
+// least the read lock.
+func (s *Store) readLocked(dst *vec.Vec, fill bool, q *queryRun, key string, e *entry, sp *trace.Span) (*cachedLine, bool, error) {
 	gs := s.gets.Get().(*getScratch)
 	defer s.gets.Put(gs)
 	var ln *cachedLine
+	var lineMax int64
 	if fill {
-		ln = &gs.line
+		ln, lineMax = &gs.line, s.cache.MaxEntryBytes()
 		ln.reset(e)
 	}
 	var c *avr.Codec
@@ -929,15 +933,18 @@ func (s *Store) readLocked(dst *vec.Vec, fill bool, key string, e *entry, sp *tr
 		// i stops on the block that failed, for the error to name.
 		for err == nil && i < j {
 			n := refs[i].frameLen
-			if err = consumeFrame(dst, c, ln, refs[i], buf[:n], sp); err == nil {
+			if err = consumeFrame(dst, c, ln, q, refs[i], buf[:n], sp); err == nil {
 				buf, i = buf[n:], i+1
+				if ln != nil && ln.size(key) > lineMax {
+					ln = nil // Put would refuse it: file no more of it
+				}
 			}
 		}
 		if err != nil {
 			return nil, false, fmt.Errorf("store: key %q block %d: %w", key, i, err)
 		}
 	}
-	if !fill {
+	if ln == nil {
 		return nil, e.complete(), nil
 	}
 	ln.complete = e.complete()
@@ -946,11 +953,17 @@ func (s *Store) readLocked(dst *vec.Vec, fill bool, key string, e *entry, sp *tr
 
 // consumeFrame verifies one frame read back from its segment and feeds
 // its data to readLocked's consumers, those that are set.
-func consumeFrame(dst *vec.Vec, c *avr.Codec, ln *cachedLine, ref blockRef, frame []byte, sp *trace.Span) error {
+func consumeFrame(dst *vec.Vec, c *avr.Codec, ln *cachedLine, q *queryRun, ref blockRef, frame []byte, sp *trace.Span) error {
 	rt := sp.Begin()
 	data, err := frameData(frame)
 	sp.End(trace.StageSegRead, rt)
 	if err != nil {
+		return err
+	}
+	if q != nil { // a query walks alone: nothing is decoded beside it
+		qt := sp.Begin()
+		err = q.frame(ref, data)
+		sp.End(trace.StageQuery, qt)
 		return err
 	}
 	dt := sp.Begin()
@@ -1015,17 +1028,6 @@ func frameData(frame []byte) ([]byte, error) {
 	return blockRecordData(payload)
 }
 
-// readFrameLocked reads and verifies the one frame at ref and returns
-// its block record's data bytes (aliasing gs.frame, valid until the next
-// read through the same scratch).
-func (s *Store) readFrameLocked(ref blockRef, gs *getScratch) ([]byte, error) {
-	frame, err := s.readSegmentLocked(ref.seg, ref.off, ref.frameLen, gs)
-	if err != nil {
-		return nil, err
-	}
-	return frameData(frame)
-}
-
 // streamLayout is the record-stream layout of an AVR block of the given
 // value width.
 func streamLayout(width int) *block.Layout {
@@ -1037,7 +1039,7 @@ func streamLayout(width int) *block.Layout {
 
 // streamErr classes a rejection by the codec-stream reader (internal/block)
 // as ErrCorrupt: a frame that passed its CRC but does not parse is
-// damaged all the same. Anything else is the segment's I/O error.
+// damaged all the same. Anything else passes through as is.
 func streamErr(err error) error {
 	if errors.Is(err, block.ErrMalformed) {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)

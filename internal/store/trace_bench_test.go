@@ -3,6 +3,7 @@ package store
 import (
 	"io"
 	"testing"
+	"time"
 
 	"avr/internal/trace"
 )
@@ -109,15 +110,29 @@ func TestTracedPathsPopulateStages(t *testing.T) {
 	}
 	tr.Finish("get", sp)
 
+	// A query reads its frames like a get (pread + CRC under segread) and
+	// walks them under its own stage; nothing is decoded. No interval is
+	// counted under two stages, so the stages sum to at most the wall time.
+	t0 := time.Now()
 	sp = tr.Start()
 	if _, err := s.QueryAggregateTraced("k", sp); err != nil {
 		t.Fatal(err)
 	}
-	if sp.StageDur(trace.StageQuery) <= 0 {
-		t.Error("query span missing query stage")
+	wall := time.Since(t0)
+	for _, st := range []trace.Stage{trace.StageSegRead, trace.StageQuery} {
+		if sp.StageDur(st) <= 0 {
+			t.Errorf("query span missing stage %s", st)
+		}
 	}
-	if sp.StageDur(trace.StageDecode) != 0 || sp.StageDur(trace.StageSegRead) != 0 {
-		t.Error("query span leaked into get stages (stages must stay disjoint)")
+	if sp.StageDur(trace.StageDecode) != 0 {
+		t.Error("query span charged time to decode: a query decodes nothing")
+	}
+	var sum time.Duration
+	for st := 0; st < trace.NumStages; st++ {
+		sum += sp.StageDur(trace.Stage(st))
+	}
+	if sum > wall {
+		t.Errorf("query stages sum to %v, more than the %v the call took", sum, wall)
 	}
 	tr.Finish("query", sp)
 

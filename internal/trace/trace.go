@@ -66,9 +66,9 @@ const (
 	// StageLock is time spent waiting for the store mutex — the
 	// compaction/writer interference a request observes.
 	StageLock
-	// StageQuery is the compressed-domain query walk: targeted preads
-	// plus summary math, everything between lock acquisition and the
-	// assembled answer.
+	// StageQuery is the compressed-domain query walk: the summary math
+	// over frames already read and verified (that read is StageSegRead,
+	// as on a get).
 	StageQuery
 	// StageRoute is the router tier's shard resolution: ring lookups
 	// plus batch plan bookkeeping (grouping keys by owning node) —

@@ -44,8 +44,9 @@ GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLo
 # the read side, with the codec decode underneath them (DecodeTo /
 # Decode64To into a retained buffer, root package) held to the bar on
 # its own. Compressed-domain aggregate/filter queries share the
-# bar (pooled scratch, targeted preads); downsample is exempt — its
-# result slices are the query's output. The Traced* twins hold the
+# bar (pooled scratch, the frame walk a get reads through); downsample is
+# capped at 2 instead — its two result slices, sized once before the
+# walk, are the query's output. The Traced* twins hold the
 # same paths to the same bar with a live span, tracer and JSONL sink
 # at the default export sampling — per-stage attribution must be free
 # enough to leave on (and BenchmarkSpanPool gates the span lifecycle
@@ -73,8 +74,10 @@ STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPu
 # Mget8 pair is recorded, with the core count it ran on, not gated. The
 # single-key get is capped at exactly what it landed on, no headroom: the
 # one allocation the cap exists to keep out is the per-request copy of
-# the vector, and that is one alloc in 124.
-STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkServerGet:123"
+# the vector, and that is one alloc in 124. The downsample query is
+# capped at its two result slices (points, bounds): a third allocation is
+# a result grown by appending again.
+STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkServerGet:123 BenchmarkStoreQueryDownsample32:2"
 
 RAW="$(mktemp)"
 RAW_STORE="$(mktemp)"

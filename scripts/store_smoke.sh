@@ -79,9 +79,12 @@ echo "avrd up on $ADDR with store $SERVED"
 
 # Verified query-mode load: every compressed-domain answer within its
 # reported error bound, and pure-AVR aggregates inside the 1/8 traffic
-# budget (wave compresses outlier-free at the default t1).
+# budget. ramp compresses outlier-free at the default t1, so its frames
+# weigh 0.069 of the raw bytes whatever the seed; a wave key's weigh
+# 0.07-0.15 (bitmap, outliers and their cacheline padding), and a query
+# reads frames whole.
 "$TMP/avrload" -addr "$ADDR" -mode query -c "$CONC" -duration "$DURATION" \
-    -values 20000 -dist wave -maxtraffic 0.125
+    -values 20000 -dist ramp -maxtraffic 0.125
 
 # Fetch once, grep the captured body: `curl | grep -q` races — grep
 # exits at the first match and curl fails with a pipe write error.
