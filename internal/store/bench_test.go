@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -272,8 +271,9 @@ func BenchmarkStoreGet64(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreScan measures the recovery scan rate over an in-memory
-// segment image — the cost of Open after a crash, per input byte.
+// BenchmarkStoreScan measures the recovery scan rate (walkFrames: the one
+// verifier over maxRunBytes chunks) over an in-memory segment image — the
+// cost of Open after a crash, per input byte.
 func BenchmarkStoreScan(b *testing.B) {
 	img := segmentHeader()
 	data := benchVals32(b, "heat", BlockValues)
@@ -288,7 +288,7 @@ func BenchmarkStoreScan(b *testing.B) {
 	b.SetBytes(int64(len(img)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scanSegment(bytes.NewReader(img), func(record, int64, int64) error {
+		if _, err := walkImage(img, maxRunBytes, func(record, int64, int64) error {
 			return nil
 		}); err != nil {
 			b.Fatal(err)
@@ -409,14 +409,22 @@ func BenchmarkStoreQueryDownsample32(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreCompact measures one full compaction pass over a
-// half-dead segment, recompression skips included.
-func BenchmarkStoreCompact(b *testing.B) {
+// BenchmarkStoreCompact measures compacting a half-dead store to
+// convergence (~260 KB of live lossless frames, recompression skips
+// included) at 64 KiB segments: several victims, a few frames each.
+func BenchmarkStoreCompact(b *testing.B) { benchCompact(b, 64<<10) }
+
+// BenchmarkStoreCompactSeg4M is the same data in one 4 MiB segment — one
+// victim, walked in one chunk: what a pass allocates must not grow with
+// the size of its victim.
+func BenchmarkStoreCompactSeg4M(b *testing.B) { benchCompact(b, 4<<20) }
+
+func benchCompact(b *testing.B, segBytes int64) {
 	live := benchVals32(b, "normal", BlockValues)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := benchStore(b, Config{SegmentTargetBytes: 64 << 10, MinDeadFraction: 0.1})
+		s := benchStore(b, Config{SegmentTargetBytes: segBytes, MinDeadFraction: 0.1})
 		for r := 0; r < 8; r++ {
 			if _, err := s.Put32(fmt.Sprintf("keep-%d", r), live); err != nil {
 				b.Fatal(err)

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"avr/internal/obs"
@@ -11,15 +10,19 @@ import (
 )
 
 // Background compaction and recompression. Overwrites and deletes leave
-// dead frames behind in sealed segments; the worker rewrites the worst
-// fragmented segment's live frames into the active segment and deletes
-// the old file. While moving, it applies the paper's CMT recompression
-// policy to lossless-fallback blocks: a block flagged in the
-// badly-compressing-block table at the store's current threshold is
-// copied as-is (the retry is provably pointless — same bytes, same
-// threshold), while an unflagged one (typically after the store was
-// reopened at a different t1) gets one fresh AVR attempt and converts
-// to lossy storage when it now clears the ratio floor.
+// dead frames behind in sealed segments; the worker takes the worst
+// fragmented segment, appends its live frames to the active segment and
+// deletes the old file. Compaction moves bytes: a live frame is appended
+// verbatim — the seq, the t1 and the CRC it was written with survive by
+// construction, so what a block's metadata says about how it is stored
+// cannot come to disagree with the data — unless it is converted. The
+// three cases (moveFrames) follow the paper's CMT recompression policy:
+// an AVR block or a tombstone moves verbatim; so does a lossless-fallback
+// block flagged in the badly-compressing-block table at the store's
+// current threshold (the retry is provably pointless — same bytes, same
+// threshold); an unflagged one (typically after the store was reopened at
+// a different t1) gets one fresh AVR attempt and is re-framed at the
+// current t1, as lossy storage when it now clears the ratio floor.
 
 // CompactResult summarises one compaction pass.
 type CompactResult struct {
@@ -52,17 +55,19 @@ func (s *Store) compactLoop(every time.Duration) {
 
 // CompactOnce rewrites the most fragmented sealed segment, if any
 // exceeds the dead-fraction threshold. It reports whether a segment was
-// compacted.
+// compacted. Passes run one at a time.
 func (s *Store) CompactOnce() (CompactResult, bool, error) {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	victim := s.pickVictim()
-	if victim == 0 {
+	if victim == nil {
 		// No sealed victim, but the active segment itself may be mostly
 		// dead — a reopened store adopts the newest recovered segment as
 		// active, churn history included. Seal it so it becomes eligible;
 		// writes carry on in the fresh segment.
 		victim = s.rollFragmentedActive()
 	}
-	if victim == 0 {
+	if victim == nil {
 		return CompactResult{}, false, nil
 	}
 	t0 := time.Now()
@@ -76,317 +81,217 @@ func (s *Store) CompactOnce() (CompactResult, bool, error) {
 	return res, true, nil
 }
 
+// deadFraction is the share of m's frame bytes that are dead (0 for a
+// segment that holds no frame).
+func (m *segMeta) deadFraction() float64 {
+	if m.deadBytes == 0 {
+		return 0
+	}
+	return float64(m.deadBytes) / float64(m.liveBytes+m.deadBytes)
+}
+
 // pickVictim returns the sealed segment with the highest dead fraction
-// at or above the configured floor (0 when none qualifies).
-func (s *Store) pickVictim() uint32 {
+// at or above the configured floor (nil when none qualifies, or the store
+// is closed).
+func (s *Store) pickVictim() *segMeta {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return 0
+		return nil
 	}
-	var best uint32
+	var best *segMeta
 	var bestFrac float64
-	for id, m := range s.segs {
-		if s.active != nil && id == s.active.id {
+	for _, m := range s.segs {
+		if m == s.active {
 			continue
 		}
-		total := m.liveBytes + m.deadBytes
-		if total == 0 {
-			// Header-only segment: pure overhead, always worth dropping.
-			best, bestFrac = id, 1
-			continue
+		frac := m.deadFraction()
+		if m.liveBytes+m.deadBytes == 0 {
+			frac = 1 // header-only segment: pure overhead, always worth dropping
 		}
-		frac := float64(m.deadBytes) / float64(total)
 		if frac >= s.cfg.MinDeadFraction && frac > bestFrac {
-			best, bestFrac = id, frac
+			best, bestFrac = m, frac
 		}
 	}
 	return best
 }
 
 // rollFragmentedActive seals the active segment when its dead fraction
-// alone justifies compaction, returning its ID (0 when it does not
+// alone justifies compaction, and returns it (nil when it does not
 // qualify or the roll fails — both mean "nothing to compact").
-func (s *Store) rollFragmentedActive() uint32 {
+func (s *Store) rollFragmentedActive() *segMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.active == nil {
-		return 0
-	}
 	m := s.active
-	total := m.liveBytes + m.deadBytes
-	if total == 0 {
-		return 0
+	if s.closed || m.deadFraction() < s.cfg.MinDeadFraction || s.rollActive() != nil {
+		return nil
 	}
-	if frac := float64(m.deadBytes) / float64(total); frac < s.cfg.MinDeadFraction {
-		return 0
-	}
-	id := m.id
-	if err := s.rollActive(); err != nil {
-		return 0
-	}
-	return id
+	return m
 }
 
-// compactSegment moves every live frame of segment id into the active
-// segment and removes the file. Locking is per-frame so concurrent Puts
-// and Gets see bounded stalls.
-func (s *Store) compactSegment(id uint32) (CompactResult, error) {
-	res := CompactResult{Segment: id}
-	s.mu.RLock()
-	m := s.segs[id]
-	if m == nil || s.closed {
-		s.mu.RUnlock()
-		return res, ErrClosed
-	}
-	path, sizeBefore := m.path, m.size
-	// Scan from a dedicated read handle; the victim is sealed, so the
-	// snapshot is stable even with concurrent Puts to the active segment.
-	f, err := os.Open(path)
-	s.mu.RUnlock()
-	if err != nil {
-		return res, err
-	}
-	defer f.Close()
-
-	var frames []scannedFrame
-	if _, err := scanSegment(f, func(rec record, off, frameLen int64) error {
-		rec.Data = append([]byte(nil), rec.Data...) // scanner reuses its buffer
-		frames = append(frames, scannedFrame{rec, off, frameLen})
-		return nil
+// compactSegment moves every live frame of the sealed segment m into the
+// active segment and removes the file. The victim is walked a chunk at a
+// time (walkSegment: the read path's read site, the one verifier) and what
+// is live of a chunk moves under one acquisition of the write lock, so
+// concurrent Puts and Gets see stalls bounded by a chunk's append.
+func (s *Store) compactSegment(m *segMeta) (CompactResult, error) {
+	res := CompactResult{Segment: m.id}
+	// m is sealed: its size stands, whatever Puts do meanwhile.
+	if _, err := s.walkSegment(m.id, m.size, func(base int64, chunk []byte, frames []segFrame) error {
+		return s.moveFrames(m.id, base, chunk, frames, &res)
 	}); err != nil {
-		return res, fmt.Errorf("store: compacting %s: %w", path, err)
+		return res, fmt.Errorf("store: compacting %s: %w", m.path, err)
 	}
 
-	// With multiple encode workers, the AVR retry of each recompression
-	// candidate is precomputed concurrently before the serial move loop;
-	// retryCompress is a pure function of the record and the store
-	// threshold, so a precomputed outcome never goes stale.
-	var pres []*retryOutcome
-	if s.cfg.EncodeWorkers > 1 {
-		pres = s.precomputeRetries(id, frames)
+	// Every frame the victim lost, to this pass or to the put that
+	// superseded it, has its successor in a segment that was fsynced when
+	// it was sealed, or in the active one. Make that one durable too before
+	// the victim goes, or a power cut would bring back an older value than
+	// the victim held. The fsync runs on the handle, with the lock released:
+	// a roll meanwhile has synced the file itself.
+	s.mu.RLock()
+	active, live := s.active.f, m.liveBytes
+	s.mu.RUnlock()
+	if live != 0 {
+		return res, fmt.Errorf("store: segment %d still has %d live bytes after compaction", m.id, live)
 	}
-	for i, fr := range frames {
-		var pre *retryOutcome
-		if pres != nil {
-			pre = pres[i]
-		}
-		if err := s.moveFrame(id, fr.rec, fr.off, fr.frameLen, pre, &res); err != nil {
-			return res, err
-		}
+	if err := syncFile(active); err != nil {
+		return res, err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return res, ErrClosed
-	}
-	m = s.segs[id]
-	if m == nil {
-		return res, nil
-	}
-	if m.liveBytes != 0 {
-		return res, fmt.Errorf("store: segment %d still has %d live bytes after compaction",
-			id, m.liveBytes)
-	}
 	if err := m.f.Close(); err != nil {
 		return res, err
 	}
-	if err := os.Remove(path); err != nil {
+	if err := os.Remove(m.path); err != nil {
 		return res, err
 	}
-	delete(s.segs, id)
+	delete(s.segs, m.id)
 	obs.StoreSegmentsDeleted.Add(1)
-	res.BytesReclaimed = sizeBefore - res.BytesMoved
+	res.BytesReclaimed = m.size - res.BytesMoved
 	return res, nil
 }
 
-// scannedFrame is one frame captured from a compaction victim.
-type scannedFrame struct {
-	rec      record
-	off      int64
-	frameLen int64
-}
-
-// retryOutcome caches one precomputed retryCompress result.
-type retryOutcome struct {
-	won bool
-	rec record
-	err error
-}
-
-// precomputeRetries runs retryCompress concurrently (bounded by the
-// encode-worker pool) for every frame that looks like a live
-// recompression candidate. The probe is optimistic — a stale answer
-// costs a wasted or missing precompute, never correctness, because
-// moveFrame re-decides the policy under the lock and falls back to an
-// inline retry when its slot is nil.
-func (s *Store) precomputeRetries(victim uint32, frames []scannedFrame) []*retryOutcome {
-	outs := make([]*retryOutcome, len(frames))
-	var wg sync.WaitGroup
-	for i := range frames {
-		rec := frames[i].rec
-		if rec.Kind != recordBlock || rec.Enc != encLossless {
-			continue
-		}
-		s.mu.RLock()
-		closed := s.closed
-		live, isTomb := s.frameLive(victim, rec, frames[i].off)
-		fe, flagged := s.flags[blockKey{rec.Key, rec.BlockIdx}]
-		s.mu.RUnlock()
-		if closed || !live || isTomb || (flagged && fe.t1 == s.cfg.T1) {
-			continue
-		}
-		wg.Add(1)
-		s.encSem <- struct{}{}
-		go func(i int, rec record) {
-			defer wg.Done()
-			defer func() { <-s.encSem }()
-			won, converted, err := s.retryCompress(rec)
-			outs[i] = &retryOutcome{won: won, rec: converted, err: err}
-		}(i, rec)
-	}
-	wg.Wait()
-	return outs
-}
-
-// moveFrame re-appends one frame if it is still live, applying the
-// recompression policy to lossless blocks. pre, when non-nil, is the
-// frame's precomputed retryCompress outcome.
-func (s *Store) moveFrame(victim uint32, rec record, off, frameLen int64, pre *retryOutcome, res *CompactResult) error {
-	// Fast liveness check and (for lossless blocks) policy decision.
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	live, isTomb := s.frameLive(victim, rec, off)
-	retry := false
-	if live && !isTomb && rec.Enc == encLossless {
-		fe, flagged := s.flags[blockKey{rec.Key, rec.BlockIdx}]
-		retry = !(flagged && fe.t1 == s.cfg.T1)
-	}
-	s.mu.RUnlock()
-	if !live {
-		return nil
-	}
-
-	newRec := rec
-	if !isTomb && rec.Enc == encLossless {
-		if !retry {
-			obs.StoreRecompressSkipped.Add(1)
-			res.RecompressSkipped++
-		} else {
-			obs.StoreRecompressTried.Add(1)
-			res.RecompressTried++
-			var won bool
-			var converted record
-			var err error
-			if pre != nil {
-				won, converted, err = pre.won, pre.rec, pre.err
-			} else {
-				won, converted, err = s.retryCompress(rec)
-			}
-			if err != nil {
-				return err
-			}
-			if won {
-				obs.StoreRecompressWon.Add(1)
-				res.RecompressWon++
-				newRec = converted
-			}
-		}
-	}
-
-	// Re-append under the write lock, re-checking liveness: a Put or
-	// Delete may have superseded the frame while we were encoding.
+// moveFrames re-homes what is live of one chunk of the victim. A frame
+// moves as the bytes it is — seq, t1 and CRC are the ones it was written
+// with — unless it is converted, which leaves three cases: an AVR block, a
+// tombstone, or a lossless block flagged at the store's current t1 moves
+// verbatim, each run of such neighbours with one append; a lossless block
+// not flagged there (the store was reopened at another t1) gets one fresh
+// AVR attempt outside the lock and is re-framed at the current t1, as AVR
+// if it now clears the ratio floor and as the exact block it was if not.
+func (s *Store) moveFrames(victim uint32, base int64, chunk []byte, frames []segFrame, res *CompactResult) error {
+	var retries []*segFrame
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	live, isTomb = s.frameLive(victim, rec, off)
-	if !live {
-		return nil
-	}
-	// A still-lossless block either skipped (flag at the current t1) or
-	// retried and lost at the current t1 — either way the threshold it
-	// is known to fail at is the current one.
-	newRec.T1 = s.cfg.T1
-	segID, newOff, newLen, err := s.appendFrameLocked(&newRec)
-	if err != nil {
-		return err
-	}
-	res.FramesMoved++
-	res.BytesMoved += newLen
-	s.markDead(victim, frameLen)
-	if isTomb {
-		s.tombs[rec.Key] = tombRef{seq: rec.Seq, seg: segID, off: newOff, frameLen: newLen}
-		return nil
-	}
-	e := s.index[rec.Key]
-	e.refs[rec.BlockIdx] = blockRef{
-		seg: segID, off: newOff, frameLen: newLen,
-		enc: newRec.Enc, valCount: newRec.ValCount, t1: newRec.T1,
-	}
-	if newRec.Enc != rec.Enc {
-		// Recompression converted the block (lossless → AVR): the key's
-		// resident summary line no longer matches the on-disk bytes. A
-		// pure move keeps the bytes identical, so only conversion
-		// invalidates.
-		s.invalidateCacheLocked(rec.Key)
-	}
-	bk := blockKey{rec.Key, rec.BlockIdx}
-	if newRec.Enc == encAVR && rec.Enc == encLossless {
-		delete(s.flags, bk) // converted: no longer badly-compressing
-	} else if newRec.Enc == encLossless && rec.Enc == encLossless {
-		// Retried and lost (or skipped): flag at the current threshold so
-		// the next pass skips it.
-		fe := s.flags[bk]
-		if fe.t1 != s.cfg.T1 {
-			fe = flagEntry{t1: s.cfg.T1}
+	for i := 0; i < len(frames); i++ {
+		// The run that starts here: live frames that move as they are.
+		j := i
+		for ; j < len(frames) && s.frameLive(victim, &frames[j]); j++ {
+			if rec := &frames[j].rec; rec.Kind == recordBlock && rec.Enc == encLossless {
+				if !s.flaggedLocked(rec.Key, rec.BlockIdx) {
+					retries = append(retries, &frames[j])
+					break
+				}
+				obs.StoreRecompressSkipped.Add(1)
+				res.RecompressSkipped++
+			}
 		}
-		fe.fails++
-		s.flags[bk] = fe
+		if j == i {
+			continue // dead, or up for a retry
+		}
+		first, last := &frames[i], &frames[j-1]
+		segID, at, err := s.appendLocked(chunk[first.off-base : last.off+last.n-base])
+		if err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		for ; i < j; i++ {
+			s.rehome(victim, &frames[i], segID, at+frames[i].off-first.off, frames[i].n, res)
+		}
+	}
+	s.mu.Unlock()
+	for _, fr := range retries {
+		if err := s.retryFrame(victim, fr, res); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// frameLive reports whether the frame at (victim, off) is still the
-// current home of its record, and whether it is a tombstone.
-func (s *Store) frameLive(victim uint32, rec record, off int64) (live, isTomb bool) {
+// rehome points the index at the new home of the victim's frame fr: n
+// bytes at off of segment segID. Caller holds the write lock.
+func (s *Store) rehome(victim uint32, fr *segFrame, segID uint32, off, n int64, res *CompactResult) {
+	res.FramesMoved++
+	res.BytesMoved += n
+	s.markDead(victim, fr.n)
+	if fr.rec.Kind == recordTombstone {
+		s.tombs[fr.rec.Key] = tombRef{seq: fr.rec.Seq, seg: segID, off: off, frameLen: n}
+		return
+	}
+	ref := &s.index[fr.rec.Key].refs[fr.rec.BlockIdx]
+	ref.seg, ref.off, ref.frameLen = segID, off, n
+}
+
+// retryFrame gives the live lossless block fr its AVR attempt at the
+// store's current threshold and appends the outcome through the framing a
+// put uses. Either way the block is now known at the current t1 — as AVR,
+// or as failing there — and its frame says so; stamping an exact block
+// with another t1 breaks no bound.
+func (s *Store) retryFrame(victim uint32, fr *segFrame, res *CompactResult) error {
+	obs.StoreRecompressTried.Add(1)
+	res.RecompressTried++
+	rec := fr.rec
+	vals, err := decodeLosslessTo(vec.Vec{Width: int(rec.Width)}, rec.Data, int(rec.ValCount))
+	if err != nil {
+		return err
+	}
+	c := s.borrowCodec()
+	rec.Data, rec.Enc, err = s.enc.appendBlock(c, nil, vals, false)
+	s.returnCodec(c)
+	if err != nil {
+		return err
+	}
+	rec.T1 = s.cfg.T1
+	frame := appendFrame(nil, &rec)
+
+	// A Put or Delete may have superseded the block while it was encoded.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.frameLive(victim, fr) {
+		return nil
+	}
+	segID, off, err := s.appendLocked(frame)
+	if err != nil {
+		return err
+	}
+	s.rehome(victim, fr, segID, off, int64(len(frame)), res)
+	ref := &s.index[rec.Key].refs[rec.BlockIdx]
+	ref.enc, ref.t1 = rec.Enc, rec.T1
+	// Lost, it is flagged at the current threshold and the next pass skips
+	// it. Won, the key's resident summary line no longer matches the bytes
+	// on disk (a verbatim move keeps them identical).
+	s.setFlag(blockKey{rec.Key, rec.BlockIdx}, rec.Enc, rec.T1)
+	if rec.Enc == encAVR {
+		obs.StoreRecompressWon.Add(1)
+		res.RecompressWon++
+		s.invalidateCacheLocked(rec.Key)
+	}
+	return nil
+}
+
+// frameLive reports whether fr, a frame of segment victim, is still the
+// current home of its record. Caller holds the lock.
+func (s *Store) frameLive(victim uint32, fr *segFrame) bool {
+	rec := &fr.rec
 	if rec.Kind == recordTombstone {
 		t, ok := s.tombs[rec.Key]
-		return ok && t.seg == victim && t.off == off, true
+		return ok && t.seg == victim && t.off == fr.off
 	}
 	e, ok := s.index[rec.Key]
 	if !ok || e.seq != rec.Seq || int(rec.BlockIdx) >= len(e.refs) {
-		return false, false
+		return false
 	}
 	ref := e.refs[rec.BlockIdx]
-	return ref.seg == victim && ref.off == off, false
-}
-
-// retryCompress re-runs AVR on a lossless block at the store's current
-// threshold. It returns the converted record when the ratio floor is
-// met.
-func (s *Store) retryCompress(rec record) (won bool, out record, err error) {
-	vals, err := decodeLosslessTo(vec.Vec{Width: int(rec.Width)}, rec.Data, int(rec.ValCount))
-	if err != nil {
-		return false, out, err
-	}
-	c := s.borrowCodec()
-	defer s.returnCodec(c)
-	enc, err := vals.EncodeTo(c, nil)
-	if err != nil {
-		return false, out, err
-	}
-	rawLen := int(rec.ValCount) * int(rec.Width/8)
-	if float64(rawLen)/float64(len(enc)) < s.cfg.RatioFloor {
-		return false, out, nil
-	}
-	out = rec
-	out.Enc = encAVR
-	out.Data = enc
-	return true, out, nil
+	return ref.seg == victim && ref.off == fr.off
 }

@@ -1,13 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"avr/internal/obs"
+	"avr/internal/vec"
 )
 
 // counterDeltas snapshots the obs counters the recompression policy
@@ -66,15 +70,7 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for {
-		_, did, err := s.CompactOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !did {
-			break
-		}
-	}
+	compactAll(t, s)
 	after := s.Stats()
 	if after.DiskBytes >= st.DiskBytes {
 		t.Errorf("disk bytes %d after compaction, was %d", after.DiskBytes, st.DiskBytes)
@@ -163,15 +159,7 @@ func TestRecompressionRetriesAfterThresholdChange(t *testing.T) {
 	// easily at 1/32.
 	r := openTest(t, Config{Dir: dir, SegmentTargetBytes: 64 << 10})
 	before := snapCounters()
-	for {
-		_, did, err := r.CompactOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !did {
-			break
-		}
-	}
+	compactAll(t, r)
 	d := snapCounters().since(before)
 	if d.tried == 0 || d.won == 0 {
 		t.Fatalf("threshold change did not re-arm recompression (delta %+v)", d)
@@ -258,15 +246,7 @@ func TestCompactionPreservesTombstones(t *testing.T) {
 	}
 	// Push more data so the tombstone's segment seals and fragments.
 	fillAndFragment(t, s, "normal", 10)
-	for {
-		_, did, err := s.CompactOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !did {
-			break
-		}
-	}
+	compactAll(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -300,15 +280,7 @@ func TestCompactionDrainsRecoveredActive(t *testing.T) {
 	if debt := r.Stats().CompactionDebt; debt < 0.5 {
 		t.Fatalf("setup: reopened store not fragmented (debt %.3f)", debt)
 	}
-	for {
-		_, did, err := r.CompactOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !did {
-			break
-		}
-	}
+	compactAll(t, r)
 	st := r.Stats()
 	if st.DeadBytes != 0 {
 		t.Fatalf("compaction left %d dead bytes (debt %.3f)", st.DeadBytes, st.CompactionDebt)
@@ -319,5 +291,302 @@ func TestCompactionDrainsRecoveredActive(t *testing.T) {
 	}
 	if len(got) != BlockValues {
 		t.Fatalf("got %d values after drain", len(got))
+	}
+}
+
+// compactAll runs passes until none finds a victim and returns their sum.
+func compactAll(t *testing.T, s *Store) CompactResult {
+	t.Helper()
+	var sum CompactResult
+	for {
+		res, did, err := s.CompactOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !did {
+			return sum
+		}
+		sum.FramesMoved += res.FramesMoved
+		sum.BytesMoved += res.BytesMoved
+		sum.RecompressTried += res.RecompressTried
+	}
+}
+
+// asF64 widens either side of v.
+func asF64(v vec.Vec) []float64 {
+	if v.Width == 64 {
+		return v.F64
+	}
+	out := make([]float64, len(v.F32))
+	for i, x := range v.F32 {
+		out[i] = float64(x)
+	}
+	return out
+}
+
+// TestCompactionKeepsEncodedT1: the t1 a block reports is the one its
+// bytes were encoded at, whatever the store runs at when compaction moves
+// it. Blocks written at 1/8 and moved after a reopen at 1/1024 still say
+// 1/8, every query bound over them still covers the ground truth, and
+// reads are bit-identical to before the pass. (A move that stamped the
+// store's current t1 on the frame would shrink the bounds a hundredfold
+// under answers that have not moved.)
+func TestCompactionKeepsEncodedT1(t *testing.T) {
+	const wrote, reopened = 1.0 / 8, 1.0 / 1024
+	for _, width := range []int{32, 64} {
+		t.Run(fmt.Sprintf("fp%d", width), func(t *testing.T) {
+			gen := func(seed uint64) vec.Vec {
+				if width == 64 {
+					return vec.Of64(genF64(t, "heat", 2*BlockValues, seed))
+				}
+				return vec.Of32(genF32(t, "heat", 2*BlockValues, seed))
+			}
+			dir := t.TempDir()
+			s := openTest(t, Config{Dir: dir, T1: wrote, SegmentTargetBytes: 64 << 10})
+			truth := make(map[string][]float64)
+			put := func(i int, seed uint64) {
+				v := gen(seed)
+				if _, err := s.PutVec(key(i), v, nil); err != nil {
+					t.Fatal(err)
+				}
+				truth[key(i)] = asF64(v)
+			}
+			for i := 0; i < 6; i++ {
+				put(i, uint64(i)+1)
+			}
+			for i := 0; i < 3; i++ { // fragment: overwrite half
+				put(i, uint64(i)+100)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r := openTest(t, Config{Dir: dir, T1: reopened, SegmentTargetBytes: 64 << 10})
+			before := make(map[string][]byte)
+			homes := make(map[string][]BlockInfo)
+			for k := range truth {
+				v, _, err := r.GetVec(vec.Vec{}, k, false, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[k] = v.AppendLE(nil)
+				if homes[k], err = r.BlockInfos(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sum := compactAll(t, r); sum.FramesMoved == 0 {
+				t.Fatal("setup: compaction moved nothing")
+			}
+
+			movedAVR := 0
+			for k, want := range truth {
+				infos, err := r.BlockInfos(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, bi := range infos {
+					if bi.Lossless {
+						continue
+					}
+					if bi.T1 != wrote {
+						t.Errorf("key %s block %d: reports t1 %g, was encoded at %g", k, i, bi.T1, wrote)
+					}
+					if bi.Segment != homes[k][i].Segment {
+						movedAVR++
+					}
+				}
+				v, _, err := r.GetVec(vec.Vec{}, k, false, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(v.AppendLE(nil), before[k]) {
+					t.Errorf("key %s: Get changed across the pass", k)
+				}
+
+				var sum, lo, hi float64
+				lo, hi = math.Inf(1), math.Inf(-1)
+				for _, x := range want {
+					sum += x
+					lo, hi = min(lo, x), max(hi, x)
+				}
+				mean := sum / float64(len(want))
+				agg, err := r.QueryAggregate(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := math.Abs(agg.Mean - mean); d > agg.MeanErrorBound {
+					t.Errorf("key %s: mean %g is %g from the truth %g, mean_error_bound says %g",
+						k, agg.Mean, d, mean, agg.MeanErrorBound)
+				}
+				flo, fhi := lo+(hi-lo)/4, hi-(hi-lo)/4
+				var inside int64
+				for _, x := range want {
+					if x >= flo && x <= fhi {
+						inside++
+					}
+				}
+				fil, err := r.QueryFilter(k, flo, fhi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inside < fil.MatchesMin || inside > fil.MatchesMax {
+					t.Errorf("key %s: %d values in [%g, %g], filter brackets [%d, %d]",
+						k, inside, flo, fhi, fil.MatchesMin, fil.MatchesMax)
+				}
+			}
+			if movedAVR == 0 {
+				t.Fatal("setup: no AVR block was moved")
+			}
+		})
+	}
+}
+
+// homedFrame is one live frame as the index sees it: its home, and the
+// bytes there.
+type homedFrame struct {
+	seg    uint32
+	off, n int64
+	raw    []byte
+}
+
+// liveFrames reads every live frame of s, blocks and tombstones, at its
+// ref.
+func liveFrames(t *testing.T, s *Store) map[string]homedFrame {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]homedFrame)
+	add := func(name string, seg uint32, off, n int64) {
+		raw := make([]byte, n)
+		if _, err := s.segs[seg].f.ReadAt(raw, off); err != nil {
+			t.Fatalf("%s at segment %d offset %d: %v", name, seg, off, err)
+		}
+		out[name] = homedFrame{seg, off, n, raw}
+	}
+	for k, e := range s.index {
+		for i, ref := range e.refs {
+			if ref.seg != 0 {
+				add(fmt.Sprintf("%s/%d", k, i), ref.seg, ref.off, ref.frameLen)
+			}
+		}
+	}
+	for k, tr := range s.tombs {
+		add(k+"/tombstone", tr.seg, tr.off, tr.frameLen)
+	}
+	return out
+}
+
+// fragmentMixed leaves sealed segments that mix dead frames with live ones
+// of every kind a pass moves as it is: AVR blocks, lossless blocks flagged
+// at the store's t1, a tombstone.
+func fragmentMixed(t *testing.T, s *Store) {
+	t.Helper()
+	if _, err := s.Put32("doomed", genF32(t, "heat", BlockValues, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("doomed"); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for r := 0; r < 24; r += 1 + pass { // the second time round, every other key
+			if _, err := s.Put32(fmt.Sprintf("smooth-%d", r), genF32(t, "heat", 2*BlockValues, uint64(r)+50)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Put64(fmt.Sprintf("wide-%d", r), genF64(t, "wave", BlockValues+100, uint64(r)+80)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fillAndFragment(t, s, "normal", 12)
+}
+
+// TestCompactionMovesFramesVerbatim: a frame a pass does not convert is
+// at its new ref the bytes it was at its old one — seq, t1 and CRC
+// included, so nothing a frame says about itself can change in a move.
+func TestCompactionMovesFramesVerbatim(t *testing.T) {
+	s := openTest(t, Config{SegmentTargetBytes: 64 << 10})
+	fragmentMixed(t, s)
+	before := liveFrames(t, s)
+	if sum := compactAll(t, s); sum.FramesMoved == 0 || sum.RecompressTried != 0 {
+		t.Fatalf("setup: %d frames moved, %d converted", sum.FramesMoved, sum.RecompressTried)
+	}
+	after := liveFrames(t, s)
+	if len(after) != len(before) {
+		t.Fatalf("%d live frames after the passes, %d before", len(after), len(before))
+	}
+	moved := map[string]int{}
+	for name, was := range before {
+		is, ok := after[name]
+		if !ok {
+			t.Fatalf("%s: lost", name)
+		}
+		if !bytes.Equal(is.raw, was.raw) {
+			t.Errorf("%s: moved from segment %d to %d and changed on the way", name, was.seg, is.seg)
+		}
+		if is.seg != was.seg || is.off != was.off {
+			switch kind := was.raw[frameHeaderLen]; {
+			case kind == recordTombstone:
+				moved["tombstone"]++
+			case strings.HasPrefix(name, "keep-"):
+				moved["lossless"]++
+			default:
+				moved["avr"]++
+			}
+		}
+	}
+	if moved["tombstone"] == 0 || moved["lossless"] == 0 || moved["avr"] == 0 {
+		t.Fatalf("setup: moved %v, want every kind", moved)
+	}
+}
+
+// TestCompactionSyncsBeforeUnlink: a victim was fsynced when it was
+// sealed, so what a pass moves out of it must be on disk again before the
+// file goes — after a pass that unlinked its victim, every frame it moved
+// lies below what its new segment had when that was last fsynced.
+// (Without the sync, under the default sync-on-roll policy, a power cut
+// loses frames that had been durable and recovery falls back to an older
+// value of the key.)
+func TestCompactionSyncsBeforeUnlink(t *testing.T) {
+	synced := make(map[string]int64) // path → size when its last fsync began
+	fsync := syncFile
+	syncFile = func(f *os.File) error {
+		st, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		synced[f.Name()] = st.Size()
+		return fsync(f)
+	}
+	t.Cleanup(func() { syncFile = fsync })
+
+	s := openTest(t, Config{SegmentTargetBytes: 64 << 10})
+	fragmentMixed(t, s)
+	passes, moved := 0, 0
+	for {
+		before := liveFrames(t, s)
+		res, did, err := s.CompactOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !did {
+			break
+		}
+		passes++
+		if _, err := os.Stat(segFile(s.cfg.Dir, res.Segment)); !os.IsNotExist(err) {
+			t.Fatalf("pass %d: victim %d still on disk (%v)", passes, res.Segment, err)
+		}
+		for name, is := range liveFrames(t, s) {
+			if was := before[name]; is.seg == was.seg && is.off == was.off {
+				continue
+			}
+			moved++
+			if durable := synced[segFile(s.cfg.Dir, is.seg)]; is.off+is.n > durable {
+				t.Errorf("pass %d unlinked segment %d with %s at [%d, %d) of segment %d, fsynced up to %d",
+					passes, res.Segment, name, is.off, is.off+is.n, is.seg, durable)
+			}
+		}
+	}
+	if passes == 0 || moved == 0 {
+		t.Fatalf("setup: %d passes moved %d frames", passes, moved)
 	}
 }

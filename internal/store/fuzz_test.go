@@ -40,11 +40,13 @@ func seedRecords() []*record {
 	}
 }
 
-// FuzzSegmentRead feeds arbitrary bytes to the segment scanner. The
-// contract under test: scanSegment returns an error for any damaged
-// input — it never panics, never over-allocates from a corrupt length
-// word, and every error is classified as either a torn tail or
-// corruption.
+// FuzzSegmentRead feeds arbitrary bytes to the segment scan recovery and
+// compaction run (walkFrames over the one verifier, at the smallest chunk
+// a fetch may return and a little above it). The contract under test: the
+// walk returns an error for any damaged input — it never panics, never
+// hands out more than it read, every error is classified as either a torn
+// tail or corruption — and it delivers, stops and classes exactly as the
+// reference scanner (oracle_test.go) does.
 func FuzzSegmentRead(f *testing.F) {
 	recs := seedRecords()
 	valid := buildSegment(recs...)
@@ -65,40 +67,50 @@ func FuzzSegmentRead(f *testing.F) {
 	f.Add(badLen)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var total int
-		off, err := scanSegment(bytes.NewReader(data), func(rec record, off, frameLen int64) error {
-			// Anything the scanner hands out must have passed validation.
-			if rec.Kind != recordBlock && rec.Kind != recordTombstone {
-				t.Fatalf("scanner delivered invalid kind %d", rec.Kind)
-			}
-			if len(rec.Key) == 0 || len(rec.Key) > maxKeyLen {
-				t.Fatalf("scanner delivered key length %d", len(rec.Key))
-			}
-			if rec.Kind == recordBlock {
-				if rec.Width != 32 && rec.Width != 64 {
-					t.Fatalf("scanner delivered width %d", rec.Width)
-				}
-				if rec.ValCount == 0 || rec.ValCount > BlockValues {
-					t.Fatalf("scanner delivered value count %d", rec.ValCount)
-				}
-			}
-			if frameLen > frameHeaderLen+maxFramePayload {
-				t.Fatalf("frame length %d exceeds cap", frameLen)
-			}
-			total += len(rec.Data)
-			return nil
+		var want, got scanVerdict
+		verdictOf(&want, func(fn func(record, int64, int64) error) (int64, error) {
+			return scanSegment(bytes.NewReader(data), fn)
 		})
-		if err != nil && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("unclassified scan error: %v", err)
+		verdictOf(&got, func(fn func(record, int64, int64) error) (int64, error) {
+			return walkImage(data, minChunk+len(data)%61, fn)
+		})
+		var total int
+		for _, fr := range got.frames {
+			// Anything the scan hands out must have passed validation.
+			if fr.kind != recordBlock && fr.kind != recordTombstone {
+				t.Fatalf("scan delivered invalid kind %d", fr.kind)
+			}
+			if len(fr.key) == 0 || len(fr.key) > maxKeyLen {
+				t.Fatalf("scan delivered key length %d", len(fr.key))
+			}
+			if fr.kind == recordBlock {
+				if fr.width != 32 && fr.width != 64 {
+					t.Fatalf("scan delivered width %d", fr.width)
+				}
+				if fr.valCount == 0 || fr.valCount > BlockValues {
+					t.Fatalf("scan delivered value count %d", fr.valCount)
+				}
+			}
+			if fr.size > frameHeaderLen+maxFramePayload {
+				t.Fatalf("frame length %d exceeds cap", fr.size)
+			}
+			total += fr.dataLen
 		}
-		if off < 0 || off > int64(len(data)) {
-			t.Fatalf("scan offset %d outside 0..%d", off, len(data))
+		if strings.HasPrefix(got.class, "unclassified") {
+			t.Fatalf("scan error %s", got.class)
+		}
+		if got.good < 0 || got.good > int64(len(data)) {
+			t.Fatalf("scan offset %d outside 0..%d", got.good, len(data))
 		}
 		// Delivered payload bytes can never exceed the input: the length
-		// word is validated before allocation, so corrupt input cannot
-		// make the scanner hand out more than it read.
+		// word is validated before anything is sized by it, so corrupt
+		// input cannot make the scan hand out more than it read.
 		if total > len(data) {
-			t.Fatalf("scanner delivered %d payload bytes from %d input bytes", total, len(data))
+			t.Fatalf("scan delivered %d payload bytes from %d input bytes", total, len(data))
+		}
+		if !got.equal(&want) {
+			t.Fatalf("walk delivered %d frames, good %d, %s; reference %d frames, good %d, %s",
+				len(got.frames), got.good, got.class, len(want.frames), want.good, want.class)
 		}
 	})
 }
@@ -109,7 +121,7 @@ func TestScanSegmentRejectsTamperedFrames(t *testing.T) {
 	valid := buildSegment(seedRecords()...)
 
 	scan := func(data []byte) (frames int, err error) {
-		_, err = scanSegment(bytes.NewReader(data), func(record, int64, int64) error {
+		_, err = walkImage(data, maxRunBytes, func(record, int64, int64) error {
 			frames++
 			return nil
 		})

@@ -121,15 +121,11 @@ func (s *Store) Stats() Stats {
 		st.DiskBytes += m.size
 		st.LiveBytes += m.liveBytes
 		st.DeadBytes += m.deadBytes
-		ss := SegmentStats{
+		st.SegmentList = append(st.SegmentList, SegmentStats{
 			ID: id, Bytes: m.size,
 			LiveBytes: m.liveBytes, DeadBytes: m.deadBytes,
-			Active: s.active != nil && id == s.active.id,
-		}
-		if total := m.liveBytes + m.deadBytes; total > 0 {
-			ss.DeadFrac = float64(m.deadBytes) / float64(total)
-		}
-		st.SegmentList = append(st.SegmentList, ss)
+			DeadFrac: m.deadFraction(), Active: m == s.active,
+		})
 	}
 	if st.LiveBytes > 0 {
 		st.AchievedRatio = float64(st.RawBytes) / float64(st.LiveBytes)

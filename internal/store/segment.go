@@ -1,12 +1,10 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 )
 
@@ -32,9 +30,12 @@ import (
 //	uint64 float64 bits of the t1 threshold the encoder ran at
 //	data   encoded block payload
 //
-// All integers are little-endian. The CRC covers the payload only; the
-// length word is validated against a hard cap before any allocation so
-// a corrupt length can never trigger an over-allocation.
+// All integers are little-endian. The CRC covers the payload only. One
+// function, verifyFrame, checks a frame — length word, CRC, record layout
+// — for everything that takes one off a disk: a read through a ref, the
+// recovery scan and the compaction scan (walkFrames, in store.go, walks a
+// segment with it a bounded chunk at a time). The length word is held to
+// a hard cap, or to the ref, before anything is sized by it.
 
 const (
 	segMagic   = "AVRSEG1\n"
@@ -48,7 +49,7 @@ const (
 	// maxFramePayload caps a frame payload. The largest legitimate
 	// record is a lossless fp64 block: BlockValues×8 raw bytes framed
 	// into 65-byte BDI lines plus the record header — well under 64 KiB.
-	// The cap keeps the scanner's allocation bounded on corrupt input.
+	// The cap keeps a scan's chunk bounded on corrupt input.
 	maxFramePayload = 1 << 16
 
 	recordBlock     = 1
@@ -103,142 +104,121 @@ func appendRecord(buf []byte, rec *record) []byte {
 	return buf
 }
 
-// parseRecord decodes one frame payload. The returned record's Data
-// aliases payload.
-func parseRecord(payload []byte) (record, error) {
-	var rec record
-	if len(payload) < 1+8+2 {
-		return rec, fmt.Errorf("%w: %d-byte payload", ErrCorrupt, len(payload))
-	}
-	rec.Kind = payload[0]
-	rec.Seq = binary.LittleEndian.Uint64(payload[1:])
-	keyLen := int(binary.LittleEndian.Uint16(payload[9:]))
-	payload = payload[11:]
-	if keyLen == 0 || keyLen > maxKeyLen || keyLen > len(payload) {
-		return rec, fmt.Errorf("%w: key length %d", ErrCorrupt, keyLen)
-	}
-	rec.Key = string(payload[:keyLen])
-	payload = payload[keyLen:]
-	switch rec.Kind {
-	case recordTombstone:
-		if len(payload) != 0 {
-			return rec, fmt.Errorf("%w: tombstone with %d trailing bytes", ErrCorrupt, len(payload))
-		}
-		return rec, nil
-	case recordBlock:
-	default:
-		return rec, fmt.Errorf("%w: kind %d", ErrCorrupt, rec.Kind)
-	}
-	if len(payload) < 4+8+1+1+4+8 {
-		return rec, fmt.Errorf("%w: short block record", ErrCorrupt)
-	}
-	rec.BlockIdx = binary.LittleEndian.Uint32(payload)
-	rec.TotalVals = binary.LittleEndian.Uint64(payload[4:])
-	rec.Width = payload[12]
-	rec.Enc = payload[13]
-	rec.ValCount = binary.LittleEndian.Uint32(payload[14:])
-	rec.T1 = math.Float64frombits(binary.LittleEndian.Uint64(payload[18:]))
-	rec.Data = payload[26:]
-	if rec.Width != 32 && rec.Width != 64 {
-		return rec, fmt.Errorf("%w: width %d", ErrCorrupt, rec.Width)
-	}
-	if rec.Enc != encAVR && rec.Enc != encLossless {
-		return rec, fmt.Errorf("%w: encoding %d", ErrCorrupt, rec.Enc)
-	}
-	if rec.ValCount == 0 || rec.ValCount > BlockValues {
-		return rec, fmt.Errorf("%w: block value count %d", ErrCorrupt, rec.ValCount)
-	}
-	if rec.TotalVals == 0 || uint64(rec.BlockIdx)*BlockValues >= rec.TotalVals {
-		return rec, fmt.Errorf("%w: block %d beyond vector of %d values",
-			ErrCorrupt, rec.BlockIdx, rec.TotalVals)
-	}
-	return rec, nil
-}
+// Record layout: the fields every record starts with, then — after the
+// key — the block fields, their offsets counted from the end of the key.
+const (
+	recSeqOff    = 1
+	recKeyLenOff = recSeqOff + 8
+	recKeyOff    = recKeyLenOff + 2
+
+	blkTotalOff    = 4
+	blkWidthOff    = blkTotalOff + 8
+	blkEncOff      = blkWidthOff + 1
+	blkValCountOff = blkEncOff + 1
+	blkT1Off       = blkValCountOff + 4
+	blkDataOff     = blkT1Off + 8
+)
 
 // blockRecordOverhead is what a block record's payload holds besides its
 // data: the fields common to every record (kind, seq, key length), the
 // key, and the block fields.
-func blockRecordOverhead(keyLen int) int { return 1 + 8 + 2 + keyLen + 4 + 8 + 1 + 1 + 4 + 8 }
+func blockRecordOverhead(keyLen int) int { return recKeyOff + keyLen + blkDataOff }
 
-// blockRecordData validates the structure of a block-record frame
-// payload and returns its encoded data bytes (aliasing payload). It is
-// the read path's allocation-free subset of parseRecord: the fields the
-// reader needs (enc, valCount, width) already live in the blockRef, so
-// only the layout is checked and the key is never materialised.
-func blockRecordData(payload []byte) ([]byte, error) {
-	if len(payload) < 1+8+2 {
-		return nil, fmt.Errorf("%w: %d-byte payload", ErrCorrupt, len(payload))
+// parseRecord checks one frame payload's layout and decodes it. Nothing
+// is copied: the record's Data aliases payload, and the key comes back as
+// bytes of payload with rec.Key left unset — a scan makes the string, a
+// read, which resolved its key before it got here, does without.
+func parseRecord(payload []byte) (rec record, key []byte, err error) {
+	if len(payload) < recKeyOff {
+		return rec, nil, fmt.Errorf("%w: %d-byte payload", ErrCorrupt, len(payload))
 	}
-	if payload[0] != recordBlock {
-		return nil, fmt.Errorf("%w: kind %d", ErrCorrupt, payload[0])
-	}
-	keyLen := int(binary.LittleEndian.Uint16(payload[9:]))
-	payload = payload[11:]
+	rec.Kind = payload[0]
+	rec.Seq = binary.LittleEndian.Uint64(payload[recSeqOff:])
+	keyLen := int(binary.LittleEndian.Uint16(payload[recKeyLenOff:]))
+	payload = payload[recKeyOff:]
 	if keyLen == 0 || keyLen > maxKeyLen || keyLen > len(payload) {
-		return nil, fmt.Errorf("%w: key length %d", ErrCorrupt, keyLen)
+		return rec, nil, fmt.Errorf("%w: key length %d", ErrCorrupt, keyLen)
 	}
-	payload = payload[keyLen:]
-	if len(payload) < 4+8+1+1+4+8 {
-		return nil, fmt.Errorf("%w: short block record", ErrCorrupt)
+	key, payload = payload[:keyLen], payload[keyLen:]
+	switch rec.Kind {
+	case recordTombstone:
+		if len(payload) != 0 {
+			return rec, nil, fmt.Errorf("%w: tombstone with %d trailing bytes", ErrCorrupt, len(payload))
+		}
+		return rec, key, nil
+	case recordBlock:
+	default:
+		return rec, nil, fmt.Errorf("%w: kind %d", ErrCorrupt, rec.Kind)
 	}
-	return payload[26:], nil
+	if len(payload) < blkDataOff {
+		return rec, nil, fmt.Errorf("%w: short block record", ErrCorrupt)
+	}
+	rec.BlockIdx = binary.LittleEndian.Uint32(payload)
+	rec.TotalVals = binary.LittleEndian.Uint64(payload[blkTotalOff:])
+	rec.Width = payload[blkWidthOff]
+	rec.Enc = payload[blkEncOff]
+	rec.ValCount = binary.LittleEndian.Uint32(payload[blkValCountOff:])
+	rec.T1 = math.Float64frombits(binary.LittleEndian.Uint64(payload[blkT1Off:]))
+	rec.Data = payload[blkDataOff:]
+	if rec.Width != 32 && rec.Width != 64 {
+		return rec, nil, fmt.Errorf("%w: width %d", ErrCorrupt, rec.Width)
+	}
+	if rec.Enc != encAVR && rec.Enc != encLossless {
+		return rec, nil, fmt.Errorf("%w: encoding %d", ErrCorrupt, rec.Enc)
+	}
+	if rec.ValCount == 0 || rec.ValCount > BlockValues {
+		return rec, nil, fmt.Errorf("%w: block value count %d", ErrCorrupt, rec.ValCount)
+	}
+	if rec.TotalVals == 0 || uint64(rec.BlockIdx)*BlockValues >= rec.TotalVals {
+		return rec, nil, fmt.Errorf("%w: block %d beyond vector of %d values",
+			ErrCorrupt, rec.BlockIdx, rec.TotalVals)
+	}
+	return rec, key, nil
 }
 
-// scanSegment reads a segment stream and calls fn for each intact frame
-// with the parsed record, the frame's file offset and its full length
-// (header included). It returns the offset of the first byte after the
-// last intact frame. A short or checksum-failing tail yields ErrTorn
-// (wrapped); a parse failure inside an intact frame yields ErrCorrupt;
-// fn's error aborts the scan as-is.
-func scanSegment(r io.Reader, fn func(rec record, off int64, frameLen int64) error) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [segHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, fmt.Errorf("%w: short header", ErrTorn)
+// errShortFrame reports a frame that runs past the bytes at hand: a torn
+// tail at the end of a segment, and inside one the scan's cue to fetch
+// its next chunk from this frame on.
+var errShortFrame = fmt.Errorf("%w: short frame", ErrTorn)
+
+// verifyFrame is the one frame verifier — every frame the store takes off
+// a disk, to serve it, to index it at recovery or to move it in a
+// compaction pass, comes through here. It checks the frame at the head of
+// buf: the length word, the CRC-32C of the payload, the record's layout.
+// A caller reading a frame back through its ref passes the ref's length
+// as want and exactly that many bytes; the frame was whole when it was
+// indexed, so any damage is ErrCorrupt. A scan passes 0: the length word
+// is held to the payload cap, and damage up to the checksum cannot be
+// told from a crash mid-append, so it is ErrTorn — errShortFrame when
+// the frame just does not end inside buf. Either way a frame whose
+// checksum passes and whose record does not parse is ErrCorrupt. It
+// returns what parseRecord does and the frame's length, header included.
+func verifyFrame(buf []byte, want int64) (rec record, key []byte, frameLen int64, err error) {
+	if len(buf) < frameHeaderLen {
+		return rec, nil, 0, errShortFrame
 	}
-	if string(hdr[:len(segMagic)]) != segMagic {
-		return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+	n := binary.LittleEndian.Uint32(buf)
+	frameLen = frameHeaderLen + int64(n)
+	damage := ErrTorn
+	if want != 0 {
+		damage = ErrCorrupt
+		if frameLen != want {
+			return rec, nil, 0, fmt.Errorf("%w: frame length changed underfoot", ErrCorrupt)
+		}
+	} else if n == 0 || n > maxFramePayload {
+		// A wild length word is indistinguishable from garbage after a
+		// torn write; either way nothing past it is trustworthy.
+		return rec, nil, 0, fmt.Errorf("%w: frame length %d", ErrTorn, n)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[len(segMagic):]); v != segVersion {
-		return 0, fmt.Errorf("%w: segment version %d", ErrCorrupt, v)
+	if int64(len(buf)) < frameLen {
+		return rec, nil, 0, errShortFrame
 	}
-	off := int64(segHeaderLen)
-	payload := make([]byte, 0, 1<<12)
-	for {
-		var fh [frameHeaderLen]byte
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			if err == io.EOF {
-				return off, nil // clean end on a frame boundary
-			}
-			return off, fmt.Errorf("%w: short frame header", ErrTorn)
-		}
-		n := binary.LittleEndian.Uint32(fh[:])
-		want := binary.LittleEndian.Uint32(fh[4:])
-		if n == 0 || n > maxFramePayload {
-			// A wild length word is indistinguishable from garbage after
-			// a torn write; either way nothing past it is trustworthy.
-			return off, fmt.Errorf("%w: frame length %d", ErrTorn, n)
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return off, fmt.Errorf("%w: short frame payload", ErrTorn)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return off, fmt.Errorf("%w: frame CRC mismatch at offset %d", ErrTorn, off)
-		}
-		rec, err := parseRecord(payload)
-		if err != nil {
-			return off, err
-		}
-		frameLen := int64(frameHeaderLen) + int64(n)
-		if err := fn(rec, off, frameLen); err != nil {
-			return off, err
-		}
-		off += frameLen
+	payload := buf[frameHeaderLen:frameLen]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:]) {
+		return rec, nil, 0, fmt.Errorf("%w: frame CRC mismatch", damage)
 	}
+	rec, key, err = parseRecord(payload)
+	return rec, key, frameLen, err
 }
 
 // appendFrame serialises rec as one CRC-guarded frame into buf.
@@ -251,10 +231,6 @@ func appendFrame(buf []byte, rec *record) []byte {
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 	return buf
 }
-
-// readUint32 and crc32Of are small aliases for the read-back path.
-func readUint32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-func crc32Of(b []byte) uint32    { return crc32.Checksum(b, castagnoli) }
 
 // segmentHeader returns the fixed file header.
 func segmentHeader() []byte {

@@ -17,12 +17,17 @@
 // Put the blocks land in order, so a torn Put recovers as a prefix of
 // the vector and Get reports it with ErrIncomplete. Writes reach the OS
 // on every Put and are fsynced on segment roll and Close (every Put
-// when Config.SyncEveryPut is set).
+// when Config.SyncEveryPut is set); a compaction pass fsyncs the active
+// segment before it unlinks its victim, so it never makes a synced frame
+// less durable than it was.
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,11 +74,10 @@ type Config struct {
 	// SyncEveryPut fsyncs the active segment after every Put (durable
 	// but slow); by default data is fsynced on segment roll and Close.
 	SyncEveryPut bool
-	// EncodeWorkers bounds the goroutines encoding a Put's blocks (and
-	// precomputing compaction recompressions). Blocks are independent, so
-	// the stream committed is byte-identical at any setting. 1 or less
-	// keeps encoding on the caller's goroutine (the default; also the
-	// only allocation-free mode).
+	// EncodeWorkers bounds the goroutines encoding a Put's blocks. Blocks
+	// are independent, so the stream committed is byte-identical at any
+	// setting. 1 or less keeps encoding on the caller's goroutine (the
+	// default; also the only allocation-free mode).
 	EncodeWorkers int
 	// CacheBytes is the byte budget of the in-memory summary-line read
 	// cache (internal/readcache). 0 disables the cache entirely: reads
@@ -120,19 +124,13 @@ var (
 )
 
 // blockKey identifies one block slot of one key for the
-// badly-compressing-block table.
+// badly-compressing-block table (Store.flags), which holds the threshold
+// the lossless block in the slot failed to compress at. A block is
+// skipped only when the store's current t1 equals the failed t1 —
+// reopening the store with a different threshold re-arms the retry.
 type blockKey struct {
 	key string
 	idx uint32
-}
-
-// flagEntry is one badly-compressing-block table entry: the threshold
-// the block failed to compress at, and how many attempts failed. A block
-// is skipped only when the store's current t1 equals the failed t1 —
-// reopening the store with a different threshold re-arms the retry.
-type flagEntry struct {
-	t1    float64
-	fails uint32
 }
 
 // blockRef locates one live block record inside a segment.
@@ -205,7 +203,7 @@ type Store struct {
 	seq      uint64
 	index    map[string]*entry
 	tombs    map[string]tombRef
-	flags    map[blockKey]flagEntry
+	flags    map[blockKey]float64
 	closed   bool
 	rawBytes int64 // raw value bytes represented by live blocks
 
@@ -223,9 +221,6 @@ type Store struct {
 	// cache holds resident summary lines keyed by store key (nil when
 	// Config.CacheBytes is 0; every readcache method is nil-safe).
 	cache *readcache.Cache
-	// encSem bounds in-flight compaction retry precomputation (nil when
-	// EncodeWorkers is 1); put encoding uses the persistent pool below.
-	encSem chan struct{}
 	// encJobs feeds the persistent put-encode worker pool (nil when
 	// EncodeWorkers is 1). encMu/encStopped let Close shut the queue
 	// without racing an in-flight post; the workers drain any copies
@@ -235,6 +230,9 @@ type Store struct {
 	encStopped bool
 	encWG      sync.WaitGroup
 
+	// compactMu serialises compaction passes, with each other and with
+	// Close: a victim has one pass at a time and outlives it.
+	compactMu   sync.Mutex
 	stopCompact chan struct{}
 	compactWG   sync.WaitGroup
 }
@@ -256,7 +254,7 @@ func Open(cfg Config) (*Store, error) {
 		segs:  make(map[uint32]*segMeta),
 		index: make(map[string]*entry),
 		tombs: make(map[string]tombRef),
-		flags: make(map[blockKey]flagEntry),
+		flags: make(map[blockKey]float64),
 		enc:   NewEncoder(cfg.T1, cfg.RatioFloor),
 	}
 	s.puts.New = func() any { return &putScratch{} }
@@ -280,7 +278,6 @@ func Open(cfg Config) (*Store, error) {
 		})
 	}
 	if cfg.EncodeWorkers > 1 {
-		s.encSem = make(chan struct{}, cfg.EncodeWorkers)
 		s.encJobs = make(chan *encJob, 2*cfg.EncodeWorkers)
 		for w := 0; w < cfg.EncodeWorkers-1; w++ {
 			s.encWG.Add(1)
@@ -345,18 +342,18 @@ func (s *Store) recover() error {
 	}
 	for i, id := range ids {
 		isTail := i == len(ids)-1
-		f, err := os.OpenFile(s.segPath(id), os.O_RDWR, 0)
+		// Registered before the scan: records inside this segment can
+		// supersede earlier frames of the same segment, and markDead
+		// must find the meta to keep the live/dead split right.
+		meta, err := s.openSegment(id, 0)
 		if err != nil {
 			return err
 		}
-		meta := &segMeta{id: id, path: s.segPath(id), f: f}
-		// Register before scanning: records inside this segment can
-		// supersede earlier frames of the same segment, and markDead
-		// must find the meta to keep the live/dead split right.
-		s.segs[id] = meta
-		good, err := scanSegment(f, func(rec record, off, frameLen int64) error {
-			meta.liveBytes += frameLen // markDead inside apply corrects this
-			s.apply(id, rec, off, frameLen)
+		good, err := s.walkSegment(id, math.MaxInt64, func(_ int64, _ []byte, frames []segFrame) error {
+			for _, fr := range frames {
+				meta.liveBytes += fr.n // markDead inside apply corrects this
+				s.apply(id, fr.rec, fr.off, fr.n)
+			}
 			return nil
 		})
 		switch {
@@ -364,7 +361,7 @@ func (s *Store) recover() error {
 			meta.size = good
 		case errors.Is(err, ErrTorn) && isTail:
 			obs.StoreTornTails.Add(1)
-			if terr := f.Truncate(good); terr != nil {
+			if terr := meta.f.Truncate(good); terr != nil {
 				return fmt.Errorf("store: truncating torn tail of %s: %w", meta.path, terr)
 			}
 			meta.size = good
@@ -438,15 +435,7 @@ func (s *Store) apply(segID uint32, rec record, off, frameLen int64) {
 			seg: segID, off: off, frameLen: frameLen,
 			enc: rec.Enc, valCount: rec.ValCount, t1: rec.T1,
 		}
-		bk := blockKey{rec.Key, rec.BlockIdx}
-		if rec.Enc == encLossless {
-			fe := s.flags[bk]
-			fe.t1 = rec.T1
-			fe.fails++
-			s.flags[bk] = fe
-		} else {
-			delete(s.flags, bk)
-		}
+		s.setFlag(blockKey{rec.Key, rec.BlockIdx}, rec.Enc, rec.T1)
 	}
 }
 
@@ -472,16 +461,8 @@ func (s *Store) markDead(segID uint32, frameLen int64) {
 // ensureActive opens an append target: the newest segment if it has
 // room, else a fresh one.
 func (s *Store) ensureActive() error {
-	var newest *segMeta
-	for _, m := range s.segs {
-		if newest == nil || m.id > newest.id {
-			newest = m
-		}
-	}
-	if newest != nil && newest.size < s.cfg.SegmentTargetBytes {
-		if _, err := newest.f.Seek(newest.size, 0); err != nil {
-			return err
-		}
+	// recover left nextSeg one past the newest segment it found.
+	if newest := s.segs[s.nextSeg-1]; newest != nil && newest.size < s.cfg.SegmentTargetBytes {
 		s.active = newest
 		return nil
 	}
@@ -492,29 +473,56 @@ func (s *Store) ensureActive() error {
 // one. Caller holds the write lock (or is single-threaded setup).
 func (s *Store) rollActive() error {
 	if s.active != nil {
-		if err := s.active.f.Sync(); err != nil {
+		if err := syncFile(s.active.f); err != nil {
 			return err
 		}
 	}
 	id := s.nextSeg
 	s.nextSeg++
-	f, err := os.OpenFile(s.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	m, err := s.openSegment(id, os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(segmentHeader()); err != nil {
-		f.Close()
+	if err := m.append(segmentHeader()); err != nil {
+		m.f.Close()
+		delete(s.segs, id)
 		return err
 	}
-	m := &segMeta{id: id, path: s.segPath(id), f: f, size: int64(segHeaderLen)}
-	s.segs[id] = m
 	s.active = m
 	obs.StoreSegmentsCreated.Add(1)
 	return nil
 }
 
-// appendLocked writes frames — one serialised frame, or a put's frames
-// back to back — at the end of the active segment in a single write,
+// openSegment opens segment id's file, with flag on top of read-write,
+// and registers it.
+func (s *Store) openSegment(id uint32, flag int) (*segMeta, error) {
+	path := s.segPath(id)
+	f, err := os.OpenFile(path, os.O_RDWR|flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	m := &segMeta{id: id, path: path, f: f}
+	s.segs[id] = m
+	return m, nil
+}
+
+// append is the one write site: b lands at the end of the segment.
+func (m *segMeta) append(b []byte) error {
+	if _, err := m.f.WriteAt(b, m.size); err != nil {
+		return err
+	}
+	m.size += int64(len(b))
+	return nil
+}
+
+// syncFile is every fsync the store issues (a roll, Close, a put under
+// SyncEveryPut, a compaction pass before it unlinks its victim); a
+// variable so a test can see what was durable when.
+var syncFile = (*os.File).Sync
+
+// appendLocked writes frames — one serialised frame, a put's frames back
+// to back, or a run of frames a compaction pass moves as they are — at
+// the end of the active segment in a single write,
 // rolling first if the target size is exceeded, and returns where they
 // start. The bytes count as live — unless their fsync fails, which leaves
 // them dead weight for compaction. Caller holds the write lock.
@@ -525,26 +533,17 @@ func (s *Store) appendLocked(frames []byte) (segID uint32, off int64, err error)
 		}
 	}
 	off = s.active.size
-	if _, err := s.active.f.WriteAt(frames, off); err != nil {
+	if err := s.active.append(frames); err != nil {
 		return 0, 0, err
 	}
-	s.active.size += int64(len(frames))
 	s.active.liveBytes += int64(len(frames))
 	if s.cfg.SyncEveryPut {
-		if err := s.active.f.Sync(); err != nil {
+		if err := syncFile(s.active.f); err != nil {
 			s.markDead(s.active.id, int64(len(frames))) // written, never acknowledged
 			return 0, 0, err
 		}
 	}
 	return s.active.id, off, nil
-}
-
-// appendFrameLocked writes one frame to the active segment and returns
-// its ref location. Caller holds the write lock.
-func (s *Store) appendFrameLocked(rec *record) (segID uint32, off, frameLen int64, err error) {
-	frame := appendFrame(nil, rec)
-	segID, off, err = s.appendLocked(frame)
-	return segID, off, int64(len(frame)), err
 }
 
 // encodedBlock is one block ready to commit: encoded outside the lock by
@@ -590,12 +589,28 @@ func (ps *putScratch) ensure(nb int) {
 }
 
 // flagged reports whether the block is flagged at the store's current
-// threshold (so the compression attempt should be skipped).
+// threshold (so the compression attempt should be skipped); flaggedLocked
+// is for the caller that holds the lock.
 func (s *Store) flagged(key string, idx uint32) bool {
 	s.mu.RLock()
-	fe, ok := s.flags[blockKey{key, idx}]
-	s.mu.RUnlock()
-	return ok && fe.t1 == s.cfg.T1
+	defer s.mu.RUnlock()
+	return s.flaggedLocked(key, idx)
+}
+
+func (s *Store) flaggedLocked(key string, idx uint32) bool {
+	t1, ok := s.flags[blockKey{key, idx}]
+	return ok && t1 == s.cfg.T1
+}
+
+// setFlag files a block just written, or found by recovery, in the
+// badly-compressing-block table: flagged at the t1 its frame carries if it
+// is lossless, cleared if it is AVR. Caller holds the write lock.
+func (s *Store) setFlag(bk blockKey, enc uint8, t1 float64) {
+	if enc == encLossless {
+		s.flags[bk] = t1
+	} else {
+		delete(s.flags, bk)
+	}
 }
 
 // Put32 stores an fp32 vector under key, replacing any previous value.
@@ -688,17 +703,12 @@ func (s *Store) commitPut(key string, width uint8, totalVals uint64, rawBytes in
 	for i := range refs {
 		refs[i].seg = segID
 		refs[i].off += base
-		bk := blockKey{key, uint32(i)}
+		s.setFlag(blockKey{key, uint32(i)}, refs[i].enc, s.cfg.T1)
 		if refs[i].enc == encLossless {
 			res.LosslessBlocks++
 			obs.StoreBlocksLossless.Add(1)
-			fe := s.flags[bk]
-			fe.t1 = s.cfg.T1
-			fe.fails++
-			s.flags[bk] = fe
 		} else {
 			obs.StoreBlocksAVR.Add(1)
-			delete(s.flags, bk)
 		}
 		blockRatioHist.Observe(float64(int(refs[i].valCount)*int(width/8)) / float64(len(blocks[i].data)))
 	}
@@ -955,11 +965,15 @@ func (s *Store) readLocked(dst *vec.Vec, fill bool, q *queryRun, key string, e *
 // its data to readLocked's consumers, those that are set.
 func consumeFrame(dst *vec.Vec, c *avr.Codec, ln *cachedLine, q *queryRun, ref blockRef, frame []byte, sp *trace.Span) error {
 	rt := sp.Begin()
-	data, err := frameData(frame)
+	rec, _, _, err := verifyFrame(frame, ref.frameLen)
 	sp.End(trace.StageSegRead, rt)
+	if err == nil && rec.Kind != recordBlock {
+		err = fmt.Errorf("%w: kind %d where a block was indexed", ErrCorrupt, rec.Kind)
+	}
 	if err != nil {
 		return err
 	}
+	data := rec.Data
 	if q != nil { // a query walks alone: nothing is decoded beside it
 		qt := sp.Begin()
 		err = q.frame(ref, data)
@@ -997,8 +1011,10 @@ func decodeFrame(dst *vec.Vec, c *avr.Codec, ref blockRef, data []byte) error {
 	return nil
 }
 
-// readSegmentLocked reads n bytes at off of segment seg into the scratch
-// buffer (valid until the next read through the same scratch).
+// readSegmentLocked is the one read site: it reads n bytes at off of
+// segment seg into the scratch buffer (valid until the next read through
+// the same scratch). Where the file ends first it returns what there was
+// beside io.EOF. Caller holds at least the read lock.
 func (s *Store) readSegmentLocked(seg uint32, off, n int64, gs *getScratch) ([]byte, error) {
 	m := s.segs[seg]
 	if m == nil {
@@ -1007,25 +1023,87 @@ func (s *Store) readSegmentLocked(seg uint32, off, n int64, gs *getScratch) ([]b
 	if int64(cap(gs.frame)) < n {
 		gs.frame = make([]byte, n)
 	}
-	buf := gs.frame[:n]
-	if _, err := m.f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	got, err := m.f.ReadAt(gs.frame[:n], off)
+	return gs.frame[:got], err
 }
 
-// frameData re-verifies one frame read back from its segment — the
-// length word against the ref's, and the CRC, exactly like recovery
-// scans — and returns the block record's data bytes (aliasing frame).
-func frameData(frame []byte) ([]byte, error) {
-	if int64(readUint32(frame))+frameHeaderLen != int64(len(frame)) {
-		return nil, fmt.Errorf("%w: frame length changed underfoot", ErrCorrupt)
+// segFrame is one verified frame of a scanned chunk: its record (Data
+// aliasing the chunk), its offset in the segment and its length.
+type segFrame struct {
+	rec    record
+	off, n int64
+}
+
+// walkFrames is the segment scan recovery and compaction share: it walks
+// a segment from its header, a chunk at a time, and hands fn each chunk —
+// its offset in the segment, its bytes up to the last whole frame, and the
+// frames verifyFrame passed in it, all valid until fn returns. fetch
+// yields the bytes at an offset, enough for the header and any one frame
+// unless the segment ends first, which it reports with io.EOF beside the
+// bytes; a frame that straddles the end of a chunk starts the next one.
+// It returns the offset of the first byte after the last intact frame. A
+// short or checksum-failing tail yields ErrTorn (wrapped), a parse failure
+// inside an intact frame ErrCorrupt — after fn has had the frames before
+// it — and an error of fetch or fn aborts the scan as it is.
+func walkFrames(fetch func(off int64) ([]byte, error), fn func(base int64, chunk []byte, frames []segFrame) error) (int64, error) {
+	var frames []segFrame
+	for off := int64(0); ; {
+		buf, err := fetch(off)
+		last := err == io.EOF
+		if err != nil && !last {
+			return off, err
+		}
+		p := int64(0)
+		if off == 0 {
+			if len(buf) < segHeaderLen {
+				return 0, fmt.Errorf("%w: short header", ErrTorn)
+			}
+			if string(buf[:len(segMagic)]) != segMagic {
+				return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+			}
+			if v := binary.LittleEndian.Uint32(buf[len(segMagic):]); v != segVersion {
+				return 0, fmt.Errorf("%w: segment version %d", ErrCorrupt, v)
+			}
+			p = int64(segHeaderLen)
+		}
+		frames, err = frames[:0], nil
+		for p < int64(len(buf)) && err == nil {
+			var fr segFrame
+			var key []byte
+			if fr.rec, key, fr.n, err = verifyFrame(buf[p:], 0); err == nil {
+				fr.rec.Key, fr.off = string(key), off+p
+				frames = append(frames, fr)
+				p += fr.n
+			}
+		}
+		if err == errShortFrame && !last && len(frames) > 0 {
+			err = nil // it is whole in the chunk that starts at it
+		}
+		if ferr := fn(off, buf[:p], frames); ferr != nil {
+			return off, ferr
+		}
+		if off += p; err != nil || last {
+			return off, err
+		}
 	}
-	payload := frame[frameHeaderLen:]
-	if crc32Of(payload) != readUint32(frame[4:]) {
-		return nil, fmt.Errorf("%w: frame CRC mismatch on read", ErrCorrupt)
-	}
-	return blockRecordData(payload)
+}
+
+// walkSegment runs walkFrames over segment id up to end (the end of the
+// file, if that comes first) in chunks of at most maxRunBytes, each read
+// under the read lock and verified outside it.
+func (s *Store) walkSegment(id uint32, end int64, fn func(base int64, chunk []byte, frames []segFrame) error) (int64, error) {
+	gs := s.gets.Get().(*getScratch)
+	defer s.gets.Put(gs)
+	return walkFrames(func(off int64) ([]byte, error) {
+		n := min(maxRunBytes, end-off)
+		s.mu.RLock()
+		buf, err := s.readSegmentLocked(id, off, n, gs)
+		s.mu.RUnlock()
+		if err == nil && off+n == end {
+			err = io.EOF
+		}
+		return buf, err
+	}, fn)
 }
 
 // streamLayout is the record-stream layout of an AVR block of the given
@@ -1064,7 +1142,8 @@ func (s *Store) Delete(key string) error {
 	}
 	s.seq++
 	rec := record{Kind: recordTombstone, Seq: s.seq, Key: key}
-	segID, off, frameLen, err := s.appendFrameLocked(&rec)
+	frame := appendFrame(nil, &rec)
+	segID, off, err := s.appendLocked(frame)
 	if err != nil {
 		return err
 	}
@@ -1075,7 +1154,7 @@ func (s *Store) Delete(key string) error {
 	if old, ok := s.tombs[key]; ok {
 		s.markDead(old.seg, old.frameLen)
 	}
-	s.tombs[key] = tombRef{seq: rec.Seq, seg: segID, off: off, frameLen: frameLen}
+	s.tombs[key] = tombRef{seq: rec.Seq, seg: segID, off: off, frameLen: int64(len(frame))}
 	s.invalidateCacheLocked(key)
 	obs.StoreDeletes.Add(1)
 	return nil
@@ -1161,6 +1240,8 @@ func (s *Store) Close() error {
 	// Stop the cache fill workers before taking the write lock: an
 	// in-flight fill holds the read lock for its whole run.
 	s.cache.Close()
+	s.compactMu.Lock() // a CompactOnce in flight finishes its victim first
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -1169,7 +1250,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	var first error
 	if s.active != nil {
-		if err := s.active.f.Sync(); err != nil && first == nil {
+		if err := syncFile(s.active.f); err != nil && first == nil {
 			first = err
 		}
 	}

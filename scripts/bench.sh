@@ -76,8 +76,15 @@ STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPu
 # one allocation the cap exists to keep out is the per-request copy of
 # the vector, and that is one alloc in 124. The downsample query is
 # capped at its two result slices (points, bounds): a third allocation is
-# a result grown by appending again.
-STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkServerGet:123 BenchmarkStoreQueryDownsample32:2"
+# a result grown by appending again. A compaction pass is capped where
+# moving bytes landed it (47 allocs/op for ~260 KB of live frames at
+# 64 KiB segments, was 170; 31 for the same data in one 4 MiB segment —
+# a pass's scratch is one pooled chunk, so the count must not grow with
+# the victim), with the same ~5 %; what is left is a key string per frame
+# scanned and the files of the stores the benchmark opens. The recovery
+# scan is capped at exactly its figure, 71 for 64 frames (was 135): the
+# key string of each, and the frame list growing to hold them.
+STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkServerGet:123 BenchmarkStoreQueryDownsample32:2 BenchmarkStoreCompact:50 BenchmarkStoreCompactSeg4M:34 BenchmarkStoreScan:71"
 
 RAW="$(mktemp)"
 RAW_STORE="$(mktemp)"
