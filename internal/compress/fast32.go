@@ -249,6 +249,17 @@ func errCheckFixed32(vals *[BlockValues]uint32, recon *[BlockValues]int32, t1 fl
 	return nOut, nonOutliers, errSum
 }
 
+// ReconstructFixed32 interpolates a summary line into compressor
+// scratch and returns the 256 Q15.16 reconstructions — DecompressBits32
+// stopped before the fixed→float pass and the outlier overlay, for
+// readers that reduce in the codec's own arithmetic (the store's
+// queries). Value i is x·2^-(fixed.FracBits+bias). The array is valid
+// until the compressor's next call and may be overwritten by the caller.
+func (c *Compressor) ReconstructFixed32(summary *[SummaryValues]int32, m Method) *[BlockValues]int32 {
+	interpolate(summary, &c.recon, m)
+	return &c.recon
+}
+
 // DecompressBits32 reconstructs the leading len(out) ≤ BlockValues
 // values of a Float32 block from its parsed wire parts without
 // allocating: interpolate into scratch (SIMD when available), one
@@ -269,11 +280,11 @@ func (c *Compressor) DecompressBits32(out []uint32, summary *[SummaryValues]int3
 	if len(out) == BlockValues {
 		blk = (*[BlockValues]uint32)(out)
 	}
-	interpolate(summary, &c.recon, m)
+	recon := c.ReconstructFixed32(summary, m)
 	if simd.Enabled() {
-		simd.FixedToFloatsBits(blk, &c.recon, int32(-int(bias)))
+		simd.FixedToFloatsBits(blk, recon, int32(-int(bias)))
 	} else {
-		fixed.FixedToFloats(blk[:], c.recon[:], bias)
+		fixed.FixedToFloats(blk[:], recon[:], bias)
 	}
 	oi := 0
 	for bi, b := range bitmap {

@@ -108,6 +108,13 @@ func errCheckRecon64(vals *[BlockValues64]uint64, recon *[BlockValues64]int64, b
 	return nOut, nonOutliers, errSum
 }
 
+// ReconstructFixed64 is ReconstructFixed32 for 128-double blocks: the
+// Q31.32 reconstructions, value i being x·2^-(fixed.FracBits64+bias).
+func (c *Compressor) ReconstructFixed64(summary *[SummaryValues64]int64) *[BlockValues64]int64 {
+	interpolate64(summary, &c.recon64)
+	return &c.recon64
+}
+
 // DecompressInto64 is DecompressBits32 for 128-double blocks: scalar
 // interpolate, then the fixed→float-bits pass through
 // simd.FixedToFloatsBits64 (AVX-512; fixed.FixedToFloats64, which it
@@ -122,11 +129,11 @@ func (c *Compressor) DecompressInto64(out []uint64, summary *[SummaryValues64]in
 	if len(out) == BlockValues64 {
 		blk = (*[BlockValues64]uint64)(out)
 	}
-	interpolate64(summary, &c.recon64)
+	recon := c.ReconstructFixed64(summary)
 	if simd.Enabled512() {
-		simd.FixedToFloatsBits64(blk, &c.recon64, int64(-int(bias)))
+		simd.FixedToFloatsBits64(blk, recon, int64(-int(bias)))
 	} else {
-		fixed.FixedToFloats64(blk[:], c.recon64[:], bias)
+		fixed.FixedToFloats64(blk[:], recon[:], bias)
 	}
 	oi := 0
 	for bi, b := range bitmap {

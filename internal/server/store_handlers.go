@@ -239,12 +239,13 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	obs.ServerInFlight.Add(1)
 	defer obs.ServerInFlight.Add(-1)
 
-	key := r.URL.Query().Get("key")
+	params := r.URL.Query()
+	key := params.Get("key")
 	if key == "" {
 		fail(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	op := r.URL.Query().Get("op")
+	op := params.Get("op")
 	if op == "" {
 		op = "aggregate"
 	}
@@ -253,12 +254,12 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	case "aggregate", "downsample":
 	case "filter":
 		var err error
-		if lo, err = strconv.ParseFloat(r.URL.Query().Get("lo"), 64); err != nil {
-			fail(w, http.StatusBadRequest, "bad lo parameter %q", r.URL.Query().Get("lo"))
+		if lo, err = strconv.ParseFloat(params.Get("lo"), 64); err != nil {
+			fail(w, http.StatusBadRequest, "bad lo parameter %q", params.Get("lo"))
 			return
 		}
-		if hi, err = strconv.ParseFloat(r.URL.Query().Get("hi"), 64); err != nil {
-			fail(w, http.StatusBadRequest, "bad hi parameter %q", r.URL.Query().Get("hi"))
+		if hi, err = strconv.ParseFloat(params.Get("hi"), 64); err != nil {
+			fail(w, http.StatusBadRequest, "bad hi parameter %q", params.Get("hi"))
 			return
 		}
 		if !(lo <= hi) {
@@ -276,36 +277,46 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Release()
 
+	// The body is json.MarshalIndent's rendering for every op; a
+	// downsample's — two float arrays a sixteenth of the vector long — is
+	// written by hand (appendDownsampleJSON) straight into the pooled
+	// response buffer.
+	buf := GetBuf()
+	defer buf.Release()
 	var (
-		res      any
-		complete bool
-		err      error
+		complete    bool
+		err, encErr error
 	)
 	switch op {
 	case "aggregate":
 		var a store.AggregateResult
-		a, err = s.cfg.Store.QueryAggregateTraced(key, sp)
-		res, complete = a, a.Complete
+		if a, err = s.cfg.Store.QueryAggregateTraced(key, sp); err == nil {
+			complete = a.Complete
+			buf.B, encErr = appendIndented(buf.B, a)
+		}
 	case "filter":
 		var f store.FilterResult
-		f, err = s.cfg.Store.QueryFilterTraced(key, lo, hi, sp)
-		res, complete = f, f.Complete
+		if f, err = s.cfg.Store.QueryFilterTraced(key, lo, hi, sp); err == nil {
+			complete = f.Complete
+			buf.B, encErr = appendIndented(buf.B, f)
+		}
 	case "downsample":
 		var d store.DownsampleResult
-		d, err = s.cfg.Store.QueryDownsampleTraced(key, sp)
-		res, complete = d, d.Complete
+		if d, err = s.cfg.Store.QueryDownsampleTraced(key, sp); err == nil {
+			complete = d.Complete
+			buf.B, encErr = appendDownsampleJSON(buf.B, &d)
+		}
 	}
 	if err != nil {
 		storeFail(w, err)
 		return
 	}
-
-	body, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fail(w, http.StatusInternalServerError, "encoding result: %v", err)
+	if encErr != nil {
+		fail(w, http.StatusInternalServerError, "encoding result: %v", encErr)
 		return
 	}
-	body = append(body, '\n')
+	buf.B = append(buf.B, '\n')
+	body := buf.B
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-AVR-Complete", strconv.FormatBool(complete))
 	sp.WriteHeaders(w.Header())

@@ -38,3 +38,31 @@ func BenchmarkFloatsToFixedScaled(b *testing.B) {
 		FloatsToFixedScaled(&dst, &src, 3, 1<<19)
 	}
 }
+
+func benchFixed(seed int64) []int32 {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]int32, 256)
+	for i := range x {
+		x[i] = int32(rng.Intn(1<<24) - 1<<23)
+	}
+	return x
+}
+
+// BenchmarkReduceFixed32 and BenchmarkCountRanges32 run one 256-value
+// record, the unit a query reduces (pure Go without AVX2).
+func BenchmarkReduceFixed32(b *testing.B) {
+	x := benchFixed(5)
+	b.SetBytes(1024)
+	for i := 0; i < b.N; i++ {
+		ReduceFixed32(x)
+	}
+}
+
+func BenchmarkCountRanges32(b *testing.B) {
+	x := benchFixed(6)
+	lo, hi := [3]int32{-1 << 20, -1 << 22, 0}, [3]int32{1 << 20, 1 << 22, 1 << 21}
+	b.SetBytes(1024)
+	for i := 0; i < b.N; i++ {
+		CountRanges32(x, &lo, &hi)
+	}
+}

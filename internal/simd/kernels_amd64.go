@@ -126,3 +126,20 @@ func floatsToFixedAVX2(dst *[256]int32, src *[256]uint32, bias int32, scale floa
 
 //go:noescape
 func floatsToFixedAVX512(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool
+
+// reduceFixed32AVX2 and countRanges32AVX2 are the vector bodies of
+// ReduceFixed32 and CountRanges32 (reduce.go) over a non-zero multiple
+// of 8 values; call only when Enabled() is true.
+//
+//go:noescape
+func reduceFixed32AVX2(x []int32) (sum, abs int64, mn, mx int32)
+
+//go:noescape
+func countRanges32AVX2(x []int32, lo *[3]int32, w *[3]uint32, n *[3]int64)
+
+// reduceFixed64AVX512 is the vector body of ReduceFixed64 over a
+// non-zero multiple of 8 values: it overwrites out with their partial
+// sums and extremes; call only when Enabled512() is true.
+//
+//go:noescape
+func reduceFixed64AVX512(x []int64, out *[6]int64)

@@ -15,4 +15,10 @@
 // — the unit the compressor hands around; callers fall back to
 // the scalar loops when Enabled returns false or a block needs a slow
 // path the kernels do not implement (reported via their return values).
+//
+// The integer reductions a store query runs over fixed-point
+// reconstructions (reduce.go: ReduceFixed32/64, CountRanges32/64) are
+// the exception to both rules: they take slices of any length and
+// dispatch themselves, falling back to — and tested against — their
+// own pure-Go loops.
 package simd

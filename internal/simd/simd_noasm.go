@@ -51,3 +51,17 @@ func Downsample1D(fx *[256]int32, sum *[16]int32) {
 func Downsample2D(fx *[256]int32, sum *[16]int32) {
 	panic("simd: Downsample2D called without AVX-512")
 }
+
+// The AVX2 bodies of ReduceFixed32 and CountRanges32 are unavailable on
+// this target; Enabled() is false, so the exported forms run pure Go.
+func reduceFixed32AVX2(x []int32) (sum, abs int64, mn, mx int32) {
+	panic("simd: reduceFixed32AVX2 called without AVX2")
+}
+
+func countRanges32AVX2(x []int32, lo *[3]int32, w *[3]uint32, n *[3]int64) {
+	panic("simd: countRanges32AVX2 called without AVX2")
+}
+
+func reduceFixed64AVX512(x []int64, out *[6]int64) {
+	panic("simd: reduceFixed64AVX512 called without AVX-512")
+}

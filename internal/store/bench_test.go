@@ -297,9 +297,10 @@ func BenchmarkStoreScan(b *testing.B) {
 }
 
 // BenchmarkStoreQueryAggregate32 measures the compressed-domain
-// aggregate path: per covered raw byte, the executor reads only record
-// headers, summaries, bitmaps and outliers — so bytes/op here is raw
-// bytes covered, not bytes read.
+// aggregate path: the key's frames read whole, each record reconstructed
+// in the fixed domain and reduced there — bytes/op is raw bytes covered,
+// not bytes read. Same key as BenchmarkStoreGet32, which scripts/bench.sh
+// holds it to within 2× of.
 func BenchmarkStoreQueryAggregate32(b *testing.B) {
 	s := benchStore(b, Config{})
 	vals := benchVals32(b, "heat", 4*BlockValues)
@@ -321,7 +322,8 @@ func BenchmarkStoreQueryAggregate32(b *testing.B) {
 
 // BenchmarkStoreQueryAggregate32Noise is the aggregate over lossless
 // blocks: nothing to prune, every frame read whole, decoded exactly and
-// visited value by value (touched/total is the stored over the raw size).
+// reduced by the exact slice kernel (touched/total is the stored over
+// the raw size).
 func BenchmarkStoreQueryAggregate32Noise(b *testing.B) {
 	s := benchStore(b, Config{})
 	vals := benchVals32(b, "normal", 4*BlockValues)
@@ -363,12 +365,19 @@ func BenchmarkStoreQueryAggregate64(b *testing.B) {
 	b.ReportMetric(float64(res.BytesTouched)/float64(res.BytesTotal), "touched/total")
 }
 
-// BenchmarkStoreQueryFilter32 exercises the sub-block pruning fast
-// path: a mid-band range over smooth data prunes most sub-blocks from
-// summary bounds alone.
-func BenchmarkStoreQueryFilter32(b *testing.B) {
+// BenchmarkStoreQueryFilter32 is a mid-band range over smooth data:
+// records whose summary line sits inside or outside the band are
+// settled by two integer compares, the rest by three range counts.
+func BenchmarkStoreQueryFilter32(b *testing.B) { benchFilter32(b, "wave") }
+
+// BenchmarkStoreQueryFilter32Outliers is the same band over a "mixed"
+// key — records that straddle it and carry an outlier bitmap, many
+// biases (one threshold mapping each), raw and lossless blocks.
+func BenchmarkStoreQueryFilter32Outliers(b *testing.B) { benchFilter32(b, "mixed") }
+
+func benchFilter32(b *testing.B, dist string) {
 	s := benchStore(b, Config{})
-	vals := benchVals32(b, "wave", 4*BlockValues)
+	vals := benchVals32(b, dist, 4*BlockValues)
 	if _, err := s.Put32("bench", vals); err != nil {
 		b.Fatal(err)
 	}
@@ -401,6 +410,21 @@ func BenchmarkStoreQueryDownsample32(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(4 * len(vals)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.QueryDownsample("bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkStoreQueryDownsample64(b *testing.B) {
+	s := benchStore(b, Config{})
+	vals := benchVals64(b, "wave", 2*BlockValues)
+	if _, err := s.Put64("bench", vals); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(8 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.QueryDownsample("bench"); err != nil {

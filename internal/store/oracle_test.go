@@ -9,11 +9,15 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"avr/internal/block"
+	"avr/internal/compress"
+	"avr/internal/fixed"
 	"avr/internal/vec"
 )
 
@@ -288,4 +292,577 @@ func TestWalkMatchesReferenceScan(t *testing.T) {
 			t.Fatalf("bit %d flipped: the reference did not notice", bit)
 		}
 	}
+}
+
+// ---------------------------------------------------------------------
+// The per-value query walk, as it ran on the serving path until ISSUE 22
+// moved queries into the codec's fixed-point domain: every AVR record
+// inflated to floats by the get's kernel (DecompressBits32 /
+// DecompressInto64) and fed value by value through visitApprox /
+// visitExact, with the float-domain summary and run pruning in front.
+// Kept verbatim (the types renamed queryRun → oracleRun, queryScratch →
+// oracleScratch; the trailing flushGroup runQuery used to run is
+// oracleRun.finish) as the differential oracle for the fixed-domain
+// walk in query.go — TestQueryMatchesOracle, TestPropertyQueryAllWorkloads
+// and FuzzQueryFrame run both over the same frames.
+// ---------------------------------------------------------------------
+
+func newOracleRun(op qop, width int, lo, hi float64) *oracleRun {
+	return &oracleRun{
+		op:    op,
+		qs:    &oracleScratch{comp: compress.NewCompressor(compress.DefaultThresholds())},
+		width: width,
+		minLo: math.Inf(1), minHi: math.Inf(1),
+		maxLo: math.Inf(-1), maxHi: math.Inf(-1),
+		lo: lo, hi: hi,
+	}
+}
+
+// finish closes a trailing partial group, as runQuery did after the walk.
+func (q *oracleRun) finish() {
+	if q.op == qopDownsample && q.groupN != 0 {
+		q.flushGroup()
+	}
+}
+
+// oracleScratch pools the per-query state so the read path stays
+// allocation-free in steady state (the two result slices of a
+// downsample, sized once before the walk, are the only per-call
+// allocations).
+type oracleScratch struct {
+	comp  *compress.Compressor
+	rec32 [compress.BlockValues]uint32
+	rec64 [compress.BlockValues64]uint64
+	sum32 [compress.SummaryValues]int32
+	sum64 [compress.SummaryValues64]int64
+	v     vec.Vec // lossless-block decode buffer
+}
+
+// oracleRun accumulates one query across frames.
+type oracleRun struct {
+	op qop
+	// qs is the pooled scratch and width the key's value width, both set
+	// by runQuery before the walk.
+	qs    *oracleScratch
+	width int
+	// f is the relative bound factor for the ref being walked
+	// (t1/(1−t1)); eps the additive term covering denormal flushes.
+	f   float64
+	eps float64
+
+	// Aggregate state. sumW is Σ per-value bounds; sumAbs Σ|v| over all
+	// values (accumulation slack); the min/max fields are the envelope
+	// of the per-value intervals [v−w, v+w].
+	count                      int64
+	sum, sumW, sumAbs          float64
+	minLo, minHi, maxLo, maxHi float64
+
+	// Filter state.
+	lo, hi          float64
+	defIn, pos, est int64
+
+	// Downsample state: groups of 16 values flushed into points/bounds.
+	points, bounds             []float64
+	groupSum, groupW, groupAbs float64
+	groupN                     int
+
+	stats QueryStats
+}
+
+// setRef arms the per-ref bound parameters.
+func (q *oracleRun) setRef(t1 float64) {
+	f := t1 / (1 - t1)
+	if !(f >= 0) || math.IsInf(f, 0) { // corrupt or absurd threshold
+		f = 1
+	}
+	q.f = f
+	if q.width == 32 {
+		q.eps = minNormal32
+	} else {
+		q.eps = minNormal64
+	}
+}
+
+// visitExact feeds one exactly-known value (outlier, raw or lossless).
+func (q *oracleRun) visitExact(v float64) {
+	switch q.op {
+	case qopAggregate:
+		q.count++
+		q.sum += v
+		q.sumAbs += math.Abs(v)
+		if v < q.minLo {
+			q.minLo = v
+		}
+		if v < q.minHi {
+			q.minHi = v
+		}
+		if v > q.maxHi {
+			q.maxHi = v
+		}
+		if v > q.maxLo {
+			q.maxLo = v
+		}
+	case qopFilter:
+		if q.lo <= v && v <= q.hi {
+			q.defIn++
+			q.pos++
+			q.est++
+		}
+	case qopDownsample:
+		q.groupSum += v
+		q.groupAbs += math.Abs(v)
+		q.groupN++
+		if q.groupN == compress.SubBlockSize {
+			q.flushGroup()
+		}
+	}
+}
+
+// visitApprox feeds one reconstructed non-outlier value, whose exact
+// counterpart lies within ±w of v for w = f·|v| (+eps when v
+// reconstructed to zero, covering denormal flushes).
+func (q *oracleRun) visitApprox(v float64) {
+	w := q.f * math.Abs(v)
+	if v == 0 {
+		w += q.eps
+	}
+	switch q.op {
+	case qopAggregate:
+		q.count++
+		q.sum += v
+		q.sumW += w
+		q.sumAbs += math.Abs(v)
+		if lo := v - w; lo < q.minLo {
+			q.minLo = lo
+		}
+		if hi := v + w; hi < q.minHi {
+			q.minHi = hi
+		}
+		if hi := v + w; hi > q.maxHi {
+			q.maxHi = hi
+		}
+		if lo := v - w; lo > q.maxLo {
+			q.maxLo = lo
+		}
+	case qopFilter:
+		lo, hi := v-w, v+w
+		switch {
+		case lo >= q.lo && hi <= q.hi:
+			q.defIn++
+			q.pos++
+		case hi < q.lo || lo > q.hi:
+			// provably outside
+		default:
+			q.pos++
+		}
+		if q.lo <= v && v <= q.hi {
+			q.est++
+		}
+	case qopDownsample:
+		q.groupSum += v
+		q.groupW += w
+		q.groupAbs += math.Abs(v)
+		q.groupN++
+		if q.groupN == compress.SubBlockSize {
+			q.flushGroup()
+		}
+	}
+}
+
+// visitDefinite counts n values as provably matching the filter
+// predicate without touching them individually.
+func (q *oracleRun) visitDefinite(n int) {
+	q.defIn += int64(n)
+	q.pos += int64(n)
+	q.est += int64(n)
+}
+
+func (q *oracleRun) flushGroup() {
+	n := float64(q.groupN)
+	q.points = append(q.points, q.groupSum/n)
+	q.bounds = append(q.bounds, q.groupW/n+sumSlack*q.groupAbs/n)
+	q.groupSum, q.groupW, q.groupAbs, q.groupN = 0, 0, 0, 0
+}
+
+// padGroup repeats the group's last value until the group closes —
+// the query-side mirror of the codec's partial-block padding, so every
+// emitted point covers exactly 16 (possibly padded) positions.
+func (q *oracleRun) padGroup(v float64, exact bool) {
+	for q.groupN != 0 {
+		if exact {
+			q.visitExact(v)
+		} else {
+			q.visitApprox(v)
+		}
+	}
+}
+
+// frame runs the query over one verified frame's data — what readLocked
+// feeds its query consumer. A lossless frame is decoded and every value
+// visited exactly; an AVR frame is walked record by record through the
+// cursor the decode and the cache fill read with, so structural damage
+// comes back as ErrCorrupt, never a panic.
+func (q *oracleRun) frame(ref blockRef, data []byte) error {
+	q.setRef(ref.t1)
+	q.stats.BytesTouched += ref.frameLen
+	q.stats.BytesTotal += int64(ref.valCount) * int64(q.width/8)
+	if ref.enc == encLossless {
+		return q.lossless(data, int(ref.valCount))
+	}
+	cur, err := block.Open(streamLayout(q.width), data, int(ref.valCount))
+	for err == nil && cur.More() {
+		var rec block.Record
+		if rec, err = cur.Next(); err != nil {
+			break
+		}
+		if q.width == 64 {
+			q.walkRecord64(&rec)
+		} else {
+			q.walkRecord32(&rec)
+		}
+	}
+	return streamErr(err)
+}
+
+// lossless answers over a lossless-fallback block: exact decode, every
+// value exact.
+func (q *oracleRun) lossless(data []byte, valCount int) error {
+	qs := q.qs
+	q.stats.BlocksLossless++
+	var err error
+	qs.v, err = decodeLosslessTo(qs.v.Reset(q.width), data, valCount)
+	if err != nil {
+		return err
+	}
+	// Only the live side of qs.v holds anything.
+	var last float64
+	if n := len(qs.v.F32); n > 0 {
+		for _, v := range qs.v.F32 {
+			q.visitExact(float64(v))
+		}
+		last = float64(qs.v.F32[n-1])
+	}
+	if n := len(qs.v.F64); n > 0 {
+		for _, v := range qs.v.F64 {
+			q.visitExact(v)
+		}
+		last = qs.v.F64[n-1]
+	}
+	if q.op == qopDownsample && qs.v.Len() > 0 {
+		q.padGroup(last, true)
+	}
+	return nil
+}
+
+// walkRecord32 feeds one fp32 codec record to q.
+func (q *oracleRun) walkRecord32(rec *block.Record) {
+	qs := q.qs
+	take := rec.Values
+	if rec.Raw != nil {
+		q.stats.BlocksRaw++
+		visitRaw32(q, rec.Raw, take)
+		return
+	}
+	q.stats.BlocksAVR++
+	block.ReadSummary32(&qs.sum32, rec.Summary)
+	bias := int8(rec.Bias)
+	if q.op == qopFilter && q.pruneFilter32(rec.Bitmap, rec.Outliers, rec.Method, bias, take) {
+		return
+	}
+	qs.comp.DecompressBits32(qs.rec32[:], &qs.sum32, rec.Bitmap, rec.Outliers, rec.Method, bias)
+	n := take
+	if q.op == qopDownsample {
+		// Include the encoder's padding so every point covers 16 positions.
+		n = (take + compress.SubBlockSize - 1) / compress.SubBlockSize * compress.SubBlockSize
+	}
+	for i := 0; i < n; i++ {
+		v := float64(math.Float32frombits(qs.rec32[i]))
+		if bitSet(rec.Bitmap, i) {
+			q.visitExact(v)
+		} else {
+			q.visitApprox(v)
+		}
+	}
+}
+
+// walkRecord64 feeds one fp64 codec record to q.
+func (q *oracleRun) walkRecord64(rec *block.Record) {
+	qs := q.qs
+	take := rec.Values
+	if rec.Raw != nil {
+		q.stats.BlocksRaw++
+		visitRaw64(q, rec.Raw, take)
+		return
+	}
+	q.stats.BlocksAVR++
+	block.ReadSummary64(&qs.sum64, rec.Summary)
+	if q.op == qopFilter && q.pruneFilter64(rec.Bitmap, rec.Bias, take) {
+		return
+	}
+	qs.comp.DecompressInto64(qs.rec64[:], &qs.sum64, rec.Bitmap, rec.Outliers, rec.Bias)
+	n := take
+	if q.op == qopDownsample {
+		n = (take + compress.SubBlockSize64 - 1) / compress.SubBlockSize64 * compress.SubBlockSize64
+	}
+	for i := 0; i < n; i++ {
+		v := math.Float64frombits(qs.rec64[i])
+		if bitSet(rec.Bitmap, i) {
+			q.visitExact(v)
+		} else {
+			q.visitApprox(v)
+		}
+	}
+}
+
+// visitRaw32 feeds a raw fp32 payload (exact original bit patterns).
+func visitRaw32(q *oracleRun, raw []byte, take int) {
+	n := take
+	if q.op == qopDownsample {
+		n = (take + compress.SubBlockSize - 1) / compress.SubBlockSize * compress.SubBlockSize
+	}
+	for i := 0; i < n; i++ {
+		q.visitExact(float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))))
+	}
+}
+
+func visitRaw64(q *oracleRun, raw []byte, take int) {
+	n := take
+	if q.op == qopDownsample {
+		n = (take + compress.SubBlockSize64 - 1) / compress.SubBlockSize64 * compress.SubBlockSize64
+	}
+	for i := 0; i < n; i++ {
+		q.visitExact(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
+	}
+}
+
+// bitSet reports whether bit i is set in a (possibly nil) bitmap.
+func bitSet(bm []byte, i int) bool {
+	return i>>3 < len(bm) && bm[i>>3]&(1<<(i&7)) != 0
+}
+
+// pruneFilter32 tries to answer a filter over one fp32 block from its
+// summary bounds alone. Every non-outlier reconstruction is a convex
+// combination of summary values (interpolation stays within their
+// range, and the fixed→float conversion is monotone), so the widened
+// summary range brackets every non-outlier; outliers are classified
+// exactly from their stored values. Returns true when the block was
+// fully classified without interpolating.
+func (q *oracleRun) pruneFilter32(bitmap, outliers []byte, method compress.Method, bias int8, take int) bool {
+	qs := q.qs
+	smin, smax := summaryRange32(&qs.sum32, bias)
+	in, out := rangeVerdict(q, smin, smax)
+	if !in && !out {
+		// The block straddles the predicate. For the 1D layout, prune
+		// run by run: run s interpolates between summary values s−1..s+1.
+		if method == compress.Method1D && len(bitmap) == 0 {
+			return q.pruneRuns32(bias, take)
+		}
+		return false
+	}
+	nOut := 0
+	oi := 0
+	for i := 0; i < take; i++ {
+		if bitSet(bitmap, i) {
+			nOut++
+		}
+	}
+	if in {
+		q.visitDefinite(take - nOut)
+	}
+	// Outlier values are arbitrary — classify each exactly. Outlier
+	// bytes are packed in bit order over the whole block, so walk all
+	// 256 bits and skip those beyond take.
+	for bi, b := range bitmap {
+		for b != 0 {
+			i := bi<<3 + bits.TrailingZeros8(b)
+			b &= b - 1
+			if i < take {
+				q.visitExact(float64(math.Float32frombits(
+					binary.LittleEndian.Uint32(outliers[oi:]))))
+			}
+			oi += 4
+		}
+	}
+	return true
+}
+
+// pruneRuns32 classifies an outlier-free straddling 1D block run by
+// run, interpolating only the runs whose own bounds still straddle.
+func (q *oracleRun) pruneRuns32(bias int8, take int) bool {
+	qs, summary := q.qs, &q.qs.sum32
+	interpolated := false
+	for s := 0; s*compress.SubBlockSize < take; s++ {
+		lo, hi := runRange32(summary, s, bias)
+		in, out := rangeVerdict(q, lo, hi)
+		first := s * compress.SubBlockSize
+		n := take - first
+		if n > compress.SubBlockSize {
+			n = compress.SubBlockSize
+		}
+		switch {
+		case in:
+			q.visitDefinite(n)
+		case out:
+		default:
+			if !interpolated {
+				qs.comp.DecompressBits32(qs.rec32[:], summary, nil, nil, compress.Method1D, bias)
+				interpolated = true
+			}
+			for i := first; i < first+n; i++ {
+				q.visitApprox(float64(math.Float32frombits(qs.rec32[i])))
+			}
+		}
+	}
+	return true
+}
+
+// pruneFilter64 is pruneFilter32 for fp64 blocks (always 1D layout).
+func (q *oracleRun) pruneFilter64(bitmap []byte, bias int16, take int) bool {
+	qs := q.qs
+	smin, smax := summaryRange64(&qs.sum64, bias)
+	in, out := rangeVerdict(q, smin, smax)
+	if !in && !out {
+		if len(bitmap) == 0 {
+			return q.pruneRuns64(bias, take)
+		}
+		return false
+	}
+	if len(bitmap) == 0 {
+		if in {
+			q.visitDefinite(take)
+		}
+		return true
+	}
+	// Blocks with outliers: defer to the interpolating path, which
+	// overlays the exact outliers (already read) before classifying.
+	return false
+}
+
+// pruneRuns64 classifies an outlier-free straddling fp64 block run by
+// run.
+func (q *oracleRun) pruneRuns64(bias int16, take int) bool {
+	qs := q.qs
+	interpolated := false
+	for s := 0; s*compress.SubBlockSize64 < take; s++ {
+		lo, hi := runRange64(&qs.sum64, s, bias)
+		in, out := rangeVerdict(q, lo, hi)
+		first := s * compress.SubBlockSize64
+		n := take - first
+		if n > compress.SubBlockSize64 {
+			n = compress.SubBlockSize64
+		}
+		switch {
+		case in:
+			q.visitDefinite(n)
+		case out:
+		default:
+			if !interpolated {
+				qs.comp.DecompressInto64(qs.rec64[:], &qs.sum64, nil, nil, bias)
+				interpolated = true
+			}
+			for i := first; i < first+n; i++ {
+				q.visitApprox(math.Float64frombits(qs.rec64[i]))
+			}
+		}
+	}
+	return true
+}
+
+// rangeVerdict widens [smin, smax] by the per-ref bound and tests it
+// against the predicate: in = every non-outlier provably matches,
+// out = provably none does.
+func (q *oracleRun) widen(smin, smax float64) (float64, float64) {
+	lo := smin - q.f*math.Abs(smin) - q.eps
+	hi := smax + q.f*math.Abs(smax) + q.eps
+	return lo, hi
+}
+
+func rangeVerdict(q *oracleRun, smin, smax float64) (in, out bool) {
+	// The widened range brackets every non-outlier only when x ∓ f·|x|
+	// is monotone over [smin, smax], i.e. f ≤ 1. A larger f (corrupt
+	// threshold) disables pruning; the per-value path stays correct.
+	if q.f > 1 {
+		return false, false
+	}
+	lo, hi := q.widen(smin, smax)
+	in = lo >= q.lo && hi <= q.hi
+	out = hi < q.lo || lo > q.hi
+	return in, out
+}
+
+// summaryRange32 returns the min and max summary average as floats.
+func summaryRange32(summary *[compress.SummaryValues]int32, bias int8) (float64, float64) {
+	mn, mx := summary[0], summary[0]
+	for _, v := range summary[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return fixedFloat32(mn, bias), fixedFloat32(mx, bias)
+}
+
+func summaryRange64(summary *[compress.SummaryValues64]int64, bias int16) (float64, float64) {
+	mn, mx := summary[0], summary[0]
+	for _, v := range summary[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return fixedFloat64(mn, bias), fixedFloat64(mx, bias)
+}
+
+// runRange32 bounds run s of a 1D block: its interpolated values lie
+// between the summary averages of runs s−1..s+1 (edges clamped).
+func runRange32(summary *[compress.SummaryValues]int32, s int, bias int8) (float64, float64) {
+	lo, hi := summary[s], summary[s]
+	if s > 0 {
+		if v := summary[s-1]; v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+	}
+	if s < compress.SummaryValues-1 {
+		if v := summary[s+1]; v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+	}
+	return fixedFloat32(lo, bias), fixedFloat32(hi, bias)
+}
+
+func runRange64(summary *[compress.SummaryValues64]int64, s int, bias int16) (float64, float64) {
+	lo, hi := summary[s], summary[s]
+	if s > 0 {
+		if v := summary[s-1]; v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+	}
+	if s < compress.SummaryValues64-1 {
+		if v := summary[s+1]; v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+	}
+	return fixedFloat64(lo, bias), fixedFloat64(hi, bias)
+}
+
+// fixedFloat32 converts a biased Q15.16 fixed value to its final float.
+func fixedFloat32(v int32, bias int8) float64 {
+	return float64(math.Float32frombits(fixed.RemoveBias(fixed.FixedToFloat(v), bias)))
+}
+
+// fixedFloat64 converts a biased Q31.32 fixed value to its final float.
+func fixedFloat64(v int64, bias int16) float64 {
+	return math.Float64frombits(fixed.RemoveBias64(fixed.FixedToFloat64(v), bias))
 }

@@ -11,6 +11,7 @@ import (
 	"avr/internal/compress"
 	"avr/internal/fixed"
 	"avr/internal/obs"
+	"avr/internal/simd"
 	"avr/internal/trace"
 	"avr/internal/vec"
 )
@@ -19,20 +20,30 @@ import (
 // query accelerator: the summary line holds 16→1 sub-block averages
 // with per-value error bounded by t1, so sums, means, min/max bounds,
 // range filters and downsampled scans can be answered from the stored
-// form — a fraction of the raw bytes — without reconstructing the
-// blocks. A query is a consumer of readLocked's frame walk, like the
-// Get decode and the cache fill: it is handed each of the key's frames
-// whole, length- and CRC-verified, and reads the records in place —
-// summary line always, bitmap + packed outliers when the record has
-// them, the full 1 KiB payload only for raw (incompressible) records.
-// Lossless-fallback blocks have no summary and are decoded exactly.
+// form — a fraction of the raw bytes — in the arithmetic the codec
+// interpolates in. A query is a consumer of readLocked's frame walk,
+// like the Get decode and the cache fill: it is handed each of the
+// key's frames whole, length- and CRC-verified, and reads the records
+// in place. What it reconstructs of an AVR record is the fixed-point
+// line — the summary interpolated to 256 Q15.16 (128 Q31.32) integers
+// in compressor scratch — which it reduces with integer kernels: Σx,
+// Σ|x|, min and max (simd.ReduceFixed32/64), or three range counts
+// against a filter predicate mapped to integer thresholds
+// (simd.CountRanges32/64). What it does not do is what a Get goes on
+// to: no value becomes a float (one conversion per record, or per
+// downsample point, turns the sums into value units), and the outliers
+// are not overlaid — the bitmap's set positions are taken out of the
+// reduction and their stored exact values reduced beside it, O(outliers).
+// Raw (incompressible) records and lossless-fallback blocks have no
+// summary; their values are exact and go through one slice kernel per op.
 //
 // Every approximate answer carries a rigorous error bound derived from
 // the per-ref threshold: a non-outlier value v reconstructs to r with
 // |v−r| ≤ t1·|v|, which inverts to |v−r| ≤ f·|r| for f = t1/(1−t1);
 // outlier values are stored exactly. Bounds therefore hold against the
-// exact answer computed from the original values (plus a small additive
-// term for float64 accumulation and denormal flushes).
+// exact answer computed from the original values (plus small terms for
+// the float rounding of r a fixed-domain sum skips, float64
+// accumulation and denormal flushes). DESIGN.md §5.6 has the argument.
 
 // Query byte accounting: BytesTotal is the raw (uncompressed) size of
 // the values the query covered; BytesTouched is the stored bytes the
@@ -110,17 +121,37 @@ type DownsampleResult struct {
 // it is orders of magnitude below any configurable t1.
 const sumSlack = 1e-9
 
+// convSlack is the relative distance between a served value and the
+// fixed-point reconstruction x·2^-(FracBits+bias) it was rounded from:
+// one float32 rounding of an int32 for fp32; for fp64 the float64
+// rounding of an int64 plus what ReduceFixed64 and the outlier
+// correction of reduceFree lose, with room to spare. A query sums the
+// fixed values, so the bound of a sum carries it next to f.
+const (
+	convSlack32 = 0x1p-24
+	convSlack64 = 0x1p-41
+)
+
+// group is the downsample factor, the encoder's sub-block size at both
+// widths.
+const group = compress.SubBlockSize
+
 // queryScratch pools the per-query state so the read path stays
 // allocation-free in steady state (the two result slices of a
 // downsample, sized once before the walk, are the only per-call
 // allocations).
 type queryScratch struct {
-	comp  *compress.Compressor
-	rec32 [compress.BlockValues]uint32
-	rec64 [compress.BlockValues64]uint64
-	sum32 [compress.SummaryValues]int32
-	sum64 [compress.SummaryValues64]int64
-	v     vec.Vec // lossless-block decode buffer
+	comp *compress.Compressor
+	b32  fixed32
+	b64  fixed64
+	// The exact outliers of the record being walked that lie below its
+	// span: positions (ascending) and values.
+	outAt [compress.BlockValues]uint8
+	outV  [compress.BlockValues]float64
+	v     vec.Vec // raw-record and lossless-block values
+	// A filter's predicate mapped into the fixed domain per (bias, f),
+	// cleared by runQuery — see thresholds.
+	th [16]thresholds
 }
 
 // qop selects which accumulators a frame walk feeds.
@@ -140,9 +171,13 @@ type queryRun struct {
 	qs    *queryScratch
 	width int
 	// f is the relative bound factor for the ref being walked
-	// (t1/(1−t1)); eps the additive term covering denormal flushes.
-	f   float64
-	eps float64
+	// (t1/(1−t1)): a served non-outlier r is within f·|r| of its
+	// original. fs is the factor on Σ|x| for a sum taken in the fixed
+	// domain, f + (1+f)·convSlack (≤ f + 2^-23 for f ≤ 1 at fp32). eps
+	// is the additive term covering denormal flushes: an original below
+	// it may be served as zero — or as any denormal of either sign, so a
+	// fixed-domain sum allows 2·eps a value.
+	f, fs, eps float64
 
 	// Aggregate state. sumW is Σ per-value bounds; sumAbs Σ|v| over all
 	// values (accumulation slack); the min/max fields are the envelope
@@ -151,14 +186,12 @@ type queryRun struct {
 	sum, sumW, sumAbs          float64
 	minLo, minHi, maxLo, maxHi float64
 
-	// Filter state.
+	// Filter state: the predicate and the three counts.
 	lo, hi          float64
 	defIn, pos, est int64
 
-	// Downsample state: groups of 16 values flushed into points/bounds.
-	points, bounds             []float64
-	groupSum, groupW, groupAbs float64
-	groupN                     int
+	// Downsample state: one point and bound per 16 positions.
+	points, bounds []float64
 
 	// sp receives per-stage attribution (lock wait, frame reads, query
 	// walk); nil outside the traced entry points.
@@ -173,11 +206,9 @@ func (q *queryRun) setRef(t1 float64) {
 	if !(f >= 0) || math.IsInf(f, 0) { // corrupt or absurd threshold
 		f = 1
 	}
-	q.f = f
-	if q.width == 32 {
-		q.eps = minNormal32
-	} else {
-		q.eps = minNormal64
+	q.f, q.fs, q.eps = f, f+(1+f)*convSlack32, minNormal32
+	if q.width == 64 {
+		q.fs, q.eps = f+(1+f)*convSlack64, minNormal64
 	}
 }
 
@@ -188,123 +219,43 @@ const (
 	minNormal64 = 0x1p-1022
 )
 
-// visitExact feeds one exactly-known value (outlier, raw or lossless).
-func (q *queryRun) visitExact(v float64) {
-	switch q.op {
-	case qopAggregate:
-		q.count++
-		q.sum += v
-		q.sumAbs += math.Abs(v)
-		if v < q.minLo {
-			q.minLo = v
-		}
-		if v < q.minHi {
-			q.minHi = v
-		}
-		if v > q.maxHi {
-			q.maxHi = v
-		}
-		if v > q.maxLo {
-			q.maxLo = v
-		}
-	case qopFilter:
-		if q.lo <= v && v <= q.hi {
-			q.defIn++
-			q.pos++
-			q.est++
-		}
-	case qopDownsample:
-		q.groupSum += v
-		q.groupAbs += math.Abs(v)
-		q.groupN++
-		if q.groupN == compress.SubBlockSize {
-			q.flushGroup()
-		}
-	}
-}
-
-// visitApprox feeds one reconstructed non-outlier value, whose exact
-// counterpart lies within ±w of v for w = f·|v| (+eps when v
-// reconstructed to zero, covering denormal flushes).
-func (q *queryRun) visitApprox(v float64) {
-	w := q.f * math.Abs(v)
-	if v == 0 {
+// interval is where the original of a served non-outlier r can lie:
+// r ∓ w for w = f·|r| (+eps when r is zero, covering denormal flushes).
+func (q *queryRun) interval(r float64) (lo, hi float64) {
+	w := q.f * math.Abs(r)
+	if r == 0 {
 		w += q.eps
 	}
-	switch q.op {
-	case qopAggregate:
-		q.count++
-		q.sum += v
-		q.sumW += w
-		q.sumAbs += math.Abs(v)
-		if lo := v - w; lo < q.minLo {
-			q.minLo = lo
-		}
-		if hi := v + w; hi < q.minHi {
-			q.minHi = hi
-		}
-		if hi := v + w; hi > q.maxHi {
-			q.maxHi = hi
-		}
-		if lo := v - w; lo > q.maxLo {
-			q.maxLo = lo
-		}
-	case qopFilter:
-		lo, hi := v-w, v+w
-		switch {
-		case lo >= q.lo && hi <= q.hi:
-			q.defIn++
-			q.pos++
-		case hi < q.lo || lo > q.hi:
-			// provably outside
-		default:
-			q.pos++
-		}
-		if q.lo <= v && v <= q.hi {
-			q.est++
-		}
-	case qopDownsample:
-		q.groupSum += v
-		q.groupW += w
-		q.groupAbs += math.Abs(v)
-		q.groupN++
-		if q.groupN == compress.SubBlockSize {
-			q.flushGroup()
-		}
+	return r - w, r + w
+}
+
+// envelope widens the min/max envelopes by the interval [minLo, minHi]
+// of a batch's least value and [maxLo, maxHi] of its greatest.
+func (q *queryRun) envelope(minLo, minHi, maxLo, maxHi float64) {
+	if minLo < q.minLo {
+		q.minLo = minLo
+	}
+	if minHi < q.minHi {
+		q.minHi = minHi
+	}
+	if maxHi > q.maxHi {
+		q.maxHi = maxHi
+	}
+	if maxLo > q.maxLo {
+		q.maxLo = maxLo
 	}
 }
 
-// visitDefinite counts n values as provably matching the filter
-// predicate without touching them individually.
-func (q *queryRun) visitDefinite(n int) {
-	q.defIn += int64(n)
-	q.pos += int64(n)
-	q.est += int64(n)
-}
-
-func (q *queryRun) flushGroup() {
-	n := float64(q.groupN)
-	q.points = append(q.points, q.groupSum/n)
-	q.bounds = append(q.bounds, q.groupW/n+sumSlack*q.groupAbs/n)
-	q.groupSum, q.groupW, q.groupAbs, q.groupN = 0, 0, 0, 0
-}
-
-// padGroup repeats the group's last value until the group closes —
-// the query-side mirror of the codec's partial-block padding, so every
-// emitted point covers exactly 16 (possibly padded) positions.
-func (q *queryRun) padGroup(v float64, exact bool) {
-	for q.groupN != 0 {
-		if exact {
-			q.visitExact(v)
-		} else {
-			q.visitApprox(v)
-		}
-	}
+// point emits one downsample point from its group's Σv, Σ bound and Σ|v|.
+func (q *queryRun) point(sum, w, abs float64) {
+	q.points = append(q.points, sum/group)
+	q.bounds = append(q.bounds, w/group+sumSlack*abs/group)
 }
 
 // QueryAggregate computes count/sum/mean with t1-derived error bars and
 // t1-widened min/max envelopes over the vector stored under key,
-// reading summaries (plus outliers) instead of decoding blocks.
+// reducing fixed-point reconstructions (plus outliers) instead of
+// decoding blocks.
 func (s *Store) QueryAggregate(key string) (AggregateResult, error) {
 	return s.QueryAggregateTraced(key, nil)
 }
@@ -321,12 +272,18 @@ func (s *Store) QueryAggregateTraced(key string, sp *trace.Span) (AggregateResul
 		maxLo: math.Inf(-1), maxHi: math.Inf(-1),
 		sp: sp,
 	}
-	width, err := s.runQuery(key, &q)
-	if err != nil {
+	if _, err := s.runQuery(key, &q); err != nil {
 		return AggregateResult{}, err
 	}
+	res := q.aggregateResult(key)
+	finishQuery(&q, t0)
+	return res, nil
+}
+
+// aggregateResult reads the answer off a finished walk.
+func (q *queryRun) aggregateResult(key string) AggregateResult {
 	res := AggregateResult{
-		Key: key, Width: width, Count: q.count,
+		Key: key, Width: q.width, Count: q.count,
 		Sum:        q.sum,
 		ErrorBound: q.sumW + sumSlack*q.sumAbs,
 		QueryStats: q.stats,
@@ -339,13 +296,13 @@ func (s *Store) QueryAggregateTraced(key string, sp *trace.Span) (AggregateResul
 		res.Max = q.maxHi
 		res.MaxErrorBound = q.maxHi - q.maxLo
 	}
-	finishQuery(&q, t0)
-	return res, nil
+	return res
 }
 
 // QueryFilter counts values in [lo, hi] (inclusive): a guaranteed
-// bracket [MatchesMin, MatchesMax] plus a point estimate. Sub-blocks
-// are pruned from summary bounds; outliers are classified exactly.
+// bracket [MatchesMin, MatchesMax] plus a point estimate. Records are
+// settled from their summary line's extremes where those decide;
+// outliers are classified exactly.
 func (s *Store) QueryFilter(key string, lo, hi float64) (FilterResult, error) {
 	return s.QueryFilterTraced(key, lo, hi, nil)
 }
@@ -425,6 +382,7 @@ func (s *Store) runQuery(key string, q *queryRun) (int, error) {
 	}
 	q.qs = s.queries.Get().(*queryScratch)
 	defer s.queries.Put(q.qs)
+	q.qs.th = [len(q.qs.th)]thresholds{}
 	q.width = int(e.width)
 	if q.op == qopDownsample {
 		groups := (int(e.totalVals) + compress.SubBlockSize - 1) / compress.SubBlockSize
@@ -435,17 +393,12 @@ func (s *Store) runQuery(key string, q *queryRun) (int, error) {
 		return 0, err
 	}
 	q.stats.Complete = complete
-	if q.op == qopDownsample && q.groupN != 0 {
-		// Trailing partial group of a lossless tail: close it with the
-		// codec's padding convention.
-		q.flushGroup()
-	}
 	return q.width, nil
 }
 
 // frame runs the query over one verified frame's data — what readLocked
-// feeds its query consumer. A lossless frame is decoded and every value
-// visited exactly; an AVR frame is walked record by record through the
+// feeds its query consumer. A lossless frame is decoded and its values
+// reduced exactly; an AVR frame is walked record by record through the
 // cursor the decode and the cache fill read with, so structural damage
 // comes back as ErrCorrupt, never a panic.
 func (q *queryRun) frame(ref blockRef, data []byte) error {
@@ -453,303 +406,405 @@ func (q *queryRun) frame(ref blockRef, data []byte) error {
 	q.stats.BytesTouched += ref.frameLen
 	q.stats.BytesTotal += int64(ref.valCount) * int64(q.width/8)
 	if ref.enc == encLossless {
-		return q.lossless(data, int(ref.valCount))
+		q.stats.BlocksLossless++
+		var err error
+		q.qs.v, err = decodeLosslessTo(q.qs.v.Reset(q.width), data, int(ref.valCount))
+		if err == nil {
+			q.exactVec()
+		}
+		return err
+	}
+	var b fixedBlock = &q.qs.b32
+	if q.width == 64 {
+		b = &q.qs.b64
 	}
 	cur, err := block.Open(streamLayout(q.width), data, int(ref.valCount))
 	for err == nil && cur.More() {
 		var rec block.Record
-		if rec, err = cur.Next(); err != nil {
-			break
-		}
-		if q.width == 64 {
-			q.walkRecord64(&rec)
-		} else {
-			q.walkRecord32(&rec)
+		if rec, err = cur.Next(); err == nil {
+			q.record(b, &rec)
 		}
 	}
 	return streamErr(err)
 }
 
-// lossless answers over a lossless-fallback block: exact decode, every
-// value exact.
-func (q *queryRun) lossless(data []byte, valCount int) error {
+// record feeds one codec record to q. Its span is the record's values —
+// for a downsample, rounded up to whole groups: the encoder's padding,
+// so every point covers 16 positions. A raw record is reduced exactly.
+// An AVR record is reconstructed in the fixed domain only; a filter
+// first tries its summary line, whose extremes bracket every
+// reconstruction (interpolation is a convex combination).
+func (q *queryRun) record(b fixedBlock, rec *block.Record) {
 	qs := q.qs
-	q.stats.BlocksLossless++
-	var err error
-	qs.v, err = decodeLosslessTo(qs.v.Reset(q.width), data, valCount)
-	if err != nil {
-		return err
+	n := rec.Values
+	if q.op == qopDownsample {
+		n = (n + group - 1) / group * group
 	}
-	// Only the live side of qs.v holds anything.
-	var last float64
-	if n := len(qs.v.F32); n > 0 {
-		for _, v := range qs.v.F32 {
-			q.visitExact(float64(v))
-		}
-		last = float64(qs.v.F32[n-1])
-	}
-	if n := len(qs.v.F64); n > 0 {
-		for _, v := range qs.v.F64 {
-			q.visitExact(v)
-		}
-		last = qs.v.F64[n-1]
-	}
-	if q.op == qopDownsample && qs.v.Len() > 0 {
-		q.padGroup(last, true)
-	}
-	return nil
-}
-
-// walkRecord32 feeds one fp32 codec record to q.
-func (q *queryRun) walkRecord32(rec *block.Record) {
-	qs := q.qs
-	take := rec.Values
 	if rec.Raw != nil {
 		q.stats.BlocksRaw++
-		visitRaw32(q, rec.Raw, take)
+		qs.v = qs.v.Reset(q.width).FromLE(rec.Raw[:n*q.width/8])
+		q.exactVec()
 		return
 	}
 	q.stats.BlocksAVR++
-	block.ReadSummary32(&qs.sum32, rec.Summary)
-	bias := int8(rec.Bias)
-	if q.op == qopFilter && q.pruneFilter32(rec.Bitmap, rec.Outliers, rec.Method, bias, take) {
+	at, out := q.outliers(rec, n)
+	b.load(rec.Summary, rec.Bias)
+	var th *thresholds
+	if q.op == qopFilter && q.f <= 1 {
+		th = q.thresholds(b, int(rec.Bias))
+		smin, smax := b.summaryRange()
+		in := smin >= th.lo[0] && smax <= th.hi[0]
+		if m := n - len(at); in {
+			q.matched([3]int{m, m, m})
+		}
+		if in || th.lo[1] > th.hi[1] || smax < th.lo[1] || smin > th.hi[1] {
+			exactFilter(q, out)
+			return
+		}
+	}
+	b.reconstruct(qs.comp, rec.Method)
+	switch q.op {
+	case qopAggregate:
+		if sum, abs, lo, hi, m := q.reduceFree(b, n, at); m > 0 {
+			q.count += int64(m)
+			q.sum += sum
+			q.sumAbs += abs
+			q.sumW += q.fs*abs + 2*q.eps*float64(m)
+			// r ∓ f·|r| is monotone in r for f ≤ 1, so the record's two
+			// attained extremes carry its envelope. Beyond that it is
+			// not, and every value's interval is looked at (as in
+			// classify).
+			if q.f <= 1 {
+				minLo, minHi := q.interval(lo)
+				maxLo, maxHi := q.interval(hi)
+				q.envelope(minLo, minHi, maxLo, maxHi)
+			} else {
+				for i := 0; i < n; i++ {
+					l, h := q.interval(b.at(i))
+					q.envelope(l, h, l, h)
+				}
+			}
+		}
+		exactAggregate(q, out)
+	case qopFilter:
+		if len(at) < n {
+			p := b.mask(at, true)
+			c, c1 := q.classify(b, th, 0, n), q.classify(b, th, p, p+1)
+			for k := range c {
+				c[k] -= len(at) * c1[k]
+			}
+			q.matched(c)
+		}
+		exactFilter(q, out)
+	case qopDownsample:
+		// Zeroed, an outlier position adds nothing to Σx or Σ|x|; its
+		// exact value joins its group's sums instead.
+		b.mask(at, false)
+		var es, ea [compress.BlockValues / group]float64
+		for k, i := range at {
+			es[i/group] += out[k]
+			ea[i/group] += math.Abs(out[k])
+		}
+		for g := 0; g*group < n; g++ {
+			sum, abs, _, _ := b.reduce(g*group, (g+1)*group)
+			q.point(sum+es[g], q.fs*abs+2*q.eps*group, abs+ea[g])
+		}
+	}
+}
+
+// outliers reads the record's exact outliers below span n out of the
+// bitmap (none, or a whole number of 8-byte words at either width) and
+// the packed values: positions ascending, O(outliers).
+func (q *queryRun) outliers(rec *block.Record, n int) ([]uint8, []float64) {
+	qs, k := q.qs, 0
+	for w := 0; w+8 <= len(rec.Bitmap); w += 8 {
+		for b := binary.LittleEndian.Uint64(rec.Bitmap[w:]); b != 0; b &= b - 1 {
+			i := w<<3 + bits.TrailingZeros64(b)
+			if i >= n { // packed in bit order: the rest lie beyond too
+				return qs.outAt[:k], qs.outV[:k]
+			}
+			if q.width == 64 {
+				qs.outV[k] = math.Float64frombits(binary.LittleEndian.Uint64(rec.Outliers[8*k:]))
+			} else {
+				qs.outV[k] = float64(math.Float32frombits(binary.LittleEndian.Uint32(rec.Outliers[4*k:])))
+			}
+			qs.outAt[k] = uint8(i)
+			k++
+		}
+	}
+	return qs.outAt[:k], qs.outV[:k]
+}
+
+// reduceFree reduces the m non-outlier positions below n: Σ and Σ|·| in
+// value units and the served floats of the least and greatest. Outlier
+// positions are overwritten with a non-outlier's value first — which
+// cannot move min or max — and its multiples taken back off the sums.
+func (q *queryRun) reduceFree(b fixedBlock, n int, at []uint8) (sum, abs, lo, hi float64, m int) {
+	if m = n - len(at); m == 0 {
 		return
 	}
-	qs.comp.DecompressBits32(qs.rec32[:], &qs.sum32, rec.Bitmap, rec.Outliers, rec.Method, bias)
-	n := take
-	if q.op == qopDownsample {
-		// Include the encoder's padding so every point covers 16 positions.
-		n = (take + compress.SubBlockSize - 1) / compress.SubBlockSize * compress.SubBlockSize
+	p := b.mask(at, true)
+	sum, abs, lo, hi = b.reduce(0, n)
+	if len(at) > 0 {
+		fs, fa, _, _ := b.reduce(p, p+1)
+		sum -= float64(len(at)) * fs
+		abs -= float64(len(at)) * fa
 	}
-	for i := 0; i < n; i++ {
-		v := float64(math.Float32frombits(qs.rec32[i]))
-		if bitSet(rec.Bitmap, i) {
-			q.visitExact(v)
+	return
+}
+
+// matched adds one record's three filter counts.
+func (q *queryRun) matched(c [3]int) {
+	q.defIn += int64(c[0])
+	q.pos += int64(c[1])
+	q.est += int64(c[2])
+}
+
+// classify counts positions [i, j) of b provably inside the predicate,
+// possibly inside, and inside as served: three range counts when the
+// predicate is mapped into the fixed domain, per value when it cannot
+// be (th == nil, f > 1).
+func (q *queryRun) classify(b fixedBlock, th *thresholds, i, j int) (c [3]int) {
+	if th != nil {
+		return b.count(i, j, th)
+	}
+	for ; i < j; i++ {
+		r := b.at(i)
+		lo, hi := q.interval(r)
+		if lo >= q.lo && hi <= q.hi {
+			c[0]++
+		}
+		if !(hi < q.lo || lo > q.hi) {
+			c[1]++
+		}
+		if q.lo <= r && r <= q.hi {
+			c[2]++
+		}
+	}
+	return c
+}
+
+// thresholds is the filter predicate mapped into the fixed domain for
+// one (bias, f): inclusive ranges of x whose served float is provably
+// inside [lo, hi] (interval within it), possibly inside (interval meets
+// it) and inside as served. The served float is monotone in x and, for
+// f ≤ 1, so are both ends of its interval, so each of the six
+// conditions holds on one side of a threshold — found by binary search
+// over the very float expression the per-value test evaluates, which
+// makes the range counts equal to classifying value by value. A range
+// with lo > hi is empty.
+type thresholds struct {
+	ok     bool
+	bias   int
+	f      float64
+	lo, hi [3]int64
+}
+
+// thresholds returns the mapping for the record loaded in b, from a
+// small direct-mapped memo: most records of a key share a bias.
+func (q *queryRun) thresholds(b fixedBlock, bias int) *thresholds {
+	th := &q.qs.th[bias&(len(q.qs.th)-1)]
+	if th.ok && th.bias == bias && th.f == q.f {
+		return th
+	}
+	*th = thresholds{ok: true, bias: bias, f: q.f}
+	max := int64(math.MaxInt32)
+	if q.width == 64 {
+		max = math.MaxInt64
+	}
+	// ends picks what range k compares against the predicate's lo and hi.
+	ends := func(x int64, k int) (float64, float64) {
+		r := b.float(x)
+		lo, hi := q.interval(r)
+		switch k {
+		case 0:
+			return lo, hi
+		case 1:
+			return hi, lo
+		}
+		return r, r
+	}
+	for k := range th.lo {
+		// x ↦ ^x reverses the order, turning "last x at or below" into
+		// the same search.
+		first, ok1 := firstTrue(^max, max, func(x int64) bool { v, _ := ends(x, k); return v >= q.lo })
+		last, ok2 := firstTrue(^max, max, func(x int64) bool { _, v := ends(^x, k); return v <= q.hi })
+		if th.lo[k], th.hi[k] = first, ^last; !ok1 || !ok2 {
+			th.lo[k], th.hi[k] = 1, 0
+		}
+	}
+	return th
+}
+
+// firstTrue returns the least x in [lo, hi] with p(x), for a p that is
+// false up to some point and true from it on; ok is false when p(hi) is.
+func firstTrue(lo, hi int64, p func(int64) bool) (x int64, ok bool) {
+	if !p(hi) {
+		return 0, false
+	}
+	for lo < hi {
+		if mid := lo + int64((uint64(hi)-uint64(lo))/2); p(mid) {
+			hi = mid
 		} else {
-			q.visitApprox(v)
+			lo = mid + 1
 		}
+	}
+	return hi, true
+}
+
+// fixedBlock is one AVR record in the codec's fixed-point domain. The
+// two widths behind it hold the only width-specific arithmetic of a
+// query: fixed32 over the AVX-512 interpolate and the AVX2 reductions,
+// fixed64 over the scalar interpolate64, ReduceFixed64 (AVX-512) and
+// the pure-Go CountRanges64.
+type fixedBlock interface {
+	// load reads a record's summary line and bias.
+	load(summary []byte, bias int16)
+	// summaryRange returns the least and greatest summary value.
+	summaryRange() (lo, hi int64)
+	// reconstruct interpolates the summary line into compressor scratch:
+	// the positions the methods below index.
+	reconstruct(c *compress.Compressor, m compress.Method)
+	// mask overwrites the positions at — ascending, not all of them when
+	// filler is set — with the value of the first position not among
+	// them, which it returns, or with zero.
+	mask(at []uint8, filler bool) int
+	// reduce returns Σx and Σ|x| over positions [i, j) in value units
+	// and the served floats of the least and greatest x.
+	reduce(i, j int) (sum, abs, lo, hi float64)
+	// count is the three range counts of th over positions [i, j).
+	count(i, j int, th *thresholds) [3]int
+	// float is the served float of fixed value x — x rounded to the
+	// float width, times 2^-(FracBits+bias) — and at that of position i.
+	// The decode gets there by exponent surgery, which wraps where this
+	// product would leave the width's normal range; no non-outlier of a
+	// well-formed record is served from there except as a denormal, which
+	// the eps term covers, and the product stays monotone in x throughout,
+	// which the threshold search needs.
+	float(x int64) float64
+	at(i int) float64
+}
+
+type fixed32 struct {
+	sum   [compress.SummaryValues]int32
+	x     *[compress.BlockValues]int32
+	bias  int8
+	scale float64 // 2^-(FracBits+bias)
+}
+
+func (b *fixed32) load(summary []byte, bias int16) {
+	block.ReadSummary32(&b.sum, summary)
+	if b.scale == 0 || b.bias != int8(bias) { // most records of a key share a bias
+		b.bias = int8(bias)
+		b.scale = math.Ldexp(1, -(fixed.FracBits + int(b.bias)))
 	}
 }
 
-// walkRecord64 feeds one fp64 codec record to q.
-func (q *queryRun) walkRecord64(rec *block.Record) {
-	qs := q.qs
-	take := rec.Values
-	if rec.Raw != nil {
-		q.stats.BlocksRaw++
-		visitRaw64(q, rec.Raw, take)
-		return
-	}
-	q.stats.BlocksAVR++
-	block.ReadSummary64(&qs.sum64, rec.Summary)
-	if q.op == qopFilter && q.pruneFilter64(rec.Bitmap, rec.Bias, take) {
-		return
-	}
-	qs.comp.DecompressInto64(qs.rec64[:], &qs.sum64, rec.Bitmap, rec.Outliers, rec.Bias)
-	n := take
-	if q.op == qopDownsample {
-		n = (take + compress.SubBlockSize64 - 1) / compress.SubBlockSize64 * compress.SubBlockSize64
-	}
-	for i := 0; i < n; i++ {
-		v := math.Float64frombits(qs.rec64[i])
-		if bitSet(rec.Bitmap, i) {
-			q.visitExact(v)
-		} else {
-			q.visitApprox(v)
-		}
+func (b *fixed32) summaryRange() (int64, int64) {
+	_, _, lo, hi := simd.ReduceFixed32(b.sum[:])
+	return int64(lo), int64(hi)
+}
+
+func (b *fixed32) reconstruct(c *compress.Compressor, m compress.Method) {
+	b.x = c.ReconstructFixed32(&b.sum, m)
+}
+
+func (b *fixed32) mask(at []uint8, filler bool) int { return maskFixed(b.x[:], at, filler) }
+
+func (b *fixed32) reduce(i, j int) (sum, abs, lo, hi float64) {
+	s, a, mn, mx := simd.ReduceFixed32(b.x[i:j])
+	return float64(s) * b.scale, float64(a) * b.scale, b.float(int64(mn)), b.float(int64(mx))
+}
+
+func (b *fixed32) count(i, j int, th *thresholds) [3]int {
+	lo := [3]int32{int32(th.lo[0]), int32(th.lo[1]), int32(th.lo[2])}
+	hi := [3]int32{int32(th.hi[0]), int32(th.hi[1]), int32(th.hi[2])}
+	return simd.CountRanges32(b.x[i:j], &lo, &hi)
+}
+
+func (b *fixed32) float(x int64) float64 { return float64(float32(x)) * b.scale }
+func (b *fixed32) at(i int) float64      { return b.float(int64(b.x[i])) }
+
+type fixed64 struct {
+	sum   [compress.SummaryValues64]int64
+	x     *[compress.BlockValues64]int64
+	bias  int16
+	scale float64 // 2^-(FracBits64+bias)
+}
+
+func (b *fixed64) load(summary []byte, bias int16) {
+	block.ReadSummary64(&b.sum, summary)
+	if b.scale == 0 || b.bias != bias {
+		b.bias = bias
+		b.scale = math.Ldexp(1, -(fixed.FracBits64 + int(b.bias)))
 	}
 }
 
-// visitRaw32 feeds a raw fp32 payload (exact original bit patterns).
-func visitRaw32(q *queryRun, raw []byte, take int) {
-	n := take
-	if q.op == qopDownsample {
-		n = (take + compress.SubBlockSize - 1) / compress.SubBlockSize * compress.SubBlockSize
-	}
-	for i := 0; i < n; i++ {
-		q.visitExact(float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))))
-	}
-}
-
-func visitRaw64(q *queryRun, raw []byte, take int) {
-	n := take
-	if q.op == qopDownsample {
-		n = (take + compress.SubBlockSize64 - 1) / compress.SubBlockSize64 * compress.SubBlockSize64
-	}
-	for i := 0; i < n; i++ {
-		q.visitExact(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
-	}
-}
-
-// bitSet reports whether bit i is set in a (possibly nil) bitmap.
-func bitSet(bm []byte, i int) bool {
-	return i>>3 < len(bm) && bm[i>>3]&(1<<(i&7)) != 0
-}
-
-// pruneFilter32 tries to answer a filter over one fp32 block from its
-// summary bounds alone. Every non-outlier reconstruction is a convex
-// combination of summary values (interpolation stays within their
-// range, and the fixed→float conversion is monotone), so the widened
-// summary range brackets every non-outlier; outliers are classified
-// exactly from their stored values. Returns true when the block was
-// fully classified without interpolating.
-func (q *queryRun) pruneFilter32(bitmap, outliers []byte, method compress.Method, bias int8, take int) bool {
-	qs := q.qs
-	smin, smax := summaryRange32(&qs.sum32, bias)
-	in, out := rangeVerdict(q, smin, smax)
-	if !in && !out {
-		// The block straddles the predicate. For the 1D layout, prune
-		// run by run: run s interpolates between summary values s−1..s+1.
-		if method == compress.Method1D && len(bitmap) == 0 {
-			return q.pruneRuns32(bias, take)
-		}
-		return false
-	}
-	nOut := 0
-	oi := 0
-	for i := 0; i < take; i++ {
-		if bitSet(bitmap, i) {
-			nOut++
-		}
-	}
-	if in {
-		q.visitDefinite(take - nOut)
-	}
-	// Outlier values are arbitrary — classify each exactly. Outlier
-	// bytes are packed in bit order over the whole block, so walk all
-	// 256 bits and skip those beyond take.
-	for bi, b := range bitmap {
-		for b != 0 {
-			i := bi<<3 + bits.TrailingZeros8(b)
-			b &= b - 1
-			if i < take {
-				q.visitExact(float64(math.Float32frombits(
-					binary.LittleEndian.Uint32(outliers[oi:]))))
-			}
-			oi += 4
-		}
-	}
-	return true
-}
-
-// pruneRuns32 classifies an outlier-free straddling 1D block run by
-// run, interpolating only the runs whose own bounds still straddle.
-func (q *queryRun) pruneRuns32(bias int8, take int) bool {
-	qs, summary := q.qs, &q.qs.sum32
-	interpolated := false
-	for s := 0; s*compress.SubBlockSize < take; s++ {
-		lo, hi := runRange32(summary, s, bias)
-		in, out := rangeVerdict(q, lo, hi)
-		first := s * compress.SubBlockSize
-		n := take - first
-		if n > compress.SubBlockSize {
-			n = compress.SubBlockSize
-		}
-		switch {
-		case in:
-			q.visitDefinite(n)
-		case out:
-		default:
-			if !interpolated {
-				qs.comp.DecompressBits32(qs.rec32[:], summary, nil, nil, compress.Method1D, bias)
-				interpolated = true
-			}
-			for i := first; i < first+n; i++ {
-				q.visitApprox(float64(math.Float32frombits(qs.rec32[i])))
-			}
-		}
-	}
-	return true
-}
-
-// pruneFilter64 is pruneFilter32 for fp64 blocks (always 1D layout).
-func (q *queryRun) pruneFilter64(bitmap []byte, bias int16, take int) bool {
-	qs := q.qs
-	smin, smax := summaryRange64(&qs.sum64, bias)
-	in, out := rangeVerdict(q, smin, smax)
-	if !in && !out {
-		if len(bitmap) == 0 {
-			return q.pruneRuns64(bias, take)
-		}
-		return false
-	}
-	if len(bitmap) == 0 {
-		if in {
-			q.visitDefinite(take)
-		}
-		return true
-	}
-	// Blocks with outliers: defer to the interpolating path, which
-	// overlays the exact outliers (already read) before classifying.
-	return false
-}
-
-// pruneRuns64 classifies an outlier-free straddling fp64 block run by
-// run.
-func (q *queryRun) pruneRuns64(bias int16, take int) bool {
-	qs := q.qs
-	interpolated := false
-	for s := 0; s*compress.SubBlockSize64 < take; s++ {
-		lo, hi := runRange64(&qs.sum64, s, bias)
-		in, out := rangeVerdict(q, lo, hi)
-		first := s * compress.SubBlockSize64
-		n := take - first
-		if n > compress.SubBlockSize64 {
-			n = compress.SubBlockSize64
-		}
-		switch {
-		case in:
-			q.visitDefinite(n)
-		case out:
-		default:
-			if !interpolated {
-				qs.comp.DecompressInto64(qs.rec64[:], &qs.sum64, nil, nil, bias)
-				interpolated = true
-			}
-			for i := first; i < first+n; i++ {
-				q.visitApprox(math.Float64frombits(qs.rec64[i]))
-			}
-		}
-	}
-	return true
-}
-
-// rangeVerdict widens [smin, smax] by the per-ref bound and tests it
-// against the predicate: in = every non-outlier provably matches,
-// out = provably none does.
-func (q *queryRun) widen(smin, smax float64) (float64, float64) {
-	lo := smin - q.f*math.Abs(smin) - q.eps
-	hi := smax + q.f*math.Abs(smax) + q.eps
+func (b *fixed64) summaryRange() (int64, int64) {
+	_, _, lo, hi := simd.ReduceFixed64(b.sum[:])
 	return lo, hi
 }
 
-func rangeVerdict(q *queryRun, smin, smax float64) (in, out bool) {
-	// The widened range brackets every non-outlier only when x ∓ f·|x|
-	// is monotone over [smin, smax], i.e. f ≤ 1. A larger f (corrupt
-	// threshold) disables pruning; the per-value path stays correct.
-	if q.f > 1 {
-		return false, false
+func (b *fixed64) reconstruct(c *compress.Compressor, _ compress.Method) {
+	b.x = c.ReconstructFixed64(&b.sum)
+}
+
+func (b *fixed64) mask(at []uint8, filler bool) int { return maskFixed(b.x[:], at, filler) }
+
+func (b *fixed64) reduce(i, j int) (sum, abs, lo, hi float64) {
+	s, a, mn, mx := simd.ReduceFixed64(b.x[i:j])
+	return s * b.scale, a * b.scale, b.float(mn), b.float(mx)
+}
+
+func (b *fixed64) count(i, j int, th *thresholds) [3]int {
+	return simd.CountRanges64(b.x[i:j], &th.lo, &th.hi)
+}
+
+func (b *fixed64) float(x int64) float64 { return float64(x) * b.scale }
+func (b *fixed64) at(i int) float64      { return b.float(b.x[i]) }
+
+func maskFixed[I int32 | int64](x []I, at []uint8, filler bool) int {
+	var v I
+	p := 0
+	if filler {
+		for p < len(at) && int(at[p]) == p {
+			p++
+		}
+		v = x[p]
 	}
-	lo, hi := q.widen(smin, smax)
-	in = lo >= q.lo && hi <= q.hi
-	out = hi < q.lo || lo > q.hi
-	return in, out
+	for _, i := range at {
+		x[i] = v
+	}
+	return p
 }
 
-// fixedFloat32 converts a biased Q15.16 fixed value to its final float.
-func fixedFloat32(v int32, bias int8) float64 {
-	return float64(math.Float32frombits(fixed.RemoveBias(fixed.FixedToFloat(v), bias)))
+// Exactly known values — outliers, raw records, lossless blocks — go
+// through one slice kernel per op.
+
+// exactVec reduces the values in qs.v; only its live side holds any.
+func (q *queryRun) exactVec() {
+	exact(q, q.qs.v.F32)
+	exact(q, q.qs.v.F64)
 }
 
-// fixedFloat64 converts a biased Q31.32 fixed value to its final float.
-func fixedFloat64(v int64, bias int16) float64 {
-	return math.Float64frombits(fixed.RemoveBias64(fixed.FixedToFloat64(v), bias))
+func exact[F float32 | float64](q *queryRun, vals []F) {
+	switch q.op {
+	case qopAggregate:
+		exactAggregate(q, vals)
+	case qopFilter:
+		exactFilter(q, vals)
+	case qopDownsample:
+		exactDownsample(q, vals)
+	}
 }
 
-// summaryRange32 returns the min and max summary average as floats.
-func summaryRange32(summary *[compress.SummaryValues]int32, bias int8) (float64, float64) {
-	mn, mx := summary[0], summary[0]
-	for _, v := range summary[1:] {
+func exactAggregate[F float32 | float64](q *queryRun, vals []F) {
+	var sum, abs float64
+	mn, mx := math.Inf(1), math.Inf(-1)
+	for _, f := range vals {
+		v := float64(f)
+		sum += v
+		abs += math.Abs(v)
 		if v < mn {
 			mn = v
 		}
@@ -757,58 +812,35 @@ func summaryRange32(summary *[compress.SummaryValues]int32, bias int8) (float64,
 			mx = v
 		}
 	}
-	return fixedFloat32(mn, bias), fixedFloat32(mx, bias)
+	q.count += int64(len(vals))
+	q.sum += sum
+	q.sumAbs += abs
+	q.envelope(mn, mn, mx, mx)
 }
 
-func summaryRange64(summary *[compress.SummaryValues64]int64, bias int16) (float64, float64) {
-	mn, mx := summary[0], summary[0]
-	for _, v := range summary[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
+func exactFilter[F float32 | float64](q *queryRun, vals []F) {
+	n := 0
+	for _, f := range vals {
+		if v := float64(f); q.lo <= v && v <= q.hi {
+			n++
 		}
 	}
-	return fixedFloat64(mn, bias), fixedFloat64(mx, bias)
+	q.matched([3]int{n, n, n})
 }
 
-// runRange32 bounds run s of a 1D block: its interpolated values lie
-// between the summary averages of runs s−1..s+1 (edges clamped).
-func runRange32(summary *[compress.SummaryValues]int32, s int, bias int8) (float64, float64) {
-	lo, hi := summary[s], summary[s]
-	if s > 0 {
-		if v := summary[s-1]; v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
+// exactDownsample emits one point per 16 values; a trailing partial
+// group is padded with its last value — the query-side mirror of the
+// codec's partial-block padding.
+func exactDownsample[F float32 | float64](q *queryRun, vals []F) {
+	for len(vals) > 0 {
+		g := vals[:min(group, len(vals))]
+		vals = vals[len(g):]
+		var sum, abs float64
+		for _, f := range g {
+			sum += float64(f)
+			abs += math.Abs(float64(f))
 		}
+		pad, last := float64(group-len(g)), float64(g[len(g)-1])
+		q.point(sum+pad*last, 0, abs+pad*math.Abs(last))
 	}
-	if s < compress.SummaryValues-1 {
-		if v := summary[s+1]; v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-	}
-	return fixedFloat32(lo, bias), fixedFloat32(hi, bias)
-}
-
-func runRange64(summary *[compress.SummaryValues64]int64, s int, bias int16) (float64, float64) {
-	lo, hi := summary[s], summary[s]
-	if s > 0 {
-		if v := summary[s-1]; v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-	}
-	if s < compress.SummaryValues64-1 {
-		if v := summary[s+1]; v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-	}
-	return fixedFloat64(lo, bias), fixedFloat64(hi, bias)
 }

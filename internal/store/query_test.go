@@ -139,108 +139,113 @@ func checkDownsample(t *testing.T, key string, res DownsampleResult, gt queryGro
 
 // TestPropertyQueryAllWorkloads is the compressed-domain counterpart of
 // TestPropertyRoundTripAllWorkloads: for every generator × width ×
-// size, every aggregate lies within its reported error bound of the
-// exact answer, range filters bracket the exact match count without
-// ever missing, and the downsampled series is within its per-point
-// bounds — including vectors that fall back to lossless blocks, which
-// must come out exact.
+// size × threshold, every aggregate lies within its reported error
+// bound of the exact answer, range filters bracket the exact match
+// count without ever missing, and the downsampled series is within its
+// per-point bounds — including vectors that fall back to lossless
+// blocks, which must come out exact. Every answer is also held to the
+// retained per-value walk over the same frames (diffAll). The sizes sit
+// on both sides of a group, a record's padding and a store block; t1 =
+// 0.6 is f = 1.5, where the interval ends stop being monotone and the
+// min/max and filter paths fall back to classifying per value.
 func TestPropertyQueryAllWorkloads(t *testing.T) {
 	dists := workloads.Distributions()
 	if len(dists) == 0 {
 		t.Fatal("no workload distributions registered")
 	}
-	sizes := []int{17, BlockValues, BlockValues + 1, 2*BlockValues + 511}
+	sizes := []int{1, 15, 16, 17, BlockValues - 1, BlockValues, BlockValues + 1, 2*BlockValues + 511}
 
 	for _, dist := range dists {
 		for _, width := range []int{32, 64} {
 			t.Run(fmt.Sprintf("%s/fp%d", dist, width), func(t *testing.T) {
-				s := openTest(t, Config{SegmentTargetBytes: 1 << 20})
-				for si, n := range sizes {
-					key := fmt.Sprintf("%s-%d", dist, n)
-					seed := uint64(si)*1000 + 7
-
-					vals := make([]float64, n)
-					if width == 32 {
-						w32, err := workloads.GenFloat32(dist, n, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := s.Put32(key, w32); err != nil {
-							t.Fatal(err)
-						}
-						for i, v := range w32 {
-							vals[i] = float64(v)
-						}
-					} else {
-						w64, err := workloads.GenFloat64(dist, n, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := s.Put64(key, w64); err != nil {
-							t.Fatal(err)
-						}
-						copy(vals, w64)
+				for _, t1 := range []float64{1.0 / 1024, 1.0 / 32, 0.6} {
+					s := openTest(t, Config{SegmentTargetBytes: 1 << 20, T1: t1})
+					for si, n := range sizes {
+						propertyQuery(t, s, dist, width, n, uint64(si)*1000+7)
 					}
-					gt := groundTruth(vals)
-
-					// Every query reads the key's frames whole, whatever the op.
-					infos, err := s.BlockInfos(key)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var stored int64
-					for _, bi := range infos {
-						stored += bi.Bytes
-					}
-					checkTouched := func(op string, qs QueryStats) {
-						t.Helper()
-						if qs.BytesTouched != stored {
-							t.Fatalf("%s: %s touched %d bytes, the key's frames hold %d", key, op, qs.BytesTouched, stored)
-						}
-					}
-
-					agg, err := s.QueryAggregate(key)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkAggregate(t, key, agg, gt)
-					checkTouched("aggregate", agg.QueryStats)
-					if agg.BlocksAVR == 0 && agg.BlocksRaw == 0 {
-						// Pure lossless vector: the answer must be exact up
-						// to accumulation slack.
-						if d := math.Abs(agg.Sum - gt.sum); d > 1e-9*math.Abs(gt.sum)+1e-300 {
-							t.Fatalf("%s: lossless sum %g vs exact %g", key, agg.Sum, gt.sum)
-						}
-					}
-
-					span := gt.max - gt.min
-					for _, band := range [][2]float64{
-						{gt.min, gt.max},                                                 // everything
-						{gt.min + span/4, gt.max - span/4},                               // mid band
-						{gt.min + span/2.1, gt.min + span/1.9},                           // narrow band
-						{gt.max + 1 + math.Abs(gt.max), gt.max + 2 + 2*math.Abs(gt.max)}, // empty
-					} {
-						if !(band[0] <= band[1]) {
-							continue
-						}
-						fr, err := s.QueryFilter(key, band[0], band[1])
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkFilter(t, key, fr, exactMatches(vals, band[0], band[1]))
-						checkTouched("filter", fr.QueryStats)
-					}
-
-					ds, err := s.QueryDownsample(key)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkDownsample(t, key, ds, gt)
-					checkTouched("downsample", ds.QueryStats)
 				}
 			})
 		}
 	}
+}
+
+func propertyQuery(t *testing.T, s *Store, dist string, width, n int, seed uint64) {
+	key := fmt.Sprintf("%s-%d@%g", dist, n, s.T1())
+	vals := make([]float64, n)
+	if width == 32 {
+		w32, err := workloads.GenFloat32(dist, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put32(key, w32); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range w32 {
+			vals[i] = float64(v)
+		}
+	} else {
+		w64, err := workloads.GenFloat64(dist, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put64(key, w64); err != nil {
+			t.Fatal(err)
+		}
+		copy(vals, w64)
+	}
+	gt := groundTruth(vals)
+
+	// Every query reads the key's frames whole, whatever the op.
+	infos, err := s.BlockInfos(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored int64
+	for _, bi := range infos {
+		stored += bi.Bytes
+	}
+	checkTouched := func(op string, qs QueryStats) {
+		t.Helper()
+		if qs.BytesTouched != stored {
+			t.Fatalf("%s: %s touched %d bytes, the key's frames hold %d", key, op, qs.BytesTouched, stored)
+		}
+	}
+
+	agg, err := s.QueryAggregate(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAggregate(t, key, agg, gt)
+	checkTouched("aggregate", agg.QueryStats)
+	if agg.BlocksAVR == 0 && agg.BlocksRaw == 0 {
+		// Pure lossless vector: the answer must be exact up
+		// to accumulation slack.
+		if d := math.Abs(agg.Sum - gt.sum); d > 1e-9*math.Abs(gt.sum)+1e-300 {
+			t.Fatalf("%s: lossless sum %g vs exact %g", key, agg.Sum, gt.sum)
+		}
+	}
+
+	bands := queryBands(gt)
+	for _, band := range bands {
+		if !(band[0] <= band[1]) {
+			continue
+		}
+		fr, err := s.QueryFilter(key, band[0], band[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFilter(t, key, fr, exactMatches(vals, band[0], band[1]))
+		checkTouched("filter", fr.QueryStats)
+	}
+
+	ds, err := s.QueryDownsample(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDownsample(t, key, ds, gt)
+	checkTouched("downsample", ds.QueryStats)
+
+	diffAll(t, s, key, bands)
 }
 
 // TestQueryBytesTouched pins the headline traffic property: an

@@ -66,9 +66,10 @@ const (
 	// StageLock is time spent waiting for the store mutex — the
 	// compaction/writer interference a request observes.
 	StageLock
-	// StageQuery is the compressed-domain query walk: the summary math
-	// over frames already read and verified (that read is StageSegRead,
-	// as on a get).
+	// StageQuery is the compressed-domain query walk: the fixed-point
+	// reconstruction and integer reductions (exact values of raw and
+	// lossless blocks included) over frames already read and verified
+	// (that read is StageSegRead, as on a get).
 	StageQuery
 	// StageRoute is the router tier's shard resolution: ring lookups
 	// plus batch plan bookkeeping (grouping keys by owning node) —

@@ -2,9 +2,9 @@
 # scripts/bench.sh — run the benchmark suites and emit JSON results
 # (ns/op, B/op, allocs/op and custom metrics per benchmark), then
 # enforce the allocation gates and the store throughput gates
-# (absolute Put32 floor, cache hit no slower than the disk read, -20%
-# regression bar vs the committed BENCH_store.json; PERFGATE=0 skips
-# the throughput bars).
+# (absolute Put32 floor, cache hit no slower than the disk read, an
+# aggregate within 2x of the get of its key, -20% regression bar vs the
+# committed BENCH_store.json; PERFGATE=0 skips the throughput bars).
 #
 # Two passes:
 #   1. simulator suite  -> BENCH_sim.json    (hot-path alloc gate)
@@ -27,10 +27,10 @@ OUT="${1:-BENCH_sim.json}"
 STORE_OUT="${2:-BENCH_store.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Recorder|Histogram}"
-STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchEmitGet8|ServerPut$|ServerGet$|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
+STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchEmitGet8|ServerPut$|ServerGet$|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
 
 PKGS="./internal/cache ./internal/cmt ./internal/compress ./internal/dram ./internal/obs ./internal/sim ./internal/workloads"
-STORE_PKGS=". ./internal/vec ./internal/store ./internal/server ./internal/trace ./internal/cluster"
+STORE_PKGS=". ./internal/simd ./internal/vec ./internal/store ./internal/server ./internal/trace ./internal/cluster"
 
 # Hot-path benchmarks that must report 0 allocs/op: every demand access
 # in the simulator goes through these paths, and a single allocation per
@@ -44,9 +44,10 @@ GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLo
 # the read side, with the codec decode underneath them (DecodeTo /
 # Decode64To into a retained buffer, root package) held to the bar on
 # its own. Compressed-domain aggregate/filter queries share the
-# bar (pooled scratch, the frame walk a get reads through); downsample is
-# capped at 2 instead — its two result slices, sized once before the
-# walk, are the query's output. The Traced* twins hold the
+# bar (pooled scratch, the frame walk a get reads through, integer
+# reductions over compressor scratch — outlier-heavy keys included);
+# downsample, either width, is capped at 2 instead — its two result
+# slices, sized once before the walk, are the query's output. The Traced* twins hold the
 # same paths to the same bar with a live span, tracer and JSONL sink
 # at the default export sampling — per-stage attribution must be free
 # enough to leave on (and BenchmarkSpanPool gates the span lifecycle
@@ -64,7 +65,7 @@ GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLo
 # aggregate (a "normal"-distribution key, every block through the BDI
 # fallback) and the little-endian wire conversion under both of them
 # (vec.AppendLE / FromLE, a single copy) are held to it as well.
-STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePutEncoded32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGet32Noise BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate32Noise BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchEmitGet8 BenchmarkVecAppendLE/fp32 BenchmarkVecAppendLE/fp64 BenchmarkVecFromLE/fp32 BenchmarkVecFromLE/fp64"
+STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePutEncoded32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGet32Noise BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate32Noise BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkStoreQueryFilter32Outliers BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchEmitGet8 BenchmarkVecAppendLE/fp32 BenchmarkVecAppendLE/fp64 BenchmarkVecFromLE/fp32 BenchmarkVecFromLE/fp64"
 
 # The loopback Mput8 benchmarks run whole batched puts over real
 # listeners — net/http, the client and JSON replies included — so they
@@ -84,7 +85,7 @@ STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPu
 # scanned and the files of the stores the benchmark opens. The recovery
 # scan is capped at exactly its figure, 71 for 64 frames (was 135): the
 # key string of each, and the frame list growing to hold them.
-STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkServerGet:123 BenchmarkStoreQueryDownsample32:2 BenchmarkStoreCompact:50 BenchmarkStoreCompactSeg4M:34 BenchmarkStoreScan:71"
+STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkServerGet:123 BenchmarkStoreQueryDownsample32:2 BenchmarkStoreQueryDownsample64:2 BenchmarkStoreCompact:50 BenchmarkStoreCompactSeg4M:34 BenchmarkStoreScan:71"
 
 RAW="$(mktemp)"
 RAW_STORE="$(mktemp)"
@@ -133,9 +134,10 @@ mbs_json() {
 
 # perf_gate RAWFILE BASELINE_JSON — throughput bars on the store hot
 # paths: an absolute floor on the headline put benchmark, a cache hit no
-# slower than the disk read of the same key, and a -20% regression bar
-# against the committed baseline for every put/get/decode benchmark
-# that has one. PERFGATE=0 skips (loaded machines, debug).
+# slower than the disk read of the same key, an aggregate no slower than
+# twice that read, and a -20% regression bar against the committed
+# baseline for every put/get/decode benchmark that has one. PERFGATE=0
+# skips (loaded machines, debug).
 # StorePut32Noise is alloc-gated but not throughput-gated: the lossless
 # fallback writes 4× the bytes of the compressed path, so its MB/s
 # measures disk writeback (3× run-to-run swings), not the codec.
@@ -167,6 +169,22 @@ perf_gate() {
             fail=1
         else
             echo "perf gate ok: BenchmarkCacheHitGet$w $hit MB/s >= BenchmarkStoreGet$w $disk MB/s"
+        fi
+    done
+    # An aggregate walks the frames a get of the same key walks and
+    # reduces each record in the fixed domain instead of converting it
+    # to floats: it must stay within 2x of that get (again a ratio
+    # inside one run). Both widths.
+    local agg
+    for w in 32 64; do
+        agg="$(mbs_raw "$raw" "BenchmarkStoreQueryAggregate$w")"
+        disk="$(mbs_raw "$raw" "BenchmarkStoreGet$w")"
+        { [ -n "$agg" ] && [ -n "$disk" ]; } || continue
+        if awk -v a="$agg" -v d="$disk" 'BEGIN { exit !(2 * a < d) }'; then
+            echo "PERF GATE: StoreQueryAggregate$w at $agg MB/s is slower than half of StoreGet$w ($disk MB/s)" >&2
+            fail=1
+        else
+            echo "perf gate ok: BenchmarkStoreQueryAggregate$w $agg MB/s >= BenchmarkStoreGet$w $disk MB/s / 2"
         fi
     done
     [ -f "$base" ] || return $fail
