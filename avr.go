@@ -84,23 +84,11 @@ type MultiResult = sim.MultiResult
 // Only benchmarks with a parallel decomposition are supported: heat,
 // kmeans and bscholes.
 func RunMulticore(benchmark string, d Design, cores int, sc Scale) (MultiResult, error) {
-	w, err := workloads.ParallelByName(benchmark)
-	if err != nil {
-		return MultiResult{}, err
-	}
 	cfg := sim.PresetSmall(d)
 	if sc == ScaleSlice {
 		cfg = sim.PresetSlice(d)
 	}
-	// Shared-resource CMP: undo the per-core slicing.
-	cfg.LLCBytes *= 4
-	cfg.DRAMChannels = 2
-	cfg.DRAMSliceDiv = 1
-	m := sim.NewMulti(cfg, cores)
-	w.Setup(m.Shared(), sc)
-	m.Prime()
-	m.Run(w.RunShard)
-	return m.Finish(benchmark), nil
+	return experiments.SimulateMulti(benchmark, experiments.SharedCMP(cfg), cores, sc)
 }
 
 // OutputError runs a benchmark on the baseline and on design d and

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	avrsim -bench heat -design AVR [-scale small|slice] [-t1 0.03125]
-//	avrsim -cache-dir .avrcache   # reuse results across invocations
 //	avrsim -json                  # machine-readable result (with histograms)
 //	avrsim -debug-addr :6060      # live expvar + pprof while running
 package main
@@ -19,14 +18,13 @@ import (
 	"avr/internal/compress"
 	"avr/internal/experiments"
 	"avr/internal/sim"
+	"avr/internal/workloads"
 )
 
 func main() {
 	f := cliutil.Register(flag.CommandLine)
 	t1 := flag.Float64("t1", compress.DefaultThresholds().T1, "per-value error threshold T1 (T2 = T1/2)")
 	cores := flag.Int("cores", 1, "simulate an n-core shared-LLC CMP (heat, kmeans, bscholes only)")
-	cacheDir := flag.String("cache-dir", "", "persistent result cache directory; repeated runs skip simulation")
-	manifestDir := flag.String("manifest-dir", "", "directory to write one JSON run manifest per completed run (optional)")
 	jsonOut := flag.Bool("json", false, "print the full result as JSON (enables histogram collection)")
 	flag.Parse()
 
@@ -40,17 +38,13 @@ func main() {
 	}
 	cliutil.StartDebug(f.DebugAddr)
 
-	runner := experiments.NewRunner(sc)
-	runner.CacheDir = *cacheDir
-	runner.ManifestDir = *manifestDir
-
 	if *cores > 1 {
-		runMulticore(runner, f.Bench, cfg, *cores, *jsonOut)
+		runMulticore(f.Bench, experiments.SharedCMP(cfg), *cores, sc, *jsonOut)
 		return
 	}
 
 	start := time.Now()
-	e, err := runner.RunConfig(f.Bench, cfg)
+	e, err := experiments.Simulate(f.Bench, cfg, sc)
 	if err != nil {
 		cliutil.Fatal(err)
 	}
@@ -66,11 +60,7 @@ func main() {
 	fmt.Printf("design           %s\n", r.Design)
 	fmt.Printf("simulated cycles %d (%.2f ms at 3.2 GHz)\n", r.Cycles, float64(r.Cycles)/3.2e6)
 	fmt.Printf("instructions     %d (IPC %.2f)\n", r.Instructions, r.IPC)
-	if runner.Simulations() == 0 {
-		fmt.Printf("wall time        %v (cached)\n", wall.Round(time.Millisecond))
-	} else {
-		fmt.Printf("wall time        %v\n", wall.Round(time.Millisecond))
-	}
+	fmt.Printf("wall time        %v\n", wall.Round(time.Millisecond))
 	fmt.Printf("AMAT             %.2f cycles\n", r.AMAT)
 	fmt.Printf("LLC requests     %d, misses %d (MPKI %.2f)\n", r.LLCRequests, r.LLCMisses, r.MPKI)
 	fmt.Printf("DRAM traffic     %.2f MB read, %.2f MB written (%.2f MB approx)\n",
@@ -107,15 +97,11 @@ func printJSON(v any) {
 	fmt.Println(string(data))
 }
 
-// runMulticore executes the benchmark on an n-core shared-resource CMP
-// and prints the aggregate statistics.
-func runMulticore(runner *experiments.Runner, bench string, cfg sim.Config, n int, jsonOut bool) {
-	// Shared-resource CMP: undo the per-core slicing.
-	cfg.LLCBytes *= 4
-	cfg.DRAMChannels = 2
-	cfg.DRAMSliceDiv = 1
+// runMulticore executes the benchmark on an n-core CMP sharing cfg's
+// LLC and DRAM and prints the aggregate statistics.
+func runMulticore(bench string, cfg sim.Config, n int, sc workloads.Scale, jsonOut bool) {
 	start := time.Now()
-	r, err := runner.RunMultiConfig(bench, cfg, n)
+	r, err := experiments.SimulateMulti(bench, cfg, n, sc)
 	if err != nil {
 		cliutil.Fatal(err)
 	}

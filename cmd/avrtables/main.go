@@ -8,21 +8,21 @@
 //	avrtables -exp fig11      # one experiment
 //	avrtables -scale slice    # Table 1 slice configuration (slower)
 //	avrtables -csv out/       # also write CSV files
-//	avrtables -workers 4      # bound the worker pool (default GOMAXPROCS)
-//	avrtables -cache-dir .avr # persist results; reruns skip simulation
 //	avrtables -q              # suppress per-run progress lines
-//	avrtables -manifest-dir m # write one JSON run manifest per run
-//	avrtables -debug-addr :0  # live expvar + pprof while the matrix runs
+//	avrtables -debug-addr :0  # live pprof while the matrix runs
 //
-// Results are bit-identical for every worker count: the simulated
+// Runs spread over GOMAXPROCS workers (GOMAXPROCS=n avrtables bounds the
+// pool). Results are bit-identical for every pool size: the simulated
 // clocks are deterministic and reports render from a memoised matrix.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -36,9 +36,6 @@ func main() {
 	cliutil.RegisterScale(flag.CommandLine, &scale)
 	cliutil.RegisterDebug(flag.CommandLine, &debugAddr)
 	csvDir := flag.String("csv", "", "directory to write CSV files into (optional)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache-dir", "", "persistent result cache directory (optional)")
-	manifestDir := flag.String("manifest-dir", "", "directory to write one JSON run manifest per completed run (optional)")
 	quiet := flag.Bool("q", false, "suppress per-run progress lines")
 	flag.Parse()
 
@@ -48,11 +45,8 @@ func main() {
 	}
 	cliutil.StartDebug(debugAddr)
 	r := experiments.NewRunner(sc)
-	r.Workers = *workers
-	r.CacheDir = *cacheDir
-	r.ManifestDir = *manifestDir
 	if !*quiet {
-		r.Progress = os.Stderr
+		r.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 
 	ids := experiments.IDs()
@@ -62,16 +56,16 @@ func main() {
 
 	// Warm every run up front, sharded across the pool; the experiments
 	// then render from the memoised matrix. A single requested
-	// experiment skips this — it shards just its own units internally.
+	// experiment skips this — ByID resolves just its own units.
 	start := time.Now()
 	if *exp == "all" {
 		fmt.Fprintf(os.Stderr, "running benchmark x design matrix and sweeps (%s scale, %d workers)...\n",
-			sc, r.PoolSize())
+			sc, runtime.GOMAXPROCS(0))
 		if err := r.PrefetchAll(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "matrix complete in %v (%d simulated, rest cached)\n\n",
+		fmt.Fprintf(os.Stderr, "matrix complete in %v (%d runs)\n\n",
 			time.Since(start).Round(time.Second), r.Simulations())
 	}
 

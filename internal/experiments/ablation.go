@@ -36,26 +36,36 @@ func ablationVariants() []ablationVariant {
 // compressibility (lattice).
 var ablationBenchmarks = []string{"heat", "lattice"}
 
-// Ablation runs the AVR design-choice ablations and reports execution
-// time and traffic normalised to the baseline design, plus compression
-// ratio and output error per variant.
-func (r *Runner) Ablation() (Report, error) {
-	if err := r.runJobs(r.ablationJobs()); err != nil {
-		return Report{}, err
+// ablationUnit is bench under the AVR preset with one mechanism changed.
+func (r *Runner) ablationUnit(bench string, v ablationVariant) unit {
+	cfg := r.ConfigFor(sim.AVR)
+	v.mutate(&cfg)
+	return unit{key: bench + "/ablation/" + v.name, bench: bench, cfg: cfg}
+}
+
+// ablationUnits declares the variants and the baselines they normalise
+// against.
+func (r *Runner) ablationUnits() []unit {
+	var us []unit
+	for _, bench := range ablationBenchmarks {
+		us = append(us, r.matrix(bench, sim.Baseline))
+		for _, v := range ablationVariants() {
+			us = append(us, r.ablationUnit(bench, v))
+		}
 	}
+	return us
+}
+
+// ablation reports execution time and traffic normalised to the baseline
+// design, plus compression ratio and output error per variant.
+func ablation(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"benchmark", "variant", "exec", "traffic", "ratio", "error"}
 	var rows [][]string
 	for _, bench := range ablationBenchmarks {
-		base, err := r.Run(bench, sim.Baseline)
-		if err != nil {
-			return Report{}, err
-		}
+		base := got.of(r.matrix(bench, sim.Baseline))
 		baseTraffic := float64(base.Result.DRAM.TotalBytes())
 		for _, v := range ablationVariants() {
-			e, err := r.runVariant(bench, v)
-			if err != nil {
-				return Report{}, err
-			}
+			e := got.of(r.ablationUnit(bench, v))
 			outErr := MeanRelativeError(base.Output, e.Output)
 			rows = append(rows, []string{
 				bench, v.name,
@@ -66,45 +76,5 @@ func (r *Runner) Ablation() (Report, error) {
 			})
 		}
 	}
-	text, csv := renderTable(header, rows)
-	return Report{
-		ID:    "ablation",
-		Title: "Ablation: AVR mechanisms on/off (normalised to baseline)",
-		Text:  text,
-		CSV:   csv,
-	}, nil
-}
-
-// ablationJobs enumerates the ablation units (plus the baselines they
-// normalise against) for the worker pool.
-func (r *Runner) ablationJobs() []job {
-	var jobs []job
-	for _, bench := range ablationBenchmarks {
-		bench := bench
-		jobs = append(jobs, job{label: key(bench, sim.Baseline), bench: bench, design: sim.Baseline.String(), run: func() error {
-			_, err := r.Run(bench, sim.Baseline)
-			return err
-		}})
-		for _, v := range ablationVariants() {
-			v := v
-			jobs = append(jobs, job{
-				label:  bench + "/ablation/" + v.name,
-				bench:  bench,
-				design: "ablation/" + v.name,
-				run: func() error {
-					_, err := r.runVariant(bench, v)
-					return err
-				},
-			})
-		}
-	}
-	return jobs
-}
-
-// runVariant runs one benchmark under a mutated AVR configuration
-// (memoised under a variant-specific key).
-func (r *Runner) runVariant(bench string, v ablationVariant) (*Entry, error) {
-	cfg := r.ConfigFor(sim.AVR)
-	v.mutate(&cfg)
-	return r.runSim(bench+"/ablation/"+v.name, bench, cfg)
+	return header, rows
 }

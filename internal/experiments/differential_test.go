@@ -4,57 +4,31 @@ import (
 	"runtime"
 	"testing"
 
+	"avr/internal/sim"
 	"avr/internal/workloads"
 )
 
 // TestParallelMatchesSerial is the differential check behind the
-// engine's determinism claim: the Table3 and Fig10 reports rendered
-// from a workers=1 runner and a workers=N runner must be byte-identical
-// at ScaleSmall. Simulated clocks are deterministic, so any divergence
-// means scheduling leaked into results.
+// engine's determinism claim: a pool of one worker must reproduce the
+// same golden Table 3 and Fig. 10 bytes the default pool does in
+// TestFullMatrixReports. Simulated clocks are deterministic, so any
+// divergence means scheduling leaked into results.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix")
 	}
-
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := NewRunner(workloads.ScaleSmall)
-	serial.Workers = 1
-	parallel := NewRunner(workloads.ScaleSmall)
-	parallel.Workers = runtime.GOMAXPROCS(0)
-	if parallel.Workers < 2 {
-		parallel.Workers = 2
-	}
-
-	type render func(r *Runner) (Report, error)
-	cases := []struct {
-		name string
-		fn   render
-	}{
-		{"table3", func(r *Runner) (Report, error) { return r.Table3() }},
-		{"fig10", func(r *Runner) (Report, error) { return r.Fig10() }},
-	}
-	for _, c := range cases {
-		s, err := c.fn(serial)
+	for _, id := range []string{"table3", "fig10"} {
+		rep, err := serial.ByID(id)
 		if err != nil {
-			t.Fatalf("%s serial: %v", c.name, err)
+			t.Fatalf("%s: %v", id, err)
 		}
-		p, err := c.fn(parallel)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", c.name, err)
-		}
-		if s.Text != p.Text {
-			t.Errorf("%s text differs between workers=1 and workers=%d:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				c.name, parallel.Workers, s.Text, p.Text)
-		}
-		if s.CSV != p.CSV {
-			t.Errorf("%s CSV differs between workers=1 and workers=%d", c.name, parallel.Workers)
-		}
+		checkGolden(t, rep)
 	}
-
-	// Both runners covered the same distinct keys, so the dedup layer
-	// must have produced identical simulation counts.
-	if serial.Simulations() != parallel.Simulations() {
-		t.Errorf("simulation counts differ: serial %d, parallel %d",
-			serial.Simulations(), parallel.Simulations())
+	// fig10 needs the whole matrix and table3 a subset of it: the memo
+	// must have simulated each cell once.
+	if n, want := serial.Simulations(), int64(len(Benchmarks())*len(sim.Designs)); n != want {
+		t.Errorf("simulations = %d, want %d", n, want)
 	}
 }

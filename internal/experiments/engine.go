@@ -1,388 +1,167 @@
-// Parallel experiment engine: a bounded worker pool shards the
-// benchmark × design matrix and the sweep/ablation units across
-// GOMAXPROCS workers, a singleflight layer deduplicates concurrent
-// requests for the same run, and an optional on-disk JSON cache makes
-// results persistent across process invocations. Simulated clocks are
-// deterministic, so results are bit-identical however the work is
-// scheduled.
+// The run engine. A run is a plain value (unit); a Runner keeps one memo
+// slot per unit key; resolve runs the slots nobody has started on a
+// GOMAXPROCS-wide pool. Simulated clocks are deterministic, so results
+// are bit-identical however the work is scheduled.
 
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"log/slog"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
 
-	"avr/internal/obs"
 	"avr/internal/sim"
 	"avr/internal/workloads"
 )
 
-// cacheSalt versions the on-disk result cache. Bump it whenever a
-// simulator change alters results so stale entries are never reused.
-const cacheSalt = "avr-results-v2"
+// unit is one simulation run as a value: the memo key that names it and
+// everything needed to execute it. cores == 0 is the single-core system;
+// n ≥ 1 is sim.NewMulti's n-core CMP (which at n = 1 is still not the
+// single-core system: it has the barrier-flush coherence machinery).
+type unit struct {
+	key   string
+	bench string
+	cfg   sim.Config
+	cores int
+}
 
-// call is an in-flight single-core run other callers can wait on.
-type call struct {
-	done chan struct{}
+// slot is the memo of one key: the first caller simulates inside once,
+// every later or concurrent caller waits there and reads e and err.
+type slot struct {
+	unit
+	once sync.Once
 	e    *Entry
 	err  error
 }
 
-// multiCall is an in-flight multicore run.
-type multiCall struct {
-	done chan struct{}
-	res  sim.MultiResult
-	err  error
+// results are the entries of one resolved unit list, by memo key.
+type results map[string]*Entry
+
+// of reads back a unit the renderer's registry row declared. Asking for
+// one it did not declare is a bug in that row, whatever else happens to
+// be memoised.
+func (g results) of(u unit) *Entry {
+	e, ok := g[u.key]
+	if !ok {
+		panic("experiments: renderer read undeclared unit " + u.key)
+	}
+	return e
 }
 
-// job is one unit of sharded work. bench and design identify the run
-// for structured progress logging; label is the human-readable memo key.
-type job struct {
-	label  string
-	bench  string
-	design string
-	run    func() error
-}
-
-// PoolSize returns the effective worker count.
-func (r *Runner) PoolSize() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Simulations reports how many actual simulations this runner executed
-// (memory/disk cache hits and deduplicated callers excluded).
-func (r *Runner) Simulations() int64 { return r.simulations.Load() }
-
-// logger resolves the structured progress logger: an explicit Logger
-// wins, otherwise Progress is wrapped in a text handler (timestamps
-// stripped — the per-job duration is already an attribute), otherwise
-// logging is off.
-func (r *Runner) logger() *slog.Logger {
-	if r.Logger != nil {
-		return r.Logger
-	}
-	if r.Progress == nil {
-		return nil
-	}
-	return slog.New(slog.NewTextHandler(r.Progress, &slog.HandlerOptions{
-		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
-			if len(groups) == 0 && a.Key == slog.TimeKey {
-				return slog.Attr{}
-			}
-			return a
-		},
-	}))
-}
-
-// runJobs shards jobs across the worker pool and returns the first
-// error. Each completed job emits one structured log line tagged with
-// the worker that ran it and the (benchmark, design, scale) identity of
-// the run, so interleaved lines from a parallel sweep stay attributable.
-func (r *Runner) runJobs(jobs []job) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	workers := r.PoolSize()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	r.total.Add(int64(len(jobs)))
-	log := r.logger()
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for j := range ch {
-				start := time.Now()
-				obs.WorkersBusy.Add(1)
-				err := j.run()
-				obs.WorkersBusy.Add(-1)
-				n := r.done.Add(1)
-				if log != nil {
-					attrs := []any{
-						"done", n, "total", r.total.Load(), "worker", worker,
-						"bench", j.bench, "design", j.design, "scale", r.Scale.String(),
-					}
-					if err != nil {
-						log.Error("run failed", append(attrs, "err", err)...)
-					} else {
-						log.Info("run done", append(attrs,
-							"dur", time.Since(start).Round(time.Millisecond))...)
-					}
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}(i)
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	return firstErr
-}
-
-// simulate executes one single-core run, bypassing every cache layer.
-func (r *Runner) simulate(bench string, cfg sim.Config) (*Entry, error) {
+// Simulate executes one single-core run of bench under cfg.
+func Simulate(bench string, cfg sim.Config, sc workloads.Scale) (*Entry, error) {
 	w, err := workloads.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
 	sys := sim.New(cfg)
-	w.Setup(sys, r.Scale)
+	w.Setup(sys, sc)
 	sys.Prime()
 	w.Run(sys)
 	res := sys.Finish(bench)
 	return &Entry{Result: res, Output: w.Output(sys)}, nil
 }
 
-// runSim is the single entry point for every single-core experiment
-// unit: memory memo → singleflight dedup → disk cache → simulation.
-// Exactly one caller simulates a given key no matter how many request it
-// concurrently.
-func (r *Runner) runSim(key, bench string, cfg sim.Config) (*Entry, error) {
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		obs.MemoHits.Add(1)
-		return e, nil
-	}
-	if c, ok := r.inflight[key]; ok {
-		r.mu.Unlock()
-		<-c.done
-		return c.e, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	if r.inflight == nil {
-		r.inflight = make(map[string]*call)
-	}
-	r.inflight[key] = c
-	r.mu.Unlock()
-
-	start := time.Now()
-	path := r.diskPath(key, cfg, 1)
-	e, ok := r.loadDisk(path, key)
-	provenance := ProvenanceDiskCache
-	var err error
-	if ok {
-		obs.DiskHits.Add(1)
-	} else {
-		provenance = ProvenanceSimulated
-		r.simulations.Add(1)
-		obs.Simulations.Add(1)
-		obs.RunsInFlight.Add(1)
-		e, err = r.simulate(bench, cfg)
-		obs.RunsInFlight.Add(-1)
-		if err == nil {
-			r.storeDisk(path, key, e, sim.MultiResult{}, false)
-		}
-	}
-	if err == nil {
-		obs.RunsCompleted.Add(1)
-		r.writeManifest(key, bench, cfg, 1, provenance, time.Since(start))
-	}
-
-	r.mu.Lock()
-	if err == nil {
-		r.cache[key] = e
-	}
-	delete(r.inflight, key)
-	r.mu.Unlock()
-	c.e, c.err = e, err
-	close(c.done)
-	return e, err
-}
-
-// runMultiSim is runSim for multicore runs.
-func (r *Runner) runMultiSim(key, bench string, cfg sim.Config, n int) (sim.MultiResult, error) {
-	r.mu.Lock()
-	if r.multiCache == nil {
-		r.multiCache = make(map[string]sim.MultiResult)
-	}
-	if res, ok := r.multiCache[key]; ok {
-		r.mu.Unlock()
-		obs.MemoHits.Add(1)
-		return res, nil
-	}
-	if c, ok := r.multiInflight[key]; ok {
-		r.mu.Unlock()
-		<-c.done
-		return c.res, c.err
-	}
-	c := &multiCall{done: make(chan struct{})}
-	if r.multiInflight == nil {
-		r.multiInflight = make(map[string]*multiCall)
-	}
-	r.multiInflight[key] = c
-	r.mu.Unlock()
-
-	start := time.Now()
-	path := r.diskPath(key, cfg, n)
-	var res sim.MultiResult
-	var err error
-	provenance := ProvenanceDiskCache
-	de, ok := r.loadDiskRaw(path, key)
-	if ok && de.Multi != nil {
-		res = *de.Multi
-		obs.DiskHits.Add(1)
-	} else {
-		provenance = ProvenanceSimulated
-		r.simulations.Add(1)
-		obs.Simulations.Add(1)
-		obs.RunsInFlight.Add(1)
-		res, err = r.simulateMulti(bench, cfg, n)
-		obs.RunsInFlight.Add(-1)
-		if err == nil {
-			r.storeDisk(path, key, nil, res, true)
-		}
-	}
-	if err == nil {
-		obs.RunsCompleted.Add(1)
-		r.writeManifest(key, bench, cfg, n, provenance, time.Since(start))
-	}
-
-	r.mu.Lock()
-	if err == nil {
-		r.multiCache[key] = res
-	}
-	delete(r.multiInflight, key)
-	r.mu.Unlock()
-	c.res, c.err = res, err
-	close(c.done)
-	return res, err
-}
-
-// simulateMulti executes one n-core run, bypassing every cache layer.
-func (r *Runner) simulateMulti(bench string, cfg sim.Config, n int) (sim.MultiResult, error) {
+// SimulateMulti executes bench's parallel decomposition on an n-core CMP
+// whose cores share cfg's LLC and DRAM.
+func SimulateMulti(bench string, cfg sim.Config, n int, sc workloads.Scale) (sim.MultiResult, error) {
 	w, err := workloads.ParallelByName(bench)
 	if err != nil {
 		return sim.MultiResult{}, err
 	}
 	m := sim.NewMulti(cfg, n)
-	w.Setup(m.Shared(), r.Scale)
+	w.Setup(m.Shared(), sc)
 	m.Prime()
 	m.Run(w.RunShard)
 	return m.Finish(bench), nil
 }
 
-// RunConfig runs one benchmark under an explicit configuration through
-// the dedup and cache layers, keyed by the configuration fingerprint.
-// This is what cmd/avrsim uses so repeated invocations hit the disk
-// cache.
-func (r *Runner) RunConfig(bench string, cfg sim.Config) (*Entry, error) {
-	h := sha256.Sum256([]byte(cfg.Fingerprint()))
-	return r.runSim(fmt.Sprintf("%s/cfg-%s", bench, hex.EncodeToString(h[:8])), bench, cfg)
-}
-
-// RunMultiConfig is RunConfig for an n-core CMP run.
-func (r *Runner) RunMultiConfig(bench string, cfg sim.Config, n int) (sim.MultiResult, error) {
-	h := sha256.Sum256([]byte(cfg.Fingerprint()))
-	k := fmt.Sprintf("%s/cfg-%s/cores%d", bench, hex.EncodeToString(h[:8]), n)
-	return r.runMultiSim(k, bench, cfg, n)
-}
-
-// ---- persistent disk cache ----
-
-// diskEntry is the JSON envelope of one cached run. Key is stored for
-// debuggability only; the filename hash is the lookup key.
-type diskEntry struct {
-	Key    string           `json:"key"`
-	Result *sim.Result      `json:"result,omitempty"`
-	Output []float64        `json:"output,omitempty"`
-	Multi  *sim.MultiResult `json:"multi,omitempty"`
-}
-
-// diskPath derives the cache filename from a hash of the cache-version
-// salt, the workload scale, the memo key and the full configuration
-// fingerprint, so any config or simulator change misses cleanly.
-func (r *Runner) diskPath(key string, cfg sim.Config, cores int) string {
-	if r.CacheDir == "" {
-		return ""
+// simulate executes the unit. A CMP run keeps its aggregate Result,
+// which carries the slowest core's cycles and the summed instructions.
+func (u unit) simulate(sc workloads.Scale) (*Entry, error) {
+	if u.cores == 0 {
+		return Simulate(u.bench, u.cfg, sc)
 	}
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s|scale%d|cores%d|%s|%s",
-		cacheSalt, r.Scale, cores, key, cfg.Fingerprint())))
-	return filepath.Join(r.CacheDir, hex.EncodeToString(h[:16])+".json")
-}
-
-// loadDiskRaw reads and validates a cache file; any failure is a miss.
-func (r *Runner) loadDiskRaw(path, key string) (diskEntry, bool) {
-	var de diskEntry
-	if path == "" {
-		return de, false
-	}
-	data, err := os.ReadFile(path)
+	m, err := SimulateMulti(u.bench, u.cfg, u.cores, sc)
 	if err != nil {
-		return de, false
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &de); err != nil || de.Key != key {
-		return de, false
-	}
-	return de, true
+	return &Entry{Result: m.Result}, nil
 }
 
-// loadDisk reads a cached single-core entry.
-func (r *Runner) loadDisk(path, key string) (*Entry, bool) {
-	de, ok := r.loadDiskRaw(path, key)
-	if !ok || de.Result == nil {
-		return nil, false
+// Simulations reports how many simulations this runner executed (memo
+// hits and deduplicated callers excluded).
+func (r *Runner) Simulations() int64 { return r.simulations.Load() }
+
+// slotFor returns the memo slot of u's key, creating it for a new key.
+func (r *Runner) slotFor(u unit) *slot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.slots[u.key]
+	if !ok {
+		s = &slot{unit: u}
+		r.slots[u.key] = s
 	}
-	return &Entry{Result: *de.Result, Output: de.Output}, true
+	return s
 }
 
-// storeDisk writes one completed run; failures (including
-// unserialisable NaN/Inf outputs) only disable persistence, never the
-// run itself. The write is atomic (temp file + rename) so concurrent
-// processes sharing a cache directory never read torn files.
-func (r *Runner) storeDisk(path, key string, e *Entry, m sim.MultiResult, multi bool) {
-	if path == "" {
-		return
+// run returns the slot's entry, simulating it if no caller has. The one
+// caller that simulates logs the one progress line of the run: done
+// counts finished simulations, total the distinct runs known so far.
+func (r *Runner) run(s *slot) (*Entry, error) {
+	s.once.Do(func() {
+		start := time.Now()
+		r.simulations.Add(1)
+		s.e, s.err = s.simulate(r.Scale)
+		if r.Logger == nil {
+			return
+		}
+		r.mu.Lock()
+		total := len(r.slots)
+		r.mu.Unlock()
+		attrs := []any{"done", r.done.Add(1), "total", total, "key", s.key, "scale", r.Scale.String()}
+		if s.err != nil {
+			r.Logger.Error("run failed", append(attrs, "err", s.err)...)
+		} else {
+			r.Logger.Info("run done", append(attrs, "dur", time.Since(start).Round(time.Millisecond))...)
+		}
+	})
+	return s.e, s.err
+}
+
+// resolve runs units on a pool of GOMAXPROCS workers — each key once,
+// however often it is listed here or was asked for before — and returns
+// every unit's entry, or the first error in unit order. All slots exist
+// before the first run starts, so every progress line of a pass carries
+// the same total.
+func (r *Runner) resolve(units []unit) (results, error) {
+	slots := make([]*slot, len(units))
+	for i, u := range units {
+		slots[i] = r.slotFor(u)
 	}
-	de := diskEntry{Key: key}
-	if multi {
-		de.Multi = &m
-	} else {
-		de.Result = &e.Result
-		de.Output = e.Output
+	ch := make(chan *slot)
+	var wg sync.WaitGroup
+	for i := min(runtime.GOMAXPROCS(0), len(slots)); i > 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range ch {
+				r.run(s)
+			}
+		}()
 	}
-	data, err := json.Marshal(de)
-	if err != nil {
-		return
+	for _, s := range slots {
+		ch <- s
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
+	close(ch)
+	wg.Wait()
+
+	got := make(results, len(slots))
+	for _, s := range slots {
+		if s.err != nil {
+			return nil, s.err
+		}
+		got[s.key] = s.e
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
+	return got, nil
 }

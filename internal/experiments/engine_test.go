@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -71,135 +70,74 @@ func TestPrefetchDeduplicatesOverlap(t *testing.T) {
 	}
 }
 
-// TestDiskCachePersistsRuns checks that a second runner sharing the
-// cache directory reproduces the first runner's results without
-// simulating, and that results survive the JSON round trip exactly.
-func TestDiskCachePersistsRuns(t *testing.T) {
-	dir := t.TempDir()
-
-	r1 := NewRunner(workloads.ScaleSmall)
-	r1.CacheDir = dir
-	e1, err := r1.Run("heat", sim.Baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := r1.Simulations(); n != 1 {
-		t.Fatalf("first runner simulated %d times, want 1", n)
-	}
-
-	r2 := NewRunner(workloads.ScaleSmall)
-	r2.CacheDir = dir
-	e2, err := r2.Run("heat", sim.Baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := r2.Simulations(); n != 0 {
-		t.Errorf("second runner simulated %d times, want 0 (disk hit)", n)
-	}
-	if !reflect.DeepEqual(e1.Result, e2.Result) {
-		t.Errorf("cached result differs:\n%+v\nvs\n%+v", e1.Result, e2.Result)
-	}
-	if len(e1.Output) != len(e2.Output) {
-		t.Fatalf("output lengths differ: %d vs %d", len(e1.Output), len(e2.Output))
-	}
-	for i := range e1.Output {
-		if e1.Output[i] != e2.Output[i] {
-			t.Fatalf("output[%d] differs after JSON round trip: %v vs %v",
-				i, e1.Output[i], e2.Output[i])
-		}
-	}
+// lockedBuffer collects progress lines written by concurrent workers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
 
-// TestDiskCacheKeyedByConfig checks that a changed configuration misses
-// the cache instead of returning a stale entry.
-func TestDiskCacheKeyedByConfig(t *testing.T) {
-	dir := t.TempDir()
-	r1 := NewRunner(workloads.ScaleSmall)
-	r1.CacheDir = dir
-	if _, err := r1.runThreshold("heat", 1.0/32); err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := NewRunner(workloads.ScaleSmall)
-	r2.CacheDir = dir
-	if _, err := r2.runThreshold("heat", 1.0/64); err != nil {
-		t.Fatal(err)
-	}
-	if n := r2.Simulations(); n != 1 {
-		t.Errorf("different thresholds hit the cache (%d simulations, want 1)", n)
-	}
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
 }
 
-// TestProgressReporting checks the structured progress lines of a
-// sharded pool pass: one line per job, each carrying the (benchmark,
-// design, scale) identity and the worker that ran it.
+// TestProgressReporting checks the progress stream: one line per
+// simulated run, named by its memo key, carrying the pass's total — and
+// none for a memo hit.
 func TestProgressReporting(t *testing.T) {
 	r := NewRunner(workloads.ScaleSmall)
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	r.Progress = writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	if err := r.Prefetch([]string{"heat"}, []sim.Design{sim.Baseline, sim.ZeroAVR}); err != nil {
-		t.Fatal(err)
+	var out lockedBuffer
+	r.Logger = slog.New(slog.NewTextHandler(&out, nil))
+	designs := []sim.Design{sim.Baseline, sim.ZeroAVR}
+	for pass := 0; pass < 2; pass++ { // the second pass only hits the memo
+		if err := r.Prefetch([]string{"heat"}, designs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	lines := strings.Split(strings.TrimSuffix(out.buf.String(), "\n"), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("progress lines = %q, want 2 lines", out)
+		t.Fatalf("progress lines = %q, want 2 lines", lines)
 	}
 	for _, l := range lines {
-		for _, want := range []string{"bench=heat", "design=", "scale=small", "worker=", "done=", "total=2", "dur="} {
+		for _, want := range []string{"key=heat/", "scale=small", "done=", "total=2", "dur="} {
 			if !strings.Contains(l, want) {
 				t.Errorf("progress line missing %s: %q", want, l)
 			}
 		}
 	}
-	if !strings.Contains(out, "design=baseline") || !strings.Contains(out, "design=ZeroAVR") {
-		t.Errorf("progress lines missing a design: %q", out)
+	for _, d := range designs {
+		if want := "key=heat/" + d.String(); strings.Count(out.buf.String(), want+" ") != 1 {
+			t.Errorf("want exactly one line with %s: %q", want, lines)
+		}
 	}
 }
 
-// TestProgressExplicitLogger checks Logger overrides the Progress
-// writer's default text handler.
+// TestProgressExplicitLogger checks progress goes through whatever
+// handler the caller's Logger has, with the run's identity as
+// structured attributes.
 func TestProgressExplicitLogger(t *testing.T) {
 	r := NewRunner(workloads.ScaleSmall)
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	r.Logger = slog.New(slog.NewJSONHandler(writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	}), nil))
+	var out lockedBuffer
+	r.Logger = slog.New(slog.NewJSONHandler(&out, nil))
 	if err := r.Prefetch([]string{"heat"}, []sim.Design{sim.Baseline}); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
 	var line struct {
 		Msg   string `json:"msg"`
-		Bench string `json:"bench"`
+		Key   string `json:"key"`
 		Scale string `json:"scale"`
 	}
-	if err := json.Unmarshal([]byte(out), &line); err != nil {
-		t.Fatalf("progress line not JSON: %q (%v)", out, err)
+	if err := json.Unmarshal(out.buf.Bytes(), &line); err != nil {
+		t.Fatalf("progress line not JSON: %q (%v)", out.buf.String(), err)
 	}
-	if line.Msg != "run done" || line.Bench != "heat" || line.Scale != "small" {
+	if line.Msg != "run done" || line.Key != "heat/baseline" || line.Scale != "small" {
 		t.Errorf("logged %+v", line)
 	}
 }
 
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// TestRunUnknownBenchmarkNotCached checks errors are not memoised as
-// successes and propagate through the singleflight layer.
+// TestRunUnknownBenchmarkConcurrent checks a failed run reaches every
+// caller racing on its slot as an error, never as an empty success.
 func TestRunUnknownBenchmarkConcurrent(t *testing.T) {
 	r := NewRunner(workloads.ScaleSmall)
 	var wg sync.WaitGroup

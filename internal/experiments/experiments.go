@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"sort"
@@ -24,51 +23,29 @@ type Entry struct {
 	Output []float64
 }
 
-// Runner executes and memoises the benchmark × design matrix. All
-// methods are safe for concurrent use: a singleflight layer guarantees
-// each distinct run simulates exactly once however many callers race on
-// it, and the sweep experiments shard their units across a bounded
-// worker pool.
+// Runner executes and memoises runs. All methods are safe for concurrent
+// use: each distinct run has one memo slot, so it simulates exactly once
+// however many callers race on it, and resolve spreads the runs nobody
+// has started across a GOMAXPROCS-wide pool.
 type Runner struct {
 	// Scale selects the input scale for all runs.
 	Scale workloads.Scale
 	// ConfigFor builds the system configuration per design; defaults to
 	// PresetSmall/PresetSlice according to Scale.
 	ConfigFor func(d sim.Design) sim.Config
-	// Workers bounds the worker pool used by Prefetch and the sweep
-	// experiments; zero means GOMAXPROCS. Results are bit-identical for
-	// every worker count.
-	Workers int
-	// CacheDir, when non-empty, enables the persistent on-disk result
-	// cache: completed runs are stored as JSON keyed by a hash of the
-	// full configuration, the workload scale and a code-version salt, so
-	// repeated invocations skip simulation entirely.
-	CacheDir string
-	// Progress, when non-nil, receives one structured log line per
-	// completed sharded unit so long sweeps are observable. Lines are
-	// rendered by a slog text handler unless Logger overrides it.
-	Progress io.Writer
-	// Logger, when non-nil, overrides the handler progress lines are
-	// emitted through (Progress is then ignored).
+	// Logger, when non-nil, receives one structured line per simulated
+	// run, named by its memo key, so long sweeps are observable.
 	Logger *slog.Logger
-	// ManifestDir, when non-empty, receives one JSON run manifest per
-	// completed unit: config hash, cache salt, scale, wall time and
-	// cache provenance. See manifest.go.
-	ManifestDir string
 
-	mu            sync.Mutex
-	cache         map[string]*Entry
-	multiCache    map[string]sim.MultiResult
-	inflight      map[string]*call
-	multiInflight map[string]*multiCall
+	mu    sync.Mutex
+	slots map[string]*slot
 
-	simulations atomic.Int64
-	done, total atomic.Int64
+	simulations, done atomic.Int64
 }
 
 // NewRunner creates a runner at the given scale.
 func NewRunner(sc workloads.Scale) *Runner {
-	r := &Runner{Scale: sc, cache: make(map[string]*Entry)}
+	r := &Runner{Scale: sc, slots: make(map[string]*slot)}
 	r.ConfigFor = func(d sim.Design) sim.Config {
 		if sc == workloads.ScaleSmall {
 			return sim.PresetSmall(d)
@@ -78,47 +55,43 @@ func NewRunner(sc workloads.Scale) *Runner {
 	return r
 }
 
-func key(bench string, d sim.Design) string { return bench + "/" + d.String() }
-
-// Run executes one benchmark on one design (memoised, deduplicated,
-// disk-cached).
-func (r *Runner) Run(bench string, d sim.Design) (*Entry, error) {
-	return r.runSim(key(bench, d), bench, r.ConfigFor(d))
+// matrix is the unit of the benchmark × design matrix: bench on design
+// d's preset.
+func (r *Runner) matrix(bench string, d sim.Design) unit {
+	return unit{key: bench + "/" + d.String(), bench: bench, cfg: r.ConfigFor(d)}
 }
 
-// matrixJobs enumerates the benchmark × design matrix as sharded units.
-func (r *Runner) matrixJobs(benches []string, designs []sim.Design) []job {
-	var jobs []job
+// matrixUnits declares benches × designs.
+func (r *Runner) matrixUnits(benches []string, designs []sim.Design) []unit {
+	var us []unit
 	for _, b := range benches {
 		for _, d := range designs {
-			b, d := b, d
-			jobs = append(jobs, job{label: key(b, d), bench: b, design: d.String(), run: func() error {
-				_, err := r.Run(b, d)
-				return err
-			}})
+			us = append(us, r.matrix(b, d))
 		}
 	}
-	return jobs
+	return us
+}
+
+// Run executes one benchmark on one design (memoised, deduplicated).
+func (r *Runner) Run(bench string, d sim.Design) (*Entry, error) {
+	return r.run(r.slotFor(r.matrix(bench, d)))
 }
 
 // Prefetch runs the given benchmarks × designs across the worker pool to
-// warm the memo cache.
+// warm the memo.
 func (r *Runner) Prefetch(benches []string, designs []sim.Design) error {
-	return r.runJobs(r.matrixJobs(benches, designs))
+	_, err := r.resolve(r.matrixUnits(benches, designs))
+	return err
 }
 
-// PrefetchAll warms every run any experiment needs — the full matrix,
-// the threshold/LLC-capacity sweeps, the ablations, the lossless
-// variants and the multicore scaling points — in one sharded pool pass.
+// PrefetchAll warms every run any experiment declares in one pool pass.
 func (r *Runner) PrefetchAll() error {
-	jobs := r.matrixJobs(Benchmarks(), sim.Designs)
-	jobs = append(jobs, r.thresholdJobs()...)
-	jobs = append(jobs, r.ablationJobs()...)
-	jobs = append(jobs, r.llcSweepJobs()...)
-	jobs = append(jobs, r.losslessJobs()...)
-	jobs = append(jobs, r.multicoreJobs()...)
-	jobs = append(jobs, r.histogramJobs()...)
-	return r.runJobs(jobs)
+	var us []unit
+	for _, x := range registry {
+		us = append(us, x.units(r)...)
+	}
+	_, err := r.resolve(us)
+	return err
 }
 
 // OutputError computes the paper's quality metric — the mean of the
@@ -234,68 +207,119 @@ func geomean(vals []float64) float64 {
 	return math.Exp(s / float64(len(vals)))
 }
 
-// comparisonDesigns are the non-baseline designs shown in the figures.
-var comparisonDesigns = []sim.Design{sim.Dganger, sim.Truncate, sim.ZeroAVR, sim.AVR}
+// experiment is one registry row: the runs the report needs, declared as
+// units, and the renderer that reads them back as a header and rows.
+// IDs, ByID and PrefetchAll all derive from the registry.
+type experiment struct {
+	id, title string
+	units     func(r *Runner) []unit
+	render    func(r *Runner, got results) (header []string, rows [][]string)
+}
 
-// normalisedFigure renders one "normalised to baseline" figure (Figs. 9,
-// 11, 12, 13): metric(design)/metric(baseline) per benchmark plus the
-// geometric mean.
-func (r *Runner) normalisedFigure(id, title string, metric func(*Entry) float64) (Report, error) {
-	if err := r.prefetchMatrix(append([]sim.Design{sim.Baseline}, comparisonDesigns...)); err != nil {
-		return Report{}, err
-	}
-	benches := Benchmarks()
-	header := append([]string{"design"}, append(append([]string{}, benches...), "geomean")...)
-	var rows [][]string
-	for _, d := range comparisonDesigns {
-		row := []string{d.String()}
-		var vals []float64
-		for _, b := range benches {
-			base, err := r.Run(b, sim.Baseline)
-			if err != nil {
-				return Report{}, err
-			}
-			e, err := r.Run(b, d)
-			if err != nil {
-				return Report{}, err
-			}
-			v := 1.0
-			if m := metric(base); m != 0 {
-				v = metric(e) / m
-			}
-			vals = append(vals, v)
-			row = append(row, fmt.Sprintf("%.3f", v))
+var registry = []experiment{
+	{"table3", "Table 3: Application output error",
+		matrixOf(sim.Baseline, sim.Dganger, sim.Truncate, sim.AVR), table3},
+	{"table4", "Table 4: AVR compression ratio and memory footprint", matrixOf(sim.AVR), table4},
+	{"fig9", "Figure 9: Execution time (normalised to baseline)", matrixOf(figureDesigns...),
+		normalised(func(e *Entry) float64 { return float64(e.Result.Cycles) })},
+	{"fig10", "Figure 10: System energy (normalised to baseline, by component)", matrixOf(sim.Designs...), fig10},
+	{"fig11", "Figure 11: Memory traffic (normalised to baseline)", matrixOf(figureDesigns...), fig11},
+	{"fig12", "Figure 12: Average memory access time (normalised to baseline)", matrixOf(figureDesigns...),
+		normalised(func(e *Entry) float64 { return e.Result.AMAT })},
+	{"fig13", "Figure 13: LLC misses per kilo-instruction (normalised to baseline)", matrixOf(figureDesigns...),
+		normalised(func(e *Entry) float64 { return e.Result.MPKI })},
+	{"fig14", "Figure 14: AVR LLC requests on approximate cachelines", matrixOf(sim.AVR), fig14},
+	{"fig15", "Figure 15: AVR LLC evictions of approximate cachelines", matrixOf(sim.AVR), fig15},
+	{"overhead", "Section 4.2: AVR hardware overhead", matrixOf(), overhead},
+	{"ablation", "Ablation: AVR mechanisms on/off (normalised to baseline)", (*Runner).ablationUnits, ablation},
+	{"llcsweep", "LLC capacity sweep: AVR vs baseline on heat (normalised per capacity)",
+		(*Runner).llcSweepUnits, llcSweep},
+	{"multicore", "Multicore scaling: heat on a shared-LLC CMP (speedup vs same design at 1 core)",
+		(*Runner).multicoreUnits, multicore},
+	{"lossless", "Lossless link layer (BDI/FPC) alone and stacked on AVR (normalised to baseline)",
+		(*Runner).losslessUnits, losslessReport},
+	{"thresholds", "Error-threshold knob: AVR quality vs compression as T1 sweeps (T2 = T1/2)",
+		(*Runner).thresholdUnits, thresholds},
+	{"histograms", "Appendix: latency / compression / error distributions (AVR)",
+		(*Runner).histogramUnits, histograms},
+}
+
+// ByID runs one experiment by its identifier: its units resolve on the
+// pool first, so the serial render only reads the memo and the output
+// bytes never depend on scheduling.
+func (r *Runner) ByID(id string) (Report, error) {
+	want := strings.ToLower(id)
+	for _, x := range registry {
+		if x.id != want {
+			continue
 		}
-		row = append(row, fmt.Sprintf("%.3f", geomean(vals)))
-		rows = append(rows, row)
+		got, err := r.resolve(x.units(r))
+		if err != nil {
+			return Report{}, err
+		}
+		text, csv := renderTable(x.render(r, got))
+		return Report{ID: x.id, Title: x.title, Text: text, CSV: csv}, nil
 	}
-	text, csv := renderTable(header, rows)
-	return Report{ID: id, Title: title, Text: text, CSV: csv}, nil
+	return Report{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
-// prefetchMatrix shards the matrix units a report needs across the
-// worker pool before its serial render loop, which then only hits the
-// memo cache — so rendering order (and output bytes) never depends on
-// the worker count.
-func (r *Runner) prefetchMatrix(designs []sim.Design) error {
-	return r.runJobs(r.matrixJobs(Benchmarks(), designs))
+// IDs lists all experiment identifiers, sorted.
+func IDs() []string {
+	var ids []string
+	for _, x := range registry {
+		ids = append(ids, x.id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
-// Table3 reproduces "Application output error".
-func (r *Runner) Table3() (Report, error) {
-	if err := r.prefetchMatrix([]sim.Design{sim.Baseline, sim.Dganger, sim.Truncate, sim.AVR}); err != nil {
-		return Report{}, err
+// comparisonDesigns are the non-baseline designs shown in the figures;
+// figureDesigns adds the baseline they normalise against.
+var (
+	comparisonDesigns = []sim.Design{sim.Dganger, sim.Truncate, sim.ZeroAVR, sim.AVR}
+	figureDesigns     = append([]sim.Design{sim.Baseline}, comparisonDesigns...)
+)
+
+// matrixOf declares every benchmark on each of the given designs.
+func matrixOf(designs ...sim.Design) func(*Runner) []unit {
+	return func(r *Runner) []unit { return r.matrixUnits(Benchmarks(), designs) }
+}
+
+// normalised renders one "normalised to baseline" figure (Figs. 9, 12,
+// 13): metric(design)/metric(baseline) per benchmark plus the geometric
+// mean.
+func normalised(metric func(*Entry) float64) func(*Runner, results) ([]string, [][]string) {
+	return func(r *Runner, got results) ([]string, [][]string) {
+		benches := Benchmarks()
+		header := append([]string{"design"}, append(append([]string{}, benches...), "geomean")...)
+		var rows [][]string
+		for _, d := range comparisonDesigns {
+			row := []string{d.String()}
+			var vals []float64
+			for _, b := range benches {
+				v := 1.0
+				if m := metric(got.of(r.matrix(b, sim.Baseline))); m != 0 {
+					v = metric(got.of(r.matrix(b, d))) / m
+				}
+				vals = append(vals, v)
+				row = append(row, fmt.Sprintf("%.3f", v))
+			}
+			row = append(row, fmt.Sprintf("%.3f", geomean(vals)))
+			rows = append(rows, row)
+		}
+		return header, rows
 	}
+}
+
+// table3 reproduces "Application output error".
+func table3(r *Runner, got results) ([]string, [][]string) {
 	benches := Benchmarks()
 	header := append([]string{"design"}, benches...)
 	var rows [][]string
 	for _, d := range []sim.Design{sim.Dganger, sim.Truncate, sim.AVR} {
 		row := []string{d.String()}
 		for _, b := range benches {
-			e, err := r.OutputError(b, d)
-			if err != nil {
-				return Report{}, err
-			}
+			e := MeanRelativeError(got.of(r.matrix(b, sim.Baseline)).Output, got.of(r.matrix(b, d)).Output)
 			switch {
 			case e < 0.0005:
 				row = append(row, "<0.05%")
@@ -307,57 +331,31 @@ func (r *Runner) Table3() (Report, error) {
 		}
 		rows = append(rows, row)
 	}
-	text, csv := renderTable(header, rows)
-	return Report{ID: "table3", Title: "Table 3: Application output error", Text: text, CSV: csv}, nil
+	return header, rows
 }
 
-// Table4 reproduces "AVR compression ratio and footprint reduction".
-func (r *Runner) Table4() (Report, error) {
-	if err := r.prefetchMatrix([]sim.Design{sim.AVR}); err != nil {
-		return Report{}, err
-	}
+// table4 reproduces "AVR compression ratio and footprint reduction".
+func table4(r *Runner, got results) ([]string, [][]string) {
 	benches := Benchmarks()
 	header := append([]string{"metric"}, benches...)
 	ratio := []string{"Compr. Ratio"}
 	foot := []string{"Mem. Footprint"}
 	for _, b := range benches {
-		e, err := r.Run(b, sim.AVR)
-		if err != nil {
-			return Report{}, err
-		}
+		e := got.of(r.matrix(b, sim.AVR))
 		ratio = append(ratio, fmt.Sprintf("%.1fx", e.Result.CompressionRatio))
 		foot = append(foot, fmt.Sprintf("%.1f%%", e.Result.FootprintFraction*100))
 	}
-	text, csv := renderTable(header, [][]string{ratio, foot})
-	return Report{ID: "table4", Title: "Table 4: AVR compression ratio and memory footprint", Text: text, CSV: csv}, nil
+	return header, [][]string{ratio, foot}
 }
 
-// Fig9 reproduces execution time normalised to baseline.
-func (r *Runner) Fig9() (Report, error) {
-	return r.normalisedFigure("fig9", "Figure 9: Execution time (normalised to baseline)",
-		func(e *Entry) float64 { return float64(e.Result.Cycles) })
-}
-
-// Fig10 reproduces the system energy breakdown normalised to baseline.
-func (r *Runner) Fig10() (Report, error) {
-	if err := r.prefetchMatrix(sim.Designs); err != nil {
-		return Report{}, err
-	}
-	benches := Benchmarks()
+// fig10 reproduces the system energy breakdown normalised to baseline.
+func fig10(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"benchmark", "design", "core", "L1+L2", "LLC", "DRAM", "compressor", "total"}
 	var rows [][]string
-	for _, b := range benches {
-		base, err := r.Run(b, sim.Baseline)
-		if err != nil {
-			return Report{}, err
-		}
-		bt := base.Result.Energy.Total()
+	for _, b := range Benchmarks() {
+		bt := got.of(r.matrix(b, sim.Baseline)).Result.Energy.Total()
 		for _, d := range sim.Designs {
-			e, err := r.Run(b, d)
-			if err != nil {
-				return Report{}, err
-			}
-			en := e.Result.Energy
+			en := got.of(r.matrix(b, d)).Result.Energy
 			rows = append(rows, []string{
 				b, d.String(),
 				fmt.Sprintf("%.3f", en.Core/bt),
@@ -369,30 +367,19 @@ func (r *Runner) Fig10() (Report, error) {
 			})
 		}
 	}
-	text, csv := renderTable(header, rows)
-	return Report{ID: "fig10", Title: "Figure 10: System energy (normalised to baseline, by component)", Text: text, CSV: csv}, nil
+	return header, rows
 }
 
-// Fig11 reproduces DRAM traffic normalised to baseline, with the
+// fig11 reproduces DRAM traffic normalised to baseline, with the
 // approx/non-approx split.
-func (r *Runner) Fig11() (Report, error) {
-	if err := r.prefetchMatrix(append([]sim.Design{sim.Baseline}, comparisonDesigns...)); err != nil {
-		return Report{}, err
-	}
-	benches := Benchmarks()
+func fig11(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"benchmark", "design", "total", "approx", "non-approx"}
 	var rows [][]string
-	for _, b := range benches {
-		base, err := r.Run(b, sim.Baseline)
-		if err != nil {
-			return Report{}, err
-		}
+	for _, b := range Benchmarks() {
+		base := got.of(r.matrix(b, sim.Baseline))
 		baseTotal := float64(base.Result.DRAM.TotalBytes() + base.Result.CMTTrafficBytes)
 		for _, d := range comparisonDesigns {
-			e, err := r.Run(b, d)
-			if err != nil {
-				return Report{}, err
-			}
+			e := got.of(r.matrix(b, d))
 			total := float64(e.Result.DRAM.TotalBytes() + e.Result.CMTTrafficBytes)
 			approx := float64(e.Result.DRAM.ApproxBytes)
 			rows = append(rows, []string{
@@ -403,36 +390,16 @@ func (r *Runner) Fig11() (Report, error) {
 			})
 		}
 	}
-	text, csv := renderTable(header, rows)
-	return Report{ID: "fig11", Title: "Figure 11: Memory traffic (normalised to baseline)", Text: text, CSV: csv}, nil
+	return header, rows
 }
 
-// Fig12 reproduces average memory access time normalised to baseline.
-func (r *Runner) Fig12() (Report, error) {
-	return r.normalisedFigure("fig12", "Figure 12: Average memory access time (normalised to baseline)",
-		func(e *Entry) float64 { return e.Result.AMAT })
-}
-
-// Fig13 reproduces LLC MPKI normalised to baseline.
-func (r *Runner) Fig13() (Report, error) {
-	return r.normalisedFigure("fig13", "Figure 13: LLC misses per kilo-instruction (normalised to baseline)",
-		func(e *Entry) float64 { return e.Result.MPKI })
-}
-
-// Fig14 reproduces the AVR LLC request breakdown on approximate
+// fig14 reproduces the AVR LLC request breakdown on approximate
 // cachelines.
-func (r *Runner) Fig14() (Report, error) {
-	if err := r.prefetchMatrix([]sim.Design{sim.AVR}); err != nil {
-		return Report{}, err
-	}
+func fig14(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"benchmark", "miss", "uncompressed-hit", "dbuf-hit", "compressed-hit"}
 	var rows [][]string
 	for _, b := range Benchmarks() {
-		e, err := r.Run(b, sim.AVR)
-		if err != nil {
-			return Report{}, err
-		}
-		st := e.Result.AVRStats
+		st := got.of(r.matrix(b, sim.AVR)).Result.AVRStats
 		total := float64(st.ApproxMiss + st.ApproxUncompHit + st.ApproxDBUFHit + st.ApproxCompHit)
 		if total == 0 {
 			total = 1
@@ -445,23 +412,15 @@ func (r *Runner) Fig14() (Report, error) {
 			fmt.Sprintf("%.1f%%", 100*float64(st.ApproxCompHit)/total),
 		})
 	}
-	text, csv := renderTable(header, rows)
-	return Report{ID: "fig14", Title: "Figure 14: AVR LLC requests on approximate cachelines", Text: text, CSV: csv}, nil
+	return header, rows
 }
 
-// Fig15 reproduces the AVR LLC eviction breakdown.
-func (r *Runner) Fig15() (Report, error) {
-	if err := r.prefetchMatrix([]sim.Design{sim.AVR}); err != nil {
-		return Report{}, err
-	}
+// fig15 reproduces the AVR LLC eviction breakdown.
+func fig15(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"benchmark", "recompress", "lazy-writeback", "fetch+recompress", "uncompressed-wb"}
 	var rows [][]string
 	for _, b := range Benchmarks() {
-		e, err := r.Run(b, sim.AVR)
-		if err != nil {
-			return Report{}, err
-		}
-		st := e.Result.AVRStats
+		st := got.of(r.matrix(b, sim.AVR)).Result.AVRStats
 		total := float64(st.EvRecompress + st.EvLazyWB + st.EvFetchRecompress + st.EvUncompWB)
 		if total == 0 {
 			total = 1
@@ -474,68 +433,19 @@ func (r *Runner) Fig15() (Report, error) {
 			fmt.Sprintf("%.1f%%", 100*float64(st.EvUncompWB)/total),
 		})
 	}
-	text, csv := renderTable(header, rows)
-	return Report{ID: "fig15", Title: "Figure 15: AVR LLC evictions of approximate cachelines", Text: text, CSV: csv}, nil
+	return header, rows
 }
 
-// Overhead reproduces the §4.2 hardware overhead accounting.
-func (r *Runner) Overhead() (Report, error) {
+// overhead reproduces the §4.2 hardware overhead accounting; it needs no
+// runs.
+func overhead(r *Runner, _ results) ([]string, [][]string) {
 	cfg := r.ConfigFor(sim.AVR)
 	llcLines := cfg.LLCBytes / 64
 	extraBits := llcLines * 18 // tag-array + BPA additions per entry
-	header := []string{"structure", "overhead"}
-	rows := [][]string{
+	return []string{"structure", "overhead"}, [][]string{
 		{"CMT + TLB bit per page", "93 bits (4×23 + 1)"},
 		{"LLC tag+BPA additions", fmt.Sprintf("%d kB (18 b/entry, %.1f%% of LLC)",
 			extraBits/8/1024, 100*float64(extraBits/8)/float64(cfg.LLCBytes))},
 		{"Compressor module", "~200k cells (synthesis, from paper)"},
 	}
-	text, csv := renderTable(header, rows)
-	return Report{ID: "overhead", Title: "Section 4.2: AVR hardware overhead", Text: text, CSV: csv}, nil
-}
-
-// ByID runs one experiment by its identifier.
-func (r *Runner) ByID(id string) (Report, error) {
-	switch strings.ToLower(id) {
-	case "table3":
-		return r.Table3()
-	case "table4":
-		return r.Table4()
-	case "fig9":
-		return r.Fig9()
-	case "fig10":
-		return r.Fig10()
-	case "fig11":
-		return r.Fig11()
-	case "fig12":
-		return r.Fig12()
-	case "fig13":
-		return r.Fig13()
-	case "fig14":
-		return r.Fig14()
-	case "fig15":
-		return r.Fig15()
-	case "overhead":
-		return r.Overhead()
-	case "ablation":
-		return r.Ablation()
-	case "llcsweep":
-		return r.LLCSweep()
-	case "multicore":
-		return r.Multicore()
-	case "lossless":
-		return r.Lossless()
-	case "thresholds":
-		return r.ThresholdSweep()
-	case "histograms":
-		return r.Histograms()
-	}
-	return Report{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
-}
-
-// IDs lists all experiment identifiers.
-func IDs() []string {
-	ids := []string{"table3", "table4", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "overhead", "ablation", "llcsweep", "multicore", "lossless", "thresholds", "histograms"}
-	sort.Strings(ids)
-	return ids
 }

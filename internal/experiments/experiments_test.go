@@ -1,13 +1,47 @@
 package experiments
 
 import (
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"avr/internal/sim"
 	"avr/internal/workloads"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden reports under testdata/small from this build")
+
+// shared is the one memoised small-scale runner the report tests read, so
+// a unit two reports both need simulates once per `go test` process.
+// Tests that count simulations build their own.
+var shared = NewRunner(workloads.ScaleSmall)
+
+// checkGolden compares a report with the bytes the parent of PR 23
+// rendered (testdata/small/<id>.txt and .csv): the byte-identity every
+// change to the engine or the simulator has to keep, or own up to with
+// -update.
+func checkGolden(t *testing.T, rep Report) {
+	t.Helper()
+	for ext, got := range map[string]string{".txt": rep.Text, ".csv": rep.CSV} {
+		path := filepath.Join("testdata", "small", rep.ID+ext)
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs from the golden file:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		}
+	}
+}
 
 func TestMeanRelativeError(t *testing.T) {
 	cases := []struct {
@@ -110,8 +144,7 @@ func TestRunnerUnknownBenchmark(t *testing.T) {
 }
 
 func TestOutputErrorBaselineIsZero(t *testing.T) {
-	r := NewRunner(workloads.ScaleSmall)
-	e, err := r.OutputError("heat", sim.Baseline)
+	e, err := shared.OutputError("heat", sim.Baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +175,7 @@ func TestIDsStable(t *testing.T) {
 }
 
 func TestOverheadReportStatic(t *testing.T) {
-	r := NewRunner(workloads.ScaleSmall)
-	rep, err := r.Overhead()
+	rep, err := shared.ByID("overhead")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +184,15 @@ func TestOverheadReportStatic(t *testing.T) {
 	}
 }
 
-// TestFullMatrixReports regenerates every experiment end to end. This is
-// the repo's heaviest integration test (≈30 s); skipped in -short mode.
+// TestFullMatrixReports regenerates every experiment end to end and
+// requires each to match its golden file byte for byte. This is the
+// repo's heaviest integration test (≈20 s); skipped in -short mode.
 func TestFullMatrixReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r := NewRunner(workloads.ScaleSmall)
-	if err := r.Prefetch(Benchmarks(), sim.Designs); err != nil {
+	r := shared
+	if err := r.PrefetchAll(); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range IDs() {
@@ -167,9 +200,7 @@ func TestFullMatrixReports(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if rep.Text == "" || rep.CSV == "" {
-			t.Errorf("%s: empty report", id)
-		}
+		checkGolden(t, rep)
 	}
 
 	// Spot-check the headline claims of the paper hold in shape.

@@ -6,7 +6,6 @@ import (
 
 	"avr/internal/lossless"
 	"avr/internal/sim"
-	"avr/internal/workloads"
 )
 
 // TestLLCSweepReport exercises the capacity sweep end to end and checks
@@ -16,8 +15,7 @@ func TestLLCSweepReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	r := NewRunner(workloads.ScaleSmall)
-	rep, err := r.LLCSweep()
+	rep, err := shared.ByID("llcsweep")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +39,8 @@ func TestMulticoreReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multicore")
 	}
-	r := NewRunner(workloads.ScaleSmall)
-	rep, err := r.Multicore()
+	r := shared
+	rep, err := r.ByID("multicore")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,16 +48,14 @@ func TestMulticoreReport(t *testing.T) {
 	if rows != len(multicoreCounts)*2 {
 		t.Errorf("multicore rows = %d, want %d:\n%s", rows, len(multicoreCounts)*2, rep.Text)
 	}
-	one, err := r.runMulticore("heat", sim.AVR, 1)
+	got, err := r.resolve(r.multicoreUnits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := r.runMulticore("heat", sim.AVR, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if two.Cycles >= one.Cycles {
-		t.Errorf("2-core AVR (%d) not faster than 1-core (%d)", two.Cycles, one.Cycles)
+	one := got.of(r.multicoreUnit("heat", sim.AVR, 1)).Result.Cycles
+	two := got.of(r.multicoreUnit("heat", sim.AVR, 2)).Result.Cycles
+	if two >= one {
+		t.Errorf("2-core AVR (%d) not faster than 1-core (%d)", two, one)
 	}
 }
 
@@ -70,14 +66,19 @@ func TestLosslessReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lossless")
 	}
-	r := NewRunner(workloads.ScaleSmall)
-	if _, err := r.Lossless(); err != nil {
+	r := shared
+	if _, err := r.ByID("lossless"); err != nil {
 		t.Fatal(err)
 	}
-	base, _ := r.runLossless("wrf", sim.Baseline, false, lossless.BDI)
-	bdi, _ := r.runLossless("wrf", sim.Baseline, true, lossless.BDI)
-	avr, _ := r.runLossless("wrf", sim.AVR, false, lossless.BDI)
-	stacked, _ := r.runLossless("wrf", sim.AVR, true, lossless.BDI)
+	got, err := r.resolve(r.losslessUnits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBDI := func(d sim.Design) *Entry {
+		return got.of(r.losslessUnit("wrf", losslessVariant{design: d, link: true, algo: lossless.BDI}))
+	}
+	base, bdi := got.of(r.matrix("wrf", sim.Baseline)), withBDI(sim.Baseline)
+	avr, stacked := got.of(r.matrix("wrf", sim.AVR)), withBDI(sim.AVR)
 	if bdi.Result.DRAM.TotalBytes() >= base.Result.DRAM.TotalBytes() {
 		t.Error("BDI did not reduce wrf baseline traffic")
 	}
@@ -92,14 +93,26 @@ func TestAblationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation")
 	}
-	r := NewRunner(workloads.ScaleSmall)
-	rep, err := r.Ablation()
+	rep, err := shared.ByID("ablation")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range ablationVariants() {
 		if !strings.Contains(rep.Text, v.name) {
 			t.Errorf("ablation missing variant %s", v.name)
+		}
+	}
+}
+
+// TestHistogramsReport smoke-tests the appendix report end to end.
+func TestHistogramsReport(t *testing.T) {
+	rep, err := shared.ByID("histograms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"dram_latency", "compressed_block_lines", "outliers_per_block", "reconstruction_error"} {
+		if !strings.Contains(rep.Text, want) {
+			t.Errorf("histograms report missing %s:\n%s", want, rep.Text)
 		}
 	}
 }

@@ -7,25 +7,32 @@ import (
 	"avr/internal/sim"
 )
 
-// Histograms renders the instrumentation appendix: per-benchmark AVR
-// runs with Config.Histograms enabled, reporting the shape of the DRAM
+// histogramUnit is bench under AVR with distribution collection
+// enabled. It is keyed apart from the plain matrix run, so enabling
+// collection never perturbs — or reuses — the figures' runs.
+func (r *Runner) histogramUnit(bench string) unit {
+	cfg := r.ConfigFor(sim.AVR)
+	cfg.Histograms = true
+	return unit{key: bench + "/AVR/histograms", bench: bench, cfg: cfg}
+}
+
+// histogramUnits declares one collecting run per benchmark.
+func (r *Runner) histogramUnits() []unit {
+	var us []unit
+	for _, b := range Benchmarks() {
+		us = append(us, r.histogramUnit(b))
+	}
+	return us
+}
+
+// histograms renders the instrumentation appendix: the shape of the DRAM
 // latency, compressed block size, outliers-per-block and reconstruction
 // error distributions that the headline tables collapse into means.
-// The runs are keyed separately from the plain matrix (the config
-// fingerprint differs), so enabling them never perturbs — or reuses —
-// the figures' cache entries.
-func (r *Runner) Histograms() (Report, error) {
-	if err := r.runJobs(r.histogramJobs()); err != nil {
-		return Report{}, err
-	}
+func histograms(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"benchmark", "histogram", "count", "mean", "min", "max", "p50<=", "p99<="}
 	var rows [][]string
 	for _, b := range Benchmarks() {
-		e, err := r.runHistograms(b)
-		if err != nil {
-			return Report{}, err
-		}
-		for _, h := range e.Result.Histograms {
+		for _, h := range got.of(r.histogramUnit(b)).Result.Histograms {
 			rows = append(rows, []string{
 				b, h.Name,
 				fmt.Sprintf("%d", h.Count),
@@ -37,13 +44,7 @@ func (r *Runner) Histograms() (Report, error) {
 			})
 		}
 	}
-	text, csv := renderTable(header, rows)
-	return Report{
-		ID:    "histograms",
-		Title: "Appendix: latency / compression / error distributions (AVR)",
-		Text:  text,
-		CSV:   csv,
-	}, nil
+	return header, rows
 }
 
 // quantileCell renders the upper bound of the bucket containing the
@@ -64,30 +65,4 @@ func quantileCell(h obs.Summary, q float64) string {
 		return "-"
 	}
 	return fmt.Sprintf(">%.4g", h.Buckets[len(h.Buckets)-1].Le)
-}
-
-// histogramJobs enumerates the appendix units for the worker pool.
-func (r *Runner) histogramJobs() []job {
-	var jobs []job
-	for _, b := range Benchmarks() {
-		b := b
-		jobs = append(jobs, job{
-			label:  b + "/AVR/histograms",
-			bench:  b,
-			design: "AVR/histograms",
-			run: func() error {
-				_, err := r.runHistograms(b)
-				return err
-			},
-		})
-	}
-	return jobs
-}
-
-// runHistograms runs one benchmark under AVR with distribution
-// collection enabled (memoised under its own key).
-func (r *Runner) runHistograms(bench string) (*Entry, error) {
-	cfg := r.ConfigFor(sim.AVR)
-	cfg.Histograms = true
-	return r.runSim(bench+"/AVR/histograms", bench, cfg)
 }

@@ -7,12 +7,6 @@ import (
 	"avr/internal/sim"
 )
 
-// Lossless evaluates the §2 claim that lossless compression is
-// orthogonal to AVR: BDI or FPC on the memory link for non-approximated
-// lines, alone and stacked on AVR. wrf is the interesting case — 85% of
-// its traffic is exact data AVR cannot touch; bscholes and heat bound
-// the effect from both sides. FPC's integer-oriented patterns do little
-// for float-heavy lines, bounding what any lossless scheme can add.
 // losslessVariant is one point of the lossless-stacking study.
 type losslessVariant struct {
 	name   string
@@ -33,46 +27,44 @@ var losslessVariants = []losslessVariant{
 	{"AVR+FPC", sim.AVR, true, lossless.FPC},
 }
 
-// losslessJobs enumerates the stacking-study units for the worker pool.
-func (r *Runner) losslessJobs() []job {
-	var jobs []job
-	for _, b := range losslessBenchmarks {
-		for _, v := range losslessVariants {
-			b, v := b, v
-			jobs = append(jobs, job{
-				label:  b + "/" + v.name,
-				bench:  b,
-				design: v.name,
-				run: func() error {
-					_, err := r.runLossless(b, v.design, v.link, v.algo)
-					return err
-				},
-			})
-		}
+// losslessUnit is bench at one point of the study; a variant without
+// the link layer is the plain matrix run.
+func (r *Runner) losslessUnit(bench string, v losslessVariant) unit {
+	if !v.link {
+		return r.matrix(bench, v.design)
 	}
-	return jobs
+	cfg := r.ConfigFor(v.design)
+	cfg.LosslessLink = true
+	cfg.LosslessAlgo = v.algo
+	return unit{key: fmt.Sprintf("%s/%s/link-%v", bench, v.design, v.algo), bench: bench, cfg: cfg}
 }
 
-func (r *Runner) Lossless() (Report, error) {
-	if err := r.runJobs(r.losslessJobs()); err != nil {
-		return Report{}, err
+// losslessUnits declares the study's benchmarks × variants grid.
+func (r *Runner) losslessUnits() []unit {
+	var us []unit
+	for _, b := range losslessBenchmarks {
+		for _, v := range losslessVariants {
+			us = append(us, r.losslessUnit(b, v))
+		}
 	}
-	benches := losslessBenchmarks
-	variants := losslessVariants
+	return us
+}
+
+// losslessReport evaluates the §2 claim that lossless compression is
+// orthogonal to AVR: BDI or FPC on the memory link for non-approximated
+// lines, alone and stacked on AVR. wrf is the interesting case — 85% of
+// its traffic is exact data AVR cannot touch; bscholes and heat bound
+// the effect from both sides. FPC's integer-oriented patterns do little
+// for float-heavy lines, bounding what any lossless scheme can add.
+func losslessReport(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"benchmark", "variant", "exec", "traffic", "non-approx traffic"}
 	var rows [][]string
-	for _, b := range benches {
-		base, err := r.runLossless(b, sim.Baseline, false, lossless.BDI)
-		if err != nil {
-			return Report{}, err
-		}
+	for _, b := range losslessBenchmarks {
+		base := got.of(r.matrix(b, sim.Baseline))
 		baseTotal := float64(base.Result.DRAM.TotalBytes())
 		baseNA := float64(base.Result.DRAM.TotalBytes() - base.Result.DRAM.ApproxBytes)
-		for _, v := range variants {
-			e, err := r.runLossless(b, v.design, v.link, v.algo)
-			if err != nil {
-				return Report{}, err
-			}
+		for _, v := range losslessVariants {
+			e := got.of(r.losslessUnit(b, v))
 			na := float64(e.Result.DRAM.TotalBytes() - e.Result.DRAM.ApproxBytes)
 			naCell := "-"
 			if baseNA > 0 {
@@ -86,22 +78,5 @@ func (r *Runner) Lossless() (Report, error) {
 			})
 		}
 	}
-	text, csv := renderTable(header, rows)
-	return Report{
-		ID:    "lossless",
-		Title: "Lossless link layer (BDI/FPC) alone and stacked on AVR (normalised to baseline)",
-		Text:  text,
-		CSV:   csv,
-	}, nil
-}
-
-// runLossless runs one benchmark with the lossless link knob (memoised).
-func (r *Runner) runLossless(bench string, d sim.Design, link bool, algo lossless.Algorithm) (*Entry, error) {
-	if !link {
-		return r.Run(bench, d) // identical to the plain matrix run
-	}
-	cfg := r.ConfigFor(d)
-	cfg.LosslessLink = true
-	cfg.LosslessAlgo = algo
-	return r.runSim(fmt.Sprintf("%s/%s/link-%v", bench, d, algo), bench, cfg)
+	return header, rows
 }

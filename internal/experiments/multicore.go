@@ -9,81 +9,51 @@ import (
 // multicoreCounts are the CMP sizes of the scaling experiment.
 var multicoreCounts = []int{1, 2, 4, 8}
 
-// multicoreConfig derives a shared-resource configuration from the
-// scale's per-slice preset: the LLC and DRAM are no longer sliced
-// per-core (all cores contend for them, as in the paper's Table 1 CMP).
-func (r *Runner) multicoreConfig(d sim.Design) sim.Config {
-	cfg := r.ConfigFor(d)
+// SharedCMP derives the shared-resource configuration of the n-core
+// runs from a per-slice preset: the LLC and DRAM are no longer sliced
+// per core (all cores contend for them, as in the paper's Table 1 CMP).
+func SharedCMP(cfg sim.Config) sim.Config {
 	cfg.LLCBytes *= 4 // shared capacity instead of a per-core slice
 	cfg.DRAMChannels = 2
 	cfg.DRAMSliceDiv = 1
 	return cfg
 }
 
-// Multicore runs the true N-core simulation (shared LLC and DRAM,
-// barrier-flush coherence, deterministic scheduling) on the parallel
-// heat decomposition and reports scaling for Baseline vs AVR — the
-// paper's bandwidth-wall argument: as cores contend for pins, AVR's
-// traffic reduction buys more than it does on one core.
-func (r *Runner) Multicore() (Report, error) {
-	if err := r.runJobs(r.multicoreJobs()); err != nil {
-		return Report{}, err
+// multicoreUnit is bench's parallel decomposition on an n-core CMP.
+func (r *Runner) multicoreUnit(bench string, d sim.Design, n int) unit {
+	return unit{key: fmt.Sprintf("%s/%s/cores%d", bench, d, n), bench: bench, cfg: SharedCMP(r.ConfigFor(d)), cores: n}
+}
+
+// multicoreUnits declares heat on both designs at every CMP size.
+func (r *Runner) multicoreUnits() []unit {
+	var us []unit
+	for _, n := range multicoreCounts {
+		us = append(us, r.multicoreUnit("heat", sim.Baseline, n), r.multicoreUnit("heat", sim.AVR, n))
 	}
-	const bench = "heat"
+	return us
+}
+
+// multicore reports the true N-core simulation (shared LLC and DRAM,
+// barrier-flush coherence, deterministic scheduling) on the parallel
+// heat decomposition for Baseline vs AVR — the paper's bandwidth-wall
+// argument: as cores contend for pins, AVR's traffic reduction buys more
+// than it does on one core.
+func multicore(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"cores", "design", "cycles", "speedup", "traffic-MB", "IPC"}
 	var rows [][]string
-	base1 := map[sim.Design]uint64{}
 	for _, n := range multicoreCounts {
 		for _, d := range []sim.Design{sim.Baseline, sim.AVR} {
-			res, err := r.runMulticore(bench, d, n)
-			if err != nil {
-				return Report{}, err
-			}
-			if n == 1 {
-				base1[d] = res.Cycles
-			}
+			res := got.of(r.multicoreUnit("heat", d, n)).Result
+			one := got.of(r.multicoreUnit("heat", d, 1)).Result
 			rows = append(rows, []string{
 				fmt.Sprintf("%d", n),
 				d.String(),
 				fmt.Sprintf("%d", res.Cycles),
-				fmt.Sprintf("%.2fx", float64(base1[d])/float64(res.Cycles)),
-				fmt.Sprintf("%.1f", float64(res.Result.DRAM.TotalBytes())/1e6),
-				fmt.Sprintf("%.2f", res.Result.IPC),
+				fmt.Sprintf("%.2fx", float64(one.Cycles)/float64(res.Cycles)),
+				fmt.Sprintf("%.1f", float64(res.DRAM.TotalBytes())/1e6),
+				fmt.Sprintf("%.2f", res.IPC),
 			})
 		}
 	}
-	text, csv := renderTable(header, rows)
-	return Report{
-		ID:    "multicore",
-		Title: "Multicore scaling: heat on a shared-LLC CMP (speedup vs same design at 1 core)",
-		Text:  text,
-		CSV:   csv,
-	}, nil
-}
-
-// multicoreJobs enumerates the scaling-study units for the worker pool.
-func (r *Runner) multicoreJobs() []job {
-	var jobs []job
-	for _, n := range multicoreCounts {
-		for _, d := range []sim.Design{sim.Baseline, sim.AVR} {
-			n, d := n, d
-			jobs = append(jobs, job{
-				label:  fmt.Sprintf("heat/%s/cores%d", d, n),
-				bench:  "heat",
-				design: fmt.Sprintf("%s/cores%d", d, n),
-				run: func() error {
-					_, err := r.runMulticore("heat", d, n)
-					return err
-				},
-			})
-		}
-	}
-	return jobs
-}
-
-// runMulticore executes one parallel benchmark on an n-core system
-// (memoised).
-func (r *Runner) runMulticore(bench string, d sim.Design, n int) (sim.MultiResult, error) {
-	k := fmt.Sprintf("%s/%s/cores%d", bench, d, n)
-	return r.runMultiSim(k, bench, r.multicoreConfig(d), n)
+	return header, rows
 }

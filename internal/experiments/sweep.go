@@ -10,27 +10,33 @@ import (
 // study, around the preset's default.
 var sweepCapacities = []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 
-// LLCSweep runs heat under Baseline and AVR across LLC capacities and
-// reports AVR's normalised execution time and traffic at each point —
-// the capacity sensitivity the paper's fixed 8 MB configuration cannot
-// show. AVR's advantage shrinks as the LLC approaches the working set
-// (the baseline stops missing), and grows when capacity is scarce.
-func (r *Runner) LLCSweep() (Report, error) {
-	if err := r.runJobs(r.llcSweepJobs()); err != nil {
-		return Report{}, err
+// llcUnit is bench on design d at an explicit LLC capacity.
+func (r *Runner) llcUnit(bench string, d sim.Design, capBytes int) unit {
+	cfg := r.ConfigFor(d)
+	cfg.LLCBytes = capBytes
+	return unit{key: fmt.Sprintf("%s/%s/llc%d", bench, d, capBytes), bench: bench, cfg: cfg}
+}
+
+// llcSweepUnits declares heat on both designs at every capacity.
+func (r *Runner) llcSweepUnits() []unit {
+	var us []unit
+	for _, capBytes := range sweepCapacities {
+		us = append(us, r.llcUnit("heat", sim.Baseline, capBytes), r.llcUnit("heat", sim.AVR, capBytes))
 	}
-	const bench = "heat"
+	return us
+}
+
+// llcSweep reports AVR's normalised execution time and traffic on heat
+// at each LLC capacity — the sensitivity the paper's fixed 8 MB
+// configuration cannot show. AVR's advantage shrinks as the LLC
+// approaches the working set (the baseline stops missing), and grows
+// when capacity is scarce.
+func llcSweep(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"LLC", "exec", "traffic", "AMAT", "ratio"}
 	var rows [][]string
 	for _, capBytes := range sweepCapacities {
-		base, err := r.runWithLLC(bench, sim.Baseline, capBytes)
-		if err != nil {
-			return Report{}, err
-		}
-		a, err := r.runWithLLC(bench, sim.AVR, capBytes)
-		if err != nil {
-			return Report{}, err
-		}
+		base := got.of(r.llcUnit("heat", sim.Baseline, capBytes))
+		a := got.of(r.llcUnit("heat", sim.AVR, capBytes))
 		rows = append(rows, []string{
 			fmt.Sprintf("%dkB", capBytes>>10),
 			fmt.Sprintf("%.3f", float64(a.Result.Cycles)/float64(base.Result.Cycles)),
@@ -39,38 +45,5 @@ func (r *Runner) LLCSweep() (Report, error) {
 			fmt.Sprintf("%.1fx", a.Result.CompressionRatio),
 		})
 	}
-	text, csv := renderTable(header, rows)
-	return Report{
-		ID:    "llcsweep",
-		Title: "LLC capacity sweep: AVR vs baseline on heat (normalised per capacity)",
-		Text:  text,
-		CSV:   csv,
-	}, nil
-}
-
-// llcSweepJobs enumerates the capacity-sweep units for the worker pool.
-func (r *Runner) llcSweepJobs() []job {
-	var jobs []job
-	for _, capBytes := range sweepCapacities {
-		for _, d := range []sim.Design{sim.Baseline, sim.AVR} {
-			capBytes, d := capBytes, d
-			jobs = append(jobs, job{
-				label:  fmt.Sprintf("heat/%s/llc%dk", d, capBytes>>10),
-				bench:  "heat",
-				design: fmt.Sprintf("%s/llc%dk", d, capBytes>>10),
-				run: func() error {
-					_, err := r.runWithLLC("heat", d, capBytes)
-					return err
-				},
-			})
-		}
-	}
-	return jobs
-}
-
-// runWithLLC runs one benchmark at an explicit LLC capacity (memoised).
-func (r *Runner) runWithLLC(bench string, d sim.Design, capBytes int) (*Entry, error) {
-	cfg := r.ConfigFor(d)
-	cfg.LLCBytes = capBytes
-	return r.runSim(fmt.Sprintf("%s/%s/llc%d", bench, d, capBytes), bench, cfg)
+	return header, rows
 }

@@ -14,26 +14,37 @@ var thresholdPoints = []float64{1.0 / 8, 1.0 / 16, 1.0 / 32, 1.0 / 64, 1.0 / 128
 // thresholdBenchmarks cover the three compressibility regimes.
 var thresholdBenchmarks = []string{"heat", "lattice", "kmeans"}
 
-// ThresholdSweep renders the error-threshold knob (§3.3: "error
-// thresholds are exposed as a tunable knob"): output error, compression
-// ratio and traffic as T1 sweeps over two orders of magnitude. This is
-// the quality/performance trade-off curve behind Table 3.
-func (r *Runner) ThresholdSweep() (Report, error) {
-	if err := r.runJobs(r.thresholdJobs()); err != nil {
-		return Report{}, err
+// thresholdUnit is bench under AVR with explicit thresholds.
+func (r *Runner) thresholdUnit(bench string, t1 float64) unit {
+	cfg := r.ConfigFor(sim.AVR)
+	cfg.Thresholds = compress.Thresholds{T1: t1, T2: t1 / 2}
+	return unit{key: fmt.Sprintf("%s/AVR/t1=%g", bench, t1), bench: bench, cfg: cfg}
+}
+
+// thresholdUnits declares the sweep points and the baselines they
+// normalise against.
+func (r *Runner) thresholdUnits() []unit {
+	var us []unit
+	for _, bench := range thresholdBenchmarks {
+		us = append(us, r.matrix(bench, sim.Baseline))
+		for _, t1 := range thresholdPoints {
+			us = append(us, r.thresholdUnit(bench, t1))
+		}
 	}
+	return us
+}
+
+// thresholds renders the error-threshold knob (§3.3: "error thresholds
+// are exposed as a tunable knob"): output error, compression ratio and
+// traffic as T1 sweeps over two orders of magnitude. This is the
+// quality/performance trade-off curve behind Table 3.
+func thresholds(r *Runner, got results) ([]string, [][]string) {
 	header := []string{"benchmark", "T1", "error", "ratio", "traffic", "exec"}
 	var rows [][]string
 	for _, bench := range thresholdBenchmarks {
-		base, err := r.Run(bench, sim.Baseline)
-		if err != nil {
-			return Report{}, err
-		}
+		base := got.of(r.matrix(bench, sim.Baseline))
 		for _, t1 := range thresholdPoints {
-			e, err := r.runThreshold(bench, t1)
-			if err != nil {
-				return Report{}, err
-			}
+			e := got.of(r.thresholdUnit(bench, t1))
 			rows = append(rows, []string{
 				bench,
 				fmt.Sprintf("1/%.0f", 1/t1),
@@ -44,45 +55,5 @@ func (r *Runner) ThresholdSweep() (Report, error) {
 			})
 		}
 	}
-	text, csv := renderTable(header, rows)
-	return Report{
-		ID:    "thresholds",
-		Title: "Error-threshold knob: AVR quality vs compression as T1 sweeps (T2 = T1/2)",
-		Text:  text,
-		CSV:   csv,
-	}, nil
-}
-
-// thresholdJobs enumerates the knob-sweep units (plus the baselines the
-// sweep normalises against) for the worker pool.
-func (r *Runner) thresholdJobs() []job {
-	var jobs []job
-	for _, bench := range thresholdBenchmarks {
-		bench := bench
-		jobs = append(jobs, job{label: key(bench, sim.Baseline), bench: bench, design: sim.Baseline.String(), run: func() error {
-			_, err := r.Run(bench, sim.Baseline)
-			return err
-		}})
-		for _, t1 := range thresholdPoints {
-			t1 := t1
-			jobs = append(jobs, job{
-				label:  fmt.Sprintf("%s/AVR/t1=1_%.0f", bench, 1/t1),
-				bench:  bench,
-				design: fmt.Sprintf("AVR/t1=1_%.0f", 1/t1),
-				run: func() error {
-					_, err := r.runThreshold(bench, t1)
-					return err
-				},
-			})
-		}
-	}
-	return jobs
-}
-
-// runThreshold runs a benchmark under AVR with explicit thresholds
-// (memoised).
-func (r *Runner) runThreshold(bench string, t1 float64) (*Entry, error) {
-	cfg := r.ConfigFor(sim.AVR)
-	cfg.Thresholds = compress.Thresholds{T1: t1, T2: t1 / 2}
-	return r.runSim(fmt.Sprintf("%s/AVR/t1=%g", bench, t1), bench, cfg)
+	return header, rows
 }

@@ -8,30 +8,9 @@ import (
 	"sync"
 )
 
-// Live introspection counters, published under /debug/vars. The
-// experiment engine updates them as runs flow through its cache layers;
-// they are process-global (expvar is), cheap atomics, and never on the
-// per-access simulation hot path.
-var (
-	// RunsInFlight is the number of runs currently resolving (simulating
-	// or loading from the disk cache).
-	RunsInFlight = expvar.NewInt("avr.runs_in_flight")
-	// RunsCompleted counts runs resolved since process start.
-	RunsCompleted = expvar.NewInt("avr.runs_completed")
-	// MemoHits counts runs answered from the in-memory memo cache.
-	MemoHits = expvar.NewInt("avr.memo_hits")
-	// DiskHits counts runs answered from the persistent disk cache.
-	DiskHits = expvar.NewInt("avr.disk_hits")
-	// Simulations counts actual simulations executed.
-	Simulations = expvar.NewInt("avr.simulations")
-	// WorkersBusy is the number of pool workers currently running a job
-	// (worker occupancy).
-	WorkersBusy = expvar.NewInt("avr.workers_busy")
-)
-
-// Serving-path counters, published by the avrd codec service
-// (internal/server). Same contract as the run counters above: cheap
-// process-global atomics, updated per request, never per value.
+// Serving-path counters, published under /debug/vars by the avrd codec
+// service (internal/server): cheap process-global atomics (expvar is
+// process-global), updated per request, never per value.
 var (
 	// ServerRequests counts codec requests accepted for processing
 	// (admission passed; includes requests that later fail).

@@ -260,14 +260,14 @@ func TestServeDebugExposesVarsAndPprof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Simulations.Add(1)
+	StorePuts.Add(1)
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.Contains(string(body), "avr.simulations") {
+	if resp.StatusCode != 200 || !strings.Contains(string(body), "avr.store_puts") {
 		t.Errorf("/debug/vars: status %d, body %.200s", resp.StatusCode, body)
 	}
 	resp, err = http.Get(fmt.Sprintf("http://%s/debug/pprof/cmdline", addr))

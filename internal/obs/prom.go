@@ -21,8 +21,6 @@ import (
 // promGauges lists the avr.* integers that are occupancy levels rather
 // than monotone totals, so the exposition can type them honestly.
 var promGauges = map[string]bool{
-	"avr.runs_in_flight":       true,
-	"avr.workers_busy":         true,
 	"avr.server_in_flight":     true,
 	"avr.cache_resident_bytes": true,
 	"avr.cache_lines":          true,

@@ -115,12 +115,6 @@ type Config struct {
 	Histograms bool
 }
 
-// Fingerprint renders the complete configuration (every field, in
-// declaration order) as a canonical string for hashing into persistent
-// cache keys: two configurations fingerprint equal iff they simulate
-// identically.
-func (c Config) Fingerprint() string { return fmt.Sprintf("%+v", c) }
-
 // PresetSlice returns the paper's Table 1 configuration reduced to one
 // core slice: 64 kB L1, 256 kB L2, 1 MB LLC slice (8 MB / 8 cores),
 // 1/4 DDR4 channel per core (2 channels / 8 cores).
