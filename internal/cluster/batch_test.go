@@ -272,11 +272,34 @@ func TestRouterBatchAllLegsShed(t *testing.T) {
 	}
 }
 
+// garbleData damages the middle character of the base64 text of the n-th
+// "data" payload of a batch body — among the whole 64-character groups,
+// where a vector tier reads it — leaving valid JSON.
+func garbleData(t *testing.T, body []byte, n int) []byte {
+	t.Helper()
+	at := 0
+	for ; n >= 0; n-- {
+		i := bytes.Index(body[at:], []byte(`"data":"`))
+		if i < 0 {
+			t.Fatalf("no payload %d to garble in %.80q", n, body)
+		}
+		at += i + len(`"data":"`)
+	}
+	end := bytes.IndexByte(body[at:], '"')
+	if end < 256 {
+		t.Fatalf("payload of %d characters is too short to have a vector body", end)
+	}
+	body[at+end/2] = '*'
+	return body
+}
+
 // TestRouterBatchBadLegResponse: a leg that echoes the wrong key fails
-// that key alone, a leg that answers with the wrong count fails every
-// key it carried — "bad response" either way, per key, in place.
+// that key alone, a leg that answers with the wrong count, or with a
+// payload that is not base64, fails every key it carried — "bad
+// response" each time, per key, in place. An mput payload that is not
+// base64 fails its key alone, with the same words from either tier.
 func TestRouterBatchBadLegResponse(t *testing.T) {
-	var wrongCount atomic.Bool
+	var wrongCount, garbled atomic.Bool
 	shard := func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/store/stats" {
 			io.WriteString(w, fakeStats)
@@ -292,6 +315,17 @@ func TestRouterBatchBadLegResponse(t *testing.T) {
 			var req server.BatchGetRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				t.Errorf("mget leg body %q: %v", body, err)
+			}
+			if garbled.Load() { // real-sized payloads, the middle one's text damaged
+				out := []byte(server.GetResultOpen)
+				for i, k := range req.Keys {
+					if i > 0 {
+						out = append(out, ',')
+					}
+					out = server.AppendGetResult(out, k, 32, true, bytes.Repeat(f32le(7), 16<<10))
+				}
+				w.Write(garbleData(t, append(out, server.BatchClose...), len(req.Keys)/2))
+				return
 			}
 			var res server.BatchGetResult
 			for _, k := range req.Keys {
@@ -359,6 +393,48 @@ func TestRouterBatchBadLegResponse(t *testing.T) {
 			}
 			if !bad && !bytes.Equal(g.Data, f32le(7)) {
 				t.Errorf("wrongCount=%v mget %q: data %x, want the shard's payload", all, k, g.Data)
+			}
+		}
+	}
+
+	wrongCount.Store(false)
+	garbled.Store(true)
+	var gres server.BatchGetResult
+	postJSON(t, ts.URL+"/v1/store/mget", mgetBody("a", "b", "c"), &gres)
+	if len(gres.Results) != 3 {
+		t.Fatalf("garbled leg: %d results for 3 keys", len(gres.Results))
+	}
+	for _, g := range gres.Results {
+		if g.OK || !strings.Contains(g.Error, "bad mget response") || len(g.Data) != 0 {
+			t.Errorf("garbled leg, key %q: ok=%v error=%q and %d bytes forwarded, want a bad mget response and nothing",
+				g.Key, g.OK, g.Error, len(g.Data))
+		}
+	}
+
+	// The same damage in a request, against real shards: through the
+	// router, which decodes a payload to encode it, and at a shard.
+	tc := newTestCluster(t, 2, Config{})
+	payload := bytes.Repeat(f32le(1, 2), 8<<10)
+	for tier, url := range map[string]string{"router": tc.router.URL, "avrd": tc.nodes[0].URL} {
+		keys := []string{tier + "-a", tier + "-garbled", tier + "-b"}
+		var items []server.BatchPutItem
+		for _, k := range keys {
+			items = append(items, server.BatchPutItem{Key: k, Data: payload})
+		}
+		var pres server.BatchPutResult
+		postJSON(t, url+"/v1/store/mput", garbleData(t, mputBody(items...), 1), &pres)
+		var back server.BatchGetResult
+		postJSON(t, url+"/v1/store/mget", mgetBody(keys...), &back)
+		if len(pres.Results) != 3 || len(back.Results) != 3 {
+			t.Fatalf("%s: %d mput and %d mget results for 3 keys", tier, len(pres.Results), len(back.Results))
+		}
+		for i, k := range keys {
+			bad := i == 1
+			if p := pres.Results[i]; p.Key != k || p.OK == bad || strings.Contains(p.Error, "not valid base64") != bad {
+				t.Errorf("%s mput %q: key %q ok=%v error=%q, want bad=%v", tier, k, p.Key, p.OK, p.Error, bad)
+			}
+			if g := back.Results[i]; g.OK == bad || g.NotFound != bad || (len(g.Data) == len(payload)) == bad {
+				t.Errorf("%s mget %q: ok=%v not_found=%v %d bytes, want stored=%v", tier, k, g.OK, g.NotFound, len(g.Data), !bad)
 			}
 		}
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"avr/internal/simd"
 )
 
 // Single-pass wire codec for the two batch messages that carry value
@@ -26,9 +28,11 @@ import (
 // the router to encode them, several items at a time — and that decode
 // is also the only check a put payload gets: the scanner reads the text
 // of one no further than to find its end. A get result the router only
-// forwards, so there the scanner checks the text itself, in one table
-// pass. The emitter is the inverse: it base64-encodes straight into the
-// buffer.
+// forwards, so there the scanner checks the text itself, in one pass.
+// The emitter is the inverse: it base64-encodes straight into the
+// buffer. Decode, check and encode are internal/simd's Base64Decode,
+// Base64Valid and Base64Encode — encoding/base64's answers, from an
+// AVX-512 kernel where the machine has one.
 //
 // The scanner accepts what json.Unmarshal into the message type accepts
 // and yields the same field values (any field order, whitespace, unknown
@@ -93,7 +97,7 @@ func (it *WireItem) AppendData(dst []byte) ([]byte, error) {
 	dst = growBytes(dst, len(text)/4*3)
 	// The decoder drops CR and LF, which JSON does not allow in a string
 	// unescaped; a text holding any decodes short of want.
-	if n, err := base64.StdEncoding.Decode(dst[at:], text); err != nil || n != want {
+	if n, ok := simd.Base64Decode(dst[at:], text); !ok || n != want {
 		return dst[:at], errNotBase64
 	}
 	return dst[:at+want], nil
@@ -261,7 +265,7 @@ func (p *BatchScanner) field(it *WireItem, name []byte, fields wireFields) error
 	}
 	// A put payload is left for its decode to check, and one about to be
 	// replaced by a duplicate field will never be decoded.
-	if f == fieldData && fields&fieldEncoded != 0 && !validBase64(it.Data) {
+	if f == fieldData && fields&fieldEncoded != 0 && !simd.Base64Valid(it.Data) {
 		return p.errf("data is not valid base64")
 	}
 	// null leaves a scalar as it is and empties a payload.
@@ -674,7 +678,7 @@ func (p *BatchScanner) dataValue(check bool) ([]byte, error) {
 	if q := bytes.IndexByte(rest, '"'); q >= 0 {
 		// Unchecked, the text must at least be known to end at that quote:
 		// no escape before it.
-		if check && validBase64(rest[:q]) || !check && bytes.IndexByte(rest[:q], '\\') < 0 {
+		if check && simd.Base64Valid(rest[:q]) || !check && bytes.IndexByte(rest[:q], '\\') < 0 {
 			p.pos += q + 2
 			return rest[:q:q], nil
 		}
@@ -694,7 +698,7 @@ func (p *BatchScanner) dataValue(check bool) ([]byte, error) {
 				inner = append(inner, c)
 			}
 		}
-		if !check || validBase64(inner) {
+		if !check || simd.Base64Valid(inner) {
 			return inner, nil
 		}
 	}
@@ -702,37 +706,12 @@ func (p *BatchScanner) dataValue(check bool) ([]byte, error) {
 	return nil, p.errf("data is not valid base64")
 }
 
-// notBase64 is 1 for every byte outside the standard alphabet.
-var notBase64 = func() (t [256]uint8) {
-	for i := range t {
-		t[i] = 1
-	}
-	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/" {
-		t[c] = 0
-	}
-	return t
-}()
-
-// validBase64 reports whether text is what base64.StdEncoding decodes
-// without skipping anything: whole quanta of alphabet characters, the
-// last one padded with at most two '='.
-func validBase64(text []byte) bool {
-	if len(text)%4 != 0 {
-		return false
-	}
-	for pad := 0; pad < 2 && len(text) > 0 && text[len(text)-1] == '='; pad++ {
-		text = text[:len(text)-1]
-	}
-	var bad uint8
-	for len(text) >= 8 {
-		bad |= notBase64[text[0]] | notBase64[text[1]] | notBase64[text[2]] | notBase64[text[3]] |
-			notBase64[text[4]] | notBase64[text[5]] | notBase64[text[6]] | notBase64[text[7]]
-		text = text[8:]
-	}
-	for _, c := range text {
-		bad |= notBase64[c]
-	}
-	return bad == 0
+// appendBase64 appends raw's standard base64 text, encoded in place.
+func appendBase64(dst, raw []byte) []byte {
+	at := len(dst)
+	dst = growBytes(dst, base64.StdEncoding.EncodedLen(len(raw)))
+	simd.Base64Encode(dst[at:], raw)
+	return dst
 }
 
 // AppendGetResult appends one successful BatchGetItemResult: raw is the
@@ -750,10 +729,7 @@ func AppendGetResult(dst []byte, key string, width int, complete bool, raw []byt
 	}
 	if len(raw) > 0 {
 		dst = append(dst, `,"data":"`...)
-		at := len(dst)
-		dst = growBytes(dst, base64.StdEncoding.EncodedLen(len(raw)))
-		base64.StdEncoding.Encode(dst[at:], raw)
-		dst = append(dst, '"')
+		dst = append(appendBase64(dst, raw), '"')
 	}
 	return append(dst, '}')
 }
@@ -764,10 +740,7 @@ func AppendEncodedPutItem(dst []byte, key string, container []byte) []byte {
 	dst = append(dst, `{"key":`...)
 	dst = appendJSONString(dst, key)
 	dst = append(dst, `,"encoded":true,"data":"`...)
-	at := len(dst)
-	dst = growBytes(dst, base64.StdEncoding.EncodedLen(len(container)))
-	base64.StdEncoding.Encode(dst[at:], container)
-	return append(dst, '"', '}')
+	return append(appendBase64(dst, container), '"', '}')
 }
 
 // AppendGetFailure appends one failed BatchGetItemResult.

@@ -167,8 +167,35 @@ func checkGetResult(t *testing.T, body []byte) {
 	}
 }
 
+// kernelSeeds are payloads long enough — 268 characters, the first 256
+// of them whole 64-character groups — to reach internal/simd's vector
+// tier on a machine that has one: good, a bad byte in the vector body,
+// one in the scalar tail, and an escaped line break mid-text (which the
+// decoder skips), each as a put item, an encoded put item and a get
+// result.
+func kernelSeeds() []string {
+	raw := make([]byte, 200)
+	for i := range raw {
+		raw[i] = byte(i*37 + 11)
+	}
+	good := base64.StdEncoding.EncodeToString(raw)
+	var seeds []string
+	for _, text := range []string{
+		good,
+		good[:100] + "*" + good[101:],
+		good[:260] + "*" + good[261:],
+		good[:100] + `\n` + good[100:],
+	} {
+		seeds = append(seeds,
+			`{"items":[{"key":"a","width":32,"data":"`+text+`"},{"key":"b","data":"AAAA"}]}`,
+			`{"items":[{"key":"a","encoded":true,"data":"`+text+`"}]}`,
+			`{"results":[{"key":"a","ok":true,"width":32,"data":"`+text+`"},{"key":"b","ok":true,"data":"AAAA"}]}`)
+	}
+	return seeds
+}
+
 // wireSeeds are bodies chosen to take every branch of the scanner.
-var wireSeeds = []string{
+var wireSeeds = append([]string{
 	// the plain shapes
 	`{"items":[{"key":"a","width":32,"data":"AAAAAA=="}]}`,
 	`{"items":[{"key":"a","data":"AAECAw=="},{"key":"b","width":64,"data":"AAECAwQFBgc="}]}`,
@@ -230,7 +257,7 @@ var wireSeeds = []string{
 	`{"items":[{"key":"a","width":1.}]}`, `{"items":[{"key":"a","width":1e}]}`, `{"items":[{"key":"a","x":tru}]}`,
 	`{"items":[{"key":"a","x":nul}]}`, `{"items":[{"key":"a","x":+1}]}`, `nul`, `nullx`, `{"items":[{"key":"a"} {"key":"b"}]}`,
 	`{"items":[{"key" "a"}]}`, `{"items":[{key:"a"}]}`, "\xef\xbb\xbf{}",
-}
+}, kernelSeeds()...)
 
 func TestBatchWireSeeds(t *testing.T) {
 	for _, s := range wireSeeds {
@@ -318,6 +345,48 @@ func BenchmarkBatchScanPut8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := sc.ScanPutRequest(body); err != nil || len(sc.Items) != 8 {
 			b.Fatalf("scan: %v, %d items", err, len(sc.Items))
+		}
+	}
+}
+
+// BenchmarkBatchScanGet8 scans an mget reply of 8 x 64 KiB, every
+// payload's text checked: what the router pays per leg reply before it
+// forwards a span. Gated at 0 allocs.
+func BenchmarkBatchScanGet8(b *testing.B) {
+	body := get8Body()
+	sc := NewBatchScanner()
+	defer sc.Release()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sc.ScanGetResult(body); err != nil || len(sc.Items) != 8 {
+			b.Fatalf("scan: %v, %d items", err, len(sc.Items))
+		}
+	}
+}
+
+// BenchmarkBatchDecodePut8 decodes the 8 payloads of a scanned mput body
+// into a retained buffer: what avrd pays to store them and the router to
+// encode them. Gated at 0 allocs.
+func BenchmarkBatchDecodePut8(b *testing.B) {
+	body, rawBytes := put8Body()
+	sc := NewBatchScanner()
+	defer sc.Release()
+	if err := sc.ScanPutRequest(body); err != nil {
+		b.Fatal(err)
+	}
+	out := make([]byte, 0, rawBytes)
+	b.SetBytes(int64(rawBytes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = out[:0]
+		for k := range sc.Items {
+			var err error
+			if out, err = sc.Items[k].AppendData(out); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,0 +1,91 @@
+package simd
+
+import "encoding/base64"
+
+// Standard base64 (RFC 4648 §4, padded) for the batch wire, whose
+// payloads are 64 KiB a key. encoding/base64 is the definition: the one
+// vector tier (AVX-512 VBMI, base64_amd64.s; as with ReduceFixed64 there
+// is no AVX2 tier) only ever sees whole groups of the standard alphabet —
+// 48 bytes ↔ 64 characters — and everything it cannot vouch for goes to
+// base64.StdEncoding: the padded last quantum, the tail short of a
+// group, and the whole of a text in which it met any other byte. So
+// output bytes and accept/reject are the standard library's on every
+// machine, and without VBMI these functions are the standard library.
+
+// b64dec maps an ASCII byte to its 6-bit value, 0x80 for one outside the
+// alphabet. c|b64dec[c&0x7F] therefore has its top bit set exactly for a
+// byte that is not an alphabet character — the test the decode and valid
+// kernels make 64 bytes at a time, with this table as their two
+// VPERMI2B halves, and the scalar loop of base64ValidGo one at a time.
+var b64dec = func() (t [128]byte) {
+	for i := range t {
+		t[i] = 0x80
+	}
+	for i, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/" {
+		t[c] = byte(i)
+	}
+	return t
+}()
+
+// base64Body is how much of an n-character text the vector tier takes:
+// whole 64-character groups that stop short of the last quantum, the
+// only place padding may stand.
+func base64Body(n int) int {
+	if n < 68 {
+		return 0
+	}
+	return (n - 4) &^ 63
+}
+
+// Base64Encode writes the base64.StdEncoding form of src to dst, which
+// must hold base64.StdEncoding.EncodedLen(len(src)) bytes.
+func Base64Encode(dst, src []byte) {
+	if n := len(src) / 48; n != 0 && hasVBMI {
+		base64EncodeVBMI(dst[:n*64], src[:n*48])
+		dst, src = dst[n*64:], src[n*48:]
+	}
+	base64.StdEncoding.Encode(dst, src)
+}
+
+// Base64Decode is base64.StdEncoding.Decode(dst, src) with the error
+// reduced to ok: the same texts are accepted (CR and LF skipped, padding
+// required) and the same n bytes written to dst, which must hold
+// base64.StdEncoding.DecodedLen(len(src)). When ok is false n and the
+// bytes of dst are unspecified.
+func Base64Decode(dst, src []byte) (n int, ok bool) {
+	if b := base64Body(len(src)); b != 0 && hasVBMI && base64DecodeVBMI(dst[:b/4*3], src[:b]) {
+		// The body was all alphabet, so it ends on a quantum boundary and
+		// the rest decodes on its own.
+		n, err := base64.StdEncoding.Decode(dst[b/4*3:], src[b:])
+		return b/4*3 + n, err == nil
+	}
+	n, err := base64.StdEncoding.Decode(dst, src)
+	return n, err == nil
+}
+
+// Base64Valid reports whether text is what base64.StdEncoding decodes
+// without skipping anything: whole quanta of alphabet characters, the
+// last one padded with at most two '='.
+func Base64Valid(text []byte) bool {
+	if b := base64Body(len(text)); b != 0 && hasVBMI {
+		if !base64ValidVBMI(text[:b]) {
+			return false
+		}
+		text = text[b:] // as many quanta short, so still whole or still not
+	}
+	return base64ValidGo(text)
+}
+
+func base64ValidGo(text []byte) bool {
+	if len(text)%4 != 0 {
+		return false
+	}
+	for pad := 0; pad < 2 && len(text) > 0 && text[len(text)-1] == '='; pad++ {
+		text = text[:len(text)-1]
+	}
+	var bad byte
+	for _, c := range text {
+		bad |= c | b64dec[c&0x7F]
+	}
+	return bad < 0x80
+}

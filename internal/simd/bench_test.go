@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"encoding/base64"
 	"math/rand"
 	"testing"
 )
@@ -64,5 +65,48 @@ func BenchmarkCountRanges32(b *testing.B) {
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {
 		CountRanges32(x, &lo, &hi)
+	}
+}
+
+// benchBase64 is one key's 64 KiB payload and its base64 text.
+func benchBase64() (raw, text []byte) {
+	raw = make([]byte, 64<<10)
+	rand.New(rand.NewSource(7)).Read(raw)
+	text = make([]byte, base64.StdEncoding.EncodedLen(len(raw)))
+	base64.StdEncoding.Encode(text, raw)
+	return raw, text
+}
+
+// BenchmarkBase64Encode/Decode/Valid run one 64 KiB payload, the batch
+// wire's unit (encoding/base64 without AVX-512 VBMI). Encode and decode
+// count payload bytes, valid the characters it reads.
+func BenchmarkBase64Encode(b *testing.B) {
+	raw, text := benchBase64()
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Base64Encode(text, raw)
+	}
+}
+
+func BenchmarkBase64Decode(b *testing.B) {
+	raw, text := benchBase64()
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := Base64Decode(raw, text); !ok {
+			b.Fatal("decode failed")
+		}
+	}
+}
+
+func BenchmarkBase64Valid(b *testing.B) {
+	_, text := benchBase64()
+	b.SetBytes(int64(len(text)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !Base64Valid(text) {
+			b.Fatal("valid refused")
+		}
 	}
 }

@@ -7,6 +7,10 @@ func xgetbv() (eax, edx uint32)
 var hasAVX2 = detectAVX2()
 var hasAVX512 = hasAVX2 && detectAVX512()
 
+// hasVBMI gates the base64 kernels: the 512-bit subset plus the byte
+// permutes and multishift of AVX512_VBMI (CPUID.7.0:ECX[1]).
+var hasVBMI = hasAVX512 && detectVBMI()
+
 // Enabled reports whether the AVX2 kernels can be used on this machine:
 // the CPU advertises AVX2 and the OS has enabled XMM/YMM state saving.
 func Enabled() bool { return hasAVX2 }
@@ -37,4 +41,9 @@ func detectAVX512() bool {
 	_, b, _, _ := cpuid(7, 0)
 	const need = 1<<16 | 1<<17 | 1<<30 | 1<<31 // AVX512 F, DQ, BW, VL
 	return b&need == need
+}
+
+func detectVBMI() bool {
+	_, _, c, _ := cpuid(7, 0)
+	return c&(1<<1) != 0
 }

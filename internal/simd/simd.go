@@ -1,7 +1,29 @@
-// Package simd provides vectorized forms of the AVR codec's two hottest
-// block passes for amd64 machines with AVX2, with runtime feature
-// detection. Every kernel is lane-for-lane bit-identical to the scalar
-// reference loops in internal/fixed and internal/compress: the float
+// Package simd holds the vector kernels of the serving path for amd64,
+// with runtime feature detection, and their portable fallbacks. There are
+// three families:
+//
+//   - The codec's block passes (kernels_amd64.go): ErrCheckRecon32,
+//     FloatsToFixedScaled and FixedToFloatsBits have an AVX2 tier and an
+//     AVX-512 one behind the same name; ChooseBiasScan, Interpolate1D/2D,
+//     Downsample1D/2D and FixedToFloatsBits64 are AVX-512 only. They
+//     operate on whole AVR blocks — 256 values as [256]uint32 bit
+//     patterns, or 128 doubles for FixedToFloatsBits64 — the unit the
+//     compressor hands around; callers check Enabled / Enabled512 and run
+//     the scalar loops of internal/fixed and internal/compress otherwise,
+//     or when a block needs a slow path the kernels do not implement
+//     (reported via their return values).
+//   - The integer reductions a store query runs over fixed-point
+//     reconstructions (reduce.go): ReduceFixed32 and CountRanges32 have an
+//     AVX2 tier, ReduceFixed64 an AVX-512 one, CountRanges64 none.
+//   - Standard base64 for the batch wire (base64.go): Base64Encode,
+//     Base64Decode and Base64Valid have one tier, AVX-512 VBMI.
+//
+// The last two families take slices of any length and dispatch
+// themselves, falling back to — and tested against — their own pure-Go
+// loops and encoding/base64.
+//
+// Every kernel is bit-identical to what it replaces. For the block passes
+// that is lane for lane against the scalar reference loops: the float
 // instructions used (VCVTDQ2PS, VMULPS, VCVTPS2PD, VMULPD, VCVTPD2DQ)
 // perform exactly the per-lane operation the scalar code performs, and
 // the integer mask logic reproduces the reference decision tree branch
@@ -9,16 +31,4 @@
 // in this package (scalar vs SIMD on adversarial bit patterns), the
 // codec differential tests in the avr package (SIMD-accelerated fast
 // path vs retained scalar reference codec), and the codec fuzz targets.
-//
-// Kernels operate on whole AVR blocks — 256 values as [256]uint32 bit
-// patterns, or 128 doubles for the one fp64 kernel (FixedToFloatsBits64)
-// — the unit the compressor hands around; callers fall back to
-// the scalar loops when Enabled returns false or a block needs a slow
-// path the kernels do not implement (reported via their return values).
-//
-// The integer reductions a store query runs over fixed-point
-// reconstructions (reduce.go: ReduceFixed32/64, CountRanges32/64) are
-// the exception to both rules: they take slices of any length and
-// dispatch themselves, falling back to — and tested against — their
-// own pure-Go loops.
 package simd

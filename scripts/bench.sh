@@ -27,7 +27,7 @@ OUT="${1:-BENCH_sim.json}"
 STORE_OUT="${2:-BENCH_store.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Recorder|Histogram}"
-STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchEmitGet8|ServerPut$|ServerGet$|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
+STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
 
 PKGS="./internal/cache ./internal/cmt ./internal/compress ./internal/dram ./internal/obs ./internal/sim ./internal/workloads"
 STORE_PKGS=". ./internal/simd ./internal/vec ./internal/store ./internal/server ./internal/trace ./internal/cluster"
@@ -57,27 +57,30 @@ GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLo
 # The read-cache hit path (both widths) and the bare cache lookup join
 # the gate: a cache hit that allocates would trade the disk read it saves for GC
 # pressure on every hot read. The batch wire codec — the scan the router
-# and avrd run over every mput body and mget reply, and the emit avrd
-# runs for every mget — is gated too: it exists to take the per-payload
-# copies out of the batch path. The encoded put — a container checked,
-# framed and written, what a replica does for a put the router encoded —
-# shares the put contract. The lossless twins of the get and the
+# and avrd run over every mput body, the checked scan the router runs
+# over every mget leg reply, the payload decode both tiers run per mput
+# item and the emit avrd runs for every mget — is gated too, with the
+# base64 kernels under it (internal/simd, one 64 KiB payload each): it
+# exists to take the per-payload copies out of the batch path. The
+# encoded put — a container checked, framed and written, what a replica
+# does for a put the router encoded — shares the put contract. The lossless twins of the get and the
 # aggregate (a "normal"-distribution key, every block through the BDI
 # fallback) and the little-endian wire conversion under both of them
 # (vec.AppendLE / FromLE, a single copy) are held to it as well.
-STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePutEncoded32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGet32Noise BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate32Noise BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkStoreQueryFilter32Outliers BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchEmitGet8 BenchmarkVecAppendLE/fp32 BenchmarkVecAppendLE/fp64 BenchmarkVecFromLE/fp32 BenchmarkVecFromLE/fp64"
+STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePutEncoded32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGet32Noise BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate32Noise BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkStoreQueryFilter32Outliers BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchScanGet8 BenchmarkBatchDecodePut8 BenchmarkBatchEmitGet8 BenchmarkBase64Encode BenchmarkBase64Decode BenchmarkBase64Valid BenchmarkVecAppendLE/fp32 BenchmarkVecAppendLE/fp64 BenchmarkVecFromLE/fp32 BenchmarkVecFromLE/fp64"
 
-# The loopback Mput8 benchmarks run whole batched puts over real
+# The loopback Mput8 and Mget8 benchmarks run whole batches over real
 # listeners — net/http, the client and JSON replies included — so they
-# cannot be held to zero; they are held to where the encode-once write
-# path landed them (607 and 127 allocs/op at -benchtime 100x, warm-up
-# included), with about 5 % of headroom for the runtime's own drift. The
-# Mget8 pair is recorded, with the core count it ran on, not gated. The
-# single-key get is capped at exactly what it landed on, no headroom: the
-# one allocation the cap exists to keep out is the per-request copy of
-# the vector, and that is one alloc in 124. The downsample query is
-# capped at its two result slices (points, bounds): a third allocation is
-# a result grown by appending again. A compaction pass is capped where
+# cannot be held to zero; they are held to where they landed at
+# -benchtime 100x, warm-up included (the router's and avrd's mput 607 and
+# 127 allocs/op, since the encode-once write path; their mget 557 and
+# 127), with about 5 % of headroom for the runtime's own drift, and
+# recorded with the core count they ran on. The single-key get is capped
+# at exactly what it landed on, no headroom: the one allocation the cap
+# exists to keep out is the per-request copy of the vector, and that is
+# one alloc in 124. The downsample query is capped at its two result
+# slices (points, bounds): a third allocation is a result grown by
+# appending again. A compaction pass is capped where
 # moving bytes landed it (47 allocs/op for ~260 KB of live frames at
 # 64 KiB segments, was 170; 31 for the same data in one 4 MiB segment —
 # a pass's scratch is one pooled chunk, so the count must not grow with
@@ -85,7 +88,7 @@ STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPu
 # scanned and the files of the stores the benchmark opens. The recovery
 # scan is capped at exactly its figure, 71 for 64 frames (was 135): the
 # key string of each, and the frame list growing to hold them.
-STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkServerGet:123 BenchmarkStoreQueryDownsample32:2 BenchmarkStoreQueryDownsample64:2 BenchmarkStoreCompact:50 BenchmarkStoreCompactSeg4M:34 BenchmarkStoreScan:71"
+STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkRouterMget8:585 BenchmarkServerMget8:134 BenchmarkServerGet:123 BenchmarkStoreQueryDownsample32:2 BenchmarkStoreQueryDownsample64:2 BenchmarkStoreCompact:50 BenchmarkStoreCompactSeg4M:34 BenchmarkStoreScan:71"
 
 RAW="$(mktemp)"
 RAW_STORE="$(mktemp)"
