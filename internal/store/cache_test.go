@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,29 +193,14 @@ func TestCacheBudgetInvariant(t *testing.T) {
 // every cached read of it keeps reporting ErrIncomplete, byte-identical
 // to the disk prefix.
 func TestTornTailCachePrefix(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, Config{Dir: dir})
-	vals := genF32(t, "heat", 3*BlockValues, 9)
-	if _, err := s.Put32("torn", vals); err != nil {
-		t.Fatal(err)
-	}
-	infos, err := s.BlockInfos("torn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := segIDs(dir)
-	if err != nil || len(ids) == 0 {
-		t.Fatalf("segIDs: %v (%d found)", err, len(ids))
-	}
-	cut := int64(segHeaderLen) + infos[0].Bytes + infos[1].Bytes/2
-	if err := os.Truncate(segFile(dir, ids[0]), cut); err != nil {
-		t.Fatal(err)
+	fs := newMemFS(1)
+	s := openTest(t, Config{Dir: "d", fs: fs})
+	fs.hook = cutWrite(tearInFrame(1))
+	if _, err := s.Put32("torn", genF32(t, "heat", 3*BlockValues, 9)); !errors.Is(err, errCut) {
+		t.Fatalf("put on a dying disk: %v", err)
 	}
 
-	s = openTest(t, Config{Dir: dir, CacheBytes: 8 << 20})
+	s = openTest(t, Config{Dir: "d", fs: fs.crash(processKill, 1), CacheBytes: 8 << 20})
 	want, err := s.Get32("torn") // disk path: prefix + ErrIncomplete
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("disk read of torn vector: err %v", err)

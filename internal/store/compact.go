@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"avr/internal/obs"
@@ -155,7 +154,7 @@ func (s *Store) compactSegment(m *segMeta) (CompactResult, error) {
 	if live != 0 {
 		return res, fmt.Errorf("store: segment %d still has %d live bytes after compaction", m.id, live)
 	}
-	if err := syncFile(active); err != nil {
+	if err := active.Sync(); err != nil {
 		return res, err
 	}
 
@@ -164,7 +163,7 @@ func (s *Store) compactSegment(m *segMeta) (CompactResult, error) {
 	if err := m.f.Close(); err != nil {
 		return res, err
 	}
-	if err := os.Remove(m.path); err != nil {
+	if err := s.cfg.fs.remove(m.path); err != nil {
 		return res, err
 	}
 	delete(s.segs, m.id)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -536,57 +535,5 @@ func TestCompactionMovesFramesVerbatim(t *testing.T) {
 	}
 	if moved["tombstone"] == 0 || moved["lossless"] == 0 || moved["avr"] == 0 {
 		t.Fatalf("setup: moved %v, want every kind", moved)
-	}
-}
-
-// TestCompactionSyncsBeforeUnlink: a victim was fsynced when it was
-// sealed, so what a pass moves out of it must be on disk again before the
-// file goes — after a pass that unlinked its victim, every frame it moved
-// lies below what its new segment had when that was last fsynced.
-// (Without the sync, under the default sync-on-roll policy, a power cut
-// loses frames that had been durable and recovery falls back to an older
-// value of the key.)
-func TestCompactionSyncsBeforeUnlink(t *testing.T) {
-	synced := make(map[string]int64) // path → size when its last fsync began
-	fsync := syncFile
-	syncFile = func(f *os.File) error {
-		st, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		synced[f.Name()] = st.Size()
-		return fsync(f)
-	}
-	t.Cleanup(func() { syncFile = fsync })
-
-	s := openTest(t, Config{SegmentTargetBytes: 64 << 10})
-	fragmentMixed(t, s)
-	passes, moved := 0, 0
-	for {
-		before := liveFrames(t, s)
-		res, did, err := s.CompactOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !did {
-			break
-		}
-		passes++
-		if _, err := os.Stat(segFile(s.cfg.Dir, res.Segment)); !os.IsNotExist(err) {
-			t.Fatalf("pass %d: victim %d still on disk (%v)", passes, res.Segment, err)
-		}
-		for name, is := range liveFrames(t, s) {
-			if was := before[name]; is.seg == was.seg && is.off == was.off {
-				continue
-			}
-			moved++
-			if durable := synced[segFile(s.cfg.Dir, is.seg)]; is.off+is.n > durable {
-				t.Errorf("pass %d unlinked segment %d with %s at [%d, %d) of segment %d, fsynced up to %d",
-					passes, res.Segment, name, is.off, is.off+is.n, is.seg, durable)
-			}
-		}
-	}
-	if passes == 0 || moved == 0 {
-		t.Fatalf("setup: %d passes moved %d frames", passes, moved)
 	}
 }

@@ -254,8 +254,8 @@ func TestPutEncodedRejects(t *testing.T) {
 // put's frames are contiguous in one segment, in block order, and a tail
 // torn anywhere inside the put recovers the intact prefix of its blocks.
 func TestPutWritesOnce(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, Config{Dir: dir})
+	fs := newMemFS(1)
+	s := openTest(t, Config{Dir: "d", fs: fs})
 	vals := genVec(t, "wave", 32, 4*BlockValues, 5)
 	if _, err := s.PutVec("k", vals, nil); err != nil {
 		t.Fatal(err)
@@ -269,12 +269,12 @@ func TestPutWritesOnce(t *testing.T) {
 				refs[i].seg, refs[i].off, i-1, refs[i-1].seg, refs[i-1].off, refs[i-1].frameLen)
 		}
 	}
-	s.Close()
-	// Tear the file in the middle of the third frame.
-	if err := os.Truncate(segFile(dir, refs[0].seg), refs[2].off+refs[2].frameLen/2); err != nil {
-		t.Fatal(err)
+	// The same put again, torn in the middle of its third frame.
+	fs.hook = cutWrite(tearInFrame(2))
+	if _, err := s.PutVec("k", vals, nil); !errors.Is(err, errCut) {
+		t.Fatalf("put on a dying disk: %v", err)
 	}
-	re := openTest(t, Config{Dir: dir})
+	re := openTest(t, Config{Dir: "d", fs: fs.crash(processKill, 1)})
 	got, _, err := re.GetVec(vec.Vec{}, "k", false, nil)
 	if !errors.Is(err, ErrIncomplete) || got.Len() != 2*BlockValues {
 		t.Fatalf("after the tear: %d values, %v; want the first two blocks and ErrIncomplete", got.Len(), err)

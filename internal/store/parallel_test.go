@@ -220,7 +220,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 		t.Errorf("blocks and tombstones hold %d live bytes, the segments say %d", live, st.LiveBytes)
 	}
 	// The directory holds the segments the store knows, and no others.
-	ids, err := segIDs(s.cfg.Dir)
+	ids, err := segIDs(osFS{}, s.cfg.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}

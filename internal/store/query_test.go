@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -338,38 +337,18 @@ func TestKeysSorted(t *testing.T) {
 // query executor report the prefix as incomplete, and Stats counts only
 // the recovered blocks.
 func TestTornTailHole(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, Config{Dir: dir})
-	vals := genF32(t, "heat", 3*BlockValues, 9)
-	if _, err := s.Put32("torn", vals); err != nil {
-		t.Fatal(err)
+	// A crash mid-append: of the put's three frames, written back to back,
+	// block 0's lands whole and block 1's in part.
+	fs := newMemFS(1)
+	s := openTest(t, Config{Dir: "d", fs: fs})
+	fs.hook = cutWrite(tearInFrame(1))
+	if _, err := s.Put32("torn", genF32(t, "heat", 3*BlockValues, 9)); !errors.Is(err, errCut) {
+		t.Fatalf("put on a dying disk: %v", err)
 	}
+
+	s = openTest(t, Config{Dir: "d", fs: fs.crash(processKill, 1)})
+
 	infos, err := s.BlockInfos("torn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 3 {
-		t.Fatalf("%d blocks before crash, want 3", len(infos))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate a crash mid-append: keep block 0's frame intact and tear
-	// into block 1's. A fresh store appends the three frames back to back
-	// after the segment header.
-	ids, err := segIDs(dir)
-	if err != nil || len(ids) == 0 {
-		t.Fatalf("segIDs: %v (%d found)", err, len(ids))
-	}
-	cut := int64(segHeaderLen) + infos[0].Bytes + infos[1].Bytes/2
-	if err := os.Truncate(segFile(dir, ids[0]), cut); err != nil {
-		t.Fatal(err)
-	}
-
-	s = openTest(t, Config{Dir: dir})
-
-	infos, err = s.BlockInfos("torn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +392,7 @@ func TestTornTailHole(t *testing.T) {
 // the store) must fail the open instead of being indexed.
 func TestOpenRejectsSegmentZero(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "seg-00000000.avrseg"), segmentHeader(), 0o644); err != nil {
+	if err := os.WriteFile(segPath(dir, 0), segmentHeader(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(Config{Dir: dir}); err == nil {

@@ -78,12 +78,12 @@ func TestGetSameOnAdjacentAndScatteredFrames(t *testing.T) {
 			img = tamper(img, kOff)
 		}
 		dir := t.TempDir()
-		if err := os.WriteFile(segFile(dir, 1), img, 0o644); err != nil {
+		if err := os.WriteFile(segPath(dir, 1), img, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s := openTest(t, Config{Dir: dir, CacheBytes: 8 << 20})
 		if after != nil {
-			after(segFile(dir, 1), kOff)
+			after(segPath(dir, 1), kOff)
 		}
 		return s
 	}

@@ -9,17 +9,11 @@
 // skip pointless compression attempts — the paper's CMT policy (§4)
 // applied at rest.
 //
-// Durability contract: segments are append-only and every frame is
-// CRC-32C guarded, so no WAL is needed. On reopen the in-memory block
-// index is rebuilt by a forward scan of every segment; a torn tail
-// (crash mid-append) is detected by the checksum, truncated away, and
-// every fully-written block before it is recovered. Within a multi-block
-// Put the blocks land in order, so a torn Put recovers as a prefix of
-// the vector and Get reports it with ErrIncomplete. Writes reach the OS
-// on every Put and are fsynced on segment roll and Close (every Put
-// when Config.SyncEveryPut is set); a compaction pass fsyncs the active
-// segment before it unlinks its victim, so it never makes a synced frame
-// less durable than it was.
+// Segments are append-only and every frame is CRC-32C guarded, so there
+// is no WAL: Open rebuilds the index by scanning the segments and cuts a
+// torn tail back to its last whole frame. What an acknowledged Put or
+// Delete survives, under each sync policy and kind of crash, is DESIGN.md
+// §5.9, which TestPowerCutAnywhere enforces through the fsys seam (fs.go).
 package store
 
 import (
@@ -27,9 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -88,6 +79,10 @@ type Config struct {
 	// keys' summary lines are pulled in by the background fill workers.
 	// Ignored when CacheBytes is 0.
 	Prefetch bool
+
+	// fs is what the store reaches the disk through: osFS, unless a test
+	// in this package put its model of a crashing disk here.
+	fs fsys
 }
 
 // withDefaults fills unset fields.
@@ -106,6 +101,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EncodeWorkers <= 0 {
 		c.EncodeWorkers = 1
+	}
+	if c.fs == nil {
+		c.fs = osFS{}
 	}
 	return c
 }
@@ -185,7 +183,7 @@ type tombRef struct {
 type segMeta struct {
 	id        uint32
 	path      string
-	f         *os.File
+	f         file
 	size      int64
 	liveBytes int64
 	deadBytes int64
@@ -195,6 +193,7 @@ type segMeta struct {
 // for concurrent use.
 type Store struct {
 	cfg Config
+	dir directory // cfg.Dir, open: fsynced when a roll has created a segment in it
 
 	mu       sync.RWMutex
 	segs     map[uint32]*segMeta
@@ -246,11 +245,13 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Config.Dir is required")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	d, err := cfg.fs.openDir(cfg.Dir)
+	if err != nil {
 		return nil, err
 	}
 	s := &Store{
 		cfg:   cfg,
+		dir:   d,
 		segs:  make(map[uint32]*segMeta),
 		index: make(map[string]*entry),
 		tombs: make(map[string]tombRef),
@@ -300,29 +301,24 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// segPath names a segment file.
-func (s *Store) segPath(id uint32) string {
-	return filepath.Join(s.cfg.Dir, fmt.Sprintf("seg-%08d.avrseg", id))
-}
-
 // segIDs returns the sorted segment IDs present in the directory.
-func segIDs(dir string) ([]uint32, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*.avrseg"))
+func segIDs(fs fsys, dir string) ([]uint32, error) {
+	names, err := fs.segments(dir)
 	if err != nil {
 		return nil, err
 	}
 	ids := make([]uint32, 0, len(names))
 	for _, n := range names {
 		var id uint32
-		if _, err := fmt.Sscanf(filepath.Base(n), "seg-%08d.avrseg", &id); err != nil {
-			return nil, fmt.Errorf("store: alien file %q in segment directory", n)
+		if _, err := fmt.Sscanf(n, segName, &id); err != nil {
+			return nil, fmt.Errorf("store: alien file %q in segment directory %s", n, dir)
 		}
 		// Segment ID 0 is the blockRef hole marker (see entry): the
 		// store never creates it (recover starts numbering at 1), so a
 		// seg-00000000 file is alien and would corrupt hole detection if
 		// its records were indexed.
 		if id == 0 {
-			return nil, fmt.Errorf("store: reserved segment id 0 (%q) in segment directory", n)
+			return nil, fmt.Errorf("store: reserved segment id 0 (%q) in segment directory %s", n, dir)
 		}
 		ids = append(ids, id)
 	}
@@ -333,23 +329,29 @@ func segIDs(dir string) ([]uint32, error) {
 // recover scans existing segments in ID order and rebuilds the index,
 // the tombstone set and the badly-compressing-block table. The newest
 // segment may be torn (crash mid-append) and is truncated to its last
-// intact frame; a torn or corrupt frame in any older segment is fatal,
-// since everything after it would be silently lost.
+// intact frame; a segment too short to hold a frame, whose header does
+// not verify, is what a dead roll left and is removed; any other torn or
+// corrupt frame in an older segment is fatal, since everything after it
+// would be silently lost.
 func (s *Store) recover() error {
-	ids, err := segIDs(s.cfg.Dir)
+	fs := s.cfg.fs
+	ids, err := segIDs(fs, s.cfg.Dir)
 	if err != nil {
 		return err
 	}
 	for i, id := range ids {
 		isTail := i == len(ids)-1
-		// Registered before the scan: records inside this segment can
-		// supersede earlier frames of the same segment, and markDead
-		// must find the meta to keep the live/dead split right.
-		meta, err := s.openSegment(id, 0)
+		path := segPath(s.cfg.Dir, id)
+		f, size, err := fs.open(path)
 		if err != nil {
 			return err
 		}
-		good, err := s.walkSegment(id, math.MaxInt64, func(_ int64, _ []byte, frames []segFrame) error {
+		// Registered before the scan: records inside this segment can
+		// supersede earlier frames of the same segment, and markDead
+		// must find the meta to keep the live/dead split right.
+		meta := &segMeta{id: id, path: path, f: f}
+		s.segs[id] = meta
+		good, err := s.walkSegment(id, size, func(_ int64, _ []byte, frames []segFrame) error {
 			for _, fr := range frames {
 				meta.liveBytes += fr.n // markDead inside apply corrects this
 				s.apply(id, fr.rec, fr.off, fr.n)
@@ -358,19 +360,31 @@ func (s *Store) recover() error {
 		})
 		switch {
 		case err == nil:
-			meta.size = good
+		case size <= int64(segHeaderLen):
+			// No header that verifies and not a byte past where one ends:
+			// wherever it sits, the file holds no frame. It is what a roll
+			// leaves that died, or failed, before its header was durable
+			// (rollActive). Removed, not re-headed: then the tail and a
+			// leftover in the middle are one case, and what follows — adopt
+			// the newest segment that is left, or roll — is ensureActive's
+			// job as ever.
+			obs.StoreTornTails.Add(1)
+			delete(s.segs, id)
+			f.Close()
+			if rerr := fs.remove(path); rerr != nil {
+				return fmt.Errorf("store: removing headerless segment %s: %w", path, rerr)
+			}
+			continue
 		case errors.Is(err, ErrTorn) && isTail:
 			obs.StoreTornTails.Add(1)
-			if terr := meta.f.Truncate(good); terr != nil {
-				return fmt.Errorf("store: truncating torn tail of %s: %w", meta.path, terr)
+			if terr := f.Truncate(good); terr != nil {
+				return fmt.Errorf("store: truncating torn tail of %s: %w", path, terr)
 			}
-			meta.size = good
 		default:
-			return fmt.Errorf("store: segment %s: %w", meta.path, err)
+			return fmt.Errorf("store: segment %s: %w", path, err)
 		}
-		if id >= s.nextSeg {
-			s.nextSeg = id + 1
-		}
+		meta.size = good
+		s.nextSeg = id + 1
 	}
 	if s.nextSeg == 0 {
 		s.nextSeg = 1 // segment 0 is reserved as the blockRef hole marker
@@ -461,64 +475,66 @@ func (s *Store) markDead(segID uint32, frameLen int64) {
 // ensureActive opens an append target: the newest segment if it has
 // room, else a fresh one.
 func (s *Store) ensureActive() error {
-	// recover left nextSeg one past the newest segment it found.
-	if newest := s.segs[s.nextSeg-1]; newest != nil && newest.size < s.cfg.SegmentTargetBytes {
-		s.active = newest
+	// recover left nextSeg one past the newest segment it found. A full one
+	// is adopted all the same, for the roll to fsync before it seals it:
+	// the process that filled it may have died without.
+	if s.active = s.segs[s.nextSeg-1]; s.active != nil && s.active.size < s.cfg.SegmentTargetBytes {
 		return nil
 	}
 	return s.rollActive()
 }
 
 // rollActive seals the current active segment (fsync) and starts a new
-// one. Caller holds the write lock (or is single-threaded setup).
+// one: created, headed, and header and name made durable, in that order,
+// before a frame can follow — so a put acknowledged after its own fsync
+// cannot lose the file it is in (the name) or be cut off from the scan by
+// a header that never landed. A roll that fails part way takes its file
+// with it (IDs may skip): left behind it would be a segment without a
+// header in the middle of the directory. Caller holds the write lock (or
+// is single-threaded setup).
 func (s *Store) rollActive() error {
 	if s.active != nil {
-		if err := syncFile(s.active.f); err != nil {
+		if err := s.active.f.Sync(); err != nil {
 			return err
 		}
 	}
 	id := s.nextSeg
 	s.nextSeg++
-	m, err := s.openSegment(id, os.O_CREATE|os.O_EXCL)
+	path := segPath(s.cfg.Dir, id)
+	f, err := s.cfg.fs.create(path)
 	if err != nil {
 		return err
 	}
-	if err := m.append(segmentHeader()); err != nil {
-		m.f.Close()
-		delete(s.segs, id)
+	m := &segMeta{id: id, path: path, f: f}
+	if err = m.append(segmentHeader()); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = s.dir.Sync()
+	}
+	if err != nil {
+		f.Close()
+		s.cfg.fs.remove(path) // best effort: recover drops what this leaves
 		return err
 	}
+	s.segs[id] = m
 	s.active = m
 	obs.StoreSegmentsCreated.Add(1)
 	return nil
 }
 
-// openSegment opens segment id's file, with flag on top of read-write,
-// and registers it.
-func (s *Store) openSegment(id uint32, flag int) (*segMeta, error) {
-	path := s.segPath(id)
-	f, err := os.OpenFile(path, os.O_RDWR|flag, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	m := &segMeta{id: id, path: path, f: f}
-	s.segs[id] = m
-	return m, nil
-}
-
 // append is the one write site: b lands at the end of the segment.
 func (m *segMeta) append(b []byte) error {
 	if _, err := m.f.WriteAt(b, m.size); err != nil {
+		// What did land goes again, as best it can: a shorter append after
+		// it would leave its end standing, for a roll to seal where the
+		// scan takes a torn frame for lost data and refuses the open.
+		m.f.Truncate(m.size)
 		return err
 	}
 	m.size += int64(len(b))
 	return nil
 }
-
-// syncFile is every fsync the store issues (a roll, Close, a put under
-// SyncEveryPut, a compaction pass before it unlinks its victim); a
-// variable so a test can see what was durable when.
-var syncFile = (*os.File).Sync
 
 // appendLocked writes frames — one serialised frame, a put's frames back
 // to back, or a run of frames a compaction pass moves as they are — at
@@ -538,7 +554,7 @@ func (s *Store) appendLocked(frames []byte) (segID uint32, off int64, err error)
 	}
 	s.active.liveBytes += int64(len(frames))
 	if s.cfg.SyncEveryPut {
-		if err := syncFile(s.active.f); err != nil {
+		if err := s.active.f.Sync(); err != nil {
 			s.markDead(s.active.id, int64(len(frames))) // written, never acknowledged
 			return 0, 0, err
 		}
@@ -1250,7 +1266,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	var first error
 	if s.active != nil {
-		if err := syncFile(s.active.f); err != nil && first == nil {
+		if err := s.active.f.Sync(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -1258,6 +1274,9 @@ func (s *Store) Close() error {
 		if err := m.f.Close(); err != nil && first == nil {
 			first = err
 		}
+	}
+	if err := s.dir.Close(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }
@@ -1267,6 +1286,7 @@ func (s *Store) closeSegments() {
 	for _, m := range s.segs {
 		m.f.Close()
 	}
+	s.dir.Close()
 }
 
 // checkKey validates a store key.

@@ -2,10 +2,8 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -21,11 +19,6 @@ func withinT1(got, want, t1 float64) bool {
 		return true
 	}
 	return math.Abs(got-want) <= t1*math.Abs(want)*(1+1e-9)+1e-300
-}
-
-// segFile names a segment file the way the store does.
-func segFile(dir string, id uint32) string {
-	return filepath.Join(dir, fmt.Sprintf("seg-%08d.avrseg", id))
 }
 
 func openTest(t *testing.T, cfg Config) *Store {
@@ -297,35 +290,20 @@ func TestStatsAccounting(t *testing.T) {
 // must reopen, recover every fully-written block, and serve values that
 // still satisfy the t1 bound (exactly, for lossless blocks).
 func TestCrashRecoveryTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, Config{Dir: dir})
+	fs := newMemFS(1)
+	s := openTest(t, Config{Dir: "d", fs: fs})
 	stable := genF32(t, "heat", 2*BlockValues, 1)
 	if _, err := s.Put32("stable", stable); err != nil {
 		t.Fatal(err)
 	}
+	// Tear the tail: the process dies 37 bytes short of the end of a put.
 	victim := genF32(t, "wave", 4*BlockValues, 2)
-	if _, err := s.Put32("victim", victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	fs.hook = cutWrite(func(b []byte) int { return len(b) - 37 })
+	if _, err := s.Put32("victim", victim); !errors.Is(err, errCut) {
+		t.Fatalf("put on a dying disk: %v", err)
 	}
 
-	// Tear the tail: cut the newest segment mid-frame.
-	ids, err := segIDs(dir)
-	if err != nil || len(ids) == 0 {
-		t.Fatalf("segIDs: %v (%d)", err, len(ids))
-	}
-	tail := segFile(dir, ids[len(ids)-1])
-	fi, err := os.Stat(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(tail, fi.Size()-37); err != nil {
-		t.Fatal(err)
-	}
-
-	r := openTest(t, Config{Dir: dir})
+	r := openTest(t, Config{Dir: "d", fs: fs.crash(processKill, 1)})
 	// The untouched key is fully intact.
 	got, err := r.Get32("stable")
 	if err != nil {
@@ -376,14 +354,14 @@ func TestCrashRecoveryBitFlip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := segIDs(dir)
+	ids, err := segIDs(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) < 2 {
 		t.Fatalf("want ≥2 segments, got %d", len(ids))
 	}
-	first := segFile(dir, ids[0])
+	first := segPath(dir, ids[0])
 	b, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)

@@ -97,12 +97,12 @@ func TestStructuralDamageIsErrCorruptOnEveryReadPath(t *testing.T) {
 					TotalVals: n, Width: w.width, Enc: encAVR, ValCount: n,
 					T1: 1.0 / 32, Data: tc.data,
 				})
-				if err := os.WriteFile(segFile(dir, 1), seg, 0o644); err != nil {
+				if err := os.WriteFile(segPath(dir, 1), seg, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				s := openTest(t, Config{Dir: dir, CacheBytes: 1 << 20})
 				if tc.flipAfterOpen > 0 {
-					flipFileBit(t, segFile(dir, 1), int64(bytes.Index(seg, tc.data)+tc.flipAfterOpen), 0x10)
+					flipFileBit(t, segPath(dir, 1), int64(bytes.Index(seg, tc.data)+tc.flipAfterOpen), 0x10)
 				}
 
 				check := func(path string, err error) {

@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
 # scripts/store_smoke.sh — end-to-end gate for the persistent block
-# store, in three acts:
+# store, in two acts. Each is here because no `go test` reaches it:
 #
-#   1. offline: avrstore pack → verify (every value within t1, lossless
-#      blocks bit-exact against regenerated ground truth)
-#   2. crash drill: chop bytes off the newest segment (torn-tail
-#      simulation), then verify -allow-partial — recovery must keep
-#      every surviving value within bound; compaction must still work
-#   3. serving: avrd -store-dir under avrload -mode store, then kill -9
-#      mid-traffic and reopen — the store must recover and verify
+#   1. offline: avrstore pack → verify → query -check. Kept: it is the
+#      only run of the avrstore binary against regenerated ground truth
+#      (flag parsing, manifest, exit codes), on a real file system.
+#   2. serving: avrd -store-dir under avrload -mode store and -mode query,
+#      then /v1/store/stats. Kept: it is the only run of the real daemon
+#      with the store behind it, the background compactor and rolls on,
+#      every response bound-checked by a separate process.
+#
+# What a crash leaves — a torn tail, a kill -9, a power cut — is not
+# drilled from here any more: TestPowerCutAnywhere (internal/store) cuts
+# at every I/O call of seeded schedules and checks DESIGN.md §5.9, which a
+# `truncate -s` and one `kill -9` per run never could.
 #
 # A CI gate, not a benchmark — see EXPERIMENTS.md for the recorded
 # store-mode load baseline.
@@ -45,21 +50,11 @@ STORE="$TMP/store"
 # And a single ad-hoc query must report its traffic accounting.
 "$TMP/avrstore" query -dir "$STORE" -key pack-0000 | grep -q '"bytes_touched"'
 
-# --- Act 2: torn-tail crash drill ------------------------------------
-# Chop 37 bytes off the newest segment: a torn frame the recovery scan
-# must truncate, losing at most the tail blocks of the last put.
-LAST_SEG="$(ls "$STORE"/seg-*.avrseg | sort | tail -1)"
-SIZE="$(wc -c < "$LAST_SEG")"
-truncate -s "$((SIZE - 37))" "$LAST_SEG"
-echo "tore $LAST_SEG to $((SIZE - 37)) bytes"
-"$TMP/avrstore" verify -dir "$STORE" -allow-partial
-"$TMP/avrstore" compact -dir "$STORE"
-"$TMP/avrstore" verify -dir "$STORE" -allow-partial
-
-# --- Act 3: serving + kill -9 ----------------------------------------
+# --- Act 2: serving ---------------------------------------------------
 SERVED="$TMP/served"
 # Small segments so the short run exercises segment roll and gives the
-# background compactor (and the post-kill offline compact) real victims.
+# background compactor (and the offline compact after the drain) real
+# victims.
 "$TMP/avrd" -addr 127.0.0.1:0 -addr-file "$TMP/addr" \
     -store-dir "$SERVED" -store-segment-bytes $((1 << 20)) \
     -store-compact-interval 250ms &
@@ -92,20 +87,11 @@ STATS="$(curl -sf "http://$ADDR/v1/store/stats")"
 grep -q '"achieved_ratio"' <<<"$STATS"
 grep -q '"query_latency"' <<<"$STATS"
 
-# kill -9 mid-put traffic: no drain, no fsync — the next open must
-# recover whatever the disk holds, torn tail included.
-( "$TMP/avrload" -addr "$ADDR" -mode store -c "$CONC" -duration 5s \
-    -values 20000 -dist wave >/dev/null 2>&1 || true ) &
-LOAD_PID=$!
-sleep 1
-kill -9 "$AVRD_PID"
+# Drain, then the offline tool over what the daemon wrote: the two
+# binaries must agree on the directory.
+kill -TERM "$AVRD_PID"
+wait "$AVRD_PID"
 AVRD_PID=""
-wait "$LOAD_PID" 2>/dev/null || true
-
-# Reopen after the hard kill: recovery must succeed and the store must
-# still serve and compact. (The load keys have no manifest, so inspect
-# and compact are the verification here; avrload already bound-checked
-# every get it made.)
 "$TMP/avrstore" inspect -dir "$SERVED" | grep -q '"keys"'
 "$TMP/avrstore" compact -dir "$SERVED"
-echo "store smoke OK (pack/verify, torn-tail recovery, kill -9 reopen)"
+echo "store smoke OK (pack/verify/query, served store and query load)"
