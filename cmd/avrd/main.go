@@ -43,16 +43,8 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 	"time"
 
 	"avr/internal/cliutil"
@@ -61,13 +53,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "localhost:8080", "listen address (use :0 for an ephemeral port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file (for scripts, with -addr :0)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent codec operations")
-	queue := flag.Int("queue", 0, "admission queue depth; 0 = 4×workers (beyond it requests shed with 429)")
-	maxBody := flag.Int64("max-body", 8<<20, "max request body bytes (413 above)")
-	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "max wait for a codec worker before 503")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight requests on shutdown")
+	d := cliutil.RegisterDaemon(flag.CommandLine, "localhost:8080")
 	storeDir := flag.String("store-dir", "", "enable the persistent block store rooted at this directory (/v1/store/*)")
 	storeRatioFloor := flag.Float64("store-ratio-floor", 0, "min AVR compression ratio before a block falls back to lossless; 0 = default")
 	storeSegmentBytes := flag.Int64("store-segment-bytes", 0, "segment roll size in bytes; 0 = default (64 MiB)")
@@ -76,15 +62,11 @@ func main() {
 	storeEncWorkers := flag.Int("store-encode-workers", 0, "goroutines encoding a put's blocks in parallel; 0 or 1 = serial")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "summary-line read cache byte budget; 0 disables the cache")
 	prefetch := flag.Bool("prefetch", true, "stride-prefetch summary lines on sequential key patterns (needs -cache-bytes > 0)")
-	traceSample := flag.Int("trace-sample", 0, "export one of every N request traces as JSONL; 0 = default (64), needs -trace-file")
-	traceFile := flag.String("trace-file", "", "append sampled request-trace JSONL to this file (empty disables export)")
 	var t1 float64
 	cliutil.RegisterT1(flag.CommandLine, &t1)
-	var debugAddr string
-	cliutil.RegisterDebug(flag.CommandLine, &debugAddr)
 	flag.Parse()
 
-	cliutil.StartDebug(debugAddr)
+	cliutil.StartDebug(d.DebugAddr)
 
 	var st *store.Store
 	if *storeDir != "" {
@@ -112,60 +94,15 @@ func main() {
 			"segments", stats.Segments, "disk_bytes", stats.DiskBytes)
 	}
 
-	scfg := server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		MaxBodyBytes:     *maxBody,
-		QueueTimeout:     *queueTimeout,
+	srv := server.New(server.Config{
+		Workers:          d.Workers,
+		QueueDepth:       d.Queue,
+		MaxBodyBytes:     d.MaxBody,
+		QueueTimeout:     d.QueueTimeout,
 		T1:               t1,
 		Store:            st,
-		TraceSampleEvery: *traceSample,
-	}
-	if *traceFile != "" {
-		tf, err := os.OpenFile(*traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		defer tf.Close()
-		scfg.TraceSink = tf
-		slog.Info("trace export on", "file", *traceFile,
-			"sample_every", scfg.TraceSampleEvery)
-	}
-	srv := server.New(scfg)
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			cliutil.Fatal(err)
-		}
-	}
-	slog.Info("avrd listening", "addr", ln.Addr().String(),
-		"workers", *workers, "queue", *queue, "max_body", *maxBody)
-
-	ctx, stop := signal.NotifyContext(context.Background(),
-		os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			cliutil.Fatal(err)
-		}
-	case <-ctx.Done():
-		stop()
-		slog.Info("avrd draining", "timeout", drainTimeout.String())
-		sdCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(sdCtx); err != nil {
-			slog.Error("avrd drain incomplete", "err", err)
-			os.Exit(1)
-		}
-		slog.Info("avrd drained cleanly")
-	}
+		TraceSampleEvery: d.TraceSample,
+		TraceSink:        d.TraceSink(),
+	})
+	d.Run("avrd", srv, "queue", d.Queue, "max_body", d.MaxBody)
 }

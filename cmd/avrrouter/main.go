@@ -30,16 +30,8 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 	"time"
 
 	"avr/internal/cliutil"
@@ -47,29 +39,19 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "localhost:9090", "listen address (use :0 for an ephemeral port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file (for scripts, with -addr :0)")
+	d := cliutil.RegisterDaemon(flag.CommandLine, "localhost:9090")
 	topoPath := flag.String("topology", "", "cluster topology JSON file (required)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrently proxied requests")
-	queue := flag.Int("queue", 0, "admission queue depth; 0 = 4×workers (beyond it requests shed with 429)")
-	maxBody := flag.Int64("max-body", 8<<20, "max request body bytes")
-	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "max wait for a router worker before 503")
 	legTimeout := flag.Duration("leg-timeout", 5*time.Second, "max time for one downstream request")
 	retries := flag.Int("retries", 2, "extra attempts for the replica leg after its first failure")
 	retryBackoff := flag.Duration("retry-backoff", 25*time.Millisecond, "initial replica-leg backoff (doubles per retry)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "node /readyz polling cadence")
 	ejectAfter := flag.Int("eject-after", 2, "consecutive probe failures before a node leaves rotation")
 	readmitAfter := flag.Int("readmit-after", 2, "consecutive probe successes before an ejected node returns")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight requests on shutdown")
-	traceSample := flag.Int("trace-sample", 0, "export one of every N request traces as JSONL; 0 = default (64), needs -trace-file")
-	traceFile := flag.String("trace-file", "", "append sampled request-trace JSONL to this file (empty disables export)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "router-side response cache budget in bytes; 0 disables (nodes cache independently)")
 	prefetch := flag.Bool("prefetch", true, "enable stride prefetch in the router response cache (needs -cache-bytes)")
-	var debugAddr string
-	cliutil.RegisterDebug(flag.CommandLine, &debugAddr)
 	flag.Parse()
 
-	cliutil.StartDebug(debugAddr)
+	cliutil.StartDebug(d.DebugAddr)
 
 	if *topoPath == "" {
 		cliutil.Fatal(errors.New("avrrouter: -topology is required"))
@@ -79,69 +61,26 @@ func main() {
 		cliutil.Fatal(err)
 	}
 
-	ccfg := cluster.Config{
+	ro, err := cluster.New(cluster.Config{
 		Topology:         topo,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		MaxBodyBytes:     *maxBody,
-		QueueTimeout:     *queueTimeout,
+		Workers:          d.Workers,
+		QueueDepth:       d.Queue,
+		MaxBodyBytes:     d.MaxBody,
+		QueueTimeout:     d.QueueTimeout,
 		LegTimeout:       *legTimeout,
 		Retries:          *retries,
 		RetryBackoff:     *retryBackoff,
 		ProbeInterval:    *probeInterval,
 		EjectAfter:       *ejectAfter,
 		ReadmitAfter:     *readmitAfter,
-		TraceSampleEvery: *traceSample,
+		TraceSampleEvery: d.TraceSample,
+		TraceSink:        d.TraceSink(),
 		CacheBytes:       *cacheBytes,
 		Prefetch:         *prefetch,
-	}
-	if *traceFile != "" {
-		tf, err := os.OpenFile(*traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		defer tf.Close()
-		ccfg.TraceSink = tf
-	}
-	ro, err := cluster.New(ccfg)
+	})
 	if err != nil {
 		cliutil.Fatal(err)
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			cliutil.Fatal(err)
-		}
-	}
-	slog.Info("avrrouter listening", "addr", ln.Addr().String(),
-		"nodes", len(topo.Nodes), "vnodes", topo.VNodes,
-		"replication", topo.Replication, "workers", *workers)
-
-	ctx, stop := signal.NotifyContext(context.Background(),
-		os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- ro.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			cliutil.Fatal(err)
-		}
-	case <-ctx.Done():
-		stop()
-		slog.Info("avrrouter draining", "timeout", drainTimeout.String())
-		sdCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := ro.Shutdown(sdCtx); err != nil {
-			slog.Error("avrrouter drain incomplete", "err", err)
-			os.Exit(1)
-		}
-		slog.Info("avrrouter drained cleanly")
-	}
+	d.Run("avrrouter", ro, "nodes", len(topo.Nodes), "vnodes", topo.VNodes,
+		"replication", topo.Replication)
 }

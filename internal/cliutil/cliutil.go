@@ -1,6 +1,8 @@
 // Package cliutil holds the flag parsing and setup shared by the avr
-// commands (avrsim, avrtrace, avrtables): benchmark/design/scale
-// selection, preset construction, and the opt-in debug server.
+// commands: benchmark/design/scale selection and preset construction
+// (avrsim, avrtrace, avrtables), the opt-in debug server, and the flags
+// and serve-until-signal-then-drain loop of the two daemons (avrd,
+// avrrouter; daemon.go).
 package cliutil
 
 import (

@@ -49,62 +49,6 @@ func mgetBody(keys ...string) []byte {
 	return b
 }
 
-// TestOversizeBodyIs413 holds every body-reading endpoint of both tiers
-// to one answer for a body over the cap — 413, whether the length was
-// declared or the body arrived chunked. (avrd reads bodies on five
-// endpoints; the router has no encode/decode to proxy.)
-func TestOversizeBodyIs413(t *testing.T) {
-	const limit = 1024
-	st, err := store.Open(store.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	avrd := httptest.NewServer(server.New(server.Config{Store: st, MaxBodyBytes: limit}).Handler())
-	defer avrd.Close()
-	tc := newTestCluster(t, 2, Config{MaxBodyBytes: limit})
-
-	big := bytes.Repeat([]byte("AAAA"), limit) // 4x the cap
-	cases := []struct {
-		tier, method, path string
-	}{
-		{"avrd", http.MethodPost, "/v1/encode"},
-		{"avrd", http.MethodPost, "/v1/decode"},
-		{"avrd", http.MethodPut, "/v1/store/put?key=k"},
-		{"avrd", http.MethodPost, "/v1/store/mput"},
-		{"avrd", http.MethodPost, "/v1/store/mget"},
-		{"router", http.MethodPut, "/v1/store/put?key=k"},
-		{"router", http.MethodPost, "/v1/store/mput"},
-		{"router", http.MethodPost, "/v1/store/mget"},
-	}
-	for _, c := range cases {
-		base := avrd.URL
-		if c.tier == "router" {
-			base = tc.router.URL
-		}
-		for _, chunked := range []bool{false, true} {
-			var body io.Reader = bytes.NewReader(big)
-			if chunked {
-				body = struct{ io.Reader }{body} // hides the length
-			}
-			req, err := http.NewRequest(c.method, base+c.path, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatalf("%s %s chunked=%v: %v", c.tier, c.path, chunked, err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusRequestEntityTooLarge {
-				t.Errorf("%s %s %s chunked=%v: status %d, want 413",
-					c.tier, c.method, c.path, chunked, resp.StatusCode)
-			}
-		}
-	}
-}
-
 // TestRouterBatchPartialFailureInPlace interleaves bad items with good
 // ones: every result sits at its request position, failures carry their
 // own error and successes are untouched by their neighbours.

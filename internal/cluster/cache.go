@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 
 	"avr/internal/obs"
@@ -66,18 +65,14 @@ func (ro *Router) initCache() {
 // loadCachedGet is the readcache fill callback: fetch key from its
 // owners and admit the response if it is complete.
 func (ro *Router) loadCachedGet(key string, prefetch bool) {
-	if ro.draining.Load() {
+	if !ro.Ready() {
 		return
 	}
 	gen := ro.writeGen.load(key)
 	ctx, cancel := context.WithTimeout(context.Background(), ro.cfg.LegTimeout)
 	defer cancel()
-	first, second := ro.legs(key)
-	path := "/v1/store/get?key=" + urlEscape(key)
-	lr := ro.doLeg(ctx, http.MethodGet, first, path, "", nil)
-	if !lr.ok2xx() && second >= 0 {
-		lr = ro.doLeg(ctx, http.MethodGet, second, path, "", nil)
-	}
+	tried, n := ro.readAny(ctx, nil, key, "/v1/store/get?key="+urlEscape(key), "")
+	lr := tried[n-1]
 	defer lr.release()
 	if lr.err != nil || lr.status != http.StatusOK ||
 		lr.header.Get("X-AVR-Complete") != "true" {
@@ -104,35 +99,26 @@ func (ro *Router) loadCachedGet(key string, prefetch bool) {
 	}
 }
 
-// serveCached answers a get from the router cache when the key is
-// resident. Returns false on a miss after queueing an async fill.
-func (ro *Router) serveCached(w http.ResponseWriter, key string) bool {
+// cachedGet returns key's resident response and how it got there ("hit",
+// or "prefetch" the first time a prefetched line is used); nil on a miss,
+// after queueing an async fill, and when there is no cache.
+func (ro *Router) cachedGet(key string) (*cachedResp, string) {
 	if ro.cache == nil {
-		return false
+		return nil, ""
 	}
 	ro.cache.Observe(key)
 	ent, ok := ro.cache.Get(key)
 	if !ok {
 		obs.CacheMisses.Add(1)
 		ro.cache.RequestFill(key)
-		return false
-	}
-	resp := ent.Meta.(*cachedResp)
-	src := "hit"
-	if ent.ConsumePrefetched() {
-		obs.PrefetchUseful.Add(1)
-		src = "prefetch"
+		return nil, ""
 	}
 	obs.CacheHits.Add(1)
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-AVR-Width", resp.width)
-	h.Set("X-AVR-Values", resp.values)
-	h.Set("X-AVR-Complete", "true")
-	h.Set("X-AVR-Cache", src)
-	h.Set("Content-Length", strconv.Itoa(len(resp.body)))
-	w.Write(resp.body)
-	return true
+	if ent.ConsumePrefetched() {
+		obs.PrefetchUseful.Add(1)
+		return ent.Meta.(*cachedResp), "prefetch"
+	}
+	return ent.Meta.(*cachedResp), "hit"
 }
 
 // invalidateKey drops key's resident response after a proxied write.

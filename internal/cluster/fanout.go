@@ -125,35 +125,29 @@ func releaseLegs(legs []batchLeg) {
 // took the write; Replicas reports how many did. An item the router
 // itself refuses — a width or length avrd would refuse too — fails in
 // place and goes nowhere.
-func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
-	sp := ro.tracer.Start()
-	defer ro.tracer.Finish("mput", sp)
-	sp.WriteID(w.Header())
-
-	body := ro.readBody(w, r)
-	if body == nil {
+func (ro *Router) handleMput(q *server.Req) {
+	body, ok := q.Body()
+	if !ok {
 		return
 	}
-	defer body.Release()
 	sc := server.NewBatchScanner()
 	defer sc.Release()
-	if err := sc.ScanPutRequest(body.B); err != nil {
-		httpErrf(w, http.StatusBadRequest, "bad mput body: %v", err)
+	if err := sc.ScanPutRequest(body); err != nil {
+		q.Fail(http.StatusBadRequest, "bad mput body: %v", err)
 		return
 	}
 	if len(sc.Items) == 0 {
-		httpErrf(w, http.StatusBadRequest, "mput body has no items")
+		q.Fail(http.StatusBadRequest, "mput body has no items")
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !q.Admit() {
 		return
 	}
-	defer ro.gate.Release()
-	traceID := inboundTraceID(r, sp)
+	sp, ctx, traceID := q.Span, q.R.Context(), inboundTraceID(q)
 
-	pe, failed := ro.putEncoder(r.Context(), traceID)
+	pe, failed := ro.putEncoder(ctx, traceID)
 	if pe == nil {
-		ro.failAll(w, failed)
+		ro.failAll(q, failed)
 		return
 	}
 	res := server.BatchPutResult{Results: make([]server.BatchPutItemResult, len(sc.Items))}
@@ -170,7 +164,7 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 	sp.End(trace.StageRoute, rt)
 
 	ft := sp.Begin()
-	legs := ro.runLegs(r.Context(), pl, "/v1/store/mput", traceID, func(items []int32) *server.Buf {
+	legs := ro.runLegs(ctx, pl, "/v1/store/mput", traceID, func(items []int32) *server.Buf {
 		size := len(server.PutRequestOpen) + len(items) + len(server.BatchClose)
 		for _, idx := range items {
 			size += len(elems[idx].B)
@@ -242,10 +236,10 @@ func (ro *Router) handleMput(w http.ResponseWriter, r *http.Request) {
 	obs.RouterBatchKeys.Add(int64(len(res.Results)))
 
 	if !anyLegOK && anyShed {
-		ro.shedMerged(w, legs)
+		ro.shedMerged(q, legs)
 		return
 	}
-	writeJSON(w, sp, res)
+	q.ReplyJSON(http.StatusOK, res)
 }
 
 // mgetOut is one key's standing in a batched get: the owning shard's
@@ -266,31 +260,24 @@ type mgetOut struct {
 // Values pass through undecoded: each leg reply is scanned for its
 // elements' verdicts and spans, and the response is those spans put in
 // request order.
-func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
-	sp := ro.tracer.Start()
-	defer ro.tracer.Finish("mget", sp)
-	sp.WriteID(w.Header())
-
-	body := ro.readBody(w, r)
-	if body == nil {
+func (ro *Router) handleMget(q *server.Req) {
+	body, ok := q.Body()
+	if !ok {
 		return
 	}
 	var req server.BatchGetRequest
-	err := json.Unmarshal(body.B, &req)
-	body.Release()
-	if err != nil {
-		httpErrf(w, http.StatusBadRequest, "bad mget body: %v", err)
+	if err := json.Unmarshal(body, &req); err != nil {
+		q.Fail(http.StatusBadRequest, "bad mget body: %v", err)
 		return
 	}
 	if len(req.Keys) == 0 {
-		httpErrf(w, http.StatusBadRequest, "mget body has no keys")
+		q.Fail(http.StatusBadRequest, "mget body has no keys")
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !q.Admit() {
 		return
 	}
-	defer ro.gate.Release()
-	traceID := inboundTraceID(r, sp)
+	sp, ctx, traceID := q.Span, q.R.Context(), inboundTraceID(q)
 
 	rt := sp.Begin()
 	pl := getPlan(len(ro.nodes))
@@ -362,7 +349,7 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ft := sp.Begin()
-	legs := ro.runLegs(r.Context(), pl, "/v1/store/mget", traceID, mgetBody)
+	legs := ro.runLegs(ctx, pl, "/v1/store/mget", traceID, mgetBody)
 	// The spans in outs alias the legs' replies until the response is out.
 	defer func() { releaseLegs(legs) }()
 	retry, shed1, ok1 := merge(legs)
@@ -381,7 +368,7 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 			}
 			pl2.add(other, int(idx))
 		}
-		legs2 := ro.runLegs(r.Context(), pl2, "/v1/store/mget", traceID, mgetBody)
+		legs2 := ro.runLegs(ctx, pl2, "/v1/store/mget", traceID, mgetBody)
 		legs = append(legs, legs2...)
 		_, shed2, ok2 := merge(legs2)
 		anyShed = anyShed || shed2
@@ -392,7 +379,7 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 	obs.RouterBatchKeys.Add(int64(len(req.Keys)))
 
 	if !anyOK && anyShed {
-		ro.shedMerged(w, legs)
+		ro.shedMerged(q, legs)
 		return
 	}
 	size := len(server.GetResultOpen) + len(outs) + len(server.BatchClose) + 1
@@ -413,13 +400,12 @@ func (ro *Router) handleMget(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	res.B = append(res.B, server.BatchClose+"\n"...)
-	writeBody(w, sp, res.B)
+	q.Reply(http.StatusOK, "application/json", res.B)
 }
 
 // shedMerged answers a batch every leg of which shed: 429 carrying the
 // max Retry-After the fleet asked for.
-func (ro *Router) shedMerged(w http.ResponseWriter, legs []batchLeg) {
-	obs.RouterErrors.Add(1)
+func (ro *Router) shedMerged(q *server.Req, legs []batchLeg) {
 	secs := 0
 	for _, lg := range legs {
 		if lg.lr.err == nil && lg.lr.status == http.StatusTooManyRequests {
@@ -429,8 +415,8 @@ func (ro *Router) shedMerged(w http.ResponseWriter, legs []batchLeg) {
 	if secs < 1 {
 		secs = 1
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	http.Error(w, "cluster shedding, retry later", http.StatusTooManyRequests)
+	q.Header().Set("Retry-After", strconv.Itoa(secs))
+	q.Fail(http.StatusTooManyRequests, "cluster shedding, retry later")
 }
 
 // fanKeys unions the live key sets of every in-rotation node (all nodes
@@ -489,27 +475,20 @@ func (ro *Router) fanKeys(ctx context.Context, traceID string) (keys []string, n
 // handleKeys serves GET /v1/store/key on the router: the union of every
 // shard's key set — the iteration surface avrstore verify fans out
 // over. Replicated keys appear once.
-func (ro *Router) handleKeys(w http.ResponseWriter, r *http.Request) {
-	sp := ro.tracer.Start()
-	defer ro.tracer.Finish("keys", sp)
-	sp.WriteID(w.Header())
-	if !ro.admit(w, r, sp) {
+func (ro *Router) handleKeys(q *server.Req) {
+	if !q.Admit() {
 		return
 	}
-	defer ro.gate.Release()
-
-	ft := sp.Begin()
-	keys, asked, failed := ro.fanKeys(r.Context(), inboundTraceID(r, sp))
-	sp.End(trace.StageFanout, ft)
+	ft := q.Span.Begin()
+	keys, asked, failed := ro.fanKeys(q.R.Context(), inboundTraceID(q))
+	q.Span.End(trace.StageFanout, ft)
 	if len(failed) == len(ro.nodes) || (len(keys) == 0 && len(failed) > 0 && len(failed) == asked) {
-		ro.failAll(w, failed)
+		ro.failAll(q, failed)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-AVR-Keys", strconv.Itoa(len(keys)))
-	w.Header().Set("X-AVR-Nodes", strconv.Itoa(asked))
-	sp.WriteHeaders(w.Header())
-	json.NewEncoder(w).Encode(struct {
+	q.Header().Set("X-AVR-Keys", strconv.Itoa(len(keys)))
+	q.Header().Set("X-AVR-Nodes", strconv.Itoa(asked))
+	q.ReplyJSON(http.StatusOK, struct {
 		Keys []string `json:"keys"`
 	}{Keys: keys})
 }

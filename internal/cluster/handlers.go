@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,44 +15,6 @@ import (
 	"avr/internal/store"
 	"avr/internal/trace"
 )
-
-// readBody reads a request body under the router's size cap into a
-// pooled buffer for the caller to release. On failure it has answered
-// the request — 413 for a body over the cap, as avrd does — and returns
-// nil.
-func (ro *Router) readBody(w http.ResponseWriter, r *http.Request) *server.Buf {
-	body, err := server.ReadRequestBody(w, r, ro.cfg.MaxBodyBytes)
-	if err != nil {
-		code, msg := server.BodyFailure(err)
-		http.Error(w, msg, code)
-		return nil
-	}
-	return body
-}
-
-// httpErrf writes a plain-text error response.
-func httpErrf(w http.ResponseWriter, code int, format string, args ...any) {
-	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-// writeJSON writes a JSON response with the router's trace headers.
-func writeJSON(w http.ResponseWriter, sp *trace.Span, res any) {
-	body, err := json.Marshal(res)
-	if err != nil {
-		httpErrf(w, http.StatusInternalServerError, "encoding result: %v", err)
-		return
-	}
-	writeBody(w, sp, append(body, '\n'))
-}
-
-// writeBody writes an encoded JSON response, its length declared so the
-// reader can size for it.
-func writeBody(w http.ResponseWriter, sp *trace.Span, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	sp.WriteHeaders(w.Header())
-	w.Write(body)
-}
 
 // legErrString renders a failed leg for per-key error reporting.
 func legErrString(lr legResult, nodeName string) string {
@@ -67,57 +30,47 @@ func legErrString(lr legResult, nodeName string) string {
 // write — the read path's bound check tolerates a stale or missing
 // second copy — and X-AVR-Replicas reports how many did, so callers
 // (and the smoke test) can see degraded writes.
-func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
-	sp := ro.tracer.Start()
-	defer ro.tracer.Finish("put", sp)
-	sp.WriteID(w.Header())
-
-	key := r.URL.Query().Get("key")
+func (ro *Router) handlePut(q *server.Req) {
+	key := q.Key()
 	if key == "" {
-		httpErrf(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	if r.Header.Get("Content-Type") == server.EncodedPutType {
-		httpErrf(w, http.StatusUnsupportedMediaType, "%v", errEncodedItem)
+	if q.R.Header.Get("Content-Type") == server.EncodedPutType {
+		q.Fail(http.StatusUnsupportedMediaType, "%v", errEncodedItem)
 		return
 	}
-	body := ro.readBody(w, r)
-	if body == nil {
+	body, ok := q.Body()
+	if !ok || !q.Admit() {
 		return
 	}
-	defer body.Release()
-	if !ro.admit(w, r, sp) {
-		return
-	}
-	defer ro.gate.Release()
-	traceID := inboundTraceID(r, sp)
+	ctx, traceID := q.R.Context(), inboundTraceID(q)
 
-	pe, failed := ro.putEncoder(r.Context(), traceID)
+	pe, failed := ro.putEncoder(ctx, traceID)
 	if pe == nil {
-		ro.failAll(w, failed)
+		ro.failAll(q, failed)
 		return
 	}
-	et := sp.Begin()
+	et := q.Span.Begin()
 	es := encScratchPool.Get().(*encScratch)
 	defer encScratchPool.Put(es)
 	container := server.GetBuf()
 	defer container.Release()
 	var err error
-	if es.vals, err = server.RawPutValues(es.vals, r.URL.Query().Get("width"), body.B); err == nil {
+	if es.vals, err = server.RawPutValues(es.vals, q.Param("width"), body); err == nil {
 		container.B, err = pe.enc.AppendPut(container.B, es.vals)
 	}
-	sp.End(trace.StageEncode, et)
+	q.Span.End(trace.StageEncode, et)
 	if err != nil {
-		httpErrf(w, http.StatusBadRequest, "%v", err)
+		q.Fail(http.StatusBadRequest, "%v", err)
 		return
 	}
 
-	rt := sp.Begin()
+	rt := q.Span.Begin()
 	p, rep := ro.ring.Owners(key)
-	path := "/v1/store/put?" + r.URL.RawQuery
-	sp.End(trace.StageRoute, rt)
+	path := "/v1/store/put?" + q.R.URL.RawQuery
+	q.Span.End(trace.StageRoute, rt)
 
-	ft := sp.Begin()
+	ft := q.Span.Begin()
 	var prLR, repLR legResult
 	defer func() { prLR.release(); repLR.release() }()
 	if rep >= 0 {
@@ -125,17 +78,17 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			prLR = ro.doLeg(r.Context(), http.MethodPut, p, path, traceID, container)
+			prLR = ro.doLeg(ctx, http.MethodPut, p, path, traceID, container)
 		}()
 		go func() {
 			defer wg.Done()
-			repLR = ro.doLegRetry(r.Context(), http.MethodPut, rep, path, traceID, container)
+			repLR = ro.doLegRetry(ctx, http.MethodPut, rep, path, traceID, container)
 		}()
 		wg.Wait()
 	} else {
-		prLR = ro.doLegRetry(r.Context(), http.MethodPut, p, path, traceID, container)
+		prLR = ro.doLegRetry(ctx, http.MethodPut, p, path, traceID, container)
 	}
-	sp.End(trace.StageFanout, ft)
+	q.Span.End(trace.StageFanout, ft)
 	// Write-through invalidation: even a failed leg may have mutated one
 	// replica before erroring, so drop the cached response regardless.
 	ro.invalidateKey(key)
@@ -154,115 +107,107 @@ func (ro *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 	}
 	if replicas == 0 {
 		if rep >= 0 {
-			ro.failAll(w, []legResult{prLR, repLR})
+			ro.failAll(q, []legResult{prLR, repLR})
 		} else {
-			ro.failAll(w, []legResult{prLR})
+			ro.failAll(q, []legResult{prLR})
 		}
 		return
 	}
-	passthroughHeaders(w.Header(), best.header)
-	sp.WriteHeaders(w.Header())
-	w.Header().Set("X-AVR-Replicas", strconv.Itoa(replicas))
-	w.Header().Set("Content-Length", strconv.Itoa(len(best.body)))
-	w.WriteHeader(best.status)
-	w.Write(best.body)
+	passthroughHeaders(q.Header(), best.header)
+	q.Header().Set("X-AVR-Replicas", strconv.Itoa(replicas))
+	q.Reply(best.status, "", best.body)
 }
 
-// proxyRead runs the read-any protocol for a single-key read: try the
-// preferred (healthy-first) owner once, fall through to the other
-// replica with retry-with-backoff on error, timeout, shed, or
-// not-found. Not-found falls through too — during a node outage a key
-// may exist only on its replica, and a read that can be answered must
-// be. The reply is safe from whichever replica answers: every stored
-// value was encoded at the store's quantized t1, so the client's bound
-// check holds regardless of which copy served it.
+// readAny runs the read-any step for one key: the preferred
+// (healthy-first) owner once, then the other replica with
+// retry-with-backoff on error, timeout, shed, or not-found. Not-found
+// falls through too — during a node outage a key may exist only on its
+// replica, and a read that can be answered must be. The answer is safe
+// from whichever replica gives it: every stored value was encoded at the
+// store's quantized t1, so the client's bound check holds regardless of
+// which copy served it.
 //
-// markMiss stamps X-AVR-Cache: miss over the leg's own verdict — set
-// when the router-tier cache was consulted and missed, so the client
-// measures the tier it talked to rather than the node behind it.
-func (ro *Router) proxyRead(w http.ResponseWriter, r *http.Request, sp *trace.Span, key, path string, markMiss bool) {
-	traceID := inboundTraceID(r, sp)
+// tried[:n] are the attempts in order and tried[n-1] the answer, whose
+// reply the caller releases. sp, when not nil, is charged the route and
+// fanout stages.
+func (ro *Router) readAny(ctx context.Context, sp *trace.Span, key, path, traceID string) (tried [2]legResult, n int) {
 	rt := sp.Begin()
 	first, second := ro.legs(key)
 	sp.End(trace.StageRoute, rt)
 
 	ft := sp.Begin()
-	lr := ro.doLeg(r.Context(), http.MethodGet, first, path, traceID, nil)
-	results := []legResult{lr}
-	if !lr.ok2xx() && second >= 0 {
-		obs.RouterFailovers.Add(1)
-		lr = ro.doLegRetry(r.Context(), http.MethodGet, second, path, traceID, nil)
-		results = append(results, lr)
+	defer sp.End(trace.StageFanout, ft)
+	tried[0] = ro.doLeg(ctx, http.MethodGet, first, path, traceID, nil)
+	if tried[0].ok2xx() || second < 0 {
+		return tried, 1
 	}
-	defer lr.release()
-	sp.End(trace.StageFanout, ft)
-
-	if !lr.ok2xx() {
-		ro.failAll(w, results)
-		return
-	}
-	passthroughHeaders(w.Header(), lr.header)
-	if markMiss {
-		w.Header().Set("X-AVR-Cache", "miss")
-	}
-	sp.WriteHeaders(w.Header())
-	w.Header().Set("Content-Length", strconv.Itoa(len(lr.body)))
-	w.WriteHeader(lr.status)
-	w.Write(lr.body)
+	obs.RouterFailovers.Add(1)
+	tried[1] = ro.doLegRetry(ctx, http.MethodGet, second, path, traceID, nil)
+	return tried, 2
 }
 
-// handleGet proxies GET /v1/store/get with read-any failover.
-func (ro *Router) handleGet(w http.ResponseWriter, r *http.Request) {
-	sp := ro.tracer.Start()
-	defer ro.tracer.Finish("get", sp)
-	sp.WriteID(w.Header())
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpErrf(w, http.StatusBadRequest, "missing key parameter")
+// proxyRead answers a single-key read with whatever readAny got.
+//
+// markMiss stamps X-AVR-Cache: miss over the leg's own verdict — set
+// when the router-tier cache was consulted and missed, so the client
+// measures the tier it talked to rather than the node behind it.
+func (ro *Router) proxyRead(q *server.Req, key, path string, markMiss bool) {
+	tried, n := ro.readAny(q.R.Context(), q.Span, key, path, inboundTraceID(q))
+	lr := tried[n-1]
+	defer lr.release()
+	if !lr.ok2xx() {
+		ro.failAll(q, tried[:n])
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	passthroughHeaders(q.Header(), lr.header)
+	if markMiss {
+		q.Header().Set("X-AVR-Cache", "miss")
+	}
+	q.Reply(lr.status, "", lr.body)
+}
+
+// handleGet serves GET /v1/store/get: from the router cache when the key
+// is resident, by read-any otherwise.
+func (ro *Router) handleGet(q *server.Req) {
+	key := q.Key()
+	if key == "" || !q.Admit() {
 		return
 	}
-	defer ro.gate.Release()
-	ct := sp.Begin()
-	if ro.serveCached(w, key) {
-		sp.End(trace.StageCacheHit, ct)
-		sp.WriteHeaders(w.Header())
+	ct := q.Span.Begin()
+	if resp, src := ro.cachedGet(key); resp != nil {
+		q.Span.End(trace.StageCacheHit, ct)
+		h := q.Header()
+		h.Set("X-AVR-Width", resp.width)
+		h.Set("X-AVR-Values", resp.values)
+		h.Set("X-AVR-Complete", "true")
+		h.Set("X-AVR-Cache", src)
+		q.Reply(http.StatusOK, "application/octet-stream", resp.body)
 		return
 	}
-	ro.proxyRead(w, r, sp, key, "/v1/store/get?"+r.URL.RawQuery, ro.cache != nil)
+	ro.proxyRead(q, key, "/v1/store/get?"+q.R.URL.RawQuery, ro.cache != nil)
 }
 
 // handleDelete proxies DELETE /v1/store/key to both replicas. Deleting
 // is idempotent, so a replica that never had the key (404) counts as
 // done; the delete fails only when no replica acknowledged it.
-func (ro *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
-	sp := ro.tracer.Start()
-	defer ro.tracer.Finish("delete", sp)
-	sp.WriteID(w.Header())
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpErrf(w, http.StatusBadRequest, "missing key parameter")
+func (ro *Router) handleDelete(q *server.Req) {
+	key := q.Key()
+	if key == "" || !q.Admit() {
 		return
 	}
-	if !ro.admit(w, r, sp) {
-		return
-	}
-	defer ro.gate.Release()
-	traceID := inboundTraceID(r, sp)
+	ctx, traceID := q.R.Context(), inboundTraceID(q)
 
-	rt := sp.Begin()
+	rt := q.Span.Begin()
 	p, rep := ro.ring.Owners(key)
-	path := "/v1/store/key?" + r.URL.RawQuery
-	sp.End(trace.StageRoute, rt)
+	path := "/v1/store/key?" + q.R.URL.RawQuery
+	q.Span.End(trace.StageRoute, rt)
 
-	ft := sp.Begin()
-	results := []legResult{ro.doLegRetry(r.Context(), http.MethodDelete, p, path, traceID, nil)}
+	ft := q.Span.Begin()
+	results := []legResult{ro.doLegRetry(ctx, http.MethodDelete, p, path, traceID, nil)}
 	if rep >= 0 {
-		results = append(results, ro.doLegRetry(r.Context(), http.MethodDelete, rep, path, traceID, nil))
+		results = append(results, ro.doLegRetry(ctx, http.MethodDelete, rep, path, traceID, nil))
 	}
-	sp.End(trace.StageFanout, ft)
+	q.Span.End(trace.StageFanout, ft)
 	ro.invalidateKey(key)
 
 	acked, all404 := 0, true
@@ -277,12 +222,11 @@ func (ro *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case acked > 0:
-		sp.WriteHeaders(w.Header())
-		w.WriteHeader(http.StatusNoContent)
+		q.Reply(http.StatusNoContent, "", nil)
 	case all404:
-		httpErrf(w, http.StatusNotFound, "key not found on any replica")
+		q.Fail(http.StatusNotFound, "key not found on any replica")
 	default:
-		ro.failAll(w, results)
+		ro.failAll(q, results)
 	}
 }
 
@@ -303,36 +247,29 @@ type ClusterAggregateResult struct {
 // read-any failover. Without one it computes a cluster-wide aggregate:
 // list every shard's keys, query each key ONCE — routed to a single
 // owner, so replication cannot double-count — and merge.
-func (ro *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sp := ro.tracer.Start()
-	defer ro.tracer.Finish("query", sp)
-	sp.WriteID(w.Header())
-
-	if key := r.URL.Query().Get("key"); key != "" {
-		if !ro.admit(w, r, sp) {
-			return
+func (ro *Router) handleQuery(q *server.Req) {
+	if key := q.Param("key"); key != "" {
+		if q.Admit() {
+			ro.proxyRead(q, key, "/v1/store/query?"+q.R.URL.RawQuery, false)
 		}
-		defer ro.gate.Release()
-		ro.proxyRead(w, r, sp, key, "/v1/store/query?"+r.URL.RawQuery, false)
 		return
 	}
 
-	if op := r.URL.Query().Get("op"); op != "" && op != "aggregate" {
-		httpErrf(w, http.StatusBadRequest,
+	if op := q.Param("op"); op != "" && op != "aggregate" {
+		q.Fail(http.StatusBadRequest,
 			"cluster-wide query supports op=aggregate only (got %q); filter and downsample need a key", op)
 		return
 	}
-	if !ro.admit(w, r, sp) {
+	if !q.Admit() {
 		return
 	}
-	defer ro.gate.Release()
-	traceID := inboundTraceID(r, sp)
+	ctx, traceID := q.R.Context(), inboundTraceID(q)
 
-	ft := sp.Begin()
-	keys, asked, failed := ro.fanKeys(r.Context(), traceID)
+	ft := q.Span.Begin()
+	keys, asked, failed := ro.fanKeys(ctx, traceID)
 	if len(failed) == asked && asked > 0 {
-		sp.End(trace.StageFanout, ft)
-		ro.failAll(w, failed)
+		q.Span.End(trace.StageFanout, ft)
+		ro.failAll(q, failed)
 		return
 	}
 
@@ -353,25 +290,14 @@ func (ro *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		go func(i int, k string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			first, second := ro.legs(k)
-			path := "/v1/store/query?op=aggregate&key=" + urlEscape(k)
-			lr := ro.doLeg(r.Context(), http.MethodGet, first, path, traceID, nil)
-			if !lr.ok2xx() && second >= 0 {
-				obs.RouterFailovers.Add(1)
-				lr = ro.doLegRetry(r.Context(), http.MethodGet, second, path, traceID, nil)
-			}
-			if !lr.ok2xx() {
-				return
-			}
+			tried, n := ro.readAny(ctx, nil, k, "/v1/store/query?op=aggregate&key="+urlEscape(k), traceID)
+			lr := tried[n-1]
 			defer lr.release()
-			if err := json.Unmarshal(lr.body, &outs[i].agg); err != nil {
-				return
-			}
-			outs[i].ok = true
+			outs[i].ok = lr.ok2xx() && json.Unmarshal(lr.body, &outs[i].agg) == nil
 		}(i, k)
 	}
 	wg.Wait()
-	sp.End(trace.StageFanout, ft)
+	q.Span.End(trace.StageFanout, ft)
 
 	res := ClusterAggregateResult{Nodes: asked}
 	res.Key = "*"
@@ -415,9 +341,10 @@ func (ro *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res.MeanErrorBound = res.ErrorBound / float64(res.Count)
 	}
 	if !res.Complete {
+		// The one error the frame cannot see: a 200 that knows it is partial.
 		obs.RouterErrors.Add(1)
 	}
-	writeJSON(w, sp, res)
+	q.ReplyJSON(http.StatusOK, res)
 }
 
 // urlEscape query-escapes a key for a downstream URL.
@@ -452,14 +379,8 @@ func urlEscape(k string) string {
 
 // handleStoreStats serves GET /v1/store/stats on the router: every
 // node's store snapshot, keyed by node name.
-func (ro *Router) handleStoreStats(w http.ResponseWriter, r *http.Request) {
-	sp := ro.tracer.Start()
-	defer ro.tracer.Finish("stats", sp)
-	if !ro.admit(w, r, sp) {
-		return
-	}
-	defer ro.gate.Release()
-	traceID := inboundTraceID(r, sp)
+func (ro *Router) handleStoreStats(q *server.Req) {
+	ctx, traceID := q.R.Context(), inboundTraceID(q)
 
 	results := make([]legResult, len(ro.nodes))
 	var wg sync.WaitGroup
@@ -467,7 +388,7 @@ func (ro *Router) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = ro.doLeg(r.Context(), http.MethodGet, i, "/v1/store/stats", traceID, nil)
+			results[i] = ro.doLeg(ctx, http.MethodGet, i, "/v1/store/stats", traceID, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -482,7 +403,7 @@ func (ro *Router) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 			out[ro.nodes[i].name] = msg
 		}
 	}
-	writeJSON(w, sp, map[string]any{"nodes": out})
+	q.ReplyJSON(http.StatusOK, map[string]any{"nodes": out})
 }
 
 // RouterNodeStats is one node's view in the router's /v1/stats.
@@ -519,11 +440,12 @@ type RouterStats struct {
 
 // Stats snapshots the router's state.
 func (ro *Router) Stats() RouterStats {
+	tier := ro.Config()
 	st := RouterStats{
-		UptimeSeconds: time.Since(ro.start).Seconds(),
-		Workers:       ro.cfg.Workers,
-		QueueDepth:    ro.cfg.QueueDepth,
-		Queued:        ro.gate.Queued(),
+		UptimeSeconds: ro.Uptime().Seconds(),
+		Workers:       tier.Workers,
+		QueueDepth:    tier.QueueDepth,
+		Queued:        ro.Gate().Queued(),
 		Requests:      obs.RouterRequests.Value(),
 		Shed:          obs.RouterShed.Value(),
 		Errors:        obs.RouterErrors.Value(),
@@ -553,12 +475,4 @@ func (ro *Router) Stats() RouterStats {
 		st.Nodes = append(st.Nodes, ns)
 	}
 	return st
-}
-
-// handleStats serves GET /v1/stats.
-func (ro *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(ro.Stats())
 }

@@ -3,18 +3,14 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"avr/internal/admit"
 	"avr/internal/obs"
 	"avr/internal/readcache"
 	"avr/internal/server"
@@ -65,20 +61,9 @@ type Config struct {
 	Prefetch bool
 }
 
-// withDefaults fills unset fields.
+// withDefaults fills the router's own unset fields; the frame
+// (server.NewTier) fills the ones it shares with avrd.
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 2 * time.Second
-	}
 	if c.LegTimeout <= 0 {
 		c.LegTimeout = 5 * time.Second
 	}
@@ -128,22 +113,20 @@ type node struct {
 // Router shards store traffic across avrd nodes: consistent-hash
 // routing, replication-2 writes, read-any reads with replica fallback,
 // batched multi-key fan-out, and cluster-wide query scatter/merge. It
-// sits behind the same admission controller as avrd (internal/admit:
-// bounded worker slots + queue, 429/503 shedding) so a router in front
-// of a slow fleet sheds instead of queueing unboundedly.
+// serves through the same request frame as avrd (*server.Tier: tracing,
+// bounded worker slots + queue with 429/503 shedding, body cap, replies,
+// drain) so a router in front of a slow fleet sheds instead of queueing
+// unboundedly. A full queue sheds with the gate's own queue-derived
+// Retry-After; downstream-caused 429s do NOT use that hint — they
+// surface the max Retry-After the fleet itself asked for (see
+// mergeRetryAfter).
 type Router struct {
+	*server.Tier
 	cfg    Config
 	ring   *Ring
 	nodes  []*node
-	mux    *http.ServeMux
-	http   *http.Server
 	client *http.Client
 
-	gate     *admit.Gate
-	draining atomic.Bool
-	start    time.Time
-
-	tracer    *trace.Tracer
 	stopProbe chan struct{}
 	probeDone chan struct{}
 
@@ -160,28 +143,36 @@ type Router struct {
 }
 
 // New creates a Router for the topology and starts its health prober
-// (unless disabled). Call Close to stop the prober.
+// (unless disabled). Shutdown — or Close, for a router that never
+// served — stops the prober.
 func New(cfg Config) (*Router, error) {
 	cfg.Topology = cfg.Topology.withDefaults()
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	ro := &Router{
-		cfg:   cfg,
-		ring:  NewRing(cfg.Topology),
-		mux:   http.NewServeMux(),
-		gate:  admit.NewGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
-		start: time.Now(),
-		client: &http.Client{
-			// Per-leg deadlines come from request contexts; the client
-			// timeout is a backstop.
-			Timeout: 2 * cfg.LegTimeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        16 * cfg.Workers,
-				MaxIdleConnsPerHost: 4 * cfg.Workers,
-				IdleConnTimeout:     90 * time.Second,
-			},
+	ro := &Router{cfg: cfg, ring: NewRing(cfg.Topology)}
+	ro.Tier = server.NewTier(server.TierConfig{
+		Workers:          cfg.Workers,
+		QueueDepth:       cfg.QueueDepth,
+		MaxBodyBytes:     cfg.MaxBodyBytes,
+		QueueTimeout:     cfg.QueueTimeout,
+		TraceSampleEvery: cfg.TraceSampleEvery,
+		TraceSink:        cfg.TraceSink,
+		Counters: server.Counters{
+			Requests: obs.RouterRequests, Shed: obs.RouterShed, Errors: obs.RouterErrors,
+		},
+		OnDrain: ro.Close,
+	})
+	workers := ro.Config().Workers
+	ro.client = &http.Client{
+		// Per-leg deadlines come from request contexts; the client
+		// timeout is a backstop.
+		Timeout: 2 * cfg.LegTimeout,
+		Transport: &http.Transport{
+			MaxIdleConns:        16 * workers,
+			MaxIdleConnsPerHost: 4 * workers,
+			IdleConnTimeout:     90 * time.Second,
 		},
 	}
 	for _, n := range cfg.Topology.Nodes {
@@ -189,39 +180,21 @@ func New(cfg Config) (*Router, error) {
 		nd.up.Store(true)
 		ro.nodes = append(ro.nodes, nd)
 	}
-
-	tcfg := trace.Config{SampleEvery: cfg.TraceSampleEvery}
-	if cfg.TraceSink != nil {
-		tcfg.Sink = trace.NewSink(cfg.TraceSink)
-	}
-	ro.tracer = trace.New(tcfg)
 	ro.initCache()
 
-	ro.mux.HandleFunc("PUT /v1/store/put", ro.handlePut)
-	ro.mux.HandleFunc("POST /v1/store/put", ro.handlePut)
-	ro.mux.HandleFunc("GET /v1/store/get", ro.handleGet)
-	ro.mux.HandleFunc("GET /v1/store/query", ro.handleQuery)
-	ro.mux.HandleFunc("POST /v1/store/mput", ro.handleMput)
-	ro.mux.HandleFunc("POST /v1/store/mget", ro.handleMget)
-	ro.mux.HandleFunc("GET /v1/store/key", ro.handleKeys)
-	ro.mux.HandleFunc("DELETE /v1/store/key", ro.handleDelete)
-	ro.mux.HandleFunc("GET /v1/store/stats", ro.handleStoreStats)
-	ro.mux.HandleFunc("GET /v1/stats", ro.handleStats)
-	ro.mux.Handle("GET /metrics", obs.MetricsHandler())
-	ro.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	ro.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if ro.draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
-	ro.http = &http.Server{
-		Handler:           ro.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	ro.Handle("PUT /v1/store/put", "put", ro.handlePut)
+	ro.Handle("POST /v1/store/put", "put", ro.handlePut)
+	ro.Handle("GET /v1/store/get", "get", ro.handleGet)
+	ro.Handle("GET /v1/store/query", "query", ro.handleQuery)
+	ro.Handle("POST /v1/store/mput", "mput", ro.handleMput)
+	ro.Handle("POST /v1/store/mget", "mget", ro.handleMget)
+	ro.Handle("GET /v1/store/key", "keys", ro.handleKeys)
+	ro.Handle("DELETE /v1/store/key", "delete", ro.handleDelete)
+	// The two stats documents (and the frame's own /metrics, /healthz and
+	// /readyz) are outside admission: monitoring must answer under
+	// overload. The fleet's store stats are a traced fan-out all the same.
+	ro.Handle("GET /v1/store/stats", "stats", ro.handleStoreStats)
+	ro.HandleStats("GET /v1/stats", func() any { return ro.Stats() })
 
 	if cfg.ProbeInterval > 0 {
 		ro.stopProbe = make(chan struct{})
@@ -231,23 +204,9 @@ func New(cfg Config) (*Router, error) {
 	return ro, nil
 }
 
-// Handler returns the router's HTTP handler (for tests and embedding).
-func (ro *Router) Handler() http.Handler { return ro.mux }
-
-// Serve accepts connections on ln until Shutdown.
-func (ro *Router) Serve(ln net.Listener) error { return ro.http.Serve(ln) }
-
-// Shutdown drains gracefully: readiness flips to 503, in-flight
-// requests complete, the prober and cache fill workers stop.
-func (ro *Router) Shutdown(ctx context.Context) error {
-	ro.draining.Store(true)
-	ro.stopProber()
-	ro.cache.Close()
-	return ro.http.Shutdown(ctx)
-}
-
-// Close stops the prober and cache workers without serving shutdown
-// (tests that use Handler directly).
+// Close stops the prober and the cache fill workers. Shutdown runs it
+// once readiness has flipped; tests that use Handler directly call it
+// themselves.
 func (ro *Router) Close() {
 	ro.stopProber()
 	ro.cache.Close()
@@ -262,30 +221,6 @@ func (ro *Router) stopProber() {
 		}
 		<-ro.probeDone
 	}
-}
-
-// admit runs the admission handshake; true means the caller holds a
-// slot and must ro.gate.Release(). A full queue sheds with 429 and the
-// gate's own queue-derived Retry-After; downstream-caused 429s do NOT
-// use that hint — they surface the max Retry-After the fleet itself
-// asked for (see mergeRetryAfter).
-func (ro *Router) admit(w http.ResponseWriter, r *http.Request, sp *trace.Span) bool {
-	qt := sp.Begin()
-	err := ro.gate.Acquire(r.Context())
-	sp.End(trace.StageQueue, qt)
-	if err == nil {
-		obs.RouterRequests.Add(1)
-		return true
-	}
-	obs.RouterShed.Add(1)
-	if errors.Is(err, admit.ErrQueueFull) {
-		w.Header().Set("Retry-After", strconv.Itoa(ro.gate.RetryAfter()))
-		http.Error(w, "router queue full, retry later", http.StatusTooManyRequests)
-	} else {
-		http.Error(w, "timed out waiting for a router worker",
-			http.StatusServiceUnavailable)
-	}
-	return false
 }
 
 // mergeRetryAfter folds one downstream 429's Retry-After into the max
@@ -501,11 +436,11 @@ func (ro *Router) doLegRetry(ctx context.Context, method string, nodeIdx int, pa
 // inboundTraceID resolves the trace id to propagate: forwarded when the
 // client sent one (a mesh of routers shares one id per request),
 // created from the span otherwise.
-func inboundTraceID(r *http.Request, sp *trace.Span) string {
-	if id := r.Header.Get("X-AVR-Trace"); id != "" {
+func inboundTraceID(q *server.Req) string {
+	if id := q.R.Header.Get("X-AVR-Trace"); id != "" {
 		return id
 	}
-	return trace.FormatID(sp.ID())
+	return trace.FormatID(q.Span.ID())
 }
 
 // passthroughHeaders copies the downstream response headers the client
@@ -527,8 +462,7 @@ func passthroughHeaders(dst http.Header, src http.Header) {
 // failAll writes the response for a request every leg failed: 429 with
 // the fleet's merged Retry-After when any leg shed, 404 when every leg
 // answered not-found, 502 otherwise.
-func (ro *Router) failAll(w http.ResponseWriter, results []legResult) {
-	obs.RouterErrors.Add(1)
+func (ro *Router) failAll(q *server.Req, results []legResult) {
 	retrySecs := 0
 	all404 := len(results) > 0
 	var firstErr string
@@ -552,11 +486,11 @@ func (ro *Router) failAll(w http.ResponseWriter, results []legResult) {
 	}
 	switch {
 	case retrySecs > 0:
-		w.Header().Set("Retry-After", strconv.Itoa(retrySecs))
-		http.Error(w, "cluster shedding, retry later", http.StatusTooManyRequests)
+		q.Header().Set("Retry-After", strconv.Itoa(retrySecs))
+		q.Fail(http.StatusTooManyRequests, "cluster shedding, retry later")
 	case all404:
-		http.Error(w, "key not found on any replica", http.StatusNotFound)
+		q.Fail(http.StatusNotFound, "key not found on any replica")
 	default:
-		http.Error(w, "all replicas failed: "+firstErr, http.StatusBadGateway)
+		q.Fail(http.StatusBadGateway, "all replicas failed: %s", firstErr)
 	}
 }

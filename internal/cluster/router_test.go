@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -612,7 +613,9 @@ func TestRouterReadyzDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz before drain: %d", resp.StatusCode)
 	}
-	ro.draining.Store(true)
+	if err := ro.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 	resp, _ = http.Get(ts.URL + "/readyz")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -624,7 +627,11 @@ func TestRouterReadyzDrain(t *testing.T) {
 // TestRouterCacheHitAndInvalidation drives the router-side response
 // cache: a cold get is a miss that queues an async fill, re-reads hit
 // with byte-identical bodies, and a proxied overwrite (put or mput)
-// drops the resident line so the next read serves fresh bytes.
+// drops the resident line so the next read serves fresh bytes. A hit is
+// traced like any answer: its cachehit stage is on the wire — read off a
+// real response, since a ResponseRecorder's header map keeps changing
+// after the body is written, which is how a hit went out without stage
+// headers unnoticed.
 func TestRouterCacheHitAndInvalidation(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{CacheBytes: 16 << 20})
 	const key, vn = "cached-key", 96
@@ -639,6 +646,11 @@ func TestRouterCacheHitAndInvalidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("get: status %d: %s", resp.StatusCode, body)
+		}
+		if src := resp.Header.Get("X-AVR-Cache"); src == "hit" || src == "prefetch" {
+			if resp.Header.Get("X-AVR-Stage-Cachehit") == "" || resp.Header.Get("X-AVR-Stage-Queue") == "" {
+				t.Fatalf("cache %s without its queue and cachehit stages: %v", src, resp.Header)
+			}
 		}
 		return resp.Header.Get("X-AVR-Cache"), body
 	}

@@ -7,9 +7,7 @@ import (
 	"strconv"
 	"sync"
 
-	"avr/internal/obs"
 	"avr/internal/store"
-	"avr/internal/trace"
 	"avr/internal/vec"
 )
 
@@ -103,13 +101,6 @@ type BatchGetResult struct {
 	Results []BatchGetItemResult `json:"results"`
 }
 
-// registerBatch wires the batched store endpoints onto the mux.
-func (s *Server) registerBatch() {
-	s.mux.HandleFunc("POST /v1/store/mput", s.handleStoreMput)
-	s.mux.HandleFunc("POST /v1/store/mget", s.handleStoreMget)
-	s.mux.HandleFunc("GET /v1/store/key", s.handleStoreKeys)
-}
-
 // valScratch is the pooled per-request value scratch of every handler
 // that moves values: one key's payload as wire bytes and as floats of
 // either width. The store copies what it keeps (encoded blocks on put)
@@ -154,38 +145,28 @@ func (it *WireItem) Values(raw []byte, vals vec.Vec) ([]byte, vec.Vec, error) {
 // per-key success/error reporting. An item is stored through PutVec, or,
 // marked encoded, through PutEncoded; a payload that is not base64, or a
 // container the store refuses, is that key's error, like any other.
-func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
-	sp := s.tracer.Start()
-	defer s.tracer.Finish("mput", sp)
-	sp.WriteID(w.Header())
-	obs.ServerInFlight.Add(1)
-	defer obs.ServerInFlight.Add(-1)
-
-	body := s.readBody(w, r)
-	if body == nil {
+func (s *Server) handleStoreMput(q *Req) {
+	body, ok := q.Body()
+	if !ok {
 		return
 	}
-	defer body.Release()
 	sc := NewBatchScanner()
 	defer sc.Release()
-	if err := sc.ScanPutRequest(body.B); err != nil {
-		fail(w, http.StatusBadRequest, "bad mput body: %v", err)
+	if err := sc.ScanPutRequest(body); err != nil {
+		q.Fail(http.StatusBadRequest, "bad mput body: %v", err)
 		return
 	}
 	if len(sc.Items) == 0 {
-		fail(w, http.StatusBadRequest, "mput body has no items")
+		q.Fail(http.StatusBadRequest, "mput body has no items")
 		return
 	}
-
-	if !s.acquireOr(w, r, sp, "a worker") {
+	if !q.Admit() {
 		return
 	}
-	defer s.gate.Release()
 
 	vs := valScratchPool.Get().(*valScratch)
 	defer valScratchPool.Put(vs)
 	res := BatchPutResult{Results: make([]BatchPutItemResult, len(sc.Items))}
-	var bytesIn int64
 	for i := range sc.Items {
 		it, out := &sc.Items[i], &res.Results[i]
 		out.Key = string(it.Key)
@@ -193,10 +174,10 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 		var perr error
 		if it.Encoded {
 			if vs.raw, perr = it.AppendData(vs.raw[:0]); perr == nil {
-				pr, perr = s.cfg.Store.PutEncoded(out.Key, vs.raw, sp)
+				pr, perr = s.cfg.Store.PutEncoded(out.Key, vs.raw, q.Span)
 			}
 		} else if vs.raw, vs.vals, perr = it.Values(vs.raw, vs.vals); perr == nil {
-			pr, perr = s.cfg.Store.PutVec(out.Key, vs.vals, sp)
+			pr, perr = s.cfg.Store.PutVec(out.Key, vs.vals, q.Span)
 		}
 		if perr != nil {
 			out.Error = perr.Error()
@@ -206,62 +187,43 @@ func (s *Server) handleStoreMput(w http.ResponseWriter, r *http.Request) {
 		out.Values = pr.Values
 		out.Blocks = pr.Blocks
 		out.Ratio = pr.Ratio
-		bytesIn += int64(len(vs.raw))
 	}
-	obs.ServerBytesIn.Add(bytesIn)
-
-	out, err := json.Marshal(res)
-	if err != nil {
-		fail(w, http.StatusInternalServerError, "encoding result: %v", err)
-		return
-	}
-	writeBatchJSON(w, sp, append(out, '\n'))
+	q.ReplyJSON(http.StatusOK, res)
 }
 
 // handleStoreMget serves POST /v1/store/mget: many keys per round-trip,
 // per-key values or errors. Reads take the disk path (GetVec without
 // the read cache): a batch read attributes to segread+decode
 // like any uncached get.
-func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
-	sp := s.tracer.Start()
-	defer s.tracer.Finish("mget", sp)
-	sp.WriteID(w.Header())
-	obs.ServerInFlight.Add(1)
-	defer obs.ServerInFlight.Add(-1)
-
-	body := s.readBody(w, r)
-	if body == nil {
+func (s *Server) handleStoreMget(q *Req) {
+	body, ok := q.Body()
+	if !ok {
 		return
 	}
 	var req BatchGetRequest
-	err := json.Unmarshal(body.B, &req)
-	body.Release()
-	if err != nil {
-		fail(w, http.StatusBadRequest, "bad mget body: %v", err)
+	if err := json.Unmarshal(body, &req); err != nil {
+		q.Fail(http.StatusBadRequest, "bad mget body: %v", err)
 		return
 	}
 	if len(req.Keys) == 0 {
-		fail(w, http.StatusBadRequest, "mget body has no keys")
+		q.Fail(http.StatusBadRequest, "mget body has no keys")
 		return
 	}
-
-	if !s.acquireOr(w, r, sp, "a worker") {
+	if !q.Admit() {
 		return
 	}
-	defer s.gate.Release()
 
 	vs := valScratchPool.Get().(*valScratch)
 	defer valScratchPool.Put(vs)
 	out := GetBuf()
 	defer out.Release()
 	out.B = append(out.B, GetResultOpen...)
-	var bytesOut int64
 	for i, key := range req.Keys {
 		if i > 0 {
 			out.B = append(out.B, ',')
 		}
 		var gerr error
-		vs.vals, _, gerr = s.cfg.Store.GetVec(vs.vals.Reset(0), key, false, sp)
+		vs.vals, _, gerr = s.cfg.Store.GetVec(vs.vals.Reset(0), key, false, q.Span)
 		incomplete := errors.Is(gerr, store.ErrIncomplete)
 		if gerr != nil && !incomplete {
 			out.B = AppendGetFailure(out.B, key, gerr.Error(), errors.Is(gerr, store.ErrNotFound))
@@ -269,34 +231,21 @@ func (s *Server) handleStoreMget(w http.ResponseWriter, r *http.Request) {
 		}
 		vs.raw = vs.vals.AppendLE(vs.raw[:0])
 		out.B = AppendGetResult(out.B, key, vs.vals.Width, !incomplete, vs.raw)
-		bytesOut += int64(len(vs.raw))
 	}
 	out.B = append(out.B, BatchClose+"\n"...)
-	obs.ServerBytesOut.Add(bytesOut)
-
-	writeBatchJSON(w, sp, out.B)
+	q.Reply(http.StatusOK, "application/json", out.B)
 }
 
 // handleStoreKeys serves GET /v1/store/key: every live key, sorted —
 // the iteration surface cluster-wide offline verification fans out
 // over.
-func (s *Server) handleStoreKeys(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStoreKeys(q *Req) {
+	if !q.Admit() {
+		return
+	}
 	keys := s.cfg.Store.Keys()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-AVR-Keys", strconv.Itoa(len(keys)))
-	enc := json.NewEncoder(w)
-	enc.Encode(struct {
+	q.Header().Set("X-AVR-Keys", strconv.Itoa(len(keys)))
+	q.ReplyJSON(http.StatusOK, struct {
 		Keys []string `json:"keys"`
 	}{Keys: keys})
-}
-
-// writeBatchJSON writes one batch response with trace headers, its
-// length declared so the reader can size for it.
-func writeBatchJSON(w http.ResponseWriter, sp *trace.Span, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	sp.WriteHeaders(w.Header())
-	if _, err := w.Write(body); err != nil {
-		obs.ServerErrors.Add(1)
-	}
 }

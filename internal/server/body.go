@@ -1,18 +1,15 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"io"
-	"net/http"
 	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // Buf is a pooled, reference-counted byte buffer: the one body reader
-// of both serving tiers fills it (request bodies on avrd and the router,
-// leg replies on the router), and the batch handlers build leg bodies
+// of both serving tiers fills it (request bodies through Req.Body, leg
+// replies on the router), and the batch handlers build leg bodies
 // and responses in it. GetBuf and ReadBody hand it out holding one
 // reference; the last Release puts it back in the pool. Whoever lets B
 // outlive its own reference — the router's transport may still be
@@ -80,36 +77,4 @@ func ReadBody(r io.Reader, size int64) (*Buf, error) {
 			return nil, err
 		}
 	}
-}
-
-// ReadRequestBody is ReadBody for a request body capped at limit bytes.
-// A body over the cap surfaces as *http.MaxBytesError; BodyFailure maps
-// the error onto the response.
-func ReadRequestBody(w http.ResponseWriter, r *http.Request, limit int64) (*Buf, error) {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	defer body.Close()
-	// A declared length over the cap fails on the read; do not size for it.
-	return ReadBody(body, min(r.ContentLength, limit))
-}
-
-// BodyFailure renders a ReadRequestBody error, the same on every
-// endpoint of both tiers: 413 for a body over the cap, 400 otherwise.
-func BodyFailure(err error) (status int, msg string) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", mbe.Limit)
-	}
-	return http.StatusBadRequest, fmt.Sprintf("reading body: %v", err)
-}
-
-// readBody reads the size-capped request body for the caller to
-// release. On failure it has answered the request and returns nil.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *Buf {
-	body, err := ReadRequestBody(w, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		code, msg := BodyFailure(err)
-		fail(w, code, "%s", msg)
-		return nil
-	}
-	return body
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"expvar"
-	"time"
 
 	"avr/internal/obs"
 	"avr/internal/trace"
@@ -23,11 +22,6 @@ func init() {
 	expvar.Publish("avr.server_ratio", expvar.Func(func() any {
 		return ratioHist.Summary()
 	}))
-}
-
-// observeLatency records one request's service latency (µs buckets).
-func observeLatency(d time.Duration) {
-	latencyHist.Observe(float64(d.Microseconds()))
 }
 
 // Stats is the JSON document served at /v1/stats: the serving-path
@@ -100,7 +94,7 @@ func snapshotStageStats() map[string]StageStats {
 // snapshotStats collects the current serving-path statistics.
 func (s *Server) snapshotStats() Stats {
 	return Stats{
-		UptimeSeconds: time.Since(s.start).Seconds(),
+		UptimeSeconds: s.Uptime().Seconds(),
 		Ready:         s.Ready(),
 		Requests:      obs.ServerRequests.Value(),
 		Encodes:       obs.ServerEncodes.Value(),

@@ -166,68 +166,6 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-func TestOversizedBodyGets413(t *testing.T) {
-	_, ts := testServer(t, Config{MaxBodyBytes: 1024})
-	_, payload := f32Payload(t, "heat", 1024, 1) // 4 KiB > 1 KiB cap
-	resp, _ := post(t, ts.URL+"/v1/encode", payload)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-	resp, _ = post(t, ts.URL+"/v1/decode", payload)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("decode status %d, want 413", resp.StatusCode)
-	}
-}
-
-func TestQueueFullSheds429(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 1, QueueTimeout: 5 * time.Second})
-	_, payload := f32Payload(t, "heat", 256, 1)
-
-	// Occupy the only worker slot so requests queue.
-	s.gate.Acquire(context.Background())
-	defer s.gate.Release()
-
-	// Fill the queue's single seat.
-	queuedDone := make(chan struct{})
-	go func() {
-		defer close(queuedDone)
-		resp, _ := post(t, ts.URL+"/v1/encode", payload)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("queued request finished with %d, want 200", resp.StatusCode)
-		}
-	}()
-	waitFor(t, func() bool { return s.gate.Queued() == 1 })
-
-	// Queue at capacity: the next arrival must shed with 429+Retry-After.
-	resp, _ := post(t, ts.URL+"/v1/encode", payload)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-
-	// Free the slot; the queued request must complete.
-	s.gate.Release()
-	select {
-	case <-queuedDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("queued request never completed after slot release")
-	}
-	s.gate.Acquire(context.Background()) // restore for the deferred release
-}
-
-func TestQueueTimeoutSheds503(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 4, QueueTimeout: 50 * time.Millisecond})
-	_, payload := f32Payload(t, "heat", 256, 1)
-	s.gate.Acquire(context.Background())
-	defer s.gate.Release()
-	resp, _ := post(t, ts.URL+"/v1/encode", payload)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-}
-
 func TestHealthzReadyzAndDrain(t *testing.T) {
 	s := New(Config{Workers: 1, QueueTimeout: 10 * time.Second})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

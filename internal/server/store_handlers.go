@@ -1,12 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"avr/internal/obs"
 	"avr/internal/store"
@@ -14,10 +12,10 @@ import (
 )
 
 // Store endpoints, registered only when Config.Store is set (avrd
-// -store-dir). They ride the same admission layer as the codec
-// endpoints: encode/decode work on the put/get paths competes for the
-// same bounded worker slots, so a storm of store traffic sheds with 429
-// instead of starving the stateless codec service.
+// -store-dir). All but the stats document ride the same admission layer
+// as the codec endpoints: encode/decode work on the put/get paths
+// competes for the same bounded worker slots, so a storm of store
+// traffic sheds with 429 instead of starving the stateless codec service.
 //
 //	PUT  /v1/store/put?key=K[&width=64]  raw little-endian values in,
 //	                                     PutResult JSON out; with
@@ -46,29 +44,41 @@ import (
 //	POST /v1/store/mget                  batched multi-key get (JSON)
 //	GET  /v1/store/stats                 store snapshot JSON
 
-// registerStore wires the store endpoints onto the mux.
+// registerStore wires the store endpoints onto the frame.
 func (s *Server) registerStore() {
-	s.mux.HandleFunc("PUT /v1/store/put", s.handleStorePut)
-	s.mux.HandleFunc("POST /v1/store/put", s.handleStorePut) // curl-friendly alias
-	s.mux.HandleFunc("GET /v1/store/get", s.handleStoreGet)
-	s.mux.HandleFunc("GET /v1/store/query", s.handleStoreQuery)
-	s.mux.HandleFunc("DELETE /v1/store/key", s.handleStoreDelete)
-	s.mux.HandleFunc("GET /v1/store/stats", s.handleStoreStats)
-	s.registerBatch()
+	s.Handle("PUT /v1/store/put", "put", s.handleStorePut)
+	s.Handle("POST /v1/store/put", "put", s.handleStorePut) // curl-friendly alias
+	s.Handle("GET /v1/store/get", "get", s.handleStoreGet)
+	s.Handle("GET /v1/store/query", "query", s.handleStoreQuery)
+	s.Handle("DELETE /v1/store/key", "delete", s.handleStoreDelete)
+	s.Handle("GET /v1/store/key", "keys", s.handleStoreKeys)
+	s.Handle("POST /v1/store/mput", "mput", s.handleStoreMput)
+	s.Handle("POST /v1/store/mget", "mget", s.handleStoreMget)
+	s.HandleStats("GET /v1/store/stats", func() any { return s.cfg.Store.Stats() })
 }
 
 // storeFail maps store errors onto HTTP status codes.
-func storeFail(w http.ResponseWriter, err error) {
+func storeFail(q *Req, err error) {
+	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, store.ErrNotFound):
-		fail(w, http.StatusNotFound, "%v", err)
+		code = http.StatusNotFound
 	case errors.Is(err, store.ErrWidth):
-		fail(w, http.StatusConflict, "%v", err)
+		code = http.StatusConflict
 	case errors.Is(err, store.ErrClosed):
-		fail(w, http.StatusServiceUnavailable, "%v", err)
-	default:
-		fail(w, http.StatusInternalServerError, "%v", err)
+		code = http.StatusServiceUnavailable
 	}
+	q.Fail(code, "%v", err)
+}
+
+// partialStatus is the status of a get or query answer: 200, or — over
+// the recovered prefix of a torn vector — a counted 206.
+func partialStatus(complete bool) int {
+	if complete {
+		return http.StatusOK
+	}
+	obs.ServerStorePartial.Add(1)
+	return http.StatusPartialContent
 }
 
 // EncodedPutType is the Content-Type of a put whose body is an
@@ -96,67 +106,55 @@ func RawPutValues(dst vec.Vec, widthParam string, body []byte) (vec.Vec, error) 
 // handleStorePut serves PUT /v1/store/put: raw little-endian values in,
 // or a container of blocks encoded elsewhere; persisted approximate
 // blocks out.
-func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
-	sp := s.tracer.Start()
-	defer s.tracer.Finish("put", sp)
-	sp.WriteID(w.Header())
-	obs.ServerInFlight.Add(1)
-	defer obs.ServerInFlight.Add(-1)
-
-	key := r.URL.Query().Get("key")
+func (s *Server) handleStorePut(q *Req) {
+	key := q.Key()
 	if key == "" {
-		fail(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	buf := s.readBody(w, r)
-	if buf == nil {
+	body, ok := q.Body()
+	if !ok {
 		return
 	}
-	defer buf.Release()
-	encoded := r.Header.Get("Content-Type") == EncodedPutType
+	encoded := q.R.Header.Get("Content-Type") == EncodedPutType
 	var vals vec.Vec
 	if !encoded {
 		vs := valScratchPool.Get().(*valScratch)
 		defer valScratchPool.Put(vs)
 		var err error
-		if vs.vals, err = RawPutValues(vs.vals, r.URL.Query().Get("width"), buf.B); err != nil {
-			fail(w, http.StatusBadRequest, "%v", err)
+		if vs.vals, err = RawPutValues(vs.vals, q.Param("width"), body); err != nil {
+			q.Fail(http.StatusBadRequest, "%v", err)
 			return
 		}
 		vals = vs.vals
 	}
-
-	if !s.acquireOr(w, r, sp, "a worker") {
+	if !q.Admit() {
 		return
 	}
-	defer s.gate.Release()
 
 	var res store.PutResult
 	var err error
 	if encoded {
-		res, err = s.cfg.Store.PutEncoded(key, buf.B, sp)
+		res, err = s.cfg.Store.PutEncoded(key, body, q.Span)
 	} else {
-		res, err = s.cfg.Store.PutVec(key, vals, sp)
+		res, err = s.cfg.Store.PutVec(key, vals, q.Span)
 	}
 	switch {
 	case err == nil:
 	case errors.Is(err, store.ErrClosed):
-		storeFail(w, err)
+		storeFail(q, err)
 		return
 	case errors.Is(err, store.ErrT1Mismatch):
-		fail(w, http.StatusConflict, "put: %v", err)
+		q.Fail(http.StatusConflict, "put: %v", err)
 		return
 	default:
-		fail(w, http.StatusBadRequest, "put: %v", err)
+		q.Fail(http.StatusBadRequest, "put: %v", err)
 		return
 	}
-	obs.ServerBytesIn.Add(int64(len(buf.B)))
-
-	w.Header().Set("Content-Type", "application/json")
-	sp.WriteHeaders(w.Header())
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(res)
+	out := GetBuf()
+	defer out.Release()
+	out.B, _ = appendIndented(out.B, res) // a PutResult always marshals
+	out.B = append(out.B, '\n')
+	q.Reply(http.StatusOK, "application/json", out.B)
 }
 
 // handleStoreGet serves GET /v1/store/get: raw little-endian values
@@ -164,24 +162,11 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 // Content with X-AVR-Complete: false — the recovered prefix is still
 // within the error bound, and the client decides whether a prefix is
 // acceptable.
-func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	sp := s.tracer.Start()
-	defer s.tracer.Finish("get", sp)
-	sp.WriteID(w.Header())
-	obs.ServerInFlight.Add(1)
-	defer obs.ServerInFlight.Add(-1)
-
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		fail(w, http.StatusBadRequest, "missing key parameter")
+func (s *Server) handleStoreGet(q *Req) {
+	key := q.Key()
+	if key == "" || !q.Admit() {
 		return
 	}
-
-	if !s.acquireOr(w, r, sp, "a worker") {
-		return
-	}
-	defer s.gate.Release()
 
 	// Values and wire bytes both land in pooled scratch: a get allocates
 	// neither the vector nor its serialisation.
@@ -189,38 +174,23 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	defer valScratchPool.Put(vs)
 	var src store.CacheSource
 	var err error
-	vs.vals, src, err = s.cfg.Store.GetVec(vs.vals.Reset(0), key, true, sp)
+	vs.vals, src, err = s.cfg.Store.GetVec(vs.vals.Reset(0), key, true, q.Span)
 	incomplete := errors.Is(err, store.ErrIncomplete)
 	if err != nil && !incomplete {
-		storeFail(w, err)
+		storeFail(q, err)
 		return
 	}
+	h := q.Header()
 	// hit|miss|prefetch when the read cache is configured; omitted when
 	// it is off, so clients can tell "disabled" from "missed".
 	if cs := src.String(); cs != "" {
-		w.Header().Set("X-AVR-Cache", cs)
+		h.Set("X-AVR-Cache", cs)
 	}
 	vs.raw = vs.vals.AppendLE(vs.raw[:0])
-	out := vs.raw
-
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-AVR-Width", strconv.Itoa(vs.vals.Width))
-	w.Header().Set("X-AVR-Values", strconv.Itoa(vs.vals.Len()))
-	w.Header().Set("X-AVR-Complete", strconv.FormatBool(!incomplete))
-	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-	sp.WriteHeaders(w.Header())
-	if incomplete {
-		obs.ServerStorePartial.Add(1)
-		w.WriteHeader(http.StatusPartialContent)
-	}
-	if _, err := w.Write(out); err != nil {
-		// The client went away mid-response; the values were served from
-		// the store fine, so count it as a transport error only.
-		obs.ServerErrors.Add(1)
-		return
-	}
-	obs.ServerBytesOut.Add(int64(len(out)))
-	observeLatency(time.Since(t0))
+	h.Set("X-AVR-Width", strconv.Itoa(vs.vals.Width))
+	h.Set("X-AVR-Values", strconv.Itoa(vs.vals.Len()))
+	h.Set("X-AVR-Complete", strconv.FormatBool(!incomplete))
+	q.Reply(partialStatus(!incomplete), "application/octet-stream", vs.raw)
 }
 
 // handleStoreQuery serves GET /v1/store/query: compressed-domain
@@ -231,21 +201,12 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 // CRC-verified against raw value bytes covered. Like get, a torn vector
 // answers over its recovered prefix as 206 Partial Content, and a
 // damaged frame is a 500, never a silently wrong number.
-func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	sp := s.tracer.Start()
-	defer s.tracer.Finish("query", sp)
-	sp.WriteID(w.Header())
-	obs.ServerInFlight.Add(1)
-	defer obs.ServerInFlight.Add(-1)
-
-	params := r.URL.Query()
-	key := params.Get("key")
+func (s *Server) handleStoreQuery(q *Req) {
+	key := q.Key()
 	if key == "" {
-		fail(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	op := params.Get("op")
+	op := q.Param("op")
 	if op == "" {
 		op = "aggregate"
 	}
@@ -254,28 +215,26 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	case "aggregate", "downsample":
 	case "filter":
 		var err error
-		if lo, err = strconv.ParseFloat(params.Get("lo"), 64); err != nil {
-			fail(w, http.StatusBadRequest, "bad lo parameter %q", params.Get("lo"))
+		if lo, err = strconv.ParseFloat(q.Param("lo"), 64); err != nil {
+			q.Fail(http.StatusBadRequest, "bad lo parameter %q", q.Param("lo"))
 			return
 		}
-		if hi, err = strconv.ParseFloat(params.Get("hi"), 64); err != nil {
-			fail(w, http.StatusBadRequest, "bad hi parameter %q", params.Get("hi"))
+		if hi, err = strconv.ParseFloat(q.Param("hi"), 64); err != nil {
+			q.Fail(http.StatusBadRequest, "bad hi parameter %q", q.Param("hi"))
 			return
 		}
 		if !(lo <= hi) {
-			fail(w, http.StatusBadRequest, "bad filter range [%g, %g]", lo, hi)
+			q.Fail(http.StatusBadRequest, "bad filter range [%g, %g]", lo, hi)
 			return
 		}
 	default:
-		fail(w, http.StatusBadRequest,
+		q.Fail(http.StatusBadRequest,
 			"bad op %q: want aggregate, filter or downsample", op)
 		return
 	}
-
-	if !s.acquireOr(w, r, sp, "a worker") {
+	if !q.Admit() {
 		return
 	}
-	defer s.gate.Release()
 
 	// The body is json.MarshalIndent's rendering for every op; a
 	// downsample's — two float arrays a sixteenth of the vector long — is
@@ -290,66 +249,46 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	switch op {
 	case "aggregate":
 		var a store.AggregateResult
-		if a, err = s.cfg.Store.QueryAggregateTraced(key, sp); err == nil {
+		if a, err = s.cfg.Store.QueryAggregateTraced(key, q.Span); err == nil {
 			complete = a.Complete
 			buf.B, encErr = appendIndented(buf.B, a)
 		}
 	case "filter":
 		var f store.FilterResult
-		if f, err = s.cfg.Store.QueryFilterTraced(key, lo, hi, sp); err == nil {
+		if f, err = s.cfg.Store.QueryFilterTraced(key, lo, hi, q.Span); err == nil {
 			complete = f.Complete
 			buf.B, encErr = appendIndented(buf.B, f)
 		}
 	case "downsample":
 		var d store.DownsampleResult
-		if d, err = s.cfg.Store.QueryDownsampleTraced(key, sp); err == nil {
+		if d, err = s.cfg.Store.QueryDownsampleTraced(key, q.Span); err == nil {
 			complete = d.Complete
 			buf.B, encErr = appendDownsampleJSON(buf.B, &d)
 		}
 	}
 	if err != nil {
-		storeFail(w, err)
+		storeFail(q, err)
 		return
 	}
 	if encErr != nil {
-		fail(w, http.StatusInternalServerError, "encoding result: %v", encErr)
+		q.Fail(http.StatusInternalServerError, "encoding result: %v", encErr)
 		return
 	}
 	buf.B = append(buf.B, '\n')
-	body := buf.B
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-AVR-Complete", strconv.FormatBool(complete))
-	sp.WriteHeaders(w.Header())
-	if !complete {
-		obs.ServerStorePartial.Add(1)
-		w.WriteHeader(http.StatusPartialContent)
-	}
-	if _, err := w.Write(body); err != nil {
-		obs.ServerErrors.Add(1)
-		return
-	}
-	obs.ServerBytesOut.Add(int64(len(body)))
-	observeLatency(time.Since(t0))
+	q.Header().Set("X-AVR-Complete", strconv.FormatBool(complete))
+	q.Reply(partialStatus(complete), "application/json", buf.B)
 }
 
-// handleStoreDelete serves DELETE /v1/store/key.
-func (s *Server) handleStoreDelete(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		fail(w, http.StatusBadRequest, "missing key parameter")
+// handleStoreDelete serves DELETE /v1/store/key: a durable tombstone — a
+// write-lock append, so admitted like any other write.
+func (s *Server) handleStoreDelete(q *Req) {
+	key := q.Key()
+	if key == "" || !q.Admit() {
 		return
 	}
 	if err := s.cfg.Store.Delete(key); err != nil {
-		storeFail(w, err)
+		storeFail(q, err)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleStoreStats serves GET /v1/store/stats.
-func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.cfg.Store.Stats())
+	q.Reply(http.StatusNoContent, "", nil)
 }

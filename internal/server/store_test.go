@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"math"
@@ -122,6 +123,82 @@ func TestStoreDeleteAndStats(t *testing.T) {
 	}
 	if stats.Keys != 0 || stats.Tombstones != 1 || stats.DeadBytes == 0 {
 		t.Fatalf("stats after delete: %+v", stats)
+	}
+}
+
+// TestStoreDeleteAndKeysWaitTheirTurn: a delete is a write-lock tombstone
+// append and a listing walks the whole index, so both go through the
+// frame like their router twins — behind the gate, and traced. With the
+// only worker slot held they shed (and the key stays); with it free they
+// answer with a trace id.
+func TestStoreDeleteAndKeysWaitTheirTurn(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s, ts := testServer(t, Config{Store: st, Workers: 1, QueueTimeout: 30 * time.Millisecond})
+	_, payload := f32Payload(t, "wave", 1024, 2)
+	if resp, b := doReq(t, http.MethodPut, ts.URL+"/v1/store/put?key=held", payload); resp.StatusCode != http.StatusOK {
+		t.Fatalf("put: %d %s", resp.StatusCode, b)
+	}
+	reqs := []struct {
+		method, path string
+		ok           int
+	}{
+		{http.MethodGet, "/v1/store/key", http.StatusOK},
+		{http.MethodDelete, "/v1/store/key?key=held", http.StatusNoContent},
+	}
+
+	s.gate.Acquire(context.Background())
+	for _, r := range reqs {
+		if resp, _ := doReq(t, r.method, ts.URL+r.path, nil); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s %s with the only slot held: %d, want 503", r.method, r.path, resp.StatusCode)
+		}
+	}
+	if keys := st.Keys(); len(keys) != 1 {
+		t.Fatalf("keys after a shed delete: %v, want the key still there", keys)
+	}
+	s.gate.Release()
+
+	for _, r := range reqs {
+		resp, b := doReq(t, r.method, ts.URL+r.path, nil)
+		if resp.StatusCode != r.ok {
+			t.Fatalf("%s %s: %d %s, want %d", r.method, r.path, resp.StatusCode, b, r.ok)
+		}
+		if id := resp.Header.Get("X-AVR-Trace"); !traceIDRe.MatchString(id) {
+			t.Errorf("%s %s: X-AVR-Trace %q, want 16 hex digits", r.method, r.path, id)
+		}
+	}
+}
+
+// TestBodiesDeclareTheirLength: the answers that used to go out chunked
+// because their handler never said how long they were — a client sizing
+// its read buffer from Content-Length got nothing to size from. (The
+// frame conformance table in internal/cluster holds every endpoint of
+// both tiers to this; these five are the ones that failed.)
+func TestBodiesDeclareTheirLength(t *testing.T) {
+	_, ts := storeServer(t, Config{})
+	_, payload := f32Payload(t, "heat", 16384, 5)
+	_, stream := post(t, ts.URL+"/v1/encode", payload)
+	for _, r := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPut, "/v1/store/put?key=k", payload},
+		{http.MethodPost, "/v1/encode", payload},
+		{http.MethodPost, "/v1/decode", stream},
+		{http.MethodGet, "/v1/store/query?key=k&op=downsample", nil},
+		{http.MethodGet, "/v1/store/key", nil},
+	} {
+		resp, body := doReq(t, r.method, ts.URL+r.path, r.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", r.method, r.path, resp.StatusCode, body)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s %s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				r.method, r.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
 	}
 }
 

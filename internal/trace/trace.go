@@ -298,11 +298,12 @@ func (t *Tracer) Start() *Span {
 // Finish completes a span: every touched stage feeds its histogram
 // (microsecond buckets), every sample-th span is exported as JSONL, and
 // the span returns to the pool. op labels the request kind in the
-// export ("encode", "put", "query", ...). The span must not be used
-// after Finish.
-func (t *Tracer) Finish(op string, sp *Span) {
+// export ("encode", "put", "query", ...). It returns the span's
+// end-to-end time — the one clock a request is timed by — and the span
+// must not be used after it.
+func (t *Tracer) Finish(op string, sp *Span) time.Duration {
 	if t == nil || sp == nil {
-		return
+		return 0
 	}
 	total := time.Since(sp.t0)
 	for st, d := range sp.stages {
@@ -316,4 +317,5 @@ func (t *Tracer) Finish(op string, sp *Span) {
 		SpansExported.Add(1)
 	}
 	t.pool.Put(sp)
+	return total
 }
