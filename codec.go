@@ -114,9 +114,9 @@ func (c *Codec) DecodeTo(dst []float32, data []byte) ([]float32, error) {
 	// alignment, so the kernel writes IEEE bit patterns in place.
 	bits := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))
 	var sum [compress.SummaryValues]int32
+	var rec block.Record
 	for cur.More() {
-		rec, err := cur.Next()
-		if err != nil {
+		if err := cur.Next(&rec); err != nil {
 			return nil, err
 		}
 		out := bits[p : p+rec.Values]

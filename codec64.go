@@ -63,9 +63,9 @@ func (c *Codec) Decode64To(dst []float64, data []byte) ([]float64, error) {
 	dst = slices.Grow(dst, cur.Count())[:p+cur.Count()]
 	bits := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))
 	var sum [compress.SummaryValues64]int64
+	var rec block.Record
 	for cur.More() {
-		rec, err := cur.Next()
-		if err != nil {
+		if err := cur.Next(&rec); err != nil {
 			return nil, err
 		}
 		out := bits[p : p+rec.Values]

@@ -224,32 +224,33 @@ func (c *Cursor) Count() int { return c.count }
 // More reports whether records remain.
 func (c *Cursor) More() bool { return c.left > 0 }
 
-// Next yields the next record. Call it only while More reports true;
-// after an error the cursor is spent.
-func (c *Cursor) Next() (Record, error) {
+// Next fills rec with the next record — in place, a record is too large
+// to hand back by value once per block. Call it only while More reports
+// true; after an error the cursor is spent and rec holds nothing useful.
+func (c *Cursor) Next(rec *Record) error {
 	l := c.lay
 	h := l.HeaderBytes
 	img := c.data[c.off:]
 	if len(img) < h+compress.LineBytes {
-		return Record{}, errTruncated
+		return errTruncated
 	}
-	rec := Record{Values: min(c.left, l.BlockValues)}
+	*rec = Record{Values: min(c.left, l.BlockValues)}
 	c.left -= rec.Values
 	flags := img[0]
 	if flags&flagCompressed == 0 {
 		if len(img) < h+compress.BlockBytes {
-			return Record{}, errTruncated
+			return errTruncated
 		}
 		rec.Raw = img[h : h+compress.BlockBytes]
 		c.off += h + compress.BlockBytes
-		return rec, nil
+		return nil
 	}
 	lines := int(flags & flagSizeMask)
 	if lines < 1 || lines > compress.MaxCompressedLines {
-		return Record{}, fmt.Errorf("%w: record size %d", ErrMalformed, lines)
+		return fmt.Errorf("%w: record size %d", ErrMalformed, lines)
 	}
 	if len(img) < h+lines*compress.LineBytes {
-		return Record{}, errTruncated
+		return errTruncated
 	}
 	rec.Method = compress.Method(flags >> flagMethodBit & 1)
 	if l.Width == 64 {
@@ -265,10 +266,10 @@ func (c *Cursor) Next() (Record, error) {
 			k += bits.OnesCount8(b)
 		}
 		if l.lines(k) != lines {
-			return Record{}, fmt.Errorf("%w: %d outliers in a record of size %d", ErrMalformed, k, lines)
+			return fmt.Errorf("%w: %d outliers in a record of size %d", ErrMalformed, k, lines)
 		}
 		rec.Bitmap, rec.Outliers = img[bm:out], img[out:out+k*l.OutlierBytes]
 	}
 	c.off += h + lines*compress.LineBytes
-	return rec, nil
+	return nil
 }

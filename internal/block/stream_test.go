@@ -92,7 +92,7 @@ func drain(c *Cursor, err error) ([]Record, error) {
 	var recs []Record
 	for err == nil && c.More() {
 		var r Record
-		if r, err = c.Next(); err == nil {
+		if err = c.Next(&r); err == nil {
 			for _, p := range []*[]byte{&r.Raw, &r.Summary, &r.Bitmap, &r.Outliers} {
 				if *p != nil {
 					*p = append([]byte{}, *p...)

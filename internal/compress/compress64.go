@@ -1,6 +1,9 @@
 package compress
 
-import "avr/internal/fixed"
+import (
+	"avr/internal/fixed"
+	"avr/internal/simd"
+)
 
 // 64-bit block geometry: one 1 KiB memory block holds 128 doubles; the
 // 64 B summary then holds 8 sub-block averages (still a 16:1 ratio).
@@ -94,6 +97,10 @@ func (t Thresholds) MantissaBits64() int {
 // interpolation between run centres (centre of run i at 16i+7.5; ×2 grid
 // centres at 32i+15).
 func interpolate64(sum *[SummaryValues64]int64, out *[BlockValues64]int64) {
+	if simd.Enabled512() {
+		simd.Interpolate64(sum, out)
+		return
+	}
 	// p = 2j-15 clamps below centre 0 for j ≤ 7 and above centre 7 for
 	// j ≥ 120; segment s = (2j-15)>>5 covers exactly j = 16s+8 .. 16s+23
 	// with odd fracs 1,3,…,31. The truncating /32 step is hoisted per

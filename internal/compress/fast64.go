@@ -115,10 +115,11 @@ func (c *Compressor) ReconstructFixed64(summary *[SummaryValues64]int64) *[Block
 	return &c.recon64
 }
 
-// DecompressInto64 is DecompressBits32 for 128-double blocks: scalar
+// DecompressInto64 is DecompressBits32 for 128-double blocks:
 // interpolate, then the fixed→float-bits pass through
-// simd.FixedToFloatsBits64 (AVX-512; fixed.FixedToFloats64, which it
-// replicates lane for lane, elsewhere), then the outlier overlay.
+// simd.FixedToFloatsBits64 (both AVX-512; interpolate64's scalar loop and
+// fixed.FixedToFloats64, which they replicate lane for lane, elsewhere),
+// then the outlier overlay.
 // bitmap and outlierBytes may be nil/empty; outlierBytes holds packed
 // little-endian doubles covering every set bitmap bit. A full block is
 // written straight into out (callers alias it over a []float64

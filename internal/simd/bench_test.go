@@ -68,6 +68,65 @@ func BenchmarkCountRanges32(b *testing.B) {
 	}
 }
 
+// keyRecords is the number of records in one 64 KiB key at either width
+// (256 fp32 or 128 fp64 values a record): one op of the interpolation
+// benchmarks, so a short -benchtime still times microseconds.
+const keyRecords = 64
+
+// benchInterpolate32 runs fn over one key's summaries. The kernel
+// benchmarks and their ...Scalar twins (the test oracles) run in the same
+// binary, so scripts/bench.sh gates their ratio: a kernel that loses to
+// the loop it replaces fails there on any machine.
+func benchInterpolate32(b *testing.B, kernel bool, fn func(*[16]int32, *[256]int32)) {
+	if kernel && !Enabled512() {
+		b.Skip("AVX-512 not available")
+	}
+	rng := rand.New(rand.NewSource(8))
+	var sums [keyRecords][16]int32
+	for r := range sums {
+		interpSum32(rng, &sums[r], 4)
+	}
+	var out [256]int32
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range sums {
+			fn(&sums[r], &out)
+		}
+	}
+}
+
+func benchInterpolate64(b *testing.B, kernel bool, fn func(*[8]int64, *[128]int64)) {
+	if kernel && !Enabled512() {
+		b.Skip("AVX-512 not available")
+	}
+	rng := rand.New(rand.NewSource(9))
+	var sums [keyRecords][8]int64
+	for r := range sums {
+		interpSum64(rng, &sums[r], 6)
+	}
+	var out [128]int64
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range sums {
+			fn(&sums[r], &out)
+		}
+	}
+}
+
+func BenchmarkInterpolate1D(b *testing.B) { benchInterpolate32(b, true, Interpolate1D) }
+
+func BenchmarkInterpolate1DScalar(b *testing.B) { benchInterpolate32(b, false, scalarInterpolate1D) }
+
+func BenchmarkInterpolate2D(b *testing.B) { benchInterpolate32(b, true, Interpolate2D) }
+
+func BenchmarkInterpolate2DScalar(b *testing.B) { benchInterpolate32(b, false, scalarInterpolate2D) }
+
+func BenchmarkInterpolate64(b *testing.B) { benchInterpolate64(b, true, Interpolate64) }
+
+func BenchmarkInterpolate64Scalar(b *testing.B) { benchInterpolate64(b, false, scalarInterpolate64) }
+
 // benchBase64 is one key's 64 KiB payload and its base64 text.
 func benchBase64() (raw, text []byte) {
 	raw = make([]byte, 64<<10)

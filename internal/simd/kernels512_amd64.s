@@ -269,7 +269,16 @@ DATA cbconst512<>+0(SB)/4, $0x7F800000 // exponent mask
 DATA cbconst512<>+4(SB)/4, $0x000000FF // lo sentinel for zero/denormal lanes
 GLOBL cbconst512<>(SB), RODATA|NOPTR, $8
 
-// Odd 64-bit interpolation fractions: out = (a<<5 + d*frac) >> 5.
+// Interpolation weights, one per 64-bit lane (only the low dword is
+// read: VPMULDQ and VPMULUDQ multiply the low 32 bits of each lane). No
+// per-record path here uses AVX-512DQ's packed 64×64 multiply: it is
+// three µops against one for the 32×32→64 forms and measures about 3x
+// their cost on the hosts this runs on, so int64 products are built
+// from 32-bit halves (DESIGN.md §5.6, "What runs where", has the
+// numbers).
+//
+// 1D: out = (a·(32−frac) + b·frac) >> 5 over odd frac 1..31, so ifrac1
+// and ifrac2 weight b and ifrac1r and ifrac2r (32 minus them) weight a.
 DATA ifrac1<>+0(SB)/8, $1
 DATA ifrac1<>+8(SB)/8, $3
 DATA ifrac1<>+16(SB)/8, $5
@@ -290,12 +299,39 @@ DATA ifrac2<>+48(SB)/8, $29
 DATA ifrac2<>+56(SB)/8, $31
 GLOBL ifrac2<>(SB), RODATA|NOPTR, $64
 
-// 2D horizontal fractions: out = (a<<3 + d*frac) >> 3 (arithmetic).
+DATA ifrac1r<>+0(SB)/8, $31
+DATA ifrac1r<>+8(SB)/8, $29
+DATA ifrac1r<>+16(SB)/8, $27
+DATA ifrac1r<>+24(SB)/8, $25
+DATA ifrac1r<>+32(SB)/8, $23
+DATA ifrac1r<>+40(SB)/8, $21
+DATA ifrac1r<>+48(SB)/8, $19
+DATA ifrac1r<>+56(SB)/8, $17
+GLOBL ifrac1r<>(SB), RODATA|NOPTR, $64
+
+DATA ifrac2r<>+0(SB)/8, $15
+DATA ifrac2r<>+8(SB)/8, $13
+DATA ifrac2r<>+16(SB)/8, $11
+DATA ifrac2r<>+24(SB)/8, $9
+DATA ifrac2r<>+32(SB)/8, $7
+DATA ifrac2r<>+40(SB)/8, $5
+DATA ifrac2r<>+48(SB)/8, $3
+DATA ifrac2r<>+56(SB)/8, $1
+GLOBL ifrac2r<>(SB), RODATA|NOPTR, $64
+
+// 2D horizontal: rv = (a·(8−frac) + b·frac) >> 3 (arithmetic) over odd
+// frac 1..7; ifrac2d weights b, ifrac2dr weights a.
 DATA ifrac2d<>+0(SB)/8, $1
 DATA ifrac2d<>+8(SB)/8, $3
 DATA ifrac2d<>+16(SB)/8, $5
 DATA ifrac2d<>+24(SB)/8, $7
 GLOBL ifrac2d<>(SB), RODATA|NOPTR, $32
+
+DATA ifrac2dr<>+0(SB)/8, $7
+DATA ifrac2dr<>+8(SB)/8, $5
+DATA ifrac2dr<>+16(SB)/8, $3
+DATA ifrac2dr<>+24(SB)/8, $1
+GLOBL ifrac2dr<>(SB), RODATA|NOPTR, $32
 
 // func ChooseBiasScan(bits *[256]uint32) uint32
 //
@@ -360,40 +396,37 @@ cbdone:
 // func Interpolate1D(sum *[16]int32, out *[256]int32)
 //
 // out[0..7] = sum[0]; out[248..255] = sum[15]; between sample centers,
-// out = int32((a<<5 + d*frac) >> 5) for odd frac 1..31, computed in
-// 64-bit lanes. The logical shift is safe: only the low 32 bits of the
-// quotient survive the narrowing, and bits 5..36 of the two shift
-// flavors agree.
+// out = int32((a<<5 + (b−a)·frac) >> 5) for odd frac 1..31, computed in
+// 64-bit lanes as the identical integer a·(32−frac) + b·frac: two
+// VPMULDQ of int32 by a weight ≤ 31, each exact in int64. The logical
+// shift is safe: only the low 32 bits of the quotient survive the
+// narrowing, and bits 5..36 of the two shift flavors agree.
 TEXT ·Interpolate1D(SB), NOSPLIT, $0-16
 	MOVQ sum+0(FP), SI
 	MOVQ out+8(FP), DI
-	VMOVDQU64 ifrac1<>(SB), Z14
-	VMOVDQU64 ifrac2<>(SB), Z13
-	MOVL (SI), AX // flat head: out[0..7] = sum[0]
-	VMOVD AX, X0
-	VPBROADCASTD X0, Y0
+	VMOVDQU64 ifrac1r<>(SB), Z15 // a weights, out[+0..7]
+	VMOVDQU64 ifrac1<>(SB), Z14  // b weights, out[+0..7]
+	VMOVDQU64 ifrac2r<>(SB), Z13 // a weights, out[+8..15]
+	VMOVDQU64 ifrac2<>(SB), Z12  // b weights, out[+8..15]
+	VPBROADCASTD (SI), Y0        // flat head: out[0..7] = sum[0]
 	VMOVDQU Y0, (DI)
-	MOVL 60(SI), AX // flat tail: out[248..255] = sum[15]
-	VMOVD AX, X0
-	VPBROADCASTD X0, Y0
+	VPBROADCASTD 60(SI), Y0      // flat tail: out[248..255] = sum[15]
 	VMOVDQU Y0, 992(DI)
-	ADDQ $32, DI // segments start at out[8]
+	ADDQ $32, DI                 // segments start at out[8]
 	MOVQ $15, CX
 
 i1loop:
-	MOVLQSX (SI), AX  // a
-	MOVLQSX 4(SI), DX // b
-	SUBQ AX, DX       // d = b - a
-	SHLQ $5, AX       // a<<5
-	VPBROADCASTQ AX, Z0
-	VPBROADCASTQ DX, Z1
-	VPMULLQ Z14, Z1, Z2 // d * {1,3,...,15}
-	VPADDQ Z0, Z2, Z2
+	VPBROADCASTD (SI), Z0  // a in every lane's low dword
+	VPBROADCASTD 4(SI), Z1 // b
+	VPMULDQ Z15, Z0, Z2
+	VPMULDQ Z14, Z1, Z3
+	VPADDQ Z3, Z2, Z2
 	VPSRLQ $5, Z2, Z2
 	VPMOVQD Z2, Y2
 	VMOVDQU Y2, (DI)
-	VPMULLQ Z13, Z1, Z2 // d * {17,19,...,31}
-	VPADDQ Z0, Z2, Z2
+	VPMULDQ Z13, Z0, Z2
+	VPMULDQ Z12, Z1, Z3
+	VPADDQ Z3, Z2, Z2
 	VPSRLQ $5, Z2, Z2
 	VPMOVQD Z2, Y2
 	VMOVDQU Y2, 32(DI)
@@ -405,17 +438,68 @@ i1loop:
 	VZEROUPPER
 	RET
 
+// func Interpolate64(sum *[8]int64, out *[128]int64)
+//
+// out[0..7] = sum[0]; out[120..127] = sum[7]; segment s holds
+// a + step·frac for odd frac 1..31, a = sum[s], step = (sum[s+1]−a)/32
+// with Go's wrapping subtraction and truncating division, computed in a
+// GPR as (d + (d>>63 & 31)) >> 5. step·frac mod 2^64 is built from
+// 32-bit halves, lo(step)·frac + hi(step)·frac<<32 (VPMULUDQ), and the
+// second 8 lanes are the first plus step<<4: every sum wraps exactly
+// where the scalar accumulator does.
+TEXT ·Interpolate64(SB), NOSPLIT, $0-16
+	MOVQ sum+0(FP), SI
+	MOVQ out+8(FP), DI
+	VMOVDQU64 ifrac1<>(SB), Z15
+	VPBROADCASTQ (SI), Z0   // flat head: out[0..7] = sum[0]
+	VMOVDQU64 Z0, (DI)
+	VPBROADCASTQ 56(SI), Z0 // flat tail: out[120..127] = sum[7]
+	VMOVDQU64 Z0, 960(DI)
+	ADDQ $64, DI            // segments start at out[8]
+	MOVQ $7, CX
+
+i64loop:
+	MOVQ (SI), AX  // a
+	MOVQ 8(SI), DX
+	SUBQ AX, DX    // d = b - a
+	MOVQ DX, BX
+	SARQ $63, BX
+	ANDQ $31, BX
+	ADDQ BX, DX
+	SARQ $5, DX    // step = d / 32
+	VPBROADCASTQ AX, Z0
+	VPBROADCASTQ DX, Z1
+	SHLQ $4, DX
+	VPBROADCASTQ DX, Z2 // step<<4
+	VPSRLQ $32, Z1, Z3
+	VPMULUDQ Z15, Z1, Z1 // lo(step) * {1,3,...,15}
+	VPMULUDQ Z15, Z3, Z3 // hi(step) * {1,3,...,15}
+	VPSLLQ $32, Z3, Z3
+	VPADDQ Z3, Z1, Z1    // step * {1,3,...,15}
+	VPADDQ Z0, Z1, Z1
+	VMOVDQU64 Z1, (DI)
+	VPADDQ Z2, Z1, Z1    // step * {17,19,...,31}
+	VMOVDQU64 Z1, 64(DI)
+	ADDQ $8, SI
+	ADDQ $128, DI
+	DECQ CX
+	JNZ i64loop
+
+	VZEROUPPER
+	RET
+
 // func Interpolate2D(sum *[16]int32, out *[256]int32)
 //
 // Stage 1 interpolates each summary row horizontally into 16 floored
-// int64 row values (rv = (a<<3 + d*frac) >> 3 arithmetic, matching the
-// scalar int64 floor); stage 2 lerps vertically between consecutive
-// row-value rows with the accumulator form t<<3 + d, +2d per step,
-// narrowing each output row to int32.
+// int64 row values (rv = (a·(8−frac) + b·frac) >> 3 arithmetic, the
+// scalar (a<<3 + d·frac) >> 3 as two exact VPMULDQ); stage 2 lerps
+// vertically between consecutive row-value rows with the accumulator
+// form t<<3 + d, +2d per step, narrowing each output row to int32.
 TEXT ·Interpolate2D(SB), NOSPLIT, $512-16
 	MOVQ sum+0(FP), SI
 	MOVQ out+8(FP), DI
-	VMOVDQU ifrac2d<>(SB), Y15
+	VMOVDQU ifrac2dr<>(SB), Y15 // a weights
+	VMOVDQU ifrac2d<>(SB), Y14  // b weights
 
 	// Stage 1: rowVals[4][16] int64 on the frame.
 	LEAQ rv-512(SP), BX
@@ -428,38 +512,27 @@ h2row:
 	MOVQ DX, 112(BX)
 	MOVQ DX, 120(BX)
 
-	MOVLQSX (SI), AX // segment 0: a0 -> a1
-	MOVLQSX 4(SI), DX
-	SUBQ AX, DX
-	SHLQ $3, AX
-	VPBROADCASTQ AX, Y0
-	VPBROADCASTQ DX, Y1
-	VPMULLQ Y15, Y1, Y1
-	VPADDQ Y0, Y1, Y1
-	VPSRAQ $3, Y1, Y1
-	VMOVDQU Y1, 16(BX)
+	VPBROADCASTD (SI), Y0 // segment 0: a0 -> a1
+	VPBROADCASTD 4(SI), Y1
+	VPMULDQ Y15, Y0, Y2
+	VPMULDQ Y14, Y1, Y3
+	VPADDQ Y3, Y2, Y2
+	VPSRAQ $3, Y2, Y2
+	VMOVDQU Y2, 16(BX)
 
-	MOVLQSX 4(SI), AX // segment 1: a1 -> a2
-	MOVLQSX 8(SI), DX
-	SUBQ AX, DX
-	SHLQ $3, AX
-	VPBROADCASTQ AX, Y0
-	VPBROADCASTQ DX, Y1
-	VPMULLQ Y15, Y1, Y1
-	VPADDQ Y0, Y1, Y1
-	VPSRAQ $3, Y1, Y1
-	VMOVDQU Y1, 48(BX)
+	VPBROADCASTD 8(SI), Y0 // segment 1: a1 -> a2
+	VPMULDQ Y15, Y1, Y2
+	VPMULDQ Y14, Y0, Y3
+	VPADDQ Y3, Y2, Y2
+	VPSRAQ $3, Y2, Y2
+	VMOVDQU Y2, 48(BX)
 
-	MOVLQSX 8(SI), AX // segment 2: a2 -> a3
-	MOVLQSX 12(SI), DX
-	SUBQ AX, DX
-	SHLQ $3, AX
-	VPBROADCASTQ AX, Y0
-	VPBROADCASTQ DX, Y1
-	VPMULLQ Y15, Y1, Y1
-	VPADDQ Y0, Y1, Y1
-	VPSRAQ $3, Y1, Y1
-	VMOVDQU Y1, 80(BX)
+	VPBROADCASTD 12(SI), Y1 // segment 2: a2 -> a3
+	VPMULDQ Y15, Y0, Y2
+	VPMULDQ Y14, Y1, Y3
+	VPADDQ Y3, Y2, Y2
+	VPSRAQ $3, Y2, Y2
+	VMOVDQU Y2, 80(BX)
 
 	ADDQ $16, SI
 	ADDQ $128, BX

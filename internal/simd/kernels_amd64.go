@@ -1,7 +1,7 @@
 package simd
 
 // Enabled512 reports whether the AVX-512-only kernels (ChooseBiasScan,
-// Interpolate1D/2D, Downsample1D/2D, FixedToFloatsBits64) are available.
+// Interpolate1D/2D/64, Downsample1D/2D, FixedToFloatsBits64) are available.
 // Callers must check it before calling them; there is no AVX2 tier for
 // these.
 func Enabled512() bool { return hasAVX512 }
@@ -41,6 +41,13 @@ func Interpolate1D(sum *[16]int32, out *[256]int32)
 //
 //go:noescape
 func Interpolate2D(sum *[16]int32, out *[256]int32)
+
+// Interpolate64 is compress.interpolate64: 8-value flat head and tail,
+// and a + step·frac across each 16-value segment with step the
+// truncating (b−a)/32, wrapping exactly as the scalar int64 form does.
+//
+//go:noescape
+func Interpolate64(sum *[8]int64, out *[128]int64)
 
 // Downsample1D fills sum[s] = int32(sum(fx[16s..16s+15]) >> 4) — the
 // Average16 sweep of compress.downsample's Method1D.

@@ -4,10 +4,10 @@
 //
 //   - The codec's block passes (kernels_amd64.go): ErrCheckRecon32,
 //     FloatsToFixedScaled and FixedToFloatsBits have an AVX2 tier and an
-//     AVX-512 one behind the same name; ChooseBiasScan, Interpolate1D/2D,
+//     AVX-512 one behind the same name; ChooseBiasScan, Interpolate1D/2D/64,
 //     Downsample1D/2D and FixedToFloatsBits64 are AVX-512 only. They
 //     operate on whole AVR blocks — 256 values as [256]uint32 bit
-//     patterns, or 128 doubles for FixedToFloatsBits64 — the unit the
+//     patterns, or 128 doubles for the fp64 kernels — the unit the
 //     compressor hands around; callers check Enabled / Enabled512 and run
 //     the scalar loops of internal/fixed and internal/compress otherwise,
 //     or when a block needs a slow path the kernels do not implement

@@ -353,9 +353,10 @@ func TestFloatsToFixedScaledMatchesScalar(t *testing.T) {
 // ---- AVX-512-only block kernels ----
 //
 // Scalar references restating the loops in internal/fixed.ChooseBias and
-// internal/compress downsample/interpolate, applied to full random
-// int32/uint32 blocks (the kernels must agree for every input pattern,
-// not only reachable summaries).
+// internal/compress downsample, applied to full random int32/uint32
+// blocks (the kernels must agree for every input pattern, not only
+// reachable summaries). The interpolation oracles are in
+// interpolate_test.go, which the benchmarks share.
 
 func scalarChooseBiasScan(bits *[256]uint32) uint32 {
 	minE, maxE := 0xFF, 0
@@ -372,67 +373,6 @@ func scalarChooseBiasScan(bits *[256]uint32) uint32 {
 		p |= 1 << 16
 	}
 	return p
-}
-
-func scalarInterpolate1D(sum *[16]int32, out *[256]int32) {
-	for j := 0; j < 8; j++ {
-		out[j] = sum[0]
-	}
-	j := 8
-	for s := 0; s < 15; s++ {
-		a := int64(sum[s])
-		d := int64(sum[s+1]) - a
-		acc := a<<5 + d
-		for k := 0; k < 16; k++ {
-			out[j] = int32(acc >> 5)
-			acc += 2 * d
-			j++
-		}
-	}
-	for ; j < 256; j++ {
-		out[j] = sum[15]
-	}
-}
-
-func scalarInterpolate2D(sum *[16]int32, out *[256]int32) {
-	var rowVals [4][16]int64
-	for R := 0; R < 4; R++ {
-		rv := &rowVals[R]
-		a0 := int64(sum[R*4])
-		rv[0], rv[1] = a0, a0
-		j := 2
-		for C := 0; C < 3; C++ {
-			a := int64(sum[R*4+C])
-			d := int64(sum[R*4+C+1]) - a
-			acc := a<<3 + d
-			for k := 0; k < 4; k++ {
-				rv[j] = acc >> 3
-				acc += 2 * d
-				j++
-			}
-		}
-		a3 := int64(sum[R*4+3])
-		rv[14], rv[15] = a3, a3
-	}
-	for col := 0; col < 16; col++ {
-		out[col] = int32(rowVals[0][col])
-		out[16+col] = int32(rowVals[0][col])
-		out[14*16+col] = int32(rowVals[3][col])
-		out[15*16+col] = int32(rowVals[3][col])
-	}
-	r := 2
-	for R := 0; R < 3; R++ {
-		top, bot := &rowVals[R], &rowVals[R+1]
-		for fr := 0; fr < 4; fr++ {
-			frac := int64(2*fr + 1)
-			for col := 0; col < 16; col++ {
-				t := top[col]
-				d := bot[col] - t
-				out[r*16+col] = int32((t<<3 + d*frac) >> 3)
-			}
-			r++
-		}
-	}
 }
 
 func scalarDownsample1D(fx *[256]int32, sum *[16]int32) {
@@ -493,38 +433,6 @@ func TestChooseBiasScanMatchesScalar(t *testing.T) {
 		}
 		if got, want := ChooseBiasScan(&bits), scalarChooseBiasScan(&bits); got != want {
 			t.Fatalf("round %d: ChooseBiasScan = %#x, want %#x", round, got, want)
-		}
-	}
-}
-
-func TestInterpolateMatchesScalar(t *testing.T) {
-	if !Enabled512() {
-		t.Skip("AVX-512 not available")
-	}
-	rng := rand.New(rand.NewSource(4))
-	var sum [16]int32
-	var got, want [256]int32
-	for round := 0; round < 2000; round++ {
-		for i := range sum {
-			sum[i] = randInt32(rng)
-		}
-		scalarInterpolate1D(&sum, &want)
-		Interpolate1D(&sum, &got)
-		if got != want {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("round %d: Interpolate1D out[%d] = %d, want %d (sum=%v)", round, i, got[i], want[i], sum)
-				}
-			}
-		}
-		scalarInterpolate2D(&sum, &want)
-		Interpolate2D(&sum, &got)
-		if got != want {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("round %d: Interpolate2D out[%d] = %d, want %d (sum=%v)", round, i, got[i], want[i], sum)
-				}
-			}
 		}
 	}
 }

@@ -44,6 +44,10 @@ func Interpolate2D(sum *[16]int32, out *[256]int32) {
 	panic("simd: Interpolate2D called without AVX-512")
 }
 
+func Interpolate64(sum *[8]int64, out *[128]int64) {
+	panic("simd: Interpolate64 called without AVX-512")
+}
+
 func Downsample1D(fx *[256]int32, sum *[16]int32) {
 	panic("simd: Downsample1D called without AVX-512")
 }

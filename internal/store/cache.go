@@ -215,9 +215,9 @@ func (ln *cachedLine) addLossless(data []byte, valCount int) error {
 func (ln *cachedLine) addAVR32(data []byte, valCount int) error {
 	cur, err := block.Open(&block.Layout32, data, valCount)
 	var sum [compress.SummaryValues]int32
+	var rec block.Record
 	for err == nil && cur.More() {
-		var rec block.Record
-		if rec, err = cur.Next(); err != nil {
+		if err = cur.Next(&rec); err != nil {
 			break
 		}
 		if rec.Raw != nil {
@@ -236,9 +236,9 @@ func (ln *cachedLine) addAVR32(data []byte, valCount int) error {
 func (ln *cachedLine) addAVR64(data []byte, valCount int) error {
 	cur, err := block.Open(&block.Layout64, data, valCount)
 	var sum [compress.SummaryValues64]int64
+	var rec block.Record
 	for err == nil && cur.More() {
-		var rec block.Record
-		if rec, err = cur.Next(); err != nil {
+		if err = cur.Next(&rec); err != nil {
 			break
 		}
 		if rec.Raw != nil {

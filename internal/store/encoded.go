@@ -239,8 +239,9 @@ func (s *Store) openContainer(container []byte, keyLen int, ps *putScratch) (wid
 // what it yields to the end, none of them will reject.
 func checkStream(data []byte, width, valCount int) error {
 	cur, err := block.Open(streamLayout(width), data, valCount)
+	var rec block.Record
 	for err == nil && cur.More() {
-		_, err = cur.Next()
+		err = cur.Next(&rec)
 	}
 	return err
 }

@@ -512,7 +512,7 @@ func (q *oracleRun) frame(ref blockRef, data []byte) error {
 	cur, err := block.Open(streamLayout(q.width), data, int(ref.valCount))
 	for err == nil && cur.More() {
 		var rec block.Record
-		if rec, err = cur.Next(); err != nil {
+		if err = cur.Next(&rec); err != nil {
 			break
 		}
 		if q.width == 64 {

@@ -419,9 +419,9 @@ func (q *queryRun) frame(ref blockRef, data []byte) error {
 		b = &q.qs.b64
 	}
 	cur, err := block.Open(streamLayout(q.width), data, int(ref.valCount))
+	var rec block.Record
 	for err == nil && cur.More() {
-		var rec block.Record
-		if rec, err = cur.Next(); err == nil {
+		if err = cur.Next(&rec); err == nil {
 			q.record(b, &rec)
 		}
 	}
@@ -655,8 +655,8 @@ func firstTrue(lo, hi int64, p func(int64) bool) (x int64, ok bool) {
 // fixedBlock is one AVR record in the codec's fixed-point domain. The
 // two widths behind it hold the only width-specific arithmetic of a
 // query: fixed32 over the AVX-512 interpolate and the AVX2 reductions,
-// fixed64 over the scalar interpolate64, ReduceFixed64 (AVX-512) and
-// the pure-Go CountRanges64.
+// fixed64 over the AVX-512 interpolate64 and ReduceFixed64 and the
+// pure-Go CountRanges64.
 type fixedBlock interface {
 	// load reads a record's summary line and bias.
 	load(summary []byte, bias int16)

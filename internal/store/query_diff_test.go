@@ -170,7 +170,7 @@ func shapesOf(t *testing.T, s *Store, key string) (sh recordShapes) {
 		cur, err := block.Open(streamLayout(int(e.width)), fr.Data, int(ref.valCount))
 		for err == nil && cur.More() {
 			var rec block.Record
-			if rec, err = cur.Next(); err != nil {
+			if err = cur.Next(&rec); err != nil {
 				break
 			}
 			if rec.Raw != nil {

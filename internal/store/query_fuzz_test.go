@@ -174,7 +174,7 @@ func saneFrame(t *testing.T, data []byte, width, valCount int) bool {
 	cur, err := block.Open(streamLayout(width), data, valCount)
 	for err == nil && cur.More() {
 		var rec block.Record
-		if rec, err = cur.Next(); err != nil {
+		if err = cur.Next(&rec); err != nil {
 			break
 		}
 		n := (rec.Values + group - 1) / group * group

@@ -4,7 +4,9 @@
 # enforce the allocation gates and the store throughput gates
 # (absolute Put32 floor, cache hit no slower than the disk read, an
 # aggregate within 2x of the get of its key, -20% regression bar vs the
-# committed BENCH_store.json; PERFGATE=0 skips the throughput bars).
+# committed BENCH_store.json; PERFGATE=0 skips the throughput bars) and
+# the kernel gate (each interpolation kernel at least 2x the scalar loop
+# it replaces, in the same run; not skipped by PERFGATE=0).
 #
 # Two passes:
 #   1. simulator suite  -> BENCH_sim.json    (hot-path alloc gate)
@@ -27,7 +29,7 @@ OUT="${1:-BENCH_sim.json}"
 STORE_OUT="${2:-BENCH_store.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Recorder|Histogram}"
-STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
+STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|Interpolate|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
 
 PKGS="./internal/cache ./internal/cmt ./internal/compress ./internal/dram ./internal/obs ./internal/sim ./internal/workloads"
 STORE_PKGS=". ./internal/simd ./internal/vec ./internal/store ./internal/server ./internal/trace ./internal/cluster"
@@ -205,6 +207,36 @@ perf_gate() {
     return $fail
 }
 
+# kernel_gate RAWFILE — each interpolation kernel (internal/simd) must
+# move at least 2x the MB/s of its ...Scalar twin, the test oracle run
+# over the same 64 records. Both run in one binary in one run, so machine speed cancels out and the gate holds under PERFGATE=0:
+# it is there for a kernel that loses to the loop it replaced (ISSUE 29:
+# Interpolate1D sat at 0.9x behind a 64-bit multiply for seven PRs).
+# Without AVX-512 the kernel benchmarks skip themselves and so does this.
+kernel_gate() {
+    local raw="$1" fail=0 k kern scalar
+    for k in BenchmarkInterpolate1D BenchmarkInterpolate2D BenchmarkInterpolate64; do
+        scalar="$(mbs_raw "$raw" "${k}Scalar")"
+        if [ -z "$scalar" ]; then
+            echo "KERNEL GATE: ${k}Scalar did not run" >&2
+            fail=1
+            continue
+        fi
+        kern="$(mbs_raw "$raw" "$k")"
+        if [ -z "$kern" ]; then
+            echo "kernel gate skipped: $k did not run (no AVX-512 on this machine)"
+            continue
+        fi
+        if awk -v k="$kern" -v s="$scalar" 'BEGIN { exit !(k < 2 * s) }'; then
+            echo "KERNEL GATE: $k at $kern MB/s is not 2x its scalar twin ($scalar MB/s)" >&2
+            fail=1
+        else
+            echo "kernel gate ok: $k $kern MB/s, scalar twin $scalar MB/s (want 2x)"
+        fi
+    done
+    return $fail
+}
+
 # alloc_gate RAWFILE FILTER BENCH[:MAX]... — every named benchmark must
 # have run and reported at most MAX allocs/op (0 when not given).
 alloc_gate() {
@@ -250,6 +282,7 @@ fail=0
 alloc_gate "$RAW" "$BENCHFILTER" $GATED || fail=1
 alloc_gate "$RAW_STORE" "$STOREFILTER" $STORE_GATED || fail=1
 alloc_gate "$RAW_STORE" "$STOREFILTER" $STORE_CAPPED || fail=1
+kernel_gate "$RAW_STORE" || fail=1
 if [ "${PERFGATE:-1}" != "0" ]; then
     perf_gate "$RAW_STORE" "$BASELINE" || fail=1
 fi
