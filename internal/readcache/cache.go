@@ -12,15 +12,17 @@
 // Demand population is the owner's: whoever misses has the data in hand
 // a moment later and Puts the entry itself (the store builds the line
 // from the frames its disk read just verified; it never reads them a
-// second time). The fill queue is the prefetcher's: a confidence-gated
-// stride prefetcher (prefetch.go) watches the key stream and pulls
-// predicted next keys in ahead of the request through a bounded worker
-// queue, falling through silently when wrong — the paper's PFE, with the
-// LVA-style confidence gate. RequestFill puts a key on the same queue
-// for an owner whose miss path does not end with the entry in hand (the
-// router, which proxies the miss and fills from a second fetch); the
-// queue singleflights per key, and when full drops the request silently
-// — the next miss asks again.
+// second time). Whether a miss builds a line at all is Admit's call: a
+// line that can never fit is never started, and under pressure only a
+// key that has missed before displaces others. The fill queue is the
+// prefetcher's: a confidence-gated stride prefetcher (prefetch.go)
+// watches the key stream and pulls predicted next keys in ahead of the
+// request through a bounded worker queue, falling through silently when
+// wrong — the paper's PFE, with the LVA-style confidence gate.
+// RequestFill puts a key on the same queue for an owner whose miss path
+// does not end with the entry in hand (the router, which proxies the miss
+// and fills from a second fetch); the queue singleflights per key, and
+// when full drops the request silently — the next miss asks again.
 //
 // Staleness is the owner's problem by design: entries are immutable
 // after Put, and owners validate a version captured in Meta against
@@ -59,6 +61,8 @@ const (
 	// fillQueue bounds the pending fill/prefetch requests; requests
 	// beyond it are dropped, not queued.
 	fillQueue = 256
+	// missRing is how many refused misses a shard remembers (Admit).
+	missRing = 8
 )
 
 // Entry is one resident line. Meta is immutable after Put; readers may
@@ -91,6 +95,10 @@ type shard struct {
 	tail  *Entry // eviction candidate
 	bytes int64
 	max   int64
+	// missed is a ring of the last refused misses, each slot a key hash
+	// with bit 32 set, so that an empty slot matches no key.
+	missed     [missRing]uint64
+	missedNext int
 }
 
 // Cache is a sharded summary-line cache. A nil *Cache is a valid
@@ -197,13 +205,48 @@ func (c *Cache) Contains(key string) bool {
 }
 
 // MaxEntryBytes is the largest size Put admits (0 on a nil cache): an
-// owner building an entry piece by piece can stop once it has outgrown
-// it.
+// owner whose entry is bound to be larger need not build it.
 func (c *Cache) MaxEntryBytes() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.shards[0].max
+}
+
+// Admit reports whether a demand miss of key should build and Put its
+// line, given an upper bound on the line's size — admission on shown
+// reuse, the paper's rule that the PFE installs decompressed lines in
+// the LLC only once enough of a block has been asked for. A line that
+// can never fit (bound over the shard budget) is refused. One the shard
+// has room for without evicting is admitted. Otherwise the shard
+// remembers the last few keys it refused: a key among them is admitted,
+// and forgotten, and any other key is refused and remembered — so under
+// pressure a line displaces others only for a key that missed twice in
+// a short while. A nil cache admits nothing.
+func (c *Cache) Admit(key string, bound int64) bool {
+	if c == nil {
+		return false
+	}
+	h := fnv1a(key)
+	sh := &c.shards[h%numShards]
+	if bound > sh.max {
+		return false
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.bytes+bound <= sh.max {
+		return true
+	}
+	slot := 1<<32 | uint64(h)
+	for i, m := range sh.missed {
+		if m == slot {
+			sh.missed[i] = 0
+			return true
+		}
+	}
+	sh.missed[sh.missedNext] = slot
+	sh.missedNext = (sh.missedNext + 1) % missRing
+	return false
 }
 
 // Put inserts (or replaces) the entry for key and evicts from the

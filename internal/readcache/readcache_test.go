@@ -133,6 +133,77 @@ func TestOversizedLineNotAdmitted(t *testing.T) {
 	}
 }
 
+// TestAdmit walks the three cases of the admission rule on one shard: a
+// line that can never fit is refused, one the shard has room for is
+// admitted, and under pressure a key is admitted only on its second miss
+// while it is still among the shard's last missRing refusals — once,
+// after which it is forgotten.
+func TestAdmit(t *testing.T) {
+	var nilCache *Cache
+	if nilCache.Admit("k", 1) {
+		t.Fatal("a nil cache admitted a line")
+	}
+	c := New(Config{MaxBytes: 1000 * numShards})
+	defer c.Close()
+	var keys []string
+	for i := 0; len(keys) < missRing+3; i++ {
+		if k := fmt.Sprintf("k%d", i); c.shardFor(k) == &c.shards[0] {
+			keys = append(keys, k)
+		}
+	}
+
+	// Never fits: refused every time, repeats included.
+	for i := 0; i < 3; i++ {
+		if c.Admit(keys[0], 1001) {
+			t.Fatalf("miss %d of a line over the shard budget admitted", i+1)
+		}
+	}
+	// Room: admitted, up to exactly the budget.
+	if !c.Admit(keys[0], 1000) {
+		t.Fatal("a line the empty shard has room for refused")
+	}
+	c.Put(keys[0], 600, nil, false)
+	if !c.Admit(keys[1], 400) {
+		t.Fatal("a line that fills the shard to its budget refused")
+	}
+
+	// Pressure: 600 of 1000 bytes resident, a 500-byte line would evict.
+	if c.Admit(keys[1], 500) {
+		t.Fatal("first miss under pressure admitted")
+	}
+	if !c.Admit(keys[1], 500) {
+		t.Fatal("repeat miss within the ring refused")
+	}
+	if c.Admit(keys[1], 500) {
+		t.Fatal("a key stayed in the ring after it was admitted")
+	}
+	// The ring holds missRing keys: the oldest refusal is pushed out by
+	// missRing newer ones, the newest survives them.
+	for _, k := range keys[2 : 2+missRing] {
+		if c.Admit(k, 500) {
+			t.Fatalf("first miss of %s under pressure admitted", k)
+		}
+	}
+	if c.Admit(keys[1], 500) {
+		t.Fatal("a refusal pushed out of the ring still admitted")
+	}
+	if !c.Admit(keys[1+missRing], 500) {
+		t.Fatal("the newest refusal was forgotten")
+	}
+	// Other shards are not under pressure.
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("other%d", i); c.shardFor(k) != &c.shards[0] {
+			if !c.Admit(k, 500) {
+				t.Fatal("pressure on one shard refused a line on another")
+			}
+			break
+		}
+	}
+	if c.Len() != 1 || c.Bytes() != 600 {
+		t.Fatalf("Admit changed residency: %d lines, %d bytes", c.Len(), c.Bytes())
+	}
+}
+
 func TestFillSingleflight(t *testing.T) {
 	var mu sync.Mutex
 	loads := map[string]int{}

@@ -105,7 +105,10 @@ type BatchGetResult struct {
 // that moves values: one key's payload as wire bytes and as floats of
 // either width. The store copies what it keeps (encoded blocks on put)
 // and fills what it is handed (get), so one set serves a single-key
-// request, or every key of a batch in turn.
+// request, or every key of a batch in turn. A reply serves vals through
+// vec.Vec.LE, which needs raw only on a big-endian host, so the bytes
+// answered may be vals' own memory: the scratch goes back to the pool
+// only after they are written.
 type valScratch struct {
 	raw  []byte
 	vals vec.Vec
@@ -229,8 +232,9 @@ func (s *Server) handleStoreMget(q *Req) {
 			out.B = AppendGetFailure(out.B, key, gerr.Error(), errors.Is(gerr, store.ErrNotFound))
 			continue
 		}
-		vs.raw = vs.vals.AppendLE(vs.raw[:0])
-		out.B = AppendGetResult(out.B, key, vs.vals.Width, !incomplete, vs.raw)
+		// Base64 of the vector's own bytes (vec.Vec.LE), emitted before the
+		// next key reuses them.
+		out.B = AppendGetResult(out.B, key, vs.vals.Width, !incomplete, vs.vals.LE(vs.raw))
 	}
 	out.B = append(out.B, BatchClose+"\n"...)
 	q.Reply(http.StatusOK, "application/json", out.B)

@@ -9,7 +9,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -284,4 +286,22 @@ func BenchmarkServerGet(b *testing.B) {
 		b.Fatalf("seeding: %d %s", resp.StatusCode, body)
 	}
 	benchDo(b, http.MethodGet, ts.URL+"/v1/store/get?key=bench", nil, int64(len(raw)))
+}
+
+// BenchmarkLoopbackFloorGet is BenchmarkServerGet with nothing of avrd
+// behind the listener: a bare handler answering every request with the
+// same preallocated 64 KiB body and its Content-Length, through the same
+// client loop. It is the floor net/http and the loopback put under a
+// served get on this machine; scripts/bench.sh prints ServerGet minus it
+// from the same run as avrd's own share of a GET.
+func BenchmarkLoopbackFloorGet(b *testing.B) {
+	body := make([]byte, 64<<10)
+	length := strconv.Itoa(len(body))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", length)
+		w.Write(body)
+	}))
+	b.Cleanup(ts.Close)
+	benchDo(b, http.MethodGet, ts.URL+"/v1/store/get?key=bench", nil, int64(len(body)))
 }

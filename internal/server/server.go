@@ -183,12 +183,12 @@ func (s *Server) handleDecode(q *Req) {
 	q.Span.End(trace.StagePool, pt)
 	dt := q.Span.Begin()
 	vs := valScratchPool.Get().(*valScratch)
-	defer valScratchPool.Put(vs)
+	defer valScratchPool.Put(vs) // after Reply: the body may be vs.vals' memory
 	var err error
 	if width := block.StreamWidth(body); width == 0 {
 		err = errors.New("unrecognised stream magic (want AVR1 or AVR8)")
-	} else if vs.vals, err = vs.vals.Reset(width).DecodeAppend(codec, body); err == nil {
-		vs.raw = vs.vals.AppendLE(vs.raw[:0])
+	} else {
+		vs.vals, err = vs.vals.Reset(width).DecodeAppend(codec, body)
 	}
 	q.Span.End(trace.StageDecode, dt)
 	s.pool.Put(s.cfg.T1, codec)
@@ -198,5 +198,5 @@ func (s *Server) handleDecode(q *Req) {
 	}
 
 	obs.ServerDecodes.Add(1)
-	q.Reply(http.StatusOK, "application/octet-stream", vs.raw)
+	q.Reply(http.StatusOK, "application/octet-stream", vs.vals.LE(vs.raw))
 }

@@ -152,7 +152,7 @@ func (s *Server) handleStorePut(q *Req) {
 	}
 	out := GetBuf()
 	defer out.Release()
-	out.B, _ = appendIndented(out.B, res) // a PutResult always marshals
+	out.B, _ = appendPutJSON(out.B, &res) // a put's ratio is finite
 	out.B = append(out.B, '\n')
 	q.Reply(http.StatusOK, "application/json", out.B)
 }
@@ -168,8 +168,10 @@ func (s *Server) handleStoreGet(q *Req) {
 		return
 	}
 
-	// Values and wire bytes both land in pooled scratch: a get allocates
-	// neither the vector nor its serialisation.
+	// The values land in pooled scratch, and on a little-endian host the
+	// body is their own memory (vec.Vec.LE): a get allocates neither the
+	// vector nor its serialisation, and copies neither. Reply writes the
+	// body before the deferred Put hands the scratch to another request.
 	vs := valScratchPool.Get().(*valScratch)
 	defer valScratchPool.Put(vs)
 	var src store.CacheSource
@@ -186,11 +188,10 @@ func (s *Server) handleStoreGet(q *Req) {
 	if cs := src.String(); cs != "" {
 		h.Set("X-AVR-Cache", cs)
 	}
-	vs.raw = vs.vals.AppendLE(vs.raw[:0])
 	h.Set("X-AVR-Width", strconv.Itoa(vs.vals.Width))
 	h.Set("X-AVR-Values", strconv.Itoa(vs.vals.Len()))
 	h.Set("X-AVR-Complete", strconv.FormatBool(!incomplete))
-	q.Reply(partialStatus(!incomplete), "application/octet-stream", vs.raw)
+	q.Reply(partialStatus(!incomplete), "application/octet-stream", vs.vals.LE(vs.raw))
 }
 
 // handleStoreQuery serves GET /v1/store/query: compressed-domain
@@ -236,10 +237,8 @@ func (s *Server) handleStoreQuery(q *Req) {
 		return
 	}
 
-	// The body is json.MarshalIndent's rendering for every op; a
-	// downsample's — two float arrays a sixteenth of the vector long — is
-	// written by hand (appendDownsampleJSON) straight into the pooled
-	// response buffer.
+	// The body is json.MarshalIndent's rendering for every op, written by
+	// hand (queryjson.go) straight into the pooled response buffer.
 	buf := GetBuf()
 	defer buf.Release()
 	var (
@@ -251,13 +250,13 @@ func (s *Server) handleStoreQuery(q *Req) {
 		var a store.AggregateResult
 		if a, err = s.cfg.Store.QueryAggregateTraced(key, q.Span); err == nil {
 			complete = a.Complete
-			buf.B, encErr = appendIndented(buf.B, a)
+			buf.B, encErr = appendAggregateJSON(buf.B, &a)
 		}
 	case "filter":
 		var f store.FilterResult
 		if f, err = s.cfg.Store.QueryFilterTraced(key, lo, hi, q.Span); err == nil {
 			complete = f.Complete
-			buf.B, encErr = appendIndented(buf.B, f)
+			buf.B, encErr = appendFilterJSON(buf.B, &f)
 		}
 	case "downsample":
 		var d store.DownsampleResult

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"avr"
 	"avr/internal/store"
+	"avr/internal/vec"
+	"avr/internal/workloads"
 )
 
 // storeServer wires a Server over a fresh on-disk store.
@@ -42,6 +46,76 @@ func doReq(t testing.TB, method, url string, body []byte) (*http.Response, []byt
 	var out bytes.Buffer
 	out.ReadFrom(resp.Body)
 	return resp, out.Bytes()
+}
+
+// TestServedBytesAreAppendLE: get, mget and codec decode reply from the
+// vector's own memory (vec.Vec.LE) instead of a copy, and every body is
+// still exactly the AppendLE rendering of what the store or the codec
+// reads back — both widths, a key that is not a whole block, and back-to-
+// back keys of different widths through one pooled scratch.
+func TestServedBytesAreAppendLE(t *testing.T) {
+	st, ts := storeServer(t, Config{})
+	keys := map[string]vec.Vec{}
+	for i, dist := range []string{"heat", "mixed", "normal"} {
+		for _, width := range []int{32, 64} {
+			v64, err := workloads.GenFloat64(dist, 5000+i, uint64(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := vec.Of64(v64)
+			if width == 32 {
+				v = vec.Vec{Width: 32}
+				for _, x := range v64 {
+					v.F32 = append(v.F32, float32(x))
+				}
+			}
+			key := fmt.Sprintf("%s-%d", dist, width)
+			url := ts.URL + "/v1/store/put?key=" + key + "&width=" + strconv.Itoa(width)
+			if resp, body := doReq(t, http.MethodPut, url, v.AppendLE(nil)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("put %s: %d %s", key, resp.StatusCode, body)
+			}
+			keys[key] = v
+		}
+	}
+	var mget BatchGetRequest
+	for key := range keys {
+		want, _, err := st.GetVec(vec.Vec{}, key, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/store/get?key="+key, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want.AppendLE(nil)) {
+			t.Fatalf("get %s: %d, %d bytes, not the AppendLE bytes of the stored vector", key, resp.StatusCode, len(body))
+		}
+		mget.Keys = append(mget.Keys, key)
+	}
+	gb, _ := json.Marshal(mget)
+	resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/store/mget", gb)
+	var gres BatchGetResult
+	if err := json.Unmarshal(body, &gres); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("mget: %d %v", resp.StatusCode, err)
+	}
+	for i, r := range gres.Results {
+		want, _, _ := st.GetVec(vec.Vec{}, mget.Keys[i], false, nil)
+		if !r.OK || !bytes.Equal(r.Data, want.AppendLE(nil)) {
+			t.Fatalf("mget %s: not the AppendLE bytes of the stored vector", mget.Keys[i])
+		}
+	}
+	codec := avr.NewCodec(0)
+	for key, v := range keys {
+		stream, err := v.EncodeTo(codec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := vec.Vec{Width: v.Width}.DecodeAppend(codec, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/decode", stream)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want.AppendLE(nil)) {
+			t.Fatalf("decode of %s: %d, not the AppendLE bytes of the codec's decode", key, resp.StatusCode)
+		}
+	}
 }
 
 func TestStorePutGetRoundTrip(t *testing.T) {

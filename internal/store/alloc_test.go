@@ -7,7 +7,12 @@
 
 package store
 
-import "testing"
+import (
+	"sync"
+	"testing"
+
+	"avr/internal/vec"
+)
 
 // TestStorePutAllocFree pins the zero-allocation put contract for both
 // widths: after the pooled scratch is warm, an overwrite put — encode,
@@ -99,23 +104,25 @@ func TestStoreGetIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestCacheRefusedLineIsNotBuilt: a key whose line the cache would refuse
-// (64 KiB of lossless values against a 1 MiB cache's 64 KiB shards) is
+// TestCacheRefusedLineIsNotBuilt: a key whose line can never fit (64 KiB
+// of lossless fp32 values against a 1 MiB cache's 64 KiB shards) is
 // served by its miss all the same, with the values of the uncached read,
-// and the walk stops filing the line once it has outgrown the limit:
-// nothing is cloned for Put to drop, so the miss allocates nothing.
+// and no line of it is started: its lossless blocks are decoded once,
+// into the answer. With cold scratch a miss allocates exactly what the
+// uncached read of the key does — a second decode, into a line, would
+// grow the line's slabs — and with warm scratch nothing.
 func TestCacheRefusedLineIsNotBuilt(t *testing.T) {
 	s := openTest(t, Config{CacheBytes: 1 << 20})
 	vals := genF32(t, "normal", 4*BlockValues, 8)
-	if _, err := s.Put32("noise", vals); err != nil {
-		t.Fatal(err)
+	if res, err := s.Put32("noise", vals); err != nil || res.LosslessBlocks != res.Blocks {
+		t.Fatalf("seeding: %d of %d blocks lossless, err %v", res.LosslessBlocks, res.Blocks, err)
 	}
 	want, err := s.Get32("noise")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max := s.cache.MaxEntryBytes(); int64(4*len(vals)) < max {
-		t.Fatalf("a %d-byte line fits the cache's %d-byte limit: the test needs a larger key", 4*len(vals), max)
+	if b, max := s.index["noise"].lineBound("noise"), s.cache.MaxEntryBytes(); b <= max {
+		t.Fatalf("a line bound of %d bytes fits the cache's %d-byte limit: the test needs a larger key", b, max)
 	}
 	dst := make([]float32, 0, len(vals))
 	miss := func() {
@@ -137,6 +144,18 @@ func TestCacheRefusedLineIsNotBuilt(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, miss); avg > 0 {
 		t.Errorf("a miss whose line the cache refuses allocates %v per op, want 0", avg)
+	}
+	cold := func(useCache bool) float64 {
+		newScratch := s.gets.New
+		return testing.AllocsPerRun(20, func() {
+			s.gets = sync.Pool{New: newScratch}
+			if _, _, err := s.GetVec(vec.Of32(dst), "noise", useCache, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if cached, uncached := cold(true), cold(false); cached != uncached {
+		t.Errorf("with cold scratch a refused miss allocates %v per op, the uncached read %v: a line was filed", cached, uncached)
 	}
 	s.mu.RLock()
 	ln, err := s.buildLineLocked("noise", s.index["noise"])

@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"avr/internal/obs"
 	"avr/internal/vec"
 	"avr/internal/workloads"
 )
@@ -203,6 +205,61 @@ func BenchmarkCacheMissGet32(b *testing.B) {
 	if !s.cache.Contains("bench") {
 		b.Fatal("the miss did not leave the line resident")
 	}
+}
+
+// BenchmarkCacheThrashGet32 is the cache under a working set it cannot
+// hold, read_cold's shape: uniform cached reads over 64 KiB fp32 keys
+// whose lines total at least ten times a 1 MiB budget. Most reads miss,
+// and admission leaves most misses lineless — no line built, cloned or
+// inserted, nothing evicted; only a key that misses again while its
+// shard still remembers it is filed. hits/op and evictions/op say how
+// the cache fared.
+func BenchmarkCacheThrashGet32(b *testing.B) {
+	const budget = 1 << 20
+	s := benchStore(b, Config{CacheBytes: budget})
+	var vecs [8][]float32
+	for i := range vecs {
+		v, err := workloads.GenFloat32("heat", 4*BlockValues, uint64(i)+1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vecs[i] = v
+	}
+	var keys []string
+	for lines := int64(0); lines < 10*budget; {
+		k := fmt.Sprintf("thrash-%05d", len(keys))
+		if _, err := s.Put32(k, vecs[len(keys)%len(vecs)]); err != nil {
+			b.Fatal(err)
+		}
+		lines += s.index[k].lineBound(k)
+		keys = append(keys, k)
+	}
+	dst := make([]float32, 0, 4*BlockValues)
+	for _, k := range keys { // one pass fills every shard: the timed reads find it under pressure
+		out, _, err := s.Get32IntoCached(dst, k, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = out[:0]
+	}
+	rng := rand.New(rand.NewSource(11))
+	hits := 0
+	evicted := obs.CacheEvictions.Value()
+	b.SetBytes(4 * 4 * BlockValues)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, src, err := s.Get32IntoCached(dst, keys[rng.Intn(len(keys))], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if src == CacheHit {
+			hits++
+		}
+		dst = out[:0]
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+	b.ReportMetric(float64(obs.CacheEvictions.Value()-evicted)/float64(b.N), "evictions/op")
 }
 
 // BenchmarkCacheHitGet64 is the fp64 hit path: scalar interpolate, the

@@ -25,8 +25,9 @@ import (
 // Consistency: a cached line captures the index entry's seq, and every
 // hit re-validates it against the live index under the same read lock
 // as the lookup — a stale line can exist but can never serve. A demand
-// miss builds the line from the frames its own disk read fetches and
-// inserts it before releasing the read lock; the stride prefetcher's
+// miss the cache admits builds the line from the frames its own disk
+// read fetches and inserts it before releasing the read lock (one it
+// refuses builds nothing: DESIGN.md §5.11); the stride prefetcher's
 // fills, the only ones still queued to the background workers, run
 // entirely under the read lock too (read frames, parse, insert). Either
 // way a writer's invalidation (commitPut, Delete, recompression) cannot
@@ -40,7 +41,9 @@ type CacheSource uint8
 const (
 	// CacheNone: the cache is disabled (no header).
 	CacheNone CacheSource = iota
-	// CacheMiss: served from disk; the read left the key's line resident.
+	// CacheMiss: served from disk; the read left the key's line resident
+	// only if the cache admitted it (readcache.Cache.Admit). X-AVR-Cache
+	// says "miss" either way.
 	CacheMiss
 	// CacheHit: served from a resident, seq-validated summary line.
 	CacheHit
@@ -128,13 +131,44 @@ func (ln *cachedLine) raws() vec.Vec {
 
 func (ln *cachedLine) setRaws(v vec.Vec) { ln.raws32, ln.raws64 = v.F32, v.F64 }
 
+const (
+	lineHeader   = 96                              // cachedLine struct + Entry bookkeeping
+	lineRecBytes = int64(unsafe.Sizeof(lineRec{})) // one recs element
+)
+
 // size is the accounted resident footprint in bytes.
 func (ln *cachedLine) size(key string) int64 {
-	return int64(len(key)) + 96 + // struct + Entry bookkeeping
-		int64(len(ln.recs))*int64(unsafe.Sizeof(lineRec{})) +
+	return int64(len(key)) + lineHeader +
+		int64(len(ln.recs))*lineRecBytes +
 		4*int64(len(ln.sums32)) + 8*int64(len(ln.sums64)) +
 		int64(len(ln.bms)) + int64(len(ln.outs)) +
 		4*int64(len(ln.raws32)) + 8*int64(len(ln.raws64))
+}
+
+// lineBound is an upper bound on size(key) of the line readLocked would
+// build for e, from the index alone, without a read. An AVR block files
+// no more than its frame holds plus one lineRec per record: what a record
+// files — its summary line, bitmap and packed outliers, or a raw record's
+// values — is a copy of that record's bytes in the stream. A lossless
+// block files its exact values and one lineRec. Like the walk, the bound
+// stops at the first hole.
+func (e *entry) lineBound(key string) int64 {
+	recVals := compress.BlockValues
+	if e.width == 64 {
+		recVals = compress.BlockValues64
+	}
+	n := int64(len(key)) + lineHeader
+	for _, r := range e.refs {
+		if r.seg == 0 {
+			break
+		}
+		if r.enc == encLossless {
+			n += int64(r.valCount)*int64(e.width/8) + lineRecBytes
+		} else {
+			n += r.frameLen + int64((int(r.valCount)+recVals-1)/recVals)*lineRecBytes
+		}
+	}
+	return n
 }
 
 // hitScratch is the pooled cache-hit reconstruction state: a
@@ -161,7 +195,7 @@ func (s *Store) loadCacheLine(key string, prefetch bool) {
 	ln, err := s.buildLineLocked(key, e)
 	if err != nil || ln == nil {
 		// Unreadable or corrupt (the demand path will report it), or a
-		// line larger than the cache admits.
+		// line that can never fit.
 		return
 	}
 	// Put does the occupancy accounting (resident bytes/lines/evictions).
@@ -169,10 +203,13 @@ func (s *Store) loadCacheLine(key string, prefetch bool) {
 }
 
 // buildLineLocked extracts the summary line of every resident frame of
-// e: readLocked's walk with the line as its only consumer (nil when the
-// line outgrows what the cache admits). Caller holds at least the read
-// lock.
+// e: readLocked's walk with the line as its only consumer. A line whose
+// bound is over what the cache ever admits is not built: nil, no read.
+// Caller holds at least the read lock.
 func (s *Store) buildLineLocked(key string, e *entry) (*cachedLine, error) {
+	if e.lineBound(key) > s.cache.MaxEntryBytes() {
+		return nil, nil
+	}
 	ln, _, err := s.readLocked(nil, true, nil, key, e, nil)
 	return ln, err
 }

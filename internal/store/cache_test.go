@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,6 +158,88 @@ func TestCacheMissFillsInline(t *testing.T) {
 	s.cache.Close() // waits for the workers: a queued fill would have run by now
 	if n := loads.Load(); n != 0 {
 		t.Fatalf("demand misses went through the fill queue %d times", n)
+	}
+}
+
+// TestLineBoundHolds is the property admission rests on: the bound a
+// miss is admitted on, computed from the index alone, is never below the
+// size of the line the walk then builds — for every workload generator,
+// both widths, sizes that end mid-record and mid-block, and a tight t1
+// (outlier-heavy records, more lossless blocks) beside the default.
+func TestLineBoundHolds(t *testing.T) {
+	sizes := []int{17, 300, BlockValues, BlockValues + 1, 3*BlockValues + 511, 4 * BlockValues}
+	worst := 0.0
+	for _, t1 := range []float64{0, 0.005} {
+		s := openTest(t, Config{T1: t1, CacheBytes: 64 << 20})
+		for _, dist := range workloads.Distributions() {
+			for _, width := range []int{32, 64} {
+				for si, n := range sizes {
+					key := fmt.Sprintf("%s-%d-%d", dist, width, n)
+					if _, err := s.PutVec(key, genVec(t, dist, width, n, uint64(si)+1), nil); err != nil {
+						t.Fatal(err)
+					}
+					s.mu.RLock()
+					e := s.index[key]
+					bound := e.lineBound(key)
+					ln, err := s.buildLineLocked(key, e)
+					s.mu.RUnlock()
+					if err != nil || ln == nil {
+						t.Fatalf("t1 %g %s: line not built (%v)", t1, key, err)
+					}
+					if size := ln.size(key); size > bound {
+						t.Errorf("t1 %g %s: line of %d bytes over its bound %d", t1, key, size, bound)
+					} else {
+						worst = max(worst, float64(bound)/float64(size))
+					}
+				}
+			}
+		}
+	}
+	t.Logf("loosest bound: %.2fx the line it bounds", worst)
+}
+
+// TestAdmissionKeepsFittingCache: with a budget that holds the whole
+// working set, no shard ever comes under pressure, so admission admits
+// every miss — a seeded stream of cached gets and overwrites is served
+// with exactly the hit/miss sequence of the rule it replaced, where
+// every miss filled: a get is a hit iff the key was read since its last
+// put.
+func TestAdmissionKeepsFittingCache(t *testing.T) {
+	s := openTest(t, Config{CacheBytes: 32 << 20})
+	const keys = 24
+	dists := workloads.Distributions()
+	put := func(k int, seed uint64) {
+		t.Helper()
+		width := 32 << (k & 1)
+		v := genVec(t, dists[k%len(dists)], width, BlockValues*(1+k%4)-k, seed)
+		if _, err := s.PutVec(fmt.Sprintf("k-%02d", k), v, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < keys; k++ {
+		put(k, uint64(k))
+	}
+	resident := make([]bool, keys)
+	rng := rand.New(rand.NewSource(30))
+	for op := 0; op < 3000; op++ {
+		k := rng.Intn(keys)
+		if rng.Intn(6) == 0 {
+			put(k, uint64(op))
+			resident[k] = false
+			continue
+		}
+		_, src, err := s.GetVec(vec.Vec{}, fmt.Sprintf("k-%02d", k), true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := CacheMiss
+		if resident[k] {
+			want = CacheHit
+		}
+		if src != want {
+			t.Fatalf("op %d, key %d: served as %q, every-miss-fills says %q", op, k, src, want)
+		}
+		resident[k] = true
 	}
 }
 

@@ -844,14 +844,15 @@ func (s *Store) Get64IntoCached(dst []float64, key string, sp *trace.Span) ([]fl
 // reports what was found. With useCache (and a cache configured) a
 // resident summary line serves the read — SIMD interpolate plus the
 // vectorized fixed→float sweep straight into dst, no segment read — and
-// a miss takes the disk path, files the summary line of each frame it
-// decodes and leaves the key resident when it returns; without it the
-// read goes to disk and leaves the cache alone. An
-// incomplete vector (torn tail) appends its recovered prefix and returns
-// ErrIncomplete alongside it; on any other error dst is returned as
-// passed. Stages onto sp: store mutex wait (StageLock), then either
-// StageCacheHit or segment reads (StageSegRead) and block decodes
-// (StageDecode). A nil span traces nothing at no cost.
+// a miss takes the disk path; if the cache admits the key's line
+// (readcache.Cache.Admit, on the line's bound) the miss also files the
+// summary line of each frame it decodes and leaves the key resident
+// when it returns. Without useCache the read goes to disk and leaves
+// the cache alone. An incomplete vector (torn tail) appends its
+// recovered prefix and returns ErrIncomplete alongside it; on any other
+// error dst is returned as passed. Stages onto sp: store mutex wait
+// (StageLock), then either StageCacheHit or segment reads (StageSegRead)
+// and block decodes (StageDecode). A nil span traces nothing at no cost.
 func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (vec.Vec, CacheSource, error) {
 	t0 := time.Now()
 	lt := sp.Begin()
@@ -878,7 +879,8 @@ func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (
 		src = CacheMiss
 	}
 	base := out.Len()
-	ln, complete, err := s.readLocked(&out, src == CacheMiss, nil, key, e, sp)
+	fill := src == CacheMiss && s.cache.Admit(key, e.lineBound(key))
+	ln, complete, err := s.readLocked(&out, fill, nil, key, e, sp)
 	if err != nil {
 		return dst, src, err
 	}
@@ -921,19 +923,18 @@ const maxRunBytes = 1 << 20
 // that fills the cache reads, checks and parses its frames once for both,
 // a prefetch fill is the same walk with no dst, and a query reads exactly
 // what a Get reads. A line that stops at a hole covers the recovered
-// prefix and is not marked complete; one that outgrows what the cache
-// admits is given up mid-walk and comes back nil. A put lands as
-// back-to-back frames of one segment, and such a run is fetched with a
-// single read; frames that compaction moved apart are read one by one. It
-// reports whether every block of the vector was there. Caller holds at
-// least the read lock.
+// prefix and is not marked complete. Whoever asks for a line has checked
+// its bound (entry.lineBound) against the cache's limit first, so the
+// line comes back whole. A put lands as back-to-back frames of one
+// segment, and such a run is fetched with a single read; frames that
+// compaction moved apart are read one by one. It reports whether every
+// block of the vector was there. Caller holds at least the read lock.
 func (s *Store) readLocked(dst *vec.Vec, fill bool, q *queryRun, key string, e *entry, sp *trace.Span) (*cachedLine, bool, error) {
 	gs := s.gets.Get().(*getScratch)
 	defer s.gets.Put(gs)
 	var ln *cachedLine
-	var lineMax int64
 	if fill {
-		ln, lineMax = &gs.line, s.cache.MaxEntryBytes()
+		ln = &gs.line
 		ln.reset(e)
 	}
 	var c *avr.Codec
@@ -961,9 +962,6 @@ func (s *Store) readLocked(dst *vec.Vec, fill bool, q *queryRun, key string, e *
 			n := refs[i].frameLen
 			if err = consumeFrame(dst, c, ln, q, refs[i], buf[:n], sp); err == nil {
 				buf, i = buf[n:], i+1
-				if ln != nil && ln.size(key) > lineMax {
-					ln = nil // Put would refuse it: file no more of it
-				}
 			}
 		}
 		if err != nil {

@@ -83,6 +83,17 @@ func (v Vec) AppendLE(dst []byte) []byte {
 	return v.appendLEPortable(dst)
 }
 
+// LE returns the live values as raw little-endian bytes. On a
+// little-endian host that is the vector's own memory, no copy: the bytes
+// alias v and are valid only while v's storage is neither reused nor
+// written. Elsewhere they are AppendLE(scratch[:0]).
+func (v Vec) LE(scratch []byte) []byte {
+	if littleEndian {
+		return v.bytes()
+	}
+	return v.AppendLE(scratch[:0])
+}
+
 // appendLEPortable is AppendLE value by value: the big-endian hosts'
 // path, and what the tests hold the copy to.
 func (v Vec) appendLEPortable(dst []byte) []byte {

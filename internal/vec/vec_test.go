@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"avr"
 )
@@ -157,6 +158,9 @@ func TestCopyMatchesPortable(t *testing.T) {
 		if got := v.AppendLE(slices.Clone(prefix)); !bytes.Equal(got, want) {
 			t.Fatalf("fp%d AppendLE = % x, portable loop % x", v.Width, got, want)
 		}
+		if got := v.LE(slices.Clone(prefix)); !bytes.Equal(got, want[len(prefix):]) {
+			t.Fatalf("fp%d LE = % x, portable loop % x", v.Width, got, want[len(prefix):])
+		}
 		wire := append(want[len(prefix):], 0xEE) // plus a trailing partial value
 		// FromLE appends after what is there (a clone: v must not lend its
 		// spare capacity).
@@ -167,6 +171,28 @@ func TestCopyMatchesPortable(t *testing.T) {
 			t.Fatalf("fp%d FromLE: %d values % x, portable loop %d values % x",
 				v.Width, back.Len(), back.appendLEPortable(nil), ref.Len(), ref.appendLEPortable(nil))
 		}
+	}
+}
+
+// TestLEAliasesOnLittleEndian: LE hands out the vector's own memory
+// where the host's layout is the wire's, and otherwise the bytes
+// AppendLE writes into the scratch it is passed (the fallback is forced
+// here, whatever the host).
+func TestLEAliasesOnLittleEndian(t *testing.T) {
+	v := Of32([]float32{1.5, -2, 3})
+	scratch := make([]byte, 5, 64)
+	got := v.LE(scratch)
+	if !bytes.Equal(got, v.appendLEPortable(nil)) {
+		t.Fatalf("LE = % x", got)
+	}
+	if littleEndian && unsafe.SliceData(got) != (*byte)(unsafe.Pointer(unsafe.SliceData(v.F32))) {
+		t.Error("LE copied on a little-endian host")
+	}
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	littleEndian = false
+	got = v.LE(scratch)
+	if !bytes.Equal(got, v.appendLEPortable(nil)) || unsafe.SliceData(got) != unsafe.SliceData(scratch) {
+		t.Fatalf("LE without the little-endian shortcut = % x, not AppendLE into the scratch", got)
 	}
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # scripts/bench.sh — run the benchmark suites and emit JSON results
-# (ns/op, B/op, allocs/op and custom metrics per benchmark), then
+# (ns/op, B/op, allocs/op and custom metrics per benchmark), print
+# avrd's own share of a served GET (ServerGet less the bare-loopback
+# LoopbackFloorGet of the same run), then
 # enforce the allocation gates and the store throughput gates
 # (absolute Put32 floor, cache hit no slower than the disk read, an
 # aggregate within 2x of the get of its key, -20% regression bar vs the
@@ -29,7 +31,7 @@ OUT="${1:-BENCH_sim.json}"
 STORE_OUT="${2:-BENCH_store.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Recorder|Histogram}"
-STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|Interpolate|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
+STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|Interpolate|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheThrashGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|LoopbackFloorGet|ServerMput8|ServerMget8|RouterMput8|RouterMget8}"
 
 PKGS="./internal/cache ./internal/cmt ./internal/compress ./internal/dram ./internal/obs ./internal/sim ./internal/workloads"
 STORE_PKGS=". ./internal/simd ./internal/vec ./internal/store ./internal/server ./internal/trace ./internal/cluster"
@@ -76,21 +78,26 @@ STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPu
 # cannot be held to zero; they are held to where they landed at
 # -benchtime 100x, warm-up included (the router's and avrd's mput 607 and
 # 127 allocs/op, since the encode-once write path; their mget 557 and
-# 127), with about 5 % of headroom for the runtime's own drift, and
-# recorded with the core count they ran on. The single-key get is capped
-# at exactly what it landed on, no headroom: the one allocation the cap
-# exists to keep out is the per-request copy of the vector, and that is
-# one alloc in 124. The downsample query is capped at its two result
-# slices (points, bounds): a third allocation is a result grown by
-# appending again. A compaction pass is capped where
-# moving bytes landed it (47 allocs/op for ~260 KB of live frames at
-# 64 KiB segments, was 170; 31 for the same data in one 4 MiB segment —
-# a pass's scratch is one pooled chunk, so the count must not grow with
-# the victim), with the same ~5 %; what is left is a key string per frame
-# scanned and the files of the stores the benchmark opens. The recovery
-# scan is capped at exactly its figure, 71 for 64 frames (was 135): the
-# key string of each, and the frame list growing to hold them.
-STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkRouterMget8:585 BenchmarkServerMget8:134 BenchmarkServerGet:123 BenchmarkStoreQueryDownsample32:2 BenchmarkStoreQueryDownsample64:2 BenchmarkStoreCompact:50 BenchmarkStoreCompactSeg4M:34 BenchmarkStoreScan:71"
+# 127-128), with about 5 % of headroom for the runtime's own drift (3 %
+# on avrd's mget), and recorded with the core count they ran on. The
+# single-key get is capped at exactly what it landed on (122-123), no
+# headroom: the one allocation the cap exists to keep out is the
+# per-request copy of the vector, and that is one alloc in 124. A cached
+# read under a working set ten times the cache (CacheThrashGet32) is
+# capped at 2: a miss the cache refuses builds no line, and only the few
+# it admits pay a line's clone (about 6 allocs) — 0 allocs/op at 1 s, 1
+# at 100x; were every miss to fill, it would read 5. The downsample
+# query is capped at its two result slices (points, bounds): a third
+# allocation is a result grown by appending again. A compaction pass is
+# capped where moving bytes landed it (47 allocs/op for ~260 KB of live
+# frames at 64 KiB segments, was 170; 31 for the same data in one 4 MiB
+# segment — a pass's scratch is one pooled chunk, so the count must not
+# grow with the victim), with the same ~5 %; what is left is a key
+# string per frame scanned and the files of the stores the benchmark
+# opens. The recovery scan is capped at exactly its figure, 71 for 64
+# frames (was 135): the key string of each, and the frame list growing
+# to hold them.
+STORE_CAPPED="BenchmarkRouterMput8:640 BenchmarkServerMput8:140 BenchmarkRouterMget8:585 BenchmarkServerMget8:132 BenchmarkServerGet:123 BenchmarkCacheThrashGet32:2 BenchmarkStoreQueryDownsample32:2 BenchmarkStoreQueryDownsample64:2 BenchmarkStoreCompact:50 BenchmarkStoreCompactSeg4M:34 BenchmarkStoreScan:71"
 
 RAW="$(mktemp)"
 RAW_STORE="$(mktemp)"
@@ -237,6 +244,28 @@ kernel_gate() {
     return $fail
 }
 
+# get_share RAWFILE — prints avrd's own share of a served GET: ServerGet
+# less LoopbackFloorGet (a bare handler writing the same 64 KiB over the
+# same client loop), both from this run, so the figure carries no
+# machine speed of its own. A printed line, not a gate.
+get_share() {
+    local raw="$1" get floor
+    get="$(nsop_raw "$raw" BenchmarkServerGet)"
+    floor="$(nsop_raw "$raw" BenchmarkLoopbackFloorGet)"
+    if [ -z "$get" ] || [ -z "$floor" ]; then
+        echo "avrd's own share of a GET: not measured (ServerGet or LoopbackFloorGet did not run)"
+        return
+    fi
+    echo "avrd's own share of a GET: $(awk -v g="$get" -v f="$floor" 'BEGIN {
+        printf "%.1f us (ServerGet %.1f us - LoopbackFloorGet %.1f us)", (g - f) / 1000, g / 1000, f / 1000 }')"
+}
+
+# nsop_raw RAWFILE BENCH — ns/op from a raw benchmark output line.
+nsop_raw() {
+    grep -E "^$2(-[0-9]+)? " "$1" | head -1 |
+        awk '{for (i = 3; i < NF; i++) if ($(i + 1) == "ns/op") print $i}'
+}
+
 # alloc_gate RAWFILE FILTER BENCH[:MAX]... — every named benchmark must
 # have run and reported at most MAX allocs/op (0 when not given).
 alloc_gate() {
@@ -283,6 +312,7 @@ alloc_gate "$RAW" "$BENCHFILTER" $GATED || fail=1
 alloc_gate "$RAW_STORE" "$STOREFILTER" $STORE_GATED || fail=1
 alloc_gate "$RAW_STORE" "$STOREFILTER" $STORE_CAPPED || fail=1
 kernel_gate "$RAW_STORE" || fail=1
+get_share "$RAW_STORE"
 if [ "${PERFGATE:-1}" != "0" ]; then
     perf_gate "$RAW_STORE" "$BASELINE" || fail=1
 fi
