@@ -59,7 +59,6 @@ func main() {
 	storeSegmentBytes := flag.Int64("store-segment-bytes", 0, "segment roll size in bytes; 0 = default (64 MiB)")
 	storeCompactEvery := flag.Duration("store-compact-interval", 30*time.Second, "background compaction cadence; 0 disables the worker")
 	storeSync := flag.Bool("store-sync", false, "fsync the active segment after every put (durability over throughput)")
-	storeEncWorkers := flag.Int("store-encode-workers", 0, "goroutines encoding a put's blocks in parallel; 0 or 1 = serial")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "summary-line read cache byte budget; 0 disables the cache")
 	prefetch := flag.Bool("prefetch", true, "stride-prefetch summary lines on sequential key patterns (needs -cache-bytes > 0)")
 	var t1 float64
@@ -81,7 +80,6 @@ func main() {
 			SegmentTargetBytes: *storeSegmentBytes,
 			CompactEvery:       *storeCompactEvery,
 			SyncEveryPut:       *storeSync,
-			EncodeWorkers:      *storeEncWorkers,
 			CacheBytes:         *cacheBytes,
 			Prefetch:           *prefetch,
 		})

@@ -127,7 +127,6 @@ func cmdPack(args []string) error {
 	width := fs.Int("width", 32, "value width in bits: 32 or 64")
 	seed := fs.Uint64("seed", 1, "base generator seed (key i uses seed+i)")
 	sync := fs.Bool("sync", false, "fsync after every put")
-	encWorkers := fs.Int("encode-workers", 0, "goroutines encoding a put's blocks in parallel; 0 or 1 = serial")
 	var t1 float64
 	cliutil.RegisterT1(fs, &t1)
 	fs.Parse(args)
@@ -149,7 +148,7 @@ func cmdPack(args []string) error {
 		return fmt.Errorf("pack: bad -width %d", *width)
 	}
 
-	s, err := store.Open(store.Config{Dir: *dir, T1: t1, SyncEveryPut: *sync, EncodeWorkers: *encWorkers})
+	s, err := store.Open(store.Config{Dir: *dir, T1: t1, SyncEveryPut: *sync})
 	if err != nil {
 		return err
 	}

@@ -5,11 +5,14 @@ import (
 	"encoding/base64"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"runtime"
 	"testing"
+	"time"
 
 	"avr/internal/server"
+	"avr/internal/store"
 	"avr/internal/workloads"
 )
 
@@ -118,6 +121,64 @@ func BenchmarkRouterMget8(b *testing.B) {
 		b.Fatalf("seeding: status %d", resp.StatusCode)
 	}
 	benchPost(b, tc.router.URL+"/v1/store/mget", mget, raw)
+}
+
+// BenchmarkRouterGetHotCacheOff / CacheOn price the router's response
+// cache on a hot read: single-key gets through the router over 3 shards
+// on avrd's default store config (64 MiB line cache, prefetch on),
+// replication 2, keys drawn Zipf(1.1) from 64 keys of 16 Ki fp32 heat
+// values after every key has been read once. The pair differs only in
+// the router's cache budget; with it on, the warm-up waits until every
+// key's response is resident.
+func BenchmarkRouterGetHotCacheOff(b *testing.B) { benchRouterGetHot(b, 0) }
+func BenchmarkRouterGetHotCacheOn(b *testing.B)  { benchRouterGetHot(b, 64<<20) }
+
+func benchRouterGetHot(b *testing.B, cacheBytes int64) {
+	const keys, n = 64, 16384
+	shard := store.Config{CacheBytes: 64 << 20, Prefetch: true}
+	tc := newTestClusterAt(b, []store.Config{shard, shard, shard}, Config{CacheBytes: cacheBytes})
+	get := func(url string) {
+		resp, err := http.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || got != 4*n {
+			b.Fatalf("get: status %d, %d bytes, %v", resp.StatusCode, got, err)
+		}
+	}
+	urls := make([]string, keys)
+	for k := range urls {
+		vals, err := workloads.GenFloat32("heat", n, uint64(k+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		key := fmt.Sprintf("hot-%04d", k)
+		resp, err := http.Post(tc.router.URL+"/v1/store/put?key="+key, "application/octet-stream", bytes.NewReader(f32le(vals...)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("put %s: status %d", key, resp.StatusCode)
+		}
+		urls[k] = tc.router.URL + "/v1/store/get?key=" + key
+		get(urls[k])
+	}
+	// A router miss fills in the background.
+	for deadline := time.Now().Add(10 * time.Second); cacheBytes > 0 && tc.ro.cache.Len() < keys; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			b.Fatalf("router cache holds %d of %d keys after the warm-up", tc.ro.cache.Len(), keys)
+		}
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, keys-1)
+	b.SetBytes(4 * n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get(urls[zipf.Uint64()])
+	}
 }
 
 // benchSink defeats dead-code elimination.

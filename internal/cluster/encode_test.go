@@ -127,7 +127,7 @@ func TestShardAtAnotherT1(t *testing.T) {
 			}
 		})
 	}
-	tc := newTestClusterAt(t, []float64{0, 0, 1.0 / 8}, Config{}, count409)
+	tc := newTestClusterAt(t, []store.Config{{}, {}, {T1: 1.0 / 8}}, Config{}, count409)
 	const odd, vn = 2, 300
 	var items []server.BatchPutItem
 	for k := 0; k < 16; k++ {

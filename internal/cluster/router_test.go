@@ -37,17 +37,19 @@ type testCluster struct {
 // router and node i's handler (fault injection).
 func newTestCluster(t testing.TB, n int, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
-	return newTestClusterAt(t, make([]float64, n), cfg, wrap...)
+	return newTestClusterAt(t, make([]store.Config, n), cfg, wrap...)
 }
 
-// newTestClusterAt is newTestCluster with node i's store opened at
-// threshold t1s[i] (0 is the default): a fleet can be misconfigured.
-func newTestClusterAt(t testing.TB, t1s []float64, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
+// newTestClusterAt is newTestCluster with node i's store opened on
+// stores[i] (its Dir is a fresh temporary directory): a fleet can be
+// misconfigured, or run avrd's defaults.
+func newTestClusterAt(t testing.TB, stores []store.Config, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	topo := Topology{VNodes: 64, Replication: 2}
-	for i := range t1s {
-		st, err := store.Open(store.Config{Dir: t.TempDir(), T1: t1s[i]})
+	for i, sc := range stores {
+		sc.Dir = t.TempDir()
+		st, err := store.Open(sc)
 		if err != nil {
 			t.Fatalf("store %d: %v", i, err)
 		}

@@ -131,18 +131,6 @@ var (
 	RouterNodeReadmits = expvar.NewInt("avr.router_node_readmits")
 )
 
-func init() {
-	// Hit ratio derived from the cache counters, exported on /metrics
-	// as a gauge (WriteMetrics renders float64-valued Funcs directly).
-	expvar.Publish("avr.cache_hit_ratio", expvar.Func(func() any {
-		h, m := CacheHits.Value(), CacheMisses.Value()
-		if h+m == 0 {
-			return 0.0
-		}
-		return float64(h) / float64(h+m)
-	}))
-}
-
 // debugMetricsOnce guards /metrics registration on the default mux:
 // ServeDebug may be called more than once per process (tests), and
 // http.HandleFunc panics on duplicate patterns.

@@ -52,14 +52,8 @@ func WriteMetrics(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "# HELP %s expvar %s\n# TYPE %s %s\n%s %d\n",
 				name, kv.Key, name, typ, name, v.Value())
 		case expvar.Func:
-			switch val := v.Value().(type) {
-			case Summary:
-				err = writeHistogram(w, name, kv.Key, val)
-			case float64:
-				// Derived ratios (e.g. avr.cache_hit_ratio) export as
-				// gauges.
-				_, err = fmt.Fprintf(w, "# HELP %s expvar %s\n# TYPE %s gauge\n%s %g\n",
-					name, kv.Key, name, name, val)
+			if s, ok := v.Value().(Summary); ok {
+				err = writeHistogram(w, name, kv.Key, s)
 			}
 		}
 	})

@@ -151,14 +151,27 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Close stops the fill workers. Resident entries stay readable; pending
-// fill requests are drained without being executed.
+// Close stops the fill workers and gives back every resident line, so
+// the occupancy gauges count open caches only; pending fill requests are
+// drained without being executed, and a Put after Close is dropped.
 func (c *Cache) Close() {
 	if c == nil || !c.closed.CompareAndSwap(false, true) {
 		return
 	}
 	close(c.fills)
 	c.wg.Wait()
+	var lines, bytes int64
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		lines += int64(len(sh.items))
+		bytes += sh.bytes
+		clear(sh.items)
+		sh.head, sh.tail, sh.bytes = nil, nil, 0
+		sh.mu.Unlock()
+	}
+	obs.CacheResidentBytes.Add(-bytes)
+	obs.CacheLines.Add(-lines)
 }
 
 // fnv1a hashes the key for shard selection without allocating.
@@ -265,6 +278,13 @@ func (c *Cache) Put(key string, size int64, meta any, prefetched bool) {
 	e.prefetched.Store(prefetched)
 	var freedLines, freedBytes int64
 	sh.mu.Lock()
+	// Checked under the shard lock, which Close takes after setting
+	// closed: a Put either lands before Close empties the shard or not at
+	// all.
+	if c.closed.Load() {
+		sh.mu.Unlock()
+		return
+	}
 	if old, ok := sh.items[key]; ok {
 		sh.unlink(old)
 		delete(sh.items, key)

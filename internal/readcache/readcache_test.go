@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"avr/internal/obs"
 )
 
 func TestNilCacheIsNoop(t *testing.T) {
@@ -59,6 +61,29 @@ func TestPutGetInvalidate(t *testing.T) {
 	c.Invalidate("p")
 	if c.Bytes() != 0 || c.Len() != 0 {
 		t.Fatalf("after invalidating both: %d bytes, %d lines", c.Bytes(), c.Len())
+	}
+}
+
+// TestCloseRacingPuts: Close gives back every line whatever Puts race
+// it — each lands before its shard is emptied or not at all — so the
+// occupancy gauges end where they were before the cache opened.
+func TestCloseRacingPuts(t *testing.T) {
+	bytes0, lines0 := obs.CacheResidentBytes.Value(), obs.CacheLines.Value()
+	c := New(Config{MaxBytes: 1 << 20})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				c.Put(fmt.Sprintf("k%d-%d", g, i%300), 100, nil, false)
+			}
+		}(g)
+	}
+	c.Close()
+	wg.Wait()
+	if b, l := obs.CacheResidentBytes.Value(), obs.CacheLines.Value(); b != bytes0 || l != lines0 {
+		t.Fatalf("closed cache: gauges read %d bytes / %d lines, %d / %d before it opened", b, l, bytes0, lines0)
 	}
 }
 

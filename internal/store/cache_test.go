@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"avr/internal/obs"
 	"avr/internal/readcache"
 	"avr/internal/vec"
 	"avr/internal/workloads"
@@ -158,6 +159,35 @@ func TestCacheMissFillsInline(t *testing.T) {
 	s.cache.Close() // waits for the workers: a queued fill would have run by now
 	if n := loads.Load(); n != 0 {
 		t.Fatalf("demand misses went through the fill queue %d times", n)
+	}
+}
+
+// TestClosedCacheLeavesTheGauges: the occupancy gauges count the lines of
+// open caches only. A store that filled its cache and closed gives every
+// byte and line back, and a line that arrives after the close is not
+// counted — otherwise a process that opens many stores (a test cluster,
+// bench's fleets) reports the sum of every cache it ever held.
+func TestClosedCacheLeavesTheGauges(t *testing.T) {
+	bytes0, lines0 := obs.CacheResidentBytes.Value(), obs.CacheLines.Value()
+	s := openTest(t, Config{CacheBytes: 8 << 20})
+	for i := 0; i < 3; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if _, err := s.Put32(key, genF32(t, "heat", 2*BlockValues, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		warmCache(t, s, key)
+	}
+	if got := obs.CacheLines.Value() - lines0; got != 3 || obs.CacheResidentBytes.Value()-bytes0 != s.cache.Bytes() {
+		t.Fatalf("open cache: gauges moved by %d lines / %d bytes, it holds 3 / %d",
+			got, obs.CacheResidentBytes.Value()-bytes0, s.cache.Bytes())
+	}
+	cache := s.cache
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cache.Put("late", 1000, nil, false)
+	if b, l := obs.CacheResidentBytes.Value(), obs.CacheLines.Value(); b != bytes0 || l != lines0 {
+		t.Fatalf("closed cache: gauges read %d bytes / %d lines, %d / %d before it opened", b, l, bytes0, lines0)
 	}
 }
 

@@ -22,7 +22,8 @@ import (
 // it and commits the blocks as they are, so no replica re-derives them
 // and the replicas' frames are byte-identical. DESIGN.md §5.7 has the
 // byte-level table; this file is the format's one owner — Encoder
-// writes it, Store.PutEncoded reads it, nothing else knows its layout.
+// writes it (its blocks for Store.PutVec too), Store.PutEncoded reads
+// it, nothing else knows its layout.
 //
 //	header: "AVRP" | version (1) | width (32, 64) | float64 bits of t1 |
 //	        uint64 total values
@@ -119,19 +120,32 @@ func (e *Encoder) AppendPut(dst []byte, vals vec.Vec) ([]byte, error) {
 	if err := checkVec(vals); err != nil {
 		return dst, err
 	}
-	n := vals.Len()
 	dst = append(dst, containerMagic...)
 	dst = append(dst, containerVersion, byte(vals.Width))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.t1))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(vals.Len()))
+	return e.appendBlocks(dst, vals, nil)
+}
+
+// appendBlocks is the one block-encode loop, AppendPut's and PutVec's:
+// it cuts vals into BlockValues-value blocks and appends each to dst as a
+// container block (encoding, length, data). skip, when not nil, names the
+// blocks known to miss the ratio floor — the store's badly-compressing-
+// block table — which go straight to the lossless fallback.
+func (e *Encoder) appendBlocks(dst []byte, vals vec.Vec, skip func(idx uint32) bool) ([]byte, error) {
+	n := vals.Len()
 	c := e.borrowCodec()
 	defer e.returnCodec(c)
 	for off := 0; off < n; off += BlockValues {
+		skipped := skip != nil && skip(uint32(off/BlockValues))
+		if skipped {
+			obs.StoreCompressSkips.Add(1)
+		}
 		hdr := len(dst)
 		dst = append(dst, 0, 0, 0, 0, 0)
 		var enc uint8
 		var err error
-		if dst, enc, err = e.appendBlock(c, dst, vals.Slice(off, min(off+BlockValues, n)), false); err != nil {
+		if dst, enc, err = e.appendBlock(c, dst, vals.Slice(off, min(off+BlockValues, n)), skipped); err != nil {
 			return dst[:hdr], err
 		}
 		dst[hdr] = enc
@@ -139,6 +153,17 @@ func (e *Encoder) AppendPut(dst []byte, vals vec.Vec) ([]byte, error) {
 	}
 	obs.StoreEncodes.Add(1)
 	return dst, nil
+}
+
+// blocksOf points blocks at the container blocks appendBlocks wrote into
+// buf for total values. Nothing is checked: the store's own encoder wrote
+// them.
+func blocksOf(blocks []encodedBlock, buf []byte, total int) {
+	for i := range blocks {
+		end := containerBlockHdr + int(binary.LittleEndian.Uint32(buf[1:]))
+		blocks[i] = encodedBlock{enc: buf[0], valCount: uint32(min(BlockValues, total-i*BlockValues)), data: buf[containerBlockHdr:end]}
+		buf = buf[end:]
+	}
 }
 
 // PutEncoded stores the vector an Encoder put into container under key,

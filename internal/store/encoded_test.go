@@ -68,59 +68,59 @@ func segmentBytes(t testing.TB, dir string) map[string][]byte {
 // path: a store fed PutVec and a store fed Encoder.AppendPut +
 // PutEncoded, same keys in the same order, hold byte-identical segment
 // files and return bit-identical vectors — every distribution, both
-// widths, lengths on every side of a block boundary. Run serial and with
-// encode workers: PutVec's blocks are the same either way.
+// widths, lengths on every side of a block boundary. Both run the one
+// block-encode loop; what this pins is that PutVec's blocks, sliced
+// unchecked from the buffer it encoded into, commit exactly what the
+// checked container does.
 func TestPutEncodedMatchesPutVec(t *testing.T) {
 	lengths := []int{1, BlockValues - 1, BlockValues, BlockValues + 1, 4 * BlockValues}
-	for _, workers := range []int{1, 4} {
-		for _, width := range []int{32, 64} {
-			t.Run(fmt.Sprintf("workers%d/fp%d", workers, width), func(t *testing.T) {
-				direct := openTest(t, Config{EncodeWorkers: workers})
-				shipped := openTest(t, Config{EncodeWorkers: workers})
-				var keys []string
-				for di, dist := range workloads.Distributions() {
-					for _, n := range lengths {
-						key := fmt.Sprintf("%s-%d", dist, n)
-						keys = append(keys, key)
-						vals := genVec(t, dist, width, n, uint64(100*di+n))
-						want, err := direct.PutVec(key, vals, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := shipped.PutEncoded(key, containerFor(t, shipped, vals), nil)
-						if err != nil {
-							t.Fatalf("%s: PutEncoded: %v", key, err)
-						}
-						if got != want {
-							t.Fatalf("%s: PutEncoded reports %+v, PutVec %+v", key, got, want)
-						}
+	for _, width := range []int{32, 64} {
+		t.Run(fmt.Sprintf("fp%d", width), func(t *testing.T) {
+			direct := openTest(t, Config{})
+			shipped := openTest(t, Config{})
+			var keys []string
+			for di, dist := range workloads.Distributions() {
+				for _, n := range lengths {
+					key := fmt.Sprintf("%s-%d", dist, n)
+					keys = append(keys, key)
+					vals := genVec(t, dist, width, n, uint64(100*di+n))
+					want, err := direct.PutVec(key, vals, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := shipped.PutEncoded(key, containerFor(t, shipped, vals), nil)
+					if err != nil {
+						t.Fatalf("%s: PutEncoded: %v", key, err)
+					}
+					if got != want {
+						t.Fatalf("%s: PutEncoded reports %+v, PutVec %+v", key, got, want)
 					}
 				}
-				for _, key := range keys {
-					a, _, aerr := direct.GetVec(vec.Vec{}, key, false, nil)
-					b, _, berr := shipped.GetVec(vec.Vec{}, key, false, nil)
-					if aerr != nil || berr != nil || !sameBits(a, b) {
-						t.Fatalf("%s: reads differ (%v, %v)", key, aerr, berr)
-					}
+			}
+			for _, key := range keys {
+				a, _, aerr := direct.GetVec(vec.Vec{}, key, false, nil)
+				b, _, berr := shipped.GetVec(vec.Vec{}, key, false, nil)
+				if aerr != nil || berr != nil || !sameBits(a, b) {
+					t.Fatalf("%s: reads differ (%v, %v)", key, aerr, berr)
 				}
-				if a, b := direct.Stats(), shipped.Stats(); a.LiveBytes != b.LiveBytes || a.RawBytes != b.RawBytes ||
-					a.Blocks != b.Blocks || a.FlaggedBlocks != b.FlaggedBlocks {
-					t.Fatalf("stats differ: PutVec %d live / %d raw bytes, %d blocks, %d flagged; PutEncoded %d / %d, %d, %d",
-						a.LiveBytes, a.RawBytes, a.Blocks, a.FlaggedBlocks, b.LiveBytes, b.RawBytes, b.Blocks, b.FlaggedBlocks)
+			}
+			if a, b := direct.Stats(), shipped.Stats(); a.LiveBytes != b.LiveBytes || a.RawBytes != b.RawBytes ||
+				a.Blocks != b.Blocks || a.FlaggedBlocks != b.FlaggedBlocks {
+				t.Fatalf("stats differ: PutVec %d live / %d raw bytes, %d blocks, %d flagged; PutEncoded %d / %d, %d, %d",
+					a.LiveBytes, a.RawBytes, a.Blocks, a.FlaggedBlocks, b.LiveBytes, b.RawBytes, b.Blocks, b.FlaggedBlocks)
+			}
+			direct.Close()
+			shipped.Close()
+			want, got := segmentBytes(t, direct.cfg.Dir), segmentBytes(t, shipped.cfg.Dir)
+			if len(want) == 0 || len(got) != len(want) {
+				t.Fatalf("%d segment files against %d", len(got), len(want))
+			}
+			for name, w := range want {
+				if !bytes.Equal(got[name], w) {
+					t.Fatalf("segment %s differs: %d bytes against %d", name, len(got[name]), len(w))
 				}
-				direct.Close()
-				shipped.Close()
-				want, got := segmentBytes(t, direct.cfg.Dir), segmentBytes(t, shipped.cfg.Dir)
-				if len(want) == 0 || len(got) != len(want) {
-					t.Fatalf("%d segment files against %d", len(got), len(want))
-				}
-				for name, w := range want {
-					if !bytes.Equal(got[name], w) {
-						t.Fatalf("segment %s differs: %d bytes against %d", name, len(got[name]), len(w))
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -2,110 +2,24 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"avr/internal/vec"
-	"avr/internal/workloads"
 )
 
-// scanAllFrames collects every block record in every segment of a
-// store's directory, keyed by (key, block index), after forcing the
-// active segment to disk via Close.
-func scanAllFrames(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := make(map[string][]byte)
-	for _, ent := range ents {
-		f, err := os.Open(dir + "/" + ent.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = scanSegment(f, func(rec record, off, frameLen int64) error {
-			if rec.Kind != recordBlock {
-				return nil
-			}
-			k := fmt.Sprintf("%s/%d/enc%d", rec.Key, rec.BlockIdx, rec.Enc)
-			frames[k] = append([]byte(nil), rec.Data...)
-			return nil
-		})
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return frames
-}
-
-// TestPutParallelMatchesSerial pins the worker-pool contract: a store
-// encoding puts over EncodeWorkers goroutines writes block frames
-// byte-identical to the serial store, for every workload distribution
-// and both widths. Blocks are independent, so only scheduling — never
-// content — may differ.
-func TestPutParallelMatchesSerial(t *testing.T) {
-	serial := openTest(t, Config{EncodeWorkers: 1})
-	parallel := openTest(t, Config{EncodeWorkers: 4})
-	for i, dist := range workloads.Distributions() {
-		key32 := fmt.Sprintf("k32-%s", dist)
-		key64 := fmt.Sprintf("k64-%s", dist)
-		n := 4*BlockValues + 100*i // vary block counts and tail sizes
-		v32, err := workloads.GenFloat32(dist, n, uint64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v64, err := workloads.GenFloat64(dist, n/2, uint64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range []*Store{serial, parallel} {
-			if _, err := s.Put32(key32, v32); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Put64(key64, v64); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sDir, pDir := serial.cfg.Dir, parallel.cfg.Dir
-	if err := serial.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := scanAllFrames(t, sDir)
-	got := scanAllFrames(t, pDir)
-	if len(want) == 0 || len(got) != len(want) {
-		t.Fatalf("frame counts differ: serial %d, parallel %d", len(want), len(got))
-	}
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
-			t.Fatalf("parallel store missing frame %s", k)
-		}
-		if string(g) != string(w) {
-			t.Fatalf("frame %s differs: serial %d bytes, parallel %d bytes", k, len(w), len(g))
-		}
-	}
-}
-
 // TestStoreConcurrentHammer drives Put/Get/Delete/CompactOnce from
-// concurrent goroutines against a pooled-encoder store, two of them
-// compacting — a victim has one handle, the read path's, so passes take
-// turns (compactMu). Run under the race detector in CI, it
-// pins the pool's synchronisation (job posting vs worker claims, codec
-// borrowing) and the compactor's against everything else, and ends with
-// an audit of what the storm left: every key holds its last acked put,
-// the index and the segments agree on what is live, and the directory
-// holds the segments the store knows and no others.
+// concurrent goroutines, two of them compacting — a victim has one
+// handle, the read path's, so passes take turns (compactMu). Run under
+// the race detector in CI, it pins the synchronisation of the puts (codec
+// borrowing, the encode loop's flag-table reads) and the compactor's
+// against everything else, and ends with an audit of what the storm
+// left: every key holds its last acked put, the index and the segments
+// agree on what is live, and the directory holds the segments the store
+// knows and no others.
 func TestStoreConcurrentHammer(t *testing.T) {
 	s := openTest(t, Config{
-		EncodeWorkers:      4,
 		SegmentTargetBytes: 128 << 10,
 		MinDeadFraction:    0.05,
 	})

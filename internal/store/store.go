@@ -65,11 +65,6 @@ type Config struct {
 	// SyncEveryPut fsyncs the active segment after every Put (durable
 	// but slow); by default data is fsynced on segment roll and Close.
 	SyncEveryPut bool
-	// EncodeWorkers bounds the goroutines encoding a Put's blocks. Blocks
-	// are independent, so the stream committed is byte-identical at any
-	// setting. 1 or less keeps encoding on the caller's goroutine (the
-	// default; also the only allocation-free mode).
-	EncodeWorkers int
 	// CacheBytes is the byte budget of the in-memory summary-line read
 	// cache (internal/readcache). 0 disables the cache entirely: reads
 	// take the disk path exactly as before.
@@ -98,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinDeadFraction <= 0 {
 		c.MinDeadFraction = 0.25
-	}
-	if c.EncodeWorkers <= 0 {
-		c.EncodeWorkers = 1
 	}
 	if c.fs == nil {
 		c.fs = osFS{}
@@ -220,14 +212,6 @@ type Store struct {
 	// cache holds resident summary lines keyed by store key (nil when
 	// Config.CacheBytes is 0; every readcache method is nil-safe).
 	cache *readcache.Cache
-	// encJobs feeds the persistent put-encode worker pool (nil when
-	// EncodeWorkers is 1). encMu/encStopped let Close shut the queue
-	// without racing an in-flight post; the workers drain any copies
-	// still buffered before exiting, so no put blocks on Close.
-	encJobs    chan *encJob
-	encMu      sync.RWMutex
-	encStopped bool
-	encWG      sync.WaitGroup
 
 	// compactMu serialises compaction passes, with each other and with
 	// Close: a victim has one pass at a time and outlives it.
@@ -277,13 +261,6 @@ func Open(cfg Config) (*Store, error) {
 			Load:     s.loadCacheLine,
 			Prefetch: cfg.Prefetch,
 		})
-	}
-	if cfg.EncodeWorkers > 1 {
-		s.encJobs = make(chan *encJob, 2*cfg.EncodeWorkers)
-		for w := 0; w < cfg.EncodeWorkers-1; w++ {
-			s.encWG.Add(1)
-			go s.encWorker()
-		}
 	}
 	if err := s.recover(); err != nil {
 		s.closeSegments()
@@ -574,19 +551,18 @@ type encodedBlock struct {
 func (s *Store) borrowCodec() *avr.Codec  { return s.enc.borrowCodec() }
 func (s *Store) returnCodec(c *avr.Codec) { s.enc.returnCodec(c) }
 
-// putScratch is the reusable per-put state: the blocks to commit, one
-// encode buffer per block slot for PutVec (each block's bytes must stay
-// alive until commit), the lossless-check scratch of PutEncoded, the
-// staged refs, and the frame serialisation buffer. Pooled so steady-state
-// puts allocate nothing.
+// putScratch is the reusable per-put state: the blocks to commit, the
+// one buffer PutVec encodes them into (its blocks slice it until the
+// commit), the lossless-check scratch of PutEncoded, the staged refs, and
+// the frame serialisation buffer. Pooled so steady-state puts allocate
+// nothing.
 type putScratch struct {
 	blocks []encodedBlock
-	bufs   [][]byte
+	buf    []byte
 	vals   vec.Vec
 	refs   []blockRef
 	frame  []byte
 	rec    record
-	job    encJob
 }
 
 // ensure sizes the scratch for an nb-block put, keeping grown buffers.
@@ -595,9 +571,6 @@ func (ps *putScratch) ensure(nb int) {
 		ps.blocks = make([]encodedBlock, nb)
 	}
 	ps.blocks = ps.blocks[:nb]
-	for len(ps.bufs) < nb {
-		ps.bufs = append(ps.bufs, nil)
-	}
 	if cap(ps.refs) < nb {
 		ps.refs = make([]blockRef, nb)
 	}
@@ -650,12 +623,13 @@ func (s *Store) Put64Traced(key string, vals []float64, sp *trace.Span) (PutResu
 }
 
 // PutVec stores vals, of either width, under key, replacing any previous
-// value: encode the blocks (encodeBlocks, the Encoder's work plus the
-// badly-compressing-block table), then commit them (commitPut) — the one
-// write path, which PutEncoded joins at the commit with blocks encoded
-// elsewhere. Per-stage attribution onto sp: block encoding
-// (StageEncode), store mutex wait (StageLock), and the segment append
-// (StageSegWrite). A nil span traces nothing at no cost.
+// value: encode the blocks through the Encoder's loop — the one
+// Encoder.AppendPut runs, with the badly-compressing-block table as its
+// skip hook — then commit them (commitPut): the one write path, which
+// PutEncoded joins at the commit with blocks encoded elsewhere.
+// Per-stage attribution onto sp: block encoding (StageEncode), store
+// mutex wait (StageLock), and the segment append (StageSegWrite). A nil
+// span traces nothing at no cost.
 func (s *Store) PutVec(key string, vals vec.Vec, sp *trace.Span) (PutResult, error) {
 	if err := checkKey(key); err != nil {
 		return PutResult{}, err
@@ -669,9 +643,12 @@ func (s *Store) PutVec(key string, vals vec.Vec, sp *trace.Span) (PutResult, err
 	defer s.puts.Put(ps)
 	ps.ensure((n + BlockValues - 1) / BlockValues)
 	et := sp.Begin()
-	if err := s.encodeBlocks(key, vals, ps); err != nil {
+	var err error
+	ps.buf, err = s.enc.appendBlocks(ps.buf[:0], vals, func(idx uint32) bool { return s.flagged(key, idx) })
+	if err != nil {
 		return PutResult{}, err
 	}
+	blocksOf(ps.blocks, ps.buf, n)
 	sp.End(trace.StageEncode, et)
 	return s.commitPut(key, uint8(vals.Width), uint64(n), n*vals.Width/8, ps, t0, sp)
 }
@@ -1241,15 +1218,6 @@ func (s *Store) Close() error {
 		close(s.stopCompact)
 		s.compactWG.Wait()
 		s.stopCompact = nil
-	}
-	if s.encJobs != nil {
-		s.encMu.Lock()
-		if !s.encStopped {
-			s.encStopped = true
-			close(s.encJobs)
-		}
-		s.encMu.Unlock()
-		s.encWG.Wait()
 	}
 	// Stop the cache fill workers before taking the write lock: an
 	// in-flight fill holds the read lock for its whole run.
