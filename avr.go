@@ -11,7 +11,7 @@
 //     cache hierarchy, the AVR decoupled LLC, DDR4 timing, energy) and
 //     the five memory-system designs of the paper's evaluation.
 //   - Experiments: the harness regenerating every table and figure of
-//     the paper (see cmd/avrtables).
+//     the paper (see cmd/avrsim, subcommand tables).
 //   - Serving: the codec as a network service — cmd/avrd exposes
 //     encode/decode over HTTP with pooled codecs, bounded-queue
 //     admission and graceful drain (internal/server), and cmd/avrload

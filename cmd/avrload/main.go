@@ -56,7 +56,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -76,6 +75,7 @@ import (
 	"avr/internal/server"
 	"avr/internal/store"
 	"avr/internal/trace"
+	"avr/internal/vec"
 	"avr/internal/workloads"
 )
 
@@ -217,61 +217,30 @@ type workerSpec struct {
 	t1eff   float64 // resolved threshold (default applied) for bound checks
 	key     string  // store-mode key owned by this connection
 	width   int
-	payload []byte // raw little-endian values (encode request body)
-	wantEnc []byte // local Codec.Encode of payload
-	wantDec []byte // raw little-endian bytes of local Decode(wantEnc)
+	vals    vec.Vec // the generated values
+	payload []byte  // vals as raw little-endian bytes (encode request body)
+	wantEnc []byte  // local codec encode of vals
+	wantDec []byte  // raw little-endian bytes of the local decode of wantEnc
 }
 
 func newWorkerSpec(dist string, values, width int, t1 float64, seed uint64) (*workerSpec, error) {
-	sp := &workerSpec{t1: t1, width: width}
+	vals, err := cliutil.GenVec(dist, values, width, seed)
+	if err != nil {
+		return nil, err
+	}
 	// The daemon quantizes thresholds onto the codec-pool grid; the
 	// local reference codec must do the same or byte-verification fails
 	// for off-grid -t1 values.
-	sp.t1eff = server.QuantizeT1(t1)
+	sp := &workerSpec{t1: t1, t1eff: server.QuantizeT1(t1), width: width, vals: vals, payload: vals.AppendLE(nil)}
 	c := avr.NewCodec(sp.t1eff)
-	if width == 32 {
-		vals, err := workloads.GenFloat32(dist, values, seed)
-		if err != nil {
-			return nil, err
-		}
-		sp.payload = make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(sp.payload[4*i:], math.Float32bits(v))
-		}
-		sp.wantEnc, err = c.Encode(vals)
-		if err != nil {
-			return nil, err
-		}
-		dec, err := c.Decode(sp.wantEnc)
-		if err != nil {
-			return nil, err
-		}
-		sp.wantDec = make([]byte, 4*len(dec))
-		for i, v := range dec {
-			binary.LittleEndian.PutUint32(sp.wantDec[4*i:], math.Float32bits(v))
-		}
-	} else {
-		vals, err := workloads.GenFloat64(dist, values, seed)
-		if err != nil {
-			return nil, err
-		}
-		sp.payload = make([]byte, 8*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(sp.payload[8*i:], math.Float64bits(v))
-		}
-		sp.wantEnc, err = c.Encode64(vals)
-		if err != nil {
-			return nil, err
-		}
-		dec, err := c.Decode64(sp.wantEnc)
-		if err != nil {
-			return nil, err
-		}
-		sp.wantDec = make([]byte, 8*len(dec))
-		for i, v := range dec {
-			binary.LittleEndian.PutUint64(sp.wantDec[8*i:], math.Float64bits(v))
-		}
+	if sp.wantEnc, err = vals.EncodeTo(c, nil); err != nil {
+		return nil, err
 	}
+	dec, err := vec.Vec{Width: width}.DecodeAppend(c, sp.wantEnc)
+	if err != nil {
+		return nil, err
+	}
+	sp.wantDec = dec.AppendLE(nil)
 	return sp, nil
 }
 
@@ -523,13 +492,8 @@ func (sp *workerSpec) runQuery(client *http.Client, base string, deadline time.T
 		res.stageLat[st] = res.stageLat[st][:0]
 	}
 
-	gt := sp.queryGroundTruth()
-	span := gt.max - gt.min
-	bands := [][2]float64{
-		{gt.min, gt.max},
-		{gt.min + span/4, gt.max - span/4},
-		{gt.min + span/2.1, gt.min + span/1.9},
-	}
+	gt := store.NewTruth(sp.vals)
+	bands := gt.Bands()
 	aggURL := fmt.Sprintf("%s/v1/store/query?key=%s", base, sp.key)
 	dsURL := fmt.Sprintf("%s/v1/store/query?key=%s&op=downsample", base, sp.key)
 
@@ -541,7 +505,7 @@ func (sp *workerSpec) runQuery(client *http.Client, base string, deadline time.T
 				continue
 			}
 			var agg store.AggregateResult
-			if json.Unmarshal(body, &agg) != nil || !sp.checkAggregate(agg, gt) {
+			if json.Unmarshal(body, &agg) != nil || gt.Aggregate(agg) != nil {
 				res.corrupt++
 				continue
 			}
@@ -556,9 +520,6 @@ func (sp *workerSpec) runQuery(client *http.Client, base string, deadline time.T
 			}
 		case 1:
 			b := bands[(i/3)%len(bands)]
-			if !(b[0] <= b[1]) {
-				continue
-			}
 			url := fmt.Sprintf("%s/v1/store/query?key=%s&op=filter&lo=%g&hi=%g",
 				base, sp.key, b[0], b[1])
 			body, ok := sp.get(client, url, res)
@@ -566,7 +527,7 @@ func (sp *workerSpec) runQuery(client *http.Client, base string, deadline time.T
 				continue
 			}
 			var fr store.FilterResult
-			if json.Unmarshal(body, &fr) != nil || !sp.checkFilter(fr, gt) {
+			if json.Unmarshal(body, &fr) != nil || gt.Filter(fr) != nil {
 				res.corrupt++
 			}
 		case 2:
@@ -575,105 +536,12 @@ func (sp *workerSpec) runQuery(client *http.Client, base string, deadline time.T
 				continue
 			}
 			var ds store.DownsampleResult
-			if json.Unmarshal(body, &ds) != nil || !sp.checkDownsample(ds, gt) {
+			if json.Unmarshal(body, &ds) != nil || gt.Downsample(ds) != nil {
 				res.corrupt++
 			}
 		}
 	}
 	return res
-}
-
-// loadGroundTruth is the exact answer set the query responses are
-// checked against, recomputed from the generated values the same way
-// the executor accumulates (float64, index order).
-type loadGroundTruth struct {
-	vals     []float64
-	sum      float64
-	min, max float64
-	points   []float64 // padded 16→1 group means
-}
-
-func (sp *workerSpec) queryGroundTruth() loadGroundTruth {
-	n := len(sp.payload) / (sp.width / 8)
-	gt := loadGroundTruth{
-		vals: make([]float64, n),
-		min:  math.Inf(1), max: math.Inf(-1),
-	}
-	for i := range gt.vals {
-		var v float64
-		if sp.width == 32 {
-			v = float64(math.Float32frombits(binary.LittleEndian.Uint32(sp.payload[4*i:])))
-		} else {
-			v = math.Float64frombits(binary.LittleEndian.Uint64(sp.payload[8*i:]))
-		}
-		gt.vals[i] = v
-		gt.sum += v
-		gt.min = math.Min(gt.min, v)
-		gt.max = math.Max(gt.max, v)
-	}
-	for g := 0; g*16 < n; g++ {
-		var s float64
-		for j := g * 16; j < g*16+16; j++ {
-			if j < n {
-				s += gt.vals[j]
-			} else {
-				s += gt.vals[n-1] // codec padding convention
-			}
-		}
-		gt.points = append(gt.points, s/16)
-	}
-	return gt
-}
-
-// boundTol widens a reported bound by the comparison's own float slack.
-func boundTol(b float64) float64 { return b*(1+1e-9) + 1e-300 }
-
-func (sp *workerSpec) checkAggregate(a store.AggregateResult, gt loadGroundTruth) bool {
-	if !a.Complete || a.Count != int64(len(gt.vals)) {
-		return false
-	}
-	if math.Abs(a.Sum-gt.sum) > boundTol(a.ErrorBound) {
-		return false
-	}
-	mean := gt.sum / float64(a.Count)
-	if math.Abs(a.Mean-mean) > boundTol(a.MeanErrorBound) {
-		return false
-	}
-	slack := 1e-9*math.Abs(gt.min) + 1e-300
-	if a.Min > gt.min+slack || gt.min > a.Min+a.MinErrorBound+slack {
-		return false
-	}
-	slack = 1e-9*math.Abs(gt.max) + 1e-300
-	if a.Max < gt.max-slack || gt.max < a.Max-a.MaxErrorBound-slack {
-		return false
-	}
-	return true
-}
-
-func (sp *workerSpec) checkFilter(f store.FilterResult, gt loadGroundTruth) bool {
-	if !f.Complete {
-		return false
-	}
-	var exact int64
-	for _, v := range gt.vals {
-		if f.Lo <= v && v <= f.Hi {
-			exact++
-		}
-	}
-	return f.MatchesMin <= exact && exact <= f.MatchesMax &&
-		f.Matches-exact <= f.ErrorBound && exact-f.Matches <= f.ErrorBound
-}
-
-func (sp *workerSpec) checkDownsample(d store.DownsampleResult, gt loadGroundTruth) bool {
-	if !d.Complete || len(d.Points) != len(gt.points) || len(d.Bounds) != len(d.Points) {
-		return false
-	}
-	for g := range d.Points {
-		if math.Abs(d.Points[g]-gt.points[g]) > boundTol(d.Bounds[g]) {
-			return false
-		}
-	}
-	return true
 }
 
 // get fetches one stored vector, with the same outcome classification as
@@ -707,28 +575,11 @@ func (sp *workerSpec) get(client *http.Client, url string, res *workerResult) ([
 	return nil, false
 }
 
-// withinBound checks a store get response value-by-value against the
-// put payload: same length, every value within the relative error
-// threshold.
+// withinBound checks a store get response against the put payload: as
+// many bytes, every value within the quantized t1.
 func (sp *workerSpec) withinBound(got []byte) bool {
-	if len(got) != len(sp.payload) {
-		return false
-	}
-	n := len(got) / (sp.width / 8)
-	for i := 0; i < n; i++ {
-		var g, w float64
-		if sp.width == 32 {
-			g = float64(math.Float32frombits(binary.LittleEndian.Uint32(got[4*i:])))
-			w = float64(math.Float32frombits(binary.LittleEndian.Uint32(sp.payload[4*i:])))
-		} else {
-			g = math.Float64frombits(binary.LittleEndian.Uint64(got[8*i:]))
-			w = math.Float64frombits(binary.LittleEndian.Uint64(sp.payload[8*i:]))
-		}
-		if math.Abs(g-w) > sp.t1eff*math.Abs(w)*(1+1e-9) {
-			return false
-		}
-	}
-	return true
+	return len(got) == len(sp.payload) &&
+		store.WithinT1(vec.Vec{Width: sp.width}.FromLE(got), sp.vals, sp.t1eff) == nil
 }
 
 // fetchStoreRatio reads the achieved compression ratio from the

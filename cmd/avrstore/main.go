@@ -54,18 +54,20 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"avr/internal/cliutil"
+	"avr/internal/server"
 	"avr/internal/store"
+	"avr/internal/vec"
 	"avr/internal/workloads"
 )
 
@@ -115,6 +117,48 @@ type manifestEntry struct {
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 
+// plan names the keys pack writes: key i holds the values seed+i draws
+// from dist, or from each distribution in turn for mixed-all.
+func plan(width int, t1 float64, keys, values int, dist string, seed uint64) manifest {
+	dists := []string{dist}
+	if dist == "mixed-all" {
+		dists = workloads.Distributions()
+	}
+	m := manifest{Width: width, T1: t1}
+	for i := range keys {
+		m.Entries = append(m.Entries, manifestEntry{
+			Key: fmt.Sprintf("pack-%04d", i), Dist: dists[i%len(dists)], Seed: seed + uint64(i), Values: values,
+		})
+	}
+	return m
+}
+
+func (m manifest) write(path string) error {
+	mb, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(mb, '\n'), 0o644)
+}
+
+func readManifest(path string) (manifest, error) {
+	var m manifest
+	mb, err := os.ReadFile(path)
+	if err != nil {
+		return m, fmt.Errorf("reading manifest (run pack first): %w", err)
+	}
+	if err := json.Unmarshal(mb, &m); err != nil {
+		return m, fmt.Errorf("bad manifest: %w", err)
+	}
+	return m, nil
+}
+
+// gen regenerates the entry's values: the ground truth the store is held
+// to.
+func (e manifestEntry) gen(width int) (vec.Vec, error) {
+	return cliutil.GenVec(e.Dist, e.Values, width, e.Seed)
+}
+
 func cmdPack(args []string) error {
 	fs := flag.NewFlagSet("pack", flag.ExitOnError)
 	dir := fs.String("dir", "", "store directory (required unless -addr)")
@@ -130,22 +174,19 @@ func cmdPack(args []string) error {
 	var t1 float64
 	cliutil.RegisterT1(fs, &t1)
 	fs.Parse(args)
+	if *width != 32 && *width != 64 {
+		return fmt.Errorf("pack: bad -width %d", *width)
+	}
 	if a, err := resolveAddr(*addr, *addrFile); err != nil {
 		return fmt.Errorf("pack: %w", err)
 	} else if a != "" {
 		if *manifestOut == "" {
 			return errors.New("pack: -manifest is required with -addr (there is no store directory to default into)")
 		}
-		if *width != 32 && *width != 64 {
-			return fmt.Errorf("pack: bad -width %d", *width)
-		}
-		return packRemote(a, *manifestOut, *keys, *values, *dist, *width, *seed, t1)
+		return packRemote(a, *manifestOut, plan(*width, server.QuantizeT1(t1), *keys, *values, *dist, *seed))
 	}
 	if *dir == "" {
 		return errors.New("pack: -dir or -addr is required")
-	}
-	if *width != 32 && *width != 64 {
-		return fmt.Errorf("pack: bad -width %d", *width)
 	}
 
 	s, err := store.Open(store.Config{Dir: *dir, T1: t1, SyncEveryPut: *sync})
@@ -154,49 +195,24 @@ func cmdPack(args []string) error {
 	}
 	defer s.Close()
 
-	dists := []string{*dist}
-	if *dist == "mixed-all" {
-		dists = workloads.Distributions()
-	}
-	m := manifest{Width: *width, T1: s.T1()}
-	for i := 0; i < *keys; i++ {
-		e := manifestEntry{
-			Key:    fmt.Sprintf("pack-%04d", i),
-			Dist:   dists[i%len(dists)],
-			Seed:   *seed + uint64(i),
-			Values: *values,
+	m := plan(*width, s.T1(), *keys, *values, *dist, *seed)
+	for _, e := range m.Entries {
+		vals, err := e.gen(*width)
+		if err != nil {
+			return err
 		}
-		var res store.PutResult
-		if *width == 32 {
-			vals, gerr := workloads.GenFloat32(e.Dist, e.Values, e.Seed)
-			if gerr != nil {
-				return gerr
-			}
-			res, err = s.Put32(e.Key, vals)
-		} else {
-			vals, gerr := workloads.GenFloat64(e.Dist, e.Values, e.Seed)
-			if gerr != nil {
-				return gerr
-			}
-			res, err = s.Put64(e.Key, vals)
-		}
+		res, err := s.PutVec(e.Key, vals, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("packed %s: %d values (%s), %d blocks (%d lossless), ratio %.2f\n",
 			e.Key, res.Values, e.Dist, res.Blocks, res.LosslessBlocks, res.Ratio)
-		m.Entries = append(m.Entries, e)
-	}
-
-	mb, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
 	}
 	mp := *manifestOut
 	if mp == "" {
 		mp = manifestPath(*dir)
 	}
-	if err := os.WriteFile(mp, append(mb, '\n'), 0o644); err != nil {
+	if err := m.write(mp); err != nil {
 		return err
 	}
 	st := s.Stats()
@@ -264,49 +280,51 @@ func cmdVerify(args []string) error {
 	if mp == "" {
 		mp = manifestPath(*dir)
 	}
-
-	mb, err := os.ReadFile(mp)
+	m, err := readManifest(mp)
 	if err != nil {
-		return fmt.Errorf("verify: reading manifest (run pack first): %w", err)
+		return fmt.Errorf("verify: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(mb, &m); err != nil {
-		return fmt.Errorf("verify: bad manifest: %w", err)
-	}
-
 	s, err := store.Open(store.Config{Dir: *dir, T1: m.T1})
 	if err != nil {
 		return err
 	}
 	defer s.Close()
-	t1 := s.T1()
+	m.T1 = s.T1()
+	return verifyEach(m, "", func(e manifestEntry) (int, error) {
+		return verifyEntry(s, m.Width, m.T1, e, *allowPartial)
+	})
+}
 
+// verifyEach checks every manifest key with check, which returns how many
+// values were served (fewer than written: an accepted crash-truncated
+// prefix), and prints one line per key; via says where they were read.
+func verifyEach(m manifest, via string, check func(manifestEntry) (int, error)) error {
 	var failures, partial int
 	for _, e := range m.Entries {
-		n, perr := verifyEntry(s, m.Width, t1, e, *allowPartial)
-		if perr != nil {
-			fmt.Printf("FAIL %s: %v\n", e.Key, perr)
+		n, err := check(e)
+		switch {
+		case err != nil:
+			fmt.Printf("FAIL %s: %v\n", e.Key, err)
 			failures++
-			continue
-		}
-		if n < e.Values {
+		case n < e.Values:
 			partial++
 			fmt.Printf("ok   %s: %d/%d values (truncated by crash), all within t1\n", e.Key, n, e.Values)
-		} else {
-			fmt.Printf("ok   %s: %d values within t1=%g\n", e.Key, n, t1)
+		default:
+			fmt.Printf("ok   %s: %d values within t1=%g\n", e.Key, n, m.T1)
 		}
 	}
 	if failures > 0 {
-		return fmt.Errorf("verify: %d of %d keys failed", failures, len(m.Entries))
+		return fmt.Errorf("verify: %d of %d keys failed%s", failures, len(m.Entries), via)
 	}
-	fmt.Printf("verify: %d keys ok (%d partial) at t1=%g\n", len(m.Entries), partial, t1)
+	fmt.Printf("verify: %d keys ok (%d partial)%s at t1=%g\n", len(m.Entries), partial, via, m.T1)
 	return nil
 }
 
-// verifyEntry checks one key against its regenerated ground truth and
-// returns how many values were served.
+// verifyEntry checks one key against its regenerated ground truth —
+// every value within t1, and bit-exact where the block table says the
+// block was stored lossless — and returns how many values were served.
 func verifyEntry(s *store.Store, width int, t1 float64, e manifestEntry, allowPartial bool) (int, error) {
-	v32, v64, w, err := s.Get(e.Key)
+	got, _, err := s.GetVec(vec.Vec{}, e.Key, false, nil)
 	incomplete := errors.Is(err, store.ErrIncomplete)
 	if err != nil && !incomplete {
 		return 0, err
@@ -314,58 +332,33 @@ func verifyEntry(s *store.Store, width int, t1 float64, e manifestEntry, allowPa
 	if incomplete && !allowPartial {
 		return 0, errors.New("vector incomplete (crash-truncated); rerun with -allow-partial to accept the prefix")
 	}
-	if w != width {
-		return 0, fmt.Errorf("width %d on disk, manifest says %d", w, width)
+	if got.Width != width {
+		return 0, fmt.Errorf("width %d on disk, manifest says %d", got.Width, width)
 	}
-
+	want, err := e.gen(width)
+	if err != nil {
+		return 0, err
+	}
+	n := got.Len()
+	if n > want.Len() {
+		return 0, fmt.Errorf("%d values served, the manifest wrote %d", n, want.Len())
+	}
+	want = want.Slice(0, n)
+	if err := store.WithinT1(got, want, t1); err != nil {
+		return 0, err
+	}
 	infos, err := s.BlockInfos(e.Key)
 	if err != nil {
 		return 0, err
 	}
-	lossless := make(map[int]bool)
 	for _, bi := range infos {
-		if bi.Lossless {
-			lossless[bi.Index] = true
+		lo := bi.Index * store.BlockValues
+		hi := min(lo+store.BlockValues, n)
+		if bi.Lossless && lo < hi && !bytes.Equal(got.Slice(lo, hi).AppendLE(nil), want.Slice(lo, hi).AppendLE(nil)) {
+			return 0, fmt.Errorf("block %d: lossless block not bit-exact", bi.Index)
 		}
 	}
-
-	check := func(i int, got, want float64, exact bool) error {
-		if lossless[i/store.BlockValues] {
-			if !exact {
-				return fmt.Errorf("value %d: lossless block not bit-exact", i)
-			}
-			return nil
-		}
-		if math.Abs(got-want) > t1*math.Abs(want)*(1+1e-9) {
-			return fmt.Errorf("value %d: |%g - %g| beyond t1=%g", i, got, want, t1)
-		}
-		return nil
-	}
-
-	if width == 32 {
-		want, gerr := workloads.GenFloat32(e.Dist, e.Values, e.Seed)
-		if gerr != nil {
-			return 0, gerr
-		}
-		for i := range v32 {
-			if err := check(i, float64(v32[i]), float64(want[i]),
-				math.Float32bits(v32[i]) == math.Float32bits(want[i])); err != nil {
-				return 0, err
-			}
-		}
-		return len(v32), nil
-	}
-	want, gerr := workloads.GenFloat64(e.Dist, e.Values, e.Seed)
-	if gerr != nil {
-		return 0, gerr
-	}
-	for i := range v64 {
-		if err := check(i, v64[i], want[i],
-			math.Float64bits(v64[i]) == math.Float64bits(want[i])); err != nil {
-			return 0, err
-		}
-	}
-	return len(v64), nil
+	return n, nil
 }
 
 func cmdQuery(args []string) error {
@@ -420,13 +413,9 @@ func cmdQuery(args []string) error {
 // value-by-value must also answer every query within the reported
 // bounds — the offline counterpart of avrload -mode query.
 func queryCheck(dir string, t1 float64) error {
-	mb, err := os.ReadFile(manifestPath(dir))
+	m, err := readManifest(manifestPath(dir))
 	if err != nil {
-		return fmt.Errorf("query: reading manifest (run pack first): %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(mb, &m); err != nil {
-		return fmt.Errorf("query: bad manifest: %w", err)
+		return fmt.Errorf("query: %w", err)
 	}
 	if t1 == 0 {
 		t1 = m.T1
@@ -444,8 +433,7 @@ func queryCheck(dir string, t1 float64) error {
 			fmt.Printf("FAIL %s: %v\n", e.Key, err)
 			failures++
 		} else {
-			fmt.Printf("ok   %s: aggregate, %d filter bands and downsample within bounds\n",
-				e.Key, len(checkBands(0, 0)))
+			fmt.Printf("ok   %s: aggregate, 3 filter bands and downsample within bounds\n", e.Key)
 		}
 	}
 	if failures > 0 {
@@ -460,110 +448,37 @@ func queryCheck(dir string, t1 float64) error {
 	return nil
 }
 
-// checkBands derives the filter ranges the check exercises from the
-// vector's exact min/max.
-func checkBands(min, max float64) [][2]float64 {
-	span := max - min
-	return [][2]float64{
-		{min, max},
-		{min + span/4, max - span/4},
-		{min + span/2.1, min + span/1.9},
-	}
-}
-
+// queryCheckEntry runs every query op over one key and holds each answer
+// to the key's regenerated ground truth.
 func queryCheckEntry(s *store.Store, width int, e manifestEntry, touched, total *int64) error {
-	vals := make([]float64, e.Values)
-	if width == 32 {
-		w32, err := workloads.GenFloat32(e.Dist, e.Values, e.Seed)
-		if err != nil {
-			return err
-		}
-		for i, v := range w32 {
-			vals[i] = float64(v)
-		}
-	} else {
-		w64, err := workloads.GenFloat64(e.Dist, e.Values, e.Seed)
-		if err != nil {
-			return err
-		}
-		copy(vals, w64)
+	vals, err := e.gen(width)
+	if err != nil {
+		return err
 	}
-	var sum, min, max float64
-	min, max = math.Inf(1), math.Inf(-1)
-	for _, v := range vals {
-		sum += v
-		min = math.Min(min, v)
-		max = math.Max(max, v)
-	}
-	tol := func(b float64) float64 { return b*(1+1e-9) + 1e-300 }
-
+	gt := store.NewTruth(vals)
 	agg, err := s.QueryAggregate(e.Key)
 	if err != nil {
 		return err
 	}
-	if !agg.Complete {
-		return errors.New("vector incomplete (crash-truncated)")
-	}
-	if agg.Count != int64(len(vals)) {
-		return fmt.Errorf("count %d, want %d", agg.Count, len(vals))
-	}
-	if d := math.Abs(agg.Sum - sum); d > tol(agg.ErrorBound) {
-		return fmt.Errorf("|sum %g - exact %g| = %g beyond bound %g", agg.Sum, sum, d, agg.ErrorBound)
-	}
-	slack := 1e-9*math.Abs(min) + 1e-300
-	if agg.Min > min+slack || min > agg.Min+agg.MinErrorBound+slack {
-		return fmt.Errorf("exact min %g outside [%g, +%g]", min, agg.Min, agg.MinErrorBound)
-	}
-	slack = 1e-9*math.Abs(max) + 1e-300
-	if agg.Max < max-slack || max < agg.Max-agg.MaxErrorBound-slack {
-		return fmt.Errorf("exact max %g outside [-%g, %g]", max, agg.MaxErrorBound, agg.Max)
+	if err := gt.Aggregate(agg); err != nil {
+		return err
 	}
 	*touched += agg.BytesTouched
 	*total += agg.BytesTotal
-
-	for _, b := range checkBands(min, max) {
-		if !(b[0] <= b[1]) {
-			continue
-		}
+	for _, b := range gt.Bands() {
 		fr, err := s.QueryFilter(e.Key, b[0], b[1])
 		if err != nil {
 			return err
 		}
-		var exact int64
-		for _, v := range vals {
-			if b[0] <= v && v <= b[1] {
-				exact++
-			}
-		}
-		if fr.MatchesMin > exact || exact > fr.MatchesMax {
-			return fmt.Errorf("filter [%g, %g]: exact %d outside bracket [%d, %d]",
-				b[0], b[1], exact, fr.MatchesMin, fr.MatchesMax)
+		if err := gt.Filter(fr); err != nil {
+			return err
 		}
 	}
-
 	ds, err := s.QueryDownsample(e.Key)
 	if err != nil {
 		return err
 	}
-	want := (len(vals) + 15) / 16
-	if len(ds.Points) != want {
-		return fmt.Errorf("downsample produced %d points, want %d", len(ds.Points), want)
-	}
-	for g := range ds.Points {
-		var gs float64
-		for j := g * 16; j < g*16+16; j++ {
-			if j < len(vals) {
-				gs += vals[j]
-			} else {
-				gs += vals[len(vals)-1] // codec padding convention
-			}
-		}
-		if d := math.Abs(ds.Points[g] - gs/16); d > tol(ds.Bounds[g]) {
-			return fmt.Errorf("downsample point %d: |%g - exact %g| beyond bound %g",
-				g, ds.Points[g], gs/16, ds.Bounds[g])
-		}
-	}
-	return nil
+	return gt.Downsample(ds)
 }
 
 func cmdCompact(args []string) error {

@@ -2,20 +2,17 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"strings"
 	"time"
 
-	"avr/internal/server"
 	"avr/internal/store"
-	"avr/internal/workloads"
+	"avr/internal/vec"
 )
 
 // Remote pack/verify: the same manifest-driven ground truth as the
@@ -41,32 +38,19 @@ func remoteClient() *http.Client {
 }
 
 // packRemote generates the workload vectors and PUTs each one through
-// the daemon, recording the manifest locally.
-func packRemote(addr, manifestOut string, keys, values int, dist string, width int, seed uint64, t1 float64) error {
+// the daemon, recording the manifest locally. The daemon quantizes
+// thresholds onto the codec-pool grid, so m carries the quantized t1 and
+// verify checks the bound the server actually enforced.
+func packRemote(addr, manifestOut string, m manifest) error {
 	base := "http://" + addr
 	client := remoteClient()
-
-	dists := []string{dist}
-	if dist == "mixed-all" {
-		dists = workloads.Distributions()
-	}
-	// The daemon quantizes thresholds onto the codec-pool grid; record
-	// the same quantized t1 in the manifest so verify checks the bound
-	// the server actually enforced.
-	m := manifest{Width: width, T1: server.QuantizeT1(t1)}
-	for i := 0; i < keys; i++ {
-		e := manifestEntry{
-			Key:    fmt.Sprintf("pack-%04d", i),
-			Dist:   dists[i%len(dists)],
-			Seed:   seed + uint64(i),
-			Values: values,
-		}
-		payload, err := genPayload(e, width)
+	for _, e := range m.Entries {
+		vals, err := e.gen(m.Width)
 		if err != nil {
 			return err
 		}
-		url := fmt.Sprintf("%s/v1/store/put?key=%s&width=%d", base, e.Key, width)
-		req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(payload))
+		url := fmt.Sprintf("%s/v1/store/put?key=%s&width=%d", base, e.Key, m.Width)
+		req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(vals.AppendLE(nil)))
 		if err != nil {
 			return err
 		}
@@ -89,42 +73,12 @@ func packRemote(addr, manifestOut string, keys, values int, dist string, width i
 			line += ", " + reps + " replicas"
 		}
 		fmt.Println(line)
-		m.Entries = append(m.Entries, e)
 	}
-
-	mb, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(manifestOut, append(mb, '\n'), 0o644); err != nil {
+	if err := m.write(manifestOut); err != nil {
 		return err
 	}
 	fmt.Printf("packed %d keys via %s, manifest %s (t1 %g)\n", len(m.Entries), addr, manifestOut, m.T1)
 	return nil
-}
-
-// genPayload regenerates one manifest entry's raw little-endian bytes.
-func genPayload(e manifestEntry, width int) ([]byte, error) {
-	if width == 32 {
-		vals, err := workloads.GenFloat32(e.Dist, e.Values, e.Seed)
-		if err != nil {
-			return nil, err
-		}
-		b := make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
-		}
-		return b, nil
-	}
-	vals, err := workloads.GenFloat64(e.Dist, e.Values, e.Seed)
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b, nil
 }
 
 // verifyRemote checks every manifest key through the serving path:
@@ -134,13 +88,9 @@ func genPayload(e manifestEntry, width int) ([]byte, error) {
 // bit-exactness refinement of local verify does not apply — the t1
 // bound is the contract the wire promises.
 func verifyRemote(addr, manifestIn string, allowPartial bool) error {
-	mb, err := os.ReadFile(manifestIn)
+	m, err := readManifest(manifestIn)
 	if err != nil {
-		return fmt.Errorf("verify: reading manifest (run pack first): %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(mb, &m); err != nil {
-		return fmt.Errorf("verify: bad manifest: %w", err)
+		return fmt.Errorf("verify: %w", err)
 	}
 	base := "http://" + addr
 	client := remoteClient()
@@ -165,80 +115,47 @@ func verifyRemote(addr, manifestIn string, allowPartial bool) error {
 		live[k] = true
 	}
 
-	var failures, partial int
-	for _, e := range m.Entries {
+	return verifyEach(m, " via "+addr, func(e manifestEntry) (int, error) {
 		if !live[e.Key] {
-			fmt.Printf("FAIL %s: missing from the served key listing\n", e.Key)
-			failures++
-			continue
+			return 0, errors.New("missing from the served key listing")
 		}
-		n, incomplete, verr := verifyRemoteEntry(client, base, m, e, allowPartial)
-		if verr != nil {
-			fmt.Printf("FAIL %s: %v\n", e.Key, verr)
-			failures++
-			continue
-		}
-		if incomplete {
-			partial++
-			fmt.Printf("ok   %s: %d/%d values (truncated), all within t1\n", e.Key, n, e.Values)
-		} else {
-			fmt.Printf("ok   %s: %d values within t1=%g\n", e.Key, n, m.T1)
-		}
-	}
-	if failures > 0 {
-		return fmt.Errorf("verify: %d of %d keys failed via %s", failures, len(m.Entries), addr)
-	}
-	fmt.Printf("verify: %d keys ok (%d partial) via %s at t1=%g\n",
-		len(m.Entries), partial, addr, m.T1)
-	return nil
+		return verifyRemoteEntry(client, base, m, e, allowPartial)
+	})
 }
 
-// verifyRemoteEntry fetches one key and checks it against regenerated
-// ground truth. Returns the number of values served and whether the
-// vector was a crash-truncated prefix (206).
-func verifyRemoteEntry(client *http.Client, base string, m manifest, e manifestEntry, allowPartial bool) (int, bool, error) {
+// verifyRemoteEntry fetches one key, checks it against regenerated ground
+// truth and returns the number of values served: fewer than written only
+// for a crash-truncated prefix (206).
+func verifyRemoteEntry(client *http.Client, base string, m manifest, e manifestEntry, allowPartial bool) (int, error) {
 	resp, err := client.Get(fmt.Sprintf("%s/v1/store/get?key=%s", base, e.Key))
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	body, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if rerr != nil {
-		return 0, false, rerr
+		return 0, rerr
 	}
 	incomplete := resp.StatusCode == http.StatusPartialContent
 	if resp.StatusCode != http.StatusOK && !incomplete {
-		return 0, false, fmt.Errorf("get: %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+		return 0, fmt.Errorf("get: %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 	}
 	if incomplete && !allowPartial {
-		return 0, false, errors.New("vector incomplete; rerun with -allow-partial to accept the prefix")
+		return 0, errors.New("vector incomplete; rerun with -allow-partial to accept the prefix")
 	}
 
-	want, err := genPayload(e, m.Width)
+	want, err := e.gen(m.Width)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	vw := m.Width / 8
-	if len(body)%vw != 0 || len(body) > len(want) {
-		return 0, false, fmt.Errorf("get returned %d bytes, want at most %d in %d-byte values",
-			len(body), len(want), vw)
+	if len(body)%vw != 0 || len(body) > vw*want.Len() {
+		return 0, fmt.Errorf("get returned %d bytes, want at most %d in %d-byte values",
+			len(body), vw*want.Len(), vw)
 	}
-	if !incomplete && len(body) != len(want) {
-		return 0, false, fmt.Errorf("get returned %d bytes, want %d", len(body), len(want))
+	if !incomplete && len(body) != vw*want.Len() {
+		return 0, fmt.Errorf("get returned %d bytes, want %d", len(body), vw*want.Len())
 	}
-	n := len(body) / vw
-	for i := 0; i < n; i++ {
-		var g, w float64
-		if m.Width == 32 {
-			g = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
-			w = float64(math.Float32frombits(binary.LittleEndian.Uint32(want[4*i:])))
-		} else {
-			g = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-			w = math.Float64frombits(binary.LittleEndian.Uint64(want[8*i:]))
-		}
-		if math.Abs(g-w) > m.T1*math.Abs(w)*(1+1e-9) {
-			return 0, false, fmt.Errorf("value %d: |%g - %g| beyond t1=%g", i, g, w, m.T1)
-		}
-	}
-	return n, incomplete, nil
+	got := vec.Vec{Width: m.Width}.FromLE(body)
+	return got.Len(), store.WithinT1(got, want.Slice(0, got.Len()), m.T1)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"avr/internal/block"
 	"avr/internal/compress"
 )
 
@@ -21,12 +20,13 @@ import (
 // stream it decodes must decode to the same values.
 
 // The oracle's own copy of the format constants and error values: it
-// shares no parsing code with internal/block.
+// shares no framing or parsing code with internal/block.
 var (
 	codecMagic   = [4]byte{'A', 'V', 'R', '1'}
 	codec64Magic = [4]byte{'A', 'V', 'R', '8'}
 
 	errTruncated    = errors.New("avr: truncated codec stream")
+	errBitmapSize   = errors.New("avr: codec bitmap inconsistent with size")
 	err64BitmapSize = errors.New("avr: codec64 bitmap inconsistent with size")
 )
 
@@ -49,17 +49,30 @@ func (c *Codec) referenceEncode(vals []float32) ([]byte, error) {
 		}
 		res := c.comp.Compress(&blk, compress.Float32)
 		if res.OK {
-			payload, err := block.Encode(&res)
-			if err != nil {
-				return nil, err
+			if res.SizeLines > compress.MaxCompressedLines {
+				return nil, errors.New("avr: compressed block exceeds 8 cachelines")
 			}
 			hdr := byte(0x80) | byte(res.Method)<<6 | byte(res.SizeLines)
 			out = append(out, hdr, byte(res.Bias))
+			payload := make([]byte, res.SizeLines*compress.LineBytes)
+			for i, v := range res.Summary {
+				binary.LittleEndian.PutUint32(payload[4*i:], uint32(v))
+			}
+			if len(res.Outliers) > 0 {
+				copy(payload[compress.LineBytes:], res.Bitmap[:])
+				p := compress.LineBytes + compress.BitmapBytes
+				for _, o := range res.Outliers {
+					binary.LittleEndian.PutUint32(payload[p:], o)
+					p += 4
+				}
+			}
 			out = append(out, payload...)
 		} else {
 			out = append(out, 0, 0)
 			var raw [compress.BlockBytes]byte
-			block.ValuesToBytes(&blk, raw[:])
+			for i, v := range blk {
+				binary.LittleEndian.PutUint32(raw[4*i:], v)
+			}
 			out = append(out, raw[:]...)
 		}
 	}
@@ -94,9 +107,31 @@ func (c *Codec) referenceDecode(data []byte) ([]float32, error) {
 			if len(data) < size*compress.LineBytes {
 				return nil, errTruncated
 			}
-			summary, bm, outliers, err := block.Decode(data[:size*compress.LineBytes])
-			if err != nil {
-				return nil, err
+			var summary [compress.SummaryValues]int32
+			for i := range summary {
+				summary[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+			}
+			var bm *[compress.BitmapBytes]byte
+			var outliers []uint32
+			if size > 1 {
+				var b [compress.BitmapBytes]byte
+				copy(b[:], data[compress.LineBytes:])
+				bm = &b
+				k := 0
+				for _, x := range b {
+					for ; x != 0; x &= x - 1 {
+						k++
+					}
+				}
+				if compress.CompressedLines(k) != size {
+					return nil, errBitmapSize
+				}
+				p := compress.LineBytes + compress.BitmapBytes
+				outliers = make([]uint32, k)
+				for i := range outliers {
+					outliers[i] = binary.LittleEndian.Uint32(data[p:])
+					p += 4
+				}
 			}
 			data = data[size*compress.LineBytes:]
 			method := compress.Method(hdr >> 6 & 1)
@@ -105,7 +140,9 @@ func (c *Codec) referenceDecode(data []byte) ([]float32, error) {
 			if len(data) < compress.BlockBytes {
 				return nil, errTruncated
 			}
-			block.BytesToValues(data[:compress.BlockBytes], &vals)
+			for i := range vals {
+				vals[i] = binary.LittleEndian.Uint32(data[4*i:])
+			}
 			data = data[compress.BlockBytes:]
 		}
 		for i := 0; i < compress.BlockValues && len(out) < count; i++ {

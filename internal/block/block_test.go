@@ -1,6 +1,8 @@
 package block
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,26 +27,61 @@ func compressSmooth(t *testing.T, spikes ...int) *compress.Result {
 	return &r
 }
 
+// appendResult writes r as one compressed fp32 record.
+func appendResult(dst []byte, r *compress.Result) ([]byte, error) {
+	return AppendCompressed32(dst, &compress.FastResult{
+		OK: r.OK, Method: r.Method, Bias: r.Bias, SizeLines: r.SizeLines,
+		Summary: &r.Summary, Bitmap: &r.Bitmap, Outliers: r.Outliers,
+	})
+}
+
+// parsed is a compressed record's payload as the compressor's types.
+type parsed struct {
+	summary  [compress.SummaryValues]int32
+	bitmap   *[compress.BitmapBytes]byte
+	outliers []uint32
+}
+
+// roundTrip writes r as a one-record stream and reads the record back
+// through the Cursor, the way every reader of the format does.
+func roundTrip(t *testing.T, r *compress.Result) (parsed, int) {
+	t.Helper()
+	stream, err := appendResult(Layout32.AppendHeader(nil, compress.BlockValues), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p parsed
+	var rec Record
+	c, err := Open(&Layout32, stream, compress.BlockValues)
+	if err == nil {
+		err = c.Next(&rec)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReadSummary32(&p.summary, rec.Summary)
+	if rec.Bitmap != nil {
+		p.bitmap = (*[compress.BitmapBytes]byte)(rec.Bitmap)
+	}
+	for o := rec.Outliers; len(o) > 0; o = o[4:] {
+		p.outliers = append(p.outliers, binary.LittleEndian.Uint32(o))
+	}
+	return p, len(stream) - streamHeaderBytes - headerBytes32
+}
+
 func TestEncodeDecodeNoOutliers(t *testing.T) {
 	r := compressSmooth(t)
 	if !r.OK || len(r.Outliers) != 0 {
 		t.Fatalf("setup: OK=%v outliers=%d", r.OK, len(r.Outliers))
 	}
-	buf, err := Encode(r)
-	if err != nil {
-		t.Fatal(err)
+	p, size := roundTrip(t, r)
+	if size != compress.LineBytes {
+		t.Fatalf("payload = %d bytes, want one line", size)
 	}
-	if len(buf) != compress.LineBytes {
-		t.Fatalf("buffer = %d bytes, want one line", len(buf))
-	}
-	sum, bm, outs, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != r.Summary {
+	if p.summary != r.Summary {
 		t.Error("summary mismatch")
 	}
-	if bm != nil || len(outs) != 0 {
+	if p.bitmap != nil || len(p.outliers) != 0 {
 		t.Error("unexpected outliers decoded")
 	}
 }
@@ -54,28 +91,21 @@ func TestEncodeDecodeWithOutliers(t *testing.T) {
 	if !r.OK || len(r.Outliers) == 0 {
 		t.Fatalf("setup: OK=%v outliers=%d", r.OK, len(r.Outliers))
 	}
-	buf, err := Encode(r)
-	if err != nil {
-		t.Fatal(err)
+	p, size := roundTrip(t, r)
+	if size != r.SizeLines*compress.LineBytes {
+		t.Fatalf("payload = %d bytes, want %d lines", size, r.SizeLines)
 	}
-	if len(buf) != r.SizeLines*compress.LineBytes {
-		t.Fatalf("buffer = %d bytes, want %d lines", len(buf), r.SizeLines)
-	}
-	sum, bm, outs, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != r.Summary {
+	if p.summary != r.Summary {
 		t.Error("summary mismatch")
 	}
-	if bm == nil || *bm != r.Bitmap {
+	if p.bitmap == nil || *p.bitmap != r.Bitmap {
 		t.Error("bitmap mismatch")
 	}
-	if len(outs) != len(r.Outliers) {
-		t.Fatalf("decoded %d outliers, want %d", len(outs), len(r.Outliers))
+	if len(p.outliers) != len(r.Outliers) {
+		t.Fatalf("decoded %d outliers, want %d", len(p.outliers), len(r.Outliers))
 	}
-	for i := range outs {
-		if outs[i] != r.Outliers[i] {
+	for i := range p.outliers {
+		if p.outliers[i] != r.Outliers[i] {
 			t.Fatalf("outlier %d mismatch", i)
 		}
 	}
@@ -84,28 +114,38 @@ func TestEncodeDecodeWithOutliers(t *testing.T) {
 func TestEncodeRejectsTooLarge(t *testing.T) {
 	r := compressSmooth(t)
 	r.SizeLines = compress.MaxCompressedLines + 1
-	if _, err := Encode(r); err != ErrTooLarge {
+	if _, err := appendResult(nil, r); err != ErrTooLarge {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
 
+// refused reports whether the Cursor rejects a one-record fp32 stream
+// whose record is flags, a zero bias and payload.
+func refused(flags byte, payload []byte) bool {
+	stream := append(Layout32.AppendHeader(nil, compress.BlockValues), flags, 0)
+	c, err := Open(&Layout32, append(stream, payload...), compress.BlockValues)
+	if err == nil {
+		err = c.Next(new(Record))
+	}
+	return errors.Is(err, ErrMalformed)
+}
+
 func TestDecodeRejectsBadLength(t *testing.T) {
-	if _, _, _, err := Decode(make([]byte, 63)); err == nil {
+	if !refused(flagCompressed|1, make([]byte, 63)) {
 		t.Error("expected error for partial line")
 	}
-	if _, _, _, err := Decode(nil); err == nil {
-		t.Error("expected error for empty buffer")
+	if !refused(flagCompressed, make([]byte, compress.LineBytes)) {
+		t.Error("expected error for empty record")
 	}
-	if _, _, _, err := Decode(make([]byte, 9*compress.LineBytes)); err == nil {
-		t.Error("expected error for oversized buffer")
+	if !refused(flagCompressed|9, make([]byte, 9*compress.LineBytes)) {
+		t.Error("expected error for oversized record")
 	}
 }
 
 func TestDecodeRejectsInconsistentBitmap(t *testing.T) {
 	// Two lines but an empty bitmap: CompressedLines(0)=1 != 2.
-	buf := make([]byte, 2*compress.LineBytes)
-	if _, _, _, err := Decode(buf); err != ErrBadSize {
-		t.Errorf("err = %v, want ErrBadSize", err)
+	if !refused(flagCompressed|2, make([]byte, 2*compress.LineBytes)) {
+		t.Error("expected error for a bitmap that disagrees with the size")
 	}
 }
 
@@ -125,15 +165,11 @@ func TestRoundTripProperty(t *testing.T) {
 		if !r.OK {
 			return true
 		}
-		buf, err := Encode(&r)
-		if err != nil {
+		p, _ := roundTrip(t, &r)
+		if p.summary != r.Summary {
 			return false
 		}
-		sum, bm, outs, err := Decode(buf)
-		if err != nil || sum != r.Summary {
-			return false
-		}
-		dec := compress.Decompress(&sum, bm, outs, r.Method, r.Bias, compress.Float32)
+		dec := compress.Decompress(&p.summary, p.bitmap, p.outliers, r.Method, r.Bias, compress.Float32)
 		return dec == r.Reconstructed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -142,14 +178,15 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestValuesBytesRoundTrip(t *testing.T) {
-	var vals, back [compress.BlockValues]uint32
+	var vals [compress.BlockValues]uint32
 	for i := range vals {
 		vals[i] = uint32(i * 0x01010101)
 	}
 	buf := make([]byte, compress.BlockBytes)
 	ValuesToBytes(&vals, buf)
-	BytesToValues(buf, &back)
-	if vals != back {
-		t.Error("values round trip failed")
+	for i, v := range vals {
+		if got := binary.LittleEndian.Uint32(buf[4*i:]); got != v {
+			t.Fatalf("value %d: %#x, want %#x", i, got, v)
+		}
 	}
 }

@@ -81,19 +81,11 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 	}
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.lineBytes }
-
-// LineAddr returns the line base address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ (uint64(c.lineBytes) - 1)
-}
 
 func (c *Cache) set(addr uint64) int {
 	return int((addr >> c.offsetBits) & c.indexMask)
@@ -110,19 +102,6 @@ func setsBits(sets int) int {
 		b++
 	}
 	return b
-}
-
-// Probe reports whether addr's line is present without updating LRU or
-// statistics.
-func (c *Cache) Probe(addr uint64) bool {
-	s, t := c.set(addr), c.tag(addr)
-	base := s * c.ways
-	for w := 0; w < c.ways; w++ {
-		if l := &c.lines[base+w]; l.valid && l.tag == t {
-			return true
-		}
-	}
-	return false
 }
 
 // Access performs a load (write=false) or store (write=true) lookup. It

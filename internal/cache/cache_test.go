@@ -282,3 +282,24 @@ func TestVictimAddrRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Sets returns the number of sets.
+func (c *Cache) Sets() int { return c.sets }
+
+// LineAddr returns the line base address containing addr.
+func (c *Cache) LineAddr(addr uint64) uint64 {
+	return addr &^ (uint64(c.lineBytes) - 1)
+}
+
+// Probe reports whether addr's line is present without updating LRU or
+// statistics.
+func (c *Cache) Probe(addr uint64) bool {
+	s, t := c.set(addr), c.tag(addr)
+	base := s * c.ways
+	for w := 0; w < c.ways; w++ {
+		if l := &c.lines[base+w]; l.valid && l.tag == t {
+			return true
+		}
+	}
+	return false
+}

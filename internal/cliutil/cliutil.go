@@ -1,8 +1,9 @@
 // Package cliutil holds the flag parsing and setup shared by the avr
 // commands: benchmark/design/scale selection and preset construction
-// (avrsim, avrtrace, avrtables), the opt-in debug server, and the flags
-// and serve-until-signal-then-drain loop of the two daemons (avrd,
-// avrrouter; daemon.go).
+// (avrsim's run, tables and trace), the opt-in debug server, the
+// workload vectors of the load and store tools (avrload, avrstore), and
+// the flags and serve-until-signal-then-drain loop of the two daemons
+// (avrd, avrrouter; daemon.go).
 package cliutil
 
 import (
@@ -12,6 +13,7 @@ import (
 
 	"avr/internal/obs"
 	"avr/internal/sim"
+	"avr/internal/vec"
 	"avr/internal/workloads"
 )
 
@@ -63,6 +65,18 @@ func ResolveScale(name string) (workloads.Scale, error) {
 		return workloads.ScaleSlice, nil
 	}
 	return 0, fmt.Errorf("unknown scale %q (want small or slice)", name)
+}
+
+// GenVec generates n values of a workload distribution at width 32 or
+// 64, deterministically in seed: what the load and store tools write and
+// then hold the answers to.
+func GenVec(dist string, n, width int, seed uint64) (vec.Vec, error) {
+	if width == 64 {
+		v, err := workloads.GenFloat64(dist, n, seed)
+		return vec.Of64(v), err
+	}
+	v, err := workloads.GenFloat32(dist, n, seed)
+	return vec.Of32(v), err
 }
 
 // Preset builds the design's preset configuration at a scale.

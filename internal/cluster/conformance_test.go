@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"avr"
+	"avr/internal/obs"
 	"avr/internal/server"
 	"avr/internal/store"
 	"avr/internal/workloads"
@@ -419,7 +420,8 @@ func TestFrameConformance(t *testing.T) {
 			}
 
 			// Monitoring sits outside admission: with every slot held and
-			// the queue full it still answers, its length declared.
+			// the queue full it still answers, its length declared, and
+			// the exposition passes the strict linter.
 			t.Run("monitoring_under_overload", func(t *testing.T) {
 				ft := tier.build(t, frameLimits{workers: 1, depth: 1, timeout: 5 * time.Second})
 				release := ft.holdSlots(t)
@@ -434,6 +436,8 @@ func TestFrameConformance(t *testing.T) {
 					}
 					if path != "/metrics" { // the exposition streams
 						checkLength(t, resp, body)
+					} else if err := obs.LintExposition(body); err != nil {
+						t.Errorf("/metrics exposition: %v", err)
 					}
 				}
 			})

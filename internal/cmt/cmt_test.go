@@ -278,3 +278,41 @@ func TestLookupStatsMatchMapReference(t *testing.T) {
 		t.Fatalf("traffic = %d, want %d", st.TrafficBytes, want*PageEntryBytes)
 	}
 }
+
+// Pack encodes the entry into its 23-bit hardware representation.
+func (e *Entry) Pack() uint32 {
+	var m uint32
+	if e.Compressed {
+		m = 1 + uint32(e.Method) // 0 = uncompressed
+	}
+	var size uint32
+	if e.Compressed {
+		size = uint32(e.SizeLines-1) & 7
+	}
+	return size |
+		m<<3 |
+		uint32(uint8(e.Bias))<<5 |
+		uint32(e.Lazy&0xF)<<13 |
+		uint32(e.Failed&0x3)<<17 |
+		uint32(e.Skip&0xF)<<19
+}
+
+// Unpack decodes a 23-bit representation into the entry.
+func Unpack(v uint32) Entry {
+	m := (v >> 3) & 3
+	e := Entry{
+		Bias:   int8(v >> 5),
+		Lazy:   uint8(v>>13) & 0xF,
+		Failed: uint8(v>>17) & 0x3,
+		Skip:   uint8(v>>19) & 0xF,
+	}
+	if m != 0 {
+		e.Compressed = true
+		e.Method = compress.Method(m - 1)
+		e.SizeLines = uint8(v&7) + 1
+	}
+	return e
+}
+
+// BlockNumber maps a physical address to its memory-block number.
+func (t *Table) BlockNumber(addr uint64) uint64 { return addr >> t.blockShift }

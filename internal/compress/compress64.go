@@ -40,7 +40,9 @@ func CompressedLines64(k int) int {
 }
 
 // Compress64 attempts to compress a 128-double block (1D downsampling;
-// the 2D variant does not apply to the non-square 64-bit geometry).
+// the 2D variant does not apply to the non-square 64-bit geometry). Only
+// tests call it, the codec's reference oracle in package avr among them,
+// which a test file here could not reach.
 func (c *Compressor) Compress64(vals *[BlockValues64]uint64) Result64 {
 	return c.Compress64With(vals, c.thresholds)
 }

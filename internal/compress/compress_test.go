@@ -523,3 +523,13 @@ func TestLatencyConstants(t *testing.T) {
 		t.Errorf("latencies = %d/%d, want 49/12", CompressLatency, DecompressLatency)
 	}
 }
+
+// MaxOutliers is the largest outlier count that still fits in
+// MaxCompressedLines.
+func MaxOutliers() int {
+	k := 0
+	for CompressedLines(k+1) <= MaxCompressedLines {
+		k++
+	}
+	return k
+}

@@ -64,12 +64,8 @@ func (c *Core) Now() uint64 { return c.now }
 // Instructions returns retired instructions.
 func (c *Core) Instructions() uint64 { return c.instsDone }
 
-// MemReads and MemWrites return the demand access counts.
-func (c *Core) MemReads() uint64  { return c.memReads }
-func (c *Core) MemWrites() uint64 { return c.memWrites }
-
-// StallCycles returns cycles spent stalled on memory.
-func (c *Core) StallCycles() uint64 { return c.stallCycle }
+// MemReads returns the demand load count.
+func (c *Core) MemReads() uint64 { return c.memReads }
 
 // LoadLatencySum returns the accumulated demand-load latency (for AMAT).
 func (c *Core) LoadLatencySum() uint64 { return c.latSum }

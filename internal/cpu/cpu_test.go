@@ -182,3 +182,9 @@ func TestAdvanceTo(t *testing.T) {
 		t.Errorf("AdvanceTo went backwards: %d", c.Now())
 	}
 }
+
+// MemWrites returns the demand store count.
+func (c *Core) MemWrites() uint64 { return c.memWrites }
+
+// StallCycles returns cycles spent stalled on memory.
+func (c *Core) StallCycles() uint64 { return c.stallCycle }

@@ -125,6 +125,3 @@ func (l *LLC) Flush(now uint64) {
 
 // Stats returns design counters.
 func (l *LLC) Stats() Stats { return l.stats }
-
-// CacheStats exposes the embedded cache's counters.
-func (l *LLC) CacheStats() cache.Stats { return l.c.Stats() }

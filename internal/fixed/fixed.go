@@ -227,17 +227,3 @@ func Average16(vals []int32) int32 {
 	}
 	return int32(sum >> 4)
 }
-
-// AverageN averages an arbitrary number of fixed-point values. The
-// hardware only ever averages 16 (Average16); this generalisation is used
-// by ablation variants with different sub-block sizes.
-func AverageN(vals []int32) int32 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, v := range vals {
-		sum += int64(v)
-	}
-	return int32(sum / int64(len(vals)))
-}

@@ -252,24 +252,14 @@ func TestAverage16NoOverflow(t *testing.T) {
 	}
 }
 
-func TestAverageN(t *testing.T) {
-	if got := AverageN([]int32{3, 5}); got != 4 {
-		t.Errorf("AverageN = %d, want 4", got)
-	}
-	if got := AverageN(nil); got != 0 {
-		t.Errorf("AverageN(nil) = %d, want 0", got)
-	}
-}
-
 func TestAverageConstantProperty(t *testing.T) {
-	// Property: the average of a constant block is the constant.
-	f := func(v int32, n uint8) bool {
-		k := int(n%31) + 1
-		vals := make([]int32, k)
+	// Property: the average of a constant sub-block is the constant.
+	f := func(v int32) bool {
+		vals := make([]int32, 16)
 		for i := range vals {
 			vals[i] = v
 		}
-		return AverageN(vals) == v
+		return Average16(vals) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

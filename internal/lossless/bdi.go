@@ -9,8 +9,9 @@
 // BDI encodes a 64 B line as a base value plus small deltas when all
 // values cluster near the base (or near zero, the "immediate" part).
 // Compression and decompression are single-cycle-class hardware
-// operations; only the compressed size matters to the simulator, but
-// Encode/Decode are implemented in full and round-trip bit-exactly.
+// operations; only the compressed size matters to the simulator, while
+// the store's lossless fallback encodes with AppendEncode and
+// DecodeInto, which round-trip bit-exactly.
 package lossless
 
 import "encoding/binary"
@@ -120,12 +121,6 @@ func fits(line []byte, f form) bool {
 	return true
 }
 
-// Encode compresses the line: a 1-byte form tag followed by the payload.
-// Incompressible lines are stored raw (65 bytes total).
-func Encode(line []byte) []byte {
-	return AppendEncode(make([]byte, 0, 1+LineBytes), line)
-}
-
 // AppendEncode appends Encode's exact bytes for line to dst and returns
 // the extended slice, allocating only for dst's growth. It is the
 // building block of the store's zero-allocation lossless-fallback path.
@@ -151,11 +146,6 @@ func AppendEncode(dst []byte, line []byte) []byte {
 		}
 	}
 	return out
-}
-
-// Decode reconstructs the 64-byte line from an Encode stream.
-func Decode(data []byte) []byte {
-	return DecodeInto(make([]byte, LineBytes), data)
 }
 
 // DecodeInto reconstructs an Encode stream into line (which must hold at

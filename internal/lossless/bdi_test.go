@@ -150,3 +150,14 @@ func TestSizeNeverExceedsLine(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Encode compresses the line: a 1-byte form tag followed by the payload.
+// Incompressible lines are stored raw (65 bytes total).
+func Encode(line []byte) []byte {
+	return AppendEncode(make([]byte, 0, 1+LineBytes), line)
+}
+
+// Decode reconstructs the 64-byte line from an Encode stream.
+func Decode(data []byte) []byte {
+	return DecodeInto(make([]byte, LineBytes), data)
+}

@@ -59,9 +59,6 @@ func NewSpace(capacity int) *Space {
 	}
 }
 
-// Capacity returns the space's size in bytes.
-func (s *Space) Capacity() uint64 { return uint64(len(s.data)) }
-
 // Footprint returns the bytes allocated so far (excluding the reserved
 // first page).
 func (s *Space) Footprint() uint64 { return s.brk - PageBytes }
@@ -183,6 +180,3 @@ func (s *Space) WriteBlock(addr uint64, vals *[compress.BlockValues]uint32) {
 
 // BlockAddr returns the base address of the memory block containing addr.
 func BlockAddr(addr uint64) uint64 { return addr &^ (compress.BlockBytes - 1) }
-
-// LineAddr returns the base address of the cacheline containing addr.
-func LineAddr(addr uint64) uint64 { return addr &^ 63 }

@@ -120,9 +120,6 @@ func TestAddrHelpers(t *testing.T) {
 		// 0x12345 & ^0x3FF == 0x12000
 		t.Errorf("BlockAddr = %#x", BlockAddr(0x12345))
 	}
-	if LineAddr(0x12345) != 0x12340 {
-		t.Errorf("LineAddr = %#x", LineAddr(0x12345))
-	}
 }
 
 func TestFootprint(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 )
 
 // EpochWriter renders epochs to an output stream. Implementations are
-// meant for export paths (cmd/avrtrace), not the simulation hot path,
+// meant for export paths (avrsim trace), not the simulation hot path,
 // and may allocate.
 type EpochWriter interface {
 	WriteEpoch(Epoch) error

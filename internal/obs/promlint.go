@@ -12,8 +12,9 @@ import (
 // and TYPE preceding their family's samples, cumulative bucket
 // monotonicity, and `_bucket`/`_sum`/`_count` consistency (the +Inf
 // bucket must equal `_count`). It returns the first violation found.
-// The exposition tests and the serve smoke's /metrics scrape both gate
-// on it.
+// Only tests call it: the exposition tests here and both serving tiers'
+// /metrics tests (TestMetricsEndpoint, TestFrameConformance), which a
+// test file here could not reach.
 func LintExposition(data []byte) error {
 	var (
 		nameRe   = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)

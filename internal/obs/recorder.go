@@ -51,7 +51,7 @@ func (r *Recorder) Every() uint64 {
 }
 
 // SetSink attaches a function invoked with every recorded epoch, in
-// order, as it completes — the streaming hook behind cmd/avrtrace.
+// order, as it completes — the streaming hook behind avrsim trace.
 func (r *Recorder) SetSink(fn func(Epoch)) {
 	if r == nil {
 		return
@@ -94,7 +94,9 @@ func (r *Recorder) Count() uint64 {
 	return r.count
 }
 
-// Dropped returns how many epochs were overwritten in the ring.
+// Dropped returns how many epochs were overwritten in the ring. Dropped
+// and Epochs have only test callers, the simulator's epoch tests (package
+// sim) among them, so they cannot move into a test file here.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil || r.count <= uint64(len(r.ring)) {
 		return 0

@@ -91,7 +91,7 @@ func TestEpochDeltasSumToRunTotals(t *testing.T) {
 	}
 }
 
-// TestEpochJSONLStream checks the avrtrace JSONL pipeline end to end:
+// TestEpochJSONLStream checks the avrsim trace JSONL pipeline end to end:
 // every epoch (including the final partial one) streams through the
 // sink into valid JSON lines.
 func TestEpochJSONLStream(t *testing.T) {

@@ -57,7 +57,7 @@ func fullResult(avrStats bool) Result {
 }
 
 // TestResultJSONRoundTrip checks every Result field survives
-// marshal/unmarshal — the contract behind avrsim -json and the
+// marshal/unmarshal — the contract behind avrsim run -json and the
 // persistent disk cache.
 func TestResultJSONRoundTrip(t *testing.T) {
 	for _, avrStats := range []bool{true, false} {

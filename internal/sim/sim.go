@@ -174,7 +174,7 @@ type System struct {
 
 	// Epoch recorder (SetRecorder): when attached, the hierarchy captures
 	// a counter snapshot into it every rec.Every() demand accesses — the
-	// hook behind cmd/avrtrace's time series. rec == nil (the default)
+	// hook behind avrsim trace's time series. rec == nil (the default)
 	// costs one predicted branch per access.
 	rec         *obs.Recorder
 	recEvery    uint64
@@ -294,9 +294,6 @@ func (s *System) Counters() obs.Counters {
 	}
 	return c
 }
-
-// AVRLLC returns the AVR LLC when the design has one (AVR/ZeroAVR).
-func (s *System) AVRLLC() *core.LLC { return s.avr }
 
 // Compute accounts n non-memory instructions.
 func (s *System) Compute(n uint64) { s.Core.Compute(n) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"avr/internal/compress"
+	"avr/internal/core"
 	"avr/internal/obs"
 )
 
@@ -327,3 +328,6 @@ func TestDgangerDedupCounted(t *testing.T) {
 		t.Error("identical lines produced no dedups")
 	}
 }
+
+// AVRLLC returns the AVR LLC when the design has one (AVR/ZeroAVR).
+func (s *System) AVRLLC() *core.LLC { return s.avr }

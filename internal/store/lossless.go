@@ -19,7 +19,7 @@ import (
 // self-delimiting — its first byte is the BDI form tag, which fixes the
 // payload length — so no per-line length prefix is needed. Decoding
 // validates the tag and the remaining length before touching
-// lossless.Decode, which assumes well-formed input.
+// lossless.DecodeInto, which assumes well-formed input.
 
 // bdiLineLen returns the full encoded length (tag byte included) for a
 // BDI form tag, or 0 for an invalid tag.

@@ -9,6 +9,7 @@ import (
 	"avr/internal/block"
 	"avr/internal/compress"
 	"avr/internal/fixed"
+	"avr/internal/vec"
 )
 
 // The differential harness: the fixed-domain walk of query.go against
@@ -263,17 +264,17 @@ func TestQueryMatchesOracleCrafted(t *testing.T) {
 				seen.outlierLast += sh.outlierLast
 				seen.outlierPadding += sh.outlierPadding
 				seen.fullGroup += sh.fullGroup
-				gt := groundTruth(vals)
+				gt := NewTruth(vec.Of64(vals))
 				bands := queryBands(gt)
 				diffAll(t, s, key, bands)
 				agg, _ := s.QueryAggregate(key)
-				checkAggregate(t, key, agg, gt)
+				holds(t, key, gt.Aggregate(agg))
 				for _, band := range bands {
 					fr, _ := s.QueryFilter(key, band[0], band[1])
-					checkFilter(t, key, fr, exactMatches(vals, band[0], band[1]))
+					holds(t, key, gt.Filter(fr))
 				}
 				ds, _ := s.QueryDownsample(key)
-				checkDownsample(t, key, ds, gt)
+				holds(t, key, gt.Downsample(ds))
 			}
 		}
 	}
@@ -282,16 +283,10 @@ func TestQueryMatchesOracleCrafted(t *testing.T) {
 	}
 }
 
-// queryBands are the filter ranges the property tests run: everything,
-// a mid band, a narrow band and one that matches nothing.
-func queryBands(gt queryGroundTruth) [][2]float64 {
-	span := gt.max - gt.min
-	return [][2]float64{
-		{gt.min, gt.max},
-		{gt.min + span/4, gt.max - span/4},
-		{gt.min + span/2.1, gt.min + span/1.9},
-		{gt.max + 1 + math.Abs(gt.max), gt.max + 2 + 2*math.Abs(gt.max)},
-	}
+// queryBands are the filter ranges the property tests run: the
+// checkers' bands and one that matches nothing.
+func queryBands(gt *Truth) [][2]float64 {
+	return append(gt.Bands(), [2]float64{gt.Max + 1 + math.Abs(gt.Max), gt.Max + 2 + 2*math.Abs(gt.Max)})
 }
 
 // TestThresholdSearch pins firstTrue on the edges a full-domain search

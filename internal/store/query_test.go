@@ -8,131 +8,15 @@ import (
 	"sort"
 	"testing"
 
+	"avr/internal/vec"
 	"avr/internal/workloads"
 )
 
-// queryGroundTruth is the exact answer set a query approximates,
-// computed from the original values exactly the way the executor
-// accumulates (float64, index order), so the reported bounds are the
-// only slack between them.
-type queryGroundTruth struct {
-	count    int64
-	sum      float64
-	min, max float64
-	points   []float64 // padded 16→1 group means
-}
-
-func groundTruth(vals []float64) queryGroundTruth {
-	gt := queryGroundTruth{
-		count: int64(len(vals)),
-		min:   math.Inf(1),
-		max:   math.Inf(-1),
-	}
-	for _, v := range vals {
-		gt.sum += v
-		if v < gt.min {
-			gt.min = v
-		}
-		if v > gt.max {
-			gt.max = v
-		}
-	}
-	n := len(vals)
-	for g := 0; g*16 < n; g++ {
-		var s float64
-		for j := g * 16; j < g*16+16; j++ {
-			if j < n {
-				s += vals[j]
-			} else {
-				s += vals[n-1] // codec padding convention
-			}
-		}
-		gt.points = append(gt.points, s/16)
-	}
-	return gt
-}
-
-func exactMatches(vals []float64, lo, hi float64) int64 {
-	var n int64
-	for _, v := range vals {
-		if lo <= v && v <= hi {
-			n++
-		}
-	}
-	return n
-}
-
-// checkAggregate asserts every aggregate lands within its reported
-// bound of the exact answer.
-func checkAggregate(t *testing.T, key string, res AggregateResult, gt queryGroundTruth) {
+// holds fails the test with a checker's verdict on one of key's answers.
+func holds(t *testing.T, key string, err error) {
 	t.Helper()
-	tol := func(b float64) float64 { return b*(1+1e-9) + 1e-300 }
-	if res.Count != gt.count {
-		t.Fatalf("%s: count %d, want %d", key, res.Count, gt.count)
-	}
-	if d := math.Abs(res.Sum - gt.sum); d > tol(res.ErrorBound) {
-		t.Fatalf("%s: |sum %g - exact %g| = %g beyond bound %g",
-			key, res.Sum, gt.sum, d, res.ErrorBound)
-	}
-	mean := gt.sum / float64(gt.count)
-	if d := math.Abs(res.Mean - mean); d > tol(res.MeanErrorBound) {
-		t.Fatalf("%s: |mean %g - exact %g| = %g beyond bound %g",
-			key, res.Mean, mean, d, res.MeanErrorBound)
-	}
-	slack := 1e-9*math.Abs(gt.min) + 1e-300
-	if res.Min > gt.min+slack || gt.min > res.Min+res.MinErrorBound+slack {
-		t.Fatalf("%s: exact min %g outside [%g, %g+%g]",
-			key, gt.min, res.Min, res.Min, res.MinErrorBound)
-	}
-	slack = 1e-9*math.Abs(gt.max) + 1e-300
-	if res.Max < gt.max-slack || gt.max < res.Max-res.MaxErrorBound-slack {
-		t.Fatalf("%s: exact max %g outside [%g-%g, %g]",
-			key, gt.max, res.Max, res.MaxErrorBound, res.Max)
-	}
-	if res.BytesTotal != gt.count*int64(res.Width/8) {
-		t.Fatalf("%s: bytes_total %d, want %d", key, res.BytesTotal, gt.count*int64(res.Width/8))
-	}
-	if res.BytesTouched <= 0 {
-		t.Fatalf("%s: bytes_touched %d", key, res.BytesTouched)
-	}
-	if !res.Complete {
-		t.Fatalf("%s: aggregate reported incomplete", key)
-	}
-}
-
-// checkFilter asserts the guaranteed bracket holds (superset on the
-// high side, never over-claims on the low side) and the point estimate
-// is within its reported bound.
-func checkFilter(t *testing.T, key string, res FilterResult, exact int64) {
-	t.Helper()
-	if res.MatchesMin > exact {
-		t.Fatalf("%s [%g,%g]: matches_min %d over-claims exact %d",
-			key, res.Lo, res.Hi, res.MatchesMin, exact)
-	}
-	if res.MatchesMax < exact {
-		t.Fatalf("%s [%g,%g]: matches_max %d misses exact %d",
-			key, res.Lo, res.Hi, res.MatchesMax, exact)
-	}
-	if d := res.Matches - exact; d > res.ErrorBound || d < -res.ErrorBound {
-		t.Fatalf("%s [%g,%g]: estimate %d vs exact %d beyond error bound %d",
-			key, res.Lo, res.Hi, res.Matches, exact, res.ErrorBound)
-	}
-}
-
-func checkDownsample(t *testing.T, key string, res DownsampleResult, gt queryGroundTruth) {
-	t.Helper()
-	if res.Factor != 16 {
-		t.Fatalf("%s: factor %d", key, res.Factor)
-	}
-	if len(res.Points) != len(gt.points) || len(res.Bounds) != len(res.Points) {
-		t.Fatalf("%s: %d points / %d bounds, want %d",
-			key, len(res.Points), len(res.Bounds), len(gt.points))
-	}
-	for g := range res.Points {
-		if d := math.Abs(res.Points[g] - gt.points[g]); d > res.Bounds[g]*(1+1e-9)+1e-300 {
-			t.Fatalf("%s: point %d: |%g - exact %g| = %g beyond bound %g",
-				key, g, res.Points[g], gt.points[g], d, res.Bounds[g])
-		}
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
 	}
 }
 
@@ -192,7 +76,7 @@ func propertyQuery(t *testing.T, s *Store, dist string, width, n int, seed uint6
 		}
 		copy(vals, w64)
 	}
-	gt := groundTruth(vals)
+	gt := NewTruth(vec.Of64(vals))
 
 	// Every query reads the key's frames whole, whatever the op.
 	infos, err := s.BlockInfos(key)
@@ -214,26 +98,23 @@ func propertyQuery(t *testing.T, s *Store, dist string, width, n int, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAggregate(t, key, agg, gt)
+	holds(t, key, gt.Aggregate(agg))
 	checkTouched("aggregate", agg.QueryStats)
 	if agg.BlocksAVR == 0 && agg.BlocksRaw == 0 {
 		// Pure lossless vector: the answer must be exact up
 		// to accumulation slack.
-		if d := math.Abs(agg.Sum - gt.sum); d > 1e-9*math.Abs(gt.sum)+1e-300 {
-			t.Fatalf("%s: lossless sum %g vs exact %g", key, agg.Sum, gt.sum)
+		if d := math.Abs(agg.Sum - gt.Sum); d > 1e-9*math.Abs(gt.Sum)+1e-300 {
+			t.Fatalf("%s: lossless sum %g vs exact %g", key, agg.Sum, gt.Sum)
 		}
 	}
 
 	bands := queryBands(gt)
 	for _, band := range bands {
-		if !(band[0] <= band[1]) {
-			continue
-		}
 		fr, err := s.QueryFilter(key, band[0], band[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFilter(t, key, fr, exactMatches(vals, band[0], band[1]))
+		holds(t, key, gt.Filter(fr))
 		checkTouched("filter", fr.QueryStats)
 	}
 
@@ -241,7 +122,7 @@ func propertyQuery(t *testing.T, s *Store, dist string, width, n int, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDownsample(t, key, ds, gt)
+	holds(t, key, gt.Downsample(ds))
 	checkTouched("downsample", ds.QueryStats)
 
 	diffAll(t, s, key, bands)
@@ -342,7 +223,8 @@ func TestTornTailHole(t *testing.T) {
 	fs := newMemFS(1)
 	s := openTest(t, Config{Dir: "d", fs: fs})
 	fs.hook = cutWrite(tearInFrame(1))
-	if _, err := s.Put32("torn", genF32(t, "heat", 3*BlockValues, 9)); !errors.Is(err, errCut) {
+	vals := genF32(t, "heat", 3*BlockValues, 9)
+	if _, err := s.Put32("torn", vals); !errors.Is(err, errCut) {
 		t.Fatalf("put on a dying disk: %v", err)
 	}
 
@@ -373,18 +255,9 @@ func TestTornTailHole(t *testing.T) {
 	if agg.Complete {
 		t.Fatal("query over torn vector claims completeness")
 	}
-	if agg.Count != BlockValues {
-		t.Fatalf("query count %d over torn vector, want %d", agg.Count, BlockValues)
-	}
-	vals64 := make([]float64, BlockValues)
-	for i, v := range got {
-		vals64[i] = float64(v)
-	}
-	checkFilterIncomplete := groundTruth(vals64)
-	tol := agg.ErrorBound*(1+1e-9) + 1e-300
-	if d := math.Abs(agg.Sum - checkFilterIncomplete.sum); d > tol {
-		t.Fatalf("torn prefix sum %g vs exact %g beyond bound", agg.Sum, checkFilterIncomplete.sum)
-	}
+	// Apart from the flag, the answer is the recovered prefix's own.
+	agg.Complete = true
+	holds(t, "torn", NewTruth(vec.Of32(vals[:BlockValues])).Aggregate(agg))
 }
 
 // TestOpenRejectsSegmentZero pins the seg-0 reservation: segment ID 0

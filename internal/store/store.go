@@ -786,7 +786,8 @@ func (s *Store) GetCachedTraced(key string, sp *trace.Span) (vals32 []float32, v
 }
 
 // Get32 returns the fp32 vector stored under key (ErrWidth if it holds
-// fp64).
+// fp64). Get32 and Get64 have only test callers; Get32's include the
+// cluster's tests, which a test file here could not reach.
 func (s *Store) Get32(key string) ([]float32, error) {
 	v, _, err := s.GetVec(vec.Of32(nil), key, false, nil)
 	return v.F32, err

@@ -191,7 +191,8 @@ func (sp *Span) Add(st Stage, d time.Duration) {
 	sp.stages[st] += d
 }
 
-// StageDur returns the accumulated duration of one stage.
+// StageDur returns the accumulated duration of one stage. Only tests
+// call it, the store's traced-path tests among them.
 func (sp *Span) StageDur(st Stage) time.Duration {
 	if sp == nil {
 		return 0

@@ -130,9 +130,6 @@ func (m *KMeans) Run(sys *sim.System) {
 	}
 }
 
-// Iterations returns how many Lloyd iterations the last Run took.
-func (m *KMeans) Iterations() int { return m.iter }
-
 // Output implements Workload: the final centroids in metres.
 func (m *KMeans) Output(sys *sim.System) []float64 {
 	out := make([]float64, m.k)

@@ -290,3 +290,6 @@ func TestAVRErrorBounds(t *testing.T) {
 		}
 	}
 }
+
+// Iterations returns how many Lloyd iterations the last Run took.
+func (m *KMeans) Iterations() int { return m.iter }

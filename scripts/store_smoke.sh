@@ -4,11 +4,14 @@
 #
 #   1. offline: avrstore pack → verify → query -check. Kept: it is the
 #      only run of the avrstore binary against regenerated ground truth
-#      (flag parsing, manifest, exit codes), on a real file system.
+#      (flag parsing, manifest, exit codes), on a real file system. The
+#      checks themselves are store.WithinT1 and store.Truth, whose every
+#      clause TestTruthRejectsEachClause refuses doctored.
 #   2. serving: avrd -store-dir under avrload -mode store and -mode query,
 #      then /v1/store/stats. Kept: it is the only run of the real daemon
 #      with the store behind it, the background compactor and rolls on,
-#      every response bound-checked by a separate process.
+#      every response bound-checked by a separate process, and the only
+#      check of the served stats document's key names.
 #
 # What a crash leaves — a torn tail, a kill -9, a power cut — is not
 # drilled from here any more: TestPowerCutAnywhere (internal/store) cuts
