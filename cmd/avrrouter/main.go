@@ -15,7 +15,7 @@
 //
 // topology.json:
 //
-//	{"vnodes": 128, "replication": 2, "nodes": [
+//	{"vnodes": 128, "nodes": [
 //	  {"name": "node-a", "addr": "127.0.0.1:8081"},
 //	  {"name": "node-b", "addr": "127.0.0.1:8082"},
 //	  {"name": "node-c", "addr": "127.0.0.1:8083"}]}
@@ -42,13 +42,12 @@ func main() {
 	d := cliutil.RegisterDaemon(flag.CommandLine, "localhost:9090")
 	topoPath := flag.String("topology", "", "cluster topology JSON file (required)")
 	legTimeout := flag.Duration("leg-timeout", 5*time.Second, "max time for one downstream request")
-	retries := flag.Int("retries", 2, "extra attempts for the replica leg after its first failure")
-	retryBackoff := flag.Duration("retry-backoff", 25*time.Millisecond, "initial replica-leg backoff (doubles per retry)")
+	retries := flag.Int("retries", 2, "extra attempts a leg gets after a transport error or 5xx (a read's first leg fails over instead)")
+	retryBackoff := flag.Duration("retry-backoff", 25*time.Millisecond, "initial backoff between a leg's attempts (doubles per retry)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "node /readyz polling cadence")
 	ejectAfter := flag.Int("eject-after", 2, "consecutive probe failures before a node leaves rotation")
 	readmitAfter := flag.Int("readmit-after", 2, "consecutive probe successes before an ejected node returns")
 	cacheBytes := flag.Int64("cache-bytes", 0, "router-side response cache budget in bytes; 0 disables (nodes cache independently)")
-	prefetch := flag.Bool("prefetch", true, "enable stride prefetch in the router response cache (needs -cache-bytes)")
 	flag.Parse()
 
 	cliutil.StartDebug(d.DebugAddr)
@@ -76,11 +75,9 @@ func main() {
 		TraceSampleEvery: d.TraceSample,
 		TraceSink:        d.TraceSink(),
 		CacheBytes:       *cacheBytes,
-		Prefetch:         *prefetch,
 	})
 	if err != nil {
 		cliutil.Fatal(err)
 	}
-	d.Run("avrrouter", ro, "nodes", len(topo.Nodes), "vnodes", topo.VNodes,
-		"replication", topo.Replication)
+	d.Run("avrrouter", ro, "nodes", len(topo.Nodes), "vnodes", topo.VNodes)
 }

@@ -2,29 +2,29 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"net/http"
 	"sync/atomic"
 
 	"avr/internal/obs"
-	"avr/internal/readcache"
 )
 
 // Router-side read cache: the router mount of internal/readcache. The
 // resident unit is a complete /v1/store/get response body — the router
 // never decodes values, so the cacheable artifact is the wire form —
 // keyed by store key and invalidated on every write the router itself
-// proxies (put, mput, delete). Only 200 responses marked complete are
-// admitted: a 206 torn-tail prefix must keep hitting the nodes, which
-// know when the tail reappears.
+// proxies (put, mput, delete). A miss fills it from the reply it has just
+// proxied, as the store's miss fills from the frames it has just read
+// (DESIGN.md §5.11): one shard GET a miss. Only 200 responses marked
+// complete are kept: a 206 torn-tail prefix must keep hitting the nodes,
+// which know when the tail reappears.
 //
 // Consistency: the router has no store lock to order fills against
 // writes, so inserts are guarded by per-key write generations (a fixed
-// table of 256 hashed counters). A fill snapshots the key's generation
-// before fetching and skips the insert if any write bumped it
-// meanwhile; write handlers bump before invalidating. A fill racing a
-// write therefore either sees the new bytes or inserts nothing —
-// hash collisions only ever cause extra skipped fills, never staleness.
+// table of 256 hashed counters). A miss snapshots the key's generation
+// before its read and skips the insert if any write bumped it meanwhile;
+// write handlers bump before invalidating. A fill racing a write
+// therefore either sees the new bytes or inserts nothing — hash
+// collisions only ever cause extra skipped fills, never staleness.
 
 // genTable is the per-key write-generation guard.
 type genTable [256]atomic.Uint64
@@ -48,46 +48,24 @@ func (g *genTable) slot(key string) *atomic.Uint64 {
 func (g *genTable) bump(key string)        { g.slot(key).Add(1) }
 func (g *genTable) load(key string) uint64 { return g.slot(key).Load() }
 
-// initCache builds the router's response cache when cfg.CacheBytes is
-// set. Fills fetch from the key's read-any legs in the background with
-// the same timeout budget as a foreground leg.
-func (ro *Router) initCache() {
-	if ro.cfg.CacheBytes <= 0 {
+// fill keeps the reply a miss of key proxied — a 2xx lr read while the
+// key's generation was gen — when it is a complete 200, no write has been
+// proxied since, and the cache admits it (readcache.Cache.Admit, the rule
+// the store's misses follow too).
+func (ro *Router) fill(key string, gen uint64, lr legResult) {
+	if lr.status != http.StatusOK || lr.header.Get("X-AVR-Complete") != "true" ||
+		ro.writeGen.load(key) != gen {
 		return
 	}
-	ro.cache = readcache.New(readcache.Config{
-		MaxBytes: ro.cfg.CacheBytes,
-		Load:     ro.loadCachedGet,
-		Prefetch: ro.cfg.Prefetch,
-	})
-}
-
-// loadCachedGet is the readcache fill callback: fetch key from its
-// owners and admit the response if it is complete.
-func (ro *Router) loadCachedGet(key string, prefetch bool) {
-	if !ro.Ready() {
+	size := int64(len(key)) + int64(len(lr.body)) + 128
+	if !ro.cache.Admit(key, size) {
 		return
 	}
-	gen := ro.writeGen.load(key)
-	ctx, cancel := context.WithTimeout(context.Background(), ro.cfg.LegTimeout)
-	defer cancel()
-	tried, n := ro.readAny(ctx, nil, key, "/v1/store/get?key="+urlEscape(key), "")
-	lr := tried[n-1]
-	defer lr.release()
-	if lr.err != nil || lr.status != http.StatusOK ||
-		lr.header.Get("X-AVR-Complete") != "true" {
-		return
-	}
-	if ro.writeGen.load(key) != gen {
-		return // a write landed while we fetched: the bytes may be stale
-	}
-	resp := &cachedResp{
+	ro.cache.Put(key, size, &cachedResp{
 		body:   bytes.Clone(lr.body), // the reply's buffer goes back to the pool
 		width:  lr.header.Get("X-AVR-Width"),
 		values: lr.header.Get("X-AVR-Values"),
-	}
-	size := int64(len(key)) + int64(len(resp.body)) + 128
-	ro.cache.Put(key, size, resp, prefetch)
+	}, false)
 	// Re-check after the insert: a write that bumped between the first
 	// check and the Put has already run its Invalidate (bump precedes
 	// Invalidate), so our insert could have slipped in behind it. Either
@@ -99,26 +77,19 @@ func (ro *Router) loadCachedGet(key string, prefetch bool) {
 	}
 }
 
-// cachedGet returns key's resident response and how it got there ("hit",
-// or "prefetch" the first time a prefetched line is used); nil on a miss,
-// after queueing an async fill, and when there is no cache.
-func (ro *Router) cachedGet(key string) (*cachedResp, string) {
+// cachedGet returns key's resident response; nil on a miss and when
+// there is no cache.
+func (ro *Router) cachedGet(key string) *cachedResp {
 	if ro.cache == nil {
-		return nil, ""
+		return nil
 	}
-	ro.cache.Observe(key)
 	ent, ok := ro.cache.Get(key)
 	if !ok {
 		obs.CacheMisses.Add(1)
-		ro.cache.RequestFill(key)
-		return nil, ""
+		return nil
 	}
 	obs.CacheHits.Add(1)
-	if ent.ConsumePrefetched() {
-		obs.PrefetchUseful.Add(1)
-		return ent.Meta.(*cachedResp), "prefetch"
-	}
-	return ent.Meta.(*cachedResp), "hit"
+	return ent.Meta.(*cachedResp)
 }
 
 // invalidateKey drops key's resident response after a proxied write.

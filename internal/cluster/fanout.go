@@ -24,7 +24,7 @@ type batchPlan struct {
 	// perNode[n] lists the request item indexes routed to node n.
 	perNode [][]int32
 	// touched lists the nodes with at least one item, in first-use order.
-	touched []int32
+	touched []int
 }
 
 var planPool = sync.Pool{New: func() any { return new(batchPlan) }}
@@ -50,7 +50,7 @@ func putPlan(pl *batchPlan) { planPool.Put(pl) }
 // add routes item i to node n.
 func (pl *batchPlan) add(n, i int) {
 	if len(pl.perNode[n]) == 0 {
-		pl.touched = append(pl.touched, int32(n))
+		pl.touched = append(pl.touched, n)
 	}
 	pl.perNode[n] = append(pl.perNode[n], int32(i))
 }
@@ -81,41 +81,35 @@ func (ro *Router) planWrite(pl *batchPlan, n int, key func(int) (string, bool)) 
 	}
 }
 
-// batchLeg is one node's share of a fanned-out batch: the plan indexes
-// it covers and its outcome.
-type batchLeg struct {
-	node  int
-	items []int32
-	lr    legResult
-}
-
-// runLegs issues one downstream batch request per touched node
-// concurrently and waits for all of them. body builds a leg's request
-// in a pooled buffer, which runLegs releases once the leg is over; the
-// caller releases each leg's reply.
-func (ro *Router) runLegs(ctx context.Context, pl *batchPlan, path, traceID string,
-	body func(items []int32) *server.Buf) []batchLeg {
-	legs := make([]batchLeg, len(pl.touched))
+// fanOut sends one leg to each of nodes concurrently, each under
+// doLegRetry's policy, and returns their results in nodes' order. It is
+// where every set of legs the router issues at once leaves it; readAny's
+// failover is the one sequential path. body, when not nil, gives leg i's
+// request body, which fanOut releases once that leg is over; the caller
+// releases each result's reply.
+func (ro *Router) fanOut(ctx context.Context, method, path, traceID string, nodes []int, body func(i int) *server.Buf) []legResult {
+	results := make([]legResult, len(nodes))
+	leg := func(i int) {
+		var b *server.Buf
+		if body != nil {
+			b = body(i)
+		}
+		results[i] = ro.doLegRetry(ctx, method, nodes[i], path, traceID, b)
+		b.Release()
+	}
 	var wg sync.WaitGroup
-	for li, n := range pl.touched {
-		legs[li] = batchLeg{node: int(n), items: pl.perNode[n]}
+	for i := 1; i < len(nodes); i++ {
 		wg.Add(1)
-		go func(lg *batchLeg) {
+		go func() {
 			defer wg.Done()
-			b := body(lg.items)
-			lg.lr = ro.doLegRetry(ctx, http.MethodPost, lg.node, path, traceID, b)
-			b.Release()
-		}(&legs[li])
+			leg(i)
+		}()
+	}
+	if len(nodes) > 0 {
+		leg(0) // on the caller's goroutine
 	}
 	wg.Wait()
-	return legs
-}
-
-// releaseLegs returns the legs' replies to the pool.
-func releaseLegs(legs []batchLeg) {
-	for i := range legs {
-		legs[i].lr.release()
-	}
+	return results
 }
 
 // handleMput serves POST /v1/store/mput on the router: every item is
@@ -164,7 +158,8 @@ func (ro *Router) handleMput(q *server.Req) {
 	sp.End(trace.StageRoute, rt)
 
 	ft := sp.Begin()
-	legs := ro.runLegs(ctx, pl, "/v1/store/mput", traceID, func(items []int32) *server.Buf {
+	results := ro.fanOut(ctx, http.MethodPost, "/v1/store/mput", traceID, pl.touched, func(li int) *server.Buf {
+		items := pl.perNode[pl.touched[li]]
 		size := len(server.PutRequestOpen) + len(items) + len(server.BatchClose)
 		for _, idx := range items {
 			size += len(elems[idx].B)
@@ -189,33 +184,36 @@ func (ro *Router) handleMput(q *server.Req) {
 	}
 
 	anyShed, anyLegOK := false, false
-	for _, lg := range legs {
+	for li, lr := range results {
+		items, name := pl.perNode[pl.touched[li]], ro.nodes[pl.touched[li]].name
 		// failKeys reports msg on every key of the leg no other leg has
 		// answered for.
 		failKeys := func(msg string) {
-			for _, idx := range lg.items {
+			for _, idx := range items {
 				if out := &res.Results[idx]; !out.OK && out.Error == "" {
 					out.Error = msg
 				}
 			}
 		}
-		if !lg.lr.ok2xx() {
-			if lg.lr.status == http.StatusTooManyRequests {
+		if !lr.ok2xx() {
+			if lr.status == http.StatusTooManyRequests {
 				anyShed = true
 			}
-			failKeys(legErrString(lg.lr, ro.nodes[lg.node].name))
+			failKeys(legErrString(lr, name))
 			continue
 		}
 		anyLegOK = true
 		var sub server.BatchPutResult
-		if err := json.Unmarshal(lg.lr.body, &sub); err != nil || len(sub.Results) != len(lg.items) {
-			failKeys(ro.nodes[lg.node].name + ": bad mput response")
+		err := json.Unmarshal(lr.body, &sub)
+		lr.release()
+		if err != nil || len(sub.Results) != len(items) {
+			failKeys(name + ": bad mput response")
 			continue
 		}
-		for j, idx := range lg.items {
+		for j, idx := range items {
 			out, in := &res.Results[idx], sub.Results[j]
 			if in.Key != out.Key {
-				in = server.BatchPutItemResult{Error: ro.nodes[lg.node].name + ": bad mput response"}
+				in = server.BatchPutItemResult{Error: name + ": bad mput response"}
 			}
 			if !in.OK {
 				if !out.OK && out.Error == "" {
@@ -231,12 +229,11 @@ func (ro *Router) handleMput(q *server.Req) {
 			}
 		}
 	}
-	releaseLegs(legs)
 	putPlan(pl)
 	obs.RouterBatchKeys.Add(int64(len(res.Results)))
 
 	if !anyLegOK && anyShed {
-		ro.shedMerged(q, legs)
+		ro.failAll(q, results)
 		return
 	}
 	q.ReplyJSON(http.StatusOK, res)
@@ -282,7 +279,7 @@ func (ro *Router) handleMget(q *server.Req) {
 	rt := sp.Begin()
 	pl := getPlan(len(ro.nodes))
 	ro.planRead(pl, len(req.Keys), func(i int) string { return req.Keys[i] })
-	firstLeg := make([]int32, len(req.Keys))
+	firstLeg := make([]int, len(req.Keys))
 	for _, n := range pl.touched {
 		for _, idx := range pl.perNode[n] {
 			firstLeg[idx] = n
@@ -293,44 +290,57 @@ func (ro *Router) handleMget(q *server.Req) {
 	outs := make([]mgetOut, len(req.Keys))
 	sc := server.NewBatchScanner()
 	defer sc.Release()
-
-	mgetBody := func(items []int32) *server.Buf {
-		sub := server.BatchGetRequest{Keys: make([]string, len(items))}
-		for j, idx := range items {
-			sub.Keys[j] = req.Keys[idx]
+	// Every leg's result, both rounds: the spans in outs alias their
+	// replies until the response is out.
+	var replies []legResult
+	defer func() {
+		for _, lr := range replies {
+			lr.release()
 		}
-		enc, _ := json.Marshal(sub) // a list of strings cannot fail
-		b := server.GetBuf()
-		b.B = append(b.B, enc...)
-		return b
-	}
-	// merge folds one round of legs into outs and returns the item
-	// indexes still unresolved (leg failed, per-key read error, or
-	// not-found — read-any means a miss on one replica is not final).
-	merge := func(legs []batchLeg) (retry []int32, anyShed, anyOK bool) {
-		for _, lg := range legs {
+	}()
+
+	// round sends one leg per node of pl, folds the replies into outs and
+	// gives pl back. retry lists the item indexes still unresolved (leg
+	// failed, per-key read error, or not-found — read-any means a miss on
+	// one replica is not final).
+	round := func(pl *batchPlan) (retry []int32, anyShed, anyOK bool) {
+		defer putPlan(pl)
+		results := ro.fanOut(ctx, http.MethodPost, "/v1/store/mget", traceID, pl.touched, func(li int) *server.Buf {
+			items := pl.perNode[pl.touched[li]]
+			sub := server.BatchGetRequest{Keys: make([]string, len(items))}
+			for j, idx := range items {
+				sub.Keys[j] = req.Keys[idx]
+			}
+			enc, _ := json.Marshal(sub) // a list of strings cannot fail
+			b := server.GetBuf()
+			b.B = append(b.B, enc...)
+			return b
+		})
+		replies = append(replies, results...)
+		for li, lr := range results {
+			items, name := pl.perNode[pl.touched[li]], ro.nodes[pl.touched[li]].name
 			failKeys := func(msg string) {
-				for _, idx := range lg.items {
+				for _, idx := range items {
 					if out := &outs[idx]; !out.ok {
 						out.span, out.err = nil, msg
 						retry = append(retry, idx)
 					}
 				}
 			}
-			if !lg.lr.ok2xx() {
-				if lg.lr.status == http.StatusTooManyRequests {
+			if !lr.ok2xx() {
+				if lr.status == http.StatusTooManyRequests {
 					anyShed = true
 				}
-				failKeys(legErrString(lg.lr, ro.nodes[lg.node].name))
+				failKeys(legErrString(lr, name))
 				continue
 			}
 			anyOK = true
-			badResponse := ro.nodes[lg.node].name + ": bad mget response"
-			if err := sc.ScanGetResult(lg.lr.body); err != nil || len(sc.Items) != len(lg.items) {
+			badResponse := name + ": bad mget response"
+			if err := sc.ScanGetResult(lr.body); err != nil || len(sc.Items) != len(items) {
 				failKeys(badResponse)
 				continue
 			}
-			for j, idx := range lg.items {
+			for j, idx := range items {
 				out, in := &outs[idx], &sc.Items[j]
 				switch {
 				case out.ok:
@@ -349,13 +359,7 @@ func (ro *Router) handleMget(q *server.Req) {
 	}
 
 	ft := sp.Begin()
-	legs := ro.runLegs(ctx, pl, "/v1/store/mget", traceID, mgetBody)
-	// The spans in outs alias the legs' replies until the response is out.
-	defer func() { releaseLegs(legs) }()
-	retry, shed1, ok1 := merge(legs)
-	putPlan(pl)
-
-	anyShed, anyOK := shed1, ok1
+	retry, anyShed, anyOK := round(pl)
 	if len(retry) > 0 && ro.ring.Nodes() > 1 {
 		// Second round on each unresolved key's other replica.
 		obs.RouterFailovers.Add(int64(len(retry)))
@@ -363,23 +367,20 @@ func (ro *Router) handleMget(q *server.Req) {
 		for _, idx := range retry {
 			p, rep := ro.ring.Owners(req.Keys[idx])
 			other := p
-			if int32(p) == firstLeg[idx] && rep >= 0 {
+			if p == firstLeg[idx] && rep >= 0 {
 				other = rep
 			}
 			pl2.add(other, int(idx))
 		}
-		legs2 := ro.runLegs(ctx, pl2, "/v1/store/mget", traceID, mgetBody)
-		legs = append(legs, legs2...)
-		_, shed2, ok2 := merge(legs2)
+		_, shed2, ok2 := round(pl2)
 		anyShed = anyShed || shed2
 		anyOK = anyOK || ok2
-		putPlan(pl2)
 	}
 	sp.End(trace.StageFanout, ft)
 	obs.RouterBatchKeys.Add(int64(len(req.Keys)))
 
 	if !anyOK && anyShed {
-		ro.shedMerged(q, legs)
+		ro.failAll(q, replies)
 		return
 	}
 	size := len(server.GetResultOpen) + len(outs) + len(server.BatchClose) + 1
@@ -403,25 +404,11 @@ func (ro *Router) handleMget(q *server.Req) {
 	q.Reply(http.StatusOK, "application/json", res.B)
 }
 
-// shedMerged answers a batch every leg of which shed: 429 carrying the
-// max Retry-After the fleet asked for.
-func (ro *Router) shedMerged(q *server.Req, legs []batchLeg) {
-	secs := 0
-	for _, lg := range legs {
-		if lg.lr.err == nil && lg.lr.status == http.StatusTooManyRequests {
-			secs = mergeRetryAfter(secs, lg.lr.header)
-		}
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	q.Header().Set("Retry-After", strconv.Itoa(secs))
-	q.Fail(http.StatusTooManyRequests, "cluster shedding, retry later")
-}
-
 // fanKeys unions the live key sets of every in-rotation node (all nodes
 // when the prober has everything ejected — a wrong prober must not make
-// the key space look empty).
+// the key space look empty). failed holds one result per node asked
+// that gave no listing; when that is every node asked, there are no keys
+// to report and the caller answers with failAll.
 func (ro *Router) fanKeys(ctx context.Context, traceID string) (keys []string, nodesAsked int, failed []legResult) {
 	idxs := make([]int, 0, len(ro.nodes))
 	for i, nd := range ro.nodes {
@@ -434,16 +421,7 @@ func (ro *Router) fanKeys(ctx context.Context, traceID string) (keys []string, n
 			idxs = append(idxs, i)
 		}
 	}
-	results := make([]legResult, len(idxs))
-	var wg sync.WaitGroup
-	for j, i := range idxs {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			results[j] = ro.doLegRetry(ctx, http.MethodGet, i, "/v1/store/key", traceID, nil)
-		}(j, i)
-	}
-	wg.Wait()
+	results := ro.fanOut(ctx, http.MethodGet, "/v1/store/key", traceID, idxs, nil)
 
 	seen := make(map[string]struct{})
 	for _, lr := range results {
@@ -482,7 +460,7 @@ func (ro *Router) handleKeys(q *server.Req) {
 	ft := q.Span.Begin()
 	keys, asked, failed := ro.fanKeys(q.R.Context(), inboundTraceID(q))
 	q.Span.End(trace.StageFanout, ft)
-	if len(failed) == len(ro.nodes) || (len(keys) == 0 && len(failed) > 0 && len(failed) == asked) {
+	if len(failed) == asked {
 		ro.failAll(q, failed)
 		return
 	}

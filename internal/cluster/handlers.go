@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -66,56 +67,54 @@ func (ro *Router) handlePut(q *server.Req) {
 	}
 
 	rt := q.Span.Begin()
-	p, rep := ro.ring.Owners(key)
+	owners := ro.owners(key)
 	path := "/v1/store/put?" + q.R.URL.RawQuery
 	q.Span.End(trace.StageRoute, rt)
 
 	ft := q.Span.Begin()
-	var prLR, repLR legResult
-	defer func() { prLR.release(); repLR.release() }()
-	if rep >= 0 {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			prLR = ro.doLeg(ctx, http.MethodPut, p, path, traceID, container)
-		}()
-		go func() {
-			defer wg.Done()
-			repLR = ro.doLegRetry(ctx, http.MethodPut, rep, path, traceID, container)
-		}()
-		wg.Wait()
-	} else {
-		prLR = ro.doLegRetry(ctx, http.MethodPut, p, path, traceID, container)
-	}
+	results := ro.fanOut(ctx, http.MethodPut, path, traceID, owners, func(int) *server.Buf {
+		container.Retain() // each leg holds its own reference
+		return container
+	})
 	q.Span.End(trace.StageFanout, ft)
+	defer func() {
+		for _, lr := range results {
+			lr.release()
+		}
+	}()
 	// Write-through invalidation: even a failed leg may have mutated one
 	// replica before erroring, so drop the cached response regardless.
 	ro.invalidateKey(key)
 
-	replicas := 0
-	best := prLR
-	if prLR.ok2xx() {
-		replicas++
-	}
-	if rep >= 0 && repLR.ok2xx() {
-		replicas++
-		if !prLR.ok2xx() {
-			best = repLR
-			obs.RouterFailovers.Add(1)
+	replicas, best := 0, -1
+	for i, lr := range results {
+		if lr.ok2xx() {
+			replicas++
+			if best < 0 {
+				best = i
+			}
 		}
 	}
 	if replicas == 0 {
-		if rep >= 0 {
-			ro.failAll(q, []legResult{prLR, repLR})
-		} else {
-			ro.failAll(q, []legResult{prLR})
-		}
+		ro.failAll(q, results)
 		return
 	}
-	passthroughHeaders(q.Header(), best.header)
+	if best > 0 {
+		obs.RouterFailovers.Add(1)
+	}
+	passthroughHeaders(q.Header(), results[best].header)
 	q.Header().Set("X-AVR-Replicas", strconv.Itoa(replicas))
-	q.Reply(best.status, "", best.body)
+	q.Reply(results[best].status, "", results[best].body)
+}
+
+// owners lists the nodes a write of key goes to: its primary, then its
+// replica on a ring of two or more nodes.
+func (ro *Router) owners(key string) []int {
+	p, rep := ro.ring.Owners(key)
+	if rep < 0 {
+		return []int{p}
+	}
+	return []int{p, rep}
 }
 
 // readAny runs the read-any step for one key: the preferred
@@ -148,10 +147,13 @@ func (ro *Router) readAny(ctx context.Context, sp *trace.Span, key, path, traceI
 
 // proxyRead answers a single-key read with whatever readAny got.
 //
-// markMiss stamps X-AVR-Cache: miss over the leg's own verdict — set
-// when the router-tier cache was consulted and missed, so the client
-// measures the tier it talked to rather than the node behind it.
-func (ro *Router) proxyRead(q *server.Req, key, path string, markMiss bool) {
+// fill is set for a get the router-tier cache missed: the answer fills
+// the cache (Router.fill; the key's write generation is read before
+// readAny) and goes out stamped X-AVR-Cache: miss over the leg's own
+// verdict, so the client measures the tier it talked to rather than the
+// node behind it.
+func (ro *Router) proxyRead(q *server.Req, key, path string, fill bool) {
+	gen := ro.writeGen.load(key)
 	tried, n := ro.readAny(q.R.Context(), q.Span, key, path, inboundTraceID(q))
 	lr := tried[n-1]
 	defer lr.release()
@@ -160,7 +162,8 @@ func (ro *Router) proxyRead(q *server.Req, key, path string, markMiss bool) {
 		return
 	}
 	passthroughHeaders(q.Header(), lr.header)
-	if markMiss {
+	if fill {
+		ro.fill(key, gen, lr)
 		q.Header().Set("X-AVR-Cache", "miss")
 	}
 	q.Reply(lr.status, "", lr.body)
@@ -174,13 +177,13 @@ func (ro *Router) handleGet(q *server.Req) {
 		return
 	}
 	ct := q.Span.Begin()
-	if resp, src := ro.cachedGet(key); resp != nil {
+	if resp := ro.cachedGet(key); resp != nil {
 		q.Span.End(trace.StageCacheHit, ct)
 		h := q.Header()
 		h.Set("X-AVR-Width", resp.width)
 		h.Set("X-AVR-Values", resp.values)
 		h.Set("X-AVR-Complete", "true")
-		h.Set("X-AVR-Cache", src)
+		h.Set("X-AVR-Cache", "hit")
 		q.Reply(http.StatusOK, "application/octet-stream", resp.body)
 		return
 	}
@@ -195,39 +198,27 @@ func (ro *Router) handleDelete(q *server.Req) {
 	if key == "" || !q.Admit() {
 		return
 	}
-	ctx, traceID := q.R.Context(), inboundTraceID(q)
 
 	rt := q.Span.Begin()
-	p, rep := ro.ring.Owners(key)
+	owners := ro.owners(key)
 	path := "/v1/store/key?" + q.R.URL.RawQuery
 	q.Span.End(trace.StageRoute, rt)
 
 	ft := q.Span.Begin()
-	results := []legResult{ro.doLegRetry(ctx, http.MethodDelete, p, path, traceID, nil)}
-	if rep >= 0 {
-		results = append(results, ro.doLegRetry(ctx, http.MethodDelete, rep, path, traceID, nil))
-	}
+	results := ro.fanOut(q.R.Context(), http.MethodDelete, path, inboundTraceID(q), owners, nil)
 	q.Span.End(trace.StageFanout, ft)
 	ro.invalidateKey(key)
 
-	acked, all404 := 0, true
+	acked := false
 	for _, lr := range results {
+		acked = acked || lr.ok2xx()
 		lr.release()
-		if lr.ok2xx() {
-			acked++
-		}
-		if lr.err != nil || lr.status != http.StatusNotFound {
-			all404 = false
-		}
 	}
-	switch {
-	case acked > 0:
-		q.Reply(http.StatusNoContent, "", nil)
-	case all404:
-		q.Fail(http.StatusNotFound, "key not found on any replica")
-	default:
+	if !acked {
 		ro.failAll(q, results)
+		return
 	}
+	q.Reply(http.StatusNoContent, "", nil)
 }
 
 // ClusterAggregateResult is the merged cluster-wide aggregate: per-key
@@ -267,7 +258,7 @@ func (ro *Router) handleQuery(q *server.Req) {
 
 	ft := q.Span.Begin()
 	keys, asked, failed := ro.fanKeys(ctx, traceID)
-	if len(failed) == asked && asked > 0 {
+	if len(failed) == asked {
 		q.Span.End(trace.StageFanout, ft)
 		ro.failAll(q, failed)
 		return
@@ -290,7 +281,7 @@ func (ro *Router) handleQuery(q *server.Req) {
 		go func(i int, k string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			tried, n := ro.readAny(ctx, nil, k, "/v1/store/query?op=aggregate&key="+urlEscape(k), traceID)
+			tried, n := ro.readAny(ctx, nil, k, "/v1/store/query?op=aggregate&key="+url.QueryEscape(k), traceID)
 			lr := tried[n-1]
 			defer lr.release()
 			outs[i].ok = lr.ok2xx() && json.Unmarshal(lr.body, &outs[i].agg) == nil
@@ -347,51 +338,14 @@ func (ro *Router) handleQuery(q *server.Req) {
 	q.ReplyJSON(http.StatusOK, res)
 }
 
-// urlEscape query-escapes a key for a downstream URL.
-func urlEscape(k string) string {
-	// Keys are typically URL-safe; escape defensively without importing
-	// net/url's full query builder on the hot path.
-	const hex = "0123456789ABCDEF"
-	safe := true
-	for i := 0; i < len(k); i++ {
-		c := k[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '-' || c == '_' || c == '.' || c == '~') {
-			safe = false
-			break
-		}
-	}
-	if safe {
-		return k
-	}
-	var b []byte
-	for i := 0; i < len(k); i++ {
-		c := k[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '-' || c == '_' || c == '.' || c == '~' {
-			b = append(b, c)
-		} else {
-			b = append(b, '%', hex[c>>4], hex[c&0xf])
-		}
-	}
-	return string(b)
-}
-
 // handleStoreStats serves GET /v1/store/stats on the router: every
 // node's store snapshot, keyed by node name.
 func (ro *Router) handleStoreStats(q *server.Req) {
-	ctx, traceID := q.R.Context(), inboundTraceID(q)
-
-	results := make([]legResult, len(ro.nodes))
-	var wg sync.WaitGroup
-	for i := range ro.nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = ro.doLeg(ctx, http.MethodGet, i, "/v1/store/stats", traceID, nil)
-		}(i)
+	all := make([]int, len(ro.nodes))
+	for i := range all {
+		all[i] = i
 	}
-	wg.Wait()
+	results := ro.fanOut(q.R.Context(), http.MethodGet, "/v1/store/stats", inboundTraceID(q), all, nil)
 
 	out := make(map[string]json.RawMessage, len(ro.nodes))
 	for i, lr := range results {

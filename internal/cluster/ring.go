@@ -121,8 +121,8 @@ func (r *Ring) search(h uint64) int {
 // Owners returns the primary and replica node indexes for a key. The
 // replica is the next distinct node clockwise from the primary's vnode
 // — the classic successor-list placement, so removing a node hands its
-// keys to the node already holding their replicas. With one node (or
-// replication 1 rings used via OwnersN), replica is -1.
+// keys to the node already holding their replicas. On a one-node ring
+// replica is -1.
 func (r *Ring) Owners(key string) (primary, replica int) {
 	return r.ownersAt(KeyHash(key))
 }

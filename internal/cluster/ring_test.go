@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // testTopology builds an n-node topology with deterministic names.
 func testTopology(n, vnodes int) Topology {
-	t := Topology{VNodes: vnodes, Replication: 2}
+	t := Topology{VNodes: vnodes}
 	for i := 0; i < n; i++ {
 		t.Nodes = append(t.Nodes, Node{
 			Name: fmt.Sprintf("node-%02d", i),
@@ -81,7 +84,7 @@ func TestRingDeterministicAcrossRestarts(t *testing.T) {
 // names, so a reordered file is the same ring.
 func TestRingIgnoresNodeOrder(t *testing.T) {
 	topo := testTopology(4, 128)
-	rev := Topology{VNodes: topo.VNodes, Replication: topo.Replication}
+	rev := Topology{VNodes: topo.VNodes}
 	for i := len(topo.Nodes) - 1; i >= 0; i-- {
 		rev.Nodes = append(rev.Nodes, topo.Nodes[i])
 	}
@@ -155,7 +158,7 @@ func TestRingReplicaIsSuccessor(t *testing.T) {
 
 	// Drop node 2 and rebuild.
 	var reduced Topology
-	reduced.VNodes, reduced.Replication = full.VNodes, full.Replication
+	reduced.VNodes = full.VNodes
 	for i, nd := range full.Nodes {
 		if i != 2 {
 			reduced.Nodes = append(reduced.Nodes, nd)
@@ -187,7 +190,6 @@ func TestTopologyValidate(t *testing.T) {
 		{"dup name", Topology{Nodes: []Node{{Name: "a", Addr: "x:1"}, {Name: "a", Addr: "x:2"}}}, false},
 		{"missing addr", Topology{Nodes: []Node{{Name: "a"}}}, false},
 		{"missing name", Topology{Nodes: []Node{{Addr: "x:1"}}}, false},
-		{"replication 3", Topology{Replication: 3, Nodes: []Node{{Name: "a", Addr: "x:1"}}}, false},
 	}
 	for _, c := range cases {
 		err := c.topo.withDefaults().Validate()
@@ -196,6 +198,30 @@ func TestTopologyValidate(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: validation passed, want error", c.name)
+		}
+	}
+}
+
+// LoadTopology refuses a key the topology has no field for, by name: the
+// "replication" of older files (every ring of two or more nodes keeps two
+// copies) and misspellings alike.
+func TestLoadTopologyRefusesUnknownKeys(t *testing.T) {
+	const nodes = `"nodes":[{"name":"a","addr":"x:1"},{"name":"b","addr":"x:2"}]`
+	for body, unknown := range map[string]string{
+		`{"replication":1,` + nodes + `}`: "replication",
+		`{"vnode":64,` + nodes + `}`:      "vnode",
+		`{"vnodes":64,` + nodes + `}`:     "",
+	} {
+		path := filepath.Join(t.TempDir(), "topology.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		topo, err := LoadTopology(path)
+		switch {
+		case unknown == "" && (err != nil || topo.VNodes != 64 || len(topo.Nodes) != 2):
+			t.Errorf("%s: loaded %+v, %v", body, topo, err)
+		case unknown != "" && (err == nil || !strings.Contains(err.Error(), `"`+unknown+`"`)):
+			t.Errorf("%s: error %v, want one naming %q", body, err, unknown)
 		}
 	}
 }

@@ -34,10 +34,11 @@ type Config struct {
 	QueueTimeout time.Duration
 	// LegTimeout bounds one downstream request (default 5s).
 	LegTimeout time.Duration
-	// Retries is how many extra attempts the replica leg gets after its
-	// first failure (default 2).
+	// Retries is how many extra attempts a leg gets after a transport
+	// error or a 5xx (default 2). A read's first leg gets none: it fails
+	// over to the other replica instead (readAny).
 	Retries int
-	// RetryBackoff is the initial backoff between replica-leg attempts,
+	// RetryBackoff is the initial backoff between a leg's attempts,
 	// doubling each retry (default 25ms).
 	RetryBackoff time.Duration
 	// ProbeInterval is the /readyz polling cadence (default 500ms;
@@ -57,8 +58,6 @@ type Config struct {
 	// over read-any gets (0 — the default — disables it: the nodes run
 	// their own summary-line caches, so the router tier opts in).
 	CacheBytes int64
-	// Prefetch enables stride prefetch on the response cache.
-	Prefetch bool
 }
 
 // withDefaults fills the router's own unset fields; the frame
@@ -180,7 +179,7 @@ func New(cfg Config) (*Router, error) {
 		nd.up.Store(true)
 		ro.nodes = append(ro.nodes, nd)
 	}
-	ro.initCache()
+	ro.cache = readcache.New(readcache.Config{MaxBytes: cfg.CacheBytes})
 
 	ro.Handle("PUT /v1/store/put", "put", ro.handlePut)
 	ro.Handle("POST /v1/store/put", "put", ro.handlePut)
@@ -204,8 +203,8 @@ func New(cfg Config) (*Router, error) {
 	return ro, nil
 }
 
-// Close stops the prober and the cache fill workers. Shutdown runs it
-// once readiness has flipped; tests that use Handler directly call it
+// Close stops the prober and gives back the cache's lines. Shutdown runs
+// it once readiness has flipped; tests that use Handler directly call it
 // themselves.
 func (ro *Router) Close() {
 	ro.stopProber()
@@ -411,9 +410,9 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 }
 
 // doLegRetry is doLeg with retry-with-backoff for transport errors and
-// 5xx responses — the replica leg's contract. 4xx (including 404 and
-// 429) returns immediately: the node answered; retrying won't change
-// its mind.
+// 5xx responses — every leg's contract but a read's first. 4xx
+// (including 404 and 429) returns immediately: the node answered;
+// retrying won't change its mind.
 func (ro *Router) doLegRetry(ctx context.Context, method string, nodeIdx int, pathAndQuery, traceID string, body *server.Buf) legResult {
 	lr := ro.doLeg(ctx, method, nodeIdx, pathAndQuery, traceID, body)
 	backoff := ro.cfg.RetryBackoff

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/textproto"
+	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -46,7 +48,7 @@ func newTestCluster(t testing.TB, n int, cfg Config, wrap ...func(i int, h http.
 func newTestClusterAt(t testing.TB, stores []store.Config, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
-	topo := Topology{VNodes: 64, Replication: 2}
+	topo := Topology{VNodes: 64}
 	for i, sc := range stores {
 		sc.Dir = t.TempDir()
 		st, err := store.Open(sc)
@@ -111,7 +113,7 @@ func leF32(b []byte) []float32 {
 func (tc *testCluster) put(t *testing.T, key string, vals []float32) *http.Response {
 	t.Helper()
 	req, _ := http.NewRequest(http.MethodPut,
-		tc.router.URL+"/v1/store/put?key="+key, bytes.NewReader(f32le(vals...)))
+		tc.router.URL+"/v1/store/put?key="+url.QueryEscape(key), bytes.NewReader(f32le(vals...)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("put %s: %v", key, err)
@@ -149,10 +151,13 @@ func testVals(k, n int) []float32 {
 
 // TestClusterPutGetQuery drives the single-key path end to end: routed
 // replicated puts, read-any gets, per-key and cluster-wide aggregates,
-// key listing, delete.
+// key listing, delete. One more key, odd, needs query escaping: it must
+// be listed, read back, and counted by the cluster-wide aggregate, whose
+// per-key sub-queries name it in a downstream URL.
 func TestClusterPutGetQuery(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{})
 	const keys, vn = 24, 64
+	const odd = "odd key&+%/é"
 
 	var trueSum float64
 	for k := 0; k < keys; k++ {
@@ -171,6 +176,22 @@ func TestClusterPutGetQuery(t *testing.T) {
 			t.Fatalf("put key-%d: trace id %q", k, id)
 		}
 	}
+	for _, v := range testVals(keys, vn) {
+		trueSum += float64(v)
+	}
+	if resp := tc.put(t, odd, testVals(keys, vn)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("put %q: status %d", odd, resp.StatusCode)
+	}
+	resp, err := http.Get(tc.router.URL + "/v1/store/get?key=" + url.QueryEscape(odd))
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("get %q: status %d: %s", odd, resp.StatusCode, body)
+	}
+	tc.checkVals(t, odd, leF32(body), testVals(keys, vn))
 
 	// Every key reads back within bound through the router.
 	for k := 0; k < keys; k++ {
@@ -202,7 +223,7 @@ func TestClusterPutGetQuery(t *testing.T) {
 	}
 
 	// Key listing is the deduplicated union.
-	resp, err := http.Get(tc.router.URL + "/v1/store/key")
+	resp, err = http.Get(tc.router.URL + "/v1/store/key")
 	if err != nil {
 		t.Fatalf("keys: %v", err)
 	}
@@ -211,9 +232,9 @@ func TestClusterPutGetQuery(t *testing.T) {
 	}
 	json.NewDecoder(resp.Body).Decode(&kl)
 	resp.Body.Close()
-	if len(kl.Keys) != keys {
-		t.Fatalf("key listing has %d keys, want %d (replicas must dedup): %v",
-			len(kl.Keys), keys, kl.Keys)
+	if len(kl.Keys) != keys+1 || !slices.Contains(kl.Keys, odd) {
+		t.Fatalf("key listing has %d keys, want %d with %q (replicas must dedup): %v",
+			len(kl.Keys), keys+1, odd, kl.Keys)
 	}
 
 	// Single-key query proxies through.
@@ -237,9 +258,9 @@ func TestClusterPutGetQuery(t *testing.T) {
 	var cagg ClusterAggregateResult
 	json.NewDecoder(resp.Body).Decode(&cagg)
 	resp.Body.Close()
-	if cagg.Keys != keys || cagg.Count != int64(keys*vn) {
-		t.Fatalf("cluster aggregate keys=%d count=%d, want keys=%d count=%d (double counting?)",
-			cagg.Keys, cagg.Count, keys, keys*vn)
+	if cagg.Keys != keys+1 || cagg.Count != int64((keys+1)*vn) {
+		t.Fatalf("cluster aggregate keys=%d count=%d, want keys=%d count=%d (double counting, or a key the sub-query could not name?)",
+			cagg.Keys, cagg.Count, keys+1, (keys+1)*vn)
 	}
 	if !cagg.Complete {
 		t.Fatalf("cluster aggregate incomplete with all nodes up: %+v", cagg)
@@ -421,6 +442,40 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// TestPutPrimaryLegRetries: a put's primary leg retries a 5xx like every
+// other leg, so one 503 from the primary still leaves the key on both
+// replicas.
+func TestPutPrimaryLegRetries(t *testing.T) {
+	const key = "retried-key"
+	var primary atomic.Int64
+	var injected atomic.Bool
+	failOnce := func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPut && int64(i) == primary.Load() && injected.CompareAndSwap(false, true) {
+				http.Error(w, "injected", http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	tc := newTestCluster(t, 3, Config{RetryBackoff: time.Millisecond}, failOnce)
+	p, _ := tc.ro.ring.Owners(key)
+	primary.Store(int64(p))
+	retries := obs.RouterRetries.Value()
+
+	resp := tc.put(t, key, testVals(5, 64))
+	if !injected.Load() {
+		t.Fatal("the primary never saw the put")
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-AVR-Replicas") != "2" {
+		t.Fatalf("put after one primary 503: status %d, X-AVR-Replicas %q, want 200 on 2",
+			resp.StatusCode, resp.Header.Get("X-AVR-Replicas"))
+	}
+	if obs.RouterRetries.Value() == retries {
+		t.Fatal("no retry counted")
+	}
+}
+
 // TestMergeRetryAfter table-tests the downstream Retry-After fold: the
 // router must surface the fleet's max demand, not its own queue's.
 func TestMergeRetryAfter(t *testing.T) {
@@ -470,7 +525,7 @@ func TestRetryAfterPropagatesFromDownstream(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	topo := Topology{VNodes: 16, Replication: 2, Nodes: []Node{
+	topo := Topology{VNodes: 16, Nodes: []Node{
 		{Name: "a", Addr: strings.TrimPrefix(a.URL, "http://")},
 		{Name: "b", Addr: strings.TrimPrefix(b.URL, "http://")},
 	}}
@@ -627,15 +682,25 @@ func TestRouterReadyzDrain(t *testing.T) {
 }
 
 // TestRouterCacheHitAndInvalidation drives the router-side response
-// cache: a cold get is a miss that queues an async fill, re-reads hit
-// with byte-identical bodies, and a proxied overwrite (put or mput)
-// drops the resident line so the next read serves fresh bytes. A hit is
-// traced like any answer: its cachehit stage is on the wire — read off a
-// real response, since a ResponseRecorder's header map keeps changing
-// after the body is written, which is how a hit went out without stage
-// headers unnoticed.
+// cache: a cold get is a miss that reaches a shard once and fills the
+// cache from the reply it proxied, so the very next read hits with a
+// byte-identical body, and a proxied overwrite (put or mput) drops the
+// resident line so the next read serves fresh bytes. A hit is traced like
+// any answer: its cachehit stage is on the wire — read off a real
+// response, since a ResponseRecorder's header map keeps changing after
+// the body is written, which is how a hit went out without stage headers
+// unnoticed.
 func TestRouterCacheHitAndInvalidation(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{CacheBytes: 16 << 20})
+	var shardGets atomic.Int64
+	countGets := func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/store/get" {
+				shardGets.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	tc := newTestCluster(t, 3, Config{CacheBytes: 16 << 20}, countGets)
 	const key, vn = "cached-key", 96
 
 	getOnce := func() (string, []byte) {
@@ -649,26 +714,21 @@ func TestRouterCacheHitAndInvalidation(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("get: status %d: %s", resp.StatusCode, body)
 		}
-		if src := resp.Header.Get("X-AVR-Cache"); src == "hit" || src == "prefetch" {
+		if src := resp.Header.Get("X-AVR-Cache"); src == "hit" {
 			if resp.Header.Get("X-AVR-Stage-Cachehit") == "" || resp.Header.Get("X-AVR-Stage-Queue") == "" {
 				t.Fatalf("cache %s without its queue and cachehit stages: %v", src, resp.Header)
 			}
 		}
 		return resp.Header.Get("X-AVR-Cache"), body
 	}
-	// waitHit polls until the async fill lands and returns the hit body.
-	waitHit := func() []byte {
+	// hitNow reads key and fails unless the cache answered.
+	hitNow := func() []byte {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			src, body := getOnce()
-			if src == "hit" || src == "prefetch" {
-				return body
-			}
-			time.Sleep(10 * time.Millisecond)
+		src, body := getOnce()
+		if src != "hit" {
+			t.Fatalf("read after the miss X-AVR-Cache = %q, want hit", src)
 		}
-		t.Fatal("async fill never landed: every read stayed a miss")
-		return nil
+		return body
 	}
 
 	tc.put(t, key, testVals(1, vn))
@@ -676,7 +736,10 @@ func TestRouterCacheHitAndInvalidation(t *testing.T) {
 	if src != "miss" {
 		t.Fatalf("cold read X-AVR-Cache = %q, want miss", src)
 	}
-	hit := waitHit()
+	hit := hitNow()
+	if n := shardGets.Load(); n != 1 {
+		t.Fatalf("a miss and a hit took %d shard GETs, want 1", n)
+	}
 	if !bytes.Equal(hit, cold) {
 		t.Fatal("cached body differs from the proxied read")
 	}
@@ -693,7 +756,7 @@ func TestRouterCacheHitAndInvalidation(t *testing.T) {
 		t.Fatalf("post-overwrite read X-AVR-Cache = %q, want miss (stale line must be invalidated)", src)
 	}
 	tc.checkVals(t, key, leF32(fresh), testVals(7, vn))
-	tc.checkVals(t, key, leF32(waitHit()), testVals(7, vn))
+	tc.checkVals(t, key, leF32(hitNow()), testVals(7, vn))
 
 	// Batched overwrite (mput) invalidates too.
 	mreq := server.BatchPutRequest{Items: []server.BatchPutItem{

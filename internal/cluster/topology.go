@@ -14,6 +14,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -39,9 +40,6 @@ type Topology struct {
 	// ring (default 128). More vnodes smooth the key balance at the cost
 	// of a larger ring table.
 	VNodes int `json:"vnodes,omitempty"`
-	// Replication is the number of distinct nodes each key lives on
-	// (default 2, the read-any design point; 1 disables replication).
-	Replication int `json:"replication,omitempty"`
 	// Nodes lists the cluster members. Order does not matter — placement
 	// is by name hash.
 	Nodes []Node `json:"nodes"`
@@ -52,9 +50,6 @@ func (t Topology) withDefaults() Topology {
 	if t.VNodes <= 0 {
 		t.VNodes = 128
 	}
-	if t.Replication <= 0 {
-		t.Replication = 2
-	}
 	return t
 }
 
@@ -62,9 +57,6 @@ func (t Topology) withDefaults() Topology {
 func (t Topology) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("cluster: topology has no nodes")
-	}
-	if t.Replication > 2 {
-		return fmt.Errorf("cluster: replication %d not supported (want 1 or 2)", t.Replication)
 	}
 	seen := make(map[string]bool, len(t.Nodes))
 	for _, n := range t.Nodes {
@@ -79,14 +71,19 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// LoadTopology reads and validates a topology JSON file.
+// LoadTopology reads and validates a topology JSON file. A key the
+// file should not have (a misspelling, or the "replication" of older
+// files: every ring of two or more nodes keeps two copies) fails the
+// load by name.
 func LoadTopology(path string) (Topology, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Topology{}, fmt.Errorf("cluster: reading topology: %w", err)
 	}
 	var t Topology
-	if err := json.Unmarshal(b, &t); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&t); err != nil {
 		return Topology{}, fmt.Errorf("cluster: bad topology %s: %w", path, err)
 	}
 	t = t.withDefaults()

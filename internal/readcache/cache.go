@@ -11,18 +11,16 @@
 //
 // Demand population is the owner's: whoever misses has the data in hand
 // a moment later and Puts the entry itself (the store builds the line
-// from the frames its disk read just verified; it never reads them a
-// second time). Whether a miss builds a line at all is Admit's call: a
-// line that can never fit is never started, and under pressure only a
-// key that has missed before displaces others. The fill queue is the
-// prefetcher's: a confidence-gated stride prefetcher (prefetch.go)
-// watches the key stream and pulls predicted next keys in ahead of the
-// request through a bounded worker queue, falling through silently when
-// wrong — the paper's PFE, with the LVA-style confidence gate.
-// RequestFill puts a key on the same queue for an owner whose miss path
-// does not end with the entry in hand (the router, which proxies the miss
-// and fills from a second fetch); the queue singleflights per key, and
-// when full drops the request silently — the next miss asks again.
+// from the frames its disk read just verified, the router keeps the reply
+// it proxied; neither reads the key a second time). Whether a miss builds
+// a line at all is Admit's call: a line that can never fit is never
+// started, and under pressure only a key that has missed before displaces
+// others. The fill queue is the prefetcher's alone: a confidence-gated
+// stride prefetcher (prefetch.go) watches the key stream and pulls
+// predicted next keys in ahead of the request through a bounded worker
+// queue, falling through silently when wrong — the paper's PFE, with the
+// LVA-style confidence gate. The queue singleflights per key, and when
+// full drops the prediction silently.
 //
 // Staleness is the owner's problem by design: entries are immutable
 // after Put, and owners validate a version captured in Meta against
@@ -44,22 +42,20 @@ type Config struct {
 	// (required; New returns nil when it is non-positive, and a nil
 	// *Cache is a valid no-op cache).
 	MaxBytes int64
-	// Load fills one key: read the backing source and Put the entry
-	// (or not, on error). Called from fill workers only, never from
-	// the request path. Required for RequestFill/prefetch to do
-	// anything.
-	Load func(key string, prefetch bool)
-	// Prefetch enables the stride prefetcher.
-	Prefetch bool
+	// Load fills one predicted key: read the backing source and Put the
+	// entry as prefetched (or not, on error). Called from fill workers
+	// only, never from the request path. Setting it turns the stride
+	// prefetcher on; a cache without it starts no goroutines.
+	Load func(key string)
 }
 
 const (
 	// numShards is the number of independently locked LRU shards.
 	numShards = 16
-	// fillWorkers is the number of background fill goroutines.
+	// fillWorkers is the number of background prefetch goroutines.
 	fillWorkers = 2
-	// fillQueue bounds the pending fill/prefetch requests; requests
-	// beyond it are dropped, not queued.
+	// fillQueue bounds the pending prefetches; predictions beyond it are
+	// dropped, not queued.
 	fillQueue = 256
 	// missRing is how many refused misses a shard remembers (Admit).
 	missRing = 8
@@ -106,19 +102,16 @@ type shard struct {
 type Cache struct {
 	cfg    Config
 	shards [numShards]shard
+	closed atomic.Bool
 
-	fills   chan fillReq
-	pending map[string]struct{} // singleflight: keys queued or filling
+	// The prefetcher, nil without Config.Load. pmu orders each send on
+	// fills before Close's close of it, and guards pending: the keys
+	// queued or filling (singleflight).
+	pf      *strideTracker
+	fills   chan string
+	pending map[string]struct{}
 	pmu     sync.Mutex
 	wg      sync.WaitGroup
-	closed  atomic.Bool
-
-	pf *strideTracker
-}
-
-type fillReq struct {
-	key      string
-	prefetch bool
 }
 
 // New builds a cache, or returns nil (a valid no-op cache) when the
@@ -127,11 +120,7 @@ func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		return nil
 	}
-	c := &Cache{
-		cfg:     cfg,
-		fills:   make(chan fillReq, fillQueue),
-		pending: make(map[string]struct{}),
-	}
+	c := &Cache{cfg: cfg}
 	for i := range c.shards {
 		c.shards[i].items = make(map[string]*Entry)
 		// Budget split evenly: per-shard budgets avoid a global byte
@@ -139,10 +128,10 @@ func New(cfg Config) *Cache {
 		// eviction for keys that happen to collide on a shard.
 		c.shards[i].max = cfg.MaxBytes / numShards
 	}
-	if cfg.Prefetch {
-		c.pf = newStrideTracker()
-	}
 	if cfg.Load != nil {
+		c.pf = newStrideTracker()
+		c.fills = make(chan string, fillQueue)
+		c.pending = make(map[string]struct{})
 		for w := 0; w < fillWorkers; w++ {
 			c.wg.Add(1)
 			go c.fillWorker()
@@ -152,14 +141,20 @@ func New(cfg Config) *Cache {
 }
 
 // Close stops the fill workers and gives back every resident line, so
-// the occupancy gauges count open caches only; pending fill requests are
-// drained without being executed, and a Put after Close is dropped.
+// the occupancy gauges count open caches only; a prefetch queued before
+// Close still runs, its Put dropped like any Put after Close.
 func (c *Cache) Close() {
 	if c == nil || !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	close(c.fills)
-	c.wg.Wait()
+	if c.fills != nil {
+		// Under pmu: requestFill checks closed and sends under it too, so
+		// no send can come after this close.
+		c.pmu.Lock()
+		close(c.fills)
+		c.pmu.Unlock()
+		c.wg.Wait()
+	}
 	var lines, bytes int64
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -363,47 +358,39 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// RequestFill asks the background workers to load key. Non-blocking:
-// the key singleflights (one fill per key in flight), and a full queue
-// drops the request — the next miss simply asks again.
-func (c *Cache) RequestFill(key string) { c.requestFill(key, false) }
-
-func (c *Cache) requestFill(key string, prefetch bool) {
-	if c == nil || c.cfg.Load == nil || c.closed.Load() {
-		return
-	}
+// requestFill queues a prefetch of key. Non-blocking: the key
+// singleflights (one fill per key in flight), and a full queue drops the
+// prediction.
+func (c *Cache) requestFill(key string) {
 	c.pmu.Lock()
-	if _, dup := c.pending[key]; dup {
-		c.pmu.Unlock()
+	defer c.pmu.Unlock()
+	if c.closed.Load() {
 		return
 	}
-	c.pending[key] = struct{}{}
-	c.pmu.Unlock()
+	if _, dup := c.pending[key]; dup {
+		return
+	}
 	select {
-	case c.fills <- fillReq{key: key, prefetch: prefetch}:
-		if prefetch {
-			obs.PrefetchIssued.Add(1)
-		}
+	case c.fills <- key:
+		c.pending[key] = struct{}{}
+		obs.PrefetchIssued.Add(1)
 	default:
+	}
+}
+
+func (c *Cache) fillWorker() {
+	defer c.wg.Done()
+	for key := range c.fills {
+		c.cfg.Load(key)
 		c.pmu.Lock()
 		delete(c.pending, key)
 		c.pmu.Unlock()
 	}
 }
 
-func (c *Cache) fillWorker() {
-	defer c.wg.Done()
-	for req := range c.fills {
-		c.cfg.Load(req.key, req.prefetch)
-		c.pmu.Lock()
-		delete(c.pending, req.key)
-		c.pmu.Unlock()
-	}
-}
-
 // Observe feeds one requested key to the stride prefetcher; predicted
 // next keys not already resident are queued as prefetch fills. A no-op
-// unless Config.Prefetch is set.
+// unless Config.Load is set.
 func (c *Cache) Observe(key string) {
 	if c == nil || c.pf == nil {
 		return

@@ -115,7 +115,7 @@ func (t *strideTracker) observe(c *Cache, key string) {
 		if c.Contains(pred) {
 			continue
 		}
-		c.requestFill(pred, true)
+		c.requestFill(pred)
 	}
 }
 

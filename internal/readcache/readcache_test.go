@@ -3,6 +3,7 @@ package readcache
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +22,6 @@ func TestNilCacheIsNoop(t *testing.T) {
 	}
 	c.Put("k", 10, nil, false)
 	c.Invalidate("k")
-	c.RequestFill("k")
 	c.Observe("k")
 	c.Close()
 	if c.Bytes() != 0 || c.Len() != 0 {
@@ -236,7 +236,7 @@ func TestFillSingleflight(t *testing.T) {
 	release := make(chan struct{})
 	c := New(Config{
 		MaxBytes: 1 << 20,
-		Load: func(key string, prefetch bool) {
+		Load: func(key string) {
 			mu.Lock()
 			loads[key]++
 			mu.Unlock()
@@ -247,13 +247,13 @@ func TestFillSingleflight(t *testing.T) {
 		},
 	})
 	defer c.Close()
-	c.RequestFill("slow")
+	c.requestFill("slow")
 	<-started
 	// While "slow" is filling, repeated requests for it must coalesce.
 	for i := 0; i < 10; i++ {
-		c.RequestFill("slow")
+		c.requestFill("slow")
 	}
-	c.RequestFill("other")
+	c.requestFill("other")
 	close(release)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -292,16 +292,10 @@ func waitLoads(t *testing.T, loaded *sync.Map, want int) {
 
 func TestStridePrefetch(t *testing.T) {
 	var loaded sync.Map
-	var prefetches atomic.Int64
+	issued := obs.PrefetchIssued.Value()
 	c := New(Config{
 		MaxBytes: 1 << 20,
-		Prefetch: true,
-		Load: func(key string, prefetch bool) {
-			loaded.Store(key, prefetch)
-			if prefetch {
-				prefetches.Add(1)
-			}
-		},
+		Load:     func(key string) { loaded.Store(key, true) },
 	})
 	defer c.Close()
 	// Sequential scan with zero-padded keys: ts-00003, 00004, 00005 …
@@ -311,16 +305,44 @@ func TestStridePrefetch(t *testing.T) {
 	}
 	waitLoads(t, &loaded, 2)
 	for _, want := range []string{"ts-00006", "ts-00007"} {
-		v, ok := loaded.Load(want)
-		if !ok {
+		if _, ok := loaded.Load(want); !ok {
 			t.Fatalf("predicted key %s not prefetched", want)
 		}
-		if v != true {
-			t.Fatalf("%s loaded as demand fill, want prefetch", want)
-		}
 	}
-	if prefetches.Load() < 2 {
-		t.Fatalf("prefetches = %d, want >= 2", prefetches.Load())
+	if n := obs.PrefetchIssued.Value() - issued; n < 2 {
+		t.Fatalf("prefetches issued = %d, want >= 2", n)
+	}
+}
+
+// TestCloseRacingPrefetch: Close may run while Observe is queueing
+// prefetches. A prediction either goes on the queue before Close closes
+// it or is dropped; none is sent on the closed queue (which panics).
+func TestCloseRacingPrefetch(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		c := New(Config{MaxBytes: 1 << 20, Load: func(string) {}})
+		issued := obs.PrefetchIssued.Value()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					c.Observe(fmt.Sprintf("s%d-%d", g, i))
+				}
+			}(g)
+		}
+		for obs.PrefetchIssued.Value() == issued {
+			runtime.Gosched() // Close once the predictions flow
+		}
+		c.Close()
+		close(stop)
+		wg.Wait()
 	}
 }
 
@@ -328,8 +350,7 @@ func TestStrideIgnoresNonSequential(t *testing.T) {
 	var loads atomic.Int64
 	c := New(Config{
 		MaxBytes: 1 << 20,
-		Prefetch: true,
-		Load:     func(string, bool) { loads.Add(1) },
+		Load:     func(string) { loads.Add(1) },
 	})
 	defer c.Close()
 	// Random jumps never build confidence; repeats are neutral.
@@ -346,8 +367,7 @@ func TestStrideNegativeAndWideStrides(t *testing.T) {
 	var loaded sync.Map
 	c := New(Config{
 		MaxBytes: 1 << 20,
-		Prefetch: true,
-		Load:     func(key string, prefetch bool) { loaded.Store(key, prefetch) },
+		Load:     func(key string) { loaded.Store(key, true) },
 	})
 	defer c.Close()
 	// Descending scan, stride -2.

@@ -28,8 +28,8 @@ import (
 // miss the cache admits builds the line from the frames its own disk
 // read fetches and inserts it before releasing the read lock (one it
 // refuses builds nothing: DESIGN.md §5.11); the stride prefetcher's
-// fills, the only ones still queued to the background workers, run
-// entirely under the read lock too (read frames, parse, insert). Either
+// fills, the only work the background workers do, run entirely under
+// the read lock too (read frames, parse, insert). Either
 // way a writer's invalidation (commitPut, Delete, recompression) cannot
 // interleave between a fill's snapshot and its insert: either the fill
 // sees the new refs, or the invalidation sees the inserted line.

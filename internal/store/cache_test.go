@@ -109,16 +109,16 @@ func TestCacheHitByteIdentical(t *testing.T) {
 // end, both widths: a cold read reports miss and, by the time it
 // returns, has left the key resident — built from the frames it read for
 // its own answer, the background fill workers never asked (they serve
-// only the prefetcher, which is off here). The re-read is a hit with the
-// same bytes.
+// only the prefetcher, which this key stream never arms). The re-read is
+// a hit with the same bytes.
 func TestCacheMissFillsInline(t *testing.T) {
 	s := openTest(t, Config{CacheBytes: 8 << 20})
 	// Stand a counter in front of the fill callback.
 	var loads atomic.Int64
 	s.cache.Close()
-	s.cache = readcache.New(readcache.Config{MaxBytes: 8 << 20, Load: func(key string, prefetch bool) {
+	s.cache = readcache.New(readcache.Config{MaxBytes: 8 << 20, Load: func(key string) {
 		loads.Add(1)
-		s.loadCacheLine(key, prefetch)
+		s.loadCacheLine(key, true)
 	}})
 	if _, err := s.Put32("k32", genF32(t, "heat", 2*BlockValues+99, 3)); err != nil {
 		t.Fatal(err)

@@ -256,11 +256,11 @@ func Open(cfg Config) (*Store, error) {
 		return &hitScratch{comp: compress.NewCompressor(compress.DefaultThresholds())}
 	}
 	if cfg.CacheBytes > 0 {
-		s.cache = readcache.New(readcache.Config{
-			MaxBytes: cfg.CacheBytes,
-			Load:     s.loadCacheLine,
-			Prefetch: cfg.Prefetch,
-		})
+		rc := readcache.Config{MaxBytes: cfg.CacheBytes}
+		if cfg.Prefetch {
+			rc.Load = func(key string) { s.loadCacheLine(key, true) }
+		}
+		s.cache = readcache.New(rc)
 	}
 	if err := s.recover(); err != nil {
 		s.closeSegments()

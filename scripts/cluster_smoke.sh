@@ -15,7 +15,9 @@
 #      healed cluster. Kept: a dead process and a restart that recovers
 #      its store, where TestProberEjectReadmit flips /readyz in process.
 #   5. hot re-reads through the router's response cache. Kept: every
-#      cached response bound-checked by a separate process.
+#      cached response bound-checked by a separate process, at a hit
+#      rate of at least 0.9: a miss fills the cache from the reply it
+#      proxied, so 16 hot keys x 8 connections miss at most 128 times.
 #   6. the router's /metrics families. Kept: the router binary, not a
 #      test server, exports them.
 #
@@ -66,7 +68,6 @@ for i in 0 1 2; do wait_addr "$TMP/node$i.addr"; done
 cat > "$TMP/topology.json" <<EOF
 {
   "vnodes": 64,
-  "replication": 2,
   "nodes": [
     {"name": "n0", "addr": "$(cat "$TMP/node0.addr")"},
     {"name": "n1", "addr": "$(cat "$TMP/node1.addr")"},
@@ -137,8 +138,8 @@ grep -q '"corrupt": 0' "$TMP/hot.json"
 HITS="$(grep -o '"cache_hits": [0-9]*' "$TMP/hot.json" | tr -dc 0-9)"
 [ -n "$HITS" ] && [ "$HITS" -gt 0 ] || { echo "router hot phase produced no cache hits"; exit 1; }
 RATE="$(grep -o '"cache_hit_rate": [0-9.]*' "$TMP/hot.json" | grep -o '[0-9.]*$')"
-awk -v r="${RATE:-0}" 'BEGIN{exit !(r>=0.5)}' \
-    || { echo "router hot hit rate ${RATE:-0} below 0.5"; exit 1; }
+awk -v r="${RATE:-0}" 'BEGIN{exit !(r>=0.9)}' \
+    || { echo "router hot hit rate ${RATE:-0} below 0.9"; exit 1; }
 echo "router hot re-read phase: $HITS cache hits (rate $RATE), all within bound"
 
 # --- Act 6: the router's /metrics families ----------------------------
