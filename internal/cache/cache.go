@@ -6,6 +6,15 @@
 // The model tracks tags and state only; functional data lives in the
 // simulated address space (see internal/mem). The hot path (Access on a
 // hit) is allocation-free.
+//
+// State is kept as parallel per-way arrays. keys holds one word per way,
+// tag<<1|1 for a valid line and 0 for an invalid one, so a lookup is one
+// compare per way. stamps holds the LRU stamp per way and is 0 exactly
+// when the way is invalid (the clock is bumped before every stamp), so
+// the first way holding the set's minimum stamp is the first invalid
+// way, or the LRU line when the set is full. cache_test.go keeps a
+// line-struct reference model (explicit valid bit, "first invalid way,
+// else LRU") that the differential tests hold this one to.
 package cache
 
 import "fmt"
@@ -29,13 +38,6 @@ type Victim struct {
 	Addr uint64
 }
 
-type line struct {
-	tag   uint64
-	stamp uint64
-	valid bool
-	dirty bool
-}
-
 // Cache is a set-associative cache. It is not safe for concurrent use.
 type Cache struct {
 	lineBytes  int
@@ -45,7 +47,9 @@ type Cache struct {
 	setBits    uint // log2(sets)
 	tagShift   uint // offsetBits + setBits
 	indexMask  uint64
-	lines      []line // sets × ways, row-major
+	keys       []uint64 // sets × ways, row-major: tag<<1|1, 0 when invalid
+	stamps     []uint64 // LRU stamp per way, 0 when invalid
+	dirty      []bool
 	clock      uint64
 	stats      Stats
 }
@@ -69,6 +73,10 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 		ob++
 	}
 	sb := uint(setsBits(sets))
+	if ob+sb == 0 {
+		// A full 64-bit tag leaves no bit for the key's valid flag.
+		panic("cache: one set of one-byte lines")
+	}
 	return &Cache{
 		lineBytes:  lineBytes,
 		sets:       sets,
@@ -77,7 +85,9 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 		setBits:    sb,
 		tagShift:   ob + sb,
 		indexMask:  uint64(sets - 1),
-		lines:      make([]line, sets*ways),
+		keys:       make([]uint64, sets*ways),
+		stamps:     make([]uint64, sets*ways),
+		dirty:      make([]bool, sets*ways),
 	}
 }
 
@@ -104,27 +114,35 @@ func setsBits(sets int) int {
 	return b
 }
 
+// find returns the index of addr's line, or -1 when it is absent.
+func (c *Cache) find(addr uint64) int {
+	base := c.set(addr) * c.ways
+	key := c.tag(addr)<<1 | 1
+	for w, k := range c.keys[base : base+c.ways] {
+		if k == key {
+			return base + w
+		}
+	}
+	return -1
+}
+
 // Access performs a load (write=false) or store (write=true) lookup. It
 // returns whether the access hit. The caller handles miss fills via
 // Allocate; Access does not allocate.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	c.stats.Accesses++
-	s, t := c.set(addr), c.tag(addr)
-	base := s * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == t {
-			c.clock++
-			l.stamp = c.clock
-			if write {
-				l.dirty = true
-			}
-			c.stats.Hits++
-			return true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		c.stats.Misses++
+		return false
 	}
-	c.stats.Misses++
-	return false
+	c.clock++
+	c.stamps[i] = c.clock
+	if write {
+		c.dirty[i] = true
+	}
+	c.stats.Hits++
+	return true
 }
 
 // Allocate installs addr's line (after a miss fill), evicting the LRU
@@ -132,33 +150,29 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // (write-allocate store miss). The displaced line, if any, is returned so
 // the caller can model its writeback.
 func (c *Cache) Allocate(addr uint64, dirty bool) Victim {
-	s, t := c.set(addr), c.tag(addr)
+	s := c.set(addr)
 	base := s * c.ways
-	victimWay, oldest := -1, ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if !l.valid {
-			victimWay = w
-			oldest = 0
-			break
-		}
-		if l.stamp < oldest {
-			oldest = l.stamp
-			victimWay = w
+	stamps := c.stamps[base : base+c.ways]
+	v, oldest := 0, stamps[0]
+	for w := 1; oldest != 0 && w < len(stamps); w++ {
+		if stamps[w] < oldest {
+			v, oldest = w, stamps[w]
 		}
 	}
-	l := &c.lines[base+victimWay]
-	var v Victim
-	if l.valid {
-		v = Victim{Valid: true, Dirty: l.dirty, Addr: c.addrOf(s, l.tag)}
+	i := base + v
+	var victim Victim
+	if oldest != 0 {
+		victim = Victim{Valid: true, Dirty: c.dirty[i], Addr: c.addrOf(s, c.keys[i]>>1)}
 		c.stats.Evictions++
-		if l.dirty {
+		if c.dirty[i] {
 			c.stats.DirtyEvictions++
 		}
 	}
 	c.clock++
-	*l = line{tag: t, stamp: c.clock, valid: true, dirty: dirty}
-	return v
+	c.keys[i] = c.tag(addr)<<1 | 1
+	c.stamps[i] = c.clock
+	c.dirty[i] = dirty
+	return victim
 }
 
 // addrOf reconstructs a line base address from set and tag.
@@ -166,45 +180,36 @@ func (c *Cache) addrOf(set int, tag uint64) uint64 {
 	return (tag<<c.setBits | uint64(set)) << c.offsetBits
 }
 
+// drop invalidates way i.
+func (c *Cache) drop(i int) {
+	c.keys[i], c.stamps[i], c.dirty[i] = 0, 0, false
+}
+
 // Invalidate drops addr's line if present, returning its victim record
 // (valid if the line was present) without counting an eviction.
 func (c *Cache) Invalidate(addr uint64) Victim {
-	s, t := c.set(addr), c.tag(addr)
-	base := s * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == t {
-			v := Victim{Valid: true, Dirty: l.dirty, Addr: c.addrOf(s, l.tag)}
-			l.valid = false
-			l.dirty = false
-			return v
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return Victim{}
 	}
-	return Victim{}
+	v := Victim{Valid: true, Dirty: c.dirty[i], Addr: c.addrOf(i/c.ways, c.keys[i]>>1)}
+	c.drop(i)
+	return v
 }
 
 // MarkClean clears the dirty bit of addr's line if present.
 func (c *Cache) MarkClean(addr uint64) {
-	s, t := c.set(addr), c.tag(addr)
-	base := s * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == t {
-			l.dirty = false
-			return
-		}
+	if i := c.find(addr); i >= 0 {
+		c.dirty[i] = false
 	}
 }
 
 // DirtyLines calls fn for every valid dirty line's base address (used to
 // drain caches at the end of a run so final outputs reach memory).
 func (c *Cache) DirtyLines(fn func(addr uint64)) {
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			l := &c.lines[s*c.ways+w]
-			if l.valid && l.dirty {
-				fn(c.addrOf(s, l.tag))
-			}
+	for i, d := range c.dirty {
+		if d {
+			fn(c.addrOf(i/c.ways, c.keys[i]>>1))
 		}
 	}
 }
@@ -213,18 +218,14 @@ func (c *Cache) DirtyLines(fn func(addr uint64)) {
 // (used to model barrier-flush coherence in the multicore system: private
 // caches drain at synchronisation points).
 func (c *Cache) FlushAll(fn func(addr uint64)) {
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			l := &c.lines[s*c.ways+w]
-			if !l.valid {
-				continue
-			}
-			if l.dirty && fn != nil {
-				fn(c.addrOf(s, l.tag))
-			}
-			l.valid = false
-			l.dirty = false
+	for i, k := range c.keys {
+		if k == 0 {
+			continue
 		}
+		if c.dirty[i] && fn != nil {
+			fn(c.addrOf(i/c.ways, k>>1))
+		}
+		c.drop(i)
 	}
 }
 

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -294,12 +296,231 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 // Probe reports whether addr's line is present without updating LRU or
 // statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	s, t := c.set(addr), c.tag(addr)
-	base := s * c.ways
+	return c.find(addr) >= 0
+}
+
+// refCache is the line-struct model Cache replaced, kept as the oracle
+// of TestCacheMatchesOracle and FuzzCacheOracle: one struct per way,
+// an explicit valid bit, "first invalid way, else the LRU line" as the
+// victim rule.
+type refCache struct {
+	sets, ways          int
+	offsetBits, setBits uint
+	tagShift            uint
+	indexMask           uint64
+	lines               []refLine
+	clock               uint64
+	stats               Stats
+}
+
+type refLine struct {
+	tag   uint64
+	stamp uint64
+	valid bool
+	dirty bool
+}
+
+func newRefCache(capacityBytes, ways, lineBytes int) *refCache {
+	sets := capacityBytes / (ways * lineBytes)
+	ob, sb := uint(setsBits(lineBytes)), uint(setsBits(sets))
+	return &refCache{
+		sets: sets, ways: ways, offsetBits: ob, setBits: sb, tagShift: ob + sb,
+		indexMask: uint64(sets - 1), lines: make([]refLine, sets*ways),
+	}
+}
+
+func (c *refCache) set(addr uint64) int { return int((addr >> c.offsetBits) & c.indexMask) }
+
+func (c *refCache) addrOf(set int, tag uint64) uint64 {
+	return (tag<<c.setBits | uint64(set)) << c.offsetBits
+}
+
+func (c *refCache) Access(addr uint64, write bool) bool {
+	c.stats.Accesses++
+	s, t := c.set(addr), addr>>c.tagShift
 	for w := 0; w < c.ways; w++ {
-		if l := &c.lines[base+w]; l.valid && l.tag == t {
+		l := &c.lines[s*c.ways+w]
+		if l.valid && l.tag == t {
+			c.clock++
+			l.stamp = c.clock
+			if write {
+				l.dirty = true
+			}
+			c.stats.Hits++
 			return true
 		}
 	}
+	c.stats.Misses++
 	return false
+}
+
+func (c *refCache) Allocate(addr uint64, dirty bool) Victim {
+	s, t := c.set(addr), addr>>c.tagShift
+	victimWay, oldest := -1, ^uint64(0)
+	for w := 0; w < c.ways; w++ {
+		l := &c.lines[s*c.ways+w]
+		if !l.valid {
+			victimWay = w
+			break
+		}
+		if l.stamp < oldest {
+			oldest = l.stamp
+			victimWay = w
+		}
+	}
+	l := &c.lines[s*c.ways+victimWay]
+	var v Victim
+	if l.valid {
+		v = Victim{Valid: true, Dirty: l.dirty, Addr: c.addrOf(s, l.tag)}
+		c.stats.Evictions++
+		if l.dirty {
+			c.stats.DirtyEvictions++
+		}
+	}
+	c.clock++
+	*l = refLine{tag: t, stamp: c.clock, valid: true, dirty: dirty}
+	return v
+}
+
+func (c *refCache) Invalidate(addr uint64) Victim {
+	s, t := c.set(addr), addr>>c.tagShift
+	for w := 0; w < c.ways; w++ {
+		l := &c.lines[s*c.ways+w]
+		if l.valid && l.tag == t {
+			v := Victim{Valid: true, Dirty: l.dirty, Addr: c.addrOf(s, l.tag)}
+			l.valid, l.dirty = false, false
+			return v
+		}
+	}
+	return Victim{}
+}
+
+func (c *refCache) MarkClean(addr uint64) {
+	s, t := c.set(addr), addr>>c.tagShift
+	for w := 0; w < c.ways; w++ {
+		if l := &c.lines[s*c.ways+w]; l.valid && l.tag == t {
+			l.dirty = false
+			return
+		}
+	}
+}
+
+func (c *refCache) DirtyLines(fn func(addr uint64)) {
+	for i, l := range c.lines {
+		if l.valid && l.dirty {
+			fn(c.addrOf(i/c.ways, l.tag))
+		}
+	}
+}
+
+func (c *refCache) FlushAll(fn func(addr uint64)) {
+	for i := range c.lines {
+		l := &c.lines[i]
+		if !l.valid {
+			continue
+		}
+		if l.dirty && fn != nil {
+			fn(c.addrOf(i/c.ways, l.tag))
+		}
+		l.valid, l.dirty = false, false
+	}
+}
+
+// oracleGeometry is the differential tests' cache: 8 sets of 64 B lines
+// at the given associativity, small enough that a 256-line address pool
+// both hits and conflicts.
+func oracleGeometry(ways int) (capacity, lineBytes int) { return 8 * ways * 64, 64 }
+
+// runOracle drives a Cache and the reference model through the same op
+// stream — three bytes an op: an opcode and a 16-bit operand whose high
+// byte picks one of 256 lines and whose low byte an offset in it — and
+// fails on the first hit, victim, dirty-line list or Stats that differs.
+func runOracle(t *testing.T, ways int, ops []byte) {
+	t.Helper()
+	capacity, lineBytes := oracleGeometry(ways)
+	got, want := New(capacity, ways, lineBytes), newRefCache(capacity, ways, lineBytes)
+	var gotLines, wantLines []uint64
+	collect := func(dst *[]uint64) func(uint64) {
+		*dst = (*dst)[:0]
+		return func(a uint64) { *dst = append(*dst, a) }
+	}
+	for i := 0; i+2 < len(ops); i += 3 {
+		op := ops[i]
+		addr := uint64(ops[i+1])<<6 | uint64(ops[i+2]&63)
+		flag := op&0x80 != 0
+		switch op % 16 {
+		case 0, 1, 2, 3, 4, 5:
+			if g, w := got.Access(addr, flag), want.Access(addr, flag); g != w {
+				t.Fatalf("op %d: Access(%#x, %v) hit %v, oracle %v", i/3, addr, flag, g, w)
+			}
+		case 6, 7, 8, 9:
+			if g, w := got.Allocate(addr, flag), want.Allocate(addr, flag); g != w {
+				t.Fatalf("op %d: Allocate(%#x, %v) victim %+v, oracle %+v", i/3, addr, flag, g, w)
+			}
+		case 10, 11:
+			if g, w := got.Invalidate(addr), want.Invalidate(addr); g != w {
+				t.Fatalf("op %d: Invalidate(%#x) %+v, oracle %+v", i/3, addr, g, w)
+			}
+		case 12, 13:
+			got.MarkClean(addr)
+			want.MarkClean(addr)
+		case 14:
+			got.DirtyLines(collect(&gotLines))
+			want.DirtyLines(collect(&wantLines))
+			if !slices.Equal(gotLines, wantLines) {
+				t.Fatalf("op %d: DirtyLines %#x, oracle %#x", i/3, gotLines, wantLines)
+			}
+		case 15:
+			if !flag {
+				got.FlushAll(nil)
+				want.FlushAll(nil)
+				break
+			}
+			got.FlushAll(collect(&gotLines))
+			want.FlushAll(collect(&wantLines))
+			if !slices.Equal(gotLines, wantLines) {
+				t.Fatalf("op %d: FlushAll wrote back %#x, oracle %#x", i/3, gotLines, wantLines)
+			}
+		}
+		if got.Stats() != want.stats {
+			t.Fatalf("op %d: stats %+v, oracle %+v", i/3, got.Stats(), want.stats)
+		}
+	}
+	got.DirtyLines(collect(&gotLines))
+	want.DirtyLines(collect(&wantLines))
+	if !slices.Equal(gotLines, wantLines) {
+		t.Fatalf("end: DirtyLines %#x, oracle %#x", gotLines, wantLines)
+	}
+}
+
+// TestCacheMatchesOracle runs seeded random op streams through the
+// cache and the line-struct model it replaced, at 4, 8 and 16 ways.
+// The stream is weighted towards the simulator's own pattern (Access,
+// and Allocate after a miss) so sets fill and evict constantly.
+func TestCacheMatchesOracle(t *testing.T) {
+	for _, ways := range []int{4, 8, 16} {
+		rng := rand.New(rand.NewSource(int64(ways)))
+		ops := make([]byte, 3*200_000)
+		rng.Read(ops)
+		for i := 0; i < len(ops); i += 3 {
+			// DirtyLines and FlushAll one op in a thousand, not one in eight.
+			if ops[i]%16 >= 14 && rng.Intn(128) != 0 {
+				ops[i] = ops[i]&0x80 | byte(rng.Intn(14))
+			}
+		}
+		t.Run(fmt.Sprintf("ways%d", ways), func(t *testing.T) { runOracle(t, ways, ops) })
+	}
+}
+
+// FuzzCacheOracle is TestCacheMatchesOracle on fuzzer-chosen streams:
+// the first byte picks 4, 8 or 16 ways, the rest is runOracle's ops.
+func FuzzCacheOracle(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 6, 1, 0, 0x86, 2, 0, 0, 1, 0, 14, 0, 0, 0x8F, 0, 0})
+	f.Add([]byte{2, 6, 0, 0, 6, 8, 0, 6, 16, 0, 6, 24, 0, 6, 32, 0, 0x80, 8, 0, 10, 16, 0, 14, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		runOracle(t, []int{4, 8, 16}[int(data[0])%3], data[1:])
+	})
 }

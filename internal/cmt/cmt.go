@@ -81,11 +81,11 @@ func (e *Entry) ReadLines() int {
 
 // RecordSuccess resets the failure history after a successful compression
 // and installs the new size/method/bias.
-func (e *Entry) RecordSuccess(r *compress.Result) {
+func (e *Entry) RecordSuccess(sizeLines int, m compress.Method, bias int8) {
 	e.Compressed = true
-	e.SizeLines = uint8(r.SizeLines)
-	e.Method = r.Method
-	e.Bias = r.Bias
+	e.SizeLines = uint8(sizeLines)
+	e.Method = m
+	e.Bias = bias
 	e.Lazy = 0
 	e.Failed = 0
 	e.Skip = 0

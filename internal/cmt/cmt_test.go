@@ -119,8 +119,7 @@ func TestRecordSuccessResetsHistory(t *testing.T) {
 	var e Entry
 	e.RecordFailure()
 	e.RecordFailure()
-	r := compress.Result{OK: true, SizeLines: 2, Method: compress.Method2D, Bias: 5}
-	e.RecordSuccess(&r)
+	e.RecordSuccess(2, compress.Method2D, 5)
 	if !e.Compressed || e.SizeLines != 2 || e.Method != compress.Method2D || e.Bias != 5 {
 		t.Errorf("entry after success: %+v", e)
 	}

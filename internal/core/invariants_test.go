@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -13,14 +14,20 @@ import (
 // checkInvariants validates the decoupled LLC's structural invariants
 // (Fig. 6): every back-pointer resolves to a valid tag, the per-tag UCL
 // and CMS counts match the entries that point at it, and a block's CMS
-// entries are exactly {0..cmsCount-1} at consecutive sets.
+// entries are exactly {0..cmsCount-1} at consecutive sets. A full scan
+// of the BPA is also the truth the tags' forward pointers are held to:
+// each valid tag's cmsWay[0:cmsCount], uclMask and uclWay name exactly
+// the entries the scan finds pointing back at it, and an invalid tag
+// names no UCL.
 func (l *LLC) checkInvariants() error {
 	type key struct {
 		ti  uint64
 		way uint8
 	}
-	uclSeen := map[key]int{}
-	cmsSeen := map[key]map[uint8]bool{}
+	// What the scan finds per block: the way of each CMS by subblock
+	// index, and of each UCL by block offset.
+	cmsWays := map[key]map[uint8]int{}
+	uclWays := map[key]map[int]int{}
 
 	for s := 0; s < l.sets; s++ {
 		for w := 0; w < l.cfg.Ways; w++ {
@@ -41,18 +48,24 @@ func (l *LLC) checkInvariants() error {
 			}
 			k := key{ti, e.tagWay}
 			if e.isCMS {
-				if cmsSeen[k] == nil {
-					cmsSeen[k] = map[uint8]bool{}
+				if cmsWays[k] == nil {
+					cmsWays[k] = map[uint8]int{}
 				}
-				if cmsSeen[k][e.clID] {
+				if _, dup := cmsWays[k][e.clID]; dup {
 					return fmt.Errorf("duplicate CMS %d for block ti=%d", e.clID, ti)
 				}
-				cmsSeen[k][e.clID] = true
+				cmsWays[k][e.clID] = w
 				if int(e.clID) >= int(tag.cmsCount) {
 					return fmt.Errorf("CMS %d beyond cmsCount %d (ti=%d)", e.clID, tag.cmsCount, ti)
 				}
 			} else {
-				uclSeen[k]++
+				if uclWays[k] == nil {
+					uclWays[k] = map[int]int{}
+				}
+				if _, dup := uclWays[k][s&0xF]; dup {
+					return fmt.Errorf("duplicate UCL at offset %d for block ti=%d", s&0xF, ti)
+				}
+				uclWays[k][s&0xF] = w
 			}
 		}
 	}
@@ -60,16 +73,37 @@ func (l *LLC) checkInvariants() error {
 		for w := 0; w < l.cfg.Ways; w++ {
 			tag := &l.tags[ti*l.cfg.Ways+w]
 			if !tag.valid {
+				if tag.uclMask != 0 {
+					return fmt.Errorf("invalid tag ti=%d way=%d: uclMask=%#x", ti, w, tag.uclMask)
+				}
 				continue
 			}
 			k := key{uint64(ti), uint8(w)}
-			if got := uclSeen[k]; got != int(tag.uclCount) {
+			if got := len(uclWays[k]); got != int(tag.uclCount) {
 				return fmt.Errorf("tag ti=%d way=%d: uclCount=%d but %d UCL entries",
 					ti, w, tag.uclCount, got)
 			}
-			if got := len(cmsSeen[k]); got != int(tag.cmsCount) {
+			if got := len(cmsWays[k]); got != int(tag.cmsCount) {
 				return fmt.Errorf("tag ti=%d way=%d: cmsCount=%d but %d CMS entries",
 					ti, w, tag.cmsCount, got)
+			}
+			// With the count equal and every clID unique and below it,
+			// the scan found CMS i for every i < cmsCount.
+			for i := 0; i < int(tag.cmsCount); i++ {
+				if got, want := int(tag.cmsWay[i]), cmsWays[k][uint8(i)]; got != want {
+					return fmt.Errorf("tag ti=%d way=%d: cmsWay[%d]=%d, CMS %d is in way %d",
+						ti, w, i, got, i, want)
+				}
+			}
+			if got := bits.OnesCount16(tag.uclMask); got != len(uclWays[k]) {
+				return fmt.Errorf("tag ti=%d way=%d: uclMask=%#x names %d UCLs, the BPA holds %d",
+					ti, w, tag.uclMask, got, len(uclWays[k]))
+			}
+			for cl, want := range uclWays[k] {
+				if tag.uclMask&(1<<cl) == 0 || int(tag.uclWay[cl]) != want {
+					return fmt.Errorf("tag ti=%d way=%d: UCL at offset %d is in way %d, uclMask=%#x uclWay=%d",
+						ti, w, cl, want, tag.uclMask, tag.uclWay[cl])
+				}
 			}
 		}
 	}
@@ -248,13 +282,15 @@ func TestAddressMappingProperty(t *testing.T) {
 		if back != addr {
 			t.Fatalf("address %#x reconstructed as %#x", addr, back)
 		}
-		// The UCL set/suffix relations used by forEachUCL.
+		// The UCL set/suffix relations: insertUCL places a line at
+		// uclSet(addr), the tag's pointers find it at uclBase(ti)+cl, and
+		// evictBPAEntry recovers ti from the suffix and the set.
 		us := llc.uclSet(addr)
 		suf := llc.suffix(addr)
 		if uint64(suf) != ti>>(llc.idxBits-4) {
 			t.Fatalf("suffix %d != top bits of ti %d", suf, ti)
 		}
-		if us != ((ti&llc.lowMask)<<4 | cl) {
+		if int(us) != llc.uclBase(ti)+int(cl) {
 			t.Fatalf("uclSet %d inconsistent with ti %d cl %d", us, ti, cl)
 		}
 	}

@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"avr/internal/cmt"
 	"avr/internal/compress"
@@ -133,6 +134,16 @@ type tagEntry struct {
 	uclCount uint8
 	valid    bool
 	dirty    bool // the compressed block copy is dirty
+
+	// Forward pointers into the BPA: a host-side index, not modelled
+	// hardware (which compares a set's back-pointers in parallel, and is
+	// charged for the tag and BPA fields above only). cmsWay[i] is the
+	// way of CMS i in set (ti+i) mod sets, for i < cmsCount. Bit cl of
+	// uclMask marks the UCL at block offset cl, which sits in way
+	// uclWay[cl] of set uclBase(ti)+cl.
+	uclMask uint16
+	cmsWay  [compress.MaxCompressedLines]uint8
+	uclWay  [compress.BlockLines]uint8
 }
 
 type bpaEntry struct {
@@ -156,9 +167,10 @@ type dbufState struct {
 // concurrent use.
 //
 // The request and eviction paths must stay allocation-free in steady
-// state (scratch below is the block-read buffer; the forEachUCL
-// callbacks must not escape): BenchmarkSystemAccessAVR gates the whole
-// demand path at 0 allocs/op in CI via scripts/bench.sh.
+// state (scratch below is the block-read buffer, and recompression runs
+// in compressor scratch): BenchmarkSystemAccessAVR and
+// BenchmarkSystemAccessAVRWrite gate the demand and writeback paths at
+// 0 allocs/op in CI via scripts/bench.sh.
 type LLC struct {
 	cfg      Config
 	sets     int
@@ -246,6 +258,36 @@ func (l *LLC) blockAddrOf(ti uint64, t *tagEntry) uint64 {
 	return t.blockTag<<(10+l.idxBits) | ti<<10
 }
 
+// cmsSet is the BPA set of CMS i of the block at tag set ti.
+func (l *LLC) cmsSet(ti uint64, i int) int {
+	return int((ti + uint64(i)) & uint64(l.sets-1))
+}
+
+// uclBase is the first of the 16 consecutive BPA sets holding the UCLs
+// of the block at tag set ti.
+func (l *LLC) uclBase(ti uint64) int {
+	return int(ti&l.lowMask) << 4
+}
+
+func (l *LLC) tagAt(ti uint64, way int) *tagEntry {
+	return &l.tags[int(ti)*l.cfg.Ways+way]
+}
+
+func (l *LLC) bpaAt(s, w int) *bpaEntry {
+	return &l.bpa[s*l.cfg.Ways+w]
+}
+
+// cms returns CMS i (< t.cmsCount) of block (ti, t).
+func (l *LLC) cms(ti uint64, t *tagEntry, i int) *bpaEntry {
+	return l.bpaAt(l.cmsSet(ti, i), int(t.cmsWay[i]))
+}
+
+// ucl returns the UCL at block offset cl of block (ti, t); t.uclMask
+// must have bit cl set.
+func (l *LLC) ucl(ti uint64, t *tagEntry, cl int) *bpaEntry {
+	return l.bpaAt(l.uclBase(ti)+cl, int(t.uclWay[cl]))
+}
+
 func (l *LLC) tick() uint64 {
 	l.clock++
 	return l.clock
@@ -300,88 +342,64 @@ func (l *LLC) allocTag(now uint64, ti uint64, bt uint64) int {
 
 // evictTag removes a tag entry and all lines pointing at it.
 func (l *LLC) evictTag(now uint64, ti uint64, way uint8) {
-	t := &l.tags[int(ti)*l.cfg.Ways+int(way)]
+	t := l.tagAt(ti, int(way))
 	if t.cmsCount > 0 {
 		l.evictCompressedBlock(now, ti, way)
 	}
-	l.forEachUCL(ti, way, func(set int, w int, e *bpaEntry, clOff int) {
-		addr := l.blockAddrOf(ti, t) | uint64(clOff)<<6
+	blockAddr := l.blockAddrOf(ti, t)
+	for m := t.uclMask; m != 0; m &= m - 1 {
+		cl := bits.TrailingZeros16(m)
+		e := l.ucl(ti, t, cl)
 		if e.dirty {
-			l.evictDirtyUCL(now, addr, ti, way)
+			l.evictDirtyUCL(now, blockAddr|uint64(cl)<<6, ti, way)
 		}
 		e.valid = false
 		e.dirty = false
-	})
+	}
 	t.valid = false
 	t.uclCount = 0
-}
-
-// forEachUCL visits every UCL entry of block (ti, way).
-func (l *LLC) forEachUCL(ti uint64, way uint8, fn func(set int, w int, e *bpaEntry, clOff int)) {
-	suffix := uint8(ti >> (l.idxBits - 4))
-	baseSet := (ti & l.lowMask) << 4
-	for cl := 0; cl < compress.BlockLines; cl++ {
-		s := int(baseSet) + cl
-		for w := 0; w < l.cfg.Ways; w++ {
-			e := &l.bpa[s*l.cfg.Ways+w]
-			if e.valid && !e.isCMS && e.tagWay == way && e.clID == suffix {
-				fn(s, w, e, cl)
-			}
-		}
-	}
+	t.uclMask = 0
 }
 
 // ---- BPA / UCL ----
 
-func (l *LLC) findUCL(addr uint64) (int, int, bool) {
-	ti := l.tagIndex(addr)
-	bt := l.blockTag(addr)
-	tw := l.findTag(ti, bt)
-	if tw < 0 {
-		return 0, 0, false
-	}
-	s := int(l.uclSet(addr))
-	suf := l.suffix(addr)
-	for w := 0; w < l.cfg.Ways; w++ {
-		e := &l.bpa[s*l.cfg.Ways+w]
-		if e.valid && !e.isCMS && e.clID == suf && int(e.tagWay) == tw {
-			return s, w, true
-		}
-	}
-	return 0, 0, false
-}
-
 // insertUCL installs addr's line as a UCL (allocating its tag if needed),
-// evicting a BPA victim when the set is full.
-func (l *LLC) insertUCL(now uint64, addr uint64, dirty bool) {
+// evicting a BPA victim when the set is full. tw is the block's tag way
+// as the caller looked it up, -1 when it has none; the way used is
+// returned. A way is re-checked because a PFE insert since the lookup
+// may, in principle, have evicted it.
+func (l *LLC) insertUCL(now uint64, addr uint64, tw int, dirty bool) int {
 	l.stats.Accesses++
 	ti := l.tagIndex(addr)
 	bt := l.blockTag(addr)
-	tw := l.findTag(ti, bt)
+	if tw >= 0 {
+		if t := l.tagAt(ti, tw); !t.valid || t.blockTag != bt {
+			tw = l.findTag(ti, bt)
+		}
+	}
 	if tw < 0 {
 		tw = l.allocTag(now, ti, bt)
 	}
-	tag := &l.tags[int(ti)*l.cfg.Ways+tw]
+	tag := l.tagAt(ti, tw)
 	tag.stamp = l.tick()
-	l.touchCMSLRU(ti, uint8(tw), tag.cmsCount)
+	l.touchCMSLRU(ti, tag)
 
-	s := int(l.uclSet(addr))
-	suf := l.suffix(addr)
-	// Already present?
-	for w := 0; w < l.cfg.Ways; w++ {
-		e := &l.bpa[s*l.cfg.Ways+w]
-		if e.valid && !e.isCMS && e.clID == suf && int(e.tagWay) == tw {
-			e.stamp = l.tick()
-			e.dirty = e.dirty || dirty
-			return
-		}
+	cl := int((addr >> 6) & 0xF)
+	if tag.uclMask&(1<<cl) != 0 {
+		e := l.ucl(ti, tag, cl)
+		e.stamp = l.tick()
+		e.dirty = e.dirty || dirty
+		return tw
 	}
+	s := int(l.uclSet(addr))
 	w := l.allocBPA(now, s)
 	// The victim handling in allocBPA may have moved tags around; the tag
 	// way of our block is stable (tags are only invalidated, never moved).
-	e := &l.bpa[s*l.cfg.Ways+w]
-	*e = bpaEntry{valid: true, dirty: dirty, isCMS: false, clID: suf, tagWay: uint8(tw), stamp: l.tick()}
+	*l.bpaAt(s, w) = bpaEntry{valid: true, dirty: dirty, isCMS: false, clID: l.suffix(addr), tagWay: uint8(tw), stamp: l.tick()}
+	tag.uclMask |= 1 << cl
+	tag.uclWay[cl] = uint8(w)
 	tag.uclCount++
+	return tw
 }
 
 // allocBPA picks a victim way in BPA set s, runs its eviction flow, and
@@ -417,12 +435,13 @@ func (l *LLC) evictBPAEntry(now uint64, s, w int) {
 	}
 	// UCL.
 	ti := uint64(e.clID)<<(l.idxBits-4) | uint64(s)>>4
-	tag := &l.tags[int(ti)*l.cfg.Ways+int(e.tagWay)]
+	tag := l.tagAt(ti, int(e.tagWay))
 	clOff := uint64(s) & 0xF
 	addr := l.blockAddrOf(ti, tag) | clOff<<6
 	dirty := e.dirty
 	e.valid = false
 	e.dirty = false
+	tag.uclMask &^= 1 << clOff
 	if tag.uclCount > 0 {
 		tag.uclCount--
 	}
@@ -444,7 +463,7 @@ func (l *LLC) evictDirtyUCL(now uint64, addr uint64, ti uint64, tagWay uint8) {
 		return
 	}
 	blockAddr := mem.BlockAddr(addr)
-	tag := &l.tags[int(ti)*l.cfg.Ways+int(tagWay)]
+	tag := l.tagAt(ti, int(tagWay))
 
 	if tag.valid && tag.cmsCount > 0 {
 		// Compressed block co-located in LLC: update and recompress in
@@ -454,12 +473,12 @@ func (l *LLC) evictDirtyUCL(now uint64, addr uint64, ti uint64, tagWay uint8) {
 		res := l.compressBlock(blockAddr, dt)
 		if res.OK {
 			l.stats.EvRecompress++
-			l.installRecompressed(now, ti, tagWay, blockAddr, res)
+			l.installRecompressed(now, ti, tagWay, blockAddr, &res)
 		} else {
 			// The block no longer compresses: drop the stale CMSs and
 			// write the line back uncompressed.
 			l.stats.EvUncompWB++
-			l.dropCMSs(ti, tagWay)
+			l.dropCMSs(ti, tag)
 			e := l.table.Lookup(blockAddr)
 			e.RecordFailure()
 			l.table.MarkDirty(blockAddr)
@@ -484,10 +503,9 @@ func (l *LLC) evictDirtyUCL(now uint64, addr uint64, ti uint64, tagWay uint8) {
 		res := l.compressBlock(blockAddr, dt)
 		if res.OK {
 			l.stats.EvFetchRecompress++
-			e.RecordSuccess(&res)
+			e.RecordSuccess(res.SizeLines, res.Method, res.Bias)
 			l.table.MarkDirty(blockAddr)
-			l.writeReconstruction(blockAddr, &res)
-			l.foldDirtyUCLs(ti, tagWay)
+			l.foldDirtyUCLs(ti, tag)
 			l.dramCtrl.AccessLines(now, blockAddr, res.SizeLines, true, true)
 		} else {
 			l.stats.EvUncompWB++
@@ -509,10 +527,9 @@ func (l *LLC) evictDirtyUCL(now uint64, addr uint64, ti uint64, tagWay uint8) {
 		res := l.compressBlock(blockAddr, dt)
 		if res.OK {
 			l.stats.EvFetchRecompress++
-			e.RecordSuccess(&res)
+			e.RecordSuccess(res.SizeLines, res.Method, res.Bias)
 			l.table.MarkDirty(blockAddr)
-			l.writeReconstruction(blockAddr, &res)
-			l.foldDirtyUCLs(ti, tagWay)
+			l.foldDirtyUCLs(ti, tag)
 			l.dramCtrl.AccessLines(now, blockAddr, res.SizeLines, true, true)
 		} else {
 			l.stats.EvUncompWB++
@@ -527,13 +544,13 @@ func (l *LLC) evictDirtyUCL(now uint64, addr uint64, ti uint64, tagWay uint8) {
 // (CMS victim or tag eviction): all CMSs are dropped and, when dirty, the
 // block is recompacted with its dirty UCLs and written to memory.
 func (l *LLC) evictCompressedBlock(now uint64, ti uint64, way uint8) {
-	tag := &l.tags[int(ti)*l.cfg.Ways+int(way)]
+	tag := l.tagAt(ti, int(way))
 	if tag.cmsCount == 0 {
 		return
 	}
 	blockAddr := l.blockAddrOf(ti, tag)
 	dirty := tag.dirty
-	l.dropCMSs(ti, way)
+	l.dropCMSs(ti, tag)
 	tag.dirty = false
 	if tag.uclCount == 0 {
 		tag.valid = false
@@ -547,9 +564,8 @@ func (l *LLC) evictCompressedBlock(now uint64, ti uint64, way uint8) {
 	e := l.table.Lookup(blockAddr)
 	if res.OK {
 		l.stats.EvRecompress++
-		e.RecordSuccess(&res)
-		l.writeReconstruction(blockAddr, &res)
-		l.foldDirtyUCLs(ti, way)
+		e.RecordSuccess(res.SizeLines, res.Method, res.Bias)
+		l.foldDirtyUCLs(ti, tag)
 		l.dramCtrl.AccessLines(now, blockAddr, res.SizeLines, true, true)
 	} else {
 		l.stats.EvUncompWB++
@@ -559,53 +575,38 @@ func (l *LLC) evictCompressedBlock(now uint64, ti uint64, way uint8) {
 	l.table.MarkDirty(blockAddr)
 }
 
-// dropCMSs invalidates every CMS entry of block (ti, way).
-func (l *LLC) dropCMSs(ti uint64, way uint8) {
-	tag := &l.tags[int(ti)*l.cfg.Ways+int(way)]
-	for i := 0; i < int(tag.cmsCount); i++ {
-		s := int((ti + uint64(i)) & uint64(l.sets-1))
-		for w := 0; w < l.cfg.Ways; w++ {
-			e := &l.bpa[s*l.cfg.Ways+w]
-			if e.valid && e.isCMS && e.tagWay == way && int(e.clID) == i {
-				e.valid = false
-				e.dirty = false
-				break
-			}
-		}
+// dropCMSs invalidates every CMS entry of block (ti, t).
+func (l *LLC) dropCMSs(ti uint64, t *tagEntry) {
+	for i := 0; i < int(t.cmsCount); i++ {
+		e := l.cms(ti, t, i)
+		e.valid = false
+		e.dirty = false
 	}
-	tag.cmsCount = 0
+	t.cmsCount = 0
 }
 
-// foldDirtyUCLs marks all dirty UCLs of a block clean after their values
-// were folded into a successful recompaction.
-func (l *LLC) foldDirtyUCLs(ti uint64, way uint8) {
-	l.forEachUCL(ti, way, func(_ int, _ int, e *bpaEntry, _ int) {
-		e.dirty = false
-	})
+// foldDirtyUCLs marks all dirty UCLs of block (ti, t) clean after their
+// values were folded into a successful recompaction.
+func (l *LLC) foldDirtyUCLs(ti uint64, t *tagEntry) {
+	for m := t.uclMask; m != 0; m &= m - 1 {
+		l.ucl(ti, t, bits.TrailingZeros16(m)).dirty = false
+	}
 }
 
 // installRecompressed updates the block's in-LLC compressed copy after a
 // successful recompression: same or fewer CMSs are updated in place;
 // growth beyond the previous footprint is handled by writing the block to
 // memory instead (avoiding allocation recursion; see package comment).
-func (l *LLC) installRecompressed(now uint64, ti uint64, way uint8, blockAddr uint64, res compress.Result) {
-	tag := &l.tags[int(ti)*l.cfg.Ways+int(way)]
+func (l *LLC) installRecompressed(now uint64, ti uint64, way uint8, blockAddr uint64, res *compress.FastResult) {
+	tag := l.tagAt(ti, int(way))
 	e := l.table.Lookup(blockAddr)
-	e.RecordSuccess(&res)
+	e.RecordSuccess(res.SizeLines, res.Method, res.Bias)
 	l.table.MarkDirty(blockAddr)
-	l.writeReconstruction(blockAddr, &res)
-	l.foldDirtyUCLs(ti, way)
+	l.foldDirtyUCLs(ti, tag)
 	if res.SizeLines <= int(tag.cmsCount) {
 		// Shrink in place: drop the surplus subblock entries.
 		for i := res.SizeLines; i < int(tag.cmsCount); i++ {
-			s := int((ti + uint64(i)) & uint64(l.sets-1))
-			for w := 0; w < l.cfg.Ways; w++ {
-				be := &l.bpa[s*l.cfg.Ways+w]
-				if be.valid && be.isCMS && be.tagWay == way && int(be.clID) == i {
-					be.valid = false
-					break
-				}
-			}
+			l.cms(ti, tag, i).valid = false
 		}
 		tag.cmsCount = uint8(res.SizeLines)
 		tag.dirty = true
@@ -613,7 +614,7 @@ func (l *LLC) installRecompressed(now uint64, ti uint64, way uint8, blockAddr ui
 		return
 	}
 	// Grew: push the fresh copy to memory and drop the LLC copy.
-	l.dropCMSs(ti, way)
+	l.dropCMSs(ti, tag)
 	if tag.uclCount == 0 {
 		tag.valid = false
 	}
@@ -636,18 +637,11 @@ func (l *LLC) linkBytes(addr uint64) int {
 	return n
 }
 
-// compressBlock compresses the current (space-resident) content of a
-// block, honouring the region's own error thresholds when the page
-// carries them (§3.1 extension).
-func (l *LLC) compressBlock(blockAddr uint64, dt compress.DataType) compress.Result {
+// compressBlock is compressInPlace counted in the statistics and
+// histograms.
+func (l *LLC) compressBlock(blockAddr uint64, dt compress.DataType) compress.FastResult {
 	l.stats.Compresses++
-	l.space.ReadBlock(blockAddr, &l.scratch)
-	var res compress.Result
-	if th := l.space.Info(blockAddr).Thresholds; th != nil {
-		res = l.comp.CompressWith(&l.scratch, dt, *th)
-	} else {
-		res = l.comp.Compress(&l.scratch, dt)
-	}
+	res := l.compressInPlace(blockAddr, dt)
 	if res.OK {
 		l.stats.Outliers += uint64(len(res.Outliers))
 		l.stats.CompressedFromLines += compress.BlockLines
@@ -661,10 +655,26 @@ func (l *LLC) compressBlock(blockAddr uint64, dt compress.DataType) compress.Res
 	return res
 }
 
-// writeReconstruction commits a successful compression's approximate
-// values to the space, so every later read observes them.
-func (l *LLC) writeReconstruction(blockAddr uint64, res *compress.Result) {
-	l.space.WriteBlock(blockAddr, &res.Reconstructed)
+// compressInPlace compresses the current (space-resident) content of a
+// block, honouring the region's own error thresholds when the page
+// carries them (§3.1 extension), through the flat-pass datapath the
+// serving codec uses. On success it writes the reconstruction back to
+// the space, so every later read observes it; a failed attempt copies
+// and decodes nothing. The result's Summary, Bitmap and Outliers alias
+// compressor scratch that the next compression overwrites, and a victim
+// flow can compress again: callers read only its scalar fields.
+func (l *LLC) compressInPlace(blockAddr uint64, dt compress.DataType) compress.FastResult {
+	l.space.ReadBlock(blockAddr, &l.scratch)
+	th := l.comp.Thresholds()
+	if p := l.space.Info(blockAddr).Thresholds; p != nil {
+		th = *p
+	}
+	res := l.comp.CompressFastWith(&l.scratch, dt, th)
+	if res.OK {
+		l.scratch = compress.Decompress(res.Summary, res.Bitmap, res.Outliers, res.Method, res.Bias, dt)
+		l.space.WriteBlock(blockAddr, &l.scratch)
+	}
+	return res
 }
 
 // ---- DBUF / PFE ----
@@ -680,10 +690,11 @@ func (l *LLC) loadDBUF(now uint64, blockAddr uint64, dt compress.DataType) {
 			}
 		}
 		if req >= l.cfg.PrefetchThreshold {
+			tw := l.findTag(l.tagIndex(l.dbuf.blockAddr), l.blockTag(l.dbuf.blockAddr))
 			for cl := 0; cl < compress.BlockLines; cl++ {
 				if !l.dbuf.inLLC[cl] {
 					l.stats.Prefetches++
-					l.insertUCL(now, l.dbuf.blockAddr|uint64(cl)<<6, false)
+					tw = l.insertUCL(now, l.dbuf.blockAddr|uint64(cl)<<6, tw, false)
 				}
 			}
 		}
@@ -706,29 +717,28 @@ func (l *LLC) Access(now uint64, addr uint64) uint64 {
 	approx, dt := l.approxInfo(addr)
 	hit := uint64(l.cfg.HitCycles)
 	cl := int((addr >> 6) & 0xF)
+	ti := l.tagIndex(addr)
+	bt := l.blockTag(addr)
+	tw := l.findTag(ti, bt)
 
 	// 1. DBUF lookup (in parallel with the tag array).
 	if approx && l.dbufHit(addr) {
 		l.stats.ApproxDBUFHit++
 		l.dbuf.requested[cl] = true
 		l.dbuf.inLLC[cl] = true
-		l.insertUCL(now, addr, false)
+		l.insertUCL(now, addr, tw, false)
 		return hit
 	}
 
-	ti := l.tagIndex(addr)
-	bt := l.blockTag(addr)
-	tw := l.findTag(ti, bt)
 	if tw >= 0 {
-		tag := &l.tags[int(ti)*l.cfg.Ways+tw]
+		tag := l.tagAt(ti, tw)
 		// 2. UCL lookup. Accessing any UCL of a block refreshes the tag
 		// LRU and the block's CMS LRU bits (§3.4), keeping a co-located
 		// compressed copy alive while the block is hot.
-		if _, w, ok := l.findUCL(addr); ok {
-			s := int(l.uclSet(addr))
-			l.bpa[s*l.cfg.Ways+w].stamp = l.tick()
+		if tag.uclMask&(1<<cl) != 0 {
+			l.ucl(ti, tag, cl).stamp = l.tick()
 			tag.stamp = l.tick()
-			l.touchCMSLRU(ti, uint8(tw), tag.cmsCount)
+			l.touchCMSLRU(ti, tag)
 			if approx {
 				l.stats.ApproxUncompHit++
 			} else {
@@ -743,11 +753,11 @@ func (l *LLC) Access(now uint64, addr uint64) uint64 {
 			l.stats.Accesses += uint64(tag.cmsCount)
 			lat := hit + uint64(int(tag.cmsCount)*l.cfg.CMSReadCycles) + compress.DecompressLatency
 			tag.stamp = l.tick()
-			l.touchCMSLRU(ti, uint8(tw), tag.cmsCount)
+			l.touchCMSLRU(ti, tag)
 			l.loadDBUF(now, mem.BlockAddr(addr), dt)
 			l.dbuf.requested[cl] = true
 			l.dbuf.inLLC[cl] = true
-			l.insertUCL(now, addr, false)
+			l.insertUCL(now, addr, tw, false)
 			return lat
 		}
 	}
@@ -757,7 +767,7 @@ func (l *LLC) Access(now uint64, addr uint64) uint64 {
 	if !approx {
 		l.stats.NonApproxMisses++
 		done := l.dramCtrl.AccessBytes(now, addr, l.linkBytes(addr), false, false)
-		l.insertUCL(now, addr, false)
+		l.insertUCL(now, addr, tw, false)
 		return done - now + hit
 	}
 
@@ -767,7 +777,7 @@ func (l *LLC) Access(now uint64, addr uint64) uint64 {
 	if !e.Compressed {
 		// Uncompressed block: fetch just the requested line (Fig. 7).
 		done := l.dramCtrl.Access(now, addr, false, true)
-		l.insertUCL(now, addr, false)
+		l.insertUCL(now, addr, tw, false)
 		return done - now + hit
 	}
 
@@ -781,10 +791,9 @@ func (l *LLC) Access(now uint64, addr uint64) uint64 {
 		// the block enters the LLC dirty (§3.5).
 		res := l.compressBlock(blockAddr, dt)
 		if res.OK {
-			e.RecordSuccess(&res)
+			e.RecordSuccess(res.SizeLines, res.Method, res.Bias)
 			l.table.MarkDirty(blockAddr)
-			l.writeReconstruction(blockAddr, &res)
-			l.installCMSs(now, blockAddr, res.SizeLines, true)
+			tw = l.installCMSs(now, ti, bt, tw, res.SizeLines, true)
 		} else {
 			// The updated block no longer compresses: it becomes
 			// uncompressed in memory.
@@ -793,13 +802,13 @@ func (l *LLC) Access(now uint64, addr uint64) uint64 {
 			l.dramCtrl.AccessLines(now, blockAddr, compress.BlockLines, true, true)
 		}
 	} else {
-		l.installCMSs(now, blockAddr, int(e.SizeLines), false)
+		tw = l.installCMSs(now, ti, bt, tw, int(e.SizeLines), false)
 	}
 
 	l.loadDBUF(now, blockAddr, dt)
 	l.dbuf.requested[cl] = true
 	l.dbuf.inLLC[cl] = true
-	l.insertUCL(now, addr, false)
+	l.insertUCL(now, addr, tw, false)
 	return lat
 }
 
@@ -807,59 +816,55 @@ func (l *LLC) Access(now uint64, addr uint64) uint64 {
 // installed (or updated) as a dirty UCL.
 func (l *LLC) WriteBack(now uint64, addr uint64) {
 	l.stats.Accesses++
-	if s, w, ok := l.findUCL(addr); ok {
-		e := &l.bpa[s*l.cfg.Ways+w]
-		e.dirty = true
-		e.stamp = l.tick()
-		// A writeback is an access to a UCL of the block: refresh the tag
-		// and CMS LRU bits (§3.4) so the co-located compressed copy
-		// outlives its dirty lines and absorbs them by recompression.
-		ti := l.tagIndex(addr)
-		tag := &l.tags[int(ti)*l.cfg.Ways+int(e.tagWay)]
-		tag.stamp = l.tick()
-		l.touchCMSLRU(ti, e.tagWay, tag.cmsCount)
-		return
+	ti := l.tagIndex(addr)
+	tw := l.findTag(ti, l.blockTag(addr))
+	if tw >= 0 {
+		if tag, cl := l.tagAt(ti, tw), int((addr>>6)&0xF); tag.uclMask&(1<<cl) != 0 {
+			e := l.ucl(ti, tag, cl)
+			e.dirty = true
+			e.stamp = l.tick()
+			// A writeback is an access to a UCL of the block: refresh the
+			// tag and CMS LRU bits (§3.4) so the co-located compressed
+			// copy outlives its dirty lines and absorbs them by
+			// recompression.
+			tag.stamp = l.tick()
+			l.touchCMSLRU(ti, tag)
+			return
+		}
 	}
-	l.insertUCL(now, addr, true)
+	l.insertUCL(now, addr, tw, true)
 }
 
-// touchCMSLRU refreshes the LRU stamps of a block's CMS entries ("the CMS
-// LRU bits are updated when any UCL of the block is accessed").
-func (l *LLC) touchCMSLRU(ti uint64, way uint8, count uint8) {
-	for i := 0; i < int(count); i++ {
-		s := int((ti + uint64(i)) & uint64(l.sets-1))
-		for w := 0; w < l.cfg.Ways; w++ {
-			e := &l.bpa[s*l.cfg.Ways+w]
-			if e.valid && e.isCMS && e.tagWay == way && int(e.clID) == i {
-				e.stamp = l.tick()
-				break
-			}
-		}
+// touchCMSLRU refreshes the LRU stamps of block (ti, t)'s CMS entries
+// ("the CMS LRU bits are updated when any UCL of the block is
+// accessed").
+func (l *LLC) touchCMSLRU(ti uint64, t *tagEntry) {
+	for i := 0; i < int(t.cmsCount); i++ {
+		l.cms(ti, t, i).stamp = l.tick()
 	}
 }
 
 // installCMSs stores a compressed block's subblocks into the LLC at
-// consecutive sets starting from the tag index (§3.4).
-func (l *LLC) installCMSs(now uint64, blockAddr uint64, size int, dirty bool) {
-	ti := l.tagIndex(blockAddr)
-	bt := l.blockTag(blockAddr)
-	tw := l.findTag(ti, bt)
+// consecutive sets starting from its tag index ti (§3.4). tw is the
+// block's tag way, -1 when it has none; the way used is returned.
+func (l *LLC) installCMSs(now uint64, ti, bt uint64, tw int, size int, dirty bool) int {
 	if tw < 0 {
 		tw = l.allocTag(now, ti, bt)
 	}
-	tag := &l.tags[int(ti)*l.cfg.Ways+tw]
+	tag := l.tagAt(ti, tw)
 	if tag.cmsCount > 0 {
-		l.dropCMSs(ti, uint8(tw))
+		l.dropCMSs(ti, tag)
 	}
 	// While installing, the block is treated as absent (count 0) so any
 	// victim flows triggered below cannot alias the half-installed copy.
 	tag.cmsCount = 0
 	for i := 0; i < size; i++ {
-		s := int((ti + uint64(i)) & uint64(l.sets-1))
+		s := l.cmsSet(ti, i)
 		w := l.allocBPA(now, s)
-		l.bpa[s*l.cfg.Ways+w] = bpaEntry{
+		*l.bpaAt(s, w) = bpaEntry{
 			valid: true, isCMS: true, clID: uint8(i), tagWay: uint8(tw), stamp: l.tick(),
 		}
+		tag.cmsWay[i] = uint8(w)
 		l.stats.Accesses++
 	}
 	// The tag may have been invalidated by a victim flow that emptied the
@@ -869,6 +874,7 @@ func (l *LLC) installCMSs(now uint64, blockAddr uint64, size int, dirty bool) {
 	tag.cmsCount = uint8(size)
 	tag.dirty = dirty
 	tag.stamp = l.tick()
+	return tw
 }
 
 // Prime compresses every approximable block currently in the space,
@@ -882,19 +888,9 @@ func (l *LLC) Prime() {
 		return
 	}
 	l.space.ApproxBlocks(func(blockAddr uint64, dt compress.DataType) {
-		l.space.ReadBlock(blockAddr, &l.scratch)
-		var res compress.Result
-		if th := l.space.Info(blockAddr).Thresholds; th != nil {
-			res = l.comp.CompressWith(&l.scratch, dt, *th)
-		} else {
-			res = l.comp.Compress(&l.scratch, dt)
+		if res := l.compressInPlace(blockAddr, dt); res.OK {
+			l.table.Lookup(blockAddr).RecordSuccess(res.SizeLines, res.Method, res.Bias)
 		}
-		if !res.OK {
-			return
-		}
-		e := l.table.Lookup(blockAddr)
-		e.RecordSuccess(&res)
-		l.writeReconstruction(blockAddr, &res)
 	})
 }
 

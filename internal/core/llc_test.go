@@ -451,6 +451,34 @@ func TestFlushIdempotent(t *testing.T) {
 	}
 }
 
+// TestRecompressionAllocFree holds the recompression flows to zero
+// allocations with outliers in play. BenchmarkSystemAccessAVRWrite gates
+// the write path per access, where about one access in a thousand
+// recompresses, so an allocation per recompression would round to 0
+// allocs/op there; here every op of the measured loop recompresses a
+// block that keeps sixteen outliers (one spike per line).
+func TestRecompressionAllocFree(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.LazyEvictions = false })
+	blk := mem.BlockAddr(r.base)
+	r.fillBlock(blk, 100)
+	for cl := 0; cl < compress.BlockLines; cl++ {
+		r.space.StoreF32(blk+uint64(cl*64), -1e6)
+	}
+	cycle := func() {
+		r.dirtyAllLines(blk)
+		r.llc.Flush(0)
+	}
+	cycle()
+	before := r.llc.Stats()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("a writeback+flush cycle allocates %v times", allocs)
+	}
+	s := r.llc.Stats()
+	if s.EvFetchRecompress == before.EvFetchRecompress || s.Outliers == before.Outliers {
+		t.Fatalf("the cycle did not recompress with outliers: before %+v, after %+v", before, s)
+	}
+}
+
 func TestNewPanicsOnTinyLLC(t *testing.T) {
 	defer func() {
 		if recover() == nil {

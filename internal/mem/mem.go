@@ -39,9 +39,14 @@ type PageInfo struct {
 
 // Space is a simulated physical address space. Address 0 is reserved (the
 // allocator starts at one page) so 0 can act as a nil address.
+//
+// The backing bytes cover only the pages allocated so far: data grows
+// with brk, in whole pages, up to the capacity, so a space sized for the
+// largest workload costs a small one only what it allocates.
 type Space struct {
 	data  []byte
 	brk   uint64
+	limit uint64 // capacity in bytes
 	pages []PageInfo
 }
 
@@ -53,8 +58,9 @@ func NewSpace(capacity int) *Space {
 	}
 	np := (capacity + PageBytes - 1) / PageBytes
 	return &Space{
-		data:  make([]byte, np*PageBytes),
+		data:  make([]byte, PageBytes),
 		brk:   PageBytes, // reserve page 0
+		limit: uint64(np) * PageBytes,
 		pages: make([]PageInfo, np),
 	}
 }
@@ -74,10 +80,13 @@ func (s *Space) Alloc(size, align uint64) uint64 {
 		panic(fmt.Sprintf("mem: alignment %d not a power of two", align))
 	}
 	base := (s.brk + align - 1) &^ (align - 1)
-	if base+size > uint64(len(s.data)) {
-		panic(fmt.Sprintf("mem: out of simulated memory (%d + %d > %d)", base, size, len(s.data)))
+	if base+size > s.limit {
+		panic(fmt.Sprintf("mem: out of simulated memory (%d + %d > %d)", base, size, s.limit))
 	}
 	s.brk = base + size
+	if end := (s.brk + PageBytes - 1) &^ (PageBytes - 1); end > uint64(len(s.data)) {
+		s.data = append(s.data, make([]byte, end-uint64(len(s.data)))...)
+	}
 	return base
 }
 

@@ -133,6 +133,45 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
+// TestAllocGrowsBacking checks the lazily grown backing array: contents
+// and addresses of earlier allocations survive every growth, new bytes
+// read zero, Footprint is still brk less the reserved page, and the capacity given
+// to NewSpace still bounds the allocator.
+func TestAllocGrowsBacking(t *testing.T) {
+	s := NewSpace(64 * PageBytes)
+	var addrs []uint64
+	for i := 0; i < 20; i++ {
+		a := s.Alloc(uint64(100+i*997), 64)
+		if len(addrs) > 0 && a < addrs[len(addrs)-1] {
+			t.Fatalf("allocation %d at %#x below the previous one", i, a)
+		}
+		if got := s.Load32(a); got != 0 {
+			t.Fatalf("fresh allocation %d reads %#x, want 0", i, got)
+		}
+		s.Store32(a, uint32(i)+1)
+		addrs = append(addrs, a)
+	}
+	big := s.AllocApprox(8*PageBytes, compress.Float32)
+	s.StoreF32(big+8*PageBytes-4, 2.5)
+	for i, a := range addrs {
+		if got := s.Load32(a); got != uint32(i)+1 {
+			t.Fatalf("allocation %d at %#x reads %d after growth, want %d", i, a, got, i+1)
+		}
+	}
+	if got := s.LoadF32(big + 8*PageBytes - 4); got != 2.5 {
+		t.Fatalf("last word of the approx region reads %v", got)
+	}
+	if fp, end := s.Footprint(), big+8*PageBytes; fp != end-PageBytes {
+		t.Fatalf("Footprint = %d, want brk-PageBytes = %d", fp, end-PageBytes)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("allocating past capacity did not panic")
+		}
+	}()
+	s.Alloc(64*PageBytes, 1)
+}
+
 func TestApproxBlocksIteration(t *testing.T) {
 	s := NewSpace(1 << 20)
 	s.Alloc(PageBytes, PageBytes) // exact page

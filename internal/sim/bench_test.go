@@ -7,9 +7,8 @@ import (
 )
 
 // End-to-end demand-access benchmarks: one op is one access through
-// L1/L2/LLC/DRAM with all accounting. BenchmarkSystemAccess and
-// BenchmarkSystemAccessAVR are CI-gated at 0 allocs/op
-// (scripts/bench.sh) — the whole per-access path must stay
+// L1/L2/LLC/DRAM with all accounting. All three are CI-gated at 0
+// allocs/op (scripts/bench.sh) — the whole per-access path must stay
 // allocation-free in steady state.
 
 // benchSystem builds a warmed PresetSmall system over a 1 MiB approx
@@ -59,8 +58,7 @@ func BenchmarkSystemAccessAVR(b *testing.B) {
 }
 
 // BenchmarkSystemAccessAVRWrite adds stores, exercising the dirty-UCL
-// eviction flows (recompression allocates outlier lists, so this one is
-// not alloc-gated; it tracks the write path's cost).
+// eviction flows and the recompressions they run.
 func BenchmarkSystemAccessAVRWrite(b *testing.B) {
 	s, base := benchSystem(b, AVR)
 	b.ReportAllocs()

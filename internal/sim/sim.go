@@ -178,6 +178,7 @@ type System struct {
 	// costs one predicted branch per access.
 	rec         *obs.Recorder
 	recEvery    uint64
+	recLeft     uint64 // accesses until the next snapshot
 	accessCount uint64
 
 	// Observability histograms (Cfg.Histograms); all nil when disabled.
@@ -264,7 +265,9 @@ func (s *System) SetRecorder(rec *obs.Recorder) {
 	s.recEvery = rec.Every()
 	if s.recEvery == 0 {
 		s.rec = nil
+		return
 	}
+	s.recLeft = s.recEvery - s.accessCount%s.recEvery
 }
 
 // Counters snapshots the cumulative hot counters of the run so far (the
@@ -316,7 +319,8 @@ func (s *System) Prime() {
 func (s *System) access(addr uint64, write bool) {
 	if s.rec != nil {
 		s.accessCount++
-		if s.accessCount%s.recEvery == 0 {
+		if s.recLeft--; s.recLeft == 0 {
+			s.recLeft = s.recEvery
 			s.rec.Record(s.Counters())
 		}
 	}
