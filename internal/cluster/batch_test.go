@@ -238,12 +238,13 @@ func garbleData(t *testing.T, body []byte, n int) []byte {
 }
 
 // TestRouterBatchBadLegResponse: a leg that echoes the wrong key fails
-// that key alone, a leg that answers with the wrong count, or with a
-// payload that is not base64, fails every key it carried — "bad
-// response" each time, per key, in place. An mput payload that is not
-// base64 fails its key alone, with the same words from either tier.
+// that key alone, a leg that answers with the wrong count fails every key
+// it carried — "bad response" each time, per key, in place. Every mget
+// leg asks for containers, and the values come back rebuilt. An mput
+// payload that is not base64 fails its key alone, with the same words
+// from either tier.
 func TestRouterBatchBadLegResponse(t *testing.T) {
-	var wrongCount, garbled atomic.Bool
+	var wrongCount atomic.Bool
 	shard := func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/store/stats" {
 			io.WriteString(w, fakeStats)
@@ -257,23 +258,12 @@ func TestRouterBatchBadLegResponse(t *testing.T) {
 		switch r.URL.Path {
 		case "/v1/store/mget":
 			var req server.BatchGetRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				t.Errorf("mget leg body %q: %v", body, err)
-			}
-			if garbled.Load() { // real-sized payloads, the middle one's text damaged
-				out := []byte(server.GetResultOpen)
-				for i, k := range req.Keys {
-					if i > 0 {
-						out = append(out, ',')
-					}
-					out = server.AppendGetResult(out, k, 32, true, bytes.Repeat(f32le(7), 16<<10))
-				}
-				w.Write(garbleData(t, append(out, server.BatchClose...), len(req.Keys)/2))
-				return
+			if err := json.Unmarshal(body, &req); err != nil || !req.Encoded {
+				t.Errorf("mget leg body %q (%v): want one asking for containers", body, err)
 			}
 			var res server.BatchGetResult
 			for _, k := range req.Keys {
-				out := server.BatchGetItemResult{Key: k, OK: true, Width: 32, Complete: true, Data: f32le(7)}
+				out := server.BatchGetItemResult{Key: k, OK: true, Width: 32, Complete: true, Encoded: true, Data: containerOf(t, f32le(7))}
 				if k == "liar" {
 					out.Key = "someone-else"
 				}
@@ -335,24 +325,104 @@ func TestRouterBatchBadLegResponse(t *testing.T) {
 			if p.OK == bad || strings.Contains(p.Error, "bad mput response") != bad {
 				t.Errorf("wrongCount=%v mput %q: ok=%v error=%q, want bad=%v", all, k, p.OK, p.Error, bad)
 			}
-			if !bad && !bytes.Equal(g.Data, f32le(7)) {
-				t.Errorf("wrongCount=%v mget %q: data %x, want the shard's payload", all, k, g.Data)
+			if !bad && (g.Encoded || !bytes.Equal(g.Data, f32le(7))) {
+				t.Errorf("wrongCount=%v mget %q: encoded=%v data %x, want the values of the shard's container", all, k, g.Encoded, g.Data)
 			}
 		}
 	}
 
-	wrongCount.Store(false)
-	garbled.Store(true)
-	var gres server.BatchGetResult
-	postJSON(t, ts.URL+"/v1/store/mget", mgetBody("a", "b", "c"), &gres)
-	if len(gres.Results) != 3 {
-		t.Fatalf("garbled leg: %d results for 3 keys", len(gres.Results))
-	}
-	for _, g := range gres.Results {
-		if g.OK || !strings.Contains(g.Error, "bad mget response") || len(g.Data) != 0 {
-			t.Errorf("garbled leg, key %q: ok=%v error=%q and %d bytes forwarded, want a bad mget response and nothing",
-				g.Key, g.OK, g.Error, len(g.Data))
+	// A replica whose answer for a key is not a container — raw values, a
+	// container that does not decode, text that is not base64 — has given
+	// that key a bad response: the key fails over to its other replica,
+	// on a get as in a batch, and comes back whole.
+	badKinds := []string{"raw", "corrupt", "garbled"}
+	var badAsked sync.Map
+	replica := func(bad bool) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			container := containerOf(t, f32le(7, 8, 9))
+			answer := func(key string) (data []byte, encoded bool) {
+				if !bad {
+					return container, true
+				}
+				kind := key[:strings.IndexByte(key, '-')]
+				n, _ := badAsked.LoadOrStore(kind, new(atomic.Int64))
+				n.(*atomic.Int64).Add(1)
+				switch kind {
+				case "raw":
+					return f32le(7, 8, 9), false
+				case "corrupt":
+					return container[:len(container)-1], true
+				}
+				return container[1:], true // and on an mget, its text garbled below
+			}
+			switch r.URL.Path {
+			case "/v1/store/get":
+				if a := r.Header.Get("Accept"); a != server.ContainerType {
+					t.Errorf("get leg Accept %q, want %s", a, server.ContainerType)
+				}
+				data, encoded := answer(r.URL.Query().Get("key"))
+				if encoded {
+					w.Header().Set("Content-Type", server.ContainerType)
+				}
+				w.Header().Set("X-AVR-Complete", "true")
+				w.Write(data)
+			case "/v1/store/mget":
+				var req server.BatchGetRequest
+				json.NewDecoder(r.Body).Decode(&req)
+				out := []byte(server.GetResultOpen)
+				for i, k := range req.Keys {
+					if i > 0 {
+						out = append(out, ',')
+					}
+					data, encoded := answer(k)
+					out = server.AppendGetResult(out, k, 32, true, encoded, data)
+					if bad && strings.HasPrefix(k, "garbled-") {
+						out[len(out)-4] = '*'
+					}
+				}
+				w.Write(append(out, server.BatchClose...))
+			}
 		}
+	}
+	ts = fakeFleet(t, replica(true), replica(false))
+	var keys []string
+	for _, kind := range badKinds {
+		for i := 0; i < 8; i++ { // enough keys for each kind to reach the bad replica first
+			keys = append(keys, fmt.Sprintf("%s-%d", kind, i))
+		}
+	}
+	before := obs.RouterFailovers.Value()
+	var gres server.BatchGetResult
+	postJSON(t, ts.URL+"/v1/store/mget", mgetBody(keys...), &gres)
+	if len(gres.Results) != len(keys) {
+		t.Fatalf("mget over a bad replica: %d results for %d keys", len(gres.Results), len(keys))
+	}
+	for i, g := range gres.Results {
+		if g.Key != keys[i] || !g.OK || !bytes.Equal(g.Data, f32le(7, 8, 9)) {
+			t.Errorf("mget %q over a bad replica: %+v, want the good replica's values", keys[i], g)
+		}
+	}
+	for _, k := range keys {
+		resp, err := http.Get(ts.URL + "/v1/store/get?key=" + k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(raw, f32le(7, 8, 9)) {
+			t.Errorf("get %q over a bad replica: %d %q, want the good replica's values", k, resp.StatusCode, raw)
+		}
+	}
+	asked := int64(0)
+	for _, kind := range badKinds {
+		n, ok := badAsked.Load(kind)
+		if !ok {
+			t.Fatalf("the bad replica was never asked for a %s key", kind)
+		}
+		asked += n.(*atomic.Int64).Load()
+	}
+	if got := obs.RouterFailovers.Value() - before; got != asked {
+		t.Errorf("%d failovers, want one for each of the %d keys the bad replica answered", got, asked)
 	}
 
 	// The same damage in a request, against real shards: through the

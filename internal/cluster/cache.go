@@ -2,21 +2,20 @@ package cluster
 
 import (
 	"bytes"
-	"net/http"
 	"sync/atomic"
 
 	"avr/internal/obs"
 )
 
 // Router-side read cache: the router mount of internal/readcache. The
-// resident unit is a complete /v1/store/get response body — the router
-// never decodes values, so the cacheable artifact is the wire form —
+// resident unit is a complete /v1/store/get response body — the values
+// the router rebuilt from a shard's container, as it answers them —
 // keyed by store key and invalidated on every write the router itself
-// proxies (put, mput, delete). A miss fills it from the reply it has just
-// proxied, as the store's miss fills from the frames it has just read
-// (DESIGN.md §5.11): one shard GET a miss. Only 200 responses marked
-// complete are kept: a 206 torn-tail prefix must keep hitting the nodes,
-// which know when the tail reappears.
+// proxies (put, mput, delete). A miss fills it from the values it has
+// just rebuilt, as the store's miss fills from the frames it has just
+// read (DESIGN.md §5.11): one shard GET a miss. Only complete answers (a
+// shard's 200) are kept: a 206 torn-tail prefix must keep hitting the
+// nodes, which know when the tail reappears.
 //
 // Consistency: the router has no store lock to order fills against
 // writes, so inserts are guarded by per-key write generations (a fixed
@@ -48,23 +47,22 @@ func (g *genTable) slot(key string) *atomic.Uint64 {
 func (g *genTable) bump(key string)        { g.slot(key).Add(1) }
 func (g *genTable) load(key string) uint64 { return g.slot(key).Load() }
 
-// fill keeps the reply a miss of key proxied — a 2xx lr read while the
-// key's generation was gen — when it is a complete 200, no write has been
-// proxied since, and the cache admits it (readcache.Cache.Admit, the rule
-// the store's misses follow too).
-func (ro *Router) fill(key string, gen uint64, lr legResult) {
-	if lr.status != http.StatusOK || lr.header.Get("X-AVR-Complete") != "true" ||
-		ro.writeGen.load(key) != gen {
+// fill keeps the complete answer a miss of key rebuilt — body, of width
+// and values, read while the key's generation was gen — when no write has
+// been proxied since and the cache admits it (readcache.Cache.Admit, the
+// rule the store's misses follow too).
+func (ro *Router) fill(key string, gen uint64, body []byte, width, values string) {
+	if ro.writeGen.load(key) != gen {
 		return
 	}
-	size := int64(len(key)) + int64(len(lr.body)) + 128
+	size := int64(len(key)) + int64(len(body)) + 128
 	if !ro.cache.Admit(key, size) {
 		return
 	}
 	ro.cache.Put(key, size, &cachedResp{
-		body:   bytes.Clone(lr.body), // the reply's buffer goes back to the pool
-		width:  lr.header.Get("X-AVR-Width"),
-		values: lr.header.Get("X-AVR-Values"),
+		body:   bytes.Clone(body), // the scratch goes back to the pool
+		width:  width,
+		values: values,
 	}, false)
 	// Re-check after the insert: a write that bumped between the first
 	// check and the Put has already run its Invalidate (bump precedes

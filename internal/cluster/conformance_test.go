@@ -50,6 +50,7 @@ type frameEndpoint struct {
 	key                string // ?key= value; "" when the endpoint takes none
 	query              string // further parameters
 	body               []byte // well-formed request body; nil when it takes none
+	accept             string // Accept header; "" sends none
 	ok                 int    // status of the well-formed request
 	seed               bool   // key must be put before each well-formed request (delete)
 	unadmitted         bool   // framed, but outside admission (the router's fleet stats)
@@ -64,8 +65,9 @@ func (ep frameEndpoint) url(base string, withKey bool) string {
 }
 
 // frameBodies are the well-formed request bodies: one 16 384-value key
-// raw, as an AVR stream, as an mput, and the mget that reads it back.
-func frameBodies(t testing.TB) (raw, stream, mput, mget []byte) {
+// raw, as an AVR stream, as an mput, and the mget that reads it back —
+// as values, and as its container.
+func frameBodies(t testing.TB) (raw, stream, mput, mget, mgetEncoded []byte) {
 	t.Helper()
 	vals, err := workloads.GenFloat32("heat", 16384, 1)
 	if err != nil {
@@ -77,20 +79,25 @@ func frameBodies(t testing.TB) (raw, stream, mput, mget []byte) {
 	}
 	mput, _ = json.Marshal(server.BatchPutRequest{Items: []server.BatchPutItem{{Key: "m", Data: raw}}})
 	mget, _ = json.Marshal(server.BatchGetRequest{Keys: []string{"k"}})
-	return raw, stream, mput, mget
+	mgetEncoded, _ = json.Marshal(server.BatchGetRequest{Keys: []string{"k"}, Encoded: true})
+	return raw, stream, mput, mget, mgetEncoded
 }
 
-// storeEndpoints are the store endpoints both tiers serve.
-func storeEndpoints(raw, mput, mget []byte) []frameEndpoint {
+// storeEndpoints are the store endpoints both tiers serve. A get or an
+// mget that asks for containers is avrd's answer to the router's legs;
+// the router answers it with values.
+func storeEndpoints(raw, mput, mget, mgetEncoded []byte) []frameEndpoint {
 	return []frameEndpoint{
 		{name: "put", method: http.MethodPut, path: "/v1/store/put", key: "k", body: raw, ok: 200},
 		{name: "get", method: http.MethodGet, path: "/v1/store/get", key: "k", ok: 200},
+		{name: "get_encoded", method: http.MethodGet, path: "/v1/store/get", key: "k", accept: server.ContainerType, ok: 200},
 		{name: "query", method: http.MethodGet, path: "/v1/store/query", key: "k", query: "op=filter&lo=0&hi=1", ok: 200},
 		{name: "downsample", method: http.MethodGet, path: "/v1/store/query", key: "k", query: "op=downsample", ok: 200},
 		{name: "delete", method: http.MethodDelete, path: "/v1/store/key", key: "victim", ok: 204, seed: true},
 		{name: "keys", method: http.MethodGet, path: "/v1/store/key", ok: 200},
 		{name: "mput", method: http.MethodPost, path: "/v1/store/mput", body: mput, ok: 200},
 		{name: "mget", method: http.MethodPost, path: "/v1/store/mget", body: mget, ok: 200},
+		{name: "mget_encoded", method: http.MethodPost, path: "/v1/store/mget", body: mgetEncoded, ok: 200},
 	}
 }
 
@@ -104,11 +111,11 @@ func newAvrdTier(t testing.TB, lim frameLimits) *frameTier {
 		Workers: lim.workers, QueueDepth: lim.depth, QueueTimeout: lim.timeout})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); st.Close() })
-	raw, stream, mput, mget := frameBodies(t)
+	raw, stream, mput, mget, mgetEncoded := frameBodies(t)
 	ft := &frameTier{url: ts.URL, tier: srv.Tier, eps: append([]frameEndpoint{
 		{name: "encode", method: http.MethodPost, path: "/v1/encode", body: raw, ok: 200},
 		{name: "decode", method: http.MethodPost, path: "/v1/decode", body: stream, ok: 200},
-	}, storeEndpoints(raw, mput, mget)...)}
+	}, storeEndpoints(raw, mput, mget, mgetEncoded)...)}
 	ft.put(t, "k", raw)
 	return ft
 }
@@ -117,8 +124,8 @@ func newRouterTier(t testing.TB, lim frameLimits) *frameTier {
 	t.Helper()
 	tc := newTestCluster(t, 2, Config{MaxBodyBytes: frameCap,
 		Workers: lim.workers, QueueDepth: lim.depth, QueueTimeout: lim.timeout})
-	raw, _, mput, mget := frameBodies(t)
-	ft := &frameTier{url: tc.router.URL, tier: tc.ro.Tier, eps: append(storeEndpoints(raw, mput, mget),
+	raw, _, mput, mget, mgetEncoded := frameBodies(t)
+	ft := &frameTier{url: tc.router.URL, tier: tc.ro.Tier, eps: append(storeEndpoints(raw, mput, mget, mgetEncoded),
 		frameEndpoint{name: "query_all", method: http.MethodGet, path: "/v1/store/query", ok: 200},
 		frameEndpoint{name: "fleet_stats", method: http.MethodGet, path: "/v1/store/stats", ok: 200, unadmitted: true},
 	)}
@@ -140,6 +147,29 @@ func (ft *frameTier) do(t testing.TB, method, url string, body io.Reader) (*http
 	if err != nil {
 		t.Fatal(err)
 	}
+	return roundTrip(t, req)
+}
+
+// send makes one of ep's requests, its key in the URL or not.
+func (ft *frameTier) send(t testing.TB, ep frameEndpoint, withKey bool, body io.Reader) (*http.Response, []byte) {
+	t.Helper()
+	return roundTrip(t, ep.request(ft.url, withKey, body))
+}
+
+// request is ep's request as a handler receives it; a client sends it
+// with RequestURI cleared.
+func (ep frameEndpoint) request(base string, withKey bool, body io.Reader) *http.Request {
+	req := httptest.NewRequest(ep.method, ep.url(base, withKey), body)
+	if ep.accept != "" {
+		req.Header.Set("Accept", ep.accept)
+	}
+	return req
+}
+
+func roundTrip(t testing.TB, req *http.Request) (*http.Response, []byte) {
+	t.Helper()
+	method, url := req.Method, req.URL
+	req.RequestURI = ""
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, url, err)
@@ -152,13 +182,11 @@ func (ft *frameTier) do(t testing.TB, method, url string, body io.Reader) (*http
 	return resp, out
 }
 
-// statusOf is a request made off the test goroutine: just its status, -1
-// when it got none.
-func statusOf(method, url string, body []byte) int {
-	req, err := http.NewRequest(method, url, bytes.NewReader(body))
-	if err != nil {
-		return -1
-	}
+// statusOf is ep's well-formed request made off the test goroutine: just
+// its status, -1 when it got none.
+func statusOf(ep frameEndpoint, base string) int {
+	req := ep.request(base, true, bytes.NewReader(ep.body))
+	req.RequestURI = ""
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return -1
@@ -175,7 +203,7 @@ func (ft *frameTier) wellFormed(t testing.TB, ep frameEndpoint) {
 	if ep.seed {
 		ft.put(t, ep.key, f32le(1, 2, 3))
 	}
-	resp, body := ft.do(t, ep.method, ep.url(ft.url, true), bytes.NewReader(ep.body))
+	resp, body := ft.send(t, ep, true, bytes.NewReader(ep.body))
 	checkFramed(t, resp.StatusCode, ep.ok, resp.Header, body)
 	checkLength(t, resp, body)
 }
@@ -298,7 +326,7 @@ var frameCases = []struct {
 
 	{name: "missing_key", lim: roomy, covers: func(ep frameEndpoint) bool { return ep.key != "" }, run: func(t *testing.T, ft *frameTier, ep frameEndpoint) {
 		before := ft.idle(t)
-		resp, body := ft.do(t, ep.method, ep.url(ft.url, false), bytes.NewReader(ep.body))
+		resp, body := ft.send(t, ep, false, bytes.NewReader(ep.body))
 		checkFramed(t, resp.StatusCode, http.StatusBadRequest, resp.Header, body)
 		checkLength(t, resp, body)
 		ft.settled(t, before, tally{errors: 1})
@@ -312,7 +340,7 @@ var frameCases = []struct {
 				body = struct{ io.Reader }{body} // hides the length
 			}
 			before := ft.idle(t)
-			resp, out := ft.do(t, ep.method, ep.url(ft.url, true), body)
+			resp, out := ft.send(t, ep, true, body)
 			checkFramed(t, resp.StatusCode, http.StatusRequestEntityTooLarge, resp.Header, out)
 			checkLength(t, resp, out)
 			ft.settled(t, before, tally{errors: 1})
@@ -330,10 +358,10 @@ var frameCases = []struct {
 			before := ft.idle(t)
 			release := ft.holdSlots(t)
 			queued := make(chan int, 1)
-			go func() { queued <- statusOf(ep.method, ep.url(ft.url, true), ep.body) }()
+			go func() { queued <- statusOf(ep, ft.url) }()
 			ft.waitQueued(t, 1)
 
-			resp, body := ft.do(t, ep.method, ep.url(ft.url, true), bytes.NewReader(ep.body))
+			resp, body := ft.send(t, ep, true, bytes.NewReader(ep.body))
 			checkFramed(t, resp.StatusCode, http.StatusTooManyRequests, resp.Header, body)
 			checkLength(t, resp, body)
 			if resp.Header.Get("Retry-After") == "" {
@@ -352,7 +380,7 @@ var frameCases = []struct {
 		run: func(t *testing.T, ft *frameTier, ep frameEndpoint) {
 			before := ft.idle(t)
 			release := ft.holdSlots(t)
-			resp, body := ft.do(t, ep.method, ep.url(ft.url, true), bytes.NewReader(ep.body))
+			resp, body := ft.send(t, ep, true, bytes.NewReader(ep.body))
 			checkFramed(t, resp.StatusCode, http.StatusServiceUnavailable, resp.Header, body)
 			checkLength(t, resp, body)
 			release()
@@ -368,7 +396,7 @@ var frameCases = []struct {
 			before := ft.idle(t)
 			release := ft.holdSlots(t)
 			ctx, cancel := context.WithCancel(context.Background())
-			req := httptest.NewRequest(ep.method, ep.url("", true), bytes.NewReader(ep.body)).WithContext(ctx)
+			req := ep.request("", true, bytes.NewReader(ep.body)).WithContext(ctx)
 			rec := httptest.NewRecorder()
 			done := make(chan struct{})
 			go func() {
@@ -426,7 +454,7 @@ func TestFrameConformance(t *testing.T) {
 				ft := tier.build(t, frameLimits{workers: 1, depth: 1, timeout: 5 * time.Second})
 				release := ft.holdSlots(t)
 				queued := make(chan int, 1)
-				go func() { queued <- statusOf(http.MethodGet, ft.url+"/v1/store/key", nil) }()
+				go func() { queued <- statusOf(frameEndpoint{method: http.MethodGet, path: "/v1/store/key"}, ft.url) }()
 				defer func() { release(); <-queued }()
 				ft.waitQueued(t, 1)
 				for _, path := range []string{"/v1/stats", "/v1/store/stats", "/metrics", "/healthz", "/readyz"} {

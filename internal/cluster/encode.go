@@ -57,7 +57,7 @@ func (ro *Router) putEncoder(ctx context.Context, traceID string) (*putEncoding,
 			if nd.up.Load() != wantUp {
 				continue
 			}
-			lr := ro.doLeg(ctx, http.MethodGet, i, "/v1/store/stats", traceID, nil)
+			lr := ro.doLeg(ctx, http.MethodGet, i, "/v1/store/stats", "", traceID, nil)
 			if lr.ok2xx() {
 				var st struct {
 					T1         float64 `json:"t1"`
@@ -104,8 +104,9 @@ func (ro *Router) encodingStats() RouterEncoding {
 	return RouterEncoding{T1: pe.enc.T1(), RatioFloor: pe.enc.RatioFloor(), LearnedFrom: pe.node}
 }
 
-// encScratch is one encoding goroutine's state: a key's values as wire
-// bytes and as floats, and its container, all reused from key to key.
+// encScratch is a key's values as wire bytes and as floats, and its
+// container: one encoding goroutine's, reused from key to key, or one
+// read's, whose values the router rebuilt from a shard's container.
 type encScratch struct {
 	raw       []byte
 	vals      vec.Vec

@@ -282,7 +282,7 @@ func TestRouterEncodeSurface(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(msg)
 	}
-	if code, _ := do(server.EncodedPutType, "key=s-enc", container); code != http.StatusUnsupportedMediaType {
+	if code, _ := do(server.ContainerType, "key=s-enc", container); code != http.StatusUnsupportedMediaType {
 		t.Errorf("container put through the router: status %d, want 415", code)
 	}
 	if code, msg := do("application/octet-stream", "key=s-bad", []byte{1, 2, 3}); code != http.StatusBadRequest ||

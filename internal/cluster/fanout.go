@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"avr/internal/obs"
 	"avr/internal/server"
+	"avr/internal/store"
 	"avr/internal/trace"
 )
 
@@ -94,7 +96,7 @@ func (ro *Router) fanOut(ctx context.Context, method, path, traceID string, node
 		if body != nil {
 			b = body(i)
 		}
-		results[i] = ro.doLegRetry(ctx, method, nodes[i], path, traceID, b)
+		results[i] = ro.doLegRetry(ctx, method, nodes[i], path, "", traceID, b)
 		b.Release()
 	}
 	var wg sync.WaitGroup
@@ -239,13 +241,13 @@ func (ro *Router) handleMput(q *server.Req) {
 	q.ReplyJSON(http.StatusOK, res)
 }
 
-// mgetOut is one key's standing in a batched get: the owning shard's
-// result element, forwarded as sent, or the router's own account of why
-// there is none.
+// mgetOut is one key's standing in a batched get: the values the router
+// rebuilt from its shard's container, or the shard's or the router's own
+// account of why there are none.
 type mgetOut struct {
-	span     []byte // aliases a leg reply; nil until a shard answered for the key
-	ok       bool
-	err      string // reported when span is nil
+	vals     *encScratch // nil until a shard answered for the key with its container
+	complete bool
+	err      string // reported when vals is nil
 	notFound bool
 }
 
@@ -254,9 +256,13 @@ type mgetOut struct {
 // node, and any key that leg could not serve retries on its other
 // replica in a second round — the batched form of read-any failover.
 //
-// Values pass through undecoded: each leg reply is scanned for its
-// elements' verdicts and spans, and the response is those spans put in
-// request order.
+// Every leg asks for containers ("encoded": true). Each leg reply is
+// scanned for its items, each item's container is rebuilt into pooled
+// scratch — charged to StageDecode — and the response is every key's
+// values, or its failure, emitted in request order. An item that is not
+// a container, or does not decode, is its key's bad response, retried on
+// the other replica like a failed leg. A client's own "encoded" is not
+// heeded: the router answers values.
 func (ro *Router) handleMget(q *server.Req) {
 	body, ok := q.Body()
 	if !ok {
@@ -288,77 +294,89 @@ func (ro *Router) handleMget(q *server.Req) {
 	sp.End(trace.StageRoute, rt)
 
 	outs := make([]mgetOut, len(req.Keys))
-	sc := server.NewBatchScanner()
-	defer sc.Release()
-	// Every leg's result, both rounds: the spans in outs alias their
-	// replies until the response is out.
-	var replies []legResult
 	defer func() {
-		for _, lr := range replies {
-			lr.release()
+		for i := range outs {
+			if outs[i].vals != nil {
+				encScratchPool.Put(outs[i].vals)
+			}
 		}
 	}()
+	sc := server.NewBatchScanner()
+	defer sc.Release()
+	// Every leg's result, both rounds, for failAll: a 2xx reply's buffer
+	// goes back as soon as its items are rebuilt.
+	var replies []legResult
 
 	// round sends one leg per node of pl, folds the replies into outs and
 	// gives pl back. retry lists the item indexes still unresolved (leg
-	// failed, per-key read error, or not-found — read-any means a miss on
-	// one replica is not final).
+	// failed, bad item, per-key read error, or not-found — read-any means
+	// a miss on one replica is not final).
 	round := func(pl *batchPlan) (retry []int32, anyShed, anyOK bool) {
 		defer putPlan(pl)
+		ft := sp.Begin()
 		results := ro.fanOut(ctx, http.MethodPost, "/v1/store/mget", traceID, pl.touched, func(li int) *server.Buf {
-			items := pl.perNode[pl.touched[li]]
-			sub := server.BatchGetRequest{Keys: make([]string, len(items))}
-			for j, idx := range items {
-				sub.Keys[j] = req.Keys[idx]
-			}
-			enc, _ := json.Marshal(sub) // a list of strings cannot fail
 			b := server.GetBuf()
-			b.B = append(b.B, enc...)
+			b.B = append(b.B, server.GetRequestOpen...)
+			for j, idx := range pl.perNode[pl.touched[li]] {
+				if j > 0 {
+					b.B = append(b.B, ',')
+				}
+				b.B = server.AppendJSONString(b.B, req.Keys[idx])
+			}
+			b.B = append(b.B, server.EncodedGetRequestClose...)
 			return b
 		})
-		replies = append(replies, results...)
-		for li, lr := range results {
+		sp.End(trace.StageFanout, ft)
+		dt := sp.Begin()
+		defer sp.End(trace.StageDecode, dt)
+		for li := range results {
+			lr := &results[li]
 			items, name := pl.perNode[pl.touched[li]], ro.nodes[pl.touched[li]].name
-			failKeys := func(msg string) {
-				for _, idx := range items {
-					if out := &outs[idx]; !out.ok {
-						out.span, out.err = nil, msg
-						retry = append(retry, idx)
-					}
-				}
+			fail := func(idx int32, msg string) {
+				outs[idx].err = msg
+				retry = append(retry, idx)
 			}
 			if !lr.ok2xx() {
 				if lr.status == http.StatusTooManyRequests {
 					anyShed = true
 				}
-				failKeys(legErrString(lr, name))
+				for _, idx := range items {
+					fail(idx, legErrString(*lr, name))
+				}
 				continue
 			}
 			anyOK = true
 			badResponse := name + ": bad mget response"
 			if err := sc.ScanGetResult(lr.body); err != nil || len(sc.Items) != len(items) {
-				failKeys(badResponse)
-				continue
-			}
-			for j, idx := range items {
-				out, in := &outs[idx], &sc.Items[j]
-				switch {
-				case out.ok:
-				case string(in.Key) != req.Keys[idx]:
-					out.span, out.err = nil, badResponse
-					retry = append(retry, idx)
-				default:
-					out.span, out.ok, out.notFound = in.Raw, in.OK, in.NotFound
-					if !in.OK {
-						retry = append(retry, idx)
+				for _, idx := range items {
+					fail(idx, badResponse)
+				}
+			} else {
+				for j, idx := range items {
+					in := &sc.Items[j]
+					switch {
+					case string(in.Key) != req.Keys[idx]:
+						fail(idx, badResponse)
+					case !in.OK:
+						outs[idx].notFound = in.NotFound
+						fail(idx, string(in.Error))
+					default:
+						vs, err := rebuild(in)
+						if err != nil {
+							fail(idx, fmt.Sprintf("%s: %v", badResponse, err))
+							continue
+						}
+						outs[idx] = mgetOut{vals: vs, complete: in.Complete}
 					}
 				}
 			}
+			lr.release()
+			lr.body, lr.reply = nil, nil
 		}
+		replies = append(replies, results...)
 		return retry, anyShed, anyOK
 	}
 
-	ft := sp.Begin()
 	retry, anyShed, anyOK := round(pl)
 	if len(retry) > 0 && ro.ring.Nodes() > 1 {
 		// Second round on each unresolved key's other replica.
@@ -376,16 +394,18 @@ func (ro *Router) handleMget(q *server.Req) {
 		anyShed = anyShed || shed2
 		anyOK = anyOK || ok2
 	}
-	sp.End(trace.StageFanout, ft)
 	obs.RouterBatchKeys.Add(int64(len(req.Keys)))
 
 	if !anyOK && anyShed {
 		ro.failAll(q, replies)
 		return
 	}
-	size := len(server.GetResultOpen) + len(outs) + len(server.BatchClose) + 1
+	size := len(server.GetResultOpen) + len(server.BatchClose) + 1
 	for i := range outs {
-		size += len(outs[i].span)
+		size += len(req.Keys[i]) + len(outs[i].err) + 64
+		if v := outs[i].vals; v != nil {
+			size += base64.StdEncoding.EncodedLen(v.vals.Len() * v.vals.Width / 8)
+		}
 	}
 	res := server.GetBuf()
 	defer res.Release()
@@ -394,14 +414,34 @@ func (ro *Router) handleMget(q *server.Req) {
 		if i > 0 {
 			res.B = append(res.B, ',')
 		}
-		if out := &outs[i]; out.span != nil {
-			res.B = append(res.B, out.span...)
+		if out := &outs[i]; out.vals != nil {
+			v := out.vals.vals
+			res.B = server.AppendGetResult(res.B, req.Keys[i], v.Width, out.complete, false, v.LE(out.vals.raw))
 		} else {
 			res.B = server.AppendGetFailure(res.B, req.Keys[i], out.err, out.notFound)
 		}
 	}
 	res.B = append(res.B, server.BatchClose+"\n"...)
 	q.Reply(http.StatusOK, "application/json", res.B)
+}
+
+// rebuild decodes one mget item's container into pooled scratch: the
+// item must say it is one, and its width must be the container's.
+func rebuild(in *server.WireItem) (*encScratch, error) {
+	vs := encScratchPool.Get().(*encScratch)
+	err := errNotContainer
+	if in.Encoded {
+		if vs.container, err = in.AppendData(vs.container[:0]); err == nil {
+			if vs.vals, err = store.DecodeContainer(vs.vals, vs.container); err == nil && vs.vals.Width != in.Width {
+				err = fmt.Errorf("fp%d values said to be fp%d", vs.vals.Width, in.Width)
+			}
+		}
+	}
+	if err != nil {
+		encScratchPool.Put(vs)
+		return nil, err
+	}
+	return vs, nil
 }
 
 // fanKeys unions the live key sets of every in-rotation node (all nodes

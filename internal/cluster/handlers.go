@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -15,6 +16,7 @@ import (
 	"avr/internal/server"
 	"avr/internal/store"
 	"avr/internal/trace"
+	"avr/internal/vec"
 )
 
 // legErrString renders a failed leg for per-key error reporting.
@@ -36,7 +38,7 @@ func (ro *Router) handlePut(q *server.Req) {
 	if key == "" {
 		return
 	}
-	if q.R.Header.Get("Content-Type") == server.EncodedPutType {
+	if q.R.Header.Get("Content-Type") == server.ContainerType {
 		q.Fail(http.StatusUnsupportedMediaType, "%v", errEncodedItem)
 		return
 	}
@@ -126,35 +128,65 @@ func (ro *Router) owners(key string) []int {
 // store's quantized t1, so the client's bound check holds regardless of
 // which copy served it.
 //
+// With into set the read is a get: each leg asks for the key's container
+// (Accept: application/x-avr) and the router rebuilds the values into
+// *into, charged to StageDecode on sp; a reply that is not a container,
+// or does not decode, is that leg's bad response and fails over like any
+// other failed leg.
+//
 // tried[:n] are the attempts in order and tried[n-1] the answer, whose
 // reply the caller releases. sp, when not nil, is charged the route and
 // fanout stages.
-func (ro *Router) readAny(ctx context.Context, sp *trace.Span, key, path, traceID string) (tried [2]legResult, n int) {
+func (ro *Router) readAny(ctx context.Context, sp *trace.Span, key, path, traceID string, into *vec.Vec) (tried [2]legResult, n int) {
 	rt := sp.Begin()
 	first, second := ro.legs(key)
 	sp.End(trace.StageRoute, rt)
 
+	accept := ""
+	if into != nil {
+		accept = server.ContainerType
+	}
 	ft := sp.Begin()
-	defer sp.End(trace.StageFanout, ft)
-	tried[0] = ro.doLeg(ctx, http.MethodGet, first, path, traceID, nil)
+	tried[0] = ro.doLeg(ctx, http.MethodGet, first, path, accept, traceID, nil)
+	sp.End(trace.StageFanout, ft)
+	ro.rebuildGet(sp, &tried[0], first, into)
 	if tried[0].ok2xx() || second < 0 {
 		return tried, 1
 	}
 	obs.RouterFailovers.Add(1)
-	tried[1] = ro.doLegRetry(ctx, http.MethodGet, second, path, traceID, nil)
+	ft = sp.Begin()
+	tried[1] = ro.doLegRetry(ctx, http.MethodGet, second, path, accept, traceID, nil)
+	sp.End(trace.StageFanout, ft)
+	ro.rebuildGet(sp, &tried[1], second, into)
 	return tried, 2
 }
 
-// proxyRead answers a single-key read with whatever readAny got.
-//
-// fill is set for a get the router-tier cache missed: the answer fills
-// the cache (Router.fill; the key's write generation is read before
-// readAny) and goes out stamped X-AVR-Cache: miss over the leg's own
-// verdict, so the client measures the tier it talked to rather than the
-// node behind it.
-func (ro *Router) proxyRead(q *server.Req, key, path string, fill bool) {
-	gen := ro.writeGen.load(key)
-	tried, n := ro.readAny(q.R.Context(), q.Span, key, path, inboundTraceID(q))
+// rebuildGet decodes the container a 2xx get leg of node answered into
+// *into (nothing to do without into), and turns a reply that is not one,
+// or does not decode, into that leg's failure.
+func (ro *Router) rebuildGet(sp *trace.Span, lr *legResult, node int, into *vec.Vec) {
+	if into == nil || !lr.ok2xx() {
+		return
+	}
+	dt := sp.Begin()
+	err := errNotContainer
+	if lr.header.Get("Content-Type") == server.ContainerType {
+		*into, err = store.DecodeContainer(*into, lr.body)
+	}
+	sp.End(trace.StageDecode, dt)
+	if err != nil {
+		lr.release()
+		*lr = legResult{err: fmt.Errorf("%s: bad get response: %w", ro.nodes[node].name, err)}
+	}
+}
+
+// errNotContainer is a shard's 2xx answer to a request for a container
+// that is not one.
+var errNotContainer = errors.New("not a container")
+
+// proxyRead answers a single-key query with whatever readAny got.
+func (ro *Router) proxyRead(q *server.Req, key, path string) {
+	tried, n := ro.readAny(q.R.Context(), q.Span, key, path, inboundTraceID(q), nil)
 	lr := tried[n-1]
 	defer lr.release()
 	if !lr.ok2xx() {
@@ -162,15 +194,19 @@ func (ro *Router) proxyRead(q *server.Req, key, path string, fill bool) {
 		return
 	}
 	passthroughHeaders(q.Header(), lr.header)
-	if fill {
-		ro.fill(key, gen, lr)
-		q.Header().Set("X-AVR-Cache", "miss")
-	}
 	q.Reply(lr.status, "", lr.body)
 }
 
 // handleGet serves GET /v1/store/get: from the router cache when the key
-// is resident, by read-any otherwise.
+// is resident, by read-any otherwise — a shard's container, rebuilt into
+// pooled scratch and answered as the raw values avrd answers.
+//
+// A get the router-tier cache missed fills the cache from the values it
+// rebuilt (Router.fill; the key's write generation is read before
+// readAny) and goes out stamped X-AVR-Cache: miss, so the client measures
+// the tier it talked to rather than the node behind it. With the cache
+// off there is no X-AVR-Cache: a container is read from a shard's disk,
+// not its cache.
 func (ro *Router) handleGet(q *server.Req) {
 	key := q.Key()
 	if key == "" || !q.Admit() {
@@ -187,7 +223,27 @@ func (ro *Router) handleGet(q *server.Req) {
 		q.Reply(http.StatusOK, "application/octet-stream", resp.body)
 		return
 	}
-	ro.proxyRead(q, key, "/v1/store/get?"+q.R.URL.RawQuery, ro.cache != nil)
+	gen := ro.writeGen.load(key)
+	es := encScratchPool.Get().(*encScratch)
+	defer encScratchPool.Put(es)
+	tried, n := ro.readAny(q.R.Context(), q.Span, key, "/v1/store/get?"+q.R.URL.RawQuery, inboundTraceID(q), &es.vals)
+	lr := tried[n-1]
+	defer lr.release()
+	if !lr.ok2xx() {
+		ro.failAll(q, tried[:n])
+		return
+	}
+	// The shard's markers describe the container, and so the values rebuilt
+	// from it: width, count, completeness, and its own stages.
+	passthroughHeaders(q.Header(), lr.header)
+	body := es.vals.LE(es.raw)
+	if ro.cache != nil {
+		if lr.status == http.StatusOK {
+			ro.fill(key, gen, body, lr.header.Get("X-AVR-Width"), lr.header.Get("X-AVR-Values"))
+		}
+		q.Header().Set("X-AVR-Cache", "miss")
+	}
+	q.Reply(lr.status, "application/octet-stream", body)
 }
 
 // handleDelete proxies DELETE /v1/store/key to both replicas. Deleting
@@ -241,7 +297,7 @@ type ClusterAggregateResult struct {
 func (ro *Router) handleQuery(q *server.Req) {
 	if key := q.Param("key"); key != "" {
 		if q.Admit() {
-			ro.proxyRead(q, key, "/v1/store/query?"+q.R.URL.RawQuery, false)
+			ro.proxyRead(q, key, "/v1/store/query?"+q.R.URL.RawQuery)
 		}
 		return
 	}
@@ -281,7 +337,7 @@ func (ro *Router) handleQuery(q *server.Req) {
 		go func(i int, k string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			tried, n := ro.readAny(ctx, nil, k, "/v1/store/query?op=aggregate&key="+url.QueryEscape(k), traceID)
+			tried, n := ro.readAny(ctx, nil, k, "/v1/store/query?op=aggregate&key="+url.QueryEscape(k), traceID, nil)
 			lr := tried[n-1]
 			defer lr.release()
 			outs[i].ok = lr.ok2xx() && json.Unmarshal(lr.body, &outs[i].agg) == nil

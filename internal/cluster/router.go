@@ -357,9 +357,10 @@ func (lb *legBody) Close() error {
 }
 
 // doLeg issues one downstream request and reads the whole response.
+// accept, when not "", is the media type asked for (a get's container).
 // body stays the caller's: doLeg takes its own references for as long
 // as the transport needs the bytes.
-func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAndQuery, traceID string, body *server.Buf) legResult {
+func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAndQuery, accept, traceID string, body *server.Buf) legResult {
 	nd := ro.nodes[nodeIdx]
 	nd.requests.Add(1)
 	obs.RouterFanouts.Add(1)
@@ -374,7 +375,7 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 		// A PUT leg carries one key's encoded-put container; the POST legs
 		// are the JSON batches.
 		if method == http.MethodPut {
-			req.Header.Set("Content-Type", server.EncodedPutType)
+			req.Header.Set("Content-Type", server.ContainerType)
 		} else {
 			req.Header.Set("Content-Type", "application/json")
 		}
@@ -383,6 +384,9 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 			req.GetBody = func() (io.ReadCloser, error) { return newLegBody(body), nil }
 			req.Body = newLegBody(body)
 		}
+	}
+	if accept != "" {
+		req.Header["Accept"] = []string{accept}
 	}
 	if traceID != "" {
 		req.Header[trace.TraceHeader] = []string{traceID}
@@ -413,8 +417,8 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 // 5xx responses — every leg's contract but a read's first. 4xx
 // (including 404 and 429) returns immediately: the node answered;
 // retrying won't change its mind.
-func (ro *Router) doLegRetry(ctx context.Context, method string, nodeIdx int, pathAndQuery, traceID string, body *server.Buf) legResult {
-	lr := ro.doLeg(ctx, method, nodeIdx, pathAndQuery, traceID, body)
+func (ro *Router) doLegRetry(ctx context.Context, method string, nodeIdx int, pathAndQuery, accept, traceID string, body *server.Buf) legResult {
+	lr := ro.doLeg(ctx, method, nodeIdx, pathAndQuery, accept, traceID, body)
 	backoff := ro.cfg.RetryBackoff
 	for try := 0; try < ro.cfg.Retries; try++ {
 		if lr.err == nil && lr.status < 500 {
@@ -427,7 +431,7 @@ func (ro *Router) doLegRetry(ctx context.Context, method string, nodeIdx int, pa
 		}
 		backoff *= 2
 		obs.RouterRetries.Add(1)
-		lr = ro.doLeg(ctx, method, nodeIdx, pathAndQuery, traceID, body)
+		lr = ro.doLeg(ctx, method, nodeIdx, pathAndQuery, accept, traceID, body)
 	}
 	return lr
 }

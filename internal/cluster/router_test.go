@@ -12,7 +12,10 @@ import (
 	"net/http/httptest"
 	"net/textproto"
 	"net/url"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,6 +24,7 @@ import (
 	"avr/internal/obs"
 	"avr/internal/server"
 	"avr/internal/store"
+	"avr/internal/workloads"
 )
 
 // testCluster is a router fronting n real avrd nodes (full server +
@@ -43,14 +47,17 @@ func newTestCluster(t testing.TB, n int, cfg Config, wrap ...func(i int, h http.
 }
 
 // newTestClusterAt is newTestCluster with node i's store opened on
-// stores[i] (its Dir is a fresh temporary directory): a fleet can be
-// misconfigured, or run avrd's defaults.
+// stores[i] (a fresh temporary directory unless its Dir names one): a
+// fleet can be misconfigured, run avrd's defaults, or start from segments
+// a test wrote.
 func newTestClusterAt(t testing.TB, stores []store.Config, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	topo := Topology{VNodes: 64}
 	for i, sc := range stores {
-		sc.Dir = t.TempDir()
+		if sc.Dir == "" {
+			sc.Dir = t.TempDir()
+		}
 		st, err := store.Open(sc)
 		if err != nil {
 			t.Fatalf("store %d: %v", i, err)
@@ -619,8 +626,8 @@ func TestTraceForwarding(t *testing.T) {
 	var gotTrace atomic.Value
 	nodeSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotTrace.Store(r.Header.Get("X-AVR-Trace"))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(f32le(1, 2, 3))
+		w.Header().Set("Content-Type", server.ContainerType)
+		w.Write(containerOf(t, f32le(1, 2, 3)))
 	}))
 	defer nodeSrv.Close()
 
@@ -796,5 +803,121 @@ func TestRouterCacheHitAndInvalidation(t *testing.T) {
 	gresp.Body.Close()
 	if gresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("get after delete: status %d, want 404", gresp.StatusCode)
+	}
+}
+
+// TestRouterReadsMatchAvrd: through the router, which reads every key as
+// its shard's container and rebuilds the values, a get and an mget answer
+// what a direct avrd read of the values answers — the same bodies,
+// statuses and X-AVR-Width/Values/Complete — over both widths, a lossless
+// key, a key whose line is resident in the shards' caches, a torn tail
+// (206, and no "complete" in the batch) and, in the batch, a missing key.
+// The one header that no longer passes through is the shard's
+// X-AVR-Cache: with the router's own cache off, its answer has none.
+func TestRouterReadsMatchAvrd(t *testing.T) {
+	seed := t.TempDir()
+	st, err := store.Open(store.Config{Dir: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []struct {
+		key, dist string
+		width, n  int
+	}{
+		{"fp32", "heat", 32, 3*store.BlockValues + 100},
+		{"fp64", "wave", 64, 2*store.BlockValues + 7},
+		{"noise", "normal", 32, 2 * store.BlockValues},
+		{"cached", "ramp", 32, store.BlockValues + 1},
+		{"torn", "wave", 32, 3 * store.BlockValues}, // last: the crash below tears it
+	} {
+		v, err := workloads.GenFloat64(k.dist, k.n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.width == 64 {
+			_, err = st.Put64(k.key, v)
+		} else {
+			v32 := make([]float32, len(v))
+			for i, x := range v {
+				v32[i] = float32(x)
+			}
+			_, err = st.Put32(k.key, v32)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A crash inside torn's last frame, and three shards that recover the
+	// same bytes.
+	segs, _ := filepath.Glob(filepath.Join(seed, "seg-*"))
+	if len(segs) != 1 {
+		t.Fatalf("setup: %d segments, want 1", len(segs))
+	}
+	image, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make([]store.Config, 3)
+	for i := range cfgs {
+		cfgs[i] = store.Config{Dir: t.TempDir(), CacheBytes: 64 << 20}
+		if err := os.WriteFile(filepath.Join(cfgs[i].Dir, filepath.Base(segs[0])), image[:len(image)-64], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc := newTestClusterAt(t, cfgs, Config{})
+
+	get := func(url string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp, body
+	}
+	for _, n := range tc.nodes { // cached's line goes resident on every shard
+		get(n.URL + "/v1/store/get?key=cached")
+	}
+	for _, key := range []string{"fp32", "fp64", "noise", "cached", "torn"} {
+		direct, want := get(tc.nodes[0].URL + "/v1/store/get?key=" + key)
+		routed, got := get(tc.router.URL + "/v1/store/get?key=" + key)
+		if routed.StatusCode != direct.StatusCode || !bytes.Equal(got, want) {
+			t.Fatalf("get %s: the router answers %d with %d bytes, avrd %d with %d", key, routed.StatusCode, len(got), direct.StatusCode, len(want))
+		}
+		for _, h := range []string{"X-AVR-Width", "X-AVR-Values", "X-AVR-Complete", "Content-Type"} {
+			if g, w := routed.Header.Get(h), direct.Header.Get(h); g != w {
+				t.Errorf("get %s: %s %q through the router, %q from avrd", key, h, g, w)
+			}
+		}
+		if src := routed.Header.Get("X-AVR-Cache"); src != "" {
+			t.Errorf("get %s: X-AVR-Cache %q through a router whose cache is off", key, src)
+		}
+		if key == "cached" && direct.Header.Get("X-AVR-Cache") != "hit" {
+			t.Fatalf("setup: avrd's get of the cached key says X-AVR-Cache %q", direct.Header.Get("X-AVR-Cache"))
+		}
+		if key == "torn" && (direct.StatusCode != http.StatusPartialContent || direct.Header.Get("X-AVR-Values") != strconv.Itoa(2*store.BlockValues)) {
+			t.Fatalf("setup: the torn key reads %d with %s values", direct.StatusCode, direct.Header.Get("X-AVR-Values"))
+		}
+	}
+	mget := mgetBody("fp32", "fp64", "noise", "cached", "torn", "absent")
+	post := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/store/mget", "application/json", bytes.NewReader(mget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mget at %s: %d %s", url, resp.StatusCode, body)
+		}
+		return body
+	}
+	if got, want := post(tc.router.URL), post(tc.nodes[0].URL); !bytes.Equal(got, want) {
+		t.Fatalf("mget: the router answers %d bytes, avrd %d: %.200q against %.200q", len(got), len(want), got, want)
 	}
 }

@@ -25,14 +25,19 @@ import (
 //
 // The serving tiers themselves run the two payload-bearing messages,
 // BatchPutRequest and BatchGetResult, through the single-pass scanner
-// and emitter of batchwire.go instead: a put payload is base64-decoded
-// once, straight into pooled scratch, where its bytes are needed (to
-// store them on avrd, to encode them on the router) — one pass that is
-// also the text's only check; a get payload is encoded once, straight
-// into the pooled response buffer, where it is read (avrd's mget), and
-// not touched at all where it is only routed — the router forwards each
-// result's span of a shard's reply as it arrived. The two small
-// payload-free messages stay on encoding/json.
+// and emitter of batchwire.go instead: a payload is base64-decoded once,
+// straight into pooled scratch, where its bytes are needed (to store
+// them on avrd, to encode them on the router, to rebuild the values of a
+// shard's container on the router) — one pass that is also the text's
+// only check; a get payload is encoded once, straight into the pooled
+// response buffer (avrd's mget, the router's re-emitted one). The two
+// small payload-free messages stay on encoding/json.
+//
+// "encoded" is one word in both directions: an mput item that carries a
+// container (store.Encoder) instead of raw values, and an mget that asks
+// for every key's container (store.GetEncoded) instead of its values —
+// which is how the router reads from avrd; each such result says
+// "encoded": true.
 //
 // A batch holds one admission slot for its whole run: admission bounds
 // concurrent work, and a batch is one unit of work whose cost scales
@@ -76,16 +81,20 @@ type BatchPutResult struct {
 	Results []BatchPutItemResult `json:"results"`
 }
 
-// BatchGetRequest is the /v1/store/mget body.
+// BatchGetRequest is the /v1/store/mget body. Encoded asks for every
+// key's container in place of its values (avrd; the router answers with
+// values whatever the request asks).
 type BatchGetRequest struct {
-	Keys []string `json:"keys"`
+	Keys    []string `json:"keys"`
+	Encoded bool     `json:"encoded,omitempty"`
 }
 
 // BatchGetItemResult reports one key's outcome in a batched get: raw
-// little-endian values base64-encoded, the width they were stored at,
-// and Complete false when a torn tail left only a prefix (the batch
-// analogue of a 206 get). NotFound distinguishes a missing key from a
-// read failure so callers can treat the two differently.
+// little-endian values base64-encoded — or, with Encoded set, the key's
+// container, base64-encoded as on an mput item — the width they were
+// stored at, and Complete false when a torn tail left only a prefix (the
+// batch analogue of a 206 get). NotFound distinguishes a missing key
+// from a read failure so callers can treat the two differently.
 type BatchGetItemResult struct {
 	Key      string `json:"key"`
 	OK       bool   `json:"ok"`
@@ -93,6 +102,7 @@ type BatchGetItemResult struct {
 	NotFound bool   `json:"not_found,omitempty"`
 	Width    int    `json:"width,omitempty"`
 	Complete bool   `json:"complete,omitempty"`
+	Encoded  bool   `json:"encoded,omitempty"`
 	Data     []byte `json:"data,omitempty"`
 }
 
@@ -195,9 +205,9 @@ func (s *Server) handleStoreMput(q *Req) {
 }
 
 // handleStoreMget serves POST /v1/store/mget: many keys per round-trip,
-// per-key values or errors. Reads take the disk path (GetVec without
-// the read cache): a batch read attributes to segread+decode
-// like any uncached get.
+// per-key values — or, asked for, containers — or errors. Reads take
+// the disk path (GetVec without the read cache, or GetEncoded): a batch
+// read attributes to segread (+decode) like any uncached get.
 func (s *Server) handleStoreMget(q *Req) {
 	body, ok := q.Body()
 	if !ok {
@@ -225,16 +235,26 @@ func (s *Server) handleStoreMget(q *Req) {
 		if i > 0 {
 			out.B = append(out.B, ',')
 		}
-		var gerr error
-		vs.vals, _, gerr = s.cfg.Store.GetVec(vs.vals.Reset(0), key, false, q.Span)
+		var (
+			data  []byte
+			width int
+			gerr  error
+		)
+		if req.Encoded {
+			vs.raw, width, _, gerr = s.cfg.Store.GetEncoded(vs.raw[:0], key, q.Span)
+			data = vs.raw
+		} else {
+			vs.vals, _, gerr = s.cfg.Store.GetVec(vs.vals.Reset(0), key, false, q.Span)
+			width, data = vs.vals.Width, vs.vals.LE(vs.raw)
+		}
 		incomplete := errors.Is(gerr, store.ErrIncomplete)
 		if gerr != nil && !incomplete {
 			out.B = AppendGetFailure(out.B, key, gerr.Error(), errors.Is(gerr, store.ErrNotFound))
 			continue
 		}
-		// Base64 of the vector's own bytes (vec.Vec.LE), emitted before the
-		// next key reuses them.
-		out.B = AppendGetResult(out.B, key, vs.vals.Width, !incomplete, vs.vals.LE(vs.raw))
+		// Base64 of the container, or of the vector's own bytes (vec.Vec.LE),
+		// emitted before the next key reuses them.
+		out.B = AppendGetResult(out.B, key, width, !incomplete, req.Encoded, data)
 	}
 	out.B = append(out.B, BatchClose+"\n"...)
 	q.Reply(http.StatusOK, "application/json", out.B)

@@ -18,28 +18,26 @@ import (
 // payloads, BatchPutRequest and BatchGetResult. The format is the JSON
 // those types describe and nothing else; what changes is how it is
 // read and written. encoding/json copies every payload twice (unquote,
-// then base64-decode into a fresh []byte) whether or not the reader
-// wants the bytes, and the router does not: it needs each item's key
-// and the item's span in the body, to forward as sent. So the scanner
-// walks the body once and hands out, per item, the key and scalar
-// fields, the payload as still-encoded base64 text, and the raw span —
-// all aliasing the body, nothing copied. Whoever needs a payload's bytes
-// decodes the text straight into its own scratch — avrd to store them,
-// the router to encode them, several items at a time — and that decode
-// is also the only check a put payload gets: the scanner reads the text
-// of one no further than to find its end. A get result the router only
-// forwards, so there the scanner checks the text itself, in one pass.
-// The emitter is the inverse: it base64-encodes straight into the
-// buffer. Decode, check and encode are internal/simd's Base64Decode,
-// Base64Valid and Base64Encode — encoding/base64's answers, from an
-// AVX-512 kernel where the machine has one.
+// then base64-decode into a fresh []byte) before anyone can use it. So
+// the scanner walks the body once and hands out, per item, the key and
+// scalar fields and the payload as still-encoded base64 text, aliasing
+// the body, nothing copied. Whoever needs a payload's bytes decodes the
+// text straight into its own scratch — avrd to store them, the router to
+// encode them or to rebuild a shard's container — and that decode is
+// also the only check a payload gets: the scanner reads the text no
+// further than to find its end, so a message is what encoding/json
+// accepts when the scan and the decode of every payload both are. The
+// emitter is the inverse: it base64-encodes straight into the buffer.
+// Decode and encode are internal/simd's Base64Decode and Base64Encode —
+// encoding/base64's answers, from an AVX-512 kernel where the machine
+// has one.
 //
 // The scanner accepts what json.Unmarshal into the message type accepts
 // and yields the same field values (any field order, whitespace, unknown
 // fields, string escapes, case-folded field names, duplicate fields
-// with the last one winning, null). FuzzBatchWire holds it to that, with
-// two documented exceptions where encoding/json is more lenient than the
-// schema and the scanner rejects:
+// with the last one winning, null) — the payloads' decodes included.
+// FuzzBatchWire holds it to that, with two documented exceptions where
+// encoding/json is more lenient than the schema and the scanner rejects:
 //
 //   - a second non-empty "items"/"results" array in one message
 //     (encoding/json merges it element-wise into the first — its slice
@@ -48,11 +46,14 @@ import (
 //     base64 string.
 
 // The frame around the elements, for whoever assembles a message from
-// raw spans or emitted results: open, elements joined by commas, close.
+// emitted elements: open, elements joined by commas, close — and the
+// close of an mget that asks for containers.
 const (
-	PutRequestOpen = `{"items":[`
-	GetResultOpen  = `{"results":[`
-	BatchClose     = `]}`
+	PutRequestOpen         = `{"items":[`
+	GetRequestOpen         = `{"keys":[`
+	GetResultOpen          = `{"results":[`
+	BatchClose             = `]}`
+	EncodedGetRequestClose = `],"encoded":true}`
 )
 
 // WireItem is one element of a scanned batch: a BatchPutItem or a
@@ -63,14 +64,12 @@ type WireItem struct {
 	Key   []byte // unescaped
 	Error []byte // unescaped
 	// Data is the payload as standard base64 text, still encoded; empty
-	// when the field is absent, null or "". A get result's is well-formed;
-	// a put item's is whatever the string held, until AppendData says.
-	Data []byte
-	// Raw is the element exactly as it appears in the body.
-	Raw   []byte
+	// when the field is absent, null or "". It is whatever the string
+	// held, until AppendData says.
+	Data  []byte
 	Width int
-	// Encoded marks a put item's payload as an encoded-put container, not
-	// raw values.
+	// Encoded marks the payload as a container (store.Encoder,
+	// store.GetEncoded), not raw values.
 	Encoded  bool
 	OK       bool
 	NotFound bool
@@ -81,9 +80,9 @@ type WireItem struct {
 var errNotBase64 = errors.New("data is not valid base64")
 
 // AppendData decodes the payload onto dst — one pass over the text, which
-// for a put item is also its check: text that is not whole quanta of the
-// standard alphabet, the last one padded with at most two '=', is
-// errNotBase64, as encoding/json would have refused the message.
+// is also its check: text that is not whole quanta of the standard
+// alphabet, the last one padded with at most two '=', is errNotBase64, as
+// encoding/json would have refused the message.
 func (it *WireItem) AppendData(dst []byte) ([]byte, error) {
 	text := it.Data
 	if len(text)%4 != 0 {
@@ -127,7 +126,7 @@ const (
 	fieldEncoded
 
 	putItemFields   = fieldKey | fieldWidth | fieldData | fieldEncoded
-	getResultFields = fieldKey | fieldWidth | fieldData | fieldOK | fieldError | fieldNotFound | fieldComplete
+	getResultFields = fieldKey | fieldWidth | fieldData | fieldOK | fieldError | fieldNotFound | fieldComplete | fieldEncoded
 )
 
 // fieldNames pairs each field with its JSON name as encoding/json folds
@@ -232,7 +231,6 @@ func (p *BatchScanner) elements(fields wireFields) error {
 	}
 	return p.array(func() error {
 		var it WireItem
-		start := p.pos
 		switch p.peek() {
 		case 'n': // a null element is a zero one
 			if err := p.literal("null"); err != nil {
@@ -245,7 +243,6 @@ func (p *BatchScanner) elements(fields wireFields) error {
 		default:
 			return p.errf("batch element is not an object")
 		}
-		it.Raw = p.body[start:p.pos]
 		p.Items = append(p.Items, it)
 		return nil
 	})
@@ -263,10 +260,13 @@ func (p *BatchScanner) field(it *WireItem, name []byte, fields wireFields) error
 	if f == 0 {
 		return p.skipValue()
 	}
-	// A put payload is left for its decode to check, and one about to be
-	// replaced by a duplicate field will never be decoded.
-	if f == fieldData && fields&fieldEncoded != 0 && !simd.Base64Valid(it.Data) {
-		return p.errf("data is not valid base64")
+	// A payload is left for its decode to check, and one about to be
+	// replaced by a duplicate field never will be: it is decoded here, into
+	// the scratch's spare room, and dropped.
+	if f == fieldData {
+		if _, err := it.AppendData(p.scratch[len(p.scratch):]); err != nil {
+			return p.errf("%v", err)
+		}
 	}
 	// null leaves a scalar as it is and empties a payload.
 	if p.peek() == 'n' {
@@ -282,8 +282,7 @@ func (p *BatchScanner) field(it *WireItem, name []byte, fields wireFields) error
 	case fieldError:
 		it.Error, err = p.stringValue()
 	case fieldData:
-		// A put item's payload is checked where it is decoded.
-		it.Data, err = p.dataValue(fields&fieldEncoded == 0)
+		it.Data, err = p.dataValue()
 	case fieldEncoded:
 		it.Encoded, err = p.boolValue()
 	case fieldWidth:
@@ -662,11 +661,10 @@ func (p *BatchScanner) unescape(s []byte) []byte {
 	return out[at:len(out):len(out)]
 }
 
-// dataValue scans a payload string and returns its base64 text, not
-// decoded, and checked only if check says so. The common case — no
-// escapes in the text — copies nothing, and unchecked reads the text only
-// to find its end.
-func (p *BatchScanner) dataValue(check bool) ([]byte, error) {
+// dataValue scans a payload string and returns its base64 text, neither
+// decoded nor checked: its decode checks it. The common case — no escapes
+// in the text — copies nothing and reads the text only to find its end.
+func (p *BatchScanner) dataValue() ([]byte, error) {
 	switch p.peek() {
 	case '"':
 	case '[':
@@ -675,35 +673,25 @@ func (p *BatchScanner) dataValue(check bool) ([]byte, error) {
 		return nil, p.errf("data is not a string")
 	}
 	rest := p.body[p.pos+1:]
-	if q := bytes.IndexByte(rest, '"'); q >= 0 {
-		// Unchecked, the text must at least be known to end at that quote:
-		// no escape before it.
-		if check && simd.Base64Valid(rest[:q]) || !check && bytes.IndexByte(rest[:q], '\\') < 0 {
-			p.pos += q + 2
-			return rest[:q:q], nil
-		}
+	// With no escape before it, the text ends at the first quote.
+	if q := bytes.IndexByte(rest, '"'); q >= 0 && bytes.IndexByte(rest[:q], '\\') < 0 {
+		p.pos += q + 2
+		return rest[:q:q], nil
 	}
-	// Escapes, or not base64: take the string apart properly.
-	at := p.pos
-	inner, plain, err := p.stringEnd()
+	// Escapes: take the string apart properly.
+	inner, _, err := p.stringEnd()
 	if err != nil {
 		return nil, err
 	}
-	if !plain {
-		// The decoder skips CR and LF, which only an escape can put here.
-		text := p.unescape(inner)
-		inner = text[:0]
-		for _, c := range text {
-			if c != '\r' && c != '\n' {
-				inner = append(inner, c)
-			}
-		}
-		if !check || simd.Base64Valid(inner) {
-			return inner, nil
+	// The decoder skips CR and LF, which only an escape can put here.
+	text := p.unescape(inner)
+	inner = text[:0]
+	for _, c := range text {
+		if c != '\r' && c != '\n' {
+			inner = append(inner, c)
 		}
 	}
-	p.pos = at
-	return nil, p.errf("data is not valid base64")
+	return inner, nil
 }
 
 // appendBase64 appends raw's standard base64 text, encoded in place.
@@ -714,11 +702,12 @@ func appendBase64(dst, raw []byte) []byte {
 	return dst
 }
 
-// AppendGetResult appends one successful BatchGetItemResult: raw is the
-// little-endian values, base64-encoded in place onto dst.
-func AppendGetResult(dst []byte, key string, width int, complete bool, raw []byte) []byte {
+// AppendGetResult appends one successful BatchGetItemResult: data is the
+// little-endian values — or, encoded, the key's container —
+// base64-encoded in place onto dst.
+func AppendGetResult(dst []byte, key string, width int, complete, encoded bool, data []byte) []byte {
 	dst = append(dst, `{"key":`...)
-	dst = appendJSONString(dst, key)
+	dst = AppendJSONString(dst, key)
 	dst = append(dst, `,"ok":true`...)
 	if width != 0 {
 		dst = append(dst, `,"width":`...)
@@ -727,9 +716,12 @@ func AppendGetResult(dst []byte, key string, width int, complete bool, raw []byt
 	if complete {
 		dst = append(dst, `,"complete":true`...)
 	}
-	if len(raw) > 0 {
+	if encoded {
+		dst = append(dst, `,"encoded":true`...)
+	}
+	if len(data) > 0 {
 		dst = append(dst, `,"data":"`...)
-		dst = append(appendBase64(dst, raw), '"')
+		dst = append(appendBase64(dst, data), '"')
 	}
 	return append(dst, '}')
 }
@@ -738,7 +730,7 @@ func AppendGetResult(dst []byte, key string, width int, complete bool, raw []byt
 // container, base64-encoded in place onto dst.
 func AppendEncodedPutItem(dst []byte, key string, container []byte) []byte {
 	dst = append(dst, `{"key":`...)
-	dst = appendJSONString(dst, key)
+	dst = AppendJSONString(dst, key)
 	dst = append(dst, `,"encoded":true,"data":"`...)
 	return append(appendBase64(dst, container), '"', '}')
 }
@@ -746,11 +738,11 @@ func AppendEncodedPutItem(dst []byte, key string, container []byte) []byte {
 // AppendGetFailure appends one failed BatchGetItemResult.
 func AppendGetFailure(dst []byte, key, msg string, notFound bool) []byte {
 	dst = append(dst, `{"key":`...)
-	dst = appendJSONString(dst, key)
+	dst = AppendJSONString(dst, key)
 	dst = append(dst, `,"ok":false`...)
 	if msg != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, msg)
+		dst = AppendJSONString(dst, msg)
 	}
 	if notFound {
 		dst = append(dst, `,"not_found":true`...)
@@ -758,9 +750,9 @@ func AppendGetFailure(dst []byte, key, msg string, notFound bool) []byte {
 	return append(dst, '}')
 }
 
-// appendJSONString appends s as a JSON string: quotes, backslashes and
+// AppendJSONString appends s as a JSON string: quotes, backslashes and
 // control characters escaped, invalid UTF-8 replaced by U+FFFD.
-func appendJSONString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
 	for i := 0; i < len(s); {

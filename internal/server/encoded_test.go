@@ -18,7 +18,7 @@ func putEncoded(t testing.TB, url string, body []byte) (*http.Response, []byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", EncodedPutType)
+	req.Header.Set("Content-Type", ContainerType)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -137,5 +137,89 @@ func TestBatchEncodedItems(t *testing.T) {
 	_, b := doReq(t, http.MethodGet, ts.URL+"/v1/store/get?key=enc", nil)
 	if len(a) != len(payload) || !bytes.Equal(a, b) {
 		t.Fatalf("the two keys read back differently (%d and %d bytes)", len(a), len(b))
+	}
+}
+
+// TestStoreGetEncoded: asked for the container, get answers the key's
+// store.GetEncoded bytes as application/x-avr, with the status and the
+// X-AVR-Width/Values/Complete of the plain get and no X-AVR-Cache — a
+// container is read from disk, cache or no cache. An mget asking for
+// containers answers each key's with "encoded":true beside the width and
+// completeness of the plain mget's result, and a missing key alike.
+func TestStoreGetEncoded(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir(), CacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := testServer(t, Config{Store: st})
+	_, p32 := f32Payload(t, "heat", 6000, 1)
+	_, noise := f32Payload(t, "normal", 5000, 2)
+	for key, url := range map[string]string{"k32": "key=k32", "noise": "key=noise", "k64": "key=k64&width=64"} {
+		body := p32
+		if key == "noise" {
+			body = noise
+		}
+		if resp, out := doReq(t, http.MethodPut, ts.URL+"/v1/store/put?"+url, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("put %s: %d %s", key, resp.StatusCode, out)
+		}
+	}
+	keys := []string{"k32", "noise", "k64", "absent"}
+	for _, key := range keys {
+		plain, _ := doReq(t, http.MethodGet, ts.URL+"/v1/store/get?key="+key, nil)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/store/get?key="+key, nil)
+		req.Header.Set("Accept", ContainerType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != plain.StatusCode {
+			t.Fatalf("%s: encoded get %d, plain get %d", key, resp.StatusCode, plain.StatusCode)
+		}
+		if key == "absent" {
+			continue
+		}
+		want, _, _, err := st.GetEncoded(nil, key, nil)
+		if err != nil || !bytes.Equal(body.Bytes(), want) || resp.Header.Get("Content-Type") != ContainerType {
+			t.Fatalf("%s: %s body of %d bytes, want the key's %d-byte container (%v)",
+				key, resp.Header.Get("Content-Type"), body.Len(), len(want), err)
+		}
+		for _, h := range []string{"X-AVR-Width", "X-AVR-Values", "X-AVR-Complete"} {
+			if got, w := resp.Header.Get(h), plain.Header.Get(h); got != w || got == "" {
+				t.Errorf("%s: %s %q, the plain get says %q", key, h, got, w)
+			}
+		}
+		if src := resp.Header.Get("X-AVR-Cache"); src != "" || plain.Header.Get("X-AVR-Cache") == "" {
+			t.Errorf("%s: X-AVR-Cache %q on the container, %q on the plain get; want none and a verdict", key, src, plain.Header.Get("X-AVR-Cache"))
+		}
+	}
+
+	var plain, enc BatchGetResult
+	for _, m := range []struct {
+		encoded bool
+		out     *BatchGetResult
+	}{{false, &plain}, {true, &enc}} {
+		req, _ := json.Marshal(BatchGetRequest{Keys: keys, Encoded: m.encoded})
+		resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/store/mget", req)
+		if err := json.Unmarshal(body, m.out); resp.StatusCode != http.StatusOK || err != nil || len(m.out.Results) != len(keys) {
+			t.Fatalf("mget encoded=%v: %d, %v, %d results", m.encoded, resp.StatusCode, err, len(m.out.Results))
+		}
+	}
+	for i, key := range keys {
+		p, e := plain.Results[i], enc.Results[i]
+		if e.Key != key || e.OK != p.OK || e.NotFound != p.NotFound || e.Error != p.Error ||
+			e.Width != p.Width || e.Complete != p.Complete || e.Encoded != p.OK {
+			t.Fatalf("%s: encoded result %+v against plain %+v", key, e, p)
+		}
+		if !e.OK {
+			continue
+		}
+		want, _, _, _ := st.GetEncoded(nil, key, nil)
+		if !bytes.Equal(e.Data, want) {
+			t.Fatalf("%s: encoded mget carries %d bytes, not the key's %d-byte container", key, len(e.Data), len(want))
+		}
 	}
 }

@@ -28,7 +28,12 @@ import (
 //	GET  /v1/store/get?key=K             raw little-endian values out;
 //	                                     a torn vector returns its
 //	                                     recovered prefix as 206 with
-//	                                     X-AVR-Complete: false
+//	                                     X-AVR-Complete: false; with
+//	                                     Accept: application/x-avr the
+//	                                     key's container instead, its
+//	                                     blocks as stored
+//	                                     (store.GetEncoded), same
+//	                                     headers and statuses
 //	GET  /v1/store/query?key=K&op=OP     compressed-domain query JSON:
 //	                                     op=aggregate (default),
 //	                                     op=filter&lo=L&hi=H, or
@@ -41,7 +46,10 @@ import (
 //	GET  /v1/store/key                   every live key, sorted (JSON)
 //	POST /v1/store/mput                  batched multi-key put (JSON,
 //	                                     see batch.go)
-//	POST /v1/store/mget                  batched multi-key get (JSON)
+//	POST /v1/store/mget                  batched multi-key get (JSON);
+//	                                     with "encoded": true each
+//	                                     result carries the key's
+//	                                     container
 //	GET  /v1/store/stats                 store snapshot JSON
 
 // registerStore wires the store endpoints onto the frame.
@@ -81,9 +89,10 @@ func partialStatus(complete bool) int {
 	return http.StatusPartialContent
 }
 
-// EncodedPutType is the Content-Type of a put whose body is an
-// encoded-put container instead of raw values.
-const EncodedPutType = "application/x-avr"
+// ContainerType is the media type of a container (store.Encoder,
+// store.GetEncoded) in place of raw values: the Content-Type of a put
+// that sends one, the Accept of a get that asks for one.
+const ContainerType = "application/x-avr"
 
 // RawPutValues turns a raw single-key put — its width parameter and its
 // little-endian body — into floats, replacing dst's contents. The error
@@ -115,7 +124,7 @@ func (s *Server) handleStorePut(q *Req) {
 	if !ok {
 		return
 	}
-	encoded := q.R.Header.Get("Content-Type") == EncodedPutType
+	encoded := q.R.Header.Get("Content-Type") == ContainerType
 	var vals vec.Vec
 	if !encoded {
 		vs := valScratchPool.Get().(*valScratch)
@@ -157,41 +166,56 @@ func (s *Server) handleStorePut(q *Req) {
 	q.Reply(http.StatusOK, "application/json", out.B)
 }
 
-// handleStoreGet serves GET /v1/store/get: raw little-endian values
-// out. A vector whose tail was lost to a crash is served as 206 Partial
-// Content with X-AVR-Complete: false — the recovered prefix is still
-// within the error bound, and the client decides whether a prefix is
-// acceptable.
+// handleStoreGet serves GET /v1/store/get: raw little-endian values out,
+// or — asked for with Accept: application/x-avr — the key's container,
+// its blocks as stored, for the reader to rebuild (the router does). A
+// vector whose tail was lost to a crash is served as 206 Partial Content
+// with X-AVR-Complete: false — the recovered prefix is still within the
+// error bound, and the client decides whether a prefix is acceptable.
 func (s *Server) handleStoreGet(q *Req) {
 	key := q.Key()
 	if key == "" || !q.Admit() {
 		return
 	}
 
-	// The values land in pooled scratch, and on a little-endian host the
-	// body is their own memory (vec.Vec.LE): a get allocates neither the
-	// vector nor its serialisation, and copies neither. Reply writes the
-	// body before the deferred Put hands the scratch to another request.
+	// The values, or the container, land in pooled scratch, and on a
+	// little-endian host the values' body is their own memory
+	// (vec.Vec.LE): a get allocates neither the vector nor its
+	// serialisation, and copies neither. Reply writes the body before the
+	// deferred Put hands the scratch to another request.
 	vs := valScratchPool.Get().(*valScratch)
 	defer valScratchPool.Put(vs)
-	var src store.CacheSource
-	var err error
-	vs.vals, src, err = s.cfg.Store.GetVec(vs.vals.Reset(0), key, true, q.Span)
+	var (
+		body     []byte
+		ctype    = "application/octet-stream"
+		width, n int
+		src      store.CacheSource
+		err      error
+	)
+	if q.R.Header.Get("Accept") == ContainerType {
+		ctype = ContainerType
+		vs.raw, width, n, err = s.cfg.Store.GetEncoded(vs.raw[:0], key, q.Span)
+		body = vs.raw
+	} else {
+		vs.vals, src, err = s.cfg.Store.GetVec(vs.vals.Reset(0), key, true, q.Span)
+		width, n, body = vs.vals.Width, vs.vals.Len(), vs.vals.LE(vs.raw)
+	}
 	incomplete := errors.Is(err, store.ErrIncomplete)
 	if err != nil && !incomplete {
 		storeFail(q, err)
 		return
 	}
 	h := q.Header()
-	// hit|miss|prefetch when the read cache is configured; omitted when
-	// it is off, so clients can tell "disabled" from "missed".
+	// hit|miss|prefetch when the read cache is configured and was asked;
+	// omitted when it is off, so clients can tell "disabled" from "missed",
+	// and on a container, which is read from disk.
 	if cs := src.String(); cs != "" {
 		h.Set("X-AVR-Cache", cs)
 	}
-	h.Set("X-AVR-Width", strconv.Itoa(vs.vals.Width))
-	h.Set("X-AVR-Values", strconv.Itoa(vs.vals.Len()))
+	h.Set("X-AVR-Width", strconv.Itoa(width))
+	h.Set("X-AVR-Values", strconv.Itoa(n))
 	h.Set("X-AVR-Complete", strconv.FormatBool(!incomplete))
-	q.Reply(partialStatus(!incomplete), "application/octet-stream", vs.vals.LE(vs.raw))
+	q.Reply(partialStatus(!incomplete), ctype, body)
 }
 
 // handleStoreQuery serves GET /v1/store/query: compressed-domain

@@ -14,9 +14,8 @@ import "encoding/base64"
 
 // b64dec maps an ASCII byte to its 6-bit value, 0x80 for one outside the
 // alphabet. c|b64dec[c&0x7F] therefore has its top bit set exactly for a
-// byte that is not an alphabet character — the test the decode and valid
-// kernels make 64 bytes at a time, with this table as their two
-// VPERMI2B halves, and the scalar loop of base64ValidGo one at a time.
+// byte that is not an alphabet character — the test the decode kernel
+// makes 64 bytes at a time, with this table as its two VPERMI2B halves.
 var b64dec = func() (t [128]byte) {
 	for i := range t {
 		t[i] = 0x80
@@ -61,31 +60,4 @@ func Base64Decode(dst, src []byte) (n int, ok bool) {
 	}
 	n, err := base64.StdEncoding.Decode(dst, src)
 	return n, err == nil
-}
-
-// Base64Valid reports whether text is what base64.StdEncoding decodes
-// without skipping anything: whole quanta of alphabet characters, the
-// last one padded with at most two '='.
-func Base64Valid(text []byte) bool {
-	if b := base64Body(len(text)); b != 0 && hasVBMI {
-		if !base64ValidVBMI(text[:b]) {
-			return false
-		}
-		text = text[b:] // as many quanta short, so still whole or still not
-	}
-	return base64ValidGo(text)
-}
-
-func base64ValidGo(text []byte) bool {
-	if len(text)%4 != 0 {
-		return false
-	}
-	for pad := 0; pad < 2 && len(text) > 0 && text[len(text)-1] == '='; pad++ {
-		text = text[:len(text)-1]
-	}
-	var bad byte
-	for _, c := range text {
-		bad |= c | b64dec[c&0x7F]
-	}
-	return bad < 0x80
 }

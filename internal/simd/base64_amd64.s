@@ -106,29 +106,3 @@ decloop:
 	SETEQ ret+48(FP)
 	VZEROUPPER
 	RET
-
-// func base64ValidVBMI(text []byte) bool
-//
-// len(text) is a non-zero multiple of 64: base64DecodeVBMI's check
-// without its output.
-TEXT ·base64ValidVBMI(SB), NOSPLIT, $0-25
-	MOVQ text_base+0(FP), SI
-	MOVQ text_len+8(FP), CX
-	VMOVDQU64 ·b64dec+0(SB), Z27
-	VMOVDQU64 ·b64dec+64(SB), Z28
-	VPXORQ Z26, Z26, Z26
-
-valloop:
-	VMOVDQU64 (SI), Z0
-	VMOVDQA64 Z0, Z1
-	VPERMI2B Z28, Z27, Z1
-	VPTERNLOGD $0xFE, Z0, Z1, Z26
-	ADDQ $64, SI
-	SUBQ $64, CX
-	JNZ valloop
-
-	VPMOVB2M Z26, K2
-	KORTESTQ K2, K2
-	SETEQ ret+24(FP)
-	VZEROUPPER
-	RET

@@ -49,12 +49,9 @@ func TestBase64StaysInsideItsSlices(t *testing.T) {
 			if m, ok := Base64Decode(back, text); !ok || string(back[:m]) != string(src) {
 				t.Fatalf("%d bytes (atEnd %v): decode ok %v, %d bytes", n, atEnd, ok, m)
 			}
-			if !Base64Valid(text) {
-				t.Fatalf("%d bytes (atEnd %v): Base64Valid refuses an encoding", n, atEnd)
-			}
 			if len(text) > 0 { // and the path a bad byte takes: kernel, then the whole text again
 				text[rng.Intn(len(text))] = '*'
-				if _, ok := Base64Decode(back, text); ok || Base64Valid(text) {
+				if _, ok := Base64Decode(back, text); ok {
 					t.Fatalf("%d bytes (atEnd %v): a text with '*' in it passes", n, atEnd)
 				}
 			}

@@ -9,19 +9,10 @@ import (
 
 // The base64 functions are pinned to encoding/base64: same output bytes,
 // same accept/reject, on every input tried. On a machine without
-// AVX-512 VBMI the exported encode and decode are the standard library
-// and those comparisons are trivially true; the scalar check
-// base64ValidGo — all of Base64Valid there, its tail here — is called
-// directly so that it is tested on this machine too.
+// AVX-512 VBMI they are the standard library and those comparisons are
+// trivially true.
 
 var std = base64.StdEncoding
-
-// stdValid is what Base64Valid promises, said with the standard library:
-// decodes, and nothing was skipped on the way.
-func stdValid(text []byte) bool {
-	_, err := std.Decode(make([]byte, std.DecodedLen(len(text))), text)
-	return err == nil && !bytes.ContainsAny(text, "\r\n")
-}
 
 func checkEncode(t testing.TB, src []byte) []byte {
 	t.Helper()
@@ -35,8 +26,8 @@ func checkEncode(t testing.TB, src []byte) []byte {
 	return want
 }
 
-// checkText holds Base64Decode, Base64Valid and base64ValidGo to the
-// standard library's verdict on text, and Base64Decode to its bytes.
+// checkText holds Base64Decode to the standard library's verdict on text,
+// and to its bytes.
 func checkText(t testing.TB, text []byte) {
 	t.Helper()
 	want := make([]byte, std.DecodedLen(len(text)))
@@ -48,13 +39,6 @@ func checkText(t testing.TB, text []byte) {
 	}
 	if ok && (n != wn || !bytes.Equal(got[:n], want[:wn])) {
 		t.Fatalf("Base64Decode(%q) = %d bytes %x, encoding/base64 %d bytes %x", text, n, got[:n], wn, want[:wn])
-	}
-	valid := stdValid(text)
-	if v := Base64Valid(text); v != valid {
-		t.Fatalf("Base64Valid(%q) = %v, want %v", text, v, valid)
-	}
-	if v := base64ValidGo(text); v != valid {
-		t.Fatalf("base64ValidGo(%q) = %v, want %v", text, v, valid)
 	}
 }
 
@@ -124,7 +108,7 @@ func TestBase64PaddingAndNewlines(t *testing.T) {
 		}
 	}
 	// A MIME-style text — a line break every 76 characters — is one the
-	// decoder accepts and the check does not.
+	// decoder accepts, the line breaks skipped.
 	src := make([]byte, 3000)
 	rand.New(rand.NewSource(26)).Read(src)
 	text := checkEncode(t, src)
@@ -151,9 +135,6 @@ func FuzzBase64(f *testing.F) {
 		back := make([]byte, std.DecodedLen(len(text)))
 		if n, ok := Base64Decode(back, text); !ok || !bytes.Equal(back[:n], b) {
 			t.Fatalf("round trip of %x: ok %v, got %x", b, ok, back[:n])
-		}
-		if !Base64Valid(text) {
-			t.Fatalf("Base64Valid refuses the encoding of %x", b)
 		}
 		checkText(t, b)
 	})

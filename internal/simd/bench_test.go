@@ -158,14 +158,3 @@ func BenchmarkBase64Decode(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkBase64Valid(b *testing.B) {
-	_, text := benchBase64()
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !Base64Valid(text) {
-			b.Fatal("valid refused")
-		}
-	}
-}

@@ -151,16 +151,12 @@ func countRanges32AVX2(x []int32, lo *[3]int32, w *[3]uint32, n *[3]int64)
 //go:noescape
 func reduceFixed64AVX512(x []int64, out *[6]int64)
 
-// base64EncodeVBMI, base64DecodeVBMI and base64ValidVBMI are the vector
-// bodies of Base64Encode, Base64Decode and Base64Valid (base64.go) over a
-// non-zero number of whole groups — 48 bytes, 64 characters; call only
-// when hasVBMI is true.
+// base64EncodeVBMI and base64DecodeVBMI are the vector bodies of
+// Base64Encode and Base64Decode (base64.go) over a non-zero number of
+// whole groups — 48 bytes, 64 characters; call only when hasVBMI is true.
 //
 //go:noescape
 func base64EncodeVBMI(dst, src []byte)
 
 //go:noescape
 func base64DecodeVBMI(dst, src []byte) bool
-
-//go:noescape
-func base64ValidVBMI(text []byte) bool

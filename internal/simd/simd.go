@@ -15,8 +15,8 @@
 //   - The integer reductions a store query runs over fixed-point
 //     reconstructions (reduce.go): ReduceFixed32 and CountRanges32 have an
 //     AVX2 tier, ReduceFixed64 an AVX-512 one, CountRanges64 none.
-//   - Standard base64 for the batch wire (base64.go): Base64Encode,
-//     Base64Decode and Base64Valid have one tier, AVX-512 VBMI.
+//   - Standard base64 for the batch wire (base64.go): Base64Encode and
+//     Base64Decode have one tier, AVX-512 VBMI.
 //
 // The last two families take slices of any length and dispatch
 // themselves, falling back to — and tested against — their own pure-Go

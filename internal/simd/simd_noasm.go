@@ -70,8 +70,8 @@ func reduceFixed64AVX512(x []int64, out *[6]int64) {
 	panic("simd: reduceFixed64AVX512 called without AVX-512")
 }
 
-// The AVX-512 VBMI bodies of Base64Encode, Base64Decode and Base64Valid
-// do not exist on this target, where those are encoding/base64.
+// The AVX-512 VBMI bodies of Base64Encode and Base64Decode do not exist
+// on this target, where those are encoding/base64.
 const hasVBMI = false
 
 func base64EncodeVBMI(dst, src []byte) { panic("simd: base64EncodeVBMI called without AVX-512 VBMI") }
@@ -79,5 +79,3 @@ func base64EncodeVBMI(dst, src []byte) { panic("simd: base64EncodeVBMI called wi
 func base64DecodeVBMI(dst, src []byte) bool {
 	panic("simd: base64DecodeVBMI called without AVX-512 VBMI")
 }
-
-func base64ValidVBMI(text []byte) bool { panic("simd: base64ValidVBMI called without AVX-512 VBMI") }

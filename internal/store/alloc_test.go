@@ -102,6 +102,21 @@ func TestStoreGetIntoAllocFree(t *testing.T) {
 	}); avg > 0 {
 		t.Errorf("Get64IntoCached allocates %v per op, want 0", avg)
 	}
+	// The encoded read into a retained buffer shares the contract, and so
+	// does the decode of its container into a retained vector.
+	var c []byte
+	var v vec.Vec
+	if avg := testing.AllocsPerRun(50, func() {
+		var err error
+		if c, _, _, err = s.GetEncoded(c[:0], "k32", nil); err != nil {
+			t.Fatal(err)
+		}
+		if v, err = DecodeContainer(v, c); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 0 {
+		t.Errorf("GetEncoded + DecodeContainer allocate %v per op, want 0", avg)
+	}
 }
 
 // TestCacheRefusedLineIsNotBuilt: a key whose line can never fit (64 KiB

@@ -124,6 +124,29 @@ func BenchmarkStoreGet32(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreGetEncoded32 reads StoreGet32's key as its container
+// (GetEncoded) into a retained buffer: pread, CRC and each block appended
+// as it is stored, no decode — a shard's part of a router read, the
+// decode left to the router. MB/s is raw value bytes covered.
+func BenchmarkStoreGetEncoded32(b *testing.B) {
+	s := benchStore(b, Config{})
+	vals := benchVals32(b, "heat", 4*BlockValues)
+	if _, err := s.Put32("bench", vals); err != nil {
+		b.Fatal(err)
+	}
+	var c []byte
+	b.SetBytes(int64(4 * len(vals)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if c, _, _, err = s.GetEncoded(c[:0], "bench", nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(4*len(vals))/float64(len(c)), "ratio")
+}
+
 // BenchmarkStoreGet32Noise is StoreGet32 on a vector stored through the
 // lossless fallback: pread, CRC, BDI line decode and the little-endian
 // conversion into the destination — none of the AVR decode. No other

@@ -210,7 +210,7 @@ func (s *Store) buildLineLocked(key string, e *entry) (*cachedLine, error) {
 	if e.lineBound(key) > s.cache.MaxEntryBytes() {
 		return nil, nil
 	}
-	ln, _, err := s.readLocked(nil, true, nil, key, e, nil)
+	ln, _, err := s.readLocked(nil, nil, true, nil, key, e, nil)
 	return ln, err
 }
 

@@ -15,15 +15,18 @@ import (
 	"avr/internal/vec"
 )
 
-// The encoded-put container: one vector, already cut into the store's
-// blocks and encoded the way the store encodes them, in a form that can
-// leave the process that encoded it. A router encodes a replicated put
-// once and ships the same container to every owner; each owner checks
-// it and commits the blocks as they are, so no replica re-derives them
-// and the replicas' frames are byte-identical. DESIGN.md §5.7 has the
-// byte-level table; this file is the format's one owner — Encoder
-// writes it (its blocks for Store.PutVec too), Store.PutEncoded reads
-// it, nothing else knows its layout.
+// The container: one vector cut into the store's blocks and encoded the
+// way the store encodes them, in a form that can leave the process that
+// holds it — in both directions. On a write, a router encodes a
+// replicated put once and ships the same container to every owner; each
+// owner checks it and commits the blocks as they are, so no replica
+// re-derives them and the replicas' frames are byte-identical. On a read,
+// a shard hands a key's stored blocks out as they are (GetEncoded) and
+// the router rebuilds the values (DecodeContainer), so the hop carries
+// what the disk holds instead of the floats. DESIGN.md §5.7 has the
+// byte-level table; this file is the format's one owner — Encoder and
+// GetEncoded write it, readContainer reads it for PutEncoded and
+// DecodeContainer, nothing else knows its layout.
 //
 //	header: "AVRP" | version (1) | width (32, 64) | float64 bits of t1 |
 //	        uint64 total values
@@ -41,10 +44,11 @@ const (
 	containerBlockHdr  = 1 + 4
 )
 
-// Errors of Store.PutEncoded; nothing is committed under either.
+// Errors of Store.PutEncoded, which commits nothing under either, and —
+// the first — of DecodeContainer.
 var (
-	// ErrBadContainer reports a container that is not what an Encoder
-	// writes: damaged structure, or a block its reader rejects.
+	// ErrBadContainer reports a container that is not what an Encoder or
+	// GetEncoded writes: damaged structure, or a block its reader rejects.
 	ErrBadContainer = errors.New("store: malformed encoded put")
 	// ErrT1Mismatch reports a well-formed container encoded at a
 	// threshold other than the store's.
@@ -120,11 +124,32 @@ func (e *Encoder) AppendPut(dst []byte, vals vec.Vec) ([]byte, error) {
 	if err := checkVec(vals); err != nil {
 		return dst, err
 	}
-	dst = append(dst, containerMagic...)
-	dst = append(dst, containerVersion, byte(vals.Width))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.t1))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(vals.Len()))
+	dst = appendContainerHeader(dst, containerHead{uint8(vals.Width), e.t1, uint64(vals.Len())})
 	return e.appendBlocks(dst, vals, nil)
+}
+
+// containerHead is what a container's header says.
+type containerHead struct {
+	width uint8
+	t1    float64
+	total uint64
+}
+
+// blocks is the container's block count.
+func (h containerHead) blocks() int { return int((h.total + BlockValues - 1) / BlockValues) }
+
+func appendContainerHeader(dst []byte, h containerHead) []byte {
+	dst = append(dst, containerMagic...)
+	dst = append(dst, containerVersion, h.width)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.t1))
+	return binary.LittleEndian.AppendUint64(dst, h.total)
+}
+
+// appendContainerBlock appends one block: its encoding, length and data.
+func appendContainerBlock(dst []byte, enc uint8, data []byte) []byte {
+	dst = append(dst, enc)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(data)))
+	return append(dst, data...)
 }
 
 // appendBlocks is the one block-encode loop, AppendPut's and PutVec's:
@@ -172,12 +197,12 @@ func blocksOf(blocks []encodedBlock, buf []byte, total int) {
 // checked first — the container's structure, width and value counts,
 // every AVR block through the stream cursor every reader uses (with the
 // count its frame will claim), every lossless block through the lossless
-// decoder, and that each block fits a frame. What cannot be checked is
-// the error bound: the store never saw the original values, so
-// |x'-x| <= t1|x| is the encoder's promise, and the store holds the
-// container to claiming its own t1 — ErrT1Mismatch otherwise, and
-// ErrBadContainer for anything malformed; nothing is committed under
-// either. The check is charged to StageDecode on sp.
+// decoder (openContainer), and that each block fits a frame (fitFrames).
+// What cannot be checked is the error bound: the store never saw the
+// original values, so |x'-x| <= t1|x| is the encoder's promise, and the
+// store holds the container to claiming its own t1 — ErrT1Mismatch
+// otherwise, and ErrBadContainer for anything malformed; nothing is
+// committed under either. The check is charged to StageDecode on sp.
 func (s *Store) PutEncoded(key string, container []byte, sp *trace.Span) (PutResult, error) {
 	if err := checkKey(key); err != nil {
 		return PutResult{}, err
@@ -186,76 +211,190 @@ func (s *Store) PutEncoded(key string, container []byte, sp *trace.Span) (PutRes
 	ps := s.puts.Get().(*putScratch)
 	defer s.puts.Put(ps)
 	vt := sp.Begin()
-	width, total, err := s.openContainer(container, len(key), ps)
+	h, err := openContainer(container, s.cfg.T1, ps)
+	if err == nil {
+		err = fitFrames(len(key), ps.blocks)
+	}
 	sp.End(trace.StageDecode, vt)
 	if err != nil {
 		return PutResult{}, err
 	}
-	res, err := s.commitPut(key, width, total, int(total)*int(width/8), ps, t0, sp)
+	res, err := s.commitPut(key, h.width, h.total, int(h.total)*int(h.width/8), ps, t0, sp)
 	clear(ps.blocks) // they alias the caller's container
 	return res, err
 }
 
-// openContainer checks container and fills ps.blocks from it (the
-// blocks' data aliasing container).
-func (s *Store) openContainer(container []byte, keyLen int, ps *putScratch) (width uint8, total uint64, err error) {
-	bad := func(format string, args ...any) (uint8, uint64, error) {
-		return 0, 0, fmt.Errorf("%w: %s", ErrBadContainer, fmt.Sprintf(format, args...))
+// fitFrames holds a checked container's blocks to what only a store asks
+// of them: each inside a frame under key (a longer frame would read as a
+// torn tail at the next open).
+func fitFrames(keyLen int, blocks []encodedBlock) error {
+	for i := range blocks {
+		if n := len(blocks[i].data); blockRecordOverhead(keyLen)+n > maxFramePayload {
+			return badContainer("block %d: %d bytes of data do not fit a frame", i, n)
+		}
 	}
+	return nil
+}
+
+// openContainer checks container for a store at t1 and fills ps.blocks
+// from it (the blocks' data aliasing container): the layout through
+// readContainer, the header's t1 equal to t1 bit for bit
+// (ErrT1Mismatch), then each AVR block through checkStream, each lossless
+// one through the lossless decoder.
+func openContainer(container []byte, t1 float64, ps *putScratch) (containerHead, error) {
+	return readContainer(container, func(h containerHead) error {
+		if math.Float64bits(h.t1) != math.Float64bits(t1) {
+			return fmt.Errorf("%w: container says %g, store runs at %g", ErrT1Mismatch, h.t1, t1)
+		}
+		ps.ensure(h.blocks())
+		return nil
+	}, func(h containerHead, i int, b encodedBlock) error {
+		var err error
+		if b.enc == encAVR {
+			err = checkStream(b.data, int(h.width), int(b.valCount))
+		} else {
+			ps.vals, err = decodeLosslessTo(ps.vals.Reset(int(h.width)), b.data, int(b.valCount))
+		}
+		ps.blocks[i] = b
+		return err
+	})
+}
+
+// badContainer is an ErrBadContainer saying what is wrong.
+func badContainer(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrBadContainer, fmt.Sprintf(format, args...))
+}
+
+// readContainer is the one reader of the layout, PutEncoded's and
+// DecodeContainer's. It checks the header — magic, version, width, and a
+// total the bytes present could hold at one block header a block, checked
+// before anything is sized from it — and hands it to head; then each
+// block's framing — a known encoding, a length inside the container —
+// handing block each one in vector order with the value count its
+// position gives it; and last that nothing follows the last block. What
+// a block's data holds is block's to check, on its way to its own use of
+// it. Every error is ErrBadContainer, block's included; head's comes back
+// as it is.
+func readContainer(container []byte, head func(h containerHead) error, block func(h containerHead, i int, b encodedBlock) error) (containerHead, error) {
+	var h containerHead
 	if len(container) < containerHeaderLen || string(container[:len(containerMagic)]) != containerMagic {
-		return bad("no %s header", containerMagic)
+		return h, badContainer("no %s header", containerMagic)
 	}
 	if v := container[4]; v != containerVersion {
-		return bad("version %d", v)
+		return h, badContainer("version %d", v)
 	}
-	if width = container[5]; width != 32 && width != 64 {
-		return bad("value width %d", width)
+	if h.width = container[5]; h.width != 32 && h.width != 64 {
+		return h, badContainer("value width %d", h.width)
 	}
-	t1 := math.Float64frombits(binary.LittleEndian.Uint64(container[6:]))
-	total = binary.LittleEndian.Uint64(container[14:])
+	h.t1 = math.Float64frombits(binary.LittleEndian.Uint64(container[6:]))
+	h.total = binary.LittleEndian.Uint64(container[14:])
 	rest := container[containerHeaderLen:]
 	// Every block costs its header at least, which bounds the block count
-	// — and the scratch sized for it — by the bytes actually sent.
-	if total == 0 || total > uint64(len(rest)/containerBlockHdr)*BlockValues {
-		return bad("%d values in %d bytes of blocks", total, len(rest))
+	// — and any scratch sized for it — by the bytes actually sent.
+	if h.total == 0 || h.total > uint64(len(rest)/containerBlockHdr)*BlockValues {
+		return h, badContainer("%d values in %d bytes of blocks", h.total, len(rest))
 	}
-	if t1 != s.cfg.T1 {
-		return 0, 0, fmt.Errorf("%w: container says %g, store runs at %g", ErrT1Mismatch, t1, s.cfg.T1)
+	if err := head(h); err != nil {
+		return h, err
 	}
-	nb := int((total + BlockValues - 1) / BlockValues)
-	ps.ensure(nb)
-	for i := 0; i < nb; i++ {
+	for i := 0; i < h.blocks(); i++ {
 		if len(rest) < containerBlockHdr {
-			return bad("block %d: truncated", i)
+			return h, badContainer("block %d: truncated", i)
 		}
 		enc, n := rest[0], int(binary.LittleEndian.Uint32(rest[1:]))
 		rest = rest[containerBlockHdr:]
 		if n > len(rest) {
-			return bad("block %d: %d bytes of data, %d left", i, n, len(rest))
+			return h, badContainer("block %d: %d bytes of data, %d left", i, n, len(rest))
 		}
-		if blockRecordOverhead(keyLen)+n > maxFramePayload {
-			return bad("block %d: %d bytes of data do not fit a frame", i, n)
+		if enc != encAVR && enc != encLossless {
+			return h, badContainer("block %d: encoding %d", i, enc)
 		}
-		data := rest[:n:n]
+		b := encodedBlock{enc: enc, valCount: uint32(min(BlockValues, h.total-uint64(i)*BlockValues)), data: rest[:n:n]}
 		rest = rest[n:]
-		valCount := int(min(BlockValues, total-uint64(i)*BlockValues))
-		switch enc {
-		case encAVR:
-			err = checkStream(data, int(width), valCount)
-		case encLossless:
-			ps.vals, err = decodeLosslessTo(ps.vals.Reset(int(width)), data, valCount)
-		default:
-			return bad("block %d: encoding %d", i, enc)
+		if err := block(h, i, b); err != nil {
+			return h, badContainer("block %d: %v", i, err)
 		}
-		if err != nil {
-			return bad("block %d: %v", i, err)
-		}
-		ps.blocks[i] = encodedBlock{enc: enc, valCount: uint32(valCount), data: data}
 	}
 	if len(rest) != 0 {
-		return bad("%d bytes after the last block", len(rest))
+		return h, badContainer("%d bytes after the last block", len(rest))
 	}
-	return width, total, nil
+	return h, nil
+}
+
+// decodeCodecs pools DecodeContainer's codecs. Decoding never consults
+// the thresholds, so one default-threshold codec serves a block written
+// at any t1.
+var decodeCodecs = sync.Pool{New: func() any { return avr.NewCodec(0) }}
+
+// DecodeContainer rebuilds the values of container — written by
+// GetEncoded or an Encoder — into dst's storage, replacing its contents,
+// and the result's Width is the container's. Each block goes through the
+// decode a shard's own read runs, so its stream and its value count are
+// checked as they are there. With a retained dst it allocates nothing. A
+// malformed container is ErrBadContainer, with dst returned as passed.
+func DecodeContainer(dst vec.Vec, container []byte) (vec.Vec, error) {
+	c := decodeCodecs.Get().(*avr.Codec)
+	defer decodeCodecs.Put(c)
+	var out vec.Vec
+	_, err := readContainer(container, func(h containerHead) error {
+		out = dst.Reset(int(h.width))
+		return nil
+	}, func(h containerHead, i int, b encodedBlock) error {
+		return decodeFrame(&out, c, blockRef{enc: b.enc, valCount: b.valCount}, b.data)
+	})
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// GetEncoded appends key's container to dst: the key's blocks as they are
+// stored, each frame read, CRC-verified and kind-checked as GetVec's disk
+// path does it and appended as a container block with no decode. It
+// reads the disk (the page cache): the line cache is neither consulted
+// nor filled. The header's t1 is the threshold the blocks were encoded
+// at: one for every block of a key, since a put writes every block at the
+// store's t1 and compaction moves frames verbatim — but for a lossless
+// block the compactor re-framed after a reopen at another t1, whose frame
+// carries that one; the header then takes the largest, the bound every
+// value of the key is within. A vector whose tail was lost to a crash
+// appends the container of its recovered prefix and returns ErrIncomplete
+// beside it; on any other error dst is returned as passed. It also
+// reports the vector's width and how many values the container holds.
+// Stages onto sp: StageLock, then StageSegRead.
+func (s *Store) GetEncoded(dst []byte, key string, sp *trace.Span) (out []byte, width, values int, err error) {
+	t0 := time.Now()
+	lt := sp.Begin()
+	s.mu.RLock()
+	sp.End(trace.StageLock, lt)
+	defer s.mu.RUnlock()
+	if s.closed {
+		return dst, 0, 0, ErrClosed
+	}
+	e, ok := s.index[key]
+	if !ok {
+		return dst, 0, 0, ErrNotFound
+	}
+	h := containerHead{width: e.width}
+	for _, ref := range e.refs {
+		if ref.seg == 0 {
+			break
+		}
+		h.t1 = max(h.t1, ref.t1)
+		h.total += uint64(ref.valCount)
+	}
+	out = appendContainerHeader(dst, h)
+	_, complete, err := s.readLocked(nil, &out, false, nil, key, e, sp)
+	if err != nil {
+		return dst, 0, 0, err
+	}
+	obs.StoreGets.Add(1)
+	obs.StoreGetBytes.Add(int64(h.total) * int64(e.width/8))
+	getLatencyHist.Observe(float64(time.Since(t0).Microseconds()))
+	if !complete {
+		err = ErrIncomplete
+	}
+	return out, int(e.width), int(h.total), err
 }
 
 // checkStream walks an AVR codec stream of the given width with the

@@ -281,12 +281,111 @@ func TestPutWritesOnce(t *testing.T) {
 	}
 }
 
+// TestGetEncodedRoundTrip is the read direction's property: a key's
+// container (GetEncoded) decodes to exactly what GetVec reads, bit for
+// bit (DecodeContainer), and put back into a store at the same t1
+// (PutEncoded) commits the same blocks byte for byte — that store's own
+// GetEncoded answers the same container. Over both widths, a lossless
+// key, a key whose line is resident in the cache, and a torn tail, whose
+// container is its recovered prefix beside ErrIncomplete.
+func TestGetEncodedRoundTrip(t *testing.T) {
+	fs := newMemFS(1)
+	s := openTest(t, Config{Dir: "d", fs: fs})
+	for key, vals := range map[string]vec.Vec{
+		"fp32":   genVec(t, "heat", 32, 3*BlockValues+100, 1),
+		"fp64":   genVec(t, "wave", 64, 2*BlockValues+7, 2),
+		"noise":  genVec(t, "normal", 32, 2*BlockValues, 3),
+		"cached": genVec(t, "ramp", 32, BlockValues+1, 4),
+	} {
+		if _, err := s.PutVec(key, vals, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.hook = cutWrite(tearInFrame(2))
+	if _, err := s.PutVec("torn", genVec(t, "wave", 32, 4*BlockValues, 5), nil); !errors.Is(err, errCut) {
+		t.Fatalf("put on a dying disk: %v", err)
+	}
+	re := openTest(t, Config{Dir: "d", fs: fs.crash(processKill, 1), CacheBytes: 64 << 20})
+	if _, _, err := re.GetVec(vec.Vec{}, "cached", true, nil); err != nil || !re.cache.Contains("cached") {
+		t.Fatalf("setup: the cached key's line is not resident (%v)", err)
+	}
+	if infos, _ := re.BlockInfos("noise"); len(infos) != 2 || !infos[0].Lossless || !infos[1].Lossless {
+		t.Fatalf("setup: the noise key is not stored losslessly: %+v", infos)
+	}
+	other := openTest(t, Config{})
+	for _, key := range []string{"fp32", "fp64", "noise", "cached", "torn"} {
+		want, _, werr := re.GetVec(vec.Vec{}, key, false, nil)
+		c, width, n, err := re.GetEncoded(nil, key, nil)
+		if torn := key == "torn"; err != werr || errors.Is(err, ErrIncomplete) != torn || (torn && n != 2*BlockValues) {
+			t.Fatalf("%s: GetEncoded says %v for %d values, GetVec %v", key, err, n, werr)
+		}
+		if width != want.Width || n != want.Len() {
+			t.Fatalf("%s: GetEncoded reports fp%d x %d, GetVec reads fp%d x %d", key, width, n, want.Width, want.Len())
+		}
+		if got, err := DecodeContainer(vec.Vec{}, c); err != nil || !sameBits(got, want) {
+			t.Fatalf("%s: the container decodes to other values than GetVec reads (%v)", key, err)
+		}
+		if _, err := other.PutEncoded(key, c, nil); err != nil {
+			t.Fatalf("%s: putting the container back: %v", key, err)
+		}
+		if back, _, _, err := other.GetEncoded(nil, key, nil); err != nil || !bytes.Equal(back, c) {
+			t.Fatalf("%s: put back, the key reads as another container (%v)", key, err)
+		}
+	}
+	if _, _, _, err := re.GetEncoded(nil, "absent", nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("absent key: %v", err)
+	}
+}
+
+// TestGetEncodedAfterRetryAtNewT1: a lossless block the compactor
+// re-framed after a reopen at another t1 carries that t1 beside an AVR
+// block still at the one it was written at. The key's container claims
+// the larger — the bound every one of its values is within — and still
+// decodes to what GetVec reads.
+func TestGetEncodedAfterRetryAtNewT1(t *testing.T) {
+	const wrote, reopened = 1.0 / 8, 1.0 / 1024
+	dir := t.TempDir()
+	s := openTest(t, Config{Dir: dir, T1: wrote})
+	vals := vec.Of32(append(genF32(t, "wave", BlockValues, 1), genF32(t, "normal", BlockValues, 2)...))
+	if _, err := s.PutVec("k", vals, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // dead weight beside k, for compaction to reclaim
+		if _, err := s.PutVec("filler", vals, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTest(t, Config{Dir: dir, T1: reopened})
+	compactAll(t, r)
+	infos, err := r.BlockInfos("k")
+	if err != nil || len(infos) != 2 || infos[0].T1 != wrote || infos[1].T1 != reopened || !infos[1].Lossless {
+		t.Fatalf("setup: k's blocks after the pass are %+v (%v), want AVR at %g and lossless at %g", infos, err, wrote, reopened)
+	}
+	c, _, _, err := r.GetEncoded(nil, "k", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(c[6:])); got != wrote {
+		t.Fatalf("the container claims t1 %g, want the larger of its blocks', %g", got, wrote)
+	}
+	want, _, _ := r.GetVec(vec.Vec{}, "k", false, nil)
+	if got, err := DecodeContainer(vec.Vec{}, c); err != nil || !sameBits(got, want) {
+		t.Fatalf("the container decodes to other values than GetVec reads (%v)", err)
+	}
+}
+
 // FuzzPutEncoded throws arbitrary bytes and mutated valid containers at
-// PutEncoded. It must never panic; a refusal must be one of the two
+// PutEncoded and DecodeContainer. Neither may panic. DecodeContainer
+// takes exactly what openContainer — PutEncoded's check of the layout
+// and the blocks — takes at the header's t1, and nothing but
+// ErrBadContainer refuses. A refusal of PutEncoded must be one of its two
 // documented errors and leave the key as it was, whole; and whatever it
 // accepts must read back — through the get path, the cache fill and all
 // three queries — without a complaint, with the value count the
-// container claimed.
+// container claimed and the values DecodeContainer rebuilt.
 func FuzzPutEncoded(f *testing.F) {
 	seed := func(dist string, width, n int) []byte {
 		c, err := NewEncoder(1.0/32, 1.2).AppendPut(nil, genVec(f, dist, width, n, 1))
@@ -309,7 +408,19 @@ func FuzzPutEncoded(f *testing.F) {
 	}
 	f.Cleanup(func() { s.Close() })
 	old := vec.Of32([]float32{1, 2, 3})
+	var ps putScratch
 	f.Fuzz(func(t *testing.T, container []byte) {
+		decoded, derr := DecodeContainer(vec.Vec{}, container)
+		var t1 float64 // the header's, for openContainer's t1 check to pass
+		if len(container) >= containerHeaderLen {
+			t1 = math.Float64frombits(binary.LittleEndian.Uint64(container[6:]))
+		}
+		if _, oerr := openContainer(container, t1, &ps); (derr == nil) != (oerr == nil) {
+			t.Fatalf("DecodeContainer says %v, openContainer at the header's t1 %v", derr, oerr)
+		}
+		if derr != nil && !errors.Is(derr, ErrBadContainer) {
+			t.Fatalf("DecodeContainer refuses with %v", derr)
+		}
 		if _, err := s.PutVec("k", old, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -327,6 +438,9 @@ func FuzzPutEncoded(f *testing.F) {
 		claimed := int(binary.LittleEndian.Uint64(container[14:]))
 		if gerr != nil || got.Len() != claimed || res.Values != claimed {
 			t.Fatalf("accepted %d values, reads back %d (%v)", claimed, got.Len(), gerr)
+		}
+		if !sameBits(got, decoded) {
+			t.Fatal("the store reads back other values than DecodeContainer rebuilt")
 		}
 		s.mu.RLock()
 		_, lerr := s.buildLineLocked("k", s.index["k"])

@@ -388,7 +388,7 @@ func (s *Store) runQuery(key string, q *queryRun) (int, error) {
 		groups := (int(e.totalVals) + compress.SubBlockSize - 1) / compress.SubBlockSize
 		q.points, q.bounds = make([]float64, 0, groups), make([]float64, 0, groups)
 	}
-	_, complete, err := s.readLocked(nil, false, q, key, e, q.sp)
+	_, complete, err := s.readLocked(nil, nil, false, q, key, e, q.sp)
 	if err != nil {
 		return 0, err
 	}

@@ -815,8 +815,9 @@ func (s *Store) Get64IntoCached(dst []float64, key string, sp *trace.Span) ([]fl
 	return v.F64, src, err
 }
 
-// GetVec is the one read path: it resolves key, and appends its vector
-// to the side of dst matching the stored width, under a single
+// GetVec is the one read path of values (GetEncoded reads the blocks
+// themselves, through the same frame walk): it resolves key, and appends
+// its vector to the side of dst matching the stored width, under a single
 // acquisition of the read lock. A dst with Width set demands that width
 // (ErrWidth otherwise); Width 0 accepts either and the result's Width
 // reports what was found. With useCache (and a cache configured) a
@@ -858,7 +859,7 @@ func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (
 	}
 	base := out.Len()
 	fill := src == CacheMiss && s.cache.Admit(key, e.lineBound(key))
-	ln, complete, err := s.readLocked(&out, fill, nil, key, e, sp)
+	ln, complete, err := s.readLocked(&out, nil, fill, nil, key, e, sp)
 	if err != nil {
 		return dst, src, err
 	}
@@ -895,19 +896,21 @@ const maxRunBytes = 1 << 20
 
 // readLocked walks e's frames in vector order, stopping at the first hole
 // (torn put), and hands each verified frame to the consumers asked for:
-// dst (its Width e's) has the decoded values appended, with fill the
-// frame's summary line is filed into the cache line that comes back, and
-// q runs its compressed-domain query over the frame — so a demand miss
-// that fills the cache reads, checks and parses its frames once for both,
-// a prefetch fill is the same walk with no dst, and a query reads exactly
-// what a Get reads. A line that stops at a hole covers the recovered
-// prefix and is not marked complete. Whoever asks for a line has checked
-// its bound (entry.lineBound) against the cache's limit first, so the
-// line comes back whole. A put lands as back-to-back frames of one
-// segment, and such a run is fetched with a single read; frames that
-// compaction moved apart are read one by one. It reports whether every
-// block of the vector was there. Caller holds at least the read lock.
-func (s *Store) readLocked(dst *vec.Vec, fill bool, q *queryRun, key string, e *entry, sp *trace.Span) (*cachedLine, bool, error) {
+// dst (its Width e's) has the decoded values appended, ct has the frame's
+// block appended as a container block (GetEncoded), with fill the frame's
+// summary line is filed into the cache line that comes back, and q runs
+// its compressed-domain query over the frame — so a demand miss that
+// fills the cache reads, checks and parses its frames once for both, a
+// prefetch fill is the same walk with no dst, and a query or an encoded
+// read reads exactly what a Get reads. A line that stops at a hole
+// covers the recovered prefix and is not marked complete. Whoever asks
+// for a line has checked its bound (entry.lineBound) against the cache's
+// limit first, so the line comes back whole. A put lands as back-to-back
+// frames of one segment, and such a run is fetched with a single read;
+// frames that compaction moved apart are read one by one. It reports
+// whether every block of the vector was there. Caller holds at least the
+// read lock.
+func (s *Store) readLocked(dst *vec.Vec, ct *[]byte, fill bool, q *queryRun, key string, e *entry, sp *trace.Span) (*cachedLine, bool, error) {
 	gs := s.gets.Get().(*getScratch)
 	defer s.gets.Put(gs)
 	var ln *cachedLine
@@ -938,7 +941,7 @@ func (s *Store) readLocked(dst *vec.Vec, fill bool, q *queryRun, key string, e *
 		// i stops on the block that failed, for the error to name.
 		for err == nil && i < j {
 			n := refs[i].frameLen
-			if err = consumeFrame(dst, c, ln, q, refs[i], buf[:n], sp); err == nil {
+			if err = consumeFrame(dst, c, ct, ln, q, refs[i], buf[:n], sp); err == nil {
 				buf, i = buf[n:], i+1
 			}
 		}
@@ -955,7 +958,7 @@ func (s *Store) readLocked(dst *vec.Vec, fill bool, q *queryRun, key string, e *
 
 // consumeFrame verifies one frame read back from its segment and feeds
 // its data to readLocked's consumers, those that are set.
-func consumeFrame(dst *vec.Vec, c *avr.Codec, ln *cachedLine, q *queryRun, ref blockRef, frame []byte, sp *trace.Span) error {
+func consumeFrame(dst *vec.Vec, c *avr.Codec, ct *[]byte, ln *cachedLine, q *queryRun, ref blockRef, frame []byte, sp *trace.Span) error {
 	rt := sp.Begin()
 	rec, _, _, err := verifyFrame(frame, ref.frameLen)
 	sp.End(trace.StageSegRead, rt)
@@ -966,6 +969,10 @@ func consumeFrame(dst *vec.Vec, c *avr.Codec, ln *cachedLine, q *queryRun, ref b
 		return err
 	}
 	data := rec.Data
+	if ct != nil { // an encoded read walks alone, and decodes nothing
+		*ct = appendContainerBlock(*ct, ref.enc, data)
+		return nil
+	}
 	if q != nil { // a query walks alone: nothing is decoded beside it
 		qt := sp.Begin()
 		err = q.frame(ref, data)
