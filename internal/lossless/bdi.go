@@ -14,177 +14,221 @@
 // DecodeInto, which round-trip bit-exactly.
 package lossless
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // LineBytes is the input granularity.
 const LineBytes = 64
 
-// form identifies a BDI encoding, ordered by compressed size.
-type form struct {
-	id        byte
-	baseBytes int // segment size (8, 4 or 2)
-	deltaBits int // bits per delta
-}
-
-// The canonical BDI forms (zeros and repeat handled separately).
-var forms = []form{
-	{id: 2, baseBytes: 8, deltaBits: 8},  // base8-Δ1: 8 + 8×1 = 16 B
-	{id: 3, baseBytes: 8, deltaBits: 16}, // base8-Δ2: 8 + 8×2 = 24 B
-	{id: 4, baseBytes: 4, deltaBits: 8},  // base4-Δ1: 4 + 16×1 = 20 B
-	{id: 5, baseBytes: 8, deltaBits: 32}, // base8-Δ4: 8 + 8×4 = 40 B
-	{id: 6, baseBytes: 4, deltaBits: 16}, // base4-Δ2: 4 + 16×2 = 36 B
-	{id: 7, baseBytes: 2, deltaBits: 8},  // base2-Δ1: 2 + 32×1 = 34 B
-}
-
+// Form tags: the first byte of every line encoding. Tags 2-7 are the
+// base+delta forms in forms.
 const (
 	idRaw    = 0
 	idZeros  = 1
 	idRepeat = 8
 )
 
+// forms[tag] is the base+delta form a tag names: the width of the base
+// and of each segment, and the width of each segment's delta from the
+// base, in bytes. The payload is the base followed by one delta per
+// segment, 16 B for base8-Δ1 up to 40 B for base8-Δ4; no two forms have
+// the same size.
+var forms = [idRepeat]struct{ base, delta int }{
+	2: {8, 1}, // base8-Δ1: 8 + 8×1 = 16 B
+	3: {8, 2}, // base8-Δ2: 8 + 8×2 = 24 B
+	4: {4, 1}, // base4-Δ1: 4 + 16×1 = 20 B
+	5: {8, 4}, // base8-Δ4: 8 + 8×4 = 40 B
+	6: {4, 2}, // base4-Δ2: 4 + 16×2 = 36 B
+	7: {2, 1}, // base2-Δ1: 2 + 32×1 = 34 B
+}
+
+// EncodedLen returns the length of a whole line encoding whose first
+// byte is tag, the tag included, or 0 when tag names no form.
+func EncodedLen(tag byte) int {
+	switch tag {
+	case idRaw:
+		return 1 + LineBytes
+	case idZeros:
+		return 2
+	case idRepeat:
+		return 1 + 8
+	}
+	if int(tag) >= len(forms) {
+		return 0
+	}
+	f := forms[tag]
+	return 1 + f.base + LineBytes/f.base*f.delta
+}
+
 // CompressedSize returns the number of payload bytes BDI needs for the
 // line (excluding the 1-byte form tag), choosing the smallest applicable
 // form. 64 means incompressible.
 func CompressedSize(line []byte) int {
-	_, size := bestForm(line)
-	return size
+	return EncodedLen(classify(line)) - 1
 }
 
-// bestForm picks the smallest encoding.
-func bestForm(line []byte) (byte, int) {
-	if allZero(line) {
-		return idZeros, 1
+// mag folds a signed delta to d for d >= 0 and -d-1 for d < 0, so that d
+// fits a k-bit signed delta exactly when mag(d) < 1<<(k-1). An OR of
+// mags stays below 1<<(k-1) exactly when every one of them does.
+func mag(d int64) uint64 { return uint64(d ^ d>>63) }
+
+// mag32 and mag16 are mag of a delta between two 32- or 16-bit
+// segments, wrapped to the segment width as the decoder wraps it.
+func mag32(d uint32) uint64 { return mag(int64(int32(d))) }
+func mag16(d uint16) uint64 { return mag(int64(int16(d))) }
+
+// classify returns the tag of the smallest form that encodes line.
+//
+// Most incompressible lines are decided by their first two words: when
+// word 1's delta fails base8-Δ4, one of the 32-bit segments 1-3 fails
+// base4-Δ2 and one of the 16-bit segments 1-3 fails base2-Δ1, each base
+// width's widest delta fails on some segment, so every narrower delta of
+// that width fails too; word 1 differs from word 0, so the line is
+// neither zeros nor a repeat. It is raw. Otherwise one pass folds every
+// segment's delta into one accumulator per base width, and the smallest
+// form whose delta holds its accumulator wins.
+func classify(line []byte) byte {
+	line = line[:LineBytes]
+	w0 := binary.LittleEndian.Uint64(line)
+	w1 := binary.LittleEndian.Uint64(line[8:])
+	b4, b2 := uint32(w0), uint16(w0)
+	if mag(int64(w1-w0)) >= 1<<31 &&
+		mag32(uint32(w0>>32)-b4)|mag32(uint32(w1)-b4)|mag32(uint32(w1>>32)-b4) >= 1<<15 &&
+		mag16(uint16(w0>>16)-b2)|mag16(uint16(w0>>32)-b2)|mag16(uint16(w0>>48)-b2) >= 1<<7 {
+		return idRaw
 	}
-	if repeated8(line) {
-		return idRepeat, 8
+	var or, diff, a8, a4, a2 uint64
+	for off := 0; off < LineBytes; off += 8 {
+		w := binary.LittleEndian.Uint64(line[off:])
+		or |= w
+		diff |= w ^ w0
+		a8 |= mag(int64(w - w0))
+		a4 |= mag32(uint32(w)-b4) | mag32(uint32(w>>32)-b4)
+		a2 |= mag16(uint16(w)-b2) | mag16(uint16(w>>16)-b2) |
+			mag16(uint16(w>>32)-b2) | mag16(uint16(w>>48)-b2)
 	}
-	best, bestSize := byte(idRaw), LineBytes
-	for _, f := range forms {
-		size := f.baseBytes + (LineBytes/f.baseBytes)*(f.deltaBits/8)
-		if size >= bestSize {
-			continue
-		}
-		if fits(line, f) {
-			best, bestSize = f.id, size
-		}
+	// Smallest first: zeros 1 B, repeat 8, then 16, 20, 24, 34, 36, 40.
+	switch {
+	case or == 0:
+		return idZeros
+	case diff == 0:
+		return idRepeat
+	case a8 < 1<<7:
+		return 2
+	case a4 < 1<<7:
+		return 4
+	case a8 < 1<<15:
+		return 3
+	case a2 < 1<<7:
+		return 7
+	case a4 < 1<<15:
+		return 6
+	case a8 < 1<<31:
+		return 5
 	}
-	return best, bestSize
+	return idRaw
 }
 
-func allZero(line []byte) bool {
-	for _, b := range line {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func repeated8(line []byte) bool {
-	first := binary.LittleEndian.Uint64(line)
-	for off := 8; off < LineBytes; off += 8 {
-		if binary.LittleEndian.Uint64(line[off:]) != first {
-			return false
-		}
-	}
-	return true
-}
-
-// segment reads the base-sized unsigned value at offset off.
-func segment(line []byte, off, baseBytes int) uint64 {
-	switch baseBytes {
-	case 8:
-		return binary.LittleEndian.Uint64(line[off:])
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(line[off:]))
-	default:
-		return uint64(binary.LittleEndian.Uint16(line[off:]))
-	}
-}
-
-// fits reports whether every segment's delta from the first segment fits
-// in the form's signed delta width.
-func fits(line []byte, f form) bool {
-	base := segment(line, 0, f.baseBytes)
-	lim := int64(1) << (f.deltaBits - 1)
-	for off := 0; off < LineBytes; off += f.baseBytes {
-		d := int64(segment(line, off, f.baseBytes) - base)
-		// Sign-extend the subtraction for sub-64-bit segments.
-		if f.baseBytes != 8 {
-			shift := uint(64 - f.baseBytes*8)
-			d = int64(uint64(d)<<shift) >> shift
-		}
-		if d < -lim || d >= lim {
-			return false
-		}
-	}
-	return true
-}
-
-// AppendEncode appends Encode's exact bytes for line to dst and returns
-// the extended slice, allocating only for dst's growth. It is the
-// building block of the store's zero-allocation lossless-fallback path.
+// AppendEncode appends line's encoding — the form tag, then the payload
+// — to dst and returns the extended slice, allocating only for dst's
+// growth. It is the building block of the store's zero-allocation
+// lossless-fallback path.
 func AppendEncode(dst []byte, line []byte) []byte {
-	id, _ := bestForm(line)
-	out := append(dst, id)
-	switch id {
+	line = line[:LineBytes]
+	tag := classify(line)
+	switch tag {
 	case idZeros:
-		return append(out, 0)
+		return append(dst, idZeros, 0)
 	case idRepeat:
-		return append(out, line[:8]...)
+		return append(append(dst, idRepeat), line[:8]...)
 	case idRaw:
-		return append(out, line...)
+		return append(append(dst, idRaw), line...)
 	}
-	f := formByID(id)
-	out = append(out, line[:f.baseBytes]...)
-	base := segment(line, 0, f.baseBytes)
-	db := f.deltaBits / 8
-	for off := 0; off < LineBytes; off += f.baseBytes {
-		d := segment(line, off, f.baseBytes) - base
-		for b := 0; b < db; b++ {
-			out = append(out, byte(d>>(8*b)))
+	// The encoding is written in place past len(dst): the tag, the base
+	// (the line's first f.base bytes), then each segment's delta from the
+	// base, cut to its low f.delta bytes.
+	n := EncodedLen(tag)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	f := forms[tag]
+	out[0] = tag
+	at := 1 + copy(out[1:1+f.base], line)
+	switch f.base {
+	case 8:
+		w0 := binary.LittleEndian.Uint64(line)
+		for off := 0; off < LineBytes; off += 8 {
+			putDelta(out[at:], binary.LittleEndian.Uint64(line[off:])-w0, f.delta)
+			at += f.delta
+		}
+	case 4:
+		b := binary.LittleEndian.Uint32(line)
+		for off := 0; off < LineBytes; off += 4 {
+			putDelta(out[at:], uint64(binary.LittleEndian.Uint32(line[off:])-b), f.delta)
+			at += f.delta
+		}
+	default: // base2-Δ1: the low byte of each 16-bit delta
+		b := line[0]
+		for off := 0; off < LineBytes; off += 2 {
+			out[at] = line[off] - b
+			at++
 		}
 	}
-	return out
+	return dst[:len(dst)+n]
 }
 
-// DecodeInto reconstructs an Encode stream into line (which must hold at
-// least LineBytes; extra capacity is ignored) without allocating, and
-// returns line[:LineBytes]. Previous contents are overwritten.
+// putDelta stores d's low size bytes little-endian at the head of b.
+func putDelta(b []byte, d uint64, size int) {
+	switch size {
+	case 1:
+		b[0] = byte(d)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(d))
+	default:
+		binary.LittleEndian.PutUint32(b, uint32(d))
+	}
+}
+
+// DecodeInto reconstructs one line encoding into line (which must hold
+// at least LineBytes; extra capacity is ignored) without allocating, and
+// returns line[:LineBytes]. Previous contents are overwritten. data must
+// start with a tag EncodedLen knows and hold at least EncodedLen(tag)
+// bytes; the caller checks (the store validates every line first).
 func DecodeInto(line []byte, data []byte) []byte {
 	line = line[:LineBytes]
-	clear(line)
-	if len(data) == 0 {
-		return line
-	}
-	id := data[0]
-	payload := data[1:]
-	switch id {
+	tag := data[0]
+	payload := data[1:EncodedLen(tag)]
+	switch tag {
 	case idZeros:
+		clear(line)
 		return line
 	case idRepeat:
 		for off := 0; off < LineBytes; off += 8 {
-			copy(line[off:], payload[:8])
+			copy(line[off:], payload)
 		}
 		return line
 	case idRaw:
 		copy(line, payload)
 		return line
 	}
-	f := formByID(id)
-	base := segment(payload, 0, f.baseBytes)
-	db := f.deltaBits / 8
-	deltas := payload[f.baseBytes:]
-	for i, off := 0, 0; off < LineBytes; off += f.baseBytes {
+	f := forms[tag]
+	// Only the low f.base bytes of base+d are stored, so reading the
+	// narrower bases as a whole word (deltas in the high bytes) is exact.
+	base := binary.LittleEndian.Uint64(payload[:8:8])
+	deltas := payload[f.base:]
+	for i, off := 0, 0; off < LineBytes; i, off = i+f.delta, off+f.base {
 		var d uint64
-		for b := 0; b < db; b++ {
-			d |= uint64(deltas[i*db+b]) << (8 * b)
+		switch f.delta {
+		case 1:
+			d = uint64(int8(deltas[i]))
+		case 2:
+			d = uint64(int16(binary.LittleEndian.Uint16(deltas[i:])))
+		default:
+			d = uint64(int32(binary.LittleEndian.Uint32(deltas[i:])))
 		}
-		// Sign-extend the delta.
-		shift := uint(64 - f.deltaBits)
-		sd := uint64(int64(d<<shift) >> shift)
-		v := base + sd
-		switch f.baseBytes {
+		v := base + d
+		switch f.base {
 		case 8:
 			binary.LittleEndian.PutUint64(line[off:], v)
 		case 4:
@@ -192,16 +236,6 @@ func DecodeInto(line []byte, data []byte) []byte {
 		default:
 			binary.LittleEndian.PutUint16(line[off:], uint16(v))
 		}
-		i++
 	}
 	return line
-}
-
-func formByID(id byte) form {
-	for _, f := range forms {
-		if f.id == id {
-			return f
-		}
-	}
-	panic("lossless: unknown form")
 }

@@ -17,35 +17,10 @@ import (
 //
 // Frame: concatenated BDI line encodings. Each line encoding is
 // self-delimiting — its first byte is the BDI form tag, which fixes the
-// payload length — so no per-line length prefix is needed. Decoding
+// payload length (lossless.EncodedLen) — so no per-line length prefix is
+// needed. Decoding
 // validates the tag and the remaining length before touching
 // lossless.DecodeInto, which assumes well-formed input.
-
-// bdiLineLen returns the full encoded length (tag byte included) for a
-// BDI form tag, or 0 for an invalid tag.
-func bdiLineLen(tag byte) int {
-	switch tag {
-	case 0: // raw
-		return 1 + lossless.LineBytes
-	case 1: // zeros
-		return 2
-	case 8: // repeated 8-byte value
-		return 9
-	case 2: // base8-Δ1
-		return 1 + 8 + 8
-	case 3: // base8-Δ2
-		return 1 + 8 + 16
-	case 4: // base4-Δ1
-		return 1 + 4 + 16
-	case 5: // base8-Δ4
-		return 1 + 8 + 32
-	case 6: // base4-Δ2
-		return 1 + 4 + 32
-	case 7: // base2-Δ1
-		return 1 + 2 + 32
-	}
-	return 0
-}
 
 // losslessChunk is how many BDI lines the two functions below stage as
 // raw bytes between Vec conversions: converting line by line costs a
@@ -85,7 +60,7 @@ func decodeLosslessTo(dst vec.Vec, data []byte, valCount int) (vec.Vec, error) {
 				return dst, fmt.Errorf("%w: lossless payload exhausted at %d/%d bytes",
 					ErrCorrupt, produced+fill, rawLen)
 			}
-			n := bdiLineLen(data[0])
+			n := lossless.EncodedLen(data[0])
 			if n == 0 || n > len(data) {
 				return dst, fmt.Errorf("%w: bad lossless line tag %d", ErrCorrupt, data[0])
 			}

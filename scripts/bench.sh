@@ -31,10 +31,10 @@ OUT="${1:-BENCH_sim.json}"
 STORE_OUT="${2:-BENCH_store.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Recorder|Histogram}"
-STOREFILTER="${STOREFILTER:-CodecDecode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|Interpolate|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheThrashGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|LoopbackFloorGet|ServerMput8|ServerMget8|RouterMput8|RouterMget8|RouterGetHot}"
+STOREFILTER="${STOREFILTER:-CodecDecode|BDIEncode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges32|Interpolate|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheThrashGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|LoopbackFloorGet|ServerMput8|ServerMget8|RouterMput8|RouterMget8|RouterGetHot}"
 
 PKGS="./internal/cache ./internal/cmt ./internal/compress ./internal/dram ./internal/obs ./internal/sim ./internal/workloads"
-STORE_PKGS=". ./internal/simd ./internal/vec ./internal/store ./internal/server ./internal/trace ./internal/cluster"
+STORE_PKGS=". ./internal/lossless ./internal/simd ./internal/vec ./internal/store ./internal/server ./internal/trace ./internal/cluster"
 
 # RouterGetHot{CacheOff,CacheOn} (a Zipf single-key get through the
 # router, its response cache off and on) are recorded, not gated: the
@@ -77,8 +77,10 @@ GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLo
 # read — the get contract. The lossless twins of the get and the
 # aggregate (a "normal"-distribution key, every block through the BDI
 # fallback) and the little-endian wire conversion under both of them
-# (vec.AppendLE / FromLE, a single copy) are held to it as well.
-STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePutEncoded32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGetEncoded32 BenchmarkStoreGet32Noise BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate32Noise BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkStoreQueryFilter32Outliers BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchScanGet8 BenchmarkBatchDecodePut8 BenchmarkBatchEmitGet8 BenchmarkBase64Encode BenchmarkBase64Decode BenchmarkVecAppendLE/fp32 BenchmarkVecAppendLE/fp64 BenchmarkVecFromLE/fp32 BenchmarkVecFromLE/fp64"
+# (vec.AppendLE / FromLE, a single copy) are held to it as well, and so
+# is the BDI line encoder under the fallback's put, on noise and on a
+# smooth signal (1024 lines each, appended into a retained buffer).
+STORE_GATED="BenchmarkCodecDecode BenchmarkCodecDecode64 BenchmarkBDIEncodeNoise BenchmarkBDIEncodeSmooth BenchmarkCodecPoolGetPut BenchmarkStorePut32 BenchmarkStorePutEncoded32 BenchmarkStorePut32Noise BenchmarkStorePut64 BenchmarkStoreGet32 BenchmarkStoreGetEncoded32 BenchmarkStoreGet32Noise BenchmarkStoreGet64 BenchmarkStoreQueryAggregate32 BenchmarkStoreQueryAggregate32Noise BenchmarkStoreQueryAggregate64 BenchmarkStoreQueryFilter32 BenchmarkStoreQueryFilter32Outliers BenchmarkTracedPut32 BenchmarkTracedGet32 BenchmarkTracedQueryAggregate BenchmarkSpanPool BenchmarkRingOwners BenchmarkRouterPlanMget BenchmarkCacheHitGet32 BenchmarkCacheHitGet64 BenchmarkCacheLookup BenchmarkBatchScanPut8 BenchmarkBatchScanGet8 BenchmarkBatchDecodePut8 BenchmarkBatchEmitGet8 BenchmarkBase64Encode BenchmarkBase64Decode BenchmarkVecAppendLE/fp32 BenchmarkVecAppendLE/fp64 BenchmarkVecFromLE/fp32 BenchmarkVecFromLE/fp64"
 
 # The loopback Mput8 and Mget8 benchmarks run whole batches over real
 # listeners — net/http, the client and JSON replies included — so they
