@@ -256,17 +256,62 @@ func BenchmarkDRAMAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecEncode measures end-to-end codec throughput.
+// BenchmarkCodecEncode measures EncodeTo into a retained buffer — the
+// store's put encode — over 64 Ki fp32 values of a smooth wave, every
+// block compressing. Allocation-free by contract (scripts/bench.sh gates
+// it, and its Encode64 and Noise twins).
 func BenchmarkCodecEncode(b *testing.B) {
-	c := NewCodec(0)
 	vals := make([]float32, 64*1024)
 	for i := range vals {
 		vals[i] = float32(50 + 10*math.Sin(float64(i)/80))
 	}
-	b.SetBytes(int64(4 * len(vals)))
+	benchEncode32(b, vals)
+}
+
+// BenchmarkCodecEncodeNoise is BenchmarkCodecEncode over iid normal
+// values: both placement attempts fail on every block, which goes raw.
+func BenchmarkCodecEncodeNoise(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	vals := make([]float32, 64*1024)
+	for i := range vals {
+		vals[i] = float32(rng.NormFloat64())
+	}
+	benchEncode32(b, vals)
+}
+
+// BenchmarkCodecEncode64 is BenchmarkCodecEncode for the fp64 stream
+// (Encode64To, the same wave as 64 Ki doubles).
+func BenchmarkCodecEncode64(b *testing.B) {
+	c := NewCodec(0)
+	vals := make([]float64, 64*1024)
+	for i := range vals {
+		vals[i] = 50 + 10*math.Sin(float64(i)/80)
+	}
+	dst, err := c.Encode64To(nil, vals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(8 * len(vals)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(vals); err != nil {
+		if dst, err = c.Encode64To(dst[:0], vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchEncode32(b *testing.B, vals []float32) {
+	c := NewCodec(0)
+	dst, err := c.EncodeTo(nil, vals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(4 * len(vals)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = c.EncodeTo(dst[:0], vals); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package avr
 
 import (
 	"encoding/binary"
-	"math"
 	"slices"
 	"unsafe"
 
@@ -37,7 +36,8 @@ import (
 type Codec struct {
 	comp *compress.Compressor
 
-	// Where Encode stages the (padded) input block.
+	// Where EncodeTo / Encode64To stage a padded trailing partial block;
+	// full blocks are read in place.
 	blk   [compress.BlockValues]uint32
 	blk64 [compress.BlockValues64]uint64
 }
@@ -62,26 +62,28 @@ func (c *Codec) Encode(vals []float32) ([]byte, error) {
 // EncodeTo appends the encoded stream for vals to dst and returns the
 // extended slice. Passing a buffer retained across calls (dst[:0])
 // makes the encode path allocation-free; pass nil to let it allocate.
-// The output is byte-identical to Encode's.
+// The output is byte-identical to Encode's, and vals is only read.
 func (c *Codec) EncodeTo(dst []byte, vals []float32) ([]byte, error) {
 	dst = block.Layout32.AppendHeader(dst, len(vals))
-
-	for off := 0; off < len(vals); off += compress.BlockValues {
-		chunk := vals[off:]
-		if len(chunk) > compress.BlockValues {
-			chunk = chunk[:compress.BlockValues]
+	// The values' bit view, as DecodeTo writes its destination: each full
+	// block goes to the compressor as a view of the caller's values (the
+	// compressor never writes its input); only a trailing partial block
+	// is staged in c.blk, padded with its last value.
+	bits := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals))
+	for off := 0; off < len(bits); off += compress.BlockValues {
+		blk := &c.blk
+		if len(bits)-off >= compress.BlockValues {
+			blk = (*[compress.BlockValues]uint32)(bits[off:])
+		} else {
+			n := copy(c.blk[:], bits[off:])
+			last := c.blk[n-1]
+			for i := n; i < compress.BlockValues; i++ {
+				c.blk[i] = last
+			}
 		}
-		for i, v := range chunk {
-			c.blk[i] = math.Float32bits(v)
-		}
-		// Pad a trailing partial block with its last value.
-		last := c.blk[len(chunk)-1]
-		for i := len(chunk); i < compress.BlockValues; i++ {
-			c.blk[i] = last
-		}
-		res := c.comp.CompressFast(&c.blk, compress.Float32)
+		res := c.comp.CompressFast(blk, compress.Float32)
 		if !res.OK {
-			dst = block.AppendRaw32(dst, &c.blk)
+			dst = block.AppendRaw32(dst, blk)
 			continue
 		}
 		var err error

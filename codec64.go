@@ -2,7 +2,6 @@ package avr
 
 import (
 	"encoding/binary"
-	"math"
 	"slices"
 	"unsafe"
 
@@ -19,26 +18,27 @@ func (c *Codec) Encode64(vals []float64) ([]byte, error) {
 
 // Encode64To appends the encoded stream for vals to dst and returns the
 // extended slice; with a retained buffer the encode path is
-// allocation-free. The output is byte-identical to Encode64's.
+// allocation-free. The output is byte-identical to Encode64's. Like
+// EncodeTo it reads every full block in place and stages only a padded
+// trailing partial block; vals is only read.
 func (c *Codec) Encode64To(dst []byte, vals []float64) ([]byte, error) {
 	dst = block.Layout64.AppendHeader(dst, len(vals))
-
-	for off := 0; off < len(vals); off += compress.BlockValues64 {
-		chunk := vals[off:]
-		if len(chunk) > compress.BlockValues64 {
-			chunk = chunk[:compress.BlockValues64]
+	bits := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals))
+	for off := 0; off < len(bits); off += compress.BlockValues64 {
+		blk := &c.blk64
+		if len(bits)-off >= compress.BlockValues64 {
+			blk = (*[compress.BlockValues64]uint64)(bits[off:])
+		} else {
+			n := copy(c.blk64[:], bits[off:])
+			last := c.blk64[n-1]
+			for i := n; i < compress.BlockValues64; i++ {
+				c.blk64[i] = last
+			}
 		}
-		for i, v := range chunk {
-			c.blk64[i] = math.Float64bits(v)
-		}
-		last := c.blk64[len(chunk)-1]
-		for i := len(chunk); i < compress.BlockValues64; i++ {
-			c.blk64[i] = last
-		}
-		if res := c.comp.CompressFast64(&c.blk64); res.OK {
+		if res := c.comp.CompressFast64(blk); res.OK {
 			dst = block.AppendCompressed64(dst, &res)
 		} else {
-			dst = block.AppendRaw64(dst, &c.blk64)
+			dst = block.AppendRaw64(dst, blk)
 		}
 	}
 	return dst, nil

@@ -221,6 +221,66 @@ func TestEncode64ToAppendsToPrefix(t *testing.T) {
 	}
 }
 
+// TestEncodeToReadsInPlace: EncodeTo and Encode64To hand every full block
+// to the compressor as a view of the caller's values. They must leave
+// those values bit for bit as they were and still encode exactly what the
+// reference, which copies every block, encodes — over lengths that end on,
+// before and after a block boundary, with blocks that compress, carry
+// outliers or go raw (the second block is bit noise).
+func TestEncodeToReadsInPlace(t *testing.T) {
+	for _, n := range []int{1, 127, 128, 129, 255, 256, 257, 1000} {
+		v32 := make([]float32, n)
+		v64 := make([]float64, n)
+		for i := range v32 {
+			s := 50 + 10*math.Sin(float64(i)/40)
+			if i%37 == 0 {
+				s *= 3
+			}
+			v32[i], v64[i] = float32(s), s
+			if i/256 == 1 {
+				v32[i] = math.Float32frombits(0x9E3779B9 * uint32(i+1))
+			}
+			if i/128 == 1 {
+				v64[i] = math.Float64frombits(0x9E3779B97F4A7C15 * uint64(i+1))
+			}
+		}
+		before32 := make([]uint32, n)
+		before64 := make([]uint64, n)
+		for i := range v32 {
+			before32[i], before64[i] = math.Float32bits(v32[i]), math.Float64bits(v64[i])
+		}
+
+		c := NewCodec(0)
+		got, err := c.EncodeTo(nil, v32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := c.referenceEncode(v32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("n=%d: EncodeTo differs from referenceEncode at byte %d", n, firstDiff(got, ref))
+		}
+		got64, err := c.Encode64To(nil, v64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref64, err := c.referenceEncode64(v64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got64, ref64) {
+			t.Fatalf("n=%d: Encode64To differs from referenceEncode64 at byte %d", n, firstDiff(got64, ref64))
+		}
+		for i := range v32 {
+			if math.Float32bits(v32[i]) != before32[i] || math.Float64bits(v64[i]) != before64[i] {
+				t.Fatalf("n=%d: encoding wrote input value %d", n, i)
+			}
+		}
+	}
+}
+
 // assertCodecDifferential32 checks fast-vs-reference byte identity on
 // encode and bit identity on decode, plus scratch-buffer reuse stability
 // (a second encode into a retained buffer must reproduce the stream).

@@ -202,13 +202,14 @@ type Compressor struct {
 	mbOK, mb64OK bool
 
 	// scratch buffers reused across calls to avoid per-block allocation
-	// (fast32.go / fast64.go). The summary/bitmap/outlier sets ping-pong
-	// between the current attempt and the best one so far; CompressFast
+	// (fast32.go / fast64.go). The summary/bitmap sets ping-pong between
+	// the current attempt and the best one so far; out holds the winner's
+	// outliers, compacted once the attempts are decided. CompressFast
 	// returns a FastResult that aliases the winner, valid until the next
 	// call.
 	fx         [BlockValues]int32
 	recon      [BlockValues]int32
-	outA, outB [BlockValues]uint32
+	out        [BlockValues]uint32
 	sumA, sumB [SummaryValues]int32
 	bmA, bmB   [BitmapBytes]byte
 

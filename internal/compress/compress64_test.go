@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"avr/internal/simd"
 )
 
 func doubleBlock(f func(i int) float64) *[BlockValues64]uint64 {
@@ -171,5 +173,36 @@ func TestMantissaBits64Cap(t *testing.T) {
 	th := Thresholds{T1: 0, T2: 0}
 	if th.MantissaBits64() != 52 {
 		t.Errorf("MantissaBits64 cap = %d", th.MantissaBits64())
+	}
+}
+
+// TestErrCheckRecon64SumFallback pins the fp64 error sum past 2^53
+// quanta. Alternating 1.0 and 1.4 reconstruct near 1.2, so each of the
+// 128 mantissa deltas is about 0.2·2^52 — accepted under T1 = 1/4 (lim =
+// 2^50) and summing past 2^53, where the kernel's scaled integer sum and
+// the index-order float sum part ways. The compressor must report the
+// latter, bit for bit with the reference.
+func TestErrCheckRecon64SumFallback(t *testing.T) {
+	if !simd.Enabled512() {
+		t.Skip("AVX-512 not available")
+	}
+	th := Thresholds{T1: 1.0 / 4, T2: 1.0 / 8}
+	vals := doubleBlock(func(i int) float64 { return []float64{1.0, 1.4}[i&1] })
+	c := NewCompressor(th)
+	f := c.CompressFast64With(vals, th)
+	want := ReferenceCompress64(vals, th)
+	if f.OK != want.OK || len(f.Outliers) != len(want.Outliers) || math.Float64bits(f.AvgError) != math.Float64bits(want.AvgError) {
+		t.Fatalf("fast64 (OK %v, %d outliers, err %v) != reference (OK %v, %d outliers, err %v)",
+			f.OK, len(f.Outliers), f.AvgError, want.OK, len(want.Outliers), want.AvgError)
+	}
+	// The block does reach the fallback, and needs it.
+	var bm [BitmapBytes64]byte
+	lim := uint64(1) << (52 - th.MantissaBits64())
+	dSum := simd.ErrCheckRecon64(vals, c.ReconstructFixed64(f.Summary), &bm, int64(-f.Bias), lim)
+	if dSum < 1<<53 {
+		t.Fatalf("Σd = %d, below 2^53: the block does not exercise the fallback", dSum)
+	}
+	if shortcut := float64(dSum) / (1 << 52) / float64(BlockValues64-len(f.Outliers)); shortcut == want.AvgError {
+		t.Fatalf("Σd/2^52 gives the reference's AvgError %v here: the block does not tell the two sums apart", shortcut)
 	}
 }

@@ -36,14 +36,18 @@ type FastResult struct {
 }
 
 // CompressFast compresses one block through the flat passes under the
-// compressor's configured thresholds.
+// compressor's configured thresholds. Every CompressFast* entry point
+// only reads vals: the compressor never writes its input, so a caller
+// may hand it a view of its own values (the codec's EncodeTo reads every
+// full block in place).
 func (c *Compressor) CompressFast(vals *[BlockValues]uint32, dt DataType) FastResult {
 	return c.CompressFastWith(vals, dt, c.thresholds)
 }
 
 // CompressFastWith is CompressFast with explicit thresholds. It attempts
 // the enabled placement variants in order (1D, then 2D) and keeps the
-// better one.
+// better one. An attempt only counts its outliers (the bitmap's set
+// bits); the winner's are compacted once, at the end.
 func (c *Compressor) CompressFastWith(vals *[BlockValues]uint32, dt DataType, th Thresholds) FastResult {
 	var bias int8
 	if dt == Float32 {
@@ -57,7 +61,7 @@ func (c *Compressor) CompressFastWith(vals *[BlockValues]uint32, dt DataType, th
 
 	var best FastResult
 	bestValid := false
-	sum, bm, out := &c.sumA, &c.bmA, &c.outA
+	sum, bm := &c.sumA, &c.bmA
 	for _, m := range []Method{Method1D, Method2D} {
 		if m == Method1D && c.variants&Variant1D == 0 {
 			continue
@@ -65,19 +69,42 @@ func (c *Compressor) CompressFastWith(vals *[BlockValues]uint32, dt DataType, th
 		if m == Method2D && c.variants&Variant2D == 0 {
 			continue
 		}
-		r := c.fastAttempt(vals, dt, bias, m, th, sum, bm, out)
+		r := c.fastAttempt(vals, dt, bias, m, th, sum, bm)
 		if !bestValid || fastBetter(&r, &best) {
 			best = r
 			bestValid = true
 			// The winner owns its scratch; aim the next attempt elsewhere.
 			if sum == &c.sumA {
-				sum, bm, out = &c.sumB, &c.bmB, &c.outB
+				sum, bm = &c.sumB, &c.bmB
 			} else {
-				sum, bm, out = &c.sumA, &c.bmA, &c.outA
+				sum, bm = &c.sumA, &c.bmA
 			}
 		}
 	}
+	compactOutliers32(vals, best.Bitmap, best.Outliers)
 	return best
+}
+
+// compactOutliers32 copies the values whose bitmap bits are set into out
+// (sized to their count), in index order. It walks the bitmap eight bytes
+// at a time: little-endian word bit w*64+t is bitmap bit (byte w*8+t/8,
+// bit t%8), so the trailing-zeros walk visits values in index order.
+func compactOutliers32(vals *[BlockValues]uint32, bm *[BitmapBytes]byte, out []uint32) {
+	k := 0
+	for w := 0; w < BitmapBytes/8; w++ {
+		for v := binary.LittleEndian.Uint64(bm[w*8:]); v != 0; v &= v - 1 {
+			out[k] = vals[w<<6+bits.TrailingZeros64(v)]
+			k++
+		}
+	}
+}
+
+// countOutliers is the number of set bits in a bitmap.
+func countOutliers(bm []byte) (n int) {
+	for ; len(bm) >= 8; bm = bm[8:] {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(bm))
+	}
+	return n
 }
 
 // fastBetter reports whether attempt a beats attempt b: success first,
@@ -97,8 +124,10 @@ func fastBetter(a, b *FastResult) bool {
 }
 
 // fastAttempt runs one placement variant: downsample, interpolate, then
-// one fused reconstruction-convert + error/outlier pass.
-func (c *Compressor) fastAttempt(vals *[BlockValues]uint32, dt DataType, bias int8, m Method, th Thresholds, sum *[SummaryValues]int32, bm *[BitmapBytes]byte, out *[BlockValues]uint32) FastResult {
+// one fused reconstruction-convert + error/outlier pass. The result's
+// Outliers has the attempt's outlier count as its length but is not yet
+// filled: CompressFastWith compacts the winner's.
+func (c *Compressor) fastAttempt(vals *[BlockValues]uint32, dt DataType, bias int8, m Method, th Thresholds, sum *[SummaryValues]int32, bm *[BitmapBytes]byte) FastResult {
 	downsample(&c.fx, sum, m)
 	interpolate(sum, &c.recon, m)
 	clear(bm[:])
@@ -106,14 +135,14 @@ func (c *Compressor) fastAttempt(vals *[BlockValues]uint32, dt DataType, bias in
 	var nOut, nonOutliers int
 	var errSum float64
 	if dt == Float32 {
-		nOut, nonOutliers, errSum = errCheckRecon32(vals, &c.recon, bias, c.mantissaBits32(th), bm, out)
+		nOut, nonOutliers, errSum = errCheckRecon32(vals, &c.recon, bias, c.mantissaBits32(th), bm)
 	} else {
-		nOut, nonOutliers, errSum = errCheckFixed32(vals, &c.recon, th.T1, bm, out)
+		nOut, nonOutliers, errSum = errCheckFixed32(vals, &c.recon, th.T1, bm)
 	}
 
 	r := FastResult{Method: m, Bias: bias, Summary: sum, Bitmap: bm}
 	if nOut > 0 {
-		r.Outliers = out[:nOut]
+		r.Outliers = c.out[:nOut]
 	}
 	if nonOutliers > 0 {
 		r.AvgError = errSum / float64(nonOutliers)
@@ -128,11 +157,12 @@ func (c *Compressor) fastAttempt(vals *[BlockValues]uint32, dt DataType, bias in
 
 // errCheckRecon32 fuses the reconstruction convert sweep
 // (fixed.FixedToFloats) with the reference comparator's Float32 branch
-// (valueError in reference_test.go) over the whole block: each reconstructed fixed-point value becomes a float bit
-// pattern in a register and is classified immediately, with no approx
-// array round-trip. Bitmap bits are set, outliers compacted and the
-// relative error of non-outliers accumulated in index order (the float64
-// sum must match the reference accumulation exactly).
+// (valueError in reference_test.go) over the whole block: each
+// reconstructed fixed-point value becomes a float bit pattern in a
+// register and is classified immediately, with no approx array
+// round-trip. Bitmap bits are set, outliers counted and the relative
+// error of non-outliers accumulated in index order (the float64 sum must
+// match the reference accumulation exactly).
 //
 // The branch structure differs from the reference switch but decides
 // identically: (orig XOR approx) over the sign+exponent bits is zero
@@ -149,26 +179,15 @@ func (c *Compressor) fastAttempt(vals *[BlockValues]uint32, dt DataType, bias in
 // exactly (< 2^31 quanta against a 52-bit mantissa), so the reference's
 // stepwise float sum never rounds and equals the scaled integer sum
 // computed here.
-func errCheckRecon32(vals *[BlockValues]uint32, recon *[BlockValues]int32, bias int8, n int, bm *[BitmapBytes]byte, out *[BlockValues]uint32) (nOut, nonOutliers int, errSum float64) {
+func errCheckRecon32(vals *[BlockValues]uint32, recon *[BlockValues]int32, bias int8, n int, bm *[BitmapBytes]byte) (nOut, nonOutliers int, errSum float64) {
 	lim := uint32(1) << (23 - n) // d >= lim  ⇔  bits.Len32(d) > 23-n
 	nb := -int(bias)
 	if simd.Enabled() {
 		// The AVX2 kernel runs the identical classification lane for
 		// lane (see internal/simd), filling the bitmap and returning the
-		// integer delta sum; outliers are compacted from the bitmap in
-		// index order, exactly as the scalar loop appends them.
+		// integer delta sum; the outliers are its set bits.
 		dSum := simd.ErrCheckRecon32(vals, recon, bm, int32(nb), lim)
-		// Walk the bitmap eight bytes at a time; little-endian word bit
-		// w*64+t is exactly bitmap bit (byte w*8+t/8, bit t%8), so the
-		// trailing-zeros walk visits values in index order.
-		for w := 0; w < BitmapBytes/8; w++ {
-			v := binary.LittleEndian.Uint64(bm[w*8:])
-			for v != 0 {
-				out[nOut] = vals[w<<6+bits.TrailingZeros64(v)]
-				v &= v - 1
-				nOut++
-			}
-		}
+		nOut = countOutliers(bm[:])
 		return nOut, BlockValues - nOut, float64(dSum) / (1 << 23)
 	}
 	var dSum int64
@@ -207,7 +226,6 @@ func errCheckRecon32(vals *[BlockValues]uint32, recon *[BlockValues]int32, bias 
 			continue
 		}
 		bm[i>>3] |= 1 << (i & 7)
-		out[nOut] = o
 		nOut++
 	}
 	return nOut, nonOutliers, float64(dSum) / (1 << 23)
@@ -215,7 +233,7 @@ func errCheckRecon32(vals *[BlockValues]uint32, recon *[BlockValues]int32, bias 
 
 // errCheckFixed32 is the reference comparator's Fixed32 branch over the
 // whole block.
-func errCheckFixed32(vals *[BlockValues]uint32, recon *[BlockValues]int32, t1 float64, bm *[BitmapBytes]byte, out *[BlockValues]uint32) (nOut, nonOutliers int, errSum float64) {
+func errCheckFixed32(vals *[BlockValues]uint32, recon *[BlockValues]int32, t1 float64, bm *[BitmapBytes]byte) (nOut, nonOutliers int, errSum float64) {
 	for i := 0; i < BlockValues; i++ {
 		o, a := int64(int32(vals[i])), int64(recon[i])
 		d := o - a
@@ -239,7 +257,6 @@ func errCheckFixed32(vals *[BlockValues]uint32, recon *[BlockValues]int32, t1 fl
 		}
 		if outlier {
 			bm[i>>3] |= 1 << (i & 7)
-			out[nOut] = vals[i]
 			nOut++
 		} else {
 			errSum += relErr

@@ -37,13 +37,13 @@ func (c *Compressor) CompressFast64With(vals *[BlockValues64]uint64, th Threshol
 		c.sum64[s] = fixed.Average16x64(c.fx64[s*SubBlockSize64 : (s+1)*SubBlockSize64])
 	}
 	interpolate64(&c.sum64, &c.recon64)
-	clear(c.bm64[:])
 
-	nOut, nonOutliers, errSum := errCheckRecon64(vals, &c.recon64, bias, c.mantissaBits64(th), &c.bm64, &c.out64)
+	nOut, nonOutliers, errSum := errCheckRecon64(vals, &c.recon64, bias, c.mantissaBits64(th), &c.bm64)
 
 	r := FastResult64{Bias: bias, Summary: &c.sum64, Bitmap: &c.bm64}
 	if nOut > 0 {
 		r.Outliers = c.out64[:nOut]
+		compactOutliers64(vals, &c.bm64, r.Outliers)
 	}
 	if nonOutliers > 0 {
 		r.AvgError = errSum / float64(nonOutliers)
@@ -56,17 +56,47 @@ func (c *Compressor) CompressFast64With(vals *[BlockValues64]uint64, th Threshol
 	return r
 }
 
+// compactOutliers64 is compactOutliers32 for 128-double blocks.
+func compactOutliers64(vals *[BlockValues64]uint64, bm *[BitmapBytes64]byte, out []uint64) {
+	k := 0
+	for w := 0; w < BitmapBytes64/8; w++ {
+		for v := binary.LittleEndian.Uint64(bm[w*8:]); v != 0; v &= v - 1 {
+			out[k] = vals[w<<6+bits.TrailingZeros64(v)]
+			k++
+		}
+	}
+}
+
 // errCheckRecon64 fuses the reconstruction convert sweep
 // (fixed.FixedToFloats64) with the reference comparator (valueError64 in
-// reference_test.go) over the whole block, accumulating non-outlier error in index order like the reference. The
-// branch structure mirrors errCheckRecon32: see the discussion there for
-// why it decides identically to the reference switch.
-func errCheckRecon64(vals *[BlockValues64]uint64, recon *[BlockValues64]int64, bias int16, n int, bm *[BitmapBytes64]byte, out *[BlockValues64]uint64) (nOut, nonOutliers int, errSum float64) {
+// reference_test.go) over the whole block, setting the bitmap, counting
+// outliers and accumulating non-outlier error in index order like the
+// reference. The branch structure mirrors errCheckRecon32: see the
+// discussion there for why it decides identically to the reference
+// switch.
+//
+// With AVX-512 the kernel (simd.ErrCheckRecon64) classifies lane for
+// lane and returns the integer sum Σd of the accepted mantissa deltas.
+// The loop below adds float64(d)/2^52 in index order: every term and
+// every partial sum is a multiple of 2^-52 no larger than Σd·2^-52, so
+// while Σd < 2^53 each addition is exact in float64 and the loop's sum is
+// float64(Σd)/2^52 bit for bit. Unlike fp32 (256 deltas below 2^23) the
+// bound can be crossed — 128 deltas each just under lim = 2^(52-n) reach
+// 2^53 for n ≤ 5, the default t1 = 1/32 included — and then a partial
+// sum may round, so such a block runs the loop instead.
+func errCheckRecon64(vals *[BlockValues64]uint64, recon *[BlockValues64]int64, bias int16, n int, bm *[BitmapBytes64]byte) (nOut, nonOutliers int, errSum float64) {
 	lim := uint64(1) << (52 - n) // d >= lim  ⇔  bits.Len64(d) > 52-n
+	nb := -int(bias)
+	if simd.Enabled512() {
+		if dSum := simd.ErrCheckRecon64(vals, recon, bm, int64(nb), lim); dSum < 1<<53 {
+			nOut = countOutliers(bm[:])
+			return nOut, BlockValues64 - nOut, float64(dSum) / (1 << 52)
+		}
+	}
+	clear(bm[:])
 	const signExpMask = uint64(0xFFF) << 52
 	const expMask = uint64(0x7FF) << 52
 	const mantMask = uint64(1)<<52 - 1
-	nb := -int(bias)
 	for i := 0; i < BlockValues64; i++ {
 		// Inline fixed.FixedToFloats64: convert and un-bias one value.
 		a := math.Float64bits(float64(recon[i]) / (1 << fixed.FracBits64))
@@ -102,7 +132,6 @@ func errCheckRecon64(vals *[BlockValues64]uint64, recon *[BlockValues64]int64, b
 			continue
 		}
 		bm[i>>3] |= 1 << (i & 7)
-		out[nOut] = o
 		nOut++
 	}
 	return nOut, nonOutliers, errSum

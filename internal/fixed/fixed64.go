@@ -1,6 +1,10 @@
 package fixed
 
-import "math"
+import (
+	"math"
+
+	"avr/internal/simd"
+)
 
 // 64-bit datapath: the paper's compressor handles 32-bit values; this is
 // the "easily extended to support other representations" path (§3.3),
@@ -30,12 +34,18 @@ func ChooseBias64(bits []uint64) (bias int16, ok bool) {
 	// Branch-free scan, as in ChooseBias.
 	minE, maxE := 0x7FF, 0
 	special := 0
-	for _, b := range bits {
-		e := ieeeExpBits64(b)
-		special |= (e + 1) >> 11            // 1 iff e == 0x7FF
-		lo := e | (((e - 1) >> 11) & 0x7FF) // 0x7FF iff e == 0
-		minE = min(minE, lo)
-		maxE = max(maxE, e)
+	if len(bits) == 128 && simd.Enabled512() {
+		p := simd.ChooseBiasScan64((*[128]uint64)(bits))
+		minE, maxE = int(p&0xFFF), int(p>>12)&0xFFF
+		special = int(p >> 24)
+	} else {
+		for _, b := range bits {
+			e := ieeeExpBits64(b)
+			special |= (e + 1) >> 11            // 1 iff e == 0x7FF
+			lo := e | (((e - 1) >> 11) & 0x7FF) // 0x7FF iff e == 0
+			minE = min(minE, lo)
+			maxE = max(maxE, e)
+		}
 	}
 	if special != 0 || maxE == 0 {
 		return 0, false
@@ -112,19 +122,27 @@ func FixedToFloat64(v int64) uint64 {
 // Like FloatsToFixed, the common case folds the bias into one exact
 // power-of-two scale: both formulations compute the correctly rounded
 // product of the same real value orig·2^(bias+FracBits64), so they agree
-// bit for bit. Values whose (original or biased) exponent leaves the
-// normal range fall back to the per-value reference path, as does the
-// whole sweep when 2^(bias+FracBits64) itself is not a normal float64.
+// bit for bit (with bias 0 the fused product is FloatToFixed64's own).
+// Values whose (original or biased) exponent leaves the normal range
+// fall back to the per-value reference path, as does the whole sweep
+// when 2^(bias+FracBits64) itself is not a normal float64.
 func FloatsToFixed64(dst []int64, src []uint64, bias int16) {
 	dst = dst[:len(src)]
 	se := 1023 + int(bias) + FracBits64
-	if bias == 0 || se < 1 || se > 2046 {
+	if se < 1 || se > 2046 {
 		for i, b := range src {
 			dst[i] = FloatToFixed64(ApplyBias64(b, bias))
 		}
 		return
 	}
 	scale := math.Float64frombits(uint64(se) << 52)
+	if len(src) == 128 && simd.Enabled512() {
+		// Whole-block AVX-512 sweep (bit-identical; see internal/simd). A
+		// false return means some lane needs the reference path below.
+		if simd.FloatsToFixedScaled64((*[128]int64)(dst), (*[128]uint64)(src), int64(bias), scale) {
+			return
+		}
+	}
 	for i, b := range src {
 		e := int(b>>52) & 0x7FF
 		if eb := e + int(bias); e == 0 || e == 0x7FF || eb < 1 || eb > 2046 {

@@ -2,25 +2,90 @@ package simd
 
 import (
 	"encoding/base64"
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// The encode kernels run over one key's records — keyRecords blocks of a
+// smooth wave with a spike every 37 values, and the reconstruction the
+// error check compares it with, a few units off — and so do their
+// ...Scalar twins, the test oracles in encode_test.go. scripts/bench.sh
+// gates each kernel at 2x its twin, like the interpolation kernels below.
+
+func encWave(i int) float64 {
+	v := 50 + 10*math.Sin(float64(i)/80)
+	if i%37 == 0 {
+		v *= 1.5
+	}
+	return v
+}
+
+// encBlocks32 is the fp32 key at bias 7 (its largest magnitude, ~90,
+// steered to 2^12 as fixed.ChooseBias does) and its Q15.16
+// reconstruction.
+func encBlocks32() (vals *[keyRecords][256]uint32, recon *[keyRecords][256]int32) {
+	rng := rand.New(rand.NewSource(3))
+	vals, recon = new([keyRecords][256]uint32), new([keyRecords][256]int32)
+	for r := range vals {
+		for i := range vals[r] {
+			v := encWave(r*256 + i)
+			vals[r][i] = math.Float32bits(float32(v))
+			recon[r][i] = int32(v*(1<<23)) + int32(rng.Intn(64)-32)
+		}
+	}
+	return vals, recon
+}
+
+// encBlocks64 is encBlocks32 for doubles: bias 22, Q31.32.
+func encBlocks64() (vals *[keyRecords][128]uint64, recon *[keyRecords][128]int64) {
+	rng := rand.New(rand.NewSource(4))
+	vals, recon = new([keyRecords][128]uint64), new([keyRecords][128]int64)
+	for r := range vals {
+		for i := range vals[r] {
+			v := encWave(r*128 + i)
+			vals[r][i] = math.Float64bits(v)
+			recon[r][i] = int64(v*(1<<54)) + int64(rng.Intn(1<<20)-1<<19)
+		}
+	}
+	return vals, recon
+}
+
+func benchErrCheck32(b *testing.B, fn func(*[256]uint32, *[256]int32, *[32]byte, int32, uint32) int64) {
+	vals, recon := encBlocks32()
+	var bm [32]byte
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range vals {
+			clear(bm[:])
+			fn(&vals[r], &recon[r], &bm, -7, 1<<18)
+		}
+	}
+}
 
 func BenchmarkErrCheckRecon32(b *testing.B) {
 	if !Enabled() {
 		b.Skip("AVX2 not available")
 	}
-	rng := rand.New(rand.NewSource(3))
-	var vals [256]uint32
-	var recon [256]int32
-	var bm [32]byte
-	for i := range recon {
-		recon[i] = int32(rng.Intn(1<<24) - 1<<23)
-		vals[i] = uint32(rng.Uint32())
-	}
-	b.SetBytes(1024)
+	benchErrCheck32(b, ErrCheckRecon32)
+}
+
+func BenchmarkErrCheckRecon32Scalar(b *testing.B) {
+	benchErrCheck32(b, func(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64 {
+		return scalarErrCheck(vals, recon, nb, lim, bm)
+	})
+}
+
+func benchFloatsToFixed32(b *testing.B, fn func(*[256]int32, *[256]uint32, int32, float64) bool) {
+	vals, _ := encBlocks32()
+	var dst [256]int32
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ErrCheckRecon32(&vals, &recon, &bm, 5, 1<<13)
+		for r := range vals {
+			fn(&dst, &vals[r], 7, 1<<23)
+		}
 	}
 }
 
@@ -28,16 +93,97 @@ func BenchmarkFloatsToFixedScaled(b *testing.B) {
 	if !Enabled() {
 		b.Skip("AVX2 not available")
 	}
-	rng := rand.New(rand.NewSource(4))
-	var src [256]uint32
-	var dst [256]int32
-	for i := range src {
-		src[i] = rng.Uint32()&0x807FFFFF | uint32(120+rng.Intn(16))<<23
+	benchFloatsToFixed32(b, FloatsToFixedScaled)
+}
+
+func BenchmarkFloatsToFixedScaledScalar(b *testing.B) {
+	benchFloatsToFixed32(b, scalarFloatsToFixed)
+}
+
+func benchChooseBias32(b *testing.B, kernel bool, fn func(*[256]uint32) uint32) {
+	if kernel && !Enabled512() {
+		b.Skip("AVX-512 not available")
 	}
-	b.SetBytes(1024)
+	vals, _ := encBlocks32()
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FloatsToFixedScaled(&dst, &src, 3, 1<<19)
+		for r := range vals {
+			fn(&vals[r])
+		}
 	}
+}
+
+func BenchmarkChooseBiasScan(b *testing.B) { benchChooseBias32(b, true, ChooseBiasScan) }
+
+func BenchmarkChooseBiasScanScalar(b *testing.B) { benchChooseBias32(b, false, scalarChooseBiasScan) }
+
+func benchErrCheck64(b *testing.B, kernel bool, fn func(*[128]uint64, *[128]int64, *[16]byte, int64, uint64) int64) {
+	if kernel && !Enabled512() {
+		b.Skip("AVX-512 not available")
+	}
+	vals, recon := encBlocks64()
+	var bm [16]byte
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range vals {
+			clear(bm[:])
+			fn(&vals[r], &recon[r], &bm, -22, 1<<47)
+		}
+	}
+}
+
+func BenchmarkErrCheckRecon64(b *testing.B) { benchErrCheck64(b, true, ErrCheckRecon64) }
+
+func BenchmarkErrCheckRecon64Scalar(b *testing.B) {
+	benchErrCheck64(b, false, func(vals *[128]uint64, recon *[128]int64, bm *[16]byte, nb int64, lim uint64) int64 {
+		d, _ := scalarErrCheck64(vals, recon, nb, lim, bm)
+		return d
+	})
+}
+
+func benchFloatsToFixed64(b *testing.B, kernel bool, fn func(*[128]int64, *[128]uint64, int64, float64) bool) {
+	if kernel && !Enabled512() {
+		b.Skip("AVX-512 not available")
+	}
+	vals, _ := encBlocks64()
+	var dst [128]int64
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range vals {
+			fn(&dst, &vals[r], 22, 1<<54)
+		}
+	}
+}
+
+func BenchmarkFloatsToFixedScaled64(b *testing.B) {
+	benchFloatsToFixed64(b, true, FloatsToFixedScaled64)
+}
+
+func BenchmarkFloatsToFixedScaled64Scalar(b *testing.B) {
+	benchFloatsToFixed64(b, false, scalarFloatsToFixed64)
+}
+
+func benchChooseBias64(b *testing.B, kernel bool, fn func(*[128]uint64) uint32) {
+	if kernel && !Enabled512() {
+		b.Skip("AVX-512 not available")
+	}
+	vals, _ := encBlocks64()
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range vals {
+			fn(&vals[r])
+		}
+	}
+}
+
+func BenchmarkChooseBiasScan64(b *testing.B) { benchChooseBias64(b, true, ChooseBiasScan64) }
+
+func BenchmarkChooseBiasScan64Scalar(b *testing.B) {
+	benchChooseBias64(b, false, scalarChooseBiasScan64)
 }
 
 func benchFixed(seed int64) []int32 {
@@ -65,6 +211,35 @@ func BenchmarkCountRanges32(b *testing.B) {
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {
 		CountRanges32(x, &lo, &hi)
+	}
+}
+
+// BenchmarkCountRanges64 and its ...Scalar twin (the pure-Go loop) run
+// one 128-value fp64 record; scripts/bench.sh gates the pair at 2x.
+func BenchmarkCountRanges64(b *testing.B) {
+	if !Enabled512() {
+		b.Skip("AVX-512 not available")
+	}
+	benchCountRanges64(b, func(x []int64, lo *[3]int64, w *[3]uint64) {
+		CountRanges64(x, lo, &[3]int64{lo[0] + int64(w[0]), lo[1] + int64(w[1]), lo[2] + int64(w[2])})
+	})
+}
+
+func BenchmarkCountRanges64Scalar(b *testing.B) {
+	benchCountRanges64(b, func(x []int64, lo *[3]int64, w *[3]uint64) { countRanges64Go(x, lo, w) })
+}
+
+func benchCountRanges64(b *testing.B, fn func([]int64, *[3]int64, *[3]uint64)) {
+	rng := rand.New(rand.NewSource(10))
+	x := make([]int64, 128)
+	for i := range x {
+		x[i] = rng.Int63n(1<<41) - 1<<40
+	}
+	lo, w := [3]int64{-1 << 36, -1 << 38, 0}, [3]uint64{1 << 37, 1 << 39, 1 << 37}
+	b.SetBytes(1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn(x, &lo, &w)
 	}
 }
 

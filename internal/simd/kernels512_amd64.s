@@ -714,3 +714,222 @@ d2loop:
 
 	VZEROUPPER
 	RET
+
+// Constants for the fp64 encode kernels (64-bit lanes).
+DATA enc64const<>+0(SB)/8, $0x7FF0000000000000  // exponent mask
+DATA enc64const<>+8(SB)/8, $0xFFF0000000000000  // sign+exponent mask
+DATA enc64const<>+16(SB)/8, $0x000FFFFFFFFFFFFF // mantissa mask
+DATA enc64const<>+24(SB)/8, $0x800FFFFFFFFFFFFF // sign+mantissa (clear exponent)
+DATA enc64const<>+32(SB)/8, $0x3DF0000000000000 // 2^-32 as float64
+DATA enc64const<>+40(SB)/8, $0x7FF              // raw exponent of NaN/Inf; lo sentinel
+DATA enc64const<>+48(SB)/8, $1
+DATA enc64const<>+56(SB)/8, $2046
+DATA enc64const<>+64(SB)/8, $0x43E0000000000000 // 2^63 as float64
+DATA enc64const<>+72(SB)/8, $0x7FFFFFFFFFFFFFFF // MaxInt64
+GLOBL enc64const<>(SB), RODATA|NOPTR, $80
+
+// func ChooseBiasScan64(bits *[128]uint64) uint32
+//
+// ChooseBiasScan in 64-bit lanes, per 8-lane group: accumulate a NaN/Inf
+// flag (e==0x7FF); track max(e) and min(lo) where lo substitutes 0x7FF
+// for zero/denormal lanes — exactly the scalar scan in
+// fixed.ChooseBias64. Returns min | max<<12 | specialFlag<<24.
+TEXT ·ChooseBiasScan64(SB), NOSPLIT, $0-12
+	MOVQ bits+0(FP), SI
+	VPBROADCASTQ enc64const<>+0(SB), Z15  // expmask
+	VPBROADCASTQ enc64const<>+40(SB), Z14 // 0x7FF
+	VMOVDQA64 Z14, Z13                    // running min(lo), starts at 0x7FF
+	VPXORQ Z12, Z12, Z12                  // running max(e), starts at 0
+	KXORW K7, K7, K7                      // special accumulator
+	MOVQ $16, CX
+
+cb64loop:
+	VMOVDQU64 (SI), Z0
+	VPANDQ Z15, Z0, Z0
+	VPCMPEQQ Z15, Z0, K1 // e == 0x7FF: NaN or Inf present
+	KORW K1, K7, K7
+	VPSRLQ $52, Z0, Z0
+	VPTESTNMQ Z0, Z0, K2 // e == 0: zero or denormal lane
+	VPMAXSQ Z0, Z12, Z12
+	VMOVDQA64 Z14, K2, Z0 // lo: zero/denormal lanes become 0x7FF
+	VPMINSQ Z0, Z13, Z13
+	ADDQ $64, SI
+	DECQ CX
+	JNZ cb64loop
+
+	// Horizontal min/max over the 8 lanes.
+	VEXTRACTI64X4 $1, Z13, Y0
+	VPMINSQ Y0, Y13, Y13
+	VEXTRACTI128 $1, Y13, X0
+	VPMINSQ X0, X13, X13
+	VPSHUFD $0x4E, X13, X0
+	VPMINSQ X0, X13, X13
+	VEXTRACTI64X4 $1, Z12, Y0
+	VPMAXSQ Y0, Y12, Y12
+	VEXTRACTI128 $1, Y12, X0
+	VPMAXSQ X0, X12, X12
+	VPSHUFD $0x4E, X12, X0
+	VPMAXSQ X0, X12, X12
+
+	VMOVQ X13, AX // min(lo)
+	VMOVQ X12, DX // max(e)
+	SHLQ $12, DX
+	ORQ DX, AX
+	KMOVW K7, DX
+	TESTL DX, DX
+	JZ cb64done
+	ORQ $0x1000000, AX
+cb64done:
+	MOVL AX, ret+8(FP)
+	VZEROUPPER
+	RET
+
+// func FloatsToFixedScaled64(dst *[128]int64, src *[128]uint64, bias int64, scale float64) bool
+//
+// floatsToFixedAVX512 in 64-bit lanes: per 8-lane group, lanes with
+// e == 0 flush to +0; v = float64(src) * scale (VMULPD); dst = v rounded
+// to nearest-even (VCVTPD2QQ under the default MXCSR rounding, which Go
+// never changes). A lane with v ≥ 2^63 (+Inf included) is set to
+// MaxInt64 after the conversion; one with v ≤ −2^63 already converts to
+// MinInt64 (−2^63 exactly, anything below as the integer indefinite
+// 0x8000000000000000) — the scalar saturations. Returns false if any
+// non-zero lane has e == 0x7FF or a biased exponent outside [1, 2046].
+TEXT ·FloatsToFixedScaled64(SB), NOSPLIT, $0-33
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	VPBROADCASTQ enc64const<>+0(SB), Z15 // expmask
+	VPBROADCASTQ bias+16(FP), Z14
+	VPBROADCASTQ enc64const<>+48(SB), Z13 // 1
+	VPBROADCASTQ enc64const<>+56(SB), Z12 // 2046
+	VBROADCASTSD scale+24(FP), Z11
+	VBROADCASTSD enc64const<>+64(SB), Z10 // 2^63
+	VPBROADCASTQ enc64const<>+72(SB), Z9  // MaxInt64
+	KXORW K7, K7, K7                      // bad-lane accumulator
+	MOVQ $16, CX
+
+f2x64loop:
+	VMOVDQU64 (SI), Z0
+	VPANDQ Z15, Z0, Z1
+	VPTESTNMQ Z1, Z1, K1 // e == 0
+	VPCMPEQQ Z15, Z1, K2 // e == 0x7FF
+	VPSRLQ $52, Z1, Z1
+	VPADDQ Z14, Z1, Z1     // eb = e + bias
+	VPCMPQ $1, Z13, Z1, K3 // eb < 1
+	KORW K3, K2, K2
+	VPCMPQ $6, Z12, Z1, K3 // eb > 2046
+	KORW K3, K2, K2
+	KANDNW K2, K1, K2 // bad = ~(e==0) & (special | out of range)
+	KORW K2, K7, K7
+	KNOTW K1, K1
+	VMOVDQU64.Z Z0, K1, Z0 // flush denormals/zeros to +0
+
+	VMULPD Z11, Z0, Z0
+	VCMPPD $13, Z10, Z0, K3 // v >= 2^63
+	VCVTPD2QQ Z0, Z0        // round-to-even
+	VMOVDQU64 Z9, K3, Z0    // saturate to MaxInt64
+	VMOVDQU64 Z0, (DI)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ f2x64loop
+
+	KMOVW K7, AX
+	TESTW AX, AX
+	SETEQ ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func ErrCheckRecon64(vals *[128]uint64, recon *[128]int64, bm *[16]byte, nb int64, lim uint64) int64
+//
+// errCheckAVX512 in 64-bit lanes: FixedToFloatsBits64's convert and
+// un-bias, then the same three-case classification against the original
+// bits, one bitmap byte per 8-lane group (KMOVW's low byte). Each 64-bit
+// accumulator lane sums at most 16 deltas below 2^52.
+TEXT ·ErrCheckRecon64(SB), NOSPLIT, $0-48
+	MOVQ vals+0(FP), DI
+	MOVQ recon+8(FP), SI
+	MOVQ bm+16(FP), BX
+	VPBROADCASTQ enc64const<>+32(SB), Z15 // 2^-32
+	VPBROADCASTQ enc64const<>+0(SB), Z14  // expmask
+	VPBROADCASTQ enc64const<>+8(SB), Z13  // sign+exp
+	VPBROADCASTQ enc64const<>+16(SB), Z12 // mantissa
+	VPBROADCASTQ enc64const<>+24(SB), Z8  // clear-exp
+	VPBROADCASTQ nb+24(FP), Z11
+	VPBROADCASTQ lim+32(FP), Z10
+	VPXORQ Z9, Z9, Z9 // delta accumulator
+	MOVQ $16, CX
+
+e64loop:
+	// Reconstruct: a = bits(float64(recon) * 2^-32), then un-bias.
+	VMOVDQU64 (SI), Z0
+	VCVTQQ2PD Z0, Z0
+	VMULPD Z15, Z0, Z0
+	VPANDQ Z14, Z0, Z1
+	VPTESTNMQ Z1, Z1, K1 // e == 0
+	VPCMPEQQ Z14, Z1, K2 // e == 0x7FF
+	KORW K1, K2, K3
+	KNOTW K3, K3 // surgery lanes (low 8 bits count)
+	VPSRLQ $52, Z1, Z1
+	VPADDQ Z11, Z1, Z1
+	VPSLLQ $52, Z1, Z1
+	VPANDQ Z8, Z0, Z2
+	VPORQ Z1, Z2, Z2
+	VMOVDQU64 Z2, K3, Z0 // a: merge rebiased bits into surgery lanes
+
+	// Classify against the original bits o.
+	VMOVDQU64 (DI), Z1
+	VPCMPEQQ Z1, Z0, K2 // o == a
+	VPXORQ Z0, Z1, Z2
+	VPTESTNMQ Z13, Z2, K3 // M1: same sign+exponent
+	VPANDQ Z14, Z1, Z2
+	VPTESTNMQ Z2, Z2, K4 // e(o) == 0
+	VPCMPEQQ Z14, Z2, K5 // e(o) == 0x7FF
+
+	// Special accepts: M1 & (e(o)==0 | (e(o)==0x7FF & o==a)).
+	KANDW K5, K2, K2
+	KORW K4, K2, K2
+	KANDW K3, K2, K2
+
+	// Cross accept: ~M1 & e(o)==0 & e(a)==0.
+	VPANDQ Z14, Z0, Z2
+	VPTESTNMQ Z2, Z2, K6
+	KANDW K4, K6, K6
+	KANDNW K6, K3, K6
+	KORW K6, K2, K2
+
+	KORW K4, K5, K4 // ~normal(o)
+
+	// Normal accept: M1 & normal(o) & |mant(o)-mant(a)| < lim.
+	VPANDQ Z12, Z1, Z2
+	VPANDQ Z12, Z0, Z3
+	VPSUBQ Z3, Z2, Z2
+	VPABSQ Z2, Z2
+	VPCMPUQ $1, Z10, Z2, K5 // delta < lim
+	KANDW K3, K5, K5
+	KANDNW K5, K4, K5
+
+	// Accumulate accepted deltas; emit one outlier bitmap byte.
+	VPADDQ Z2, Z9, K5, Z9
+	KORW K2, K5, K2
+	KNOTW K2, K2
+	KMOVW K2, AX
+	MOVB AX, (BX)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	INCQ BX
+	DECQ CX
+	JNZ e64loop
+
+	// Horizontal sum of the 8 accumulator lanes (each < 2^56).
+	VEXTRACTI64X4 $1, Z9, Y0
+	VPADDQ Y0, Y9, Y9
+	VEXTRACTI128 $1, Y9, X0
+	VPADDQ X0, X9, X9
+	VPSHUFD $0x4E, X9, X0
+	VPADDQ X0, X9, X9
+	VMOVQ X9, AX
+	MOVQ AX, ret+40(FP)
+	VZEROUPPER
+	RET

@@ -1,10 +1,47 @@
 package simd
 
 // Enabled512 reports whether the AVX-512-only kernels (ChooseBiasScan,
-// Interpolate1D/2D/64, Downsample1D/2D, FixedToFloatsBits64) are available.
-// Callers must check it before calling them; there is no AVX2 tier for
-// these.
+// Interpolate1D/2D/64, Downsample1D/2D, FixedToFloatsBits64 and the fp64
+// encode kernels ChooseBiasScan64, FloatsToFixedScaled64 and
+// ErrCheckRecon64) are available. Callers must check it before calling
+// them; there is no AVX2 tier for these.
 func Enabled512() bool { return hasAVX512 }
+
+// ChooseBiasScan64 is ChooseBiasScan for one 128-double block, the
+// exponent scan of fixed.ChooseBias64: the return value packs the running
+// minimum of lo (the raw exponent with ±0/denormals mapped to 0x7FF) in
+// bits 0-11, the maximum raw exponent in bits 12-23, and a
+// NaN/Inf-present flag in bit 24.
+//
+//go:noescape
+func ChooseBiasScan64(bits *[128]uint64) uint32
+
+// FloatsToFixedScaled64 is FloatsToFixedScaled for the fp64 pipeline, the
+// biased-conversion sweep of fixed.FloatsToFixed64 over one 128-double
+// block: dst[i] = round-to-even(float64(src[i]) * scale), saturated at
+// MaxInt64/MinInt64, zeros and denormals flushed to zero. VMULPD is the
+// scalar product and VCVTPD2QQ rounds to nearest-even exactly as
+// fixed.roundFixed64 does on every |v| < 2^63; the saturations are a
+// compare-and-blend for v ≥ 2^63 and the conversion's own out-of-range
+// result, MinInt64, below −2^63. If any lane needs the scalar reference
+// path — a NaN/Inf, or a biased exponent outside [1, 2046] — it returns
+// false and dst is undefined; the caller redoes the whole block with the
+// scalar loop.
+//
+//go:noescape
+func FloatsToFixedScaled64(dst *[128]int64, src *[128]uint64, bias int64, scale float64) bool
+
+// ErrCheckRecon64 is ErrCheckRecon32 for the fp64 pipeline
+// (compress.errCheckRecon64): FixedToFloatsBits64's convert and un-bias
+// fused with the same three-case classification in 64-bit lanes. It
+// fully overwrites the 16-byte outlier bitmap (one byte per 8-lane
+// group) and returns the integer sum of the accepted mantissa deltas —
+// at most 128 deltas below 2^52, so it cannot overflow. The caller
+// scales it by 2^-52, which equals the scalar index-order float sum only
+// while the integer sum stays below 2^53 (see compress.errCheckRecon64).
+//
+//go:noescape
+func ErrCheckRecon64(vals *[128]uint64, recon *[128]int64, bm *[16]byte, nb int64, lim uint64) int64
 
 // FixedToFloatsBits64 is FixedToFloatsBits for the fp64 pipeline, the
 // conversion sweep of fixed.FixedToFloats64 over one 128-double block:
@@ -150,6 +187,12 @@ func countRanges32AVX2(x []int32, lo *[3]int32, w *[3]uint32, n *[3]int64)
 //
 //go:noescape
 func reduceFixed64AVX512(x []int64, out *[6]int64)
+
+// countRanges64AVX512 is the vector body of CountRanges64 over a
+// non-zero multiple of 8 values; call only when Enabled512() is true.
+//
+//go:noescape
+func countRanges64AVX512(x []int64, lo *[3]int64, w *[3]uint64, n *[3]int64)
 
 // base64EncodeVBMI and base64DecodeVBMI are the vector bodies of
 // Base64Encode and Base64Decode (base64.go) over a non-zero number of

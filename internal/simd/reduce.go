@@ -8,8 +8,8 @@ import "math"
 // vector tier and the pure-Go loop agree bit for bit: the Go forms
 // below are both the fallback (no AVX2, non-amd64, and the < 8-value
 // tail of every call) and the oracle the kernel tests compare against.
-// The fp32 pair has an AVX2 tier and ReduceFixed64 an AVX-512 one
-// (reduce_amd64.s); CountRanges64 runs pure Go everywhere.
+// The fp32 pair has an AVX2 tier and the fp64 pair an AVX-512 one
+// (reduce_amd64.s).
 
 // ReduceFixed32 returns Σx, Σ|x| and the min and max of x. Sums are
 // exact: 2^31 values of magnitude 2^31 fit an int64. An empty x yields
@@ -104,22 +104,34 @@ func reduceFixed64Go(x []int64, p *[6]int64) {
 	*p = [6]int64{sh, sl, ah, al, mn, mx}
 }
 
-// CountRanges64 is CountRanges32 for int64 values, pure Go.
+// CountRanges64 is CountRanges32 for int64 values, with an AVX-512 tier
+// (AVX2 has no 64-bit unsigned compare).
 func CountRanges64(x []int64, lo, hi *[3]int64) (n [3]int) {
 	var w [3]uint64
 	for k := range w {
 		w[k] = uint64(hi[k]) - uint64(lo[k])
 	}
+	if m := len(x) &^ 7; m != 0 && Enabled512() {
+		var c [3]int64
+		countRanges64AVX512(x[:m], lo, &w, &c)
+		n = [3]int{int(c[0]), int(c[1]), int(c[2])}
+		x = x[m:]
+	}
+	t := countRanges64Go(x, lo, &w)
+	for k := range n {
+		if n[k] += t[k]; lo[k] > hi[k] {
+			n[k] = 0
+		}
+	}
+	return n
+}
+
+func countRanges64Go(x []int64, lo *[3]int64, w *[3]uint64) (n [3]int) {
 	for _, v := range x {
 		for k := range n {
 			if uint64(v)-uint64(lo[k]) <= w[k] {
 				n[k]++
 			}
-		}
-	}
-	for k := range n {
-		if lo[k] > hi[k] {
-			n[k] = 0
 		}
 	}
 	return n

@@ -228,3 +228,48 @@ r64loop:
 	MOVQ AX, 40(DI)
 	VZEROUPPER
 	RET
+
+// func countRanges64AVX512(x []int64, lo *[3]int64, w *[3]uint64, n *[3]int64)
+//
+// len(x) is a non-zero multiple of 8. countRanges32AVX2 in 64-bit lanes,
+// where AVX-512 has the unsigned compare: range k holds v when
+// uint64(v−lo[k]) ≤ w[k] (VPCMPUQ), and each lane in the mask subtracts
+// −1 from that range's count.
+TEXT ·countRanges64AVX512(SB), NOSPLIT, $0-48
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ lo+24(FP), AX
+	MOVQ w+32(FP), BX
+	VPBROADCASTQ 0(AX), Z10
+	VPBROADCASTQ 8(AX), Z11
+	VPBROADCASTQ 16(AX), Z12
+	VPBROADCASTQ 0(BX), Z13
+	VPBROADCASTQ 8(BX), Z14
+	VPBROADCASTQ 16(BX), Z15
+	VPTERNLOGQ $0xFF, Z9, Z9, Z9 // all ones: −1 per lane
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+
+c64loop:
+	VMOVDQU64 (SI), Z4
+	VPSUBQ Z10, Z4, Z5
+	VPCMPUQ $2, Z13, Z5, K1 // v−lo ≤ w
+	VPSUBQ Z9, Z0, K1, Z0
+	VPSUBQ Z11, Z4, Z5
+	VPCMPUQ $2, Z14, Z5, K2
+	VPSUBQ Z9, Z1, K2, Z1
+	VPSUBQ Z12, Z4, Z5
+	VPCMPUQ $2, Z15, Z5, K3
+	VPSUBQ Z9, Z2, K3, Z2
+	ADDQ $64, SI
+	DECQ CX
+	JNZ c64loop
+
+	MOVQ n+40(FP), DI
+	FOLDADD(Z0, Y0, X0, 0)
+	FOLDADD(Z1, Y1, X1, 8)
+	FOLDADD(Z2, Y2, X2, 16)
+	VZEROUPPER
+	RET

@@ -155,6 +155,81 @@ func TestReduceFixed64MatchesBig(t *testing.T) {
 	}
 }
 
+func checkCount64(t testing.TB, x []int64, lo, hi [3]int64) {
+	t.Helper()
+	got := CountRanges64(x, &lo, &hi)
+	var want [3]int
+	for _, v := range x {
+		for k := range want {
+			if lo[k] <= v && v <= hi[k] {
+				want[k]++
+			}
+		}
+	}
+	if got != want {
+		t.Fatalf("CountRanges64(%d values, lo %v, hi %v) = %v, want %v", len(x), lo, hi, got, want)
+	}
+}
+
+func TestCountRanges64MatchesPureGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	ranges := [][2]int64{
+		{math.MinInt64, math.MaxInt64}, // full
+		{1, 0},                         // empty
+		{math.MaxInt64, math.MinInt64}, // empty, hi−lo wraps to 1
+		{0, 0}, {-1, -1}, {math.MinInt64, math.MinInt64}, {math.MaxInt64, math.MaxInt64},
+		{math.MinInt64, -1}, {0, math.MaxInt64}, {-1 << 40, 1 << 40}, {5, 4},
+	}
+	buf := make([]int64, 129)
+	for n := 0; n <= 128; n++ {
+		for mode := 0; mode < 4; mode++ {
+			x := buf[1 : 1+n] // off the allocation's alignment
+			for i := range x {
+				switch mode {
+				case 0:
+					x[i] = int64(rng.Uint64())
+				case 1:
+					x[i] = edges[rng.Intn(len(edges))]
+				case 2:
+					x[i] = rng.Int63n(1<<41) - 1<<40
+				default:
+					x[i] = int64(rng.Intn(9) - 4)
+				}
+			}
+			var lo, hi [3]int64
+			for k := range lo {
+				r := ranges[rng.Intn(len(ranges))]
+				if rng.Intn(3) == 0 {
+					r = [2]int64{int64(rng.Uint64()), int64(rng.Uint64())}
+				}
+				lo[k], hi[k] = r[0], r[1]
+			}
+			checkCount64(t, x, lo, hi)
+		}
+	}
+}
+
+// FuzzCountRanges64 holds CountRanges64 — the AVX-512 body over whole
+// 8-value groups and the pure-Go tail — to a direct count on arbitrary
+// values, lengths and ranges.
+func FuzzCountRanges64(f *testing.F) {
+	f.Add([]byte{}, int64(0), int64(0), int64(1), int64(0), int64(math.MinInt64), int64(math.MaxInt64))
+	f.Add(make([]byte, 8*37), int64(-1), int64(1), int64(0), int64(0), int64(math.MaxInt64), int64(math.MinInt64))
+	seed := make([]byte, 8*128)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(seed, int64(-1<<40), int64(1<<40), int64(-5), int64(5), int64(0), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, data []byte, lo0, hi0, lo1, hi1, lo2, hi2 int64) {
+		x := make([]int64, len(data)/8)
+		for i := range x {
+			x[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		checkCount64(t, x, [3]int64{lo0, lo1, lo2}, [3]int64{hi0, hi1, hi2})
+	})
+}
+
 // FuzzReduceFixed32 holds both fp32 reductions to their pure-Go forms on
 // arbitrary values, lengths and thresholds.
 func FuzzReduceFixed32(f *testing.F) {

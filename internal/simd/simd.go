@@ -5,16 +5,17 @@
 //   - The codec's block passes (kernels_amd64.go): ErrCheckRecon32,
 //     FloatsToFixedScaled and FixedToFloatsBits have an AVX2 tier and an
 //     AVX-512 one behind the same name; ChooseBiasScan, Interpolate1D/2D/64,
-//     Downsample1D/2D and FixedToFloatsBits64 are AVX-512 only. They
-//     operate on whole AVR blocks — 256 values as [256]uint32 bit
-//     patterns, or 128 doubles for the fp64 kernels — the unit the
-//     compressor hands around; callers check Enabled / Enabled512 and run
-//     the scalar loops of internal/fixed and internal/compress otherwise,
-//     or when a block needs a slow path the kernels do not implement
-//     (reported via their return values).
+//     Downsample1D/2D, FixedToFloatsBits64 and the fp64 encode kernels
+//     ChooseBiasScan64, FloatsToFixedScaled64 and ErrCheckRecon64 are
+//     AVX-512 only. They operate on whole AVR blocks — 256 values as
+//     [256]uint32 bit patterns, or 128 doubles for the fp64 kernels — the
+//     unit the compressor hands around; callers check Enabled / Enabled512
+//     and run the scalar loops of internal/fixed and internal/compress
+//     otherwise, or when a block needs a slow path the kernels do not
+//     implement (reported via their return values).
 //   - The integer reductions a store query runs over fixed-point
 //     reconstructions (reduce.go): ReduceFixed32 and CountRanges32 have an
-//     AVX2 tier, ReduceFixed64 an AVX-512 one, CountRanges64 none.
+//     AVX2 tier, ReduceFixed64 and CountRanges64 an AVX-512 one.
 //   - Standard base64 for the batch wire (base64.go): Base64Encode and
 //     Base64Decode have one tier, AVX-512 VBMI.
 //
@@ -24,8 +25,9 @@
 //
 // Every kernel is bit-identical to what it replaces. For the block passes
 // that is lane for lane against the scalar reference loops: the float
-// instructions used (VCVTDQ2PS, VMULPS, VCVTPS2PD, VMULPD, VCVTPD2DQ)
-// perform exactly the per-lane operation the scalar code performs, and
+// instructions used (VCVTDQ2PS, VMULPS, VCVTPS2PD, VMULPD, VCVTPD2DQ,
+// VCVTQQ2PD, VCVTPD2QQ) perform exactly the per-lane operation the
+// scalar code performs, and
 // the integer mask logic reproduces the reference decision tree branch
 // for branch. The equivalence is pinned three ways: the property tests
 // in this package (scalar vs SIMD on adversarial bit patterns), the

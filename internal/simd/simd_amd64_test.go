@@ -6,94 +6,11 @@ import (
 	"testing"
 )
 
-// The tests below pin the AVX2 kernels to standalone scalar references
-// that restate, loop for loop, the code they replace in internal/fixed
-// and internal/compress (those packages call into this one, so the
-// references are duplicated here rather than imported). Random blocks
-// cover the full bit-pattern space — NaN, ±Inf, ±0, denormals, both
-// signs, boundary exponents — plus crafted mantissa deltas exactly at
-// the outlier limit.
-
-const roundMagic = 6755399441055744.0 // 1.5×2^52, as in internal/fixed
-
-func scalarErrCheck(vals *[256]uint32, recon *[256]int32, nb int32, lim uint32, bm *[32]byte) int64 {
-	var dSum int64
-	for i := 0; i < 256; i++ {
-		a := math.Float32bits(float32(recon[i]) * (1.0 / (1 << 16)))
-		if e := int(a>>23) & 0xFF; e != 0 && e != 0xFF {
-			a = a&^uint32(0xFF<<23) | uint32(e+int(nb))<<23
-		}
-		o := vals[i]
-		outlier := true
-		if (o^a)&0xFF800000 == 0 {
-			if eo := o >> 23 & 0xFF; eo-1 < 0xFE {
-				mo, ma := o&0x7FFFFF, a&0x7FFFFF
-				d := mo - ma
-				if ma > mo {
-					d = ma - mo
-				}
-				if d < lim {
-					dSum += int64(d)
-					outlier = false
-				}
-			} else if o == a || eo == 0 {
-				outlier = false
-			}
-		} else if o&0x7F800000 == 0 && a&0x7F800000 == 0 {
-			outlier = false
-		}
-		if outlier {
-			bm[i>>3] |= 1 << (i & 7)
-		}
-	}
-	return dSum
-}
-
-func scalarFloatsToFixed(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool {
-	ok := true
-	for i, b := range src {
-		e := int(b>>23) & 0xFF
-		if e == 0 {
-			dst[i] = 0
-			continue
-		}
-		if eb := e + int(bias); e == 0xFF || eb < 1 || eb > 254 {
-			ok = false
-			continue
-		}
-		v := float64(math.Float32frombits(b)) * scale
-		switch {
-		case v >= math.MaxInt32:
-			dst[i] = math.MaxInt32
-		case v <= math.MinInt32:
-			dst[i] = math.MinInt32
-		default:
-			dst[i] = int32((v + roundMagic) - roundMagic)
-		}
-	}
-	return ok
-}
-
-// randBits draws from the full pattern space with the interesting
-// categories over-represented.
-func randBits(rng *rand.Rand) uint32 {
-	switch rng.Intn(8) {
-	case 0:
-		return rng.Uint32() // anything, including NaN/Inf
-	case 1:
-		return rng.Uint32() & 0x807FFFFF // ±zero/denormal
-	case 2:
-		return 0x7F800000 | rng.Uint32()&0x80000000 // ±Inf
-	case 3:
-		return 0x7FC00000 | rng.Uint32()&0x3FFFFF // NaN
-	case 4:
-		return 0 // +0
-	default:
-		// Normal number near the fixed-point range.
-		e := uint32(112 + rng.Intn(32))
-		return rng.Uint32()&0x807FFFFF | e<<23
-	}
-}
+// The tests below pin the AVX2 kernels, and each AVX-512 tier behind the
+// same name, to the standalone scalar references in encode_test.go.
+// Random blocks cover the full bit-pattern space — NaN, ±Inf, ±0,
+// denormals, both signs, boundary exponents — plus crafted mantissa
+// deltas exactly at the outlier limit.
 
 func TestErrCheckRecon32MatchesScalar(t *testing.T) {
 	if !Enabled() {
@@ -211,38 +128,6 @@ func TestFixedToFloatsBitsMatchesScalar(t *testing.T) {
 	}
 }
 
-// scalarFixedToFloatsBits64 is fixed.FixedToFloats64, restated here
-// because internal/fixed imports this package.
-func scalarFixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64) {
-	for i, v := range recon {
-		b := math.Float64bits(float64(v) / (1 << 32))
-		if nb != 0 {
-			if e := int(b>>52) & 0x7FF; e != 0 && e != 0x7FF {
-				b = b&^(uint64(0x7FF)<<52) | uint64(e+int(nb))<<52
-			}
-		}
-		dst[i] = b
-	}
-}
-
-// randInt64 mixes full-range, small, and boundary values, including
-// magnitudes past 2^53 where the int64→float64 conversion rounds.
-func randInt64(rng *rand.Rand) int64 {
-	switch rng.Intn(5) {
-	case 0:
-		return int64(rng.Uint64())
-	case 1:
-		return rng.Int63n(1<<40) - 1<<39
-	case 2:
-		return [...]int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1<<53 + 1, -(1<<53 + 1)}[rng.Intn(7)]
-	case 3:
-		// Round-to-even ties just above 2^53.
-		return (1<<53 + int64(rng.Intn(8))) << uint(rng.Intn(10))
-	default:
-		return int64(rng.Intn(65536) - 32768)
-	}
-}
-
 func TestFixedToFloatsBits64MatchesScalar(t *testing.T) {
 	if !Enabled512() {
 		t.Skip("AVX-512 not available")
@@ -357,23 +242,6 @@ func TestFloatsToFixedScaledMatchesScalar(t *testing.T) {
 // blocks (the kernels must agree for every input pattern, not only
 // reachable summaries). The interpolation oracles are in
 // interpolate_test.go, which the benchmarks share.
-
-func scalarChooseBiasScan(bits *[256]uint32) uint32 {
-	minE, maxE := 0xFF, 0
-	special := 0
-	for _, b := range bits {
-		e := int(b>>23) & 0xFF
-		special |= (e + 1) >> 8
-		lo := e | (((e - 1) >> 8) & 0xFF)
-		minE = min(minE, lo)
-		maxE = max(maxE, e)
-	}
-	p := uint32(minE) | uint32(maxE)<<8
-	if special != 0 {
-		p |= 1 << 16
-	}
-	return p
-}
 
 func scalarDownsample1D(fx *[256]int32, sum *[16]int32) {
 	for s := 0; s < 16; s++ {

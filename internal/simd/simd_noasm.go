@@ -36,6 +36,18 @@ func FixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64) {
 	panic("simd: FixedToFloatsBits64 called without AVX-512")
 }
 
+func ChooseBiasScan64(bits *[128]uint64) uint32 {
+	panic("simd: ChooseBiasScan64 called without AVX-512")
+}
+
+func FloatsToFixedScaled64(dst *[128]int64, src *[128]uint64, bias int64, scale float64) bool {
+	panic("simd: FloatsToFixedScaled64 called without AVX-512")
+}
+
+func ErrCheckRecon64(vals *[128]uint64, recon *[128]int64, bm *[16]byte, nb int64, lim uint64) int64 {
+	panic("simd: ErrCheckRecon64 called without AVX-512")
+}
+
 func Interpolate1D(sum *[16]int32, out *[256]int32) {
 	panic("simd: Interpolate1D called without AVX-512")
 }
@@ -68,6 +80,10 @@ func countRanges32AVX2(x []int32, lo *[3]int32, w *[3]uint32, n *[3]int64) {
 
 func reduceFixed64AVX512(x []int64, out *[6]int64) {
 	panic("simd: reduceFixed64AVX512 called without AVX-512")
+}
+
+func countRanges64AVX512(x []int64, lo *[3]int64, w *[3]uint64, n *[3]int64) {
+	panic("simd: countRanges64AVX512 called without AVX-512")
 }
 
 // The AVX-512 VBMI bodies of Base64Encode and Base64Decode do not exist
