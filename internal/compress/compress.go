@@ -287,7 +287,7 @@ func (c *Compressor) CompressWith(vals *[BlockValues]uint32, dt DataType, th Thr
 
 // downsample computes the 16 sub-block averages for the given placement.
 func downsample(fx *[BlockValues]int32, sum *[SummaryValues]int32, m Method) {
-	if simd.Enabled512() {
+	if simd.Enabled() {
 		switch m {
 		case Method1D:
 			simd.Downsample1D(fx, sum)
@@ -325,7 +325,7 @@ func downsample(fx *[BlockValues]int32, sum *[SummaryValues]int32, m Method) {
 // between sub-block centres for 2D, clamping beyond the outermost centres
 // ("the average values are distributed evenly", §3.3).
 func interpolate(sum *[SummaryValues]int32, out *[BlockValues]int32, m Method) {
-	if simd.Enabled512() {
+	if simd.Enabled() {
 		switch m {
 		case Method1D:
 			simd.Interpolate1D(sum, out)

@@ -99,7 +99,7 @@ func (t Thresholds) MantissaBits64() int {
 // interpolation between run centres (centre of run i at 16i+7.5; ×2 grid
 // centres at 32i+15).
 func interpolate64(sum *[SummaryValues64]int64, out *[BlockValues64]int64) {
-	if simd.Enabled512() {
+	if simd.Enabled() {
 		simd.Interpolate64(sum, out)
 		return
 	}

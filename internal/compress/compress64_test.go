@@ -183,7 +183,7 @@ func TestMantissaBits64Cap(t *testing.T) {
 // the index-order float sum part ways. The compressor must report the
 // latter, bit for bit with the reference.
 func TestErrCheckRecon64SumFallback(t *testing.T) {
-	if !simd.Enabled512() {
+	if !simd.Enabled() {
 		t.Skip("AVX-512 not available")
 	}
 	th := Thresholds{T1: 1.0 / 4, T2: 1.0 / 8}

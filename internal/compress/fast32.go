@@ -183,7 +183,7 @@ func errCheckRecon32(vals *[BlockValues]uint32, recon *[BlockValues]int32, bias 
 	lim := uint32(1) << (23 - n) // d >= lim  ⇔  bits.Len32(d) > 23-n
 	nb := -int(bias)
 	if simd.Enabled() {
-		// The AVX2 kernel runs the identical classification lane for
+		// The vector kernel runs the identical classification lane for
 		// lane (see internal/simd), filling the bitmap and returning the
 		// integer delta sum; the outliers are its set bits.
 		dSum := simd.ErrCheckRecon32(vals, recon, bm, int32(nb), lim)

@@ -87,7 +87,7 @@ func compactOutliers64(vals *[BlockValues64]uint64, bm *[BitmapBytes64]byte, out
 func errCheckRecon64(vals *[BlockValues64]uint64, recon *[BlockValues64]int64, bias int16, n int, bm *[BitmapBytes64]byte) (nOut, nonOutliers int, errSum float64) {
 	lim := uint64(1) << (52 - n) // d >= lim  ⇔  bits.Len64(d) > 52-n
 	nb := -int(bias)
-	if simd.Enabled512() {
+	if simd.Enabled() {
 		if dSum := simd.ErrCheckRecon64(vals, recon, bm, int64(nb), lim); dSum < 1<<53 {
 			nOut = countOutliers(bm[:])
 			return nOut, BlockValues64 - nOut, float64(dSum) / (1 << 52)
@@ -160,7 +160,7 @@ func (c *Compressor) DecompressInto64(out []uint64, summary *[SummaryValues64]in
 		blk = (*[BlockValues64]uint64)(out)
 	}
 	recon := c.ReconstructFixed64(summary)
-	if simd.Enabled512() {
+	if simd.Enabled() {
 		simd.FixedToFloatsBits64(blk, recon, int64(-int(bias)))
 	} else {
 		fixed.FixedToFloats64(blk[:], recon[:], bias)

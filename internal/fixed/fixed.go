@@ -66,7 +66,7 @@ func ChooseBias(bits []uint32) (bias int8, ok bool) {
 	// maxE above its 0 start).
 	minE, maxE := 0xFF, 0
 	special := 0
-	if len(bits) == 256 && simd.Enabled512() {
+	if len(bits) == 256 && simd.Enabled() {
 		p := simd.ChooseBiasScan((*[256]uint32)(bits))
 		minE, maxE = int(p&0xFF), int(p>>8)&0xFF
 		special = int(p >> 16)
@@ -173,7 +173,7 @@ func FloatsToFixed(dst []int32, src []uint32, bias int8) {
 	// most ±128 so the scale is always a normal float64.
 	scale := math.Float64frombits(uint64(1023+int(bias)+FracBits) << 52)
 	if len(src) == 256 && simd.Enabled() {
-		// Whole-block AVX2 sweep (bit-identical; see internal/simd). A
+		// Whole-block vector sweep (bit-identical; see internal/simd). A
 		// false return means some lane needs the reference path below.
 		if simd.FloatsToFixedScaled((*[256]int32)(dst), (*[256]uint32)(src), int32(bias), scale) {
 			return

@@ -34,7 +34,7 @@ func ChooseBias64(bits []uint64) (bias int16, ok bool) {
 	// Branch-free scan, as in ChooseBias.
 	minE, maxE := 0x7FF, 0
 	special := 0
-	if len(bits) == 128 && simd.Enabled512() {
+	if len(bits) == 128 && simd.Enabled() {
 		p := simd.ChooseBiasScan64((*[128]uint64)(bits))
 		minE, maxE = int(p&0xFFF), int(p>>12)&0xFFF
 		special = int(p >> 24)
@@ -136,7 +136,7 @@ func FloatsToFixed64(dst []int64, src []uint64, bias int16) {
 		return
 	}
 	scale := math.Float64frombits(uint64(se) << 52)
-	if len(src) == 128 && simd.Enabled512() {
+	if len(src) == 128 && simd.Enabled() {
 		// Whole-block AVX-512 sweep (bit-identical; see internal/simd). A
 		// false return means some lane needs the reference path below.
 		if simd.FloatsToFixedScaled64((*[128]int64)(dst), (*[128]uint64)(src), int64(bias), scale) {

@@ -3,14 +3,14 @@ package simd
 import "encoding/base64"
 
 // Standard base64 (RFC 4648 §4, padded) for the batch wire, whose
-// payloads are 64 KiB a key. encoding/base64 is the definition: the one
-// vector tier (AVX-512 VBMI, base64_amd64.s; as with ReduceFixed64 there
-// is no AVX2 tier) only ever sees whole groups of the standard alphabet —
-// 48 bytes ↔ 64 characters — and everything it cannot vouch for goes to
-// base64.StdEncoding: the padded last quantum, the tail short of a
-// group, and the whole of a text in which it met any other byte. So
-// output bytes and accept/reject are the standard library's on every
-// machine, and without VBMI these functions are the standard library.
+// payloads are 64 KiB a key. encoding/base64 is the definition: the
+// vector body (AVX-512 VBMI, base64_amd64.s) only ever sees whole groups
+// of the standard alphabet — 48 bytes ↔ 64 characters — and everything
+// it cannot vouch for goes to base64.StdEncoding: the padded last
+// quantum, the tail short of a group, and the whole of a text in which
+// it met any other byte. So output bytes and accept/reject are the
+// standard library's on every machine, and without VBMI these functions
+// are the standard library.
 
 // b64dec maps an ASCII byte to its 6-bit value, 0x80 for one outside the
 // alphabet. c|b64dec[c&0x7F] therefore has its top bit set exactly for a

@@ -66,7 +66,7 @@ func benchErrCheck32(b *testing.B, fn func(*[256]uint32, *[256]int32, *[32]byte,
 
 func BenchmarkErrCheckRecon32(b *testing.B) {
 	if !Enabled() {
-		b.Skip("AVX2 not available")
+		b.Skip("AVX-512 not available")
 	}
 	benchErrCheck32(b, ErrCheckRecon32)
 }
@@ -91,7 +91,7 @@ func benchFloatsToFixed32(b *testing.B, fn func(*[256]int32, *[256]uint32, int32
 
 func BenchmarkFloatsToFixedScaled(b *testing.B) {
 	if !Enabled() {
-		b.Skip("AVX2 not available")
+		b.Skip("AVX-512 not available")
 	}
 	benchFloatsToFixed32(b, FloatsToFixedScaled)
 }
@@ -100,8 +100,29 @@ func BenchmarkFloatsToFixedScaledScalar(b *testing.B) {
 	benchFloatsToFixed32(b, scalarFloatsToFixed)
 }
 
+func benchFixedToFloats32(b *testing.B, kernel bool, fn func(*[256]uint32, *[256]int32, int32)) {
+	if kernel && !Enabled() {
+		b.Skip("AVX-512 not available")
+	}
+	_, recon := encBlocks32()
+	var dst [256]uint32
+	b.SetBytes(keyRecords * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range recon {
+			fn(&dst, &recon[r], -7)
+		}
+	}
+}
+
+func BenchmarkFixedToFloatsBits(b *testing.B) { benchFixedToFloats32(b, true, FixedToFloatsBits) }
+
+func BenchmarkFixedToFloatsBitsScalar(b *testing.B) {
+	benchFixedToFloats32(b, false, scalarFixedToFloatsBits)
+}
+
 func benchChooseBias32(b *testing.B, kernel bool, fn func(*[256]uint32) uint32) {
-	if kernel && !Enabled512() {
+	if kernel && !Enabled() {
 		b.Skip("AVX-512 not available")
 	}
 	vals, _ := encBlocks32()
@@ -119,7 +140,7 @@ func BenchmarkChooseBiasScan(b *testing.B) { benchChooseBias32(b, true, ChooseBi
 func BenchmarkChooseBiasScanScalar(b *testing.B) { benchChooseBias32(b, false, scalarChooseBiasScan) }
 
 func benchErrCheck64(b *testing.B, kernel bool, fn func(*[128]uint64, *[128]int64, *[16]byte, int64, uint64) int64) {
-	if kernel && !Enabled512() {
+	if kernel && !Enabled() {
 		b.Skip("AVX-512 not available")
 	}
 	vals, recon := encBlocks64()
@@ -144,7 +165,7 @@ func BenchmarkErrCheckRecon64Scalar(b *testing.B) {
 }
 
 func benchFloatsToFixed64(b *testing.B, kernel bool, fn func(*[128]int64, *[128]uint64, int64, float64) bool) {
-	if kernel && !Enabled512() {
+	if kernel && !Enabled() {
 		b.Skip("AVX-512 not available")
 	}
 	vals, _ := encBlocks64()
@@ -167,7 +188,7 @@ func BenchmarkFloatsToFixedScaled64Scalar(b *testing.B) {
 }
 
 func benchChooseBias64(b *testing.B, kernel bool, fn func(*[128]uint64) uint32) {
-	if kernel && !Enabled512() {
+	if kernel && !Enabled() {
 		b.Skip("AVX-512 not available")
 	}
 	vals, _ := encBlocks64()
@@ -195,8 +216,8 @@ func benchFixed(seed int64) []int32 {
 	return x
 }
 
-// BenchmarkReduceFixed32 and BenchmarkCountRanges32 run one 256-value
-// record, the unit a query reduces (pure Go without AVX2).
+// BenchmarkReduceFixed32 runs one 256-value record, the unit a query
+// reduces (pure Go without the vector tier).
 func BenchmarkReduceFixed32(b *testing.B) {
 	x := benchFixed(5)
 	b.SetBytes(1024)
@@ -205,19 +226,37 @@ func BenchmarkReduceFixed32(b *testing.B) {
 	}
 }
 
+// BenchmarkCountRanges32 and its ...Scalar twin (the pure-Go loop) run
+// one 256-value record; scripts/bench.sh gates the pair at 2x.
 func BenchmarkCountRanges32(b *testing.B) {
+	if !Enabled() {
+		b.Skip("AVX-512 not available")
+	}
+	benchCountRanges32(b, func(x []int32, lo, hi *[3]int32, _ *[3]uint32) { CountRanges32(x, lo, hi) })
+}
+
+func BenchmarkCountRanges32Scalar(b *testing.B) {
+	benchCountRanges32(b, func(x []int32, lo, _ *[3]int32, w *[3]uint32) { countRanges32Go(x, lo, w) })
+}
+
+func benchCountRanges32(b *testing.B, fn func(x []int32, lo, hi *[3]int32, w *[3]uint32)) {
 	x := benchFixed(6)
 	lo, hi := [3]int32{-1 << 20, -1 << 22, 0}, [3]int32{1 << 20, 1 << 22, 1 << 21}
+	var w [3]uint32
+	for k := range w {
+		w[k] = uint32(hi[k]) - uint32(lo[k])
+	}
 	b.SetBytes(1024)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CountRanges32(x, &lo, &hi)
+		fn(x, &lo, &hi, &w)
 	}
 }
 
 // BenchmarkCountRanges64 and its ...Scalar twin (the pure-Go loop) run
 // one 128-value fp64 record; scripts/bench.sh gates the pair at 2x.
 func BenchmarkCountRanges64(b *testing.B) {
-	if !Enabled512() {
+	if !Enabled() {
 		b.Skip("AVX-512 not available")
 	}
 	benchCountRanges64(b, func(x []int64, lo *[3]int64, w *[3]uint64) {
@@ -253,7 +292,7 @@ const keyRecords = 64
 // binary, so scripts/bench.sh gates their ratio: a kernel that loses to
 // the loop it replaces fails there on any machine.
 func benchInterpolate32(b *testing.B, kernel bool, fn func(*[16]int32, *[256]int32)) {
-	if kernel && !Enabled512() {
+	if kernel && !Enabled() {
 		b.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(8))
@@ -272,7 +311,7 @@ func benchInterpolate32(b *testing.B, kernel bool, fn func(*[16]int32, *[256]int
 }
 
 func benchInterpolate64(b *testing.B, kernel bool, fn func(*[8]int64, *[128]int64)) {
-	if kernel && !Enabled512() {
+	if kernel && !Enabled() {
 		b.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(9))

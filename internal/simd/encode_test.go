@@ -12,7 +12,7 @@ import (
 // restate, loop for loop, the code they replace in internal/fixed and
 // internal/compress (those packages call into this one, so the loops are
 // duplicated here rather than imported). They are the oracles of the
-// ...MatchesScalar tests and FuzzEncodeKernels64, and the ...Scalar
+// ...MatchesScalar tests and the FuzzEncodeKernels targets, and the ...Scalar
 // benchmark twins scripts/bench.sh gates each kernel against, so they
 // build on every target.
 
@@ -184,6 +184,19 @@ func scalarErrCheck64(vals *[128]uint64, recon *[128]int64, nb int64, lim uint64
 	return dSum, errSum
 }
 
+// scalarFixedToFloatsBits is fixed.FixedToFloats.
+func scalarFixedToFloatsBits(dst *[256]uint32, recon *[256]int32, nb int32) {
+	for i, v := range recon {
+		b := math.Float32bits(float32(v) * (1.0 / (1 << 16)))
+		if nb != 0 {
+			if e := int(b>>23) & 0xFF; e != 0 && e != 0xFF {
+				b = b&^uint32(0xFF<<23) | uint32(e+int(nb))<<23
+			}
+		}
+		dst[i] = b
+	}
+}
+
 // scalarFixedToFloatsBits64 is fixed.FixedToFloats64.
 func scalarFixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64) {
 	for i, v := range recon {
@@ -300,7 +313,7 @@ func checkEncodeKernels64(t testing.TB, label string, vals *[128]uint64, recon *
 }
 
 func TestChooseBiasScan64MatchesScalar(t *testing.T) {
-	if !Enabled512() {
+	if !Enabled() {
 		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -323,7 +336,7 @@ func TestChooseBiasScan64MatchesScalar(t *testing.T) {
 }
 
 func TestFloatsToFixedScaled64MatchesScalar(t *testing.T) {
-	if !Enabled512() {
+	if !Enabled() {
 		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -392,7 +405,7 @@ func TestFloatsToFixedScaled64MatchesScalar(t *testing.T) {
 }
 
 func TestErrCheckRecon64MatchesScalar(t *testing.T) {
-	if !Enabled512() {
+	if !Enabled() {
 		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(13))
@@ -460,7 +473,7 @@ func wordBytes(words ...uint64) []byte {
 // recon tile their bytes, the exponent bias and the comparator's
 // mantissa bits come from the last two arguments.
 func FuzzEncodeKernels64(f *testing.F) {
-	if !Enabled512() {
+	if !Enabled() {
 		f.Skip("AVX-512 not available")
 	}
 	one := uint64(1) << 32 // Q31.32 1.0
@@ -485,5 +498,93 @@ func FuzzEncodeKernels64(f *testing.F) {
 		}
 		lim := uint64(1) << (52 - (1 + int(n)%52))
 		checkEncodeKernels64(t, "fuzz", &vals, &recon, int64(bias)%1100, lim)
+	})
+}
+
+// checkEncodeKernels32 holds the fp32 block kernels — ChooseBiasScan,
+// FloatsToFixedScaled, ErrCheckRecon32 and FixedToFloatsBits — to their
+// scalar forms on one block.
+func checkEncodeKernels32(t testing.TB, label string, vals *[256]uint32, recon *[256]int32, bias int32, lim uint32) {
+	t.Helper()
+	if got, want := ChooseBiasScan(vals), scalarChooseBiasScan(vals); got != want {
+		t.Fatalf("%s: ChooseBiasScan = %#x, want %#x", label, got, want)
+	}
+	scale := math.Float64frombits(uint64(1023+bias+16) << 52) // |bias| ≤ 128: always normal
+	var fGot, fWant [256]int32
+	okWant := scalarFloatsToFixed(&fWant, vals, bias, scale)
+	if okGot := FloatsToFixedScaled(&fGot, vals, bias, scale); okGot != okWant {
+		t.Fatalf("%s (bias=%d): FloatsToFixedScaled ok = %v, want %v", label, bias, okGot, okWant)
+	}
+	for i := range fGot {
+		if okWant && fGot[i] != fWant[i] {
+			t.Fatalf("%s (bias=%d): FloatsToFixedScaled dst[%d] = %d, want %d (src=%#x)", label, bias, i, fGot[i], fWant[i], vals[i])
+		}
+	}
+	var bmGot, bmWant [32]byte
+	nb := -bias
+	dWant := scalarErrCheck(vals, recon, nb, lim, &bmWant)
+	if dGot := ErrCheckRecon32(vals, recon, &bmGot, nb, lim); dGot != dWant || bmGot != bmWant {
+		t.Fatalf("%s (nb=%d lim=%#x): ErrCheckRecon32 = (%d, %x), want (%d, %x)", label, nb, lim, dGot, bmGot, dWant, bmWant)
+	}
+	var aGot, aWant [256]uint32
+	scalarFixedToFloatsBits(&aWant, recon, nb)
+	FixedToFloatsBits(&aGot, recon, nb)
+	for i := range aGot {
+		if aGot[i] != aWant[i] {
+			t.Fatalf("%s (nb=%d): FixedToFloatsBits dst[%d] = %#x, want %#x (recon=%d)", label, nb, i, aGot[i], aWant[i], recon[i])
+		}
+	}
+}
+
+// tile32 reads data as little-endian words, repeating it to fill the
+// block (all zeros when data is empty).
+func tile32(data []byte) (blk [256]uint32) {
+	for i := range blk {
+		for j := 0; j < 4 && len(data) > 0; j++ {
+			blk[i] |= uint32(data[(i*4+j)%len(data)]) << (8 * j)
+		}
+	}
+	return blk
+}
+
+func wordBytes32(words ...uint32) []byte {
+	b := make([]byte, 0, 4*len(words))
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// FuzzEncodeKernels32 is FuzzEncodeKernels64 for the fp32 block kernels:
+// vals and recon tile their bytes, the exponent bias (the codec's int8)
+// and the comparator's mantissa bits come from the last two arguments.
+func FuzzEncodeKernels32(f *testing.F) {
+	if !Enabled() {
+		f.Skip("AVX-512 not available")
+	}
+	const one = 1 << 16 // Q15.16 1.0
+	f32 := math.Float32bits
+	// ±0 and ±denormals, against zero and tiny reconstructions.
+	f.Add(wordBytes32(0, 1<<31, 1, 1<<31|1, 0x7FFFFF), wordBytes32(0, 1, 1<<32-1), int8(5), uint8(5))
+	// NaN and ±Inf among normals: the scan's flag, the conversion's false.
+	f.Add(wordBytes32(0x7FC00001, 0x7F800000, 0xFF800000, f32(1.5)), wordBytes32(one, 3*one/2), int8(0), uint8(5))
+	// Exponents at both bias edges: e+bias = 1 and 0, 254 and 255.
+	f.Add(wordBytes32(101<<23, 100<<23, 1<<31|101<<23|7), wordBytes32(one), int8(-100), uint8(3))
+	f.Add(wordBytes32(154<<23, 155<<23, 1<<31|154<<23|9), wordBytes32(one), int8(100), uint8(3))
+	// Lanes that scale past MaxInt32 and below MinInt32.
+	f.Add(wordBytes32(f32(1<<14), f32(1<<20), f32(-(1<<14)), f32(-(1<<25))), wordBytes32(one), int8(1), uint8(1))
+	// nb = 0: no un-bias surgery, every delta against lim = 2^22.
+	f.Add(wordBytes32(f32(1.4)), wordBytes32(one), int8(0), uint8(0))
+	// Mantissa deltas 3, 4 and 5 against lim = 4: the comparator's edge.
+	f.Add(wordBytes32(0x3F800003, 0x3F800004, 0x3F800005), wordBytes32(one), int8(0), uint8(20))
+	f.Fuzz(func(t *testing.T, valBytes, reconBytes []byte, bias int8, n uint8) {
+		vals := tile32(valBytes)
+		r := tile32(reconBytes)
+		var recon [256]int32
+		for i, w := range r {
+			recon[i] = int32(w)
+		}
+		lim := uint32(1) << (23 - (1 + int(n)%23))
+		checkEncodeKernels32(t, "fuzz", &vals, &recon, int32(bias), lim)
 	})
 }

@@ -185,7 +185,7 @@ func checkInterpolate64(t testing.TB, label string, sum *[8]int64) {
 }
 
 func TestInterpolateMatchesScalar(t *testing.T) {
-	if !Enabled512() {
+	if !Enabled() {
 		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(4))
@@ -222,7 +222,7 @@ func TestInterpolateMatchesScalar(t *testing.T) {
 // forms: the first 64 bytes, zero-padded, are read as 16 int32 and as 8
 // int64 summaries.
 func FuzzInterpolate(f *testing.F) {
-	if !Enabled512() {
+	if !Enabled() {
 		f.Skip("AVX-512 not available")
 	}
 	f.Add([]byte{})

@@ -1,14 +1,12 @@
 #include "textflag.h"
 
-// AVX-512 forms of the kernels in kernels_amd64.s: 16 lanes per group
-// instead of 8, with the lane-mask logic held in opmask registers (an
-// outlier group mask becomes two bitmap bytes via KMOVW). The per-lane
-// arithmetic is instruction-for-instruction the operation the AVX2 and
-// scalar forms perform, so all three tiers are bit-identical; the
-// property tests in this package compare the tiers directly.
+// The block kernels: 16 lanes per group, with the lane-mask logic held
+// in opmask registers (an outlier group mask becomes two bitmap bytes
+// via KMOVW). The per-lane arithmetic is instruction-for-instruction the
+// operation the scalar forms perform, so each kernel is bit-identical to
+// its loop; the property tests in this package compare them directly.
 
-// Same constant tables as kernels_amd64.s (file-static symbols do not
-// cross assembly files).
+// Constants for ErrCheckRecon32 and FixedToFloatsBits (32-bit lanes).
 DATA errconst512<>+0(SB)/4, $0x37800000  // 2^-16 as float32
 DATA errconst512<>+4(SB)/4, $0x7F800000  // exponent mask
 DATA errconst512<>+8(SB)/4, $0xFF800000  // sign+exponent mask
@@ -16,6 +14,7 @@ DATA errconst512<>+12(SB)/4, $0x007FFFFF // mantissa mask
 DATA errconst512<>+16(SB)/4, $0x807FFFFF // sign+mantissa (clear exponent)
 GLOBL errconst512<>(SB), RODATA|NOPTR, $20
 
+// Constants for FloatsToFixedScaled.
 DATA fixconst512<>+0(SB)/8, $0x41DFFFFFFFC00000 // 2147483647.0 (MaxInt32)
 DATA fixconst512<>+8(SB)/8, $0xC1E0000000000000 // -2147483648.0 (MinInt32)
 DATA fixconst512<>+16(SB)/4, $0x7F800000        // exponent mask
@@ -23,13 +22,13 @@ DATA fixconst512<>+20(SB)/4, $1
 DATA fixconst512<>+24(SB)/4, $254
 GLOBL fixconst512<>(SB), RODATA|NOPTR, $28
 
-// func fixedToFloatsAVX512(dst *[256]uint32, recon *[256]int32, nb int32)
+// func FixedToFloatsBits(dst *[256]uint32, recon *[256]int32, nb int32)
 //
-// The reconstruction half of errCheckAVX512 with a store instead of the
+// The reconstruction half of ErrCheckRecon32 with a store instead of the
 // classification: per 16-lane group, a = bits(float32(recon) * 2^-16);
 // lanes whose exponent is outside {0, 0xFF} get a&0x807FFFFF |
 // uint32(e(a)+nb)<<23; dst[g] = a.
-TEXT ·fixedToFloatsAVX512(SB), NOSPLIT, $0-20
+TEXT ·FixedToFloatsBits(SB), NOSPLIT, $0-20
 	MOVQ dst+0(FP), DI
 	MOVQ recon+8(FP), SI
 	VPBROADCASTD errconst512<>+0(SB), Z15 // 2^-16f
@@ -71,7 +70,7 @@ GLOBL f64const512<>(SB), RODATA|NOPTR, $24
 
 // func FixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64)
 //
-// fixedToFloatsAVX512 in 64-bit lanes: per 8-lane group, a =
+// FixedToFloatsBits in 64-bit lanes: per 8-lane group, a =
 // bits(float64(recon) * 2^-32) (VCVTQQ2PD, AVX-512DQ); lanes whose
 // exponent is outside {0, 0x7FF} get a&0x800FFFFFFFFFFFFF |
 // uint64(e(a)+nb)<<52; dst[g] = a.
@@ -109,8 +108,16 @@ f2f64:
 	VZEROUPPER
 	RET
 
-// func errCheckAVX512(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64
-TEXT ·errCheckAVX512(SB), NOSPLIT, $0-40
+// func ErrCheckRecon32(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64
+//
+// Per 16-lane group g (16 groups):
+//   a = bits(float32(recon) * 2^-16)                    ; VCVTDQ2PS+VMULPS
+//   if e(a) not in {0, 0xFF}: a = a&0x807FFFFF | uint32(e(a)+nb)<<23
+//   accept = (same sign+exp && o normal && |mant delta| < lim)
+//          | (same sign+exp && (o==a || e(o)==0))
+//          | (diff sign/exp && e(o)==0 && e(a)==0)
+//   bm[2g:2g+2] = ~accept ; dSum lanes += delta & acceptNormal
+TEXT ·ErrCheckRecon32(SB), NOSPLIT, $0-40
 	MOVQ vals+0(FP), DI
 	MOVQ recon+8(FP), SI
 	MOVQ bm+16(FP), BX
@@ -202,8 +209,8 @@ eloop512:
 	VZEROUPPER
 	RET
 
-// func floatsToFixedAVX512(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool
-TEXT ·floatsToFixedAVX512(SB), NOSPLIT, $0-33
+// func FloatsToFixedScaled(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool
+TEXT ·FloatsToFixedScaled(SB), NOSPLIT, $0-33
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	VPBROADCASTD fixconst512<>+16(SB), Z15 // expmask
@@ -786,7 +793,7 @@ cb64done:
 
 // func FloatsToFixedScaled64(dst *[128]int64, src *[128]uint64, bias int64, scale float64) bool
 //
-// floatsToFixedAVX512 in 64-bit lanes: per 8-lane group, lanes with
+// FloatsToFixedScaled in 64-bit lanes: per 8-lane group, lanes with
 // e == 0 flush to +0; v = float64(src) * scale (VMULPD); dst = v rounded
 // to nearest-even (VCVTPD2QQ under the default MXCSR rounding, which Go
 // never changes). A lane with v ≥ 2^63 (+Inf included) is set to
@@ -842,7 +849,7 @@ f2x64loop:
 
 // func ErrCheckRecon64(vals *[128]uint64, recon *[128]int64, bm *[16]byte, nb int64, lim uint64) int64
 //
-// errCheckAVX512 in 64-bit lanes: FixedToFloatsBits64's convert and
+// ErrCheckRecon32 in 64-bit lanes: FixedToFloatsBits64's convert and
 // un-bias, then the same three-case classification against the original
 // bits, one bitmap byte per 8-lane group (KMOVW's low byte). Each 64-bit
 // accumulator lane sums at most 16 deltas below 2^52.

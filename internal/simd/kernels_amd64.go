@@ -1,11 +1,7 @@
 package simd
 
-// Enabled512 reports whether the AVX-512-only kernels (ChooseBiasScan,
-// Interpolate1D/2D/64, Downsample1D/2D, FixedToFloatsBits64 and the fp64
-// encode kernels ChooseBiasScan64, FloatsToFixedScaled64 and
-// ErrCheckRecon64) are available. Callers must check it before calling
-// them; there is no AVX2 tier for these.
-func Enabled512() bool { return hasAVX512 }
+// Every kernel below runs only where Enabled() is true; callers check it
+// and run their scalar loops otherwise.
 
 // ChooseBiasScan64 is ChooseBiasScan for one 128-double block, the
 // exponent scan of fixed.ChooseBias64: the return value packs the running
@@ -50,9 +46,8 @@ func ErrCheckRecon64(vals *[128]uint64, recon *[128]int64, bm *[16]byte, nb int6
 // untouched). VCVTQQ2PD rounds int64→float64 to nearest-even exactly as
 // the scalar conversion does, and the product with the exact power of
 // two 2^-32 is the scalar's division by 1<<32 bit for bit (no result is
-// subnormal: a non-zero int64 has magnitude ≥ 1). AVX2 has no packed
-// int64→float64 conversion, so this is a 512-bit-only kernel (it needs
-// the DQ subset detectAVX512 already requires).
+// subnormal: a non-zero int64 has magnitude ≥ 1). VCVTQQ2PD is
+// AVX-512DQ, which the tier requires.
 //
 //go:noescape
 func FixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64)
@@ -105,7 +100,7 @@ func Downsample2D(fx *[256]int32, sum *[16]int32)
 // (one byte per 8-lane group, bit i ⇔ value 8g+i, fully overwriting bm)
 // and returns the integer sum of the accepted mantissa deltas. The
 // caller compacts outlier values from the bitmap and scales the sum by
-// 2^-23. Call only when Enabled() is true.
+// 2^-23.
 //
 // Lane-for-lane equivalence with the scalar loop: VCVTDQ2PS + VMULPS by
 // 2^-16f is exactly float32(v) * (1.0 / (1<<16)); the un-bias surgery is
@@ -113,18 +108,9 @@ func Downsample2D(fx *[256]int32, sum *[16]int32)
 // back; the accept/outlier decision is the same three-case tree
 // expressed as lane masks. Each 32-bit accumulator lane sums at most 32
 // deltas below 2^23, so the per-lane and final sums cannot overflow.
-func ErrCheckRecon32(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64 {
-	if hasAVX512 {
-		return errCheckAVX512(vals, recon, bm, nb, lim)
-	}
-	return errCheckAVX2(vals, recon, bm, nb, lim)
-}
-
+//
 //go:noescape
-func errCheckAVX2(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64
-
-//go:noescape
-func errCheckAVX512(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64
+func ErrCheckRecon32(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64
 
 // FixedToFloatsBits is the vectorized decode-side conversion sweep of
 // fixed.FixedToFloats: dst[i] = bits(float32(recon[i]) * 2^-16) with the
@@ -133,21 +119,10 @@ func errCheckAVX512(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32
 // with a store in place of the classification, so the same lane-for-lane
 // equivalence argument applies: VCVTDQ2PS + VMULPS by the exact power of
 // two 2^-16f reproduce the scalar float32(v) * (1.0 / (1<<16)) bit for
-// bit, and the rebias surgery is the identical mask-and-reinsert. Call
-// only when Enabled() is true.
-func FixedToFloatsBits(dst *[256]uint32, recon *[256]int32, nb int32) {
-	if hasAVX512 {
-		fixedToFloatsAVX512(dst, recon, nb)
-		return
-	}
-	fixedToFloatsAVX2(dst, recon, nb)
-}
-
+// bit, and the rebias surgery is the identical mask-and-reinsert.
+//
 //go:noescape
-func fixedToFloatsAVX2(dst *[256]uint32, recon *[256]int32, nb int32)
-
-//go:noescape
-func fixedToFloatsAVX512(dst *[256]uint32, recon *[256]int32, nb int32)
+func FixedToFloatsBits(dst *[256]uint32, recon *[256]int32, nb int32)
 
 // FloatsToFixedScaled is the vectorized biased-conversion sweep of
 // fixed.FloatsToFixed: dst[i] = round-to-even(float64(src[i]) * scale)
@@ -157,23 +132,14 @@ func fixedToFloatsAVX512(dst *[256]uint32, recon *[256]int32, nb int32)
 // operations). If any lane needs the scalar reference path — a special
 // exponent, or a biased exponent leaving the normal range — it returns
 // false and dst is undefined; the caller redoes the whole block with the
-// scalar loop. Call only when Enabled() is true.
-func FloatsToFixedScaled(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool {
-	if hasAVX512 {
-		return floatsToFixedAVX512(dst, src, bias, scale)
-	}
-	return floatsToFixedAVX2(dst, src, bias, scale)
-}
-
+// scalar loop.
+//
 //go:noescape
-func floatsToFixedAVX2(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool
-
-//go:noescape
-func floatsToFixedAVX512(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool
+func FloatsToFixedScaled(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool
 
 // reduceFixed32AVX2 and countRanges32AVX2 are the vector bodies of
 // ReduceFixed32 and CountRanges32 (reduce.go) over a non-zero multiple
-// of 8 values; call only when Enabled() is true.
+// of 8 values, 256-bit AVX2 code that every host Enabled() admits runs.
 //
 //go:noescape
 func reduceFixed32AVX2(x []int32) (sum, abs int64, mn, mx int32)
@@ -183,13 +149,13 @@ func countRanges32AVX2(x []int32, lo *[3]int32, w *[3]uint32, n *[3]int64)
 
 // reduceFixed64AVX512 is the vector body of ReduceFixed64 over a
 // non-zero multiple of 8 values: it overwrites out with their partial
-// sums and extremes; call only when Enabled512() is true.
+// sums and extremes.
 //
 //go:noescape
 func reduceFixed64AVX512(x []int64, out *[6]int64)
 
 // countRanges64AVX512 is the vector body of CountRanges64 over a
-// non-zero multiple of 8 values; call only when Enabled512() is true.
+// non-zero multiple of 8 values.
 //
 //go:noescape
 func countRanges64AVX512(x []int64, lo *[3]int64, w *[3]uint64, n *[3]int64)

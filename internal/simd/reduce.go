@@ -5,11 +5,11 @@ import "math"
 // Integer reductions over fixed-point reconstructions — what a store
 // query runs in place of the fixed→float conversion. Integer addition,
 // min, max and range tests do not depend on evaluation order, so a
-// vector tier and the pure-Go loop agree bit for bit: the Go forms
-// below are both the fallback (no AVX2, non-amd64, and the < 8-value
-// tail of every call) and the oracle the kernel tests compare against.
-// The fp32 pair has an AVX2 tier and the fp64 pair an AVX-512 one
-// (reduce_amd64.s).
+// vector body and the pure-Go loop agree bit for bit: the Go forms
+// below are both the fallback (no vector tier, non-amd64, and the
+// < 8-value tail of every call) and the oracle the kernel tests compare
+// against. The vector bodies (reduce_amd64.s) run where Enabled() is
+// true; the fp32 pair's are 256-bit code.
 
 // ReduceFixed32 returns Σx, Σ|x| and the min and max of x. Sums are
 // exact: 2^31 values of magnitude 2^31 fit an int64. An empty x yields
@@ -74,14 +74,12 @@ func countRanges32Go(x []int32, lo *[3]int32, w *[3]uint32) (n [3]int) {
 // any int64, so Σ over even 16 values can wrap: the sums are accumulated
 // split (Σ x>>16 and Σ x&0xFFFF, exact for up to 2^15 values) and only
 // then rounded to float64 — within 2^-51 of the exact sum relative to
-// Σ|x|, the precision a caller scaling them to value units needs. There
-// is an AVX-512 tier and no AVX2 one (which has no 64-bit arithmetic
-// shift, abs, min or max); elsewhere this is the Go loop. len(x) must
-// not exceed 1<<15.
+// Σ|x|, the precision a caller scaling them to value units needs.
+// len(x) must not exceed 1<<15.
 func ReduceFixed64(x []int64) (sum, abs float64, mn, mx int64) {
 	// sh, sl, ah, al, min, max
 	p := [6]int64{4: math.MaxInt64, 5: math.MinInt64}
-	if n := len(x) &^ 7; n != 0 && Enabled512() {
+	if n := len(x) &^ 7; n != 0 && Enabled() {
 		reduceFixed64AVX512(x[:n], &p)
 		x = x[n:]
 	}
@@ -104,14 +102,13 @@ func reduceFixed64Go(x []int64, p *[6]int64) {
 	*p = [6]int64{sh, sl, ah, al, mn, mx}
 }
 
-// CountRanges64 is CountRanges32 for int64 values, with an AVX-512 tier
-// (AVX2 has no 64-bit unsigned compare).
+// CountRanges64 is CountRanges32 for int64 values.
 func CountRanges64(x []int64, lo, hi *[3]int64) (n [3]int) {
 	var w [3]uint64
 	for k := range w {
 		w[k] = uint64(hi[k]) - uint64(lo[k])
 	}
-	if m := len(x) &^ 7; m != 0 && Enabled512() {
+	if m := len(x) &^ 7; m != 0 && Enabled() {
 		var c [3]int64
 		countRanges64AVX512(x[:m], lo, &w, &c)
 		n = [3]int{int(c[0]), int(c[1]), int(c[2])}

@@ -94,14 +94,14 @@ func runCodec(t *testing.T, dist string, t1 float64) codecPass {
 // same bytes out of each step: a kernel that differs from the loop it
 // replaces in any lane a real encoder reaches changes a stream here.
 func TestKernelsAndFallbackSameBytes(t *testing.T) {
-	if !simd.Enabled512() {
+	if !simd.Enabled() {
 		t.Skip("AVX-512 not available: the fallback is the only path")
 	}
 	for _, dist := range workloads.Distributions() {
 		for _, t1 := range []float64{0.005, 0, 0.2} {
 			kern := runCodec(t, dist, t1)
 			restore := simd.ForceFallback()
-			if simd.Enabled() || simd.Enabled512() {
+			if simd.Enabled() {
 				restore()
 				t.Fatal("ForceFallback left a tier enabled")
 			}

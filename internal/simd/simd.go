@@ -1,23 +1,24 @@
 // Package simd holds the vector kernels of the serving path for amd64,
-// with runtime feature detection, and their portable fallbacks. There are
-// three families:
+// with runtime feature detection, and their portable fallbacks. The rule
+// is one tier: a kernel runs on an AVX-512 host (F/DQ/BW/VL, plus AVX2,
+// which Enabled reports), or its Go loop runs. Base64 also needs VBMI.
+// There are three families:
 //
 //   - The codec's block passes (kernels_amd64.go): ErrCheckRecon32,
-//     FloatsToFixedScaled and FixedToFloatsBits have an AVX2 tier and an
-//     AVX-512 one behind the same name; ChooseBiasScan, Interpolate1D/2D/64,
-//     Downsample1D/2D, FixedToFloatsBits64 and the fp64 encode kernels
-//     ChooseBiasScan64, FloatsToFixedScaled64 and ErrCheckRecon64 are
-//     AVX-512 only. They operate on whole AVR blocks — 256 values as
+//     FloatsToFixedScaled, FixedToFloatsBits, ChooseBiasScan,
+//     Interpolate1D/2D/64, Downsample1D/2D, FixedToFloatsBits64 and the
+//     fp64 encode kernels ChooseBiasScan64, FloatsToFixedScaled64 and
+//     ErrCheckRecon64. They operate on whole AVR blocks — 256 values as
 //     [256]uint32 bit patterns, or 128 doubles for the fp64 kernels — the
-//     unit the compressor hands around; callers check Enabled / Enabled512
-//     and run the scalar loops of internal/fixed and internal/compress
-//     otherwise, or when a block needs a slow path the kernels do not
-//     implement (reported via their return values).
+//     unit the compressor hands around; callers check Enabled and run the
+//     scalar loops of internal/fixed and internal/compress otherwise, or
+//     when a block needs a slow path the kernels do not implement
+//     (reported via their return values).
 //   - The integer reductions a store query runs over fixed-point
-//     reconstructions (reduce.go): ReduceFixed32 and CountRanges32 have an
-//     AVX2 tier, ReduceFixed64 and CountRanges64 an AVX-512 one.
+//     reconstructions (reduce.go): ReduceFixed32, CountRanges32,
+//     ReduceFixed64 and CountRanges64.
 //   - Standard base64 for the batch wire (base64.go): Base64Encode and
-//     Base64Decode have one tier, AVX-512 VBMI.
+//     Base64Decode.
 //
 // The last two families take slices of any length and dispatch
 // themselves, falling back to — and tested against — their own pure-Go

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// The tests below pin the AVX2 kernels, and each AVX-512 tier behind the
-// same name, to the standalone scalar references in encode_test.go.
+// The tests below pin the fp32 block kernels to the standalone scalar
+// references in encode_test.go.
 // Random blocks cover the full bit-pattern space — NaN, ±Inf, ±0,
 // denormals, both signs, boundary exponents — plus crafted mantissa
 // deltas exactly at the outlier limit.
 
 func TestErrCheckRecon32MatchesScalar(t *testing.T) {
 	if !Enabled() {
-		t.Skip("AVX2 not available")
+		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(1))
 	var vals [256]uint32
@@ -50,49 +50,24 @@ func TestErrCheckRecon32MatchesScalar(t *testing.T) {
 				vals[i] = randBits(rng)
 			}
 		}
-		var bmWant [32]byte
+		var bmWant, bmGot [32]byte
 		want := scalarErrCheck(&vals, &recon, nb, lim, &bmWant)
-		impls := []struct {
-			name string
-			fn   func(*[256]uint32, *[256]int32, *[32]byte, int32, uint32) int64
-		}{{"avx2", errCheckAVX2}}
-		if hasAVX512 {
-			impls = append(impls, struct {
-				name string
-				fn   func(*[256]uint32, *[256]int32, *[32]byte, int32, uint32) int64
-			}{"avx512", errCheckAVX512})
+		got := ErrCheckRecon32(&vals, &recon, &bmGot, nb, lim)
+		if got != want {
+			t.Fatalf("round %d (nb=%d lim=%#x): dSum = %d, want %d", round, nb, lim, got, want)
 		}
-		for _, impl := range impls {
-			var bmGot [32]byte
-			got := impl.fn(&vals, &recon, &bmGot, nb, lim)
-			if got != want {
-				t.Fatalf("%s round %d (nb=%d lim=%#x): dSum = %d, want %d", impl.name, round, nb, lim, got, want)
-			}
-			for i := range bmGot {
-				if bmGot[i] != bmWant[i] {
-					t.Fatalf("%s round %d (nb=%d lim=%#x): bitmap[%d] = %08b, want %08b (vals[%d]=%#x recon=%d)",
-						impl.name, round, nb, lim, i, bmGot[i], bmWant[i], i*8, vals[i*8], recon[i*8])
-				}
+		for i := range bmGot {
+			if bmGot[i] != bmWant[i] {
+				t.Fatalf("round %d (nb=%d lim=%#x): bitmap[%d] = %08b, want %08b (vals[%d]=%#x recon=%d)",
+					round, nb, lim, i, bmGot[i], bmWant[i], i*8, vals[i*8], recon[i*8])
 			}
 		}
-	}
-}
-
-func scalarFixedToFloatsBits(dst *[256]uint32, recon *[256]int32, nb int32) {
-	for i, v := range recon {
-		b := math.Float32bits(float32(v) * (1.0 / (1 << 16)))
-		if nb != 0 {
-			if e := int(b>>23) & 0xFF; e != 0 && e != 0xFF {
-				b = b&^uint32(0xFF<<23) | uint32(e+int(nb))<<23
-			}
-		}
-		dst[i] = b
 	}
 }
 
 func TestFixedToFloatsBitsMatchesScalar(t *testing.T) {
 	if !Enabled() {
-		t.Skip("AVX2 not available")
+		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(6))
 	var recon [256]int32
@@ -106,30 +81,18 @@ func TestFixedToFloatsBitsMatchesScalar(t *testing.T) {
 			recon[i] = randInt32(rng)
 		}
 		scalarFixedToFloatsBits(&want, &recon, nb)
-		impls := []struct {
-			name string
-			fn   func(*[256]uint32, *[256]int32, int32)
-		}{{"avx2", fixedToFloatsAVX2}}
-		if hasAVX512 {
-			impls = append(impls, struct {
-				name string
-				fn   func(*[256]uint32, *[256]int32, int32)
-			}{"avx512", fixedToFloatsAVX512})
-		}
-		for _, impl := range impls {
-			impl.fn(&got, &recon, nb)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s round %d (nb=%d): dst[%d] = %#x, want %#x (recon=%d)",
-						impl.name, round, nb, i, got[i], want[i], recon[i])
-				}
+		FixedToFloatsBits(&got, &recon, nb)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d (nb=%d): dst[%d] = %#x, want %#x (recon=%d)",
+					round, nb, i, got[i], want[i], recon[i])
 			}
 		}
 	}
 }
 
 func TestFixedToFloatsBits64MatchesScalar(t *testing.T) {
-	if !Enabled512() {
+	if !Enabled() {
 		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(8))
@@ -182,7 +145,7 @@ func TestFixedToFloatsBits64MatchesScalar(t *testing.T) {
 
 func TestFloatsToFixedScaledMatchesScalar(t *testing.T) {
 	if !Enabled() {
-		t.Skip("AVX2 not available")
+		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(2))
 	var src [256]uint32
@@ -207,29 +170,17 @@ func TestFloatsToFixedScaledMatchesScalar(t *testing.T) {
 			}
 		}
 		okWant := scalarFloatsToFixed(&want, &src, bias, scale)
-		impls := []struct {
-			name string
-			fn   func(*[256]int32, *[256]uint32, int32, float64) bool
-		}{{"avx2", floatsToFixedAVX2}}
-		if hasAVX512 {
-			impls = append(impls, struct {
-				name string
-				fn   func(*[256]int32, *[256]uint32, int32, float64) bool
-			}{"avx512", floatsToFixedAVX512})
+		okGot := FloatsToFixedScaled(&got, &src, bias, scale)
+		if okGot != okWant {
+			t.Fatalf("round %d (bias=%d): ok = %v, want %v", round, bias, okGot, okWant)
 		}
-		for _, impl := range impls {
-			okGot := impl.fn(&got, &src, bias, scale)
-			if okGot != okWant {
-				t.Fatalf("%s round %d (bias=%d): ok = %v, want %v", impl.name, round, bias, okGot, okWant)
-			}
-			if !okWant {
-				continue // dst undefined: the caller redoes the block scalar
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s round %d (bias=%d): dst[%d] = %d, want %d (src=%#x)",
-						impl.name, round, bias, i, got[i], want[i], src[i])
-				}
+		if !okWant {
+			continue // dst undefined: the caller redoes the block scalar
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d (bias=%d): dst[%d] = %d, want %d (src=%#x)",
+					round, bias, i, got[i], want[i], src[i])
 			}
 		}
 	}
@@ -283,7 +234,7 @@ func randInt32(rng *rand.Rand) int32 {
 }
 
 func TestChooseBiasScanMatchesScalar(t *testing.T) {
-	if !Enabled512() {
+	if !Enabled() {
 		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -306,7 +257,7 @@ func TestChooseBiasScanMatchesScalar(t *testing.T) {
 }
 
 func TestDownsampleMatchesScalar(t *testing.T) {
-	if !Enabled512() {
+	if !Enabled() {
 		t.Skip("AVX-512 not available")
 	}
 	rng := rand.New(rand.NewSource(5))

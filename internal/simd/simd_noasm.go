@@ -2,34 +2,24 @@
 
 package simd
 
-// Enabled reports whether the AVX2 kernels can be used; on non-amd64
+// Enabled reports whether the vector kernels can be used; on non-amd64
 // targets they do not exist.
 func Enabled() bool { return false }
 
-// ErrCheckRecon32 is unavailable on this target; callers must check
+// The kernels are unavailable on this target; callers must check
 // Enabled() first.
 func ErrCheckRecon32(vals *[256]uint32, recon *[256]int32, bm *[32]byte, nb int32, lim uint32) int64 {
-	panic("simd: ErrCheckRecon32 called without AVX2")
+	panic("simd: ErrCheckRecon32 called without AVX-512")
 }
 
-// FloatsToFixedScaled is unavailable on this target; callers must check
-// Enabled() first.
 func FloatsToFixedScaled(dst *[256]int32, src *[256]uint32, bias int32, scale float64) bool {
-	panic("simd: FloatsToFixedScaled called without AVX2")
+	panic("simd: FloatsToFixedScaled called without AVX-512")
 }
 
-// FixedToFloatsBits is unavailable on this target; callers must check
-// Enabled() first.
 func FixedToFloatsBits(dst *[256]uint32, recon *[256]int32, nb int32) {
-	panic("simd: FixedToFloatsBits called without AVX2")
+	panic("simd: FixedToFloatsBits called without AVX-512")
 }
 
-// Enabled512 reports whether the AVX-512-only kernels are available; on
-// non-amd64 targets they do not exist.
-func Enabled512() bool { return false }
-
-// The AVX-512-only kernels are unavailable on this target; callers must
-// check Enabled512() first.
 func ChooseBiasScan(bits *[256]uint32) uint32 { panic("simd: ChooseBiasScan called without AVX-512") }
 
 func FixedToFloatsBits64(dst *[128]uint64, recon *[128]int64, nb int64) {
@@ -68,14 +58,14 @@ func Downsample2D(fx *[256]int32, sum *[16]int32) {
 	panic("simd: Downsample2D called without AVX-512")
 }
 
-// The AVX2 bodies of ReduceFixed32 and CountRanges32 are unavailable on
-// this target; Enabled() is false, so the exported forms run pure Go.
+// The vector bodies of the reductions are unavailable on this target;
+// Enabled() is false, so the exported forms run pure Go.
 func reduceFixed32AVX2(x []int32) (sum, abs int64, mn, mx int32) {
-	panic("simd: reduceFixed32AVX2 called without AVX2")
+	panic("simd: reduceFixed32AVX2 called without AVX-512")
 }
 
 func countRanges32AVX2(x []int32, lo *[3]int32, w *[3]uint32, n *[3]int64) {
-	panic("simd: countRanges32AVX2 called without AVX2")
+	panic("simd: countRanges32AVX2 called without AVX-512")
 }
 
 func reduceFixed64AVX512(x []int64, out *[6]int64) {

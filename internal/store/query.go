@@ -654,9 +654,9 @@ func firstTrue(lo, hi int64, p func(int64) bool) (x int64, ok bool) {
 
 // fixedBlock is one AVR record in the codec's fixed-point domain. The
 // two widths behind it hold the only width-specific arithmetic of a
-// query: fixed32 over the AVX-512 interpolate and the AVX2 reductions,
-// fixed64 over the AVX-512 interpolate64 and ReduceFixed64 and the
-// pure-Go CountRanges64.
+// query: fixed32 over interpolate, ReduceFixed32 and CountRanges32,
+// fixed64 over interpolate64, ReduceFixed64 and CountRanges64, each a
+// vector kernel where simd.Enabled() and its Go loop elsewhere.
 type fixedBlock interface {
 	// load reads a record's summary line and bias.
 	load(summary []byte, bias int16)
