@@ -44,8 +44,6 @@ type Config struct {
 	// ProbeInterval is the /readyz polling cadence (default 500ms;
 	// negative disables the prober — for tests driving health directly).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request (default ProbeInterval).
-	ProbeTimeout time.Duration
 	// EjectAfter ejects a node after this many consecutive probe
 	// failures (default 2); ReadmitAfter readmits after this many
 	// consecutive successes (default 2).
@@ -58,6 +56,10 @@ type Config struct {
 	// over read-any gets (0 — the default — disables it: the nodes run
 	// their own summary-line caches, so the router tier opts in).
 	CacheBytes int64
+
+	// probeTimeout bounds one probe request (default ProbeInterval); a
+	// test in this package sets it apart from the interval.
+	probeTimeout time.Duration
 }
 
 // withDefaults fills the router's own unset fields; the frame
@@ -75,8 +77,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
+	if c.probeTimeout <= 0 {
+		c.probeTimeout = c.ProbeInterval
 	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 2
@@ -264,7 +266,7 @@ func (ro *Router) probeLoop() {
 
 // probeNode issues one /readyz probe and applies the hysteresis.
 func (ro *Router) probeNode(nd *node) {
-	ctx, cancel := context.WithTimeout(context.Background(), ro.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), ro.cfg.probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, nd.base+"/readyz", nil)
 	ok := false

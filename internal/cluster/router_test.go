@@ -580,7 +580,7 @@ func TestProberEjectReadmit(t *testing.T) {
 		{Name: "solo", Addr: strings.TrimPrefix(nodeSrv.URL, "http://")},
 	}}
 	ro, err := New(Config{Topology: topo,
-		ProbeInterval: 5 * time.Millisecond, ProbeTimeout: 200 * time.Millisecond,
+		ProbeInterval: 5 * time.Millisecond, probeTimeout: 200 * time.Millisecond,
 		EjectAfter: 2, ReadmitAfter: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,9 @@ import (
 
 // unit is one simulation run as a value: the memo key that names it and
 // everything needed to execute it. cores == 0 is the single-core system;
-// n ≥ 1 is sim.NewMulti's n-core CMP (which at n = 1 is still not the
-// single-core system: it has the barrier-flush coherence machinery).
+// n ≥ 1 is sim.NewMulti's n-core CMP, which runs the same core model. At
+// n = 1 what differs is Barrier: it flushes and invalidates the private
+// caches, where the single-core system keeps them warm.
 type unit struct {
 	key   string
 	bench string

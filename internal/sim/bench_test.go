@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"avr/internal/compress"
+	"avr/internal/obs"
 )
 
 // End-to-end demand-access benchmarks: one op is one access through
-// L1/L2/LLC/DRAM with all accounting. All three are CI-gated at 0
+// L1/L2/LLC/DRAM with all accounting. All four are CI-gated at 0
 // allocs/op (scripts/bench.sh) — the whole per-access path must stay
 // allocation-free in steady state.
 
@@ -33,6 +34,25 @@ func benchSystem(b *testing.B, d Design) (*System, uint64) {
 // hierarchy.
 func BenchmarkSystemAccess(b *testing.B) {
 	s, base := benchSystem(b, Baseline)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := base + uint64(i&((1<<20)-1))&^63
+		if i&7 == 0 {
+			s.Store32(a, uint32(i))
+		} else {
+			s.Load32(a)
+		}
+	}
+}
+
+// BenchmarkSystemAccessRecorded is BenchmarkSystemAccess with an epoch
+// recorder attached, as every sim_matrix cell runs. A snapshot every 64
+// accesses reaches Record even in a 100-iteration run and bounds the
+// recorder tick's cost from above.
+func BenchmarkSystemAccessRecorded(b *testing.B) {
+	s, base := benchSystem(b, Baseline)
+	s.SetRecorder(obs.NewRecorder(64, 8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,5 +1,8 @@
 // Multicore simulation: the paper's 8-core CMP (Table 1) with private
-// L1/L2 per core and one shared LLC design in front of shared DRAM.
+// L1/L2 per core and one shared LLC design in front of shared DRAM. Each
+// core is a tile, the slice's own core model: core 0 is the tile of the
+// System that holds the shared LLC, and that System's Flush and Finish
+// drain and count every core.
 //
 // Cores execute as goroutines under a deterministic scheduler: exactly
 // one core runs at a time, in quanta of a fixed number of memory
@@ -14,13 +17,7 @@
 // captures the coherence traffic that matters without a full protocol.
 package sim
 
-import (
-	"fmt"
-
-	"avr/internal/cache"
-	"avr/internal/cpu"
-	"avr/internal/energy"
-)
+import "fmt"
 
 // quantumOps is the number of memory operations a core runs per
 // scheduler grant. Smaller values interleave more finely (and slow the
@@ -32,7 +29,7 @@ const quantumOps = 64
 type Multi struct {
 	Cfg    Config
 	NCores int
-	shared *System // holds space, DRAM, LLC; its private caches are unused
+	shared *System // holds space, DRAM, LLC and every core's tile
 
 	cores   []*CoreCtx
 	release chan schedEvent
@@ -47,11 +44,9 @@ type schedEvent struct {
 // CoreCtx is one core's view of the multicore system: the timed memory
 // interface workload shards compute through.
 type CoreCtx struct {
-	m    *Multi
-	id   int
-	core *cpu.Core
-	l1   *cache.Cache
-	l2   *cache.Cache
+	m  *Multi
+	id int
+	t  *tile
 
 	grant   chan struct{}
 	opsLeft int
@@ -72,15 +67,12 @@ func NewMulti(cfg Config, n int) *Multi {
 		shared:  New(cfg),
 		release: make(chan schedEvent),
 	}
-	for i := 0; i < n; i++ {
-		m.cores = append(m.cores, &CoreCtx{
-			m:     m,
-			id:    i,
-			core:  cpu.New(cfg.CPU),
-			l1:    cache.New(cfg.L1Bytes, cfg.L1Ways, 64),
-			l2:    cache.New(cfg.L2Bytes, cfg.L2Ways, 64),
-			grant: make(chan struct{}),
-		})
+	for i := 1; i < n; i++ {
+		t := newTile(cfg, m.shared.llc)
+		m.shared.tiles = append(m.shared.tiles, &t)
+	}
+	for i, t := range m.shared.tiles {
+		m.cores = append(m.cores, &CoreCtx{m: m, id: i, t: t, grant: make(chan struct{})})
 	}
 	return m
 }
@@ -113,7 +105,7 @@ func (m *Multi) Run(body func(c *CoreCtx)) {
 			if c.done || c.atBar {
 				continue
 			}
-			if next < 0 || c.core.Now() < m.cores[next].core.Now() {
+			if next < 0 || c.Now() < m.cores[next].Now() {
 				next = c.id
 			}
 		}
@@ -143,18 +135,19 @@ func (m *Multi) Run(body func(c *CoreCtx)) {
 func (m *Multi) openBarrier() {
 	var maxNow uint64
 	for _, c := range m.cores {
-		if !c.done && c.core.Now() > maxNow {
-			maxNow = c.core.Now()
+		if !c.done && c.Now() > maxNow {
+			maxNow = c.Now()
 		}
 	}
 	for _, c := range m.cores {
 		if c.done || !c.atBar {
 			continue
 		}
-		now := c.core.Now()
-		c.l1.FlushAll(func(a uint64) { c.fillL2Dirty(now, a) })
-		c.l2.FlushAll(func(a uint64) { m.shared.llc.WriteBack(now, a) })
-		c.core.AdvanceTo(maxNow)
+		t := c.t
+		now := t.core.Now()
+		t.l1.FlushAll(func(a uint64) { t.fillL2Dirty(now, a) })
+		t.l2.FlushAll(func(a uint64) { t.llc.WriteBack(now, a) })
+		t.core.AdvanceTo(maxNow)
 		c.atBar = false
 	}
 }
@@ -186,74 +179,36 @@ func (c *CoreCtx) ID() int { return c.id }
 func (c *CoreCtx) N() int { return c.m.NCores }
 
 // Now returns the core's local clock.
-func (c *CoreCtx) Now() uint64 { return c.core.Now() }
+func (c *CoreCtx) Now() uint64 { return c.t.core.Now() }
 
 // Compute accounts n non-memory instructions.
-func (c *CoreCtx) Compute(n uint64) { c.core.Compute(n) }
-
-// access mirrors System.access over this core's private caches and the
-// shared LLC.
-func (c *CoreCtx) access(addr uint64, write bool) {
-	c.yieldPoint()
-	line := addr &^ 63
-	if c.l1.Access(line, write) {
-		if write {
-			c.core.OnStore()
-		} else {
-			c.core.OnLoad(uint64(c.m.Cfg.L1HitCycles))
-		}
-		return
-	}
-	now := c.core.Now()
-	var lat uint64
-	if c.l2.Access(line, false) {
-		lat = uint64(c.m.Cfg.L2HitCycles)
-	} else {
-		lat = uint64(c.m.Cfg.L2HitCycles) + c.m.shared.llc.Access(now, line)
-		if v := c.l2.Allocate(line, false); v.Valid && v.Dirty {
-			c.m.shared.llc.WriteBack(now, v.Addr)
-		}
-	}
-	if v := c.l1.Allocate(line, write); v.Valid && v.Dirty {
-		c.fillL2Dirty(now, v.Addr)
-	}
-	if write {
-		c.core.OnStore()
-	} else {
-		c.core.OnLoad(lat)
-	}
-}
-
-func (c *CoreCtx) fillL2Dirty(now uint64, addr uint64) {
-	if c.l2.Access(addr, true) {
-		return
-	}
-	if v := c.l2.Allocate(addr, true); v.Valid && v.Dirty {
-		c.m.shared.llc.WriteBack(now, v.Addr)
-	}
-}
+func (c *CoreCtx) Compute(n uint64) { c.t.core.Compute(n) }
 
 // LoadF32 performs a timed float load.
 func (c *CoreCtx) LoadF32(addr uint64) float32 {
-	c.access(addr, false)
+	c.yieldPoint()
+	c.t.access(addr, false)
 	return c.m.shared.Space.LoadF32(addr)
 }
 
 // StoreF32 performs a timed float store.
 func (c *CoreCtx) StoreF32(addr uint64, v float32) {
-	c.access(addr, true)
+	c.yieldPoint()
+	c.t.access(addr, true)
 	c.m.shared.Space.StoreF32(addr, v)
 }
 
 // Load32 performs a timed raw load.
 func (c *CoreCtx) Load32(addr uint64) uint32 {
-	c.access(addr, false)
+	c.yieldPoint()
+	c.t.access(addr, false)
 	return c.m.shared.Space.Load32(addr)
 }
 
 // Store32 performs a timed raw store.
 func (c *CoreCtx) Store32(addr uint64, v uint32) {
-	c.access(addr, true)
+	c.yieldPoint()
+	c.t.access(addr, true)
 	c.m.shared.Space.Store32(addr, v)
 }
 
@@ -261,60 +216,27 @@ func (c *CoreCtx) Store32(addr uint64, v uint32) {
 type MultiResult struct {
 	Design       Design
 	NCores       int
-	Cycles       uint64 // slowest core
-	Instructions uint64 // total across cores
-	PerCore      []uint64
-	Result       Result // shared-structure statistics (LLC, DRAM, energy)
+	Cycles       uint64   // slowest core
+	Instructions uint64   // total across cores
+	PerCore      []uint64 // each core's final clock
+	Result       Result   // System.Finish over every core
 }
 
-// Finish drains all private caches and the shared hierarchy, then
-// collects statistics.
+// Finish drains every core's private caches and the shared hierarchy,
+// then collects statistics: the shared System's Result over all cores,
+// plus each core's clock.
 func (m *Multi) Finish(benchmark string) MultiResult {
-	r := MultiResult{Design: m.Cfg.Design, NCores: m.NCores}
+	res := m.shared.Finish(benchmark)
+	r := MultiResult{
+		Design:       m.Cfg.Design,
+		NCores:       m.NCores,
+		Cycles:       res.Cycles,
+		Instructions: res.Instructions,
+		Result:       res,
+	}
 	for _, c := range m.cores {
-		now := c.core.Now()
-		c.l1.FlushAll(func(a uint64) { c.fillL2Dirty(now, a) })
-		c.l2.FlushAll(func(a uint64) { m.shared.llc.WriteBack(now, a) })
-		if c.core.Now() > r.Cycles {
-			r.Cycles = c.core.Now()
-		}
-		r.Instructions += c.core.Instructions()
-		r.PerCore = append(r.PerCore, c.core.Now())
+		r.PerCore = append(r.PerCore, c.Now())
 	}
-	m.shared.llc.Flush(r.Cycles)
-	r.Result = m.shared.Finish(benchmark)
-	// The shared System's core and private caches never ran; rebuild the
-	// aggregate numbers from the real per-core structures.
-	r.Result.Cycles = r.Cycles
-	r.Result.Instructions = r.Instructions
-	if r.Cycles > 0 {
-		r.Result.IPC = float64(r.Instructions) / float64(r.Cycles)
-	}
-	var counts energy.Counts
-	counts.Cores = m.NCores
-	counts.Instructions = r.Instructions
-	counts.Cycles = r.Cycles
-	var reads, latSum uint64
-	for _, c := range m.cores {
-		counts.L1Accesses += c.l1.Stats().Accesses
-		counts.L2Accesses += c.l2.Stats().Accesses
-		reads += c.core.MemReads()
-		latSum += c.core.LoadLatencySum()
-	}
-	r.Result.L1 = m.cores[0].l1.Stats()
-	r.Result.L2 = m.cores[0].l2.Stats()
-	if reads > 0 {
-		r.Result.AMAT = float64(latSum) / float64(reads)
-	}
-	if r.Instructions > 0 {
-		r.Result.MPKI = float64(r.Result.LLCMisses) / float64(r.Instructions) * 1000
-	}
-	d := m.shared.Dram.Stats()
-	counts.DRAMActs = d.Activations
-	counts.DRAMReads = d.Reads
-	counts.DRAMWrites = d.Writes
-	_, _, counts.LLCAccesses, counts.Compresses, counts.Decompresses = m.shared.llcActivity()
-	r.Result.Energy = energy.Default32nm().Compute(counts)
 	return r
 }
 

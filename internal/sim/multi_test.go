@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"avr/internal/compress"
@@ -156,4 +157,66 @@ func TestNewMultiPanicsOnZeroCores(t *testing.T) {
 		}
 	}()
 	NewMulti(PresetSmall(Baseline), 0)
+}
+
+// TestMultiOneCoreMatchesSystem pins what lets the CMP reuse the slice's
+// core model: a one-core Multi running a barrier-free body is the
+// single-core System, statistic for statistic.
+func TestMultiOneCoreMatchesSystem(t *testing.T) {
+	const region = 1 << 20 // 4× the PresetSmall LLC
+	type timed interface {
+		LoadF32(addr uint64) float32
+		StoreF32(addr uint64, v float32)
+		Load32(addr uint64) uint32
+		Store32(addr uint64, v uint32)
+		Compute(n uint64)
+	}
+	body := func(c timed, base uint64) {
+		for i := uint64(0); i < region; i += 16 {
+			c.StoreF32(base+i, c.LoadF32(base+i)*1.5)
+			c.Compute(3)
+		}
+		for i := uint64(0); i < region; i += 64 {
+			c.Store32(base+region+i, c.Load32(base+i)^uint32(i))
+		}
+	}
+	for _, d := range Designs {
+		t.Run(d.String(), func(t *testing.T) {
+			cfg := PresetSmall(d)
+			cfg.SpaceBytes = 16 << 20
+			setup := func(s *System) uint64 {
+				base := s.Space.AllocApprox(2*region, compress.Float32)
+				for i := uint64(0); i < 2*region; i += 4 {
+					s.Space.StoreF32(base+i, 100+float32(i)*0.001)
+				}
+				return base
+			}
+
+			s := New(cfg)
+			base := setup(s)
+			s.Prime()
+			body(s, base)
+			want := s.Finish("one")
+			if want.DRAM.TotalBytes() == 0 || want.L2.Misses == 0 {
+				t.Fatalf("body never left the private caches: %+v", want)
+			}
+
+			m := NewMulti(cfg, 1)
+			mbase := setup(m.Shared())
+			m.Prime()
+			m.Run(func(c *CoreCtx) { body(c, mbase) })
+			got := m.Finish("one")
+
+			if !reflect.DeepEqual(got.Result, want) {
+				t.Errorf("one-core Multi differs from System:\n got %+v\nwant %+v", got.Result, want)
+			}
+			if len(got.PerCore) != 1 || got.PerCore[0] != want.Cycles {
+				t.Errorf("PerCore = %v, want [%d]", got.PerCore, want.Cycles)
+			}
+			if got.Cycles != want.Cycles || got.Instructions != want.Instructions {
+				t.Errorf("MultiResult copies %d/%d, want %d/%d",
+					got.Cycles, got.Instructions, want.Cycles, want.Instructions)
+			}
+		})
+	}
 }

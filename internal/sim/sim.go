@@ -6,10 +6,12 @@
 // propagate into application output exactly as in the paper's
 // "we actually update the values of the memory contents" methodology.
 //
-// The paper's 8-core CMP runs SPMD workloads; this simulator models one
-// symmetric core slice: private L1/L2 at full size, 1/8 of the shared LLC
-// and 1/4 of the DRAM channel bandwidth (2 channels / 8 cores), which
-// preserves every per-core capacity and bandwidth ratio of Table 1.
+// The paper's 8-core CMP runs SPMD workloads. One core model (tile: a
+// core, its private L1/L2 and the access path into the LLC) serves both
+// machines: a System runs it once, as one symmetric core slice with 1/8
+// of the shared LLC and 1/4 of the DRAM channel bandwidth (2 channels / 8
+// cores), which preserves every per-core capacity and bandwidth ratio of
+// Table 1; a Multi runs it once per core over one shared LLC and DRAM.
 package sim
 
 import (
@@ -165,11 +167,12 @@ type llcDesign interface {
 	Flush(now uint64)
 }
 
-// System is one simulated core slice plus its memory system.
+// System is one simulated core slice plus its memory system. A Multi
+// adds its other cores' tiles to the System that holds its shared LLC.
 type System struct {
 	Cfg   Config
 	Space *mem.Space
-	Core  *cpu.Core
+	Core  *cpu.Core // tile 0's core
 	Dram  *dram.DRAM
 
 	// Epoch recorder (SetRecorder): when attached, the hierarchy captures
@@ -187,8 +190,9 @@ type System struct {
 	histOutliers  *obs.Histogram
 	histReconErr  *obs.Histogram
 
-	l1, l2 *cache.Cache
-	llc    llcDesign
+	t     tile    // the slice's core: tile 0
+	tiles []*tile // every core, &t first
+	llc   llcDesign
 
 	flushBuf []uint64 // reused victim-address scratch for Flush
 
@@ -203,10 +207,7 @@ func New(cfg Config) *System {
 	s := &System{
 		Cfg:   cfg,
 		Space: mem.NewSpace(cfg.SpaceBytes),
-		Core:  cpu.New(cfg.CPU),
 		Dram:  dram.New(dram.DDR4(cfg.DRAMChannels, cfg.DRAMSliceDiv)),
-		l1:    cache.New(cfg.L1Bytes, cfg.L1Ways, 64),
-		l2:    cache.New(cfg.L2Bytes, cfg.L2Ways, 64),
 	}
 	switch cfg.Design {
 	case Baseline:
@@ -243,6 +244,9 @@ func New(cfg Config) *System {
 	default:
 		panic(fmt.Sprintf("sim: unknown design %v", cfg.Design))
 	}
+	s.t = newTile(cfg, s.llc)
+	s.tiles = []*tile{&s.t}
+	s.Core = s.t.core
 	if cfg.Histograms {
 		s.histDramLat = obs.DRAMLatencyHistogram()
 		s.Dram.SetLatencyHistogram(s.histDramLat)
@@ -264,9 +268,10 @@ func (s *System) SetRecorder(rec *obs.Recorder) {
 	s.rec = rec
 	s.recEvery = rec.Every()
 	if s.recEvery == 0 {
-		s.rec = nil
+		s.rec, s.t.rec = nil, nil
 		return
 	}
+	s.t.rec = s
 	s.recLeft = s.recEvery - s.accessCount%s.recEvery
 }
 
@@ -299,7 +304,7 @@ func (s *System) Counters() obs.Counters {
 }
 
 // Compute accounts n non-memory instructions.
-func (s *System) Compute(n uint64) { s.Core.Compute(n) }
+func (s *System) Compute(n uint64) { s.t.core.Compute(n) }
 
 // Prime models the benchmark's input data having been written through
 // the memory hierarchy before the measured region of the program: under
@@ -315,9 +320,35 @@ func (s *System) Prime() {
 	}
 }
 
+// tile is one core's private side of the CMP: its interval-model core,
+// private L1 and L2, and the demand-access path through them into the
+// LLC the core misses into. A System runs one tile; a Multi runs one per
+// core, its core 0 being the System's own.
+type tile struct {
+	core         *cpu.Core
+	l1, l2       *cache.Cache
+	llc          llcDesign
+	l1Hit, l2Hit uint64
+
+	// rec is the System whose epoch recorder this tile's accesses tick
+	// (SetRecorder); nil when none is attached.
+	rec *System
+}
+
+func newTile(cfg Config, llc llcDesign) tile {
+	return tile{
+		core:  cpu.New(cfg.CPU),
+		l1:    cache.New(cfg.L1Bytes, cfg.L1Ways, 64),
+		l2:    cache.New(cfg.L2Bytes, cfg.L2Ways, 64),
+		llc:   llc,
+		l1Hit: uint64(cfg.L1HitCycles),
+		l2Hit: uint64(cfg.L2HitCycles),
+	}
+}
+
 // access runs one demand access through the hierarchy.
-func (s *System) access(addr uint64, write bool) {
-	if s.rec != nil {
+func (t *tile) access(addr uint64, write bool) {
+	if s := t.rec; s != nil {
 		s.accessCount++
 		if s.recLeft--; s.recLeft == 0 {
 			s.recLeft = s.recEvery
@@ -325,85 +356,96 @@ func (s *System) access(addr uint64, write bool) {
 		}
 	}
 	line := addr &^ 63
-	if s.l1.Access(line, write) {
+	if t.l1.Access(line, write) {
 		if write {
-			s.Core.OnStore()
+			t.core.OnStore()
 		} else {
-			s.Core.OnLoad(uint64(s.Cfg.L1HitCycles))
+			t.core.OnLoad(t.l1Hit)
 		}
 		return
 	}
-	now := s.Core.Now()
-	var lat uint64
-	if s.l2.Access(line, false) {
-		lat = uint64(s.Cfg.L2HitCycles)
-	} else {
-		lat = uint64(s.Cfg.L2HitCycles) + s.llc.Access(now, line)
-		if v := s.l2.Allocate(line, false); v.Valid && v.Dirty {
-			s.llc.WriteBack(now, v.Addr)
+	now := t.core.Now()
+	lat := t.l2Hit
+	if !t.l2.Access(line, false) {
+		lat += t.llc.Access(now, line)
+		if v := t.l2.Allocate(line, false); v.Valid && v.Dirty {
+			t.llc.WriteBack(now, v.Addr)
 		}
 	}
-	if v := s.l1.Allocate(line, write); v.Valid && v.Dirty {
-		s.fillL2Dirty(now, v.Addr)
+	if v := t.l1.Allocate(line, write); v.Valid && v.Dirty {
+		t.fillL2Dirty(now, v.Addr)
 	}
 	if write {
-		s.Core.OnStore()
+		t.core.OnStore()
 	} else {
-		s.Core.OnLoad(lat)
+		t.core.OnLoad(lat)
 	}
 }
 
 // fillL2Dirty sinks a dirty L1 victim into the L2 (write-allocate).
-func (s *System) fillL2Dirty(now uint64, addr uint64) {
-	if s.l2.Access(addr, true) {
+func (t *tile) fillL2Dirty(now uint64, addr uint64) {
+	if t.l2.Access(addr, true) {
 		return
 	}
-	if v := s.l2.Allocate(addr, true); v.Valid && v.Dirty {
-		s.llc.WriteBack(now, v.Addr)
+	if v := t.l2.Allocate(addr, true); v.Valid && v.Dirty {
+		t.llc.WriteBack(now, v.Addr)
 	}
+}
+
+// drain writes the private caches' dirty lines back at the core's clock,
+// L1 into L2 and L2 into the LLC, leaving them resident and clean. buf
+// is victim-address scratch, handed back for reuse.
+func (t *tile) drain(buf []uint64) []uint64 {
+	now := t.core.Now()
+	l1d := buf[:0]
+	t.l1.DirtyLines(func(a uint64) { l1d = append(l1d, a) })
+	for _, a := range l1d {
+		t.fillL2Dirty(now, a)
+		t.l1.MarkClean(a)
+	}
+	l2d := l1d[:0]
+	t.l2.DirtyLines(func(a uint64) { l2d = append(l2d, a) })
+	for _, a := range l2d {
+		t.llc.WriteBack(now, a)
+		t.l2.MarkClean(a)
+	}
+	return l2d[:0]
 }
 
 // LoadF32 performs a timed load of a float value.
 func (s *System) LoadF32(addr uint64) float32 {
-	s.access(addr, false)
+	s.t.access(addr, false)
 	return s.Space.LoadF32(addr)
 }
 
 // StoreF32 performs a timed store of a float value.
 func (s *System) StoreF32(addr uint64, v float32) {
-	s.access(addr, true)
+	s.t.access(addr, true)
 	s.Space.StoreF32(addr, v)
 }
 
 // Load32 performs a timed load of a raw 32-bit value.
 func (s *System) Load32(addr uint64) uint32 {
-	s.access(addr, false)
+	s.t.access(addr, false)
 	return s.Space.Load32(addr)
 }
 
 // Store32 performs a timed store of a raw 32-bit value.
 func (s *System) Store32(addr uint64, v uint32) {
-	s.access(addr, true)
+	s.t.access(addr, true)
 	s.Space.Store32(addr, v)
 }
 
-// Flush drains the cache hierarchy to memory (end of run).
+// Flush drains the cache hierarchy to memory (end of run): every core's
+// private caches at its own clock, then the LLC at the slowest core's.
+// Lines stay resident, so a run may go on after it.
 func (s *System) Flush() {
-	now := s.Core.Now()
-	l1d := s.flushBuf[:0]
-	s.l1.DirtyLines(func(a uint64) { l1d = append(l1d, a) })
-	for _, a := range l1d {
-		s.fillL2Dirty(now, a)
-		s.l1.MarkClean(a)
+	var last uint64
+	for _, t := range s.tiles {
+		s.flushBuf = t.drain(s.flushBuf)
+		last = max(last, t.core.Now())
 	}
-	l2d := l1d[:0]
-	s.l2.DirtyLines(func(a uint64) { l2d = append(l2d, a) })
-	for _, a := range l2d {
-		s.llc.WriteBack(now, a)
-		s.l2.MarkClean(a)
-	}
-	s.flushBuf = l2d[:0]
-	s.llc.Flush(now)
+	s.llc.Flush(last)
 }
 
 // baselineLLC is the unmodified LLC: a plain set-associative cache in
@@ -526,29 +568,38 @@ type Result struct {
 	Histograms []obs.Summary `json:",omitempty"`
 }
 
-// Finish flushes the hierarchy and collects all statistics.
+// Finish flushes the hierarchy and collects all statistics over every
+// core: the slowest clock, summed instructions, loads and private-cache
+// accesses, and core 0's L1/L2 counters.
 func (s *System) Finish(benchmark string) Result {
 	s.Flush()
 	r := Result{
-		Design:       s.Cfg.Design,
-		Benchmark:    benchmark,
-		Cycles:       s.Core.Now(),
-		Instructions: s.Core.Instructions(),
-		IPC:          s.Core.IPC(),
-		DRAM:         s.Dram.Stats(),
-		L1:           s.l1.Stats(),
-		L2:           s.l2.Stats(),
+		Design:    s.Cfg.Design,
+		Benchmark: benchmark,
+		DRAM:      s.Dram.Stats(),
+		L1:        s.t.l1.Stats(),
+		L2:        s.t.l2.Stats(),
 	}
-	if s.Core.MemReads() > 0 {
-		r.AMAT = float64(s.Core.LoadLatencySum()) / float64(s.Core.MemReads())
+	counts := energy.Counts{Cores: len(s.tiles)}
+	var reads, latSum uint64
+	for _, t := range s.tiles {
+		r.Cycles = max(r.Cycles, t.core.Now())
+		r.Instructions += t.core.Instructions()
+		reads += t.core.MemReads()
+		latSum += t.core.LoadLatencySum()
+		counts.L1Accesses += t.l1.Stats().Accesses
+		counts.L2Accesses += t.l2.Stats().Accesses
+	}
+	if r.Cycles > 0 {
+		r.IPC = float64(r.Instructions) / float64(r.Cycles)
+	}
+	if reads > 0 {
+		r.AMAT = float64(latSum) / float64(reads)
 	}
 	// MPKI is computed below, after llcActivity() fills r.LLCMisses.
 
-	var counts energy.Counts
 	counts.Instructions = r.Instructions
 	counts.Cycles = r.Cycles
-	counts.L1Accesses = r.L1.Accesses
-	counts.L2Accesses = r.L2.Accesses
 	counts.DRAMActs = r.DRAM.Activations
 	counts.DRAMReads = r.DRAM.Reads
 	counts.DRAMWrites = r.DRAM.Writes

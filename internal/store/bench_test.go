@@ -528,7 +528,7 @@ func benchCompact(b *testing.B, segBytes int64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := benchStore(b, Config{SegmentTargetBytes: segBytes, MinDeadFraction: 0.1})
+		s := benchStore(b, Config{SegmentTargetBytes: segBytes, minDeadFraction: 0.1})
 		for r := 0; r < 8; r++ {
 			if _, err := s.Put32(fmt.Sprintf("keep-%d", r), live); err != nil {
 				b.Fatal(err)

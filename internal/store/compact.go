@@ -108,7 +108,7 @@ func (s *Store) pickVictim() *segMeta {
 		if m.liveBytes+m.deadBytes == 0 {
 			frac = 1 // header-only segment: pure overhead, always worth dropping
 		}
-		if frac >= s.cfg.MinDeadFraction && frac > bestFrac {
+		if frac >= s.cfg.minDeadFraction && frac > bestFrac {
 			best, bestFrac = m, frac
 		}
 	}
@@ -122,7 +122,7 @@ func (s *Store) rollFragmentedActive() *segMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.active
-	if s.closed || m.deadFraction() < s.cfg.MinDeadFraction || s.rollActive() != nil {
+	if s.closed || m.deadFraction() < s.cfg.minDeadFraction || s.rollActive() != nil {
 		return nil
 	}
 	return m

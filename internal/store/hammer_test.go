@@ -21,7 +21,7 @@ import (
 func TestStoreConcurrentHammer(t *testing.T) {
 	s := openTest(t, Config{
 		SegmentTargetBytes: 128 << 10,
-		MinDeadFraction:    0.05,
+		minDeadFraction:    0.05,
 	})
 	// Each put of a key alternates between two vectors, so a read that
 	// came back with a superseded value would show.

@@ -211,7 +211,7 @@ func runSchedule(t *testing.T, seed int64, sched []cutOp, syncEvery bool, cut in
 		}
 		return nil
 	}
-	r.cfg = Config{Dir: "d", SegmentTargetBytes: 2 << 10, MinDeadFraction: 0.05, SyncEveryPut: syncEvery, fs: r.fs}
+	r.cfg = Config{Dir: "d", SegmentTargetBytes: 2 << 10, minDeadFraction: 0.05, SyncEveryPut: syncEvery, fs: r.fs}
 	for k := range r.hist {
 		r.hist[k] = []cutVersion{{acked: true, syncs: -1}}
 	}

@@ -59,9 +59,6 @@ type Config struct {
 	// with this period (0 disables; compaction can still be driven
 	// explicitly via CompactOnce).
 	CompactEvery time.Duration
-	// MinDeadFraction is the dead-byte fraction a sealed segment must
-	// reach before the worker rewrites it (default 0.25).
-	MinDeadFraction float64
 	// SyncEveryPut fsyncs the active segment after every Put (durable
 	// but slow); by default data is fsynced on segment roll and Close.
 	SyncEveryPut bool
@@ -75,6 +72,10 @@ type Config struct {
 	// Ignored when CacheBytes is 0.
 	Prefetch bool
 
+	// minDeadFraction is the dead-byte fraction a sealed segment must
+	// reach before compaction rewrites it (default 0.25); tests in this
+	// package lower it to compact small stores.
+	minDeadFraction float64
 	// fs is what the store reaches the disk through: osFS, unless a test
 	// in this package put its model of a crashing disk here.
 	fs fsys
@@ -91,8 +92,8 @@ func (c Config) withDefaults() Config {
 	if c.SegmentTargetBytes <= 0 {
 		c.SegmentTargetBytes = 64 << 20
 	}
-	if c.MinDeadFraction <= 0 {
-		c.MinDeadFraction = 0.25
+	if c.minDeadFraction <= 0 {
+		c.minDeadFraction = 0.25
 	}
 	if c.fs == nil {
 		c.fs = osFS{}

@@ -46,7 +46,7 @@ STORE_PKGS=". ./internal/lossless ./internal/simd ./internal/vec ./internal/stor
 # access dominates run time at scale. The obs instrumentation is held to
 # the same bar both disabled (nil receiver) and enabled (preallocated
 # ring/buckets).
-GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLookupMiss BenchmarkDRAMAccess BenchmarkDRAMAccessRandom BenchmarkSystemAccess BenchmarkSystemAccessAVR BenchmarkSystemAccessAVRWrite BenchmarkRecorderDisabled BenchmarkRecorderRecord BenchmarkHistogramDisabled BenchmarkHistogramObserve"
+GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLookupMiss BenchmarkDRAMAccess BenchmarkDRAMAccessRandom BenchmarkSystemAccess BenchmarkSystemAccessRecorded BenchmarkSystemAccessAVR BenchmarkSystemAccessAVRWrite BenchmarkRecorderDisabled BenchmarkRecorderRecord BenchmarkHistogramDisabled BenchmarkHistogramObserve"
 # Serving-path gate: the codec-pool handoff sits on every request, and
 # the store put/get hot paths are allocation-free by contract — pooled
 # scratch on the write side, caller-supplied destinations (Get*IntoCached) on
