@@ -65,11 +65,7 @@ func RunBenchmark(benchmark string, d Design, sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := sim.PresetSmall(d)
-	if sc == ScaleSlice {
-		cfg = sim.PresetSlice(d)
-	}
-	sys := sim.New(cfg)
+	sys := sim.New(sc.Preset(d))
 	w.Setup(sys, sc)
 	sys.Prime()
 	w.Run(sys)
@@ -84,11 +80,7 @@ type MultiResult = sim.MultiResult
 // Only benchmarks with a parallel decomposition are supported: heat,
 // kmeans and bscholes.
 func RunMulticore(benchmark string, d Design, cores int, sc Scale) (MultiResult, error) {
-	cfg := sim.PresetSmall(d)
-	if sc == ScaleSlice {
-		cfg = sim.PresetSlice(d)
-	}
-	return experiments.SimulateMulti(benchmark, experiments.SharedCMP(cfg), cores, sc)
+	return experiments.SimulateMulti(benchmark, experiments.SharedCMP(sc.Preset(d)), cores, sc)
 }
 
 // OutputError runs a benchmark on the baseline and on design d and

@@ -92,15 +92,7 @@ func main() {
 			"segments", stats.Segments, "disk_bytes", stats.DiskBytes)
 	}
 
-	srv := server.New(server.Config{
-		Workers:          d.Workers,
-		QueueDepth:       d.Queue,
-		MaxBodyBytes:     d.MaxBody,
-		QueueTimeout:     d.QueueTimeout,
-		T1:               t1,
-		Store:            st,
-		TraceSampleEvery: d.TraceSample,
-		TraceSink:        d.TraceSink(),
-	})
-	d.Run("avrd", srv, "queue", d.Queue, "max_body", d.MaxBody)
+	frame := d.Frame()
+	srv := server.New(server.Config{TierConfig: frame, T1: t1, Store: st})
+	d.Run("avrd", srv, "queue", frame.QueueDepth, "max_body", frame.MaxBodyBytes)
 }

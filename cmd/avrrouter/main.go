@@ -61,20 +61,15 @@ func main() {
 	}
 
 	ro, err := cluster.New(cluster.Config{
-		Topology:         topo,
-		Workers:          d.Workers,
-		QueueDepth:       d.Queue,
-		MaxBodyBytes:     d.MaxBody,
-		QueueTimeout:     d.QueueTimeout,
-		LegTimeout:       *legTimeout,
-		Retries:          *retries,
-		RetryBackoff:     *retryBackoff,
-		ProbeInterval:    *probeInterval,
-		EjectAfter:       *ejectAfter,
-		ReadmitAfter:     *readmitAfter,
-		TraceSampleEvery: d.TraceSample,
-		TraceSink:        d.TraceSink(),
-		CacheBytes:       *cacheBytes,
+		Topology:      topo,
+		TierConfig:    d.Frame(),
+		LegTimeout:    *legTimeout,
+		Retries:       *retries,
+		RetryBackoff:  *retryBackoff,
+		ProbeInterval: *probeInterval,
+		EjectAfter:    *ejectAfter,
+		ReadmitAfter:  *readmitAfter,
+		CacheBytes:    *cacheBytes,
 	})
 	if err != nil {
 		cliutil.Fatal(err)

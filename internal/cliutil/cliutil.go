@@ -79,14 +79,6 @@ func GenVec(dist string, n, width int, seed uint64) (vec.Vec, error) {
 	return vec.Of32(v), err
 }
 
-// Preset builds the design's preset configuration at a scale.
-func Preset(d sim.Design, sc workloads.Scale) sim.Config {
-	if sc == workloads.ScaleSlice {
-		return sim.PresetSlice(d)
-	}
-	return sim.PresetSmall(d)
-}
-
 // ResolveRun resolves a parsed Flags into the design, the scale and the
 // matching preset configuration.
 func (f *Flags) ResolveRun() (sim.Design, workloads.Scale, sim.Config, error) {
@@ -98,7 +90,7 @@ func (f *Flags) ResolveRun() (sim.Design, workloads.Scale, sim.Config, error) {
 	if err != nil {
 		return 0, 0, sim.Config{}, err
 	}
-	return d, sc, Preset(d, sc), nil
+	return d, sc, sc.Preset(d), nil
 }
 
 // StartDebug starts the expvar/pprof server when addr is non-empty and

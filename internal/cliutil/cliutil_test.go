@@ -83,8 +83,8 @@ func TestResolveRunRejectsBadDesign(t *testing.T) {
 
 func TestPresetCoversAllDesigns(t *testing.T) {
 	for _, d := range sim.Designs {
-		small := Preset(d, workloads.ScaleSmall)
-		slice := Preset(d, workloads.ScaleSlice)
+		small := workloads.ScaleSmall.Preset(d)
+		slice := workloads.ScaleSlice.Preset(d)
 		if small.LLCBytes >= slice.LLCBytes {
 			t.Errorf("%v: small preset not smaller than slice", d)
 		}

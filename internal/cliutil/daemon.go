@@ -5,7 +5,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -14,18 +13,18 @@ import (
 	"runtime"
 	"syscall"
 	"time"
+
+	"avr/internal/server"
 )
 
 // Daemon is the half avrd and avrrouter share: the ten flags both take,
 // and listening, serving and draining under them.
 type Daemon struct {
-	Addr, AddrFile             string
-	Workers, Queue             int
-	MaxBody                    int64
-	QueueTimeout, DrainTimeout time.Duration
-	TraceSample                int
-	TraceFile                  string
-	DebugAddr                  string
+	Addr, AddrFile string
+	DrainTimeout   time.Duration
+	TraceFile      string
+	DebugAddr      string
+	frame          server.TierConfig // the five frame flags; Frame adds -trace-file's sink
 }
 
 // RegisterDaemon installs the shared daemon flags on fs; -addr defaults
@@ -34,29 +33,30 @@ func RegisterDaemon(fs *flag.FlagSet, defaultAddr string) *Daemon {
 	d := &Daemon{}
 	fs.StringVar(&d.Addr, "addr", defaultAddr, "listen address (use :0 for an ephemeral port)")
 	fs.StringVar(&d.AddrFile, "addr-file", "", "write the bound address to this file (for scripts, with -addr :0)")
-	fs.IntVar(&d.Workers, "workers", runtime.GOMAXPROCS(0), "max concurrently served requests")
-	fs.IntVar(&d.Queue, "queue", 0, "admission queue depth; 0 = 4×workers (beyond it requests shed with 429)")
-	fs.Int64Var(&d.MaxBody, "max-body", 8<<20, "max request body bytes (413 above)")
-	fs.DurationVar(&d.QueueTimeout, "queue-timeout", 2*time.Second, "max wait for a worker before 503")
+	fs.IntVar(&d.frame.Workers, "workers", runtime.GOMAXPROCS(0), "max concurrently served requests")
+	fs.IntVar(&d.frame.QueueDepth, "queue", 0, "admission queue depth; 0 = 4×workers (beyond it requests shed with 429)")
+	fs.Int64Var(&d.frame.MaxBodyBytes, "max-body", 8<<20, "max request body bytes (413 above)")
+	fs.DurationVar(&d.frame.QueueTimeout, "queue-timeout", 2*time.Second, "max wait for a worker before 503")
 	fs.DurationVar(&d.DrainTimeout, "drain-timeout", 15*time.Second, "max wait for in-flight requests on shutdown")
-	fs.IntVar(&d.TraceSample, "trace-sample", 0, "export one of every N request traces as JSONL; 0 = default (64), needs -trace-file")
+	fs.IntVar(&d.frame.TraceSampleEvery, "trace-sample", 0, "export one of every N request traces as JSONL; 0 = default (64), needs -trace-file")
 	fs.StringVar(&d.TraceFile, "trace-file", "", "append sampled request-trace JSONL to this file (empty disables export)")
 	RegisterDebug(fs, &d.DebugAddr)
 	return d
 }
 
-// TraceSink opens -trace-file for appending, for the life of the
-// process; nil when the flag is unset.
-func (d *Daemon) TraceSink() io.Writer {
-	if d.TraceFile == "" {
-		return nil
+// Frame is the tier settings the flags name, with -trace-file, when set,
+// opened for appending for the life of the process as the trace sink.
+func (d *Daemon) Frame() server.TierConfig {
+	c := d.frame
+	if d.TraceFile != "" {
+		tf, err := os.OpenFile(d.TraceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			Fatal(err)
+		}
+		slog.Info("trace export on", "file", d.TraceFile, "sample_every", c.TraceSampleEvery)
+		c.TraceSink = tf
 	}
-	tf, err := os.OpenFile(d.TraceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		Fatal(err)
-	}
-	slog.Info("trace export on", "file", d.TraceFile, "sample_every", d.TraceSample)
-	return tf
+	return c
 }
 
 // Tier is what a Daemon serves: *server.Server or *cluster.Router.
@@ -81,7 +81,7 @@ func (d *Daemon) Serve(ctx context.Context, name string, t Tier, attrs ...any) e
 			return err
 		}
 	}
-	slog.Info(name+" listening", append([]any{"addr", bound, "workers", d.Workers}, attrs...)...)
+	slog.Info(name+" listening", append([]any{"addr", bound, "workers", d.frame.Workers}, attrs...)...)
 
 	errc := make(chan error, 1)
 	go func() { errc <- t.Serve(ln) }()

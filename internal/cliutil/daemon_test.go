@@ -52,12 +52,13 @@ func TestRegisterDaemonDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if d.Addr != "localhost:9090" || d.Queue != 0 || d.MaxBody != 8<<20 ||
-		d.QueueTimeout != 2*time.Second || d.DrainTimeout != 15*time.Second ||
-		d.Workers < 1 || d.TraceSample != 0 || d.TraceFile != "" || d.AddrFile != "" || d.DebugAddr != "" {
+	f := d.frame
+	if d.Addr != "localhost:9090" || f.QueueDepth != 0 || f.MaxBodyBytes != 8<<20 ||
+		f.QueueTimeout != 2*time.Second || d.DrainTimeout != 15*time.Second ||
+		f.Workers < 1 || f.TraceSampleEvery != 0 || d.TraceFile != "" || d.AddrFile != "" || d.DebugAddr != "" {
 		t.Errorf("defaults: %+v", d)
 	}
-	if d.TraceSink() != nil {
+	if d.Frame().TraceSink != nil {
 		t.Error("a trace sink without -trace-file")
 	}
 }

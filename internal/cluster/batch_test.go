@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"avr/internal/server"
 	"avr/internal/store"
 	"avr/internal/vec"
+	"avr/internal/workloads"
 )
 
 // postJSON posts body and decodes a JSON reply into out (nil skips).
@@ -186,18 +188,13 @@ func fakeFleet(t *testing.T, shards ...http.HandlerFunc) *httptest.Server {
 	return ts
 }
 
-// TestRouterBatchAllLegsShed: when every leg sheds, the batch is a 429
-// carrying the largest Retry-After the fleet asked for.
+// TestRouterBatchAllLegsShed: when every leg of a batch sheds, each node
+// with its own Retry-After, the batch is a 429 carrying the largest
+// Retry-After the fleet asked for.
 func TestRouterBatchAllLegsShed(t *testing.T) {
-	shedWith := func(secs string) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Retry-After", secs)
-			http.Error(w, "shedding", http.StatusTooManyRequests)
-		}
-	}
-	ts := fakeFleet(t, shedWith("4"), shedWith("9"))
-	var items []server.BatchPutItem
+	tc := shedFleet(t)
 	var names []string
+	var items []server.BatchPutItem
 	for k := 0; k < 16; k++ { // enough keys to touch both nodes as first leg
 		names = append(names, fmt.Sprintf("shed-%d", k))
 		items = append(items, server.BatchPutItem{Key: names[k], Data: f32le(1, 2)})
@@ -206,7 +203,7 @@ func TestRouterBatchAllLegsShed(t *testing.T) {
 		"/v1/store/mput": mputBody(items...),
 		"/v1/store/mget": mgetBody(names...),
 	} {
-		resp := postJSON(t, ts.URL+path, body, nil)
+		resp := postJSON(t, tc.router.URL+path, body, nil)
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Errorf("%s: status %d, want 429", path, resp.StatusCode)
 		}
@@ -331,100 +328,6 @@ func TestRouterBatchBadLegResponse(t *testing.T) {
 		}
 	}
 
-	// A replica whose answer for a key is not a container — raw values, a
-	// container that does not decode, text that is not base64 — has given
-	// that key a bad response: the key fails over to its other replica,
-	// on a get as in a batch, and comes back whole.
-	badKinds := []string{"raw", "corrupt", "garbled"}
-	var badAsked sync.Map
-	replica := func(bad bool) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			container := containerOf(t, f32le(7, 8, 9))
-			answer := func(key string) (data []byte, encoded bool) {
-				if !bad {
-					return container, true
-				}
-				kind := key[:strings.IndexByte(key, '-')]
-				n, _ := badAsked.LoadOrStore(kind, new(atomic.Int64))
-				n.(*atomic.Int64).Add(1)
-				switch kind {
-				case "raw":
-					return f32le(7, 8, 9), false
-				case "corrupt":
-					return container[:len(container)-1], true
-				}
-				return container[1:], true // and on an mget, its text garbled below
-			}
-			switch r.URL.Path {
-			case "/v1/store/get":
-				if a := r.Header.Get("Accept"); a != server.ContainerType {
-					t.Errorf("get leg Accept %q, want %s", a, server.ContainerType)
-				}
-				data, encoded := answer(r.URL.Query().Get("key"))
-				if encoded {
-					w.Header().Set("Content-Type", server.ContainerType)
-				}
-				w.Header().Set("X-AVR-Complete", "true")
-				w.Write(data)
-			case "/v1/store/mget":
-				var req server.BatchGetRequest
-				json.NewDecoder(r.Body).Decode(&req)
-				out := []byte(server.GetResultOpen)
-				for i, k := range req.Keys {
-					if i > 0 {
-						out = append(out, ',')
-					}
-					data, encoded := answer(k)
-					out = server.AppendGetResult(out, k, 32, true, encoded, data)
-					if bad && strings.HasPrefix(k, "garbled-") {
-						out[len(out)-4] = '*'
-					}
-				}
-				w.Write(append(out, server.BatchClose...))
-			}
-		}
-	}
-	ts = fakeFleet(t, replica(true), replica(false))
-	var keys []string
-	for _, kind := range badKinds {
-		for i := 0; i < 8; i++ { // enough keys for each kind to reach the bad replica first
-			keys = append(keys, fmt.Sprintf("%s-%d", kind, i))
-		}
-	}
-	before := obs.RouterFailovers.Value()
-	var gres server.BatchGetResult
-	postJSON(t, ts.URL+"/v1/store/mget", mgetBody(keys...), &gres)
-	if len(gres.Results) != len(keys) {
-		t.Fatalf("mget over a bad replica: %d results for %d keys", len(gres.Results), len(keys))
-	}
-	for i, g := range gres.Results {
-		if g.Key != keys[i] || !g.OK || !bytes.Equal(g.Data, f32le(7, 8, 9)) {
-			t.Errorf("mget %q over a bad replica: %+v, want the good replica's values", keys[i], g)
-		}
-	}
-	for _, k := range keys {
-		resp, err := http.Get(ts.URL + "/v1/store/get?key=" + k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(raw, f32le(7, 8, 9)) {
-			t.Errorf("get %q over a bad replica: %d %q, want the good replica's values", k, resp.StatusCode, raw)
-		}
-	}
-	asked := int64(0)
-	for _, kind := range badKinds {
-		n, ok := badAsked.Load(kind)
-		if !ok {
-			t.Fatalf("the bad replica was never asked for a %s key", kind)
-		}
-		asked += n.(*atomic.Int64).Load()
-	}
-	if got := obs.RouterFailovers.Value() - before; got != asked {
-		t.Errorf("%d failovers, want one for each of the %d keys the bad replica answered", got, asked)
-	}
-
 	// The same damage in a request, against real shards: through the
 	// router, which decodes a payload to encode it, and at a shard.
 	tc := newTestCluster(t, 2, Config{})
@@ -454,33 +357,106 @@ func TestRouterBatchBadLegResponse(t *testing.T) {
 	}
 }
 
+// TestRouterCorruptReplies: a replica whose answer for a key is not a
+// container — raw values, one byte short, missing its first byte or, in a
+// batch, text that is not base64 — has given that key a bad response: the
+// key fails over to its other replica, on a get as in a batch, and comes
+// back whole.
+func TestRouterCorruptReplies(t *testing.T) {
+	tc := newTestCluster(t, 2, Config{})
+	const bad = 0
+	var keys []string
+	var vals [][]float32
+	want := map[string][]byte{}
+	firstBad := 0
+	for k := 0; k < 16; k++ {
+		v, err := workloads.GenFloat32("heat", 4096, uint64(k+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, vals = append(keys, fmt.Sprintf("c-%d", k)), append(vals, v)
+		tc.put(t, keys[k], v)
+		_, want[keys[k]] = get(t, tc.router.URL+"/v1/store/get?key="+keys[k])
+		if first, _ := tc.ro.legs(keys[k]); first == bad {
+			firstBad++
+		}
+	}
+	if firstBad == 0 {
+		t.Fatal("no key reads from the bad replica first: nothing tested")
+	}
+	for _, kind := range []string{"raw", "truncate", "garble"} {
+		t.Run(kind, func(t *testing.T) {
+			tc.faults.set(1, fault{kind: kind, nodes: []int{bad}})
+			before := obs.RouterFailovers.Value()
+			var gres server.BatchGetResult
+			postJSON(t, tc.router.URL+"/v1/store/mget", mgetBody(keys...), &gres)
+			if len(gres.Results) != len(keys) {
+				t.Fatalf("mget over a bad replica: %d results for %d keys", len(gres.Results), len(keys))
+			}
+			for i, g := range gres.Results {
+				if g.Key != keys[i] || !g.OK || !bytes.Equal(g.Data, want[g.Key]) {
+					t.Errorf("mget %q over a bad replica: ok=%v error=%q, want the good replica's values", keys[i], g.OK, g.Error)
+				}
+			}
+			for _, k := range keys {
+				if resp, raw := get(t, tc.router.URL+"/v1/store/get?key="+k); resp.StatusCode != http.StatusOK || !bytes.Equal(raw, want[k]) {
+					t.Errorf("get %q over a bad replica: status %d, want the good replica's values", k, resp.StatusCode)
+				}
+			}
+			if got := obs.RouterFailovers.Value() - before; got != int64(2*firstBad) {
+				t.Errorf("%d failovers, want one for each of the %d reads the bad replica answered", got, 2*firstBad)
+			}
+		})
+	}
+
+	// Expected to fail — ROADMAP item 3, hole 7: the hop carries no
+	// checksum, so a container with one bit flipped that still decodes is
+	// served with a 200, values outside t1 and all. This asserts today's
+	// behaviour; once no such value is served the hole is closed, and the
+	// assertion flips to "none is".
+	t.Run("flip", func(t *testing.T) {
+		tc.faults.set(1, fault{kind: "flip", path: "/v1/store/get"})
+		gets, wrong := 0, 0
+		for round := 0; round < 4; round++ {
+			for k, key := range keys {
+				resp, raw := get(t, tc.router.URL+"/v1/store/get?key="+key)
+				if resp.StatusCode != http.StatusOK {
+					continue
+				}
+				gets++
+				for i, v := range leF32(raw) {
+					if w := float64(vals[k][i]); math.Abs(float64(v)-w) > tc.t1*math.Abs(w)*(1+1e-9)+1e-12 {
+						wrong++
+						break
+					}
+				}
+			}
+		}
+		if wrong == 0 {
+			t.Fatalf("no flipped container was served out of bound in %d gets: item 3's hole 7 looks closed — make this sub-test assert that none is", gets)
+		}
+		t.Logf("item 3, hole 7 (expected): %d of %d gets served a flipped container's values outside t1", wrong, gets)
+	})
+}
+
 // TestRouterPooledBufferHammer is the -race load beside the two
 // deterministic lifetime tests below: puts, gets, batched puts and
 // batched gets at overlapping keys through a router with its GET cache
-// on, while one node answers every third write with an immediate 503,
-// before reading the body, so legs are retried from the same pooled
-// buffer. Every value read back must be a version some writer gave that
+// on, while one node answers a seeded third of the writes with an
+// immediate 503, the body unread, so legs are retried from the same
+// pooled buffer. Every value read back must be a version some writer gave that
 // very key: bytes of another request showing up in a body, a leg or a
 // cached reply mean a buffer went back to the pool while still
 // referenced.
 func TestRouterPooledBufferHammer(t *testing.T) {
-	var posts atomic.Int64
-	flaky := func(i int, h http.Handler) http.Handler {
-		if i != 0 {
-			return h
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet && posts.Add(1)%3 == 0 {
-				http.Error(w, "injected", http.StatusServiceUnavailable)
-				return
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
 	tc := newTestCluster(t, 3, Config{
 		CacheBytes:   4 << 20,
 		RetryBackoff: time.Millisecond,
-	}, flaky)
+	})
+	flaky := func(method string) fault {
+		return fault{kind: "reply", nodes: []int{0}, method: method, rate: 1.0 / 3, status: http.StatusServiceUnavailable}
+	}
+	tc.faults.set(1, flaky(http.MethodPut), flaky(http.MethodPost))
 
 	const (
 		keys, vn = 12, 4096 // 16 KiB a key: bodies span many socket writes
@@ -586,38 +562,9 @@ func TestRouterPooledBufferHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if posts.Load() < 3 {
-		t.Fatalf("only %d writes reached the flaky node: nothing was injected", posts.Load())
+	if n := len(tc.faults.exchanges(func(ex exchange) bool { return ex.fault == "reply" })); n < 3 {
+		t.Fatalf("only %d writes to the flaky node were answered 503", n)
 	}
-}
-
-// heldBody is a leg request body a stragglerTransport has not finished
-// with.
-type heldBody struct {
-	trace, path string
-	body        io.ReadCloser
-}
-
-// stragglerTransport is the transport at its legal worst: every round
-// trip answers 503 at once and keeps the request body, unread and
-// unclosed, until the test asks for it — what net/http's transport does
-// for a moment whenever a node answers before reading, or a leg's
-// deadline passes mid-write.
-type stragglerTransport struct {
-	mu   sync.Mutex
-	held []heldBody
-}
-
-func (st *stragglerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body != nil {
-		st.mu.Lock()
-		st.held = append(st.held, heldBody{req.Header.Get("X-AVR-Trace"), req.URL.Path, req.Body})
-		st.mu.Unlock()
-	}
-	return &http.Response{
-		StatusCode: http.StatusServiceUnavailable, Header: http.Header{},
-		Body: io.NopCloser(strings.NewReader("busy")), ContentLength: 4, Request: req,
-	}, nil
 }
 
 // keyPayload is 4 KiB only key's body could hold.
@@ -633,23 +580,21 @@ func keyPayload(key string) []byte {
 // — a put's container, shared by its two legs, or an mput leg's batch of
 // containers — must keep its bytes however many later requests have gone
 // through the buffer pool since: the pooled buffer may only be recycled
-// once the transport has closed every body reading it.
+// once the transport has closed every body reading it. The transport is
+// at its legal worst: every write leg is answered 503 at once, its body
+// kept unread and unclosed until the test asks for it — what net/http's
+// transport does for a moment whenever a node answers before reading, or
+// a leg's deadline passes mid-write.
 func TestLegBodiesOutliveTheRoundTrip(t *testing.T) {
-	topo := Topology{VNodes: 16, Nodes: []Node{
-		{Name: "a", Addr: "127.0.0.1:1"}, {Name: "b", Addr: "127.0.0.1:2"}}}
-	ro, err := New(Config{Topology: topo, ProbeInterval: -1, Retries: 1, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	tc := newTestCluster(t, 2, Config{Retries: 1, RetryBackoff: time.Millisecond})
+	tc.ro.encoding.Store(testEncoding()) // what containerOf encodes at
+	straggle := func(method string) fault {
+		return fault{kind: "reply", method: method, status: http.StatusServiceUnavailable, hold: true}
 	}
-	defer ro.Close()
-	ro.encoding.Store(testEncoding()) // no node will ever answer /v1/store/stats
-	st := &stragglerTransport{}
-	ro.client.Transport = st
-	ts := httptest.NewServer(ro.Handler())
-	defer ts.Close()
+	tc.faults.set(1, straggle(http.MethodPut), straggle(http.MethodPost))
 
 	send := func(method, path, trace string, body []byte) {
-		req, _ := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		req, _ := http.NewRequest(method, tc.router.URL+path, bytes.NewReader(body))
 		req.Header.Set("X-AVR-Trace", trace)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -671,12 +616,13 @@ func TestLegBodiesOutliveTheRoundTrip(t *testing.T) {
 	}
 
 	// Every handler has returned; only now does the transport read.
-	if len(st.held) < 4*requests {
-		t.Fatalf("transport holds %d bodies, want at least two legs each for %d puts and mputs", len(st.held), requests)
+	held := tc.faults.exchanges(func(ex exchange) bool { return ex.held != nil })
+	if len(held) < 4*requests {
+		t.Fatalf("transport holds %d bodies, want at least two legs each for %d puts and mputs", len(held), requests)
 	}
-	for _, h := range st.held {
-		raw, err := io.ReadAll(h.body)
-		h.body.Close()
+	for _, h := range held {
+		raw, err := io.ReadAll(h.held)
+		h.held.Close()
 		if err != nil {
 			t.Fatalf("%s %s: reading the held body: %v", h.trace, h.path, err)
 		}

@@ -37,6 +37,11 @@ type frameLimits struct {
 	timeout        time.Duration
 }
 
+// tier is the frame settings a tier under test runs with.
+func (lim frameLimits) tier() server.TierConfig {
+	return server.TierConfig{Workers: lim.workers, QueueDepth: lim.depth, QueueTimeout: lim.timeout, MaxBodyBytes: frameCap}
+}
+
 var roomy = frameLimits{workers: 2, depth: 8, timeout: 5 * time.Second}
 
 type frameTier struct {
@@ -107,8 +112,7 @@ func newAvrdTier(t testing.TB, lim frameLimits) *frameTier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Config{Store: st, MaxBodyBytes: frameCap,
-		Workers: lim.workers, QueueDepth: lim.depth, QueueTimeout: lim.timeout})
+	srv := server.New(server.Config{Store: st, TierConfig: lim.tier()})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); st.Close() })
 	raw, stream, mput, mget, mgetEncoded := frameBodies(t)
@@ -122,8 +126,7 @@ func newAvrdTier(t testing.TB, lim frameLimits) *frameTier {
 
 func newRouterTier(t testing.TB, lim frameLimits) *frameTier {
 	t.Helper()
-	tc := newTestCluster(t, 2, Config{MaxBodyBytes: frameCap,
-		Workers: lim.workers, QueueDepth: lim.depth, QueueTimeout: lim.timeout})
+	tc := newTestCluster(t, 2, Config{TierConfig: lim.tier()})
 	raw, _, mput, mget, mgetEncoded := frameBodies(t)
 	ft := &frameTier{url: tc.router.URL, tier: tc.ro.Tier, eps: append(storeEndpoints(raw, mput, mget, mgetEncoded),
 		frameEndpoint{name: "query_all", method: http.MethodGet, path: "/v1/store/query", ok: 200},
@@ -239,7 +242,7 @@ type tally struct{ requests, shed, errors int64 }
 // counters.
 func (ft *frameTier) idle(t testing.TB) tally {
 	t.Helper()
-	c := ft.tier.Config().Counters
+	c := ft.tier.Counters()
 	deadline := time.Now().Add(5 * time.Second)
 	for ft.tier.Gate().Queued() != 0 || c.InFlight.Value() != 0 {
 		if time.Now().After(deadline) {

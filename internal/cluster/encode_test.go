@@ -10,9 +10,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"avr/internal/obs"
 	"avr/internal/server"
@@ -111,23 +113,36 @@ func TestReplicasHoldIdenticalBlocks(t *testing.T) {
 	}
 }
 
+// TestPutReplyLostAfterApply: the primary applies a put and its reply is
+// lost on the way back; the leg is retried, the put is acknowledged on
+// both replicas, and they hold the same blocks byte for byte.
+func TestPutReplyLostAfterApply(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{RetryBackoff: time.Millisecond})
+	const key, vn = "lost-reply", 3*store.BlockValues + 5
+	p, rep := tc.ro.ring.Owners(key)
+	tc.faults.set(1, fault{kind: "drop", nodes: []int{p}, method: http.MethodPut, first: 1})
+	puts := obs.StorePuts.Value()
+	resp := tc.put(t, key, testVals(9, vn))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-AVR-Replicas") != "2" {
+		t.Fatalf("put whose primary reply was lost: status %d, replicas %q, want 200 on 2", resp.StatusCode, resp.Header.Get("X-AVR-Replicas"))
+	}
+	if n := len(tc.faults.exchanges(func(ex exchange) bool { return ex.fault == "drop" })); n != 1 || obs.StorePuts.Value()-puts != 3 {
+		t.Fatalf("%d replies lost and %d store puts, want 1 lost and 3 puts (the primary's twice)", n, obs.StorePuts.Value()-puts)
+	}
+	a, b := liveBlocks(t, tc.stores[p], key), liveBlocks(t, tc.stores[rep], key)
+	if len(a) != 4 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("%d blocks on the primary, %d on the replica, want the same 4", len(a), len(b))
+	}
+}
+
 // TestShardAtAnotherT1 misconfigures one shard of three: the router
 // encodes at what the first node told it, the odd shard refuses every
 // container with 409, and each key it co-owns is acknowledged with one
 // replica, whose copy is within the bound. /v1/stats says what the
 // router encodes at and who told it.
 func TestShardAtAnotherT1(t *testing.T) {
-	var conflicts atomic.Int64
-	count409 := func(i int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rec := &statusRecorder{ResponseWriter: w}
-			h.ServeHTTP(rec, r)
-			if rec.status == http.StatusConflict {
-				conflicts.Add(1)
-			}
-		})
-	}
-	tc := newTestClusterAt(t, []store.Config{{}, {}, {T1: 1.0 / 8}}, Config{}, count409)
+	tc := newTestClusterAt(t, []store.Config{{}, {}, {T1: 1.0 / 8}}, Config{})
+	tc.faults.set(1)
 	const odd, vn = 2, 300
 	var items []server.BatchPutItem
 	for k := 0; k < 16; k++ {
@@ -165,7 +180,7 @@ func TestShardAtAnotherT1(t *testing.T) {
 	if ones == 0 || puts409 == 0 {
 		t.Fatalf("no key of the batch (%d) or of the puts (%d) is co-owned by the odd shard: nothing tested", ones, puts409)
 	}
-	if got := conflicts.Load(); got != int64(puts409) {
+	if got := len(tc.faults.exchanges(func(ex exchange) bool { return ex.node == odd && ex.status == http.StatusConflict })); got != puts409 {
 		t.Errorf("the odd shard answered %d puts with 409, want %d", got, puts409)
 	}
 	if n := len(tc.stores[odd].Keys()); n != 0 {
@@ -191,35 +206,17 @@ func TestShardAtAnotherT1(t *testing.T) {
 	}
 }
 
-// statusRecorder notes the status a handler answered with.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
 // TestRouterBeforeItsShards: a router that cannot reach a shard has
 // nothing to encode at and says so like any all-legs-failed write; the
 // first write after a shard is up learns from it and is stored.
 func TestRouterBeforeItsShards(t *testing.T) {
-	var up [3]atomic.Bool
-	gate := func(i int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !up[i].Load() {
-				http.Error(w, "not started", http.StatusServiceUnavailable)
-				return
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	tc := newTestCluster(t, 3, Config{Retries: 1, RetryBackoff: 1}, gate)
+	tc := newTestCluster(t, 3, Config{Retries: 1, RetryBackoff: 1})
 	key := "early"
 	owner, _ := tc.ro.ring.Owners(key)
 	vals := testVals(7, 500)
+	// A shard that has not started refuses connections.
+	down := func(nodes ...int) { tc.faults.set(1, fault{kind: "partition", nodes: nodes}) }
+	down(0, 1, 2)
 
 	if resp := tc.put(t, key, vals); resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("put with no shard up: status %d, want 502", resp.StatusCode)
@@ -232,7 +229,7 @@ func TestRouterBeforeItsShards(t *testing.T) {
 		t.Fatalf("the router learned %+v from shards that were down", enc)
 	}
 
-	up[owner].Store(true)
+	down(slices.DeleteFunc([]int{0, 1, 2}, func(i int) bool { return i == owner })...)
 	resp := tc.put(t, key, vals)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-AVR-Replicas") != "1" {
 		t.Fatalf("first put after a shard came up: status %d, replicas %q", resp.StatusCode, resp.Header.Get("X-AVR-Replicas"))

@@ -450,15 +450,15 @@ type RouterStats struct {
 
 // Stats snapshots the router's state.
 func (ro *Router) Stats() RouterStats {
-	tier := ro.Config()
+	tier, c := ro.Config(), ro.Counters()
 	st := RouterStats{
 		UptimeSeconds: ro.Uptime().Seconds(),
 		Workers:       tier.Workers,
 		QueueDepth:    tier.QueueDepth,
 		Queued:        ro.Gate().Queued(),
-		Requests:      obs.RouterRequests.Value(),
-		Shed:          obs.RouterShed.Value(),
-		Errors:        obs.RouterErrors.Value(),
+		Requests:      c.Requests.Value(),
+		Shed:          c.Shed.Value(),
+		Errors:        c.Errors.Value(),
 		Fanouts:       obs.RouterFanouts.Value(),
 		Failovers:     obs.RouterFailovers.Value(),
 		Retries:       obs.RouterRetries.Value(),

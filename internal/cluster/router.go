@@ -22,16 +22,8 @@ import (
 type Config struct {
 	// Topology is the static cluster description (required).
 	Topology Topology
-	// Workers caps concurrently proxied requests (default GOMAXPROCS).
-	Workers int
-	// QueueDepth caps requests waiting for a worker slot; arrivals
-	// beyond it shed with 429 (default 4×Workers).
-	QueueDepth int
-	// MaxBodyBytes caps request bodies; larger bodies get 413 (default
-	// 8 MiB — matching avrd, so what one tier takes the other does).
-	MaxBodyBytes int64
-	// QueueTimeout bounds the admission wait before 503 (default 2s).
-	QueueTimeout time.Duration
+	// TierConfig is the frame's settings, shared with avrd.
+	server.TierConfig
 	// LegTimeout bounds one downstream request (default 5s).
 	LegTimeout time.Duration
 	// Retries is how many extra attempts a leg gets after a transport
@@ -49,9 +41,6 @@ type Config struct {
 	// consecutive successes (default 2).
 	EjectAfter   int
 	ReadmitAfter int
-	// TraceSampleEvery / TraceSink mirror the avrd tracing config.
-	TraceSampleEvery int
-	TraceSink        io.Writer
 	// CacheBytes is the byte budget of the router-side response cache
 	// over read-any gets (0 — the default — disables it: the nodes run
 	// their own summary-line caches, so the router tier opts in).
@@ -60,6 +49,10 @@ type Config struct {
 	// probeTimeout bounds one probe request (default ProbeInterval); a
 	// test in this package sets it apart from the interval.
 	probeTimeout time.Duration
+	// transport, when set, wraps the router's transport before the
+	// prober starts: how a test in this package injects faults on the
+	// router↔shard hop.
+	transport func(http.RoundTripper) http.RoundTripper
 }
 
 // withDefaults fills the router's own unset fields; the frame
@@ -153,29 +146,21 @@ func New(cfg Config) (*Router, error) {
 	}
 	cfg = cfg.withDefaults()
 	ro := &Router{cfg: cfg, ring: NewRing(cfg.Topology)}
-	ro.Tier = server.NewTier(server.TierConfig{
-		Workers:          cfg.Workers,
-		QueueDepth:       cfg.QueueDepth,
-		MaxBodyBytes:     cfg.MaxBodyBytes,
-		QueueTimeout:     cfg.QueueTimeout,
-		TraceSampleEvery: cfg.TraceSampleEvery,
-		TraceSink:        cfg.TraceSink,
-		Counters: server.Counters{
-			Requests: obs.RouterRequests, Shed: obs.RouterShed, Errors: obs.RouterErrors,
-		},
-		OnDrain: ro.Close,
-	})
+	ro.Tier = server.NewTier(cfg.TierConfig, server.Counters{
+		Requests: obs.RouterRequests, Shed: obs.RouterShed, Errors: obs.RouterErrors,
+	}, nil, ro.Close)
 	workers := ro.Config().Workers
-	ro.client = &http.Client{
-		// Per-leg deadlines come from request contexts; the client
-		// timeout is a backstop.
-		Timeout: 2 * cfg.LegTimeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        16 * workers,
-			MaxIdleConnsPerHost: 4 * workers,
-			IdleConnTimeout:     90 * time.Second,
-		},
+	var rt http.RoundTripper = &http.Transport{
+		MaxIdleConns:        16 * workers,
+		MaxIdleConnsPerHost: 4 * workers,
+		IdleConnTimeout:     90 * time.Second,
 	}
+	if cfg.transport != nil {
+		rt = cfg.transport(rt)
+	}
+	// Per-leg deadlines come from request contexts; the client timeout is
+	// a backstop.
+	ro.client = &http.Client{Timeout: 2 * cfg.LegTimeout, Transport: rt}
 	for _, n := range cfg.Topology.Nodes {
 		nd := &node{name: n.Name, addr: n.Addr, base: "http://" + n.Addr}
 		nd.up.Store(true)

@@ -17,7 +17,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,31 +27,32 @@ import (
 )
 
 // testCluster is a router fronting n real avrd nodes (full server +
-// store stacks over httptest).
+// store stacks over httptest), through a fault transport.
 type testCluster struct {
 	router *httptest.Server
 	ro     *Router
 	nodes  []*httptest.Server
 	stores []*store.Store
+	faults *faultTransport
 	t1     float64
 }
 
 // newTestCluster boots n avrd nodes and a router over them. The prober
 // is disabled unless probeInterval > 0 — most tests drive health
-// directly and must not race it. wrap, when given, stands between the
-// router and node i's handler (fault injection).
-func newTestCluster(t testing.TB, n int, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
+// directly and must not race it. The router reaches node i through
+// tc.faults, which passes every request on until a test arms it.
+func newTestCluster(t testing.TB, n int, cfg Config) *testCluster {
 	t.Helper()
-	return newTestClusterAt(t, make([]store.Config, n), cfg, wrap...)
+	return newTestClusterAt(t, make([]store.Config, n), cfg)
 }
 
 // newTestClusterAt is newTestCluster with node i's store opened on
 // stores[i] (a fresh temporary directory unless its Dir names one): a
 // fleet can be misconfigured, run avrd's defaults, or start from segments
 // a test wrote.
-func newTestClusterAt(t testing.TB, stores []store.Config, cfg Config, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
+func newTestClusterAt(t testing.TB, stores []store.Config, cfg Config) *testCluster {
 	t.Helper()
-	tc := &testCluster{}
+	tc := &testCluster{faults: &faultTransport{hosts: map[string]int{}}}
 	topo := Topology{VNodes: 64}
 	for i, sc := range stores {
 		if sc.Dir == "" {
@@ -66,18 +66,13 @@ func newTestClusterAt(t testing.TB, stores []store.Config, cfg Config, wrap ...f
 		if i == 0 {
 			tc.t1 = st.T1()
 		}
-		srv := server.New(server.Config{Store: st, T1: st.T1()})
-		h := srv.Handler()
-		for _, w := range wrap {
-			h = w(i, h)
-		}
-		ts := httptest.NewServer(h)
+		ts := httptest.NewServer(server.New(server.Config{Store: st, T1: st.T1()}).Handler())
 		tc.nodes = append(tc.nodes, ts)
-		topo.Nodes = append(topo.Nodes, Node{
-			Name: fmt.Sprintf("node-%02d", i),
-			Addr: strings.TrimPrefix(ts.URL, "http://"),
-		})
+		addr := strings.TrimPrefix(ts.URL, "http://")
+		tc.faults.hosts[addr] = i
+		topo.Nodes = append(topo.Nodes, Node{Name: fmt.Sprintf("node-%02d", i), Addr: addr})
 	}
+	cfg.transport = tc.faults.wrap
 	cfg.Topology = topo
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = -1 // off
@@ -128,6 +123,18 @@ func (tc *testCluster) put(t *testing.T, key string, vals []float32) *http.Respo
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp
+}
+
+// get reads url whole.
+func get(t testing.TB, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp, body
 }
 
 // checkVals asserts every reconstructed value is within the relative
@@ -454,25 +461,14 @@ func TestClusterFailover(t *testing.T) {
 // replicas.
 func TestPutPrimaryLegRetries(t *testing.T) {
 	const key = "retried-key"
-	var primary atomic.Int64
-	var injected atomic.Bool
-	failOnce := func(i int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPut && int64(i) == primary.Load() && injected.CompareAndSwap(false, true) {
-				http.Error(w, "injected", http.StatusServiceUnavailable)
-				return
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	tc := newTestCluster(t, 3, Config{RetryBackoff: time.Millisecond}, failOnce)
+	tc := newTestCluster(t, 3, Config{RetryBackoff: time.Millisecond})
 	p, _ := tc.ro.ring.Owners(key)
-	primary.Store(int64(p))
+	tc.faults.set(1, fault{kind: "reply", nodes: []int{p}, method: http.MethodPut, first: 1, status: http.StatusServiceUnavailable})
 	retries := obs.RouterRetries.Value()
 
 	resp := tc.put(t, key, testVals(5, 64))
-	if !injected.Load() {
-		t.Fatal("the primary never saw the put")
+	if n := len(tc.faults.exchanges(func(ex exchange) bool { return ex.fault == "reply" })); n != 1 {
+		t.Fatalf("the primary's put was answered 503 %d times, want once", n)
 	}
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-AVR-Replicas") != "2" {
 		t.Fatalf("put after one primary 503: status %d, X-AVR-Replicas %q, want 200 on 2",
@@ -481,6 +477,48 @@ func TestPutPrimaryLegRetries(t *testing.T) {
 	if obs.RouterRetries.Value() == retries {
 		t.Fatal("no retry counted")
 	}
+}
+
+// TestSlowLegTimesOut: a leg slower than LegTimeout is given up at its
+// deadline — a get's fails over to the other replica, a put's is retried
+// — and the answer is whole. The delay is longer than LegTimeout and
+// shorter than the client's backstop (2×LegTimeout), so only the leg's
+// own deadline can cut it short.
+func TestSlowLegTimesOut(t *testing.T) {
+	const legTimeout, key = 300 * time.Millisecond, "slow-key"
+	tc := newTestCluster(t, 3, Config{LegTimeout: legTimeout, RetryBackoff: time.Millisecond})
+	tc.put(t, key, testVals(3, 256))
+	first, _ := tc.ro.legs(key)
+	slow := func(method string) fault {
+		return fault{kind: "delay", nodes: []int{first}, method: method, first: 1, wait: legTimeout * 3 / 2}
+	}
+
+	tc.faults.set(1, slow(http.MethodGet))
+	failovers := obs.RouterFailovers.Value()
+	resp, err := http.Get(tc.router.URL + "/v1/store/get?key=" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || obs.RouterFailovers.Value() == failovers {
+		t.Fatalf("get over a slow first leg: status %d, failovers %d → %d, want 200 from the other replica",
+			resp.StatusCode, failovers, obs.RouterFailovers.Value())
+	}
+	tc.checkVals(t, key, leF32(body), testVals(3, 256))
+
+	tc.faults.set(1, slow(http.MethodPut))
+	retries := obs.RouterRetries.Value()
+	if resp := tc.put(t, key, testVals(4, 256)); resp.StatusCode != http.StatusOK || resp.Header.Get("X-AVR-Replicas") != "2" ||
+		obs.RouterRetries.Value() == retries {
+		t.Fatalf("put over a slow primary leg: status %d, replicas %q, retries %d → %d, want 200 on 2 after a retry",
+			resp.StatusCode, resp.Header.Get("X-AVR-Replicas"), retries, obs.RouterRetries.Value())
+	}
+	got, err := tc.stores[first].Get32(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.checkVals(t, key, got, testVals(4, 256))
 }
 
 // TestMergeRetryAfter table-tests the downstream Retry-After fold: the
@@ -518,74 +556,56 @@ func TestMergeRetryAfter(t *testing.T) {
 	}
 }
 
-// TestRetryAfterPropagatesFromDownstream pins the end-to-end behavior:
-// every replica sheds with its own Retry-After, the router's 429 must
-// carry the max of them.
+// shedFleet is a real 2-node cluster holding key "shed-0" — so the
+// router has learned the encoding — whose every leg then sheds with its
+// node's own Retry-After: 4 on node 0, 9 on node 1.
+func shedFleet(t *testing.T) *testCluster {
+	t.Helper()
+	tc := newTestCluster(t, 2, Config{Retries: 1, RetryBackoff: time.Millisecond})
+	tc.put(t, "shed-0", testVals(0, 8))
+	shed := func(node int, secs string) fault {
+		return fault{kind: "reply", nodes: []int{node}, status: http.StatusTooManyRequests, header: http.Header{"Retry-After": {secs}}}
+	}
+	tc.faults.set(1, shed(0, "4"), shed(1, "9"))
+	return tc
+}
+
+// TestRetryAfterPropagatesFromDownstream: whichever handler answers,
+// when every leg it sends sheds with its node's own Retry-After, the
+// router's answer is a 429 carrying the fleet's largest, not its own
+// queue's. A row for each single-key or fleet-wide handler that ends in
+// failAll; mput and mget are TestRouterBatchAllLegsShed.
 func TestRetryAfterPropagatesFromDownstream(t *testing.T) {
-	shedWith := func(secs string) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Retry-After", secs)
-			http.Error(w, "shedding", http.StatusTooManyRequests)
-		}))
-	}
-	a, b := shedWith("4"), shedWith("9")
-	defer a.Close()
-	defer b.Close()
-
-	topo := Topology{VNodes: 16, Nodes: []Node{
-		{Name: "a", Addr: strings.TrimPrefix(a.URL, "http://")},
-		{Name: "b", Addr: strings.TrimPrefix(b.URL, "http://")},
-	}}
-	ro, err := New(Config{Topology: topo, ProbeInterval: -1,
-		Retries: 1, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	ts := httptest.NewServer(ro.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/v1/store/get?key=anything")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "9" {
-		t.Fatalf("Retry-After %q, want the downstream max 9", ra)
+	tc := shedFleet(t)
+	for _, c := range []struct {
+		name, method, path string
+		body               []byte
+	}{
+		{"put", http.MethodPut, "/v1/store/put?key=shed-0", f32le(1, 2)},
+		{"get", http.MethodGet, "/v1/store/get?key=shed-0", nil},
+		{"query", http.MethodGet, "/v1/store/query?key=shed-0", nil},
+		{"query_all", http.MethodGet, "/v1/store/query", nil},
+		{"delete", http.MethodDelete, "/v1/store/key?key=shed-0", nil},
+		{"keys", http.MethodGet, "/v1/store/key", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			req, _ := http.NewRequest(c.method, tc.router.URL+c.path, bytes.NewReader(c.body))
+			resp, _ := roundTrip(t, req)
+			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "9" {
+				t.Errorf("status %d, Retry-After %q, want 429 with the fleet's max 9", resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+		})
 	}
 }
 
 // TestProberEjectReadmit flips a node's /readyz and watches the prober
 // take it out of rotation and back, with the obs counters moving.
 func TestProberEjectReadmit(t *testing.T) {
-	var ready atomic.Bool
-	ready.Store(true)
-	nodeSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" && !ready.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	}))
-	defer nodeSrv.Close()
-
 	ejectsBefore := obs.RouterNodeEjects.Value()
 	readmitsBefore := obs.RouterNodeReadmits.Value()
-
-	topo := Topology{VNodes: 16, Nodes: []Node{
-		{Name: "solo", Addr: strings.TrimPrefix(nodeSrv.URL, "http://")},
-	}}
-	ro, err := New(Config{Topology: topo,
-		ProbeInterval: 5 * time.Millisecond, probeTimeout: 200 * time.Millisecond,
+	tc := newTestCluster(t, 1, Config{ProbeInterval: 5 * time.Millisecond, probeTimeout: 200 * time.Millisecond,
 		EjectAfter: 2, ReadmitAfter: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
+	ro := tc.ro
 
 	waitUp := func(want bool) {
 		t.Helper()
@@ -601,7 +621,7 @@ func TestProberEjectReadmit(t *testing.T) {
 
 	waitUp(true)
 	ro.encoding.Store(testEncoding())
-	ready.Store(false)
+	tc.faults.set(1, fault{kind: "reply", path: "/readyz", status: http.StatusServiceUnavailable})
 	waitUp(false)
 	if obs.RouterNodeEjects.Value() <= ejectsBefore {
 		t.Fatalf("eject counter did not move")
@@ -609,7 +629,7 @@ func TestProberEjectReadmit(t *testing.T) {
 	if ro.encoding.Load() == nil {
 		t.Fatalf("an eject alone dropped the write encoding")
 	}
-	ready.Store(true)
+	tc.faults.set(1)
 	waitUp(true)
 	if obs.RouterNodeReadmits.Value() <= readmitsBefore {
 		t.Fatalf("readmit counter did not move")
@@ -623,26 +643,11 @@ func TestProberEjectReadmit(t *testing.T) {
 // TestTraceForwarding: the router forwards an inbound X-AVR-Trace to
 // the downstream leg and reports route/fanout stages on its response.
 func TestTraceForwarding(t *testing.T) {
-	var gotTrace atomic.Value
-	nodeSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotTrace.Store(r.Header.Get("X-AVR-Trace"))
-		w.Header().Set("Content-Type", server.ContainerType)
-		w.Write(containerOf(t, f32le(1, 2, 3)))
-	}))
-	defer nodeSrv.Close()
+	tc := newTestCluster(t, 1, Config{TierConfig: server.TierConfig{TraceSampleEvery: 1}})
+	tc.put(t, "k", testVals(1, 3))
+	tc.faults.set(1)
 
-	topo := Topology{VNodes: 16, Nodes: []Node{
-		{Name: "solo", Addr: strings.TrimPrefix(nodeSrv.URL, "http://")},
-	}}
-	ro, err := New(Config{Topology: topo, ProbeInterval: -1, TraceSampleEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	ts := httptest.NewServer(ro.Handler())
-	defer ts.Close()
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/store/get?key=k", nil)
+	req, _ := http.NewRequest(http.MethodGet, tc.router.URL+"/v1/store/get?key=k", nil)
 	req.Header.Set("X-AVR-Trace", "00000000deadbeef")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -650,8 +655,8 @@ func TestTraceForwarding(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got, _ := gotTrace.Load().(string); got != "00000000deadbeef" {
-		t.Fatalf("downstream saw trace id %q, want the forwarded one", got)
+	if legs := tc.faults.exchanges(nil); len(legs) != 1 || legs[0].trace != "00000000deadbeef" {
+		t.Fatalf("the router sent %+v, want one leg carrying the forwarded trace id", legs)
 	}
 	// The router's response must attribute time to the fanout stage.
 	fanoutKey := textproto.CanonicalMIMEHeaderKey("X-AVR-Stage-Fanout")
@@ -698,16 +703,8 @@ func TestRouterReadyzDrain(t *testing.T) {
 // the body is written, which is how a hit went out without stage headers
 // unnoticed.
 func TestRouterCacheHitAndInvalidation(t *testing.T) {
-	var shardGets atomic.Int64
-	countGets := func(_ int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/store/get" {
-				shardGets.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	tc := newTestCluster(t, 3, Config{CacheBytes: 16 << 20}, countGets)
+	tc := newTestCluster(t, 3, Config{CacheBytes: 16 << 20})
+	tc.faults.set(1)
 	const key, vn = "cached-key", 96
 
 	getOnce := func() (string, []byte) {
@@ -744,7 +741,7 @@ func TestRouterCacheHitAndInvalidation(t *testing.T) {
 		t.Fatalf("cold read X-AVR-Cache = %q, want miss", src)
 	}
 	hit := hitNow()
-	if n := shardGets.Load(); n != 1 {
+	if n := len(tc.faults.exchanges(func(ex exchange) bool { return ex.path == "/v1/store/get" })); n != 1 {
 		t.Fatalf("a miss and a hit took %d shard GETs, want 1", n)
 	}
 	if !bytes.Equal(hit, cold) {
@@ -869,22 +866,12 @@ func TestRouterReadsMatchAvrd(t *testing.T) {
 	}
 	tc := newTestClusterAt(t, cfgs, Config{})
 
-	get := func(url string) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp, body
-	}
 	for _, n := range tc.nodes { // cached's line goes resident on every shard
-		get(n.URL + "/v1/store/get?key=cached")
+		get(t, n.URL+"/v1/store/get?key=cached")
 	}
 	for _, key := range []string{"fp32", "fp64", "noise", "cached", "torn"} {
-		direct, want := get(tc.nodes[0].URL + "/v1/store/get?key=" + key)
-		routed, got := get(tc.router.URL + "/v1/store/get?key=" + key)
+		direct, want := get(t, tc.nodes[0].URL+"/v1/store/get?key="+key)
+		routed, got := get(t, tc.router.URL+"/v1/store/get?key="+key)
 		if routed.StatusCode != direct.StatusCode || !bytes.Equal(got, want) {
 			t.Fatalf("get %s: the router answers %d with %d bytes, avrd %d with %d", key, routed.StatusCode, len(got), direct.StatusCode, len(want))
 		}

@@ -31,7 +31,7 @@ type Runner struct {
 	// Scale selects the input scale for all runs.
 	Scale workloads.Scale
 	// ConfigFor builds the system configuration per design; defaults to
-	// PresetSmall/PresetSlice according to Scale.
+	// Scale's preset.
 	ConfigFor func(d sim.Design) sim.Config
 	// Logger, when non-nil, receives one structured line per simulated
 	// run, named by its memo key, so long sweeps are observable.
@@ -45,14 +45,7 @@ type Runner struct {
 
 // NewRunner creates a runner at the given scale.
 func NewRunner(sc workloads.Scale) *Runner {
-	r := &Runner{Scale: sc, slots: make(map[string]*slot)}
-	r.ConfigFor = func(d sim.Design) sim.Config {
-		if sc == workloads.ScaleSmall {
-			return sim.PresetSmall(d)
-		}
-		return sim.PresetSlice(d)
-	}
-	return r
+	return &Runner{Scale: sc, ConfigFor: sc.Preset, slots: make(map[string]*slot)}
 }
 
 // matrix is the unit of the benchmark × design matrix: bench on design

@@ -30,9 +30,9 @@ import (
 // guard test (frame_guard_test.go) keeps the next endpoint from growing
 // its own copy.
 
-// TierConfig is what a tier hands its frame: the six settings
-// server.Config and cluster.Config share (the zero value of the first
-// four selects the default), the tier's obs series, and two hooks.
+// TierConfig is the six settings both tiers take, declared once:
+// server.Config and cluster.Config embed it. The zero value of the first
+// four selects the default.
 type TierConfig struct {
 	// Workers caps concurrently admitted requests (default GOMAXPROCS).
 	Workers int
@@ -43,21 +43,14 @@ type TierConfig struct {
 	// 8 MiB on both tiers, so what one takes the other does).
 	MaxBodyBytes int64
 	// QueueTimeout bounds the wait for a worker slot before a 503
-	// (default 2s).
+	// (default 2s); the request's own context also ends the wait.
 	QueueTimeout time.Duration
-	// TraceSampleEvery and TraceSink configure the JSONL span export
-	// (trace.Config); headers and stage histograms cover every request.
+	// TraceSampleEvery exports one of every N finished request spans as a
+	// JSON line to TraceSink (0 selects the tracer default, 64); nil
+	// TraceSink disables the export. X-AVR-Trace ids, stage headers and
+	// stage histograms cover every request regardless.
 	TraceSampleEvery int
 	TraceSink        io.Writer
-
-	Counters Counters
-
-	// NotReady, when set, is asked by /readyz while the tier is not
-	// draining: a non-empty answer is served as the 503's body.
-	NotReady func() string
-	// OnDrain, when set, runs in Shutdown once readiness has flipped and
-	// before the listener stops.
-	OnDrain func()
 }
 
 // Counters are the obs series the frame keeps for a tier. Any of them
@@ -82,6 +75,9 @@ type Counters struct {
 // admission gate, its tracer and its lifecycle.
 type Tier struct {
 	cfg      TierConfig
+	counters Counters
+	notReady func() string
+	onDrain  func()
 	mux      *http.ServeMux
 	http     *http.Server
 	gate     *admit.Gate
@@ -92,8 +88,12 @@ type Tier struct {
 }
 
 // NewTier builds a frame serving /metrics, /healthz and /readyz; the
-// tier registers the rest with Handle and HandleStats.
-func NewTier(cfg TierConfig) *Tier {
+// tier registers the rest with Handle and HandleStats. The frame keeps
+// the tier's series in c. notReady, when set, is asked by /readyz while
+// the tier is not draining: a non-empty answer is served as the 503's
+// body. onDrain, when set, runs in Shutdown once readiness has flipped
+// and before the listener stops.
+func NewTier(cfg TierConfig, c Counters, notReady func() string, onDrain func()) *Tier {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -106,7 +106,6 @@ func NewTier(cfg TierConfig) *Tier {
 	if cfg.QueueTimeout <= 0 {
 		cfg.QueueTimeout = 2 * time.Second
 	}
-	c := &cfg.Counters
 	for _, p := range []**expvar.Int{&c.Requests, &c.Shed, &c.Errors, &c.InFlight, &c.BytesIn, &c.BytesOut} {
 		if *p == nil {
 			*p = new(expvar.Int)
@@ -117,11 +116,14 @@ func NewTier(cfg TierConfig) *Tier {
 		tcfg.Sink = trace.NewSink(cfg.TraceSink)
 	}
 	t := &Tier{
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		gate:   admit.NewGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
-		tracer: trace.New(tcfg),
-		start:  time.Now(),
+		cfg:      cfg,
+		counters: c,
+		notReady: notReady,
+		onDrain:  onDrain,
+		mux:      http.NewServeMux(),
+		gate:     admit.NewGate(cfg.Workers, cfg.QueueDepth, cfg.QueueTimeout),
+		tracer:   trace.New(tcfg),
+		start:    time.Now(),
 	}
 	t.reqs.New = func() any { return new(Req) }
 	t.http = &http.Server{Handler: t.mux, ReadHeaderTimeout: 10 * time.Second}
@@ -144,8 +146,8 @@ func (t *Tier) readyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !t.Ready():
 		why = "draining"
-	case t.cfg.NotReady != nil:
-		why = t.cfg.NotReady()
+	case t.notReady != nil:
+		why = t.notReady()
 	}
 	if why != "" {
 		http.Error(w, why, http.StatusServiceUnavailable)
@@ -156,6 +158,9 @@ func (t *Tier) readyz(w http.ResponseWriter, r *http.Request) {
 
 // Config returns the tier's settings with the defaults filled in.
 func (t *Tier) Config() TierConfig { return t.cfg }
+
+// Counters returns the tier's series, unpublished ones included.
+func (t *Tier) Counters() Counters { return t.counters }
 
 // Gate returns the admission gate (occupancy for stats; tests hold its
 // slots). Handlers reach it through Req.Admit only.
@@ -177,8 +182,8 @@ func (t *Tier) Serve(ln net.Listener) error { return t.http.Serve(ln) }
 // everything in flight has finished or ctx expires.
 func (t *Tier) Shutdown(ctx context.Context) error {
 	t.draining.Store(true)
-	if t.cfg.OnDrain != nil {
-		t.cfg.OnDrain()
+	if t.onDrain != nil {
+		t.onDrain()
 	}
 	return t.http.Shutdown(ctx)
 }
@@ -212,7 +217,7 @@ func (t *Tier) Handle(pattern, op string, fn func(*Req)) {
 		q := t.reqs.Get().(*Req)
 		*q = Req{R: r, Span: t.tracer.Start(), w: w, t: t}
 		q.Span.WriteID(w.Header())
-		t.cfg.Counters.InFlight.Add(1)
+		t.counters.InFlight.Add(1)
 		defer t.finish(op, q)
 		fn(q)
 	})
@@ -222,7 +227,7 @@ func (t *Tier) finish(op string, q *Req) {
 	if q.admitted {
 		t.gate.Release()
 	}
-	c := &t.cfg.Counters
+	c := &t.counters
 	c.InFlight.Add(-1)
 	total := t.tracer.Finish(op, q.Span)
 	if q.served {
@@ -307,10 +312,10 @@ func (q *Req) Admit() bool {
 	q.Span.End(trace.StageQueue, qt)
 	if err == nil {
 		q.admitted = true
-		q.t.cfg.Counters.Requests.Add(1)
+		q.t.counters.Requests.Add(1)
 		return true
 	}
-	q.t.cfg.Counters.Shed.Add(1)
+	q.t.counters.Shed.Add(1)
 	if errors.Is(err, admit.ErrQueueFull) {
 		q.Header().Set("Retry-After", strconv.Itoa(q.t.gate.RetryAfter()))
 		http.Error(q.w, "queue full, retry later", http.StatusTooManyRequests)
@@ -322,7 +327,7 @@ func (q *Req) Admit() bool {
 
 // Fail counts and writes one plain-text error answer.
 func (q *Req) Fail(code int, format string, args ...any) {
-	q.t.cfg.Counters.Errors.Add(1)
+	q.t.counters.Errors.Add(1)
 	http.Error(q.w, fmt.Sprintf(format, args...), code)
 }
 
@@ -344,11 +349,11 @@ func (q *Req) Reply(status int, contentType string, body []byte) {
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	q.w.WriteHeader(status)
 	if _, err := q.w.Write(body); err != nil {
-		q.t.cfg.Counters.Errors.Add(1)
+		q.t.counters.Errors.Add(1)
 		return
 	}
 	q.served = true
-	q.t.cfg.Counters.BytesOut.Add(int64(len(body)))
+	q.t.counters.BytesOut.Add(int64(len(body)))
 }
 
 // ReplyJSON is Reply for a value rendered as encoding/json's Encoder

@@ -93,17 +93,18 @@ func snapshotStageStats() map[string]StageStats {
 
 // snapshotStats collects the current serving-path statistics.
 func (s *Server) snapshotStats() Stats {
+	c := s.Counters()
 	return Stats{
 		UptimeSeconds: s.Uptime().Seconds(),
 		Ready:         s.Ready(),
-		Requests:      obs.ServerRequests.Value(),
+		Requests:      c.Requests.Value(),
 		Encodes:       obs.ServerEncodes.Value(),
 		Decodes:       obs.ServerDecodes.Value(),
-		Errors:        obs.ServerErrors.Value(),
-		Shed:          obs.ServerShed.Value(),
-		InFlight:      obs.ServerInFlight.Value(),
-		BytesIn:       obs.ServerBytesIn.Value(),
-		BytesOut:      obs.ServerBytesOut.Value(),
+		Errors:        c.Errors.Value(),
+		Shed:          c.Shed.Value(),
+		InFlight:      c.InFlight.Value(),
+		BytesIn:       c.BytesIn.Value(),
+		BytesOut:      c.BytesOut.Value(),
 
 		StorePuts:         obs.StorePuts.Value(),
 		StoreGets:         obs.StoreGets.Value(),

@@ -3,11 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"avr/internal/block"
 	"avr/internal/obs"
@@ -19,18 +17,8 @@ import (
 // Config tunes the codec service. The zero value of any field selects
 // its default.
 type Config struct {
-	// Workers caps concurrent codec operations (default GOMAXPROCS).
-	Workers int
-	// QueueDepth caps requests waiting for a worker slot; arrivals
-	// beyond it are shed with 429 (default 4×Workers).
-	QueueDepth int
-	// MaxBodyBytes caps request bodies; larger bodies get 413
-	// (default 8 MiB).
-	MaxBodyBytes int64
-	// QueueTimeout bounds how long a request may wait for a worker slot
-	// before being shed with 503 (default 2s). The request's own
-	// context (client disconnect) also cancels the wait.
-	QueueTimeout time.Duration
+	// TierConfig is the frame's settings, shared with the router.
+	TierConfig
 	// T1 is the per-value error threshold for requests that do not pass
 	// ?t1= (non-positive selects the experiment default, 1/32).
 	T1 float64
@@ -38,15 +26,6 @@ type Config struct {
 	// (/v1/store/*). The server does not own the store's lifecycle; the
 	// caller opens and closes it.
 	Store *store.Store
-	// TraceSampleEvery exports one of every N finished request spans as
-	// a JSON line to TraceSink (0 selects the tracer default, 64).
-	// Tracing itself — X-AVR-Trace ids, per-stage response headers, and
-	// the stage histograms behind /v1/stats and /metrics — always covers
-	// every request; sampling gates only the JSONL export volume.
-	TraceSampleEvery int
-	// TraceSink receives the sampled span JSONL (avrd -trace-file); nil
-	// disables export.
-	TraceSink io.Writer
 }
 
 // Server is the avrd codec service: HTTP handlers over a pooled codec
@@ -73,27 +52,18 @@ type Server struct {
 // New creates a Server with the given configuration.
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, pool: NewCodecPool()}
-	s.Tier = NewTier(TierConfig{
-		Workers:          cfg.Workers,
-		QueueDepth:       cfg.QueueDepth,
-		MaxBodyBytes:     cfg.MaxBodyBytes,
-		QueueTimeout:     cfg.QueueTimeout,
-		TraceSampleEvery: cfg.TraceSampleEvery,
-		TraceSink:        cfg.TraceSink,
-		Counters: Counters{
-			Requests: obs.ServerRequests, Shed: obs.ServerShed, Errors: obs.ServerErrors,
-			InFlight: obs.ServerInFlight, BytesIn: obs.ServerBytesIn, BytesOut: obs.ServerBytesOut,
-			Latency: latencyHist,
-		},
-		// When the store endpoints are enabled, ready also means the store
-		// can still answer (not closed by a drain, not failed).
-		NotReady: func() string {
-			if cfg.Store != nil && cfg.Store.Closed() {
-				return "store closed"
-			}
-			return ""
-		},
-	})
+	s.Tier = NewTier(cfg.TierConfig, Counters{
+		Requests: obs.ServerRequests, Shed: obs.ServerShed, Errors: obs.ServerErrors,
+		InFlight: obs.ServerInFlight, BytesIn: obs.ServerBytesIn, BytesOut: obs.ServerBytesOut,
+		Latency: latencyHist,
+	}, func() string {
+		// With the store endpoints enabled, ready also means the store can
+		// still answer (not closed by a drain, not failed).
+		if cfg.Store != nil && cfg.Store.Closed() {
+			return "store closed"
+		}
+		return ""
+	}, nil)
 	s.Handle("POST /v1/encode", "encode", s.handleEncode)
 	s.Handle("POST /v1/decode", "decode", s.handleDecode)
 	// The stats documents (and the frame's own /metrics, /healthz and

@@ -167,7 +167,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestHealthzReadyzAndDrain(t *testing.T) {
-	s := New(Config{Workers: 1, QueueTimeout: 10 * time.Second})
+	s := New(Config{TierConfig: TierConfig{Workers: 1, QueueTimeout: 10 * time.Second}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestStatsEndpoint(t *testing.T) {
 // through the pool, admission accounting, and the metrics path. Every
 // response is still checked against the direct codec.
 func TestConcurrentRoundTripsRaceClean(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 2, QueueDepth: 64, QueueTimeout: 10 * time.Second})
+	_, ts := testServer(t, Config{TierConfig: TierConfig{Workers: 2, QueueDepth: 64, QueueTimeout: 10 * time.Second}})
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -211,7 +211,7 @@ func TestStoreDeleteAndKeysWaitTheirTurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	s, ts := testServer(t, Config{Store: st, Workers: 1, QueueTimeout: 30 * time.Millisecond})
+	s, ts := testServer(t, Config{Store: st, TierConfig: TierConfig{Workers: 1, QueueTimeout: 30 * time.Millisecond}})
 	_, payload := f32Payload(t, "wave", 1024, 2)
 	if resp, b := doReq(t, http.MethodPut, ts.URL+"/v1/store/put?key=held", payload); resp.StatusCode != http.StatusOK {
 		t.Fatalf("put: %d %s", resp.StatusCode, b)

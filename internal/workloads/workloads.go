@@ -43,6 +43,14 @@ func (s Scale) String() string {
 	return fmt.Sprintf("scale(%d)", int(s))
 }
 
+// Preset is the system configuration design d runs at scale s.
+func (s Scale) Preset(d sim.Design) sim.Config {
+	if s == ScaleSlice {
+		return sim.PresetSlice(d)
+	}
+	return sim.PresetSmall(d)
+}
+
 // Workload is one benchmark application.
 type Workload interface {
 	// Name returns the paper's benchmark name.
