@@ -20,8 +20,6 @@ var testOnlyExports = []string{
 	"internal/obs.Dropped",
 	"internal/obs.Epochs",
 	"internal/obs.LintExposition",
-	"internal/store.Get32",
-	"internal/store.Get64",
 	"internal/trace.StageDur",
 }
 

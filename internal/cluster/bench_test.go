@@ -165,8 +165,8 @@ func benchRouterGetHot(b *testing.B, cacheBytes int64) {
 		urls[k] = tc.router.URL + "/v1/store/get?key=" + key
 		get(urls[k])
 	}
-	if cacheBytes > 0 && tc.ro.cache.Len() != keys {
-		b.Fatalf("router cache holds %d of %d keys after the warm-up", tc.ro.cache.Len(), keys)
+	if cacheBytes > 0 && tc.ro.cache.Stats().Lines != keys {
+		b.Fatalf("router cache holds %d of %d keys after the warm-up", tc.ro.cache.Stats().Lines, keys)
 	}
 	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, keys-1)
 	b.SetBytes(4 * n)

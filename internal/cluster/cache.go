@@ -100,23 +100,3 @@ func (ro *Router) invalidateKey(key string) {
 	ro.writeGen.bump(key)
 	ro.cache.Invalidate(key)
 }
-
-// CacheStats mirrors the store-side snapshot for /v1/stats.
-type CacheStats struct {
-	Enabled       bool  `json:"enabled"`
-	ResidentBytes int64 `json:"resident_bytes"`
-	Lines         int   `json:"lines"`
-	BudgetBytes   int64 `json:"budget_bytes"`
-}
-
-func (ro *Router) cacheStats() CacheStats {
-	if ro.cache == nil {
-		return CacheStats{}
-	}
-	return CacheStats{
-		Enabled:       true,
-		ResidentBytes: ro.cache.Bytes(),
-		Lines:         ro.cache.Len(),
-		BudgetBytes:   ro.cfg.CacheBytes,
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"avr/internal/obs"
+	"avr/internal/readcache"
 	"avr/internal/server"
 	"avr/internal/store"
 	"avr/internal/trace"
@@ -444,7 +445,7 @@ type RouterStats struct {
 	NodeEjects    int64             `json:"node_ejects"`
 	NodeReadmits  int64             `json:"node_readmits"`
 	Encoding      RouterEncoding    `json:"encoding"`
-	Cache         CacheStats        `json:"cache"`
+	Cache         readcache.Stats   `json:"cache"`
 	Nodes         []RouterNodeStats `json:"nodes"`
 }
 
@@ -466,7 +467,7 @@ func (ro *Router) Stats() RouterStats {
 		NodeEjects:    obs.RouterNodeEjects.Value(),
 		NodeReadmits:  obs.RouterNodeReadmits.Value(),
 		Encoding:      ro.encodingStats(),
-		Cache:         ro.cacheStats(),
+		Cache:         ro.cache.Stats(),
 	}
 	now := time.Now().UnixNano()
 	for _, nd := range ro.nodes {

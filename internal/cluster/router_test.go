@@ -514,7 +514,7 @@ func TestSlowLegTimesOut(t *testing.T) {
 		t.Fatalf("put over a slow primary leg: status %d, replicas %q, retries %d → %d, want 200 on 2 after a retry",
 			resp.StatusCode, resp.Header.Get("X-AVR-Replicas"), retries, obs.RouterRetries.Value())
 	}
-	got, err := tc.stores[first].Get32(key)
+	got, _, _, err := tc.stores[first].Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ var (
 	StoreBlocksAVR      = expvar.NewInt("avr.store_blocks_avr")
 	StoreBlocksLossless = expvar.NewInt("avr.store_blocks_lossless")
 	// StoreCompressSkips counts Put-path blocks that skipped the AVR
-	// compression attempt because the badly-compressing-block table
-	// flagged them at the store's current threshold (the paper's
+	// compression attempt because the key's live block there is flagged
+	// as badly compressing at the store's current threshold (the paper's
 	// CMT skip policy on the write path).
 	StoreCompressSkips = expvar.NewInt("avr.store_compress_skips")
 	// Recompression-policy counters, bumped by the compaction worker:

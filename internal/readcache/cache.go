@@ -328,34 +328,30 @@ func (c *Cache) Invalidate(key string) {
 	}
 }
 
-// Bytes returns the resident byte total.
-func (c *Cache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	var n int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.bytes
-		sh.mu.Unlock()
-	}
-	return n
+// Stats is a point-in-time snapshot of a cache's occupancy, the one the
+// store and the router report (/v1/stats).
+type Stats struct {
+	Enabled       bool  `json:"enabled"`
+	ResidentBytes int64 `json:"resident_bytes"`
+	Lines         int   `json:"lines"`
+	BudgetBytes   int64 `json:"budget_bytes"`
 }
 
-// Len returns the resident line count.
-func (c *Cache) Len() int {
+// Stats snapshots the resident bytes and lines against the budget (the
+// zero Stats for a nil cache).
+func (c *Cache) Stats() Stats {
 	if c == nil {
-		return 0
+		return Stats{}
 	}
-	n := 0
+	st := Stats{Enabled: true, BudgetBytes: c.cfg.MaxBytes}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.items)
+		st.ResidentBytes += sh.bytes
+		st.Lines += len(sh.items)
 		sh.mu.Unlock()
 	}
-	return n
+	return st
 }
 
 // requestFill queues a prefetch of key. Non-blocking: the key

@@ -24,7 +24,7 @@ func TestNilCacheIsNoop(t *testing.T) {
 	c.Invalidate("k")
 	c.Observe("k")
 	c.Close()
-	if c.Bytes() != 0 || c.Len() != 0 {
+	if c.Stats().ResidentBytes != 0 || c.Stats().Lines != 0 {
 		t.Fatal("nil cache reports occupancy")
 	}
 	if New(Config{MaxBytes: 0}) != nil {
@@ -55,12 +55,12 @@ func TestPutGetInvalidate(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("Get(a) after Invalidate")
 	}
-	if got := c.Bytes(); got != 50 {
+	if got := c.Stats().ResidentBytes; got != 50 {
 		t.Fatalf("Bytes = %d, want 50", got)
 	}
 	c.Invalidate("p")
-	if c.Bytes() != 0 || c.Len() != 0 {
-		t.Fatalf("after invalidating both: %d bytes, %d lines", c.Bytes(), c.Len())
+	if c.Stats().ResidentBytes != 0 || c.Stats().Lines != 0 {
+		t.Fatalf("after invalidating both: %d bytes, %d lines", c.Stats().ResidentBytes, c.Stats().Lines)
 	}
 }
 
@@ -106,11 +106,11 @@ func TestBudgetInvariant(t *testing.T) {
 		default:
 			c.Put(key, int64(16+rng.Intn(2048)), op, rng.Intn(8) == 0)
 		}
-		if got := c.Bytes(); got > budget {
+		if got := c.Stats().ResidentBytes; got > budget {
 			t.Fatalf("op %d: resident bytes %d exceed budget %d", op, got, budget)
 		}
 	}
-	if c.Len() == 0 {
+	if c.Stats().Lines == 0 {
 		t.Fatal("cache empty after sustained inserts")
 	}
 }
@@ -224,8 +224,8 @@ func TestAdmit(t *testing.T) {
 			break
 		}
 	}
-	if c.Len() != 1 || c.Bytes() != 600 {
-		t.Fatalf("Admit changed residency: %d lines, %d bytes", c.Len(), c.Bytes())
+	if c.Stats().Lines != 1 || c.Stats().ResidentBytes != 600 {
+		t.Fatalf("Admit changed residency: %d lines, %d bytes", c.Stats().Lines, c.Stats().ResidentBytes)
 	}
 }
 

@@ -132,7 +132,7 @@ func TestCacheRefusedLineIsNotBuilt(t *testing.T) {
 	if res, err := s.Put32("noise", vals); err != nil || res.LosslessBlocks != res.Blocks {
 		t.Fatalf("seeding: %d of %d blocks lossless, err %v", res.LosslessBlocks, res.Blocks, err)
 	}
-	want, err := s.Get32("noise")
+	want, err := get32(s, "noise")
 	if err != nil {
 		t.Fatal(err)
 	}

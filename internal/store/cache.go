@@ -8,6 +8,7 @@ import (
 	"avr/internal/block"
 	"avr/internal/compress"
 	"avr/internal/obs"
+	"avr/internal/readcache"
 	"avr/internal/trace"
 	"avr/internal/vec"
 )
@@ -408,10 +409,10 @@ func (s *Store) tryCacheHit(dst vec.Vec, key string, e *entry, sp *trace.Span, t
 }
 
 // finishCacheHit does the shared hit accounting.
-func (s *Store) finishCacheHit(t0 time.Time, rawBytes int64) {
+func (s *Store) finishCacheHit(t0 time.Time, n int64) {
 	obs.CacheHits.Add(1)
 	obs.StoreGets.Add(1)
-	obs.StoreGetBytes.Add(rawBytes)
+	obs.StoreGetBytes.Add(n)
 	lat := float64(time.Since(t0).Microseconds())
 	getLatencyHist.Observe(lat)
 	cacheHitHist.Observe(lat)
@@ -426,23 +427,5 @@ func (s *Store) invalidateCacheLocked(key string) {
 	}
 }
 
-// CacheStats is a point-in-time snapshot of the store-side read cache.
-type CacheStats struct {
-	Enabled       bool  `json:"enabled"`
-	ResidentBytes int64 `json:"resident_bytes"`
-	Lines         int   `json:"lines"`
-	BudgetBytes   int64 `json:"budget_bytes"`
-}
-
 // CacheSnapshot reports the read cache's occupancy (zero when off).
-func (s *Store) CacheSnapshot() CacheStats {
-	if s.cache == nil {
-		return CacheStats{}
-	}
-	return CacheStats{
-		Enabled:       true,
-		ResidentBytes: s.cache.Bytes(),
-		Lines:         s.cache.Len(),
-		BudgetBytes:   s.cfg.CacheBytes,
-	}
-}
+func (s *Store) CacheSnapshot() readcache.Stats { return s.cache.Stats() }

@@ -177,9 +177,9 @@ func TestClosedCacheLeavesTheGauges(t *testing.T) {
 		}
 		warmCache(t, s, key)
 	}
-	if got := obs.CacheLines.Value() - lines0; got != 3 || obs.CacheResidentBytes.Value()-bytes0 != s.cache.Bytes() {
+	if got := obs.CacheLines.Value() - lines0; got != 3 || obs.CacheResidentBytes.Value()-bytes0 != s.cache.Stats().ResidentBytes {
 		t.Fatalf("open cache: gauges moved by %d lines / %d bytes, it holds 3 / %d",
-			got, obs.CacheResidentBytes.Value()-bytes0, s.cache.Bytes())
+			got, obs.CacheResidentBytes.Value()-bytes0, s.cache.Stats().ResidentBytes)
 	}
 	cache := s.cache
 	if err := s.Close(); err != nil {
@@ -288,15 +288,15 @@ func TestCacheBudgetInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.loadCacheLine(key, false)
-		if got := s.cache.Bytes(); got > budget {
+		if got := s.cache.Stats().ResidentBytes; got > budget {
 			t.Fatalf("resident %d bytes exceeds budget %d after %d keys", got, budget, i+1)
 		}
 	}
-	if s.cache.Len() == 0 {
+	if s.cache.Stats().Lines == 0 {
 		t.Fatal("nothing stayed resident under the budget")
 	}
 	snap := s.CacheSnapshot()
-	if !snap.Enabled || snap.ResidentBytes != s.cache.Bytes() || snap.BudgetBytes != budget {
+	if !snap.Enabled || snap.ResidentBytes != s.cache.Stats().ResidentBytes || snap.BudgetBytes != budget {
 		t.Fatalf("snapshot %+v inconsistent with cache state", snap)
 	}
 }
@@ -314,7 +314,7 @@ func TestTornTailCachePrefix(t *testing.T) {
 	}
 
 	s = openTest(t, Config{Dir: "d", fs: fs.crash(processKill, 1), CacheBytes: 8 << 20})
-	want, err := s.Get32("torn") // disk path: prefix + ErrIncomplete
+	want, err := get32(s, "torn") // disk path: prefix + ErrIncomplete
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("disk read of torn vector: err %v", err)
 	}
@@ -375,7 +375,7 @@ func TestCacheInvalidation(t *testing.T) {
 	if src != CacheMiss {
 		t.Fatalf("read after overwrite served as %q, want miss", src)
 	}
-	disk, err := s.Get32("k")
+	disk, err := get32(s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestRecompressionInvalidatesCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		disk, err := r.Get32(key(i))
+		disk, err := get32(r, key(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,11 +17,13 @@ import (
 // cannot come to disagree with the data — unless it is converted. The
 // three cases (moveFrames) follow the paper's CMT recompression policy:
 // an AVR block or a tombstone moves verbatim; so does a lossless-fallback
-// block flagged in the badly-compressing-block table at the store's
-// current threshold (the retry is provably pointless — same bytes, same
-// threshold); an unflagged one (typically after the store was reopened at
-// a different t1) gets one fresh AVR attempt and is re-framed at the
-// current t1, as lossy storage when it now clears the ratio floor.
+// block flagged as badly compressing at the store's current threshold
+// (the retry is provably pointless — same bytes, same threshold); an
+// unflagged one (the store was reopened at a different t1) gets one
+// fresh AVR attempt and is re-framed at the current t1, as lossy storage
+// when it now clears the ratio floor. Either way the copy is applied
+// (Store.apply) like any frame a put appends: its seq is the one it was
+// copied from, so it takes over that frame's place in the index.
 
 // CompactResult summarises one compaction pass.
 type CompactResult struct {
@@ -206,7 +208,7 @@ func (s *Store) moveFrames(victim uint32, base int64, chunk []byte, frames []seg
 			return err
 		}
 		for ; i < j; i++ {
-			s.rehome(victim, &frames[i], segID, at+frames[i].off-first.off, frames[i].n, res)
+			s.rehome(&frames[i].rec, segID, at+frames[i].off-first.off, frames[i].n, res)
 		}
 	}
 	s.mu.Unlock()
@@ -218,18 +220,12 @@ func (s *Store) moveFrames(victim uint32, base int64, chunk []byte, frames []seg
 	return nil
 }
 
-// rehome points the index at the new home of the victim's frame fr: n
+// rehome applies the copy of a live record of the victim that now sits n
 // bytes at off of segment segID. Caller holds the write lock.
-func (s *Store) rehome(victim uint32, fr *segFrame, segID uint32, off, n int64, res *CompactResult) {
+func (s *Store) rehome(rec *record, segID uint32, off, n int64, res *CompactResult) {
 	res.FramesMoved++
 	res.BytesMoved += n
-	s.markDead(victim, fr.n)
-	if fr.rec.Kind == recordTombstone {
-		s.tombs[fr.rec.Key] = tombRef{seq: fr.rec.Seq, seg: segID, off: off, frameLen: n}
-		return
-	}
-	ref := &s.index[fr.rec.Key].refs[fr.rec.BlockIdx]
-	ref.seg, ref.off, ref.frameLen = segID, off, n
+	s.apply(segID, rec, off, n)
 }
 
 // retryFrame gives the live lossless block fr its AVR attempt at the
@@ -264,13 +260,10 @@ func (s *Store) retryFrame(victim uint32, fr *segFrame, res *CompactResult) erro
 	if err != nil {
 		return err
 	}
-	s.rehome(victim, fr, segID, off, int64(len(frame)), res)
-	ref := &s.index[rec.Key].refs[rec.BlockIdx]
-	ref.enc, ref.t1 = rec.Enc, rec.T1
+	s.rehome(&rec, segID, off, int64(len(frame)), res)
 	// Lost, it is flagged at the current threshold and the next pass skips
 	// it. Won, the key's resident summary line no longer matches the bytes
 	// on disk (a verbatim move keeps them identical).
-	s.setFlag(blockKey{rec.Key, rec.BlockIdx}, rec.Enc, rec.T1)
 	if rec.Enc == encAVR {
 		obs.StoreRecompressWon.Add(1)
 		res.RecompressWon++

@@ -64,7 +64,7 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 	if st.Segments < 2 || st.DeadBytes == 0 {
 		t.Fatalf("fragmentation setup failed: %+v", st)
 	}
-	keep, err := s.Get32("churn")
+	keep, err := get32(s, "churn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 	if after.CompactionDebt > 0.5*st.CompactionDebt {
 		t.Errorf("compaction debt %.3f after, was %.3f", after.CompactionDebt, st.CompactionDebt)
 	}
-	got, err := s.Get32("churn")
+	got, err := get32(s, "churn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRecompressionRetriesAfterThresholdChange(t *testing.T) {
 	}
 	// Converted blocks now serve values at the *new* threshold.
 	for i := range want {
-		got, err := r.Get32(key(i))
+		got, err := get32(r, key(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestPutSkipsFlaggedBlocks(t *testing.T) {
 		t.Errorf("skipped block not stored lossless: %+v", res)
 	}
 	// The skipped block is still exact.
-	got, err := s.Get32("k")
+	got, err := get32(s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestBackgroundCompactor(t *testing.T) {
 		t.Fatalf("background worker left compaction debt %.3f", debt)
 	}
 	// Store stays fully usable during/after background compaction.
-	if _, err := s.Get32("churn"); err != nil && !errors.Is(err, ErrIncomplete) {
+	if _, err := get32(s, "churn"); err != nil && !errors.Is(err, ErrIncomplete) {
 		t.Fatal(err)
 	}
 }
@@ -250,7 +250,7 @@ func TestCompactionPreservesTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := openTest(t, Config{Dir: dir})
-	if _, err := r.Get32("doomed"); !errors.Is(err, ErrNotFound) {
+	if _, err := get32(r, "doomed"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted key resurrected after compaction+reopen: %v", err)
 	}
 }
@@ -284,7 +284,7 @@ func TestCompactionDrainsRecoveredActive(t *testing.T) {
 	if st.DeadBytes != 0 {
 		t.Fatalf("compaction left %d dead bytes (debt %.3f)", st.DeadBytes, st.CompactionDebt)
 	}
-	got, err := r.Get32("hot")
+	got, err := get32(r, "hot")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,8 +155,8 @@ func appendContainerBlock(dst []byte, enc uint8, data []byte) []byte {
 // appendBlocks is the one block-encode loop, AppendPut's and PutVec's:
 // it cuts vals into BlockValues-value blocks and appends each to dst as a
 // container block (encoding, length, data). skip, when not nil, names the
-// blocks known to miss the ratio floor — the store's badly-compressing-
-// block table — which go straight to the lossless fallback.
+// blocks known to miss the ratio floor — the store's flagged blocks —
+// which go straight to the lossless fallback.
 func (e *Encoder) appendBlocks(dst []byte, vals vec.Vec, skip func(idx uint32) bool) ([]byte, error) {
 	n := vals.Len()
 	c := e.borrowCodec()
@@ -219,7 +219,7 @@ func (s *Store) PutEncoded(key string, container []byte, sp *trace.Span) (PutRes
 	if err != nil {
 		return PutResult{}, err
 	}
-	res, err := s.commitPut(key, h.width, h.total, int(h.total)*int(h.width/8), ps, t0, sp)
+	res, err := s.commitPut(key, h.width, h.total, ps, t0, sp)
 	clear(ps.blocks) // they alias the caller's container
 	return res, err
 }

@@ -54,7 +54,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if got, err := s.Get32(fmt.Sprintf("key-0-%d", i%5)); err == nil {
+			if got, err := get32(s, fmt.Sprintf("key-0-%d", i%5)); err == nil {
 				if len(got) != len(vals[0]) {
 					t.Errorf("get returned %d values, want %d", len(got), len(vals[0]))
 					return

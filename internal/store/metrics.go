@@ -62,7 +62,9 @@ type SegmentStats struct {
 }
 
 // Stats is a point-in-time snapshot of the store, served by avrd at
-// /v1/store/stats and printed by cmd/avrstore inspect.
+// /v1/store/stats and printed by cmd/avrstore inspect. Blocks, RawBytes
+// and FlaggedBlocks are sums over the live blocks; a flagged block is
+// one stored lossless at the store's current t1.
 type Stats struct {
 	Dir           string  `json:"dir"`
 	T1            float64 `json:"t1"`
@@ -101,19 +103,21 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := Stats{
-		Dir:           s.cfg.Dir,
-		T1:            s.cfg.T1,
-		RatioFloor:    s.cfg.RatioFloor,
-		Keys:          len(s.index),
-		FlaggedBlocks: len(s.flags),
-		Tombstones:    len(s.tombs),
-		Segments:      len(s.segs),
-		RawBytes:      s.rawBytes,
+		Dir:        s.cfg.Dir,
+		T1:         s.cfg.T1,
+		RatioFloor: s.cfg.RatioFloor,
+		Keys:       len(s.index),
+		Tombstones: len(s.tombs),
+		Segments:   len(s.segs),
 	}
 	for _, e := range s.index {
 		for i := range e.refs {
-			if e.refs[i].seg != 0 {
+			if ref := &e.refs[i]; ref.seg != 0 {
 				st.Blocks++
+				st.RawBytes += int64(ref.valCount) * int64(e.width/8)
+				if ref.flagged(s.cfg.T1) {
+					st.FlaggedBlocks++
+				}
 			}
 		}
 	}

@@ -77,7 +77,7 @@ type cutTally struct {
 
 // cutKeys are the keys a schedule writes: both widths, one long enough
 // for a torn put to leave a prefix, and noise, which the ratio floor sends
-// to the lossless fallback and the flag table.
+// to the lossless fallback, flagged.
 var cutKeys = []struct {
 	name     string
 	width, n int

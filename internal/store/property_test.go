@@ -77,7 +77,7 @@ func TestPropertyRoundTripAllWorkloads(t *testing.T) {
 					}
 
 					if width == 32 {
-						got, err := s.Get32(key)
+						got, err := get32(s, key)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -89,7 +89,7 @@ func TestPropertyRoundTripAllWorkloads(t *testing.T) {
 								uint64(math.Float32bits(got[i])), uint64(math.Float32bits(want32[i])))
 						}
 					} else {
-						got, err := s.Get64(key)
+						got, err := get64(s, key)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -128,11 +128,11 @@ func TestPropertySurvivesReopen(t *testing.T) {
 	if _, err := s.Put64("r64", w64); err != nil {
 		t.Fatal(err)
 	}
-	before32, err := s.Get32("m32")
+	before32, err := get32(s, "m32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	before64, err := s.Get64("r64")
+	before64, err := get64(s, "r64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestPropertySurvivesReopen(t *testing.T) {
 	}
 
 	r := openTest(t, Config{Dir: dir})
-	after32, err := r.Get32("m32")
+	after32, err := get32(r, "m32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	after64, err := r.Get64("r64")
+	after64, err := get64(r, "r64")
 	if err != nil {
 		t.Fatal(err)
 	}

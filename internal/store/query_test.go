@@ -241,7 +241,7 @@ func TestTornTailHole(t *testing.T) {
 	if st := s.Stats(); st.Blocks != 1 {
 		t.Fatalf("Stats.Blocks %d after torn recovery, want 1", st.Blocks)
 	}
-	got, err := s.Get32("torn")
+	got, err := get32(s, "torn")
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("Get of torn vector: err %v", err)
 	}

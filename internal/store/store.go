@@ -4,10 +4,10 @@
 // with the AVR lossy codec at the store's t1 threshold and appended to
 // CRC-guarded segment files. Blocks whose achieved compression ratio
 // falls below a configurable floor are stored exactly through the
-// internal/lossless fallback and flagged in a badly-compressing-block
-// table, so both the Put path and the background recompression worker
-// skip pointless compression attempts — the paper's CMT policy (§4)
-// applied at rest.
+// internal/lossless fallback; such a block, live at the store's current
+// t1, is flagged as badly compressing by its index entry alone, so both
+// the Put path and the background recompression worker skip pointless
+// compression attempts — the paper's CMT policy (§4) applied at rest.
 //
 // Segments are append-only and every frame is CRC-32C guarded, so there
 // is no WAL: Open rebuilds the index by scanning the segments and cuts a
@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -37,7 +38,7 @@ import (
 // BlockValues is the store's fixed block size in values. Each block is
 // encoded independently (16 AVR codec blocks for fp32, 32 for fp64), so
 // it is the granularity of crash recovery, of the ratio-floor decision
-// and of the badly-compressing-block table.
+// and of the badly-compressing flag.
 const BlockValues = 4096
 
 // Config tunes a store. The zero value of any field selects its
@@ -114,16 +115,6 @@ var (
 	ErrClosed = errors.New("store: closed")
 )
 
-// blockKey identifies one block slot of one key for the
-// badly-compressing-block table (Store.flags), which holds the threshold
-// the lossless block in the slot failed to compress at. A block is
-// skipped only when the store's current t1 equals the failed t1 —
-// reopening the store with a different threshold re-arms the retry.
-type blockKey struct {
-	key string
-	idx uint32
-}
-
 // blockRef locates one live block record inside a segment.
 type blockRef struct {
 	seg      uint32
@@ -188,16 +179,16 @@ type Store struct {
 	cfg Config
 	dir directory // cfg.Dir, open: fsynced when a roll has created a segment in it
 
-	mu       sync.RWMutex
-	segs     map[uint32]*segMeta
-	active   *segMeta
-	nextSeg  uint32
-	seq      uint64
-	index    map[string]*entry
-	tombs    map[string]tombRef
-	flags    map[blockKey]float64
-	closed   bool
-	rawBytes int64 // raw value bytes represented by live blocks
+	// index and tombs are the fold of the live frames (apply); nothing
+	// about the values is kept beside them.
+	mu      sync.RWMutex
+	segs    map[uint32]*segMeta
+	active  *segMeta
+	nextSeg uint32
+	seq     uint64
+	index   map[string]*entry
+	tombs   map[string]tombRef
+	closed  bool
 
 	// enc is the block encoder PutVec runs; its codec pool also serves
 	// the read path and the compactor's recompression retries.
@@ -240,7 +231,6 @@ func Open(cfg Config) (*Store, error) {
 		segs:  make(map[uint32]*segMeta),
 		index: make(map[string]*entry),
 		tombs: make(map[string]tombRef),
-		flags: make(map[blockKey]float64),
 		enc:   NewEncoder(cfg.T1, cfg.RatioFloor),
 	}
 	s.puts.New = func() any { return &putScratch{} }
@@ -304,8 +294,8 @@ func segIDs(fs fsys, dir string) ([]uint32, error) {
 	return ids, nil
 }
 
-// recover scans existing segments in ID order and rebuilds the index,
-// the tombstone set and the badly-compressing-block table. The newest
+// recover scans existing segments in ID order and rebuilds the index and
+// the tombstone set, folding every frame in through apply. The newest
 // segment may be torn (crash mid-append) and is truncated to its last
 // intact frame; a segment too short to hold a frame, whose header does
 // not verify, is what a dead roll left and is removed; any other torn or
@@ -332,7 +322,7 @@ func (s *Store) recover() error {
 		good, err := s.walkSegment(id, size, func(_ int64, _ []byte, frames []segFrame) error {
 			for _, fr := range frames {
 				meta.liveBytes += fr.n // markDead inside apply corrects this
-				s.apply(id, fr.rec, fr.off, fr.n)
+				s.apply(id, &fr.rec, fr.off, fr.n)
 			}
 			return nil
 		})
@@ -370,29 +360,36 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// apply folds one scanned record into the in-memory state. Caller holds
-// the lock (or is single-threaded recovery).
-func (s *Store) apply(segID uint32, rec record, off, frameLen int64) {
+// apply folds one frame, n bytes at off of segment segID, into the
+// index: the one transition of what the store holds. Recovery runs it
+// over every frame on disk in order; a put, a delete and a compaction
+// pass run it over each frame they append, so what a reopen rebuilds is
+// what the process held. A frame of a newer seq supersedes the key's
+// value or tombstone; one of the same seq is a copy compaction made and
+// takes over from the one it was copied from. Caller holds the write
+// lock (or is single-threaded recovery).
+func (s *Store) apply(segID uint32, rec *record, off, n int64) {
 	if rec.Seq > s.seq {
 		s.seq = rec.Seq
 	}
 	switch rec.Kind {
 	case recordTombstone:
 		if old, ok := s.tombs[rec.Key]; ok {
-			if rec.Seq <= old.seq {
-				s.markDead(segID, frameLen) // stale tombstone
+			if rec.Seq < old.seq {
+				s.markDead(segID, n) // stale tombstone
 				return
 			}
 			s.markDead(old.seg, old.frameLen)
 		}
-		s.tombs[rec.Key] = tombRef{seq: rec.Seq, seg: segID, off: off, frameLen: frameLen}
+		s.tombs[rec.Key] = tombRef{seq: rec.Seq, seg: segID, off: off, frameLen: n}
 		if e, ok := s.index[rec.Key]; ok && e.seq < rec.Seq {
-			s.dropEntry(rec.Key, e)
+			s.dropEntry(e)
+			delete(s.index, rec.Key)
 		}
 	case recordBlock:
 		if t, ok := s.tombs[rec.Key]; ok {
 			if t.seq > rec.Seq {
-				s.markDead(segID, frameLen) // deleted later
+				s.markDead(segID, n) // deleted later
 				return
 			}
 			// Re-put after delete: the tombstone is superseded.
@@ -400,46 +397,47 @@ func (s *Store) apply(segID uint32, rec record, off, frameLen int64) {
 			delete(s.tombs, rec.Key)
 		}
 		e := s.index[rec.Key]
-		switch {
-		case e == nil || rec.Seq > e.seq:
-			if e != nil {
-				s.dropEntry(rec.Key, e)
-			}
-			e = &entry{seq: rec.Seq, totalVals: rec.TotalVals, width: rec.Width}
-			e.refs = make([]blockRef, e.blocks())
-			s.index[rec.Key] = e
-		case rec.Seq < e.seq:
-			s.markDead(segID, frameLen) // superseded put
+		if e != nil && rec.Seq < e.seq {
+			s.markDead(segID, n) // superseded put
 			return
+		}
+		if e == nil || rec.Seq > e.seq {
+			// The first frame of a newer put: the superseded entry is
+			// recycled, refs capacity and all, so a steady-state put
+			// allocates nothing.
+			if e == nil {
+				e = &entry{}
+				s.index[rec.Key] = e
+			}
+			s.dropEntry(e)
+			e.seq, e.totalVals, e.width = rec.Seq, rec.TotalVals, rec.Width
+			nb := e.blocks()
+			e.refs = slices.Grow(e.refs[:0], nb)[:nb]
+			clear(e.refs)
 		}
 		if int(rec.BlockIdx) >= len(e.refs) || rec.TotalVals != e.totalVals || rec.Width != e.width {
 			// Same seq but inconsistent shape: writer bug or cross-stitched
 			// corruption that CRC cannot catch. Treat as dead.
-			s.markDead(segID, frameLen)
+			s.markDead(segID, n)
 			return
 		}
 		if old := e.refs[rec.BlockIdx]; old.seg != 0 {
 			s.markDead(old.seg, old.frameLen)
-		} else {
-			s.rawBytes += int64(rec.ValCount) * int64(rec.Width/8)
 		}
 		e.refs[rec.BlockIdx] = blockRef{
-			seg: segID, off: off, frameLen: frameLen,
+			seg: segID, off: off, frameLen: n,
 			enc: rec.Enc, valCount: rec.ValCount, t1: rec.T1,
 		}
-		s.setFlag(blockKey{rec.Key, rec.BlockIdx}, rec.Enc, rec.T1)
 	}
 }
 
-// dropEntry kills every live frame of e and removes it from the index.
-func (s *Store) dropEntry(key string, e *entry) {
+// dropEntry kills every live frame of e, a value superseded or deleted.
+func (s *Store) dropEntry(e *entry) {
 	for _, ref := range e.refs {
 		if ref.seg != 0 {
 			s.markDead(ref.seg, ref.frameLen)
-			s.rawBytes -= int64(ref.valCount) * int64(e.width/8)
 		}
 	}
-	delete(s.index, key)
 }
 
 // markDead moves frameLen bytes of segment segID from live to dead.
@@ -554,14 +552,13 @@ func (s *Store) returnCodec(c *avr.Codec) { s.enc.returnCodec(c) }
 
 // putScratch is the reusable per-put state: the blocks to commit, the
 // one buffer PutVec encodes them into (its blocks slice it until the
-// commit), the lossless-check scratch of PutEncoded, the staged refs, and
-// the frame serialisation buffer. Pooled so steady-state puts allocate
-// nothing.
+// commit), the lossless-check scratch of PutEncoded, the frame
+// serialisation buffer and the record being framed. Pooled so
+// steady-state puts allocate nothing.
 type putScratch struct {
 	blocks []encodedBlock
 	buf    []byte
 	vals   vec.Vec
-	refs   []blockRef
 	frame  []byte
 	rec    record
 }
@@ -572,35 +569,29 @@ func (ps *putScratch) ensure(nb int) {
 		ps.blocks = make([]encodedBlock, nb)
 	}
 	ps.blocks = ps.blocks[:nb]
-	if cap(ps.refs) < nb {
-		ps.refs = make([]blockRef, nb)
-	}
-	ps.refs = ps.refs[:nb]
 }
 
-// flagged reports whether the block is flagged at the store's current
-// threshold (so the compression attempt should be skipped); flaggedLocked
-// is for the caller that holds the lock.
+// flagged reports whether the block is flagged as badly compressing at
+// the store's current threshold (so the compression attempt should be
+// skipped); flaggedLocked is for the caller that holds the lock.
 func (s *Store) flagged(key string, idx uint32) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.flaggedLocked(key, idx)
 }
 
+// flaggedLocked: the block's live ref is lossless at the current t1 — a
+// lossless block records the t1 it failed to compress at, and reopening
+// the store at another threshold re-arms the retry.
 func (s *Store) flaggedLocked(key string, idx uint32) bool {
-	t1, ok := s.flags[blockKey{key, idx}]
-	return ok && t1 == s.cfg.T1
+	e := s.index[key]
+	return e != nil && int(idx) < len(e.refs) && e.refs[idx].flagged(s.cfg.T1)
 }
 
-// setFlag files a block just written, or found by recovery, in the
-// badly-compressing-block table: flagged at the t1 its frame carries if it
-// is lossless, cleared if it is AVR. Caller holds the write lock.
-func (s *Store) setFlag(bk blockKey, enc uint8, t1 float64) {
-	if enc == encLossless {
-		s.flags[bk] = t1
-	} else {
-		delete(s.flags, bk)
-	}
+// flagged reports whether the block the ref locates failed to compress
+// at t1.
+func (r *blockRef) flagged(t1 float64) bool {
+	return r.seg != 0 && r.enc == encLossless && r.t1 == t1
 }
 
 // Put32 stores an fp32 vector under key, replacing any previous value.
@@ -625,8 +616,8 @@ func (s *Store) Put64Traced(key string, vals []float64, sp *trace.Span) (PutResu
 
 // PutVec stores vals, of either width, under key, replacing any previous
 // value: encode the blocks through the Encoder's loop — the one
-// Encoder.AppendPut runs, with the badly-compressing-block table as its
-// skip hook — then commit them (commitPut): the one write path, which
+// Encoder.AppendPut runs, with the key's flagged blocks as its skip
+// hook — then commit them (commitPut): the one write path, which
 // PutEncoded joins at the commit with blocks encoded elsewhere.
 // Per-stage attribution onto sp: block encoding (StageEncode), store
 // mutex wait (StageLock), and the segment append (StageSegWrite). A nil
@@ -651,14 +642,14 @@ func (s *Store) PutVec(key string, vals vec.Vec, sp *trace.Span) (PutResult, err
 	}
 	blocksOf(ps.blocks, ps.buf, n)
 	sp.End(trace.StageEncode, et)
-	return s.commitPut(key, uint8(vals.Width), uint64(n), n*vals.Width/8, ps, t0, sp)
+	return s.commitPut(key, uint8(vals.Width), uint64(n), ps, t0, sp)
 }
 
 // commitPut appends ps.blocks as frames — serialised back to back and
 // written with one write, so a put lands whole in one segment — and
-// installs the new index entry atomically with respect to readers. On
+// applies each where it landed, atomically with respect to readers. On
 // append failure the index keeps the old value.
-func (s *Store) commitPut(key string, width uint8, totalVals uint64, rawBytes int, ps *putScratch, t0 time.Time, sp *trace.Span) (PutResult, error) {
+func (s *Store) commitPut(key string, width uint8, totalVals uint64, ps *putScratch, t0 time.Time, sp *trace.Span) (PutResult, error) {
 	blocks := ps.blocks
 	lt := sp.Begin()
 	s.mu.Lock()
@@ -668,79 +659,42 @@ func (s *Store) commitPut(key string, width uint8, totalVals uint64, rawBytes in
 		return PutResult{}, ErrClosed
 	}
 	s.seq++
-	seq := s.seq
-	refs := ps.refs
-	res := PutResult{Key: key, Values: int(totalVals), Blocks: len(blocks)}
+	raw := int64(totalVals) * int64(width/8)
+	res := PutResult{Key: key, Values: int(totalVals), Blocks: len(blocks), RawBytes: raw}
 	wt := sp.Begin()
+	ps.rec = record{Kind: recordBlock, Seq: s.seq, Key: key, TotalVals: totalVals, Width: width, T1: s.cfg.T1}
 	ps.frame = ps.frame[:0]
 	for i := range blocks {
-		eb := &blocks[i]
-		ps.rec = record{
-			Kind: recordBlock, Seq: seq, Key: key,
-			BlockIdx: uint32(i), TotalVals: totalVals,
-			Width: width, Enc: eb.enc, ValCount: eb.valCount,
-			T1: s.cfg.T1, Data: eb.data,
-		}
-		at := len(ps.frame)
+		ps.rec.BlockIdx, ps.rec.Enc, ps.rec.ValCount, ps.rec.Data = uint32(i), blocks[i].enc, blocks[i].valCount, blocks[i].data
 		ps.frame = appendFrame(ps.frame, &ps.rec)
-		// off is relative to the put's first frame until the write says
-		// where that landed.
-		refs[i] = blockRef{off: int64(at), frameLen: int64(len(ps.frame) - at),
-			enc: eb.enc, valCount: eb.valCount, t1: s.cfg.T1}
 	}
-	segID, base, err := s.appendLocked(ps.frame)
+	segID, off, err := s.appendLocked(ps.frame)
 	sp.End(trace.StageSegWrite, wt)
 	if err != nil {
 		return PutResult{}, err
 	}
 	res.StoredBytes = int64(len(ps.frame))
-	for i := range refs {
-		refs[i].seg = segID
-		refs[i].off += base
-		s.setFlag(blockKey{key, uint32(i)}, refs[i].enc, s.cfg.T1)
-		if refs[i].enc == encLossless {
+	for i, frame := 0, ps.frame; i < len(blocks); i++ {
+		eb := &blocks[i]
+		n := frameHeaderLen + int64(binary.LittleEndian.Uint32(frame))
+		ps.rec.BlockIdx, ps.rec.Enc, ps.rec.ValCount = uint32(i), eb.enc, eb.valCount
+		s.apply(segID, &ps.rec, off, n)
+		frame, off = frame[n:], off+n
+		if eb.enc == encLossless {
 			res.LosslessBlocks++
 			obs.StoreBlocksLossless.Add(1)
 		} else {
 			obs.StoreBlocksAVR.Add(1)
 		}
-		blockRatioHist.Observe(float64(int(refs[i].valCount)*int(width/8)) / float64(len(blocks[i].data)))
+		blockRatioHist.Observe(float64(int(eb.valCount)*int(width/8)) / float64(len(eb.data)))
 	}
-	// Install the new entry, recycling the superseded one (same effect as
-	// dropEntry, without discarding its refs capacity).
-	var e *entry
-	if old, ok := s.index[key]; ok {
-		for _, ref := range old.refs {
-			if ref.seg != 0 {
-				s.markDead(ref.seg, ref.frameLen)
-				s.rawBytes -= int64(ref.valCount) * int64(old.width/8)
-			}
-		}
-		e = old
-	} else {
-		e = &entry{}
-	}
-	if t, ok := s.tombs[key]; ok {
-		s.markDead(t.seg, t.frameLen)
-		delete(s.tombs, key)
-	}
-	e.seq, e.totalVals, e.width = seq, totalVals, width
-	if cap(e.refs) < len(refs) {
-		e.refs = make([]blockRef, len(refs))
-	}
-	e.refs = e.refs[:len(refs)]
-	copy(e.refs, refs)
-	s.index[key] = e
+	ps.rec.Data = nil // it may alias the caller's container (PutEncoded)
 	// The superseded value's summary line (if resident) is now stale;
 	// dropping it under the write lock orders strictly against fills.
 	s.invalidateCacheLocked(key)
-	s.rawBytes += int64(rawBytes)
-	res.RawBytes = int64(rawBytes)
-	if res.StoredBytes > 0 {
-		res.Ratio = float64(res.RawBytes) / float64(res.StoredBytes)
-	}
+	res.Ratio = float64(res.RawBytes) / float64(res.StoredBytes)
 	obs.StorePuts.Add(1)
-	obs.StorePutBytes.Add(int64(rawBytes))
+	obs.StorePutBytes.Add(raw)
 	putLatencyHist.Observe(float64(time.Since(t0).Microseconds()))
 	return res, nil
 }
@@ -784,21 +738,6 @@ func (s *Store) GetIntoTraced(dst32 []float32, dst64 []float64, key string, sp *
 func (s *Store) GetCachedTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, src CacheSource, err error) {
 	v, src, err := s.GetVec(vec.Vec{}, key, true, sp)
 	return v.F32, v.F64, v.Width, src, err
-}
-
-// Get32 returns the fp32 vector stored under key (ErrWidth if it holds
-// fp64). Get32 and Get64 have only test callers; Get32's include the
-// cluster's tests, which a test file here could not reach.
-func (s *Store) Get32(key string) ([]float32, error) {
-	v, _, err := s.GetVec(vec.Of32(nil), key, false, nil)
-	return v.F32, err
-}
-
-// Get64 returns the fp64 vector stored under key (ErrWidth if it holds
-// fp32).
-func (s *Store) Get64(key string) ([]float64, error) {
-	v, _, err := s.GetVec(vec.Of64(nil), key, false, nil)
-	return v.F64, err
 }
 
 // Get32IntoCached appends the fp32 vector stored under key to dst,
@@ -1136,8 +1075,7 @@ func (s *Store) Delete(key string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	e, ok := s.index[key]
-	if !ok {
+	if _, ok := s.index[key]; !ok {
 		return ErrNotFound
 	}
 	s.seq++
@@ -1147,14 +1085,7 @@ func (s *Store) Delete(key string) error {
 	if err != nil {
 		return err
 	}
-	s.dropEntry(key, e)
-	for i := 0; i < e.blocks(); i++ {
-		delete(s.flags, blockKey{key, uint32(i)})
-	}
-	if old, ok := s.tombs[key]; ok {
-		s.markDead(old.seg, old.frameLen)
-	}
-	s.tombs[key] = tombRef{seq: rec.Seq, seg: segID, off: off, frameLen: int64(len(frame))}
+	s.apply(segID, &rec, off, int64(len(frame)))
 	s.invalidateCacheLocked(key)
 	obs.StoreDeletes.Add(1)
 	return nil

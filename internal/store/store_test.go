@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"avr/internal/vec"
 	"avr/internal/workloads"
 )
 
@@ -52,6 +53,17 @@ func genF64(t *testing.T, dist string, n int, seed uint64) []float64 {
 	return vals
 }
 
+// get32 and get64 read key from disk through GetVec, demanding the width.
+func get32(s *Store, key string) ([]float32, error) {
+	v, _, err := s.GetVec(vec.Of32(nil), key, false, nil)
+	return v.F32, err
+}
+
+func get64(s *Store, key string) ([]float64, error) {
+	v, _, err := s.GetVec(vec.Of64(nil), key, false, nil)
+	return v.F64, err
+}
+
 func TestPutGetRoundTrip32(t *testing.T) {
 	s := openTest(t, Config{})
 	vals := genF32(t, "heat", 3*BlockValues+123, 1)
@@ -65,7 +77,7 @@ func TestPutGetRoundTrip32(t *testing.T) {
 	if res.Ratio < 2 {
 		t.Errorf("heat data achieved ratio %.2f, want compressible (≥2)", res.Ratio)
 	}
-	got, err := s.Get32("k")
+	got, err := get32(s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +97,7 @@ func TestPutGetRoundTrip64(t *testing.T) {
 	if _, err := s.Put64("k64", vals); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get64("k64")
+	got, err := get64(s, "k64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +116,10 @@ func TestGetWidthMismatch(t *testing.T) {
 	if _, err := s.Put32("k", genF32(t, "heat", 100, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get64("k"); !errors.Is(err, ErrWidth) {
+	if _, err := get64(s, "k"); !errors.Is(err, ErrWidth) {
 		t.Fatalf("Get64 of fp32 key: err = %v, want ErrWidth", err)
 	}
-	if _, err := s.Get32("missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := get32(s, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get32 missing key: err = %v, want ErrNotFound", err)
 	}
 }
@@ -124,7 +136,7 @@ func TestLosslessFallbackIsExact(t *testing.T) {
 	if res.LosslessBlocks != res.Blocks {
 		t.Fatalf("%d of %d blocks lossless, want all", res.LosslessBlocks, res.Blocks)
 	}
-	got, err := s.Get32("noise")
+	got, err := get32(s, "noise")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +167,7 @@ func TestOverwriteAndDelete(t *testing.T) {
 	if _, err := s.Put32("k", v2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get32("k")
+	got, err := get32(s, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +181,7 @@ func TestOverwriteAndDelete(t *testing.T) {
 	if err := s.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get32("k"); !errors.Is(err, ErrNotFound) {
+	if _, err := get32(s, "k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after Delete: err = %v, want ErrNotFound", err)
 	}
 	if err := s.Delete("k"); !errors.Is(err, ErrNotFound) {
@@ -187,7 +199,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		if _, err := s.Put32(key, vals); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Get32(key)
+		got, err := get32(s, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +223,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		t.Fatalf("reopened store has keys %v, want %d keys", keys, len(want))
 	}
 	for key, vals := range want {
-		got, err := r.Get32(key)
+		got, err := get32(r, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +233,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 			}
 		}
 	}
-	if _, err := r.Get32("gone"); !errors.Is(err, ErrNotFound) {
+	if _, err := get32(r, "gone"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted key resurrected after reopen: err = %v", err)
 	}
 	statsAfter := r.Stats()
@@ -255,7 +267,7 @@ func TestSegmentRollAndStats(t *testing.T) {
 	if st := s.Stats(); st.Segments != 3 {
 		t.Fatalf("3 puts over the target each: %d segments, want 3", st.Segments)
 	}
-	got, err := s.Get32("k0")
+	got, err := get32(s, "k0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +317,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 
 	r := openTest(t, Config{Dir: "d", fs: fs.crash(processKill, 1)})
 	// The untouched key is fully intact.
-	got, err := r.Get32("stable")
+	got, err := get32(r, "stable")
 	if err != nil {
 		t.Fatalf("stable key after crash: %v", err)
 	}
@@ -316,7 +328,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 	// The victim lost its last block (37 bytes cut the final frame) but
 	// every fully-written block must be back, bounded by t1.
-	v, err := r.Get32("victim")
+	v, err := get32(r, "victim")
 	if !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("victim Get err = %v, want ErrIncomplete", err)
 	}
@@ -334,7 +346,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if _, err := r.Put32("victim", victim); err != nil {
 		t.Fatal(err)
 	}
-	if v, err = r.Get32("victim"); err != nil || len(v) != len(victim) {
+	if v, err = get32(r, "victim"); err != nil || len(v) != len(victim) {
 		t.Fatalf("re-put after recovery: %d values, err %v", len(v), err)
 	}
 }

@@ -141,7 +141,7 @@ func TestTracedPathsPopulateStages(t *testing.T) {
 	if _, err := s.Put32("k2", vals); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get32("k2"); err != nil {
+	if _, err := get32(s, "k2"); err != nil {
 		t.Fatal(err)
 	}
 }
