@@ -61,15 +61,11 @@ func Benchmarks() []string { return experiments.Benchmarks() }
 // RunBenchmark simulates one benchmark on one design at the given scale
 // and returns its statistics.
 func RunBenchmark(benchmark string, d Design, sc Scale) (Result, error) {
-	w, err := workloads.ByName(benchmark)
+	e, err := experiments.Simulate(benchmark, sc.Preset(d), sc)
 	if err != nil {
 		return Result{}, err
 	}
-	sys := sim.New(sc.Preset(d))
-	w.Setup(sys, sc)
-	sys.Prime()
-	w.Run(sys)
-	return sys.Finish(benchmark), nil
+	return e.Result, nil
 }
 
 // MultiResult is the statistics record of a multicore run.

@@ -39,8 +39,9 @@ type testCluster struct {
 
 // newTestCluster boots n avrd nodes and a router over them. The prober
 // is disabled unless probeInterval > 0 — most tests drive health
-// directly and must not race it. The router reaches node i through
-// tc.faults, which passes every request on until a test arms it.
+// directly and must not race it. In a test the router reaches node i
+// through tc.faults, which passes every request on until the test arms
+// it; a benchmark's router reaches the nodes directly.
 func newTestCluster(t testing.TB, n int, cfg Config) *testCluster {
 	t.Helper()
 	return newTestClusterAt(t, make([]store.Config, n), cfg)
@@ -72,7 +73,13 @@ func newTestClusterAt(t testing.TB, stores []store.Config, cfg Config) *testClus
 		tc.faults.hosts[addr] = i
 		topo.Nodes = append(topo.Nodes, Node{Name: fmt.Sprintf("node-%02d", i), Addr: addr})
 	}
-	cfg.transport = tc.faults.wrap
+	// Only a test can arm faults. A benchmark's router keeps its own
+	// transport: behind a wrapper, net/http enforces the client's Timeout
+	// with a timer per request, and the batch benchmarks would count
+	// those allocations against the router.
+	if _, ok := t.(*testing.T); ok {
+		cfg.transport = tc.faults.wrap
+	}
 	cfg.Topology = topo
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = -1 // off

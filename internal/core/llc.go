@@ -47,6 +47,18 @@ type Config struct {
 	// remaining lines when at least this many were explicitly requested
 	// (the paper uses half the block, 8).
 	PrefetchThreshold int
+	// ApproxEnabled globally gates approximation: false yields the
+	// ZeroAVR configuration (full AVR structures, nothing approximated).
+	ApproxEnabled bool
+	Knobs
+}
+
+// Knobs are the AVR LLC settings a simulated system is configured with:
+// sim.Config embeds them, and sim.New hands them to the LLC whole.
+type Knobs struct {
+	// Thresholds and Variants configure the compressor.
+	Thresholds compress.Thresholds
+	Variants   compress.VariantMask
 	// LazyEvictions enables lazy writeback of dirty UCLs into the free
 	// space of their compressed block in memory (§3.1). Ablation knob.
 	LazyEvictions bool
@@ -56,19 +68,26 @@ type Config struct {
 	// PFEEnabled enables the prefetch engine. Ablation knob; when false,
 	// replaced DBUF lines are simply dropped.
 	PFEEnabled bool
-	// ApproxEnabled globally gates approximation: false yields the
-	// ZeroAVR configuration (full AVR structures, nothing approximated).
-	ApproxEnabled bool
-	// LosslessLink compresses non-approximated lines on the memory link
-	// (the orthogonal lossless layer of §2); LosslessAlgo selects the
-	// algorithm.
-	LosslessLink bool
-	LosslessAlgo lossless.Algorithm
-	// Thresholds and Variants configure the compressor.
-	Thresholds compress.Thresholds
-	Variants   compress.VariantMask
 	// CMTCachePages sizes the on-chip CMT cache.
 	CMTCachePages int
+	// LosslessLink compresses non-approximated lines on the memory link
+	// (the orthogonal lossless layer of §2; the Baseline design reads it
+	// too); LosslessAlgo selects BDI (the default) or FPC.
+	LosslessLink bool
+	LosslessAlgo lossless.Algorithm
+}
+
+// DefaultKnobs returns the paper's settings: every mechanism on, the
+// default thresholds, both compressor variants, no lossless link.
+func DefaultKnobs() Knobs {
+	return Knobs{
+		Thresholds:    compress.DefaultThresholds(),
+		Variants:      compress.VariantBoth,
+		LazyEvictions: true,
+		SkipHistory:   true,
+		PFEEnabled:    true,
+		CMTCachePages: 1024,
+	}
 }
 
 // DefaultConfig returns an AVR LLC configuration for the given capacity,
@@ -80,13 +99,8 @@ func DefaultConfig(capacity int) Config {
 		HitCycles:         15,
 		CMSReadCycles:     2,
 		PrefetchThreshold: compress.BlockLines / 2,
-		LazyEvictions:     true,
-		SkipHistory:       true,
-		PFEEnabled:        true,
 		ApproxEnabled:     true,
-		Thresholds:        compress.DefaultThresholds(),
-		Variants:          compress.VariantBoth,
-		CMTCachePages:     1024,
+		Knobs:             DefaultKnobs(),
 	}
 }
 

@@ -23,14 +23,16 @@ import (
 	"avr/internal/mem"
 )
 
+// tagFactor multiplies the tag-array entries per set: the paper's tag
+// array indexes 4× the lines its data array stores.
+const tagFactor = 4
+
 // Config parameterises the design.
 type Config struct {
 	// CapacityBytes is the data-array capacity (equal to the AVR LLC).
 	CapacityBytes int
 	// Ways is the data-array associativity.
 	Ways int
-	// TagFactor multiplies the tag-array entries per set (the paper uses 4).
-	TagFactor int
 	// HitCycles is the access latency.
 	HitCycles int
 }
@@ -65,7 +67,7 @@ type dataEntry struct {
 type LLC struct {
 	cfg      Config
 	sets     int
-	tags     []tagEntry  // sets × Ways×TagFactor
+	tags     []tagEntry  // sets × Ways×tagFactor
 	data     []dataEntry // sets × Ways
 	tagWays  int
 	clock    uint64
@@ -76,9 +78,6 @@ type LLC struct {
 
 // New builds the design.
 func New(cfg Config, space *mem.Space, d *dram.DRAM) *LLC {
-	if cfg.TagFactor < 1 {
-		cfg.TagFactor = 1
-	}
 	sets := cfg.CapacityBytes / (cfg.Ways * 64)
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic("dganger: set count must be a power of two")
@@ -86,8 +85,8 @@ func New(cfg Config, space *mem.Space, d *dram.DRAM) *LLC {
 	return &LLC{
 		cfg:      cfg,
 		sets:     sets,
-		tagWays:  cfg.Ways * cfg.TagFactor,
-		tags:     make([]tagEntry, sets*cfg.Ways*cfg.TagFactor),
+		tagWays:  cfg.Ways * tagFactor,
+		tags:     make([]tagEntry, sets*cfg.Ways*tagFactor),
 		data:     make([]dataEntry, sets*cfg.Ways),
 		space:    space,
 		dramCtrl: d,

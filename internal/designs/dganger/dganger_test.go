@@ -20,7 +20,7 @@ func newRig() *rig {
 	space := mem.NewSpace(8 << 20)
 	base := space.AllocApprox(2<<20, compress.Float32)
 	d := dram.New(dram.DDR4(1, 1))
-	cfg := Config{CapacityBytes: 64 << 10, Ways: 16, TagFactor: 4, HitCycles: 15}
+	cfg := Config{CapacityBytes: 64 << 10, Ways: 16, HitCycles: 15}
 	return &rig{space: space, d: d, llc: New(cfg, space, d), base: base}
 }
 
@@ -184,7 +184,7 @@ func TestFixedPointSignature(t *testing.T) {
 	space := mem.NewSpace(4 << 20)
 	base := space.AllocApprox(1<<20, compress.Fixed32)
 	d := dram.New(dram.DDR4(1, 1))
-	llc := New(Config{CapacityBytes: 64 << 10, Ways: 16, TagFactor: 4, HitCycles: 15}, space, d)
+	llc := New(Config{CapacityBytes: 64 << 10, Ways: 16, HitCycles: 15}, space, d)
 	stride := uint64(llc.sets * 64)
 	for i := uint64(0); i < 64; i += 4 {
 		space.Store32(base+i, 100000)

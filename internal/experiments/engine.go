@@ -63,8 +63,8 @@ func Simulate(bench string, cfg sim.Config, sc workloads.Scale) (*Entry, error) 
 	return &Entry{Result: res, Output: w.Output(sys)}, nil
 }
 
-// SimulateMulti executes bench's parallel decomposition on an n-core CMP
-// whose cores share cfg's LLC and DRAM.
+// SimulateMulti executes bench's kernel on every core of an n-core CMP
+// whose cores share cfg's LLC and DRAM, each core running its share.
 func SimulateMulti(bench string, cfg sim.Config, n int, sc workloads.Scale) (sim.MultiResult, error) {
 	w, err := workloads.ParallelByName(bench)
 	if err != nil {
@@ -73,7 +73,7 @@ func SimulateMulti(bench string, cfg sim.Config, n int, sc workloads.Scale) (sim
 	m := sim.NewMulti(cfg, n)
 	w.Setup(m.Shared(), sc)
 	m.Prime()
-	m.Run(w.RunShard)
+	m.Run(func(c *sim.CoreCtx) { w.Run(c) })
 	return m.Finish(bench), nil
 }
 

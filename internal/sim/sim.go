@@ -92,22 +92,9 @@ type Config struct {
 
 	CPU cpu.Config
 
-	// AVR knobs.
-	Thresholds    compress.Thresholds
-	Variants      compress.VariantMask
-	LazyEvictions bool
-	SkipHistory   bool
-	PFEEnabled    bool
-	CMTCachePages int
-
-	// Doppelgänger knob.
-	DgTagFactor int
-
-	// LosslessLink enables lossless compression of non-approximated
-	// lines on the memory link (Baseline and AVR designs; §2's
-	// orthogonal layer); LosslessAlgo picks BDI (default) or FPC.
-	LosslessLink bool
-	LosslessAlgo lossless.Algorithm
+	// The AVR LLC's knobs; LosslessLink and LosslessAlgo apply to the
+	// Baseline design too.
+	core.Knobs
 
 	// Histograms enables the observability histograms (DRAM access
 	// latency, and for AVR designs compressed block size, outliers per
@@ -122,27 +109,21 @@ type Config struct {
 // 1/4 DDR4 channel per core (2 channels / 8 cores).
 func PresetSlice(d Design) Config {
 	return Config{
-		Design:        d,
-		L1Bytes:       64 << 10,
-		L1Ways:        4,
-		L1HitCycles:   1,
-		L2Bytes:       256 << 10,
-		L2Ways:        8,
-		L2HitCycles:   8,
-		LLCBytes:      1 << 20,
-		LLCWays:       16,
-		LLCHitCycles:  15,
-		DRAMChannels:  1,
-		DRAMSliceDiv:  4,
-		SpaceBytes:    256 << 20,
-		CPU:           cpu.DefaultConfig(),
-		Thresholds:    compress.DefaultThresholds(),
-		Variants:      compress.VariantBoth,
-		LazyEvictions: true,
-		SkipHistory:   true,
-		PFEEnabled:    true,
-		CMTCachePages: 1024,
-		DgTagFactor:   4,
+		Design:       d,
+		L1Bytes:      64 << 10,
+		L1Ways:       4,
+		L1HitCycles:  1,
+		L2Bytes:      256 << 10,
+		L2Ways:       8,
+		L2HitCycles:  8,
+		LLCBytes:     1 << 20,
+		LLCWays:      16,
+		LLCHitCycles: 15,
+		DRAMChannels: 1,
+		DRAMSliceDiv: 4,
+		SpaceBytes:   256 << 20,
+		CPU:          cpu.DefaultConfig(),
+		Knobs:        core.DefaultKnobs(),
 	}
 }
 
@@ -222,7 +203,6 @@ func New(cfg Config) *System {
 		s.dg = dganger.New(dganger.Config{
 			CapacityBytes: cfg.LLCBytes,
 			Ways:          cfg.LLCWays,
-			TagFactor:     cfg.DgTagFactor,
 			HitCycles:     cfg.LLCHitCycles,
 		}, s.Space, s.Dram)
 		s.llc = s.dg
@@ -230,15 +210,8 @@ func New(cfg Config) *System {
 		acfg := core.DefaultConfig(cfg.LLCBytes)
 		acfg.Ways = cfg.LLCWays
 		acfg.HitCycles = cfg.LLCHitCycles
-		acfg.Thresholds = cfg.Thresholds
-		acfg.Variants = cfg.Variants
-		acfg.LazyEvictions = cfg.LazyEvictions
-		acfg.SkipHistory = cfg.SkipHistory
-		acfg.PFEEnabled = cfg.PFEEnabled
-		acfg.CMTCachePages = cfg.CMTCachePages
+		acfg.Knobs = cfg.Knobs
 		acfg.ApproxEnabled = cfg.Design == AVR
-		acfg.LosslessLink = cfg.LosslessLink
-		acfg.LosslessAlgo = cfg.LosslessAlgo
 		s.avr = core.New(acfg, s.Space, s.Dram)
 		s.llc = s.avr
 	default:
@@ -305,6 +278,17 @@ func (s *System) Counters() obs.Counters {
 
 // Compute accounts n non-memory instructions.
 func (s *System) Compute(n uint64) { s.t.core.Compute(n) }
+
+// ID returns 0: a System is core 0 of 1, so an SPMD kernel written for a
+// Multi's cores runs whole on it.
+func (s *System) ID() int { return 0 }
+
+// N returns 1, the System's core count.
+func (s *System) N() int { return 1 }
+
+// Barrier does nothing: one core has nobody to wait for, and its private
+// caches stay warm (a one-core Multi's Barrier flushes them).
+func (s *System) Barrier() {}
 
 // Prime models the benchmark's input data having been written through
 // the memory hierarchy before the measured region of the program: under

@@ -82,31 +82,29 @@ func (b *BScholes) Setup(sys *sim.System, sc Scale) {
 // cnd is the cumulative normal distribution via erf.
 func cnd(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
 
-// Run implements Workload: one pricing pass over all options.
-func (b *BScholes) Run(sys *sim.System) {
-	b.priceRange(sys, 0, b.n)
-}
-
-// priceRange prices options [lo, hi) through the given memory interface.
-func (b *BScholes) priceRange(sys memIO, lo, hi int) {
+// Run implements Workload: one pricing pass over the options, which are
+// embarrassingly parallel: each core prices its own range.
+func (b *BScholes) Run(c Core) {
+	lo, hi := shard(0, b.n, c.ID(), c.N())
 	for i := lo; i < hi; i++ {
 		a := uint64(i) * 4
-		s := float64(sys.LoadF32(b.spot + a))
-		k := float64(sys.LoadF32(b.strike + a))
-		r := float64(sys.LoadF32(b.rate + a))
-		v := float64(sys.LoadF32(b.vol + a))
-		t := float64(sys.LoadF32(b.ttm + a))
+		s := float64(c.LoadF32(b.spot + a))
+		k := float64(c.LoadF32(b.strike + a))
+		r := float64(c.LoadF32(b.rate + a))
+		v := float64(c.LoadF32(b.vol + a))
+		t := float64(c.LoadF32(b.ttm + a))
 		if s <= 0 || k <= 0 || v <= 0 || t <= 0 {
-			sys.Store32(b.prices+a, 0)
+			c.Store32(b.prices+a, 0)
 			continue
 		}
 		sq := v * math.Sqrt(t)
 		d1 := (math.Log(s/k) + (r+v*v/2)*t) / sq
 		d2 := d1 - sq
 		price := s*cnd(d1) - k*math.Exp(-r*t)*cnd(d2)
-		sys.Compute(600) // log, exp, erf, div chains: compute bound
-		sys.StoreF32(b.prices+a, float32(price))
+		c.Compute(600) // log, exp, erf, div chains: compute bound
+		c.StoreF32(b.prices+a, float32(price))
 	}
+	c.Barrier()
 }
 
 // Output implements Workload: the option prices, sampled.

@@ -60,20 +60,30 @@ func (h *Heat) addr(base uint64, i, j int) uint64 {
 }
 
 // Run implements Workload: iters Jacobi sweeps with fixed boundaries.
-func (h *Heat) Run(sys *sim.System) {
+// Each core sweeps its own band of rows, and a barrier separates the
+// sweeps, since the stencil reads the previous sweep's halo rows.
+func (h *Heat) Run(c Core) {
+	lo, hi := shard(1, h.n-1, c.ID(), c.N())
+	cur, next := h.cur, h.next
 	for it := 0; it < h.iters; it++ {
-		for i := 1; i < h.n-1; i++ {
+		for i := lo; i < hi; i++ {
 			for j := 1; j < h.n-1; j++ {
-				up := sys.LoadF32(h.addr(h.cur, i-1, j))
-				down := sys.LoadF32(h.addr(h.cur, i+1, j))
-				left := sys.LoadF32(h.addr(h.cur, i, j-1))
-				right := sys.LoadF32(h.addr(h.cur, i, j+1))
-				sys.Compute(5) // 3 adds + 1 mul + loop overhead
-				sys.StoreF32(h.addr(h.next, i, j), 0.25*(up+down+left+right))
+				up := c.LoadF32(h.addr(cur, i-1, j))
+				down := c.LoadF32(h.addr(cur, i+1, j))
+				left := c.LoadF32(h.addr(cur, i, j-1))
+				right := c.LoadF32(h.addr(cur, i, j+1))
+				c.Compute(5) // 3 adds + 1 mul + loop overhead
+				c.StoreF32(h.addr(next, i, j), 0.25*(up+down+left+right))
 			}
 		}
-		h.cur, h.next = h.next, h.cur
+		cur, next = next, cur
+		c.Barrier()
 	}
+	// Leave h.cur pointing at the final grid for Output.
+	if c.ID() == 0 {
+		h.cur, h.next = cur, next
+	}
+	c.Barrier()
 }
 
 // Output implements Workload: the final temperature grid.

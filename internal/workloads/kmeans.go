@@ -20,7 +20,7 @@ type KMeans struct {
 	cent []int64
 	iter int
 
-	// Multicore reduction state (see RunShard).
+	// Reduction state the cores share (see Run).
 	partial [][2][]int64
 	moved   int64
 }
@@ -82,52 +82,71 @@ func (m *KMeans) Setup(sys *sim.System, sc Scale) {
 }
 
 // Run implements Workload: Lloyd iterations until the centroids move
-// less than half a metre, or an iteration cap.
-func (m *KMeans) Run(sys *sim.System) {
+// less than half a metre, or an iteration cap. Cores scan disjoint point
+// ranges into private partial sums, and core 0 reduces them at the
+// barrier, like an OpenMP reduction.
+func (m *KMeans) Run(c Core) {
 	const maxIter = 40
 	const eps = 128 // half a metre in Q.8
-	m.iter = 0
+	if c.ID() == 0 {
+		m.iter = 0
+		m.partial = make([][2][]int64, c.N())
+	}
+	c.Barrier()
+	lo, hi := shard(0, m.n, c.ID(), c.N())
 	for it := 0; it < maxIter; it++ {
-		m.iter++
 		sums := make([]int64, m.k)
 		counts := make([]int64, m.k)
-		for i := 0; i < m.n; i++ {
-			v := int64(sys.LoadF32(m.data+uint64(i)*4) * 256) // Q.8 metres
+		for i := lo; i < hi; i++ {
+			v := int64(c.LoadF32(m.data+uint64(i)*4) * 256) // Q.8 metres
 			best, bd := 0, int64(1)<<62
-			for c := 0; c < m.k; c++ {
-				d := v - m.cent[c]
+			for k := 0; k < m.k; k++ {
+				d := v - m.cent[k]
 				if d < 0 {
 					d = -d
 				}
 				if d < bd {
 					bd = d
-					best = c
+					best = k
 				}
 			}
-			sys.Compute(uint64(m.k + 4))
+			c.Compute(uint64(m.k + 4))
 			sums[best] += v
 			counts[best]++
 		}
-		moved := int64(0)
-		for c := 0; c < m.k; c++ {
-			if counts[c] == 0 {
-				continue
+		m.partial[c.ID()] = [2][]int64{sums, counts}
+		c.Barrier()
+		if c.ID() == 0 {
+			m.iter++
+			moved := int64(0)
+			for k := 0; k < m.k; k++ {
+				var s, n int64
+				for _, p := range m.partial {
+					s += p[0][k]
+					n += p[1][k]
+				}
+				if n == 0 {
+					continue
+				}
+				nc := s / n
+				d := nc - m.cent[k]
+				if d < 0 {
+					d = -d
+				}
+				if d > moved {
+					moved = d
+				}
+				m.cent[k] = nc
 			}
-			nc := sums[c] / counts[c]
-			d := nc - m.cent[c]
-			if d < 0 {
-				d = -d
-			}
-			if d > moved {
-				moved = d
-			}
-			m.cent[c] = nc
+			c.Compute(uint64(m.k * 6))
+			m.moved = moved
 		}
-		sys.Compute(uint64(m.k * 6))
-		if moved < eps {
+		c.Barrier()
+		if m.moved < eps {
 			break
 		}
 	}
+	c.Barrier()
 }
 
 // Output implements Workload: the final centroids in metres.

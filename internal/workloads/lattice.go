@@ -101,7 +101,9 @@ func (l *Lattice) Setup(sys *sim.System, sc Scale) {
 			}
 		}
 	}
-	l.warmup(sys, l.n/2)
+	// Fast-forward the flow functionally (untimed) to a developed state
+	// before the measured region.
+	l.sweep(rawIO{sys.Space}, l.n/2)
 }
 
 // equilibriumD2 is the standard D2Q9 BGK equilibrium distribution.
@@ -111,19 +113,15 @@ func equilibriumD2(k int, rho, ux, uy float32) float32 {
 	return d2w[k] * rho * (1 + 3*eu + 4.5*eu*eu - 1.5*u2)
 }
 
-// Run implements Workload: the measured region, after warmup developed
-// the flow.
-func (l *Lattice) Run(sys *sim.System) {
-	for it := 0; it < l.iters; it++ {
-		l.step(sys)
-	}
-}
+// Run implements Workload: the measured region, after Setup's warm-up
+// developed the flow.
+func (l *Lattice) Run(sys Core) { l.sweep(sys, l.iters) }
 
-// step is one collide-and-stream sweep (push scheme) with bounce-back at
-// the obstacle and periodic boundaries.
-func (l *Lattice) step(sys memIO) {
+// sweep runs iters collide-and-stream sweeps (push scheme) with
+// bounce-back at the obstacle and periodic boundaries.
+func (l *Lattice) sweep(sys Core, iters int) {
 	n := l.n
-	{
+	for it := 0; it < iters; it++ {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				at := l.idx(i, j)
@@ -173,15 +171,6 @@ func (l *Lattice) step(sys memIO) {
 			}
 		}
 		l.f, l.g = l.g, l.f
-	}
-}
-
-// warmup fast-forwards the flow functionally (untimed) to a developed
-// state before the measured region.
-func (l *Lattice) warmup(sys *sim.System, iters int) {
-	io := rawIO{sys.Space}
-	for i := 0; i < iters; i++ {
-		l.step(io)
 	}
 }
 

@@ -101,7 +101,10 @@ func (l *LBM) Setup(sys *sim.System, sc Scale) {
 			}
 		}
 	}
-	l.warmup(sys, lbmWarmupIters)
+	// Fast-forward the flow functionally (untimed) so the measured region
+	// starts from a developed, smooth field — the regime the paper's
+	// steady-state SPEC lbm measurement sees (15.6:1 compression).
+	l.sweep(rawIO{sys.Space}, lbmWarmupIters)
 }
 
 // equilibriumD3 is the D3Q19 BGK equilibrium distribution.
@@ -112,17 +115,13 @@ func equilibriumD3(k int, rho, ux, uy, uz float32) float32 {
 }
 
 // Run implements Workload: the measured region, after the flow has
-// developed during warmup.
-func (l *LBM) Run(sys *sim.System) {
-	for it := 0; it < l.iters; it++ {
-		l.step(sys)
-	}
-}
+// developed during Setup's warm-up.
+func (l *LBM) Run(sys Core) { l.sweep(sys, l.iters) }
 
-// step is one collide-and-stream sweep over the domain.
-func (l *LBM) step(sys memIO) {
+// sweep runs iters collide-and-stream sweeps over the domain.
+func (l *LBM) sweep(sys Core, iters int) {
 	n := l.n
-	{
+	for it := 0; it < iters; it++ {
 		for x := 0; x < n; x++ {
 			for y := 0; y < n; y++ {
 				for z := 0; z < n; z++ {
@@ -180,16 +179,6 @@ func (l *LBM) step(sys memIO) {
 			}
 		}
 		l.f, l.g = l.g, l.f
-	}
-}
-
-// warmup fast-forwards the flow functionally (untimed) so the measured
-// region starts from a developed, smooth field — the regime the paper's
-// steady-state SPEC lbm measurement sees (15.6:1 compression).
-func (l *LBM) warmup(sys *sim.System, iters int) {
-	io := rawIO{sys.Space}
-	for i := 0; i < iters; i++ {
-		l.step(io)
 	}
 }
 

@@ -57,7 +57,7 @@ func (o *Orbit) Setup(sys *sim.System, sc Scale) {
 // Run implements Workload: leapfrog integration whose state flows
 // through the trajectory arrays, followed by an energy-analysis sweep
 // over the full history.
-func (o *Orbit) Run(sys *sim.System) {
+func (o *Orbit) Run(sys Core) {
 	const dt = 2.0e-3
 	const gm = 1.0
 	// Initial conditions live in registers: the stored step-0 values are

@@ -7,7 +7,7 @@ import (
 	"avr/internal/sim"
 )
 
-// runMulti executes a parallel workload on n cores.
+// runMulti executes a parallel workload's Run on each of n cores.
 func runMulti(t *testing.T, name string, d sim.Design, n int) (*sim.Multi, sim.MultiResult, []float64) {
 	t.Helper()
 	w, err := ParallelByName(name)
@@ -22,29 +22,35 @@ func runMulti(t *testing.T, name string, d sim.Design, n int) (*sim.Multi, sim.M
 	m := sim.NewMulti(cfg, n)
 	w.Setup(m.Shared(), ScaleSmall)
 	m.Prime()
-	m.Run(w.RunShard)
+	m.Run(func(c *sim.CoreCtx) { w.Run(c) })
 	res := m.Finish(name)
 	return m, res, w.Output(m.Shared())
 }
 
+// TestParallelByName holds the decomposed set to the three benchmarks
+// whose Run shards its work: every other benchmark would run whole on
+// each core, and is refused by name.
 func TestParallelByName(t *testing.T) {
 	for _, n := range []string{"heat", "kmeans", "bscholes"} {
-		if _, err := ParallelByName(n); err != nil {
+		if w, err := ParallelByName(n); err != nil || w.Name() != n {
 			t.Errorf("%s: %v", n, err)
 		}
 	}
-	if _, err := ParallelByName("lattice"); err == nil {
-		t.Error("lattice unexpectedly parallel")
+	for _, n := range []string{"lattice", "lbm", "orbit", "wrf"} {
+		_, err := ParallelByName(n)
+		if want := "workloads: benchmark " + n + " has no parallel decomposition"; err == nil || err.Error() != want {
+			t.Errorf("%s: err %v, want %q", n, err, want)
+		}
 	}
 	if _, err := ParallelByName("bogus"); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
 
-// TestParallelMatchesSequentialOutput is the key correctness check: the
-// SPMD decomposition on the exact baseline must produce the same result
-// as the sequential kernel (identical arithmetic, different order only
-// where associativity-safe).
+// TestParallelMatchesSequentialOutput is the key correctness check: a
+// kernel's one body, run on the exact baseline by the one-core System
+// and by a 4-core Multi, must produce the same result (identical
+// arithmetic, different order only where associativity-safe).
 func TestParallelMatchesSequentialOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel sweep")

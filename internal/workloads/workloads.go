@@ -58,8 +58,10 @@ type Workload interface {
 	// Setup allocates and initialises the dataset in the system's
 	// address space (untimed, modelling input loading).
 	Setup(sys *sim.System, sc Scale)
-	// Run executes the benchmark through the timed memory hierarchy.
-	Run(sys *sim.System)
+	// Run executes the benchmark through the timed memory hierarchy of
+	// core c: all of it on a System, core c.ID()'s share of it on a
+	// Multi (see ParallelByName).
+	Run(c Core)
 	// Output returns the application output values for the error metric.
 	Output(sys *sim.System) []float64
 }
@@ -82,19 +84,23 @@ func ByName(name string) (Workload, error) {
 	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
 }
 
-// memIO abstracts the memory interface kernels compute through: the
-// timed *sim.System during the measured region, or an untimed raw-space
-// accessor during warmup (modelling execution before the region of
-// interest, fast-forwarded functionally).
-type memIO interface {
+// Core is the one interface a kernel computes through: timed loads and
+// stores, non-memory instructions, and the core's place in an SPMD run.
+// A *sim.System is core 0 of 1 whose Barrier does nothing, a
+// *sim.CoreCtx is one core of a Multi, and rawIO is the untimed warm-up
+// before the region of interest (execution fast-forwarded functionally).
+type Core interface {
 	LoadF32(addr uint64) float32
 	StoreF32(addr uint64, v float32)
 	Load32(addr uint64) uint32
 	Store32(addr uint64, v uint32)
 	Compute(n uint64)
+	ID() int
+	N() int
+	Barrier()
 }
 
-// rawIO is the untimed accessor over the bare address space.
+// rawIO is the untimed core over the bare address space.
 type rawIO struct{ s *mem.Space }
 
 func (r rawIO) LoadF32(a uint64) float32     { return r.s.LoadF32(a) }
@@ -102,6 +108,32 @@ func (r rawIO) StoreF32(a uint64, v float32) { r.s.StoreF32(a, v) }
 func (r rawIO) Load32(a uint64) uint32       { return r.s.Load32(a) }
 func (r rawIO) Store32(a uint64, v uint32)   { r.s.Store32(a, v) }
 func (r rawIO) Compute(uint64)               {}
+func (r rawIO) ID() int                      { return 0 }
+func (r rawIO) N() int                       { return 1 }
+func (r rawIO) Barrier()                     {}
+
+// parallel names the benchmarks whose Run divides its work by c.ID()
+// and c.N() and meets the other cores at c.Barrier. Every other Run
+// does the whole benchmark on whichever core runs it.
+var parallel = map[string]bool{"heat": true, "kmeans": true, "bscholes": true}
+
+// ParallelByName finds a benchmark that runs SPMD on a Multi's cores.
+func ParallelByName(name string) (Workload, error) {
+	w, err := ByName(name)
+	if err != nil || parallel[name] {
+		return w, err
+	}
+	return nil, fmt.Errorf("workloads: benchmark %s has no parallel decomposition", name)
+}
+
+// shard splits [lo, hi) into n near-equal ranges and returns range id's
+// bounds.
+func shard(lo, hi, id, n int) (int, int) {
+	span := hi - lo
+	a := lo + span*id/n
+	b := lo + span*(id+1)/n
+	return a, b
+}
 
 // rng is a small deterministic xorshift generator so datasets are
 // reproducible across Go versions.

@@ -75,7 +75,7 @@ func (w *WRF) Setup(sys *sim.System, sc Scale) {
 // humidity by the wind field, with a pressure coupling term; the exact
 // auxiliary fields are read every step (they model the prognostic state
 // WRF keeps exact).
-func (w *WRF) Run(sys *sim.System) {
+func (w *WRF) Run(sys Core) {
 	n := w.n
 	const dt = 0.2
 	for it := 0; it < w.iters; it++ {
