@@ -10,7 +10,7 @@
 //	avrd -addr localhost:8080 -workers 8 -queue 64 -t1 0.03125
 //	curl -s --data-binary @values.f32le 'localhost:8080/v1/encode?t1=0.0625' > out.avr
 //	curl -s --data-binary @out.avr localhost:8080/v1/decode > approx.f32le
-//	curl -s localhost:8080/v1/stats | jq .latency
+//	curl -s localhost:8080/metrics | grep '^avr_server_latency_count'
 //
 // With -store-dir the daemon also serves the persistent approximate
 // block store (internal/store) at /v1/store/{put,get,query,key,stats}:
@@ -36,7 +36,7 @@
 //
 //	avrd -addr localhost:8080 -trace-file traces.jsonl -trace-sample 16
 //	curl -s localhost:8080/metrics | grep avr_trace_stage_queue
-//	curl -s localhost:8080/v1/stats | jq .stages
+//	avrtop -addr localhost:8080 -once            # per-stage p99 off /metrics
 //
 // With -addr :0 the bound address is printed on startup and, with
 // -addr-file, written to a file for scripts (see scripts/serve_smoke.sh).

@@ -11,7 +11,8 @@
 //	curl -s -X PUT --data-binary @values.f32le 'localhost:9090/v1/store/put?key=temps'
 //	curl -s 'localhost:9090/v1/store/get?key=temps' > approx.f32le
 //	curl -s 'localhost:9090/v1/store/query' | jq .sum          # cluster-wide aggregate
-//	curl -s localhost:9090/v1/stats | jq .nodes                # health + traffic per node
+//	curl -s localhost:9090/v1/stats | jq .nodes                # this router's view of each node
+//	curl -s localhost:9090/metrics | grep '^avr_router_'       # fan-outs, retries, ejects, ...
 //
 // topology.json:
 //

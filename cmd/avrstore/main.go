@@ -392,11 +392,11 @@ func cmdQuery(args []string) error {
 	var res any
 	switch *op {
 	case "aggregate":
-		res, err = s.QueryAggregate(*key)
+		res, err = s.QueryAggregateTraced(*key, nil)
 	case "filter":
-		res, err = s.QueryFilter(*key, *lo, *hi)
+		res, err = s.QueryFilterTraced(*key, *lo, *hi, nil)
 	case "downsample":
-		res, err = s.QueryDownsample(*key)
+		res, err = s.QueryDownsampleTraced(*key, nil)
 	default:
 		return fmt.Errorf("query: bad -op %q: want aggregate, filter or downsample", *op)
 	}
@@ -456,7 +456,7 @@ func queryCheckEntry(s *store.Store, width int, e manifestEntry, touched, total 
 		return err
 	}
 	gt := store.NewTruth(vals)
-	agg, err := s.QueryAggregate(e.Key)
+	agg, err := s.QueryAggregateTraced(e.Key, nil)
 	if err != nil {
 		return err
 	}
@@ -466,7 +466,7 @@ func queryCheckEntry(s *store.Store, width int, e manifestEntry, touched, total 
 	*touched += agg.BytesTouched
 	*total += agg.BytesTotal
 	for _, b := range gt.Bands() {
-		fr, err := s.QueryFilter(e.Key, b[0], b[1])
+		fr, err := s.QueryFilterTraced(e.Key, b[0], b[1], nil)
 		if err != nil {
 			return err
 		}
@@ -474,7 +474,7 @@ func queryCheckEntry(s *store.Store, width int, e manifestEntry, touched, total 
 			return err
 		}
 	}
-	ds, err := s.QueryDownsample(e.Key)
+	ds, err := s.QueryDownsampleTraced(e.Key, nil)
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,5 @@
 // Command avrtop is a live terminal dashboard for avrd instances: it
-// polls /v1/stats and /metrics on an interval and redraws a compact
+// scrapes each node's /metrics once per interval and redraws a compact
 // fleet view — request and shed rates, error rate, in-flight depth,
 // wire throughput, achieved compression ratio, the compressed-domain
 // traffic-touched fraction, and an ASCII bar chart of per-stage p99
@@ -20,22 +20,27 @@
 // rest of the dashboard alive — exactly the situation a sharded cluster
 // dashboard is for.
 //
-// Rates are computed from counter deltas between polls, so the first
-// frame shows totals only. Exit with ctrl-C (or -frames/-once).
+// Rates are computed from counter deltas between scrapes, so the first
+// frame shows totals only; quantiles are read off the histogram
+// families' buckets the way Prometheus' histogram_quantile reads them.
+// Exit with ctrl-C (or -frames/-once).
 package main
 
 import (
-	"encoding/json"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"avr/internal/cliutil"
-	"avr/internal/server"
+	"avr/internal/obs"
 	"avr/internal/trace"
 )
 
@@ -62,15 +67,7 @@ func main() {
 
 	prevs := make([]*sample, len(addrs))
 	for n := 0; ; n++ {
-		curs := make([]*sample, len(addrs))
-		errs := make([]error, len(addrs))
-		down := 0
-		for i, a := range addrs {
-			curs[i], errs[i] = poll(client, "http://"+a)
-			if errs[i] != nil {
-				down++
-			}
-		}
+		curs, errs, down := pollAll(client, addrs)
 		// A fully dark fleet on the first frame is a config error, not
 		// an outage worth dashboarding.
 		if n == 0 && down == len(addrs) {
@@ -107,28 +104,27 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// sample is one poll of the daemon: the /v1/stats document plus the
-// scalar families scraped off /metrics.
+// sample is one scrape of a node's /metrics.
 type sample struct {
 	at      time.Time
-	stats   server.Stats
 	metrics map[string]float64
+}
+
+// pollAll scrapes every node once: one request per node per frame.
+func pollAll(client *http.Client, addrs []string) (curs []*sample, errs []error, down int) {
+	curs, errs = make([]*sample, len(addrs)), make([]error, len(addrs))
+	for i, a := range addrs {
+		curs[i], errs[i] = poll(client, "http://"+a)
+		if errs[i] != nil {
+			down++
+		}
+	}
+	return curs, errs, down
 }
 
 func poll(client *http.Client, base string) (*sample, error) {
 	s := &sample{at: time.Now()}
-
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	err = json.NewDecoder(resp.Body).Decode(&s.stats)
-	resp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("parsing /v1/stats: %w", err)
-	}
-
-	resp, err = client.Get(base + "/metrics")
+	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return nil, err
 	}
@@ -136,6 +132,9 @@ func poll(client *http.Client, base string) (*sample, error) {
 	resp.Body.Close()
 	if err != nil {
 		return nil, fmt.Errorf("reading /metrics: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("/metrics: %s", resp.Status)
 	}
 	s.metrics = parseMetrics(string(buf))
 	return s, nil
@@ -164,9 +163,38 @@ func parseMetrics(text string) map[string]float64 {
 	return out
 }
 
-// rate returns a per-second delta between samples, or -1 when no
-// previous sample exists yet.
-func rate(prev *sample, cur *sample, get func(server.Stats) int64) float64 {
+// histogram rebuilds the histogram family name from a parsed scrape.
+// The exposition carries cumulative buckets, their sum and count, but
+// no extremes: Min is 0 and Max the highest finite bound, which is what
+// Prometheus' histogram_quantile assumes.
+func histogram(m map[string]float64, name string) obs.Summary {
+	prefix := name + `_bucket{le="`
+	var bounds []obs.Bucket // Count cumulative until the pass below
+	for k, v := range m {
+		if !strings.HasPrefix(k, prefix) {
+			continue
+		}
+		le, err := strconv.ParseFloat(strings.TrimSuffix(k[len(prefix):], `"}`), 64)
+		if err == nil && !math.IsInf(le, 1) {
+			bounds = append(bounds, obs.Bucket{Le: le, Count: uint64(v)})
+		}
+	}
+	slices.SortFunc(bounds, func(a, b obs.Bucket) int { return cmp.Compare(a.Le, b.Le) })
+	s := obs.Summary{Count: uint64(m[name+"_count"]), Sum: m[name+"_sum"], Buckets: bounds}
+	var below uint64
+	for i := range bounds {
+		bounds[i].Count, below = bounds[i].Count-below, bounds[i].Count
+	}
+	if len(bounds) > 0 {
+		s.Max = bounds[len(bounds)-1].Le
+	}
+	s.Overflow = s.Count - below
+	return s
+}
+
+// rate returns the per-second delta of the named counter between
+// samples, or -1 when no previous sample exists yet.
+func rate(prev, cur *sample, name string) float64 {
 	if prev == nil {
 		return -1
 	}
@@ -174,7 +202,7 @@ func rate(prev *sample, cur *sample, get func(server.Stats) int64) float64 {
 	if dt <= 0 {
 		return -1
 	}
-	return float64(get(cur.stats)-get(prev.stats)) / dt
+	return (cur.metrics[name] - prev.metrics[name]) / dt
 }
 
 // mb scales a byte rate to MB/s, preserving the no-sample marker.
@@ -186,9 +214,9 @@ func mb(r float64) float64 {
 }
 
 // fmtRate renders a rate, or the total with a marker on the first frame.
-func fmtRate(r float64, total int64, unit string) string {
+func fmtRate(r, total float64, unit string) string {
 	if r < 0 {
-		return fmt.Sprintf("%d total", total)
+		return fmt.Sprintf("%d total", int64(total))
 	}
 	return fmt.Sprintf("%.1f%s", r, unit)
 }
@@ -226,14 +254,14 @@ func renderFleet(addrs []string, prevs, curs []*sample, errs []error) string {
 			continue
 		}
 		up++
-		if r := rate(prevs[i], curs[i], func(s server.Stats) int64 { return s.Requests }); r >= 0 {
+		if r := rate(prevs[i], curs[i], "avr_server_requests"); r >= 0 {
 			reqRate += r
 			rated = true
 		}
-		if r := rate(prevs[i], curs[i], func(s server.Stats) int64 { return s.BytesIn }); r >= 0 {
+		if r := rate(prevs[i], curs[i], "avr_server_bytes_in"); r >= 0 {
 			inRate += r
 		}
-		if r := rate(prevs[i], curs[i], func(s server.Stats) int64 { return s.BytesOut }); r >= 0 {
+		if r := rate(prevs[i], curs[i], "avr_server_bytes_out"); r >= 0 {
 			outRate += r
 		}
 	}
@@ -257,82 +285,78 @@ func renderFleet(addrs []string, prevs, curs []*sample, errs []error) string {
 // renderFrame formats one dashboard frame. Pure: all inputs explicit,
 // output a string — so tests can pin the layout without a server.
 func renderFrame(addr string, prev, cur *sample) string {
-	st := cur.stats
+	m := cur.metrics
 	var b strings.Builder
 
-	fmt.Fprintf(&b, "avrtop — %s   up %s   ready=%v   in-flight %d\n",
-		addr, (time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second),
-		st.Ready, st.InFlight)
+	fmt.Fprintf(&b, "avrtop — %s   in-flight %d\n", addr, int64(m["avr_server_in_flight"]))
 	fmt.Fprintf(&b, "  req/s %-14s shed/s %-12s err/s %-12s shed total %d\n",
-		fmtRate(rate(prev, cur, func(s server.Stats) int64 { return s.Requests }), st.Requests, ""),
-		fmtRate(rate(prev, cur, func(s server.Stats) int64 { return s.Shed }), st.Shed, ""),
-		fmtRate(rate(prev, cur, func(s server.Stats) int64 { return s.Errors }), st.Errors, ""),
-		st.Shed)
+		fmtRate(rate(prev, cur, "avr_server_requests"), m["avr_server_requests"], ""),
+		fmtRate(rate(prev, cur, "avr_server_shed"), m["avr_server_shed"], ""),
+		fmtRate(rate(prev, cur, "avr_server_errors"), m["avr_server_errors"], ""),
+		int64(m["avr_server_shed"]))
 	ratio := "-"
-	if st.Ratio.Count > 0 {
-		ratio = fmt.Sprintf("%.2f:1", st.Ratio.Mean())
+	if r := histogram(m, "avr_server_ratio"); r.Count > 0 {
+		ratio = fmt.Sprintf("%.2f:1", r.Mean())
 	}
 	fmt.Fprintf(&b, "  in %-16s out %-15s ratio %s\n",
-		fmtRate(mb(rate(prev, cur, func(s server.Stats) int64 { return s.BytesIn })), st.BytesIn, " MB/s"),
-		fmtRate(mb(rate(prev, cur, func(s server.Stats) int64 { return s.BytesOut })), st.BytesOut, " MB/s"),
+		fmtRate(mb(rate(prev, cur, "avr_server_bytes_in")), m["avr_server_bytes_in"], " MB/s"),
+		fmtRate(mb(rate(prev, cur, "avr_server_bytes_out")), m["avr_server_bytes_out"], " MB/s"),
 		ratio)
 
-	if st.StorePuts > 0 || st.StoreGets > 0 || st.StoreQueries > 0 {
+	puts, gets, queries := m["avr_store_puts"], m["avr_store_gets"], m["avr_store_queries"]
+	if puts > 0 || gets > 0 || queries > 0 {
 		fmt.Fprintf(&b, "  store: puts %d  gets %d  queries %d  partial-206 %d\n",
-			st.StorePuts, st.StoreGets, st.StoreQueries, st.StorePartial)
-		if st.QueryBytesTotal > 0 {
+			int64(puts), int64(gets), int64(queries), int64(m["avr_server_store_partial"]))
+		if touched, total := m["avr_store_query_bytes_touched"], m["avr_store_query_bytes_total"]; total > 0 {
 			fmt.Fprintf(&b, "  query traffic: touched %.4f of raw bytes (%d / %d)\n",
-				float64(st.QueryBytesTouched)/float64(st.QueryBytesTotal),
-				st.QueryBytesTouched, st.QueryBytesTotal)
+				touched/total, int64(touched), int64(total))
 		}
 	}
 
-	if st.CacheHits+st.CacheMisses > 0 || st.CacheResidentBytes > 0 {
-		ratio := float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
+	hits, misses, resident := m["avr_cache_hits"], m["avr_cache_misses"], m["avr_cache_resident_bytes"]
+	if hits+misses > 0 || resident > 0 {
 		line := fmt.Sprintf("  cache: hit %.1f%% (%d/%d)  resident %.1f MB in %d lines  evict %d",
-			ratio*100, st.CacheHits, st.CacheHits+st.CacheMisses,
-			float64(st.CacheResidentBytes)/1e6, st.CacheLines, st.CacheEvictions)
+			hits/(hits+misses)*100, int64(hits), int64(hits+misses),
+			resident/1e6, int64(m["avr_cache_lines"]), int64(m["avr_cache_evictions"]))
 		// Interval hit ratio: the lifetime number hides load shifts.
-		hd := rate(prev, cur, func(s server.Stats) int64 { return s.CacheHits })
-		md := rate(prev, cur, func(s server.Stats) int64 { return s.CacheMisses })
+		hd := rate(prev, cur, "avr_cache_hits")
+		md := rate(prev, cur, "avr_cache_misses")
 		if hd >= 0 && md >= 0 && hd+md > 0 {
 			line += fmt.Sprintf("  now %.1f%%", hd/(hd+md)*100)
 		}
 		b.WriteString(line + "\n")
-		if st.PrefetchIssued > 0 {
+		if issued, useful := m["avr_prefetch_issued"], m["avr_prefetch_useful"]; issued > 0 {
 			fmt.Fprintf(&b, "  prefetch: issued %d  useful %d (%.1f%% accurate)\n",
-				st.PrefetchIssued, st.PrefetchUseful,
-				float64(st.PrefetchUseful)/float64(st.PrefetchIssued)*100)
+				int64(issued), int64(useful), useful/issued*100)
 		}
 	}
 
 	// Per-stage p99 bars, scaled to the slowest stage.
+	var stages [trace.NumStages]obs.Summary
 	var maxP99 float64
-	for _, d := range st.Stages {
-		if d.P99Us > maxP99 {
-			maxP99 = d.P99Us
-		}
+	for i := range stages {
+		stages[i] = histogram(m, "avr_trace_stage_"+trace.Stage(i).String())
+		maxP99 = max(maxP99, stages[i].Quantile(0.99))
 	}
 	fmt.Fprintf(&b, "  stage p99 (µs):\n")
-	for i := 0; i < trace.NumStages; i++ {
-		name := trace.Stage(i).String()
-		d, ok := st.Stages[name]
-		if !ok || d.Count == 0 {
+	for i, h := range stages {
+		if h.Count == 0 {
 			continue
 		}
+		p99 := h.Quantile(0.99)
 		fmt.Fprintf(&b, "    %-9s %10.1f  %-24s  n=%d\n",
-			name, d.P99Us, bar(d.P99Us, maxP99, 24), d.Count)
+			trace.Stage(i), p99, bar(p99, maxP99, 24), h.Count)
 	}
 
-	if spans, ok := cur.metrics["avr_trace_spans"]; ok {
-		exported := cur.metrics["avr_trace_exported"]
-		fmt.Fprintf(&b, "  traces: %d spans, %d exported\n", int64(spans), int64(exported))
+	if spans, ok := m["avr_trace_spans"]; ok {
+		fmt.Fprintf(&b, "  traces: %d spans, %d exported\n", int64(spans), int64(m["avr_trace_exported"]))
 	}
-	if compactions, ok := cur.metrics["avr_store_compactions"]; ok {
+	if compactions, ok := m["avr_store_compactions"]; ok {
 		fmt.Fprintf(&b, "  compactions: %d (%.0f MB rewritten)\n",
-			int64(compactions), cur.metrics["avr_store_compacted_bytes"]/1e6)
+			int64(compactions), m["avr_store_compacted_bytes"]/1e6)
 	}
+	lat := histogram(m, "avr_server_latency")
 	fmt.Fprintf(&b, "  latency e2e: p50 %.1fµs  p99 %.1fµs  (n=%d)\n",
-		st.Latency.Quantile(0.50), st.Latency.Quantile(0.99), st.Latency.Count)
+		lat.Quantile(0.50), lat.Quantile(0.99), lat.Count)
 	return b.String()
 }

@@ -1,13 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"avr/internal/obs"
 	"avr/internal/server"
+	"avr/internal/store"
 )
 
 func TestParseMetrics(t *testing.T) {
@@ -57,59 +65,98 @@ func TestBar(t *testing.T) {
 	}
 }
 
-func testStats() server.Stats {
-	return server.Stats{
-		UptimeSeconds: 12.3,
-		Ready:         true,
-		Requests:      100,
-		Shed:          5,
-		BytesIn:       1e6,
-		BytesOut:      5e5,
-		StorePuts:     3,
-		StoreGets:     2,
-		StoreQueries:  4,
+// testMetrics is a scrape as parseMetrics returns it: counters,
+// gauges, and two histogram families (a stage and the e2e latency).
+func testMetrics() map[string]float64 {
+	return map[string]float64{
+		"avr_server_requests":      100,
+		"avr_server_shed":          5,
+		"avr_server_bytes_in":      1e6,
+		"avr_server_bytes_out":     5e5,
+		"avr_server_in_flight":     3,
+		"avr_store_puts":           3,
+		"avr_store_gets":           2,
+		"avr_store_queries":        4,
+		"avr_cache_hits":           75,
+		"avr_cache_misses":         25,
+		"avr_cache_resident_bytes": 2e6,
+		"avr_cache_lines":          12,
+		"avr_cache_evictions":      1,
+		"avr_prefetch_issued":      10,
+		"avr_prefetch_useful":      8,
+		"avr_trace_spans":          100,
+		"avr_trace_exported":       2,
 
-		CacheHits:          75,
-		CacheMisses:        25,
-		CacheResidentBytes: 2e6,
-		CacheLines:         12,
-		CacheEvictions:     1,
-		PrefetchIssued:     10,
-		PrefetchUseful:     8,
-		Stages: map[string]server.StageStats{
-			"queue":  {Count: 100, MeanUs: 5, P50Us: 4, P99Us: 20},
-			"encode": {Count: 100, MeanUs: 50, P50Us: 45, P99Us: 200},
-		},
+		`avr_trace_stage_queue_bucket{le="10"}`:    90,
+		`avr_trace_stage_queue_bucket{le="25"}`:    100,
+		`avr_trace_stage_queue_bucket{le="+Inf"}`:  100,
+		"avr_trace_stage_queue_count":              100,
+		`avr_trace_stage_encode_bucket{le="100"}`:  50,
+		`avr_trace_stage_encode_bucket{le="250"}`:  100,
+		`avr_trace_stage_encode_bucket{le="+Inf"}`: 100,
+		"avr_trace_stage_encode_count":             100,
+		`avr_trace_stage_pool_bucket{le="1"}`:      0,
+		`avr_trace_stage_pool_bucket{le="+Inf"}`:   0,
+
+		`avr_server_latency_bucket{le="100"}`:  50,
+		`avr_server_latency_bucket{le="1000"}`: 90,
+		`avr_server_latency_bucket{le="+Inf"}`: 100,
+		"avr_server_latency_count":             100,
+		"avr_server_latency_sum":               123456,
+	}
+}
+
+// TestHistogram: the buckets come back per-bucket, in bound order, with
+// the +Inf remainder as overflow and Max the highest finite bound, so
+// Summary.Quantile reads them as histogram_quantile does.
+func TestHistogram(t *testing.T) {
+	h := histogram(testMetrics(), "avr_server_latency")
+	want := []obs.Bucket{{Le: 100, Count: 50}, {Le: 1000, Count: 40}}
+	if h.Count != 100 || h.Sum != 123456 || h.Min != 0 || h.Max != 1000 || h.Overflow != 10 ||
+		len(h.Buckets) != 2 || h.Buckets[0] != want[0] || h.Buckets[1] != want[1] {
+		t.Fatalf("histogram = %+v", h)
+	}
+	if p50 := h.Quantile(0.5); p50 != 100 {
+		t.Errorf("p50 = %g, want the first bound 100", p50)
+	}
+	if p75 := h.Quantile(0.75); p75 != 662.5 {
+		t.Errorf("p75 = %g, want 662.5 (linear inside (100, 1000])", p75)
+	}
+	if p99 := h.Quantile(0.99); p99 != 1000 {
+		t.Errorf("p99 = %g, want the highest finite bound 1000", p99)
+	}
+	if empty := histogram(testMetrics(), "avr_absent"); empty.Count != 0 || empty.Quantile(0.99) != 0 {
+		t.Errorf("absent family = %+v", empty)
 	}
 }
 
 func TestRenderFrameFirstAndDelta(t *testing.T) {
-	cur := &sample{
-		at:      time.Now(),
-		stats:   testStats(),
-		metrics: map[string]float64{"avr_trace_spans": 100, "avr_trace_exported": 2},
-	}
+	cur := &sample{at: time.Now(), metrics: testMetrics()}
 	frame := renderFrame("host:1", nil, cur)
 	for _, want := range []string{
-		"avrtop — host:1",
-		"ready=true",
+		"avrtop — host:1   in-flight 3",
 		"100 total", // no previous sample: totals, not rates
+		"ratio -",
 		"store: puts 3  gets 2  queries 4",
 		"cache: hit 75.0% (75/100)  resident 2.0 MB in 12 lines  evict 1",
 		"prefetch: issued 10  useful 8 (80.0% accurate)",
 		"queue", "encode", "#",
 		"traces: 100 spans, 2 exported",
+		"latency e2e: p50 100.0µs  p99 1000.0µs  (n=100)",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)
 		}
+	}
+	if strings.Contains(frame, "pool") {
+		t.Errorf("a stage with no observations drew a bar:\n%s", frame)
 	}
 	// The slowest stage owns the full-width bar.
 	if !strings.Contains(frame, strings.Repeat("#", 24)) {
 		t.Errorf("no full-width bar for the dominant stage:\n%s", frame)
 	}
 
-	prev := &sample{at: cur.at.Add(-2 * time.Second), stats: server.Stats{Requests: 50}}
+	prev := &sample{at: cur.at.Add(-2 * time.Second), metrics: map[string]float64{"avr_server_requests": 50}}
 	frame = renderFrame("host:1", prev, cur)
 	if !strings.Contains(frame, "req/s 25.0") {
 		t.Errorf("rate from counter delta missing (want req/s 25.0):\n%s", frame)
@@ -134,12 +181,12 @@ func TestSplitAddrs(t *testing.T) {
 func TestRenderFleet(t *testing.T) {
 	addrs := []string{"n0:1", "n1:1", "n2:1"}
 	now := time.Now()
-	mk := func(req, bin int64) *sample {
-		st := testStats()
-		st.Requests, st.BytesIn = req, bin
-		return &sample{at: now, stats: st}
+	mk := func(req, bin float64) *sample {
+		m := testMetrics()
+		m["avr_server_requests"], m["avr_server_bytes_in"] = req, bin
+		return &sample{at: now, metrics: m}
 	}
-	mkPrev := func(req, bin int64) *sample {
+	mkPrev := func(req, bin float64) *sample {
 		s := mk(req, bin)
 		s.at = now.Add(-2 * time.Second)
 		return s
@@ -172,29 +219,90 @@ func TestRenderFleet(t *testing.T) {
 	}
 }
 
-// TestPollAgainstLiveServer drives poll() end to end against a real
-// Server: stats parse into the pinned shape and the /metrics scrape
-// yields the families the dashboard reads.
+// TestPollAgainstLiveServer drives a frame end to end against live
+// servers over a store with a read cache: every node is asked exactly
+// one request per frame, /metrics, and every panel renders from it.
 func TestPollAgainstLiveServer(t *testing.T) {
-	s := server.New(server.Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	sm, err := poll(http.DefaultClient, ts.URL)
+	st, err := store.Open(store.Config{Dir: t.TempDir(), CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sm.stats.Ready {
-		t.Error("live server reports not ready")
+	defer st.Close()
+	s := server.New(server.Config{Store: st})
+	var mu sync.Mutex
+	asked := map[string][]string{}
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			asked[r.Host] = append(asked[r.Host], r.URL.Path)
+			mu.Unlock()
+			s.Handler().ServeHTTP(w, r)
+		}))
+		defer ts.Close()
+		addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
 	}
-	if sm.stats.Stages == nil || len(sm.stats.Stages) == 0 {
-		t.Error("stats stages map empty")
+
+	base := "http://" + addrs[0]
+	raw := make([]byte, 4*4096)
+	for i := 0; i < 4096; i++ {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(float32(i%97)/8))
 	}
-	if _, ok := sm.metrics["avr_server_requests"]; !ok {
-		t.Errorf("metrics scrape missing avr_server_requests: %d keys", len(sm.metrics))
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPut, "/v1/store/put?key=k"},
+		{http.MethodGet, "/v1/store/get?key=k"},
+		{http.MethodGet, "/v1/store/get?key=k"},
+		{http.MethodGet, "/v1/store/query?key=k"},
+		{http.MethodPost, "/v1/encode"},
+	} {
+		var body io.Reader
+		if req.method != http.MethodGet {
+			body = bytes.NewReader(raw)
+		}
+		r, _ := http.NewRequest(req.method, base+req.path, body)
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d", req.method, req.path, resp.StatusCode)
+		}
 	}
-	frame := renderFrame("live", nil, sm)
-	if !strings.Contains(frame, "avrtop — live") {
-		t.Errorf("render of live sample broken:\n%s", frame)
+	mu.Lock()
+	clear(asked)
+	mu.Unlock()
+
+	var prevs []*sample
+	const frames = 3
+	for n := 0; n < frames; n++ {
+		curs, errs, down := pollAll(http.DefaultClient, addrs)
+		if down != 0 {
+			t.Fatalf("frame %d: %d nodes down: %v", n, down, errs)
+		}
+		if n == 0 {
+			prevs = make([]*sample, len(addrs))
+		}
+		frame := renderFleet(addrs, prevs, curs, errs)
+		if n == frames-1 {
+			for _, want := range []string{
+				"avrtop fleet — 2/2 nodes up", "Σ req/s",
+				"in-flight", "req/s", "ratio", "store: puts", "query traffic: touched",
+				"cache: hit", "stage p99", "segwrite", "encode", "traces:", "compactions:", "latency e2e",
+			} {
+				if !strings.Contains(frame, want) {
+					t.Errorf("live frame missing %q:\n%s", want, frame)
+				}
+			}
+		}
+		prevs = curs
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, a := range addrs {
+		if got := asked[a]; len(got) != frames || slices.ContainsFunc(got, func(p string) bool { return p != "/metrics" }) {
+			t.Errorf("node %s was asked %v over %d frames, want /metrics once a frame", a, got, frames)
+		}
 	}
 }

@@ -47,7 +47,11 @@ var roomy = frameLimits{workers: 2, depth: 8, timeout: 5 * time.Second}
 type frameTier struct {
 	url  string
 	tier *server.Tier
-	eps  []frameEndpoint
+	// counters are the published series the tier's frame keeps. The
+	// router's in-flight gauge is unpublished, so it is nil there and
+	// idle checks the router's worker slots alone.
+	counters server.Counters
+	eps      []frameEndpoint
 }
 
 type frameEndpoint struct {
@@ -116,7 +120,9 @@ func newAvrdTier(t testing.TB, lim frameLimits) *frameTier {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); st.Close() })
 	raw, stream, mput, mget, mgetEncoded := frameBodies(t)
-	ft := &frameTier{url: ts.URL, tier: srv.Tier, eps: append([]frameEndpoint{
+	ft := &frameTier{url: ts.URL, tier: srv.Tier, counters: server.Counters{
+		Requests: obs.ServerRequests, Shed: obs.ServerShed, Errors: obs.ServerErrors, InFlight: obs.ServerInFlight,
+	}, eps: append([]frameEndpoint{
 		{name: "encode", method: http.MethodPost, path: "/v1/encode", body: raw, ok: 200},
 		{name: "decode", method: http.MethodPost, path: "/v1/decode", body: stream, ok: 200},
 	}, storeEndpoints(raw, mput, mget, mgetEncoded)...)}
@@ -128,7 +134,9 @@ func newRouterTier(t testing.TB, lim frameLimits) *frameTier {
 	t.Helper()
 	tc := newTestCluster(t, 2, Config{TierConfig: lim.tier()})
 	raw, _, mput, mget, mgetEncoded := frameBodies(t)
-	ft := &frameTier{url: tc.router.URL, tier: tc.ro.Tier, eps: append(storeEndpoints(raw, mput, mget, mgetEncoded),
+	ft := &frameTier{url: tc.router.URL, tier: tc.ro.Tier, counters: server.Counters{
+		Requests: obs.RouterRequests, Shed: obs.RouterShed, Errors: obs.RouterErrors,
+	}, eps: append(storeEndpoints(raw, mput, mget, mgetEncoded),
 		frameEndpoint{name: "query_all", method: http.MethodGet, path: "/v1/store/query", ok: 200},
 		frameEndpoint{name: "fleet_stats", method: http.MethodGet, path: "/v1/store/stats", ok: 200, unadmitted: true},
 	)}
@@ -237,20 +245,35 @@ func checkLength(t testing.TB, resp *http.Response, body []byte) {
 type tally struct{ requests, shed, errors int64 }
 
 // idle waits for the frame to be done with every request so far —
-// nothing queued, the in-flight gauge back at zero (it drops after the
-// answer is out, so the client can be ahead of it) — and reads the
-// counters.
+// nothing queued, every worker slot free, the in-flight gauge back at
+// zero (the frame gives both back after the answer is out, so the
+// client can be ahead of them) — and reads the counters.
 func (ft *frameTier) idle(t testing.TB) tally {
 	t.Helper()
-	c := ft.tier.Counters()
+	c := ft.counters
 	deadline := time.Now().Add(5 * time.Second)
-	for ft.tier.Gate().Queued() != 0 || c.InFlight.Value() != 0 {
+	for ft.tier.Gate().Queued() != 0 || !ft.slotsFree() || c.InFlight != nil && c.InFlight.Value() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("frame never went idle: %d queued, %d in flight", ft.tier.Gate().Queued(), c.InFlight.Value())
+			t.Fatalf("frame never went idle: %d queued, slots free %v", ft.tier.Gate().Queued(), ft.slotsFree())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	return tally{c.Requests.Value(), c.Shed.Value(), c.Errors.Value()}
+}
+
+// slotsFree reports whether every worker slot can be taken at once, and
+// gives back what it took.
+func (ft *frameTier) slotsFree() bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a slot that is not free at once is busy
+	n, held := ft.tier.Config().Workers, 0
+	for held < n && ft.tier.Gate().Acquire(ctx) == nil {
+		held++
+	}
+	for i := 0; i < held; i++ {
+		ft.tier.Gate().Release()
+	}
+	return held == n
 }
 
 // settled checks that the frame is idle again and counted exactly want
@@ -460,7 +483,11 @@ func TestFrameConformance(t *testing.T) {
 				go func() { queued <- statusOf(frameEndpoint{method: http.MethodGet, path: "/v1/store/key"}, ft.url) }()
 				defer func() { release(); <-queued }()
 				ft.waitQueued(t, 1)
-				for _, path := range []string{"/v1/stats", "/v1/store/stats", "/metrics", "/healthz", "/readyz"} {
+				paths := []string{"/v1/store/stats", "/metrics", "/healthz", "/readyz"}
+				if tier.name == "router" { // avrd's process-wide series are on /metrics only
+					paths = append(paths, "/v1/stats")
+				}
+				for _, path := range paths {
 					resp, body := ft.do(t, http.MethodGet, ft.url+path, nil)
 					if resp.StatusCode != http.StatusOK {
 						t.Errorf("%s under overload: %d", path, resp.StatusCode)

@@ -193,7 +193,7 @@ func TestShardAtAnotherT1(t *testing.T) {
 			if owner == odd {
 				continue
 			}
-			got, _, _, err := tc.stores[owner].Get(key)
+			got, _, _, err := tc.stores[owner].GetTraced(key, nil)
 			if err != nil {
 				t.Fatalf("%s on node %d: %v", key, owner, err)
 			}
@@ -237,7 +237,7 @@ func TestRouterBeforeItsShards(t *testing.T) {
 	if enc := tc.ro.Stats().Encoding; enc.T1 != tc.t1 || enc.LearnedFrom != fmt.Sprintf("node-%02d", owner) {
 		t.Fatalf("router stats say %+v, want t1 %g learned from node-%02d", enc, tc.t1, owner)
 	}
-	got, _, _, err := tc.stores[owner].Get(key)
+	got, _, _, err := tc.stores[owner].GetTraced(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -427,23 +427,15 @@ type RouterNodeStats struct {
 	LastProbeMsAgo int64  `json:"last_probe_ms_ago"`
 }
 
-// RouterStats is the GET /v1/stats payload: admission occupancy, the
-// obs router counters, and per-node health/traffic — what avrtop and
-// the cluster smoke test poll.
+// RouterStats is the GET /v1/stats payload: this router's own state —
+// admission occupancy, the encoding it learned, its response cache and
+// its view of each node — what the cluster tests and bench/ read. The
+// process-wide router counters are on /metrics only.
 type RouterStats struct {
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	Workers       int               `json:"workers"`
 	QueueDepth    int               `json:"queue_depth"`
 	Queued        int64             `json:"queued"`
-	Requests      int64             `json:"requests"`
-	Shed          int64             `json:"shed"`
-	Errors        int64             `json:"errors"`
-	Fanouts       int64             `json:"fanouts"`
-	Failovers     int64             `json:"failovers"`
-	Retries       int64             `json:"retries"`
-	BatchKeys     int64             `json:"batch_keys"`
-	NodeEjects    int64             `json:"node_ejects"`
-	NodeReadmits  int64             `json:"node_readmits"`
 	Encoding      RouterEncoding    `json:"encoding"`
 	Cache         readcache.Stats   `json:"cache"`
 	Nodes         []RouterNodeStats `json:"nodes"`
@@ -451,21 +443,12 @@ type RouterStats struct {
 
 // Stats snapshots the router's state.
 func (ro *Router) Stats() RouterStats {
-	tier, c := ro.Config(), ro.Counters()
+	tier := ro.Config()
 	st := RouterStats{
 		UptimeSeconds: ro.Uptime().Seconds(),
 		Workers:       tier.Workers,
 		QueueDepth:    tier.QueueDepth,
 		Queued:        ro.Gate().Queued(),
-		Requests:      c.Requests.Value(),
-		Shed:          c.Shed.Value(),
-		Errors:        c.Errors.Value(),
-		Fanouts:       obs.RouterFanouts.Value(),
-		Failovers:     obs.RouterFailovers.Value(),
-		Retries:       obs.RouterRetries.Value(),
-		BatchKeys:     obs.RouterBatchKeys.Value(),
-		NodeEjects:    obs.RouterNodeEjects.Value(),
-		NodeReadmits:  obs.RouterNodeReadmits.Value(),
 		Encoding:      ro.encodingStats(),
 		Cache:         ro.cache.Stats(),
 	}

@@ -14,6 +14,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -521,7 +522,7 @@ func TestSlowLegTimesOut(t *testing.T) {
 		t.Fatalf("put over a slow primary leg: status %d, replicas %q, retries %d → %d, want 200 on 2 after a retry",
 			resp.StatusCode, resp.Header.Get("X-AVR-Replicas"), retries, obs.RouterRetries.Value())
 	}
-	got, _, _, err := tc.stores[first].Get(key)
+	got, _, _, err := tc.stores[first].GetTraced(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -913,5 +914,57 @@ func TestRouterReadsMatchAvrd(t *testing.T) {
 	}
 	if got, want := post(tc.router.URL), post(tc.nodes[0].URL); !bytes.Equal(got, want) {
 		t.Fatalf("mget: the router answers %d bytes, avrd %d: %.200q against %.200q", len(got), len(want), got, want)
+	}
+}
+
+// TestRouterStatsAreTheRoutersOwn: a router's /v1/stats describes that
+// router. A second router over the same fleet, in the same process,
+// serves the same document before and after the first one routes puts,
+// gets, a batch and a listing — its uptime aside.
+func TestRouterStatsAreTheRoutersOwn(t *testing.T) {
+	tc := newTestCluster(t, 2, Config{CacheBytes: 1 << 20})
+	b, err := New(Config{Topology: tc.ro.cfg.Topology, CacheBytes: 1 << 20, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bts := httptest.NewServer(b.Handler())
+	t.Cleanup(func() { bts.Close(); b.Close() })
+	snapshot := func() map[string]any {
+		t.Helper()
+		resp, body := get(t, bts.URL+"/v1/stats")
+		var doc map[string]any
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &doc) != nil {
+			t.Fatalf("router b's /v1/stats: %d %s", resp.StatusCode, body)
+		}
+		delete(doc, "uptime_seconds")
+		return doc
+	}
+
+	before := snapshot()
+	for k := 0; k < 4; k++ {
+		key := fmt.Sprint("k", k)
+		if resp := tc.put(t, key, testVals(k, 256)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("put %s through router a: %d", key, resp.StatusCode)
+		}
+		for i := 0; i < 2; i++ {
+			if resp, _ := get(t, tc.router.URL+"/v1/store/get?key="+key); resp.StatusCode != http.StatusOK {
+				t.Fatalf("get %s through router a: %d", key, resp.StatusCode)
+			}
+		}
+	}
+	mget, _ := json.Marshal(server.BatchGetRequest{Keys: []string{"k0", "k1", "k2"}})
+	if resp, err := http.Post(tc.router.URL+"/v1/store/mget", "application/json", bytes.NewReader(mget)); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("mget through router a: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+	if resp, _ := get(t, tc.router.URL+"/v1/store/key"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("key listing through router a: %d", resp.StatusCode)
+	}
+	if after := snapshot(); !reflect.DeepEqual(before, after) {
+		t.Errorf("router b's /v1/stats moved with router a's traffic:\n%v\nthen\n%v", before, after)
+	}
+	if st := tc.ro.Stats(); st.Cache.Lines == 0 || st.Nodes[0].Requests+st.Nodes[1].Requests == 0 {
+		t.Errorf("router a's own stats did not see its traffic: %+v", st)
 	}
 }

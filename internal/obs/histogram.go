@@ -59,14 +59,6 @@ func (h *Histogram) Observe(v float64) {
 	h.overflow++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
 // Bucket is one histogram bucket in a Summary: the count of observations
 // v with prev.Le < v <= Le.
 type Bucket struct {

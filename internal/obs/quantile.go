@@ -3,8 +3,8 @@ package obs
 // Quantile estimates the p-quantile (p in [0,1]) of the observed
 // distribution by linear interpolation within the bucket holding the
 // target rank — the same estimator Prometheus's histogram_quantile
-// applies to the exposition this package serves, so /v1/stats and a
-// PromQL query over /metrics agree on what "p99" means.
+// applies to the exposition this package serves, so avrtop and a PromQL
+// query over /metrics agree on what "p99" means.
 //
 // The interpolation range of a bucket is clamped to [Min, Max]: the
 // first populated bucket cannot start below the smallest observation
@@ -58,22 +58,4 @@ func (s Summary) Quantile(p float64) float64 {
 		return lo + (target-cum)/float64(s.Overflow)*(hi-lo)
 	}
 	return s.Max
-}
-
-// Quantile estimates the p-quantile of the live histogram. A nil
-// histogram returns 0.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.Summary().Quantile(p)
-}
-
-// Quantile estimates the p-quantile under the lock. A nil receiver
-// returns 0.
-func (s *SyncHistogram) Quantile(p float64) float64 {
-	if s == nil {
-		return 0
-	}
-	return s.Summary().Quantile(p)
 }

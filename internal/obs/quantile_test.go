@@ -29,7 +29,7 @@ func TestQuantileUniform(t *testing.T) {
 		{0.75, 75, 1.5},
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.p); math.Abs(got-c.want) > c.tol {
+		if got := h.Summary().Quantile(c.p); math.Abs(got-c.want) > c.tol {
 			t.Errorf("Quantile(%v) = %v, want %v ± %v", c.p, got, c.want, c.tol)
 		}
 	}
@@ -39,7 +39,7 @@ func TestQuantileMonotone(t *testing.T) {
 	h := uniformHist(t)
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 1.0; p += 0.01 {
-		q := h.Quantile(p)
+		q := h.Summary().Quantile(p)
 		if q < prev {
 			t.Fatalf("Quantile not monotone: Quantile(%v)=%v < %v", p, q, prev)
 		}
@@ -49,11 +49,11 @@ func TestQuantileMonotone(t *testing.T) {
 
 func TestQuantileEdges(t *testing.T) {
 	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
+	if got := nilH.Summary().Quantile(0.5); got != 0 {
 		t.Errorf("nil histogram Quantile = %v, want 0", got)
 	}
 	var nilS *SyncHistogram
-	if got := nilS.Quantile(0.5); got != 0 {
+	if got := nilS.Summary().Quantile(0.5); got != 0 {
 		t.Errorf("nil sync histogram Quantile = %v, want 0", got)
 	}
 	if got := (Summary{}).Quantile(0.5); got != 0 {
@@ -64,7 +64,7 @@ func TestQuantileEdges(t *testing.T) {
 	h := NewHistogram("one", "v", []float64{10, 100})
 	h.Observe(42)
 	for _, p := range []float64{0, 0.1, 0.5, 0.99, 1} {
-		if got := h.Quantile(p); got != 42 {
+		if got := h.Summary().Quantile(p); got != 42 {
 			t.Errorf("single-observation Quantile(%v) = %v, want 42", p, got)
 		}
 	}
@@ -79,10 +79,10 @@ func TestQuantileOverflow(t *testing.T) {
 	h.Observe(200)
 	// target rank 2.7 lands in the overflow bucket (counts: 1 below 10,
 	// 2 overflow); interpolate (10, 200]: 10 + (2.7-1)/2 * 190 = 171.5.
-	if got, want := h.Quantile(0.9), 171.5; math.Abs(got-want) > 1e-9 {
+	if got, want := h.Summary().Quantile(0.9), 171.5; math.Abs(got-want) > 1e-9 {
 		t.Errorf("overflow Quantile(0.9) = %v, want %v", got, want)
 	}
-	if got := h.Quantile(1); got != 200 {
+	if got := h.Summary().Quantile(1); got != 200 {
 		t.Errorf("overflow Quantile(1) = %v, want Max 200", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestQuantileClampedToObserved(t *testing.T) {
 	h.Observe(510)
 	h.Observe(520)
 	for p := 0.0; p <= 1.0; p += 0.05 {
-		q := h.Quantile(p)
+		q := h.Summary().Quantile(p)
 		if q < 500 || q > 520 {
 			t.Fatalf("Quantile(%v) = %v outside observed [500, 520]", p, q)
 		}
@@ -114,12 +114,12 @@ func TestQuantileSkewed(t *testing.T) {
 	}
 	// p99: target 99 in the upper bucket; lo=10, hi=Max=50:
 	// 10 + (99-90)/10 * 40 = 46.
-	if got, want := h.Quantile(0.99), 46.0; math.Abs(got-want) > 1e-9 {
+	if got, want := h.Summary().Quantile(0.99), 46.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("skewed Quantile(0.99) = %v, want %v", got, want)
 	}
 	// Median is in the dense bucket, clamped to [Min=5, hi=10]:
 	// 5 + 50/90 * 5 ≈ 7.78.
-	if got := h.Quantile(0.5); got < 5 || got > 10 {
+	if got := h.Summary().Quantile(0.5); got < 5 || got > 10 {
 		t.Errorf("skewed Quantile(0.5) = %v outside dense bucket", got)
 	}
 }

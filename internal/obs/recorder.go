@@ -86,14 +86,6 @@ func (r *Recorder) record(now Counters, final bool) {
 	}
 }
 
-// Count returns how many epochs have been recorded in total.
-func (r *Recorder) Count() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.count
-}
-
 // Dropped returns how many epochs were overwritten in the ring. Dropped
 // and Epochs have only test callers, the simulator's epoch tests (package
 // sim) among them, so they cannot move into a test file here.

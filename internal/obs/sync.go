@@ -29,16 +29,6 @@ func (s *SyncHistogram) Observe(v float64) {
 	s.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (s *SyncHistogram) Count() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Count()
-}
-
 // Summary snapshots the histogram.
 func (s *SyncHistogram) Summary() Summary {
 	if s == nil {

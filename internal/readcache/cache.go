@@ -329,7 +329,7 @@ func (c *Cache) Invalidate(key string) {
 }
 
 // Stats is a point-in-time snapshot of a cache's occupancy, the one the
-// store and the router report (/v1/stats).
+// store (CacheSnapshot) and the router's /v1/stats report.
 type Stats struct {
 	Enabled       bool  `json:"enabled"`
 	ResidentBytes int64 `json:"resident_bytes"`

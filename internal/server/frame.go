@@ -159,9 +159,6 @@ func (t *Tier) readyz(w http.ResponseWriter, r *http.Request) {
 // Config returns the tier's settings with the defaults filled in.
 func (t *Tier) Config() TierConfig { return t.cfg }
 
-// Counters returns the tier's series, unpublished ones included.
-func (t *Tier) Counters() Counters { return t.counters }
-
 // Gate returns the admission gate (occupancy for stats; tests hold its
 // slots). Handlers reach it through Req.Admit only.
 func (t *Tier) Gate() *admit.Gate { return t.gate }

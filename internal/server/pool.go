@@ -68,14 +68,6 @@ func NewCodecPool() *CodecPool {
 	return &CodecPool{pools: make(map[float64]*sync.Pool)}
 }
 
-// Size reports how many threshold buckets the pool currently holds.
-// Bounded by poolGridMax by construction.
-func (p *CodecPool) Size() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.pools)
-}
-
 // Get borrows a codec for threshold t1 (non-positive selects the
 // experiment default), quantized per QuantizeT1. Pair with Put.
 func (p *CodecPool) Get(t1 float64) *avr.Codec {

@@ -40,7 +40,8 @@ type Config struct {
 //	                  the codec-pool grid, see QuantizeT1)
 //	POST /v1/decode   AVR stream in (AVR1/AVR8 sniffed from the magic),
 //	                  raw little-endian values out
-//	GET  /v1/stats    serving-path counters and histograms as JSON
+//	GET  /metrics     every process-wide avr.* counter and histogram
+//	                  (Prometheus text exposition)
 //	GET  /healthz     process liveness (always 200)
 //	GET  /readyz      load-balancer readiness (503 once draining)
 type Server struct {
@@ -66,9 +67,6 @@ func New(cfg Config) *Server {
 	}, nil)
 	s.Handle("POST /v1/encode", "encode", s.handleEncode)
 	s.Handle("POST /v1/decode", "decode", s.handleDecode)
-	// The stats documents (and the frame's own /metrics, /healthz and
-	// /readyz) are outside admission: monitoring must answer under overload.
-	s.HandleStats("GET /v1/stats", func() any { return s.snapshotStats() })
 	if cfg.Store != nil {
 		s.registerStore()
 	}

@@ -62,6 +62,8 @@ func (s *Server) registerStore() {
 	s.Handle("GET /v1/store/key", "keys", s.handleStoreKeys)
 	s.Handle("POST /v1/store/mput", "mput", s.handleStoreMput)
 	s.Handle("POST /v1/store/mget", "mget", s.handleStoreMget)
+	// The store's own snapshot sits outside admission, like the frame's
+	// /metrics: monitoring must answer under overload.
 	s.HandleStats("GET /v1/store/stats", func() any { return s.cfg.Store.Stats() })
 }
 

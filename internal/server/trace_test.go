@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,68 +12,68 @@ import (
 	"avr/internal/trace"
 )
 
-// TestStatsShape pins the /v1/stats JSON document: every key the
-// dashboard (cmd/avrtop) and EXPERIMENTS.md workflows consume must be
-// present, including the per-stage breakdown with all eight stage keys.
+// metricFamilies scrapes GET /metrics into its families' types and the
+// values of its unlabelled samples.
+func metricFamilies(t *testing.T, url string) (types map[string]string, values map[string]float64) {
+	t.Helper()
+	resp, body := doReq(t, http.MethodGet, url+"/metrics", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+	}
+	types, values = map[string]string{}, map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			types[f[2]] = f[3]
+		case len(f) == 2 && !strings.HasPrefix(f[0], "#") && !strings.Contains(f[0], "{"):
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			values[f[0]] = v
+		}
+	}
+	return types, values
+}
+
+// TestStatsShape pins the families avrd's /metrics carries for
+// cmd/avrtop and the EXPERIMENTS.md workflows: the tier, store, cache
+// and trace counters, the in-flight and cache occupancy gauges, the
+// latency and ratio histograms, and one histogram per trace stage.
 func TestStatsShape(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	_, payload := f32Payload(t, "heat", 1024, 7)
 	post(t, ts.URL+"/v1/encode", payload)
 
-	r, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-
-	want := []string{
-		"uptime_seconds", "ready",
-		"requests", "encodes", "decodes", "errors", "shed", "in_flight",
-		"bytes_in", "bytes_out",
-		"store_puts", "store_gets", "store_deletes",
-		"store_put_bytes", "store_get_bytes", "store_partial_206",
-		"store_queries", "query_bytes_touched", "query_bytes_total",
-		"cache_hits", "cache_misses", "cache_evictions",
-		"cache_resident_bytes", "cache_lines",
-		"prefetch_issued", "prefetch_useful",
-		"latency", "ratio", "stages",
-	}
-	var got []string
-	for k := range doc {
-		got = append(got, k)
-	}
-	sort.Strings(got)
-	sorted := append([]string(nil), want...)
-	sort.Strings(sorted)
-	if strings.Join(got, ",") != strings.Join(sorted, ",") {
-		t.Fatalf("stats keys changed:\n got %v\nwant %v", got, sorted)
-	}
-
-	var stages map[string]StageStats
-	if err := json.Unmarshal(doc["stages"], &stages); err != nil {
-		t.Fatal(err)
-	}
-	if len(stages) != trace.NumStages {
-		t.Fatalf("stages has %d keys, want %d: %v", len(stages), trace.NumStages, stages)
+	types, values := metricFamilies(t, ts.URL)
+	want := map[string]string{
+		"avr_server_in_flight": "gauge", "avr_cache_resident_bytes": "gauge", "avr_cache_lines": "gauge",
+		"avr_server_latency": "histogram", "avr_server_ratio": "histogram",
 	}
 	for _, name := range []string{
-		"queue", "pool", "encode", "decode",
-		"segread", "segwrite", "lockwait", "query",
+		"server_requests", "server_encodes", "server_decodes", "server_errors", "server_shed",
+		"server_bytes_in", "server_bytes_out", "server_store_partial",
+		"store_puts", "store_gets", "store_deletes", "store_put_bytes", "store_get_bytes",
+		"store_queries", "store_query_bytes_touched", "store_query_bytes_total",
+		"store_compactions", "store_compacted_bytes",
+		"cache_hits", "cache_misses", "cache_evictions", "prefetch_issued", "prefetch_useful",
+		"trace_spans", "trace_exported",
 	} {
-		if _, ok := stages[name]; !ok {
-			t.Errorf("stages missing %q", name)
+		want["avr_"+name] = "counter"
+	}
+	for i := 0; i < trace.NumStages; i++ {
+		want["avr_trace_stage_"+trace.Stage(i).String()] = "histogram"
+	}
+	for name, typ := range want {
+		if types[name] != typ {
+			t.Errorf("/metrics types %s as %q, want %q", name, types[name], typ)
 		}
 	}
-	// The encode we just made must be visible in the stage digests
-	// (counters are process-global, so assert floors).
-	if st := stages["encode"]; st.Count < 1 {
-		t.Error("encode stage digest empty after an encode request")
-	} else if st.P99Us < st.P50Us {
-		t.Errorf("encode stage p99 %g below p50 %g", st.P99Us, st.P50Us)
+	// The encode we just made must be visible in its stage's histogram
+	// (the series are process-global, so assert floors).
+	if n := values["avr_trace_stage_encode_count"]; n < 1 {
+		t.Errorf("encode stage histogram counts %g after an encode request", n)
 	}
 }
 

@@ -118,8 +118,8 @@ func TestEpochJSONLStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if uint64(len(lines)) != rec.Count() {
-		t.Errorf("streamed %d lines, recorder counted %d epochs", len(lines), rec.Count())
+	if n := uint64(len(rec.Epochs())) + rec.Dropped(); uint64(len(lines)) != n {
+		t.Errorf("streamed %d lines, recorder counted %d epochs", len(lines), n)
 	}
 	if !strings.Contains(lines[len(lines)-1], `"final":true`) {
 		t.Errorf("last line not final: %s", lines[len(lines)-1])

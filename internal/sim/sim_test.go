@@ -279,8 +279,8 @@ func TestRecorderZeroIntervalNeverSamples(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		s.LoadF32(base + i*64)
 	}
-	if rec.Count() != 4 {
-		t.Errorf("recorder captured %d epochs over 64 accesses at interval 16, want 4", rec.Count())
+	if n := len(rec.Epochs()); n != 4 {
+		t.Errorf("recorder captured %d epochs over 64 accesses at interval 16, want 4", n)
 	}
 }
 

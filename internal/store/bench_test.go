@@ -392,7 +392,7 @@ func BenchmarkStoreQueryAggregate32(b *testing.B) {
 	var res AggregateResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = s.QueryAggregate("bench"); err != nil {
+		if res, err = s.QueryAggregateTraced("bench", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -415,7 +415,7 @@ func BenchmarkStoreQueryAggregate32Noise(b *testing.B) {
 	var res AggregateResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = s.QueryAggregate("bench"); err != nil {
+		if res, err = s.QueryAggregateTraced("bench", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -437,7 +437,7 @@ func BenchmarkStoreQueryAggregate64(b *testing.B) {
 	var res AggregateResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = s.QueryAggregate("bench"); err != nil {
+		if res, err = s.QueryAggregateTraced("bench", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -475,7 +475,7 @@ func benchFilter32(b *testing.B, dist string) {
 	b.SetBytes(int64(4 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryFilter("bench", lo, hi); err != nil {
+		if _, err := s.QueryFilterTraced("bench", lo, hi, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,7 +492,7 @@ func BenchmarkStoreQueryDownsample32(b *testing.B) {
 	b.SetBytes(int64(4 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryDownsample("bench"); err != nil {
+		if _, err := s.QueryDownsampleTraced("bench", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -507,7 +507,7 @@ func BenchmarkStoreQueryDownsample64(b *testing.B) {
 	b.SetBytes(int64(8 * len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryDownsample("bench"); err != nil {
+		if _, err := s.QueryDownsampleTraced("bench", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,7 +51,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 						if _, err := s.Put32(key, vals); err != nil {
 							t.Fatal(err)
 						}
-						want, _, _, err := s.Get(key)
+						want, _, _, err := s.GetTraced(key, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -77,7 +77,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 						if _, err := s.Put64(key, vals); err != nil {
 							t.Fatal(err)
 						}
-						_, want, _, err := s.Get(key)
+						_, want, _, err := s.GetTraced(key, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -645,15 +645,15 @@ func TestReadFailureReturnsDst(t *testing.T) {
 		same("Get32IntoCached(fp64 key)", g32, d64, err, ErrWidth)
 		g64, _, err := s.Get64IntoCached(d64, "missing", nil)
 		same("Get64IntoCached(missing)", d32, g64, err, ErrNotFound)
-		g32, g64, width, err := s.GetIntoTraced(d32, d64, "missing", nil)
-		same("GetIntoTraced(missing)", g32, g64, err, ErrNotFound)
-		if width != 0 {
-			t.Errorf("GetIntoTraced(missing) width = %d, want 0", width)
+		v, _, err := s.GetVec(vec.Vec{F32: d32, F64: d64}, "missing", false, nil)
+		same("GetVec(missing)", v.F32, v.F64, err, ErrNotFound)
+		if v.Width != 0 {
+			t.Errorf("GetVec(missing) width = %d, want 0", v.Width)
 		}
 		// And on success only the matching side grows.
-		g32, g64, width, err = s.GetIntoTraced(d32, d64, "k64", nil)
-		if err != nil || width != 64 || len(g32) != len(d32) || len(g64) != len(d64)+100 {
-			t.Errorf("GetIntoTraced(k64) = %d fp32, %d fp64, width %d, err %v", len(g32), len(g64), width, err)
+		v, _, err = s.GetVec(vec.Vec{F32: d32, F64: d64}, "k64", false, nil)
+		if err != nil || v.Width != 64 || len(v.F32) != len(d32) || len(v.F64) != len(d64)+100 {
+			t.Errorf("GetVec(k64) = %d fp32, %d fp64, width %d, err %v", len(v.F32), len(v.F64), v.Width, err)
 		}
 	}
 }

@@ -409,7 +409,7 @@ func TestCompactionKeepsEncodedT1(t *testing.T) {
 					lo, hi = min(lo, x), max(hi, x)
 				}
 				mean := sum / float64(len(want))
-				agg, err := r.QueryAggregate(k)
+				agg, err := r.QueryAggregateTraced(k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -424,7 +424,7 @@ func TestCompactionKeepsEncodedT1(t *testing.T) {
 						inside++
 					}
 				}
-				fil, err := r.QueryFilter(k, flo, fhi)
+				fil, err := r.QueryFilterTraced(k, flo, fhi, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

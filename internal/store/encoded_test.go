@@ -448,13 +448,13 @@ func FuzzPutEncoded(f *testing.F) {
 		if lerr != nil {
 			t.Fatalf("cache fill of an accepted container: %v", lerr)
 		}
-		if _, err := s.QueryAggregate("k"); err != nil {
+		if _, err := s.QueryAggregateTraced("k", nil); err != nil {
 			t.Fatalf("aggregate over an accepted container: %v", err)
 		}
-		if _, err := s.QueryFilter("k", -1, 1); err != nil {
+		if _, err := s.QueryFilterTraced("k", -1, 1, nil); err != nil {
 			t.Fatalf("filter over an accepted container: %v", err)
 		}
-		if _, err := s.QueryDownsample("k"); err != nil {
+		if _, err := s.QueryDownsampleTraced("k", nil); err != nil {
 			t.Fatalf("downsample over an accepted container: %v", err)
 		}
 	})

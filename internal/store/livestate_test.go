@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"avr/internal/obs"
 	"avr/internal/vec"
 	"avr/internal/workloads"
 )
@@ -213,32 +212,24 @@ func (lr *liveRun) checkCrashAndClose() {
 type held struct {
 	index map[string]entry
 	tombs map[string]tombRef
-	stats Stats // histograms and segment list cleared
-	segs  map[uint32]SegmentStats
+	stats Stats
 }
 
 func heldBy(s *Store) held {
 	st := s.Stats()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	h := held{index: make(map[string]entry), tombs: maps.Clone(s.tombs), segs: make(map[uint32]SegmentStats)}
+	h := held{index: make(map[string]entry), tombs: maps.Clone(s.tombs), stats: st}
 	for k, e := range s.index {
 		h.index[k] = entry{seq: e.seq, totalVals: e.totalVals, width: e.width, refs: slices.Clone(e.refs)}
 	}
-	for _, m := range st.SegmentList {
-		h.segs[m.ID] = m
-	}
-	st.SegmentList = nil
-	st.PutLatency, st.GetLatency, st.BlockRatio = obs.Summary{}, obs.Summary{}, obs.Summary{}
-	st.QueryLatency, st.QueryTraffic, st.CompactLatency = obs.Summary{}, obs.Summary{}, obs.Summary{}
-	h.stats = st
 	return h
 }
 
 // expect fails the test where got, the state an open rebuilt, differs
 // from want, the state the store it opened after held. A segment the open
 // added (a fresh active one) holds no frame and is left out of the
-// comparison.
+// comparison, and the segment it took over from is sealed.
 func (lr *liveRun) expect(want, got held, when string) {
 	lr.t.Helper()
 	for k, e := range want.index {
@@ -254,20 +245,24 @@ func (lr *liveRun) expect(want, got held, when string) {
 	if !reflect.DeepEqual(want.tombs, got.tombs) {
 		lr.t.Errorf("%s: tombstones rebuilt as %+v, held %+v", when, got.tombs, want.tombs)
 	}
-	for id, g := range got.segs {
-		w, ok := want.segs[id]
-		switch {
-		case !ok && g.LiveBytes+g.DeadBytes == 0:
-			got.stats.Segments--
-			got.stats.DiskBytes -= g.Bytes
-			if got.stats.DiskBytes > 0 {
-				got.stats.CompactionDebt = float64(got.stats.DeadBytes) / float64(got.stats.DiskBytes)
-			}
-		case !ok || g.LiveBytes != w.LiveBytes || g.DeadBytes != w.DeadBytes:
-			lr.t.Errorf("%s: segment %d rebuilt with %d live / %d dead bytes, held %d / %d (present %v)",
-				when, id, g.LiveBytes, g.DeadBytes, w.LiveBytes, w.DeadBytes, ok)
+	wantSegs := slices.Clone(want.stats.SegmentList)
+	gotSegs := got.stats.SegmentList[:0:0]
+	for _, g := range got.stats.SegmentList {
+		wasHeld := slices.ContainsFunc(wantSegs, func(w SegmentStats) bool { return w.ID == g.ID })
+		if wasHeld || g.LiveBytes+g.DeadBytes != 0 {
+			gotSegs = append(gotSegs, g)
+			continue
+		}
+		got.stats.Segments--
+		got.stats.DiskBytes -= g.Bytes
+		if got.stats.DiskBytes > 0 {
+			got.stats.CompactionDebt = float64(got.stats.DeadBytes) / float64(got.stats.DiskBytes)
+		}
+		for i := range wantSegs {
+			wantSegs[i].Active = false
 		}
 	}
+	want.stats.SegmentList, got.stats.SegmentList = wantSegs, gotSegs
 	if !reflect.DeepEqual(want.stats, got.stats) {
 		lr.t.Errorf("%s: Stats rebuilt as\n%+v\nheld\n%+v", when, got.stats, want.stats)
 	}

@@ -1,15 +1,17 @@
 package store
 
 import (
+	"cmp"
 	"expvar"
+	"slices"
 
 	"avr/internal/obs"
 )
 
 // Store histograms. Process-global like the serving-path histograms in
-// internal/server (expvar.Publish panics on duplicate names, and a
-// process runs one logical store service); concurrent observers go
-// through the SyncHistogram lock. Tests assert deltas, not absolutes.
+// internal/server (expvar.Publish panics on duplicate names), so /metrics
+// is where they are read; concurrent observers go through the
+// SyncHistogram lock. Tests assert deltas, not absolutes.
 var (
 	putLatencyHist     = obs.NewSyncHistogram(obs.StorePutLatencyHistogram())
 	getLatencyHist     = obs.NewSyncHistogram(obs.StoreGetLatencyHistogram())
@@ -61,10 +63,11 @@ type SegmentStats struct {
 	Active    bool    `json:"active"`
 }
 
-// Stats is a point-in-time snapshot of the store, served by avrd at
+// Stats is a point-in-time snapshot of this store, served by avrd at
 // /v1/store/stats and printed by cmd/avrstore inspect. Blocks, RawBytes
 // and FlaggedBlocks are sums over the live blocks; a flagged block is
-// one stored lossless at the store's current t1.
+// one stored lossless at the store's current t1. The latency and ratio
+// histograms are process-wide and on /metrics only.
 type Stats struct {
 	Dir           string  `json:"dir"`
 	T1            float64 `json:"t1"`
@@ -88,14 +91,8 @@ type Stats struct {
 	// work the background worker has not yet reclaimed.
 	CompactionDebt float64 `json:"compaction_debt"`
 
+	// SegmentList is every segment, in ID order.
 	SegmentList []SegmentStats `json:"segment_list,omitempty"`
-
-	PutLatency     obs.Summary `json:"put_latency"`
-	GetLatency     obs.Summary `json:"get_latency"`
-	BlockRatio     obs.Summary `json:"block_ratio"`
-	QueryLatency   obs.Summary `json:"query_latency"`
-	QueryTraffic   obs.Summary `json:"query_traffic"`
-	CompactLatency obs.Summary `json:"compact_latency"`
 }
 
 // Stats snapshots the store.
@@ -131,17 +128,12 @@ func (s *Store) Stats() Stats {
 			DeadFrac: m.deadFraction(), Active: m == s.active,
 		})
 	}
+	slices.SortFunc(st.SegmentList, func(a, b SegmentStats) int { return cmp.Compare(a.ID, b.ID) })
 	if st.LiveBytes > 0 {
 		st.AchievedRatio = float64(st.RawBytes) / float64(st.LiveBytes)
 	}
 	if st.DiskBytes > 0 {
 		st.CompactionDebt = float64(st.DeadBytes) / float64(st.DiskBytes)
 	}
-	st.PutLatency = putLatencyHist.Summary()
-	st.GetLatency = getLatencyHist.Summary()
-	st.BlockRatio = blockRatioHist.Summary()
-	st.QueryLatency = queryLatencyHist.Summary()
-	st.QueryTraffic = queryTrafficHist.Summary()
-	st.CompactLatency = compactLatencyHist.Summary()
 	return st
 }

@@ -252,18 +252,13 @@ func (q *queryRun) point(sum, w, abs float64) {
 	q.bounds = append(q.bounds, w/group+sumSlack*abs/group)
 }
 
-// QueryAggregate computes count/sum/mean with t1-derived error bars and
-// t1-widened min/max envelopes over the vector stored under key,
-// reducing fixed-point reconstructions (plus outliers) instead of
-// decoding blocks.
-func (s *Store) QueryAggregate(key string) (AggregateResult, error) {
-	return s.QueryAggregateTraced(key, nil)
-}
-
-// QueryAggregateTraced is QueryAggregate with per-stage attribution
-// onto sp: store mutex wait (StageLock), the frame reads and their CRC
-// checks (StageSegRead) and the compressed-domain walk over the verified
-// frames (StageQuery). A nil span traces nothing at no cost.
+// QueryAggregateTraced computes count/sum/mean with t1-derived error
+// bars and t1-widened min/max envelopes over the vector stored under
+// key, reducing fixed-point reconstructions (plus outliers) instead of
+// decoding blocks. It attributes its time onto sp: store mutex wait
+// (StageLock), the frame reads and their CRC checks (StageSegRead) and
+// the compressed-domain walk over the verified frames (StageQuery). A
+// nil span traces nothing at no cost.
 func (s *Store) QueryAggregateTraced(key string, sp *trace.Span) (AggregateResult, error) {
 	t0 := time.Now()
 	q := queryRun{
@@ -299,16 +294,11 @@ func (q *queryRun) aggregateResult(key string) AggregateResult {
 	return res
 }
 
-// QueryFilter counts values in [lo, hi] (inclusive): a guaranteed
+// QueryFilterTraced counts values in [lo, hi] (inclusive): a guaranteed
 // bracket [MatchesMin, MatchesMax] plus a point estimate. Records are
 // settled from their summary line's extremes where those decide;
-// outliers are classified exactly.
-func (s *Store) QueryFilter(key string, lo, hi float64) (FilterResult, error) {
-	return s.QueryFilterTraced(key, lo, hi, nil)
-}
-
-// QueryFilterTraced is QueryFilter with QueryAggregateTraced's
-// per-stage attribution.
+// outliers are classified exactly. Its time goes onto sp as
+// QueryAggregateTraced's does.
 func (s *Store) QueryFilterTraced(key string, lo, hi float64, sp *trace.Span) (FilterResult, error) {
 	if !(lo <= hi) {
 		return FilterResult{}, fmt.Errorf("store: bad filter range [%g, %g]", lo, hi)
@@ -329,15 +319,9 @@ func (s *Store) QueryFilterTraced(key string, lo, hi float64, sp *trace.Span) (F
 	return res, nil
 }
 
-// QueryDownsample renders the vector at 1/16 resolution from the
-// sub-block summaries: one point per 16 values, each with its own
-// error bound.
-func (s *Store) QueryDownsample(key string) (DownsampleResult, error) {
-	return s.QueryDownsampleTraced(key, nil)
-}
-
-// QueryDownsampleTraced is QueryDownsample with
-// QueryAggregateTraced's per-stage attribution.
+// QueryDownsampleTraced renders the vector at 1/16 resolution from the
+// sub-block summaries: one point per 16 values, each with its own error
+// bound. Its time goes onto sp as QueryAggregateTraced's does.
 func (s *Store) QueryDownsampleTraced(key string, sp *trace.Span) (DownsampleResult, error) {
 	t0 := time.Now()
 	q := queryRun{op: qopDownsample, sp: sp}

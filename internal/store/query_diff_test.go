@@ -120,7 +120,7 @@ func diffDownsample(t testing.TB, key string, got DownsampleResult, o *oracleRun
 // diffAll runs the three ops (filter over bands) both ways on key.
 func diffAll(t *testing.T, s *Store, key string, bands [][2]float64) {
 	t.Helper()
-	agg, err := s.QueryAggregate(key)
+	agg, err := s.QueryAggregateTraced(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +129,13 @@ func diffAll(t *testing.T, s *Store, key string, bands [][2]float64) {
 		if !(band[0] <= band[1]) {
 			continue
 		}
-		fr, err := s.QueryFilter(key, band[0], band[1])
+		fr, err := s.QueryFilterTraced(key, band[0], band[1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		diffFilter(t, key, fr, oracleQuery(t, s, key, qopFilter, band[0], band[1]))
 	}
-	ds, err := s.QueryDownsample(key)
+	ds, err := s.QueryDownsampleTraced(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +267,13 @@ func TestQueryMatchesOracleCrafted(t *testing.T) {
 				gt := NewTruth(vec.Of64(vals))
 				bands := queryBands(gt)
 				diffAll(t, s, key, bands)
-				agg, _ := s.QueryAggregate(key)
+				agg, _ := s.QueryAggregateTraced(key, nil)
 				holds(t, key, gt.Aggregate(agg))
 				for _, band := range bands {
-					fr, _ := s.QueryFilter(key, band[0], band[1])
+					fr, _ := s.QueryFilterTraced(key, band[0], band[1], nil)
 					holds(t, key, gt.Filter(fr))
 				}
-				ds, _ := s.QueryDownsample(key)
+				ds, _ := s.QueryDownsampleTraced(key, nil)
 				holds(t, key, gt.Downsample(ds))
 			}
 		}

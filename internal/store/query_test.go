@@ -94,7 +94,7 @@ func propertyQuery(t *testing.T, s *Store, dist string, width, n int, seed uint6
 		}
 	}
 
-	agg, err := s.QueryAggregate(key)
+	agg, err := s.QueryAggregateTraced(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func propertyQuery(t *testing.T, s *Store, dist string, width, n int, seed uint6
 
 	bands := queryBands(gt)
 	for _, band := range bands {
-		fr, err := s.QueryFilter(key, band[0], band[1])
+		fr, err := s.QueryFilterTraced(key, band[0], band[1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func propertyQuery(t *testing.T, s *Store, dist string, width, n int, seed uint6
 		checkTouched("filter", fr.QueryStats)
 	}
 
-	ds, err := s.QueryDownsample(key)
+	ds, err := s.QueryDownsampleTraced(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestQueryBytesTouched(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := s.QueryAggregate(key)
+		res, err := s.QueryAggregateTraced(key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,10 +177,10 @@ func TestQueryBytesTouched(t *testing.T) {
 // TestQueryErrors pins the error mapping of the query surface.
 func TestQueryErrors(t *testing.T) {
 	s := openTest(t, Config{})
-	if _, err := s.QueryAggregate("absent"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.QueryAggregateTraced("absent", nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("aggregate of absent key: %v", err)
 	}
-	if _, err := s.QueryFilter("absent", 1, 0); err == nil {
+	if _, err := s.QueryFilterTraced("absent", 1, 0, nil); err == nil {
 		t.Fatal("inverted filter range accepted")
 	}
 	if _, err := s.Put32("k", genF32(t, "ramp", 100, 3)); err != nil {
@@ -189,7 +189,7 @@ func TestQueryErrors(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.QueryAggregate("k"); !errors.Is(err, ErrClosed) {
+	if _, err := s.QueryAggregateTraced("k", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("aggregate after close: %v", err)
 	}
 }
@@ -248,7 +248,7 @@ func TestTornTailHole(t *testing.T) {
 	if len(got) != BlockValues {
 		t.Fatalf("recovered prefix of %d values, want %d", len(got), BlockValues)
 	}
-	agg, err := s.QueryAggregate("torn")
+	agg, err := s.QueryAggregateTraced("torn", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,11 +148,11 @@ func TestGetSameOnAdjacentAndScatteredFrames(t *testing.T) {
 			}
 			out = append(out, o)
 		}
-		agg, err := s.QueryAggregate("k")
+		agg, err := s.QueryAggregateTraced("k", nil)
 		addQuery("aggregate", agg, agg.QueryStats, agg.Count, err)
-		fil, err := s.QueryFilter("k", -math.MaxFloat64, math.MaxFloat64)
+		fil, err := s.QueryFilterTraced("k", -math.MaxFloat64, math.MaxFloat64, nil)
 		addQuery("filter", fil, fil.QueryStats, fil.MatchesMax, err)
-		ds, err := s.QueryDownsample("k")
+		ds, err := s.QueryDownsampleTraced("k", nil)
 		addQuery("downsample", ds, ds.QueryStats, int64(len(ds.Points)), err)
 		return out
 	}

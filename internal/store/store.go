@@ -710,25 +710,13 @@ type PutResult struct {
 	Ratio          float64 `json:"ratio"`
 }
 
-// Get returns the vector stored under key along with its width (32 or
-// 64); exactly one of the two slices is non-nil. A vector whose tail was
-// lost to a crash returns its recovered prefix plus ErrIncomplete.
-func (s *Store) Get(key string) (vals32 []float32, vals64 []float64, width int, err error) {
-	return s.GetIntoTraced(nil, nil, key, nil)
-}
-
-// GetTraced is Get with GetVec's per-stage attribution onto sp.
-func (s *Store) GetTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, err error) {
-	return s.GetIntoTraced(nil, nil, key, sp)
-}
-
-// GetIntoTraced is GetTraced into retained buffers, for a caller that
-// reads keys of either width in turn: the vector is appended to dst32
-// or dst64, whichever matches the stored width, and both are returned —
-// the other one, and both on failure, as passed. It reads from disk,
+// GetTraced returns the vector stored under key along with its width
+// (32 or 64), with GetVec's per-stage attribution onto sp; exactly one
+// of the two slices is non-nil. A vector whose tail was lost to a crash
+// returns its recovered prefix plus ErrIncomplete. It reads from disk,
 // bypassing the read cache.
-func (s *Store) GetIntoTraced(dst32 []float32, dst64 []float64, key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, err error) {
-	v, _, err := s.GetVec(vec.Vec{F32: dst32, F64: dst64}, key, false, sp)
+func (s *Store) GetTraced(key string, sp *trace.Span) (vals32 []float32, vals64 []float64, width int, err error) {
+	v, _, err := s.GetVec(vec.Vec{}, key, false, sp)
 	return v.F32, v.F64, v.Width, err
 }
 

@@ -415,7 +415,7 @@ func TestClosedStore(t *testing.T) {
 	if _, err := s.Put32("k", []float32{1}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after Close: %v, want ErrClosed", err)
 	}
-	if _, _, _, err := s.Get("k"); !errors.Is(err, ErrClosed) {
+	if _, _, _, err := s.GetTraced("k", nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Get after Close: %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {

@@ -125,11 +125,11 @@ func TestStructuralDamageIsErrCorruptOnEveryReadPath(t *testing.T) {
 				s.mu.RUnlock()
 				check("buildLineLocked", err)
 
-				_, err = s.QueryAggregate("k")
+				_, err = s.QueryAggregateTraced("k", nil)
 				check("QueryAggregate", err)
-				_, err = s.QueryFilter("k", 0, 200)
+				_, err = s.QueryFilterTraced("k", 0, 200, nil)
 				check("QueryFilter", err)
-				_, err = s.QueryDownsample("k")
+				_, err = s.QueryDownsampleTraced("k", nil)
 				check("QueryDownsample", err)
 			})
 		}

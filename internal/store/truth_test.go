@@ -20,16 +20,16 @@ func TestTruthRejectsEachClause(t *testing.T) {
 		t.Fatal(err)
 	}
 	gt := NewTruth(vec.Of32(vals))
-	agg, err := s.QueryAggregate("k")
+	agg, err := s.QueryAggregateTraced("k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	band := gt.Bands()[1]
-	fr, err := s.QueryFilter("k", band[0], band[1])
+	fr, err := s.QueryFilterTraced("k", band[0], band[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := s.QueryDownsample("k")
+	ds, err := s.QueryDownsampleTraced("k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

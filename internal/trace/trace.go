@@ -20,8 +20,8 @@
 // Begin/End token pairs, write the span's id and per-stage durations onto
 // the response (X-AVR-Trace plus X-AVR-Stage-* headers), and Finish the
 // span: every stage duration feeds a process-global SyncHistogram
-// (published as avr.trace_stage_* expvars, so /v1/stats and /metrics can
-// break p50/p99 down by stage), and every sample-th span is exported as
+// (published as avr.trace_stage_* expvars, so /metrics can break p50/p99
+// down by stage), and every sample-th span is exported as
 // one JSON line.
 package trace
 
@@ -88,8 +88,8 @@ const (
 	NumStages = int(StageCacheHit) + 1
 )
 
-// stageNames are the wire names: JSONL keys, header suffixes, expvar
-// and /v1/stats stage keys.
+// stageNames are the wire names: JSONL keys, header suffixes and expvar
+// (so /metrics family) suffixes.
 var stageNames = [NumStages]string{
 	"queue", "pool", "encode", "decode",
 	"segread", "segwrite", "lockwait", "query",
@@ -145,15 +145,6 @@ var (
 	// SpansExported counts spans exported as JSONL lines.
 	SpansExported = expvar.NewInt("avr.trace_exported")
 )
-
-// StageSummaries snapshots every stage histogram, indexed by Stage.
-func StageSummaries() [NumStages]obs.Summary {
-	var out [NumStages]obs.Summary
-	for i, h := range stageHists {
-		out[i] = h.Summary()
-	}
-	return out
-}
 
 // Span is one request's stage-duration record. The zero value is ready
 // after a Tracer hands it out; a nil *Span is a valid no-op receiver.

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"avr/internal/obs"
 )
 
 // Nil receivers must be complete no-ops: an untraced server passes nil
@@ -111,17 +113,26 @@ func TestFormatID(t *testing.T) {
 	}
 }
 
+// stageSummaries snapshots every stage histogram, indexed by Stage.
+func stageSummaries() [NumStages]obs.Summary {
+	var out [NumStages]obs.Summary
+	for i, h := range stageHists {
+		out[i] = h.Summary()
+	}
+	return out
+}
+
 // Finish must feed the per-stage histograms — only for touched stages —
 // and reset the span for pool reuse. Histograms are process-global, so
 // assert deltas.
 func TestFinishObservesStages(t *testing.T) {
-	before := StageSummaries()
+	before := stageSummaries()
 	tr := New(Config{})
 	sp := tr.Start()
 	sp.Add(StageSegWrite, 3*time.Millisecond)
 	sp.Add(StageEncode, 1*time.Millisecond)
 	tr.Finish("put", sp)
-	after := StageSummaries()
+	after := stageSummaries()
 
 	for st := 0; st < NumStages; st++ {
 		delta := after[st].Count - before[st].Count
@@ -200,7 +211,7 @@ func TestSinkJSONL(t *testing.T) {
 func TestSampling(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(Config{SampleEvery: 4, Sink: NewSink(&buf)})
-	before := StageSummaries()[StagePool].Count
+	before := stageSummaries()[StagePool].Count
 	const n = 16
 	for i := 0; i < n; i++ {
 		sp := tr.Start()
@@ -210,7 +221,7 @@ func TestSampling(t *testing.T) {
 	if got := bytes.Count(buf.Bytes(), []byte("\n")); got != n/4 {
 		t.Fatalf("exported %d lines of %d spans at 1-in-4, want %d", got, n, n/4)
 	}
-	if d := StageSummaries()[StagePool].Count - before; d != n {
+	if d := stageSummaries()[StagePool].Count - before; d != n {
 		t.Fatalf("pool stage histogram saw %d spans, want all %d", d, n)
 	}
 }

@@ -105,15 +105,14 @@ wait "$LOAD_PID" || { echo "cluster load saw out-of-bound reads"; exit 1; }
 "$TMP/avrstore" verify -addr "$ROUTER" -manifest "$TMP/manifest.json"
 
 # --- Act 4: eject on the dead shard, readmit after restart ------------
-poll_stat() { # json_field min_value
+poll_stat() { # counter min_value: avr_router_<counter> on the router's /metrics
     for _ in $(seq 1 100); do
-        # Strip whitespace first: the stats JSON is indented.
-        v="$(curl -sf "http://$ROUTER/v1/stats" | tr -d ' \n\t' \
-            | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2 || true)"
+        v="$(curl -sf "http://$ROUTER/metrics" \
+            | awk -v n="avr_router_$1" '$1 == n {print $2}' || true)"
         [ -n "$v" ] && [ "$v" -ge "$2" ] && return 0
         sleep 0.1
     done
-    echo "router stat $1 never reached $2"; exit 1
+    echo "router counter avr_router_$1 never reached $2"; exit 1
 }
 poll_stat node_ejects 1
 

@@ -15,9 +15,9 @@
 #      (TestDaemonServesUntilCancelledThenDrains holds the loop).
 #
 # Replaced by in-process tests: /healthz and /readyz (TestFrameConformance),
-# the /v1/stats keys (TestStatsShape), the trace and stage headers
-# (TestStageSumsWithinLatency) and the exposition lint (TestMetricsEndpoint,
-# TestFrameConformance's monitoring_under_overload).
+# the trace and stage headers (TestStageSumsWithinLatency) and the
+# exposition lint (TestMetricsEndpoint, TestFrameConformance's
+# monitoring_under_overload).
 #
 # A CI gate, not a benchmark — see EXPERIMENTS.md for the recorded load
 # baseline workflow.

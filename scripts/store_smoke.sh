@@ -8,10 +8,11 @@
 #      checks themselves are store.WithinT1 and store.Truth, whose every
 #      clause TestTruthRejectsEachClause refuses doctored.
 #   2. serving: avrd -store-dir under avrload -mode store and -mode query,
-#      then /v1/store/stats. Kept: it is the only run of the real daemon
-#      with the store behind it, the background compactor and rolls on,
-#      every response bound-checked by a separate process, and the only
-#      check of the served stats document's key names.
+#      then /v1/store/stats and /metrics. Kept: it is the only run of the
+#      real daemon with the store behind it, the background compactor and
+#      rolls on, every response bound-checked by a separate process, and
+#      the only check that the daemon serves its store's document and the
+#      store's query histogram.
 #
 # What a crash leaves — a torn tail, a kill -9, a power cut — is not
 # drilled from here any more: TestPowerCutAnywhere (internal/store) cuts
@@ -88,7 +89,8 @@ echo "avrd up on $ADDR with store $SERVED"
 # exits at the first match and curl fails with a pipe write error.
 STATS="$(curl -sf "http://$ADDR/v1/store/stats")"
 grep -q '"achieved_ratio"' <<<"$STATS"
-grep -q '"query_latency"' <<<"$STATS"
+METRICS="$(curl -sf "http://$ADDR/metrics")"
+grep -q '^avr_store_query_latency_count' <<<"$METRICS"
 
 # Drain, then the offline tool over what the daemon wrote: the two
 # binaries must agree on the directory.
