@@ -46,6 +46,7 @@ type Cache struct {
 	offsetBits uint
 	setBits    uint // log2(sets)
 	tagShift   uint // offsetBits + setBits
+	wayBits    uint // log2(ways) rounded up: a way number fits below a shifted stamp
 	indexMask  uint64
 	keys       []uint64 // sets × ways, row-major: tag<<1|1, 0 when invalid
 	stamps     []uint64 // LRU stamp per way, 0 when invalid
@@ -84,6 +85,7 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 		offsetBits: ob,
 		setBits:    sb,
 		tagShift:   ob + sb,
+		wayBits:    uint(setsBits(ways)),
 		indexMask:  uint64(sets - 1),
 		keys:       make([]uint64, sets*ways),
 		stamps:     make([]uint64, sets*ways),
@@ -105,10 +107,11 @@ func (c *Cache) tag(addr uint64) uint64 {
 	return addr >> c.tagShift
 }
 
-// setsBits returns log2(sets); called once at New, never per access.
-func setsBits(sets int) int {
+// setsBits returns log2(n) rounded up, the bits of a set (or way)
+// number; called at New, never per access.
+func setsBits(n int) int {
 	b := 0
-	for 1<<b < sets {
+	for 1<<b < n {
 		b++
 	}
 	return b
@@ -152,14 +155,19 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 func (c *Cache) Allocate(addr uint64, dirty bool) Victim {
 	s := c.set(addr)
 	base := s * c.ways
-	stamps := c.stamps[base : base+c.ways]
-	v, oldest := 0, stamps[0]
-	for w := 1; oldest != 0 && w < len(stamps); w++ {
-		if stamps[w] < oldest {
-			v, oldest = w, stamps[w]
-		}
+	// The victim, the first way with the lowest stamp, is the minimum of
+	// stamp<<b | way. The minimum is taken without a branch, since a
+	// compare-and-branch on stamps mispredicts on most fills (and Go
+	// compiles min of a loop-carried value to one): both operands are
+	// below 1<<63, so the sign of their difference selects.
+	b := c.wayBits
+	least := uint64(1)<<63 - 1
+	for w, st := range c.stamps[base : base+c.ways] {
+		d := (st<<b | uint64(w)) - least
+		least += d & uint64(int64(d)>>63)
 	}
-	i := base + v
+	oldest := least >> b
+	i := base + int(least&(1<<b-1))
 	var victim Victim
 	if oldest != 0 {
 		victim = Victim{Valid: true, Dirty: c.dirty[i], Addr: c.addrOf(s, c.keys[i]>>1)}

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"avr/internal/compress"
 )
@@ -109,6 +110,41 @@ func (s *Space) AllocApproxThresholds(size uint64, dt compress.DataType, th *com
 	return base
 }
 
+// Image is a copy of a space's allocated state: its break, the page
+// annotations up to it and the bytes of its footprint. It is never
+// written after Image returns it, so any number of spaces may load it at
+// once.
+type Image struct {
+	brk   uint64
+	pages []PageInfo
+	data  []byte // [PageBytes, brk)
+}
+
+// allocatedPages is how many pages the break covers.
+func (s *Space) allocatedPages() uint64 { return (s.brk + PageBytes - 1) >> PageBits }
+
+// Image copies the space's allocated state.
+func (s *Space) Image() *Image {
+	return &Image{
+		brk:   s.brk,
+		pages: slices.Clone(s.pages[:s.allocatedPages()]),
+		data:  slices.Clone(s.data[PageBytes:s.brk]),
+	}
+}
+
+// LoadImage copies img's footprint into the space if the space has img's
+// layout — the same break and the same page annotations — and reports
+// whether it did. A space with another layout is left as it was. The
+// reserved first page is not part of the footprint and is never
+// written.
+func (s *Space) LoadImage(img *Image) bool {
+	if s.brk != img.brk || !slices.Equal(s.pages[:s.allocatedPages()], img.pages) {
+		return false
+	}
+	copy(s.data[PageBytes:s.brk], img.data)
+	return true
+}
+
 // Info returns the page annotation covering addr.
 func (s *Space) Info(addr uint64) PageInfo {
 	p := addr >> PageBits
@@ -121,7 +157,7 @@ func (s *Space) Info(addr uint64) PageInfo {
 // ApproxBlocks calls fn for every memory block (1 KiB) lying in an
 // approximable page that has been allocated so far.
 func (s *Space) ApproxBlocks(fn func(blockAddr uint64, dt compress.DataType)) {
-	end := (s.brk + PageBytes - 1) >> PageBits
+	end := s.allocatedPages()
 	for p := uint64(0); p < end && p < uint64(len(s.pages)); p++ {
 		if !s.pages[p].Approx {
 			continue

@@ -206,3 +206,41 @@ func TestAllocApproxThresholds(t *testing.T) {
 		t.Error("default region has thresholds")
 	}
 }
+
+// TestImageLoadsOnlyIntoItsLayout: an image restores its footprint's
+// bytes into a space laid out as the imaged one was, and a space with
+// another break or another page annotation refuses it untouched.
+func TestImageLoadsOnlyIntoItsLayout(t *testing.T) {
+	layout := func(dt compress.DataType) *Space {
+		s := NewSpace(1 << 20)
+		s.AllocApprox(2*PageBytes, dt)
+		s.Alloc(100, 64)
+		return s
+	}
+	src := layout(compress.Float32)
+	src.Store32(PageBytes, 0xDEADBEEF)
+	src.Store32(src.brk-4, 7)
+	img := src.Image()
+	src.Store32(PageBytes, 1) // the image is a copy, not a view
+
+	dst := layout(compress.Float32)
+	dst.Store32(16, 0xFEED) // the reserved page is not footprint
+	if !dst.LoadImage(img) {
+		t.Fatal("a space with the imaged layout refused the image")
+	}
+	if dst.Load32(PageBytes) != 0xDEADBEEF || dst.Load32(dst.brk-4) != 7 || dst.Load32(16) != 0xFEED {
+		t.Errorf("loaded space reads %#x, %d, %#x", dst.Load32(PageBytes), dst.Load32(dst.brk-4), dst.Load32(16))
+	}
+
+	longer := layout(compress.Float32)
+	longer.Alloc(4, 4)
+	otherType := layout(compress.Fixed32)
+	for name, s := range map[string]*Space{"break": longer, "page annotation": otherType} {
+		if s.LoadImage(img) {
+			t.Errorf("a space with another %s took the image", name)
+		}
+		if s.Load32(PageBytes) != 0 {
+			t.Errorf("a refused image wrote the space with another %s", name)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"avr/internal/mem"
 	"avr/internal/sim"
 )
 
@@ -25,5 +26,34 @@ func BenchmarkPresetSmallStep(b *testing.B) {
 	b.StopTimer()
 	if insts > 0 {
 		b.ReportMetric(float64(insts)/float64(b.N), "sim-insts/op")
+	}
+}
+
+// BenchmarkSetup measures each benchmark's Setup on a fresh space: cold
+// runs the fill and keeps its image, as a process's first Setup of the
+// benchmark does; hit restores that image, as every later one does.
+func BenchmarkSetup(b *testing.B) {
+	spaceBytes := sim.PresetSmall(sim.Baseline).SpaceBytes
+	for _, w := range All() {
+		for _, cold := range []bool{true, false} {
+			mode := "hit"
+			if cold {
+				mode = "cold"
+			}
+			b.Run(w.Name()+"/"+mode, func(b *testing.B) {
+				w.Setup(&sim.System{Space: mem.NewSpace(spaceBytes)}, ScaleSmall)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if cold {
+						forget(w.Name(), ScaleSmall)
+					}
+					sys := &sim.System{Space: mem.NewSpace(spaceBytes)}
+					b.StartTimer()
+					w.Setup(sys, ScaleSmall)
+				}
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"avr/internal/compress"
+	"avr/internal/mem"
 	"avr/internal/sim"
 )
 
@@ -27,9 +28,10 @@ func NewBScholes() *BScholes { return &BScholes{} }
 // Name implements Workload.
 func (b *BScholes) Name() string { return "bscholes" }
 
-// Setup implements Workload: clustered option parameters — a few
-// distinct strikes/rates/expiries with small per-option perturbations.
-func (b *BScholes) Setup(sys *sim.System, sc Scale) {
+// Setup implements Workload.
+func (b *BScholes) Setup(sys *sim.System, sc Scale) { setup(b, sys.Space, sc) }
+
+func (b *BScholes) layout(s *mem.Space, sc Scale) {
 	switch sc {
 	case ScaleSmall:
 		b.n = 160 << 10 // 5 arrays × 640 kB ≈ 3.2 MiB approx
@@ -37,13 +39,17 @@ func (b *BScholes) Setup(sys *sim.System, sc Scale) {
 		b.n = 512 << 10 // ≈ 10 MiB
 	}
 	bytes := uint64(b.n) * 4
-	b.spot = sys.Space.AllocApprox(bytes, compress.Float32)
-	b.strike = sys.Space.AllocApprox(bytes, compress.Float32)
-	b.rate = sys.Space.AllocApprox(bytes, compress.Float32)
-	b.vol = sys.Space.AllocApprox(bytes, compress.Float32)
-	b.ttm = sys.Space.AllocApprox(bytes, compress.Float32)
-	b.prices = sys.Space.Alloc(bytes, 64)
+	b.spot = s.AllocApprox(bytes, compress.Float32)
+	b.strike = s.AllocApprox(bytes, compress.Float32)
+	b.rate = s.AllocApprox(bytes, compress.Float32)
+	b.vol = s.AllocApprox(bytes, compress.Float32)
+	b.ttm = s.AllocApprox(bytes, compress.Float32)
+	b.prices = s.Alloc(bytes, 64)
+}
 
+// fill writes clustered option parameters — a few distinct
+// strikes/rates/expiries with small per-option perturbations.
+func (b *BScholes) fill(s *mem.Space) {
 	// PARSEC ships ~1000 unique option tuples replicated to the desired
 	// size; many entries are therefore bit-identical, which is exactly
 	// the redundancy the Doppelgänger design exploits.
@@ -71,11 +77,11 @@ func (b *BScholes) Setup(sys *sim.System, sc Scale) {
 	for i := 0; i < b.n; i++ {
 		a := uint64(i) * 4
 		o := tuples[(i/run)%unique]
-		sys.Space.StoreF32(b.spot+a, o.s)
-		sys.Space.StoreF32(b.strike+a, o.k)
-		sys.Space.StoreF32(b.rate+a, o.r)
-		sys.Space.StoreF32(b.vol+a, o.v)
-		sys.Space.StoreF32(b.ttm+a, o.t)
+		s.StoreF32(b.spot+a, o.s)
+		s.StoreF32(b.strike+a, o.k)
+		s.StoreF32(b.rate+a, o.r)
+		s.StoreF32(b.vol+a, o.v)
+		s.StoreF32(b.ttm+a, o.t)
 	}
 }
 

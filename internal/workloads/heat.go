@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"avr/internal/compress"
+	"avr/internal/mem"
 	"avr/internal/sim"
 )
 
@@ -22,9 +23,10 @@ func NewHeat() *Heat { return &Heat{} }
 // Name implements Workload.
 func (h *Heat) Name() string { return "heat" }
 
-// Setup implements Workload: a cold plate with hot top and left edges
-// plus a warm disc in the interior.
-func (h *Heat) Setup(sys *sim.System, sc Scale) {
+// Setup implements Workload.
+func (h *Heat) Setup(sys *sim.System, sc Scale) { setup(h, sys.Space, sc) }
+
+func (h *Heat) layout(s *mem.Space, sc Scale) {
 	switch sc {
 	case ScaleSmall:
 		h.n, h.iters = 512, 8 // 2 × 1 MiB grids vs 256 kB LLC slice
@@ -32,8 +34,13 @@ func (h *Heat) Setup(sys *sim.System, sc Scale) {
 		h.n, h.iters = 1024, 10 // 2 × 4 MiB grids vs 1 MB LLC slice
 	}
 	n := uint64(h.n)
-	h.cur = sys.Space.AllocApprox(n*n*4, compress.Float32)
-	h.next = sys.Space.AllocApprox(n*n*4, compress.Float32)
+	h.cur = s.AllocApprox(n*n*4, compress.Float32)
+	h.next = s.AllocApprox(n*n*4, compress.Float32)
+}
+
+// fill lays down a cold plate with hot top and left edges plus a warm
+// disc in the interior.
+func (h *Heat) fill(s *mem.Space) {
 	r := newRNG(4242)
 	for i := 0; i < h.n; i++ {
 		for j := 0; j < h.n; j++ {
@@ -49,8 +56,8 @@ func (h *Heat) Setup(sys *sim.System, sc Scale) {
 			// (±0.05 K); perfectly bit-identical regions would overstate
 			// any lossless compressor.
 			t += float32(r.norm()) * 0.02
-			sys.Space.StoreF32(h.addr(h.cur, i, j), t)
-			sys.Space.StoreF32(h.addr(h.next, i, j), t)
+			s.StoreF32(h.addr(h.cur, i, j), t)
+			s.StoreF32(h.addr(h.next, i, j), t)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"avr/internal/compress"
+	"avr/internal/mem"
 	"avr/internal/sim"
 )
 
@@ -31,10 +32,10 @@ func NewKMeans() *KMeans { return &KMeans{} }
 // Name implements Workload.
 func (m *KMeans) Name() string { return "kmeans" }
 
-// Setup implements Workload: a fractal 1D elevation profile built by
-// midpoint displacement (geographically ordered, moderately smooth — the
-// paper reports a 2.3:1 ratio on this dataset).
-func (m *KMeans) Setup(sys *sim.System, sc Scale) {
+// Setup implements Workload.
+func (m *KMeans) Setup(sys *sim.System, sc Scale) { setup(m, sys.Space, sc) }
+
+func (m *KMeans) layout(s *mem.Space, sc Scale) {
 	switch sc {
 	case ScaleSmall:
 		m.n = 224 << 10 // 896 kB, ~3.5× the small LLC slice
@@ -42,8 +43,18 @@ func (m *KMeans) Setup(sys *sim.System, sc Scale) {
 		m.n = 896 << 10 // 3.5 MiB
 	}
 	m.k = 16
-	m.data = sys.Space.AllocApprox(uint64(m.n)*4, compress.Float32)
+	m.data = s.AllocApprox(uint64(m.n)*4, compress.Float32)
+	// Initial centroids spread over the observed range.
+	m.cent = make([]int64, m.k)
+	for c := 0; c < m.k; c++ {
+		m.cent[c] = int64(400*256) + int64(c)*int64(700*256)/int64(m.k)
+	}
+}
 
+// fill writes a fractal 1D elevation profile built by midpoint
+// displacement (geographically ordered, moderately smooth — the paper
+// reports a 2.3:1 ratio on this dataset).
+func (m *KMeans) fill(s *mem.Space) {
 	// Midpoint displacement over a power-of-two span covering n, with
 	// strong high-frequency roughness: real elevation rasters are only
 	// moderately compressible (the paper measures 2.3:1 on this input).
@@ -72,12 +83,7 @@ func (m *KMeans) Setup(sys *sim.System, sc Scale) {
 		if e < 0 {
 			e = 0
 		}
-		sys.Space.StoreF32(m.data+uint64(i)*4, float32(e))
-	}
-	// Initial centroids spread over the observed range.
-	m.cent = make([]int64, m.k)
-	for c := 0; c < m.k; c++ {
-		m.cent[c] = int64(400*256) + int64(c)*int64(700*256)/int64(m.k)
+		s.StoreF32(m.data+uint64(i)*4, float32(e))
 	}
 }
 

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"avr/internal/compress"
+	"avr/internal/mem"
 	"avr/internal/sim"
 )
 
@@ -69,9 +70,10 @@ func (l *Lattice) carMask(i, j int) bool {
 	return false
 }
 
-// Setup implements Workload: uniform rightward flow initialised to
-// equilibrium, with the car silhouette as a bounce-back obstacle.
-func (l *Lattice) Setup(sys *sim.System, sc Scale) {
+// Setup implements Workload.
+func (l *Lattice) Setup(sys *sim.System, sc Scale) { setup(l, sys.Space, sc) }
+
+func (l *Lattice) layout(s *mem.Space, sc Scale) {
 	switch sc {
 	case ScaleSmall:
 		l.n, l.iters = 128, 10 // ~1.2 MiB of distributions
@@ -81,11 +83,15 @@ func (l *Lattice) Setup(sys *sim.System, sc Scale) {
 	planeBytes := uint64(l.n*l.n) * 4
 	// Staggered plane bases: see the matching comment in lbm.go.
 	for k := 0; k < 9; k++ {
-		l.f[k] = sys.Space.AllocApprox(planeBytes+4096, compress.Float32) + uint64(k%15+1)*64
-		l.g[k] = sys.Space.AllocApprox(planeBytes+4096, compress.Float32) + uint64((k+7)%15+1)*64
+		l.f[k] = s.AllocApprox(planeBytes+4096, compress.Float32) + uint64(k%15+1)*64
+		l.g[k] = s.AllocApprox(planeBytes+4096, compress.Float32) + uint64((k+7)%15+1)*64
 	}
-	l.mask = sys.Space.Alloc(planeBytes, 64)
+	l.mask = s.Alloc(planeBytes, 64)
+}
 
+// fill writes a uniform rightward flow initialised to equilibrium, with
+// the car silhouette as a bounce-back obstacle, and develops it.
+func (l *Lattice) fill(s *mem.Space) {
 	const ux0, rho0 = latticeInflow, 1.0
 	for i := 0; i < l.n; i++ {
 		for j := 0; j < l.n; j++ {
@@ -93,17 +99,23 @@ func (l *Lattice) Setup(sys *sim.System, sc Scale) {
 			if l.carMask(i, j) {
 				m = 1
 			}
-			sys.Space.Store32(l.mask+l.idx(i, j), m)
+			s.Store32(l.mask+l.idx(i, j), m)
 			for k := 0; k < 9; k++ {
 				feq := equilibriumD2(k, rho0, ux0, 0)
-				sys.Space.StoreF32(l.f[k]+l.idx(i, j), feq)
-				sys.Space.StoreF32(l.g[k]+l.idx(i, j), feq)
+				s.StoreF32(l.f[k]+l.idx(i, j), feq)
+				s.StoreF32(l.g[k]+l.idx(i, j), feq)
 			}
 		}
 	}
 	// Fast-forward the flow functionally (untimed) to a developed state
-	// before the measured region.
-	l.sweep(rawIO{sys.Space}, l.n/2)
+	// before the measured region. Each sweep swaps the planes, and a
+	// Setup that restores the fill's image does not run it, so the
+	// warm-up must end in the layout's order.
+	f := l.f
+	l.sweep(rawIO{s}, l.n/2)
+	if l.f != f {
+		panic("workloads: lattice warm-up must run an even number of sweeps")
+	}
 }
 
 // equilibriumD2 is the standard D2Q9 BGK equilibrium distribution.

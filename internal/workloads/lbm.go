@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"avr/internal/compress"
+	"avr/internal/mem"
 	"avr/internal/sim"
 )
 
@@ -14,8 +15,8 @@ import (
 type LBM struct {
 	n     int
 	iters int
-	f     []uint64 // 19 distribution planes, current
-	g     []uint64 // 19 distribution planes, next
+	f     [19]uint64 // distribution planes, current
+	g     [19]uint64 // distribution planes, next
 	mask  uint64
 }
 
@@ -38,8 +39,9 @@ const lbmOmega = 0.8
 // lbmInflow is the inlet velocity.
 const lbmInflow = 0.04
 
-// lbmWarmupIters is overridable for diagnostics.
-var lbmWarmupIters = 8
+// lbmWarmupIters is how many untimed sweeps develop the flow before the
+// measured region. It is even: each sweep swaps the planes.
+const lbmWarmupIters = 8
 
 // NewLBM creates the benchmark.
 func NewLBM() *LBM { return &LBM{} }
@@ -51,9 +53,10 @@ func (l *LBM) idx(x, y, z int) uint64 {
 	return uint64((x*l.n+y)*l.n+z) * 4
 }
 
-// Setup implements Workload: uniform flow with a solid sphere at the
-// domain centre.
-func (l *LBM) Setup(sys *sim.System, sc Scale) {
+// Setup implements Workload.
+func (l *LBM) Setup(sys *sim.System, sc Scale) { setup(l, sys.Space, sc) }
+
+func (l *LBM) layout(s *mem.Space, sc Scale) {
 	switch sc {
 	case ScaleSmall:
 		l.n, l.iters = 32, 6 // 19 planes × 128 kB × 2 ≈ 5 MiB
@@ -61,18 +64,20 @@ func (l *LBM) Setup(sys *sim.System, sc Scale) {
 		l.n, l.iters = 48, 6 // ≈ 16.8 MiB
 	}
 	cells := uint64(l.n * l.n * l.n)
-	l.f = make([]uint64, 19)
-	l.g = make([]uint64, 19)
 	// Plane bases are staggered by a few cachelines: the plane size is a
 	// multiple of 4 kB, and without padding the 38 concurrent streams of
 	// the sweep would alias into the same cache sets (the usual
 	// power-of-two stride padding every stencil code applies).
 	for k := 0; k < 19; k++ {
-		l.f[k] = sys.Space.AllocApprox(cells*4+4096, compress.Float32) + uint64(k%15+1)*64
-		l.g[k] = sys.Space.AllocApprox(cells*4+4096, compress.Float32) + uint64((k+7)%15+1)*64
+		l.f[k] = s.AllocApprox(cells*4+4096, compress.Float32) + uint64(k%15+1)*64
+		l.g[k] = s.AllocApprox(cells*4+4096, compress.Float32) + uint64((k+7)%15+1)*64
 	}
-	l.mask = sys.Space.Alloc(cells*4, 64)
+	l.mask = s.Alloc(cells*4, 64)
+}
 
+// fill writes a uniform flow with a solid sphere at the domain centre
+// and develops it.
+func (l *LBM) fill(s *mem.Space) {
 	c, r := l.n/2, l.n/16+1
 	const ux0 = lbmInflow
 	for x := 0; x < l.n; x++ {
@@ -83,7 +88,7 @@ func (l *LBM) Setup(sys *sim.System, sc Scale) {
 				if dx*dx+dy*dy+dz*dz < r*r {
 					m = 1
 				}
-				sys.Space.Store32(l.mask+l.idx(x, y, z), m)
+				s.Store32(l.mask+l.idx(x, y, z), m)
 				// Smooth initial velocity ramp to zero at the sphere so
 				// the startup transient is mild (a hard kick would ring
 				// through the periodic directions for a long time).
@@ -96,7 +101,7 @@ func (l *LBM) Setup(sys *sim.System, sc Scale) {
 					d = ux0 * t
 				}
 				for k := 0; k < 19; k++ {
-					sys.Space.StoreF32(l.f[k]+l.idx(x, y, z), equilibriumD3(k, 1, d, 0, 0))
+					s.StoreF32(l.f[k]+l.idx(x, y, z), equilibriumD3(k, 1, d, 0, 0))
 				}
 			}
 		}
@@ -104,7 +109,11 @@ func (l *LBM) Setup(sys *sim.System, sc Scale) {
 	// Fast-forward the flow functionally (untimed) so the measured region
 	// starts from a developed, smooth field — the regime the paper's
 	// steady-state SPEC lbm measurement sees (15.6:1 compression).
-	l.sweep(rawIO{sys.Space}, lbmWarmupIters)
+	f := l.f
+	l.sweep(rawIO{s}, lbmWarmupIters)
+	if l.f != f {
+		panic("workloads: lbm warm-up must run an even number of sweeps")
+	}
 }
 
 // equilibriumD3 is the D3Q19 BGK equilibrium distribution.

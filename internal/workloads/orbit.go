@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"avr/internal/compress"
+	"avr/internal/mem"
 	"avr/internal/sim"
 )
 
@@ -32,9 +33,10 @@ func (o *Orbit) Name() string { return "orbit" }
 
 func at(base uint64, step int) uint64 { return base + uint64(step)*4 }
 
-// Setup implements Workload: two bodies on a mildly eccentric mutual
-// orbit in the xy plane.
-func (o *Orbit) Setup(sys *sim.System, sc Scale) {
+// Setup implements Workload.
+func (o *Orbit) Setup(sys *sim.System, sc Scale) { setup(o, sys.Space, sc) }
+
+func (o *Orbit) layout(s *mem.Space, sc Scale) {
 	switch sc {
 	case ScaleSmall:
 		o.steps = 120_000 // ≈ 5.8 MiB of trajectories
@@ -43,14 +45,19 @@ func (o *Orbit) Setup(sys *sim.System, sc Scale) {
 	}
 	bytes := uint64(o.steps) * 4
 	for c := 0; c < 6; c++ {
-		o.pos[c] = sys.Space.AllocApprox(bytes, compress.Float32)
-		o.vel[c] = sys.Space.AllocApprox(bytes, compress.Float32)
+		o.pos[c] = s.AllocApprox(bytes, compress.Float32)
+		o.vel[c] = s.AllocApprox(bytes, compress.Float32)
 	}
+}
+
+// fill places two bodies on a mildly eccentric mutual orbit in the xy
+// plane.
+func (o *Orbit) fill(s *mem.Space) {
 	init := []float32{1, 0, 0, -1, 0, 0}
 	vinit := []float32{0, 0.45, 0.01, 0, -0.45, -0.01}
 	for c := 0; c < 6; c++ {
-		sys.Space.StoreF32(at(o.pos[c], 0), init[c])
-		sys.Space.StoreF32(at(o.vel[c], 0), vinit[c])
+		s.StoreF32(at(o.pos[c], 0), init[c])
+		s.StoreF32(at(o.vel[c], 0), vinit[c])
 	}
 }
 

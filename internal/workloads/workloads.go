@@ -14,6 +14,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"avr/internal/mem"
 	"avr/internal/sim"
@@ -98,6 +99,63 @@ type Core interface {
 	ID() int
 	N() int
 	Barrier()
+}
+
+// staged is the two halves of every Setup. layout allocates the
+// dataset's regions and sets the workload's fields; it is cheap and runs
+// on every Setup. fill writes the starting values, warm-up included,
+// into the space and changes nothing else, so what it writes depends
+// only on the benchmark and the scale.
+type staged interface {
+	Name() string
+	layout(s *mem.Space, sc Scale)
+	fill(s *mem.Space)
+}
+
+// imageKey names one fill.
+type imageKey struct {
+	bench string
+	sc    Scale
+}
+
+// images holds, per key, the image of the first fill this process ran on
+// a fresh space, computed once however many Setups ask at a time.
+var images = struct {
+	sync.Mutex
+	m map[imageKey]func() *mem.Image
+}{m: map[imageKey]func() *mem.Image{}}
+
+// setup is every workload's Setup. On a space nothing was allocated in
+// before, the first Setup of a (benchmark, scale) in the process runs
+// the fill and keeps an image of the space; every later one copies that
+// image in. A space that allocated first, or whose layout is not the
+// image's, runs the fill itself.
+func setup(w staged, s *mem.Space, sc Scale) {
+	fresh := s.Footprint() == 0
+	w.layout(s, sc)
+	if !fresh {
+		w.fill(s)
+		return
+	}
+	k := imageKey{w.Name(), sc}
+	filled := false
+	images.Lock()
+	img, ok := images.m[k]
+	if !ok {
+		img = sync.OnceValue(func() *mem.Image {
+			w.fill(s)
+			filled = true
+			return s.Image()
+		})
+		images.m[k] = img
+	}
+	images.Unlock()
+	// The first caller of img, whichever Setup that is, runs the fill on
+	// the space of the Setup that made the key's entry.
+	im := img()
+	if !filled && !s.LoadImage(im) {
+		w.fill(s)
+	}
 }
 
 // rawIO is the untimed core over the bare address space.

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"avr/internal/compress"
+	"avr/internal/mem"
 	"avr/internal/sim"
 )
 
@@ -31,8 +32,10 @@ func (w *WRF) Name() string { return "wrf" }
 
 func (w *WRF) idx(i, j int) uint64 { return uint64(i*w.n+j) * 4 }
 
-// Setup implements Workload: smooth terrain-correlated initial fields.
-func (w *WRF) Setup(sys *sim.System, sc Scale) {
+// Setup implements Workload.
+func (w *WRF) Setup(sys *sim.System, sc Scale) { setup(w, sys.Space, sc) }
+
+func (w *WRF) layout(s *mem.Space, sc Scale) {
 	switch sc {
 	case ScaleSmall:
 		w.n, w.iters = 192, 8 // 13 fields × 144 kB ≈ 1.9 MiB, 4/13 approx
@@ -40,32 +43,35 @@ func (w *WRF) Setup(sys *sim.System, sc Scale) {
 		w.n, w.iters = 384, 8 // ≈ 7.7 MiB
 	}
 	fieldBytes := uint64(w.n*w.n) * 4
-	w.temp = sys.Space.AllocApprox(fieldBytes, compress.Float32)
-	w.tnext = sys.Space.AllocApprox(fieldBytes, compress.Float32)
-	w.hum = sys.Space.Alloc(fieldBytes, 64)
-	w.hnext = sys.Space.Alloc(fieldBytes, 64)
-	w.press = sys.Space.Alloc(fieldBytes, 64)
-	w.u = sys.Space.Alloc(fieldBytes, 64)
-	w.v = sys.Space.Alloc(fieldBytes, 64)
-	w.terrain = sys.Space.Alloc(fieldBytes, 64)
+	w.temp = s.AllocApprox(fieldBytes, compress.Float32)
+	w.tnext = s.AllocApprox(fieldBytes, compress.Float32)
+	w.hum = s.Alloc(fieldBytes, 64)
+	w.hnext = s.Alloc(fieldBytes, 64)
+	w.press = s.Alloc(fieldBytes, 64)
+	w.u = s.Alloc(fieldBytes, 64)
+	w.v = s.Alloc(fieldBytes, 64)
+	w.terrain = s.Alloc(fieldBytes, 64)
 	for k := range w.aux {
-		w.aux[k] = sys.Space.Alloc(fieldBytes, 64)
+		w.aux[k] = s.Alloc(fieldBytes, 64)
 	}
+}
 
+// fill writes smooth terrain-correlated initial fields.
+func (w *WRF) fill(s *mem.Space) {
 	r := newRNG(20260704)
 	for i := 0; i < w.n; i++ {
 		for j := 0; j < w.n; j++ {
 			at := w.idx(i, j)
 			x, y := float64(i)/float64(w.n), float64(j)/float64(w.n)
 			elev := 400*x*(1-x) + 300*y*y // smooth synthetic orography
-			sys.Space.StoreF32(w.terrain+at, float32(elev))
-			sys.Space.StoreF32(w.temp+at, float32(288-0.0065*elev+r.norm()*0.3))
-			sys.Space.StoreF32(w.hum+at, float32(0.6-0.0002*elev+r.float()*0.05))
-			sys.Space.StoreF32(w.press+at, float32(1013-0.12*elev))
-			sys.Space.StoreF32(w.u+at, float32(3+2*y))
-			sys.Space.StoreF32(w.v+at, float32(1-2*x))
+			s.StoreF32(w.terrain+at, float32(elev))
+			s.StoreF32(w.temp+at, float32(288-0.0065*elev+r.norm()*0.3))
+			s.StoreF32(w.hum+at, float32(0.6-0.0002*elev+r.float()*0.05))
+			s.StoreF32(w.press+at, float32(1013-0.12*elev))
+			s.StoreF32(w.u+at, float32(3+2*y))
+			s.StoreF32(w.v+at, float32(1-2*x))
 			for k := range w.aux {
-				sys.Space.StoreF32(w.aux[k]+at, float32(r.float()))
+				s.StoreF32(w.aux[k]+at, float32(r.float()))
 			}
 		}
 	}

@@ -31,7 +31,7 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_sim.json}"
 STORE_OUT="${2:-BENCH_store.json}"
 BENCHTIME="${BENCHTIME:-1s}"
-BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Recorder|Histogram}"
+BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Setup|Recorder|Histogram}"
 STOREFILTER="${STOREFILTER:-CodecDecode|CodecEncode|BDIEncode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges|ErrCheckRecon|FloatsToFixedScaled|FixedToFloatsBits|ChooseBiasScan|Interpolate|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheThrashGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|LoopbackFloorGet|ServerMput8|ServerMget8|RouterMput8|RouterMget8|RouterGetHot}"
 
 PKGS="./internal/cache ./internal/cmt ./internal/compress ./internal/dram ./internal/obs ./internal/sim ./internal/workloads"
