@@ -15,7 +15,7 @@
 //   - Serving: the codec as a network service — cmd/avrd exposes
 //     encode/decode over HTTP with pooled codecs, bounded-queue
 //     admission and graceful drain (internal/server), and cmd/avrload
-//     is its load harness.
+//     drives it with verified load.
 //
 // The heavy lifting lives in internal/ packages; this facade keeps a
 // small, stable surface.

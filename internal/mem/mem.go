@@ -85,9 +85,15 @@ func (s *Space) Alloc(size, align uint64) uint64 {
 		panic(fmt.Sprintf("mem: out of simulated memory (%d + %d > %d)", base, size, s.limit))
 	}
 	s.brk = base + size
-	if end := (s.brk + PageBytes - 1) &^ (PageBytes - 1); end > uint64(len(s.data)) {
-		s.data = append(s.data, make([]byte, end-uint64(len(s.data)))...)
+	end := (s.brk + PageBytes - 1) &^ (PageBytes - 1)
+	if end > uint64(cap(s.data)) {
+		// Double, bounded by the capacity: a layout of many regions copies
+		// the array a logarithmic number of times, not once per region.
+		grown := make([]byte, end, min(max(end, 2*uint64(cap(s.data))), s.limit))
+		copy(grown, s.data)
+		s.data = grown
 	}
+	s.data = s.data[:max(end, uint64(len(s.data)))]
 	return base
 }
 
@@ -129,6 +135,14 @@ func (s *Space) Image() *Image {
 		brk:   s.brk,
 		pages: slices.Clone(s.pages[:s.allocatedPages()]),
 		data:  slices.Clone(s.data[PageBytes:s.brk]),
+	}
+}
+
+// Reserve grows the backing array once to hold img's footprint, so a
+// layout that allocates up to img's break copies nothing on the way.
+func (s *Space) Reserve(img *Image) {
+	if n := min((img.brk+PageBytes-1)&^(PageBytes-1), s.limit); n > uint64(cap(s.data)) {
+		s.data = append(make([]byte, 0, n), s.data...)
 	}
 }
 

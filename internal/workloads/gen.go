@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Value generators for the serving load harness (cmd/avrload): raw
+// Value generators for the serving tools (cmd/avrload, avrstore): raw
 // datasets with the value-locality character of the benchmark inputs,
 // without needing a simulated memory system. Each distribution stresses
 // a different codec regime — smooth fields compress ~8:1, iid noise

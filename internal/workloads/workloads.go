@@ -127,13 +127,13 @@ var images = struct {
 
 // setup is every workload's Setup. On a space nothing was allocated in
 // before, the first Setup of a (benchmark, scale) in the process runs
-// the fill and keeps an image of the space; every later one copies that
+// the layout and the fill and keeps an image of the space; every later
+// one sizes its space for the image, runs the layout and copies the
 // image in. A space that allocated first, or whose layout is not the
 // image's, runs the fill itself.
 func setup(w staged, s *mem.Space, sc Scale) {
-	fresh := s.Footprint() == 0
-	w.layout(s, sc)
-	if !fresh {
+	if s.Footprint() != 0 {
+		w.layout(s, sc)
 		w.fill(s)
 		return
 	}
@@ -143,6 +143,7 @@ func setup(w staged, s *mem.Space, sc Scale) {
 	img, ok := images.m[k]
 	if !ok {
 		img = sync.OnceValue(func() *mem.Image {
+			w.layout(s, sc)
 			w.fill(s)
 			filled = true
 			return s.Image()
@@ -150,10 +151,15 @@ func setup(w staged, s *mem.Space, sc Scale) {
 		images.m[k] = img
 	}
 	images.Unlock()
-	// The first caller of img, whichever Setup that is, runs the fill on
-	// the space of the Setup that made the key's entry.
+	// The first caller of img, whichever Setup that is, lays out and
+	// fills the space of the Setup that made the key's entry.
 	im := img()
-	if !filled && !s.LoadImage(im) {
+	if filled {
+		return
+	}
+	s.Reserve(im)
+	w.layout(s, sc)
+	if !s.LoadImage(im) {
 		w.fill(s)
 	}
 }

@@ -24,8 +24,8 @@
 # Replaced by in-process tests: /healthz and /readyz and the exposition
 # lint (TestFrameConformance, both tiers).
 #
-# A CI gate, not a benchmark — EXPERIMENTS.md records the 3-node vs
-# single-node throughput baseline.
+# A CI gate, not a benchmark: avrload verifies and measures nothing; the
+# cluster's serving metrics are bench/'s cluster_batch workload.
 #
 # Usage: scripts/cluster_smoke.sh [duration] [concurrency]
 set -euo pipefail
@@ -132,7 +132,7 @@ poll_stat node_readmits 1
 # avrload exits non-zero on any out-of-bound value, so a passing run
 # means the cached responses are as correct as the proxied ones.
 "$TMP/avrload" -addr "$ROUTER" -mode storehot -c "$CONC" -duration 2s \
-    -values 2000 -hotkeys 16 -json > "$TMP/hot.json"
+    -values 2000 -hotkeys 16 > "$TMP/hot.json"
 grep -q '"corrupt": 0' "$TMP/hot.json"
 HITS="$(grep -o '"cache_hits": [0-9]*' "$TMP/hot.json" | tr -dc 0-9)"
 [ -n "$HITS" ] && [ "$HITS" -gt 0 ] || { echo "router hot phase produced no cache hits"; exit 1; }

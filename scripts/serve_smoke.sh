@@ -5,8 +5,9 @@
 #   1. codec load: the daemon binary (flags, -addr-file, listener) under a
 #      separate process's load, every response byte-compared with the
 #      direct codec (avrload exits non-zero on a mismatch or no success).
-#   2. hot re-reads: the only run of avrload -mode storehot, whose
-#      X-AVR-Cache split must show a hit rate of at least 0.5.
+#   2. hot re-reads: avrload -mode storehot against the daemon binary,
+#      whose X-AVR-Cache tally must show a hit rate of at least 0.5
+#      (TestVerifierPassesCleanRuns runs the mode in process).
 #   3. /metrics families: the daemon process, not a test server, exports
 #      the families avrtop and the dashboards read.
 #   4. -trace-file: the flag's only run; sampled spans land as JSONL
@@ -19,8 +20,8 @@
 # exposition lint (TestMetricsEndpoint, TestFrameConformance's
 # monitoring_under_overload).
 #
-# A CI gate, not a benchmark — see EXPERIMENTS.md for the recorded load
-# baseline workflow.
+# A CI gate, not a benchmark: avrload verifies and measures nothing; the
+# serving metrics are bench/'s workloads (BENCHMARK.json).
 #
 # Usage: scripts/serve_smoke.sh [duration] [concurrency]
 set -euo pipefail
@@ -61,7 +62,7 @@ echo "avrd up on $ADDR"
 # avrload exits non-zero on any out-of-bound value, so reaching the
 # hit-rate check below already proves zero corruption.
 "$TMP/avrload" -addr "$ADDR" -mode storehot -c "$CONC" -duration "$DURATION" \
-    -values 4096 -hotkeys 16 -json > "$TMP/hot.json"
+    -values 4096 -hotkeys 16 > "$TMP/hot.json"
 grep -q '"corrupt": 0' "$TMP/hot.json"
 HITS="$(grep -o '"cache_hits": [0-9]*' "$TMP/hot.json" | tr -dc 0-9)"
 [ -n "$HITS" ] && [ "$HITS" -gt 0 ] || { echo "hot phase produced no cache hits"; exit 1; }

@@ -19,8 +19,8 @@
 # at every I/O call of seeded schedules and checks DESIGN.md §5.9, which a
 # `truncate -s` and one `kill -9` per run never could.
 #
-# A CI gate, not a benchmark — see EXPERIMENTS.md for the recorded
-# store-mode load baseline.
+# A CI gate, not a benchmark: avrload verifies and measures nothing; the
+# store's serving metrics are bench/'s workloads (BENCHMARK.json).
 #
 # Usage: scripts/store_smoke.sh [duration] [concurrency]
 set -euo pipefail
