@@ -7,14 +7,20 @@
 // simulated address space (see internal/mem). The hot path (Access on a
 // hit) is allocation-free.
 //
-// State is kept as parallel per-way arrays. keys holds one word per way,
-// tag<<1|1 for a valid line and 0 for an invalid one, so a lookup is one
-// compare per way. stamps holds the LRU stamp per way and is 0 exactly
-// when the way is invalid (the clock is bumped before every stamp), so
-// the first way holding the set's minimum stamp is the first invalid
-// way, or the LRU line when the set is full. cache_test.go keeps a
-// line-struct reference model (explicit valid bit, "first invalid way,
-// else LRU") that the differential tests hold this one to.
+// A set's state is two arrays. keys holds one word per way: tag<<2|2
+// for a valid line, with the dirty flag in bit 0, and 0 for an invalid
+// one, so a lookup is one compare per way. orders holds one word per
+// set, the set's exact LRU order (order.go): its way numbers as nibbles,
+// MRU first, with the invalid ways kept at the LRU end, lowest-numbered
+// last. The victim is the way in the LRU nibble, read without a scan:
+// the first invalid way, or the least recently touched line when the set
+// is full. A hit moves its way to the front, and a hit on the line the
+// cache last hit is answered from a one-line memo without a way scan
+// (that line is still its set's MRU way until the next Allocate,
+// Invalidate or FlushAll, which clear the memo). cache_test.go keeps a
+// line-struct reference model (explicit valid bit, per-way stamps,
+// "first invalid way, else LRU") that the differential tests hold this
+// one to.
 package cache
 
 import "fmt"
@@ -38,6 +44,12 @@ type Victim struct {
 	Addr uint64
 }
 
+const (
+	dirtyBit = 1          // a key's dirty flag
+	validBit = 2          // set in every valid key, so no valid key is 0
+	noLine   = ^uint64(0) // the memo's "none": lines are at least 4 B, so no line number is all ones
+)
+
 // Cache is a set-associative cache. It is not safe for concurrent use.
 type Cache struct {
 	lineBytes  int
@@ -46,21 +58,26 @@ type Cache struct {
 	offsetBits uint
 	setBits    uint // log2(sets)
 	tagShift   uint // offsetBits + setBits
-	wayBits    uint // log2(ways) rounded up: a way number fits below a shifted stamp
+	lruShift   uint // 4*(ways-1): the LRU position's nibble in an order
 	indexMask  uint64
-	keys       []uint64 // sets × ways, row-major: tag<<1|1, 0 when invalid
-	stamps     []uint64 // LRU stamp per way, 0 when invalid
-	dirty      []bool
-	clock      uint64
+	orderMask  order    // the nibbles a set's order uses
+	keys       []uint64 // sets × ways, row-major: tag<<2|2|dirty, 0 when invalid
+	orders     []order  // per set
+	lastLine   uint64   // addr>>offsetBits of the last hit, noLine when none
+	last       int      // that line's index in keys: it is its set's MRU way
 	stats      Stats
 }
 
 // New creates a cache of capacityBytes organised as ways-associative sets
 // of lineBytes lines. Capacity, ways and line size must yield a
-// power-of-two number of sets.
+// power-of-two number of sets, lines of at least 4 bytes and at most 16
+// ways.
 func New(capacityBytes, ways, lineBytes int) *Cache {
 	if capacityBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		panic("cache: non-positive geometry")
+	}
+	if ways > maxWays {
+		panic(fmt.Sprintf("cache: %d ways, an order ranks at most %d", ways, maxWays))
 	}
 	sets := capacityBytes / (ways * lineBytes)
 	if sets == 0 || sets&(sets-1) != 0 {
@@ -69,28 +86,38 @@ func New(capacityBytes, ways, lineBytes int) *Cache {
 	if lineBytes&(lineBytes-1) != 0 {
 		panic("cache: line size must be a power of two")
 	}
-	ob := uint(0)
-	for 1<<ob < lineBytes {
-		ob++
+	if lineBytes < 4 {
+		// A key keeps two flag bits below the tag, and the memo's noLine
+		// must not be a line number.
+		panic("cache: lines under 4 bytes")
 	}
+	ob := uint(setsBits(lineBytes))
 	sb := uint(setsBits(sets))
-	if ob+sb == 0 {
-		// A full 64-bit tag leaves no bit for the key's valid flag.
-		panic("cache: one set of one-byte lines")
-	}
-	return &Cache{
+	c := &Cache{
 		lineBytes:  lineBytes,
 		sets:       sets,
 		ways:       ways,
 		offsetBits: ob,
 		setBits:    sb,
 		tagShift:   ob + sb,
-		wayBits:    uint(setsBits(ways)),
+		lruShift:   4 * uint(ways-1),
 		indexMask:  uint64(sets - 1),
+		orderMask:  order(^uint64(0) >> (64 - 4*uint(ways))),
 		keys:       make([]uint64, sets*ways),
-		stamps:     make([]uint64, sets*ways),
-		dirty:      make([]bool, sets*ways),
+		orders:     make([]order, sets),
 	}
+	c.reset()
+	return c
+}
+
+// reset starts every set's order over as all ways invalid, and clears
+// the last-hit memo.
+func (c *Cache) reset() {
+	o := newOrder(c.ways)
+	for s := range c.orders {
+		c.orders[s] = o
+	}
+	c.lastLine = noLine
 }
 
 // Ways returns the associativity.
@@ -107,7 +134,7 @@ func (c *Cache) tag(addr uint64) uint64 {
 	return addr >> c.tagShift
 }
 
-// setsBits returns log2(n) rounded up, the bits of a set (or way)
+// setsBits returns log2(n) rounded up, the bits of a set (or offset)
 // number; called at New, never per access.
 func setsBits(n int) int {
 	b := 0
@@ -117,12 +144,13 @@ func setsBits(n int) int {
 	return b
 }
 
-// find returns the index of addr's line, or -1 when it is absent.
+// find returns the index of addr's line, the first matching way of its
+// set, or -1 when it is absent.
 func (c *Cache) find(addr uint64) int {
 	base := c.set(addr) * c.ways
-	key := c.tag(addr)<<1 | 1
+	want := c.tag(addr)<<2 | validBit | dirtyBit
 	for w, k := range c.keys[base : base+c.ways] {
-		if k == key {
+		if k|dirtyBit == want {
 			return base + w
 		}
 	}
@@ -134,18 +162,33 @@ func (c *Cache) find(addr uint64) int {
 // Allocate; Access does not allocate.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	c.stats.Accesses++
-	i := c.find(addr)
-	if i < 0 {
-		c.stats.Misses++
-		return false
+	line := addr >> c.offsetBits
+	if line == c.lastLine {
+		// The last hit's line is still its set's MRU way: nothing moves.
+		if write {
+			c.keys[c.last] |= dirtyBit
+		}
+		c.stats.Hits++
+		return true
 	}
-	c.clock++
-	c.stamps[i] = c.clock
-	if write {
-		c.dirty[i] = true
+	s := int(line & c.indexMask)
+	base := s * c.ways
+	want := line>>c.setBits<<2 | validBit | dirtyBit
+	for w, k := range c.keys[base : base+c.ways] {
+		if k|dirtyBit == want {
+			if write {
+				c.keys[base+w] = want
+			}
+			if o := c.orders[s]; o&15 != order(w) {
+				c.orders[s] = o.touch(w)
+			}
+			c.lastLine, c.last = line, base+w
+			c.stats.Hits++
+			return true
+		}
 	}
-	c.stats.Hits++
-	return true
+	c.stats.Misses++
+	return false
 }
 
 // Allocate installs addr's line (after a miss fill), evicting the LRU
@@ -153,44 +196,30 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // (write-allocate store miss). The displaced line, if any, is returned so
 // the caller can model its writeback.
 func (c *Cache) Allocate(addr uint64, dirty bool) Victim {
-	s := c.set(addr)
-	base := s * c.ways
-	// The victim, the first way with the lowest stamp, is the minimum of
-	// stamp<<b | way. The minimum is taken without a branch, since a
-	// compare-and-branch on stamps mispredicts on most fills (and Go
-	// compiles min of a loop-carried value to one): both operands are
-	// below 1<<63, so the sign of their difference selects.
-	b := c.wayBits
-	least := uint64(1)<<63 - 1
-	for w, st := range c.stamps[base : base+c.ways] {
-		d := (st<<b | uint64(w)) - least
-		least += d & uint64(int64(d)>>63)
-	}
-	oldest := least >> b
-	i := base + int(least&(1<<b-1))
+	line := addr >> c.offsetBits
+	s := int(line & c.indexMask)
+	o := c.orders[s]
+	w := int(o>>c.lruShift) & 15
+	i := s*c.ways + w
 	var victim Victim
-	if oldest != 0 {
-		victim = Victim{Valid: true, Dirty: c.dirty[i], Addr: c.addrOf(s, c.keys[i]>>1)}
+	if k := c.keys[i]; k != 0 {
+		victim = Victim{Valid: true, Dirty: k&dirtyBit != 0, Addr: c.addrOf(s, k>>2)}
 		c.stats.Evictions++
-		if c.dirty[i] {
-			c.stats.DirtyEvictions++
-		}
+		c.stats.DirtyEvictions += k & dirtyBit
 	}
-	c.clock++
-	c.keys[i] = c.tag(addr)<<1 | 1
-	c.stamps[i] = c.clock
-	c.dirty[i] = dirty
+	key := line>>c.setBits<<2 | validBit
+	if dirty {
+		key |= dirtyBit
+	}
+	c.keys[i] = key
+	c.orders[s] = o<<4&c.orderMask | order(w) // the LRU way becomes MRU
+	c.lastLine = noLine
 	return victim
 }
 
 // addrOf reconstructs a line base address from set and tag.
 func (c *Cache) addrOf(set int, tag uint64) uint64 {
 	return (tag<<c.setBits | uint64(set)) << c.offsetBits
-}
-
-// drop invalidates way i.
-func (c *Cache) drop(i int) {
-	c.keys[i], c.stamps[i], c.dirty[i] = 0, 0, false
 }
 
 // Invalidate drops addr's line if present, returning its victim record
@@ -200,24 +229,33 @@ func (c *Cache) Invalidate(addr uint64) Victim {
 	if i < 0 {
 		return Victim{}
 	}
-	v := Victim{Valid: true, Dirty: c.dirty[i], Addr: c.addrOf(i/c.ways, c.keys[i]>>1)}
-	c.drop(i)
-	return v
+	s, w := i/c.ways, i%c.ways
+	k := c.keys[i]
+	c.keys[i] = 0
+	below := 0
+	for _, x := range c.keys[s*c.ways : i] {
+		if x == 0 {
+			below++
+		}
+	}
+	c.orders[s] = c.orders[s].retire(w, c.ways, below)
+	c.lastLine = noLine
+	return Victim{Valid: true, Dirty: k&dirtyBit != 0, Addr: c.addrOf(s, k>>2)}
 }
 
 // MarkClean clears the dirty bit of addr's line if present.
 func (c *Cache) MarkClean(addr uint64) {
 	if i := c.find(addr); i >= 0 {
-		c.dirty[i] = false
+		c.keys[i] &^= dirtyBit
 	}
 }
 
 // DirtyLines calls fn for every valid dirty line's base address (used to
 // drain caches at the end of a run so final outputs reach memory).
 func (c *Cache) DirtyLines(fn func(addr uint64)) {
-	for i, d := range c.dirty {
-		if d {
-			fn(c.addrOf(i/c.ways, c.keys[i]>>1))
+	for i, k := range c.keys {
+		if k&dirtyBit != 0 {
+			fn(c.addrOf(i/c.ways, k>>2))
 		}
 	}
 }
@@ -227,14 +265,12 @@ func (c *Cache) DirtyLines(fn func(addr uint64)) {
 // caches drain at synchronisation points).
 func (c *Cache) FlushAll(fn func(addr uint64)) {
 	for i, k := range c.keys {
-		if k == 0 {
-			continue
+		if k&dirtyBit != 0 && fn != nil {
+			fn(c.addrOf(i/c.ways, k>>2))
 		}
-		if c.dirty[i] && fn != nil {
-			fn(c.addrOf(i/c.ways, k>>1))
-		}
-		c.drop(i)
+		c.keys[i] = 0
 	}
+	c.reset()
 }
 
 // Stats returns a copy of the statistics counters.

@@ -20,6 +20,8 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		func() { New(0, 4, 64) },
 		func() { New(100*1000, 4, 64) }, // non-pow2 sets
 		func() { New(64*1024, 4, 60) },  // non-pow2 line
+		func() { New(64*1024, 32, 64) }, // more ways than an order ranks
+		func() { New(1024, 2, 2) },      // no room for a key's flags
 	} {
 		func() {
 			defer func() {
@@ -523,4 +525,25 @@ func FuzzCacheOracle(f *testing.F) {
 		}
 		runOracle(t, []int{4, 8, 16}[int(data[0])%3], data[1:])
 	})
+}
+
+// TestMemoForgetsDroppedLine runs runOracle's op streams that hit a line
+// (so the last-hit memo holds it), drop it, and access it again: the
+// access must miss, so Invalidate and FlushAll have to clear the memo.
+// Random streams rarely put the three ops back to back.
+func TestMemoForgetsDroppedLine(t *testing.T) {
+	for name, drop := range map[string]byte{"Invalidate": 10, "FlushAll": 15} {
+		ops := []byte{
+			6, 5, 0, // Allocate line 5
+			0, 5, 8, // Access it: a hit, now the memo's line
+			drop, 5, 0,
+			0, 5, 8, // must miss
+			6, 5, 0,
+			0x80, 5, 0, // a store hit
+			0, 5, 0,
+		}
+		for _, ways := range []int{4, 8, 16} {
+			t.Run(fmt.Sprintf("%s/ways%d", name, ways), func(t *testing.T) { runOracle(t, ways, ops) })
+		}
+	}
 }

@@ -9,10 +9,15 @@
 // the first, and the core pays only the non-overlapped tail.
 package cpu
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Config describes the core.
 type Config struct {
 	// IssueWidth is the sustained issue/commit width (instructions per
-	// cycle in the absence of misses).
+	// cycle in the absence of misses), a power of two.
 	IssueWidth int
 	// ROBDepth is the reorder-buffer depth: two misses fewer than
 	// ROBDepth instructions apart overlap.
@@ -31,6 +36,12 @@ func DefaultConfig() Config {
 type Core struct {
 	cfg Config
 
+	// widthShift and widthMask divide by IssueWidth: Compute runs once per
+	// simulated kernel step, and a shift and a mask cost less than a
+	// division.
+	widthShift uint
+	widthMask  uint64
+
 	now       uint64 // core-local cycle count
 	instFrac  uint64 // sub-cycle instruction credit (in instructions)
 	instsDone uint64
@@ -47,15 +58,23 @@ type Core struct {
 	latSum     uint64 // total load latency for AMAT
 }
 
-// New creates a core.
+// New creates a core. A width below 1 is taken as 1; a width that is
+// not a power of two panics.
 func New(cfg Config) *Core {
 	if cfg.IssueWidth < 1 {
 		cfg.IssueWidth = 1
 	}
+	if cfg.IssueWidth&(cfg.IssueWidth-1) != 0 {
+		panic(fmt.Sprintf("cpu: issue width %d is not a power of two", cfg.IssueWidth))
+	}
 	if cfg.ROBDepth < 1 {
 		cfg.ROBDepth = 1
 	}
-	return &Core{cfg: cfg}
+	return &Core{
+		cfg:        cfg,
+		widthShift: uint(bits.TrailingZeros(uint(cfg.IssueWidth))),
+		widthMask:  uint64(cfg.IssueWidth - 1),
+	}
 }
 
 // Now returns the core's current cycle.
@@ -74,8 +93,8 @@ func (c *Core) LoadLatencySum() uint64 { return c.latSum }
 func (c *Core) Compute(n uint64) {
 	c.instsDone += n
 	total := c.instFrac + n
-	c.now += total / uint64(c.cfg.IssueWidth)
-	c.instFrac = total % uint64(c.cfg.IssueWidth)
+	c.now += total >> c.widthShift
+	c.instFrac = total & c.widthMask
 }
 
 // OnLoad accounts a demand load whose memory-system latency (from issue

@@ -5,15 +5,37 @@ import (
 	"testing/quick"
 )
 
+// TestComputeAtIssueWidth holds Compute's shift and mask to a division
+// by the width, at every width the tree configures.
 func TestComputeAtIssueWidth(t *testing.T) {
-	c := New(Config{IssueWidth: 4, ROBDepth: 128, L1HitCycles: 1})
-	c.Compute(400)
-	if c.Now() != 100 {
-		t.Errorf("400 insts at width 4 = %d cycles, want 100", c.Now())
+	for _, width := range []int{1, 2, 4} {
+		c := New(Config{IssueWidth: width, ROBDepth: 128, L1HitCycles: 1})
+		c.Compute(400)
+		if c.Now() != uint64(400/width) {
+			t.Errorf("400 insts at width %d = %d cycles, want %d", width, c.Now(), 400/width)
+		}
+		insts := uint64(400)
+		for n := uint64(0); n < 40; n++ {
+			c.Compute(n)
+			insts += n
+			if c.Now() != insts/uint64(width) || c.instFrac != insts%uint64(width) {
+				t.Fatalf("width %d after %d insts: now %d credit %d, want %d and %d",
+					width, insts, c.Now(), c.instFrac, insts/uint64(width), insts%uint64(width))
+			}
+		}
+		if c.Instructions() != insts {
+			t.Errorf("width %d: instructions = %d, want %d", width, c.Instructions(), insts)
+		}
 	}
-	if c.Instructions() != 400 {
-		t.Errorf("instructions = %d", c.Instructions())
-	}
+}
+
+func TestNewRefusesWidthNotPowerOfTwo(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("width 3 accepted")
+		}
+	}()
+	New(Config{IssueWidth: 3, ROBDepth: 128, L1HitCycles: 1})
 }
 
 func TestComputeFractionalCredit(t *testing.T) {

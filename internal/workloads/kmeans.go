@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math"
+
 	"avr/internal/compress"
 	"avr/internal/mem"
 	"avr/internal/sim"
@@ -43,6 +45,9 @@ func (m *KMeans) layout(s *mem.Space, sc Scale) {
 		m.n = 896 << 10 // 3.5 MiB
 	}
 	m.k = 16
+	if m.k > 16 {
+		panic("kmeans: the nearest-centroid search keeps a centroid number in 4 bits")
+	}
 	m.data = s.AllocApprox(uint64(m.n)*4, compress.Float32)
 	// Initial centroids spread over the observed range.
 	m.cent = make([]int64, m.k)
@@ -105,17 +110,18 @@ func (m *KMeans) Run(c Core) {
 		counts := make([]int64, m.k)
 		for i := lo; i < hi; i++ {
 			v := int64(c.LoadF32(m.data+uint64(i)*4) * 256) // Q.8 metres
-			best, bd := 0, int64(1)<<62
-			for k := 0; k < m.k; k++ {
-				d := v - m.cent[k]
-				if d < 0 {
-					d = -d
-				}
-				if d < bd {
-					bd = d
-					best = k
-				}
+			// The nearest centroid, the first on a tie, is the minimum of
+			// |v-cent|<<4 | k (an elevation in Q.8 is far below 1<<59).
+			// Go compiles this min to a conditional move: which centroid
+			// wins changes from point to point, so a compare and branch
+			// would mispredict.
+			least := int64(math.MaxInt64)
+			for k, ck := range m.cent {
+				d := v - ck
+				d = (d ^ d>>63) - d>>63
+				least = min(least, d<<4|int64(k))
 			}
+			best := least & 15
 			c.Compute(uint64(m.k + 4))
 			sums[best] += v
 			counts[best]++

@@ -293,3 +293,53 @@ func TestAVRErrorBounds(t *testing.T) {
 
 // Iterations returns how many Lloyd iterations the last Run took.
 func (m *KMeans) Iterations() int { return m.iter }
+
+// TestStreamBasesShareOneSet pins known modelling deviation 7
+// (EXPERIMENTS.md): under PresetSmall geometry the arrays a benchmark
+// streams through in lockstep start a multiple of the L1's way span
+// apart (orbit's 12 trajectories 118 pages, wrf's 13 fields 144 KiB,
+// bscholes' 6 arrays 640 KiB), so element i of every stream maps to one
+// L1 set, more streams than the L1 has ways. orbit's and wrf's are also a
+// multiple of the L2's way span apart with more streams than its 8 ways;
+// bscholes' 6 fit them. Staggering the bases would mend it and move
+// every golden of the three, so this test fails when that happens and
+// has to change with them.
+func TestStreamBasesShareOneSet(t *testing.T) {
+	cfg := sim.PresetSmall(sim.Baseline)
+	setOf := func(capacity, ways int, a uint64) uint64 {
+		return a >> 6 & uint64(capacity/(ways*64)-1)
+	}
+	orbit, wrf, bscholes := NewOrbit(), NewWRF(), NewBScholes()
+	cases := []struct {
+		w      Workload
+		bases  func() []uint64
+		l2Full bool // more streams than L2 ways, all in one L2 set
+	}{
+		{orbit, func() []uint64 { return append(orbit.pos[:], orbit.vel[:]...) }, true},
+		{wrf, func() []uint64 {
+			return append([]uint64{wrf.temp, wrf.tnext, wrf.hum, wrf.hnext, wrf.press, wrf.u, wrf.v, wrf.terrain}, wrf.aux[:]...)
+		}, true},
+		{bscholes, func() []uint64 {
+			return []uint64{bscholes.spot, bscholes.strike, bscholes.rate, bscholes.vol, bscholes.ttm, bscholes.prices}
+		}, false},
+	}
+	for _, c := range cases {
+		c.w.Setup(sim.New(cfg), ScaleSmall)
+		bases := c.bases()
+		l1, l2 := setOf(cfg.L1Bytes, cfg.L1Ways, bases[0]), setOf(cfg.L2Bytes, cfg.L2Ways, bases[0])
+		for _, b := range bases {
+			if got := setOf(cfg.L1Bytes, cfg.L1Ways, b); got != l1 {
+				t.Errorf("%s: base %#x in L1 set %d, the first base in %d", c.w.Name(), b, got, l1)
+			}
+			if got := setOf(cfg.L2Bytes, cfg.L2Ways, b); c.l2Full && got != l2 {
+				t.Errorf("%s: base %#x in L2 set %d, the first base in %d", c.w.Name(), b, got, l2)
+			}
+		}
+		if len(bases) <= cfg.L1Ways {
+			t.Errorf("%s: %d streams fit the L1's %d ways", c.w.Name(), len(bases), cfg.L1Ways)
+		}
+		if c.l2Full != (len(bases) > cfg.L2Ways) {
+			t.Errorf("%s: %d streams against the L2's %d ways", c.w.Name(), len(bases), cfg.L2Ways)
+		}
+	}
+}

@@ -31,7 +31,7 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_sim.json}"
 STORE_OUT="${2:-BENCH_store.json}"
 BENCHTIME="${BENCHTIME:-1s}"
-BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Setup|Recorder|Histogram}"
+BENCHFILTER="${BENCHFILTER:-CacheAccess|CacheFill|CacheHit$|CacheMissFill|CMTLookup|Compress$|CompressNoisy|Decompress$|DRAMAccess|SystemAccess|PresetSmallStep|Setup|Recorder|Histogram}"
 STOREFILTER="${STOREFILTER:-CodecDecode|CodecEncode|BDIEncode|StorePut|StoreGet|StoreScan|StoreCompact|StoreQuery|ReduceFixed32|CountRanges|ErrCheckRecon|FloatsToFixedScaled|FixedToFloatsBits|ChooseBiasScan|Interpolate|Base64|CodecPool|Traced|SpanPool|RingOwners|RouterPlan|CacheHitGet|CacheMissGet|CacheThrashGet|CacheLookup|VecAppendLE|VecFromLE|BatchScanPut8|BatchScanGet8|BatchDecodePut8|BatchEmitGet8|ServerPut$|ServerGet$|LoopbackFloorGet|ServerMput8|ServerMget8|RouterMput8|RouterMget8|RouterGetHot}"
 
 PKGS="./internal/cache ./internal/cmt ./internal/compress ./internal/dram ./internal/obs ./internal/sim ./internal/workloads"
@@ -46,7 +46,7 @@ STORE_PKGS=". ./internal/lossless ./internal/simd ./internal/vec ./internal/stor
 # access dominates run time at scale. The obs instrumentation is held to
 # the same bar both disabled (nil receiver) and enabled (preallocated
 # ring/buckets).
-GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCMTLookup BenchmarkCMTLookupMiss BenchmarkDRAMAccess BenchmarkDRAMAccessRandom BenchmarkSystemAccess BenchmarkSystemAccessRecorded BenchmarkSystemAccessAVR BenchmarkSystemAccessAVRWrite BenchmarkRecorderDisabled BenchmarkRecorderRecord BenchmarkHistogramDisabled BenchmarkHistogramObserve"
+GATED="BenchmarkCacheAccess BenchmarkCacheFill BenchmarkCacheHit/mru/ways4 BenchmarkCacheHit/mru/ways8 BenchmarkCacheHit/mru/ways16 BenchmarkCacheHit/second/ways4 BenchmarkCacheHit/second/ways8 BenchmarkCacheHit/second/ways16 BenchmarkCacheHit/lru/ways4 BenchmarkCacheHit/lru/ways8 BenchmarkCacheHit/lru/ways16 BenchmarkCacheMissFill/ways4 BenchmarkCacheMissFill/ways8 BenchmarkCacheMissFill/ways16 BenchmarkCMTLookup BenchmarkCMTLookupMiss BenchmarkDRAMAccess BenchmarkDRAMAccessRandom BenchmarkSystemAccess BenchmarkSystemAccessRecorded BenchmarkSystemAccessAVR BenchmarkSystemAccessAVRWrite BenchmarkRecorderDisabled BenchmarkRecorderRecord BenchmarkHistogramDisabled BenchmarkHistogramObserve"
 # Serving-path gate: the codec-pool handoff sits on every request, and
 # the store put/get hot paths are allocation-free by contract — pooled
 # scratch on the write side, caller-supplied destinations (Get*IntoCached) on
