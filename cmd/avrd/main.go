@@ -55,7 +55,6 @@ import (
 func main() {
 	d := cliutil.RegisterDaemon(flag.CommandLine, "localhost:8080")
 	storeDir := flag.String("store-dir", "", "enable the persistent block store rooted at this directory (/v1/store/*)")
-	storeRatioFloor := flag.Float64("store-ratio-floor", 0, "min AVR compression ratio before a block falls back to lossless; 0 = default")
 	storeSegmentBytes := flag.Int64("store-segment-bytes", 0, "segment roll size in bytes; 0 = default (64 MiB)")
 	storeCompactEvery := flag.Duration("store-compact-interval", 30*time.Second, "background compaction cadence; 0 disables the worker")
 	storeSync := flag.Bool("store-sync", false, "fsync the active segment after every put (durability over throughput)")
@@ -76,7 +75,6 @@ func main() {
 		st, err = store.Open(store.Config{
 			Dir:                *storeDir,
 			T1:                 server.QuantizeT1(t1),
-			RatioFloor:         *storeRatioFloor,
 			SegmentTargetBytes: *storeSegmentBytes,
 			CompactEvery:       *storeCompactEvery,
 			SyncEveryPut:       *storeSync,

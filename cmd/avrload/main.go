@@ -220,8 +220,10 @@ type counts struct {
 
 // call sends one request, a POST of body or a GET when body is nil, and
 // classifies the outcome: on a 200 it returns the body and the response
-// headers; a 429 or 503 counts as shed; anything else, a 206 included,
-// counts as an error.
+// headers; a 429 or 503 counts as shed; a 206 counts as corruption (every
+// key avrload reads it wrote this run, and a torn prefix of an
+// acknowledged write is a broken promise); anything else counts as an
+// error.
 func (c *counts) call(client *http.Client, url string, body []byte) ([]byte, http.Header, bool) {
 	var resp *http.Response
 	var err error
@@ -245,6 +247,8 @@ func (c *counts) call(client *http.Client, url string, body []byte) ([]byte, htt
 		resp.StatusCode == http.StatusServiceUnavailable:
 		c.shed++
 		time.Sleep(time.Millisecond) // brief backoff under shed
+	case resp.StatusCode == http.StatusPartialContent:
+		c.corrupt++
 	default:
 		c.errs++
 	}

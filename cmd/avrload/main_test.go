@@ -54,25 +54,27 @@ func newRouter(t *testing.T, wrap func(http.Handler) http.Handler) string {
 
 func unchanged(h http.Handler) http.Handler { return h }
 
-// corruptOnce doctors the first 200 answer to path with edit and passes
-// every other response through as served.
-func corruptOnce(path string, edit func(r *http.Request, body []byte) []byte) func(http.Handler) http.Handler {
+// corruptOnce doctors the first 200 answer to path with edit, which
+// returns the new body (nil to leave this answer alone) and may set the
+// status, and passes every other response through as served.
+func corruptOnce(path string, edit func(r *http.Request, status *int, body []byte) []byte) func(http.Handler) http.Handler {
 	var done atomic.Bool
 	return func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
-			body := rec.Body.Bytes()
-			if r.URL.Path == path && rec.Code == http.StatusOK {
-				if out := edit(r, body); out != nil && done.CompareAndSwap(false, true) {
-					body = out
+			code, body := rec.Code, rec.Body.Bytes()
+			if r.URL.Path == path && code == http.StatusOK {
+				status := code
+				if out := edit(r, &status, body); out != nil && done.CompareAndSwap(false, true) {
+					code, body = status, out
 				}
 			}
 			for k, v := range rec.Header() {
 				w.Header()[k] = v
 			}
 			w.Header().Del("Content-Length")
-			w.WriteHeader(rec.Code)
+			w.WriteHeader(code)
 			w.Write(body)
 		})
 	}
@@ -134,26 +136,32 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 		name string
 		tier func(*testing.T, func(http.Handler) http.Handler) string
 		path string
-		edit func(r *http.Request, body []byte) []byte
+		edit func(r *http.Request, status *int, body []byte) []byte
 		args []string
 	}{
 		// A doctored magic, which the decode leg would refuse as an
 		// error: only the byte compare of the encode leg can count it.
-		{"encode byte", newAvrd, "/v1/encode", func(_ *http.Request, b []byte) []byte {
+		{"encode byte", newAvrd, "/v1/encode", func(_ *http.Request, _ *int, b []byte) []byte {
 			out := bytes.Clone(b)
 			out[0] ^= 0x40
 			return out
 		}, []string{"-mode", "codec"}},
-		{"decode value", newAvrd, "/v1/decode", func(_ *http.Request, b []byte) []byte {
+		{"decode value", newAvrd, "/v1/decode", func(_ *http.Request, _ *int, b []byte) []byte {
 			return beyondT1(b)
 		}, []string{"-mode", "codec"}},
-		{"store get value", newAvrd, "/v1/store/get", func(_ *http.Request, b []byte) []byte {
+		{"store get value", newAvrd, "/v1/store/get", func(_ *http.Request, _ *int, b []byte) []byte {
 			return beyondT1(b)
 		}, []string{"-mode", "store"}},
-		{"hot get value", newAvrd, "/v1/store/get", func(_ *http.Request, b []byte) []byte {
+		// A torn vector served as its prefix: the key was written and
+		// acknowledged this run, so a 206 for it is corruption too.
+		{"store get torn", newAvrd, "/v1/store/get", func(_ *http.Request, status *int, b []byte) []byte {
+			*status = http.StatusPartialContent
+			return b[:len(b)/2]
+		}, []string{"-mode", "store"}},
+		{"hot get value", newAvrd, "/v1/store/get", func(_ *http.Request, _ *int, b []byte) []byte {
 			return beyondT1(b)
 		}, []string{"-mode", "storehot", "-hotkeys", "8"}},
-		{"aggregate sum", newAvrd, "/v1/store/query", func(r *http.Request, b []byte) []byte {
+		{"aggregate sum", newAvrd, "/v1/store/query", func(r *http.Request, _ *int, b []byte) []byte {
 			if r.URL.Query().Get("op") != "" {
 				return nil
 			}
@@ -165,7 +173,7 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 			out, _ := json.Marshal(agg)
 			return out
 		}, []string{"-mode", "query", "-dist", "ramp"}},
-		{"mget item", newRouter, "/v1/store/mget", func(_ *http.Request, b []byte) []byte {
+		{"mget item", newRouter, "/v1/store/mget", func(_ *http.Request, _ *int, b []byte) []byte {
 			var res server.BatchGetResult
 			if json.Unmarshal(b, &res) != nil || len(res.Results) == 0 || !res.Results[0].OK {
 				return nil

@@ -42,12 +42,7 @@ import (
 func main() {
 	d := cliutil.RegisterDaemon(flag.CommandLine, "localhost:9090")
 	topoPath := flag.String("topology", "", "cluster topology JSON file (required)")
-	legTimeout := flag.Duration("leg-timeout", 5*time.Second, "max time for one downstream request")
-	retries := flag.Int("retries", 2, "extra attempts a leg gets after a transport error or 5xx (a read's first leg fails over instead)")
-	retryBackoff := flag.Duration("retry-backoff", 25*time.Millisecond, "initial backoff between a leg's attempts (doubles per retry)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "node /readyz polling cadence")
-	ejectAfter := flag.Int("eject-after", 2, "consecutive probe failures before a node leaves rotation")
-	readmitAfter := flag.Int("readmit-after", 2, "consecutive probe successes before an ejected node returns")
 	cacheBytes := flag.Int64("cache-bytes", 0, "router-side response cache budget in bytes; 0 disables (nodes cache independently)")
 	flag.Parse()
 
@@ -64,12 +59,7 @@ func main() {
 	ro, err := cluster.New(cluster.Config{
 		Topology:      topo,
 		TierConfig:    d.Frame(),
-		LegTimeout:    *legTimeout,
-		Retries:       *retries,
-		RetryBackoff:  *retryBackoff,
 		ProbeInterval: *probeInterval,
-		EjectAfter:    *ejectAfter,
-		ReadmitAfter:  *readmitAfter,
 		CacheBytes:    *cacheBytes,
 	})
 	if err != nil {

@@ -50,7 +50,8 @@
 //	    their error bounds, filter brackets containing the exact match
 //	    count, downsampled points within their per-point bounds.
 //
-// Exit status: 0 on success, 1 on any verification failure or error.
+// Exit status: 0 on success, 1 on any verification failure or error, 2
+// on bad usage.
 package main
 
 import (
@@ -59,6 +60,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,33 +73,46 @@ import (
 	"avr/internal/workloads"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run runs one subcommand, writing its report to stdout, and returns the
+// exit status: 2 for bad usage, 1 for a failed verification or any other
+// error.
+func run(args []string, stdout io.Writer) int {
+	cmds := map[string]func([]string, io.Writer) error{
+		"pack": cmdPack, "inspect": cmdInspect, "verify": cmdVerify, "compact": cmdCompact, "query": cmdQuery,
 	}
-	var err error
-	switch os.Args[1] {
-	case "pack":
-		err = cmdPack(os.Args[2:])
-	case "inspect":
-		err = cmdInspect(os.Args[2:])
-	case "verify":
-		err = cmdVerify(os.Args[2:])
-	case "compact":
-		err = cmdCompact(os.Args[2:])
-	case "query":
-		err = cmdQuery(os.Args[2:])
+	if len(args) == 0 || cmds[args[0]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: avrstore {pack|inspect|verify|compact|query} [flags]")
+		return 2
+	}
+	switch err := cmds[args[0]](args[1:], stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, "avrstore:", err)
+		return 2
 	default:
-		usage()
-	}
-	if err != nil {
-		cliutil.Fatal(err)
+		fmt.Fprintln(os.Stderr, "avrstore:", err)
+		return 1
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: avrstore {pack|inspect|verify|compact|query} [flags]")
-	os.Exit(2)
+// errUsage marks an error in how avrstore was called, as against one in
+// what it found.
+var errUsage = errors.New("usage")
+
+func usageErr(format string, a ...any) error {
+	return fmt.Errorf("%w: %s", errUsage, fmt.Sprintf(format, a...))
+}
+
+// parse parses a subcommand's flags; the flag package has already said
+// what was wrong.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	return nil
 }
 
 // manifest records what pack wrote, so verify can regenerate the exact
@@ -159,8 +174,8 @@ func (e manifestEntry) gen(width int) (vec.Vec, error) {
 	return cliutil.GenVec(e.Dist, e.Values, width, e.Seed)
 }
 
-func cmdPack(args []string) error {
-	fs := flag.NewFlagSet("pack", flag.ExitOnError)
+func cmdPack(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pack", flag.ContinueOnError)
 	dir := fs.String("dir", "", "store directory (required unless -addr)")
 	addr := fs.String("addr", "", "write through a live avrd/avrrouter at host:port instead of a local -dir")
 	addrFile := fs.String("addr-file", "", "read -addr from this file (written by -addr-file on the daemon)")
@@ -170,26 +185,27 @@ func cmdPack(args []string) error {
 	dist := fs.String("dist", "heat", "value distribution: "+strings.Join(workloads.Distributions(), ", ")+", or mixed-all to cycle")
 	width := fs.Int("width", 32, "value width in bits: 32 or 64")
 	seed := fs.Uint64("seed", 1, "base generator seed (key i uses seed+i)")
-	sync := fs.Bool("sync", false, "fsync after every put")
 	var t1 float64
 	cliutil.RegisterT1(fs, &t1)
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *width != 32 && *width != 64 {
-		return fmt.Errorf("pack: bad -width %d", *width)
+		return usageErr("pack: bad -width %d", *width)
 	}
 	if a, err := resolveAddr(*addr, *addrFile); err != nil {
 		return fmt.Errorf("pack: %w", err)
 	} else if a != "" {
 		if *manifestOut == "" {
-			return errors.New("pack: -manifest is required with -addr (there is no store directory to default into)")
+			return usageErr("pack: -manifest is required with -addr (there is no store directory to default into)")
 		}
-		return packRemote(a, *manifestOut, plan(*width, server.QuantizeT1(t1), *keys, *values, *dist, *seed))
+		return packRemote(out, a, *manifestOut, plan(*width, server.QuantizeT1(t1), *keys, *values, *dist, *seed))
 	}
 	if *dir == "" {
-		return errors.New("pack: -dir or -addr is required")
+		return usageErr("pack: -dir or -addr is required")
 	}
 
-	s, err := store.Open(store.Config{Dir: *dir, T1: t1, SyncEveryPut: *sync})
+	s, err := store.Open(store.Config{Dir: *dir, T1: t1})
 	if err != nil {
 		return err
 	}
@@ -205,7 +221,7 @@ func cmdPack(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("packed %s: %d values (%s), %d blocks (%d lossless), ratio %.2f\n",
+		fmt.Fprintf(out, "packed %s: %d values (%s), %d blocks (%d lossless), ratio %.2f\n",
 			e.Key, res.Values, e.Dist, res.Blocks, res.LosslessBlocks, res.Ratio)
 	}
 	mp := *manifestOut
@@ -216,20 +232,22 @@ func cmdPack(args []string) error {
 		return err
 	}
 	st := s.Stats()
-	fmt.Printf("packed %d keys: %.2f:1 on disk, %d segments, %d flagged blocks\n",
+	fmt.Fprintf(out, "packed %d keys: %.2f:1 on disk, %d segments, %d flagged blocks\n",
 		len(m.Entries), st.AchievedRatio, st.Segments, st.FlaggedBlocks)
 	return nil
 }
 
-func cmdInspect(args []string) error {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
+func cmdInspect(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
 	dir := fs.String("dir", "", "store directory (required)")
 	blocks := fs.Bool("blocks", false, "include the per-key block layout")
 	var t1 float64
 	cliutil.RegisterT1(fs, &t1)
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *dir == "" {
-		return errors.New("inspect: -dir is required")
+		return usageErr("inspect: -dir is required")
 	}
 
 	s, err := store.Open(store.Config{Dir: *dir, T1: t1})
@@ -238,43 +256,45 @@ func cmdInspect(args []string) error {
 	}
 	defer s.Close()
 
-	out := struct {
+	rep := struct {
 		store.Stats
 		Blocks map[string][]store.BlockInfo `json:"blocks,omitempty"`
 	}{Stats: s.Stats()}
 	if *blocks {
-		out.Blocks = make(map[string][]store.BlockInfo)
+		rep.Blocks = make(map[string][]store.BlockInfo)
 		for _, k := range s.Keys() {
 			bi, err := s.BlockInfos(k)
 			if err != nil {
 				return err
 			}
-			out.Blocks[k] = bi
+			rep.Blocks[k] = bi
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(rep)
 }
 
-func cmdVerify(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
+func cmdVerify(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	dir := fs.String("dir", "", "store directory (required unless -addr)")
 	addr := fs.String("addr", "", "verify through a live avrd/avrrouter at host:port instead of a local -dir")
 	addrFile := fs.String("addr-file", "", "read -addr from this file (written by -addr-file on the daemon)")
 	manifestIn := fs.String("manifest", "", "manifest path (default <dir>/manifest.json; required with -addr)")
 	allowPartial := fs.Bool("allow-partial", false, "accept crash-truncated vectors (recovered prefix must still verify)")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if a, err := resolveAddr(*addr, *addrFile); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	} else if a != "" {
 		if *manifestIn == "" {
-			return errors.New("verify: -manifest is required with -addr")
+			return usageErr("verify: -manifest is required with -addr")
 		}
-		return verifyRemote(a, *manifestIn, *allowPartial)
+		return verifyRemote(out, a, *manifestIn, *allowPartial)
 	}
 	if *dir == "" {
-		return errors.New("verify: -dir or -addr is required")
+		return usageErr("verify: -dir or -addr is required")
 	}
 	mp := *manifestIn
 	if mp == "" {
@@ -290,7 +310,7 @@ func cmdVerify(args []string) error {
 	}
 	defer s.Close()
 	m.T1 = s.T1()
-	return verifyEach(m, "", func(e manifestEntry) (int, error) {
+	return verifyEach(out, m, "", func(e manifestEntry) (int, error) {
 		return verifyEntry(s, m.Width, m.T1, e, *allowPartial)
 	})
 }
@@ -298,25 +318,25 @@ func cmdVerify(args []string) error {
 // verifyEach checks every manifest key with check, which returns how many
 // values were served (fewer than written: an accepted crash-truncated
 // prefix), and prints one line per key; via says where they were read.
-func verifyEach(m manifest, via string, check func(manifestEntry) (int, error)) error {
+func verifyEach(out io.Writer, m manifest, via string, check func(manifestEntry) (int, error)) error {
 	var failures, partial int
 	for _, e := range m.Entries {
 		n, err := check(e)
 		switch {
 		case err != nil:
-			fmt.Printf("FAIL %s: %v\n", e.Key, err)
+			fmt.Fprintf(out, "FAIL %s: %v\n", e.Key, err)
 			failures++
 		case n < e.Values:
 			partial++
-			fmt.Printf("ok   %s: %d/%d values (truncated by crash), all within t1\n", e.Key, n, e.Values)
+			fmt.Fprintf(out, "ok   %s: %d/%d values (truncated by crash), all within t1\n", e.Key, n, e.Values)
 		default:
-			fmt.Printf("ok   %s: %d values within t1=%g\n", e.Key, n, m.T1)
+			fmt.Fprintf(out, "ok   %s: %d values within t1=%g\n", e.Key, n, m.T1)
 		}
 	}
 	if failures > 0 {
 		return fmt.Errorf("verify: %d of %d keys failed%s", failures, len(m.Entries), via)
 	}
-	fmt.Printf("verify: %d keys ok (%d partial)%s at t1=%g\n", len(m.Entries), partial, via, m.T1)
+	fmt.Fprintf(out, "verify: %d keys ok (%d partial)%s at t1=%g\n", len(m.Entries), partial, via, m.T1)
 	return nil
 }
 
@@ -361,8 +381,8 @@ func verifyEntry(s *store.Store, width int, t1 float64, e manifestEntry, allowPa
 	return n, nil
 }
 
-func cmdQuery(args []string) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
+func cmdQuery(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	dir := fs.String("dir", "", "store directory (required)")
 	key := fs.String("key", "", "key to query (required unless -check)")
 	op := fs.String("op", "aggregate", "query op: aggregate, filter or downsample")
@@ -371,16 +391,18 @@ func cmdQuery(args []string) error {
 	check := fs.Bool("check", false, "verify every query op over every manifest key against regenerated ground truth")
 	var t1 float64
 	cliutil.RegisterT1(fs, &t1)
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *dir == "" {
-		return errors.New("query: -dir is required")
+		return usageErr("query: -dir is required")
 	}
 
 	if *check {
-		return queryCheck(*dir, t1)
+		return queryCheck(out, *dir, t1)
 	}
 	if *key == "" {
-		return errors.New("query: -key is required (or -check)")
+		return usageErr("query: -key is required (or -check)")
 	}
 
 	s, err := store.Open(store.Config{Dir: *dir, T1: t1})
@@ -398,12 +420,12 @@ func cmdQuery(args []string) error {
 	case "downsample":
 		res, err = s.QueryDownsampleTraced(*key, nil)
 	default:
-		return fmt.Errorf("query: bad -op %q: want aggregate, filter or downsample", *op)
+		return usageErr("query: bad -op %q: want aggregate, filter or downsample", *op)
 	}
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(res)
 }
@@ -412,7 +434,7 @@ func cmdQuery(args []string) error {
 // the manifest ground truth: the same vectors verify regenerates
 // value-by-value must also answer every query within the reported
 // bounds — the offline counterpart of avrload -mode query.
-func queryCheck(dir string, t1 float64) error {
+func queryCheck(out io.Writer, dir string, t1 float64) error {
 	m, err := readManifest(manifestPath(dir))
 	if err != nil {
 		return fmt.Errorf("query: %w", err)
@@ -430,10 +452,10 @@ func queryCheck(dir string, t1 float64) error {
 	var touched, total int64
 	for _, e := range m.Entries {
 		if err := queryCheckEntry(s, m.Width, e, &touched, &total); err != nil {
-			fmt.Printf("FAIL %s: %v\n", e.Key, err)
+			fmt.Fprintf(out, "FAIL %s: %v\n", e.Key, err)
 			failures++
 		} else {
-			fmt.Printf("ok   %s: aggregate, 3 filter bands and downsample within bounds\n", e.Key)
+			fmt.Fprintf(out, "ok   %s: aggregate, 3 filter bands and downsample within bounds\n", e.Key)
 		}
 	}
 	if failures > 0 {
@@ -443,7 +465,7 @@ func queryCheck(dir string, t1 float64) error {
 	if total > 0 {
 		frac = float64(touched) / float64(total)
 	}
-	fmt.Printf("query: %d keys ok, aggregates touched %d of %d raw bytes (%.4f)\n",
+	fmt.Fprintf(out, "query: %d keys ok, aggregates touched %d of %d raw bytes (%.4f)\n",
 		len(m.Entries), touched, total, frac)
 	return nil
 }
@@ -481,14 +503,16 @@ func queryCheckEntry(s *store.Store, width int, e manifestEntry, touched, total 
 	return gt.Downsample(ds)
 }
 
-func cmdCompact(args []string) error {
-	fs := flag.NewFlagSet("compact", flag.ExitOnError)
+func cmdCompact(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
 	dir := fs.String("dir", "", "store directory (required)")
 	var t1 float64
 	cliutil.RegisterT1(fs, &t1)
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *dir == "" {
-		return errors.New("compact: -dir is required")
+		return usageErr("compact: -dir is required")
 	}
 
 	s, err := store.Open(store.Config{Dir: *dir, T1: t1})
@@ -508,12 +532,12 @@ func cmdCompact(args []string) error {
 			break
 		}
 		passes++
-		fmt.Printf("compacted segment %d: moved %d frames (%d B), reclaimed %d B, recompress %d tried / %d won / %d skipped\n",
+		fmt.Fprintf(out, "compacted segment %d: moved %d frames (%d B), reclaimed %d B, recompress %d tried / %d won / %d skipped\n",
 			res.Segment, res.FramesMoved, res.BytesMoved, res.BytesReclaimed,
 			res.RecompressTried, res.RecompressWon, res.RecompressSkipped)
 	}
 	st := s.Stats()
-	fmt.Printf("compact: %d passes in %s, debt now %.3f, %.2f:1 on disk\n",
+	fmt.Fprintf(out, "compact: %d passes in %s, debt now %.3f, %.2f:1 on disk\n",
 		passes, time.Since(start).Round(time.Millisecond), st.CompactionDebt, st.AchievedRatio)
 	return nil
 }

@@ -41,7 +41,7 @@ func remoteClient() *http.Client {
 // the daemon, recording the manifest locally. The daemon quantizes
 // thresholds onto the codec-pool grid, so m carries the quantized t1 and
 // verify checks the bound the server actually enforced.
-func packRemote(addr, manifestOut string, m manifest) error {
+func packRemote(out io.Writer, addr, manifestOut string, m manifest) error {
 	base := "http://" + addr
 	client := remoteClient()
 	for _, e := range m.Entries {
@@ -72,12 +72,12 @@ func packRemote(addr, manifestOut string, m manifest) error {
 		if reps := resp.Header.Get("X-AVR-Replicas"); reps != "" {
 			line += ", " + reps + " replicas"
 		}
-		fmt.Println(line)
+		fmt.Fprintln(out, line)
 	}
 	if err := m.write(manifestOut); err != nil {
 		return err
 	}
-	fmt.Printf("packed %d keys via %s, manifest %s (t1 %g)\n", len(m.Entries), addr, manifestOut, m.T1)
+	fmt.Fprintf(out, "packed %d keys via %s, manifest %s (t1 %g)\n", len(m.Entries), addr, manifestOut, m.T1)
 	return nil
 }
 
@@ -87,7 +87,7 @@ func packRemote(addr, manifestOut string, m manifest) error {
 // t1. Remote verification cannot see the block table, so the lossless
 // bit-exactness refinement of local verify does not apply — the t1
 // bound is the contract the wire promises.
-func verifyRemote(addr, manifestIn string, allowPartial bool) error {
+func verifyRemote(out io.Writer, addr, manifestIn string, allowPartial bool) error {
 	m, err := readManifest(manifestIn)
 	if err != nil {
 		return fmt.Errorf("verify: %w", err)
@@ -115,7 +115,7 @@ func verifyRemote(addr, manifestIn string, allowPartial bool) error {
 		live[k] = true
 	}
 
-	return verifyEach(m, " via "+addr, func(e manifestEntry) (int, error) {
+	return verifyEach(out, m, " via "+addr, func(e manifestEntry) (int, error) {
 		if !live[e.Key] {
 			return 0, errors.New("missing from the served key listing")
 		}

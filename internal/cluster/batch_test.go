@@ -152,11 +152,11 @@ func TestRouterMgetSecondRound(t *testing.T) {
 
 // fakeStats is the /v1/store/stats a scripted shard answers the router's
 // encoder with: the store defaults.
-const fakeStats = `{"t1":0.03125,"ratio_floor":1.2}`
+const fakeStats = `{"t1":0.03125}`
 
 // testEncoding is the encoding a router learns from fakeStats.
 func testEncoding() *putEncoding {
-	return &putEncoding{enc: store.NewEncoder(1.0/32, 1.2), node: "test"}
+	return &putEncoding{enc: store.NewEncoder(1.0 / 32), node: "test"}
 }
 
 // containerOf is the container the router ships for a raw fp32 payload.
@@ -178,7 +178,7 @@ func fakeFleet(t *testing.T, shards ...http.HandlerFunc) *httptest.Server {
 		t.Cleanup(ts.Close)
 		topo.Nodes = append(topo.Nodes, Node{Name: fmt.Sprintf("fake-%d", i), Addr: strings.TrimPrefix(ts.URL, "http://")})
 	}
-	ro, err := New(Config{Topology: topo, ProbeInterval: -1, Retries: 1, RetryBackoff: time.Millisecond})
+	ro, err := New(Config{Topology: topo, ProbeInterval: -1, retryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestRouterCorruptReplies(t *testing.T) {
 func TestRouterPooledBufferHammer(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{
 		CacheBytes:   4 << 20,
-		RetryBackoff: time.Millisecond,
+		retryBackoff: time.Millisecond,
 	})
 	flaky := func(method string) fault {
 		return fault{kind: "reply", nodes: []int{0}, method: method, rate: 1.0 / 3, status: http.StatusServiceUnavailable}
@@ -586,7 +586,7 @@ func keyPayload(key string) []byte {
 // transport does for a moment whenever a node answers before reading, or
 // a leg's deadline passes mid-write.
 func TestLegBodiesOutliveTheRoundTrip(t *testing.T) {
-	tc := newTestCluster(t, 2, Config{Retries: 1, RetryBackoff: time.Millisecond})
+	tc := newTestCluster(t, 2, Config{retryBackoff: time.Millisecond})
 	tc.ro.encoding.Store(testEncoding()) // what containerOf encodes at
 	straggle := func(method string) fault {
 		return fault{kind: "reply", method: method, status: http.StatusServiceUnavailable, hold: true}

@@ -23,10 +23,10 @@ import (
 // a value instead of base64's 5.3, and the replicas' frames are
 // byte-identical because they are the same bytes.
 //
-// The threshold and ratio floor to encode at are the shards', not a
-// router setting: the router reads them from the /v1/store/stats a shard
-// already serves, on its first write, and again after the prober
-// readmits a node (a node that comes back may have been reconfigured).
+// The threshold to encode at is the shards', not a router setting: the
+// router reads it from the /v1/store/stats a shard already serves, on
+// its first write, and again after the prober readmits a node (a node
+// that comes back may have been reconfigured).
 // A shard running at another t1 refuses the container with 409 and the
 // key counts one replica fewer; /v1/stats says what the router encodes
 // at and which node told it.
@@ -37,8 +37,8 @@ type putEncoding struct {
 	node string
 }
 
-// putEncoder returns the encoder for writes, learning its parameters
-// first if the router does not hold any: from the first node to answer
+// putEncoder returns the encoder for writes, learning its t1 first if
+// the router does not hold one: from the first node to answer
 // /v1/store/stats, nodes in rotation before ejected ones. When none
 // answers there is nothing to encode at — and no owner to write to — and
 // the failed legs come back for the caller to report.
@@ -60,17 +60,16 @@ func (ro *Router) putEncoder(ctx context.Context, traceID string) (*putEncoding,
 			lr := ro.doLeg(ctx, http.MethodGet, i, "/v1/store/stats", "", traceID, nil)
 			if lr.ok2xx() {
 				var st struct {
-					T1         float64 `json:"t1"`
-					RatioFloor float64 `json:"ratio_floor"`
+					T1 float64 `json:"t1"`
 				}
 				err := json.Unmarshal(lr.body, &st)
 				lr.release()
-				if err == nil && st.T1 > 0 && st.RatioFloor > 0 {
-					pe := &putEncoding{enc: store.NewEncoder(st.T1, st.RatioFloor), node: nd.name}
+				if err == nil && st.T1 > 0 {
+					pe := &putEncoding{enc: store.NewEncoder(st.T1), node: nd.name}
 					ro.encoding.Store(pe)
 					return pe, nil
 				}
-				lr = legResult{err: fmt.Errorf("%s: store stats name no t1 and ratio floor", nd.name)}
+				lr = legResult{err: fmt.Errorf("%s: store stats name no t1", nd.name)}
 			}
 			failed = append(failed, lr)
 		}
@@ -78,9 +77,9 @@ func (ro *Router) putEncoder(ctx context.Context, traceID string) (*putEncoding,
 	return nil, failed
 }
 
-// forgetEncoding drops the learned parameters, so the next write learns
-// them again. Under the learner's lock: a fetch begun before the node
-// that prompted this came back cannot install its answer afterwards.
+// forgetEncoding drops the learned t1, so the next write learns it
+// again. Under the learner's lock: a fetch begun before the node that
+// prompted this came back cannot install its answer afterwards.
 func (ro *Router) forgetEncoding() {
 	ro.encMu.Lock()
 	ro.encoding.Store(nil)
@@ -88,11 +87,10 @@ func (ro *Router) forgetEncoding() {
 }
 
 // RouterEncoding is the write-path encoding in the router's /v1/stats:
-// the parameters it encodes puts at and the node it learned them from —
-// all zero until the first write.
+// the t1 it encodes puts at and the node it learned it from — both zero
+// until the first write.
 type RouterEncoding struct {
 	T1          float64 `json:"t1"`
-	RatioFloor  float64 `json:"ratio_floor"`
 	LearnedFrom string  `json:"learned_from"`
 }
 
@@ -101,7 +99,7 @@ func (ro *Router) encodingStats() RouterEncoding {
 	if pe == nil {
 		return RouterEncoding{}
 	}
-	return RouterEncoding{T1: pe.enc.T1(), RatioFloor: pe.enc.RatioFloor(), LearnedFrom: pe.node}
+	return RouterEncoding{T1: pe.enc.T1(), LearnedFrom: pe.node}
 }
 
 // encScratch is a key's values as wire bytes and as floats, and its

@@ -117,7 +117,7 @@ func TestReplicasHoldIdenticalBlocks(t *testing.T) {
 // lost on the way back; the leg is retried, the put is acknowledged on
 // both replicas, and they hold the same blocks byte for byte.
 func TestPutReplyLostAfterApply(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{RetryBackoff: time.Millisecond})
+	tc := newTestCluster(t, 3, Config{retryBackoff: time.Millisecond})
 	const key, vn = "lost-reply", 3*store.BlockValues + 5
 	p, rep := tc.ro.ring.Owners(key)
 	tc.faults.set(1, fault{kind: "drop", nodes: []int{p}, method: http.MethodPut, first: 1})
@@ -201,7 +201,7 @@ func TestShardAtAnotherT1(t *testing.T) {
 		}
 	}
 	enc := tc.ro.Stats().Encoding
-	if enc.T1 != tc.stores[0].T1() || enc.RatioFloor != tc.stores[0].Stats().RatioFloor || enc.LearnedFrom != "node-00" {
+	if enc.T1 != tc.stores[0].T1() || enc.LearnedFrom != "node-00" {
 		t.Errorf("router stats say it encodes at %+v, want node-00's t1 %g", enc, tc.stores[0].T1())
 	}
 }
@@ -210,7 +210,7 @@ func TestShardAtAnotherT1(t *testing.T) {
 // nothing to encode at and says so like any all-legs-failed write; the
 // first write after a shard is up learns from it and is stored.
 func TestRouterBeforeItsShards(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{Retries: 1, RetryBackoff: 1})
+	tc := newTestCluster(t, 3, Config{retryBackoff: 1})
 	key := "early"
 	owner, _ := tc.ro.ring.Owners(key)
 	vals := testVals(7, 500)

@@ -232,7 +232,6 @@ func (ro *Router) handleMput(q *server.Req) {
 		}
 	}
 	putPlan(pl)
-	obs.RouterBatchKeys.Add(int64(len(res.Results)))
 
 	if !anyLegOK && anyShed {
 		ro.failAll(q, results)
@@ -394,8 +393,6 @@ func (ro *Router) handleMget(q *server.Req) {
 		anyShed = anyShed || shed2
 		anyOK = anyOK || ok2
 	}
-	obs.RouterBatchKeys.Add(int64(len(req.Keys)))
-
 	if !anyOK && anyShed {
 		ro.failAll(q, replies)
 		return

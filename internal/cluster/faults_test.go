@@ -186,7 +186,7 @@ func (f *fault) damage(roll uint64, c []byte) ([]byte, bool) {
 // another seed.
 func TestFaultScheduleReplays(t *testing.T) {
 	run := func(seed uint64) map[exchange]bool {
-		tc := newTestCluster(t, 3, Config{RetryBackoff: time.Millisecond})
+		tc := newTestCluster(t, 3, Config{retryBackoff: time.Millisecond})
 		tc.faults.set(seed,
 			fault{kind: "reply", method: http.MethodPut, rate: 0.3, status: http.StatusServiceUnavailable},
 			fault{kind: "drop", path: "/v1/store/mput", rate: 0.5},

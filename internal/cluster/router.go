@@ -17,6 +17,21 @@ import (
 	"avr/internal/trace"
 )
 
+// The router's fixed policy. A leg's deadline bounds one downstream
+// request. A failed leg (transport error or 5xx) gets retries more
+// attempts, the first after retryBackoff and each later one after twice
+// the last; a read's first leg gets none: it fails over to the other
+// replica instead (readAny). The prober ejects a node after ejectAfter
+// consecutive failed probes and readmits it after readmitAfter
+// consecutive good ones.
+const (
+	legTimeout   = 5 * time.Second
+	retries      = 2
+	retryBackoff = 25 * time.Millisecond
+	ejectAfter   = 2
+	readmitAfter = 2
+)
+
 // Config tunes the router. The zero value of any field selects its
 // default.
 type Config struct {
@@ -24,31 +39,20 @@ type Config struct {
 	Topology Topology
 	// TierConfig is the frame's settings, shared with avrd.
 	server.TierConfig
-	// LegTimeout bounds one downstream request (default 5s).
-	LegTimeout time.Duration
-	// Retries is how many extra attempts a leg gets after a transport
-	// error or a 5xx (default 2). A read's first leg gets none: it fails
-	// over to the other replica instead (readAny).
-	Retries int
-	// RetryBackoff is the initial backoff between a leg's attempts,
-	// doubling each retry (default 25ms).
-	RetryBackoff time.Duration
 	// ProbeInterval is the /readyz polling cadence (default 500ms;
 	// negative disables the prober — for tests driving health directly).
 	ProbeInterval time.Duration
-	// EjectAfter ejects a node after this many consecutive probe
-	// failures (default 2); ReadmitAfter readmits after this many
-	// consecutive successes (default 2).
-	EjectAfter   int
-	ReadmitAfter int
 	// CacheBytes is the byte budget of the router-side response cache
 	// over read-any gets (0 — the default — disables it: the nodes run
 	// their own summary-line caches, so the router tier opts in).
 	CacheBytes int64
 
-	// probeTimeout bounds one probe request (default ProbeInterval); a
-	// test in this package sets it apart from the interval.
+	// probeTimeout bounds one probe request (default ProbeInterval).
+	// legTimeout and retryBackoff default to the constants of the same
+	// name. Tests in this package set them shorter.
 	probeTimeout time.Duration
+	legTimeout   time.Duration
+	retryBackoff time.Duration
 	// transport, when set, wraps the router's transport before the
 	// prober starts: how a test in this package injects faults on the
 	// router↔shard hop.
@@ -58,26 +62,17 @@ type Config struct {
 // withDefaults fills the router's own unset fields; the frame
 // (server.NewTier) fills the ones it shares with avrd.
 func (c Config) withDefaults() Config {
-	if c.LegTimeout <= 0 {
-		c.LegTimeout = 5 * time.Second
+	if c.legTimeout <= 0 {
+		c.legTimeout = legTimeout
 	}
-	if c.Retries <= 0 {
-		c.Retries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
+	if c.retryBackoff <= 0 {
+		c.retryBackoff = retryBackoff
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
 	if c.probeTimeout <= 0 {
 		c.probeTimeout = c.ProbeInterval
-	}
-	if c.EjectAfter <= 0 {
-		c.EjectAfter = 2
-	}
-	if c.ReadmitAfter <= 0 {
-		c.ReadmitAfter = 2
 	}
 	return c
 }
@@ -90,7 +85,7 @@ type node struct {
 
 	// up is the prober's verdict: false means out of rotation. Nodes
 	// start up — a cold router must route immediately; the prober
-	// corrects within EjectAfter×ProbeInterval.
+	// corrects within ejectAfter×ProbeInterval.
 	up atomic.Bool
 	// consecFails/consecOKs drive eject/readmit hysteresis; prober
 	// goroutine only.
@@ -160,7 +155,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	// Per-leg deadlines come from request contexts; the client timeout is
 	// a backstop.
-	ro.client = &http.Client{Timeout: 2 * cfg.LegTimeout, Transport: rt}
+	ro.client = &http.Client{Timeout: 2 * cfg.legTimeout, Transport: rt}
 	for _, n := range cfg.Topology.Nodes {
 		nd := &node{name: n.Name, addr: n.Addr, base: "http://" + n.Addr}
 		nd.up.Store(true)
@@ -231,7 +226,7 @@ func mergeRetryAfter(maxSecs int, h http.Header) int {
 }
 
 // probeLoop polls every node's /readyz on the configured cadence and
-// flips nodes out of / back into rotation with EjectAfter/ReadmitAfter
+// flips nodes out of / back into rotation with ejectAfter/readmitAfter
 // hysteresis.
 func (ro *Router) probeLoop() {
 	defer close(ro.probeDone)
@@ -267,7 +262,7 @@ func (ro *Router) probeNode(nd *node) {
 	if ok {
 		nd.consecOKs++
 		nd.consecFails = 0
-		if !nd.up.Load() && nd.consecOKs >= ro.cfg.ReadmitAfter {
+		if !nd.up.Load() && nd.consecOKs >= readmitAfter {
 			nd.up.Store(true)
 			obs.RouterNodeReadmits.Add(1)
 			// It may have come back configured differently.
@@ -277,7 +272,7 @@ func (ro *Router) probeNode(nd *node) {
 	}
 	nd.consecFails++
 	nd.consecOKs = 0
-	if nd.up.Load() && nd.consecFails >= ro.cfg.EjectAfter {
+	if nd.up.Load() && nd.consecFails >= ejectAfter {
 		nd.up.Store(false)
 		obs.RouterNodeEjects.Add(1)
 	}
@@ -351,7 +346,7 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 	nd := ro.nodes[nodeIdx]
 	nd.requests.Add(1)
 	obs.RouterFanouts.Add(1)
-	lctx, cancel := context.WithTimeout(ctx, ro.cfg.LegTimeout)
+	lctx, cancel := context.WithTimeout(ctx, ro.cfg.legTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(lctx, method, nd.base+pathAndQuery, nil)
 	if err != nil {
@@ -406,8 +401,8 @@ func (ro *Router) doLeg(ctx context.Context, method string, nodeIdx int, pathAnd
 // retrying won't change its mind.
 func (ro *Router) doLegRetry(ctx context.Context, method string, nodeIdx int, pathAndQuery, accept, traceID string, body *server.Buf) legResult {
 	lr := ro.doLeg(ctx, method, nodeIdx, pathAndQuery, accept, traceID, body)
-	backoff := ro.cfg.RetryBackoff
-	for try := 0; try < ro.cfg.Retries; try++ {
+	backoff := ro.cfg.retryBackoff
+	for try := 0; try < retries; try++ {
 		if lr.err == nil && lr.status < 500 {
 			return lr
 		}

@@ -404,8 +404,8 @@ func TestClusterBatch(t *testing.T) {
 // batched — complete from replicas, still within bound.
 func TestClusterFailover(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{
-		LegTimeout:   2 * time.Second,
-		RetryBackoff: 5 * time.Millisecond,
+		legTimeout:   2 * time.Second,
+		retryBackoff: 5 * time.Millisecond,
 	})
 	const keys, vn = 16, 32
 	for k := 0; k < keys; k++ {
@@ -469,7 +469,7 @@ func TestClusterFailover(t *testing.T) {
 // replicas.
 func TestPutPrimaryLegRetries(t *testing.T) {
 	const key = "retried-key"
-	tc := newTestCluster(t, 3, Config{RetryBackoff: time.Millisecond})
+	tc := newTestCluster(t, 3, Config{retryBackoff: time.Millisecond})
 	p, _ := tc.ro.ring.Owners(key)
 	tc.faults.set(1, fault{kind: "reply", nodes: []int{p}, method: http.MethodPut, first: 1, status: http.StatusServiceUnavailable})
 	retries := obs.RouterRetries.Value()
@@ -487,14 +487,14 @@ func TestPutPrimaryLegRetries(t *testing.T) {
 	}
 }
 
-// TestSlowLegTimesOut: a leg slower than LegTimeout is given up at its
+// TestSlowLegTimesOut: a leg slower than legTimeout is given up at its
 // deadline — a get's fails over to the other replica, a put's is retried
-// — and the answer is whole. The delay is longer than LegTimeout and
-// shorter than the client's backstop (2×LegTimeout), so only the leg's
+// — and the answer is whole. The delay is longer than legTimeout and
+// shorter than the client's backstop (2×legTimeout), so only the leg's
 // own deadline can cut it short.
 func TestSlowLegTimesOut(t *testing.T) {
 	const legTimeout, key = 300 * time.Millisecond, "slow-key"
-	tc := newTestCluster(t, 3, Config{LegTimeout: legTimeout, RetryBackoff: time.Millisecond})
+	tc := newTestCluster(t, 3, Config{legTimeout: legTimeout, retryBackoff: time.Millisecond})
 	tc.put(t, key, testVals(3, 256))
 	first, _ := tc.ro.legs(key)
 	slow := func(method string) fault {
@@ -569,7 +569,7 @@ func TestMergeRetryAfter(t *testing.T) {
 // node's own Retry-After: 4 on node 0, 9 on node 1.
 func shedFleet(t *testing.T) *testCluster {
 	t.Helper()
-	tc := newTestCluster(t, 2, Config{Retries: 1, RetryBackoff: time.Millisecond})
+	tc := newTestCluster(t, 2, Config{retryBackoff: time.Millisecond})
 	tc.put(t, "shed-0", testVals(0, 8))
 	shed := func(node int, secs string) fault {
 		return fault{kind: "reply", nodes: []int{node}, status: http.StatusTooManyRequests, header: http.Header{"Retry-After": {secs}}}
@@ -611,8 +611,7 @@ func TestRetryAfterPropagatesFromDownstream(t *testing.T) {
 func TestProberEjectReadmit(t *testing.T) {
 	ejectsBefore := obs.RouterNodeEjects.Value()
 	readmitsBefore := obs.RouterNodeReadmits.Value()
-	tc := newTestCluster(t, 1, Config{ProbeInterval: 5 * time.Millisecond, probeTimeout: 200 * time.Millisecond,
-		EjectAfter: 2, ReadmitAfter: 2})
+	tc := newTestCluster(t, 1, Config{ProbeInterval: 5 * time.Millisecond, probeTimeout: 200 * time.Millisecond})
 	ro := tc.ro
 
 	waitUp := func(want bool) {

@@ -33,20 +33,24 @@ import (
 	"avr/internal/obs"
 )
 
+// The AVR LLC's design constants. cmsReadCycles is the extra latency
+// per subblock when reading a compressed block out of the LLC (§3.5).
+// prefetchThreshold is the PFE rule (§3.3): prefetch a replaced DBUF
+// block's remaining lines when at least this many were explicitly
+// requested, half the block.
+const (
+	cmsReadCycles     = 2
+	prefetchThreshold = compress.BlockLines / 2
+)
+
 // Config parameterises the AVR LLC.
 type Config struct {
-	// CapacityBytes, Ways and LineBytes define the data-array geometry.
+	// CapacityBytes and Ways define the data-array geometry (lines of
+	// compress.LineBytes).
 	CapacityBytes int
 	Ways          int
 	// HitCycles is the LLC access latency (Table 1: 15 cycles).
 	HitCycles int
-	// CMSReadCycles is the extra per-subblock latency when reading a
-	// compressed block out of the LLC.
-	CMSReadCycles int
-	// PrefetchThreshold is the PFE rule: prefetch a replaced DBUF block's
-	// remaining lines when at least this many were explicitly requested
-	// (the paper uses half the block, 8).
-	PrefetchThreshold int
 	// ApproxEnabled globally gates approximation: false yields the
 	// ZeroAVR configuration (full AVR structures, nothing approximated).
 	ApproxEnabled bool
@@ -94,13 +98,11 @@ func DefaultKnobs() Knobs {
 // with the paper's settings for everything else.
 func DefaultConfig(capacity int) Config {
 	return Config{
-		CapacityBytes:     capacity,
-		Ways:              16,
-		HitCycles:         15,
-		CMSReadCycles:     2,
-		PrefetchThreshold: compress.BlockLines / 2,
-		ApproxEnabled:     true,
-		Knobs:             DefaultKnobs(),
+		CapacityBytes: capacity,
+		Ways:          16,
+		HitCycles:     15,
+		ApproxEnabled: true,
+		Knobs:         DefaultKnobs(),
 	}
 }
 
@@ -644,11 +646,7 @@ func (l *LLC) linkBytes(addr uint64) int {
 	if !l.cfg.LosslessLink {
 		return compress.LineBytes
 	}
-	n := lossless.SizeOf(l.cfg.LosslessAlgo, l.space.Line(addr)) + 1
-	if n > compress.LineBytes {
-		n = compress.LineBytes
-	}
-	return n
+	return lossless.LinkBytes(l.cfg.LosslessAlgo, l.space.Line(addr))
 }
 
 // compressBlock is compressInPlace counted in the statistics and
@@ -703,7 +701,7 @@ func (l *LLC) loadDBUF(now uint64, blockAddr uint64, dt compress.DataType) {
 				req++
 			}
 		}
-		if req >= l.cfg.PrefetchThreshold {
+		if req >= prefetchThreshold {
 			tw := l.findTag(l.tagIndex(l.dbuf.blockAddr), l.blockTag(l.dbuf.blockAddr))
 			for cl := 0; cl < compress.BlockLines; cl++ {
 				if !l.dbuf.inLLC[cl] {
@@ -765,7 +763,7 @@ func (l *LLC) Access(now uint64, addr uint64) uint64 {
 			l.stats.ApproxCompHit++
 			l.stats.Decompresses++
 			l.stats.Accesses += uint64(tag.cmsCount)
-			lat := hit + uint64(int(tag.cmsCount)*l.cfg.CMSReadCycles) + compress.DecompressLatency
+			lat := hit + uint64(tag.cmsCount)*cmsReadCycles + compress.DecompressLatency
 			tag.stamp = l.tick()
 			l.touchCMSLRU(ti, tag)
 			l.loadDBUF(now, mem.BlockAddr(addr), dt)

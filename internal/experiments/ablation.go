@@ -38,7 +38,7 @@ var ablationBenchmarks = []string{"heat", "lattice"}
 
 // ablationUnit is bench under the AVR preset with one mechanism changed.
 func (r *Runner) ablationUnit(bench string, v ablationVariant) unit {
-	cfg := r.ConfigFor(sim.AVR)
+	cfg := r.Scale.Preset(sim.AVR)
 	v.mutate(&cfg)
 	return unit{key: bench + "/ablation/" + v.name, bench: bench, cfg: cfg}
 }

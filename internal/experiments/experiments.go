@@ -28,11 +28,9 @@ type Entry struct {
 // however many callers race on it, and resolve spreads the runs nobody
 // has started across a GOMAXPROCS-wide pool.
 type Runner struct {
-	// Scale selects the input scale for all runs.
+	// Scale selects the input scale and, through its preset, each
+	// design's system configuration for all runs.
 	Scale workloads.Scale
-	// ConfigFor builds the system configuration per design; defaults to
-	// Scale's preset.
-	ConfigFor func(d sim.Design) sim.Config
 	// Logger, when non-nil, receives one structured line per simulated
 	// run, named by its memo key, so long sweeps are observable.
 	Logger *slog.Logger
@@ -45,13 +43,13 @@ type Runner struct {
 
 // NewRunner creates a runner at the given scale.
 func NewRunner(sc workloads.Scale) *Runner {
-	return &Runner{Scale: sc, ConfigFor: sc.Preset, slots: make(map[string]*slot)}
+	return &Runner{Scale: sc, slots: make(map[string]*slot)}
 }
 
 // matrix is the unit of the benchmark × design matrix: bench on design
 // d's preset.
 func (r *Runner) matrix(bench string, d sim.Design) unit {
-	return unit{key: bench + "/" + d.String(), bench: bench, cfg: r.ConfigFor(d)}
+	return unit{key: bench + "/" + d.String(), bench: bench, cfg: r.Scale.Preset(d)}
 }
 
 // matrixUnits declares benches × designs.
@@ -432,7 +430,7 @@ func fig15(r *Runner, got results) ([]string, [][]string) {
 // overhead reproduces the §4.2 hardware overhead accounting; it needs no
 // runs.
 func overhead(r *Runner, _ results) ([]string, [][]string) {
-	cfg := r.ConfigFor(sim.AVR)
+	cfg := r.Scale.Preset(sim.AVR)
 	llcLines := cfg.LLCBytes / 64
 	extraBits := llcLines * 18 // tag-array + BPA additions per entry
 	return []string{"structure", "overhead"}, [][]string{

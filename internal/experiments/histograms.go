@@ -11,7 +11,7 @@ import (
 // enabled. It is keyed apart from the plain matrix run, so enabling
 // collection never perturbs — or reuses — the figures' runs.
 func (r *Runner) histogramUnit(bench string) unit {
-	cfg := r.ConfigFor(sim.AVR)
+	cfg := r.Scale.Preset(sim.AVR)
 	cfg.Histograms = true
 	return unit{key: bench + "/AVR/histograms", bench: bench, cfg: cfg}
 }

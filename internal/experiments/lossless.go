@@ -33,7 +33,7 @@ func (r *Runner) losslessUnit(bench string, v losslessVariant) unit {
 	if !v.link {
 		return r.matrix(bench, v.design)
 	}
-	cfg := r.ConfigFor(v.design)
+	cfg := r.Scale.Preset(v.design)
 	cfg.LosslessLink = true
 	cfg.LosslessAlgo = v.algo
 	return unit{key: fmt.Sprintf("%s/%s/link-%v", bench, v.design, v.algo), bench: bench, cfg: cfg}

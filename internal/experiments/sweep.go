@@ -12,7 +12,7 @@ var sweepCapacities = []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 
 // llcUnit is bench on design d at an explicit LLC capacity.
 func (r *Runner) llcUnit(bench string, d sim.Design, capBytes int) unit {
-	cfg := r.ConfigFor(d)
+	cfg := r.Scale.Preset(d)
 	cfg.LLCBytes = capBytes
 	return unit{key: fmt.Sprintf("%s/%s/llc%d", bench, d, capBytes), bench: bench, cfg: cfg}
 }

@@ -16,7 +16,7 @@ var thresholdBenchmarks = []string{"heat", "lattice", "kmeans"}
 
 // thresholdUnit is bench under AVR with explicit thresholds.
 func (r *Runner) thresholdUnit(bench string, t1 float64) unit {
-	cfg := r.ConfigFor(sim.AVR)
+	cfg := r.Scale.Preset(sim.AVR)
 	cfg.Thresholds = compress.Thresholds{T1: t1, T2: t1 / 2}
 	return unit{key: fmt.Sprintf("%s/AVR/t1=%g", bench, t1), bench: bench, cfg: cfg}
 }

@@ -85,3 +85,10 @@ func SizeOf(a Algorithm, line []byte) int {
 	}
 	return CompressedSize(line)
 }
+
+// LinkBytes is a line's transfer size on a lossless-compressed memory
+// link: its compressed size plus a 1 B form tag, capped at the
+// uncompressed LineBytes.
+func LinkBytes(a Algorithm, line []byte) int {
+	return min(SizeOf(a, line)+1, LineBytes)
+}

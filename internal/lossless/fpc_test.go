@@ -103,6 +103,17 @@ func TestSizeOfDispatch(t *testing.T) {
 	if SizeOf(FPC, line) != CompressedSizeFPC(line) {
 		t.Error("SizeOf(FPC) mismatch")
 	}
+	// The link adds a 1 B form tag and never sends more than the line.
+	random := make([]byte, LineBytes)
+	rand.New(rand.NewSource(3)).Read(random)
+	for _, a := range []Algorithm{BDI, FPC} {
+		if got := LinkBytes(a, line); got != SizeOf(a, line)+1 {
+			t.Errorf("%v: zero line LinkBytes %d, want %d", a, got, SizeOf(a, line)+1)
+		}
+		if got := LinkBytes(a, random); got != LineBytes {
+			t.Errorf("%v: random line LinkBytes %d, want %d", a, got, LineBytes)
+		}
+	}
 	if BDI.String() != "BDI" || FPC.String() != "FPC" {
 		t.Error("Algorithm.String")
 	}

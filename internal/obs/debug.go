@@ -54,10 +54,6 @@ var (
 	// moved through Put and Get.
 	StorePutBytes = expvar.NewInt("avr.store_put_bytes")
 	StoreGetBytes = expvar.NewInt("avr.store_get_bytes")
-	// StoreBlocksAVR/StoreBlocksLossless count blocks written per
-	// encoding (lossless = the ratio-floor fallback path).
-	StoreBlocksAVR      = expvar.NewInt("avr.store_blocks_avr")
-	StoreBlocksLossless = expvar.NewInt("avr.store_blocks_lossless")
 	// StoreCompressSkips counts Put-path blocks that skipped the AVR
 	// compression attempt because the key's live block there is flagged
 	// as badly compressing at the store's current threshold (the paper's
@@ -71,10 +67,8 @@ var (
 	StoreRecompressSkipped = expvar.NewInt("avr.store_recompress_skipped")
 	StoreRecompressWon     = expvar.NewInt("avr.store_recompress_won")
 	// Compaction accounting: passes completed and dead bytes reclaimed.
-	StoreCompactions     = expvar.NewInt("avr.store_compactions")
-	StoreCompactedBytes  = expvar.NewInt("avr.store_compacted_bytes")
-	StoreSegmentsCreated = expvar.NewInt("avr.store_segments_created")
-	StoreSegmentsDeleted = expvar.NewInt("avr.store_segments_deleted")
+	StoreCompactions    = expvar.NewInt("avr.store_compactions")
+	StoreCompactedBytes = expvar.NewInt("avr.store_compacted_bytes")
 	// StoreTornTails counts torn tail segments truncated during reopen
 	// recovery (crash mid-append).
 	StoreTornTails = expvar.NewInt("avr.store_torn_tails")
@@ -121,9 +115,6 @@ var (
 	// retry attempts beyond the first.
 	RouterFailovers = expvar.NewInt("avr.router_failovers")
 	RouterRetries   = expvar.NewInt("avr.router_retries")
-	// RouterBatchKeys counts keys moved through the batched mput/mget
-	// endpoints (the round-trip amortization the batch API exists for).
-	RouterBatchKeys = expvar.NewInt("avr.router_batch_keys")
 	// RouterNodeEjects/RouterNodeReadmits count health-prober state
 	// transitions: a node leaving rotation after consecutive /readyz
 	// failures, and coming back after consecutive successes.

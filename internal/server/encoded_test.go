@@ -35,7 +35,7 @@ func putEncoded(t testing.TB, url string, body []byte) (*http.Response, []byte) 
 func TestStorePutEncoded(t *testing.T) {
 	st, ts := storeServer(t, Config{})
 	vals, payload := f32Payload(t, "heat", 6000, 1)
-	enc := store.NewEncoder(st.T1(), st.Stats().RatioFloor)
+	enc := store.NewEncoder(st.T1())
 	container, err := enc.AppendPut(nil, vec.Of32(vals))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestStorePutEncoded(t *testing.T) {
 		t.Fatalf("the two keys read back differently (%d and %d bytes)", len(a), len(b))
 	}
 
-	other, err := store.NewEncoder(st.T1()*2, 1.2).AppendPut(nil, vec.Of32(vals))
+	other, err := store.NewEncoder(st.T1()*2).AppendPut(nil, vec.Of32(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestStorePutEncoded(t *testing.T) {
 func TestBatchEncodedItems(t *testing.T) {
 	st, ts := storeServer(t, Config{})
 	vals, payload := f32Payload(t, "wave", 5000, 2)
-	container, err := store.NewEncoder(st.T1(), st.Stats().RatioFloor).AppendPut(nil, vec.Of32(vals))
+	container, err := store.NewEncoder(st.T1()).AppendPut(nil, vec.Of32(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := store.NewEncoder(st.T1()/2, 1.2).AppendPut(nil, vec.Of32(vals))
+	other, err := store.NewEncoder(st.T1()/2).AppendPut(nil, vec.Of32(vals))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,9 @@ func DesignByName(name string) (Design, error) {
 type Config struct {
 	Design Design
 
-	// Private caches (per core, full size in the slice model).
-	L1Bytes, L1Ways, L1HitCycles int
+	// Private caches (per core, full size in the slice model). An L1
+	// hit takes CPU.L1HitCycles.
+	L1Bytes, L1Ways              int
 	L2Bytes, L2Ways, L2HitCycles int
 
 	// LLC slice.
@@ -112,7 +113,6 @@ func PresetSlice(d Design) Config {
 		Design:       d,
 		L1Bytes:      64 << 10,
 		L1Ways:       4,
-		L1HitCycles:  1,
 		L2Bytes:      256 << 10,
 		L2Ways:       8,
 		L2HitCycles:  8,
@@ -325,7 +325,7 @@ func newTile(cfg Config, llc llcDesign) tile {
 		l1:    cache.New(cfg.L1Bytes, cfg.L1Ways, 64),
 		l2:    cache.New(cfg.L2Bytes, cfg.L2Ways, 64),
 		llc:   llc,
-		l1Hit: uint64(cfg.L1HitCycles),
+		l1Hit: uint64(cfg.CPU.L1HitCycles),
 		l2Hit: uint64(cfg.L2HitCycles),
 	}
 }
@@ -502,11 +502,7 @@ func (b *baselineLLC) linkBytes(addr uint64) int {
 	if !b.lossless {
 		return 64
 	}
-	n := lossless.SizeOf(b.algo, b.space.Line(addr)) + 1
-	if n > 64 {
-		n = 64
-	}
-	return n
+	return lossless.LinkBytes(b.algo, b.space.Line(addr))
 }
 
 // Result gathers every metric the evaluation section reports.

@@ -46,7 +46,7 @@ func TestStorePutAllocFree(t *testing.T) {
 	// block too, whose check decodes into pooled scratch — and so does
 	// the encoder writing into a retained buffer.
 	mixed := genVec(t, "mixed", 32, 4*BlockValues, 42)
-	enc := NewEncoder(s.T1(), s.Stats().RatioFloor)
+	enc := NewEncoder(s.T1())
 	container, err := enc.AppendPut(nil, mixed)
 	if err != nil {
 		t.Fatal(err)

@@ -169,7 +169,6 @@ func (s *Store) compactSegment(m *segMeta) (CompactResult, error) {
 		return res, err
 	}
 	delete(s.segs, m.id)
-	obs.StoreSegmentsDeleted.Add(1)
 	res.BytesReclaimed = m.size - res.BytesMoved
 	return res, nil
 }

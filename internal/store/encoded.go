@@ -57,21 +57,21 @@ var (
 
 // Encoder is the store's block encoder on its own: it cuts a vector into
 // BlockValues-value blocks and encodes each with the AVR codec at t1, or
-// losslessly when the AVR stream misses the ratio floor. A Store runs
-// one inside PutVec; a process without a store (the cluster router) runs
-// one configured from the target stores' Stats and ships the result to
+// losslessly when the AVR stream misses ratioFloor. A Store runs one
+// inside PutVec; a process without a store (the cluster router) runs one
+// at the t1 the target stores' Stats report and ships the result to
 // Store.PutEncoded. Safe for concurrent use.
 type Encoder struct {
-	t1, ratioFloor float64
+	t1 float64
 	// codecs pools *avr.Codec instances at t1 (a Codec is not
 	// concurrency-safe; see the avr.Codec doc).
 	codecs sync.Pool
 }
 
-// NewEncoder returns an encoder at the given threshold and ratio floor —
-// a store's Config.T1 and Config.RatioFloor as its Stats report them.
-func NewEncoder(t1, ratioFloor float64) *Encoder {
-	e := &Encoder{t1: t1, ratioFloor: ratioFloor}
+// NewEncoder returns an encoder at the given threshold: a store's
+// Config.T1 as its Stats report it.
+func NewEncoder(t1 float64) *Encoder {
+	e := &Encoder{t1: t1}
 	e.codecs.New = func() any { return avr.NewCodec(t1) }
 	return e
 }
@@ -79,11 +79,13 @@ func NewEncoder(t1, ratioFloor float64) *Encoder {
 // T1 is the threshold the encoder runs at.
 func (e *Encoder) T1() float64 { return e.t1 }
 
-// RatioFloor is the AVR ratio below which a block is stored losslessly.
-func (e *Encoder) RatioFloor() float64 { return e.ratioFloor }
-
 func (e *Encoder) borrowCodec() *avr.Codec  { return e.codecs.Get().(*avr.Codec) }
 func (e *Encoder) returnCodec(c *avr.Codec) { e.codecs.Put(c) }
+
+// ratioFloor is the AVR compression ratio (raw bytes / encoded bytes)
+// below which a block is stored through the lossless fallback and
+// flagged.
+const ratioFloor = 1.2
 
 // appendBlock appends one block's encoding to dst and reports which it
 // is: the AVR stream, or — when skip says not to try, or the stream
@@ -96,7 +98,7 @@ func (e *Encoder) appendBlock(c *avr.Codec, dst []byte, vals vec.Vec, skip bool)
 			return dst[:at], 0, err
 		}
 		rawLen := vals.Len() * vals.Width / 8
-		if float64(rawLen)/float64(len(dst)-at) >= e.ratioFloor {
+		if float64(rawLen)/float64(len(dst)-at) >= ratioFloor {
 			return dst, encAVR, nil
 		}
 	}

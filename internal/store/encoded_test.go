@@ -34,7 +34,7 @@ func genVec(t testing.TB, dist string, width, n int, seed uint64) vec.Vec {
 // containerFor encodes vals the way a router in front of s would.
 func containerFor(t testing.TB, s *Store, vals vec.Vec) []byte {
 	t.Helper()
-	c, err := NewEncoder(s.Stats().T1, s.Stats().RatioFloor).AppendPut(nil, vals)
+	c, err := NewEncoder(s.Stats().T1).AppendPut(nil, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestGetEncodedAfterRetryAtNewT1(t *testing.T) {
 // container claimed and the values DecodeContainer rebuilt.
 func FuzzPutEncoded(f *testing.F) {
 	seed := func(dist string, width, n int) []byte {
-		c, err := NewEncoder(1.0/32, 1.2).AppendPut(nil, genVec(f, dist, width, n, 1))
+		c, err := NewEncoder(1.0/32).AppendPut(nil, genVec(f, dist, width, n, 1))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -71,7 +71,6 @@ type SegmentStats struct {
 type Stats struct {
 	Dir           string  `json:"dir"`
 	T1            float64 `json:"t1"`
-	RatioFloor    float64 `json:"ratio_floor"`
 	Keys          int     `json:"keys"`
 	Blocks        int     `json:"blocks"`
 	FlaggedBlocks int     `json:"flagged_blocks"`
@@ -102,7 +101,6 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Dir:        s.cfg.Dir,
 		T1:         s.cfg.T1,
-		RatioFloor: s.cfg.RatioFloor,
 		Keys:       len(s.index),
 		Tombstones: len(s.tombs),
 		Segments:   len(s.segs),

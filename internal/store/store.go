@@ -49,10 +49,6 @@ type Config struct {
 	// T1 is the per-value relative error bound blocks are encoded at
 	// (non-positive selects the experiment default, 1/32).
 	T1 float64
-	// RatioFloor is the minimum acceptable AVR compression ratio (raw
-	// bytes / encoded bytes). Blocks achieving less are stored through
-	// the lossless fallback and flagged (default 1.2).
-	RatioFloor float64
 	// SegmentTargetBytes rolls the active segment once it exceeds this
 	// size (default 64 MiB).
 	SegmentTargetBytes int64
@@ -86,9 +82,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.T1 <= 0 {
 		c.T1, _ = avr.DefaultThresholds()
-	}
-	if c.RatioFloor <= 0 {
-		c.RatioFloor = 1.2
 	}
 	if c.SegmentTargetBytes <= 0 {
 		c.SegmentTargetBytes = 64 << 20
@@ -231,7 +224,7 @@ func Open(cfg Config) (*Store, error) {
 		segs:  make(map[uint32]*segMeta),
 		index: make(map[string]*entry),
 		tombs: make(map[string]tombRef),
-		enc:   NewEncoder(cfg.T1, cfg.RatioFloor),
+		enc:   NewEncoder(cfg.T1),
 	}
 	s.puts.New = func() any { return &putScratch{} }
 	s.gets.New = func() any { return &getScratch{} }
@@ -495,7 +488,6 @@ func (s *Store) rollActive() error {
 	}
 	s.segs[id] = m
 	s.active = m
-	obs.StoreSegmentsCreated.Add(1)
 	return nil
 }
 
@@ -682,9 +674,6 @@ func (s *Store) commitPut(key string, width uint8, totalVals uint64, ps *putScra
 		frame, off = frame[n:], off+n
 		if eb.enc == encLossless {
 			res.LosslessBlocks++
-			obs.StoreBlocksLossless.Add(1)
-		} else {
-			obs.StoreBlocksAVR.Add(1)
 		}
 		blockRatioHist.Observe(float64(int(eb.valCount)*int(width/8)) / float64(len(eb.data)))
 	}

@@ -125,9 +125,9 @@ func TestGetWidthMismatch(t *testing.T) {
 }
 
 func TestLosslessFallbackIsExact(t *testing.T) {
-	// A ratio floor above anything the codec can reach forces every
-	// block through the lossless fallback, which must be bit-exact.
-	s := openTest(t, Config{RatioFloor: 1000})
+	// Noise misses the ratio floor in every block, so every block goes
+	// through the lossless fallback, which must be bit-exact.
+	s := openTest(t, Config{})
 	vals := genF32(t, "normal", BlockValues+11, 3)
 	res, err := s.Put32("noise", vals)
 	if err != nil {
