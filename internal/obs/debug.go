@@ -8,16 +8,17 @@ import (
 	"sync"
 )
 
-// Serving-path counters, published under /debug/vars by the avrd codec
-// service (internal/server): cheap process-global atomics (expvar is
-// process-global), updated per request, never per value.
+// Serving-path counters of the avrd codec service (internal/server):
+// cheap process-global atomics (expvar is process-global), updated per
+// request, never per value. Every series in this file is rendered on
+// /metrics by both tiers (avrd and avrrouter); /debug/vars serves them
+// only on a daemon started with -debug-addr (ServeDebug).
 var (
 	// ServerRequests counts codec requests accepted for processing
 	// (admission passed; includes requests that later fail).
 	ServerRequests = expvar.NewInt("avr.server_requests")
-	// ServerEncodes and ServerDecodes count successful codec operations.
+	// ServerEncodes counts successful encode requests.
 	ServerEncodes = expvar.NewInt("avr.server_encodes")
-	ServerDecodes = expvar.NewInt("avr.server_decodes")
 	// ServerErrors counts requests rejected for malformed input (bad
 	// body, bad stream, bad parameters) or failed mid-operation.
 	ServerErrors = expvar.NewInt("avr.server_errors")
@@ -41,19 +42,14 @@ var (
 // operation (put/get/compaction step), never per value. Tests assert
 // deltas, not absolutes, since expvar state is process-wide.
 var (
-	// StorePuts/StoreGets/StoreDeletes count store operations accepted.
-	StorePuts    = expvar.NewInt("avr.store_puts")
-	StoreGets    = expvar.NewInt("avr.store_gets")
-	StoreDeletes = expvar.NewInt("avr.store_deletes")
+	// StorePuts/StoreGets count puts committed and gets answered.
+	StorePuts = expvar.NewInt("avr.store_puts")
+	StoreGets = expvar.NewInt("avr.store_gets")
 	// StoreEncodes counts vectors run through the store's block encoder:
 	// by a store's PutVec, or by an Encoder on its own (the cluster
 	// router). A put that arrived encoded counts in StorePuts only, so
 	// puts minus encodes, fleet-wide, is the re-encoding avoided.
 	StoreEncodes = expvar.NewInt("avr.store_encodes")
-	// StorePutBytes/StoreGetBytes count raw (uncompressed) value bytes
-	// moved through Put and Get.
-	StorePutBytes = expvar.NewInt("avr.store_put_bytes")
-	StoreGetBytes = expvar.NewInt("avr.store_get_bytes")
 	// StoreCompressSkips counts Put-path blocks that skipped the AVR
 	// compression attempt because the key's live block there is flagged
 	// as badly compressing at the store's current threshold (the paper's
@@ -66,7 +62,9 @@ var (
 	StoreRecompressTried   = expvar.NewInt("avr.store_recompress_tried")
 	StoreRecompressSkipped = expvar.NewInt("avr.store_recompress_skipped")
 	StoreRecompressWon     = expvar.NewInt("avr.store_recompress_won")
-	// Compaction accounting: passes completed and dead bytes reclaimed.
+	// Compaction accounting: passes completed, and the bytes of live
+	// frames those passes rewrote into the active segment (the write
+	// amplification compaction adds; not the dead bytes it freed).
 	StoreCompactions    = expvar.NewInt("avr.store_compactions")
 	StoreCompactedBytes = expvar.NewInt("avr.store_compacted_bytes")
 	// StoreTornTails counts torn tail segments truncated during reopen
@@ -80,8 +78,10 @@ var (
 	StoreQueryBytesTotal   = expvar.NewInt("avr.store_query_bytes_total")
 
 	// Read-cache counters (internal/readcache, mounted store-side by
-	// internal/store and router-side by internal/cluster — one logical
-	// cache per process, so process-global atomics are the right scope).
+	// internal/store and router-side by internal/cluster). Where store
+	// caches and a router cache share a process (bench/, the cluster
+	// tests' newTestCluster) these sum all of them; per-instance
+	// counters are ROADMAP item 1.
 	//
 	// CacheHits/CacheMisses count reads served from resident summary
 	// lines vs reads that fell through to the disk path; CacheEvictions

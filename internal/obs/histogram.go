@@ -112,9 +112,9 @@ func (h *Histogram) Summary() Summary {
 	return s
 }
 
-// Standard histogram shapes used across the simulator. Keeping the
-// bucket layouts here means every run and every benchmark bins
-// identically, so distributions are directly comparable.
+// Standard histogram shapes used across the simulator and the serving
+// tiers. Keeping the bucket layouts here means every run and every
+// benchmark bins identically, so distributions are directly comparable.
 
 // DRAMLatencyHistogram bins per-burst DRAM access latency in CPU cycles
 // (issue to data-transfer completion, queueing included).
@@ -158,57 +158,6 @@ func CodecRatioHistogram() *Histogram {
 		[]float64{0.5, 1, 1.5, 2, 3, 4, 6, 8, 12, 16})
 }
 
-// StorePutLatencyHistogram bins block-store Put latency in microseconds
-// (encode + segment append, fsync excluded unless configured).
-func StorePutLatencyHistogram() *Histogram {
-	return NewHistogram("store_put_latency", "µs",
-		[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000,
-			25000, 50000, 100000, 250000, 1e6})
-}
-
-// StoreGetLatencyHistogram bins block-store Get latency in microseconds
-// (segment read + CRC check + decode).
-func StoreGetLatencyHistogram() *Histogram {
-	return NewHistogram("store_get_latency", "µs",
-		[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000,
-			25000, 50000, 100000, 250000, 1e6})
-}
-
-// StoreBlockRatioHistogram bins store blocks by achieved compression
-// ratio at write time (raw value bytes / stored payload bytes); the
-// lossless fallback lands near 1.
-func StoreBlockRatioHistogram() *Histogram {
-	return NewHistogram("store_block_ratio", "ratio",
-		[]float64{0.5, 1, 1.5, 2, 3, 4, 6, 8, 12, 16})
-}
-
-// StoreQueryLatencyHistogram bins compressed-domain query latency in
-// microseconds (frame reads + summary math, no block decode).
-func StoreQueryLatencyHistogram() *Histogram {
-	return NewHistogram("store_query_latency", "µs",
-		[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000,
-			25000, 50000, 100000, 250000, 1e6})
-}
-
-// CacheHitLatencyHistogram bins read-cache hit latency in microseconds
-// (summary interpolation + outlier patch-in, no segment read). Buckets
-// start well below the get histogram's: a hit is a memory-speed
-// reconstruction, routinely single-digit microseconds.
-func CacheHitLatencyHistogram() *Histogram {
-	return NewHistogram("cache_hit_latency", "µs",
-		[]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
-			5000, 10000, 25000})
-}
-
-// CacheMissLatencyHistogram bins read latency for cache misses (the
-// full disk path: segment read + CRC + decode), on the same µs scale as
-// the get histogram so the hit/miss split is directly comparable.
-func CacheMissLatencyHistogram() *Histogram {
-	return NewHistogram("cache_miss_latency", "µs",
-		[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000,
-			25000, 50000, 100000, 250000, 1e6})
-}
-
 // StageLatencyHistogram bins one traced request stage's latency in
 // microseconds (internal/trace). The buckets extend below the serving
 // histogram's because a single stage — a pool checkout, a lock wait —
@@ -217,20 +166,4 @@ func StageLatencyHistogram(name string) *Histogram {
 	return NewHistogram(name, "µs",
 		[]float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
 			10000, 25000, 50000, 100000, 250000, 1e6})
-}
-
-// StoreCompactLatencyHistogram bins whole compaction passes in
-// milliseconds: pick victim, move live frames, swap segments.
-func StoreCompactLatencyHistogram() *Histogram {
-	return NewHistogram("store_compact_latency", "ms",
-		[]float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
-			10000, 30000})
-}
-
-// StoreQueryTrafficHistogram bins queries by bytes_touched/bytes_total:
-// the fraction of the covered raw bytes the executor actually read.
-// Summary-only AVR blocks land near 1/16; lossless blocks near 1.
-func StoreQueryTrafficHistogram() *Histogram {
-	return NewHistogram("store_query_traffic", "fraction",
-		[]float64{1.0 / 64, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1, 2})
 }

@@ -165,6 +165,5 @@ func (s *Server) handleDecode(q *Req) {
 		return
 	}
 
-	obs.ServerDecodes.Add(1)
 	q.Reply(http.StatusOK, "application/octet-stream", vs.vals.LE(vs.raw))
 }

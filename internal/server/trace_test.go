@@ -37,10 +37,12 @@ func metricFamilies(t *testing.T, url string) (types map[string]string, values m
 	return types, values
 }
 
-// TestStatsShape pins the families avrd's /metrics carries for
-// cmd/avrtop and the EXPERIMENTS.md workflows: the tier, store, cache
-// and trace counters, the in-flight and cache occupancy gauges, the
-// latency and ratio histograms, and one histogram per trace stage.
+// TestStatsShape pins the exact family set avrd's /metrics carries, each
+// family beside the reader it is kept for: cmd/avrtop's panels, bench/
+// (which reads the obs counters in process), a smoke script, or a test
+// that asserts its value. A new series fails this test until it is
+// listed here with its reader; a series whose last reader goes is
+// deleted, not left listed.
 func TestStatsShape(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	_, payload := f32Payload(t, "heat", 1024, 7)
@@ -48,26 +50,59 @@ func TestStatsShape(t *testing.T) {
 
 	types, values := metricFamilies(t, ts.URL)
 	want := map[string]string{
-		"avr_server_in_flight": "gauge", "avr_cache_resident_bytes": "gauge", "avr_cache_lines": "gauge",
-		"avr_server_latency": "histogram", "avr_server_ratio": "histogram",
+		"avr_server_in_flight":          "gauge",     // avrtop
+		"avr_server_requests":           "counter",   // avrtop, bench/, TestStatsEndpoint
+		"avr_server_shed":               "counter",   // avrtop, bench/
+		"avr_server_errors":             "counter",   // avrtop, TestStatsEndpoint, TestFrameConformance
+		"avr_server_bytes_in":           "counter",   // avrtop
+		"avr_server_bytes_out":          "counter",   // avrtop
+		"avr_server_ratio":              "histogram", // avrtop, TestStatsEndpoint
+		"avr_server_latency":            "histogram", // avrtop, TestStatsEndpoint
+		"avr_server_store_partial":      "counter",   // avrtop
+		"avr_server_encodes":            "counter",   // TestStatsEndpoint
+		"avr_store_puts":                "counter",   // avrtop, bench/
+		"avr_store_gets":                "counter",   // avrtop, bench/
+		"avr_store_queries":             "counter",   // avrtop, store_smoke.sh
+		"avr_store_query_bytes_touched": "counter",   // avrtop, bench/
+		"avr_store_query_bytes_total":   "counter",   // avrtop, bench/
+		"avr_store_compactions":         "counter",   // avrtop, bench/
+		"avr_store_compacted_bytes":     "counter",   // avrtop, bench/
+		"avr_store_encodes":             "counter",   // TestReplicasHoldIdenticalBlocks
+		"avr_store_compress_skips":      "counter",   // TestRecompression*, TestPutEncodedOverwritesAndFlags
+		"avr_store_recompress_tried":    "counter",   // TestRecompression*
+		"avr_store_recompress_skipped":  "counter",   // TestRecompression*
+		"avr_store_recompress_won":      "counter",   // TestRecompression*
+		"avr_store_torn_tails":          "counter",   // TestIOFaults
+		"avr_cache_hits":                "counter",   // avrtop, bench/
+		"avr_cache_misses":              "counter",   // avrtop, bench/
+		"avr_cache_evictions":           "counter",   // avrtop, bench/
+		"avr_cache_resident_bytes":      "gauge",     // avrtop
+		"avr_cache_lines":               "gauge",     // avrtop
+		"avr_prefetch_issued":           "counter",   // avrtop, bench/
+		"avr_prefetch_useful":           "counter",   // avrtop, bench/
+		"avr_router_requests":           "counter",   // bench/
+		"avr_router_shed":               "counter",   // bench/
+		"avr_router_fanouts":            "counter",   // bench/
+		"avr_router_failovers":          "counter",   // bench/
+		"avr_router_retries":            "counter",   // bench/
+		"avr_router_errors":             "counter",   // TestFrameConformance
+		"avr_router_node_ejects":        "counter",   // cluster_smoke.sh, TestProberEjectReadmit
+		"avr_router_node_readmits":      "counter",   // cluster_smoke.sh, TestProberEjectReadmit
+		"avr_trace_spans":               "counter",   // avrtop
+		"avr_trace_exported":            "counter",   // avrtop
 	}
-	for _, name := range []string{
-		"server_requests", "server_encodes", "server_decodes", "server_errors", "server_shed",
-		"server_bytes_in", "server_bytes_out", "server_store_partial",
-		"store_puts", "store_gets", "store_deletes", "store_put_bytes", "store_get_bytes",
-		"store_queries", "store_query_bytes_touched", "store_query_bytes_total",
-		"store_compactions", "store_compacted_bytes",
-		"cache_hits", "cache_misses", "cache_evictions", "prefetch_issued", "prefetch_useful",
-		"trace_spans", "trace_exported",
-	} {
-		want["avr_"+name] = "counter"
-	}
+	// avrtop's stage panel; serve_smoke.sh greps the queue stage.
 	for i := 0; i < trace.NumStages; i++ {
 		want["avr_trace_stage_"+trace.Stage(i).String()] = "histogram"
 	}
 	for name, typ := range want {
 		if types[name] != typ {
 			t.Errorf("/metrics types %s as %q, want %q", name, types[name], typ)
+		}
+	}
+	for name, typ := range types {
+		if _, ok := want[name]; !ok {
+			t.Errorf("/metrics carries %s (%s), which names no reader here", name, typ)
 		}
 	}
 	// The encode we just made must be visible in its stage's histogram

@@ -2,7 +2,6 @@ package store
 
 import (
 	"slices"
-	"time"
 	"unsafe"
 
 	"avr/internal/block"
@@ -36,7 +35,7 @@ import (
 // sees the new refs, or the invalidation sees the inserted line.
 
 // CacheSource classifies how a read was served, for the X-AVR-Cache
-// response header and the hit/miss latency split.
+// response header.
 type CacheSource uint8
 
 const (
@@ -383,7 +382,7 @@ func (s *Store) serveFromLine(dst vec.Vec, ln *cachedLine) vec.Vec {
 // checked the cache is on. Returns ok=false on a miss (the caller's
 // disk read fills the line); on a hit err is ErrIncomplete when the line
 // covers only a torn-put prefix.
-func (s *Store) tryCacheHit(dst vec.Vec, key string, e *entry, sp *trace.Span, t0 time.Time) (out vec.Vec, src CacheSource, err error, ok bool) {
+func (s *Store) tryCacheHit(dst vec.Vec, key string, e *entry, sp *trace.Span) (out vec.Vec, src CacheSource, err error, ok bool) {
 	s.cache.Observe(key)
 	if ent, hit := s.cache.Get(key); hit {
 		if ln, lok := ent.Meta.(*cachedLine); lok && ln.seq == e.seq && ln.width == e.width {
@@ -395,7 +394,8 @@ func (s *Store) tryCacheHit(dst vec.Vec, key string, e *entry, sp *trace.Span, t
 				obs.PrefetchUseful.Add(1)
 				src = CachePrefetch
 			}
-			s.finishCacheHit(t0, int64(ln.nvals)*int64(ln.width/8))
+			obs.CacheHits.Add(1)
+			obs.StoreGets.Add(1)
 			if !ln.complete {
 				err = ErrIncomplete
 			}
@@ -406,16 +406,6 @@ func (s *Store) tryCacheHit(dst vec.Vec, key string, e *entry, sp *trace.Span, t
 	}
 	obs.CacheMisses.Add(1)
 	return dst, CacheMiss, nil, false
-}
-
-// finishCacheHit does the shared hit accounting.
-func (s *Store) finishCacheHit(t0 time.Time, n int64) {
-	obs.CacheHits.Add(1)
-	obs.StoreGets.Add(1)
-	obs.StoreGetBytes.Add(n)
-	lat := float64(time.Since(t0).Microseconds())
-	getLatencyHist.Observe(lat)
-	cacheHitHist.Observe(lat)
 }
 
 // invalidateCacheLocked drops key's resident line after a write-path

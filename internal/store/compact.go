@@ -71,14 +71,12 @@ func (s *Store) CompactOnce() (CompactResult, bool, error) {
 	if victim == nil {
 		return CompactResult{}, false, nil
 	}
-	t0 := time.Now()
 	res, err := s.compactSegment(victim)
 	if err != nil {
 		return res, false, err
 	}
-	compactLatencyHist.Observe(float64(time.Since(t0).Milliseconds()))
 	obs.StoreCompactions.Add(1)
-	obs.StoreCompactedBytes.Add(res.BytesReclaimed)
+	obs.StoreCompactedBytes.Add(res.BytesMoved)
 	return res, true, nil
 }
 

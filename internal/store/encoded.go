@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"avr"
 	"avr/internal/block"
@@ -209,7 +208,6 @@ func (s *Store) PutEncoded(key string, container []byte, sp *trace.Span) (PutRes
 	if err := checkKey(key); err != nil {
 		return PutResult{}, err
 	}
-	t0 := time.Now()
 	ps := s.puts.Get().(*putScratch)
 	defer s.puts.Put(ps)
 	vt := sp.Begin()
@@ -221,7 +219,7 @@ func (s *Store) PutEncoded(key string, container []byte, sp *trace.Span) (PutRes
 	if err != nil {
 		return PutResult{}, err
 	}
-	res, err := s.commitPut(key, h.width, h.total, ps, t0, sp)
+	res, err := s.commitPut(key, h.width, h.total, ps, sp)
 	clear(ps.blocks) // they alias the caller's container
 	return res, err
 }
@@ -365,7 +363,6 @@ func DecodeContainer(dst vec.Vec, container []byte) (vec.Vec, error) {
 // reports the vector's width and how many values the container holds.
 // Stages onto sp: StageLock, then StageSegRead.
 func (s *Store) GetEncoded(dst []byte, key string, sp *trace.Span) (out []byte, width, values int, err error) {
-	t0 := time.Now()
 	lt := sp.Begin()
 	s.mu.RLock()
 	sp.End(trace.StageLock, lt)
@@ -391,8 +388,6 @@ func (s *Store) GetEncoded(dst []byte, key string, sp *trace.Span) (out []byte, 
 		return dst, 0, 0, err
 	}
 	obs.StoreGets.Add(1)
-	obs.StoreGetBytes.Add(int64(h.total) * int64(e.width/8))
-	getLatencyHist.Observe(float64(time.Since(t0).Microseconds()))
 	if !complete {
 		err = ErrIncomplete
 	}

@@ -2,56 +2,8 @@ package store
 
 import (
 	"cmp"
-	"expvar"
 	"slices"
-
-	"avr/internal/obs"
 )
-
-// Store histograms. Process-global like the serving-path histograms in
-// internal/server (expvar.Publish panics on duplicate names), so /metrics
-// is where they are read; concurrent observers go through the
-// SyncHistogram lock. Tests assert deltas, not absolutes.
-var (
-	putLatencyHist     = obs.NewSyncHistogram(obs.StorePutLatencyHistogram())
-	getLatencyHist     = obs.NewSyncHistogram(obs.StoreGetLatencyHistogram())
-	blockRatioHist     = obs.NewSyncHistogram(obs.StoreBlockRatioHistogram())
-	queryLatencyHist   = obs.NewSyncHistogram(obs.StoreQueryLatencyHistogram())
-	queryTrafficHist   = obs.NewSyncHistogram(obs.StoreQueryTrafficHistogram())
-	compactLatencyHist = obs.NewSyncHistogram(obs.StoreCompactLatencyHistogram())
-	// The hit/miss split of get latency: cacheHitHist sees reads served
-	// from resident summary lines, cacheMissHist the disk fallthrough.
-	// Both also feed getLatencyHist, which stays the all-reads view.
-	cacheHitHist  = obs.NewSyncHistogram(obs.CacheHitLatencyHistogram())
-	cacheMissHist = obs.NewSyncHistogram(obs.CacheMissLatencyHistogram())
-)
-
-func init() {
-	expvar.Publish("avr.store_put_latency", expvar.Func(func() any {
-		return putLatencyHist.Summary()
-	}))
-	expvar.Publish("avr.store_get_latency", expvar.Func(func() any {
-		return getLatencyHist.Summary()
-	}))
-	expvar.Publish("avr.store_block_ratio", expvar.Func(func() any {
-		return blockRatioHist.Summary()
-	}))
-	expvar.Publish("avr.store_query_latency", expvar.Func(func() any {
-		return queryLatencyHist.Summary()
-	}))
-	expvar.Publish("avr.store_query_traffic", expvar.Func(func() any {
-		return queryTrafficHist.Summary()
-	}))
-	expvar.Publish("avr.store_compact_latency", expvar.Func(func() any {
-		return compactLatencyHist.Summary()
-	}))
-	expvar.Publish("avr.cache_hit_latency", expvar.Func(func() any {
-		return cacheHitHist.Summary()
-	}))
-	expvar.Publish("avr.cache_miss_latency", expvar.Func(func() any {
-		return cacheMissHist.Summary()
-	}))
-}
 
 // SegmentStats describes one segment file.
 type SegmentStats struct {
@@ -66,8 +18,8 @@ type SegmentStats struct {
 // Stats is a point-in-time snapshot of this store, served by avrd at
 // /v1/store/stats and printed by cmd/avrstore inspect. Blocks, RawBytes
 // and FlaggedBlocks are sums over the live blocks; a flagged block is
-// one stored lossless at the store's current t1. The latency and ratio
-// histograms are process-wide and on /metrics only.
+// one stored lossless at the store's current t1. The process-wide
+// counters are on /metrics only.
 type Stats struct {
 	Dir           string  `json:"dir"`
 	T1            float64 `json:"t1"`

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"avr/internal/block"
 	"avr/internal/compress"
@@ -260,7 +259,6 @@ func (q *queryRun) point(sum, w, abs float64) {
 // the compressed-domain walk over the verified frames (StageQuery). A
 // nil span traces nothing at no cost.
 func (s *Store) QueryAggregateTraced(key string, sp *trace.Span) (AggregateResult, error) {
-	t0 := time.Now()
 	q := queryRun{
 		op:    qopAggregate,
 		minLo: math.Inf(1), minHi: math.Inf(1),
@@ -271,7 +269,7 @@ func (s *Store) QueryAggregateTraced(key string, sp *trace.Span) (AggregateResul
 		return AggregateResult{}, err
 	}
 	res := q.aggregateResult(key)
-	finishQuery(&q, t0)
+	finishQuery(&q)
 	return res, nil
 }
 
@@ -303,7 +301,6 @@ func (s *Store) QueryFilterTraced(key string, lo, hi float64, sp *trace.Span) (F
 	if !(lo <= hi) {
 		return FilterResult{}, fmt.Errorf("store: bad filter range [%g, %g]", lo, hi)
 	}
-	t0 := time.Now()
 	q := queryRun{op: qopFilter, lo: lo, hi: hi, sp: sp}
 	width, err := s.runQuery(key, &q)
 	if err != nil {
@@ -315,7 +312,7 @@ func (s *Store) QueryFilterTraced(key string, lo, hi float64, sp *trace.Span) (F
 		ErrorBound: q.pos - q.defIn,
 		QueryStats: q.stats,
 	}
-	finishQuery(&q, t0)
+	finishQuery(&q)
 	return res, nil
 }
 
@@ -323,7 +320,6 @@ func (s *Store) QueryFilterTraced(key string, lo, hi float64, sp *trace.Span) (F
 // sub-block summaries: one point per 16 values, each with its own error
 // bound. Its time goes onto sp as QueryAggregateTraced's does.
 func (s *Store) QueryDownsampleTraced(key string, sp *trace.Span) (DownsampleResult, error) {
-	t0 := time.Now()
 	q := queryRun{op: qopDownsample, sp: sp}
 	width, err := s.runQuery(key, &q)
 	if err != nil {
@@ -334,19 +330,15 @@ func (s *Store) QueryDownsampleTraced(key string, sp *trace.Span) (DownsampleRes
 		Points: q.points, Bounds: q.bounds,
 		QueryStats: q.stats,
 	}
-	finishQuery(&q, t0)
+	finishQuery(&q)
 	return res, nil
 }
 
 // finishQuery publishes the per-query observability.
-func finishQuery(q *queryRun, t0 time.Time) {
+func finishQuery(q *queryRun) {
 	obs.StoreQueries.Add(1)
 	obs.StoreQueryBytesTouched.Add(q.stats.BytesTouched)
 	obs.StoreQueryBytesTotal.Add(q.stats.BytesTotal)
-	queryLatencyHist.Observe(float64(time.Since(t0).Microseconds()))
-	if q.stats.BytesTotal > 0 {
-		queryTrafficHist.Observe(float64(q.stats.BytesTouched) / float64(q.stats.BytesTotal))
-	}
 }
 
 // runQuery runs q over key under the read lock: readLocked's frame walk

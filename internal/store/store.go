@@ -622,7 +622,6 @@ func (s *Store) PutVec(key string, vals vec.Vec, sp *trace.Span) (PutResult, err
 		return PutResult{}, err
 	}
 	n := vals.Len()
-	t0 := time.Now()
 	ps := s.puts.Get().(*putScratch)
 	defer s.puts.Put(ps)
 	ps.ensure((n + BlockValues - 1) / BlockValues)
@@ -634,14 +633,14 @@ func (s *Store) PutVec(key string, vals vec.Vec, sp *trace.Span) (PutResult, err
 	}
 	blocksOf(ps.blocks, ps.buf, n)
 	sp.End(trace.StageEncode, et)
-	return s.commitPut(key, uint8(vals.Width), uint64(n), ps, t0, sp)
+	return s.commitPut(key, uint8(vals.Width), uint64(n), ps, sp)
 }
 
 // commitPut appends ps.blocks as frames — serialised back to back and
 // written with one write, so a put lands whole in one segment — and
 // applies each where it landed, atomically with respect to readers. On
 // append failure the index keeps the old value.
-func (s *Store) commitPut(key string, width uint8, totalVals uint64, ps *putScratch, t0 time.Time, sp *trace.Span) (PutResult, error) {
+func (s *Store) commitPut(key string, width uint8, totalVals uint64, ps *putScratch, sp *trace.Span) (PutResult, error) {
 	blocks := ps.blocks
 	lt := sp.Begin()
 	s.mu.Lock()
@@ -675,7 +674,6 @@ func (s *Store) commitPut(key string, width uint8, totalVals uint64, ps *putScra
 		if eb.enc == encLossless {
 			res.LosslessBlocks++
 		}
-		blockRatioHist.Observe(float64(int(eb.valCount)*int(width/8)) / float64(len(eb.data)))
 	}
 	ps.rec.Data = nil // it may alias the caller's container (PutEncoded)
 	// The superseded value's summary line (if resident) is now stale;
@@ -683,8 +681,6 @@ func (s *Store) commitPut(key string, width uint8, totalVals uint64, ps *putScra
 	s.invalidateCacheLocked(key)
 	res.Ratio = float64(res.RawBytes) / float64(res.StoredBytes)
 	obs.StorePuts.Add(1)
-	obs.StorePutBytes.Add(raw)
-	putLatencyHist.Observe(float64(time.Since(t0).Microseconds()))
 	return res, nil
 }
 
@@ -750,7 +746,6 @@ func (s *Store) Get64IntoCached(dst []float64, key string, sp *trace.Span) ([]fl
 // (StageLock), then either StageCacheHit or segment reads (StageSegRead)
 // and block decodes (StageDecode). A nil span traces nothing at no cost.
 func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (vec.Vec, CacheSource, error) {
-	t0 := time.Now()
 	lt := sp.Begin()
 	s.mu.RLock()
 	sp.End(trace.StageLock, lt)
@@ -769,12 +764,11 @@ func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (
 	out.Width = int(e.width)
 	src := CacheNone
 	if useCache && s.cache != nil {
-		if hit, hsrc, herr, ok := s.tryCacheHit(out, key, e, sp, t0); ok {
+		if hit, hsrc, herr, ok := s.tryCacheHit(out, key, e, sp); ok {
 			return hit, hsrc, herr
 		}
 		src = CacheMiss
 	}
-	base := out.Len()
 	fill := src == CacheMiss && s.cache.Admit(key, e.lineBound(key))
 	ln, complete, err := s.readLocked(&out, nil, fill, nil, key, e, sp)
 	if err != nil {
@@ -786,12 +780,6 @@ func (s *Store) GetVec(dst vec.Vec, key string, useCache bool, sp *trace.Span) (
 		s.cache.Put(key, ln.size(key), ln, false)
 	}
 	obs.StoreGets.Add(1)
-	obs.StoreGetBytes.Add(int64(out.Len()-base) * int64(e.width/8))
-	lat := float64(time.Since(t0).Microseconds())
-	getLatencyHist.Observe(lat)
-	if src == CacheMiss {
-		cacheMissHist.Observe(lat)
-	}
 	if !complete {
 		err = ErrIncomplete
 	}
@@ -1064,7 +1052,6 @@ func (s *Store) Delete(key string) error {
 	}
 	s.apply(segID, &rec, off, int64(len(frame)))
 	s.invalidateCacheLocked(key)
-	obs.StoreDeletes.Add(1)
 	return nil
 }
 
