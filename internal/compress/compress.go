@@ -423,7 +423,11 @@ func interpolate(sum *[SummaryValues]int32, out *[BlockValues]int32, m Method) {
 // Decompress reconstructs a block from its compressed representation:
 // summary averages, outlier bitmap and packed outliers (nil when the block
 // compressed without outliers). It returns the 256 bit patterns the
-// processor observes.
+// processor observes. It is the scalar statement of the decompressor,
+// one value at a time: the oracle the tests hold the reconstruct kernels
+// to (DecompressBits32, DecompressFast), and what CompressWith's Result
+// and bench's decompress micro-loop call. The simulator and the codec
+// run the kernels.
 func Decompress(summary *[SummaryValues]int32, bitmap *[BitmapBytes]byte, outliers []uint32, m Method, bias int8, dt DataType) [BlockValues]uint32 {
 	var rec [BlockValues]int32
 	interpolate(summary, &rec, m)

@@ -25,9 +25,10 @@ var diffThresholds = []compress.Thresholds{
 
 var diffVariants = []compress.VariantMask{compress.Variant1D, compress.Variant2D, compress.VariantBoth}
 
-// diff32 compares one 32-bit block through all three entry points and
-// returns the oracle's verdict.
-func diff32(t *testing.T, vals *[compress.BlockValues]uint32, dt compress.DataType, th compress.Thresholds, v compress.VariantMask) bool {
+// diff32 compares one 32-bit block through all three entry points, and
+// the LLC's rebuild of the fast result (DecompressFast) with Decompress,
+// and returns the oracle's result.
+func diff32(t *testing.T, vals *[compress.BlockValues]uint32, dt compress.DataType, th compress.Thresholds, v compress.VariantMask) compress.Result {
 	t.Helper()
 	want := compress.ReferenceCompress(vals, dt, th, v)
 	c := compress.NewCompressorVariants(th, v)
@@ -44,6 +45,11 @@ func diff32(t *testing.T, vals *[compress.BlockValues]uint32, dt compress.DataTy
 		t.Fatalf("fast summary/bitmap/outliers differ from the reference (%d vs %d outliers)",
 			len(f.Outliers), len(want.Outliers))
 	}
+	var rebuilt [compress.BlockValues]uint32
+	c.DecompressFast(&rebuilt, &f, dt)
+	if rebuilt != compress.Decompress(f.Summary, f.Bitmap, f.Outliers, f.Method, f.Bias, dt) {
+		t.Fatalf("DecompressFast != Decompress (OK %v, %v %v, %d outliers)", f.OK, dt, f.Method, len(f.Outliers))
+	}
 
 	got := c.CompressWith(vals, dt, th)
 	if got.OK != want.OK || got.Method != want.Method || got.Type != want.Type || got.Bias != want.Bias ||
@@ -57,7 +63,7 @@ func diff32(t *testing.T, vals *[compress.BlockValues]uint32, dt compress.DataTy
 	if dec := compress.Decompress(&got.Summary, &got.Bitmap, got.Outliers, got.Method, got.Bias, dt); dec != got.Reconstructed {
 		t.Fatalf("Reconstructed != Decompress(parts) (OK %v)", got.OK)
 	}
-	return want.OK
+	return want
 }
 
 // diff64 is diff32 for 128-double blocks.
@@ -121,11 +127,21 @@ func float64Block(vals []float64, i int) *[compress.BlockValues64]uint64 {
 func TestCompressDifferential(t *testing.T) {
 	const blocks = 6
 	var ok, failed int
-	count := func(o bool) {
-		if o {
-			ok++
-		} else {
+	// The rebuilds diff32 checks, by kind of compressed block.
+	rebuilds := map[string]int{}
+	count := func(r compress.Result, v compress.VariantMask) {
+		if !r.OK {
 			failed++
+			return
+		}
+		ok++
+		outliers := "no-outliers"
+		if len(r.Outliers) > 0 {
+			outliers = "outliers"
+		}
+		rebuilds[fmt.Sprintf("%v/%v/%s", r.Type, r.Method, outliers)]++
+		if v == compress.VariantBoth && r.Method == compress.Method1D {
+			rebuilds[fmt.Sprintf("%v/first-attempt-won", r.Type)]++
 		}
 	}
 	for _, dist := range workloads.Distributions() {
@@ -137,14 +153,18 @@ func TestCompressDifferential(t *testing.T) {
 			for _, v := range diffVariants {
 				t.Run(fmt.Sprintf("%s/t%d/v%d", dist, ti, v), func(t *testing.T) {
 					for i := 0; i < blocks; i++ {
-						count(diff32(t, float32Block(vals, i), compress.Float32, th, v))
-						count(diff32(t, fixed32Block(vals, i), compress.Fixed32, th, v))
+						count(diff32(t, float32Block(vals, i), compress.Float32, th, v), v)
+						count(diff32(t, fixed32Block(vals, i), compress.Fixed32, th, v), v)
 					}
 				})
 			}
 			t.Run(fmt.Sprintf("%s/t%d/fp64", dist, ti), func(t *testing.T) {
 				for i := 0; i < 2*blocks; i++ {
-					count(diff64(t, float64Block(vals, i), th))
+					if diff64(t, float64Block(vals, i), th) {
+						ok++
+					} else {
+						failed++
+					}
 				}
 			})
 		}
@@ -152,6 +172,21 @@ func TestCompressDifferential(t *testing.T) {
 	// The harness must see both outcomes, or it proves half of what it says.
 	if ok == 0 || failed == 0 {
 		t.Fatalf("%d blocks compressed, %d did not: need both", ok, failed)
+	}
+	// The rebuild must be seen from both datatypes, both winners, with
+	// and without outliers, and where the winner is not the last attempt
+	// (its reconstruction no longer in scratch).
+	for _, dt := range []compress.DataType{compress.Float32, compress.Fixed32} {
+		for _, m := range []compress.Method{compress.Method1D, compress.Method2D} {
+			for _, o := range []string{"outliers", "no-outliers"} {
+				if k := fmt.Sprintf("%v/%v/%s", dt, m, o); rebuilds[k] == 0 {
+					t.Errorf("no compressed %s block rebuilt", k)
+				}
+			}
+		}
+		if k := fmt.Sprintf("%v/first-attempt-won", dt); rebuilds[k] == 0 {
+			t.Errorf("no rebuild of %s", k)
+		}
 	}
 }
 

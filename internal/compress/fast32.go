@@ -15,7 +15,7 @@ import (
 // held in compressor scratch. No Result struct is filled in (no 1 KiB
 // Reconstructed image, no outlier copy), so the codec encode loop runs
 // allocation-free; Compress/CompressWith are adapters over this path
-// that copy the winner into a Result for the simulator. The scalar
+// that copy the winner into a Result. The scalar
 // per-value formulation it was derived from is the test oracle
 // (reference_test.go); TestCompressDifferential pins every output field
 // bit-identical to it.
@@ -94,6 +94,18 @@ func compactOutliers32(vals *[BlockValues]uint32, bm *[BitmapBytes]byte, out []u
 	for w := 0; w < BitmapBytes/8; w++ {
 		for v := binary.LittleEndian.Uint64(bm[w*8:]); v != 0; v &= v - 1 {
 			out[k] = vals[w<<6+bits.TrailingZeros64(v)]
+			k++
+		}
+	}
+}
+
+// expandOutliers32 undoes compactOutliers32: it writes outlier k over
+// the value at the bitmap's k-th set bit, walking the same words.
+func expandOutliers32(vals *[BlockValues]uint32, bm *[BitmapBytes]byte, out []uint32) {
+	k := 0
+	for w := 0; w < BitmapBytes/8; w++ {
+		for v := binary.LittleEndian.Uint64(bm[w*8:]); v != 0; v &= v - 1 {
+			vals[w<<6+bits.TrailingZeros64(v)] = out[k]
 			k++
 		}
 	}
@@ -297,12 +309,7 @@ func (c *Compressor) DecompressBits32(out []uint32, summary *[SummaryValues]int3
 	if len(out) == BlockValues {
 		blk = (*[BlockValues]uint32)(out)
 	}
-	recon := c.ReconstructFixed32(summary, m)
-	if simd.Enabled() {
-		simd.FixedToFloatsBits(blk, recon, int32(-int(bias)))
-	} else {
-		fixed.FixedToFloats(blk[:], recon[:], bias)
-	}
+	c.reconstructBits32(blk, summary, m, bias)
 	oi := 0
 	for bi, b := range bitmap {
 		for b != 0 {
@@ -315,4 +322,36 @@ func (c *Compressor) DecompressBits32(out []uint32, summary *[SummaryValues]int3
 	if blk == &c.tail {
 		copy(out, blk[:])
 	}
+}
+
+// reconstructBits32 is DecompressBits32 before the outlier overlay: the
+// summary interpolated, then the Float32 bit patterns of every value.
+func (c *Compressor) reconstructBits32(blk *[BlockValues]uint32, summary *[SummaryValues]int32, m Method, bias int8) {
+	recon := c.ReconstructFixed32(summary, m)
+	if simd.Enabled() {
+		simd.FixedToFloatsBits(blk, recon, int32(-int(bias)))
+	} else {
+		fixed.FixedToFloats(blk[:], recon[:], bias)
+	}
+}
+
+// DecompressFast writes into out the block r decodes to, r being the
+// result of this compressor's last CompressFast* call on a block of type
+// dt, whose summary, bitmap and outliers still sit in its scratch. A
+// Float32 block goes through DecompressBits32's reconstruct; a Fixed32
+// block takes the two's-complement patterns of the interpolation; then
+// the outliers go back to their places (expandOutliers32). The summary
+// is re-interpolated because the last attempt's reconstruction may be the
+// loser's. The result is Decompress's bit for bit, without its scalar
+// per-value conversion: the simulated LLC rebuilds every block it
+// compresses through it.
+func (c *Compressor) DecompressFast(out *[BlockValues]uint32, r *FastResult, dt DataType) {
+	if dt == Float32 {
+		c.reconstructBits32(out, r.Summary, r.Method, r.Bias)
+	} else {
+		for i, x := range c.ReconstructFixed32(r.Summary, r.Method) {
+			out[i] = uint32(x)
+		}
+	}
+	expandOutliers32(out, r.Bitmap, r.Outliers)
 }

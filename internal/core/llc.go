@@ -683,7 +683,7 @@ func (l *LLC) compressInPlace(blockAddr uint64, dt compress.DataType) compress.F
 	}
 	res := l.comp.CompressFastWith(&l.scratch, dt, th)
 	if res.OK {
-		l.scratch = compress.Decompress(res.Summary, res.Bitmap, res.Outliers, res.Method, res.Bias, dt)
+		l.comp.DecompressFast(&l.scratch, &res, dt)
 		l.space.WriteBlock(blockAddr, &l.scratch)
 	}
 	return res

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"avr/internal/compress"
 )
@@ -224,16 +225,26 @@ func (s *Space) Line(addr uint64) []byte {
 // addr into vals.
 func (s *Space) ReadBlock(addr uint64, vals *[compress.BlockValues]uint32) {
 	base := addr &^ (compress.BlockBytes - 1)
-	for i := range vals {
-		vals[i] = binary.LittleEndian.Uint32(s.data[base+uint64(4*i):])
-	}
+	copy(blockBytes(vals)[:], s.data[base:base+compress.BlockBytes])
 }
 
 // WriteBlock overwrites the memory block containing addr with vals.
 func (s *Space) WriteBlock(addr uint64, vals *[compress.BlockValues]uint32) {
 	base := addr &^ (compress.BlockBytes - 1)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(s.data[base+uint64(4*i):], v)
+	copy(s.data[base:base+compress.BlockBytes], blockBytes(vals)[:])
+}
+
+// blockBytes views a block's values as their 1 KiB in memory, so a block
+// moves between the space and a value array as one copy. The space holds
+// every value little-endian (Load32, Store32), so the view is its byte
+// image only on a little-endian host; init refuses any other.
+func blockBytes(vals *[compress.BlockValues]uint32) *[compress.BlockBytes]byte {
+	return (*[compress.BlockBytes]byte)(unsafe.Pointer(vals))
+}
+
+func init() {
+	if binary.NativeEndian.Uint32([]byte{1, 0, 0, 0}) != 1 {
+		panic("mem: ReadBlock and WriteBlock need a little-endian host")
 	}
 }
 

@@ -101,17 +101,37 @@ func TestLine(t *testing.T) {
 	}
 }
 
+// TestBlockRoundTrip holds the one-copy block moves to the per-value
+// accessors: a block written by WriteBlock reads back value for value
+// through Load32, a block stored value by value reads back through
+// ReadBlock, on the first and the last block of a space's footprint.
 func TestBlockRoundTrip(t *testing.T) {
 	s := NewSpace(1 << 20)
-	base := s.Alloc(compress.BlockBytes, compress.BlockBytes)
-	var vals, back [compress.BlockValues]uint32
-	for i := range vals {
-		vals[i] = uint32(i) * 7
+	first := s.Alloc(compress.BlockBytes, compress.BlockBytes)
+	s.Alloc(5*compress.BlockBytes, compress.BlockBytes)
+	last := s.Alloc(compress.BlockBytes, compress.BlockBytes)
+	if end := last + compress.BlockBytes; end != s.Footprint()+PageBytes {
+		t.Fatalf("last block ends at %#x, the break at %#x", end, s.Footprint()+PageBytes)
 	}
-	s.WriteBlock(base+100, &vals) // any addr within the block works
-	s.ReadBlock(base, &back)
-	if vals != back {
-		t.Error("block round trip failed")
+	for _, base := range []uint64{first, last} {
+		var vals, back [compress.BlockValues]uint32
+		for i := range vals {
+			vals[i] = uint32(i)*0x01030507 ^ uint32(base)
+		}
+		s.WriteBlock(base+100, &vals) // any addr within the block works
+		for i, v := range vals {
+			if got := s.Load32(base + uint64(4*i)); got != v {
+				t.Fatalf("block %#x value %d: WriteBlock then Load32 = %#x, want %#x", base, i, got, v)
+			}
+		}
+		for i := range vals {
+			vals[i] = ^vals[i] * 3
+			s.Store32(base+uint64(4*i), vals[i])
+		}
+		s.ReadBlock(base+compress.BlockBytes-1, &back)
+		if back != vals {
+			t.Fatalf("block %#x: Store32 then ReadBlock differs", base)
+		}
 	}
 }
 

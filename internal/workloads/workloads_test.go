@@ -177,21 +177,28 @@ func TestHeatConvergesTowardBoundary(t *testing.T) {
 	}
 }
 
+// TestKMeansIterationsRecorded pins known modelling deviation 8
+// (EXPERIMENTS.md): no kmeans run here meets the convergence test, so
+// both designs run every iteration the cap allows and execute the same
+// instructions, where the paper has AVR's distorted points cost extra
+// iterations. A change that makes kmeans converge has to edit this.
 func TestKMeansIterationsRecorded(t *testing.T) {
-	w := NewKMeans()
-	_, _, _ = runOn(t, w, sim.Baseline)
-	if w.Iterations() < 2 || w.Iterations() > 40 {
-		t.Errorf("iterations = %d", w.Iterations())
-	}
-	// Centroids must be sorted-ish and within elevation range.
-	sys := sim.New(sim.PresetSmall(sim.Baseline))
-	w2 := NewKMeans()
-	w2.Setup(sys, ScaleSmall)
-	w2.Run(sys)
-	for _, c := range w2.Output(sys) {
-		if c < 0 || c > 2500 {
-			t.Errorf("centroid %v outside elevation range", c)
+	var instr [2]uint64
+	for i, d := range []sim.Design{sim.Baseline, sim.AVR} {
+		w := NewKMeans()
+		_, res, out := runOn(t, w, d)
+		if w.Iterations() != kmeansMaxIter {
+			t.Errorf("%v: %d iterations, want the cap %d", d, w.Iterations(), kmeansMaxIter)
 		}
+		for _, c := range out {
+			if c < 0 || c > 2500 {
+				t.Errorf("%v: centroid %v outside elevation range", d, c)
+			}
+		}
+		instr[i] = res.Instructions
+	}
+	if instr[0] != instr[1] {
+		t.Errorf("instructions: Baseline %d, AVR %d", instr[0], instr[1])
 	}
 }
 
