@@ -2,12 +2,14 @@
 // DBUF/PFE pair: an in-memory, byte-budgeted, sharded-LRU cache whose
 // unit of residency is a key's *summary line* — the summary + outlier
 // bitmap + packed outliers of its encoded frames — rather than the
-// decoded vector, so a fixed budget holds ~16× more hot keys than a
-// decoded-block cache would (Touché's keep-it-compressed capacity
-// argument applied at the service layer). The cache is content-agnostic:
-// entries carry an opaque Meta the owner reconstructs from on a hit
-// (internal/store keeps pre-parsed summary slabs, internal/cluster keeps
-// whole proxied responses).
+// decoded vector (Touché's keep-it-compressed capacity argument applied
+// at the service layer). A line costs about the key's stored bytes, so a
+// fixed budget holds more hot keys than a decoded-value cache by the
+// key's compression ratio: 16:1 only for the summary of an outlier-free
+// AVR record, 1:1 for a key stored lossless (DESIGN.md §5.11). The cache
+// is content-agnostic: entries carry an opaque Meta the owner
+// reconstructs from on a hit (internal/store keeps pre-parsed summary
+// slabs, internal/cluster keeps whole proxied responses).
 //
 // Demand population is the owner's: whoever misses has the data in hand
 // a moment later and Puts the entry itself (the store builds the line

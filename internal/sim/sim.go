@@ -476,10 +476,11 @@ func (b *baselineLLC) WriteBack(now uint64, addr uint64) {
 	if b.c.Access(addr, true) {
 		return
 	}
-	// Write-allocate: a writeback miss fills the line from memory before
-	// the dirty data merges into it, so the fill read is charged like any
-	// other miss (it was previously omitted, undercounting baseline read
-	// traffic relative to the Access path).
+	// Baseline alone fetches on a writeback miss: the line is read from
+	// memory before the dirty data merges into it, where Truncate,
+	// Doppelgänger and the AVR LLC allocate without a read. Known
+	// modelling deviation 6 (EXPERIMENTS.md); TestWritebackMissFillRead
+	// pins both sides.
 	b.dramCtrl.AccessBytes(now, addr, b.linkBytes(addr), false, b.space.Info(addr).Approx)
 	if v := b.c.Allocate(addr, true); v.Valid && v.Dirty {
 		b.dramCtrl.AccessBytes(now, v.Addr, b.linkBytes(v.Addr), true, b.space.Info(v.Addr).Approx)
