@@ -87,9 +87,9 @@ func OutputError(benchmark string, d Design, sc Scale) (float64, error) {
 	return r.OutputError(benchmark, d)
 }
 
-// Experiment regenerates one of the paper's tables or figures by id
-// (table3, table4, fig9..fig15, overhead) at the given scale, returning
-// the rendered text table and CSV.
+// Experiment regenerates one experiment by id (ExperimentIDs lists them:
+// the paper's tables and figures and the studies beyond it) at the given
+// scale, returning the rendered text table and CSV.
 func Experiment(id string, sc Scale) (title, text, csv string, err error) {
 	r := experiments.NewRunner(sc)
 	rep, err := r.ByID(id)

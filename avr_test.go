@@ -86,7 +86,7 @@ func TestExperimentUnknown(t *testing.T) {
 
 func TestExperimentIDs(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 16 {
+	if len(ids) != 15 {
 		t.Errorf("ids = %v", ids)
 	}
 }

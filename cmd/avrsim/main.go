@@ -56,7 +56,7 @@ func main() {
 		cmdRun(os.Args[2:])
 	case "tables":
 		cmdTables(os.Args[2:])
-	case "trace":
+	case "trace": // read by EXPERIMENTS.md "Epoch traces"; bench/'s sim_matrix uses its epoch recorder
 		cmdTrace(os.Args[2:])
 	default:
 		usage()

@@ -19,8 +19,13 @@ var (
 	deviationNum = regexp.MustCompile(`[-–]?\d+`)
 	mdLinkRe     = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	designHeadRe = regexp.MustCompile(`(?m)^##+ (\d+(?:\.\d+)?)\.? `)
+	// "-exp table3", "-exp fig9,fig10".
+	expRefRe     = regexp.MustCompile(`-exp\s+([a-z0-9]+(?:,[a-z0-9]+)*)`)
 	deviationRow = regexp.MustCompile(`(?m)^(\d+)\. `)
 )
+
+// currentDocs are the root documents that describe the program as it is.
+var currentDocs = map[string]bool{"README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true, "ROADMAP.md": true}
 
 // TestDocReferencesResolve holds the prose's cross-references to what they
 // name, so a section renumbered or a file moved fails here, at the line that
@@ -30,11 +35,19 @@ var (
 //   - every "deviation N" is an item of EXPERIMENTS.md's "Known modelling
 //     deviations" list;
 //   - every relative Markdown link names a file that exists;
+//   - every "-exp <id>" names a registered experiment (or "all"), except in
+//     the root documents other than currentDocs, such as CHANGES.md, which
+//     record experiments a change removed;
+//   - every registered experiment has a row in DESIGN.md §4's index;
 //   - every directory under internal/ and cmd/, and bench/, is named in
 //     README.md's "Repository layout" block.
 func TestDocReferencesResolve(t *testing.T) {
 	sections := designSections(t)
 	deviations := knownDeviations(t)
+	expIDs := map[string]bool{"all": true}
+	for _, id := range ExperimentIDs() {
+		expIDs[id] = true
+	}
 
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -75,6 +88,15 @@ func TestDocReferencesResolve(t *testing.T) {
 				}
 			}
 		}
+		if filepath.Dir(path) != "." || ext != ".md" || currentDocs[path] {
+			for _, m := range expRefRe.FindAllStringSubmatchIndex(text, -1) {
+				for _, id := range strings.Split(text[m[2]:m[3]], ",") {
+					if !expIDs[id] {
+						t.Errorf("%s:%d: %q names experiment %q, which avrsim tables does not register", path, line(m[0]), text[m[0]:m[1]], id)
+					}
+				}
+			}
+		}
 		if ext == ".md" {
 			for _, m := range mdLinkRe.FindAllStringSubmatchIndex(text, -1) {
 				target := text[m[2]:m[3]]
@@ -91,6 +113,13 @@ func TestDocReferencesResolve(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	indexed := experimentIndex(t)
+	for _, id := range ExperimentIDs() {
+		if !indexed[id] {
+			t.Errorf("DESIGN.md §4: the per-experiment index has no row regenerated with `avrsim tables -exp %s`", id)
+		}
 	}
 
 	layout, at := readmeLayout(t)
@@ -130,6 +159,30 @@ func designSections(t *testing.T) map[string]bool {
 		t.Fatal("DESIGN.md: no numbered headings")
 	}
 	return sections
+}
+
+// experimentIndex returns the experiment ids DESIGN.md §4's table rows
+// regenerate with "avrsim tables -exp <id>".
+func experimentIndex(t *testing.T) map[string]bool {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(b), "\n## 4. ")
+	if !ok {
+		t.Fatal(`DESIGN.md: no "## 4." section`)
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	ids := map[string]bool{}
+	for _, row := range strings.Split(index, "\n") {
+		if !strings.HasPrefix(row, "|") {
+			continue
+		}
+		for _, m := range expRefRe.FindAllStringSubmatch(row, -1) {
+			ids[m[1]] = true
+		}
+	}
+	return ids
 }
 
 // knownDeviations returns the item numbers of EXPERIMENTS.md's "Known

@@ -101,7 +101,7 @@ func benchPost(b *testing.B, url string, body []byte, rawBytes int64) {
 
 // BenchmarkRouterMput8 / Mget8 drive the router's batch endpoints end to
 // end — router and 3 shards, replication 2, every hop a real loopback
-// listener (ROADMAP item 1(a)).
+// listener.
 func BenchmarkRouterMput8(b *testing.B) {
 	tc := newTestCluster(b, 3, Config{})
 	mput, _, raw := batch8(b)

@@ -40,7 +40,7 @@ var ablationBenchmarks = []string{"heat", "lattice"}
 func (r *Runner) ablationUnit(bench string, v ablationVariant) unit {
 	cfg := r.Scale.Preset(sim.AVR)
 	v.mutate(&cfg)
-	return unit{key: bench + "/ablation/" + v.name, bench: bench, cfg: cfg}
+	return unit{spec{bench: bench, cfg: cfg}, bench + "/ablation/" + v.name}
 }
 
 // ablationUnits declares the variants and the baselines they normalise

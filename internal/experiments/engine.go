@@ -1,7 +1,8 @@
 // The run engine. A run is a plain value (unit); a Runner keeps one memo
-// slot per unit key; resolve runs the slots nobody has started on a
-// GOMAXPROCS-wide pool. Simulated clocks are deterministic, so results
-// are bit-identical however the work is scheduled.
+// slot per distinct run, keyed by what the run executes; resolve runs the
+// slots nobody has started on a GOMAXPROCS-wide pool. Simulated clocks
+// are deterministic, so results are bit-identical however the work is
+// scheduled.
 
 package experiments
 
@@ -14,20 +15,28 @@ import (
 	"avr/internal/workloads"
 )
 
-// unit is one simulation run as a value: the memo key that names it and
-// everything needed to execute it. cores == 0 is the single-core system;
-// n ≥ 1 is sim.NewMulti's n-core CMP, which runs the same core model. At
-// n = 1 what differs is Barrier: it flushes and invalidates the private
-// caches, where the single-core system keeps them warm.
-type unit struct {
-	key   string
+// spec is everything a simulation runs, and so its memo key: two units
+// with equal specs are one simulation, whatever they are labelled.
+// cores == 0 is the single-core system; n ≥ 1 is sim.NewMulti's n-core
+// CMP, which runs the same core model. At n = 1 what differs is Barrier:
+// it flushes and invalidates the private caches, where the single-core
+// system keeps them warm.
+type spec struct {
 	bench string
 	cfg   sim.Config
 	cores int
 }
 
-// slot is the memo of one key: the first caller simulates inside once,
-// every later or concurrent caller waits there and reads e and err.
+// unit is one simulation run as a value: its spec, and the label that
+// names it in progress lines and panics.
+type unit struct {
+	spec
+	label string
+}
+
+// slot is the memo of one spec: the first caller simulates inside once,
+// every later or concurrent caller waits there and reads e and err. Its
+// label is the one the spec was first declared with.
 type slot struct {
 	unit
 	once sync.Once
@@ -35,16 +44,16 @@ type slot struct {
 	err  error
 }
 
-// results are the entries of one resolved unit list, by memo key.
-type results map[string]*Entry
+// results are the entries of one resolved unit list, by spec.
+type results map[spec]*Entry
 
 // of reads back a unit the renderer's registry row declared. Asking for
 // one it did not declare is a bug in that row, whatever else happens to
 // be memoised.
 func (g results) of(u unit) *Entry {
-	e, ok := g[u.key]
+	e, ok := g[u.spec]
 	if !ok {
-		panic("experiments: renderer read undeclared unit " + u.key)
+		panic("experiments: renderer read undeclared unit " + u.label)
 	}
 	return e
 }
@@ -77,13 +86,13 @@ func SimulateMulti(bench string, cfg sim.Config, n int, sc workloads.Scale) (sim
 	return m.Finish(bench), nil
 }
 
-// simulate executes the unit. A CMP run keeps its aggregate Result,
+// simulate executes the spec. A CMP run keeps its aggregate Result,
 // which carries the slowest core's cycles and the summed instructions.
-func (u unit) simulate(sc workloads.Scale) (*Entry, error) {
-	if u.cores == 0 {
-		return Simulate(u.bench, u.cfg, sc)
+func (sp spec) simulate(sc workloads.Scale) (*Entry, error) {
+	if sp.cores == 0 {
+		return Simulate(sp.bench, sp.cfg, sc)
 	}
-	m, err := SimulateMulti(u.bench, u.cfg, u.cores, sc)
+	m, err := SimulateMulti(sp.bench, sp.cfg, sp.cores, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -94,14 +103,14 @@ func (u unit) simulate(sc workloads.Scale) (*Entry, error) {
 // hits and deduplicated callers excluded).
 func (r *Runner) Simulations() int64 { return r.simulations.Load() }
 
-// slotFor returns the memo slot of u's key, creating it for a new key.
+// slotFor returns the memo slot of u's spec, creating it for a new spec.
 func (r *Runner) slotFor(u unit) *slot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.slots[u.key]
+	s, ok := r.slots[u.spec]
 	if !ok {
 		s = &slot{unit: u}
-		r.slots[u.key] = s
+		r.slots[u.spec] = s
 	}
 	return s
 }
@@ -120,7 +129,7 @@ func (r *Runner) run(s *slot) (*Entry, error) {
 		r.mu.Lock()
 		total := len(r.slots)
 		r.mu.Unlock()
-		attrs := []any{"done", r.done.Add(1), "total", total, "key", s.key, "scale", r.Scale.String()}
+		attrs := []any{"done", r.done.Add(1), "total", total, "key", s.label, "scale", r.Scale.String()}
 		if s.err != nil {
 			r.Logger.Error("run failed", append(attrs, "err", s.err)...)
 		} else {
@@ -130,7 +139,7 @@ func (r *Runner) run(s *slot) (*Entry, error) {
 	return s.e, s.err
 }
 
-// resolve runs units on a pool of GOMAXPROCS workers — each key once,
+// resolve runs units on a pool of GOMAXPROCS workers — each spec once,
 // however often it is listed here or was asked for before — and returns
 // every unit's entry, or the first error in unit order. All slots exist
 // before the first run starts, so every progress line of a pass carries
@@ -162,7 +171,7 @@ func (r *Runner) resolve(units []unit) (results, error) {
 		if s.err != nil {
 			return nil, s.err
 		}
-		got[s.key] = s.e
+		got[s.spec] = s.e
 	}
 	return got, nil
 }

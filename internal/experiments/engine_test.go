@@ -70,6 +70,29 @@ func TestPrefetchDeduplicatesOverlap(t *testing.T) {
 	}
 }
 
+// TestEqualSpecsSimulateOnce checks the memo is keyed by what a run
+// executes, not by its label: the LLC sweep's point at the preset's own
+// capacity is the matrix cell under another label, so the two are one
+// simulation, and both read back its entry.
+func TestEqualSpecsSimulateOnce(t *testing.T) {
+	r := NewRunner(workloads.ScaleSmall)
+	plain := r.matrix("heat", sim.Baseline)
+	swept := r.llcUnit("heat", sim.Baseline, plain.cfg.LLCBytes)
+	if plain.label == swept.label {
+		t.Fatalf("both units are labelled %s", plain.label)
+	}
+	got, err := r.resolve([]unit{plain, swept})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Simulations(); n != 1 {
+		t.Errorf("two labels of one spec ran %d simulations, want 1", n)
+	}
+	if got.of(plain) != got.of(swept) {
+		t.Error("the two labels read back different entries")
+	}
+}
+
 // lockedBuffer collects progress lines written by concurrent workers.
 type lockedBuffer struct {
 	mu  sync.Mutex

@@ -32,24 +32,24 @@ type Runner struct {
 	// design's system configuration for all runs.
 	Scale workloads.Scale
 	// Logger, when non-nil, receives one structured line per simulated
-	// run, named by its memo key, so long sweeps are observable.
+	// run, named by its label, so long sweeps are observable.
 	Logger *slog.Logger
 
 	mu    sync.Mutex
-	slots map[string]*slot
+	slots map[spec]*slot
 
 	simulations, done atomic.Int64
 }
 
 // NewRunner creates a runner at the given scale.
 func NewRunner(sc workloads.Scale) *Runner {
-	return &Runner{Scale: sc, slots: make(map[string]*slot)}
+	return &Runner{Scale: sc, slots: make(map[spec]*slot)}
 }
 
 // matrix is the unit of the benchmark × design matrix: bench on design
 // d's preset.
 func (r *Runner) matrix(bench string, d sim.Design) unit {
-	return unit{key: bench + "/" + d.String(), bench: bench, cfg: r.Scale.Preset(d)}
+	return unit{spec{bench: bench, cfg: r.Scale.Preset(d)}, bench + "/" + d.String()}
 }
 
 // matrixUnits declares benches × designs.
@@ -222,15 +222,20 @@ var registry = []experiment{
 	{"fig14", "Figure 14: AVR LLC requests on approximate cachelines", matrixOf(sim.AVR), fig14},
 	{"fig15", "Figure 15: AVR LLC evictions of approximate cachelines", matrixOf(sim.AVR), fig15},
 	{"overhead", "Section 4.2: AVR hardware overhead", matrixOf(), overhead},
+
+	// Beyond the paper: each row names the document that reads it.
+	// Read by EXPERIMENTS.md "Ablations".
 	{"ablation", "Ablation: AVR mechanisms on/off (normalised to baseline)", (*Runner).ablationUnits, ablation},
+	// Read by EXPERIMENTS.md "LLC capacity sweep".
 	{"llcsweep", "LLC capacity sweep: AVR vs baseline on heat (normalised per capacity)",
 		(*Runner).llcSweepUnits, llcSweep},
+	// Read by EXPERIMENTS.md "Multicore scaling".
 	{"multicore", "Multicore scaling: heat on a shared-LLC CMP (speedup vs same design at 1 core)",
 		(*Runner).multicoreUnits, multicore},
+	// Read by EXPERIMENTS.md "Lossless stacking".
 	{"lossless", "Lossless link layer (BDI/FPC) alone and stacked on AVR (normalised to baseline)",
 		(*Runner).losslessUnits, losslessReport},
-	{"thresholds", "Error-threshold knob: AVR quality vs compression as T1 sweeps (T2 = T1/2)",
-		(*Runner).thresholdUnits, thresholds},
+	// Read by ROADMAP item 21 (its exit asks for a finite p99 per cell).
 	{"histograms", "Appendix: latency / compression / error distributions (AVR)",
 		(*Runner).histogramUnits, histograms},
 }

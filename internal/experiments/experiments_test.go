@@ -162,7 +162,7 @@ func TestByIDUnknown(t *testing.T) {
 
 func TestIDsStable(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 16 {
+	if len(ids) != 15 {
 		t.Fatalf("ids = %v", ids)
 	}
 	seen := map[string]bool{}
@@ -186,7 +186,9 @@ func TestOverheadReportStatic(t *testing.T) {
 
 // TestFullMatrixReports regenerates every experiment end to end and
 // requires each to match its golden file byte for byte. This is the
-// repo's heaviest integration test (≈20 s); skipped in -short mode.
+// repo's heaviest integration test; skipped in -short mode. Its
+// Doppelgänger-orbit >100 % check holds at ScaleSmall only: at
+// ScaleSlice that error is 0.3 % (ROADMAP item 20).
 func TestFullMatrixReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")

@@ -8,12 +8,12 @@ import (
 )
 
 // histogramUnit is bench under AVR with distribution collection
-// enabled. It is keyed apart from the plain matrix run, so enabling
+// enabled. Its spec differs from the plain matrix run's, so enabling
 // collection never perturbs — or reuses — the figures' runs.
 func (r *Runner) histogramUnit(bench string) unit {
 	cfg := r.Scale.Preset(sim.AVR)
 	cfg.Histograms = true
-	return unit{key: bench + "/AVR/histograms", bench: bench, cfg: cfg}
+	return unit{spec{bench: bench, cfg: cfg}, bench + "/AVR/histograms"}
 }
 
 // histogramUnits declares one collecting run per benchmark.

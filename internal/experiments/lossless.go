@@ -27,16 +27,14 @@ var losslessVariants = []losslessVariant{
 	{"AVR+FPC", sim.AVR, true, lossless.FPC},
 }
 
-// losslessUnit is bench at one point of the study; a variant without
-// the link layer is the plain matrix run.
+// losslessUnit is bench at one point of the study.
 func (r *Runner) losslessUnit(bench string, v losslessVariant) unit {
-	if !v.link {
-		return r.matrix(bench, v.design)
-	}
 	cfg := r.Scale.Preset(v.design)
-	cfg.LosslessLink = true
-	cfg.LosslessAlgo = v.algo
-	return unit{key: fmt.Sprintf("%s/%s/link-%v", bench, v.design, v.algo), bench: bench, cfg: cfg}
+	if v.link {
+		cfg.LosslessLink = true
+		cfg.LosslessAlgo = v.algo
+	}
+	return unit{spec{bench: bench, cfg: cfg}, bench + "/lossless/" + v.name}
 }
 
 // losslessUnits declares the study's benchmarks × variants grid.

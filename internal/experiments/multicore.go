@@ -21,7 +21,7 @@ func SharedCMP(cfg sim.Config) sim.Config {
 
 // multicoreUnit is bench's parallel decomposition on an n-core CMP.
 func (r *Runner) multicoreUnit(bench string, d sim.Design, n int) unit {
-	return unit{key: fmt.Sprintf("%s/%s/cores%d", bench, d, n), bench: bench, cfg: SharedCMP(r.Scale.Preset(d)), cores: n}
+	return unit{spec{bench: bench, cfg: SharedCMP(r.Scale.Preset(d)), cores: n}, fmt.Sprintf("%s/%s/cores%d", bench, d, n)}
 }
 
 // multicoreUnits declares heat on both designs at every CMP size.

@@ -14,7 +14,7 @@ var sweepCapacities = []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 func (r *Runner) llcUnit(bench string, d sim.Design, capBytes int) unit {
 	cfg := r.Scale.Preset(d)
 	cfg.LLCBytes = capBytes
-	return unit{key: fmt.Sprintf("%s/%s/llc%d", bench, d, capBytes), bench: bench, cfg: cfg}
+	return unit{spec{bench: bench, cfg: cfg}, fmt.Sprintf("%s/%s/llc%d", bench, d, capBytes)}
 }
 
 // llcSweepUnits declares heat on both designs at every capacity.

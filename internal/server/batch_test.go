@@ -253,7 +253,7 @@ func benchDo(b *testing.B, method, url string, body []byte, rawBytes int64) {
 }
 
 // BenchmarkServerMput8 / Mget8 drive avrd's batch endpoints end to end
-// over a real loopback listener (ROADMAP item 1(a)).
+// over a real loopback listener.
 func BenchmarkServerMput8(b *testing.B) {
 	_, ts := storeServer(b, Config{})
 	mput, _, raw := batch8(b)
